@@ -118,11 +118,14 @@ func TestShedUnderForcedOverload(t *testing.T) {
 	ac.ShedKnee = 0 // drill mode
 	ac.ShedMax = 0.9
 	ac.PredictorRouting = false
+	// The default tick is 100 ms, as long as the sleep below: the puts
+	// then raced the first tick and often met a shed probability of 0.
+	ac.Tick = 5 * time.Millisecond
 	st := openAdmitTest(t, ac)
 	if _, err := st.Put(1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // several ticks: prob ramps to max
+	time.Sleep(100 * time.Millisecond) // ~20 ticks: prob ramps to max
 
 	var shed, ok int
 	for i := 0; i < 500; i++ {

@@ -120,52 +120,6 @@ func TestSharedLaneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSharedGroupCommitAcrossShards is the cross-shard amortization
-// proof: writers spread over every shard complete with far fewer fsyncs
-// than appends, because one lane fsync covers all of them. In per-shard
-// mode the same load would pay up to one fsync per shard per interval.
-func TestSharedGroupCommitAcrossShards(t *testing.T) {
-	w, err := Open(Options{Dir: t.TempDir(), Shards: 4, Mode: ModeShared, SyncDelay: 500 * time.Microsecond},
-		func(*tkvlog.Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	const perShard = 100
-	var wg sync.WaitGroup
-	errs := make(chan error, 4*perShard)
-	for sh := 0; sh < 4; sh++ {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			for seq := uint64(1); seq <= perShard; seq++ {
-				c := w.Append(sh, seq, []tkvlog.Entry{{Key: uint64(sh)<<32 | seq, Val: "x"}})
-				if err := c.Wait(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(sh)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := w.Stats()
-	if st.Fsyncs >= 4*perShard {
-		t.Fatalf("no group commit: %d fsyncs for %d appends", st.Fsyncs, st.Appends)
-	}
-	if st.GroupMean <= 1 {
-		t.Fatalf("group mean %.2f; expected cross-shard batching", st.GroupMean)
-	}
-	if st.GroupMax < 2 {
-		t.Fatalf("group max %d; no group ever spanned shards", st.GroupMax)
-	}
-	t.Logf("shared lane: %d appends over 4 shards, %d fsyncs, mean group %.1f, max %d, fsync p99 %dµs",
-		st.Appends, st.Fsyncs, st.GroupMean, st.GroupMax, st.FsyncP99us)
-}
-
 // laneFixture writes a deterministic interleaved multi-shard segment
 // and returns the baseline dir, the segment bytes, the record end
 // offsets, and the decoded records (for prefix folds).

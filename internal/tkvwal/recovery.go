@@ -86,7 +86,7 @@ func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 		stopc:   make(chan struct{}),
 	}
 	if mode == ModeShared {
-		w.lane = &laneLog{notify: make(chan struct{}, 1)}
+		w.lane = &laneLog{notify: make(chan struct{}, 1), maxWait: laneWaitMax}
 		w.lane.cur.Store(&Commit{w: w, done: make(chan struct{})})
 	}
 	if err := fs.MkdirAll(opts.Dir); err != nil {

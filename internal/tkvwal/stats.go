@@ -42,6 +42,14 @@ type Stats struct {
 	// total writers, not writers-per-shard.
 	GroupMean float64 `json:"group_mean"`
 	GroupMax  uint64  `json:"group_max"`
+	// GroupWaits counts shared-lane collections that were held back for
+	// the writers the previous group released (the arrival-driven group
+	// formation); GroupWaitTimeouts counts the ones the fallback timer
+	// ended because those writers did not return. Timeouts near zero
+	// under steady load is the healthy shape; one per drop in load is
+	// the design.
+	GroupWaits        uint64 `json:"group_waits"`
+	GroupWaitTimeouts uint64 `json:"group_wait_timeouts"`
 
 	FsyncP50us uint64 `json:"fsync_p50_us"`
 	FsyncP99us uint64 `json:"fsync_p99_us"`
@@ -56,8 +64,8 @@ type Stats struct {
 	// Sync is false in async (NoSync) mode, where acks do not wait for
 	// fsync and the durability contract is weaker.
 	Sync bool `json:"sync"`
-	// Failed is true once the log has fenced itself after a write or
-	// fsync error; the process should already be exiting.
+	// Failed is true once the log is fenced: after a write or fsync
+	// error (the process should already be exiting), Abandon, or Close.
 	Failed bool `json:"failed"`
 }
 
@@ -76,21 +84,23 @@ func (s *Stats) DurableLag() uint64 {
 // Stats snapshots the log's counters. Safe under concurrent appends.
 func (w *WAL) Stats() Stats {
 	st := Stats{
-		Mode:             w.mode,
-		Shards:           make([]ShardStats, len(w.shards)),
-		Appends:          w.appends.Load(),
-		Fsyncs:           w.fsyncs.Load(),
-		BytesAppended:    w.bytesAppended.Load(),
-		PendingPeakBytes: w.pendingPeak.Load(),
-		GroupMean:        w.groupHist.Mean(),
-		GroupMax:         w.groupHist.Max(),
-		FsyncP50us:       w.fsyncHist.Quantile(0.50),
-		FsyncP99us:       w.fsyncHist.Quantile(0.99),
-		Checkpoints:      w.checkpoints.Load(),
-		CheckpointAgeSec: -1,
-		Recovery:         w.recovered,
-		Sync:             !w.opts.NoSync,
-		Failed:           w.failErr.Load() != nil,
+		Mode:              w.mode,
+		Shards:            make([]ShardStats, len(w.shards)),
+		Appends:           w.appends.Load(),
+		Fsyncs:            w.fsyncs.Load(),
+		BytesAppended:     w.bytesAppended.Load(),
+		PendingPeakBytes:  w.pendingPeak.Load(),
+		GroupMean:         w.groupHist.Mean(),
+		GroupMax:          w.groupHist.Max(),
+		GroupWaits:        w.groupWaits.Load(),
+		GroupWaitTimeouts: w.groupTimeouts.Load(),
+		FsyncP50us:        w.fsyncHist.Quantile(0.50),
+		FsyncP99us:        w.fsyncHist.Quantile(0.99),
+		Checkpoints:       w.checkpoints.Load(),
+		CheckpointAgeSec:  -1,
+		Recovery:          w.recovered,
+		Sync:              !w.opts.NoSync,
+		Failed:            w.fenced.Load() != nil,
 	}
 	if ns := w.lastCkptNS.Load(); ns != 0 {
 		st.CheckpointAgeSec = time.Since(time.Unix(0, ns)).Seconds()

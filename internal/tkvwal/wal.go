@@ -30,17 +30,35 @@
 // that releases every waiter on every shard. The whole store pays one
 // fsync per group instead of one per shard, so on single-device media
 // (where N fsyncs to one disk serialize anyway) sync-ack throughput
-// scales with total writers, not writers-per-shard. Because the lane
-// serializes the whole store behind one flush pipeline, its loop paces
-// itself: it stalls ~one measured fsync before collecting (see
-// lanePace), so commit bursts finish staging and groups grow to the
-// demand even when the fsync is faster than the writers' turnaround.
+// scales with total writers, not writers-per-shard.
+//
+// The lane forms its groups from arrivals, never from a clock. A lane
+// that collected the moment it woke would, whenever the fsync is faster
+// than the writers' turnaround, pick up the first arrival of each
+// post-ack burst, fsync, and strand the rest for the next round — tiny
+// groups, throughput at round-trip rate. A lane that slept a fixed time
+// before collecting would serialise on a guess (and a sub-millisecond
+// runtime timer on an idle Linux processor returns after more than a
+// millisecond). Instead the lane acts on evidence: the writers a group
+// just released are the ones about to come back, so it counts records
+// as they are staged and holds its next collection until that many new
+// ones have arrived on top of what was staged while the group was in
+// flight — re-checked on every arrival, by the arriving appender, which
+// wakes the lane when the count is there. A lone serial writer's record
+// is the whole expectation, so it pays the fsync and nothing else. Only
+// when load drops (released writers that do not return) does one
+// reusable fallback timer end the wait, bounded by the measured fsync
+// cost so the lane never idles the device for longer than one more
+// flush would have taken (and never beyond laneWaitMax); the group that
+// paid it sets the new, smaller expectation. Stats counts both
+// (GroupWaits, GroupWaitTimeouts).
+//
 // Records carry their shard id and per-shard sequence number in the
 // tkvlog header, so the interleaved file demultiplexes naturally at
-// recovery. ModePerShard
-// remains the right choice when shards live on independent media and
-// genuinely fsync in parallel. A directory's MANIFEST pins the layout
-// (and the shard count); reopening with the other mode refuses.
+// recovery. ModePerShard remains the right choice when shards live on
+// independent media and genuinely fsync in parallel. A directory's
+// MANIFEST pins the layout (and the shard count); reopening with the
+// other mode refuses.
 //
 // The lane's ack correctness leans on one ordering: an appender stages
 // its record under the shard mutex first and only then loads the
@@ -57,7 +75,10 @@
 //
 // A write or fsync error fences the log permanently: every parked and
 // future Commit reports the failure, appends are rejected, and Failed()
-// fires so the process can exit nonzero. In shared mode one lane fault
+// fires so the process can exit nonzero. The fence is one published
+// value — the pre-failed Commit that Append hands back is itself the
+// flag Append checks — so no appender can observe "fenced" without also
+// holding a handle that fails (see fail). In shared mode one lane fault
 // fences every shard at once — there is only one lane. A failed fsync
 // means the page cache and the platter may disagree; retrying would
 // risk acknowledging a write the disk silently lost, so the only honest
@@ -109,17 +130,14 @@ type Options struct {
 	// everything since the last fsync the OS chose to do. The fail-stop
 	// fence still holds.
 	NoSync bool
-	// SyncDelay stalls the sync loop briefly before each flush to grow
-	// commit groups. Zero (the default) fsyncs as soon as the loop is
-	// free — natural group commit; under load that already batches well.
-	SyncDelay time.Duration
 	// CheckpointEvery is the store-side checkpoint interval (the WAL
 	// itself does not tick; the store drives Checkpoint with a
 	// consistent cut). Zero disables periodic checkpoints.
 	CheckpointEvery time.Duration
 }
 
-// ErrClosed is returned for appends after Close.
+// ErrClosed is the fence Close leaves behind: appends after (or racing
+// past) the final flush report it.
 var ErrClosed = errors.New("tkvwal: closed")
 
 // ErrAbandoned marks a log dropped by Abandon (the in-process crash
@@ -129,7 +147,8 @@ var ErrAbandoned = errors.New("tkvwal: abandoned (simulated crash)")
 
 // Commit is the durability handle for one appended record: a ticket on
 // the group-commit batch the record rides. A nil *Commit waits for
-// nothing (async mode).
+// nothing; Append returns one only in async (NoSync) mode, never for a
+// log that owes the caller a durability answer.
 type Commit struct {
 	w    *WAL
 	done chan struct{}
@@ -192,6 +211,23 @@ type laneLog struct {
 	cur    atomic.Pointer[Commit] // current group ticket (swap-first, see flushLaneLocked)
 	notify chan struct{}          // wakes the lane loop (capacity 1)
 
+	// Arrival-driven group formation (see awaitArrivals). staged counts
+	// records staged and not yet collected; appenders add to it after
+	// releasing the shard mutex, so it can trail a collection by the
+	// appenders in flight (and dip below zero) until their adds land —
+	// each of them still sends its wake-up afterwards. want is the staged
+	// count at which the next collection may start: what was staged while
+	// the last group was in flight plus the records that group carried.
+	// waiting is set while the loop is blocked for that count: appenders
+	// then do the per-arrival re-check themselves and wake the loop only
+	// when the count is reached, instead of once each.
+	staged   atomic.Int64
+	want     atomic.Int64
+	waiting  atomic.Bool
+	fsyncEMA atomic.Int64  // EMA of fsync nanos: the fallback timer's bound
+	maxWait  time.Duration // laneWaitMax; a field so tests can rule the fallback out or in
+	timer    *time.Timer   // the fallback timer, created on first use (laneLoop only)
+
 	wmu    sync.Mutex  // serializes write/fsync/rotate on f
 	f      File        // active lane segment (guarded by wmu)
 	rot    uint64      // active segment's rotation counter (guarded by wmu)
@@ -219,27 +255,31 @@ type WAL struct {
 
 	appends       atomic.Uint64
 	bytesAppended atomic.Uint64
-	pendingPeak   atomic.Uint64   // max bytes one flush carried
+	pendingPeak   atomic.Uint64 // max bytes one flush carried
 	fsyncs        atomic.Uint64
-	fsyncEMA      atomic.Int64    // EMA of fsync nanos (lane pacing input)
 	fsyncHist     trace.Histogram // µs per fsync
 	groupHist     trace.Histogram // records per flushed group
+	groupWaits    atomic.Uint64   // lane collections that waited for returning writers
+	groupTimeouts atomic.Uint64   // ... and were ended by the fallback timer
 	checkpoints   atomic.Uint64
 	lastCkptNS    atomic.Int64 // unix nanos of last checkpoint (0 = none)
 	recovered     RecoveryStats
 
-	failOnce     sync.Once
-	failErr      atomic.Pointer[failBox]
-	failedc      chan struct{}
-	failedCommit atomic.Pointer[Commit]
+	failOnce sync.Once
+	fenced   atomic.Pointer[fence] // non-nil once failed: the flag and the handle in one
+	failedc  chan struct{}
 
-	closed   atomic.Bool
 	stopOnce sync.Once
 	stopc    chan struct{}
 	wg       sync.WaitGroup
 }
 
-type failBox struct{ err error }
+// fence is the log's terminal state, published once by fail: the cause,
+// and the pre-failed Commit every later Append returns.
+type fence struct {
+	cause  error
+	commit Commit
+}
 
 // Mode reports the log's layout.
 func (w *WAL) Mode() Mode { return w.mode }
@@ -251,15 +291,12 @@ func (w *WAL) Mode() Mode { return w.mode }
 // per-shard log mutex), so buffer order equals sequence order. Append
 // itself never blocks on I/O and allocates nothing on the steady path.
 //
-// After a failure or Close, Append returns a pre-failed Commit whose
-// Wait reports the fence — never a silent drop.
+// After a failure, Abandon or Close, Append returns the pre-failed
+// Commit whose Wait reports the fence — never a silent drop, and in sync
+// mode never a nil handle.
 func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
-	if w.failErr.Load() != nil {
-		return w.failedCommit.Load()
-	}
-	if w.closed.Load() {
-		w.fail(ErrClosed)
-		return w.failedCommit.Load()
+	if f := w.fenced.Load(); f != nil {
+		return &f.commit
 	}
 	s := w.shards[shard]
 	s.mu.Lock()
@@ -283,10 +320,17 @@ func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
 		// Load the group ticket only after the record is staged: a
 		// flush that hands out the ticket we observe starts collecting
 		// after installing its successor, so it must see our record.
+		// Count the arrival before the wake-up, so the lane's re-check
+		// sees it. A lane blocked in awaitArrivals needs waking only by
+		// the arrival that completes its group (the fallback timer covers
+		// the rest); in any other state it needs to hear of every one.
+		staged := w.lane.staged.Add(1)
 		c = w.lane.cur.Load()
-		select {
-		case w.lane.notify <- struct{}{}:
-		default:
+		if !w.lane.waiting.Load() || staged >= w.lane.want.Load() {
+			select {
+			case w.lane.notify <- struct{}{}:
+			default:
+			}
 		}
 	} else {
 		select {
@@ -311,20 +355,12 @@ func (w *WAL) syncLoop(s *shardLog) {
 		select {
 		case <-s.notify:
 		case <-w.stopc:
-			if w.failErr.Load() == nil {
+			if w.fenced.Load() == nil {
 				if err := w.flush(s); err != nil {
 					w.fail(err)
 				}
 			}
 			return
-		}
-		if w.opts.SyncDelay > 0 {
-			t := time.NewTimer(w.opts.SyncDelay)
-			select {
-			case <-t.C:
-			case <-w.stopc:
-				t.Stop()
-			}
 		}
 		if err := w.flush(s); err != nil {
 			w.fail(err)
@@ -334,30 +370,30 @@ func (w *WAL) syncLoop(s *shardLog) {
 }
 
 // laneLoop is the shared-mode group-commit goroutine: wake on appends
-// from any shard, flush every staged buffer with one fsync, release the
-// whole store's batch.
+// from any shard, let the group form (awaitArrivals), flush every staged
+// buffer with one fsync, release the whole store's batch. Every wake-up
+// leads to a collection, even one that finds nothing staged: a waiter
+// may hold the current ticket for a record an earlier flush already
+// carried, and only a collection closes that ticket.
 func (w *WAL) laneLoop() {
 	defer w.wg.Done()
 	for {
+		stopping := false
 		select {
 		case <-w.lane.notify:
+			// Async mode parks nobody on a group, so there is nothing
+			// to form one for.
+			stopping = !w.opts.NoSync && w.awaitArrivals()
 		case <-w.stopc:
-			if w.failErr.Load() == nil {
+			stopping = true
+		}
+		if stopping {
+			if w.fenced.Load() == nil {
 				if err := w.flushLane(); err != nil {
 					w.fail(err)
 				}
 			}
 			return
-		}
-		if w.opts.SyncDelay > 0 {
-			t := time.NewTimer(w.opts.SyncDelay)
-			select {
-			case <-t.C:
-			case <-w.stopc:
-				t.Stop()
-			}
-		} else if !w.opts.NoSync {
-			w.lanePace()
 		}
 		if err := w.flushLane(); err != nil {
 			w.fail(err)
@@ -366,39 +402,54 @@ func (w *WAL) laneLoop() {
 	}
 }
 
-// Lane pacing bounds. The stall tracks the measured fsync cost but
-// never exceeds lanePaceMax (bounds added commit latency) and never
-// drops below lanePaceMin (below that, sleeping is all scheduler
-// overhead anyway).
-const (
-	lanePaceMin = 50 * time.Microsecond
-	lanePaceMax = 2 * time.Millisecond
-)
+// laneWaitMax caps the fallback timer whatever the fsync EMA says, so
+// one slow fsync cannot turn a drop in load into a long stall.
+const laneWaitMax = 2 * time.Millisecond
 
-// lanePace stalls the lane loop for about one fsync duration (EMA,
-// clamped) after a wake so a commit burst can finish staging before
-// collection. The lane serializes the whole store behind one flush
-// pipeline; when the fsync is faster than the writers' turnaround
-// (fast media, networked clients), an eager loop collects only the
-// first arrival or two of each post-ack burst, fsyncs, and strands the
-// rest for the next round — tiny groups, and throughput degenerates to
-// round-trip rate instead of scaling with writers. Stalling ~one fsync
-// puts the loop at ~50% fsync duty cycle: the group grows to about two
-// fsync-windows of arrivals, the stall self-tunes to the media (slow
-// disks get the big groups that actually amortize, fast ones keep the
-// added latency near the noise floor), and a lone serial writer pays
-// at most one extra fsync-time per commit. Per-shard mode keeps the
-// eager flush because its N independent loops overlap rounds
-// naturally.
-func (w *WAL) lanePace() {
-	d := time.Duration(w.fsyncEMA.Load())
-	if d < lanePaceMin {
-		d = lanePaceMin
+// awaitArrivals holds the next collection until the group has formed:
+// until the staged count reaches the lane's expectation (want: what was
+// staged while the last group was in flight, plus one record per record
+// that group released — those writers are the ones about to come back).
+// It returns at once when the count is already there, which is always
+// the case for a lone serial writer and for the first group after Open.
+// Otherwise it raises waiting and blocks on the wake-up channel; from
+// then on each arriving appender compares the count itself and sends
+// the wake-up when it is reached (the flag goes up before the loop's own
+// re-check, so an arrival either is seen by that check or sees the flag).
+// The fallback timer, armed only on this blocking path and bounded by
+// the measured fsync cost, ends the wait when load has dropped and the
+// expected writers are not coming; the group then collected is smaller
+// and so is the next expectation. Reports whether the log is stopping.
+func (w *WAL) awaitArrivals() (stopping bool) {
+	l := w.lane
+	if l.staged.Load() >= l.want.Load() {
+		return false
 	}
-	if d > lanePaceMax {
-		d = lanePaceMax
+	w.groupWaits.Add(1)
+	d := min(time.Duration(l.fsyncEMA.Load()), l.maxWait)
+	if l.timer == nil {
+		l.timer = time.NewTimer(d)
+	} else {
+		l.timer.Reset(d)
 	}
-	time.Sleep(d)
+	l.waiting.Store(true)
+	defer func() {
+		l.waiting.Store(false)
+		l.timer.Stop()
+	}()
+	// want is re-read each round: a checkpoint's rotation may flush (and
+	// set a new expectation) while the loop waits here.
+	for l.staged.Load() < l.want.Load() {
+		select {
+		case <-l.notify:
+		case <-l.timer.C:
+			w.groupTimeouts.Add(1)
+			return false
+		case <-w.stopc:
+			return true
+		}
+	}
+	return false
 }
 
 // flush writes and fsyncs the shard's pending buffer as one group.
@@ -473,6 +524,16 @@ func (w *WAL) flushLane() error {
 // the I/O.
 func (w *WAL) flushLaneLocked() error {
 	l := w.lane
+	// Take a pending wake-up with us, before the swap: whoever sent it
+	// (or found the channel full) loaded its ticket first, so it holds g
+	// or an older one, its record is collected below, and this flush is
+	// all it is waiting for. Left in the channel it would wake the loop
+	// into a wait for returning writers — and start the fallback timer —
+	// before any of them has been released.
+	select {
+	case <-l.notify:
+	default:
+	}
 	g := l.cur.Load()
 	l.cur.Store(&Commit{w: w, done: make(chan struct{})})
 
@@ -492,10 +553,11 @@ func (w *WAL) flushLaneLocked() error {
 		s.mu.Unlock()
 	}
 	l.chunks = chunks
+	l.staged.Add(-int64(n))
 	if total == 0 {
 		// Every record this ticket's waiters staged was collected (and
 		// made durable) by an earlier flush; the ack is already earned.
-		close(g.done)
+		w.releaseLaneGroup(g, 0, nil)
 		return nil
 	}
 
@@ -512,9 +574,12 @@ func (w *WAL) flushLaneLocked() error {
 		d := time.Since(t0)
 		w.fsyncHist.ObserveDuration(d)
 		w.fsyncs.Add(1)
-		// Only the lane loop writes the EMA, so load+store is race-free.
-		ema := w.fsyncEMA.Load()
-		w.fsyncEMA.Store(ema - ema/8 + int64(d)/8)
+		// Flushes are serialized by wmu, so load+store is race-free.
+		if ema := l.fsyncEMA.Load(); ema == 0 {
+			l.fsyncEMA.Store(int64(d))
+		} else {
+			l.fsyncEMA.Store(ema + (int64(d)-ema)/8)
+		}
 	}
 	w.groupHist.Observe(uint64(n))
 	w.notePending(uint64(total))
@@ -532,9 +597,22 @@ func (w *WAL) flushLaneLocked() error {
 		}
 		ch.s.mu.Unlock()
 	}
+	w.releaseLaneGroup(g, n, err)
+	return err
+}
+
+// releaseLaneGroup closes a lane group's ticket with its outcome and
+// sets the expectation for the next group: the n writers released here
+// are about to come back, on top of whatever was staged while the group
+// was in flight. The staged count is read before the close, so a
+// released writer that is already back is not counted twice — an
+// expectation one too low collects a record early, one too high would
+// wait for a writer who is not coming.
+func (w *WAL) releaseLaneGroup(g *Commit, n int, err error) {
+	inFlight := w.lane.staged.Load()
 	g.err = err
 	close(g.done)
-	return err
+	w.lane.want.Store(inFlight + int64(n))
 }
 
 // notePending raises the pending-bytes watermark to n if higher.
@@ -551,17 +629,29 @@ func (w *WAL) notePending(n uint64) {
 // future waiters observe it, Failed() fires, sync loops stop. In shared
 // mode this is the one-fault-fences-all-shards property — there is only
 // one lane to fence.
+//
+// Ordering: the fence is published first and in one store. It carries
+// both the flag Append checks and the handle Append returns, so an
+// appender that runs between this store and the closes below already
+// gets a Commit that fails; there is no state in which the log reads as
+// failed but has no failed handle to give out (a nil *Commit waits for
+// nothing, which is how that window once acknowledged writes that were
+// never appended). failedc closes second: it only wakes waiters parked
+// on live tickets, and they read the cause through the fence.
 func (w *WAL) fail(err error) {
 	w.failOnce.Do(func() {
-		w.failErr.Store(&failBox{err: err})
-		w.failedCommit.Store(&Commit{
-			w:    w,
-			done: closedChan,
-			err:  fmt.Errorf("tkvwal: fenced: %w", err),
-		})
+		w.fenced.Store(newFence(w, err))
 		close(w.failedc)
 		w.stopOnce.Do(func() { close(w.stopc) })
 	})
+}
+
+func newFence(w *WAL, cause error) *fence {
+	return &fence{cause: cause, commit: Commit{
+		w:    w,
+		done: closedChan,
+		err:  fmt.Errorf("tkvwal: fenced: %w", cause),
+	}}
 }
 
 var closedChan = func() chan struct{} {
@@ -572,14 +662,15 @@ var closedChan = func() chan struct{} {
 
 // Err returns the fencing failure, or nil while the log is healthy.
 func (w *WAL) Err() error {
-	if b := w.failErr.Load(); b != nil {
-		return b.err
+	if f := w.fenced.Load(); f != nil {
+		return f.cause
 	}
 	return nil
 }
 
-// Failed returns a channel closed on the first write/fsync failure —
-// the process-exit trigger for fail-stop.
+// Failed returns a channel closed once the log is fenced: on the first
+// write/fsync failure — the process-exit trigger for fail-stop — and
+// also by Abandon and at the end of Close.
 func (w *WAL) Failed() <-chan struct{} { return w.failedc }
 
 // LastSeq returns the shard's last appended sequence number (after Open
@@ -593,14 +684,20 @@ func (w *WAL) LastSeq(shard int) uint64 {
 
 // Close flushes every shard and shuts the log down. Appends racing
 // Close are either flushed or report ErrClosed; none park forever.
+//
+// Ordering: flush first, fence second. The ErrClosed fence is the only
+// "closed" state there is — a separate flag raised before the flush
+// would be a second publication for a racing Append to fall between (it
+// used to fence the log with ErrClosed under an Abandon that had raised
+// the flag but not yet fenced). An append that stages after the last
+// flush is released by the fence with ErrClosed; its record is dropped
+// with the file.
 func (w *WAL) Close() error {
-	w.closed.Store(true)
 	w.stopOnce.Do(func() { close(w.stopc) })
 	w.wg.Wait()
 	var err error
-	if w.failErr.Load() == nil {
-		// Catch stragglers that appended between the final loop flush
-		// and the closed flag becoming visible.
+	if w.fenced.Load() == nil {
+		// Catch stragglers that appended after the loops' final flush.
 		if w.lane != nil {
 			if ferr := w.flushLane(); ferr != nil {
 				w.fail(ferr)
@@ -636,6 +733,7 @@ func (w *WAL) Close() error {
 		}
 		s.wmu.Unlock()
 	}
+	w.fail(ErrClosed)
 	if err == nil {
 		err = w.Err()
 		if errors.Is(err, ErrClosed) || errors.Is(err, ErrAbandoned) {
@@ -649,9 +747,9 @@ func (w *WAL) Close() error {
 // and drop the files without flushing, discarding pending un-fsynced
 // records the way SIGKILL would. Acknowledged records (Wait returned
 // nil) are on disk; nothing else is promised. The directory can then be
-// reopened by a fresh WAL.
+// reopened by a fresh WAL. The fence is the first thing Abandon does, so
+// every appender from here on — racing or later — reports ErrAbandoned.
 func (w *WAL) Abandon() {
-	w.closed.Store(true)
 	w.fail(ErrAbandoned)
 	w.wg.Wait()
 	if w.lane != nil {

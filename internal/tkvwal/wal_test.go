@@ -1,13 +1,12 @@
 package tkvwal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 )
@@ -105,53 +104,39 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupCommit proves acks park on a committing batch: many
-// concurrent appends complete with far fewer fsyncs than appends.
+// TestGroupCommit proves acks park on a committing batch: everything
+// appended while one fsync is in flight rides the next one, together.
+// The first group's fsync is held (gateFS) while seven more records are
+// staged, so the shape is exact: two fsyncs for eight appends, the
+// second covering seven.
 func TestGroupCommit(t *testing.T) {
-	// A small SyncDelay makes batching deterministic even on a
-	// filesystem where fsync is nearly free.
-	w, err := Open(Options{Dir: t.TempDir(), Shards: 1, SyncDelay: 500 * time.Microsecond},
-		func(*tkvlog.Record) error { return nil })
-	if err != nil {
+	w, g := openGated(t, ModePerShard, 1)
+	first := w.Append(0, 1, []tkvlog.Entry{{Key: 1, Val: "x"}})
+	g.next(t)
+	var rest []*Commit
+	for seq := uint64(2); seq <= 8; seq++ {
+		rest = append(rest, w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "x"}}))
+	}
+	g.finish(nil)
+	if err := first.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	const n = 400
-	const workers = 8
-	var wg sync.WaitGroup
-	var seqMu sync.Mutex
-	var seq uint64
-	errs := make(chan error, n)
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n/workers; i++ {
-				seqMu.Lock()
-				seq++
-				c := w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "x"}})
-				seqMu.Unlock()
-				if err := c.Wait(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
+	g.next(t)
+	select {
+	case <-rest[0].done:
+		t.Fatal("acked before its group's fsync returned")
+	default:
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	g.finish(nil)
+	for _, c := range rest {
+		if err := c.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := w.Stats()
-	if st.Fsyncs >= n {
-		t.Fatalf("no group commit: %d fsyncs for %d appends", st.Fsyncs, n)
+	if st.Appends != 8 || st.Fsyncs != 2 || st.GroupMax != 7 {
+		t.Fatalf("appends %d fsyncs %d group max %d, want 8, 2, 7", st.Appends, st.Fsyncs, st.GroupMax)
 	}
-	if st.GroupMean <= 1 {
-		t.Fatalf("group mean %.2f; expected batching under %d workers", st.GroupMean, workers)
-	}
-	t.Logf("group commit: %d appends, %d fsyncs, mean group %.1f, max %d, fsync p99 %dµs",
-		st.Appends, st.Fsyncs, st.GroupMean, st.GroupMax, st.FsyncP99us)
 }
 
 // TestTornTailTruncated cuts the active segment mid-record and checks
@@ -316,8 +301,12 @@ func TestAppendAfterCloseIsFenced(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(0, 2, []tkvlog.Entry{{Key: 2, Val: "v"}}).Wait(); err == nil {
-		t.Fatal("append after close acked")
+	c := w.Append(0, 2, []tkvlog.Entry{{Key: 2, Val: "v"}})
+	if c == nil {
+		t.Fatal("append after close returned a nil Commit, which waits for nothing")
+	}
+	if err := c.Wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
 }
 

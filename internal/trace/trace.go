@@ -9,15 +9,18 @@ package trace
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// Histogram is a lock-free power-of-two histogram. Buckets hold counts of
-// values v with 2^i <= v < 2^(i+1) (bucket 0 holds v <= 1). It is safe for
-// concurrent Observe and Snapshot.
+// Histogram is a lock-free power-of-two histogram. Bucket i counts the
+// values whose binary length is i, that is 2^(i-1) <= v < 2^i, so 2^i is
+// an upper bound for everything in it (what Quantile reports); bucket 0
+// holds 0 and 1, bucket 1 stays empty, and bucket 63 also takes the
+// values of length 64. It is safe for concurrent Observe and Snapshot.
 type Histogram struct {
 	buckets [64]atomic.Uint64
 	count   atomic.Uint64
@@ -25,16 +28,17 @@ type Histogram struct {
 	max     atomic.Uint64
 }
 
+// bucketOf returns the bucket a value is counted in.
+func bucketOf(v uint64) int {
+	if v <= 1 {
+		return 0
+	}
+	return min(bits.Len64(v), 63)
+}
+
 // Observe records a non-negative value.
 func (h *Histogram) Observe(v uint64) {
-	i := 0
-	if v > 1 {
-		i = 64 - leadingZeros(v)
-		if i > 63 {
-			i = 63
-		}
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 	for {
@@ -43,17 +47,6 @@ func (h *Histogram) Observe(v uint64) {
 			break
 		}
 	}
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for bit := 63; bit >= 0; bit-- {
-		if v&(1<<bit) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
 }
 
 // ObserveDuration records a duration in microseconds.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -30,6 +31,35 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if !strings.Contains(h.String(), "n=5") {
 		t.Fatalf("summary = %q", h.String())
+	}
+}
+
+// TestHistogramBucketEdges pins the bucket of every power-of-two edge:
+// a value lands in the bucket of its binary length, whose upper edge
+// 2^i is what Quantile reports for it.
+func TestHistogramBucketEdges(t *testing.T) {
+	type edge struct {
+		v      uint64
+		bucket int
+	}
+	edges := []edge{{0, 0}, {1, 0}, {2, 2}, {3, 2}, {math.MaxUint64, 63}}
+	for k := 2; k < 64; k++ {
+		edges = append(edges, edge{1<<k - 1, k}, edge{1 << k, min(k+1, 63)})
+	}
+	for _, e := range edges {
+		if got := bucketOf(e.v); got != e.bucket {
+			t.Errorf("bucketOf(%d) = %d, want %d", e.v, got, e.bucket)
+		}
+		var h Histogram
+		h.Observe(e.v)
+		if got := h.buckets[e.bucket].Load(); got != 1 {
+			t.Errorf("Observe(%d): bucket %d holds %d, want 1", e.v, e.bucket, got)
+		}
+		if e.bucket > 0 && e.bucket < 63 {
+			if q := h.Quantile(1); q <= e.v || q/2 > e.v {
+				t.Errorf("Observe(%d): Quantile(1) = %d is not its bucket's upper edge", e.v, q)
+			}
+		}
 	}
 }
 
