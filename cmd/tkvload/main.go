@@ -360,6 +360,17 @@ func run(args []string, out io.Writer) error {
 			teardown()
 			opsPerSec := float64(cell.ops) / cell.elapsed.Seconds()
 			table.Add(pfx+"ops/s", n, opsPerSec)
+			if proto == protoTCP {
+				// Transport writes per request: how many pipelined callers
+				// shared each write syscall (1.00 = none did).
+				var sends tkvwire.ConnStats
+				for _, cl := range clients {
+					st := cl.(*tcpKV).c.WireStats()
+					sends.Calls += st.Calls
+					sends.Flushes += st.Flushes
+				}
+				table.Add(pfx+"flushes/call", n, float64(sends.Flushes)/float64(sends.Calls))
+			}
 			table.Add(pfx+"p50us", n, float64(cell.hist.Quantile(0.50)))
 			table.Add(pfx+"p95us", n, float64(cell.hist.Quantile(0.95)))
 			table.Add(pfx+"p99us", n, float64(cell.hist.Quantile(0.99)))

@@ -47,9 +47,10 @@
 // zero-copy parses making the server's get/put path allocation-free in
 // steady state. Single-key responses stay in request order; multi-key
 // ops complete out of order, matched by an echoed request id, and the
-// bundled client multiplexes concurrent callers over one connection
-// with coalesced flushes. tkvd serves it on -tcpaddr next to HTTP
-// (which remains the debug surface); against the HTTP/JSON stack's
+// bundled client multiplexes concurrent callers over one connection,
+// the callers woken by one batch of responses sharing one write
+// syscall for their next requests. tkvd serves it on -tcpaddr next to
+// HTTP (which remains the debug surface); against the HTTP/JSON stack's
 // ~50 µs per op of transport overhead, the binary edge is roughly 6×
 // the throughput on the same store and host, with an unpipelined
 // latency floor in the tens of microseconds.

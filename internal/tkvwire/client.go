@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -57,15 +58,26 @@ var callPool = sync.Pool{New: func() any { return &call{ready: make(chan struct{
 
 // Conn is a client connection speaking the binary protocol. It is safe for
 // concurrent use: calls from many goroutines interleave on the wire
-// (pipelining), each matched to its response by request id. Writes are
-// flush-coalesced — when several goroutines send at once, only the last
-// one pays the syscall.
+// (pipelining), each matched to its response by request id.
+//
+// Writes leave in cohorts. The server answers a pipeline with one write,
+// so the read loop wakes its callers together; they are then runnable,
+// not blocked on wmu, and nothing a sender can read under the lock says
+// that more frames are coming. So a caller appends its frame, yields the
+// processor once (runtime.Gosched) to let every caller that is already
+// runnable append too, and flushes only if no flush has covered its frame
+// meanwhile: one caller per cohort pays the write syscall. A lone caller
+// yields to nobody and flushes its own frame at once; nothing waits on a
+// timer. A failed flush closes the socket, so the read loop fails the
+// callers that skipped theirs.
 type Conn struct {
 	nc net.Conn
 
 	wmu     sync.Mutex
 	bw      *bufio.Writer
-	waiters atomic.Int32
+	sent    uint64 // frames appended to bw: a call's send sequence number
+	flushed uint64 // value of sent when bw was last flushed
+	flushes uint64
 
 	nextID atomic.Uint64
 
@@ -83,13 +95,32 @@ func Dial(addr string) (*Conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	return NewConn(nc), nil
+}
+
+// NewConn speaks the protocol over an established transport, which the
+// Conn owns from here on (Close closes it).
+func NewConn(nc net.Conn) *Conn {
 	c := &Conn{
 		nc:      nc,
 		bw:      bufio.NewWriterSize(nc, 64<<10),
 		pending: make(map[uint64]*call),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
+}
+
+// ConnStats counts a connection's sends: Flushes/Calls is the share of
+// calls that paid a write on the transport.
+type ConnStats struct {
+	Calls, Flushes uint64
+}
+
+// WireStats returns the connection's send counters.
+func (c *Conn) WireStats() ConnStats {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return ConnStats{Calls: c.sent, Flushes: c.flushes}
 }
 
 // Close closes the connection; in-flight calls fail with ErrClosed.
@@ -157,20 +188,27 @@ func (c *Conn) do(id uint64, req *Frame) (*call, error) {
 	c.pending[id] = cl
 	c.pmu.Unlock()
 
-	// Flush-coalesced write: skip the flush when another sender is already
-	// waiting for the lock — the last writer in the convoy flushes for all.
-	c.waiters.Add(1)
+	// Cohort flush (see Conn): append, yield once, then flush unless a
+	// flush since the append already carried this frame.
 	c.wmu.Lock()
-	c.waiters.Add(-1)
 	_, werr := c.bw.Write(req.B)
-	if werr == nil && c.waiters.Load() == 0 {
-		werr = c.bw.Flush()
-	}
+	c.sent++
+	seq := c.sent
 	c.wmu.Unlock()
 	PutFrame(req)
+	if werr == nil {
+		runtime.Gosched()
+		c.wmu.Lock()
+		if c.flushed < seq {
+			c.flushed = c.sent
+			c.flushes++
+			werr = c.bw.Flush()
+		}
+		c.wmu.Unlock()
+	}
 	if werr != nil {
-		// The read loop will fail every pending call (including this one)
-		// once the close propagates; surface the write error directly.
+		// Closing fails the read loop, which fails every pending call:
+		// this one and those whose frames this flush was carrying.
 		c.nc.Close()
 	}
 
@@ -253,7 +291,7 @@ func (c *Conn) Get(key uint64) (string, bool, error) {
 func (c *Conn) Put(key uint64, val string) (bool, error) {
 	id := c.nextID.Add(1)
 	f := GetFrame(HeaderSize + 12 + len(val))
-	f.B = AppendPutReq(f.B, id, key, unsafeBytes(val))
+	f.B = AppendPutReq(f.B, id, key, val)
 	cl, err := c.do(id, f)
 	if err != nil {
 		return false, err
@@ -285,7 +323,7 @@ func (c *Conn) Delete(key uint64) (bool, error) {
 func (c *Conn) CAS(key uint64, old, new string) (bool, error) {
 	id := c.nextID.Add(1)
 	f := GetFrame(HeaderSize + 16 + len(old) + len(new))
-	f.B = AppendCASReq(f.B, id, key, unsafeBytes(old), unsafeBytes(new))
+	f.B = AppendCASReq(f.B, id, key, old, new)
 	cl, err := c.do(id, f)
 	if err != nil {
 		return false, err
@@ -404,11 +442,4 @@ func (c *Conn) Stats() (tkv.Stats, error) {
 	var st tkv.Stats
 	err = json.Unmarshal(cl.payload.B, &st)
 	return st, err
-}
-
-// unsafeBytes views a string's bytes without copying. The view is only ever
-// written to the connection buffer (never retained or mutated), so the
-// aliasing is safe.
-func unsafeBytes(s string) []byte {
-	return []byte(s) // kept simple: the copy is on the client side and off the gated path
 }

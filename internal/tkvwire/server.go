@@ -23,12 +23,15 @@ var ErrServerClosed = errors.New("tkvwire: server closed")
 // slots, an interned put-value cache), handing multi-key operations to
 // their own goroutine so a slow snapshot never head-of-line blocks
 // pipelined point reads. Responses flow to the write loop over a channel
-// and are flushed only when it drains, so pipelined clients get syscall
-// batching for free. On a sync-WAL store the read loop never parks on
-// durability either: write responses are prebuilt and deferred to a
-// per-connection acker that releases them as their group fsync lands, so
-// a connection's whole pipeline of writes stages into the same WAL
-// commit group instead of paying one fsync round-trip per op.
+// and are flushed when it finds the channel empty: once per pipelined
+// cohort where the pair shares a processor, more often where the writer
+// runs beside the reader and keeps up with it (the client's rule, yield
+// before flushing, was measured here and lost: EXPERIMENTS.md, PR 14).
+// On a sync-WAL store the read loop never parks on durability either:
+// write responses are prebuilt and deferred to a per-connection acker
+// that releases them as their group fsync lands, so a connection's whole
+// pipeline of writes stages into the same WAL commit group instead of
+// paying one fsync round-trip per op.
 type Server struct {
 	store *tkv.Store
 
@@ -236,8 +239,9 @@ func (c *conn) ackLoop() {
 	}
 }
 
-// writeLoop drains response frames to the socket, flushing only when the
-// queue is empty — under pipelining many responses leave in one syscall.
+// writeLoop drains response frames to the socket, flushing when it finds
+// the queue empty. That is one syscall per cohort while the read loop
+// outruns it; a writer that catches up mid-cohort flushes what it has.
 func (c *conn) writeLoop() {
 	bw := bufio.NewWriterSize(c.nc, 64<<10)
 	broken := false

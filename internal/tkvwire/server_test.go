@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -184,13 +185,17 @@ func TestServerPipelinedConcurrentCalls(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
+				// Every call has its own value: a response matched to the
+				// wrong call, or arriving before its call is registered,
+				// shows as a foreign value or a dead connection.
 				key := uint64(w*perWorker + i)
-				if _, err := c.Put(key, "v"); err != nil {
+				want := strconv.FormatUint(key, 10)
+				if _, err := c.Put(key, want); err != nil {
 					t.Errorf("put %d: %v", key, err)
 					return
 				}
-				if _, found, err := c.Get(key); err != nil || !found {
-					t.Errorf("get %d: %v %v", key, found, err)
+				if val, found, err := c.Get(key); err != nil || !found || val != want {
+					t.Errorf("get %d: %q %v %v", key, val, found, err)
 					return
 				}
 			}

@@ -198,8 +198,9 @@ func AppendGetReq(b []byte, id, key uint64) []byte {
 	return le.AppendUint64(b, key)
 }
 
-// AppendPutReq appends a put request frame.
-func AppendPutReq(b []byte, id, key uint64, val []byte) []byte {
+// AppendPutReq appends a put request frame. The value is copied straight
+// into the frame whether the caller holds it as bytes or as a string.
+func AppendPutReq[V []byte | string](b []byte, id, key uint64, val V) []byte {
 	b = appendHeader(b, OpPut, 0, 0, id, 8+4+len(val))
 	b = le.AppendUint64(b, key)
 	b = le.AppendUint32(b, uint32(len(val)))
@@ -213,7 +214,7 @@ func AppendDeleteReq(b []byte, id, key uint64) []byte {
 }
 
 // AppendCASReq appends a cas request frame.
-func AppendCASReq(b []byte, id, key uint64, old, new []byte) []byte {
+func AppendCASReq[V []byte | string](b []byte, id, key uint64, old, new V) []byte {
 	b = appendHeader(b, OpCAS, 0, 0, id, 8+4+len(old)+4+len(new))
 	b = le.AppendUint64(b, key)
 	b = le.AppendUint32(b, uint32(len(old)))
