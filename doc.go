@@ -32,7 +32,9 @@
 // exclusion makes cas safe inside batches (a failed compare aborts the
 // whole batch before any write), single-key traffic takes only its own
 // key's stripe in shared mode, and snapshots freeze each table's
-// exclusive-session gate in O(1) instead of walking stripes. cmd/tkvd
+// exclusive-session gate in O(1) instead of walking stripes. Batch, MGet
+// and the follower's replay share one pooled planner, so a multi-key call
+// allocates only what it hands away (results, stored values). cmd/tkvd
 // serves it over HTTP/JSON and cmd/tkvload drives it open-loop with
 // configurable skew, read ratio, mget and batch mix, cas-in-batch
 // fraction and batch key overlap while verifying the zero-lost-update

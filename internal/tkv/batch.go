@@ -3,7 +3,7 @@ package tkv
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -52,11 +52,14 @@ type OpResult struct {
 	CASMismatch bool   `json:"casMismatch,omitempty"`
 }
 
-// plannedWrite is the phase-one decision for one mutating op.
+// plannedWrite is the phase-one decision for one mutating op: the key and
+// the value cell to store, nil for a delete. The cell is the one allocation
+// a planned put makes — the overlay reads through it while the batch plans
+// and phase two hands the same cell to the shard's map (kv.PutRef), where
+// it becomes the committed value.
 type plannedWrite struct {
 	key uint64
-	del bool
-	val string // ignored when del
+	val *string
 }
 
 // opStore is the key-space view a batch op executes against. The
@@ -82,7 +85,7 @@ func validKind(k string) bool {
 // execOp runs one validated batch op against a view and returns its result.
 // A cas mismatch returns both the describing result and ErrCASMismatch; the
 // caller aborts the batch and surfaces the result.
-func execOp(op Op, v opStore) (OpResult, error) {
+func execOp(op *Op, v *opStore) (OpResult, error) {
 	switch op.Kind {
 	case OpGet:
 		val, ok, err := v.read(op.Key)
@@ -130,18 +133,6 @@ func execOp(op Op, v opStore) (OpResult, error) {
 	}
 }
 
-// mismatchResults builds the result slice Batch returns alongside
-// ErrCASMismatch: zero values everywhere except the failing op, whose
-// describing result is kept. (Results of other ops computed during the
-// aborted attempt are deliberately dropped — the batch wrote nothing, so
-// reporting, say, an add's would-have-been counter value would only invite
-// misreading.)
-func mismatchResults(n, failed int, r OpResult) []OpResult {
-	out := make([]OpResult, n)
-	out[failed] = r
-	return out
-}
-
 // stripeRef names one stripe of one shard. Lock order everywhere in the
 // store is ascending (shard, stripe) — the single global order that makes
 // batches, multi-key reads and snapshots mutually deadlock-free.
@@ -158,12 +149,6 @@ func (r stripeRef) less(o stripeRef) bool {
 // lockPlan is a batch's determined stripe set: the sorted, deduplicated
 // (shard, stripe) pairs covering every key the batch touches.
 type lockPlan []stripeRef
-
-// ref builds the stripeRef of one key.
-func (st *Store) ref(key uint64) stripeRef {
-	sh := st.ShardOf(key)
-	return stripeRef{shard: sh, stripe: st.shards[sh].locks.StripeOf(key)}
-}
 
 // normalize sorts the plan into the global lock order and drops duplicate
 // stripes (insertion sort: batch stripe sets are small, and the batch path
@@ -187,15 +172,6 @@ func (p lockPlan) normalize() lockPlan {
 	return out
 }
 
-// captureVersions records each participating shard's keylock generation;
-// lock refuses a plan whose generations went stale (an adaptive resize
-// remapped keys to stripes), making the caller replan.
-func (st *Store) captureVersions(byShard map[int][]int, vers map[int]uint64) {
-	for id := range byShard {
-		vers[id] = st.shards[id].locks.Version()
-	}
-}
-
 // lock acquires the plan's stripes in order; exclusive selects the mode.
 // unlock with the same arguments releases them. An exclusive acquisition
 // additionally brackets each participating shard with the table's
@@ -205,12 +181,13 @@ func (st *Store) captureVersions(byShard map[int][]int, vers map[int]uint64) {
 // per shard instead of walking every stripe.
 //
 // Every acquisition is checked against the generation the plan was built
-// from (vers); when a concurrent stripe-table resize has retired it, lock
-// releases everything it holds and returns false, and the caller rebuilds
-// the plan against the new generation. Mixed-generation plans can never
-// lock the wrong stripe: versions are monotonic, so at most one shard's
-// table matches any stale plan, and its indices are still checked.
-func (st *Store) lock(plan lockPlan, vers map[int]uint64, exclusive bool) bool {
+// from (vers, indexed by shard); when a concurrent stripe-table resize has
+// retired it, lock releases everything it holds and returns false, and the
+// caller rebuilds the plan against the new generation. Mixed-generation
+// plans can never lock the wrong stripe: versions are monotonic, so at most
+// one shard's table matches any stale plan, and its indices are still
+// checked.
+func (st *Store) lock(plan lockPlan, vers []uint64, exclusive bool) bool {
 	entered := -1
 	for n, r := range plan {
 		tab := st.shards[r.shard].locks
@@ -257,36 +234,415 @@ func (st *Store) unlock(plan lockPlan, exclusive bool) {
 	}
 }
 
+// shardGroup is one participating shard of a planned call: its op indices
+// are order[lo:hi], in input order, and once phase one has run its planned
+// writes are writes[wlo:whi].
+type shardGroup struct {
+	shard    int
+	lo, hi   int
+	wlo, whi int
+}
+
+// maxPooledKeys bounds the scratch a pooled batchState may keep: a state
+// that planned a larger call is dropped instead of pooled, so one outsized
+// batch cannot leave every later small one clearing a huge overlay.
+const maxPooledKeys = 1024
+
+// batchState is the pooled state of one multi-key call. Batch, MGet,
+// ReplApply and the whole-shard cuts all plan through it: group the keys by
+// shard, build and acquire the stripe set, run one transaction per shard
+// group. It is built the way opSlot is — the transaction bodies and the two
+// opStore views are created once per state and read their operands from its
+// fields, so a call constructs no closure — and the plan itself lives in
+// flat slices that are reused from call to call. What a call still
+// allocates is what it hands away (see Batch and MGet).
+type batchState struct {
+	st *Store
+
+	// The call: ops is Batch's input (nil for the other callers), keys
+	// holds one key per op in input order, results is where the bodies
+	// write.
+	ops     []Op
+	keys    []uint64
+	results []OpResult
+
+	// The plan. order holds the op indices grouped by shard (a counting
+	// sort over count, which afterwards maps a shard to its group), vers
+	// the keylock generation the stripe set in locks was built against
+	// (both indexed by shard). writes is every group's planned writes back
+	// to back, overlay maps a key to its latest entry in the running
+	// group's window, commits collects the emitted records' durability
+	// handles.
+	count   []int
+	order   []int
+	groups  []shardGroup
+	vers    []uint64
+	locks   lockPlan
+	writes  []plannedWrite
+	overlay map[uint64]int
+	commits []*tkvwal.Commit
+
+	// Operands of the running transaction body: the group and its shard
+	// (see enter), the attempt's transaction, and the index of the op a
+	// cas compare failed on.
+	g      *shardGroup
+	s      *shard
+	tx     stm.Tx
+	roTx   *stm.ROTx
+	failed int
+
+	planned opStore // reads through the overlay, records writes
+	direct  opStore // straight onto tx
+
+	planBody   func(tx *stm.ROTx) error
+	applyBody  func(tx stm.Tx) error
+	directBody func(tx stm.Tx) error
+	readRO     func(tx *stm.ROTx) error
+	readUp     func(tx stm.Tx) error
+}
+
+// newBatchState builds a state bound to st with every closure pre-built.
+func newBatchState(st *Store) *batchState {
+	b := &batchState{
+		st:      st,
+		count:   make([]int, len(st.shards)),
+		vers:    make([]uint64, len(st.shards)),
+		overlay: make(map[uint64]int),
+	}
+	b.planned = opStore{
+		// The overlay carries the writes of earlier ops of this batch, so
+		// a later op on the same key reads them; it is empty for the
+		// common batch of distinct keys until the group's first write.
+		read: func(key uint64) (string, bool, error) {
+			if len(b.overlay) != 0 {
+				if i, ok := b.overlay[key]; ok {
+					if cell := b.writes[i].val; cell != nil {
+						return *cell, true, nil
+					}
+					return "", false, nil
+				}
+			}
+			return b.s.kv.GetRO(b.roTx, key)
+		},
+		put: func(key uint64, val string) error {
+			b.planWrite(key, &val) // val's heap cell is the write's one allocation
+			return nil
+		},
+		del: func(key uint64) error {
+			b.planWrite(key, nil)
+			return nil
+		},
+	}
+	b.direct = opStore{
+		read: func(key uint64) (string, bool, error) { return b.s.kv.Get(b.tx, key) },
+		put: func(key uint64, val string) error {
+			_, err := b.s.kv.Put(b.tx, key, val)
+			return err
+		},
+		del: func(key uint64) error {
+			_, err := b.s.kv.Delete(b.tx, key)
+			return err
+		},
+	}
+	// Phase one of the running group. An RO attempt can restart after it
+	// has planned writes: drop them, or the next attempt would read its
+	// predecessor's overlay (an add would count twice).
+	b.planBody = func(tx *stm.ROTx) error {
+		b.writes = b.writes[:b.g.wlo]
+		clear(b.overlay)
+		b.roTx = tx
+		return b.execOps(b.order[b.g.lo:b.g.hi], &b.planned)
+	}
+	// Phase two of the running group. Redundant writes to one key apply in
+	// plan order, so the last one wins, matching the overlay.
+	b.applyBody = func(tx stm.Tx) error {
+		for _, w := range b.writes[b.g.wlo:b.g.whi] {
+			var err error
+			if w.val == nil {
+				_, err = b.s.kv.Delete(tx, w.key)
+			} else {
+				_, err = b.s.kv.PutRef(tx, w.key, w.val)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// A single-shard batch as one update transaction (one group, so order
+	// is the identity).
+	b.directBody = func(tx stm.Tx) error {
+		b.tx = tx
+		return b.execOps(b.order, &b.direct)
+	}
+	b.readRO = func(tx *stm.ROTx) error {
+		for _, i := range b.order[b.g.lo:b.g.hi] {
+			val, ok, err := b.s.kv.GetRO(tx, b.keys[i])
+			if err != nil {
+				return err
+			}
+			b.results[i] = OpResult{Found: ok, Value: val}
+		}
+		return nil
+	}
+	b.readUp = func(tx stm.Tx) error {
+		for _, i := range b.order[b.g.lo:b.g.hi] {
+			val, ok, err := b.s.kv.Get(tx, b.keys[i])
+			if err != nil {
+				return err
+			}
+			b.results[i] = OpResult{Found: ok, Value: val}
+		}
+		return nil
+	}
+	return b
+}
+
+// batch takes a state from the store's pool; the caller releases it.
+func (st *Store) batch() *batchState { return st.batches.Get().(*batchState) }
+
+// release scrubs every reference the call left behind — the caller's ops
+// and results, the planned value cells, the durability handles — so the
+// pool never pins a large value, and returns the state to the pool.
+func (b *batchState) release() {
+	if cap(b.keys) > maxPooledKeys {
+		return
+	}
+	b.ops, b.results = nil, nil
+	b.keys = b.keys[:0]
+	clear(b.writes)
+	b.writes = b.writes[:0]
+	clear(b.commits)
+	b.commits = b.commits[:0]
+	b.g, b.s, b.tx, b.roTx = nil, nil, nil, nil
+	b.st.batches.Put(b)
+}
+
+// plan groups the call's keys by shard and builds their stripe set; lock
+// acquires it.
+func (b *batchState) plan() {
+	b.group()
+	b.buildLocks()
+}
+
+// group sorts the op indices by owning shard into order, preserving input
+// order within a shard, and records each participating shard's window in
+// groups (ascending shard index): a counting sort, O(keys + shards).
+func (b *batchState) group() {
+	st := b.st
+	clear(b.count)
+	for _, k := range b.keys {
+		b.count[st.ShardOf(k)]++
+	}
+	b.groups = b.groups[:0]
+	off := 0
+	for sh, n := range b.count {
+		if n == 0 {
+			continue
+		}
+		b.count[sh] = len(b.groups) // from here on: the shard's group index
+		b.groups = append(b.groups, shardGroup{shard: sh, lo: off, hi: off})
+		off += n
+	}
+	b.order = slices.Grow(b.order[:0], len(b.keys))[:len(b.keys)]
+	for i, k := range b.keys {
+		g := &b.groups[b.count[st.ShardOf(k)]]
+		b.order[g.hi] = i
+		g.hi++
+	}
+}
+
+// buildLocks plans the stripe set of the grouped keys against the shards'
+// current keylock generations.
+func (b *batchState) buildLocks() {
+	b.locks = b.locks[:0]
+	for _, g := range b.groups {
+		tab := b.st.shards[g.shard].locks
+		b.vers[g.shard] = tab.Version()
+		for _, i := range b.order[g.lo:g.hi] {
+			b.locks = append(b.locks, stripeRef{shard: g.shard, stripe: tab.StripeOf(b.keys[i])})
+		}
+	}
+	b.locks = b.locks.normalize()
+}
+
+// lock acquires the planned stripe set. When an adaptive resize retires a
+// generation mid-acquisition, Store.lock backs out and the set is rebuilt
+// (rare: resizes happen on the controller's tick, not the request path).
+func (b *batchState) lock(exclusive bool) {
+	for !b.st.lock(b.locks, b.vers, exclusive) {
+		b.buildLocks()
+	}
+}
+
+// lockShard acquires every stripe of one shard, retrying across resizes.
+func (b *batchState) lockShard(shard int, exclusive bool) {
+	tab := b.st.shards[shard].locks
+	for {
+		b.vers[shard] = tab.Version()
+		b.locks = b.locks[:0]
+		for i, n := 0, tab.Stripes(); i < n; i++ {
+			b.locks = append(b.locks, stripeRef{shard: shard, stripe: i})
+		}
+		if b.st.lock(b.locks, b.vers, exclusive) {
+			return
+		}
+	}
+}
+
+// unlock releases what lock or lockShard acquired.
+func (b *batchState) unlock(exclusive bool) { b.st.unlock(b.locks, exclusive) }
+
+// enter makes group gi the operand of the next transaction body and
+// returns its shard.
+func (b *batchState) enter(gi int) *shard {
+	b.g = &b.groups[gi]
+	b.s = b.st.shards[b.g.shard]
+	return b.s
+}
+
+// planWrite records one planned write (nil cell: a delete) and points the
+// overlay at it.
+func (b *batchState) planWrite(key uint64, cell *string) {
+	b.overlay[key] = len(b.writes)
+	b.writes = append(b.writes, plannedWrite{key: key, val: cell})
+}
+
+// execOps runs the ops at idxs against a view, stopping at the first error
+// and remembering which op it was.
+func (b *batchState) execOps(idxs []int, v *opStore) error {
+	for _, i := range idxs {
+		var err error
+		if b.results[i], err = execOp(&b.ops[i], v); err != nil {
+			b.failed = i
+			return err
+		}
+	}
+	return nil
+}
+
+// readGroups is the read-only path (MGet, a get-only Batch): shared
+// stripes, each shard group in one read-only snapshot transaction with the
+// adaptive update-path fallback under RO restart streaks.
+func (b *batchState) readGroups() error {
+	b.lock(false)
+	defer b.unlock(false)
+	for gi := range b.groups {
+		s := b.enter(gi)
+		var err error
+		if s.takeFallback() {
+			err = s.atomically(b.readUp)
+		} else {
+			err = s.roTracked(b.readRO)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runDirect is the single-shard path of an unlogged store: the batch is
+// atomic by the STM alone — one transaction, read-own-writes courtesy of the
+// engine's write log — so shared stripes suffice and the plan/apply split
+// is unnecessary.
+func (b *batchState) runDirect() error {
+	b.lock(false)
+	defer b.unlock(false)
+	return b.enter(0).atomically(b.directBody)
+}
+
+// runTwoPhase is the cross-shard (or logged) path: phase one plans under
+// the batch's exclusive stripes, phase two applies and emits one log record
+// per shard into commits. The deferred unlock fires before Batch waits on
+// those handles: the batch parks on its records' group fsyncs with no
+// stripe held, exactly like the single-key paths.
+func (b *batchState) runTwoPhase() error {
+	st := b.st
+	b.lock(true)
+	defer b.unlock(true)
+
+	// Phase one: one read-only snapshot transaction per shard. It performs
+	// no STM writes (mutations land in the overlay), and the RO mode
+	// revalidates for free against the single-key traffic that striping
+	// lets through on the batch's shards.
+	for gi := range b.groups {
+		s := b.enter(gi)
+		b.g.wlo = len(b.writes)
+		if err := s.atomicallyRO(b.planBody); err != nil {
+			return err
+		}
+		b.g.whi = len(b.writes)
+	}
+
+	// Phase two: apply. The exclusive stripes keep the plan fresh (no one
+	// else can have written these keys since phase one); conflicts with
+	// unrelated traffic on shared bucket chains are resolved by the STM's
+	// ordinary retry.
+	for gi := range b.groups {
+		s := b.enter(gi)
+		if b.g.wlo == b.g.whi {
+			continue
+		}
+		if err := s.atomically(b.applyBody); err != nil {
+			// Phase-two bodies only write planned keys and cannot fail
+			// with user errors; an engine error here is fatal to the
+			// batch's atomicity and surfaced loudly.
+			return fmt.Errorf("batch apply on shard %d: %w", b.g.shard, err)
+		}
+		if st.logged() {
+			// Still under the batch's exclusive stripes, so the record's
+			// log position matches its commit position for every key it
+			// writes.
+			b.commits = append(b.commits, st.emitPlan(b.g.shard, b.writes[b.g.wlo:b.g.whi]))
+		}
+	}
+	return nil
+}
+
 // Batch executes ops atomically across shards. Admission is per key: the
 // batch determines its key set up front and acquires exactly those keys'
 // stripes, so batches over disjoint key sets — even of the same shard —
 // run concurrently, and single-key traffic is only ever paused on the
 // stripes a batch actually holds.
 //
-// A batch confined to one shard runs as a single STM transaction under
-// shared stripes (the engine makes it atomic; the stripes only exclude
-// multi-phase batches from its keys). A cross-shard batch two-phases:
-// phase one holds the exclusive stripes and reads/plans all operations in
-// one read-only snapshot transaction per shard (writes go to an overlay so
-// later ops read earlier ops' effects); phase two applies the planned
-// writes, one update transaction per shard. Because the exclusive stripes
-// are held across both phases, the plan cannot go stale between them, a
-// validation error (a cas mismatch, an add over a non-numeric value)
-// aborts before anything is written, and no concurrent access observes a
-// partially applied batch.
+// A batch that only reads (every op a get) holds its stripes in shared mode
+// and reads each shard's group in one read-only snapshot transaction, as
+// MGet does: it writes nothing, so it needs no exclusion of its own. A
+// mutating batch confined to one shard runs as a single STM transaction
+// under shared stripes (the engine makes it atomic; the stripes only
+// exclude multi-phase batches from its keys) — unless a log is attached
+// (replication ring or WAL), whose record must be emitted under exclusive
+// stripes to keep log order equal to commit order (see repl.go). Every
+// other batch two-phases: phase one holds the exclusive stripes and
+// reads/plans all operations in one read-only snapshot transaction per
+// shard (writes go to an overlay so later ops read earlier ops' effects);
+// phase two applies the planned writes, one update transaction per shard.
+// Because the exclusive stripes are held across both phases, the plan
+// cannot go stale between them, a validation error (a cas mismatch, an add
+// over a non-numeric value) aborts before anything is written, and no
+// concurrent access observes a partially applied batch.
+//
+// The plan lives in a pooled batchState, so a call allocates only what it
+// hands away: the result slice, one value cell per planned write (the cell
+// becomes the stored value), the decimal string of each add, and with a
+// log attached the records it emits.
 func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 	st.ops.batches.Add(1)
 	st.ops.batchOps.Add(uint64(len(ops)))
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if st.ro.Load() {
-		// Followers serve reads: only a batch that mutates is bounced.
-		for i := range ops {
-			if ops[i].Kind != OpGet {
-				return nil, ErrNotPrimary
-			}
+	mutates := false
+	for i := range ops {
+		if ops[i].Kind != OpGet {
+			mutates = true
+			break
 		}
+	}
+	if mutates && st.ro.Load() {
+		// Followers serve reads: only a batch that mutates is bounced.
+		return nil, ErrNotPrimary
 	}
 	// Low-priority shed: past the overload knee, batches are pushed back
 	// before any planning or locking — they are the heaviest admissions
@@ -295,219 +651,56 @@ func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 		return nil, ErrBackpressure
 	}
 
-	// Group op indices by owning shard, preserving op order within a
-	// shard.
-	byShard := make(map[int][]int)
-	for i, op := range ops {
-		if !validKind(op.Kind) {
-			return nil, fmt.Errorf("%w: batch op %d: unknown kind %q", ErrUser, i, op.Kind)
+	b := st.batch()
+	defer b.release()
+	for i := range ops {
+		if !validKind(ops[i].Kind) {
+			return nil, fmt.Errorf("%w: batch op %d: unknown kind %q", ErrUser, i, ops[i].Kind)
 		}
-		byShard[st.ShardOf(op.Key)] = append(byShard[st.ShardOf(op.Key)], i)
+		b.keys = append(b.keys, ops[i].Key)
 	}
-	shardIDs := make([]int, 0, len(byShard))
-	for id := range byShard {
-		shardIDs = append(shardIDs, id)
-	}
-	sort.Ints(shardIDs)
+	b.ops = ops
+	b.plan()
+	results := make([]OpResult, len(ops))
+	b.results = results
 
-	// The stripe set is planned against the shards' current keylock
-	// generations; when an adaptive resize retires one mid-acquisition,
-	// lock backs out and the plan is rebuilt (rare: resizes happen on
-	// the controller's tick, not the request path).
-	vers := make(map[int]uint64, len(byShard))
-	buildPlan := func() lockPlan {
-		st.captureVersions(byShard, vers)
-		p := make(lockPlan, len(ops))
-		for i, op := range ops {
-			p[i] = st.ref(op.Key)
-		}
-		return p.normalize()
-	}
-	locks := buildPlan()
-	// With a log attached (replication ring or WAL) even a single-shard
-	// batch goes through the exclusive two-phase path: its record must be
-	// emitted under the exclusive stripes to keep log order equal to
-	// commit order (see repl.go).
-	exclusive := len(shardIDs) > 1 || st.logged()
-
-	// Wound-wait admission: a cross-shard batch that would hold many
-	// exclusive stripes passes the admission queue before holding
-	// anything, so stripe-heavy batches cannot starve hot single-key
-	// traffic and young ones are wounded instead of convoying.
-	if exclusive && st.ctrl != nil && len(locks) >= st.ctrl.cfg.LargeBatchStripes {
-		if err := st.ctrl.q.acquire(); err != nil {
-			return nil, err
-		}
-		defer st.ctrl.q.release()
-	}
-
-	// Fast path: a batch confined to one shard is atomic by the STM
-	// alone — one transaction, read-own-writes courtesy of the engine's
-	// write log — so shared stripes suffice and the plan/apply split is
-	// unnecessary.
-	if !exclusive {
-		s := st.shards[shardIDs[0]]
-		for !st.lock(locks, vers, false) {
-			locks = buildPlan()
-		}
-		defer st.unlock(locks, false)
-		results := make([]OpResult, len(ops))
-		failed := -1
-		err := s.atomically(func(tx stm.Tx) error {
-			direct := opStore{
-				read: func(key uint64) (string, bool, error) { return s.kv.Get(tx, key) },
-				put: func(key uint64, val string) error {
-					_, err := s.kv.Put(tx, key, val)
-					return err
-				},
-				del: func(key uint64) error {
-					_, err := s.kv.Delete(tx, key)
-					return err
-				},
+	var err error
+	switch {
+	case !mutates:
+		err = b.readGroups()
+	case len(b.groups) == 1 && !st.logged():
+		err = b.runDirect()
+	default:
+		// Wound-wait admission: a batch that would hold many exclusive
+		// stripes passes the admission queue before holding anything, so
+		// stripe-heavy batches cannot starve hot single-key traffic and
+		// young ones are wounded instead of convoying.
+		if st.ctrl != nil && len(b.locks) >= st.ctrl.cfg.LargeBatchStripes {
+			if err := st.ctrl.q.acquire(); err != nil {
+				return nil, err
 			}
-			for i, op := range ops {
-				var err error
-				if results[i], err = execOp(op, direct); err != nil {
-					failed = i
-					return err
-				}
-			}
-			return nil
-		})
-		if errors.Is(err, ErrCASMismatch) {
-			// The user abort rolled the transaction back; nothing was
-			// written.
-			st.ops.batchCASMisses.Add(1)
-			return mismatchResults(len(ops), failed, results[failed]), err
+			defer st.ctrl.q.release()
 		}
-		if err != nil {
-			return nil, err
-		}
-		return results, nil
+		err = b.runTwoPhase()
 	}
-
-	// The two-phase section runs in a helper so its deferred unlock fires
-	// before the durability waits below: the batch parks on its records'
-	// group fsyncs with no stripe held, exactly like the single-key paths.
-	results, commits, failed, err := st.batchExclusive(ops, byShard, shardIDs, vers, buildPlan, locks)
 	if errors.Is(err, ErrCASMismatch) {
+		// Nothing was written (the direct path's transaction rolled back,
+		// the two-phase path never reached phase two). Only the failing
+		// op's result is kept: reporting, say, an add's would-have-been
+		// counter value would only invite misreading.
 		st.ops.batchCASMisses.Add(1)
-		return mismatchResults(len(ops), failed, results[failed]), err
+		miss := results[b.failed]
+		clear(results)
+		results[b.failed] = miss
+		return results, err
 	}
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range commits {
+	for _, c := range b.commits {
 		if werr := c.Wait(); werr != nil {
 			return nil, werr
 		}
 	}
 	return results, nil
-}
-
-// batchExclusive is Batch's cross-shard (or logged) path: phase one
-// plans under the batch's exclusive stripes, phase two applies and
-// emits one log record per shard. It returns the per-shard records'
-// durability handles for the caller to wait on after the deferred
-// unlock has released the stripes; failed is the index of the op whose
-// cas compare missed when err is ErrCASMismatch.
-func (st *Store) batchExclusive(ops []Op, byShard map[int][]int, shardIDs []int, vers map[int]uint64, buildPlan func() lockPlan, locks lockPlan) (results []OpResult, commits []*tkvwal.Commit, failed int, err error) {
-	// Phase one: hold the batch's exclusive stripes and plan. The plan
-	// reads run as one read-only snapshot transaction per shard — phase
-	// one performs no STM writes (mutations land in the overlay), and the
-	// RO mode revalidates for free against the single-key traffic that
-	// striping now lets through on the batch's shards.
-	for !st.lock(locks, vers, true) {
-		locks = buildPlan()
-	}
-	defer st.unlock(locks, true)
-
-	results = make([]OpResult, len(ops))
-	writes := make(map[int][]plannedWrite, len(shardIDs))
-	for _, id := range shardIDs {
-		s := st.shards[id]
-		idxs := byShard[id]
-		failed = -1
-		err := s.atomicallyRO(func(tx *stm.ROTx) error {
-			// The overlay carries values written by earlier ops of this
-			// batch, so a later op in the same batch reads them; actual
-			// writes are deferred to the plan for phase two.
-			overlay := make(map[uint64]*string, len(idxs))
-			plan := make([]plannedWrite, 0, len(idxs))
-			planned := opStore{
-				read: func(key uint64) (string, bool, error) {
-					if v, ok := overlay[key]; ok {
-						if v == nil {
-							return "", false, nil
-						}
-						return *v, true, nil
-					}
-					return s.kv.GetRO(tx, key)
-				},
-				put: func(key uint64, val string) error {
-					overlay[key] = &val
-					plan = append(plan, plannedWrite{key: key, val: val})
-					return nil
-				},
-				del: func(key uint64) error {
-					overlay[key] = nil
-					plan = append(plan, plannedWrite{key: key, del: true})
-					return nil
-				},
-			}
-			for _, i := range idxs {
-				var err error
-				if results[i], err = execOp(ops[i], planned); err != nil {
-					failed = i
-					return err
-				}
-			}
-			writes[id] = plan
-			return nil
-		})
-		if err != nil {
-			return results, nil, failed, err
-		}
-	}
-
-	// Phase two: apply. The exclusive stripes keep the plan fresh (no one
-	// else can have written these keys since phase one); conflicts with
-	// unrelated traffic on shared bucket chains are resolved by the STM's
-	// ordinary retry. Redundant writes to the same key apply in plan
-	// order, so the last one wins, matching the overlay semantics.
-	for _, id := range shardIDs {
-		s := st.shards[id]
-		plan := writes[id]
-		if len(plan) == 0 {
-			continue
-		}
-		err := s.atomically(func(tx stm.Tx) error {
-			for _, w := range plan {
-				var err error
-				if w.del {
-					_, err = s.kv.Delete(tx, w.key)
-				} else {
-					_, err = s.kv.Put(tx, w.key, w.val)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			// Phase-two bodies only write planned keys and cannot fail
-			// with user errors; an engine error here is fatal to the
-			// batch's atomicity and surfaced loudly.
-			return nil, nil, -1, fmt.Errorf("batch apply on shard %d: %w", id, err)
-		}
-		if st.logged() {
-			// Still under the batch's exclusive stripes (released by the
-			// deferred unlock), so the record's log position matches its
-			// commit position for every key it writes; the durability
-			// handle is waited on by Batch after release.
-			commits = append(commits, st.emitPlan(id, plan))
-		}
-	}
-	return results, commits, -1, nil
 }

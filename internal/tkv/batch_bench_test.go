@@ -93,3 +93,26 @@ func BenchmarkBatchOverlap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMGet8 measures one 8-key cross-shard multi-key read, the read
+// half of the batch planner; its one allocation per op is the result slice.
+func BenchmarkMGet8(b *testing.B) {
+	st, err := Open(Config{Shards: 4, PoolSize: 16, Buckets: 512})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]uint64, 8)
+	for i, op := range batchWorkerOps(st, 0, len(keys)) {
+		keys[i] = op.Key
+		if _, err := st.Put(op.Key, "v"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.MGet(keys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,11 +1,5 @@
 package tkv
 
-import (
-	"sort"
-
-	"github.com/shrink-tm/shrink/internal/stm"
-)
-
 // MGet reads many keys in one request: the keys are grouped by owning
 // shard and each group is read in a single read-only snapshot transaction
 // (with the adaptive update-path fallback under RO restart streaks), so an
@@ -18,72 +12,24 @@ import (
 // observe a partially applied batch on the requested keys; each shard's
 // group is an atomic cut, but the cut is not strictly serializable across
 // shards (see the package comment).
+//
+// It plans through the same pooled batchState as Batch (grouping, stripe
+// set and the read bodies are the get-only batch's), so the result slice
+// it returns is the call's only allocation.
 func (st *Store) MGet(keys []uint64) ([]OpResult, error) {
 	st.ops.mgets.Add(1)
 	st.ops.mgetKeys.Add(uint64(len(keys)))
 	if len(keys) == 0 {
 		return nil, nil
 	}
-
-	// Group keys by shard, then plan and acquire the stripe set against
-	// the shards' current keylock generations (same replan discipline as
-	// Batch when an adaptive resize intervenes).
-	byShard := make(map[int][]int)
-	for i, k := range keys {
-		byShard[st.ShardOf(k)] = append(byShard[st.ShardOf(k)], i)
-	}
-	shardIDs := make([]int, 0, len(byShard))
-	for id := range byShard {
-		shardIDs = append(shardIDs, id)
-	}
-	sort.Ints(shardIDs)
-
-	vers := make(map[int]uint64, len(byShard))
-	buildPlan := func() lockPlan {
-		st.captureVersions(byShard, vers)
-		p := make(lockPlan, len(keys))
-		for i, k := range keys {
-			p[i] = st.ref(k)
-		}
-		return p.normalize()
-	}
-	locks := buildPlan()
-	for !st.lock(locks, vers, false) {
-		locks = buildPlan()
-	}
-	defer st.unlock(locks, false)
-
+	b := st.batch()
+	defer b.release()
+	b.keys = append(b.keys, keys...)
+	b.plan()
 	results := make([]OpResult, len(keys))
-	for _, id := range shardIDs {
-		s := st.shards[id]
-		idxs := byShard[id]
-		var err error
-		if s.takeFallback() {
-			err = s.atomically(func(tx stm.Tx) error {
-				for _, i := range idxs {
-					val, ok, err := s.kv.Get(tx, keys[i])
-					if err != nil {
-						return err
-					}
-					results[i] = OpResult{Found: ok, Value: val}
-				}
-				return nil
-			})
-		} else {
-			err = s.roTracked(func(tx *stm.ROTx) error {
-				for _, i := range idxs {
-					val, ok, err := s.kv.GetRO(tx, keys[i])
-					if err != nil {
-						return err
-					}
-					results[i] = OpResult{Found: ok, Value: val}
-				}
-				return nil
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
+	b.results = results
+	if err := b.readGroups(); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

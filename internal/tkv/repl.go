@@ -384,37 +384,13 @@ func (st *Store) loggedAdd(key uint64, delta int64) (out int64, c *tkvwal.Commit
 func (st *Store) emitPlan(shard int, plan []plannedWrite) *tkvwal.Commit {
 	entries := make([]tkvlog.Entry, len(plan))
 	for i, w := range plan {
-		entries[i] = tkvlog.Entry{Key: w.key, Val: w.val, Del: w.del}
+		if w.val == nil {
+			entries[i] = tkvlog.Entry{Key: w.key, Del: true}
+		} else {
+			entries[i] = tkvlog.Entry{Key: w.key, Val: *w.val}
+		}
 	}
 	return st.logCommit(shard, entries)
-}
-
-// shardPlan builds a version-checked lock plan covering stripes of one
-// shard: every stripe when keys is nil, otherwise exactly the keys'
-// stripes (deduplicated, ascending). It retries internally across
-// adaptive resizes; the returned release func must be called.
-func (st *Store) shardPlan(shard int, keys []uint64, exclusive bool) (release func()) {
-	s := st.shards[shard]
-	for {
-		vers := map[int]uint64{shard: s.locks.Version()}
-		var plan lockPlan
-		if keys == nil {
-			n := s.locks.Stripes()
-			plan = make(lockPlan, n)
-			for i := range plan {
-				plan[i] = stripeRef{shard: shard, stripe: i}
-			}
-		} else {
-			plan = make(lockPlan, len(keys))
-			for i, k := range keys {
-				plan[i] = stripeRef{shard: shard, stripe: s.locks.StripeOf(k)}
-			}
-			plan = plan.normalize()
-		}
-		if st.lock(plan, vers, exclusive) {
-			return func() { st.unlock(plan, exclusive) }
-		}
-	}
 }
 
 // ReplShardCut returns a consistent snapshot of one shard together with
@@ -444,32 +420,37 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	if shard < 0 || shard >= len(st.shards) {
 		return fmt.Errorf("tkv: repl record for shard %d of %d", shard, len(st.shards))
 	}
-	keys := make([]uint64, len(rec.Entries))
-	for i, e := range rec.Entries {
+	b := st.batch()
+	defer b.release()
+	for _, e := range rec.Entries {
 		if st.ShardOf(e.Key) != shard {
 			return fmt.Errorf("tkv: repl record key %d maps to shard %d, record says %d (shard counts differ?)",
 				e.Key, st.ShardOf(e.Key), shard)
 		}
-		keys[i] = e.Key
+		b.keys = append(b.keys, e.Key)
 	}
-	s := st.shards[shard]
-	release := st.shardPlan(shard, keys, true)
-	defer release()
+	b.plan()
+	b.lock(true)
+	defer b.unlock(true)
+	// The follower's ring and WAL keep the entries; rec's own slice is the
+	// stream decoder's to reuse.
 	entries := append([]tkvlog.Entry(nil), rec.Entries...)
-	err := s.atomically(func(tx stm.Tx) error {
+	var err error
+	if len(entries) > 0 {
+		// The record is a finished plan for its one shard group: phase two
+		// applies it.
 		for _, e := range entries {
-			var err error
-			if e.Del {
-				_, err = s.kv.Delete(tx, e.Key)
-			} else {
-				_, err = s.kv.Put(tx, e.Key, e.Val)
+			w := plannedWrite{key: e.Key}
+			if !e.Del {
+				cell := e.Val
+				w.val = &cell
 			}
-			if err != nil {
-				return err
-			}
+			b.writes = append(b.writes, w)
 		}
-		return nil
-	})
+		s := b.enter(0)
+		b.g.whi = len(b.writes)
+		err = s.atomically(b.applyBody)
+	}
 	if err != nil {
 		return fmt.Errorf("tkv: repl apply shard %d seq %d: %w", shard, rec.Seq, err)
 	}
@@ -515,8 +496,10 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 	}
 	s := st.shards[shard]
 	err := func() error {
-		release := st.shardPlan(shard, nil, true)
-		defer release()
+		b := st.batch()
+		defer b.release()
+		b.lockShard(shard, true)
+		defer b.unlock(true)
 		incoming := make(map[uint64]struct{}, len(pairs))
 		for _, p := range pairs {
 			incoming[p.Key] = struct{}{}

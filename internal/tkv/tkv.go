@@ -33,7 +33,8 @@
 //     one shard skips the two-phase entirely: it is a single STM
 //     transaction, atomic by the engine alone, so it holds its stripes in
 //     shared mode only (enough to exclude multi-phase batches from its
-//     keys).
+//     keys). A batch of gets only is a multi-key read (next item): shared
+//     stripes, nothing to plan or apply.
 //   - Multi-key reads (MGet) hold their keys' stripes in shared mode
 //     across all shards and read each shard's group in one read-only
 //     snapshot transaction, so they never observe a partially applied
@@ -58,14 +59,27 @@
 // multi-stripe acquisition follows one global order — shard index first,
 // stripe index within a shard — so the subsystem is deadlock-free.
 //
+// One planner. Batch, MGet, the follower's ReplApply and the whole-shard
+// cuts (checkpoint, resync) all go through one pooled batchState: group the
+// keys by shard (a counting sort into flat slices), build the stripe set
+// against the shards' keylock generations, lock it (replanning when an
+// adaptive resize retires a generation), run one pre-bound transaction body
+// per shard group. The state is to multi-key calls what opSlot is to
+// single-key ones: no closure, map or plan slice is built per call, so a
+// call allocates only what it hands away — its result slice, one cell per
+// value it stores, the decimal string of an add, the log record it emits.
+// BenchmarkBatchDisjoint, BenchmarkMGet8 and TestBatchAllocBudget hold that
+// line.
+//
 // Read-path adaptivity: Get and MGet run in the validation-free read-only
 // snapshot mode, which restarts when a concurrent writer commits past its
 // snapshot. Under a write-heavy antagonist those restarts can string
 // together, so after roFallbackStreak consecutive restarts on a shard's
 // read path the next read runs on the logging update path instead (whose
 // read log and timestamp extension absorb concurrent commits); the
-// fallback count is reported per shard. Batch plan phases and snapshots
-// always stay RO — they run under stripe exclusion or the freeze gate.
+// fallback count is reported per shard (a get-only Batch shares MGet's
+// path and its accounting). Batch plan phases and snapshots always stay RO
+// — they run under stripe exclusion or the freeze gate.
 package tkv
 
 import (
@@ -135,6 +149,10 @@ type Store struct {
 	shards []*shard
 	shift  uint // shard index = top bits of the mixed key
 	ops    opCounters
+	// batches recycles multi-key call state (see batchState): Batch, MGet,
+	// ReplApply and the whole-shard cuts plan through it, so their plans
+	// allocate nothing per call.
+	batches sync.Pool
 	// ctrl is the admission controller; nil unless Config.Admission.
 	ctrl *controller
 	// repl is the replication log; nil unless Config.ReplRing > 0.
@@ -292,6 +310,7 @@ func Open(cfg Config) (*Store, error) {
 		buckets = 512
 	}
 	st := &Store{shards: make([]*shard, n), shift: uint(64 - log2(n))}
+	st.batches.New = func() any { return newBatchState(st) }
 	if cfg.ReplRing > 0 {
 		st.repl = newReplLog(n, cfg.ReplRing)
 	}

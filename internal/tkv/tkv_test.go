@@ -397,7 +397,9 @@ func TestLockPlanNormalize(t *testing.T) {
 	st := openTest(t, Config{Shards: 4})
 	plan := make(lockPlan, 0, 200)
 	for k := uint64(0); k < 100; k++ {
-		plan = append(plan, st.ref(k), st.ref(k)) // every key twice: heavy duplication
+		sh := st.ShardOf(k)
+		r := stripeRef{shard: sh, stripe: st.shards[sh].locks.StripeOf(k)}
+		plan = append(plan, r, r) // every key twice: heavy duplication
 	}
 	plan = plan.normalize()
 	if len(plan) == 0 || len(plan) > 100 {
@@ -410,7 +412,7 @@ func TestLockPlanNormalize(t *testing.T) {
 	}
 	// Locking and unlocking the plan must not self-deadlock (dedup) and
 	// must leave every stripe free (pairing).
-	vers := make(map[int]uint64, st.NumShards())
+	vers := make([]uint64, st.NumShards())
 	for i, s := range st.shards {
 		vers[i] = s.locks.Version()
 	}

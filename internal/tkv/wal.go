@@ -166,8 +166,10 @@ func (st *Store) walCheckpointLoop(every time.Duration) {
 // checkpoint both cut here.
 func (st *Store) cutShard(shard int) (pairs []tkvlog.Entry, seq uint64, err error) {
 	s := st.shards[shard]
-	release := st.shardPlan(shard, nil, false)
-	defer release()
+	b := st.batch()
+	defer b.release()
+	b.lockShard(shard, false)
+	defer b.unlock(false)
 	seq = st.logHead(shard)
 	err = s.atomicallyRO(func(tx *stm.ROTx) error {
 		pairs = pairs[:0]
