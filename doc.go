@@ -85,6 +85,16 @@
 // at most the one heap cell per spilled value, and exactly zero
 // allocations when writing existing pointers — even with Shrink attached.
 //
+// The red-black tree of the paper's first figure (stmds.RBTree) is the
+// classic bottom-up tree: an update descends once, recording its search
+// path on the stack, and its repair loop climbs that path only while a
+// violation persists, so it reads the path plus a constant number of
+// neighbours and writes only what changes — two updates conflict where
+// they meet in the tree, not at the root. A node is one allocation (its
+// variables are TVars laid out by value, stm.TVar.InitRef), and links
+// and colours publish existing immutable cells, so only a new key's node
+// and a written value allocate.
+//
 // Read-only transactions have a dedicated snapshot mode
 // (Thread.AtomicallyRO with stm.ReadTRO, the TL2/LSA-style read-only
 // path): the body runs against a snapshot timestamp fixed at begin, every

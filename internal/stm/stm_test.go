@@ -109,6 +109,26 @@ func TestVarIDsUnique(t *testing.T) {
 	}
 }
 
+// TestInitRefInPlace: TVars laid out by value in one object are each a
+// variable of their own, holding the cell they were given.
+func TestInitRefInPlace(t *testing.T) {
+	var node struct {
+		a, b TVar[int]
+	}
+	x, y := 7, 8
+	node.a.InitRef(&x)
+	node.b.InitRef(&y)
+	if node.a.ID() == 0 || node.a.ID() == node.b.ID() {
+		t.Fatalf("ids %d and %d", node.a.ID(), node.b.ID())
+	}
+	if pa, pb := (*int)(node.a.Word().LoadPtr()), (*int)(node.b.Word().LoadPtr()); pa != &x || pb != &y {
+		t.Fatalf("cells %p and %p, want %p and %p", pa, pb, &x, &y)
+	}
+	if m := node.a.Word().Meta(); IsLocked(m) || VersionOf(m) != 0 {
+		t.Fatalf("fresh var has meta %#x", m)
+	}
+}
+
 func TestSnapshotConsistency(t *testing.T) {
 	v := NewVar(10)
 	val, meta := v.Snapshot()

@@ -31,9 +31,15 @@ func NewT[T any](initial T) *TVar[T] {
 // after the call (the cell is the variable's live value until overwritten).
 func NewTRef[T any](p *T) *TVar[T] {
 	v := &TVar[T]{}
-	v.word.initWord(unsafe.Pointer(p))
+	v.InitRef(p)
 	return v
 }
+
+// InitRef is NewTRef in place: it makes the zero TVar v, typically a field
+// embedded by value in a node, hold the cell *p at version 0, so a structure
+// can lay a node's variables out in one allocation. It must run before v is
+// shared and at most once; the ownership rule is NewTRef's.
+func (v *TVar[T]) InitRef(p *T) { v.word.initWord(unsafe.Pointer(p)) }
 
 // Word returns the underlying engine word, for scheduler hooks, predictors
 // and lock queries. Reading or writing the word through the untyped

@@ -12,80 +12,125 @@
 package stmds
 
 import (
+	"fmt"
+
 	"github.com/shrink-tm/shrink/internal/stm"
 )
 
-// RBTree is a transactional left-leaning red-black tree from int64 keys to
-// V. The paper's red-black tree microbenchmark (integer set, range 16384,
-// 20%/70% update mixes) runs on this structure. Structural fields
-// (children, color) and values are typed transactional vars; keys are
-// immutable per node.
+// RBTree is a transactional red-black tree from int64 keys to V: the
+// classic bottom-up tree (black root, no red node with a red child, equal
+// black height on every path). The paper's red-black tree microbenchmark
+// (integer set, range 16384, 20%/70% update mixes) runs on this structure.
+//
+// An update is one iterative descent that records its search path on the
+// stack, followed by the textbook repair loop, which climbs that path only
+// while a red-red or double-black violation persists. It therefore reads its
+// search path plus a constant number of neighbours, and writes only the vars
+// whose value changes — amortised O(1) of them, near the leaf it touched —
+// so two updates conflict when they meet in the tree, not because both
+// passed through the root.
+//
+// A tree must not be copied: its links point at its own leaf field.
 type RBTree[V any] struct {
-	root *stm.TVar[*rbNode[V]] // nil when empty
+	root stm.TVar[*rbNode[V]] // nil when empty
+	// leaf is always nil. Its address is the immutable cell behind every
+	// empty link, so neither creating a node nor emptying a link spills
+	// a cell for it.
+	leaf *rbNode[V]
 }
 
+// rbNode lays a node's four transactional variables out by value, so a node
+// is one allocation and a hop from a link to the child's key is two
+// dependent loads. Keys are immutable per node.
 type rbNode[V any] struct {
-	key   int64
-	val   *stm.TVar[V]
-	left  *stm.TVar[*rbNode[V]]
-	right *stm.TVar[*rbNode[V]]
-	red   *stm.TVar[bool]
+	key int64
+	// self is the node's own address in an immutable cell: every link
+	// that points at the node publishes &self, so linking never
+	// allocates and the cell a reader dereferences shares the key's
+	// cache line.
+	self  *rbNode[V]
+	val   stm.TVar[V]
+	left  stm.TVar[*rbNode[V]]
+	right stm.TVar[*rbNode[V]]
+	red   stm.TVar[bool]
 }
+
+// The two colours, as the immutable cells every colour var points at.
+var rbBlack, rbRed = false, true
 
 // NewRBTree returns an empty tree.
 func NewRBTree[V any]() *RBTree[V] {
-	return &RBTree[V]{root: stm.NewT[*rbNode[V]](nil)}
+	t := &RBTree[V]{}
+	t.root.InitRef(&t.leaf)
+	return t
 }
 
-func newRBNode[V any](key int64, val V) *rbNode[V] {
-	return &rbNode[V]{
-		key:   key,
-		val:   stm.NewT(val),
-		left:  stm.NewT[*rbNode[V]](nil),
-		right: stm.NewT[*rbNode[V]](nil),
-		red:   stm.NewT(true),
+func (t *RBTree[V]) newNode(key int64, val V, red bool) *rbNode[V] {
+	n := &rbNode[V]{key: key}
+	n.self = n
+	n.val.InitRef(&val)
+	n.left.InitRef(&t.leaf)
+	n.right.InitRef(&t.leaf)
+	n.red.InitRef(colorCell(red))
+	return n
+}
+
+func colorCell(red bool) *bool {
+	if red {
+		return &rbRed
 	}
+	return &rbBlack
 }
 
+// child returns n's right or left link.
+func (n *rbNode[V]) child(right bool) *stm.TVar[*rbNode[V]] {
+	if right {
+		return &n.right
+	}
+	return &n.left
+}
+
+// setColor writes n's colour. Callers skip the call when they know the
+// colour already matches, so a repair locks only what it changes.
+func setColor[V any](tx stm.Tx, n *rbNode[V], red bool) error {
+	return stm.WriteRefT(tx, &n.red, colorCell(red))
+}
+
+// setLink points link at n (nil empties it), publishing an existing cell.
+func (t *RBTree[V]) setLink(tx stm.Tx, link *stm.TVar[*rbNode[V]], n *rbNode[V]) error {
+	if n == nil {
+		return stm.WriteRefT(tx, link, &t.leaf)
+	}
+	return stm.WriteRefT(tx, link, &n.self)
+}
+
+// isRed reads n's colour; an empty link counts as black.
 func isRed[V any](tx stm.Tx, n *rbNode[V]) (bool, error) {
 	if n == nil {
 		return false, nil
 	}
-	return stm.ReadT(tx, n.red)
-}
-
-func setRed[V any](tx stm.Tx, n *rbNode[V], red bool) error {
-	return stm.WriteT(tx, n.red, red)
-}
-
-// writeChild stores child into the given child var only if it changed,
-// keeping write sets (and hence conflicts) minimal.
-func writeChild[V any](tx stm.Tx, slot *stm.TVar[*rbNode[V]], oldChild, newChild *rbNode[V]) error {
-	if oldChild == newChild {
-		return nil
-	}
-	return stm.WriteT(tx, slot, newChild)
+	return stm.ReadT(tx, &n.red)
 }
 
 // Get returns the value stored under key.
 func (t *RBTree[V]) Get(tx stm.Tx, key int64) (V, bool, error) {
 	var zero V
-	n, err := stm.ReadT(tx, t.root)
+	n, err := stm.ReadT(tx, &t.root)
 	if err != nil {
 		return zero, false, err
 	}
 	for n != nil {
 		switch {
 		case key < n.key:
-			if n, err = stm.ReadT(tx, n.left); err != nil {
+			if n, err = stm.ReadT(tx, &n.left); err != nil {
 				return zero, false, err
 			}
 		case key > n.key:
-			if n, err = stm.ReadT(tx, n.right); err != nil {
+			if n, err = stm.ReadT(tx, &n.right); err != nil {
 				return zero, false, err
 			}
 		default:
-			v, err := stm.ReadT(tx, n.val)
+			v, err := stm.ReadT(tx, &n.val)
 			if err != nil {
 				return zero, false, err
 			}
@@ -106,22 +151,22 @@ func (t *RBTree[V]) Contains(tx stm.Tx, key int64) (bool, error) {
 // a read log.
 func (t *RBTree[V]) GetRO(tx *stm.ROTx, key int64) (V, bool, error) {
 	var zero V
-	n, err := stm.ReadTRO(tx, t.root)
+	n, err := stm.ReadTRO(tx, &t.root)
 	if err != nil {
 		return zero, false, err
 	}
 	for n != nil {
 		switch {
 		case key < n.key:
-			if n, err = stm.ReadTRO(tx, n.left); err != nil {
+			if n, err = stm.ReadTRO(tx, &n.left); err != nil {
 				return zero, false, err
 			}
 		case key > n.key:
-			if n, err = stm.ReadTRO(tx, n.right); err != nil {
+			if n, err = stm.ReadTRO(tx, &n.right); err != nil {
 				return zero, false, err
 			}
 		default:
-			v, err := stm.ReadTRO(tx, n.val)
+			v, err := stm.ReadTRO(tx, &n.val)
 			if err != nil {
 				return zero, false, err
 			}
@@ -137,662 +182,455 @@ func (t *RBTree[V]) ContainsRO(tx *stm.ROTx, key int64) (bool, error) {
 	return ok, err
 }
 
+// rbMaxDepth bounds a recorded path. A red-black tree whose longest path
+// holds h nodes has at least 2^(h/2)-1 of them, so 62 levels (plus the two
+// entries an update adds below its search path) cover two billion nodes —
+// more than 200 GB of them; a deeper tree fails with an index panic.
+const rbMaxDepth = 64
+
+// rbPath is the search path of one update, root first, kept on the stack in
+// place of parent pointers: node[i] sits at depth i and the path leaves it
+// through its right[i] link.
+type rbPath[V any] struct {
+	node  [rbMaxDepth]*rbNode[V]
+	right [rbMaxDepth]bool
+	len   int
+}
+
+func (p *rbPath[V]) push(n *rbNode[V], right bool) {
+	p.node[p.len], p.right[p.len] = n, right
+	p.len++
+}
+
+// link returns the link that holds the path's node at depth k: the root
+// link, or the link the path took out of the node above. link(p.len) is
+// where the path ends.
+func (t *RBTree[V]) link(p *rbPath[V], k int) *stm.TVar[*rbNode[V]] {
+	if k == 0 {
+		return &t.root
+	}
+	return p.node[k-1].child(p.right[k-1])
+}
+
+// descend walks from the root towards key, recording every node it passes,
+// and returns the node holding key, or nil where the path ends without one.
+func (t *RBTree[V]) descend(tx stm.Tx, p *rbPath[V], key int64) (*rbNode[V], error) {
+	n, err := stm.ReadT(tx, &t.root)
+	for err == nil && n != nil && n.key != key {
+		right := key > n.key
+		p.push(n, right)
+		n, err = stm.ReadT(tx, n.child(right))
+	}
+	return n, err
+}
+
 // Insert adds key with the given value and reports whether the key was new
 // (false means the value of an existing key was updated).
 func (t *RBTree[V]) Insert(tx stm.Tx, key int64, val V) (bool, error) {
-	oldRoot, err := stm.ReadT(tx, t.root)
+	var p rbPath[V]
+	n, err := t.descend(tx, &p, key)
 	if err != nil {
 		return false, err
 	}
-	inserted := false
-	newRoot, err := t.insert(tx, oldRoot, key, val, &inserted)
-	if err != nil {
+	if n != nil {
+		return false, stm.WriteT(tx, &n.val, val)
+	}
+	// A node is born red unless it is the root.
+	n = t.newNode(key, val, p.len > 0)
+	if err := t.setLink(tx, t.link(&p, p.len), n); err != nil {
 		return false, err
 	}
-	if err := writeChild(tx, t.root, oldRoot, newRoot); err != nil {
-		return false, err
-	}
-	if red, err := isRed(tx, newRoot); err != nil {
-		return false, err
-	} else if red {
-		if err := setRed(tx, newRoot, false); err != nil {
-			return false, err
-		}
-	}
-	return inserted, nil
+	p.push(n, false)
+	return true, t.insertRepair(tx, &p)
 }
 
-func (t *RBTree[V]) insert(tx stm.Tx, h *rbNode[V], key int64, val V, inserted *bool) (*rbNode[V], error) {
-	if h == nil {
-		*inserted = true
-		return newRBNode(key, val), nil
-	}
-	switch {
-	case key < h.key:
-		old, err := stm.ReadT(tx, h.left)
+// insertRepair removes the red-red violation the red node at the end of p
+// may form with its parent. Each round either recolours and moves the red
+// two levels up, or ends the repair with at most two rotations.
+func (t *RBTree[V]) insertRepair(tx stm.Tx, p *rbPath[V]) error {
+	// x, the red node, is at depth k. At depth 1 its parent is the black
+	// root.
+	for k := p.len - 1; k >= 2; k -= 2 {
+		x, par, g := p.node[k], p.node[k-1], p.node[k-2]
+		parRed, err := stm.ReadT(tx, &par.red)
+		if err != nil || !parRed {
+			return err
+		}
+		// par is red, so g is black and par is its child on this side:
+		side := p.right[k-2]
+		uncle, err := stm.ReadT(tx, g.child(!side))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		nw, err := t.insert(tx, old, key, val, inserted)
+		uncleRed, err := isRed(tx, uncle)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := writeChild(tx, h.left, old, nw); err != nil {
-			return nil, err
-		}
-	case key > h.key:
-		old, err := stm.ReadT(tx, h.right)
-		if err != nil {
-			return nil, err
-		}
-		nw, err := t.insert(tx, old, key, val, inserted)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeChild(tx, h.right, old, nw); err != nil {
-			return nil, err
-		}
-	default:
-		if err := stm.WriteT(tx, h.val, val); err != nil {
-			return nil, err
-		}
-		return h, nil
-	}
-	return t.fixUp(tx, h)
-}
-
-// fixUp restores the left-leaning invariants around h on the way up.
-func (t *RBTree[V]) fixUp(tx stm.Tx, h *rbNode[V]) (*rbNode[V], error) {
-	l, err := stm.ReadT(tx, h.left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := stm.ReadT(tx, h.right)
-	if err != nil {
-		return nil, err
-	}
-	rRed, err := isRed(tx, r)
-	if err != nil {
-		return nil, err
-	}
-	lRed, err := isRed(tx, l)
-	if err != nil {
-		return nil, err
-	}
-	if rRed && !lRed {
-		if h, err = t.rotateLeft(tx, h); err != nil {
-			return nil, err
-		}
-		if l, err = stm.ReadT(tx, h.left); err != nil {
-			return nil, err
-		}
-		if lRed, err = isRed(tx, l); err != nil {
-			return nil, err
-		}
-	}
-	if lRed {
-		var ll *rbNode[V]
-		if ll, err = stm.ReadT(tx, l.left); err != nil {
-			return nil, err
-		}
-		llRed, err := isRed(tx, ll)
-		if err != nil {
-			return nil, err
-		}
-		if llRed {
-			if h, err = t.rotateRight(tx, h); err != nil {
-				return nil, err
+		if uncleRed {
+			// g hands its black down to par and uncle. A root g keeps
+			// its own black as well (every path gains one).
+			if err := setColor(tx, par, false); err != nil {
+				return err
 			}
+			if err := setColor(tx, uncle, false); err != nil {
+				return err
+			}
+			if k == 2 {
+				return nil
+			}
+			if err := setColor(tx, g, true); err != nil {
+				return err
+			}
+			continue
 		}
-	}
-	if l, err = stm.ReadT(tx, h.left); err != nil {
-		return nil, err
-	}
-	if r, err = stm.ReadT(tx, h.right); err != nil {
-		return nil, err
-	}
-	if lRed, err = isRed(tx, l); err != nil {
-		return nil, err
-	}
-	if rRed, err = isRed(tx, r); err != nil {
-		return nil, err
-	}
-	if lRed && rRed {
-		if err := t.colorFlip(tx, h, l, r); err != nil {
-			return nil, err
+		if p.right[k-1] != side {
+			// x is par's inner child: rotate it above par, after which
+			// par is the outer red child of x.
+			inner, err := stm.ReadT(tx, x.child(side))
+			if err != nil {
+				return err
+			}
+			if err := t.rotate(tx, g.child(side), par, x, inner, side); err != nil {
+				return err
+			}
+			par = x
 		}
-	}
-	return h, nil
-}
-
-// rotateLeft rotates h's red right child up.
-func (t *RBTree[V]) rotateLeft(tx stm.Tx, h *rbNode[V]) (*rbNode[V], error) {
-	x, err := stm.ReadT(tx, h.right)
-	if err != nil {
-		return nil, err
-	}
-	xl, err := stm.ReadT(tx, x.left)
-	if err != nil {
-		return nil, err
-	}
-	if err := stm.WriteT(tx, h.right, xl); err != nil {
-		return nil, err
-	}
-	if err := stm.WriteT(tx, x.left, h); err != nil {
-		return nil, err
-	}
-	hRed, err := isRed(tx, h)
-	if err != nil {
-		return nil, err
-	}
-	if err := setRed(tx, x, hRed); err != nil {
-		return nil, err
-	}
-	if err := setRed(tx, h, true); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// rotateRight rotates h's red left child up.
-func (t *RBTree[V]) rotateRight(tx stm.Tx, h *rbNode[V]) (*rbNode[V], error) {
-	x, err := stm.ReadT(tx, h.left)
-	if err != nil {
-		return nil, err
-	}
-	xr, err := stm.ReadT(tx, x.right)
-	if err != nil {
-		return nil, err
-	}
-	if err := stm.WriteT(tx, h.left, xr); err != nil {
-		return nil, err
-	}
-	if err := stm.WriteT(tx, x.right, h); err != nil {
-		return nil, err
-	}
-	hRed, err := isRed(tx, h)
-	if err != nil {
-		return nil, err
-	}
-	if err := setRed(tx, x, hRed); err != nil {
-		return nil, err
-	}
-	if err := setRed(tx, h, true); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-func (t *RBTree[V]) colorFlip(tx stm.Tx, h, l, r *rbNode[V]) error {
-	hRed, err := isRed(tx, h)
-	if err != nil {
-		return err
-	}
-	if err := setRed(tx, h, !hRed); err != nil {
-		return err
-	}
-	if l != nil {
-		lRed, err := isRed(tx, l)
+		// Rotate par above g and swap their colours.
+		inner, err := stm.ReadT(tx, par.child(!side))
 		if err != nil {
 			return err
 		}
-		if err := setRed(tx, l, !lRed); err != nil {
+		if err := t.rotate(tx, t.link(p, k-2), g, par, inner, !side); err != nil {
 			return err
 		}
-	}
-	if r != nil {
-		rRed, err := isRed(tx, r)
-		if err != nil {
+		if err := setColor(tx, par, false); err != nil {
 			return err
 		}
-		if err := setRed(tx, r, !rRed); err != nil {
-			return err
-		}
+		return setColor(tx, g, true)
 	}
 	return nil
 }
 
-// moveRedLeft ensures h.left or one of its children is red, on the way down
-// a deletion in the left subtree.
-func (t *RBTree[V]) moveRedLeft(tx stm.Tx, h *rbNode[V]) (*rbNode[V], error) {
-	l, err := stm.ReadT(tx, h.left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := stm.ReadT(tx, h.right)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.colorFlip(tx, h, l, r); err != nil {
-		return nil, err
-	}
-	if r != nil {
-		rl, err := stm.ReadT(tx, r.left)
-		if err != nil {
-			return nil, err
-		}
-		rlRed, err := isRed(tx, rl)
-		if err != nil {
-			return nil, err
-		}
-		if rlRed {
-			nr, err := t.rotateRight(tx, r)
-			if err != nil {
-				return nil, err
-			}
-			if err := stm.WriteT(tx, h.right, nr); err != nil {
-				return nil, err
-			}
-			if h, err = t.rotateLeft(tx, h); err != nil {
-				return nil, err
-			}
-			nl, err := stm.ReadT(tx, h.left)
-			if err != nil {
-				return nil, err
-			}
-			nrr, err := stm.ReadT(tx, h.right)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.colorFlip(tx, h, nl, nrr); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return h, nil
-}
-
-// moveRedRight ensures h.right or one of its children is red, on the way
-// down a deletion in the right subtree.
-func (t *RBTree[V]) moveRedRight(tx stm.Tx, h *rbNode[V]) (*rbNode[V], error) {
-	l, err := stm.ReadT(tx, h.left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := stm.ReadT(tx, h.right)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.colorFlip(tx, h, l, r); err != nil {
-		return nil, err
-	}
-	if l != nil {
-		ll, err := stm.ReadT(tx, l.left)
-		if err != nil {
-			return nil, err
-		}
-		llRed, err := isRed(tx, ll)
-		if err != nil {
-			return nil, err
-		}
-		if llRed {
-			if h, err = t.rotateRight(tx, h); err != nil {
-				return nil, err
-			}
-			nl, err := stm.ReadT(tx, h.left)
-			if err != nil {
-				return nil, err
-			}
-			nr, err := stm.ReadT(tx, h.right)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.colorFlip(tx, h, nl, nr); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return h, nil
-}
-
-// deleteMin removes the minimum node of the subtree rooted at h, returning
-// the new subtree root and the removed node.
-func (t *RBTree[V]) deleteMin(tx stm.Tx, h *rbNode[V]) (*rbNode[V], *rbNode[V], error) {
-	l, err := stm.ReadT(tx, h.left)
-	if err != nil {
-		return nil, nil, err
-	}
-	if l == nil {
-		return nil, h, nil
-	}
-	lRed, err := isRed(tx, l)
-	if err != nil {
-		return nil, nil, err
-	}
-	ll, err := stm.ReadT(tx, l.left)
-	if err != nil {
-		return nil, nil, err
-	}
-	llRed, err := isRed(tx, ll)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !lRed && !llRed {
-		if h, err = t.moveRedLeft(tx, h); err != nil {
-			return nil, nil, err
-		}
-	}
-	if l, err = stm.ReadT(tx, h.left); err != nil {
-		return nil, nil, err
-	}
-	nl, removed, err := t.deleteMin(tx, l)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := writeChild(tx, h.left, l, nl); err != nil {
-		return nil, nil, err
-	}
-	h, err = t.fixUp(tx, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, removed, nil
-}
-
 // Delete removes key and reports whether it was present.
 func (t *RBTree[V]) Delete(tx stm.Tx, key int64) (bool, error) {
-	present, err := t.Contains(tx, key)
-	if err != nil || !present {
+	var p rbPath[V]
+	z, err := t.descend(tx, &p, key)
+	if err != nil || z == nil {
 		return false, err
 	}
-	oldRoot, err := stm.ReadT(tx, t.root)
+	zl, err := stm.ReadT(tx, &z.left)
 	if err != nil {
 		return false, err
 	}
-	newRoot, err := t.delete(tx, oldRoot, key)
+	zr, err := stm.ReadT(tx, &z.right)
 	if err != nil {
 		return false, err
 	}
-	if err := writeChild(tx, t.root, oldRoot, newRoot); err != nil {
-		return false, err
-	}
-	if newRoot != nil {
-		if red, err := isRed(tx, newRoot); err != nil {
+	// z lets go of its children. A removed node stays referenced for a
+	// while — by a reader standing on it, by a slot of some thread's read
+	// log not yet overwritten — and with its links intact it would keep
+	// alive the nodes they point at, which when they are removed keep
+	// theirs: garbage chained to one stale reference without end.
+	if zl != nil {
+		if err := t.setLink(tx, &z.left, nil); err != nil {
 			return false, err
-		} else if red {
-			if err := setRed(tx, newRoot, false); err != nil {
-				return false, err
-			}
 		}
 	}
-	return true, nil
+	if zr != nil {
+		if err := t.setLink(tx, &z.right, nil); err != nil {
+			return false, err
+		}
+	}
+	if zl != nil && zr != nil {
+		err = t.deleteInner(tx, &p, z, zl, zr)
+		return err == nil, err
+	}
+	// At most one child: it (or nothing) moves up into z's place.
+	x := zl
+	if x == nil {
+		x = zr
+	}
+	if err := t.setLink(tx, t.link(&p, p.len), x); err != nil {
+		return false, err
+	}
+	zRed, err := stm.ReadT(tx, &z.red)
+	if err == nil && !zRed {
+		err = t.deleteRepair(tx, &p, x)
+	}
+	return err == nil, err
 }
 
-func (t *RBTree[V]) delete(tx stm.Tx, h *rbNode[V], key int64) (*rbNode[V], error) {
-	var err error
-	if key < h.key {
-		l, err := stm.ReadT(tx, h.left)
+// deleteInner removes z, found at the end of p with children zl and zr, by
+// transplanting its successor: y, the leftmost node of z's right subtree,
+// gives its place to its right child x and takes over z's place, children
+// and colour. What the tree loses is a node of y's colour at y's old place.
+func (t *RBTree[V]) deleteInner(tx stm.Tx, p *rbPath[V], z, zl, zr *rbNode[V]) error {
+	zk := p.len
+	p.push(z, true) // y's seat
+	y := zr
+	for {
+		yl, err := stm.ReadT(tx, &y.left)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		lRed, err := isRed(tx, l)
-		if err != nil {
-			return nil, err
+		if yl == nil {
+			break
 		}
-		var llRed bool
-		if l != nil {
-			ll, err := stm.ReadT(tx, l.left)
-			if err != nil {
-				return nil, err
-			}
-			if llRed, err = isRed(tx, ll); err != nil {
-				return nil, err
-			}
-		}
-		if !lRed && !llRed {
-			if h, err = t.moveRedLeft(tx, h); err != nil {
-				return nil, err
-			}
-		}
-		if l, err = stm.ReadT(tx, h.left); err != nil {
-			return nil, err
-		}
-		nl, err := t.delete(tx, l, key)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeChild(tx, h.left, l, nl); err != nil {
-			return nil, err
-		}
-	} else {
-		l, err := stm.ReadT(tx, h.left)
-		if err != nil {
-			return nil, err
-		}
-		lRed, err := isRed(tx, l)
-		if err != nil {
-			return nil, err
-		}
-		if lRed {
-			if h, err = t.rotateRight(tx, h); err != nil {
-				return nil, err
-			}
-		}
-		r, err := stm.ReadT(tx, h.right)
-		if err != nil {
-			return nil, err
-		}
-		if key == h.key && r == nil {
-			return nil, nil
-		}
-		rRed, err := isRed(tx, r)
-		if err != nil {
-			return nil, err
-		}
-		var rlRed bool
-		if r != nil {
-			rl, err := stm.ReadT(tx, r.left)
-			if err != nil {
-				return nil, err
-			}
-			if rlRed, err = isRed(tx, rl); err != nil {
-				return nil, err
-			}
-		}
-		if !rRed && !rlRed {
-			if h, err = t.moveRedRight(tx, h); err != nil {
-				return nil, err
-			}
-		}
-		if key == h.key {
-			r, err := stm.ReadT(tx, h.right)
-			if err != nil {
-				return nil, err
-			}
-			nr, minNode, err := t.deleteMin(tx, r)
-			if err != nil {
-				return nil, err
-			}
-			// Splice the successor into h's position: a fresh node
-			// carries the successor's key/value with h's children
-			// and color (keys are immutable per node).
-			minVal, err := stm.ReadT(tx, minNode.val)
-			if err != nil {
-				return nil, err
-			}
-			hl, err := stm.ReadT(tx, h.left)
-			if err != nil {
-				return nil, err
-			}
-			hRed, err := isRed(tx, h)
-			if err != nil {
-				return nil, err
-			}
-			repl := &rbNode[V]{
-				key:   minNode.key,
-				val:   stm.NewT(minVal),
-				left:  stm.NewT(hl),
-				right: stm.NewT(nr),
-				red:   stm.NewT(hRed),
-			}
-			return t.fixUp(tx, repl)
-		}
-		r, err = stm.ReadT(tx, h.right)
-		if err != nil {
-			return nil, err
-		}
-		nr, err := t.delete(tx, r, key)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeChild(tx, h.right, r, nr); err != nil {
-			return nil, err
-		}
+		p.push(y, false)
+		y = yl
 	}
-	h, err = t.fixUp(tx, h)
+	p.node[zk] = y
+	x, err := stm.ReadT(tx, &y.right)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return h, nil
+	if y != zr { // otherwise x stays where it is, under y.right
+		if err := t.setLink(tx, t.link(p, p.len), x); err != nil {
+			return err
+		}
+		if err := t.setLink(tx, &y.right, zr); err != nil {
+			return err
+		}
+	}
+	if err := t.setLink(tx, &y.left, zl); err != nil {
+		return err
+	}
+	if err := t.setLink(tx, t.link(p, zk), y); err != nil {
+		return err
+	}
+	yRed, err := stm.ReadT(tx, &y.red)
+	if err != nil {
+		return err
+	}
+	zRed, err := stm.ReadT(tx, &z.red)
+	if err != nil {
+		return err
+	}
+	if yRed != zRed {
+		if err := setColor(tx, y, zRed); err != nil {
+			return err
+		}
+	}
+	if yRed {
+		return nil
+	}
+	return t.deleteRepair(tx, p, x)
+}
+
+// deleteRepair restores the black height below the link at the end of p,
+// whose subtree x has lost a black node. Each round either recolours x's
+// sibling and moves the shortage one level up, or ends the repair with at
+// most three rotations.
+func (t *RBTree[V]) deleteRepair(tx stm.Tx, p *rbPath[V], x *rbNode[V]) error {
+	for k := p.len; ; k-- { // x is at depth k
+		xRed, err := isRed(tx, x)
+		if err != nil {
+			return err
+		}
+		if xRed {
+			return setColor(tx, x, false)
+		}
+		if k == 0 {
+			// Short at the root is short on every path: no violation.
+			return nil
+		}
+		par, side := p.node[k-1], p.right[k-1]
+		// The sibling's subtree is one black taller than x's, so neither
+		// w nor, when w is red, its children are nil.
+		w, err := stm.ReadT(tx, par.child(!side))
+		if err != nil {
+			return err
+		}
+		wRed, err := stm.ReadT(tx, &w.red)
+		if err != nil {
+			return err
+		}
+		if wRed {
+			// A red sibling has a black parent: rotate it above par and
+			// swap their colours, which puts x one level down, under a
+			// red parent and beside a black sibling.
+			near, err := stm.ReadT(tx, w.child(side))
+			if err != nil {
+				return err
+			}
+			if err := t.rotate(tx, t.link(p, k-1), par, w, near, side); err != nil {
+				return err
+			}
+			if err := setColor(tx, w, false); err != nil {
+				return err
+			}
+			if err := setColor(tx, par, true); err != nil {
+				return err
+			}
+			p.node[k-1] = w
+			p.node[k], p.right[k] = par, side
+			k++
+			w = near
+		}
+		near, err := stm.ReadT(tx, w.child(side))
+		if err != nil {
+			return err
+		}
+		far, err := stm.ReadT(tx, w.child(!side))
+		if err != nil {
+			return err
+		}
+		farRed, err := isRed(tx, far)
+		if err != nil {
+			return err
+		}
+		top, topRed := w, false // what rises above par, and its colour
+		if farRed {
+			if err := setColor(tx, far, false); err != nil {
+				return err
+			}
+		} else {
+			nearRed, err := isRed(tx, near)
+			if err != nil {
+				return err
+			}
+			if !nearRed {
+				// Black nephews: w can turn red, which evens out par's
+				// two sides and leaves par's whole subtree one short.
+				if err := setColor(tx, w, true); err != nil {
+					return err
+				}
+				x = par
+				continue
+			}
+			// Only the near nephew is red: it rises above w first, and
+			// then, like a sibling with a red far child, above par. (w
+			// keeps its black: the red the first step would give it the
+			// second would take back.)
+			nearFar, err := stm.ReadT(tx, near.child(!side))
+			if err != nil {
+				return err
+			}
+			if err := t.rotate(tx, par.child(!side), w, near, nearFar, !side); err != nil {
+				return err
+			}
+			top, topRed = near, true
+			if near, err = stm.ReadT(tx, near.child(side)); err != nil {
+				return err
+			}
+		}
+		// top takes par's place and colour; par comes down black on x's
+		// side, which makes up the missing black.
+		if err := t.rotate(tx, t.link(p, k-1), par, top, near, side); err != nil {
+			return err
+		}
+		parRed, err := stm.ReadT(tx, &par.red)
+		if err != nil {
+			return err
+		}
+		if topRed != parRed {
+			if err := setColor(tx, top, parRed); err != nil {
+				return err
+			}
+		}
+		if parRed {
+			return setColor(tx, par, false)
+		}
+		return nil
+	}
+}
+
+// rotate lifts top, down's child opposite side, into down's place under
+// link: down becomes top's child on side and adopts inner, the subtree top
+// held there.
+func (t *RBTree[V]) rotate(tx stm.Tx, link *stm.TVar[*rbNode[V]], down, top, inner *rbNode[V], side bool) error {
+	if err := t.setLink(tx, down.child(!side), inner); err != nil {
+		return err
+	}
+	if err := t.setLink(tx, top.child(side), down); err != nil {
+		return err
+	}
+	return t.setLink(tx, link, top)
 }
 
 // Size counts the keys (a read-only full traversal).
 func (t *RBTree[V]) Size(tx stm.Tx) (int, error) {
-	n, err := stm.ReadT(tx, t.root)
-	if err != nil {
-		return 0, err
-	}
-	return t.size(tx, n)
-}
-
-func (t *RBTree[V]) size(tx stm.Tx, n *rbNode[V]) (int, error) {
-	if n == nil {
-		return 0, nil
-	}
-	l, err := stm.ReadT(tx, n.left)
-	if err != nil {
-		return 0, err
-	}
-	nl, err := t.size(tx, l)
-	if err != nil {
-		return 0, err
-	}
-	r, err := stm.ReadT(tx, n.right)
-	if err != nil {
-		return 0, err
-	}
-	nr, err := t.size(tx, r)
-	if err != nil {
-		return 0, err
-	}
-	return nl + nr + 1, nil
+	size := 0
+	err := t.walk(tx, &t.root, func(*rbNode[V]) { size++ })
+	return size, err
 }
 
 // Keys returns all keys in ascending order (read-only traversal).
 func (t *RBTree[V]) Keys(tx stm.Tx) ([]int64, error) {
 	var out []int64
-	n, err := stm.ReadT(tx, t.root)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.inorder(tx, n, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	err := t.walk(tx, &t.root, func(n *rbNode[V]) { out = append(out, n.key) })
+	return out, err
 }
 
-func (t *RBTree[V]) inorder(tx stm.Tx, n *rbNode[V], out *[]int64) error {
-	if n == nil {
-		return nil
-	}
-	l, err := stm.ReadT(tx, n.left)
-	if err != nil {
+// walk visits the nodes below link in key order.
+func (t *RBTree[V]) walk(tx stm.Tx, link *stm.TVar[*rbNode[V]], visit func(*rbNode[V])) error {
+	n, err := stm.ReadT(tx, link)
+	if err != nil || n == nil {
 		return err
 	}
-	if err := t.inorder(tx, l, out); err != nil {
+	if err := t.walk(tx, &n.left, visit); err != nil {
 		return err
 	}
-	*out = append(*out, n.key)
-	r, err := stm.ReadT(tx, n.right)
-	if err != nil {
-		return err
-	}
-	return t.inorder(tx, r, out)
+	visit(n)
+	return t.walk(tx, &n.right, visit)
 }
 
 // CheckInvariants verifies the red-black invariants inside a transaction:
-// BST order, no red node with a red left-left or red right child
-// (left-leaning form), and equal black height on all paths. It returns the
-// black height.
+// the root is black, no red node has a red child, every path from the root
+// to an empty link crosses the same number of black nodes, and keys are in
+// search-tree order. It returns the black height; an error names the rule
+// that broke and the key it broke at.
 func (t *RBTree[V]) CheckInvariants(tx stm.Tx) (int, error) {
-	n, err := stm.ReadT(tx, t.root)
-	if err != nil {
-		return 0, err
-	}
-	if n != nil {
-		red, err := isRed(tx, n)
-		if err != nil {
-			return 0, err
-		}
-		if red {
-			return 0, errInvariant("root is red")
-		}
-	}
-	bh, _, _, err := t.check(tx, n)
-	return bh, err
+	return t.check(tx, &t.root, nil, nil, nil)
 }
 
 type errInvariant string
 
 func (e errInvariant) Error() string { return "rbtree invariant violated: " + string(e) }
 
-func (t *RBTree[V]) check(tx stm.Tx, n *rbNode[V]) (blackHeight int, minKey, maxKey int64, err error) {
-	if n == nil {
-		return 1, 0, 0, nil
+// check verifies the subtree below link, which hangs under parent (nil for
+// the root) and whose keys must lie strictly between *lo and *hi where those
+// are set, and returns its black height.
+func (t *RBTree[V]) check(tx stm.Tx, link *stm.TVar[*rbNode[V]], parent *rbNode[V], lo, hi *int64) (int, error) {
+	n, err := stm.ReadT(tx, link)
+	if err != nil || n == nil {
+		return 1, err
 	}
-	l, err := stm.ReadT(tx, n.left)
+	if lo != nil && n.key <= *lo {
+		return 0, errInvariant(fmt.Sprintf("order: key %d is in the right subtree of key %d", n.key, *lo))
+	}
+	if hi != nil && n.key >= *hi {
+		return 0, errInvariant(fmt.Sprintf("order: key %d is in the left subtree of key %d", n.key, *hi))
+	}
+	red, err := stm.ReadT(tx, &n.red)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
-	r, err := stm.ReadT(tx, n.right)
+	if red {
+		if parent == nil {
+			return 0, errInvariant(fmt.Sprintf("red root: key %d", n.key))
+		}
+		parentRed, err := stm.ReadT(tx, &parent.red)
+		if err != nil {
+			return 0, err
+		}
+		if parentRed {
+			return 0, errInvariant(fmt.Sprintf("red-red: red key %d has the red child %d", parent.key, n.key))
+		}
+	}
+	lbh, err := t.check(tx, &n.left, n, lo, &n.key)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
-	nRed, err := isRed(tx, n)
+	rbh, err := t.check(tx, &n.right, n, &n.key, hi)
 	if err != nil {
-		return 0, 0, 0, err
-	}
-	rRed, err := isRed(tx, r)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if rRed {
-		return 0, 0, 0, errInvariant("right child is red (not left-leaning)")
-	}
-	lRed, err := isRed(tx, l)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if nRed && lRed {
-		return 0, 0, 0, errInvariant("red node with red left child")
-	}
-	lbh, lmin, lmax, err := t.check(tx, l)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rbh, rmin, rmax, err := t.check(tx, r)
-	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
 	if lbh != rbh {
-		return 0, 0, 0, errInvariant("unequal black heights")
+		return 0, errInvariant(fmt.Sprintf("black height: %d to the left of key %d, %d to its right", lbh, n.key, rbh))
 	}
-	if l != nil && lmax >= n.key {
-		return 0, 0, 0, errInvariant("BST order violated on left")
+	if !red {
+		lbh++
 	}
-	if r != nil && rmin <= n.key {
-		return 0, 0, 0, errInvariant("BST order violated on right")
-	}
-	minKey, maxKey = n.key, n.key
-	if l != nil {
-		minKey = lmin
-	}
-	if r != nil {
-		maxKey = rmax
-	}
-	bh := lbh
-	if !nRed {
-		bh++
-	}
-	return bh, minKey, maxKey, nil
+	return lbh, nil
 }

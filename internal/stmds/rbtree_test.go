@@ -3,14 +3,15 @@ package stmds_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
-	"github.com/shrink-tm/shrink/internal/stm/tiny"
 	"github.com/shrink-tm/shrink/internal/stmds"
 )
 
@@ -141,105 +142,210 @@ func TestRBTreeDeleteMissing(t *testing.T) {
 }
 
 // TestRBTreeModelProperty drives the tree with random operation sequences
-// and compares every answer against a map model, checking the red-black
-// invariants along the way.
+// over key ranges small enough that every shape of repair comes up — a
+// deleted leaf, a node with one child, with two and an adjacent or a distant
+// successor, the root, a red or a black sibling with each colouring of its
+// children — and after every operation compares the answer, the red-black
+// invariants, the key sequence and the values against a map model.
 func TestRBTreeModelProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		th := swiss.New(swiss.Options{}).Register("t0")
-		tree := stmds.NewRBTree[int64]()
-		model := make(map[int64]int64)
-		for op := 0; op < 300; op++ {
-			k := int64(rng.Intn(64))
-			var fail error
-			err := th.Atomically(func(tx stm.Tx) error {
-				switch rng.Intn(3) {
-				case 0:
-					ins, err := tree.Insert(tx, k, k)
-					if err != nil {
-						return err
-					}
-					_, existed := model[k]
-					if ins == existed {
-						fail = fmt.Errorf("insert(%d): ins=%v existed=%v", k, ins, existed)
-						return nil
-					}
-					model[k] = k
-				case 1:
-					del, err := tree.Delete(tx, k)
-					if err != nil {
-						return err
-					}
-					_, existed := model[k]
-					if del != existed {
-						fail = fmt.Errorf("delete(%d): del=%v existed=%v", k, del, existed)
-						return nil
-					}
-					delete(model, k)
-				default:
-					ok, err := tree.Contains(tx, k)
-					if err != nil {
-						return err
-					}
-					_, existed := model[k]
-					if ok != existed {
-						fail = fmt.Errorf("contains(%d): ok=%v existed=%v", k, ok, existed)
-						return nil
-					}
+	for name, tm := range bothEngines() {
+		for _, keyRange := range []int{8, 16, 64} {
+			t.Run(fmt.Sprintf("%s/range=%d", name, keyRange), func(t *testing.T) {
+				th := tm.Register(fmt.Sprintf("model-%d", keyRange))
+				for seed := int64(1); seed <= 4; seed++ {
+					checkRBTreeAgainstModel(t, th, rand.New(rand.NewSource(seed)), keyRange, 1500)
 				}
-				_, err := tree.CheckInvariants(tx)
-				return err
 			})
-			if err != nil {
-				t.Logf("seed %d op %d: %v", seed, op, err)
-				return false
-			}
-			if fail != nil {
-				t.Logf("seed %d op %d: %v", seed, op, fail)
-				return false
-			}
 		}
-		// Final sweep: tree contents equal model contents.
-		var keys []int64
+	}
+}
+
+func checkRBTreeAgainstModel(t *testing.T, th stm.Thread, rng *rand.Rand, keyRange, ops int) {
+	t.Helper()
+	tree := stmds.NewRBTree[int64]()
+	model := make(map[int64]int64)
+	for op := 0; op < ops; op++ {
+		k, kind, val := int64(rng.Intn(keyRange)), rng.Intn(5), int64(op)
+		_, existed := model[k]
 		err := th.Atomically(func(tx stm.Tx) error {
-			var err error
-			keys, err = tree.Keys(tx)
-			return err
+			switch kind {
+			case 0, 1:
+				ins, err := tree.Insert(tx, k, val)
+				if err == nil && ins == existed {
+					err = fmt.Errorf("insert(%d): new=%v, model had it=%v", k, ins, existed)
+				}
+				return err
+			case 2, 3:
+				del, err := tree.Delete(tx, k)
+				if err == nil && del != existed {
+					err = fmt.Errorf("delete(%d): deleted=%v, model had it=%v", k, del, existed)
+				}
+				return err
+			default:
+				ok, err := tree.Contains(tx, k)
+				if err == nil && ok != existed {
+					err = fmt.Errorf("contains(%d): %v, model had it=%v", k, ok, existed)
+				}
+				return err
+			}
 		})
 		if err != nil {
-			return false
+			t.Fatalf("op %d: %v", op, err)
+		}
+		switch kind {
+		case 0, 1:
+			model[k] = val
+		case 2, 3:
+			delete(model, k)
 		}
 		want := make([]int64, 0, len(model))
 		for k := range model {
 			want = append(want, k)
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		if len(keys) != len(want) {
-			t.Logf("seed %d: keys %v want %v", seed, keys, want)
-			return false
-		}
-		for i := range want {
-			if keys[i] != want[i] {
-				t.Logf("seed %d: keys %v want %v", seed, keys, want)
-				return false
+		err = th.Atomically(func(tx stm.Tx) error {
+			if _, err := tree.CheckInvariants(tx); err != nil {
+				return err
 			}
+			keys, err := tree.Keys(tx)
+			if err != nil {
+				return err
+			}
+			if !slices.Equal(keys, want) {
+				return fmt.Errorf("keys %v, want %v", keys, want)
+			}
+			if size, err := tree.Size(tx); err != nil || size != len(want) {
+				return fmt.Errorf("size %d (%v), want %d", size, err, len(want))
+			}
+			for _, k := range want {
+				if v, ok, err := tree.Get(tx, k); err != nil || !ok || v != model[k] {
+					return fmt.Errorf("get(%d) = %d, %v (%v), want %d", k, v, ok, err, model[k])
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("after op %d (kind %d, key %d): %v", op, kind, k, err)
 		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
+}
+
+// TestRBTreeResidentKeysStayReachable: while writers insert and delete the
+// odd keys, which rotates, recolours and transplants all over the tree, every
+// even key stays where a reader's one snapshot can find it, with its value —
+// on the logged read path and on the read-only one. The writers' acknowledged
+// inserts and deletes then account for the size.
+func TestRBTreeResidentKeysStayReachable(t *testing.T) {
+	const keyRange, writers, writerOps, perTx = 256, 2, 3000, 8
+	resident := func(k int64) int64 { return k*3 + 1 }
+	for name, tm := range bothEngines() {
+		t.Run(name, func(t *testing.T) {
+			tree := stmds.NewRBTree[int64]()
+			if err := tm.Register("preload").Atomically(func(tx stm.Tx) error {
+				for k := int64(0); k < keyRange; k += 2 {
+					if _, err := tree.Insert(tx, k, resident(k)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var stop atomic.Bool
+			var net atomic.Int64 // acknowledged inserts minus deletes
+			var writing, reading sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				th := tm.Register(fmt.Sprintf("writer-%d", w))
+				rng := rand.New(rand.NewSource(int64(w) + 1))
+				writing.Add(1)
+				go func() {
+					defer writing.Done()
+					for i := 0; i < writerOps; i++ {
+						if i%32 == 0 {
+							runtime.Gosched() // on one processor, let the readers in between
+						}
+						k, insert := int64(rng.Intn(keyRange/2))*2+1, rng.Intn(2) == 0
+						var changed bool
+						err := th.Atomically(func(tx stm.Tx) (err error) {
+							if insert {
+								changed, err = tree.Insert(tx, k, k)
+							} else {
+								changed, err = tree.Delete(tx, k)
+							}
+							return err
+						})
+						switch {
+						case err != nil:
+							t.Error(err)
+							return
+						case changed && insert:
+							net.Add(1)
+						case changed:
+							net.Add(-1)
+						}
+					}
+				}()
+			}
+			// look runs one reader transaction over perTx even keys.
+			look := func(first int64, get func(k int64) (int64, bool, error)) error {
+				for i := int64(0); i < perTx; i++ {
+					k := (first + 2*i) % keyRange
+					if v, ok, err := get(k); err != nil {
+						return err
+					} else if !ok || v != resident(k) {
+						t.Errorf("resident key %d: got %d, %v", k, v, ok)
+					}
+				}
+				return nil
+			}
+			for r := 0; r < 2; r++ {
+				th := tm.Register(fmt.Sprintf("reader-%d", r))
+				readOnly := r == 0
+				reading.Add(1)
+				go func() {
+					defer reading.Done()
+					for first := int64(0); !stop.Load() && !t.Failed(); first += 2 * perTx {
+						runtime.Gosched() // and the writers back in
+						var err error
+						if readOnly {
+							err = th.AtomicallyRO(func(tx *stm.ROTx) error {
+								return look(first, func(k int64) (int64, bool, error) { return tree.GetRO(tx, k) })
+							})
+						} else {
+							err = th.Atomically(func(tx stm.Tx) error {
+								return look(first, func(k int64) (int64, bool, error) { return tree.Get(tx, k) })
+							})
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			writing.Wait()
+			stop.Store(true)
+			reading.Wait()
+			if err := tm.Register("checker").Atomically(func(tx stm.Tx) error {
+				if _, err := tree.CheckInvariants(tx); err != nil {
+					return err
+				}
+				size, err := tree.Size(tx)
+				if want := keyRange/2 + int(net.Load()); err == nil && size != want {
+					err = fmt.Errorf("size %d, want %d resident keys + %d net inserts", size, keyRange/2, net.Load())
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestRBTreeConcurrent hammers one tree from several threads on both
 // engines and verifies invariants and final consistency.
 func TestRBTreeConcurrent(t *testing.T) {
-	engines := map[string]stm.TM{
-		"swiss": swiss.New(swiss.Options{}),
-		"tiny":  tiny.New(tiny.Options{Wait: stm.WaitPreemptive}),
-	}
-	for name, tmEngine := range engines {
-		tm := tmEngine
+	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {
 			tree := stmds.NewRBTree[int64]()
 			const threads, ops, keyRange = 4, 150, 128

@@ -11,9 +11,10 @@ import (
 	"github.com/shrink-tm/shrink/internal/stmds"
 )
 
-// roEngines builds one TM per engine: the RO read variants are new protocol
-// surface, so unlike the structural tests they run against both.
-func roEngines() map[string]stm.TM {
+// bothEngines builds one TM per engine, for the tests of what the engines do
+// differently: the RO read protocol, and in-place rewrites of links and
+// colours (buffered write-back by one, written through by the other).
+func bothEngines() map[string]stm.TM {
 	return map[string]stm.TM{
 		"swiss": swiss.New(swiss.Options{}),
 		"tiny":  tiny.New(tiny.Options{}),
@@ -24,7 +25,7 @@ func roEngines() map[string]stm.TM {
 // transactions: lookups, misses, size and range must agree with the update
 // path's view.
 func TestHashMapRO(t *testing.T) {
-	for name, tm := range roEngines() {
+	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {
 			th := tm.Register("t0")
 			m := stmds.NewHashMap[string](32)
@@ -93,7 +94,7 @@ func TestHashMapRO(t *testing.T) {
 // TestOrderedStructuresRO covers the RO lookups of the tree, skip list and
 // sorted list against the same key set.
 func TestOrderedStructuresRO(t *testing.T) {
-	for name, tm := range roEngines() {
+	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {
 			th := tm.Register("t0")
 			tree := stmds.NewRBTree[int64]()
@@ -151,7 +152,7 @@ func TestOrderedStructuresRO(t *testing.T) {
 // old, the other new) would break the sum.
 func TestHashMapROSnapshotUnderWriters(t *testing.T) {
 	const iters = 400
-	for name, tm := range roEngines() {
+	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {
 			m := stmds.NewHashMap[int](16)
 			wth := tm.Register(name + "-w")
