@@ -93,7 +93,11 @@
 // they meet in the tree, not at the root. A node is one allocation (its
 // variables are TVars laid out by value, stm.TVar.InitRef), and links
 // and colours publish existing immutable cells, so only a new key's node
-// and a written value allocate.
+// and a written value allocate. The hash map (stmds.HashMap, tkv's data
+// plane), the sorted list and the fixed array are laid out the same way:
+// bucket and cell vars by value in the table's one slice, a node's vars in
+// the node, so a key costs one 64-byte object besides its value and a
+// lookup is bucket slot, node, value cell.
 //
 // Read-only transactions have a dedicated snapshot mode
 // (Thread.AtomicallyRO with stm.ReadTRO, the TL2/LSA-style read-only

@@ -47,8 +47,9 @@ var ErrReadOnlyNested = errors.New("stm: read-only transaction read a var write-
 //
 // ROTx implements the full Tx interface so existing read-side code composes
 // with it, but hot paths should call its concrete ReadPtr (or the typed
-// ReadTRO) directly: the descriptor is a concrete type precisely so the
-// per-read validation can inline into traversal loops.
+// ReadTRO) directly: a concrete descriptor saves the interface dispatch on
+// every hop of a traversal loop. The call itself remains — ReadPtr is past
+// the compiler's inlining budget (cost 165 against 80).
 //
 // A read-only transaction takes no locks and never dooms another thread, so
 // it bypasses the scheduler and contention-manager hooks entirely; it can
@@ -126,9 +127,9 @@ func (tx *ROTx) Read(v *Var) (any, error) {
 func (tx *ROTx) Write(*Var, any) error { return ErrReadOnlyWrite }
 
 // ReadTRO is the typed read for read-only transactions: ReadT over the
-// concrete descriptor, so the snapshot validation inlines into the caller
-// instead of going through the Tx interface. The value moves as one unboxed
-// pointer word, exactly like ReadT.
+// concrete descriptor, so the snapshot validation is a direct call to
+// ReadPtr instead of one through the Tx interface (it does not inline; see
+// ROTx). The value moves as one unboxed pointer word, exactly like ReadT.
 func ReadTRO[T any](tx *ROTx, v *TVar[T]) (T, error) {
 	p, err := tx.ReadPtr(&v.word)
 	if err != nil {

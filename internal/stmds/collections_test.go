@@ -2,10 +2,8 @@ package stmds_test
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
@@ -52,58 +50,22 @@ func TestHashMapBasic(t *testing.T) {
 	}
 }
 
-func TestHashMapModelProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		th := swiss.New(swiss.Options{}).Register("t0")
-		m := stmds.NewHashMap[uint64](16) // small bucket count forces chains
-		model := make(map[uint64]uint64)
-		for op := 0; op < 400; op++ {
-			k := uint64(rng.Intn(48))
-			ok := true
-			err := th.Atomically(func(tx stm.Tx) error {
-				switch rng.Intn(3) {
-				case 0:
-					isNew, err := m.Put(tx, k, k)
-					if err != nil {
-						return err
-					}
-					_, existed := model[k]
-					ok = isNew != existed
-					model[k] = k
-				case 1:
-					del, err := m.Delete(tx, k)
-					if err != nil {
-						return err
-					}
-					_, existed := model[k]
-					ok = del == existed
-					delete(model, k)
-				default:
-					has, err := m.Contains(tx, k)
-					if err != nil {
-						return err
-					}
-					_, existed := model[k]
-					ok = has == existed
-				}
-				return nil
+// TestHashMapResidentKeysStayReachable is the tree's test of that name on a
+// 16-bucket map: the writers link and unlink odd keys ahead of, between and
+// behind the eight even keys of every chain, and empty the link of every node
+// they remove.
+func TestHashMapResidentKeysStayReachable(t *testing.T) {
+	for name, tm := range bothEngines() {
+		t.Run(name, func(t *testing.T) {
+			m := stmds.NewHashMap[int64](16)
+			residentKeysStayReachable(t, tm, residentOps{
+				insert: func(tx stm.Tx, k, v int64) (bool, error) { return m.Put(tx, uint64(k), v) },
+				remove: func(tx stm.Tx, k int64) (bool, error) { return m.Delete(tx, uint64(k)) },
+				get:    func(tx stm.Tx, k int64) (int64, bool, error) { return m.Get(tx, uint64(k)) },
+				getRO:  func(tx *stm.ROTx, k int64) (int64, bool, error) { return m.GetRO(tx, uint64(k)) },
+				size:   m.Size,
 			})
-			if err != nil || !ok {
-				t.Logf("seed %d op %d: err=%v ok=%v", seed, op, err, ok)
-				return false
-			}
-		}
-		var size int
-		err := th.Atomically(func(tx stm.Tx) error {
-			var err error
-			size, err = m.Size(tx)
-			return err
 		})
-		return err == nil && size == len(model)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
 	}
 }
 

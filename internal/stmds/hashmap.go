@@ -9,15 +9,30 @@ import (
 // fixed bucket count keeps resizes (which would conflict with every
 // concurrent operation) out of the picture, like the hash tables in the
 // STAMP kernels.
+//
+// The table holds its bucket vars by value and a node holds its own, so a
+// key costs one object besides its value cell, a bucket none, and a Get is
+// four dependent loads: bucket slot, node, value cell, the value's bytes.
+//
+// A map must not be copied: its empty links point at its own leaf field.
 type HashMap[V any] struct {
-	buckets []*stm.TVar[*hmNode[V]] // each holds the head of a sorted chain
+	buckets []stm.TVar[*hmNode[V]] // each holds the head of a sorted chain
 	mask    uint64
+	// leaf is always nil. Its address is the immutable cell behind every
+	// empty link: a fresh bucket, a chain's tail, an unlinked node.
+	leaf *hmNode[V]
 }
 
+// hmNode lays its two vars out by value, as rbNode does. Keys are immutable
+// per node.
 type hmNode[V any] struct {
-	key  uint64
-	val  *stm.TVar[V]
-	next *stm.TVar[*hmNode[V]]
+	key uint64
+	// self is the node's own address in an immutable cell: the link that
+	// points at the node publishes &self, so linking never allocates, and
+	// the cell shares a cache line with the key and the val word.
+	self *hmNode[V]
+	val  stm.TVar[V]
+	next stm.TVar[*hmNode[V]]
 }
 
 // NewHashMap returns a map with at least nBuckets buckets (rounded up to a
@@ -27,9 +42,9 @@ func NewHashMap[V any](nBuckets int) *HashMap[V] {
 	for n < nBuckets {
 		n <<= 1
 	}
-	m := &HashMap[V]{buckets: make([]*stm.TVar[*hmNode[V]], n), mask: uint64(n - 1)}
+	m := &HashMap[V]{buckets: make([]stm.TVar[*hmNode[V]], n), mask: uint64(n - 1)}
 	for i := range m.buckets {
-		m.buckets[i] = stm.NewT[*hmNode[V]](nil)
+		m.buckets[i].InitRef(&m.leaf)
 	}
 	return m
 }
@@ -43,7 +58,28 @@ func hashKey(k uint64) uint64 {
 }
 
 func (m *HashMap[V]) bucket(key uint64) *stm.TVar[*hmNode[V]] {
-	return m.buckets[hashKey(key)&m.mask]
+	return &m.buckets[hashKey(key)&m.mask]
+}
+
+// cell returns the immutable cell a link publishes to point at n (nil: an
+// empty link).
+func (m *HashMap[V]) cell(n *hmNode[V]) **hmNode[V] {
+	if n == nil {
+		return &m.leaf
+	}
+	return &n.self
+}
+
+// insert links a new node holding the cell *val into slot, ahead of next.
+func (m *HashMap[V]) insert(tx stm.Tx, slot *stm.TVar[*hmNode[V]], key uint64, val *V, next *hmNode[V]) (bool, error) {
+	n := &hmNode[V]{key: key}
+	n.self = n
+	n.val.InitRef(val)
+	n.next.InitRef(m.cell(next))
+	if err := stm.WriteRefT(tx, slot, &n.self); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // find locates key's node in its bucket, returning the var pointing at it
@@ -58,7 +94,7 @@ func (m *HashMap[V]) find(tx stm.Tx, key uint64) (slot *stm.TVar[*hmNode[V]], n 
 		if n == nil || n.key >= key {
 			return slot, n, nil
 		}
-		slot = n.next
+		slot = &n.next
 	}
 }
 
@@ -72,7 +108,7 @@ func (m *HashMap[V]) Get(tx stm.Tx, key uint64) (V, bool, error) {
 	if n == nil || n.key != key {
 		return zero, false, nil
 	}
-	v, err := stm.ReadT(tx, n.val)
+	v, err := stm.ReadT(tx, &n.val)
 	if err != nil {
 		return zero, false, err
 	}
@@ -92,16 +128,15 @@ func (m *HashMap[V]) Put(tx stm.Tx, key uint64, val V) (bool, error) {
 		return false, err
 	}
 	if n != nil && n.key == key {
-		if err := stm.WriteT(tx, n.val, val); err != nil {
+		if err := stm.WriteT(tx, &n.val, val); err != nil {
 			return false, err
 		}
 		return false, nil
 	}
-	node := &hmNode[V]{key: key, val: stm.NewT(val), next: stm.NewT(n)}
-	if err := stm.WriteT(tx, slot, node); err != nil {
-		return false, err
-	}
-	return true, nil
+	// A copy, so that val escapes on this path only: the address of the
+	// parameter itself would cost the overwrite above an allocation too.
+	v := val
+	return m.insert(tx, slot, key, &v, n)
 }
 
 // PutRef stores the cell *val under key without spilling a copy, reporting
@@ -116,16 +151,12 @@ func (m *HashMap[V]) PutRef(tx stm.Tx, key uint64, val *V) (bool, error) {
 		return false, err
 	}
 	if n != nil && n.key == key {
-		if err := stm.WriteRefT(tx, n.val, val); err != nil {
+		if err := stm.WriteRefT(tx, &n.val, val); err != nil {
 			return false, err
 		}
 		return false, nil
 	}
-	node := &hmNode[V]{key: key, val: stm.NewTRef(val), next: stm.NewT(n)}
-	if err := stm.WriteT(tx, slot, node); err != nil {
-		return false, err
-	}
-	return true, nil
+	return m.insert(tx, slot, key, val, n)
 }
 
 // PutIfAbsent stores val under key only if absent, reporting whether it
@@ -138,11 +169,8 @@ func (m *HashMap[V]) PutIfAbsent(tx stm.Tx, key uint64, val V) (bool, error) {
 	if n != nil && n.key == key {
 		return false, nil
 	}
-	node := &hmNode[V]{key: key, val: stm.NewT(val), next: stm.NewT(n)}
-	if err := stm.WriteT(tx, slot, node); err != nil {
-		return false, err
-	}
-	return true, nil
+	v := val // as in Put: absent keys alone pay for the cell
+	return m.insert(tx, slot, key, &v, n)
 }
 
 // Delete removes key, reporting whether it was present.
@@ -154,12 +182,21 @@ func (m *HashMap[V]) Delete(tx stm.Tx, key uint64) (bool, error) {
 	if n == nil || n.key != key {
 		return false, nil
 	}
-	next, err := stm.ReadT(tx, n.next)
+	next, err := stm.ReadT(tx, &n.next)
 	if err != nil {
 		return false, err
 	}
-	if err := stm.WriteT(tx, slot, next); err != nil {
+	if err := stm.WriteRefT(tx, slot, m.cell(next)); err != nil {
 		return false, err
+	}
+	// n lets go of its successor. A removed node stays referenced for a
+	// while (a reader standing on it, a stale slot of some read log) and
+	// with the link intact would keep alive the node after it, which when
+	// removed keeps the one after that: garbage chained without end.
+	if next != nil {
+		if err := stm.WriteRefT(tx, &n.next, &m.leaf); err != nil {
+			return false, err
+		}
 	}
 	return true, nil
 }
@@ -167,14 +204,14 @@ func (m *HashMap[V]) Delete(tx stm.Tx, key uint64) (bool, error) {
 // Size counts the entries (reads every bucket).
 func (m *HashMap[V]) Size(tx stm.Tx) (int, error) {
 	total := 0
-	for _, b := range m.buckets {
-		n, err := stm.ReadT(tx, b)
+	for i := range m.buckets {
+		n, err := stm.ReadT(tx, &m.buckets[i])
 		if err != nil {
 			return 0, err
 		}
 		for n != nil {
 			total++
-			if n, err = stm.ReadT(tx, n.next); err != nil {
+			if n, err = stm.ReadT(tx, &n.next); err != nil {
 				return 0, err
 			}
 		}
@@ -199,14 +236,14 @@ func (m *HashMap[V]) ForEach(tx stm.Tx, fn func(key uint64, val V) bool) error {
 // vars are only read for keys inside the range, keeping the read set of a
 // narrow Range small.
 func (m *HashMap[V]) Range(tx stm.Tx, lo, hi uint64, fn func(key uint64, val V) bool) error {
-	for _, b := range m.buckets {
-		n, err := stm.ReadT(tx, b)
+	for i := range m.buckets {
+		n, err := stm.ReadT(tx, &m.buckets[i])
 		if err != nil {
 			return err
 		}
 		for n != nil && n.key <= hi {
 			if n.key >= lo {
-				v, err := stm.ReadT(tx, n.val)
+				v, err := stm.ReadT(tx, &n.val)
 				if err != nil {
 					return err
 				}
@@ -214,7 +251,7 @@ func (m *HashMap[V]) Range(tx stm.Tx, lo, hi uint64, fn func(key uint64, val V) 
 					return nil
 				}
 			}
-			if n, err = stm.ReadT(tx, n.next); err != nil {
+			if n, err = stm.ReadT(tx, &n.next); err != nil {
 				return err
 			}
 		}
@@ -233,7 +270,7 @@ func (m *HashMap[V]) findRO(tx *stm.ROTx, key uint64) (*hmNode[V], error) {
 		if n == nil || n.key >= key {
 			return n, nil
 		}
-		slot = n.next
+		slot = &n.next
 	}
 }
 
@@ -246,7 +283,7 @@ func (m *HashMap[V]) GetRO(tx *stm.ROTx, key uint64) (V, bool, error) {
 	if err != nil || n == nil || n.key != key {
 		return zero, false, err
 	}
-	v, err := stm.ReadTRO(tx, n.val)
+	v, err := stm.ReadTRO(tx, &n.val)
 	if err != nil {
 		return zero, false, err
 	}
@@ -264,14 +301,14 @@ func (m *HashMap[V]) ContainsRO(tx *stm.ROTx, key uint64) (bool, error) {
 // is the consistency proof.
 func (m *HashMap[V]) SizeRO(tx *stm.ROTx) (int, error) {
 	total := 0
-	for _, b := range m.buckets {
-		n, err := stm.ReadTRO(tx, b)
+	for i := range m.buckets {
+		n, err := stm.ReadTRO(tx, &m.buckets[i])
 		if err != nil {
 			return 0, err
 		}
 		for n != nil {
 			total++
-			if n, err = stm.ReadTRO(tx, n.next); err != nil {
+			if n, err = stm.ReadTRO(tx, &n.next); err != nil {
 				return 0, err
 			}
 		}
@@ -288,14 +325,14 @@ func (m *HashMap[V]) ForEachRO(tx *stm.ROTx, fn func(key uint64, val V) bool) er
 
 // RangeRO is Range for read-only snapshot transactions.
 func (m *HashMap[V]) RangeRO(tx *stm.ROTx, lo, hi uint64, fn func(key uint64, val V) bool) error {
-	for _, b := range m.buckets {
-		n, err := stm.ReadTRO(tx, b)
+	for i := range m.buckets {
+		n, err := stm.ReadTRO(tx, &m.buckets[i])
 		if err != nil {
 			return err
 		}
 		for n != nil && n.key <= hi {
 			if n.key >= lo {
-				v, err := stm.ReadTRO(tx, n.val)
+				v, err := stm.ReadTRO(tx, &n.val)
 				if err != nil {
 					return err
 				}
@@ -303,7 +340,7 @@ func (m *HashMap[V]) RangeRO(tx *stm.ROTx, lo, hi uint64, fn func(key uint64, va
 					return nil
 				}
 			}
-			if n, err = stm.ReadTRO(tx, n.next); err != nil {
+			if n, err = stm.ReadTRO(tx, &n.next); err != nil {
 				return err
 			}
 		}
@@ -314,14 +351,14 @@ func (m *HashMap[V]) RangeRO(tx *stm.ROTx, lo, hi uint64, fn func(key uint64, va
 // Keys returns all keys (bucket order, ascending within buckets).
 func (m *HashMap[V]) Keys(tx stm.Tx) ([]uint64, error) {
 	var out []uint64
-	for _, b := range m.buckets {
-		n, err := stm.ReadT(tx, b)
+	for i := range m.buckets {
+		n, err := stm.ReadT(tx, &m.buckets[i])
 		if err != nil {
 			return nil, err
 		}
 		for n != nil {
 			out = append(out, n.key)
-			if n, err = stm.ReadT(tx, n.next); err != nil {
+			if n, err = stm.ReadT(tx, &n.next); err != nil {
 				return nil, err
 			}
 		}

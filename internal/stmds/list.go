@@ -9,23 +9,40 @@ import (
 // segment chain). Operations read the prefix up to the key's position, so
 // write transactions conflict with anything modifying that prefix —
 // deliberately coarse, like the original.
+//
+// A list must not be copied: its empty links point at its own leaf field.
 type SortedList[V any] struct {
-	head *stm.TVar[*listNode[V]]
+	head stm.TVar[*listNode[V]]
+	leaf *listNode[V] // always nil: the cell behind every empty link
 }
 
+// listNode is laid out like hmNode: its vars by value, and its own address
+// in the immutable cell self, which the link pointing at it publishes.
 type listNode[V any] struct {
 	key  int64
-	val  *stm.TVar[V]
-	next *stm.TVar[*listNode[V]]
+	self *listNode[V]
+	val  stm.TVar[V]
+	next stm.TVar[*listNode[V]]
 }
 
 // NewSortedList returns an empty list.
 func NewSortedList[V any]() *SortedList[V] {
-	return &SortedList[V]{head: stm.NewT[*listNode[V]](nil)}
+	l := &SortedList[V]{}
+	l.head.InitRef(&l.leaf)
+	return l
+}
+
+// cell returns the immutable cell a link publishes to point at n (nil: an
+// empty link).
+func (l *SortedList[V]) cell(n *listNode[V]) **listNode[V] {
+	if n == nil {
+		return &l.leaf
+	}
+	return &n.self
 }
 
 func (l *SortedList[V]) find(tx stm.Tx, key int64) (slot *stm.TVar[*listNode[V]], n *listNode[V], err error) {
-	slot = l.head
+	slot = &l.head
 	for {
 		n, err = stm.ReadT(tx, slot)
 		if err != nil {
@@ -34,7 +51,7 @@ func (l *SortedList[V]) find(tx stm.Tx, key int64) (slot *stm.TVar[*listNode[V]]
 		if n == nil || n.key >= key {
 			return slot, n, nil
 		}
-		slot = n.next
+		slot = &n.next
 	}
 }
 
@@ -57,7 +74,7 @@ func (l *SortedList[V]) Get(tx stm.Tx, key int64) (V, bool, error) {
 	if n == nil || n.key != key {
 		return zero, false, nil
 	}
-	v, err := stm.ReadT(tx, n.val)
+	v, err := stm.ReadT(tx, &n.val)
 	if err != nil {
 		return zero, false, err
 	}
@@ -67,7 +84,7 @@ func (l *SortedList[V]) Get(tx stm.Tx, key int64) (V, bool, error) {
 // findRO walks to the first node with key >= key (or nil) under the
 // snapshot-read protocol.
 func (l *SortedList[V]) findRO(tx *stm.ROTx, key int64) (*listNode[V], error) {
-	slot := l.head
+	slot := &l.head
 	for {
 		n, err := stm.ReadTRO(tx, slot)
 		if err != nil {
@@ -76,7 +93,7 @@ func (l *SortedList[V]) findRO(tx *stm.ROTx, key int64) (*listNode[V], error) {
 		if n == nil || n.key >= key {
 			return n, nil
 		}
-		slot = n.next
+		slot = &n.next
 	}
 }
 
@@ -95,7 +112,7 @@ func (l *SortedList[V]) GetRO(tx *stm.ROTx, key int64) (V, bool, error) {
 	if err != nil || n == nil || n.key != key {
 		return zero, false, err
 	}
-	v, err := stm.ReadTRO(tx, n.val)
+	v, err := stm.ReadTRO(tx, &n.val)
 	if err != nil {
 		return zero, false, err
 	}
@@ -111,8 +128,12 @@ func (l *SortedList[V]) Insert(tx stm.Tx, key int64, val V) (bool, error) {
 	if n != nil && n.key == key {
 		return false, nil
 	}
-	node := &listNode[V]{key: key, val: stm.NewT(val), next: stm.NewT(n)}
-	if err := stm.WriteT(tx, slot, node); err != nil {
+	node := &listNode[V]{key: key}
+	node.self = node
+	v := val // a copy, so that a key already present pays for no cell
+	node.val.InitRef(&v)
+	node.next.InitRef(l.cell(n))
+	if err := stm.WriteRefT(tx, slot, &node.self); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -127,12 +148,18 @@ func (l *SortedList[V]) Delete(tx stm.Tx, key int64) (bool, error) {
 	if n == nil || n.key != key {
 		return false, nil
 	}
-	next, err := stm.ReadT(tx, n.next)
+	next, err := stm.ReadT(tx, &n.next)
 	if err != nil {
 		return false, err
 	}
-	if err := stm.WriteT(tx, slot, next); err != nil {
+	if err := stm.WriteRefT(tx, slot, l.cell(next)); err != nil {
 		return false, err
+	}
+	// n lets go of its successor, as a removed hmNode does.
+	if next != nil {
+		if err := stm.WriteRefT(tx, &n.next, &l.leaf); err != nil {
+			return false, err
+		}
 	}
 	return true, nil
 }
@@ -140,13 +167,13 @@ func (l *SortedList[V]) Delete(tx stm.Tx, key int64) (bool, error) {
 // Size counts the elements.
 func (l *SortedList[V]) Size(tx stm.Tx) (int, error) {
 	count := 0
-	n, err := stm.ReadT(tx, l.head)
+	n, err := stm.ReadT(tx, &l.head)
 	if err != nil {
 		return 0, err
 	}
 	for n != nil {
 		count++
-		if n, err = stm.ReadT(tx, n.next); err != nil {
+		if n, err = stm.ReadT(tx, &n.next); err != nil {
 			return 0, err
 		}
 	}
@@ -156,13 +183,13 @@ func (l *SortedList[V]) Size(tx stm.Tx) (int, error) {
 // Keys returns the keys in ascending order.
 func (l *SortedList[V]) Keys(tx stm.Tx) ([]int64, error) {
 	var out []int64
-	n, err := stm.ReadT(tx, l.head)
+	n, err := stm.ReadT(tx, &l.head)
 	if err != nil {
 		return nil, err
 	}
 	for n != nil {
 		out = append(out, n.key)
-		if n, err = stm.ReadT(tx, n.next); err != nil {
+		if n, err = stm.ReadT(tx, &n.next); err != nil {
 			return nil, err
 		}
 	}
@@ -265,14 +292,16 @@ type Number interface {
 // for the grid-like kernels (kmeans centroids, labyrinth's maze, ssca2's
 // adjacency slots).
 type Array[T Number] struct {
-	cells []*stm.TVar[T]
+	cells []stm.TVar[T]
 }
 
-// NewArray returns an array of n cells initialized to the given value.
+// NewArray returns an array of n cells initialized to the given value. The
+// vars sit in the slice by value and start out sharing one immutable cell
+// that holds it, so the cost is three allocations whatever n is.
 func NewArray[T Number](n int, initial T) *Array[T] {
-	a := &Array[T]{cells: make([]*stm.TVar[T], n)}
+	a := &Array[T]{cells: make([]stm.TVar[T], n)}
 	for i := range a.cells {
-		a.cells[i] = stm.NewT(initial)
+		a.cells[i].InitRef(&initial)
 	}
 	return a
 }
@@ -285,18 +314,18 @@ func (a *Array[T]) Len() int { return len(a.cells) }
 func (a *Array[T]) Word(i int) *stm.Var { return a.cells[i].Word() }
 
 // Get reads cell i.
-func (a *Array[T]) Get(tx stm.Tx, i int) (T, error) { return stm.ReadT(tx, a.cells[i]) }
+func (a *Array[T]) Get(tx stm.Tx, i int) (T, error) { return stm.ReadT(tx, &a.cells[i]) }
 
 // Set writes cell i.
-func (a *Array[T]) Set(tx stm.Tx, i int, val T) error { return stm.WriteT(tx, a.cells[i], val) }
+func (a *Array[T]) Set(tx stm.Tx, i int, val T) error { return stm.WriteT(tx, &a.cells[i], val) }
 
 // Add adds d to cell i, returning the new value.
 func (a *Array[T]) Add(tx stm.Tx, i int, d T) (T, error) {
-	n, err := stm.ReadT(tx, a.cells[i])
+	n, err := stm.ReadT(tx, &a.cells[i])
 	if err != nil {
 		return 0, err
 	}
-	if err := stm.WriteT(tx, a.cells[i], n+d); err != nil {
+	if err := stm.WriteT(tx, &a.cells[i], n+d); err != nil {
 		return 0, err
 	}
 	return n + d, nil

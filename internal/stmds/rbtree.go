@@ -8,7 +8,10 @@
 // Every structure is generic over its element type and stores values and
 // structural links in typed TVars, so the STM hot path (node hops during
 // searches, value reads) runs unboxed: no interface allocation, no type
-// assertion per transactional operation.
+// assertion per transactional operation. The tree, the hash map, the sorted
+// list and the array hold those TVars by value — in the node, in the table's
+// slice — and publish links as cells that already exist, so a key is one
+// object besides its value and linking allocates nothing.
 package stmds
 
 import (

@@ -178,19 +178,17 @@ func TestRBTreeUpdateAllocs(t *testing.T) {
 	// number of allocations per call.
 	run := func(name string, n int, body func(stm.Tx) error, wantHit bool, next func(i int) int64) float64 {
 		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < n; i++ {
-			key = next(i)
-			if err := th.Atomically(body); err != nil {
-				t.Fatal(err)
+		return float64(mallocs(func() {
+			for i := 0; i < n; i++ {
+				key = next(i)
+				if err := th.Atomically(body); err != nil {
+					t.Fatal(err)
+				}
+				if hit != wantHit {
+					t.Fatalf("%s: key %d: hit=%v", name, key, hit)
+				}
 			}
-			if hit != wantHit {
-				t.Fatalf("%s: key %d: hit=%v", name, key, hit)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / float64(n)
+		})) / float64(n)
 	}
 	// Odd keys are absent, even keys present; each phase puts back what
 	// it took, in an order that spreads over the tree. The first round
@@ -310,12 +308,6 @@ func TestRBTreeRemovedNodesAreCollected(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	liveHeap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
 	}
 	var stale *rbNode[int64] // the root: two children, and the whole tree below them
 	if err := th.Atomically(func(tx stm.Tx) (err error) {

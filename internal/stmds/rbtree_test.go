@@ -236,109 +236,134 @@ func checkRBTreeAgainstModel(t *testing.T, th stm.Thread, rng *rand.Rand, keyRan
 // on the logged read path and on the read-only one. The writers' acknowledged
 // inserts and deletes then account for the size.
 func TestRBTreeResidentKeysStayReachable(t *testing.T) {
-	const keyRange, writers, writerOps, perTx = 256, 2, 3000, 8
-	resident := func(k int64) int64 { return k*3 + 1 }
 	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {
 			tree := stmds.NewRBTree[int64]()
-			if err := tm.Register("preload").Atomically(func(tx stm.Tx) error {
-				for k := int64(0); k < keyRange; k += 2 {
-					if _, err := tree.Insert(tx, k, resident(k)); err != nil {
-						return err
+			residentKeysStayReachable(t, tm, residentOps{
+				insert: tree.Insert,
+				remove: tree.Delete,
+				get:    tree.Get,
+				getRO:  tree.GetRO,
+				size: func(tx stm.Tx) (int, error) {
+					if _, err := tree.CheckInvariants(tx); err != nil {
+						return 0, err
 					}
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var stop atomic.Bool
-			var net atomic.Int64 // acknowledged inserts minus deletes
-			var writing, reading sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				th := tm.Register(fmt.Sprintf("writer-%d", w))
-				rng := rand.New(rand.NewSource(int64(w) + 1))
-				writing.Add(1)
-				go func() {
-					defer writing.Done()
-					for i := 0; i < writerOps; i++ {
-						if i%32 == 0 {
-							runtime.Gosched() // on one processor, let the readers in between
-						}
-						k, insert := int64(rng.Intn(keyRange/2))*2+1, rng.Intn(2) == 0
-						var changed bool
-						err := th.Atomically(func(tx stm.Tx) (err error) {
-							if insert {
-								changed, err = tree.Insert(tx, k, k)
-							} else {
-								changed, err = tree.Delete(tx, k)
-							}
-							return err
-						})
-						switch {
-						case err != nil:
-							t.Error(err)
-							return
-						case changed && insert:
-							net.Add(1)
-						case changed:
-							net.Add(-1)
-						}
-					}
-				}()
-			}
-			// look runs one reader transaction over perTx even keys.
-			look := func(first int64, get func(k int64) (int64, bool, error)) error {
-				for i := int64(0); i < perTx; i++ {
-					k := (first + 2*i) % keyRange
-					if v, ok, err := get(k); err != nil {
-						return err
-					} else if !ok || v != resident(k) {
-						t.Errorf("resident key %d: got %d, %v", k, v, ok)
-					}
-				}
-				return nil
-			}
-			for r := 0; r < 2; r++ {
-				th := tm.Register(fmt.Sprintf("reader-%d", r))
-				readOnly := r == 0
-				reading.Add(1)
-				go func() {
-					defer reading.Done()
-					for first := int64(0); !stop.Load() && !t.Failed(); first += 2 * perTx {
-						runtime.Gosched() // and the writers back in
-						var err error
-						if readOnly {
-							err = th.AtomicallyRO(func(tx *stm.ROTx) error {
-								return look(first, func(k int64) (int64, bool, error) { return tree.GetRO(tx, k) })
-							})
-						} else {
-							err = th.Atomically(func(tx stm.Tx) error {
-								return look(first, func(k int64) (int64, bool, error) { return tree.Get(tx, k) })
-							})
-						}
-						if err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}()
-			}
-			writing.Wait()
-			stop.Store(true)
-			reading.Wait()
-			if err := tm.Register("checker").Atomically(func(tx stm.Tx) error {
-				if _, err := tree.CheckInvariants(tx); err != nil {
-					return err
-				}
-				size, err := tree.Size(tx)
-				if want := keyRange/2 + int(net.Load()); err == nil && size != want {
-					err = fmt.Errorf("size %d, want %d resident keys + %d net inserts", size, keyRange/2, net.Load())
-				}
-				return err
-			}); err != nil {
-				t.Fatal(err)
-			}
+					return tree.Size(tx)
+				},
+			})
 		})
+	}
+}
+
+// residentOps is a keyed structure as residentKeysStayReachable drives it.
+type residentOps struct {
+	insert func(tx stm.Tx, k, v int64) (bool, error)
+	remove func(tx stm.Tx, k int64) (bool, error)
+	get    func(tx stm.Tx, k int64) (int64, bool, error)
+	getRO  func(tx *stm.ROTx, k int64) (int64, bool, error)
+	size   func(tx stm.Tx) (int, error) // after checking what invariants there are
+}
+
+// residentKeysStayReachable loads the even keys of a range into an empty
+// structure, lets two writers insert and delete the odd ones while a
+// read-only and a logging reader look the even ones up, several to a
+// transaction, and ends by accounting for the size.
+func residentKeysStayReachable(t *testing.T, tm stm.TM, s residentOps) {
+	const keyRange, writers, writerOps, perTx = 256, 2, 3000, 8
+	resident := func(k int64) int64 { return k*3 + 1 }
+	if err := tm.Register("preload").Atomically(func(tx stm.Tx) error {
+		for k := int64(0); k < keyRange; k += 2 {
+			if _, err := s.insert(tx, k, resident(k)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var net atomic.Int64 // acknowledged inserts minus deletes
+	var writing, reading sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		th := tm.Register(fmt.Sprintf("writer-%d", w))
+		rng := rand.New(rand.NewSource(int64(w) + 1))
+		writing.Add(1)
+		go func() {
+			defer writing.Done()
+			for i := 0; i < writerOps; i++ {
+				if i%32 == 0 {
+					runtime.Gosched() // on one processor, let the readers in between
+				}
+				k, insert := int64(rng.Intn(keyRange/2))*2+1, rng.Intn(2) == 0
+				var changed bool
+				err := th.Atomically(func(tx stm.Tx) (err error) {
+					if insert {
+						changed, err = s.insert(tx, k, k)
+					} else {
+						changed, err = s.remove(tx, k)
+					}
+					return err
+				})
+				switch {
+				case err != nil:
+					t.Error(err)
+					return
+				case changed && insert:
+					net.Add(1)
+				case changed:
+					net.Add(-1)
+				}
+			}
+		}()
+	}
+	// look runs one reader transaction over perTx even keys.
+	look := func(first int64, get func(k int64) (int64, bool, error)) error {
+		for i := int64(0); i < perTx; i++ {
+			k := (first + 2*i) % keyRange
+			if v, ok, err := get(k); err != nil {
+				return err
+			} else if !ok || v != resident(k) {
+				t.Errorf("resident key %d: got %d, %v", k, v, ok)
+			}
+		}
+		return nil
+	}
+	for r := 0; r < 2; r++ {
+		th := tm.Register(fmt.Sprintf("reader-%d", r))
+		readOnly := r == 0
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for first := int64(0); !stop.Load() && !t.Failed(); first += 2 * perTx {
+				runtime.Gosched() // and the writers back in
+				var err error
+				if readOnly {
+					err = th.AtomicallyRO(func(tx *stm.ROTx) error {
+						return look(first, func(k int64) (int64, bool, error) { return s.getRO(tx, k) })
+					})
+				} else {
+					err = th.Atomically(func(tx stm.Tx) error {
+						return look(first, func(k int64) (int64, bool, error) { return s.get(tx, k) })
+					})
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writing.Wait()
+	stop.Store(true)
+	reading.Wait()
+	if err := tm.Register("checker").Atomically(func(tx stm.Tx) error {
+		size, err := s.size(tx)
+		if want := keyRange/2 + int(net.Load()); err == nil && size != want {
+			err = fmt.Errorf("size %d, want %d resident keys + %d net inserts", size, keyRange/2, net.Load())
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
