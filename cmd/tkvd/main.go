@@ -27,11 +27,13 @@
 // a write-ahead log and acknowledged only once its group-commit fsync
 // completes; on start the directory is recovered (checkpoints, then log
 // tails, truncating a torn tail) before serving, and -walckpt snapshots
-// and truncates the logs periodically. The layout is -walmode: "shared"
-// (the default) interleaves every shard into one lane file so the whole
-// store shares one fsync per commit group — on one device, N shards' worth
-// of fsyncs collapse into one; "pershard" keeps one log per shard for
-// deployments that give shards independent media. A write or fsync error
+// and truncates the logs periodically. The log is a set of lanes, each
+// with its own file and group commit, and -walmode only says which shards
+// share one: "shared" (the default) puts every shard in a single lane so
+// the whole store shares one fsync per commit group — on one device, N
+// shards' worth of fsyncs collapse into one; "pershard" gives every shard
+// its own lane, for deployments that give shards independent media. A
+// directory stays with the layout it was created in. A write or fsync error
 // fail-stops the process — exit nonzero, no ack the disk might have lost
 // — and tkvload -scenario crash is the SIGKILL drill proving acknowledged
 // writes survive.
@@ -109,11 +111,11 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 			"do not park acks on fsync (async WAL): faster, but a crash can "+
 				"lose the un-synced tail")
 		walCkpt = fs.Duration("walckpt", 0,
-			"WAL checkpoint interval: snapshot each shard and truncate its "+
-				"log (0 disables periodic checkpoints)")
+			"WAL checkpoint interval: snapshot each lane's shards and "+
+				"truncate its log (0 disables periodic checkpoints)")
 		walMode = fs.String("walmode", string(tkvwal.ModeShared),
-			"WAL layout: shared (one lane file, one fsync covers every "+
-				"shard's commit group) or pershard (one log per shard, for "+
+			"WAL layout: shared (one lane, one fsync covers every shard's "+
+				"commit group) or pershard (one lane per shard, for "+
 				"independent media)")
 		admitDefaults = tkv.DefaultAdmitConfig()
 		admit         = fs.Bool("admit", false,
@@ -162,16 +164,15 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	}
 	var wopts *tkvwal.Options
 	if *waldir != "" {
-		switch tkvwal.Mode(*walMode) {
-		case tkvwal.ModeShared, tkvwal.ModePerShard:
-		default:
-			return fmt.Errorf("unknown -walmode %q (shared or pershard)", *walMode)
+		mode, err := tkvwal.ParseMode(*walMode)
+		if err != nil {
+			return fmt.Errorf("-walmode: %w", err)
 		}
 		wopts = &tkvwal.Options{
 			Dir:             *waldir,
 			NoSync:          *walAsync,
 			CheckpointEvery: *walCkpt,
-			Mode:            tkvwal.Mode(*walMode),
+			Mode:            mode,
 		}
 	}
 	store, err := tkv.Open(tkv.Config{

@@ -59,6 +59,7 @@ import (
 
 	"github.com/shrink-tm/shrink/internal/report"
 	"github.com/shrink-tm/shrink/internal/tkv"
+	"github.com/shrink-tm/shrink/internal/tkvwal"
 	"github.com/shrink-tm/shrink/internal/tkvwire"
 	"github.com/shrink-tm/shrink/internal/trace"
 )
@@ -235,15 +236,14 @@ func run(args []string, out io.Writer) error {
 			defer os.RemoveAll(tmp)
 			wd = tmp
 		}
-		switch *walMode {
-		case "shared", "pershard":
-		default:
-			return fmt.Errorf("unknown -walmode %q (shared or pershard)", *walMode)
+		mode, err := tkvwal.ParseMode(*walMode)
+		if err != nil {
+			return fmt.Errorf("-walmode: %w", err)
 		}
 		return runCrash(crashSpec{
 			tkvd:    *tkvdBin,
 			waldir:  wd,
-			walmode: *walMode,
+			walmode: string(mode),
 			keys:    *keys,
 			workers: conns[0],
 			phase:   *dur,

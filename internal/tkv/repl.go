@@ -477,16 +477,13 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 // as one update transaction under every stripe of the shard, and the
 // shard's ring and watermarks restart after seq.
 //
-// With a per-shard WAL the cut is persisted as the shard's checkpoint
-// while the stripes are still held, so no record with the jumped-forward
-// numbering can hit the log before the checkpoint covering the jump is
-// durable. A shared-lane WAL checkpoints all shards in one cut, and that
-// cut takes each shard's stripes itself — so there the lane checkpoint
-// runs after this shard's stripes are released. That ordering is safe
-// because the follower applier calling this is the store's only writer
-// (the follower bounces client writes), so nothing can append into the
-// numbering gap before the checkpoint lands; a crash inside the window
-// just recovers the pre-restore state and resyncs again.
+// With a WAL the shard's lane is then checkpointed, and that cut takes
+// each shard's stripes itself — so the checkpoint runs after this
+// shard's stripes are released. That ordering is safe because the
+// follower applier calling this is the store's only writer (the follower
+// bounces client writes), so nothing can append into the numbering gap
+// before the checkpoint lands; a crash inside the window just recovers
+// the pre-restore state and resyncs again.
 func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) error {
 	if st.repl == nil {
 		return errors.New("tkv: ReplRestoreShard without a replication log")
@@ -535,13 +532,6 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 		if err != nil {
 			return fmt.Errorf("tkv: repl restore shard %d: %w", shard, err)
 		}
-		if st.wal != nil && st.wal.Mode() == tkvwal.ModePerShard {
-			// The shard's old log no longer describes its contents; persist
-			// the cut as a checkpoint and restart the log after its seq.
-			if err := st.wal.CheckpointDirect(shard, pairs, seq); err != nil {
-				return fmt.Errorf("tkv: repl restore shard %d: wal: %w", shard, err)
-			}
-		}
 		st.repl.resetAt(shard, seq)
 		st.repl.applied[shard].Store(seq)
 		return nil
@@ -549,10 +539,12 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 	if err != nil {
 		return err
 	}
-	if st.wal != nil && st.wal.Mode() == tkvwal.ModeShared {
-		// The numbering was reset above, so the lane cut for this shard
-		// captures exactly the restored snapshot at seq.
-		if err := st.wal.CheckpointLane(st.cutShard, true); err != nil {
+	if st.wal != nil {
+		// The shard's old log no longer describes its contents: checkpoint
+		// its lane, forced (a restore appends nothing). The numbering was
+		// reset above, so the cut for this shard captures exactly the
+		// restored snapshot at seq.
+		if err := st.wal.Checkpoint(st.wal.LaneOf(shard), st.cutShard, true); err != nil {
 			return fmt.Errorf("tkv: repl restore shard %d: wal: %w", shard, err)
 		}
 	}

@@ -10,8 +10,10 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
-// Durability support. A Store opened with Config.WAL carries a per-shard
-// write-ahead log (internal/tkvwal) fed from the same place the
+// Durability support. A Store opened with Config.WAL carries a
+// write-ahead log (internal/tkvwal) — a set of lanes, each owning some of
+// the store's shards; the store never asks which layout it was given,
+// only which lane a shard is in — fed from the same place the
 // replication rings are: the write paths enqueue their committed write
 // set while still holding the keys' exclusive stripes, so WAL order is
 // commit order per key, exactly as ring order is. The two logs share one
@@ -184,11 +186,11 @@ func (st *Store) cutShard(shard int) (pairs []tkvlog.Entry, seq uint64, err erro
 	return pairs, seq, nil
 }
 
-// Checkpoint snapshots one shard under a consistent cut into the WAL's
-// checkpoint file and truncates the shard's log up to it. On a
-// shared-lane log a cut cannot cover less than the whole lane, so this
-// checkpoints every shard (the lane checkpoint cuts the shards one at a
-// time — the caller must not hold any stripes).
+// Checkpoint snapshots the log lane that carries shard — every shard of
+// the store on a shared log, just this one on a per-shard log — into the
+// WAL's checkpoint file and truncates that lane's log up to it. The lane
+// cuts its shards one at a time through cutShard, so the caller must not
+// hold any stripes.
 func (st *Store) Checkpoint(shard int) error {
 	if st.wal == nil {
 		return errors.New("tkv: Checkpoint without a WAL")
@@ -196,28 +198,19 @@ func (st *Store) Checkpoint(shard int) error {
 	if shard < 0 || shard >= len(st.shards) {
 		return fmt.Errorf("tkv: bad checkpoint shard %d", shard)
 	}
-	if st.wal.Mode() == tkvwal.ModeShared {
-		return st.wal.CheckpointLane(st.cutShard, false)
-	}
-	return st.wal.Checkpoint(shard, func() ([]tkvlog.Entry, uint64, error) {
-		return st.cutShard(shard)
-	})
+	return st.wal.Checkpoint(st.wal.LaneOf(shard), st.cutShard, false)
 }
 
-// CheckpointAll checkpoints every shard: one consistent multi-shard
-// lane cut on a shared-lane log, or one checkpoint per shard on a
-// per-shard log (there the first error wins and later shards are still
-// attempted — their logs truncate independently).
+// CheckpointAll checkpoints every lane of the log, and so every shard.
+// The first error wins and later lanes are still attempted — their logs
+// truncate independently.
 func (st *Store) CheckpointAll() error {
 	if st.wal == nil {
 		return errors.New("tkv: CheckpointAll without a WAL")
 	}
-	if st.wal.Mode() == tkvwal.ModeShared {
-		return st.wal.CheckpointLane(st.cutShard, false)
-	}
 	var first error
-	for i := range st.shards {
-		if err := st.Checkpoint(i); err != nil && first == nil {
+	for lane := 0; lane < st.wal.Lanes(); lane++ {
+		if err := st.wal.Checkpoint(lane, st.cutShard, false); err != nil && first == nil {
 			first = err
 		}
 	}

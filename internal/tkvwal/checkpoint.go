@@ -1,10 +1,8 @@
 package tkvwal
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/tkvlog"
@@ -14,17 +12,16 @@ import (
 // approaches tkvlog.MaxRecord.
 const ckptChunk = 4096
 
-// Checkpoint snapshots one shard and truncates its log (per-shard mode
-// only; a shared-lane log checkpoints all shards at once through
-// CheckpointLane). The protocol is ordered so a crash at any point
-// loses nothing:
+// Checkpoint snapshots the shards of one lane and truncates the lane's
+// log. The protocol is ordered so a crash at any point loses nothing:
 //
 //  1. rotate: flush + fsync the active segment and start a fresh one,
 //     so every record in the old segments precedes the cut;
-//  2. cut: the caller captures a consistent shard snapshot and its head
-//     sequence (the store does this under the O(1) freeze gate, with
-//     writers briefly excluded — see Store.CheckpointCut);
-//  3. write the checkpoint to a tmp file, fsync, rename into place,
+//  2. cut: the caller captures a consistent snapshot of each shard and
+//     its head sequence (the store takes the shard's stripes as a
+//     reader, which briefly excludes writers — see Store.cutShard — so
+//     the caller must not hold any stripes);
+//  3. write the snapshots to a tmp file, fsync, rename into place,
 //     fsync the directory — the rename is the commit point;
 //  4. gc: delete the pre-rotation segments and older checkpoints, all
 //     of whose records the checkpoint now covers.
@@ -32,152 +29,69 @@ const ckptChunk = 4096
 // A crash before 3 recovers from the previous checkpoint plus all
 // segments; after 3, from the new checkpoint plus the fresh segment
 // (records with seq at or below the cut replay as no-ops via the seq
-// skip). Checkpoint is a no-op when the shard has nothing new.
-func (w *WAL) Checkpoint(shard int, cut func() ([]tkvlog.Entry, uint64, error)) error {
-	if w.lane != nil {
-		return errors.New("tkvwal: per-shard Checkpoint on a shared-lane log (use CheckpointLane)")
-	}
-	if err := w.Err(); err != nil {
-		return err
-	}
-	s := w.shards[shard]
-	s.mu.Lock()
-	appended := s.appended
-	s.mu.Unlock()
-	if appended == s.lastCkptSeq.Load() {
-		return nil
-	}
-	if err := w.rotate(s); err != nil {
-		return err
-	}
-	entries, seq, err := cut()
-	if err != nil {
-		return err // a cut failure is the store's problem, not a log fault
-	}
-	return w.installCheckpoint(s, entries, seq)
-}
-
-// CheckpointDirect installs an externally captured snapshot (a
-// replication restore cut) as the shard's checkpoint: the shard's
-// on-disk history before it is obsolete by construction. Per-shard mode
-// only — a shared-lane restore runs a full CheckpointLane instead,
-// because a lane checkpoint covering just one shard would supersede the
-// other shards' segments without covering their data.
-func (w *WAL) CheckpointDirect(shard int, entries []tkvlog.Entry, seq uint64) error {
-	if w.lane != nil {
-		return errors.New("tkvwal: CheckpointDirect on a shared-lane log (use CheckpointLane)")
-	}
-	if err := w.Err(); err != nil {
-		return err
-	}
-	s := w.shards[shard]
-	if err := w.rotate(s); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if seq > s.appended {
-		s.appended = seq // restore jumped the numbering forward
-	}
-	s.mu.Unlock()
-	if seq > s.durable.Load() {
-		s.durable.Store(seq)
-	}
-	return w.installCheckpoint(s, entries, seq)
-}
-
-// CheckpointLane snapshots every shard under one consistent multi-shard
-// cut and truncates the lane (shared mode only). The protocol mirrors
-// Checkpoint — rotate, cut, tmp/fsync/rename/dirsync, gc — except the
-// checkpoint file carries one chunked snapshot per shard (every chunk
-// carrying that shard's cut seq) and the gc retires whole lane
-// segments. cut is called once per shard, in order, so only one shard's
-// snapshot is in memory at a time; the store's cut takes each shard's
-// stripes in shared mode one shard at a time, so the caller must not
-// hold any stripes. A no-op when no shard has appended since the last
+// skip). cut is called once per shard the lane owns, in order, so only
+// one shard's snapshot is in memory at a time; the file carries one
+// chunked snapshot per shard, every chunk carrying that shard's cut seq.
+// A checkpoint never covers less than its lane: one holding some of the
+// lane's shards would supersede the others' segments without their data.
+//
+// A no-op when none of the lane's shards has appended since the last
 // checkpoint, unless force is set — a restore changes store state
 // without appending (its numbering arrives via the cut seq), so the
 // append watermarks cannot see that kind of dirt.
-func (w *WAL) CheckpointLane(cut func(shard int) ([]tkvlog.Entry, uint64, error), force bool) error {
-	if w.lane == nil {
-		return errors.New("tkvwal: CheckpointLane on a per-shard log")
-	}
+func (w *WAL) Checkpoint(lane int, cut func(shard int) ([]tkvlog.Entry, uint64, error), force bool) error {
 	if err := w.Err(); err != nil {
 		return err
 	}
-	if !force {
-		dirty := false
-		for _, s := range w.shards {
-			s.mu.Lock()
-			if s.appended != s.lastCkptSeq.Load() {
-				dirty = true
-			}
-			s.mu.Unlock()
-		}
-		if !dirty {
-			return nil
-		}
+	l := w.lanes[lane]
+	dirty := force
+	for _, s := range l.shards {
+		s.mu.Lock()
+		dirty = dirty || s.appended != s.lastCkptSeq.Load()
+		s.mu.Unlock()
 	}
-	if err := w.rotateLane(); err != nil {
+	if !dirty {
+		return nil
+	}
+	rot, err := w.rotate(l)
+	if err != nil {
 		return err
 	}
-	w.lane.wmu.Lock()
-	rot := w.lane.rot
-	w.lane.wmu.Unlock()
-
-	final := laneCkptName(rot)
-	tmp := final + ".tmp"
-	f, err := w.fs.Create(w.path(tmp))
+	cutSeqs := make([]uint64, len(l.shards))
+	var cutErr error
+	err = w.commitFile(laneCkptName(l.idx, rot), func(f File) error {
+		var buf []byte
+		for i, s := range l.shards {
+			entries, seq, err := cut(s.idx)
+			if err != nil {
+				cutErr = err
+				return err
+			}
+			cutSeqs[i] = seq
+			rec := tkvlog.Record{Shard: uint16(s.idx), Seq: seq}
+			for off := 0; ; off += ckptChunk {
+				end := min(off+ckptChunk, len(entries))
+				rec.Entries = entries[off:end]
+				buf = rec.Append(buf[:0])
+				if _, err := f.Write(buf); err != nil {
+					return err
+				}
+				if end == len(entries) {
+					break
+				}
+			}
+		}
+		return nil
+	})
+	if cutErr != nil {
+		return cutErr // a cut failure is the store's problem, not a log fault
+	}
 	if err != nil {
 		w.fail(err)
 		return err
 	}
-	cutSeqs := make([]uint64, len(w.shards))
-	var buf []byte
-	for i := range w.shards {
-		entries, seq, cerr := cut(i)
-		if cerr != nil {
-			f.Close()
-			w.fs.Remove(w.path(tmp))
-			return cerr // a cut failure is the store's problem, not a log fault
-		}
-		cutSeqs[i] = seq
-		rec := tkvlog.Record{Shard: uint16(i), Seq: seq}
-		for off := 0; ; off += ckptChunk {
-			end := off + ckptChunk
-			if end > len(entries) {
-				end = len(entries)
-			}
-			rec.Entries = entries[off:end]
-			buf = rec.Append(buf[:0])
-			if _, err := f.Write(buf); err != nil {
-				f.Close()
-				w.fail(err)
-				return err
-			}
-			if end == len(entries) {
-				break
-			}
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		w.fail(err)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := w.fs.Rename(w.path(tmp), w.path(final)); err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		w.fail(err)
-		return err
-	}
-	w.gcLane(rot)
-	for i, s := range w.shards {
+	w.gc(l, rot)
+	for i, s := range l.shards {
 		seq := cutSeqs[i]
 		s.mu.Lock()
 		if seq > s.appended {
@@ -194,155 +108,80 @@ func (w *WAL) CheckpointLane(cut func(shard int) ([]tkvlog.Entry, uint64, error)
 	return nil
 }
 
-func (w *WAL) installCheckpoint(s *shardLog, entries []tkvlog.Entry, seq uint64) error {
-	if err := w.writeCheckpoint(s.idx, entries, seq); err != nil {
-		w.fail(err)
-		return err
-	}
-	w.gc(s, seq)
-	s.lastCkptSeq.Store(seq)
-	w.lastCkptNS.Store(time.Now().UnixNano())
-	w.checkpoints.Add(1)
-	return nil
-}
-
-// rotate flushes the active segment and switches to a fresh one named
-// by the next sequence number. Old segments stay until gc.
-func (w *WAL) rotate(s *shardLog) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if err := w.flushLocked(s); err != nil {
-		w.fail(err)
-		return err
-	}
-	s.mu.Lock()
-	next := s.appended + 1
-	s.mu.Unlock()
-	if err := s.f.Close(); err != nil {
-		w.fail(err)
-		return err
-	}
-	s.f = nil
-	f, err := w.fs.OpenAppend(w.path(segName(s.idx, next)))
-	if err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		f.Close()
-		w.fail(err)
-		return err
-	}
-	s.f = f
-	s.activeSeg = next
-	return nil
-}
-
-// rotateLane flushes the active lane segment and switches to the next
-// rotation. Old lane segments stay until gcLane.
-func (w *WAL) rotateLane() error {
-	l := w.lane
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	if err := w.flushLaneLocked(); err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		w.fail(err)
-		return err
-	}
-	l.f = nil
-	next := l.rot + 1
-	f, err := w.fs.OpenAppend(w.path(laneSegName(next)))
-	if err != nil {
-		w.fail(err)
-		return err
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		f.Close()
-		w.fail(err)
-		return err
-	}
-	l.f = f
-	l.rot = next
-	return nil
-}
-
-// writeCheckpoint persists the snapshot: chunked records (every chunk
-// carries the cut seq) to a tmp file, fsync, rename, dir fsync.
-func (w *WAL) writeCheckpoint(shard int, entries []tkvlog.Entry, seq uint64) error {
-	final := ckptName(shard, seq)
-	tmp := final + ".tmp"
-	f, err := w.fs.Create(w.path(tmp))
+// commitFile makes a whole file appear atomically: fill writes it under
+// a tmp name, then fsync, close, rename into place, fsync the directory
+// — the rename is the commit point, and Open discards a tmp file a
+// crash left behind. The caller decides what a failure means.
+func (w *WAL) commitFile(name string, fill func(File) error) error {
+	tmp := w.path(name + ".tmp")
+	f, err := w.fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	var buf []byte
-	rec := tkvlog.Record{Shard: uint16(shard), Seq: seq}
-	for off := 0; ; off += ckptChunk {
-		end := off + ckptChunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		rec.Entries = entries[off:end]
-		buf = rec.Append(buf[:0])
-		if _, err := f.Write(buf); err != nil {
-			f.Close()
-			return err
-		}
-		if end == len(entries) {
-			break
-		}
+	if err = fill(f); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		w.fs.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := w.fs.Rename(w.path(tmp), w.path(final)); err != nil {
+	if err := w.fs.Rename(tmp, w.path(name)); err != nil {
 		return err
 	}
 	return w.fs.SyncDir(w.dir)
 }
 
-// gc removes the shard's pre-rotation segments and superseded
-// checkpoints. Failures here are ignored: leftover files only cost
-// space and replay as seq-skipped no-ops.
-func (w *WAL) gc(s *shardLog, ckptSeq uint64) {
-	names, err := w.fs.List(w.dir)
+// rotate flushes the lane's active segment and switches to the next
+// rotation, which it returns. Old segments stay until gc. Any failure
+// fences the log.
+func (w *WAL) rotate(l *laneLog) (uint64, error) {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	err := w.flushLocked(l)
+	if err == nil {
+		err = l.f.Close()
+		l.f = nil
+	}
+	if err == nil {
+		err = w.openSegment(l, l.rot+1)
+	}
+	if err == nil {
+		err = w.fs.SyncDir(w.dir)
+	}
 	if err != nil {
-		return
+		w.fail(err)
 	}
-	s.wmu.Lock()
-	active := segName(s.idx, s.activeSeg)
-	s.wmu.Unlock()
-	for _, name := range names {
-		if shard, _, ok := parseSeg(name); ok && shard == s.idx && name != active {
-			w.fs.Remove(w.path(name))
-		}
-		if shard, seq, ok := parseCkpt(name); ok && shard == s.idx && seq < ckptSeq {
-			w.fs.Remove(w.path(name))
-		}
-	}
+	return l.rot, err
 }
 
-// gcLane removes the pre-rotation lane segments and superseded lane
-// checkpoints: everything below the checkpoint's rotation counter.
-// Failures here are ignored, as in gc.
-func (w *WAL) gcLane(ckptRot uint64) {
+// openSegment opens (or creates) the lane's segment for rotation rot as
+// its active one. The caller holds l.wmu or is Open, and fsyncs the dir.
+func (w *WAL) openSegment(l *laneLog, rot uint64) error {
+	f, err := w.fs.OpenAppend(w.path(laneSegName(l.idx, rot)))
+	if err != nil {
+		return err
+	}
+	l.f, l.rot = f, rot
+	return nil
+}
+
+// gc removes the lane's pre-rotation segments and superseded
+// checkpoints: everything of this lane below the checkpoint's rotation
+// counter. Failures here are ignored: leftover files only cost space and
+// replay as seq-skipped no-ops.
+func (w *WAL) gc(l *laneLog, ckptRot uint64) {
 	names, err := w.fs.List(w.dir)
 	if err != nil {
 		return
 	}
 	for _, name := range names {
-		if rot, ok := parseLaneSeg(name); ok && rot < ckptRot {
-			w.fs.Remove(w.path(name))
-		}
-		if rot, ok := parseLaneCkpt(name); ok && rot < ckptRot {
-			w.fs.Remove(w.path(name))
+		for _, format := range []string{segFmt, ckptFmt} {
+			if lane, rot, ok := parseLaneFile(format, name); ok && lane == l.idx && rot < ckptRot {
+				w.fs.Remove(w.path(name))
+			}
 		}
 	}
 }
@@ -350,61 +189,23 @@ func (w *WAL) gcLane(ckptRot uint64) {
 // path joins a file name onto the log directory.
 func (w *WAL) path(name string) string { return filepath.Join(w.dir, name) }
 
-// segName is "wal-<shard>-<start>.log": start is the first sequence
-// number the segment may hold, zero-padded hex so names sort by seq.
-func segName(shard int, start uint64) string {
-	return fmt.Sprintf("wal-%04d-%016x.log", shard, start)
-}
+// The one naming scheme. lane is the owning lane; rot is the lane's
+// monotonic rotation counter, zero-padded hex so a lane's names sort in
+// rotation (and so append) order. The checkpoint named rot is written
+// right after rotating to segment rot: it covers every segment of the
+// lane below rot (plus, via the seq skip, any prefix of rot itself).
+const (
+	segFmt  = "lane-%04d-%016x.log"
+	ckptFmt = "lckpt-%04d-%016x.ckpt"
+)
 
-// ckptName is "ckpt-<shard>-<seq>.ckpt": the snapshot covers every
-// record with sequence number at or below seq.
-func ckptName(shard int, seq uint64) string {
-	return fmt.Sprintf("ckpt-%04d-%016x.ckpt", shard, seq)
-}
+func laneSegName(lane int, rot uint64) string  { return fmt.Sprintf(segFmt, lane, rot) }
+func laneCkptName(lane int, rot uint64) string { return fmt.Sprintf(ckptFmt, lane, rot) }
 
-// laneSegName is "lane-<rot>.log": rot is the monotonic rotation
-// counter, zero-padded hex so names sort in rotation (and so append)
-// order. Records inside interleave shards; each carries its shard id
-// and per-shard seq in the tkvlog header.
-func laneSegName(rot uint64) string {
-	return fmt.Sprintf("lane-%016x.log", rot)
-}
-
-// laneCkptName is "lckpt-<rot>.ckpt": the multi-shard snapshot written
-// right after rotating to segment rot; it covers every lane segment
-// below rot (plus, via seq skip, any prefix of rot itself).
-func laneCkptName(rot uint64) string {
-	return fmt.Sprintf("lckpt-%016x.ckpt", rot)
-}
-
-func parseSeg(name string) (shard int, start uint64, ok bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, 0, false
-	}
-	n, err := fmt.Sscanf(name, "wal-%04d-%016x.log", &shard, &start)
-	return shard, start, err == nil && n == 2
-}
-
-func parseCkpt(name string) (shard int, seq uint64, ok bool) {
-	if !strings.HasPrefix(name, "ckpt-") || !strings.HasSuffix(name, ".ckpt") {
-		return 0, 0, false
-	}
-	n, err := fmt.Sscanf(name, "ckpt-%04d-%016x.ckpt", &shard, &seq)
-	return shard, seq, err == nil && n == 2
-}
-
-func parseLaneSeg(name string) (rot uint64, ok bool) {
-	if !strings.HasPrefix(name, "lane-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	n, err := fmt.Sscanf(name, "lane-%016x.log", &rot)
-	return rot, err == nil && n == 1
-}
-
-func parseLaneCkpt(name string) (rot uint64, ok bool) {
-	if !strings.HasPrefix(name, "lckpt-") || !strings.HasSuffix(name, ".ckpt") {
-		return 0, false
-	}
-	n, err := fmt.Sscanf(name, "lckpt-%016x.ckpt", &rot)
-	return rot, err == nil && n == 1
+// parseLaneFile reads a name built from format (segFmt or ckptFmt). Only
+// an exact round trip counts, so a ".tmp" sibling or a stray file does
+// not parse.
+func parseLaneFile(format, name string) (lane int, rot uint64, ok bool) {
+	n, err := fmt.Sscanf(name, format, &lane, &rot)
+	return lane, rot, err == nil && n == 2 && name == fmt.Sprintf(format, lane, rot)
 }

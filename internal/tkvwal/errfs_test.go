@@ -2,7 +2,7 @@ package tkvwal_test
 
 import (
 	"errors"
-	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,112 +13,38 @@ import (
 
 var errInjected = errors.New("injected disk fault")
 
-func openWith(t *testing.T, dir string, fs tkvwal.FS) *tkvwal.WAL {
+func noApply(*tkvlog.Record) error { return nil }
+
+// recoveredKeys reopens dir through the real FS and returns the set of
+// keys recovery replayed.
+func recoveredKeys(t *testing.T, dir string, mode tkvwal.Mode, shards int) map[uint64]bool {
 	t.Helper()
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 1, FS: fs},
-		func(*tkvlog.Record) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// proveFailStop drives a WAL into an injected fault and checks the
-// whole fail-stop contract: the faulted append is never acked, the log
-// fences, Failed() fires, later appends bounce, and a reopen of the
-// directory recovers every acked record.
-func proveFailStop(t *testing.T, arm func(*errfs.FS)) {
-	t.Helper()
-	dir := t.TempDir()
-	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	w := openWith(t, dir, fs)
-
-	var acked []uint64
-	for seq := uint64(1); seq <= 5; seq++ {
-		if err := w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "pre"}}).Wait(); err != nil {
-			t.Fatalf("healthy append %d: %v", seq, err)
-		}
-		acked = append(acked, seq)
-	}
-	arm(fs)
-	// The armed fault must surface as a Wait error on some append —
-	// never a nil ack.
-	faulted := false
-	for seq := uint64(6); seq <= 10; seq++ {
-		if err := w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "post"}}).Wait(); err != nil {
-			faulted = true
-			if !errors.Is(err, errInjected) {
-				t.Fatalf("append %d failed with %v, want the injected fault", seq, err)
-			}
-			break
-		}
-		acked = append(acked, seq)
-	}
-	if !faulted {
-		t.Fatal("injected fault never surfaced")
-	}
-	select {
-	case <-w.Failed():
-	case <-time.After(2 * time.Second):
-		t.Fatal("Failed() did not fire")
-	}
-	if !errors.Is(w.Err(), errInjected) {
-		t.Fatalf("Err() = %v", w.Err())
-	}
-	if !w.Stats().Failed {
-		t.Fatal("stats do not report the fence")
-	}
-	// Fenced: appends after the failure must report it, not ack.
-	if err := w.Append(0, 99, []tkvlog.Entry{{Key: 99, Val: "late"}}).Wait(); !errors.Is(err, errInjected) {
-		t.Fatalf("post-fence append: %v", err)
-	}
-	w.Close()
-
-	// Reopen through the real FS: every acked record must be there. The
-	// faulted record may or may not be on disk — it was never acked, so
-	// either is honest.
 	got := map[uint64]bool{}
-	w2, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 1}, func(rec *tkvlog.Record) error {
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, Mode: mode}, func(rec *tkvlog.Record) error {
 		for _, e := range rec.Entries {
 			got[e.Key] = true
 		}
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("recovery after fault: %v", err)
+		t.Fatalf("recovery: %v", err)
 	}
-	defer w2.Close()
-	for _, seq := range acked {
-		if !got[seq] {
-			t.Fatalf("acked record %d lost after fault+recovery", seq)
-		}
-	}
+	w.Close()
+	return got
 }
 
-func TestFailStopOnFsyncError(t *testing.T) {
-	proveFailStop(t, func(fs *errfs.FS) { fs.FailSyncAt(1) })
-}
-
-func TestFailStopOnWriteError(t *testing.T) {
-	proveFailStop(t, func(fs *errfs.FS) { fs.FailWriteAt(1) })
-}
-
-func TestFailStopOnLaterFsync(t *testing.T) {
-	proveFailStop(t, func(fs *errfs.FS) { fs.FailSyncAt(3) })
-}
-
-// proveLaneFailStop is proveFailStop for the shared lane, with the
-// lane-specific addition: one fault on the single sync loop must fence
-// EVERY shard, not just the one whose append drew the short straw. A
-// per-shard log isolates faults per file; the shared lane cannot — it
-// shares one file and one fsync — so its honest behavior is to stop the
-// whole store.
-func proveLaneFailStop(t *testing.T, arm func(*errfs.FS)) {
+// proveFailStop drives a two-shard WAL into an injected fault and checks
+// the whole fail-stop contract: the faulted append is never acked, the
+// log fences, Failed() fires, later appends bounce — on EVERY shard, not
+// just the one whose append drew the short straw: the fence belongs to
+// the log, so one lane's fault stops the whole store whether the other
+// shard shares that lane's file and fsync or has its own — and a reopen
+// of the directory recovers every acked record.
+func proveFailStop(t *testing.T, mode tkvwal.Mode, arm func(*errfs.FS)) {
 	t.Helper()
 	dir := t.TempDir()
 	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 2, Mode: tkvwal.ModeShared, FS: fs},
-		func(*tkvlog.Record) error { return nil })
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 2, Mode: mode, FS: fs}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +66,15 @@ func proveLaneFailStop(t *testing.T, arm func(*errfs.FS)) {
 		}
 	}
 	arm(fs)
-	// Drive shard 0 into the fault.
+	// Drive shard 0 into the fault: it must surface as a Wait error on
+	// some append — never a nil ack.
 	faulted := false
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 5 && !faulted; i++ {
 		if err := put(0); err != nil {
 			faulted = true
 			if !errors.Is(err, errInjected) {
 				t.Fatalf("shard 0 failed with %v, want the injected fault", err)
 			}
-			break
 		}
 	}
 	if !faulted {
@@ -159,51 +85,50 @@ func proveLaneFailStop(t *testing.T, arm func(*errfs.FS)) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Failed() did not fire")
 	}
-	// The lane fence covers the OTHER shard too: shard 1 never touched
-	// the fault, but its durability rides the same file and fsync, so
-	// its appends must bounce — and must not ack.
-	if err := put(1); !errors.Is(err, errInjected) {
-		t.Fatalf("shard 1 append after lane fault: %v (want the injected fault)", err)
+	if !errors.Is(w.Err(), errInjected) || !w.Stats().Failed {
+		t.Fatalf("Err() = %v, stats failed = %v", w.Err(), w.Stats().Failed)
 	}
-	if !w.Stats().Failed {
-		t.Fatal("stats do not report the fence")
+	// Fenced: appends after the failure must report it, not ack — shard 1
+	// never touched the fault, and bounces all the same.
+	for sh := 0; sh < 2; sh++ {
+		if err := put(sh); !errors.Is(err, errInjected) {
+			t.Fatalf("shard %d append after the fault: %v (want the injected fault)", sh, err)
+		}
 	}
 	w.Close()
 
-	got := map[uint64]bool{}
-	w2, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 2, Mode: tkvwal.ModeShared},
-		func(rec *tkvlog.Record) error {
-			for _, e := range rec.Entries {
-				got[e.Key] = true
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("recovery after lane fault: %v", err)
-	}
-	defer w2.Close()
+	// Every acked record must be there. The faulted record may or may not
+	// be on disk — it was never acked, so either is honest.
+	got := recoveredKeys(t, dir, mode, 2)
 	for key := range acked {
 		if !got[key] {
-			t.Fatalf("acked record %x lost after lane fault+recovery", key)
+			t.Fatalf("acked record %x lost after fault+recovery", key)
 		}
 	}
 }
 
-func TestLaneFailStopOnFsyncError(t *testing.T) {
-	proveLaneFailStop(t, func(fs *errfs.FS) { fs.FailSyncAt(1) })
+func failSync(n int64) func(*errfs.FS)  { return func(fs *errfs.FS) { fs.FailSyncAt(n) } }
+func failWrite(n int64) func(*errfs.FS) { return func(fs *errfs.FS) { fs.FailWriteAt(n) } }
+
+func TestFailStopOnFsyncError(t *testing.T)     { proveFailStop(t, tkvwal.ModePerShard, failSync(1)) }
+func TestFailStopOnWriteError(t *testing.T)     { proveFailStop(t, tkvwal.ModePerShard, failWrite(1)) }
+func TestLaneFailStopOnFsyncError(t *testing.T) { proveFailStop(t, tkvwal.ModeShared, failSync(1)) }
+func TestLaneFailStopOnWriteError(t *testing.T) { proveFailStop(t, tkvwal.ModeShared, failWrite(1)) }
+
+func TestFailStopOnLaterFsync(t *testing.T) {
+	for _, mode := range []tkvwal.Mode{tkvwal.ModePerShard, tkvwal.ModeShared} {
+		t.Run(string(mode), func(t *testing.T) { proveFailStop(t, mode, failSync(3)) })
+	}
 }
 
-func TestLaneFailStopOnWriteError(t *testing.T) {
-	proveLaneFailStop(t, func(fs *errfs.FS) { fs.FailWriteAt(1) })
-}
+func TestCheckpointFaultFences(t *testing.T)     { proveCheckpointFaultFences(t, tkvwal.ModePerShard) }
+func TestLaneCheckpointFaultFences(t *testing.T) { proveCheckpointFaultFences(t, tkvwal.ModeShared) }
 
-// TestLaneCheckpointFaultFences: a fault while writing the lane
-// checkpoint must fence the log, same as the per-shard case.
-func TestLaneCheckpointFaultFences(t *testing.T) {
-	dir := t.TempDir()
+// proveCheckpointFaultFences: a fault while writing a lane's checkpoint
+// fences the log instead of being swallowed.
+func proveCheckpointFaultFences(t *testing.T, mode tkvwal.Mode) {
 	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 2, Mode: tkvwal.ModeShared, FS: fs},
-		func(*tkvlog.Record) error { return nil })
+	w, err := tkvwal.Open(tkvwal.Options{Dir: t.TempDir(), Shards: 2, Mode: mode, FS: fs}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,33 +141,9 @@ func TestLaneCheckpointFaultFences(t *testing.T) {
 		}
 	}
 	fs.FailSyncAt(1) // all appends settled, so the next fsync is the ckpt tmp file's
-	err = w.CheckpointLane(func(sh int) ([]tkvlog.Entry, uint64, error) {
+	err = w.Checkpoint(w.LaneOf(1), func(sh int) ([]tkvlog.Entry, uint64, error) {
 		return []tkvlog.Entry{{Key: uint64(sh), Val: "v"}}, 3, nil
 	}, false)
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("lane checkpoint fault: %v", err)
-	}
-	if w.Err() == nil {
-		t.Fatal("lane checkpoint fault did not fence the log")
-	}
-}
-
-// TestCheckpointFaultFences checks a fault during checkpoint writing
-// also fences the log instead of being swallowed.
-func TestCheckpointFaultFences(t *testing.T) {
-	dir := t.TempDir()
-	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	w := openWith(t, dir, fs)
-	defer w.Close()
-	for seq := uint64(1); seq <= 3; seq++ {
-		if err := w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "v"}}).Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs.FailSyncAt(1) // next sync is the checkpoint tmp file's fsync
-	err := w.Checkpoint(0, func() ([]tkvlog.Entry, uint64, error) {
-		return []tkvlog.Entry{{Key: 1, Val: "v"}}, 3, nil
-	})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("checkpoint fault: %v", err)
 	}
@@ -251,59 +152,55 @@ func TestCheckpointFaultFences(t *testing.T) {
 	}
 }
 
-// TestAbandonSimulatesCrash is the in-process crash drill: concurrent
-// appenders tally which records were acknowledged, the log is abandoned
-// mid-flight (pending un-fsynced records discarded, as SIGKILL would),
-// and recovery must surface every acknowledged record. Lost un-acked
-// records are fine; lost acked records are the bug class this exists to
-// catch — an ack racing ahead of its fsync would fail here.
-func TestAbandonSimulatesCrash(t *testing.T) {
-	dir := t.TempDir()
-	w := openWith(t, dir, tkvwal.OSFS{})
+func TestAbandonSimulatesCrash(t *testing.T) { proveAbandonCrash(t, tkvwal.ModePerShard) }
+func TestSharedAbandonCrash(t *testing.T)    { proveAbandonCrash(t, tkvwal.ModeShared) }
 
-	type ack struct{ seq uint64 }
-	ackc := make(chan ack, 1<<16)
-	done := make(chan struct{})
-	var seq uint64
-	go func() {
-		defer close(done)
-		for {
-			seq++
-			c := w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: fmt.Sprintf("v%d", seq)}})
-			if err := c.Wait(); err != nil {
-				return // fence reached: the "crash" happened
+// proveAbandonCrash is the in-process crash drill: concurrent appenders
+// on every shard tally which records were acknowledged, the log is
+// abandoned mid-flight (pending un-fsynced records discarded, as SIGKILL
+// would), and recovery must surface every acknowledged record on every
+// shard. Lost un-acked records are fine; lost acked records are the bug
+// class this exists to catch — an ack racing ahead of its fsync would
+// fail here.
+func proveAbandonCrash(t *testing.T, mode tkvwal.Mode) {
+	const workers = 4
+	dir := t.TempDir()
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: workers, Mode: mode}, noApply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := make([]uint64, workers) // per shard: seqs 1..acked[sh] were acked
+	var wg sync.WaitGroup
+	for sh := 0; sh < workers; sh++ {
+		wg.Add(1)
+		go func(sh int) {
+			defer wg.Done()
+			for seq := uint64(1); ; seq++ {
+				c := w.Append(sh, seq, []tkvlog.Entry{{Key: uint64(sh)<<32 | seq, Val: "v"}})
+				if err := c.Wait(); err != nil {
+					return // fence reached: the "crash" happened
+				}
+				acked[sh] = seq
 			}
-			ackc <- ack{seq}
-		}
-	}()
+		}(sh)
+	}
 	time.Sleep(50 * time.Millisecond)
 	w.Abandon() // SIGKILL stand-in
-	<-done
-	close(ackc)
-	var acked []uint64
-	for a := range ackc {
-		acked = append(acked, a.seq)
+	wg.Wait()
+	var total uint64
+	for _, a := range acked {
+		total += a
 	}
-	if len(acked) == 0 {
-		t.Fatal("no acks before the crash; test proves nothing")
+	if total == 0 {
+		t.Fatal("no acks before the crash; drill proves nothing")
 	}
-
-	got := map[uint64]bool{}
-	w2, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 1}, func(rec *tkvlog.Record) error {
-		for _, e := range rec.Entries {
-			got[e.Key] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("recovery after crash: %v", err)
-	}
-	defer w2.Close()
-	for _, s := range acked {
-		if !got[s] {
-			t.Fatalf("acked seq %d lost in crash (%d acked, %d recovered)", s, len(acked), len(got))
+	got := recoveredKeys(t, dir, mode, workers)
+	for sh := 0; sh < workers; sh++ {
+		for seq := uint64(1); seq <= acked[sh]; seq++ {
+			if !got[uint64(sh)<<32|seq] {
+				t.Fatalf("acked shard %d seq %d lost in crash", sh, seq)
+			}
 		}
 	}
-	t.Logf("crash drill: %d acked, %d recovered (surplus %d un-acked survivors)",
-		len(acked), len(got), len(got)-len(acked))
+	t.Logf("crash drill: %d acked across %d shards, %d recovered", total, workers, len(got))
 }

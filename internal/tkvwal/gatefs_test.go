@@ -1,6 +1,7 @@
 package tkvwal
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,15 +15,16 @@ import (
 // group-commit tests deterministic: while a group's fsync is held, the
 // test decides exactly which records are staged behind it, and the lane
 // is known to be inside Sync — touching nothing else — until released.
-// Write calls are counted per Sync; the lane issues one per shard with
-// staged data, so with one writer per shard that is the group's size.
+// Records written are counted per Sync: that is the group's size, however
+// many shards (and so Write calls) it came from. The count is the
+// device's, so the tests drive one lane at a time.
 type gateFS struct {
 	OSFS
-	entered chan int      // a Sync has started; carries the Write calls since the last one
+	entered chan int      // a Sync has started; carries the records written since the last one
 	release chan error    // what the held Sync returns
 	opened  chan struct{} // closed by open: every Sync passes from then on
 	once    sync.Once
-	writes  atomic.Int64
+	records atomic.Int64
 }
 
 func newGateFS() *gateFS {
@@ -40,8 +42,8 @@ func (g *gateFS) OpenAppend(name string) (File, error) {
 // open stops gating, for shutdown paths that flush on their own.
 func (g *gateFS) open() { g.once.Do(func() { close(g.opened) }) }
 
-// next waits for the log to enter its next Sync and returns the Write
-// calls that preceded it. The Sync stays held until finish.
+// next waits for the log to enter its next Sync and returns the records
+// written ahead of it. The Sync stays held until finish.
 func (g *gateFS) next(t *testing.T) int {
 	t.Helper()
 	select {
@@ -62,13 +64,15 @@ type gatedFile struct {
 }
 
 func (f *gatedFile) Write(p []byte) (int, error) {
-	f.g.writes.Add(1)
+	for b := p; len(b) >= 4; b = b[4+binary.LittleEndian.Uint32(b):] { // tkvlog's length prefix
+		f.g.records.Add(1)
+	}
 	return f.File.Write(p)
 }
 
 func (f *gatedFile) Sync() error {
 	select {
-	case f.g.entered <- int(f.g.writes.Swap(0)):
+	case f.g.entered <- int(f.g.records.Swap(0)):
 	case <-f.g.opened:
 		return nil
 	}
@@ -97,14 +101,20 @@ func openGated(t *testing.T, mode Mode, shards int) (*WAL, *gateFS) {
 	return w, g
 }
 
-// setLaneFallback fixes the lane's fallback timer at d, whatever fsync
+// setLaneFallback fixes one lane's fallback timer at d, whatever fsync
 // costs it goes on to measure in this test (the EMA moves an eighth of
 // the way per flush; the cap does not move). An hour rules the timer
 // out, so a group can only form from arrivals. Call it while the lane is
 // provably idle — before the first Append or while a Sync is held — so
 // the write is ordered before the lane's next read by the channel
 // operation that wakes it.
-func setLaneFallback(w *WAL, d time.Duration) {
-	w.lane.maxWait = d
-	w.lane.fsyncEMA.Store(int64(1000 * time.Hour))
+func setLaneFallback(l *laneLog, d time.Duration) {
+	l.maxWait = d
+	l.fsyncEMA.Store(int64(1000 * time.Hour))
+}
+
+func eachMode(t *testing.T, f func(t *testing.T, mode Mode)) {
+	for _, mode := range []Mode{ModePerShard, ModeShared} {
+		t.Run(string(mode), func(t *testing.T) { f(t, mode) })
+	}
 }

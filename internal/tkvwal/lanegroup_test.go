@@ -14,18 +14,23 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 )
 
-// laneWriters are closed-loop writers, writer i alone on shard i (so a
-// group of k records is k Write calls on the device): Append, report
-// staged, Wait, repeat until told to leave or the log reports an error.
+// laneWriters are closed-loop writers on lane 0, spread over the shards
+// it owns — writer i alone on shard i in the shared layout, all of them
+// on shard 0 in the per-shard one: Append, report staged, Wait, repeat
+// until told to leave or the log reports an error.
 type laneWriters struct {
 	w      *WAL
 	staged chan struct{} // a writer's Append has returned
 	leave  []atomic.Bool // writer i exits after the ack it is waiting for
 	result []chan error  // writer i's terminal Wait outcome (nil when it left)
+
+	mu  sync.Mutex // the ordering lock Append asks for: assigns seq, per shard
+	seq []uint64
 }
 
 func newLaneWriters(w *WAL, n int) *laneWriters {
-	ws := &laneWriters{w: w, staged: make(chan struct{}), leave: make([]atomic.Bool, n), result: make([]chan error, n)}
+	ws := &laneWriters{w: w, staged: make(chan struct{}), leave: make([]atomic.Bool, n), result: make([]chan error, n),
+		seq: make([]uint64, len(w.shards))}
 	for i := range ws.result {
 		ws.result[i] = make(chan error, 1)
 	}
@@ -33,9 +38,14 @@ func newLaneWriters(w *WAL, n int) *laneWriters {
 }
 
 func (ws *laneWriters) start(i int) {
+	owned := ws.w.lanes[0].shards
+	sh := owned[i%len(owned)].idx
 	go func() {
-		for seq := uint64(1); ; seq++ {
-			c := ws.w.Append(i, seq, []tkvlog.Entry{{Key: uint64(i)<<32 | seq, Val: "x"}})
+		for {
+			ws.mu.Lock()
+			ws.seq[sh]++
+			c := ws.w.Append(sh, ws.seq[sh], []tkvlog.Entry{{Key: uint64(i), Val: "x"}})
+			ws.mu.Unlock()
 			ws.staged <- struct{}{}
 			if err := c.Wait(); err != nil || ws.leave[i].Load() {
 				ws.result[i] <- err
@@ -64,7 +74,7 @@ func (ws *laneWriters) awaitStaged(t *testing.T, k int) {
 // only because the lane counted its writers in.
 func fullLaneGroup(t *testing.T, w *WAL, g *gateFS, n int) *laneWriters {
 	t.Helper()
-	setLaneFallback(w, time.Hour)
+	setLaneFallback(w.lanes[0], time.Hour)
 	ws := newLaneWriters(w, n)
 	ws.start(0)
 	ws.awaitStaged(t, 1)
@@ -86,13 +96,18 @@ func fullLaneGroup(t *testing.T, w *WAL, g *gateFS, n int) *laneWriters {
 	return ws
 }
 
-// TestSharedGroupCommitAcrossShards is the cross-shard amortization
-// proof and the group-formation one: n closed-loop writers spread over
-// n shards ride one fsync per round, in groups of exactly n from the
-// second group on, with the fallback timer out of the picture.
+// TestSharedGroupCommitAcrossShards is the amortization proof and the
+// group-formation one: n closed-loop writers on one lane — spread over
+// its n shards, or all on the one shard a per-shard lane owns — ride one
+// fsync per round, in groups of exactly n from the second group on, with
+// the fallback timer out of the picture.
 func TestSharedGroupCommitAcrossShards(t *testing.T) {
+	eachMode(t, testGroupCommitAcrossShards)
+}
+
+func testGroupCommitAcrossShards(t *testing.T, mode Mode) {
 	const n, rounds = 8, 6
-	w, g := openGated(t, ModeShared, n)
+	w, g := openGated(t, mode, n)
 	ws := fullLaneGroup(t, w, g, n)
 	for r := 3; r <= rounds; r++ {
 		g.finish(nil)
@@ -125,7 +140,11 @@ func TestSharedGroupCommitAcrossShards(t *testing.T) {
 // never blocks for arrivals and never arms the fallback timer (which is
 // at its default here, not ruled out).
 func TestLaneLoneWriterNeverWaits(t *testing.T) {
-	w, g := openGated(t, ModeShared, 4)
+	eachMode(t, testLoneWriterNeverWaits)
+}
+
+func testLoneWriterNeverWaits(t *testing.T, mode Mode) {
+	w, g := openGated(t, mode, 4)
 	for seq := uint64(1); seq <= 20; seq++ {
 		c := w.Append(int(seq%4), seq, []tkvlog.Entry{{Key: seq, Val: "x"}})
 		if got := g.next(t); got != 1 {
@@ -147,14 +166,18 @@ func TestLaneLoneWriterNeverWaits(t *testing.T) {
 // so the next group forms from arrivals alone (the timer is ruled out
 // again before it, so an expectation still at n would hang the test).
 func TestLaneFallbackOnceWhenLoadDrops(t *testing.T) {
+	eachMode(t, testFallbackOnceWhenLoadDrops)
+}
+
+func testFallbackOnceWhenLoadDrops(t *testing.T, mode Mode) {
 	const n = 8
-	w, g := openGated(t, ModeShared, n)
+	w, g := openGated(t, mode, n)
 	ws := fullLaneGroup(t, w, g, n)
 	for i := n / 2; i < n; i++ {
 		ws.leave[i].Store(true)
 	}
 	// Long enough that the returning half is surely staged first.
-	setLaneFallback(w, 50*time.Millisecond)
+	setLaneFallback(w.lanes[0], 50*time.Millisecond)
 	g.finish(nil)
 	if got := g.next(t); got != n/2 {
 		t.Fatalf("group after the drop: %d records, want %d", got, n/2)
@@ -163,7 +186,7 @@ func TestLaneFallbackOnceWhenLoadDrops(t *testing.T) {
 	if st := w.Stats(); st.GroupWaitTimeouts != 1 {
 		t.Fatalf("timeouts %d, want exactly the one group that paid the fallback", st.GroupWaitTimeouts)
 	}
-	setLaneFallback(w, time.Hour)
+	setLaneFallback(w.lanes[0], time.Hour)
 	for r := 0; r < 3; r++ {
 		g.finish(nil)
 		if got := g.next(t); got != n/2 {
@@ -192,8 +215,8 @@ func TestLaneStopDuringWait(t *testing.T) {
 	const n = 8
 	// parked returns with n/2 writers staged and parked on their ticket,
 	// the lane waiting (no timer) for the other half, who have left.
-	parked := func(t *testing.T) (*WAL, *gateFS, *laneWriters) {
-		w, g := openGated(t, ModeShared, n)
+	parked := func(t *testing.T, mode Mode) (*WAL, *gateFS, *laneWriters) {
+		w, g := openGated(t, mode, n)
 		ws := fullLaneGroup(t, w, g, n)
 		for i := n / 2; i < n; i++ {
 			ws.leave[i].Store(true)
@@ -207,9 +230,9 @@ func TestLaneStopDuringWait(t *testing.T) {
 		}
 		return w, g, ws
 	}
-	t.Run("abandon", func(t *testing.T) {
-		w, _, ws := parked(t)
-		w.Abandon() // returns once the lane loop has exited
+	abandon := func(t *testing.T, mode Mode) {
+		w, _, ws := parked(t, mode)
+		w.Abandon() // returns once the lane loops have exited
 		for i := 0; i < n/2; i++ {
 			if err := <-ws.result[i]; !errors.Is(err, ErrAbandoned) {
 				t.Fatalf("parked writer %d: %v, want the ErrAbandoned fence", i, err)
@@ -218,9 +241,9 @@ func TestLaneStopDuringWait(t *testing.T) {
 		if st := w.Stats(); st.Fsyncs != 2 {
 			t.Fatalf("fsyncs %d: the abandoned group must not have been flushed", st.Fsyncs)
 		}
-	})
-	t.Run("close", func(t *testing.T) {
-		w, g, ws := parked(t)
+	}
+	closing := func(t *testing.T, mode Mode) {
+		w, g, ws := parked(t, mode)
 		for i := 0; i < n/2; i++ {
 			ws.leave[i].Store(true)
 		}
@@ -237,13 +260,9 @@ func TestLaneStopDuringWait(t *testing.T) {
 		if lag := st.DurableLag(); lag != 0 {
 			t.Fatalf("durable lag %d after Close", lag)
 		}
-	})
-}
-
-func eachMode(t *testing.T, f func(t *testing.T, mode Mode)) {
-	for _, mode := range []Mode{ModePerShard, ModeShared} {
-		t.Run(string(mode), func(t *testing.T) { f(t, mode) })
 	}
+	t.Run("abandon", func(t *testing.T) { eachMode(t, abandon) })
+	t.Run("close", func(t *testing.T) { eachMode(t, closing) })
 }
 
 // TestFenceIsOnePublication parks an appender inside fail, between its

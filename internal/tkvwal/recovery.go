@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strings"
 
@@ -18,8 +19,7 @@ type manifest struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
 	// Lane is the layout the directory was written with: "shared" for
-	// the single-lane layout, "pershard" or absent (pre-lane
-	// directories) for one log per shard.
+	// one lane owning every shard, "pershard" for one lane per shard.
 	Lane string `json:"lane,omitempty"`
 }
 
@@ -41,26 +41,13 @@ type RecoveryStats struct {
 	Segments int `json:"segments"`
 }
 
-// normalizeMode maps the Options zero value to ModePerShard and rejects
-// anything that is not a known layout.
-func normalizeMode(m Mode) (Mode, error) {
-	switch m {
-	case "", ModePerShard:
-		return ModePerShard, nil
-	case ModeShared:
-		return ModeShared, nil
-	default:
-		return "", fmt.Errorf("tkvwal: unknown mode %q", m)
-	}
-}
-
 // Open recovers the log directory and returns a running WAL. Every
 // recovered record is handed to apply in sequence order per shard —
 // checkpoint snapshots first (records carrying the checkpoint seq),
-// then the segment tail. A torn tail at the end of the last segment is
-// truncated (those records were never acknowledged); a torn or corrupt
-// record anywhere else refuses to open, because data after it would be
-// silently lost if recovery pressed on.
+// then the segment tail. A torn tail at the end of a lane's newest
+// segment is truncated (those records were never acknowledged); a torn
+// or corrupt record anywhere else refuses to open, because data after it
+// would be silently lost if recovery pressed on.
 func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 	if opts.Shards <= 0 {
 		return nil, fmt.Errorf("tkvwal: invalid shard count %d", opts.Shards)
@@ -68,392 +55,263 @@ func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("tkvwal: no directory")
 	}
-	mode, err := normalizeMode(opts.Mode)
-	if err != nil {
+	var err error
+	if opts.Mode, err = ParseMode(string(opts.Mode)); err != nil {
 		return nil, err
 	}
-	fs := opts.FS
-	if fs == nil {
-		fs = OSFS{}
+	if opts.FS == nil {
+		opts.FS = OSFS{}
 	}
 	w := &WAL{
 		dir:     opts.Dir,
-		fs:      fs,
+		fs:      opts.FS,
 		opts:    opts,
-		mode:    mode,
 		shards:  make([]*shardLog, opts.Shards),
 		failedc: make(chan struct{}),
 		stopc:   make(chan struct{}),
 	}
-	if mode == ModeShared {
-		w.lane = &laneLog{notify: make(chan struct{}, 1), maxWait: laneWaitMax}
-		w.lane.cur.Store(&Commit{w: w, done: make(chan struct{})})
+	// The layout is its shard sets and nothing more: one lane owning
+	// every shard, or as many lanes as shards, shard i in lane i.
+	lanes := opts.Shards
+	if opts.Mode == ModeShared {
+		lanes = 1
 	}
-	if err := fs.MkdirAll(opts.Dir); err != nil {
+	for i := 0; i < lanes; i++ {
+		l := &laneLog{idx: i, notify: make(chan struct{}, 1), maxWait: laneWaitMax}
+		l.cur.Store(&Commit{w: w, done: make(chan struct{})})
+		w.lanes = append(w.lanes, l)
+	}
+	for i := range w.shards {
+		l := w.lanes[i%lanes]
+		w.shards[i] = &shardLog{idx: i, lane: l}
+		l.shards = append(l.shards, w.shards[i])
+	}
+	if err := w.fs.MkdirAll(w.dir); err != nil {
 		return nil, fmt.Errorf("tkvwal: %w", err)
 	}
 	if err := w.checkManifest(); err != nil {
 		return nil, err
 	}
-	names, err := fs.List(opts.Dir)
+	names, err := w.fs.List(w.dir)
 	if err != nil {
 		return nil, fmt.Errorf("tkvwal: %w", err)
 	}
-	// Tmp files are uncommitted checkpoints or manifests: discard.
-	kept := names[:0]
 	for _, name := range names {
 		if strings.HasSuffix(name, ".tmp") {
-			w.fs.Remove(w.path(name))
-			continue
+			w.fs.Remove(w.path(name)) // an uncommitted checkpoint or manifest
 		}
-		kept = append(kept, name)
 	}
-	names = kept
-
-	for i := range w.shards {
-		w.shards[i] = &shardLog{idx: i, notify: make(chan struct{}, 1)}
-	}
-	if mode == ModeShared {
-		if err := w.recoverLane(names, apply); err != nil {
+	for _, l := range w.lanes {
+		if err := w.recoverLane(l, names, apply); err != nil {
+			w.closeFiles()
 			return nil, err
 		}
-		if err := fs.SyncDir(opts.Dir); err != nil {
-			return nil, fmt.Errorf("tkvwal: %w", err)
-		}
-		w.wg.Add(1)
-		go w.laneLoop()
-		return w, nil
 	}
-	for _, s := range w.shards {
-		s.cur = &Commit{w: w, done: make(chan struct{})}
-		last, err := w.recoverShard(s, names, apply)
-		if err != nil {
-			return nil, err
-		}
-		s.appended = last
-		s.durable.Store(last)
-		s.lastCkptSeq.Store(last) // fresh ckpt not needed until new appends
-		s.activeSeg = last + 1
-		f, err := fs.OpenAppend(w.path(segName(s.idx, s.activeSeg)))
-		if err != nil {
-			return nil, fmt.Errorf("tkvwal: %w", err)
-		}
-		s.f = f
-	}
-	if err := fs.SyncDir(opts.Dir); err != nil {
+	if err := w.fs.SyncDir(w.dir); err != nil {
+		w.closeFiles()
 		return nil, fmt.Errorf("tkvwal: %w", err)
 	}
-	for _, s := range w.shards {
+	for _, l := range w.lanes {
 		w.wg.Add(1)
-		go w.syncLoop(s)
+		go w.laneLoop(l)
 	}
 	return w, nil
 }
 
-// checkManifest validates or creates the directory's shard-count and
-// layout pin.
+// manifestVersion is the on-disk layout this package reads and writes:
+// lane-<lane>-<rot>.log segments and lckpt-<lane>-<rot>.ckpt
+// checkpoints, in both modes.
+const manifestVersion = 2
+
+// checkManifest validates the directory's pin — format version, shard
+// count, layout — or creates it when the directory has none. Only a
+// MANIFEST that provably does not exist is created: any other failure
+// to read it refuses, or one EIO would let a store reopen a directory
+// with other sharding and silently re-pin it.
 func (w *WAL) checkManifest() error {
 	f, err := w.fs.Open(w.path(manifestName))
-	if err == nil {
-		data, rerr := io.ReadAll(f)
-		f.Close()
-		if rerr != nil {
-			return fmt.Errorf("tkvwal: manifest: %w", rerr)
-		}
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return fmt.Errorf("tkvwal: manifest: %w", err)
-		}
-		if m.Shards != w.opts.Shards {
-			return fmt.Errorf("tkvwal: directory %s was written with %d shards, store has %d",
-				w.dir, m.Shards, w.opts.Shards)
-		}
-		dirMode, err := normalizeMode(Mode(m.Lane))
+	if errors.Is(err, fs.ErrNotExist) {
+		data, _ := json.Marshal(manifest{Version: manifestVersion, Shards: w.opts.Shards, Lane: string(w.opts.Mode)})
+		err := w.commitFile(manifestName, func(f File) error {
+			_, err := f.Write(append(data, '\n'))
+			return err
+		})
 		if err != nil {
 			return fmt.Errorf("tkvwal: manifest: %w", err)
-		}
-		if dirMode != w.mode {
-			return fmt.Errorf("tkvwal: directory %s was written in %s mode, store wants %s",
-				w.dir, dirMode, w.mode)
 		}
 		return nil
 	}
-	data, _ := json.Marshal(manifest{Version: 1, Shards: w.opts.Shards, Lane: string(w.mode)})
-	tmp := manifestName + ".tmp"
-	mf, err := w.fs.Create(w.path(tmp))
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(f)
+		f.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("tkvwal: manifest unreadable (refusing to start): %w", err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return fmt.Errorf("tkvwal: manifest: %w", err)
+	}
+	if m.Version != manifestVersion {
+		// Version 1 is the retired wal-*/ckpt-* naming; nothing reads it.
+		return fmt.Errorf("tkvwal: directory %s has manifest version %d, this build reads and writes version %d only (refusing to start)",
+			w.dir, m.Version, manifestVersion)
+	}
+	if m.Shards != w.opts.Shards {
+		return fmt.Errorf("tkvwal: directory %s was written with %d shards, store has %d",
+			w.dir, m.Shards, w.opts.Shards)
+	}
+	dirMode, err := ParseMode(m.Lane)
 	if err != nil {
 		return fmt.Errorf("tkvwal: manifest: %w", err)
 	}
-	if _, err := mf.Write(append(data, '\n')); err != nil {
-		mf.Close()
-		return fmt.Errorf("tkvwal: manifest: %w", err)
+	if dirMode != w.opts.Mode {
+		return fmt.Errorf("tkvwal: directory %s was written in %s mode, store wants %s",
+			w.dir, dirMode, w.opts.Mode)
 	}
-	if err := mf.Sync(); err != nil {
-		mf.Close()
-		return fmt.Errorf("tkvwal: manifest: %w", err)
-	}
-	if err := mf.Close(); err != nil {
-		return fmt.Errorf("tkvwal: manifest: %w", err)
-	}
-	if err := w.fs.Rename(w.path(tmp), w.path(manifestName)); err != nil {
-		return fmt.Errorf("tkvwal: manifest: %w", err)
-	}
-	return w.fs.SyncDir(w.dir)
+	return nil
 }
 
-// recoverShard replays one shard: newest checkpoint, then segments in
-// start order, skipping records the checkpoint covers. Returns the last
-// applied sequence number.
-func (w *WAL) recoverShard(s *shardLog, names []string, apply func(*tkvlog.Record) error) (uint64, error) {
-	var ckptSeq uint64
-	ckptFile := ""
-	type seg struct {
-		name  string
-		start uint64
+// scan decodes the records of one file in order, handing each to visit.
+// It returns the offset just past the last whole record and the decode
+// error that ended the scan (nil at a clean end of file); err is a
+// failure to open the file, or visit's.
+func (w *WAL) scan(name string, visit func(*tkvlog.Record) error) (end int64, decodeErr, err error) {
+	f, err := w.fs.Open(w.path(name))
+	if err != nil {
+		return 0, nil, fmt.Errorf("tkvwal: %w", err)
 	}
-	var segs []seg
-	for _, name := range names {
-		if shard, seq, ok := parseCkpt(name); ok && shard == s.idx {
-			if seq >= ckptSeq {
-				ckptSeq, ckptFile = seq, name
+	defer f.Close()
+	r := tkvlog.NewReader(f)
+	var rec tkvlog.Record
+	for {
+		switch derr := r.Next(&rec); derr {
+		case nil:
+			if err := visit(&rec); err != nil {
+				return r.Offset(), nil, err
 			}
-		}
-		if shard, start, ok := parseSeg(name); ok && shard == s.idx {
-			segs = append(segs, seg{name, start})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-
-	last := ckptSeq
-	if ckptFile != "" {
-		f, err := w.fs.Open(w.path(ckptFile))
-		if err != nil {
-			return 0, fmt.Errorf("tkvwal: %w", err)
-		}
-		r := tkvlog.NewReader(f)
-		var rec tkvlog.Record
-		for {
-			err := r.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// A checkpoint is renamed into place only after its
-				// fsync; damage here is corruption, not a torn write.
-				f.Close()
-				return 0, fmt.Errorf("tkvwal: checkpoint %s unreadable (refusing to start): %w", ckptFile, err)
-			}
-			if int(rec.Shard) != s.idx || rec.Seq != ckptSeq {
-				f.Close()
-				return 0, fmt.Errorf("tkvwal: checkpoint %s carries shard %d seq %d (refusing to start)",
-					ckptFile, rec.Shard, rec.Seq)
-			}
-			w.recovered.CheckpointEntries += uint64(len(rec.Entries))
-			if err := apply(&rec); err != nil {
-				f.Close()
-				return 0, fmt.Errorf("tkvwal: checkpoint apply: %w", err)
-			}
-		}
-		f.Close()
-	}
-
-	for i, sg := range segs {
-		w.recovered.Segments++
-		f, err := w.fs.Open(w.path(sg.name))
-		if err != nil {
-			return 0, fmt.Errorf("tkvwal: %w", err)
-		}
-		r := tkvlog.NewReader(f)
-		var rec tkvlog.Record
-		var segErr error
-		for {
-			err := r.Next(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				segErr = err
-				break
-			}
-			if int(rec.Shard) != s.idx {
-				f.Close()
-				return 0, fmt.Errorf("tkvwal: segment %s carries shard %d (refusing to start)", sg.name, rec.Shard)
-			}
-			if rec.Seq <= last {
-				w.recovered.Skipped++
-				continue
-			}
-			if rec.Seq != last+1 {
-				f.Close()
-				return 0, fmt.Errorf("tkvwal: segment %s jumps shard %d from seq %d to %d (refusing to start)",
-					sg.name, s.idx, last, rec.Seq)
-			}
-			if err := apply(&rec); err != nil {
-				f.Close()
-				return 0, fmt.Errorf("tkvwal: replay apply: %w", err)
-			}
-			last = rec.Seq
-			w.recovered.Replayed++
-		}
-		f.Close()
-		if segErr != nil {
-			if errors.Is(segErr, tkvlog.ErrShort) && i == len(segs)-1 {
-				// Torn tail of the newest segment: the crash interrupted
-				// an un-acknowledged group. Cut it and move on.
-				torn := w.segSizeAfter(sg.name, r.Offset())
-				if err := w.fs.Truncate(w.path(sg.name), r.Offset()); err != nil {
-					return 0, fmt.Errorf("tkvwal: truncating torn tail of %s: %w", sg.name, err)
-				}
-				w.recovered.TruncatedBytes += torn
-				continue
-			}
-			return 0, fmt.Errorf("tkvwal: segment %s unreadable (refusing to start): %w", sg.name, segErr)
+		case io.EOF:
+			return r.Offset(), nil, nil
+		default:
+			return r.Offset(), derr, nil
 		}
 	}
-	return last, nil
 }
 
-// recoverLane replays the shared-lane layout: the newest lane
-// checkpoint (per-shard cut records in one file), then every lane
-// segment in rotation order, demultiplexing the interleaved records by
-// their shard header. Per-shard sequence rules are the same as
-// per-shard recovery: at-or-below the watermark skips (idempotence), a
-// gap refuses, a torn tail on the newest segment truncates, corruption
-// anywhere refuses. On success the shards' watermarks are set and the
-// next lane segment is opened.
-func (w *WAL) recoverLane(names []string, apply func(*tkvlog.Record) error) error {
-	var ckptRot uint64
+// recoverLane replays one lane: its newest checkpoint (one chunked
+// snapshot per shard the lane owns), then its segments in rotation
+// order, demultiplexing the interleaved records by their shard header
+// and skipping what the checkpoint covers. Per shard: a record at or
+// below the watermark skips (idempotence), a gap refuses, a record of a
+// shard the lane does not own refuses; a torn tail on the lane's newest
+// segment truncates, damage anywhere else refuses. On success the
+// shards' watermarks are set and the lane's next segment is opened.
+func (w *WAL) recoverLane(l *laneLog, names []string, apply func(*tkvlog.Record) error) error {
+	// The rotation counter is fixed-width hex, so within a lane name
+	// order is rotation order.
+	var segs []string
 	ckptFile := ""
-	type seg struct {
-		name string
-		rot  uint64
-	}
-	var segs []seg
 	var maxRot uint64
 	for _, name := range names {
-		if rot, ok := parseLaneCkpt(name); ok {
-			if ckptFile == "" || rot >= ckptRot {
-				ckptRot, ckptFile = rot, name
-			}
-			if rot > maxRot {
-				maxRot = rot
-			}
+		if lane, rot, ok := parseLaneFile(ckptFmt, name); ok && lane == l.idx {
+			ckptFile = max(ckptFile, name)
+			maxRot = max(maxRot, rot)
 		}
-		if rot, ok := parseLaneSeg(name); ok {
-			segs = append(segs, seg{name, rot})
-			if rot > maxRot {
-				maxRot = rot
-			}
+		if lane, rot, ok := parseLaneFile(segFmt, name); ok && lane == l.idx {
+			segs = append(segs, name)
+			maxRot = max(maxRot, rot)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].rot < segs[j].rot })
+	sort.Strings(segs)
 
-	last := make([]uint64, len(w.shards))
-	seen := make([]bool, len(w.shards))
-	if ckptFile != "" {
-		f, err := w.fs.Open(w.path(ckptFile))
-		if err != nil {
-			return fmt.Errorf("tkvwal: %w", err)
+	// owned resolves a record's shard; the watermark recovery advances is
+	// the shard's own appended (nothing else runs yet).
+	owned := func(kind, file string, rec *tkvlog.Record) (*shardLog, error) {
+		if int(rec.Shard) >= len(w.shards) || w.shards[rec.Shard].lane != l {
+			return nil, fmt.Errorf("tkvwal: %s %s carries shard %d of %d, not one of lane %d's (refusing to start)",
+				kind, file, rec.Shard, len(w.shards), l.idx)
 		}
-		r := tkvlog.NewReader(f)
-		var rec tkvlog.Record
-		for {
-			err := r.Next(&rec)
-			if err == io.EOF {
-				break
-			}
+		return w.shards[rec.Shard], nil
+	}
+
+	if ckptFile != "" {
+		seen := make(map[*shardLog]bool, len(l.shards))
+		_, derr, err := w.scan(ckptFile, func(rec *tkvlog.Record) error {
+			s, err := owned("checkpoint", ckptFile, rec)
 			if err != nil {
-				f.Close()
-				return fmt.Errorf("tkvwal: checkpoint %s unreadable (refusing to start): %w", ckptFile, err)
+				return err
 			}
-			shard := int(rec.Shard)
-			if shard < 0 || shard >= len(w.shards) {
-				f.Close()
-				return fmt.Errorf("tkvwal: checkpoint %s carries shard %d of %d (refusing to start)",
-					ckptFile, shard, len(w.shards))
-			}
-			if seen[shard] && rec.Seq != last[shard] {
+			if seen[s] && rec.Seq != s.appended {
 				// Chunks of one shard's snapshot all carry its cut seq.
-				f.Close()
 				return fmt.Errorf("tkvwal: checkpoint %s shard %d cut seq changed %d -> %d (refusing to start)",
-					ckptFile, shard, last[shard], rec.Seq)
+					ckptFile, s.idx, s.appended, rec.Seq)
 			}
-			seen[shard] = true
-			last[shard] = rec.Seq
+			seen[s] = true
+			s.appended = rec.Seq
 			w.recovered.CheckpointEntries += uint64(len(rec.Entries))
-			if err := apply(&rec); err != nil {
-				f.Close()
+			if err := apply(rec); err != nil {
 				return fmt.Errorf("tkvwal: checkpoint apply: %w", err)
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		f.Close()
+		if derr != nil {
+			// A checkpoint is renamed into place only after its fsync;
+			// damage here is corruption, not a torn write.
+			return fmt.Errorf("tkvwal: checkpoint %s unreadable (refusing to start): %w", ckptFile, derr)
+		}
 	}
 
-	for i, sg := range segs {
+	for i, name := range segs {
 		w.recovered.Segments++
-		f, err := w.fs.Open(w.path(sg.name))
-		if err != nil {
-			return fmt.Errorf("tkvwal: %w", err)
-		}
-		r := tkvlog.NewReader(f)
-		var rec tkvlog.Record
-		var segErr error
-		for {
-			err := r.Next(&rec)
-			if err == io.EOF {
-				break
-			}
+		end, derr, err := w.scan(name, func(rec *tkvlog.Record) error {
+			s, err := owned("segment", name, rec)
 			if err != nil {
-				segErr = err
-				break
+				return err
 			}
-			shard := int(rec.Shard)
-			if shard < 0 || shard >= len(w.shards) {
-				f.Close()
-				return fmt.Errorf("tkvwal: segment %s carries shard %d of %d (refusing to start)",
-					sg.name, shard, len(w.shards))
-			}
-			if rec.Seq <= last[shard] {
+			if rec.Seq <= s.appended {
 				w.recovered.Skipped++
-				continue
+				return nil
 			}
-			if rec.Seq != last[shard]+1 {
-				f.Close()
+			if rec.Seq != s.appended+1 {
 				return fmt.Errorf("tkvwal: segment %s jumps shard %d from seq %d to %d (refusing to start)",
-					sg.name, shard, last[shard], rec.Seq)
+					name, s.idx, s.appended, rec.Seq)
 			}
-			if err := apply(&rec); err != nil {
-				f.Close()
+			if err := apply(rec); err != nil {
 				return fmt.Errorf("tkvwal: replay apply: %w", err)
 			}
-			last[shard] = rec.Seq
+			s.appended = rec.Seq
 			w.recovered.Replayed++
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		f.Close()
-		if segErr != nil {
-			if errors.Is(segErr, tkvlog.ErrShort) && i == len(segs)-1 {
-				torn := w.segSizeAfter(sg.name, r.Offset())
-				if err := w.fs.Truncate(w.path(sg.name), r.Offset()); err != nil {
-					return fmt.Errorf("tkvwal: truncating torn tail of %s: %w", sg.name, err)
-				}
-				w.recovered.TruncatedBytes += torn
-				continue
-			}
-			return fmt.Errorf("tkvwal: segment %s unreadable (refusing to start): %w", sg.name, segErr)
+		if derr == nil {
+			continue
 		}
+		if !errors.Is(derr, tkvlog.ErrShort) || i != len(segs)-1 {
+			return fmt.Errorf("tkvwal: segment %s unreadable (refusing to start): %w", name, derr)
+		}
+		// Torn tail of the lane's newest segment: the crash interrupted
+		// an un-acknowledged group. Cut it and move on.
+		torn := w.segSizeAfter(name, end)
+		if err := w.fs.Truncate(w.path(name), end); err != nil {
+			return fmt.Errorf("tkvwal: truncating torn tail of %s: %w", name, err)
+		}
+		w.recovered.TruncatedBytes += torn
 	}
 
-	for i, s := range w.shards {
-		s.appended = last[i]
-		s.durable.Store(last[i])
-		s.lastCkptSeq.Store(last[i]) // fresh ckpt not needed until new appends
+	for _, s := range l.shards {
+		s.durable.Store(s.appended)
+		s.lastCkptSeq.Store(s.appended) // fresh ckpt not needed until new appends
 	}
-	w.lane.rot = maxRot + 1
-	f, err := w.fs.OpenAppend(w.path(laneSegName(w.lane.rot)))
-	if err != nil {
+	if err := w.openSegment(l, maxRot+1); err != nil {
 		return fmt.Errorf("tkvwal: %w", err)
 	}
-	w.lane.f = f
 	return nil
 }
 

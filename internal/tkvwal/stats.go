@@ -16,8 +16,7 @@ type ShardStats struct {
 // group-commit shape (how many records each fsync covered), fsync
 // latency, backlog, checkpoint and recovery accounting.
 type Stats struct {
-	// Mode is the log layout: "shared" (one lane, one fsync for the
-	// whole store) or "pershard".
+	// Mode is the log layout: "shared" (one lane) or "pershard".
 	Mode Mode `json:"mode"`
 
 	Shards []ShardStats `json:"shards"`
@@ -29,7 +28,7 @@ type Stats struct {
 	// log since open (recovery not included).
 	BytesAppended uint64 `json:"bytes_appended"`
 	// PendingBytes is the encoded bytes currently staged and not yet
-	// flushed — the lane's (or shards') live backlog.
+	// flushed — the lanes' live backlog.
 	PendingBytes uint64 `json:"pending_bytes"`
 	// PendingPeakBytes is the largest byte count one flush has carried:
 	// the backlog watermark, visible before it shows up as ack latency.
@@ -37,13 +36,13 @@ type Stats struct {
 
 	// GroupMean and GroupMax describe records per flushed group — the
 	// group-commit overlap. Mean near 1 means fsync-per-write (idle or
-	// trickle load); large means many acks amortized one fsync. In
-	// shared mode a group spans every shard, so the mean scales with
-	// total writers, not writers-per-shard.
+	// trickle load); large means many acks amortized one fsync. A group
+	// spans the shards of one lane, so in shared mode the mean scales
+	// with total writers, not writers-per-shard.
 	GroupMean float64 `json:"group_mean"`
 	GroupMax  uint64  `json:"group_max"`
-	// GroupWaits counts shared-lane collections that were held back for
-	// the writers the previous group released (the arrival-driven group
+	// GroupWaits counts lane collections that were held back for the
+	// writers the previous group released (the arrival-driven group
 	// formation); GroupWaitTimeouts counts the ones the fallback timer
 	// ended because those writers did not return. Timeouts near zero
 	// under steady load is the healthy shape; one per drop in load is
@@ -84,7 +83,7 @@ func (s *Stats) DurableLag() uint64 {
 // Stats snapshots the log's counters. Safe under concurrent appends.
 func (w *WAL) Stats() Stats {
 	st := Stats{
-		Mode:              w.mode,
+		Mode:              w.opts.Mode,
 		Shards:            make([]ShardStats, len(w.shards)),
 		Appends:           w.appends.Load(),
 		Fsyncs:            w.fsyncs.Load(),

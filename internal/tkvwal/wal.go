@@ -5,34 +5,44 @@
 // loop, periodic checkpoint snapshots with log truncation, and a
 // startup recovery that replays checkpoint + log tail.
 //
+// # Lanes
+//
+// The log is a set of lanes, and everything below — group commit,
+// rotation, checkpoint, gc, recovery, the fence — is written once, over
+// "a lane and the shards it owns". A lane owns a fixed set of shards,
+// one active segment file, one group-commit goroutine and one group
+// ticket. Every shard encodes into its own pending buffer under its own
+// mutex (staging never contends across shards, and that mutex never
+// spans an fsync); the lane's goroutine collects the staged buffers of
+// its shards, writes them into its segment, fsyncs once, and closes one
+// done channel that releases every waiter on every one of those shards.
+// Records carry their shard id and per-shard sequence number in the
+// tkvlog header, so a segment that interleaves several shards
+// demultiplexes naturally at recovery.
+//
+// # Layouts
+//
+// Mode picks the shard sets and nothing else. ModeShared (the default
+// surface in tkvd) is one lane owning every shard: the whole store pays
+// one fsync per group, so on single-device media — where N fsyncs to one
+// disk serialize anyway — sync-ack throughput scales with total writers,
+// not writers-per-shard. ModePerShard is one lane per shard: N
+// independent group commits, up to N fsyncs per commit interval, which
+// only pays when the shards live on independent media that genuinely
+// fsync in parallel. A directory's MANIFEST pins the layout and the
+// shard count; reopening with another refuses.
+//
 // # Group commit
 //
 // The STM commit is ~0.2 µs; an fsync is ~ms. Acknowledging each write
 // with its own fsync would cap the store at fsync rate, so appends park
-// on a committing batch instead: Append encodes the record into the
-// shard's pending buffer under a mutex that never spans an fsync and
-// returns a Commit handle for the batch; a sync goroutine swaps the
-// buffer out, writes it, fsyncs once, and releases every waiter in the
-// batch together. Everything that arrives while one fsync is in flight
-// rides the next one — group size scales with load and the per-write
-// fsync cost amortizes away (group size and fsync latency are both
-// measured, see Stats).
+// on a committing group instead: Append stages the record and returns
+// the lane's current ticket as a Commit handle; everything that arrives
+// while one fsync is in flight rides the next one — group size scales
+// with load and the per-write fsync cost amortizes away (Stats measures
+// both).
 //
-// # The shared lane (ModeShared, the default surface in tkvd)
-//
-// The log has two layouts. ModePerShard keeps one segment file and one
-// sync loop per shard — N independent group commits, so a commit
-// interval can pay up to N fsyncs. ModeShared collapses them into one
-// append lane: every shard still encodes into its own pending buffer
-// under its own mutex (staging never contends across shards), but a
-// single lane goroutine collects all staged buffers, writes them into
-// one interleaved segment, fsyncs once, and closes one done channel
-// that releases every waiter on every shard. The whole store pays one
-// fsync per group instead of one per shard, so on single-device media
-// (where N fsyncs to one disk serialize anyway) sync-ack throughput
-// scales with total writers, not writers-per-shard.
-//
-// The lane forms its groups from arrivals, never from a clock. A lane
+// A lane forms its groups from arrivals, never from a clock. A lane
 // that collected the moment it woke would, whenever the fsync is faster
 // than the writers' turnaround, pick up the first arrival of each
 // post-ack burst, fsync, and strand the rest for the next round — tiny
@@ -53,23 +63,16 @@
 // paid it sets the new, smaller expectation. Stats counts both
 // (GroupWaits, GroupWaitTimeouts).
 //
-// Records carry their shard id and per-shard sequence number in the
-// tkvlog header, so the interleaved file demultiplexes naturally at
-// recovery. ModePerShard remains the right choice when shards live on
-// independent media and genuinely fsync in parallel. A directory's
-// MANIFEST pins the layout (and the shard count); reopening with the
-// other mode refuses.
-//
-// The lane's ack correctness leans on one ordering: an appender stages
-// its record under the shard mutex first and only then loads the
+// A lane's ack correctness leans on one ordering: an appender stages
+// its record under the shard mutex first and only then loads the lane's
 // current group ticket, while the lane loop installs the next ticket
-// first and only then collects the staged buffers. If the appender
-// observed ticket G, the collection for G started after its record was
-// staged, so closing G after the fsync is an honest ack; if it observed
-// G+1, its record rides flush G or G+1, both of which complete before
-// G+1 closes (a collection that finds nothing staged closes its ticket
-// immediately — its waiters' records were made durable by an earlier
-// flush).
+// first and only then collects its shards' staged buffers. If the
+// appender observed ticket G, the collection for G started after its
+// record was staged, so closing G after the fsync is an honest ack; if
+// it observed G+1, its record rides flush G or G+1, both of which
+// complete before G+1 closes (a collection that finds nothing staged
+// closes its ticket immediately — its waiters' records were made
+// durable by an earlier flush).
 //
 // # Fail-stop
 //
@@ -78,12 +81,12 @@
 // fires so the process can exit nonzero. The fence is one published
 // value — the pre-failed Commit that Append hands back is itself the
 // flag Append checks — so no appender can observe "fenced" without also
-// holding a handle that fails (see fail). In shared mode one lane fault
-// fences every shard at once — there is only one lane. A failed fsync
-// means the page cache and the platter may disagree; retrying would
-// risk acknowledging a write the disk silently lost, so the only honest
-// move is to stop. The FS indirection lets tests inject the Nth
-// write/fsync failure and prove no failed write is ever acknowledged.
+// holding a handle that fails (see fail). The fence belongs to the log,
+// not to a lane: one lane's fault fences every shard of every lane. A
+// failed fsync means the page cache and the platter may disagree;
+// retrying would risk acknowledging a write the disk silently lost, so
+// the only honest move is to stop (the FS indirection is how tests
+// inject the fault and prove it).
 package tkvwal
 
 import (
@@ -101,32 +104,41 @@ import (
 type Mode string
 
 const (
-	// ModePerShard keeps one segment file and one sync loop per shard:
-	// N independent group commits, up to N fsyncs per commit interval.
-	// Right when shards write to independent media.
+	// ModePerShard gives every shard a lane of its own, for independent
+	// media (the package doc's "Layouts" says when each is right).
 	ModePerShard Mode = "pershard"
-	// ModeShared interleaves every shard into one append lane: one
-	// segment file, one sync loop, one fsync per group for the whole
-	// store. Right on single-device media, where it amortizes the fsync
-	// across all shards' writers.
+	// ModeShared puts every shard in one lane: one fsync per group for
+	// the whole store.
 	ModeShared Mode = "shared"
 )
 
+// ParseMode maps a layout name (the -walmode flag, a MANIFEST pin, the
+// Options field) to its Mode. The empty string is ModePerShard, the
+// Options zero value; anything else unknown is an error.
+func ParseMode(s string) (Mode, error) {
+	switch Mode(s) {
+	case "", ModePerShard:
+		return ModePerShard, nil
+	case ModeShared:
+		return ModeShared, nil
+	default:
+		return "", fmt.Errorf("tkvwal: unknown mode %q (shared or pershard)", s)
+	}
+}
+
 // Options configures a WAL.
 type Options struct {
-	// Dir is the log directory. Created if absent; its MANIFEST pins the
-	// shard count and layout so a store cannot silently reopen a log
-	// with different sharding or the other mode.
+	// Dir is the log directory, created if absent. Its MANIFEST pins the
+	// shard count and layout.
 	Dir string
 	// Shards is the store's shard count (filled by the store).
 	Shards int
-	// Mode is the log layout. The zero value means ModePerShard (the
-	// original layout, and what existing directories hold).
+	// Mode is the log layout. The zero value means ModePerShard.
 	Mode Mode
 	// FS is the filesystem to write through; nil means the OS.
 	FS FS
 	// NoSync disables the fsync wait: appends are still written by the
-	// sync loop but nothing parks on durability, so a crash can lose
+	// lane loop but nothing parks on durability, so a crash can lose
 	// everything since the last fsync the OS chose to do. The fail-stop
 	// fence still holds.
 	NoSync bool
@@ -177,38 +189,32 @@ func (c *Commit) Wait() error {
 	}
 }
 
-// shardLog is one shard's log state. The field groups have distinct
-// locks so an append never waits on an fsync: mu guards the pending
-// buffer and is held only for an encode; wmu serializes the write+fsync
-// sections (sync loop flushes, rotations) and is never held by Append.
-// In shared mode only the staging fields are used — the lane owns the
-// file, and cur/notify/wmu/f sit idle.
+// shardLog is one shard's staging state: the pending buffer its appends
+// encode into, and its watermarks. mu is held only for an encode or a
+// buffer swap, never across I/O, so an append never waits on an fsync;
+// the file the buffer drains into belongs to the shard's lane.
 type shardLog struct {
-	idx int // shard index (immutable)
+	idx  int      // shard index (immutable)
+	lane *laneLog // the lane that owns this shard (immutable)
 
 	mu       sync.Mutex
-	buf      []byte // pending encoded records
-	spare    []byte // recycled flushed buffer (double buffering)
-	cur      *Commit
+	buf      []byte        // pending encoded records
+	spare    []byte        // recycled flushed buffer (double buffering)
 	rec      tkvlog.Record // encode scratch, reused under mu
 	appended uint64        // last seq encoded into buf
 	pending  int           // records in buf
 
-	durable atomic.Uint64 // last seq the OS has (fsync'd unless NoSync)
-
-	wmu       sync.Mutex // serializes write/fsync/rotate on f
-	f         File       // active segment (guarded by wmu)
-	activeSeg uint64     // active segment's start seq (guarded by wmu)
-
+	durable     atomic.Uint64 // last seq the OS has (fsync'd unless NoSync)
 	lastCkptSeq atomic.Uint64
-	notify      chan struct{} // wakes the sync loop (capacity 1)
 }
 
-// laneLog is the shared-mode append lane: the single file every shard's
-// staged buffers drain into, and the single group ticket their waiters
-// park on.
+// laneLog is one append lane: the file its shards' staged buffers drain
+// into, and the group ticket their waiters park on.
 type laneLog struct {
-	cur    atomic.Pointer[Commit] // current group ticket (swap-first, see flushLaneLocked)
+	idx    int         // lane index (immutable)
+	shards []*shardLog // the shards this lane owns (immutable after Open)
+
+	cur    atomic.Pointer[Commit] // current group ticket (swap-first, see flushLocked)
 	notify chan struct{}          // wakes the lane loop (capacity 1)
 
 	// Arrival-driven group formation (see awaitArrivals). staged counts
@@ -228,8 +234,8 @@ type laneLog struct {
 	maxWait  time.Duration // laneWaitMax; a field so tests can rule the fallback out or in
 	timer    *time.Timer   // the fallback timer, created on first use (laneLoop only)
 
-	wmu    sync.Mutex  // serializes write/fsync/rotate on f
-	f      File        // active lane segment (guarded by wmu)
+	wmu    sync.Mutex  // serializes write/fsync/rotate on f; never held by Append
+	f      File        // active segment (guarded by wmu)
 	rot    uint64      // active segment's rotation counter (guarded by wmu)
 	chunks []laneChunk // collect scratch, reused across flushes (guarded by wmu)
 }
@@ -247,11 +253,10 @@ type laneChunk struct {
 type WAL struct {
 	dir  string
 	fs   FS
-	opts Options
-	mode Mode
+	opts Options // Mode normalized, FS filled in
 
 	shards []*shardLog
-	lane   *laneLog // non-nil iff mode == ModeShared
+	lanes  []*laneLog // Mode's shard sets: one lane owning every shard, or one per shard
 
 	appends       atomic.Uint64
 	bytesAppended atomic.Uint64
@@ -281,8 +286,11 @@ type fence struct {
 	commit Commit
 }
 
-// Mode reports the log's layout.
-func (w *WAL) Mode() Mode { return w.mode }
+// Lanes reports how many lanes the log has; a checkpoint covers one.
+func (w *WAL) Lanes() int { return len(w.lanes) }
+
+// LaneOf reports which lane owns shard.
+func (w *WAL) LaneOf(shard int) int { return w.shards[shard].lane.idx }
 
 // Append encodes one committed write set — shard, its per-shard
 // sequence number, and the entries in commit order — into the shard's
@@ -309,32 +317,21 @@ func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
 	s.appended = seq
 	s.pending++
 	delta := len(s.buf) - before
-	var c *Commit
-	if w.lane == nil {
-		c = s.cur
-	}
 	s.mu.Unlock()
 	w.appends.Add(1)
 	w.bytesAppended.Add(uint64(delta))
-	if w.lane != nil {
-		// Load the group ticket only after the record is staged: a
-		// flush that hands out the ticket we observe starts collecting
-		// after installing its successor, so it must see our record.
-		// Count the arrival before the wake-up, so the lane's re-check
-		// sees it. A lane blocked in awaitArrivals needs waking only by
-		// the arrival that completes its group (the fallback timer covers
-		// the rest); in any other state it needs to hear of every one.
-		staged := w.lane.staged.Add(1)
-		c = w.lane.cur.Load()
-		if !w.lane.waiting.Load() || staged >= w.lane.want.Load() {
-			select {
-			case w.lane.notify <- struct{}{}:
-			default:
-			}
-		}
-	} else {
+	// Load the group ticket only after the record is staged (the package
+	// doc's ordering argument), and count the arrival before the wake-up,
+	// so the lane's re-check sees it. A lane blocked in awaitArrivals
+	// needs waking only by the arrival that completes its group (the
+	// fallback timer covers the rest); in any other state it needs to
+	// hear of every one.
+	l := s.lane
+	staged := l.staged.Add(1)
+	c := l.cur.Load()
+	if !l.waiting.Load() || staged >= l.want.Load() {
 		select {
-		case s.notify <- struct{}{}:
+		case l.notify <- struct{}{}:
 		default:
 		}
 	}
@@ -344,59 +341,34 @@ func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
 	return c
 }
 
-// syncLoop is one shard's group-commit goroutine (per-shard mode): wake
-// on appends, flush the whole pending buffer with one write and one
-// fsync, release the batch. On a clean stop it flushes what remains;
-// after a failure or Abandon it just exits (the fence owns the pending
-// waiters).
-func (w *WAL) syncLoop(s *shardLog) {
-	defer w.wg.Done()
-	for {
-		select {
-		case <-s.notify:
-		case <-w.stopc:
-			if w.fenced.Load() == nil {
-				if err := w.flush(s); err != nil {
-					w.fail(err)
-				}
-			}
-			return
-		}
-		if err := w.flush(s); err != nil {
-			w.fail(err)
-			return
-		}
-	}
-}
-
-// laneLoop is the shared-mode group-commit goroutine: wake on appends
-// from any shard, let the group form (awaitArrivals), flush every staged
-// buffer with one fsync, release the whole store's batch. Every wake-up
-// leads to a collection, even one that finds nothing staged: a waiter
-// may hold the current ticket for a record an earlier flush already
-// carried, and only a collection closes that ticket.
-func (w *WAL) laneLoop() {
+// laneLoop is a lane's group-commit goroutine: wake on appends from any
+// of its shards, let the group form (awaitArrivals), flush every staged
+// buffer with one fsync, release the whole batch. Every wake-up leads to
+// a collection, even one that finds nothing staged: a waiter may hold
+// the current ticket for a record an earlier flush already carried, and
+// only a collection closes that ticket. On a clean stop it flushes what
+// remains; after a failure or Abandon it just exits (the fence owns the
+// pending waiters).
+func (w *WAL) laneLoop(l *laneLog) {
 	defer w.wg.Done()
 	for {
 		stopping := false
 		select {
-		case <-w.lane.notify:
+		case <-l.notify:
 			// Async mode parks nobody on a group, so there is nothing
 			// to form one for.
-			stopping = !w.opts.NoSync && w.awaitArrivals()
+			stopping = !w.opts.NoSync && w.awaitArrivals(l)
 		case <-w.stopc:
 			stopping = true
 		}
-		if stopping {
-			if w.fenced.Load() == nil {
-				if err := w.flushLane(); err != nil {
-					w.fail(err)
-				}
-			}
+		if stopping && w.fenced.Load() != nil {
 			return
 		}
-		if err := w.flushLane(); err != nil {
+		if err := w.flush(l); err != nil {
 			w.fail(err)
+			return
+		}
+		if stopping {
 			return
 		}
 	}
@@ -407,21 +379,17 @@ func (w *WAL) laneLoop() {
 const laneWaitMax = 2 * time.Millisecond
 
 // awaitArrivals holds the next collection until the group has formed:
-// until the staged count reaches the lane's expectation (want: what was
-// staged while the last group was in flight, plus one record per record
-// that group released — those writers are the ones about to come back).
-// It returns at once when the count is already there, which is always
-// the case for a lone serial writer and for the first group after Open.
-// Otherwise it raises waiting and blocks on the wake-up channel; from
-// then on each arriving appender compares the count itself and sends
-// the wake-up when it is reached (the flag goes up before the loop's own
-// re-check, so an arrival either is seen by that check or sees the flag).
-// The fallback timer, armed only on this blocking path and bounded by
-// the measured fsync cost, ends the wait when load has dropped and the
-// expected writers are not coming; the group then collected is smaller
-// and so is the next expectation. Reports whether the log is stopping.
-func (w *WAL) awaitArrivals() (stopping bool) {
-	l := w.lane
+// until the staged count reaches the lane's expectation (want, set by
+// releaseGroup). It returns at once when the count is already there,
+// which is always the case for a lone serial writer and for the first
+// group after Open. Otherwise it raises waiting and blocks on the
+// wake-up channel; from then on each arriving appender compares the
+// count itself and sends the wake-up when it is reached (the flag goes
+// up before the loop's own re-check, so an arrival either is seen by
+// that check or sees the flag). The fallback timer is armed only on this
+// blocking path; the group it ends is smaller, and so is the next
+// expectation. Reports whether the log is stopping.
+func (w *WAL) awaitArrivals(l *laneLog) (stopping bool) {
 	if l.staged.Load() >= l.want.Load() {
 		return false
 	}
@@ -452,78 +420,20 @@ func (w *WAL) awaitArrivals() (stopping bool) {
 	return false
 }
 
-// flush writes and fsyncs the shard's pending buffer as one group.
-func (w *WAL) flush(s *shardLog) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return w.flushLocked(s)
-}
-
-// flushLocked is flush with s.wmu already held (rotations flush before
-// switching files). The pending-buffer mutex is held only across the
-// swap, never across the I/O — that is the group-commit overlap.
-func (w *WAL) flushLocked(s *shardLog) error {
-	s.mu.Lock()
-	if len(s.buf) == 0 {
-		s.mu.Unlock()
-		return nil
-	}
-	buf := s.buf
-	g := s.cur
-	n := s.pending
-	target := s.appended
-	s.buf = s.spare[:0]
-	s.spare = nil
-	s.pending = 0
-	s.cur = &Commit{w: w, done: make(chan struct{})}
-	s.mu.Unlock()
-
-	_, werr := s.f.Write(buf)
-	var serr error
-	if werr == nil && !w.opts.NoSync {
-		t0 := time.Now()
-		serr = s.f.Sync()
-		w.fsyncHist.ObserveDuration(time.Since(t0))
-		w.fsyncs.Add(1)
-	}
-	err := werr
-	if err == nil {
-		err = serr
-	}
-	w.groupHist.Observe(uint64(n))
-	w.notePending(uint64(len(buf)))
-	if err == nil {
-		s.durable.Store(target)
-	} else {
-		err = fmt.Errorf("tkvwal: shard %d flush: %w", s.idx, err)
-	}
-
-	s.mu.Lock()
-	if s.spare == nil {
-		s.spare = buf[:0]
-	}
-	s.mu.Unlock()
-
-	g.err = err
-	close(g.done)
-	return err
-}
-
-// flushLane writes and fsyncs every shard's staged buffer as one group.
-func (w *WAL) flushLane() error {
-	l := w.lane
+// flush writes and fsyncs the staged buffers of the lane's shards as one
+// group.
+func (w *WAL) flush(l *laneLog) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	return w.flushLaneLocked()
+	return w.flushLocked(l)
 }
 
-// flushLaneLocked is flushLane with l.wmu held (lane rotations flush
-// before switching files). The ticket swap must happen before any
-// staged buffer is collected — see the package doc's ordering argument;
-// each shard's mutex is held only across its buffer swap, never across
-// the I/O.
-func (w *WAL) flushLaneLocked() error {
-	l := w.lane
+// flushLocked is flush with l.wmu held (rotations flush before switching
+// files). The ticket swap must happen before any staged buffer is
+// collected — see the package doc's ordering argument; each shard's
+// mutex is held only across its buffer swap, never across the I/O —
+// that is the group-commit overlap.
+func (w *WAL) flushLocked(l *laneLog) error {
 	// Take a pending wake-up with us, before the swap: whoever sent it
 	// (or found the channel full) loaded its ticket first, so it holds g
 	// or an older one, its record is collected below, and this flush is
@@ -540,7 +450,7 @@ func (w *WAL) flushLaneLocked() error {
 	chunks := l.chunks[:0]
 	total := 0
 	n := 0
-	for _, s := range w.shards {
+	for _, s := range l.shards {
 		s.mu.Lock()
 		if len(s.buf) > 0 {
 			chunks = append(chunks, laneChunk{s: s, buf: s.buf, n: s.pending, target: s.appended})
@@ -557,7 +467,7 @@ func (w *WAL) flushLaneLocked() error {
 	if total == 0 {
 		// Every record this ticket's waiters staged was collected (and
 		// made durable) by an earlier flush; the ack is already earned.
-		w.releaseLaneGroup(g, 0, nil)
+		l.releaseGroup(g, 0, nil)
 		return nil
 	}
 
@@ -588,7 +498,7 @@ func (w *WAL) flushLaneLocked() error {
 			ch.s.durable.Store(ch.target)
 		}
 	} else {
-		err = fmt.Errorf("tkvwal: lane flush: %w", err)
+		err = fmt.Errorf("tkvwal: lane %d flush: %w", l.idx, err)
 	}
 	for _, ch := range chunks {
 		ch.s.mu.Lock()
@@ -597,22 +507,22 @@ func (w *WAL) flushLaneLocked() error {
 		}
 		ch.s.mu.Unlock()
 	}
-	w.releaseLaneGroup(g, n, err)
+	l.releaseGroup(g, n, err)
 	return err
 }
 
-// releaseLaneGroup closes a lane group's ticket with its outcome and
-// sets the expectation for the next group: the n writers released here
-// are about to come back, on top of whatever was staged while the group
-// was in flight. The staged count is read before the close, so a
+// releaseGroup closes a group's ticket with its outcome and sets the
+// expectation for the next group: the n writers released here are about
+// to come back, on top of whatever was staged while the group was in
+// flight. The staged count is read before the close, so a
 // released writer that is already back is not counted twice — an
 // expectation one too low collects a record early, one too high would
 // wait for a writer who is not coming.
-func (w *WAL) releaseLaneGroup(g *Commit, n int, err error) {
-	inFlight := w.lane.staged.Load()
+func (l *laneLog) releaseGroup(g *Commit, n int, err error) {
+	inFlight := l.staged.Load()
 	g.err = err
 	close(g.done)
-	w.lane.want.Store(inFlight + int64(n))
+	l.want.Store(inFlight + int64(n))
 }
 
 // notePending raises the pending-bytes watermark to n if higher.
@@ -626,9 +536,8 @@ func (w *WAL) notePending(n uint64) {
 }
 
 // fail fences the log permanently: first failure wins, all current and
-// future waiters observe it, Failed() fires, sync loops stop. In shared
-// mode this is the one-fault-fences-all-shards property — there is only
-// one lane to fence.
+// future waiters observe it, Failed() fires, every lane loop stops — the
+// one-fault-fences-all-shards property, whichever lane took the fault.
 //
 // Ordering: the fence is published first and in one store. It carries
 // both the flag Append checks and the handle Append returns, so an
@@ -682,7 +591,7 @@ func (w *WAL) LastSeq(shard int) uint64 {
 	return s.appended
 }
 
-// Close flushes every shard and shuts the log down. Appends racing
+// Close flushes every lane and shuts the log down. Appends racing
 // Close are either flushed or report ErrClosed; none park forever.
 //
 // Ordering: flush first, fence second. The ErrClosed fence is the only
@@ -698,40 +607,15 @@ func (w *WAL) Close() error {
 	var err error
 	if w.fenced.Load() == nil {
 		// Catch stragglers that appended after the loops' final flush.
-		if w.lane != nil {
-			if ferr := w.flushLane(); ferr != nil {
-				w.fail(ferr)
-				err = ferr
-			}
-		} else {
-			for _, s := range w.shards {
-				if ferr := w.flush(s); ferr != nil {
-					w.fail(ferr)
-					err = ferr
-					break
-				}
+		for _, l := range w.lanes {
+			if err = w.flush(l); err != nil {
+				w.fail(err)
+				break
 			}
 		}
 	}
-	if w.lane != nil {
-		w.lane.wmu.Lock()
-		if w.lane.f != nil {
-			if cerr := w.lane.f.Close(); err == nil {
-				err = cerr
-			}
-			w.lane.f = nil
-		}
-		w.lane.wmu.Unlock()
-	}
-	for _, s := range w.shards {
-		s.wmu.Lock()
-		if s.f != nil {
-			if cerr := s.f.Close(); err == nil {
-				err = cerr
-			}
-			s.f = nil
-		}
-		s.wmu.Unlock()
+	if cerr := w.closeFiles(); err == nil {
+		err = cerr
 	}
 	w.fail(ErrClosed)
 	if err == nil {
@@ -752,20 +636,21 @@ func (w *WAL) Close() error {
 func (w *WAL) Abandon() {
 	w.fail(ErrAbandoned)
 	w.wg.Wait()
-	if w.lane != nil {
-		w.lane.wmu.Lock()
-		if w.lane.f != nil {
-			w.lane.f.Close()
-			w.lane.f = nil
+	w.closeFiles()
+}
+
+// closeFiles closes every lane's active segment and reports the first
+// failure.
+func (w *WAL) closeFiles() (err error) {
+	for _, l := range w.lanes {
+		l.wmu.Lock()
+		if l.f != nil {
+			if cerr := l.f.Close(); err == nil {
+				err = cerr
+			}
+			l.f = nil
 		}
-		w.lane.wmu.Unlock()
+		l.wmu.Unlock()
 	}
-	for _, s := range w.shards {
-		s.wmu.Lock()
-		if s.f != nil {
-			s.f.Close()
-			s.f = nil
-		}
-		s.wmu.Unlock()
-	}
+	return err
 }

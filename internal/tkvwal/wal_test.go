@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/shrink-tm/shrink/internal/tkvlog"
@@ -14,14 +15,12 @@ import (
 // replayKV replays recovered records into a map, the way the store's
 // recovery apply does: last write per key wins, tombstones delete.
 type replayKV struct {
-	m    map[uint64]string
-	recs int
+	m map[uint64]string
 }
 
 func newReplayKV() *replayKV { return &replayKV{m: make(map[uint64]string)} }
 
 func (r *replayKV) apply(rec *tkvlog.Record) error {
-	r.recs++
 	for _, e := range rec.Entries {
 		if e.Del {
 			delete(r.m, e.Key)
@@ -32,74 +31,109 @@ func (r *replayKV) apply(rec *tkvlog.Record) error {
 	return nil
 }
 
-func openT(t *testing.T, dir string, shards int, apply func(*tkvlog.Record) error) *WAL {
+func noApply(*tkvlog.Record) error { return nil }
+
+func openMode(t *testing.T, dir string, mode Mode, shards int, apply func(*tkvlog.Record) error) *WAL {
 	t.Helper()
-	if apply == nil {
-		apply = func(*tkvlog.Record) error { return nil }
-	}
-	w, err := Open(Options{Dir: dir, Shards: shards}, apply)
+	w, err := Open(Options{Dir: dir, Shards: shards, Mode: mode}, apply)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
 }
 
-func TestAppendRecoverRoundTrip(t *testing.T) {
+// checkRecovered compares what a reopened log replayed, and the
+// watermarks it resumes from, with the expected fold.
+func checkRecovered(t *testing.T, label string, w *WAL, kv *replayKV, want map[uint64]string, last []uint64) {
+	t.Helper()
+	if len(kv.m) != len(want) {
+		t.Fatalf("%s: recovered %d keys, want %d", label, len(kv.m), len(want))
+	}
+	for k, v := range want {
+		if kv.m[k] != v {
+			t.Fatalf("%s: key %d got %q want %q", label, k, kv.m[k], v)
+		}
+	}
+	for sh, seq := range last {
+		if got := w.LastSeq(sh); got != seq {
+			t.Fatalf("%s: shard %d recovered seq %d want %d", label, sh, got, seq)
+		}
+	}
+}
+
+// listFiles returns the directory's names that parse under format
+// (segFmt or ckptFmt), in rotation order per lane.
+func listFiles(t *testing.T, dir, format string) []string {
+	t.Helper()
+	names, err := OSFS{}.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, name := range names {
+		if _, _, ok := parseLaneFile(format, name); ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+func TestAppendRecoverRoundTrip(t *testing.T) { proveRoundTrip(t, ModePerShard) }
+func TestSharedLaneRoundTrip(t *testing.T)    { proveRoundTrip(t, ModeShared) }
+
+func proveRoundTrip(t *testing.T, mode Mode) {
+	const shards = 4
 	dir := t.TempDir()
-	w := openT(t, dir, 2, nil)
-	var seq [2]uint64
+	w := openMode(t, dir, mode, shards, noApply)
+	seq := make([]uint64, shards)
 	want := map[uint64]string{}
 	for i := 0; i < 100; i++ {
-		sh := i % 2
+		sh := i % shards
 		seq[sh]++
-		key := uint64(i)
 		val := fmt.Sprintf("v%d", i)
-		c := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: key, Val: val}})
-		if err := c.Wait(); err != nil {
+		if err := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(i), Val: val}}).Wait(); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
-		want[key] = val
+		want[uint64(i)] = val
 	}
 	// Delete a few through the log too.
-	for i := 0; i < 10; i++ {
-		sh := i % 2
+	for i := 0; i < 12; i++ {
+		sh := i % shards
 		seq[sh]++
-		c := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(i), Del: true}})
-		if err := c.Wait(); err != nil {
+		if err := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(i), Del: true}}).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		delete(want, uint64(i))
 	}
 	st := w.Stats()
-	if st.Appends != 110 {
-		t.Fatalf("appends %d", st.Appends)
+	if st.Mode != mode || st.Appends != 112 {
+		t.Fatalf("mode %q appends %d", st.Mode, st.Appends)
 	}
-	for sh := 0; sh < 2; sh++ {
+	if st.BytesAppended == 0 || st.PendingPeakBytes == 0 {
+		t.Fatalf("byte accounting missing: %+v", st)
+	}
+	for sh := 0; sh < shards; sh++ {
 		if st.Shards[sh].Durable != seq[sh] {
 			t.Fatalf("shard %d durable %d want %d", sh, st.Shards[sh].Durable, seq[sh])
 		}
+	}
+	// One segment per lane and nothing else: the layout is the shard sets.
+	wantLanes := 1
+	if mode == ModePerShard {
+		wantLanes = shards
+	}
+	if n := len(listFiles(t, dir, segFmt)); n != wantLanes || w.Lanes() != wantLanes {
+		t.Fatalf("%d segments, %d lanes, want %d of each", n, w.Lanes(), wantLanes)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	kv := newReplayKV()
-	w2 := openT(t, dir, 2, kv.apply)
+	w2 := openMode(t, dir, mode, shards, kv.apply)
 	defer w2.Close()
-	if len(kv.m) != len(want) {
-		t.Fatalf("recovered %d keys, want %d", len(kv.m), len(want))
-	}
-	for k, v := range want {
-		if kv.m[k] != v {
-			t.Fatalf("key %d: got %q want %q", k, kv.m[k], v)
-		}
-	}
-	for sh := 0; sh < 2; sh++ {
-		if got := w2.LastSeq(sh); got != seq[sh] {
-			t.Fatalf("shard %d recovered seq %d want %d", sh, got, seq[sh])
-		}
-	}
-	if rs := w2.Stats().Recovery; rs.Replayed != 110 || rs.TruncatedBytes != 0 {
+	checkRecovered(t, "reopen", w2, kv, want, seq)
+	if rs := w2.Stats().Recovery; rs.Replayed != 112 || rs.TruncatedBytes != 0 {
 		t.Fatalf("recovery stats: %+v", rs)
 	}
 }
@@ -110,191 +144,201 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 // staged, so the shape is exact: two fsyncs for eight appends, the
 // second covering seven.
 func TestGroupCommit(t *testing.T) {
-	w, g := openGated(t, ModePerShard, 1)
-	first := w.Append(0, 1, []tkvlog.Entry{{Key: 1, Val: "x"}})
-	g.next(t)
-	var rest []*Commit
-	for seq := uint64(2); seq <= 8; seq++ {
-		rest = append(rest, w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "x"}}))
-	}
-	g.finish(nil)
-	if err := first.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	g.next(t)
-	select {
-	case <-rest[0].done:
-		t.Fatal("acked before its group's fsync returned")
-	default:
-	}
-	g.finish(nil)
-	for _, c := range rest {
-		if err := c.Wait(); err != nil {
+	eachMode(t, func(t *testing.T, mode Mode) {
+		w, g := openGated(t, mode, 1)
+		first := w.Append(0, 1, []tkvlog.Entry{{Key: 1, Val: "x"}})
+		g.next(t)
+		var rest []*Commit
+		for seq := uint64(2); seq <= 8; seq++ {
+			rest = append(rest, w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "x"}}))
+		}
+		g.finish(nil)
+		if err := first.Wait(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	st := w.Stats()
-	if st.Appends != 8 || st.Fsyncs != 2 || st.GroupMax != 7 {
-		t.Fatalf("appends %d fsyncs %d group max %d, want 8, 2, 7", st.Appends, st.Fsyncs, st.GroupMax)
-	}
-}
-
-// TestTornTailTruncated cuts the active segment mid-record and checks
-// recovery keeps the intact prefix, truncates the tear, and reports it.
-func TestTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	w := openT(t, dir, 1, nil)
-	for i := uint64(1); i <= 5; i++ {
-		if err := w.Append(0, i, []tkvlog.Entry{{Key: i, Val: strings.Repeat("v", 100)}}).Wait(); err != nil {
-			t.Fatal(err)
+		if got := g.next(t); got != 7 {
+			t.Fatalf("second group: %d records, want the 7 staged behind the first fsync", got)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the newest segment mid-record.
-	segs := listSegs(t, dir)
-	last := segs[len(segs)-1]
-	info, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, info.Size()-30); err != nil {
-		t.Fatal(err)
-	}
-
-	kv := newReplayKV()
-	w2 := openT(t, dir, 1, kv.apply)
-	defer w2.Close()
-	rs := w2.Stats().Recovery
-	if rs.Replayed != 4 || rs.TruncatedBytes == 0 {
-		t.Fatalf("recovery stats: %+v", rs)
-	}
-	if len(kv.m) != 4 {
-		t.Fatalf("recovered %d keys, want 4 (torn record 5 dropped)", len(kv.m))
-	}
-	if got := w2.LastSeq(0); got != 4 {
-		t.Fatalf("recovered seq %d want 4", got)
-	}
-	// The shard keeps going from the truncated watermark.
-	if err := w2.Append(0, 5, []tkvlog.Entry{{Key: 5, Val: "again"}}).Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCorruptRefusesToStart flips a byte in the middle of a segment:
-// recovery must refuse rather than silently skip committed data.
-func TestCorruptRefusesToStart(t *testing.T) {
-	dir := t.TempDir()
-	w := openT(t, dir, 1, nil)
-	for i := uint64(1); i <= 5; i++ {
-		if err := w.Append(0, i, []tkvlog.Entry{{Key: i, Val: strings.Repeat("v", 100)}}).Wait(); err != nil {
-			t.Fatal(err)
+		select {
+		case <-rest[0].done:
+			t.Fatal("acked before its group's fsync returned")
+		default:
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs := listSegs(t, dir)
-	last := segs[len(segs)-1]
-	data, err := os.ReadFile(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x5a
-	if err := os.WriteFile(last, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(Options{Dir: dir, Shards: 1}, func(*tkvlog.Record) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "refusing to start") {
-		t.Fatalf("corrupt segment accepted: %v", err)
-	}
+		g.finish(nil)
+		for _, c := range rest {
+			if err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := w.Stats()
+		if st.Appends != 8 || st.Fsyncs != 2 || st.GroupMax != 7 {
+			t.Fatalf("appends %d fsyncs %d group max %d, want 8, 2, 7", st.Appends, st.Fsyncs, st.GroupMax)
+		}
+	})
 }
 
-func TestCheckpointTruncatesLog(t *testing.T) {
+func TestCheckpointTruncatesLog(t *testing.T) { proveCheckpointTruncates(t, ModePerShard) }
+func TestSharedCheckpointLane(t *testing.T)   { proveCheckpointTruncates(t, ModeShared) }
+
+// proveCheckpointTruncates drives the checkpoint of every lane: after
+// it only each lane's fresh segment and newest checkpoint remain,
+// recovery restores from the checkpoints with nothing to replay, and a
+// checkpoint with nothing appended since is a no-op unless forced.
+func proveCheckpointTruncates(t *testing.T, mode Mode) {
+	const shards = 2
 	dir := t.TempDir()
-	w := openT(t, dir, 1, nil)
-	model := map[uint64]string{}
-	var seq uint64
+	w := openMode(t, dir, mode, shards, noApply)
+	model := [shards]map[uint64]string{{}, {}}
+	seq := make([]uint64, shards)
 	put := func(k uint64, v string) {
-		seq++
-		if err := w.Append(0, seq, []tkvlog.Entry{{Key: k, Val: v}}).Wait(); err != nil {
+		sh := int(k % shards)
+		seq[sh]++
+		if err := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: k, Val: v}}).Wait(); err != nil {
 			t.Fatal(err)
 		}
-		model[k] = v
+		model[sh][k] = v
 	}
-	for i := uint64(0); i < 50; i++ {
-		put(i, fmt.Sprintf("v%d", i))
-	}
-	cut := func() ([]tkvlog.Entry, uint64, error) {
-		entries := make([]tkvlog.Entry, 0, len(model))
-		for k, v := range model {
+	cut := func(sh int) ([]tkvlog.Entry, uint64, error) {
+		entries := make([]tkvlog.Entry, 0, len(model[sh]))
+		for k, v := range model[sh] {
 			entries = append(entries, tkvlog.Entry{Key: k, Val: v})
 		}
-		return entries, seq, nil
+		return entries, seq[sh], nil
 	}
-	if err := w.Checkpoint(0, cut); err != nil {
-		t.Fatal(err)
+	checkpointAll := func(force bool, wantTotal uint64) {
+		t.Helper()
+		for lane := 0; lane < w.Lanes(); lane++ {
+			if err := w.Checkpoint(lane, cut, force); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := w.Stats().Checkpoints; got != wantTotal {
+			t.Fatalf("%d checkpoints ran, want %d", got, wantTotal)
+		}
+		segs, ckpts := listFiles(t, dir, segFmt), listFiles(t, dir, ckptFmt)
+		if len(segs) != w.Lanes() || len(ckpts) != w.Lanes() {
+			t.Fatalf("after checkpoint: segments %v checkpoints %v, want one of each per lane", segs, ckpts)
+		}
 	}
-	// Pre-checkpoint segments are gone; more appends land in the fresh one.
-	if n := len(listSegs(t, dir)); n != 1 {
-		t.Fatalf("%d segments after checkpoint, want 1", n)
+	lanes := uint64(w.Lanes())
+	for i := uint64(0); i < 60; i++ {
+		put(i, fmt.Sprintf("v%d", i))
+	}
+	checkpointAll(false, lanes)
+	if w.Stats().CheckpointAgeSec < 0 {
+		t.Fatal("no checkpoint age after a checkpoint")
 	}
 	for i := uint64(100); i < 120; i++ {
 		put(i, "tail")
 	}
-	st := w.Stats()
-	if st.Checkpoints != 1 || st.CheckpointAgeSec < 0 {
-		t.Fatalf("checkpoint stats: %+v", st)
-	}
-	// A second checkpoint with nothing new after it is a no-op.
-	if err := w.Checkpoint(0, cut); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Checkpoint(0, cut); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Stats().Checkpoints; got != 2 {
-		t.Fatalf("idle checkpoint ran: %d", got)
-	}
+	checkpointAll(false, 2*lanes)
+	checkpointAll(false, 2*lanes) // nothing appended: a no-op
+	checkpointAll(true, 3*lanes)  // unless forced
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	kv := newReplayKV()
-	w2 := openT(t, dir, 1, kv.apply)
+	w2 := openMode(t, dir, mode, shards, kv.apply)
 	defer w2.Close()
 	rs := w2.Stats().Recovery
-	if rs.CheckpointEntries == 0 {
-		t.Fatalf("no checkpoint replayed: %+v", rs)
+	if rs.CheckpointEntries != 80 || rs.Replayed != 0 {
+		t.Fatalf("want 80 entries from checkpoints and a log truncated up to them: %+v", rs)
 	}
-	if len(kv.m) != len(model) {
-		t.Fatalf("recovered %d keys, want %d", len(kv.m), len(model))
-	}
-	for k, v := range model {
-		if kv.m[k] != v {
-			t.Fatalf("key %d: got %q want %q", k, kv.m[k], v)
+	want := map[uint64]string{}
+	for _, m := range model {
+		for k, v := range m {
+			want[k] = v
 		}
 	}
-	if got := w2.LastSeq(0); got != seq {
-		t.Fatalf("recovered seq %d want %d", got, seq)
-	}
+	checkRecovered(t, "reopen", w2, kv, want, seq)
 }
 
+// The MANIFEST pins the shard count, and (next test) the layout.
 func TestManifestPinsShards(t *testing.T) {
+	eachMode(t, func(t *testing.T, mode Mode) {
+		dir := t.TempDir()
+		if err := openMode(t, dir, mode, 4, noApply).Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(Options{Dir: dir, Shards: 8, Mode: mode}, noApply)
+		if err == nil || !strings.Contains(err.Error(), "shards") {
+			t.Fatalf("shard mismatch accepted: %v", err)
+		}
+	})
+}
+
+func TestSharedManifestPinsMode(t *testing.T) {
+	eachMode(t, func(t *testing.T, mode Mode) {
+		dir := t.TempDir()
+		if err := openMode(t, dir, mode, 2, noApply).Close(); err != nil {
+			t.Fatal(err)
+		}
+		other := map[Mode]Mode{ModePerShard: ModeShared, ModeShared: ModePerShard}[mode]
+		_, err := Open(Options{Dir: dir, Shards: 2, Mode: other}, noApply)
+		if err == nil || !strings.Contains(err.Error(), "mode") {
+			t.Fatalf("%s open of a %s dir accepted: %v", other, mode, err)
+		}
+	})
+}
+
+// failManifestFS fails the next read-only open of the MANIFEST, once.
+type failManifestFS struct {
+	OSFS
+	armed atomic.Bool
+}
+
+func (f *failManifestFS) Open(name string) (File, error) {
+	if filepath.Base(name) == manifestName && f.armed.CompareAndSwap(true, false) {
+		return nil, errors.New("injected EIO")
+	}
+	return f.OSFS.Open(name)
+}
+
+// TestManifestRefusals: a MANIFEST that cannot be read, is version 1, or
+// carries an unknown version refuses Open with the cause named and is
+// left untouched — one failed read must not let other options re-pin
+// the directory. Only a MANIFEST that does not exist is created.
+func TestManifestRefusals(t *testing.T) {
 	dir := t.TempDir()
-	w := openT(t, dir, 4, nil)
-	if err := w.Close(); err != nil {
+	if err := openMode(t, dir, ModePerShard, 8, noApply).Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(Options{Dir: dir, Shards: 8}, func(*tkvlog.Record) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("shard mismatch accepted: %v", err)
+	path := filepath.Join(dir, manifestName)
+	pin, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuses := func(opts Options, cause, body string) {
+		t.Helper()
+		opts.Dir = dir
+		if _, err := Open(opts, noApply); err == nil || !strings.Contains(err.Error(), cause) {
+			t.Fatalf("Open = %v, want a refusal naming %q", err, cause)
+		}
+		if got, _ := os.ReadFile(path); string(got) != body {
+			t.Fatalf("the refused open rewrote the manifest: %s -> %s", body, got)
+		}
+	}
+	fs := &failManifestFS{}
+	fs.armed.Store(true)
+	refuses(Options{Shards: 4, Mode: ModeShared, FS: fs}, "manifest unreadable", string(pin))
+	for _, v := range []int{1, 7} {
+		body := fmt.Sprintf(`{"version":%d,"shards":8,"lane":"pershard"}`, v)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refuses(Options{Shards: 8}, fmt.Sprintf("manifest version %d", v), body)
+	}
+	if err := os.WriteFile(path, pin, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := openMode(t, dir, ModePerShard, 8, noApply).Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestAppendAfterCloseIsFenced(t *testing.T) {
-	w := openT(t, t.TempDir(), 1, nil)
+	w := openMode(t, t.TempDir(), ModePerShard, 1, noApply)
 	if err := w.Append(0, 1, []tkvlog.Entry{{Key: 1, Val: "v"}}).Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -310,32 +354,18 @@ func TestAppendAfterCloseIsFenced(t *testing.T) {
 	}
 }
 
-func listSegs(t *testing.T, dir string) []string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var segs []string
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), "wal-") && strings.HasSuffix(e.Name(), ".log") {
-			segs = append(segs, filepath.Join(dir, e.Name()))
-		}
-	}
-	return segs
-}
+func TestNoSyncMode(t *testing.T)       { proveNoSync(t, ModePerShard) }
+func TestSharedNoSyncMode(t *testing.T) { proveNoSync(t, ModeShared) }
 
-func TestNoSyncMode(t *testing.T) {
+func proveNoSync(t *testing.T, mode Mode) {
 	dir := t.TempDir()
-	w, err := Open(Options{Dir: dir, Shards: 1, NoSync: true}, func(*tkvlog.Record) error { return nil })
+	w, err := Open(Options{Dir: dir, Shards: 2, Mode: mode, NoSync: true}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 10; i++ {
-		if c := w.Append(0, i, []tkvlog.Entry{{Key: i, Val: "v"}}); c != nil {
-			if err := c.Wait(); err != nil {
-				t.Fatal(err)
-			}
+		if c := w.Append(int(i%2), (i+1)/2, []tkvlog.Entry{{Key: i, Val: "v"}}); c != nil {
+			t.Fatalf("async append %d returned a handle to park on", i)
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -345,28 +375,31 @@ func TestNoSyncMode(t *testing.T) {
 		t.Fatalf("async mode fsynced %d times", got)
 	}
 	kv := newReplayKV()
-	w2 := openT(t, dir, 1, kv.apply)
+	w2 := openMode(t, dir, mode, 2, kv.apply)
 	defer w2.Close()
 	if len(kv.m) != 10 {
 		t.Fatalf("clean close in async mode lost records: %d of 10", len(kv.m))
 	}
 }
 
-// BenchmarkWalAppend is the hot-path allocation gate: enqueueing a
-// record into the group-commit buffer must stay at or below one
-// allocation per op (the amortized group handle), like the repl ring.
-// CI greps for " 0 allocs/op" or " 1 allocs/op".
+// BenchmarkWalAppend is the hot-path allocation gate: staging a record
+// runs under the write paths' exclusive stripes and must stay at 0
+// allocs/op in both layouts, though the durability ticket is shared by
+// every shard of a lane. CI greps each mode= line for " 0 allocs/op".
 func BenchmarkWalAppend(b *testing.B) {
-	w, err := Open(Options{Dir: b.TempDir(), Shards: 1, NoSync: true},
-		func(*tkvlog.Record) error { return nil })
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	entries := []tkvlog.Entry{{Key: 1, Val: "value-one"}, {Key: 2, Val: "value-two"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Append(0, uint64(i+1), entries)
+	for _, mode := range []Mode{ModePerShard, ModeShared} {
+		b.Run("mode="+string(mode), func(b *testing.B) {
+			w, err := Open(Options{Dir: b.TempDir(), Shards: 4, Mode: mode, NoSync: true}, noApply)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Close()
+			entries := []tkvlog.Entry{{Key: 1, Val: "value-one"}, {Key: 2, Val: "value-two"}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Append(i&3, uint64(i+1), entries)
+			}
+		})
 	}
 }
