@@ -90,22 +90,27 @@
 // path on the stack, and its repair loop climbs that path only while a
 // violation persists, so it reads the path plus a constant number of
 // neighbours and writes only what changes — two updates conflict where
-// they meet in the tree, not at the root. A node is one allocation (its
-// variables are TVars laid out by value, stm.TVar.InitRef), and links
-// and colours publish existing immutable cells, so only a new key's node
-// and a written value allocate. The hash map (stmds.HashMap, tkv's data
-// plane), the sorted list and the fixed array are laid out the same way:
-// bucket and cell vars by value in the table's one slice, a node's vars in
-// the node, so a key costs one 64-byte object besides its value and a
-// lookup is bucket slot, node, value cell.
+// they meet in the tree, not at the root. A var is two words, the orec
+// and the value pointer (its identity, for the Bloom-filter predictors, is
+// its address), and a node is one allocation of 80 bytes (its variables
+// are TVars laid out by value, stm.TVar.InitRef, the two links first), and
+// links and colours publish existing immutable cells, so only a new key's
+// node and a written value allocate. The hash map (stmds.HashMap, tkv's
+// data plane), the sorted list and the fixed array are laid out the same
+// way: bucket and cell vars by value in the table's one slice, a node's
+// vars in the node, so a key costs one 48-byte object besides its value,
+// a bucket 16 bytes, and a lookup is bucket slot, node, value cell.
 //
 // Read-only transactions have a dedicated snapshot mode
 // (Thread.AtomicallyRO with stm.ReadTRO, the TL2/LSA-style read-only
 // path): the body runs against a snapshot timestamp fixed at begin, every
-// read validates inline (unlocked and version at most the snapshot), and
-// there is no read log, no commit-phase work and no atomic
+// read validates inline (unlocked and version at most the snapshot; the
+// check is small enough that the compiler inlines it into the traversal
+// loops), and there is no read log, no commit-phase work and no atomic
 // read-modify-write on the global clock — a read that meets a newer
-// version restarts the body on a fresh snapshot. The mode cannot be used
+// version or a held lock ends the attempt, and the retry path, not the
+// read, waits for the writer before the body restarts on a fresh
+// snapshot. The mode cannot be used
 // by transactions that write: a write inside AtomicallyRO fails with
 // stm.ErrReadOnlyWrite without retry, and the caller reruns under the
 // update path (there is no transparent promotion — without a read log the

@@ -75,7 +75,7 @@ type Predictor struct {
 	activeRead  map[*stm.Var]struct{}
 	buildRead   map[*stm.Var]struct{}
 	activeWrite []*stm.Var
-	curReadIDs  map[uint64]struct{}   // reads of the running transaction, for accuracy
+	curRead     map[*stm.Var]struct{} // reads of the running transaction, for accuracy
 	scoreSet    map[*stm.Var]struct{} // scratch for scoreWritePrediction, reused
 
 	stats AccuracyStats
@@ -127,7 +127,7 @@ func New(cfg Config) *Predictor {
 		window:     bloom.NewWindow(cfg.LocalityWindow, cfg.FilterBits, cfg.FilterHashes),
 		activeRead: make(map[*stm.Var]struct{}),
 		buildRead:  make(map[*stm.Var]struct{}),
-		curReadIDs: make(map[uint64]struct{}),
+		curRead:    make(map[*stm.Var]struct{}),
 	}
 }
 
@@ -137,10 +137,10 @@ func New(cfg Config) *Predictor {
 // accumulated, and if it crosses the threshold the address enters the
 // predicted read set being built for the thread's next transaction.
 func (p *Predictor) OnRead(v *stm.Var) {
-	id := v.ID()
 	if p.cfg.TrackAccuracy {
-		p.curReadIDs[id] = struct{}{}
+		p.curRead[v] = struct{}{}
 	}
+	id := v.ID()
 	cur := p.window.At(0)
 	if cur.Contains(id) {
 		return
@@ -170,12 +170,12 @@ func (p *Predictor) OnCommit(writeSet stm.WriteSet) {
 	if p.cfg.TrackAccuracy {
 		for v := range p.activeRead {
 			p.stats.ReadPredicted++
-			if _, ok := p.curReadIDs[v.ID()]; ok {
+			if _, ok := p.curRead[v]; ok {
 				p.stats.ReadHits++
 			}
 		}
 		p.scoreWritePrediction(writeSet)
-		clear(p.curReadIDs)
+		clear(p.curRead)
 	}
 	p.activeWrite = p.activeWrite[:0]
 

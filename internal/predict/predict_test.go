@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -190,5 +191,63 @@ func TestConfidenceThresholdGates(t *testing.T) {
 	}
 	if p.PredictedReadSetSize() != 0 {
 		t.Fatal("prediction made despite unreachable confidence threshold")
+	}
+}
+
+// TestAccuracyIndependentOfVarPlacement: a Var's identity is its address,
+// so the numbers the Bloom filters hash are whatever the allocator hands out
+// — multiples of 16, and consecutive ones for vars laid out by value in a
+// node or a table. The same access pattern must score the same whichever
+// vars carry it: separate objects, or neighbours in one slice. (The filters
+// are made large enough that a chance false positive, which would depend on
+// the addresses of the run, does not decide the test; a hash that failed to
+// spread aligned, adjacent addresses would still collide in them.)
+func TestAccuracyIndependentOfVarPlacement(t *testing.T) {
+	const pool = 256
+	scattered := makeVars(pool)
+	table := make([]stm.TVar[int], pool)
+	adjacent := make([]*stm.Var, pool)
+	for i := range table {
+		adjacent[i] = table[i].Word()
+	}
+
+	run := func(vars []*stm.Var) AccuracyStats {
+		cfg := testConfig()
+		cfg.FilterBits = 1 << 16
+		p := New(cfg)
+		rng := rand.New(rand.NewSource(7))
+		pick := func(idx []int) []*stm.Var {
+			vs := make([]*stm.Var, len(idx))
+			for i, j := range idx {
+				vs[i] = vars[j%pool]
+			}
+			return vs
+		}
+		for tx := 0; tx < 200; tx++ {
+			// A window that slides by one every other transaction, two
+			// reads from anywhere, two writes near the window.
+			base := tx / 2
+			reads := pick([]int{base, base + 1, base + 2, base + 3, base + 4, base + 5, rng.Intn(pool), rng.Intn(pool)})
+			writes := pick([]int{base + rng.Intn(3), base + 3 + rng.Intn(3)})
+			if tx%5 == 4 {
+				// An aborted first attempt: its write set predicts the
+				// restart's, which repeats one of the two.
+				for _, v := range reads {
+					p.OnRead(v)
+				}
+				p.OnAbort(stm.MakeWriteSet(writes...))
+				writes[1] = vars[(base+7)%pool]
+			}
+			commitTx(p, reads, writes)
+		}
+		return p.Stats()
+	}
+
+	a, b := run(scattered), run(adjacent)
+	if a != b {
+		t.Fatalf("same pattern, different scores:\n  separate objects %+v\n  one slice        %+v", a, b)
+	}
+	if a.ReadPredicted == 0 || a.ReadHits == 0 || a.ReadHits == a.ReadPredicted || a.WritePredicted == 0 || a.WriteHits == 0 || a.WriteHits == a.WritePredicted {
+		t.Fatalf("the pattern should both hit and miss on reads and writes: %+v", a)
 	}
 }

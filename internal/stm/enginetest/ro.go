@@ -20,6 +20,7 @@ func runRO(t *testing.T, factory Factory) {
 	t.Run("ROWriteRejected", func(t *testing.T) { testROWriteRejected(t, factory) })
 	t.Run("ROSnapshotRestart", func(t *testing.T) { testROSnapshotRestart(t, factory) })
 	t.Run("ROLockedWriterNotObserved", func(t *testing.T) { testROLockedWriter(t, factory) })
+	t.Run("ROParkedWriterEndsTheAttempt", func(t *testing.T) { testROParkedWriter(t, factory) })
 	t.Run("ROInvariantPairNeverTorn", func(t *testing.T) { testROInvariantPair(t, factory) })
 	t.Run("RONeverReadsAbortedWrite", func(t *testing.T) { testRONeverReadsAborted(t, factory) })
 	t.Run("RONestedSelfLockFails", func(t *testing.T) { testRONestedSelfLock(t, factory) })
@@ -194,6 +195,67 @@ func testROLockedWriter(t *testing.T, factory Factory) {
 	}
 }
 
+// testROParkedWriter pins where an RO reader waits for a writer: not inside
+// the read. A writer is parked holding v's lock for as long as the reader's
+// first attempt lasts, so that attempt must end at v — with an abort, not a
+// value: under tiny the speculative 42 already sits in the Var — and the
+// reader waits in the retry path, where the release (sent only after the
+// first read has failed) lets a later attempt return what was committed.
+func testROParkedWriter(t *testing.T, factory Factory) {
+	tm := factory(nil, nil, stm.WaitPreemptive)
+	reader := tm.Register("ro")
+	writer := tm.Register("w")
+	v := stm.NewT[int64](1)
+	locked := make(chan struct{})
+	release := make(chan struct{})
+	var lockOnce, releaseOnce sync.Once
+	writerDone := make(chan error, 1)
+	go func() {
+		writerDone <- writer.Atomically(func(tx stm.Tx) error {
+			if err := stm.WriteT(tx, v, int64(42)); err != nil {
+				return err
+			}
+			lockOnce.Do(func() { close(locked) })
+			<-release
+			return nil
+		})
+	}()
+	<-locked
+	attempts := 0
+	var got int64
+	err := reader.AtomicallyRO(func(tx *stm.ROTx) error {
+		attempts++
+		n, err := stm.ReadTRO(tx, v)
+		if err != nil {
+			if n != 0 {
+				t.Errorf("attempt %d: failed read returned %d beside its error", attempts, n)
+			}
+			if !errors.Is(err, stm.ErrConflict) {
+				t.Errorf("attempt %d: read of a var locked by another thread: err = %v, want ErrConflict", attempts, err)
+			}
+			releaseOnce.Do(func() { close(release) })
+		}
+		got = n
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-writerDone; err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	if got != 42 {
+		t.Fatalf("RO read = %d, want 42: the var stayed locked until the first attempt failed, so only the committed value can follow", got)
+	}
+	if attempts < 2 {
+		t.Fatalf("body ran %d times, want >= 2", attempts)
+	}
+	ctx := reader.Ctx()
+	if a, ua := ctx.Aborts.Load(), ctx.UserAborts.Load(); a < 1 || ua != 0 {
+		t.Fatalf("reader Aborts = %d, UserAborts = %d, want >= 1 and 0", a, ua)
+	}
+}
+
 // testRONeverReadsAborted races readers against transactions that write and
 // then user-abort: no reader, snapshot-mode or update-path, may ever return
 // the aborted speculative value. Under a write-through engine (tiny) the
@@ -272,18 +334,26 @@ func testRONestedSelfLock(t *testing.T, factory Factory) {
 	tm := factory(nil, nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewT[int64](5)
+	attempts := 0
 	err := th.Atomically(func(tx stm.Tx) error {
 		if err := stm.WriteT(tx, v, 6); err != nil {
 			return err
 		}
 		// Illegal: same thread, RO transaction over the locked var.
 		return th.AtomicallyRO(func(ro *stm.ROTx) error {
+			attempts++
 			_, err := stm.ReadTRO(ro, v)
 			return err
 		})
 	})
 	if !errors.Is(err, stm.ErrReadOnlyNested) {
 		t.Fatalf("err = %v, want ErrReadOnlyNested", err)
+	}
+	// A user abort, decided on the first attempt: one for the RO call, one
+	// for the update transaction it took down, and nothing retried.
+	ctx := th.Ctx()
+	if a, ua := ctx.Aborts.Load(), ctx.UserAborts.Load(); attempts != 1 || a != 0 || ua != 2 {
+		t.Fatalf("RO body ran %d times, Aborts = %d, UserAborts = %d; want 1, 0, 2", attempts, a, ua)
 	}
 	var got int64
 	if err := th.AtomicallyRO(func(tx *stm.ROTx) error {

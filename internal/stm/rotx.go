@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -25,18 +26,11 @@ var ErrReadOnlyNested = errors.New("stm: read-only transaction read a var write-
 // The whole transaction runs against one snapshot timestamp taken from the
 // global clock at begin, and every read validates inline against it — the
 // value is consistent iff its Var is unlocked and its version is at most the
-// snapshot. That invariant makes a read log, commit-time validation and a
-// commit timestamp all unnecessary:
-//
-//   - no read log and no write index are maintained (reads touch only the
-//     Var itself);
-//   - commit is empty — there is nothing to validate and nothing to write
-//     back, so a read-only transaction never performs an atomic
-//     read-modify-write on the global clock (it only loads it once);
-//   - a read that observes a version newer than the snapshot aborts the
-//     attempt, and the retry re-fetches a fresh snapshot (the moral
-//     equivalent of the update path's timestamp extension, without the
-//     read-log revalidation that extension needs).
+// snapshot. So there is no read log and no write index (reads touch only the
+// Var itself); commit is empty, and the global clock is loaded once and
+// never written; and a read that observes a version newer than the snapshot
+// aborts the attempt, the retry taking a fresh snapshot (the update path's
+// timestamp extension without the read-log revalidation it needs).
 //
 // Opacity holds because a writer commits a Var only by unlocking it at the
 // commit timestamp, and commit timestamps are handed out by the shared
@@ -45,20 +39,22 @@ var ErrReadOnlyNested = errors.New("stm: read-only transaction read a var write-
 // cut. Locked Vars are never read (under the tiny engine's write-through
 // protocol the in-place value of a locked Var is speculative).
 //
-// ROTx implements the full Tx interface so existing read-side code composes
-// with it, but hot paths should call its concrete ReadPtr (or the typed
-// ReadTRO) directly: a concrete descriptor saves the interface dispatch on
-// every hop of a traversal loop. The call itself remains — ReadPtr is past
-// the compiler's inlining budget (cost 165 against 80).
+// Hot paths read through the typed ReadTRO, which inlines into the loop that
+// calls it and never waits: an attempt that meets a locked or too-new Var
+// ends there, and RunRO's retry path does the waiting. ROTx also implements
+// the full Tx interface, so existing read-side code composes with it; reads
+// that arrive that way (ReadPtr) wait for a locked Var in place.
 //
 // A read-only transaction takes no locks and never dooms another thread, so
 // it bypasses the scheduler and contention-manager hooks entirely; it can
-// abort only itself, and only because a concurrent writer committed past its
-// snapshot.
+// abort only itself.
 type ROTx struct {
 	core *Core
 	ctx  *ThreadCtx
 	snap uint64
+	// stopped is the Var that ended the attempt in ReadTRO. RunRO clears it
+	// before every attempt and takes it after, so it never outlives one.
+	stopped *Var
 }
 
 var _ Tx = (*ROTx)(nil)
@@ -82,22 +78,18 @@ func (tx *ROTx) ThreadID() int { return tx.ctx.ID }
 // the retry starts from a fresh snapshot.
 const roSpinBound = 128
 
-// ReadPtr implements Tx: the snapshot-mode read protocol. The Var's orec is
-// sampled around the pointer load; the read is consistent iff the Var is
-// unlocked and its version does not exceed the snapshot. Nothing is logged.
+// ReadPtr implements Tx: the snapshot-mode read protocol in full, for reads
+// that come through the interface. The Var's orec is sampled around the
+// pointer load; the read is consistent iff the Var is unlocked and its
+// version does not exceed the snapshot. Nothing is logged.
 func (tx *ROTx) ReadPtr(v *Var) (unsafe.Pointer, error) {
 	for {
 		p, meta := v.SnapshotPtr()
 		if IsLocked(meta) {
 			if OwnerOf(meta) == tx.ctx.ID {
-				// Locked by this thread's own enclosing update
-				// transaction; spinning would never terminate.
-				return nil, ErrReadOnlyNested
+				return nil, ErrReadOnlyNested // see RunRO
 			}
-			// A writer is mid-flight on this Var. Wait briefly for it
-			// to finish: if it commits at or before our snapshot (its
-			// commit timestamp predates our begin), the re-read will
-			// validate; otherwise the version check aborts us.
+			// Released at a version within our snapshot, it validates.
 			if tx.core.Wait.SpinWhileLocked(v, tx.ctx.ID, roSpinBound) {
 				continue
 			}
@@ -126,54 +118,72 @@ func (tx *ROTx) Read(v *Var) (any, error) {
 // Write implements Tx by rejecting the write, like WritePtr.
 func (tx *ROTx) Write(*Var, any) error { return ErrReadOnlyWrite }
 
-// ReadTRO is the typed read for read-only transactions: ReadT over the
-// concrete descriptor, so the snapshot validation is a direct call to
-// ReadPtr instead of one through the Tx interface (it does not inline; see
-// ROTx). The value moves as one unboxed pointer word, exactly like ReadT.
+// ReadTRO is the typed read for read-only transactions, kept under the
+// compiler's inlining budget (ci/inline_gate.sh holds it there) by holding
+// only the common case: the Var is unlocked, no newer than the snapshot, and
+// its orec did not move around the pointer load. Anything else ends the
+// attempt — the Var is left on the descriptor for RunRO, which see, and the
+// read returns ErrConflict. The value moves as one unboxed pointer word,
+// exactly like ReadT.
 func ReadTRO[T any](tx *ROTx, v *TVar[T]) (T, error) {
-	p, err := tx.ReadPtr(&v.word)
-	if err != nil {
-		var zero T
-		return zero, err
+	m := v.word.meta.Load()
+	p := atomic.LoadPointer(&v.word.val)
+	if m&lockBit == 0 && m>>verShift <= tx.snap && v.word.meta.Load() == m {
+		return *(*T)(p), nil
 	}
-	return *(*T)(p), nil
+	tx.stopped = &v.word
+	var zero T
+	return zero, ErrConflict
 }
 
 // RunRO executes fn as a read-only snapshot transaction on tx, retrying with
 // a fresh snapshot while reads conflict with concurrent writers: the shared
 // AtomicallyRO loop. There is no commit phase — a body that returns nil has
 // already observed a consistent snapshot — and no scheduler or
-// contention-manager bracketing (the transaction holds no locks, so it can
-// neither be an enemy nor name one). Commit/abort statistics are maintained
-// as on the update path, and MaxRetry bounds livelock against a write-heavy
-// antagonist the same way.
+// contention-manager bracketing. Commit/abort statistics and the MaxRetry
+// livelock bound work as on the update path.
+//
+// This is where a ReadTRO reader waits: the retry path looks once at the Var
+// that ended the attempt. Locked by this very thread (AtomicallyRO nested
+// inside an update transaction that wrote it) it cannot be released while
+// control is here, so the call fails with ErrReadOnlyNested, a user abort.
+// Locked by another thread, the writer gets a bounded spin to finish before
+// the fresh snapshot is taken; one merely newer than the snapshot, no wait.
 //
 // The thread's single descriptor is shared by nested AtomicallyRO calls, so
 // the caller's snapshot is saved and restored around the loop: an RO
-// transaction opened inside an RO body is simply its own (possibly newer)
-// snapshot transaction, and the outer body's remaining reads keep
-// validating against the outer snapshot.
+// transaction opened inside an RO body is its own (possibly newer) snapshot
+// transaction, and the outer body's remaining reads keep validating against
+// the outer snapshot.
 func (c *Core) RunRO(t *ThreadCtx, tx *ROTx, fn func(tx *ROTx) error) error {
 	outer := tx.snap
 	for attempt := 0; ; attempt++ {
 		tx.snap = c.Clock.Now()
+		tx.stopped = nil
 		err := fn(tx)
+		stopped := tx.stopped
+		tx.stopped = nil
 		if err == nil {
 			tx.snap = outer
 			t.Commits.Add(1)
 			return nil
 		}
-		if errors.Is(err, ErrConflict) {
-			t.Aborts.Add(1)
-			if c.MaxRetry > 0 && attempt+1 >= c.MaxRetry {
-				tx.snap = outer
-				return fmt.Errorf("%w after %d attempts", c.Livelock, attempt+1)
-			}
-			c.Wait.Backoff(attempt + 1)
-			continue
+		if stopped != nil && stopped.LockedBy(t.ID) && errors.Is(err, ErrConflict) {
+			err = ErrReadOnlyNested
 		}
-		tx.snap = outer
-		t.UserAborts.Add(1)
-		return err
+		if !errors.Is(err, ErrConflict) {
+			tx.snap = outer
+			t.UserAborts.Add(1)
+			return err
+		}
+		t.Aborts.Add(1)
+		if c.MaxRetry > 0 && attempt+1 >= c.MaxRetry {
+			tx.snap = outer
+			return fmt.Errorf("%w after %d attempts", c.Livelock, attempt+1)
+		}
+		if stopped != nil {
+			c.Wait.SpinWhileLocked(stopped, t.ID, roSpinBound)
+		}
+		c.Wait.Backoff(attempt + 1)
 	}
 }

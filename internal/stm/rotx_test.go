@@ -90,8 +90,9 @@ func TestROSnapshotMatchesClock(t *testing.T) {
 }
 
 // TestROMaxRetriesLivelock exhausts an RO transaction's retry budget against
-// a writer that holds the lock for the whole run: every attempt times out of
-// the bounded spin, and the engine's livelock sentinel surfaces.
+// a writer that holds the lock for the whole run: every attempt ends at the
+// locked var, the retry path's bounded spin times out, and the engine's
+// livelock sentinel surfaces.
 func TestROMaxRetriesLivelock(t *testing.T) {
 	builders := map[string]struct {
 		tm       clockedTM
@@ -126,6 +127,9 @@ func TestROMaxRetriesLivelock(t *testing.T) {
 			})
 			if !errors.Is(err, b.livelock) {
 				t.Fatalf("err = %v, want the engine's livelock sentinel", err)
+			}
+			if a, ua := reader.Ctx().Aborts.Load(), reader.Ctx().UserAborts.Load(); a != 3 || ua != 0 {
+				t.Fatalf("Aborts = %d, UserAborts = %d, want 3 and 0", a, ua)
 			}
 			close(release)
 			if err := <-done; err != nil {

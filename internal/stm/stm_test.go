@@ -1,8 +1,11 @@
 package stm
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOrecEncoding(t *testing.T) {
@@ -98,14 +101,111 @@ func TestUnlockRestoreBumpsIncarnation(t *testing.T) {
 	}
 }
 
+// TestVarIDsUnique states what a Var's identity is now that it is the Var's
+// address: non-zero, distinct among Vars that are alive together — two
+// TVars laid out by value in one object included — and stable for a Var's
+// lifetime across a collection. It is not unique across lifetimes: a freed
+// Var's address may serve a later one.
 func TestVarIDsUnique(t *testing.T) {
-	seen := make(map[uint64]bool)
-	for i := 0; i < 1000; i++ {
-		v := NewVar(nil)
-		if seen[v.ID()] {
-			t.Fatalf("duplicate var ID %d", v.ID())
+	type pair struct{ a, b TVar[int] }
+	const n = 1000
+	vars := make([]*Var, 0, n+2)
+	for i := 0; i < n; i++ {
+		vars = append(vars, NewVar(nil))
+	}
+	node := new(pair)
+	vars = append(vars, node.a.Word(), node.b.Word())
+	ids := make([]uint64, len(vars))
+	seen := make(map[uint64]bool, len(vars))
+	for i, v := range vars {
+		ids[i] = v.ID()
+		if ids[i] == 0 || seen[ids[i]] {
+			t.Fatalf("var %d of %d alive together has identity %#x: zero or a duplicate", i, len(vars), ids[i])
 		}
-		seen[v.ID()] = true
+		seen[ids[i]] = true
+	}
+	if node.a.ID() != ids[n] || node.b.ID() != ids[n+1] {
+		t.Fatalf("TVar.ID %#x, %#x differ from their words' %#x, %#x", node.a.ID(), node.b.ID(), ids[n], ids[n+1])
+	}
+	runtime.GC()
+	runtime.GC()
+	for i, v := range vars {
+		if got := v.ID(); got != ids[i] {
+			t.Fatalf("var %d changed identity across a collection: %#x, was %#x", i, got, ids[i])
+		}
+	}
+	runtime.KeepAlive(node)
+}
+
+// TestVarSize holds the engine word at two machine words: an orec and a
+// value pointer, nothing else. rbNode (80 B), hmNode (48 B) and the 16-byte
+// bucket slot are multiples of it and have their own exact gates in stmds.
+func TestVarSize(t *testing.T) {
+	if got := unsafe.Sizeof(Var{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Var{}) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(TVar[string]{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(TVar[string]{}) = %d, want 16", got)
+	}
+}
+
+// TestROStoppedVarNeverOutlivesAttempt: the Var a failed ReadTRO leaves on
+// the descriptor is gone before the next body runs and after every kind of
+// exit, so the retry path can only ever look at the Var of the attempt it
+// is retrying.
+func TestROStoppedVarNeverOutlivesAttempt(t *testing.T) {
+	c := NewCore(CoreOptions{MaxRetries: 3})
+	self, other := c.Register("self"), c.Register("other")
+	var tx ROTx
+	tx.Bind(&c, self)
+	mine, theirs, free := NewT(1), NewT(2), NewT(3)
+	if !mine.Word().TryLock(mine.Word().Meta(), self.ID) || !theirs.Word().TryLock(theirs.Word().Meta(), other.ID) {
+		t.Fatal("could not lock the fixtures")
+	}
+	stopAt := func(v *TVar[int]) func(*ROTx) error {
+		return func(tx *ROTx) error {
+			if tx.stopped != nil {
+				t.Errorf("attempt began with a stopped var %p", tx.stopped)
+			}
+			_, err := ReadTRO(tx, v)
+			if err == nil || tx.stopped != v.Word() {
+				t.Errorf("read of a locked var: err = %v, stopped = %p, want ErrConflict and %p", err, tx.stopped, v.Word())
+			}
+			return err
+		}
+	}
+
+	// Exit by livelock: three attempts, each stopped at theirs.
+	if err := c.RunRO(self, &tx, stopAt(theirs)); !errors.Is(err, ErrLivelock) || tx.stopped != nil {
+		t.Fatalf("err = %v, stopped = %p; want ErrLivelock and nil", err, tx.stopped)
+	}
+	// Exit by user abort: the nested-in-update case.
+	if err := c.RunRO(self, &tx, stopAt(mine)); !errors.Is(err, ErrReadOnlyNested) || tx.stopped != nil {
+		t.Fatalf("err = %v, stopped = %p; want ErrReadOnlyNested and nil", err, tx.stopped)
+	}
+	// Exit by commit, after an attempt that stopped. On the way: an inner
+	// call does not begin with the var an outer read stopped at (the body
+	// here drops that read's error, which a body must not), and a conflict
+	// the body reports without a read behind it is retried as a plain
+	// conflict, not blamed on the var the inner call stopped at.
+	attempts := 0
+	err := c.RunRO(self, &tx, func(tx *ROTx) error {
+		attempts++
+		if attempts == 1 {
+			_, _ = ReadTRO(tx, theirs)
+			if err := c.RunRO(self, tx, stopAt(mine)); !errors.Is(err, ErrReadOnlyNested) {
+				t.Errorf("inner call: err = %v, want ErrReadOnlyNested", err)
+			}
+			return ErrConflict
+		}
+		_, err := ReadTRO(tx, free)
+		return err
+	})
+	if err != nil || attempts != 2 || tx.stopped != nil {
+		t.Fatalf("err = %v after %d attempts, stopped = %p; want nil, 2, nil", err, attempts, tx.stopped)
+	}
+	if a, ua, cm := self.Aborts.Load(), self.UserAborts.Load(), self.Commits.Load(); a != 4 || ua != 2 || cm != 1 {
+		t.Fatalf("Aborts = %d, UserAborts = %d, Commits = %d; want 4, 2, 1", a, ua, cm)
 	}
 }
 

@@ -152,8 +152,11 @@ func (tx *txn) ReadPtr(v *stm.Var) (unsafe.Pointer, error) {
 	if tx.th.ctx.Doomed.Load() {
 		return nil, stm.ErrConflict
 	}
-	if i, ok := tx.windex.Lookup(v); ok {
-		return tx.writes[i].val, nil
+	// Reads before the first write (a descent) have nothing to look up.
+	if len(tx.writes) > 0 {
+		if i, ok := tx.windex.Lookup(v); ok {
+			return tx.writes[i].val, nil
+		}
 	}
 	for {
 		p, meta := v.SnapshotPtr()

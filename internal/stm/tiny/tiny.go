@@ -148,8 +148,11 @@ func (tx *txn) ReadPtr(v *stm.Var) (unsafe.Pointer, error) {
 	if tx.th.ctx.Doomed.Load() {
 		return nil, stm.ErrConflict
 	}
-	if _, ok := tx.windex.Lookup(v); ok {
-		return v.LoadPtr(), nil
+	// Reads before the first write (a descent) have nothing to look up.
+	if len(tx.undo) > 0 {
+		if _, ok := tx.windex.Lookup(v); ok {
+			return v.LoadPtr(), nil
+		}
 	}
 	for {
 		p, meta := v.SnapshotPtr()

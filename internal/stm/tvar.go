@@ -21,25 +21,21 @@ type TVar[T any] struct {
 
 // NewT returns a typed Var holding initial at version 0.
 func NewT[T any](initial T) *TVar[T] {
-	v := &TVar[T]{}
-	v.word.initWord(unsafe.Pointer(&initial))
-	return v
+	return &TVar[T]{word: Var{val: unsafe.Pointer(&initial)}}
 }
 
 // NewTRef returns a typed Var whose initial value is the cell *p, without
 // spilling a copy. The caller cedes ownership: *p must never be mutated
 // after the call (the cell is the variable's live value until overwritten).
 func NewTRef[T any](p *T) *TVar[T] {
-	v := &TVar[T]{}
-	v.InitRef(p)
-	return v
+	return &TVar[T]{word: Var{val: unsafe.Pointer(p)}}
 }
 
 // InitRef is NewTRef in place: it makes the zero TVar v, typically a field
 // embedded by value in a node, hold the cell *p at version 0, so a structure
 // can lay a node's variables out in one allocation. It must run before v is
 // shared and at most once; the ownership rule is NewTRef's.
-func (v *TVar[T]) InitRef(p *T) { v.word.initWord(unsafe.Pointer(p)) }
+func (v *TVar[T]) InitRef(p *T) { v.word.val = unsafe.Pointer(p) }
 
 // Word returns the underlying engine word, for scheduler hooks, predictors
 // and lock queries. Reading or writing the word through the untyped
@@ -47,8 +43,8 @@ func (v *TVar[T]) InitRef(p *T) { v.word.initWord(unsafe.Pointer(p)) }
 // value access must go through ReadT/WriteT.
 func (v *TVar[T]) Word() *Var { return &v.word }
 
-// ID returns the process-unique identity of the variable.
-func (v *TVar[T]) ID() uint64 { return v.word.id }
+// ID returns the variable's identity, its engine word's address (Var.ID).
+func (v *TVar[T]) ID() uint64 { return v.word.ID() }
 
 // LockedByOther reports whether the variable is write-locked by a thread
 // other than the given one (the visible-writes primitive, typed flavor).

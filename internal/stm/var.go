@@ -43,34 +43,22 @@ import (
 // Mixing the two access styles on one Var is illegal; the constructors are
 // the only places the pointee type is chosen.
 type Var struct {
-	id   uint64
 	meta atomic.Uint64
 	val  unsafe.Pointer
-}
-
-// _varIDs assigns a process-unique identity to every Var. The identity is
-// what Bloom-filter based predictors hash; it is stable for the lifetime of
-// the Var and independent of the garbage collector.
-var _varIDs atomic.Uint64
-
-// initWord stamps a fresh identity and initial value pointer. It is the
-// common constructor step shared by NewVar and NewT.
-func (v *Var) initWord(p unsafe.Pointer) {
-	v.id = _varIDs.Add(1)
-	v.val = p
 }
 
 // NewVar returns an untyped Var holding the given initial value at version
 // 0. The value is stored behind an *any cell; hot paths should prefer the
 // typed TVar layer, which avoids the per-operation boxing this API pays.
 func NewVar(initial any) *Var {
-	v := &Var{}
-	v.initWord(unsafe.Pointer(&initial))
-	return v
+	return &Var{val: unsafe.Pointer(&initial)}
 }
 
-// ID returns the process-unique identity of the Var.
-func (v *Var) ID() uint64 { return v.id }
+// ID returns the identity Bloom-filter based predictors hash: the Var's
+// address, as in the paper's Algorithm 1. It is non-zero, distinct among Vars
+// alive together and stable for a Var's lifetime (the collector does not
+// move heap objects); a freed Var's identity may serve a later one.
+func (v *Var) ID() uint64 { return uint64(uintptr(unsafe.Pointer(v))) }
 
 // Orec word encoding:
 //

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
@@ -238,9 +239,25 @@ func TestConstructorAllocs(t *testing.T) {
 	runtime.KeepAlive(keep)
 }
 
+// TestNodeSizes holds the two node layouts at what their fields add up to
+// over a 16-byte engine word (stm.TestVarSize): key, self and four vars in a
+// tree node, key, self and two vars in a map node. The tree has no
+// bytes-per-node gate; this is it.
+func TestNodeSizes(t *testing.T) {
+	if got := unsafe.Sizeof(rbNode[int64]{}); got != 80 {
+		t.Errorf("unsafe.Sizeof(rbNode[int64]{}) = %d, want 80", got)
+	}
+	if got := unsafe.Offsetof(rbNode[int64]{}.val); got != 48 {
+		t.Errorf("rbNode: val at offset %d, want 48 — a lookup's key, self, left and right come first", got)
+	}
+	if got := unsafe.Sizeof(hmNode[string]{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(hmNode[string]{}) = %d, want 48", got)
+	}
+}
+
 // TestHashMapBytesPerKey bounds what a loaded map holds on the heap, in the
-// shape tkv gives it (string values in caller-owned cells): a 64-byte node,
-// the 16-byte cell and the value's bytes per key, a 24-byte var per bucket.
+// shape tkv gives it (string values in caller-owned cells): a 48-byte node,
+// the 16-byte cell and the value's bytes per key, a 16-byte var per bucket.
 func TestHashMapBytesPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes under the race detector are its own")
@@ -261,10 +278,10 @@ func TestHashMapBytesPerKey(t *testing.T) {
 		}
 	}
 	held := liveHeap() - before
-	const want = keys*(64+16+valLen) + buckets*24
-	t.Logf("%d keys in %d buckets hold %d bytes: %.1f per key beyond the %d per bucket", keys, buckets, held, (float64(held)-buckets*24)/keys, 24)
+	const want = keys*(48+16+valLen) + buckets*16
+	t.Logf("%d keys in %d buckets hold %d bytes: %.1f per key beyond the %d per bucket", keys, buckets, held, (float64(held)-buckets*16)/keys, 16)
 	if held > want+want*3/100 {
-		t.Errorf("the map holds %d bytes, want at most %d (+3%%): 64+16+%d per key, 24 per bucket", held, want, valLen)
+		t.Errorf("the map holds %d bytes, want at most %d (+3%%): 48+16+%d per key, 16 per bucket", held, want, valLen)
 	}
 	runtime.KeepAlive(m)
 }

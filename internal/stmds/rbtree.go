@@ -43,8 +43,9 @@ type RBTree[V any] struct {
 }
 
 // rbNode lays a node's four transactional variables out by value, so a node
-// is one allocation and a hop from a link to the child's key is two
-// dependent loads. Keys are immutable per node.
+// is one allocation (80 bytes) and a hop from a link to the child's key is
+// two dependent loads. What a lookup reads on its way down — key, self and
+// the two links — is the node's first 48 bytes. Keys are immutable per node.
 type rbNode[V any] struct {
 	key int64
 	// self is the node's own address in an immutable cell: every link
@@ -52,9 +53,9 @@ type rbNode[V any] struct {
 	// allocates and the cell a reader dereferences shares the key's
 	// cache line.
 	self  *rbNode[V]
-	val   stm.TVar[V]
 	left  stm.TVar[*rbNode[V]]
 	right stm.TVar[*rbNode[V]]
+	val   stm.TVar[V]
 	red   stm.TVar[bool]
 }
 
