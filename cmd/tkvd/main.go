@@ -89,7 +89,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		tcpaddr = fs.String("tcpaddr", "127.0.0.1:7071",
 			"binary wire protocol listen address (empty disables it)")
 		shards  = fs.Int("shards", 8, "shard count (rounded up to a power of two)")
-		pool    = fs.Int("pool", 4, "STM worker threads per shard")
+		pool    = fs.Int("pool", 4, "STM worker threads per shard (at most 64)")
 		buckets = fs.Int("buckets", 512, "hash buckets per shard")
 		stripes = fs.Int("stripes", 0,
 			"key-lock stripes per shard, rounded up to a power of two (0 = default)")

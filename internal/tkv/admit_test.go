@@ -118,14 +118,22 @@ func TestShedUnderForcedOverload(t *testing.T) {
 	ac.ShedKnee = 0 // drill mode
 	ac.ShedMax = 0.9
 	ac.PredictorRouting = false
-	// The default tick is 100 ms, as long as the sleep below: the puts
-	// then raced the first tick and often met a shed probability of 0.
 	ac.Tick = 5 * time.Millisecond
 	st := openAdmitTest(t, ac)
 	if _, err := st.Put(1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // ~20 ticks: prob ramps to max
+	// One tick puts every shard at 0.1 and each later one adds 0.1; on a
+	// loaded machine the controller goroutine may not run for a long while,
+	// so wait for the tick itself, not for the time it should have taken.
+	eventually(t, "every shard sheds", func() bool {
+		for _, s := range st.shards {
+			if s.ctl.shedProb() == 0 {
+				return false
+			}
+		}
+		return true
+	})
 
 	var shed, ok int
 	for i := 0; i < 500; i++ {

@@ -138,39 +138,10 @@ func execOp(op *Op, v *opStore) (OpResult, error) {
 // batches, multi-key reads and snapshots mutually deadlock-free.
 type stripeRef struct{ shard, stripe int }
 
-// less orders stripeRefs by the global lock order.
-func (r stripeRef) less(o stripeRef) bool {
-	if r.shard != o.shard {
-		return r.shard < o.shard
-	}
-	return r.stripe < o.stripe
-}
-
-// lockPlan is a batch's determined stripe set: the sorted, deduplicated
-// (shard, stripe) pairs covering every key the batch touches.
+// lockPlan is a batch's determined stripe set: the (shard, stripe) pairs
+// covering every key the batch touches, strictly ascending in the global
+// lock order (buildLocks and lockShard build it that way).
 type lockPlan []stripeRef
-
-// normalize sorts the plan into the global lock order and drops duplicate
-// stripes (insertion sort: batch stripe sets are small, and the batch path
-// stays clear of sort.Sort's interface boxing).
-func (p lockPlan) normalize() lockPlan {
-	for i := 1; i < len(p); i++ {
-		v := p[i]
-		j := i - 1
-		for j >= 0 && v.less(p[j]) {
-			p[j+1] = p[j]
-			j--
-		}
-		p[j+1] = v
-	}
-	out := p[:0]
-	for i, r := range p {
-		if i == 0 || r != p[i-1] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
 
 // lock acquires the plan's stripes in order; exclusive selects the mode.
 // unlock with the same arguments releases them. An exclusive acquisition
@@ -245,8 +216,16 @@ type shardGroup struct {
 
 // maxPooledKeys bounds the scratch a pooled batchState may keep: a state
 // that planned a larger call is dropped instead of pooled, so one outsized
-// batch cannot leave every later small one clearing a huge overlay.
+// batch cannot leave the pool holding its plan slices and a huge overlay
+// map for the small calls that follow.
 const maxPooledKeys = 1024
+
+// overlayScanMax is the number of planned writes of one shard group up to
+// which the overlay is the group's window of writes itself, scanned
+// backwards (the stm.WriteIndex idiom: a handful of keys on a cache line or
+// two beats any hashing, and nothing has to be cleared between plan bodies).
+// A group that plans more is indexed by the overlay map.
+const overlayScanMax = 8
 
 // batchState is the pooled state of one multi-key call. Batch, MGet,
 // ReplApply and the whole-shard cuts all plan through it: group the keys by
@@ -270,9 +249,10 @@ type batchState struct {
 	// sort over count, which afterwards maps a shard to its group), vers
 	// the keylock generation the stripe set in locks was built against
 	// (both indexed by shard). writes is every group's planned writes back
-	// to back, overlay maps a key to its latest entry in the running
-	// group's window, commits collects the emitted records' durability
-	// handles.
+	// to back; the running group's window of it, writes[g.wlo:], is that
+	// group's overlay, and once the window outgrows overlayScanMax the
+	// overlay map indexes it (key to latest entry; see planWrite). commits
+	// collects the emitted records' durability handles.
 	count   []int
 	order   []int
 	groups  []shardGroup
@@ -311,16 +291,13 @@ func newBatchState(st *Store) *batchState {
 	}
 	b.planned = opStore{
 		// The overlay carries the writes of earlier ops of this batch, so
-		// a later op on the same key reads them; it is empty for the
-		// common batch of distinct keys until the group's first write.
+		// a later op on the same key reads the latest of them.
 		read: func(key uint64) (string, bool, error) {
-			if len(b.overlay) != 0 {
-				if i, ok := b.overlay[key]; ok {
-					if cell := b.writes[i].val; cell != nil {
-						return *cell, true, nil
-					}
-					return "", false, nil
+			if i := b.latestWrite(key); i >= 0 {
+				if cell := b.writes[i].val; cell != nil {
+					return *cell, true, nil
 				}
+				return "", false, nil
 			}
 			return b.s.kv.GetRO(b.roTx, key)
 		},
@@ -346,10 +323,11 @@ func newBatchState(st *Store) *batchState {
 	}
 	// Phase one of the running group. An RO attempt can restart after it
 	// has planned writes: drop them, or the next attempt would read its
-	// predecessor's overlay (an add would count twice).
+	// predecessor's overlay (an add would count twice). Emptying the window
+	// drops the map with it: planWrite rebuilds the map from nothing when
+	// the window next outgrows the scan.
 	b.planBody = func(tx *stm.ROTx) error {
 		b.writes = b.writes[:b.g.wlo]
-		clear(b.overlay)
 		b.roTx = tx
 		return b.execOps(b.order[b.g.lo:b.g.hi], &b.planned)
 	}
@@ -453,17 +431,34 @@ func (b *batchState) group() {
 }
 
 // buildLocks plans the stripe set of the grouped keys against the shards'
-// current keylock generations.
+// current keylock generations. The groups ascend by shard and each key's
+// stripe is inserted into its group's sorted window of the plan (dropped if
+// already there), so the plan is born strictly ascending in the global lock
+// order: a batch must never lock a stripe twice or out of order.
 func (b *batchState) buildLocks() {
 	b.locks = b.locks[:0]
 	for _, g := range b.groups {
 		tab := b.st.shards[g.shard].locks
 		b.vers[g.shard] = tab.Version()
+		lo := len(b.locks)
 		for _, i := range b.order[g.lo:g.hi] {
-			b.locks = append(b.locks, stripeRef{shard: g.shard, stripe: tab.StripeOf(b.keys[i])})
+			stripe := tab.StripeOf(b.keys[i])
+			j := len(b.locks)
+			for j > lo && b.locks[j-1].stripe > stripe {
+				j--
+			}
+			if j > lo && b.locks[j-1].stripe == stripe {
+				continue
+			}
+			// Shifted by hand: for the handful of entries a window holds,
+			// slices.Insert measured dearer than the sort it replaced.
+			b.locks = append(b.locks, stripeRef{})
+			for k := len(b.locks) - 1; k > j; k-- {
+				b.locks[k] = b.locks[k-1]
+			}
+			b.locks[j] = stripeRef{shard: g.shard, stripe: stripe}
 		}
 	}
-	b.locks = b.locks.normalize()
 }
 
 // lock acquires the planned stripe set. When an adaptive resize retires a
@@ -501,11 +496,39 @@ func (b *batchState) enter(gi int) *shard {
 	return b.s
 }
 
-// planWrite records one planned write (nil cell: a delete) and points the
-// overlay at it.
+// planWrite records one planned write (nil cell: a delete) of the running
+// group. The write that makes the group's window outgrow overlayScanMax
+// builds the overlay map over the whole window, from empty — whatever an
+// earlier group, an earlier call or a restarted attempt of this plan body
+// left in it is stale; later writes add themselves.
 func (b *batchState) planWrite(key uint64, cell *string) {
-	b.overlay[key] = len(b.writes)
 	b.writes = append(b.writes, plannedWrite{key: key, val: cell})
+	switch n := len(b.writes) - b.g.wlo; {
+	case n == overlayScanMax+1:
+		clear(b.overlay)
+		for i := b.g.wlo; i < len(b.writes); i++ {
+			b.overlay[b.writes[i].key] = i
+		}
+	case n > overlayScanMax+1:
+		b.overlay[key] = len(b.writes) - 1
+	}
+}
+
+// latestWrite returns the index in writes of the running group's latest
+// planned write to key, or -1 if it has planned none.
+func (b *batchState) latestWrite(key uint64) int {
+	if len(b.writes)-b.g.wlo > overlayScanMax {
+		if i, ok := b.overlay[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := len(b.writes) - 1; i >= b.g.wlo; i-- {
+		if b.writes[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // execOps runs the ops at idxs against a view, stopping at the first error

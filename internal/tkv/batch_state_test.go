@@ -318,15 +318,32 @@ func TestBatchStateReuse(t *testing.T) {
 // transaction to restart after it has already planned writes (the plan body
 // yields the processor mid-group while a writer inserts and deletes
 // neighbouring keys on the same bucket chains) and checks that a restarted
-// body starts clean: every counter receives each batch's delta exactly once
-// and a group never plans more writes than it has ops.
+// body starts clean: every counter receives each batch's deltas exactly once
+// and a group never plans more writes than it has ops. Every key is added to
+// twice, so the second add reads the first through the overlay: in the small
+// case through the scanned window, in the large one through the map, which a
+// restart has to drop with the window.
 func TestBatchPlanRestartAppliesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		perShard   int // distinct keys per shard group; each is added to twice
+		yieldAbove int // yield mid-group once the window holds more writes than this
+	}{
+		{"scan", 4, 0},
+		{"map", overlayScanMax + 4, overlayScanMax},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testBatchPlanRestart(t, tc.perShard, tc.yieldAbove) })
+	}
+}
+
+func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
 	st := openTest(t, Config{Shards: 2, Buckets: 16, PoolSize: 4})
 	const delta = 3
 	var ops []Op
 	held := map[stripeRef]bool{}
 	for sh := 0; sh < 2; sh++ {
-		for _, k := range shardKeys(st, sh, 4, 1<<20) {
+		keys := shardKeys(st, sh, perShard, 1<<20)
+		for _, k := range append(keys, keys...) {
 			ops = append(ops, Op{Kind: OpAdd, Key: k, Delta: delta})
 			held[stripeRef{sh, st.shards[sh].locks.StripeOf(k)}] = true
 		}
@@ -349,14 +366,14 @@ func TestBatchPlanRestartAppliesOnce(t *testing.T) {
 		b := newBatchState(st)
 		read, plan := b.planned.read, b.planBody
 		b.planned.read = func(key uint64) (string, bool, error) {
-			if len(b.writes) > b.g.wlo && yields.Add(-1) >= 0 {
+			if len(b.writes)-b.g.wlo > yieldAbove && yields.Add(-1) >= 0 {
 				runtime.Gosched() // mid-group, snapshot taken: let the writer commit
 			}
 			return read(key)
 		}
 		b.planBody = func(tx *stm.ROTx) error {
 			attempts.Add(1)
-			if len(b.writes) > b.g.wlo {
+			if len(b.writes)-b.g.wlo > yieldAbove {
 				dirty.Add(1) // a restart with the last attempt's writes still planned
 			}
 			err := plan(tx)
@@ -410,10 +427,116 @@ func TestBatchPlanRestartAppliesOnce(t *testing.T) {
 	if n := overfull.Load(); n != 0 {
 		t.Fatalf("%d plan attempts left more writes than their group has ops", n)
 	}
-	want := strconv.Itoa(batches * delta)
+	want := strconv.Itoa(batches * 2 * delta)
 	for _, op := range ops {
 		if v, _, _ := st.Get(op.Key); v != want {
-			t.Fatalf("counter %d = %s after %d batches of +%d, want %s", op.Key, v, batches, delta, want)
+			t.Fatalf("counter %d = %s after %d batches of two +%d, want %s", op.Key, v, batches, delta, want)
+		}
+	}
+}
+
+// TestBatchOverlayAcrossThreshold reads a two-phase batch's own writes back
+// on both sides of overlayScanMax: up to it a later op finds an earlier op's
+// write by scanning the group's window, beyond it through the map built when
+// the window outgrew the scan. Each pattern runs with its first write as the
+// size-th entry of the window (an overwritten write of the probe key among
+// those before it), and again with the window padded to size only after the
+// pattern's writes, so that they are planned under the scan and read through
+// the map.
+func TestBatchOverlayAcrossThreshold(t *testing.T) {
+	// A log attached: a batch confined to one shard group still two-phases.
+	st := openTest(t, Config{Shards: 2, ReplRing: 8})
+	maxWindow := 0
+	st.batches.New = func() any {
+		b := newBatchState(st)
+		plan := b.planBody
+		b.planBody = func(tx *stm.ROTx) error {
+			err := plan(tx)
+			maxWindow = max(maxWindow, len(b.writes)-b.g.wlo)
+			return err
+		}
+		return b
+	}
+	keys := shardKeys(st, 0, 65, 0)
+	probe, fill := keys[0], keys[1:]
+
+	patterns := []struct {
+		name   string
+		before string // the probe's value when the pattern starts
+		ops    []Op
+		want   []OpResult
+		after  string // and when it ends; "" for absent
+	}{
+		{"put-then-get", "old",
+			[]Op{{Kind: OpPut, Key: probe, Value: "new"}, {Kind: OpGet, Key: probe}},
+			[]OpResult{{Found: true}, {Found: true, Value: "new"}}, "new"},
+		{"delete-then-get", "old",
+			[]Op{{Kind: OpDelete, Key: probe}, {Kind: OpGet, Key: probe}},
+			[]OpResult{{Found: true}, {}}, ""},
+		{"add-add-get", "5",
+			[]Op{{Kind: OpAdd, Key: probe, Delta: 2}, {Kind: OpAdd, Key: probe, Delta: 3}, {Kind: OpGet, Key: probe}},
+			[]OpResult{{Found: true, Value: "7"}, {Found: true, Value: "10"}, {Found: true, Value: "10"}}, "10"},
+		{"cas on an earlier op's value", "old",
+			[]Op{{Kind: OpPut, Key: probe, Value: "a"}, {Kind: OpCAS, Key: probe, Old: "a", Value: "b"}, {Kind: OpGet, Key: probe}},
+			[]OpResult{{Found: true}, {Found: true}, {Found: true, Value: "b"}}, "b"},
+	}
+	for _, p := range patterns {
+		for _, size := range []int{1, overlayScanMax, overlayScanMax + 1, 64} {
+			for _, padFirst := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/window=%d/padFirst=%v", p.name, size, padFirst), func(t *testing.T) {
+					// What the store holds must not show through the
+					// overlay: where the batch itself sets the probe's
+					// starting value, the store holds a decoy.
+					stored := p.before
+					var ops []Op
+					if padFirst && size > 1 {
+						stored = "999"
+						ops = append(ops, Op{Kind: OpPut, Key: probe, Value: p.before})
+						for _, k := range fill[:size-2] {
+							ops = append(ops, Op{Kind: OpPut, Key: k, Value: "pad"})
+						}
+					}
+					if _, err := st.Put(probe, stored); err != nil {
+						t.Fatal(err)
+					}
+					at := len(ops)
+					ops = append(ops, p.ops...)
+					writes := len(ops)
+					for _, op := range p.ops {
+						if op.Kind == OpGet {
+							writes--
+						}
+					}
+					if !padFirst {
+						for _, k := range fill[:max(size-writes, 0)] {
+							ops = append(ops, Op{Kind: OpPut, Key: k, Value: "pad"})
+							writes++
+						}
+					}
+					ops = append(ops, Op{Kind: OpGet, Key: probe})
+
+					maxWindow = 0
+					res, err := st.Batch(ops)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if maxWindow != writes || writes < size {
+						t.Fatalf("the plan's window held %d writes, built %d for size %d", maxWindow, writes, size)
+					}
+					for i, want := range p.want {
+						if res[at+i] != want {
+							t.Errorf("op %d (%s): got %+v, want %+v", i, p.ops[i].Kind, res[at+i], want)
+						}
+					}
+					wantLast := OpResult{Found: p.after != "", Value: p.after}
+					if got := res[len(res)-1]; got != wantLast {
+						t.Errorf("closing get: got %+v, want %+v", got, wantLast)
+					}
+					if v, ok, err := st.Get(probe); err != nil || v != p.after || ok != (p.after != "") {
+						t.Errorf("stored after the batch: %q %v %v, want %q", v, ok, err, p.after)
+					}
+				})
+			}
 		}
 	}
 }

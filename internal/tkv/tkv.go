@@ -6,7 +6,9 @@
 // its own scheduler (per-shard Shrink, so contention in one shard never
 // serializes another), its own wait policy — holding a transactional hash
 // map (stmds.HashMap) and a bounded pool of registered STM threads that
-// serving goroutines borrow per operation.
+// serving goroutines borrow per operation: a caller claims an idle thread
+// with one compare-and-swap on the pool's free-bit word and returns it with
+// one atomic OR (see threadPool).
 //
 // Consistency model. Admission is key-granular: every shard carries a
 // striped lock table (internal/keylock) hashing each key onto one of a
@@ -104,7 +106,8 @@ type Config struct {
 	Shards int
 	// PoolSize is the number of STM threads registered per shard; it
 	// bounds the transactions concurrently executing in one shard
-	// (default 4).
+	// (default 4, at most maxPoolSize = 64: the pool's free threads are the
+	// bits of one word, and a larger value is clamped to it).
 	PoolSize int
 	// Buckets is the hash-table bucket count per shard (default 512).
 	Buckets int
@@ -176,7 +179,7 @@ type shard struct {
 	tm    stm.TM
 	sched *enginecfg.Sched // scheduler counter handle; nil-safe methods
 	kv    *stmds.HashMap[string]
-	pool  chan stm.Thread
+	pool  threadPool
 	// ctl is the shard's admission state; nil unless Config.Admission.
 	ctl *shardCtl
 	// locks is the shard's striped key-lock table: batches hold their
@@ -301,7 +304,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Shards <= 0 {
 		n = 8
 	}
-	poolSize := cfg.PoolSize
+	poolSize := min(cfg.PoolSize, maxPoolSize)
 	if poolSize <= 0 {
 		poolSize = 4
 	}
@@ -328,13 +331,14 @@ func Open(cfg Config) (*Store, error) {
 			tm:    tm,
 			sched: sc,
 			kv:    stmds.NewHashMap[string](buckets),
-			pool:  make(chan stm.Thread, poolSize),
 			locks: keylock.New(cfg.LockStripes),
 		}
 		s.slots.New = func() any { return newOpSlot(s) }
-		for j := 0; j < poolSize; j++ {
-			s.pool <- tm.Register(fmt.Sprintf("shard%d-w%d", i, j))
+		threads := make([]stm.Thread, poolSize)
+		for j := range threads {
+			threads[j] = tm.Register(fmt.Sprintf("shard%d-w%d", i, j))
 		}
+		s.pool.init(threads)
 		st.shards[i] = s
 	}
 	if cfg.WAL != nil {
@@ -406,18 +410,18 @@ func (st *Store) shardFor(key uint64) *shard { return st.shards[st.ShardOf(key)]
 // defer so that a panicking transaction body (recovered by net/http on the
 // serving path) cannot leak the pool slot.
 func (s *shard) atomically(fn func(tx stm.Tx) error) error {
-	th := <-s.pool
-	defer func() { s.pool <- th }()
-	return th.Atomically(fn)
+	i := s.pool.claim()
+	defer s.pool.release(i)
+	return s.pool.threads[i].Atomically(fn)
 }
 
 // atomicallyRO is atomically for read-only snapshot transactions: same pool
 // discipline, but the borrowed thread runs the validation-free RO protocol
 // (no read log, no commit-phase work, no clock tick).
 func (s *shard) atomicallyRO(fn func(tx *stm.ROTx) error) error {
-	th := <-s.pool
-	defer func() { s.pool <- th }()
-	return th.AtomicallyRO(fn)
+	i := s.pool.claim()
+	defer s.pool.release(i)
+	return s.pool.threads[i].AtomicallyRO(fn)
 }
 
 // atomicallyW is atomically for single-key writes: when the admission
@@ -426,20 +430,20 @@ func (s *shard) atomicallyRO(fn func(tx *stm.ROTx) error) error {
 // routed through the admission queue instead of racing. Without the layer
 // it is byte-for-byte the plain path.
 func (s *shard) atomicallyW(key uint64, fn func(tx stm.Tx) error) error {
-	th := <-s.pool
 	if s.ctl == nil {
-		defer func() { s.pool <- th }()
-		return th.Atomically(fn)
+		return s.atomically(fn)
 	}
+	i := s.pool.claim()
+	th := s.pool.threads[i]
 	before := th.Ctx().Aborts.Load()
 	defer func() {
-		// The pooled thread is exclusively ours between borrow and
-		// return, so the abort-counter delta is exactly this call's
+		// The pooled thread is exclusively ours between claim and
+		// release, so the abort-counter delta is exactly this call's
 		// restart count.
 		if d := th.Ctx().Aborts.Load() - before; d > 0 {
 			s.ctl.noteConflict(key, d)
 		}
-		s.pool <- th
+		s.pool.release(i)
 	}()
 	return th.Atomically(fn)
 }
@@ -483,11 +487,12 @@ func (s *shard) takeFallback() bool {
 // the thread is returned via defer so a panicking body (recovered by
 // net/http on the serving path) cannot leak the pool slot.
 func (s *shard) roTracked(fn func(tx *stm.ROTx) error) error {
-	th := <-s.pool
+	i := s.pool.claim()
+	th := s.pool.threads[i]
 	before := th.Ctx().Aborts.Load()
 	defer func() {
-		// The pooled thread is exclusively ours between borrow and
-		// return, so the abort-counter delta is exactly this call's
+		// The pooled thread is exclusively ours between claim and
+		// release, so the abort-counter delta is exactly this call's
 		// restart count.
 		restarts := th.Ctx().Aborts.Load() - before
 		if restarts == 0 {
@@ -495,7 +500,7 @@ func (s *shard) roTracked(fn func(tx *stm.ROTx) error) error {
 		} else {
 			s.roStreak.Add(uint32(restarts))
 		}
-		s.pool <- th
+		s.pool.release(i)
 	}()
 	return th.AtomicallyRO(fn)
 }

@@ -389,27 +389,49 @@ func TestZeroLostUpdates(t *testing.T) {
 	}
 }
 
-// TestLockPlanNormalize checks the batch lock planner's sort+dedup: the
-// plan must come out strictly ascending in the global (shard, stripe)
-// order with duplicates collapsed, or a batch would self-deadlock
-// double-locking a stripe.
-func TestLockPlanNormalize(t *testing.T) {
-	st := openTest(t, Config{Shards: 4})
-	plan := make(lockPlan, 0, 200)
-	for k := uint64(0); k < 100; k++ {
-		sh := st.ShardOf(k)
-		r := stripeRef{shard: sh, stripe: st.shards[sh].locks.StripeOf(k)}
-		plan = append(plan, r, r) // every key twice: heavy duplication
-	}
-	plan = plan.normalize()
-	if len(plan) == 0 || len(plan) > 100 {
-		t.Fatalf("normalized plan has %d refs", len(plan))
-	}
-	for i := 1; i < len(plan); i++ {
-		if !plan[i-1].less(plan[i]) {
-			t.Fatalf("plan not strictly ascending at %d: %v, %v", i, plan[i-1], plan[i])
+// TestLockPlanAscending is the batch lock planner's property: for any key
+// set buildLocks yields (shard, stripe) pairs strictly ascending in the
+// global lock order — a duplicate would self-deadlock the batch on its own
+// stripe, a descent could deadlock two batches on each other — that cover
+// exactly the stripes of the keys.
+func TestLockPlanAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for round := 0; round < 300; round++ {
+		st := openTest(t, Config{Shards: 1 << rng.Intn(4), LockStripes: 1 << rng.Intn(7), Buckets: 16})
+		b := st.batch()
+		distinct := 1 + rng.Intn(64)
+		want := map[stripeRef]bool{}
+		for n := 1 + rng.Intn(64); n > 0; n-- {
+			k := uint64(rng.Intn(distinct)) * 0x9e3779b97f4a7c15 // few distinct keys: duplicates
+			b.keys = append(b.keys, k)
+			sh := st.ShardOf(k)
+			want[stripeRef{sh, st.shards[sh].locks.StripeOf(k)}] = true
 		}
+		b.plan()
+		for i, r := range b.locks {
+			if !want[r] {
+				t.Fatalf("round %d: plan holds %v, the stripe of no key (keys %v)", round, r, b.keys)
+			}
+			if i > 0 {
+				if p := b.locks[i-1]; p.shard > r.shard || p.shard == r.shard && p.stripe >= r.stripe {
+					t.Fatalf("round %d: plan not strictly ascending at %d: %v, %v", round, i, p, r)
+				}
+			}
+		}
+		if len(b.locks) != len(want) {
+			t.Fatalf("round %d: plan has %d stripes, the keys have %d", round, len(b.locks), len(want))
+		}
+		b.release()
 	}
+
+	st := openTest(t, Config{Shards: 4})
+	b := st.batch()
+	defer b.release()
+	for k := uint64(0); k < 100; k++ {
+		b.keys = append(b.keys, k, k) // every key twice: heavy duplication
+	}
+	b.plan()
+	plan := b.locks
 	// Locking and unlocking the plan must not self-deadlock (dedup) and
 	// must leave every stripe free (pairing).
 	vers := make([]uint64, st.NumShards())
