@@ -58,9 +58,11 @@
 // latency floor in the tens of microseconds.
 //
 // tkvd processes form a replicated group. A primary captures every
-// committed write set — under the same key-lock stripes, after STM
-// commit but before stripe release, so ring order equals commit order
-// per key — as an internal/tkvlog record: length-prefixed, versioned,
+// committed write set — under the same key-lock stripes (taken
+// exclusively once a log is attached: that mode is all a log changes in
+// the one single-key write path), after STM commit but before stripe
+// release, so ring order equals commit order per key — as an
+// internal/tkvlog record: length-prefixed, versioned,
 // CRC32-C-sealed, allocation-free to encode, with torn tails (ErrShort)
 // distinguished from corruption (ErrCorrupt); the same record is the
 // planned on-disk WAL format. Per-shard bounded rings decouple commits

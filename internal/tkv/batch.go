@@ -579,7 +579,7 @@ func (b *batchState) runDirect() error {
 // the batch's exclusive stripes, phase two applies and emits one log record
 // per shard into commits. The deferred unlock fires before Batch waits on
 // those handles: the batch parks on its records' group fsyncs with no
-// stripe held, exactly like the single-key paths.
+// stripe held, exactly like the single-key write path (Store.write).
 func (b *batchState) runTwoPhase() error {
 	st := b.st
 	b.lock(true)

@@ -166,7 +166,9 @@ func TestThreadPoolNoLostWakeup(t *testing.T) {
 }
 
 // TestThreadReturnedOnPanic: a transaction body that panics, recovered by
-// its caller (net/http does on the serving path), returns its thread.
+// its caller (net/http does on the serving path), returns its thread; under
+// a single-key write, where a stripe and an admission-queue slot are held
+// around the thread, those come back with it (testWritePanic).
 func TestThreadReturnedOnPanic(t *testing.T) {
 	st := openTest(t, Config{Shards: 1, PoolSize: 2, Admission: &AdmitConfig{}})
 	defer st.Close()
@@ -206,5 +208,69 @@ func TestThreadReturnedOnPanic(t *testing.T) {
 	}
 	if v, ok, err := st.Get(1); err != nil || !ok || v != "v" {
 		t.Fatalf("Get after recovered panics = %q %v %v", v, ok, err)
+	}
+	t.Run("write/unlogged", func(t *testing.T) { testWritePanic(t, 0) })
+	t.Run("write/logged", func(t *testing.T) { testWritePanic(t, 64) })
+}
+
+// testWritePanic: a body that panics under any of the four single-key
+// writes, on an unlogged store (ring 0: shared stripe) or a logged one
+// (exclusive), leaves nothing held once its caller has recovered — not the
+// key's stripe, not the admission-queue slot the write was routed through,
+// not the pooled thread.
+func testWritePanic(t *testing.T, ring int) {
+	const hot = uint64(77)
+	writes := map[string]func(*Store){
+		"Put":    func(st *Store) { st.Put(hot, "v") },
+		"Delete": func(st *Store) { st.Delete(hot) },
+		"CAS":    func(st *Store) { st.CAS(hot, "v", "w") },
+		"Add":    func(st *Store) { st.Add(hot, 1) },
+	}
+	ac := DefaultAdmitConfig()
+	ac.Tick = time.Hour // keep the predictor's window from rotating mid-test
+	st := openTest(t, Config{Shards: 1, PoolSize: 2, ReplRing: ring, Admission: &ac})
+	defer st.Close()
+	s := st.shards[0]
+	// A CAS miss is a conflict on the key: from here on the predictor routes
+	// its writes through the admission queue.
+	if _, err := st.CAS(hot, "absent", "x"); err != nil {
+		t.Fatal(err)
+	}
+	s.slots = sync.Pool{New: func() any {
+		sl := newOpSlot(s)
+		for k := range sl.write {
+			sl.write[k] = func(stm.Tx) error { panic("boom") }
+		}
+		return sl
+	}}
+	for name, write := range writes {
+		for i := 0; i < 3; i++ { // more panics than threads or queue slots
+			routed := s.ctl.routed.Load()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: body did not panic", name)
+					}
+				}()
+				write(st)
+			}()
+			if s.ctl.routed.Load() != routed+1 {
+				t.Fatalf("%s was not routed through the admission queue", name)
+			}
+			s.ctl.q.mu.Lock()
+			active := s.ctl.q.active
+			s.ctl.q.mu.Unlock()
+			if free := s.pool.free.Load(); free != 0b11 || active != 0 {
+				t.Fatalf("%s: after a recovered panic free word %b (want 11), %d admission slots held (want 0)",
+					name, free, active)
+			}
+			locked := make(chan int, 1)
+			go func() { locked <- s.locks.LockKey(hot) }()
+			s.locks.Unlock(within(t, "the key's stripe after a recovered "+name, locked))
+		}
+	}
+	s.slots = sync.Pool{New: func() any { return newOpSlot(s) }}
+	if n, err := st.Add(hot, 1); err != nil || n != 1 {
+		t.Fatalf("Add after recovered panics = %d %v", n, err)
 	}
 }

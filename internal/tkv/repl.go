@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -23,11 +22,12 @@ import (
 //
 // The ring must present records in commit order per key, or a follower
 // replaying them diverges. The store gets that order from the stripes it
-// already holds: with a ReplLog attached every write path takes its keys'
-// stripes in EXCLUSIVE mode (single-key writes switch from RLockKey to
-// LockKey; single-shard batches switch from the shared fast path to the
-// two-phase plan/apply), and the record is enqueued after the STM commit
-// but before the stripes are released. Two writes to the same key always
+// already holds: with a log attached (this one or the WAL, st.logged())
+// every write path takes its keys' stripes in EXCLUSIVE mode — that is one
+// branch in Store.write, the only single-key write path, and one in Batch,
+// where a single-shard batch takes the two-phase plan/apply instead of the
+// shared fast path — and the record is enqueued after the STM commit but
+// before the stripes are released. Two writes to the same key always
 // contend on its stripe, so their records enqueue in their commit order;
 // writes to different keys may interleave in the ring, but their records
 // carry resulting state (values and tombstones, not operations), so any
@@ -254,129 +254,10 @@ func (st *Store) Repl() *ReplLog { return st.repl }
 func (st *Store) ReadOnly() bool { return st.ro.Load() }
 
 // SetReadOnly flips the store's write gating: true fences every external
-// write path with ErrNotPrimary (ReplApply is exempt — it is how a
-// follower's data arrives). Promotion clears it.
+// write path (Store.write, a mutating Batch) with ErrNotPrimary, on a store
+// with or without a log (ReplApply is exempt — it is how a follower's data
+// arrives). Promotion clears it.
 func (st *Store) SetReadOnly(v bool) { st.ro.Store(v) }
-
-// replWriteGate is the common front of the logged write paths: rejects
-// writes on a read-only store and runs write admission.
-func (st *Store) replWriteGate(s *shard, key uint64) (routed bool, err error) {
-	if st.ro.Load() {
-		return false, ErrNotPrimary
-	}
-	return s.admitWrite(key)
-}
-
-// loggedPutRef is PutRef with a log attached (ReplLog, WAL, or both):
-// exclusive stripe, record emitted before release. The returned Commit
-// is the WAL durability handle; the public wrapper Waits on it after
-// this function's deferred unlock has released the stripe, so fsync
-// latency never extends a stripe hold.
-func (st *Store) loggedPutRef(key uint64, val *string) (created bool, c *tkvwal.Commit, err error) {
-	sh := st.ShardOf(key)
-	s := st.shards[sh]
-	routed, err := st.replWriteGate(s, key)
-	if err != nil {
-		return false, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.LockKey(key)
-	defer s.locks.Unlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	sl.valRef = val
-	err = s.atomicallyW(key, sl.put)
-	created = sl.outOK
-	s.release(sl)
-	if err == nil {
-		c = st.logCommit(sh, []tkvlog.Entry{{Key: key, Val: *val}})
-	}
-	return created, c, err
-}
-
-// loggedDelete is Delete with a log attached.
-func (st *Store) loggedDelete(key uint64) (deleted bool, c *tkvwal.Commit, err error) {
-	sh := st.ShardOf(key)
-	s := st.shards[sh]
-	routed, err := st.replWriteGate(s, key)
-	if err != nil {
-		return false, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.LockKey(key)
-	defer s.locks.Unlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	err = s.atomicallyW(key, sl.del)
-	deleted = sl.outOK
-	s.release(sl)
-	if err == nil && deleted {
-		c = st.logCommit(sh, []tkvlog.Entry{{Key: key, Del: true}})
-	}
-	return deleted, c, err
-}
-
-// loggedCAS is CAS with a log attached; only a successful swap emits.
-func (st *Store) loggedCAS(key uint64, old, new string) (swapped bool, c *tkvwal.Commit, err error) {
-	sh := st.ShardOf(key)
-	s := st.shards[sh]
-	routed, err := st.replWriteGate(s, key)
-	if err != nil {
-		return false, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.LockKey(key)
-	defer s.locks.Unlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	sl.oldV, sl.newV = old, new
-	err = s.atomicallyW(key, sl.cas)
-	swapped = sl.outOK
-	s.release(sl)
-	if err == nil {
-		if swapped {
-			c = st.logCommit(sh, []tkvlog.Entry{{Key: key, Val: new}})
-		} else {
-			st.ops.casMisses.Add(1)
-			if s.ctl != nil {
-				s.ctl.noteConflict(key, 1)
-			}
-		}
-	}
-	return swapped, c, err
-}
-
-// loggedAdd is Add with a log attached; the record carries the
-// resulting counter value, not the delta, so replay commutes.
-func (st *Store) loggedAdd(key uint64, delta int64) (out int64, c *tkvwal.Commit, err error) {
-	sh := st.ShardOf(key)
-	s := st.shards[sh]
-	routed, err := st.replWriteGate(s, key)
-	if err != nil {
-		return 0, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.LockKey(key)
-	defer s.locks.Unlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	sl.delta = delta
-	err = s.atomicallyW(key, sl.add)
-	out = sl.outN
-	s.release(sl)
-	if err == nil {
-		c = st.logCommit(sh, []tkvlog.Entry{{Key: key, Val: strconv.FormatInt(out, 10)}})
-	}
-	return out, c, err
-}
 
 // emitPlan emits one shard's applied batch plan as a record. The caller
 // (Batch phase two) still holds the batch's exclusive stripes; the

@@ -160,46 +160,62 @@ func TestReplRingOverflow(t *testing.T) {
 	}
 }
 
-// TestReplReadOnly checks the follower write fence: every external write
-// path bounces with ErrNotPrimary, reads keep working, and clearing the
-// fence restores writes.
+// TestReplReadOnly checks the follower write fence on every kind of store
+// — no log, a ring, a WAL, both: every external write path bounces with
+// ErrNotPrimary, reads keep working, ReplApply (how a follower's data
+// arrives) is exempt, and clearing the fence restores writes.
 func TestReplReadOnly(t *testing.T) {
-	st := openTest(t, Config{Shards: 2, ReplRing: 64})
-	if _, err := st.Put(1, "a"); err != nil {
-		t.Fatal(err)
-	}
-	st.SetReadOnly(true)
+	for _, a := range attachments {
+		t.Run(a.name, func(t *testing.T) {
+			st := a.open(t, t.TempDir())
+			if _, err := st.Put(1, "a"); err != nil {
+				t.Fatal(err)
+			}
+			st.SetReadOnly(true)
 
-	if _, err := st.Put(2, "b"); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("Put on follower = %v", err)
-	}
-	if _, err := st.Delete(1); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("Delete on follower = %v", err)
-	}
-	if _, err := st.CAS(1, "a", "b"); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("CAS on follower = %v", err)
-	}
-	if _, err := st.Add(9, 1); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("Add on follower = %v", err)
-	}
-	if _, err := st.Batch([]Op{{Kind: OpPut, Key: 3, Value: "c"}}); !errors.Is(err, ErrNotPrimary) {
-		t.Fatalf("Batch on follower = %v", err)
-	}
-	// Reads — single, multi, batch of gets — stay open (stale-bounded
-	// follower reads are the point of the role).
-	if v, ok, err := st.Get(1); err != nil || !ok || v != "a" {
-		t.Fatalf("Get on follower = %q %v %v", v, ok, err)
-	}
-	if _, err := st.MGet([]uint64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Batch([]Op{{Kind: OpGet, Key: 1}}); err != nil {
-		t.Fatalf("read-only batch on follower = %v", err)
-	}
+			if _, err := st.Put(2, "b"); !errors.Is(err, ErrNotPrimary) {
+				t.Errorf("Put on follower = %v", err)
+			}
+			if _, err := st.Delete(1); !errors.Is(err, ErrNotPrimary) {
+				t.Errorf("Delete on follower = %v", err)
+			}
+			if _, err := st.CAS(1, "a", "b"); !errors.Is(err, ErrNotPrimary) {
+				t.Errorf("CAS on follower = %v", err)
+			}
+			if _, err := st.Add(9, 1); !errors.Is(err, ErrNotPrimary) {
+				t.Errorf("Add on follower = %v", err)
+			}
+			if _, err := st.Batch([]Op{{Kind: OpPut, Key: 3, Value: "c"}}); !errors.Is(err, ErrNotPrimary) {
+				t.Errorf("Batch on follower = %v", err)
+			}
+			// Reads — single, multi, batch of gets — stay open (stale-bounded
+			// follower reads are the point of the role), and nothing above
+			// got through.
+			if v, ok, err := st.Get(1); err != nil || !ok || v != "a" {
+				t.Fatalf("Get on follower = %q %v %v", v, ok, err)
+			}
+			if res, err := st.MGet([]uint64{1, 2, 3, 9}); err != nil || !res[0].Found || res[1].Found || res[2].Found || res[3].Found {
+				t.Fatalf("MGet on follower = %+v %v", res, err)
+			}
+			if _, err := st.Batch([]Op{{Kind: OpGet, Key: 1}}); err != nil {
+				t.Fatalf("read-only batch on follower = %v", err)
+			}
+			if a.ring {
+				rec := &tkvlog.Record{Shard: uint16(st.ShardOf(2)), Seq: st.Repl().Head(st.ShardOf(2)) + 1,
+					Entries: []tkvlog.Entry{{Key: 2, Val: "replicated"}}}
+				if err := st.ReplApply(rec); err != nil {
+					t.Fatalf("ReplApply on follower = %v", err)
+				}
+				if v, ok, err := st.Get(2); err != nil || !ok || v != "replicated" {
+					t.Fatalf("Get of a replicated key = %q %v %v", v, ok, err)
+				}
+			}
 
-	st.SetReadOnly(false)
-	if _, err := st.Put(2, "b"); err != nil {
-		t.Fatal(err)
+			st.SetReadOnly(false)
+			if _, err := st.Put(2, "b"); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,9 @@
 //     mode. They run concurrently with each other, with snapshots, and
 //     with any batch whose key set does not share the stripe; they are
 //     excluded only for the duration of a batch that holds their stripe
-//     exclusively.
+//     exclusively. The four writes are one function (Store.write), and on
+//     a store with a log attached (ReplRing, WAL) it takes the stripe
+//     exclusively instead, so that log order is commit order per key.
 //   - Batches (multi-key, possibly cross-shard) two-phase: phase one
 //     acquires exactly the stripes of the batch's keys — exclusive mode,
 //     in (shard, stripe) ascending order — and reads/plans every
@@ -96,6 +98,7 @@ import (
 	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stmds"
+	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
@@ -131,19 +134,20 @@ type Config struct {
 	Admission *AdmitConfig
 	// ReplRing attaches a replication log (see repl.go): per-shard rings
 	// of the last ReplRing committed write sets, fed from the write paths
-	// and consumed by the wire-level shipper. 0 disables replication and
-	// leaves the write paths byte-for-byte unchanged (shared stripes, no
-	// enqueue). With a log attached, write paths take their stripes in
-	// exclusive mode so record order is commit order per key.
+	// and consumed by the wire-level shipper. 0 disables replication. The
+	// write paths are the same code either way; with a log attached (this
+	// one or the WAL) they take their stripes in exclusive mode and emit
+	// a record before releasing them, so record order is commit order per
+	// key (see Store.write and Batch).
 	ReplRing int
-	// WAL attaches a per-shard write-ahead log (see internal/tkvwal and
-	// wal.go): committed write sets are appended from the same
-	// stripe-exclusive section that feeds the replication rings and a
-	// write is acknowledged only once its record is fsync-durable
-	// (group-committed; see tkvwal.Options for the async mode). Open
-	// recovers the directory — checkpoint plus log tail — before serving.
-	// nil disables durability and leaves the write paths unchanged. A
-	// Store opened with a WAL must be Closed.
+	// WAL attaches a write-ahead log (see internal/tkvwal and wal.go; its
+	// lanes each carry some of the shards): committed write sets are
+	// appended from the same stripe-exclusive section that feeds the
+	// replication rings and a write is acknowledged only once its record
+	// is fsync-durable (group-committed; see tkvwal.Options for the async
+	// mode). Open recovers the directory — checkpoint plus log tail —
+	// before serving. nil disables durability. A Store opened with a WAL
+	// must be Closed.
 	WAL *tkvwal.Options
 }
 
@@ -170,7 +174,8 @@ type Store struct {
 	walStop chan struct{} // stops the checkpoint loop; nil if none
 	walDone chan struct{}
 	walOnce sync.Once
-	// ro gates external writes with ErrNotPrimary (follower role).
+	// ro gates external writes with ErrNotPrimary (follower role), whatever
+	// is attached: Store.write and Batch check it, ReplApply does not.
 	ro atomic.Bool
 }
 
@@ -189,8 +194,8 @@ type shard struct {
 	locks *keylock.Table
 	// slots recycles single-key operation state: each slot carries its
 	// transaction bodies as pre-bound closures reading their operands from
-	// the slot's fields, so the single-key fast paths construct no closure
-	// and spill no result variable per call (see opSlot).
+	// the slot's fields, so Get and Store.write construct no closure and
+	// spill no result variable per call (see opSlot).
 	slots sync.Pool
 	// roStreak counts consecutive read-only snapshot restarts on this
 	// shard's read path; roFallbacks counts the reads that were routed to
@@ -199,29 +204,43 @@ type shard struct {
 	roFallbacks atomic.Uint64
 }
 
+// writeKind names the four single-key writes; it indexes opSlot.write.
+type writeKind uint8
+
+const (
+	kindPut writeKind = iota
+	kindDelete
+	kindCAS
+	kindAdd
+)
+
+// writeOp is one single-key write as Store.write takes it: its kind, its
+// key and that kind's operands.
+type writeOp struct {
+	kind  writeKind
+	key   uint64
+	val   *string // put: the pre-spilled value cell (see Store.PutRef)
+	old   string  // CAS: expected value
+	new   string  // CAS: replacement
+	delta int64   // Add
+}
+
 // opSlot is the pooled state of one single-key operation. The transaction
-// bodies (roGet, upGet, put, ...) are created once per slot and capture only
-// the slot and its shard; per call, the fast paths fill the in-fields, run
-// the matching pre-bound body, and read the out-fields back. This is what
-// makes a steady-state Get or PutRef allocation-free: the closure, the
-// escaping result variables, and (for PutRef) the value spill were the
-// single-key path's only per-op allocations.
+// bodies (roGet, upGet and one per writeKind) are created once per slot and
+// capture only the slot and its shard; per call, Get and Store.write fill
+// the in-fields, run the matching pre-bound body, and read the out-fields
+// back. This is what makes a steady-state Get or PutRef allocation-free: the
+// closure, the escaping result variables, and (for PutRef) the value spill
+// were the single-key path's only per-op allocations.
 type opSlot struct {
-	key    uint64
-	delta  int64   // in: Add
-	valRef *string // in: Put (pre-spilled value cell, see Store.PutRef)
-	oldV   string  // in: CAS expected value
-	newV   string  // in: CAS replacement
-	outVal string  // out: Get value / Add formatted result
-	outOK  bool    // out: found / created / deleted / swapped
-	outN   int64   // out: Add result
+	writeOp        // in: the operation (a Get fills only key)
+	outVal  string // out: Get value
+	outOK   bool   // out: found / created / deleted / swapped
+	outN    int64  // out: Add result
 
 	roGet func(tx *stm.ROTx) error
 	upGet func(tx stm.Tx) error
-	put   func(tx stm.Tx) error
-	del   func(tx stm.Tx) error
-	cas   func(tx stm.Tx) error
-	add   func(tx stm.Tx) error
+	write [kindAdd + 1]func(tx stm.Tx) error
 }
 
 // newOpSlot builds a slot bound to s with all transaction bodies pre-built.
@@ -237,32 +256,32 @@ func newOpSlot(s *shard) *opSlot {
 		sl.outVal, sl.outOK, err = s.kv.Get(tx, sl.key)
 		return err
 	}
-	sl.put = func(tx stm.Tx) error {
+	sl.write[kindPut] = func(tx stm.Tx) error {
 		var err error
-		sl.outOK, err = s.kv.PutRef(tx, sl.key, sl.valRef)
+		sl.outOK, err = s.kv.PutRef(tx, sl.key, sl.val)
 		return err
 	}
-	sl.del = func(tx stm.Tx) error {
+	sl.write[kindDelete] = func(tx stm.Tx) error {
 		var err error
 		sl.outOK, err = s.kv.Delete(tx, sl.key)
 		return err
 	}
-	sl.cas = func(tx stm.Tx) error {
+	sl.write[kindCAS] = func(tx stm.Tx) error {
 		sl.outOK = false
 		cur, ok, err := s.kv.Get(tx, sl.key)
 		if err != nil {
 			return err
 		}
-		if !ok || cur != sl.oldV {
+		if !ok || cur != sl.old {
 			return nil
 		}
-		if _, err := s.kv.Put(tx, sl.key, sl.newV); err != nil {
+		if _, err := s.kv.Put(tx, sl.key, sl.new); err != nil {
 			return err
 		}
 		sl.outOK = true
 		return nil
 	}
-	sl.add = func(tx stm.Tx) error {
+	sl.write[kindAdd] = func(tx stm.Tx) error {
 		cur, ok, err := s.kv.Get(tx, sl.key)
 		if err != nil {
 			return err
@@ -281,8 +300,7 @@ func newOpSlot(s *shard) *opSlot {
 // release scrubs the slot's string references (so the pool never pins a
 // large value) and returns it to the shard's pool.
 func (s *shard) release(sl *opSlot) {
-	sl.valRef = nil
-	sl.oldV, sl.newV, sl.outVal = "", "", ""
+	sl.writeOp, sl.outVal = writeOp{}, ""
 	s.slots.Put(sl)
 }
 
@@ -424,11 +442,13 @@ func (s *shard) atomicallyRO(fn func(tx *stm.ROTx) error) error {
 	return s.pool.threads[i].AtomicallyRO(fn)
 }
 
-// atomicallyW is atomically for single-key writes: when the admission
-// layer is on, a transaction that had to restart feeds its key to the
-// shard's conflict predictor, so the next write to the same key can be
-// routed through the admission queue instead of racing. Without the layer
-// it is byte-for-byte the plain path.
+// atomicallyW is atomically for Store.write: when the admission layer is
+// on, a transaction that had to restart feeds its key to the shard's
+// conflict predictor, so the next write to the same key can be routed
+// through the admission queue instead of racing. Without the layer it is
+// the plain path. It stays a function of its own because its defer is the
+// thread's hold: the thread goes back when the transaction ends, before
+// write emits the record, not when write's stripe does.
 func (s *shard) atomicallyW(key uint64, fn func(tx stm.Tx) error) error {
 	if s.ctl == nil {
 		return s.atomically(fn)
@@ -446,17 +466,6 @@ func (s *shard) atomicallyW(key uint64, fn func(tx stm.Tx) error) error {
 		s.pool.release(i)
 	}()
 	return th.Atomically(fn)
-}
-
-// admitWrite gates one single-key write on this shard when the admission
-// layer is on: it may shed (ErrBackpressure) or route the write through
-// the admission queue, in which case the caller must release the returned
-// slot after the operation. The disabled path is a nil check.
-func (s *shard) admitWrite(key uint64) (routed bool, err error) {
-	if s.ctl == nil {
-		return false, nil
-	}
-	return s.ctl.admitWrite(key)
 }
 
 // roFallbackStreak is the number of consecutive read-only snapshot restarts
@@ -529,6 +538,83 @@ func (st *Store) Get(key uint64) (string, bool, error) {
 	return val, ok, err
 }
 
+// write is the single-key write path: Put, Delete, CAS and Add on every
+// store, whatever log is attached. The read-only gate, admission, the key's
+// stripe, one update transaction on a pooled slot's pre-bound body, and on a
+// logged store the record of the resulting state, emitted before the
+// deferred unlock. ok is created / deleted / swapped, n an Add's new counter.
+//
+// The stripe's mode is the one thing a log changes: exclusive when
+// st.logged(), so that two writes to one key reach the log in their commit
+// order (see repl.go, "Ordering"); shared otherwise, where the transaction
+// alone orders them. The record carries state, not the operation, and only a
+// write that changed something has one: a put's value, a tombstone for a
+// delete that found its key, a CAS's new value if it swapped, an Add's new
+// counter (not the delta, so replay commutes). The returned Commit is the
+// WAL's durability handle, nil without one; the callers Wait on it after
+// this function's deferred unlock has released the stripe, so fsync latency
+// never extends a stripe hold.
+func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err error) {
+	if st.ro.Load() {
+		return false, 0, nil, ErrNotPrimary
+	}
+	sh := st.ShardOf(op.key)
+	s := st.shards[sh]
+	if s.ctl != nil {
+		// Admission may shed the write (ErrBackpressure) or route a key the
+		// conflict predictor flags through the admission queue, whose slot
+		// is then held for the whole operation.
+		routed, err := s.ctl.admitWrite(op.key)
+		if err != nil {
+			return false, 0, nil, err
+		}
+		if routed {
+			defer s.ctl.q.release()
+		}
+	}
+	logged := st.logged()
+	if logged {
+		i := s.locks.LockKey(op.key)
+		defer s.locks.Unlock(i)
+	} else {
+		i := s.locks.RLockKey(op.key)
+		defer s.locks.RUnlock(i)
+	}
+	sl := s.slots.Get().(*opSlot)
+	sl.writeOp = op
+	err = s.atomicallyW(op.key, sl.write[op.kind])
+	ok, n = sl.outOK, sl.outN
+	s.release(sl)
+	if err != nil {
+		return false, 0, nil, err
+	}
+	if op.kind == kindCAS && !ok {
+		st.ops.casMisses.Add(1)
+		if s.ctl != nil {
+			// A CAS miss is a key-level conflict the engine never sees (the
+			// compare fails in a committed read); feed it to the predictor
+			// all the same.
+			s.ctl.noteConflict(op.key, 1)
+		}
+	}
+	// A put and an Add always change their key; a delete and a CAS did iff ok.
+	if logged && (ok || op.kind == kindPut || op.kind == kindAdd) {
+		e := tkvlog.Entry{Key: op.key}
+		switch op.kind {
+		case kindPut:
+			e.Val = *op.val
+		case kindDelete:
+			e.Del = true
+		case kindCAS:
+			e.Val = op.new
+		case kindAdd:
+			e.Val = strconv.FormatInt(n, 10)
+		}
+		c = st.logCommit(sh, []tkvlog.Entry{e})
+	}
+	return ok, n, c, nil
+}
+
 // Put stores val under key, reporting whether the key was created. The
 // value cell holding val becomes the committed value (PutRef with the
 // argument's own cell), so Put costs exactly one allocation — the cell the
@@ -545,9 +631,9 @@ func (st *Store) Put(key uint64, val string) (bool, error) {
 func (st *Store) PutRef(key uint64, val *string) (bool, error) {
 	created, c, err := st.PutRefAsync(key, val)
 	if err == nil {
-		// The stripe is already released (the logged path's defers ran);
-		// parking on the group fsync here keeps I/O latency out of
-		// every stripe hold time.
+		// The stripe is already released (write's defers ran); parking on
+		// the group fsync here keeps I/O latency out of every stripe hold
+		// time.
 		err = c.Wait()
 	}
 	return created, err
@@ -563,26 +649,8 @@ func (st *Store) PutRef(key uint64, val *string) (bool, error) {
 // fsync round-trip per op.
 func (st *Store) PutRefAsync(key uint64, val *string) (bool, *tkvwal.Commit, error) {
 	st.ops.puts.Add(1)
-	if st.logged() {
-		return st.loggedPutRef(key, val)
-	}
-	s := st.shardFor(key)
-	routed, err := s.admitWrite(key)
-	if err != nil {
-		return false, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.RLockKey(key)
-	defer s.locks.RUnlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	sl.valRef = val
-	err = s.atomicallyW(key, sl.put)
-	created := sl.outOK
-	s.release(sl)
-	return created, nil, err
+	created, _, c, err := st.write(writeOp{kind: kindPut, key: key, val: val})
+	return created, c, err
 }
 
 // Delete removes key, reporting whether it was present.
@@ -597,25 +665,8 @@ func (st *Store) Delete(key uint64) (bool, error) {
 // DeleteAsync is Delete split at the durability park (see PutRefAsync).
 func (st *Store) DeleteAsync(key uint64) (bool, *tkvwal.Commit, error) {
 	st.ops.deletes.Add(1)
-	if st.logged() {
-		return st.loggedDelete(key)
-	}
-	s := st.shardFor(key)
-	routed, err := s.admitWrite(key)
-	if err != nil {
-		return false, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.RLockKey(key)
-	defer s.locks.RUnlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	err = s.atomicallyW(key, sl.del)
-	deleted := sl.outOK
-	s.release(sl)
-	return deleted, nil, err
+	deleted, _, c, err := st.write(writeOp{kind: kindDelete, key: key})
+	return deleted, c, err
 }
 
 // CAS atomically replaces the value under key with new if the current value
@@ -631,35 +682,8 @@ func (st *Store) CAS(key uint64, old, new string) (bool, error) {
 // CASAsync is CAS split at the durability park (see PutRefAsync).
 func (st *Store) CASAsync(key uint64, old, new string) (bool, *tkvwal.Commit, error) {
 	st.ops.cas.Add(1)
-	if st.logged() {
-		return st.loggedCAS(key, old, new)
-	}
-	s := st.shardFor(key)
-	routed, err := s.admitWrite(key)
-	if err != nil {
-		return false, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.RLockKey(key)
-	defer s.locks.RUnlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	sl.oldV, sl.newV = old, new
-	err = s.atomicallyW(key, sl.cas)
-	swapped := sl.outOK
-	s.release(sl)
-	if err == nil && !swapped {
-		st.ops.casMisses.Add(1)
-		if s.ctl != nil {
-			// A CAS miss is a key-level conflict the engine never
-			// sees (the compare fails in a committed read); feed it
-			// to the predictor all the same.
-			s.ctl.noteConflict(key, 1)
-		}
-	}
-	return swapped, nil, err
+	swapped, _, c, err := st.write(writeOp{kind: kindCAS, key: key, old: old, new: new})
+	return swapped, c, err
 }
 
 // Add atomically adds delta to the decimal integer stored under key,
@@ -676,26 +700,8 @@ func (st *Store) Add(key uint64, delta int64) (int64, error) {
 // AddAsync is Add split at the durability park (see PutRefAsync).
 func (st *Store) AddAsync(key uint64, delta int64) (int64, *tkvwal.Commit, error) {
 	st.ops.adds.Add(1)
-	if st.logged() {
-		return st.loggedAdd(key, delta)
-	}
-	s := st.shardFor(key)
-	routed, err := s.admitWrite(key)
-	if err != nil {
-		return 0, nil, err
-	}
-	if routed {
-		defer s.ctl.q.release()
-	}
-	i := s.locks.RLockKey(key)
-	defer s.locks.RUnlock(i)
-	sl := s.slots.Get().(*opSlot)
-	sl.key = key
-	sl.delta = delta
-	err = s.atomicallyW(key, sl.add)
-	out := sl.outN
-	s.release(sl)
-	return out, nil, err
+	_, out, c, err := st.write(writeOp{kind: kindAdd, key: key, delta: delta})
+	return out, c, err
 }
 
 // ErrUser marks errors caused by the request content (as opposed to engine

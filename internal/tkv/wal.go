@@ -14,9 +14,10 @@ import (
 // write-ahead log (internal/tkvwal) — a set of lanes, each owning some of
 // the store's shards; the store never asks which layout it was given,
 // only which lane a shard is in — fed from the same place the
-// replication rings are: the write paths enqueue their committed write
-// set while still holding the keys' exclusive stripes, so WAL order is
-// commit order per key, exactly as ring order is. The two logs share one
+// replication rings are: Store.write (every single-key write) and the
+// batch apply hand their committed write set to logCommit while still
+// holding the keys' exclusive stripes, so WAL order is commit order per
+// key, exactly as ring order is. The two logs share one
 // record format (tkvlog) and one sequence numbering — when both are
 // attached, the ring assigns the sequence and the WAL persists it, so a
 // follower's applied watermark and the local durable watermark speak the
@@ -30,7 +31,9 @@ import (
 // fsync, and both acks ride the same or consecutive fsyncs in order.
 
 // logged reports whether write paths must take exclusive stripes and
-// emit their write sets (to the replication ring, the WAL, or both).
+// emit their write sets (to the replication ring, the WAL, or both). It is
+// the whole difference a log makes to a write: Store.write and Batch
+// branch on it, nothing else does.
 func (st *Store) logged() bool { return st.repl != nil || st.wal != nil }
 
 // logCommit hands one committed write set to the attached logs and

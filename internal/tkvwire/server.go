@@ -214,8 +214,15 @@ type walAck struct {
 // happens if the read loop does not park. The protocol already completes
 // multi-key ops out of order, so an inline read overtaking a parked
 // write ack is nothing new — and the read observes the committed value,
-// because the write applied before its handle was issued.
+// because the write applied before its handle was issued. A nil handle
+// waits for nothing (no WAL, async mode, or a write that changed nothing
+// and so logged nothing): its frame goes straight out, overtaking parked
+// acks the same way.
 func (c *conn) deferAck(cm *tkvwal.Commit, f *Frame, op byte, id uint64) {
+	if cm == nil {
+		c.out <- f
+		return
+	}
 	if c.acks == nil {
 		c.acks = make(chan walAck, 256)
 		c.ackerDone = make(chan struct{})
@@ -378,11 +385,7 @@ func (c *conn) dispatch(h Header, p []byte) bool {
 		}
 		f := GetFrame(HeaderSize)
 		f.B = AppendBoolResp(f.B, OpPut, h.ID, created)
-		if cm != nil {
-			c.deferAck(cm, f, OpPut, h.ID)
-		} else {
-			c.out <- f
-		}
+		c.deferAck(cm, f, OpPut, h.ID)
 	case OpDelete:
 		key, err := ParseKeyReq(p)
 		if err != nil {
@@ -396,11 +399,7 @@ func (c *conn) dispatch(h Header, p []byte) bool {
 		}
 		f := GetFrame(HeaderSize)
 		f.B = AppendBoolResp(f.B, OpDelete, h.ID, deleted)
-		if cm != nil {
-			c.deferAck(cm, f, OpDelete, h.ID)
-		} else {
-			c.out <- f
-		}
+		c.deferAck(cm, f, OpDelete, h.ID)
 	case OpCAS:
 		key, old, new, err := ParseCASReq(p)
 		if err != nil {
@@ -414,11 +413,7 @@ func (c *conn) dispatch(h Header, p []byte) bool {
 		}
 		f := GetFrame(HeaderSize)
 		f.B = AppendBoolResp(f.B, OpCAS, h.ID, swapped)
-		if cm != nil {
-			c.deferAck(cm, f, OpCAS, h.ID)
-		} else {
-			c.out <- f
-		}
+		c.deferAck(cm, f, OpCAS, h.ID)
 	case OpAdd:
 		key, delta, err := ParseAddReq(p)
 		if err != nil {
@@ -432,11 +427,7 @@ func (c *conn) dispatch(h Header, p []byte) bool {
 		}
 		f := GetFrame(HeaderSize + 8)
 		f.B = AppendAddResp(f.B, h.ID, val)
-		if cm != nil {
-			c.deferAck(cm, f, OpAdd, h.ID)
-		} else {
-			c.out <- f
-		}
+		c.deferAck(cm, f, OpAdd, h.ID)
 	case OpMGet:
 		keys, err := ParseMGetReq(p)
 		if err != nil {
