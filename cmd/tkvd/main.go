@@ -19,9 +19,12 @@
 // (-role follower -follow primary:port) replays the stream into its own
 // store, serves stale-bounded reads, bounces writes with 421, and can be
 // promoted to primary at any time with POST /promote. Graceful shutdown
-// fences writes and drains the replication stream first, so a drained
-// follower is exactly up to date — the kill-and-recover drill in
-// tkvload -scenario failover loses nothing.
+// fences writes (a barrier: no write that passed the gate is still in
+// flight when the fence returns) and drains the replication stream first;
+// /promote lets the applier read that stream to its fence before stopping
+// it and prints what it took over ("promoted to primary fenced=true gap=[0 0]"),
+// so a drained follower is exactly up to date — the kill-and-recover drill
+// in tkvload -scenario failover loses nothing.
 //
 // tkvd persists. With -wal <dir> every committed write set is appended to
 // a write-ahead log and acknowledged only once its group-commit fsync
@@ -69,6 +72,11 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
+
+// replDrainTimeout bounds both ends of a handover: a stopping primary
+// waiting for its followers to take the fence, and a follower being
+// promoted waiting for that fence (or the primary's death) to arrive.
+const replDrainTimeout = 3 * time.Second
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, nil, nil); err != nil {
@@ -229,13 +237,24 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 			return
 		}
 		replMu.Lock()
+		took := ""
 		if follower != nil {
+			// Let the applier finish what the old primary already wrote to
+			// the socket (Stop alone would close it under the applier),
+			// then say what is being taken ownership of: per shard, the
+			// primary's head as last heard minus what was applied.
+			fenced := follower.Drain(replDrainTimeout)
 			follower.Stop()
 			follower = nil
+			var gap []uint64
+			for _, sh := range store.Stats().Repl.Shards {
+				gap = append(gap, sh.Lag)
+			}
+			took = fmt.Sprintf(" fenced=%v gap=%v", fenced, gap)
 		}
 		store.SetReadOnly(false)
 		replMu.Unlock()
-		fmt.Fprintf(out, "tkvd: promoted to primary\n")
+		fmt.Fprintf(out, "tkvd: promoted to primary%s\n", took)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"role":"primary"}`)
 	})
@@ -327,7 +346,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	}
 	if store.Repl() != nil && wsrv != nil && !store.ReadOnly() {
 		store.SetReadOnly(true)
-		if !wsrv.DrainRepl(3 * time.Second) {
+		if !wsrv.DrainRepl(replDrainTimeout) {
 			fmt.Fprintln(out, "tkvd: replication drain timed out; followers must resync")
 		}
 	}

@@ -175,7 +175,9 @@ func TestPrimaryFollowerFailover(t *testing.T) {
 	if code := httpPut(t, fbase, 1000, "after-failover"); code != 200 {
 		t.Fatalf("promoted put = %d", code)
 	}
-	if !strings.Contains(follower.out.String(), "promoted to primary") {
+	// The promote line says what was taken over: the stream was read to the
+	// primary's fence, so nothing (two shards, no gap).
+	if !strings.Contains(follower.out.String(), "promoted to primary fenced=true gap=[0 0]") {
 		t.Fatalf("missing promote log:\n%s", follower.out.String())
 	}
 }

@@ -41,24 +41,37 @@ type crashSpec struct {
 // tkvdProc is one incarnation of the server under test.
 type tkvdProc struct {
 	cmd *exec.Cmd
-	out bytes.Buffer // combined stdout+stderr, read only after Wait
+	out procOutput // combined stdout+stderr
 }
 
-// startTkvd launches the binary on addr with the scenario's WAL and
-// waits until /stats answers.
-func startTkvd(sp crashSpec, addr string, client *http.Client) (*tkvdProc, error) {
-	p := &tkvdProc{cmd: exec.Command(sp.tkvd,
-		"-addr", addr,
-		"-tcpaddr", "",
-		"-replring", "0",
-		"-shards", "4",
-		"-wal", sp.waldir,
-		"-walmode", sp.walmode,
-	)}
+// procOutput collects a child's output. The recovery line is read while the
+// child is running and os/exec is still copying into the buffer, hence the
+// lock.
+type procOutput struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (o *procOutput) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.Write(p)
+}
+
+func (o *procOutput) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
+
+// startTkvd launches the binary serving HTTP on addr with the given further
+// flags and waits until /stats answers.
+func startTkvd(bin, addr string, client *http.Client, args ...string) (*tkvdProc, error) {
+	p := &tkvdProc{cmd: exec.Command(bin, append([]string{"-addr", addr}, args...)...)}
 	p.cmd.Stdout = &p.out
 	p.cmd.Stderr = &p.out
 	if err := p.cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", sp.tkvd, err)
+		return nil, fmt.Errorf("starting %s: %w", bin, err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	for {
@@ -79,26 +92,32 @@ func startTkvd(sp crashSpec, addr string, client *http.Client) (*tkvdProc, error
 	}
 }
 
-func runCrash(sp crashSpec, out io.Writer) error {
-	// Reserve a port, then free it for the server. Every incarnation
-	// binds the same address, so the load workers never re-target.
+// freeAddr reserves a loopback port and frees it again for a server to bind.
+func freeAddr() (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
+	}
+	defer ln.Close()
+	return ln.Addr().String(), nil
+}
+
+func runCrash(sp crashSpec, out io.Writer) error {
+	// Every incarnation binds the same address, so the load workers never
+	// re-target.
+	addr, err := freeAddr()
 	if err != nil {
 		return err
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	client := &http.Client{
-		Timeout: 10 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        sp.workers * 2,
-			MaxIdleConnsPerHost: sp.workers * 2,
-		},
-	}
+	client := newHTTPClient(sp.workers, 10*time.Second)
+	defer client.CloseIdleConnections()
 	kv := &httpKV{base: "http://" + addr, client: client}
+	start := func() (*tkvdProc, error) {
+		return startTkvd(sp.tkvd, addr, client, "-tcpaddr", "", "-replring", "0",
+			"-shards", "4", "-wal", sp.waldir, "-walmode", sp.walmode)
+	}
 
-	proc, err := startTkvd(sp, addr, client)
+	proc, err := start()
 	if err != nil {
 		return err
 	}
@@ -152,7 +171,7 @@ func runCrash(sp crashSpec, out io.Writer) error {
 			return fail(fmt.Errorf("kill: %w", err))
 		}
 		proc.cmd.Wait()
-		proc, err = startTkvd(sp, addr, client)
+		proc, err = start()
 		if err != nil {
 			proc = nil
 			return fail(fmt.Errorf("restart after kill %d: %w", round, err))

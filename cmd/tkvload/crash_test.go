@@ -2,22 +2,46 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// buildTkvd compiles the real tkvd binary for the crash drill — the
-// scenario needs a process it can SIGKILL, not an in-process stand-in.
+// tkvdBuild is the real tkvd binary, compiled once per test binary: the
+// drills need processes they can quit and SIGKILL, and whose /quit order and
+// /promote drain are tkvd's own, not a stand-in's.
+var tkvdBuild struct {
+	once sync.Once
+	dir  string
+	out  []byte
+	err  error
+}
+
 func buildTkvd(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "tkvd")
-	cmd := exec.Command("go", "build", "-o", bin, "github.com/shrink-tm/shrink/cmd/tkvd")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building tkvd: %v\n%s", err, out)
+	b := &tkvdBuild
+	b.once.Do(func() {
+		if b.dir, b.err = os.MkdirTemp("", "tkvload-test-tkvd-"); b.err != nil {
+			return
+		}
+		cmd := exec.Command("go", "build", "-o", filepath.Join(b.dir, "tkvd"), "github.com/shrink-tm/shrink/cmd/tkvd")
+		b.out, b.err = cmd.CombinedOutput()
+	})
+	if b.err != nil {
+		t.Fatalf("building tkvd: %v\n%s", b.err, b.out)
 	}
-	return bin
+	return filepath.Join(b.dir, "tkvd")
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if tkvdBuild.dir != "" {
+		os.RemoveAll(tkvdBuild.dir)
+	}
+	os.Exit(code)
 }
 
 // TestCrashScenario runs the SIGKILL drill end to end through the CLI

@@ -34,13 +34,8 @@ type failoverSpec struct {
 }
 
 func runFailover(sp failoverSpec, out io.Writer) error {
-	client := &http.Client{
-		Timeout: 10 * time.Second,
-		Transport: &http.Transport{
-			MaxIdleConns:        sp.workers * 2,
-			MaxIdleConnsPerHost: sp.workers * 2,
-		},
-	}
+	client := newHTTPClient(sp.workers, 10*time.Second)
+	defer client.CloseIdleConnections()
 	primary := &httpKV{base: sp.primary, client: client}
 	follower := &httpKV{base: sp.follower, client: client}
 

@@ -2,160 +2,101 @@ package main
 
 import (
 	"bytes"
-	"fmt"
-	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
-
-	"github.com/shrink-tm/shrink/internal/tkv"
-	"github.com/shrink-tm/shrink/internal/tkvrepl"
-	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
 
-// miniTKVD is a test stand-in for one tkvd process: the same store, wire
-// server, HTTP surface, /promote and /quit semantics, and the same
-// fence-drain-close shutdown order — just in-process so the scenario
-// test needs no binaries.
-type miniTKVD struct {
-	store *tkv.Store
-	wsrv  *tkvwire.Server
-	hsrv  *http.Server
-
-	httpAddr string
-	wireAddr string
-
-	mu       sync.Mutex
-	follower *tkvrepl.Follower
-	quit     chan struct{} // closed by POST /quit
-	done     chan struct{} // closed when the quit-shutdown finished
-}
-
-func startMini(t *testing.T, follow string) *miniTKVD {
-	t.Helper()
-	st, err := tkv.Open(tkv.Config{Shards: 2, PoolSize: 2, Buckets: 128, ReplRing: 1024})
-	if err != nil {
-		t.Fatal(err)
+// TestFailoverScenario runs the full drill through the same entry point the
+// CLI uses, against two real tkvd processes — a primary and a follower
+// streaming from it — so the fence-drain-close order behind /quit and the
+// drain behind /promote are the server's own. It requires the zero-loss
+// verdict and the follower's account of what it took over.
+func TestFailoverScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real server processes")
 	}
-	t.Cleanup(st.Close)
-	m := &miniTKVD{store: st, quit: make(chan struct{}), done: make(chan struct{})}
-
-	wln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.wireAddr = wln.Addr().String()
-	m.wsrv = tkvwire.NewServer(st)
-	go m.wsrv.Serve(wln)
-
-	mux := http.NewServeMux()
-	mux.Handle("/", tkv.NewHandler(st))
-	mux.HandleFunc("POST /promote", func(w http.ResponseWriter, r *http.Request) {
-		m.mu.Lock()
-		if m.follower != nil {
-			m.follower.Stop()
-			m.follower = nil
+	bin := buildTkvd(t)
+	var addrs [4]string // primary http, primary wire, follower http, follower wire
+	for i := range addrs {
+		var err error
+		if addrs[i], err = freeAddr(); err != nil {
+			t.Fatal(err)
 		}
-		m.store.SetReadOnly(false)
-		m.mu.Unlock()
-		fmt.Fprintln(w, `{"role":"primary"}`)
-	})
-	mux.HandleFunc("POST /quit", func(w http.ResponseWriter, r *http.Request) {
-		m.mu.Lock()
-		select {
-		case <-m.quit:
-		default:
-			close(m.quit)
-		}
-		m.mu.Unlock()
-		w.WriteHeader(http.StatusOK)
-	})
-	hln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
 	}
-	m.httpAddr = hln.Addr().String()
-	m.hsrv = &http.Server{Handler: mux}
-	go m.hsrv.Serve(hln)
-
-	if follow != "" {
-		st.SetReadOnly(true)
-		f, err := tkvrepl.Start(st, follow)
+	client := &http.Client{Timeout: 10 * time.Second}
+	start := func(addr string, args ...string) *tkvdProc {
+		t.Helper()
+		p, err := startTkvd(bin, addr, client, append([]string{"-shards", "2", "-pool", "2", "-buckets", "128"}, args...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.mu.Lock()
-		m.follower = f
-		m.mu.Unlock()
+		t.Cleanup(func() { // no-ops once the process has been waited for
+			p.cmd.Process.Kill()
+			p.cmd.Wait()
+		})
+		return p
 	}
-
-	// The quit watcher replays tkvd's graceful order: fence, drain the
-	// stream, close the wire server, then the HTTP server.
-	go func() {
-		defer close(m.done)
-		<-m.quit
-		if !m.store.ReadOnly() {
-			m.store.SetReadOnly(true)
-			m.wsrv.DrainRepl(5 * time.Second)
+	primary := start(addrs[0], "-tcpaddr", addrs[1])
+	follower := start(addrs[2], "-tcpaddr", addrs[3], "-role", "follower", "-follow", addrs[1])
+	pkv := &httpKV{base: "http://" + addrs[0], client: client}
+	fkv := &httpKV{base: "http://" + addrs[2], client: client}
+	// The drill only means something with the follower attached: fencing a
+	// primary nobody follows strands the fence.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if st, err := pkv.stats(); err == nil && st.Repl != nil && st.Repl.Followers == 1 {
+			break
 		}
-		m.wsrv.Close()
-		m.hsrv.Close()
-	}()
-	t.Cleanup(func() {
-		m.mu.Lock()
-		if m.follower != nil {
-			m.follower.Stop()
-			m.follower = nil
+		if time.Now().After(deadline) {
+			t.Fatal("follower never attached to the primary")
 		}
-		select {
-		case <-m.quit:
-		default:
-			close(m.quit)
-		}
-		m.mu.Unlock()
-		<-m.done
-	})
-	return m
-}
-
-// TestFailoverScenario runs the full drill through the same entry point
-// the CLI uses and checks the zero-loss verdict.
-func TestFailoverScenario(t *testing.T) {
-	primary := startMini(t, "")
-	follower := startMini(t, primary.wireAddr)
+	}
 
 	var out bytes.Buffer
 	err := run([]string{
 		"-scenario", "failover",
-		"-url", "http://" + primary.httpAddr,
-		"-url2", "http://" + follower.httpAddr,
+		"-url", "http://" + addrs[0],
+		"-url2", "http://" + addrs[2],
 		"-keys", "32",
 		"-conns", "4",
 		"-dur", "300ms",
 	}, &out)
+	t.Log("\n" + out.String())
 	if err != nil {
-		t.Fatalf("failover scenario: %v\n%s", err, out.String())
+		t.Fatalf("failover scenario: %v", err)
 	}
 	if !strings.Contains(out.String(), "PASS — zero lost acknowledged updates") {
-		t.Fatalf("missing pass verdict:\n%s", out.String())
+		t.Fatal("missing pass verdict")
 	}
 	if !strings.Contains(out.String(), "follower promoted") {
-		t.Fatalf("missing promote line:\n%s", out.String())
+		t.Fatal("missing promote line")
 	}
-	// The promoted follower is writable.
-	if rs := follower.store.Stats().Repl; rs == nil || rs.Role != "primary" {
-		t.Fatalf("follower not promoted: %+v", rs)
+	if err := primary.cmd.Wait(); err != nil {
+		t.Errorf("the primary's exit after /quit: %v\n%s", err, primary.out.String())
+	}
+
+	// The promoted follower is a writable primary, and said what it took.
+	if st, err := fkv.stats(); err != nil || st.Repl == nil || st.Repl.Role != "primary" {
+		t.Errorf("follower not promoted: %+v, %v", st.Repl, err)
+	}
+	if code := post(client, fkv.base+"/quit"); code != http.StatusOK {
+		t.Fatalf("POST /quit on the follower = %d", code)
+	}
+	if err := follower.cmd.Wait(); err != nil {
+		t.Errorf("the follower's exit after /quit: %v\n%s", err, follower.out.String())
+	}
+	if !strings.Contains(follower.out.String(), "promoted to primary fenced=true gap=[0 0]") {
+		t.Errorf("the follower did not read the stream to its fence:\n%s", follower.out.String())
 	}
 }
 
 func TestFailoverScenarioFlagValidation(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-scenario", "failover", "-url", "http://x"}, &out); err == nil {
+	if err := run([]string{"-scenario", "failover", "-url", "http://127.0.0.1:1"}, &out); err == nil {
 		t.Fatal("failover without -url2 accepted")
 	}
-	if err := run([]string{"-scenario", "bogus", "-url", "http://x"}, &out); err == nil {
+	if err := run([]string{"-scenario", "bogus", "-url", "http://127.0.0.1:1"}, &out); err == nil {
 		t.Fatal("bogus scenario accepted")
 	}
 }

@@ -35,11 +35,13 @@
 // exclusive-session gate in O(1) instead of walking stripes. Batch, MGet
 // and the follower's replay share one pooled planner, so a multi-key call
 // allocates only what it hands away (results, stored values). cmd/tkvd
-// serves it over HTTP/JSON and cmd/tkvload drives it open-loop with
-// configurable skew, read ratio, mget and batch mix, cas-in-batch
-// fraction and batch key overlap while verifying the zero-lost-update
-// invariant — the paper's "many threads hammering shared state" regime
-// as a live server rather than a closed-loop benchmark.
+// serves it over HTTP/JSON and cmd/tkvload is its scenario driver: it
+// puts a real tkvd under load with configurable skew, read ratio, mget
+// and batch mix, cas-in-batch fraction and batch key overlap, closed- or
+// open-loop, and fails unless the zero-lost-update invariant held — also
+// while requests are shed, across a kill -9 and across a failover — the
+// paper's "many threads hammering shared state" regime as a live server.
+// How fast the store is belongs to the repository benchmark, bench/.
 //
 // The serving edge itself is internal/tkvwire: a length-prefixed binary
 // wire protocol (fixed 16-byte little-endian headers, fixed-width
@@ -74,10 +76,14 @@
 // same stripe-exclusive commit path, serves stale-bounded reads
 // (writes bounce with "not primary"), reports lag watermarks in /stats,
 // and promotes to a writable primary on POST /promote. Graceful
-// shutdown fences writes and drains the stream through a flush barrier
-// before closing listeners, so planned failover loses no acknowledged
-// write (cmd/tkvload -scenario failover drills exactly that); a hard
-// kill loses at most the reported lag.
+// shutdown fences writes — a barrier: when Store.SetReadOnly(true)
+// returns, no write that passed the gate is still in flight — and drains
+// the stream through a flush barrier before closing listeners; promotion
+// reads the stream to that fence before it stops the applier and prints
+// what it took over (fenced, and per shard the primary's head as last
+// heard minus what was applied). So planned failover loses no
+// acknowledged write (cmd/tkvload -scenario failover drills exactly
+// that); a hard kill loses at most the reported lag.
 //
 // The transaction lifecycle is shared between the engines (stm.Core) and
 // allocation-free in steady state under any scheduler: write-set lookups

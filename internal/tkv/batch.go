@@ -572,6 +572,9 @@ func (b *batchState) readGroups() error {
 func (b *batchState) runDirect() error {
 	b.lock(false)
 	defer b.unlock(false)
+	if b.st.ro.Load() {
+		return ErrNotPrimary // fenced while waiting for the stripes; see SetReadOnly
+	}
 	return b.enter(0).atomically(b.directBody)
 }
 
@@ -584,6 +587,9 @@ func (b *batchState) runTwoPhase() error {
 	st := b.st
 	b.lock(true)
 	defer b.unlock(true)
+	if st.ro.Load() {
+		return ErrNotPrimary // fenced while waiting for the stripes; see SetReadOnly
+	}
 
 	// Phase one: one read-only snapshot transaction per shard. It performs
 	// no STM writes (mutations land in the overlay), and the RO mode

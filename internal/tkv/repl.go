@@ -257,7 +257,26 @@ func (st *Store) ReadOnly() bool { return st.ro.Load() }
 // write path (Store.write, a mutating Batch) with ErrNotPrimary, on a store
 // with or without a log (ReplApply is exempt — it is how a follower's data
 // arrives). Promotion clears it.
-func (st *Store) SetReadOnly(v bool) { st.ro.Store(v) }
+//
+// SetReadOnly(true) is a barrier: when it returns, every write that passed
+// the gate has committed and, on a logged store, emitted its record, so a
+// head read afterwards (what DrainRepl ships up to before it fences the
+// stream) is final. The write paths test the flag again once they hold their
+// stripes, and this takes every stripe of every shard after setting it —
+// exclusively, so the shared holders of an unlogged store are waited out
+// too. It must not be called with a stripe held.
+func (st *Store) SetReadOnly(v bool) {
+	st.ro.Store(v)
+	if !v {
+		return
+	}
+	b := st.batch()
+	defer b.release()
+	for i := range st.shards {
+		b.lockShard(i, true)
+		b.unlock(true)
+	}
+}
 
 // emitPlan emits one shard's applied batch plan as a record. The caller
 // (Batch phase two) still holds the batch's exclusive stripes; the

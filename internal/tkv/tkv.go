@@ -540,7 +540,9 @@ func (st *Store) Get(key uint64) (string, bool, error) {
 
 // write is the single-key write path: Put, Delete, CAS and Add on every
 // store, whatever log is attached. The read-only gate, admission, the key's
-// stripe, one update transaction on a pooled slot's pre-bound body, and on a
+// stripe and the gate again under it (SetReadOnly(true) waits out every
+// stripe, so a write that holds one either finishes before the fence or sees
+// it), one update transaction on a pooled slot's pre-bound body, and on a
 // logged store the record of the resulting state, emitted before the
 // deferred unlock. ok is created / deleted / swapped, n an Add's new counter.
 //
@@ -579,6 +581,12 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 	} else {
 		i := s.locks.RLockKey(op.key)
 		defer s.locks.RUnlock(i)
+	}
+	if st.ro.Load() {
+		// The fence went up while this write waited for admission or the
+		// stripe. SetReadOnly(true) is waiting for this stripe (or has had
+		// it already): nothing may commit behind it.
+		return false, 0, nil, ErrNotPrimary
 	}
 	sl := s.slots.Get().(*opSlot)
 	sl.writeOp = op

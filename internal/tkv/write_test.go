@@ -315,6 +315,80 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 	}
 }
 
+// TestReadOnlyFenceIsBarrier: SetReadOnly(true) returns only once every
+// write that passed the gate has finished, and a write that had not yet taken
+// its stripe is refused. Each write is parked between the gate and its stripe
+// (the test holds the stripe), the fence is raised behind it and must wait;
+// released, the write must come back ErrNotPrimary and the store's log and
+// contents must be what SetReadOnly's caller saw when it returned — the head
+// a shipper compares its cursors to before it fences the stream.
+func TestReadOnlyFenceIsBarrier(t *testing.T) {
+	const key = 7
+	writes := []struct {
+		name string
+		run  func(*Store) error
+	}{
+		{"Put", func(st *Store) error { _, err := st.Put(key, "v"); return err }},
+		{"Delete", func(st *Store) error { _, err := st.Delete(key); return err }},
+		{"CAS", func(st *Store) error { _, err := st.CAS(key, "1", "2"); return err }},
+		{"Add", func(st *Store) error { _, err := st.Add(key, 1); return err }},
+		{"Batch", func(st *Store) error {
+			_, err := st.Batch([]Op{{Kind: OpAdd, Key: key, Delta: 1}})
+			return err
+		}},
+	}
+	for _, a := range attachments {
+		for _, w := range writes {
+			t.Run(a.name+"/"+w.name, func(t *testing.T) {
+				st := a.open(t, t.TempDir())
+				s := st.shardFor(key)
+				if _, err := st.Put(key, "1"); err != nil { // something for w to change
+					t.Fatal(err)
+				}
+				heads := func() (n uint64) {
+					if a.logged() {
+						n = logHeads(st)
+					}
+					return n
+				}
+				before := heads()
+
+				shared, excl := s.locks.Waits()
+				i := s.locks.LockKey(key)
+				wrote := make(chan error, 1)
+				go func() { wrote <- w.run(st) }()
+				eventually(t, w.name+" waits for the stripe", func() bool {
+					sh, ex := s.locks.Waits()
+					return sh+ex == shared+excl+1
+				})
+				fenced := make(chan uint64, 1)
+				go func() {
+					st.SetReadOnly(true)
+					fenced <- heads()
+				}()
+				select {
+				case h := <-fenced:
+					t.Errorf("SetReadOnly(true) returned past a %s that had passed the gate", w.name)
+					fenced <- h // read again below
+				case <-time.After(50 * time.Millisecond):
+				}
+				s.locks.Unlock(i)
+
+				if err := within(t, w.name, wrote); !errors.Is(err, ErrNotPrimary) {
+					t.Errorf("%s behind the fence = %v, want ErrNotPrimary", w.name, err)
+				}
+				atFence := within(t, "SetReadOnly", fenced)
+				if now := heads(); atFence != before || now != atFence {
+					t.Errorf("log heads %d before, %d when SetReadOnly returned, %d now", before, atFence, now)
+				}
+				if v, ok, err := st.Get(key); err != nil || !ok || v != "1" {
+					t.Errorf("Get = %q %v %v, want the value from before the fence", v, ok, err)
+				}
+			})
+		}
+	}
+}
+
 // TestSingleKeyWriteAllocs holds the store's own single-key write path to
 // exact allocation counts, unlogged and with a ring: what a write allocates
 // is what it hands away — the value cell of a CAS or an Add, and with a log

@@ -18,9 +18,11 @@
 // The local store must be opened with a replication log
 // (Config.ReplRing > 0) and is normally read-only (SetReadOnly(true), so
 // external writes bounce with ErrNotPrimary) until promotion, which is
-// just Stop + SetReadOnly(false): the store's ring already carries the
-// primary's sequence numbering, so a later follower of the promoted
-// store resumes from coherent watermarks.
+// Drain + Stop + SetReadOnly(false): Drain lets the applier finish what a
+// fenced or dying primary already put on the socket (Stop alone closes the
+// socket under it), and the store's ring already carries the primary's
+// sequence numbering, so a later follower of the promoted store resumes
+// from coherent watermarks.
 package tkvrepl
 
 import (
@@ -62,6 +64,9 @@ type Follower struct {
 	connected bool
 	fenced    bool
 	lastErr   error
+	// ended is closed when the current connection attempt returns; run
+	// replaces it before each attempt.
+	ended chan struct{}
 }
 
 // Start begins replicating from the primary's wire address into store,
@@ -94,6 +99,29 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
+// Drain waits for the connection that is live now to end on its own — the
+// primary's fence frame, or its close or death once everything it had
+// written has been read and applied — for at most timeout, and reports
+// whether the last stream ended in a fence: then the follower holds every
+// write the primary acknowledged. Between connections it returns at once.
+// It stops nothing; promotion is Drain, then Stop.
+func (f *Follower) Drain(timeout time.Duration) (fenced bool) {
+	f.mu.Lock()
+	ended := f.ended
+	f.mu.Unlock()
+	if ended != nil {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		select {
+		case <-ended:
+		case <-t.C:
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fenced
+}
+
 // Status reports the applier's connection state: whether a stream is
 // live, whether the primary fenced it (clean end of stream — everything
 // shipped), and the last connection error.
@@ -113,19 +141,22 @@ func (f *Follower) run() {
 			return
 		default:
 		}
+		ended := make(chan struct{})
+		f.mu.Lock()
+		f.ended = ended
+		f.mu.Unlock()
 		err := f.stream()
 		f.mu.Lock()
 		f.connected = false
 		f.lastErr = err
-		fenced := f.fenced
 		f.mu.Unlock()
+		close(ended)
 		if err == nil {
 			// Clean fence: the primary is going away on purpose; there
 			// is no hurry to redial (it may restart, or we may be
 			// promoted).
 			backoff = maxBackoff
 		}
-		_ = fenced
 		select {
 		case <-f.stop:
 			return

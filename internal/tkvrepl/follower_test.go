@@ -22,9 +22,9 @@ func openStore(t *testing.T, ring int) *tkv.Store {
 	return st
 }
 
-// servePrimary starts a wire server for st on loopback and returns its
-// address plus a shutdown func (safe to call twice).
-func servePrimary(t *testing.T, st *tkv.Store) (string, func()) {
+// servePrimary starts a wire server for st on loopback, closed when the
+// test ends, and returns its address and the server.
+func servePrimary(t *testing.T, st *tkv.Store) (string, *tkvwire.Server) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -36,15 +36,11 @@ func servePrimary(t *testing.T, st *tkv.Store) (string, func()) {
 		defer close(done)
 		srv.Serve(ln)
 	}()
-	var once sync.Once
-	shutdown := func() {
-		once.Do(func() {
-			srv.Close()
-			<-done
-		})
-	}
-	t.Cleanup(shutdown)
-	return ln.Addr().String(), shutdown
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	return ln.Addr().String(), srv
 }
 
 // waitConverged polls until the follower's applied watermarks reach the
@@ -274,6 +270,88 @@ func TestFailoverGracefulZeroLoss(t *testing.T) {
 	}
 	if rs := follower.Stats().Repl; rs.Role != "primary" {
 		t.Fatalf("promoted role = %q", rs.Role)
+	}
+}
+
+// TestDrainReadsToTheFence: a follower that is promoted while it is behind
+// must finish the stream before it stops. The primary takes 32,000
+// acknowledged increments faster than the follower applies them, fences,
+// drains its side (everything and the fence frame are on the socket) and
+// goes away; Drain then Stop must leave every record applied. Stop alone
+// closes the socket under the applier and drops what it had not read yet.
+func TestDrainReadsToTheFence(t *testing.T) {
+	const writers, perWriter = 8, 4000
+	// Rings that hold the whole run: the follower falls behind by thousands
+	// of records and must get them from the stream, not from a snapshot cut.
+	primary := openStore(t, writers*perWriter)
+	follower := openStore(t, writers*perWriter)
+	follower.SetReadOnly(true)
+	addr, srv := servePrimary(t, primary)
+
+	f, err := Start(follower, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	waitConnected(t, f)
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := primary.Add(uint64(w*perWriter+i)%64, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	primary.SetReadOnly(true)
+	if !srv.DrainRepl(10 * time.Second) {
+		t.Fatal("DrainRepl timed out")
+	}
+	srv.Close()
+
+	fenced := f.Drain(10 * time.Second)
+	f.Stop()
+	plog, flog := primary.Repl(), follower.Repl()
+	var head, applied uint64
+	for i := 0; i < plog.Shards(); i++ {
+		head += plog.Head(i)
+		applied += flog.Applied(i)
+	}
+	if !fenced || applied != head || head != writers*perWriter {
+		t.Fatalf("fenced=%v, applied %d of %d records (%d acknowledged)", fenced, applied, head, writers*perWriter)
+	}
+}
+
+// TestDrainDeadline: a primary that never fences does not hold a promotion
+// hostage. Drain gives up at its deadline and says the stream was not fenced.
+func TestDrainDeadline(t *testing.T) {
+	primary := openStore(t, 1024)
+	follower := openStore(t, 1024)
+	follower.SetReadOnly(true)
+	addr, _ := servePrimary(t, primary)
+
+	f, err := Start(follower, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	waitConnected(t, f)
+
+	start := time.Now()
+	if f.Drain(100 * time.Millisecond) {
+		t.Fatal("Drain reported a fence the primary never sent")
+	}
+	if d := time.Since(start); d < 100*time.Millisecond || d > 5*time.Second {
+		t.Fatalf("Drain returned after %v, want its 100ms deadline", d)
+	}
+	if connected, _, _ := f.Status(); !connected {
+		t.Fatal("Drain stopped the stream; only Stop may")
 	}
 }
 
