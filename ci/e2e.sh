@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
 # The process-level drills: real tkvd processes, driven and judged by tkvload.
+# Every data verb goes over the wire protocol (tkvd -tcpaddr, tkvload
+# -tcpaddr); HTTP (tkvd -addr) is only the control surface: /healthz,
+# /stats, /promote and /quit.
 #
 #   bash ci/e2e.sh [smoke|backpressure|replication|crash|all]...   (default: all)
 #
@@ -41,17 +44,15 @@ serve() {
 	return 1
 }
 
-# The zero-lost-update check over both protocols: the default mix; the batch
-# workload (key-disjoint batches with cas ops admitted into them, plus /mget
-# reads); the same invariant-checked mix over the binary wire protocol,
-# pipelined.
+# The zero-lost-update check: the default mix, one request in flight per
+# connection; the batch workload (key-disjoint batches with cas ops admitted
+# into them, plus multi-key reads); the same invariant-checked mix pipelined.
 smoke() {
 	serve 7070 -tcpaddr 127.0.0.1:7071 -shards 4 -sched shrink
-	tkvload -url http://127.0.0.1:7070 -dur 2s -conns 8 -keys 64 -blobs 64
-	tkvload -url http://127.0.0.1:7070 -dur 2s -conns 8 -keys 64 -blobs 64 \
+	tkvload -tcpaddr 127.0.0.1:7071 -pipeline 1 -dur 2s -conns 8 -keys 64 -blobs 64
+	tkvload -tcpaddr 127.0.0.1:7071 -pipeline 1 -dur 2s -conns 8 -keys 64 -blobs 64 \
 		-read 0.3 -mget 0.5 -batch 0.8 -batchsize 4 -batchcas 0.3 -overlap 0
-	tkvload -url http://127.0.0.1:7070 -tcpaddr 127.0.0.1:7071 \
-		-proto tcp -pipeline 8 -dur 2s -conns 8 -keys 64 -blobs 64 \
+	tkvload -tcpaddr 127.0.0.1:7071 -pipeline 8 -dur 2s -conns 8 -keys 64 -blobs 64 \
 		-mget 0.3 -batchcas 0.3
 	kill -TERM "$pid"
 	wait "$pid"
@@ -59,14 +60,13 @@ smoke() {
 
 # tkvd runs the admission controller in drill mode (-shedknee 0: permanently
 # past the overload knee), so writes shed with the explicit backpressure
-# status on both surfaces. tkvload asserts that the shed path was exercised
+# status. tkvload asserts that the shed path was exercised
 # (-minshed 1), that commits still happened, and that the zero-lost-update
 # invariant holds while requests bounce.
 backpressure() {
 	serve 7074 -tcpaddr 127.0.0.1:7075 -shards 4 -sched shrink \
 		-admit -shedknee 0 -admittick 20ms
-	tkvload -url http://127.0.0.1:7074 -tcpaddr 127.0.0.1:7075 \
-		-proto tcp -pipeline 8 -dur 3s -conns 8 -keys 32 -blobs 32 \
+	tkvload -tcpaddr 127.0.0.1:7075 -pipeline 8 -dur 3s -conns 8 -keys 32 -blobs 32 \
 		-zipf 1.1 -addfrac 0.5 -minshed 1
 	kill -TERM "$pid"
 	wait "$pid"
@@ -77,14 +77,15 @@ backpressure() {
 # drain to zero. Then the failover drill: tkvload quits the primary mid-load
 # (fence, drain, close), promotes the follower, redirects the load and
 # verifies the counter sum against its acks; the follower must say that it
-# read the stream to the primary's fence and took over no gap.
+# read the stream to the primary's fence and took over no gap. The drill
+# learns both wire addresses from the servers' /healthz.
 replication() {
 	serve 7080 -tcpaddr 127.0.0.1:7081 -shards 4 -sched shrink
 	local primary=$pid
 	serve 7082 -tcpaddr 127.0.0.1:7083 -shards 4 -sched shrink \
 		-role follower -follow 127.0.0.1:7081 >"$work/follower.out"
 	local follower=$pid
-	tkvload -url http://127.0.0.1:7080 -dur 2s -conns 8 -keys 64 -blobs 64
+	tkvload -tcpaddr 127.0.0.1:7081 -pipeline 1 -dur 2s -conns 8 -keys 64 -blobs 64
 	local lag=unknown
 	for _ in $(seq 1 100); do
 		lag=$(curl -sf http://127.0.0.1:7082/stats |

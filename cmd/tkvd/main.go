@@ -1,24 +1,28 @@
 // Command tkvd serves the tkv sharded transactional key-value store over
-// HTTP/JSON: single-key get/put/delete/cas/add fast paths, cross-shard
-// atomic batches (including cas ops) admitted per key through striped
-// key locks, batched multi-key reads (/mget), consistent snapshots and a
-// /stats endpoint rendering the per-shard engine counters (commits, aborts,
-// Shrink serializations, stripe waits, read-only fallbacks) through the
-// internal/report table machinery. Each shard runs its own STM
-// engine instance with its own scheduler, so this is the serving scenario
-// the paper's thesis is about: prediction-based scheduling keeping
+// the binary wire protocol (internal/tkvwire) on -tcpaddr, its one data
+// surface: persistent pipelined connections carrying single-key
+// get/put/delete/cas/add fast paths (the get/put serving path allocates
+// nothing), cross-shard atomic batches (including cas ops) admitted per key
+// through striped key locks, batched multi-key reads, consistent snapshots
+// and the per-shard engine counters (commits, aborts, Shrink
+// serializations, stripe waits, read-only fallbacks). Each shard runs its
+// own STM engine instance with its own scheduler, so this is the serving
+// scenario the paper's thesis is about: prediction-based scheduling keeping
 // throughput stable while many client connections hammer shared state.
 //
-// Alongside HTTP, tkvd serves the binary wire protocol (internal/tkvwire)
-// on -tcpaddr: persistent pipelined connections with a zero-allocation
-// get/put serving path. The binary port is the fast serving edge; HTTP
-// stays up as the debug and tooling surface.
+// On -addr, tkvd serves the operator's HTTP surface and nothing else:
+//
+//	GET  /healthz  -> {"status":"ok","wire":"<the wire address>"}
+//	GET  /stats    -> the stats as JSON; ?format=text renders the table
+//	POST /promote  -> turn a follower into a writable primary
+//	POST /quit     -> graceful shutdown, the remote form of SIGTERM
 //
 // tkvd replicates. A primary streams every committed write set
 // (internal/tkvlog records) to followers over the wire port; a follower
 // (-role follower -follow primary:port) replays the stream into its own
-// store, serves stale-bounded reads, bounces writes with 421, and can be
-// promoted to primary at any time with POST /promote. Graceful shutdown
+// store, serves stale-bounded reads, bounces writes with the wire's
+// not-primary status, and can be promoted to primary at any time with
+// POST /promote. Graceful shutdown
 // fences writes (a barrier: no write that passed the gate is still in
 // flight when the fence returns) and drains the replication stream first;
 // /promote lets the applier read that stream to its fence before stopping
@@ -46,7 +50,7 @@
 //	tkvd -addr 127.0.0.1:7070 -tcpaddr 127.0.0.1:7071 -shards 8 -sched shrink -stm swiss
 //	tkvd -role follower -follow 127.0.0.1:7071 -addr 127.0.0.1:7072 -tcpaddr 127.0.0.1:7073
 //	tkvd -wal /var/lib/tkvd/wal -walckpt 30s
-//	tkvd -stm tiny -wait busy -sched none -tcpaddr "" -replring 0
+//	tkvd -stm tiny -wait busy -sched none -replring 0
 //
 // The server shuts down gracefully on SIGINT/SIGTERM or POST /quit,
 // draining in-flight requests and the replication stream, then printing
@@ -55,6 +59,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -87,15 +92,15 @@ func main() {
 
 // run starts the servers and blocks until a termination signal (or a close
 // of the test-only stop channel, or POST /quit) triggers the graceful
-// shutdown. When ready is non-nil the bound HTTP address is sent on it once
-// the listener is up, followed by the binary-protocol address when -tcpaddr
-// is enabled.
+// shutdown. When ready is non-nil the bound HTTP address and then the wire
+// address are sent on it once both listeners are up.
 func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}) error {
 	fs := flag.NewFlagSet("tkvd", flag.ContinueOnError)
 	var (
-		addr    = fs.String("addr", "127.0.0.1:7070", "HTTP listen address (debug surface)")
+		addr = fs.String("addr", "127.0.0.1:7070",
+			"HTTP listen address (operator surface: /healthz, /stats, /promote, /quit)")
 		tcpaddr = fs.String("tcpaddr", "127.0.0.1:7071",
-			"binary wire protocol listen address (empty disables it)")
+			"binary wire protocol listen address (the data surface)")
 		shards  = fs.Int("shards", 8, "shard count (rounded up to a power of two)")
 		pool    = fs.Int("pool", 4, "STM worker threads per shard (at most 64)")
 		buckets = fs.Int("buckets", 512, "hash buckets per shard")
@@ -145,6 +150,9 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	wait, err := ef.WaitPolicy()
 	if err != nil {
 		return err
+	}
+	if *tcpaddr == "" {
+		return fmt.Errorf("-tcpaddr must not be empty: the wire protocol is the store's only data surface")
 	}
 	switch *role {
 	case "primary":
@@ -212,30 +220,45 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	if err != nil {
 		return err
 	}
+	wln, err := net.Listen("tcp", *tcpaddr)
+	if err != nil {
+		ln.Close()
+		return err
+	}
 	admitLabel := "off"
 	if admission != nil {
 		admitLabel = fmt.Sprintf("knee=%g max=%g", admission.ShedKnee, admission.ShedMax)
 	}
-	fmt.Fprintf(out, "tkvd: serving on %s (%d shards, engine=%s, sched=%s, wait=%s, admit=%s, role=%s)\n",
-		ln.Addr(), store.NumShards(), ef.Engine(), *schedName, ef.WaitLabel(), admitLabel, *role)
+	fmt.Fprintf(out, "tkvd: serving wire on %s, http on %s (%d shards, engine=%s, sched=%s, wait=%s, admit=%s, role=%s)\n",
+		wln.Addr(), ln.Addr(), store.NumShards(), ef.Engine(), *schedName, ef.WaitLabel(), admitLabel, *role)
 	if ready != nil {
 		ready <- ln.Addr().String()
+		ready <- wln.Addr().String()
 	}
 
-	// The operator surface wraps the KV handler: /promote turns a
-	// follower into a writable primary (stopping its applier), /quit is
-	// the remote form of SIGTERM — both POST-only.
+	// The operator surface; every data verb is the wire protocol's.
+	// /promote turns a follower into a writable primary (stopping its
+	// applier), /quit is the remote form of SIGTERM.
 	quitc := make(chan struct{})
 	var quitOnce sync.Once
 	var replMu sync.Mutex // guards follower handoff during promote
 	var follower *tkvrepl.Follower
 	mux := http.NewServeMux()
-	mux.Handle("/", tkv.NewHandler(store))
-	mux.HandleFunc("/promote", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, map[string]string{"status": "ok", "wire": wln.Addr().String()})
+	})
+	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
+		stats := store.Stats()
+		if r.URL.Query().Get("format") != "text" {
+			writeJSON(w, stats)
 			return
 		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		stats.Table().WriteText(w)
+		fmt.Fprintf(w, "totals: commits=%d aborts=%d userAborts=%d serializations=%d\n",
+			stats.Commits, stats.Aborts, stats.UserAborts, stats.Serializations)
+	})
+	mux.HandleFunc("POST /promote", func(w http.ResponseWriter, r *http.Request) {
 		replMu.Lock()
 		took := ""
 		if follower != nil {
@@ -255,49 +278,28 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		store.SetReadOnly(false)
 		replMu.Unlock()
 		fmt.Fprintf(out, "tkvd: promoted to primary%s\n", took)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"role":"primary"}`)
+		writeJSON(w, map[string]string{"role": "primary"})
 	})
-	mux.HandleFunc("/quit", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("POST /quit", func(w http.ResponseWriter, r *http.Request) {
 		quitOnce.Do(func() { close(quitc) })
-		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "shutting down")
 	})
 
 	srv := &http.Server{Handler: mux}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
-
-	var wsrv *tkvwire.Server
-	if *tcpaddr != "" {
-		wln, err := net.Listen("tcp", *tcpaddr)
-		if err != nil {
-			srv.Close()
-			return err
+	wsrv := tkvwire.NewServer(store)
+	go func() {
+		if err := wsrv.Serve(wln); err != tkvwire.ErrServerClosed {
+			errc <- err
 		}
-		fmt.Fprintf(out, "tkvd: wire protocol on %s\n", wln.Addr())
-		if ready != nil {
-			ready <- wln.Addr().String()
-		}
-		wsrv = tkvwire.NewServer(store)
-		go func() {
-			if err := wsrv.Serve(wln); err != tkvwire.ErrServerClosed {
-				errc <- err
-			}
-		}()
-	}
+	}()
 
 	if *role == "follower" {
 		f, err := tkvrepl.Start(store, *follow)
 		if err != nil {
 			srv.Close()
-			if wsrv != nil {
-				wsrv.Close()
-			}
+			wsrv.Close()
 			return err
 		}
 		replMu.Lock()
@@ -344,16 +346,14 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	if store.ReadOnly() {
 		finalRole = "follower"
 	}
-	if store.Repl() != nil && wsrv != nil && !store.ReadOnly() {
+	if store.Repl() != nil && !store.ReadOnly() {
 		store.SetReadOnly(true)
 		if !wsrv.DrainRepl(replDrainTimeout) {
 			fmt.Fprintln(out, "tkvd: replication drain timed out; followers must resync")
 		}
 	}
-	if wsrv != nil {
-		if err := wsrv.Close(); err != nil {
-			return err
-		}
+	if err := wsrv.Close(); err != nil {
+		return err
 	}
 	if err := srv.Shutdown(ctx); err != nil {
 		return err
@@ -372,4 +372,10 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	fmt.Fprintf(out, "tkvd: drained; commits=%d aborts=%d serializations=%d shed=%d routed=%d ops: %+v%s%s\n",
 		stats.Commits, stats.Aborts, stats.Serializations, stats.Shed, stats.Routed, stats.Ops, replLabel, walLabel)
 	return nil
+}
+
+// writeJSON answers 200 with v as JSON.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v)
 }

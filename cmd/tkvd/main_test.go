@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/tkv"
 	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
 
@@ -35,57 +37,45 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 	base := "http://" + addr
 
-	body := strings.NewReader(`{"value":"hello"}`)
-	req, err := http.NewRequest("PUT", base+"/kv/5", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("PUT = %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/kv/5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Value string `json:"value"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got.Value != "hello" {
-		t.Fatalf("GET = %+v", got)
-	}
-
-	// The binary port serves the same store: data written over HTTP is
-	// visible over the wire protocol and vice versa.
+	// The wire port is the data surface.
 	wc, err := tkvwire.Dial(tcpAddr)
 	if err != nil {
 		t.Fatalf("wire dial: %v", err)
 	}
 	defer wc.Close()
+	if _, err := wc.Put(5, "hello"); err != nil {
+		t.Fatalf("wire put: %v", err)
+	}
 	if val, found, err := wc.Get(5); err != nil || !found || val != "hello" {
 		t.Fatalf("wire get: %q %v %v", val, found, err)
 	}
-	if _, err := wc.Put(6, "from-the-wire"); err != nil {
-		t.Fatalf("wire put: %v", err)
+
+	// HTTP is the operator's: /healthz names the wire address, /stats
+	// renders JSON and text, and no data verb is served.
+	var health struct {
+		Status, Wire string
 	}
-	resp, err = http.Get(base + "/kv/6")
+	if code := getJSON(t, base+"/healthz", &health); code != 200 || health.Status != "ok" || health.Wire != tcpAddr {
+		t.Fatalf("healthz = %d %+v, want ok and wire %s", code, health, tcpAddr)
+	}
+	var stats tkv.Stats
+	if code := getJSON(t, base+"/stats", &stats); code != 200 || stats.Commits == 0 || stats.Ops.Puts != 1 || stats.Ops.Gets != 1 {
+		t.Fatalf("stats = %d %+v", code, stats)
+	}
+	resp, err := http.Get(base + "/stats?format=text")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
+	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if got.Value != "from-the-wire" {
-		t.Fatalf("HTTP view of wire put = %+v", got)
+	if !strings.Contains(string(text), "tkv per-shard statistics") || !strings.Contains(string(text), "totals:") {
+		t.Fatalf("text stats:\n%s", text)
+	}
+	if code := getJSON(t, base+"/snapshot", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /snapshot = %d, want 404", code)
+	}
+	if code := getJSON(t, base+"/quit", nil); code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /quit = %d, want 405", code)
 	}
 
 	close(stop)
@@ -113,4 +103,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-stm", "bogus", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
 		t.Fatal("bogus engine accepted")
 	}
+	// Without the wire port a store would have no data surface.
+	if err := run([]string{"-tcpaddr", "", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
+		t.Fatal("empty -tcpaddr accepted")
+	}
+}
+
+// getJSON GETs url, decodes a 200 body into into (when non-nil) and returns
+// the status.
+func getJSON(t *testing.T, url string, into any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if into != nil && resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+	}
+	return resp.StatusCode
 }

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/shrink-tm/shrink/internal/tkv"
+	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
 
 // daemon is one in-process tkvd instance driven through run().
@@ -57,35 +61,6 @@ func (d *daemon) shutdown(t *testing.T) {
 	}
 }
 
-func httpPut(t *testing.T, base string, key int, val string) int {
-	t.Helper()
-	req, err := http.NewRequest("PUT", fmt.Sprintf("%s/kv/%d", base, key),
-		strings.NewReader(fmt.Sprintf(`{"value":%q}`, val)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-func httpGet(t *testing.T, base string, key int) (string, int) {
-	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/kv/%d", base, key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got struct {
-		Value string `json:"value"`
-	}
-	json.NewDecoder(resp.Body).Decode(&got)
-	return got.Value, resp.StatusCode
-}
-
 func httpPost(t *testing.T, url string) int {
 	t.Helper()
 	resp, err := http.Post(url, "", nil)
@@ -96,51 +71,57 @@ func httpPost(t *testing.T, url string) int {
 	return resp.StatusCode
 }
 
+func (d *daemon) dial(t *testing.T) *tkvwire.Conn {
+	t.Helper()
+	c, err := tkvwire.Dial(d.wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 // TestPrimaryFollowerFailover is the full daemon-level drill: a primary
 // and a follower, writes landing on the primary and appearing on the
-// follower, follower writes bouncing 421, graceful primary shutdown, and
-// a promote that turns the follower into a writable primary holding every
-// acknowledged write.
+// follower, follower writes bouncing as not-primary, graceful primary
+// shutdown, and a promote that turns the follower into a writable primary
+// holding every acknowledged write.
 func TestPrimaryFollowerFailover(t *testing.T) {
 	primary := startDaemon(t)
 	follower := startDaemon(t, "-role", "follower", "-follow", primary.wire)
-
+	pc, fc := primary.dial(t), follower.dial(t)
 	pbase, fbase := "http://"+primary.addr, "http://"+follower.addr
 
-	for i := 0; i < 50; i++ {
-		if code := httpPut(t, pbase, i, fmt.Sprintf("v%d", i)); code != 200 {
-			t.Fatalf("primary put %d = %d", i, code)
+	for i := uint64(0); i < 50; i++ {
+		if _, err := pc.Put(i, fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatalf("primary put %d: %v", i, err)
 		}
 	}
 
-	// Follower writes bounce with 421 Misdirected Request.
-	if code := httpPut(t, fbase, 999, "nope"); code != http.StatusMisdirectedRequest {
-		t.Fatalf("follower put = %d, want 421", code)
+	// Follower writes bounce with the not-primary status.
+	if _, err := fc.Put(999, "nope"); !errors.Is(err, tkv.ErrNotPrimary) {
+		t.Fatalf("follower put = %v, want ErrNotPrimary", err)
 	}
 
 	// Follower reads converge to the primary's state.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		v, code := httpGet(t, fbase, 49)
-		if code == 200 && v == "v49" {
+		v, _, err := fc.Get(49)
+		if err == nil && v == "v49" {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never converged: key 49 = %q (%d)", v, code)
+			t.Fatalf("follower never converged: key 49 = %q (%v)", v, err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
 	// /stats on the follower names its role.
-	resp, err := http.Get(fbase + "/stats?format=json")
+	resp, err := http.Get(fbase + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats struct {
-		Repl *struct {
-			Role string `json:"role"`
-		} `json:"repl"`
-	}
+	var stats tkv.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +147,14 @@ func TestPrimaryFollowerFailover(t *testing.T) {
 	if code := httpPost(t, fbase+"/promote"); code != 200 {
 		t.Fatalf("promote = %d", code)
 	}
-	for i := 0; i < 50; i++ {
-		if v, code := httpGet(t, fbase, i); code != 200 || v != fmt.Sprintf("v%d", i) {
-			t.Fatalf("lost write: key %d = %q (%d) after failover", i, v, code)
+	for i := uint64(0); i < 50; i++ {
+		if v, found, err := fc.Get(i); err != nil || !found || v != fmt.Sprintf("v%d", i) {
+			t.Fatalf("lost write: key %d = %q (%v %v) after failover", i, v, found, err)
 		}
 	}
-	// The promoted follower serves writes.
-	if code := httpPut(t, fbase, 1000, "after-failover"); code != 200 {
-		t.Fatalf("promoted put = %d", code)
+	// The promoted follower serves writes, on the connection it bounced.
+	if _, err := fc.Put(1000, "after-failover"); err != nil {
+		t.Fatalf("promoted put: %v", err)
 	}
 	// The promote line says what was taken over: the stream was read to the
 	// primary's fence, so nothing (two shards, no gap).

@@ -6,7 +6,7 @@ package main
 // power cut leaves behind — restart it over the same log directory, and
 // verify that not one acknowledged increment was lost.
 //
-// Workers perform server-side add increments and tally only
+// Workers perform server-side add increments over the wire and tally only
 // acknowledged successes; requests that die with the process retry
 // against the next incarnation and count nothing. After the configured
 // number of kill/restart rounds the counter sum must be at least the
@@ -24,8 +24,9 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
 
 type crashSpec struct {
@@ -64,56 +65,52 @@ func (o *procOutput) String() string {
 	return o.buf.String()
 }
 
-// startTkvd launches the binary serving HTTP on addr with the given further
-// flags and waits until /stats answers.
-func startTkvd(bin, addr string, client *http.Client, args ...string) (*tkvdProc, error) {
+// startTkvd launches the binary with its control surface on addr and the
+// given further flags, and waits until /healthz answers.
+func startTkvd(bin, addr string, args ...string) (*tkvdProc, error) {
 	p := &tkvdProc{cmd: exec.Command(bin, append([]string{"-addr", addr}, args...)...)}
 	p.cmd.Stdout = &p.out
 	p.cmd.Stderr = &p.out
 	if err := p.cmd.Start(); err != nil {
 		return nil, fmt.Errorf("starting %s: %w", bin, err)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := client.Get("http://" + addr + "/stats")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return p, nil
-			}
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := wireAddr("http://" + addr); err == nil {
+			return p, nil
 		}
 		if time.Now().After(deadline) {
 			p.cmd.Process.Kill()
 			p.cmd.Wait()
 			return nil, fmt.Errorf("tkvd never became ready on %s:\n%s", addr, p.out.String())
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// freeAddr reserves a loopback port and frees it again for a server to bind.
-func freeAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+// freeAddrs reserves n distinct loopback ports and frees them again for
+// servers to bind.
+func freeAddrs(n int) ([]string, error) {
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	defer ln.Close()
-	return ln.Addr().String(), nil
+	return addrs, nil
 }
 
 func runCrash(sp crashSpec, out io.Writer) error {
-	// Every incarnation binds the same address, so the load workers never
-	// re-target.
-	addr, err := freeAddr()
+	// Every incarnation binds the same two addresses, so the load workers
+	// never re-target.
+	addrs, err := freeAddrs(2)
 	if err != nil {
 		return err
 	}
-	client := newHTTPClient(sp.workers, 10*time.Second)
-	defer client.CloseIdleConnections()
-	kv := &httpKV{base: "http://" + addr, client: client}
+	url, wire := "http://"+addrs[0], addrs[1]
 	start := func() (*tkvdProc, error) {
-		return startTkvd(sp.tkvd, addr, client, "-tcpaddr", "", "-replring", "0",
+		return startTkvd(sp.tkvd, addrs[0], "-tcpaddr", wire, "-replring", "0",
 			"-shards", "4", "-wal", sp.waldir, "-walmode", sp.walmode)
 	}
 
@@ -121,59 +118,36 @@ func runCrash(sp crashSpec, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for k := 0; k < sp.keys; k++ {
-		if err := kv.put(uint64(k), "0"); err != nil {
-			proc.cmd.Process.Kill()
-			proc.cmd.Wait()
-			return fmt.Errorf("seeding counter %d: %w", k, err)
-		}
+	kill := func() {
+		proc.cmd.Process.Kill()
+		proc.cmd.Wait()
+	}
+	c, err := tkvwire.Dial(wire)
+	if err == nil {
+		err = seedCounters(c, sp.keys)
+		c.Close()
+	}
+	if err != nil {
+		kill()
+		return err
 	}
 
-	var acked, failed atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < sp.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := uint64((w*7919 + i) % sp.keys)
-				if err := kv.add(key, 1); err == nil {
-					acked.Add(1)
-				} else {
-					failed.Add(1)
-					// The process is dead or restarting; back off and retry.
-					time.Sleep(2 * time.Millisecond)
-				}
-			}
-		}(w)
-	}
-
+	load := startIncrements(wire, sp.keys, sp.workers)
 	fail := func(err error) error {
-		close(stop)
-		wg.Wait()
+		load.halt()
 		if proc != nil {
-			proc.cmd.Process.Kill()
-			proc.cmd.Wait()
+			kill()
 		}
 		return err
 	}
 	for round := 1; round <= sp.kills; round++ {
 		time.Sleep(sp.phase)
-		pre := acked.Load()
-		fmt.Fprintf(out, "crash: round %d: %d increments acked; SIGKILL\n", round, pre)
+		fmt.Fprintf(out, "crash: round %d: %d increments acked; SIGKILL\n", round, load.acked.Load())
 		if err := proc.cmd.Process.Kill(); err != nil {
 			return fail(fmt.Errorf("kill: %w", err))
 		}
 		proc.cmd.Wait()
-		proc, err = start()
-		if err != nil {
-			proc = nil
+		if proc, err = start(); err != nil {
 			return fail(fmt.Errorf("restart after kill %d: %w", round, err))
 		}
 		line := recoveredLine(proc.out.String())
@@ -185,24 +159,21 @@ func runCrash(sp crashSpec, out io.Writer) error {
 
 	// One more load phase on the final incarnation, then verify.
 	time.Sleep(sp.phase)
-	close(stop)
-	wg.Wait()
-
-	snap, err := kv.snapshot()
+	load.halt()
+	var sum uint64
+	if c, err = tkvwire.Dial(wire); err == nil {
+		sum, err = counterSum(c, sp.keys)
+		c.Close()
+	}
 	if err != nil {
-		return fmt.Errorf("verification snapshot: %w", err)
+		kill()
+		return fmt.Errorf("verification: %w", err)
 	}
-	sum := uint64(0)
-	for k := 0; k < sp.keys; k++ {
-		var n uint64
-		fmt.Sscanf(snap[uint64(k)], "%d", &n)
-		sum += n
-	}
-	total := acked.Load()
+	total := load.acked.Load()
 	fmt.Fprintf(out, "crash: acked=%d counter-sum=%d retried-errors=%d kills=%d\n",
-		total, sum, failed.Load(), sp.kills)
+		total, sum, load.failed.Load(), sp.kills)
 
-	if code := post(client, kv.base+"/quit"); code != http.StatusOK {
+	if code := post(url + "/quit"); code != http.StatusOK {
 		proc.cmd.Process.Kill()
 	}
 	proc.cmd.Wait()

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/shrink-tm/shrink/internal/tkv"
+	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
 
 // TestFailoverScenario runs the full drill through the same entry point the
@@ -18,17 +21,14 @@ func TestFailoverScenario(t *testing.T) {
 		t.Skip("spawns real server processes")
 	}
 	bin := buildTkvd(t)
-	var addrs [4]string // primary http, primary wire, follower http, follower wire
-	for i := range addrs {
-		var err error
-		if addrs[i], err = freeAddr(); err != nil {
-			t.Fatal(err)
-		}
+	// primary http, primary wire, follower http, follower wire
+	addrs, err := freeAddrs(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
 	start := func(addr string, args ...string) *tkvdProc {
 		t.Helper()
-		p, err := startTkvd(bin, addr, client, append([]string{"-shards", "2", "-pool", "2", "-buckets", "128"}, args...)...)
+		p, err := startTkvd(bin, addr, append([]string{"-shards", "2", "-pool", "2", "-buckets", "128"}, args...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,12 +40,18 @@ func TestFailoverScenario(t *testing.T) {
 	}
 	primary := start(addrs[0], "-tcpaddr", addrs[1])
 	follower := start(addrs[2], "-tcpaddr", addrs[3], "-role", "follower", "-follow", addrs[1])
-	pkv := &httpKV{base: "http://" + addrs[0], client: client}
-	fkv := &httpKV{base: "http://" + addrs[2], client: client}
+	stats := func(addr string) (tkv.Stats, error) {
+		c, err := tkvwire.Dial(addr)
+		if err != nil {
+			return tkv.Stats{}, err
+		}
+		defer c.Close()
+		return c.Stats()
+	}
 	// The drill only means something with the follower attached: fencing a
 	// primary nobody follows strands the fence.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if st, err := pkv.stats(); err == nil && st.Repl != nil && st.Repl.Followers == 1 {
+		if st, err := stats(addrs[1]); err == nil && st.Repl != nil && st.Repl.Followers == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -54,7 +60,7 @@ func TestFailoverScenario(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	err := run([]string{
+	err = run([]string{
 		"-scenario", "failover",
 		"-url", "http://" + addrs[0],
 		"-url2", "http://" + addrs[2],
@@ -77,10 +83,10 @@ func TestFailoverScenario(t *testing.T) {
 	}
 
 	// The promoted follower is a writable primary, and said what it took.
-	if st, err := fkv.stats(); err != nil || st.Repl == nil || st.Repl.Role != "primary" {
+	if st, err := stats(addrs[3]); err != nil || st.Repl == nil || st.Repl.Role != "primary" {
 		t.Errorf("follower not promoted: %+v, %v", st.Repl, err)
 	}
-	if code := post(client, fkv.base+"/quit"); code != http.StatusOK {
+	if code := post("http://" + addrs[2] + "/quit"); code != http.StatusOK {
 		t.Fatalf("POST /quit on the follower = %d", code)
 	}
 	if err := follower.cmd.Wait(); err != nil {

@@ -1,7 +1,8 @@
 package main
 
-// Load + verify, the default scenario: seed the counters, drive the mix,
-// print one result line, check that no acknowledged increment is missing.
+// Load + verify, the default scenario: seed the counters, drive the mix over
+// the wire, print one result line, check that no acknowledged increment is
+// missing.
 
 import (
 	"errors"
@@ -28,7 +29,7 @@ const casAttempts = 64
 
 // loadConfig is the run's target and workload shape, as the flags gave it.
 type loadConfig struct {
-	url, tcpaddr, proto string
+	tcpaddr             string
 	conns, pipeline     int
 	dur, warmup         time.Duration
 	rate                float64
@@ -45,12 +46,9 @@ type loadConfig struct {
 	verify              bool
 }
 
-// driver owns the workload configuration and the increment tally. Seeding
-// and verification always run over the HTTP control client; the measured
-// traffic goes through whatever kvClient -proto dictates.
+// driver owns the workload configuration and the increment tally.
 type driver struct {
-	control *httpKV
-	cfg     loadConfig
+	cfg loadConfig
 
 	// Successful transactional increments; the final counter sum must equal
 	// their total.
@@ -68,21 +66,11 @@ type driver struct {
 }
 
 func runLoad(cfg loadConfig, out io.Writer) error {
-	if cfg.url == "" {
-		return fmt.Errorf("-url is required")
+	if cfg.tcpaddr == "" {
+		return fmt.Errorf("-tcpaddr is required")
 	}
-	// Workers share connections on tcp, -pipeline of them per connection.
-	workers := cfg.conns
-	switch cfg.proto {
-	case protoHTTP:
-	case protoTCP:
-		if cfg.tcpaddr == "" {
-			return fmt.Errorf("-tcpaddr is required by -proto tcp")
-		}
-		workers *= cfg.pipeline
-	default:
-		return fmt.Errorf("unknown protocol %q (want http or tcp)", cfg.proto)
-	}
+	// Workers share the connections, -pipeline of them per connection.
+	workers := cfg.conns * cfg.pipeline
 	// Disjoint batch keys need a non-empty private slice per worker;
 	// silently degrading to the shared space would corrupt the overlap
 	// comparison the flag exists for.
@@ -91,51 +79,37 @@ func runLoad(cfg loadConfig, out io.Writer) error {
 			cfg.overlap, cfg.keys, workers)
 	}
 
-	client := newHTTPClient(cfg.conns, 30*time.Second)
-	defer client.CloseIdleConnections()
-	d := &driver{cfg: cfg, control: &httpKV{base: cfg.url, client: client}}
-	if err := d.seedCounters(); err != nil {
+	conns := make([]*tkvwire.Conn, cfg.conns)
+	for i := range conns {
+		c, err := tkvwire.Dial(cfg.tcpaddr)
+		if err != nil {
+			return fmt.Errorf("dialing %d conns: %w", cfg.conns, err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	if err := seedCounters(conns[0], cfg.keys); err != nil {
 		return err
 	}
-
-	// HTTP workers share the pooled http.Client; tcp workers share the
-	// pipelined connections.
-	clients := []kvClient{d.control}
-	if cfg.proto == protoTCP {
-		clients = clients[:0]
-		for i := 0; i < cfg.conns; i++ {
-			c, err := tkvwire.Dial(cfg.tcpaddr)
-			if err != nil {
-				return fmt.Errorf("tcp setup (%d conns): %w", cfg.conns, err)
-			}
-			defer c.Close()
-			clients = append(clients, &tcpKV{c: c})
-		}
-	}
-	res := d.drive(clients, workers)
+	d := &driver{cfg: cfg}
+	res := d.drive(conns, workers)
 
 	mode := "closed-loop"
 	if cfg.rate > 0 {
 		mode = fmt.Sprintf("open-loop %.0f ops/s", cfg.rate)
 	}
-	fmt.Fprintf(out, "tkvload: proto=%s conns=%d workers=%d %s: %.0f ops/s p50=%dµs p95=%dµs p99=%dµs errors=%d sheds=%d",
-		cfg.proto, cfg.conns, workers, mode, float64(res.ops)/res.elapsed.Seconds(),
-		res.hist.Quantile(0.50), res.hist.Quantile(0.95), res.hist.Quantile(0.99), res.errs, res.sheds)
-	if cfg.proto == protoTCP {
-		// Transport writes per request: how many pipelined callers shared
-		// each write syscall (1.00 = none did).
-		var sends tkvwire.ConnStats
-		for _, cl := range clients {
-			st := cl.(*tcpKV).c.WireStats()
-			sends.Calls += st.Calls
-			sends.Flushes += st.Flushes
-		}
-		fmt.Fprintf(out, " flushes/call=%.2f", float64(sends.Flushes)/float64(sends.Calls))
-	}
-	fmt.Fprintln(out)
+	// An op is one operation of the mix (a CAS increment is one op however
+	// many get+cas rounds it took); a request is one wire call. Flushes per
+	// call is how many pipelined callers shared each write syscall (1.00 =
+	// none did).
+	secs := res.elapsed.Seconds()
+	fmt.Fprintf(out, "tkvload: conns=%d workers=%d %s: %.0f ops/s %.0f req/s p50=%dµs p95=%dµs p99=%dµs errors=%d sheds=%d flushes/call=%.2f\n",
+		cfg.conns, workers, mode, float64(res.ops)/secs, float64(res.sends.Calls)/secs,
+		res.hist.Quantile(0.50), res.hist.Quantile(0.95), res.hist.Quantile(0.99), res.errs, res.sheds,
+		float64(res.sends.Flushes)/float64(res.sends.Calls))
 
 	if cfg.verify {
-		if err := d.verify(out); err != nil {
+		if err := d.verify(conns[0], out); err != nil {
 			return err
 		}
 	}
@@ -145,36 +119,12 @@ func runLoad(cfg loadConfig, out io.Writer) error {
 	return nil
 }
 
-// seedCounters writes "0" to every counter key over the control client so
-// CAS loops always find a value. A shedding server (tkvd -admit in drill
-// mode, as the backpressure drill runs it) rejects writes probabilistically,
-// so each key retries through backpressure; any other error is fatal
-// immediately.
-func (d *driver) seedCounters() error {
-	const seedAttempts = 200
-	for k := 0; k < d.cfg.keys; k++ {
-		var err error
-		for attempt := 0; attempt < seedAttempts; attempt++ {
-			if err = d.control.put(uint64(k), "0"); err == nil {
-				break
-			}
-			if !errors.Is(err, tkv.ErrBackpressure) {
-				return fmt.Errorf("seeding counters: %w", err)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if err != nil {
-			return fmt.Errorf("seeding counter %d: every attempt shed: %w", k, err)
-		}
-	}
-	return nil
-}
-
 // loadResult is what the measured part of the run observed.
 type loadResult struct {
 	ops     uint64
 	errs    uint64
 	sheds   uint64
+	sends   tkvwire.ConnStats // wire calls and flushes
 	elapsed time.Duration
 	hist    *trace.Histogram
 }
@@ -219,12 +169,12 @@ func (z *zipfSampler) rank(rng *rand.Rand) uint64 {
 
 // drive runs the load: cfg.warmup of unmeasured ramp-up, then cfg.dur of
 // measured traffic over the given workers. Worker w issues through
-// clients[w%len(clients)]. In open-loop mode arrivals are generated at
+// conns[w%len(conns)]. In open-loop mode arrivals are generated at
 // cfg.rate regardless of completion, so latency includes queueing delay —
 // the serving regime the paper's overload figures are about. (Arrival
 // timestamps have the generator's 5ms tick granularity, which bounds the
 // latency resolution in that mode.)
-func (d *driver) drive(clients []kvClient, workers int) loadResult {
+func (d *driver) drive(conns []*tkvwire.Conn, workers int) loadResult {
 	res := loadResult{hist: &trace.Histogram{}}
 	var ops, errs, sheds atomic.Uint64
 	var measuring atomic.Bool
@@ -270,7 +220,7 @@ func (d *driver) drive(clients []kvClient, workers int) loadResult {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
-		cl := clients[w%len(clients)]
+		c := conns[w%len(conns)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -294,7 +244,7 @@ func (d *driver) drive(clients []kvClient, workers int) loadResult {
 				// Sampled before issuing, so an op straddling the warm-up
 				// boundary is never half-counted.
 				record := measuring.Load()
-				if err := d.op(cl, rng, zipf, w, workers); err != nil {
+				if err := d.op(c, rng, zipf, w, workers); err != nil {
 					if errors.Is(err, tkv.ErrBackpressure) {
 						// Explicit backpressure is the server working as
 						// designed under overload, not a failure; it is
@@ -315,13 +265,23 @@ func (d *driver) drive(clients []kvClient, workers int) loadResult {
 			}
 		}()
 	}
+	sends := func() (s tkvwire.ConnStats) {
+		for _, c := range conns {
+			cs := c.WireStats()
+			s.Calls += cs.Calls
+			s.Flushes += cs.Flushes
+		}
+		return s
+	}
 	time.Sleep(d.cfg.warmup)
 	measuring.Store(true)
-	measureStart := time.Now()
+	measureStart, sent := time.Now(), sends()
 	time.Sleep(d.cfg.dur)
 	close(stop)
 	wg.Wait()
 	res.elapsed = time.Since(measureStart)
+	end := sends()
+	res.sends = tkvwire.ConnStats{Calls: end.Calls - sent.Calls, Flushes: end.Flushes - sent.Flushes}
 	res.ops = ops.Load()
 	res.errs = errs.Load()
 	res.sheds = sheds.Load()
@@ -336,28 +296,28 @@ func (d *driver) counterKey(rng *rand.Rand, zipf *zipfSampler) uint64 {
 	return uint64(rng.Intn(d.cfg.keys))
 }
 
-// op issues one operation of the mix through cl. w and workers identify the
+// op issues one operation of the mix through c. w and workers identify the
 // worker and the run's worker count, which locate the worker's private key
 // slice under -overlap < 1.
-func (d *driver) op(cl kvClient, rng *rand.Rand, zipf *zipfSampler, w, workers int) error {
+func (d *driver) op(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler, w, workers int) error {
 	if rng.Float64() < d.cfg.readFrac {
 		if d.cfg.mgetFrac > 0 && rng.Float64() < d.cfg.mgetFrac {
-			return d.mget(cl, rng, zipf)
+			return d.mget(c, rng, zipf)
 		}
 		if rng.Intn(2) == 0 {
-			_, _, err := cl.get(d.counterKey(rng, zipf))
+			_, _, err := c.Get(d.counterKey(rng, zipf))
 			return err
 		}
-		return d.getBlob(cl, rng)
+		return d.getBlob(c, rng)
 	}
 	if rng.Float64() < d.cfg.batchFrac {
-		return d.batch(cl, rng, zipf, w, workers)
+		return d.batch(c, rng, zipf, w, workers)
 	}
 	if d.cfg.addFrac > 0 && rng.Float64() < d.cfg.addFrac {
 		// A server-side add is the leanest transactional increment: one
 		// STM transaction per op on a skew-drawn counter key — the
 		// single-key hot write the admission layer routes and sheds.
-		if err := cl.add(d.counterKey(rng, zipf), 1); err != nil {
+		if _, err := c.Add(d.counterKey(rng, zipf), 1); err != nil {
 			return err
 		}
 		d.serverAdds.Add(1)
@@ -365,12 +325,14 @@ func (d *driver) op(cl kvClient, rng *rand.Rand, zipf *zipfSampler, w, workers i
 	}
 	switch rng.Intn(5) {
 	case 0, 1:
-		return d.casIncrement(cl, rng, zipf)
+		return d.casIncrement(c, rng, zipf)
 	case 2, 3:
 		key := blobBase + uint64(rng.Intn(d.cfg.blobs))
-		return cl.put(key, fmt.Sprintf("%d:%d", key, rng.Int63()))
+		_, err := c.Put(key, fmt.Sprintf("%d:%d", key, rng.Int63()))
+		return err
 	default:
-		return cl.del(blobBase + uint64(rng.Intn(d.cfg.blobs)))
+		_, err := c.Delete(blobBase + uint64(rng.Intn(d.cfg.blobs)))
+		return err
 	}
 }
 
@@ -391,10 +353,10 @@ func (d *driver) batchKey(rng *rand.Rand, zipf *zipfSampler, w, workers int) uin
 
 // casIncrement performs a client-side read-modify-write: read the counter,
 // CAS it one higher, retry on interference.
-func (d *driver) casIncrement(cl kvClient, rng *rand.Rand, zipf *zipfSampler) error {
+func (d *driver) casIncrement(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler) error {
 	key := d.counterKey(rng, zipf)
 	for attempt := 0; attempt < casAttempts; attempt++ {
-		cur, found, err := cl.get(key)
+		cur, found, err := c.Get(key)
 		if err != nil {
 			return err
 		}
@@ -405,7 +367,7 @@ func (d *driver) casIncrement(cl kvClient, rng *rand.Rand, zipf *zipfSampler) er
 		if err != nil {
 			return fmt.Errorf("counter key %d holds %q", key, cur)
 		}
-		swapped, err := cl.cas(key, cur, strconv.FormatInt(n+1, 10))
+		swapped, err := c.CAS(key, cur, strconv.FormatInt(n+1, 10))
 		if err != nil {
 			return err
 		}
@@ -424,12 +386,12 @@ func (d *driver) casIncrement(cl kvClient, rng *rand.Rand, zipf *zipfSampler) er
 // higher inside the batch). Every op of an accepted batch increments its
 // key by exactly 1, so the tally is the op count; a refused batch (some
 // cas compare lost a race) wrote nothing and tallies zero.
-func (d *driver) batch(cl kvClient, rng *rand.Rand, zipf *zipfSampler, w, workers int) error {
+func (d *driver) batch(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler, w, workers int) error {
 	ops := make([]tkv.Op, d.cfg.batchSize)
 	for i := range ops {
 		key := d.batchKey(rng, zipf, w, workers)
 		if d.cfg.batchCAS > 0 && rng.Float64() < d.cfg.batchCAS {
-			cur, found, err := cl.get(key)
+			cur, found, err := c.Get(key)
 			if err != nil {
 				return err
 			}
@@ -445,16 +407,16 @@ func (d *driver) batch(cl kvClient, rng *rand.Rand, zipf *zipfSampler, w, worker
 			ops[i] = tkv.Op{Kind: tkv.OpAdd, Key: key, Delta: 1}
 		}
 	}
-	mismatch, nres, err := cl.batch(ops)
-	if err != nil {
-		return err
-	}
-	if mismatch {
+	results, err := c.Batch(ops)
+	if errors.Is(err, tkv.ErrCASMismatch) {
 		d.batchCASMisses.Add(1)
 		return nil
 	}
-	if nres != len(ops) {
-		return fmt.Errorf("batch returned %d results for %d ops", nres, len(ops))
+	if err != nil {
+		return err
+	}
+	if len(results) != len(ops) {
+		return fmt.Errorf("batch returned %d results for %d ops", len(results), len(ops))
 	}
 	d.batchAdds.Add(uint64(len(ops)))
 	return nil
@@ -462,12 +424,12 @@ func (d *driver) batch(cl kvClient, rng *rand.Rand, zipf *zipfSampler, w, worker
 
 // mget issues one batched multi-key read over the counter space and
 // cross-checks that every found value is a well-formed counter.
-func (d *driver) mget(cl kvClient, rng *rand.Rand, zipf *zipfSampler) error {
+func (d *driver) mget(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler) error {
 	keys := make([]uint64, d.cfg.batchSize)
 	for i := range keys {
 		keys[i] = d.counterKey(rng, zipf)
 	}
-	results, err := cl.mget(keys)
+	results, err := c.MGet(keys)
 	if err != nil {
 		return err
 	}
@@ -487,9 +449,9 @@ func (d *driver) mget(cl kvClient, rng *rand.Rand, zipf *zipfSampler) error {
 
 // getBlob reads a random blob key and cross-checks that the value names the
 // key it was stored under.
-func (d *driver) getBlob(cl kvClient, rng *rand.Rand) error {
+func (d *driver) getBlob(c *tkvwire.Conn, rng *rand.Rand) error {
 	key := blobBase + uint64(rng.Intn(d.cfg.blobs))
-	val, found, err := cl.get(key)
+	val, found, err := c.Get(key)
 	if err != nil {
 		return err
 	}
@@ -500,27 +462,15 @@ func (d *driver) getBlob(cl kvClient, rng *rand.Rand) error {
 	return nil
 }
 
-// verify pulls a consistent snapshot and the server stats over the control
-// client and checks the run's invariants.
-func (d *driver) verify(out io.Writer) error {
+// verify pulls a consistent snapshot and the server stats over c and checks
+// the run's invariants.
+func (d *driver) verify(c *tkvwire.Conn, out io.Writer) error {
 	want := d.casIncrs.Load() + d.batchAdds.Load() + d.serverAdds.Load()
-	snap, err := d.control.snapshot()
+	sum, err := counterSum(c, d.cfg.keys)
 	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
+		return err
 	}
-	var sum uint64
-	for k := 0; k < d.cfg.keys; k++ {
-		v, ok := snap[uint64(k)]
-		if !ok {
-			return fmt.Errorf("counter key %d vanished", k)
-		}
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("counter key %d holds %q", k, v)
-		}
-		sum += n
-	}
-	stats, err := d.control.stats()
+	stats, err := c.Stats()
 	if err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}

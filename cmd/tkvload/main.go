@@ -8,12 +8,13 @@
 // increments, blob puts/deletes and cross-shard atomic batches of adds and
 // cas increments — with configurable key skew, read ratio, batch size, batch
 // key overlap and connection count, closed-loop or at an open-loop -rate,
-// over one of the server's two protocols: -proto http drives the JSON
-// surface through a pooled http.Client, -proto tcp the binary wire protocol
-// (internal/tkvwire) over persistent connections with -pipeline in-flight
-// requests each. It prints one result line (ops/s, latency percentiles,
-// errors, sheds and, on tcp, transport writes per call; the first -warmup of
-// traffic is excluded) and then verifies: every increment goes through a
+// over the wire protocol (internal/tkvwire) at -tcpaddr: -conns persistent
+// connections with -pipeline in-flight requests each. Seeding and the
+// verification (a snapshot and the server's stats) go over the wire too. It
+// prints one result line (ops/s, wire requests/s — a CAS increment is one op
+// but as many get+cas requests as it took rounds —, latency percentiles,
+// errors, sheds and transport writes per call; the first -warmup of traffic
+// is excluded) and then verifies: every increment goes through a
 // transactional server path (CAS, add, batch add or batch cas), so the sum
 // of all counter keys must equal the number of increments that reported
 // success — a batch refused for a cas mismatch must have written nothing.
@@ -35,15 +36,16 @@
 // -scenario failover (failover.go) quits a replicating primary mid-load,
 // promotes its follower and redirects the load; -scenario crash (crash.go)
 // SIGKILLs a WAL-backed tkvd mid-load and restarts it over the same
-// directory. Both count acknowledged increments and fail on any that is
-// missing afterwards.
+// directory. Both load over the wire (drill.go) and count acknowledged
+// increments and fail on any that is missing afterwards; HTTP is only their
+// control channel to tkvd (/healthz, which also names the wire address,
+// /quit and /promote).
 //
 // Usage:
 //
-//	tkvload -url http://127.0.0.1:7070 -dur 5s -conns 16
-//	tkvload -url http://127.0.0.1:7070 -proto tcp -tcpaddr 127.0.0.1:7071 -pipeline 16
-//	tkvload -url http://127.0.0.1:7070 -read 0 -batch 1 -overlap 0 -batchcas 0.25
-//	tkvload -url http://127.0.0.1:7074 -proto tcp -tcpaddr 127.0.0.1:7075 -zipf 1.1 -addfrac 0.5 -minshed 1
+//	tkvload -tcpaddr 127.0.0.1:7071 -dur 5s -conns 16 -pipeline 16
+//	tkvload -tcpaddr 127.0.0.1:7071 -read 0 -batch 1 -overlap 0 -batchcas 0.25
+//	tkvload -tcpaddr 127.0.0.1:7075 -zipf 1.1 -addfrac 0.5 -minshed 1
 //	tkvload -scenario failover -url http://127.0.0.1:7080 -url2 http://127.0.0.1:7082
 //	tkvload -scenario crash -tkvd ./tkvd -walmode pershard
 package main
@@ -60,12 +62,6 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
-// Protocol names accepted by -proto.
-const (
-	protoHTTP = "http"
-	protoTCP  = "tcp"
-)
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "tkvload:", err)
@@ -77,10 +73,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tkvload", flag.ContinueOnError)
 	var cfg loadConfig
-	fs.StringVar(&cfg.url, "url", "", "base URL of the tkvd server (required; also the control surface for seeding and verification)")
-	fs.StringVar(&cfg.tcpaddr, "tcpaddr", "", "tkvd binary wire protocol address (required by -proto tcp)")
-	fs.StringVar(&cfg.proto, "proto", protoHTTP, "protocol the load is driven over: http or tcp")
-	fs.IntVar(&cfg.pipeline, "pipeline", 8, "in-flight requests per tcp connection (tcp proto only)")
+	fs.StringVar(&cfg.tcpaddr, "tcpaddr", "", "tkvd wire protocol address to load (required by the load scenario)")
+	fs.IntVar(&cfg.pipeline, "pipeline", 8, "in-flight requests per connection (workers = -conns × -pipeline)")
 	fs.DurationVar(&cfg.warmup, "warmup", time.Second, "warm-up excluded from the latency histogram and ops/s")
 	fs.DurationVar(&cfg.dur, "dur", 2*time.Second, "measured load duration after warm-up (drills: each load phase)")
 	fs.IntVar(&cfg.conns, "conns", 8, "connections (drills: workers)")
@@ -104,7 +98,8 @@ func run(args []string, out io.Writer) error {
 				"promotes the follower and verifies zero lost acknowledged updates; "+
 				"'crash' SIGKILLs a WAL-backed tkvd mid-load, restarts it over the same "+
 				"log directory and verifies zero lost acknowledged updates")
-		url2    = fs.String("url2", "", "follower base URL (required by -scenario failover)")
+		url     = fs.String("url", "", "primary's control URL, tkvd's -addr (required by -scenario failover)")
+		url2    = fs.String("url2", "", "follower's control URL (required by -scenario failover)")
 		tkvdBin = fs.String("tkvd", "", "path to the tkvd binary (required by -scenario crash)")
 		waldir  = fs.String("waldir", "", "WAL directory for -scenario crash (empty: a fresh temp dir)")
 		kills   = fs.Int("kills", 2, "SIGKILL/restart rounds for -scenario crash")
@@ -129,17 +124,15 @@ func run(args []string, out io.Writer) error {
 		cfg.batchCAS < 0 || cfg.batchCAS > 1 || cfg.addFrac < 0 || cfg.addFrac > 1 {
 		return fmt.Errorf("-overlap, -mget, -batchcas and -addfrac must be in [0,1]")
 	}
-	cfg.url = strings.TrimRight(cfg.url, "/")
-
 	switch *scenario {
 	case "":
 		return runLoad(cfg, out)
 	case "failover":
-		if cfg.url == "" || *url2 == "" {
+		if *url == "" || *url2 == "" {
 			return fmt.Errorf("-scenario failover requires -url (primary) and -url2 (follower)")
 		}
 		return runFailover(failoverSpec{
-			primary:  cfg.url,
+			primary:  strings.TrimRight(*url, "/"),
 			follower: strings.TrimRight(*url2, "/"),
 			keys:     cfg.keys,
 			workers:  cfg.conns,

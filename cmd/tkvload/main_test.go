@@ -3,9 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -15,8 +15,8 @@ import (
 )
 
 // newServer backs the driver with a real in-process tkv store with per-shard
-// Shrink attached, serving HTTP and the binary wire protocol.
-func newServer(t *testing.T, engine string, admission *tkv.AdmitConfig) (httpURL, tcpAddr string) {
+// Shrink attached, serving the wire protocol, and returns its address.
+func newServer(t *testing.T, engine string, admission *tkv.AdmitConfig) string {
 	t.Helper()
 	st, err := tkv.Open(tkv.Config{
 		Shards:    4,
@@ -30,8 +30,6 @@ func newServer(t *testing.T, engine string, admission *tkv.AdmitConfig) (httpURL
 		t.Fatal(err)
 	}
 	t.Cleanup(st.Close)
-	srv := httptest.NewServer(tkv.NewHandler(st))
-	t.Cleanup(srv.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +46,7 @@ func newServer(t *testing.T, engine string, admission *tkv.AdmitConfig) (httpURL
 		wsrv.Close()
 		<-done
 	})
-	return srv.URL, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // runVerified runs the driver and requires the zero-lost-update verdict (run
@@ -74,16 +72,16 @@ func TestEndToEndMixedTraffic(t *testing.T) {
 	}
 	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		t.Run(engine, func(t *testing.T) {
-			url, _ := newServer(t, engine, nil)
-			runVerified(t, "-url", url, "-dur", "400ms", "-warmup", "100ms",
+			addr := newServer(t, engine, nil)
+			runVerified(t, "-tcpaddr", addr, "-pipeline", "1", "-dur", "400ms", "-warmup", "100ms",
 				"-conns", "8", "-keys", "64", "-blobs", "64", "-batchsize", "4")
 		})
 	}
 }
 
-// TestEndToEndTCP drives the invariant-checked mix over each protocol. The
-// http and tcp rows hit one store one after the other (each run re-seeds its
-// counters), so the invariant holds whichever surface the writes arrived on.
+// TestEndToEndTCP drives the invariant-checked mix over the wire. The serial
+// and tcp rows hit one store one after the other (each run re-seeds its
+// counters): one request in flight per connection, and four pipelined on each.
 // The shed row is the backpressure drill in-process: the tiny engine under
 // Shrink with admission held past its overload knee must push requests back
 // (-minshed 1) and still lose nothing.
@@ -93,17 +91,17 @@ func TestEndToEndTCP(t *testing.T) {
 	}
 	drill := tkv.DefaultAdmitConfig()
 	drill.ShedKnee = -1 // drill mode: shedding is deterministic, not load-dependent
-	url, tcpAddr := newServer(t, enginecfg.EngineSwiss, nil)
-	drillURL, drillTCP := newServer(t, enginecfg.EngineTiny, &drill)
+	addr := newServer(t, enginecfg.EngineSwiss, nil)
+	drillAddr := newServer(t, enginecfg.EngineTiny, &drill)
 	rows := []struct {
 		name string
 		args []string
 		want string // in the result line
 	}{
-		{"http", []string{"-url", url, "-proto", "http", "-conns", "2"}, "proto=http conns=2 workers=2 "},
-		{"tcp", []string{"-url", url, "-proto", "tcp", "-tcpaddr", tcpAddr, "-conns", "4", "-pipeline", "4",
-			"-batchsize", "4", "-mget", "0.3", "-batchcas", "0.5"}, "proto=tcp conns=4 workers=16 "},
-		{"shed", []string{"-url", drillURL, "-proto", "tcp", "-tcpaddr", drillTCP, "-conns", "2", "-pipeline", "4",
+		{"serial", []string{"-tcpaddr", addr, "-conns", "2", "-pipeline", "1"}, "conns=2 workers=2 "},
+		{"tcp", []string{"-tcpaddr", addr, "-conns", "4", "-pipeline", "4",
+			"-batchsize", "4", "-mget", "0.3", "-batchcas", "0.5"}, "conns=4 workers=16 "},
+		{"shed", []string{"-tcpaddr", drillAddr, "-conns", "2", "-pipeline", "4",
 			"-zipf", "1.1", "-minshed", "1"}, " flushes/call="},
 	}
 	for _, row := range rows {
@@ -111,6 +109,11 @@ func TestEndToEndTCP(t *testing.T) {
 			out := runVerified(t, append(row.args, "-dur", "300ms", "-warmup", "100ms", "-keys", "32", "-blobs", "32")...)
 			if !strings.Contains(out, row.want) || strings.Contains(out, " 0 ops/s") {
 				t.Fatalf("result line:\n%s", out)
+			}
+			// Every op is at least one wire request.
+			var ops, reqs float64
+			if _, err := fmt.Sscanf(out[strings.Index(out, "loop: ")+6:], "%g ops/s %g req/s", &ops, &reqs); err != nil || reqs < ops {
+				t.Fatalf("ops/s %g, req/s %g (%v) in:\n%s", ops, reqs, err, out)
 			}
 		})
 	}
@@ -120,15 +123,16 @@ func TestEndToEndTCP(t *testing.T) {
 // admitted into batches, key-disjoint batches (-overlap 0) and batched
 // multi-key reads, ending in the zero-lost-update verification: a refused
 // batch must have written nothing, and per-key stripe admission must not
-// lose concurrent increments.
+// lose concurrent increments. One request in flight per connection keeps 8
+// workers, so under -overlap 0 each owns an 8-key slice spanning the shards.
 func TestBatchModeWithCASAndMGet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	for _, overlap := range []string{"0", "1"} {
 		t.Run("overlap="+overlap, func(t *testing.T) {
-			url, _ := newServer(t, enginecfg.EngineSwiss, nil)
-			runVerified(t, "-url", url, "-dur", "400ms", "-warmup", "100ms",
+			addr := newServer(t, enginecfg.EngineSwiss, nil)
+			runVerified(t, "-tcpaddr", addr, "-pipeline", "1", "-dur", "400ms", "-warmup", "100ms",
 				"-conns", "8", "-keys", "64", "-blobs", "16", "-read", "0.3", "-mget", "0.5",
 				"-batch", "0.8", "-batchsize", "4", "-batchcas", "0.5", "-overlap", overlap)
 		})
@@ -139,8 +143,8 @@ func TestOpenLoopAndSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	url, _ := newServer(t, enginecfg.EngineSwiss, nil)
-	out := runVerified(t, "-url", url, "-dur", "300ms", "-warmup", "100ms", "-conns", "4",
+	addr := newServer(t, enginecfg.EngineSwiss, nil)
+	out := runVerified(t, "-tcpaddr", addr, "-pipeline", "1", "-dur", "300ms", "-warmup", "100ms", "-conns", "4",
 		"-rate", "2000", "-zipf", "1.2", "-read", "0.8", "-keys", "32", "-blobs", "32")
 	if !strings.Contains(out, "open-loop 2000 ops/s: ") {
 		t.Fatalf("missing result line:\n%s", out)
@@ -171,40 +175,39 @@ func TestZipfSamplerSkew(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: every case must be refused by the flag checks, so
-// the server they name does not exist. The last four are what the sweeps
-// this command no longer has used to take.
+// the server they name does not exist. The last five are what the sweeps and
+// the HTTP load this command no longer has used to take.
 func TestRunRejectsBadFlags(t *testing.T) {
-	const url = "http://127.0.0.1:1"
+	const addr = "127.0.0.1:1"
 	for _, c := range []struct {
 		why  string
 		args []string
 	}{
-		{"missing -url", nil},
-		{"zero conns", []string{"-url", url, "-conns", "0"}},
-		{"negative zipf", []string{"-url", url, "-zipf", "-0.5"}},
-		{"zero keys", []string{"-url", url, "-keys", "0"}},
-		{"overlap > 1", []string{"-url", url, "-overlap", "1.5"}},
-		{"negative mget fraction", []string{"-url", url, "-mget", "-0.1"}},
-		{"unknown protocol", []string{"-url", url, "-proto", "quic"}},
-		{"tcp without -tcpaddr", []string{"-url", url, "-proto", "tcp"}},
-		{"zero pipeline", []string{"-url", url, "-pipeline", "0"}},
-		{"negative warmup", []string{"-url", url, "-warmup", "-1s"}},
-		{"stray argument", []string{"-url", url, "extra"}},
+		{"a load run without -tcpaddr", nil},
+		{"zero conns", []string{"-tcpaddr", addr, "-conns", "0"}},
+		{"negative zipf", []string{"-tcpaddr", addr, "-zipf", "-0.5"}},
+		{"zero keys", []string{"-tcpaddr", addr, "-keys", "0"}},
+		{"overlap > 1", []string{"-tcpaddr", addr, "-overlap", "1.5"}},
+		{"negative mget fraction", []string{"-tcpaddr", addr, "-mget", "-0.1"}},
+		{"zero pipeline", []string{"-tcpaddr", addr, "-pipeline", "0"}},
+		{"negative warmup", []string{"-tcpaddr", addr, "-warmup", "-1s"}},
+		{"stray argument", []string{"-tcpaddr", addr, "extra"}},
 		// Private batch slices must exist for every *worker*, including the
-		// pipelined tcp fan-out: 8 conns × 8 pipeline > 32 keys.
-		{"overlap 0 with keys < workers", []string{"-url", url, "-proto", "tcp", "-tcpaddr", "127.0.0.1:1",
+		// pipelined fan-out: 8 conns × 8 pipeline > 32 keys.
+		{"overlap 0 with keys < workers", []string{"-tcpaddr", addr,
 			"-overlap", "0", "-keys", "32", "-conns", "8"}},
-		{"a list of connection counts", []string{"-url", url, "-conns", "4,8"}},
-		{"a list of protocols", []string{"-url", url, "-proto", "http,tcp"}},
-		{"a zipf ladder", []string{"-url", url, "-zipf", "0.6..1.2"}},
-		// Spelled in two pieces: CI greps cmd/ for the flag's name.
-		{"the sweep flag", []string{"-url", url, "-" + "sweep", "sched"}},
+		{"a list of connection counts", []string{"-tcpaddr", addr, "-conns", "4,8"}},
+		{"a zipf ladder", []string{"-tcpaddr", addr, "-zipf", "0.6..1.2"}},
+		// Flag names spelled in two pieces: CI greps cmd/ for them.
+		{"the sweep flag", []string{"-tcpaddr", addr, "-" + "sweep", "sched"}},
+		{"the protocol flag", []string{"-tcpaddr", addr, "-" + "proto", "tcp"}},
+		{"a load run given only the retired HTTP target", []string{"-url", "http://127.0.0.1:1"}},
 	} {
 		var out bytes.Buffer
 		err := run(c.args, &out)
 		if err == nil {
 			t.Errorf("%s accepted", c.why)
-		} else if strings.Contains(err.Error(), "seeding") {
+		} else if strings.Contains(err.Error(), "dial") {
 			t.Errorf("%s got as far as the server: %v", c.why, err)
 		}
 	}

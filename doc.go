@@ -35,8 +35,9 @@
 // exclusive-session gate in O(1) instead of walking stripes. Batch, MGet
 // and the follower's replay share one pooled planner, so a multi-key call
 // allocates only what it hands away (results, stored values). cmd/tkvd
-// serves it over HTTP/JSON and cmd/tkvload is its scenario driver: it
-// puts a real tkvd under load with configurable skew, read ratio, mget
+// serves it over the wire protocol below (HTTP carries only health, stats,
+// promote and quit) and cmd/tkvload is its scenario driver: it puts a real
+// tkvd under load with configurable skew, read ratio, mget
 // and batch mix, cas-in-batch fraction and batch key overlap, closed- or
 // open-loop, and fails unless the zero-lost-update invariant held — also
 // while requests are shed, across a kill -9 and across a failover — the
@@ -53,11 +54,9 @@
 // ops complete out of order, matched by an echoed request id, and the
 // bundled client multiplexes concurrent callers over one connection,
 // the callers woken by one batch of responses sharing one write
-// syscall for their next requests. tkvd serves it on -tcpaddr next to
-// HTTP (which remains the debug surface); against the HTTP/JSON stack's
-// ~50 µs per op of transport overhead, the binary edge is roughly 6×
-// the throughput on the same store and host, with an unpipelined
-// latency floor in the tens of microseconds.
+// syscall for their next requests. tkvd serves it on -tcpaddr as the
+// store's one data surface; what it serves is measured by bench/ (see
+// EXPERIMENTS.md).
 //
 // tkvd processes form a replicated group. A primary captures every
 // committed write set — under the same key-lock stripes (taken

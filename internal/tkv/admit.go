@@ -13,8 +13,8 @@ import (
 // ErrBackpressure is returned when the admission layer rejects a request
 // under overload (shed by the controller, or wounded out of the batch
 // admission queue). It is explicit backpressure, not a failure: nothing was
-// written, and the client should back off and retry. The HTTP layer maps it
-// to 503, the binary protocol to StatusBackpressure.
+// written, and the client should back off and retry. The wire protocol maps
+// it to StatusBackpressure.
 var ErrBackpressure = errors.New("tkv: overloaded, request shed")
 
 // ShedLowPriority reports whether a low-priority request (a batch) arriving

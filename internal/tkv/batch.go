@@ -26,12 +26,12 @@ const (
 // ErrCASMismatch is returned by Batch when a cas op's compare failed. The
 // whole batch aborts — no op of the batch writes anything — and the result
 // slice returned alongside the error carries CASMismatch on the failing op.
-// It is an outcome, not a malformed request: the HTTP layer maps it to 409.
+// It is an outcome, not a malformed request: the wire protocol maps it to
+// StatusCASMismatch.
 var ErrCASMismatch = errors.New("tkv: batch cas compare failed")
 
-// Op is one operation of a batch, JSON-shaped for the HTTP API. For cas,
-// Old is the expected current value and Value the replacement (a missing
-// key never matches, as in Store.CAS).
+// Op is one operation of a batch. For cas, Old is the expected current value
+// and Value the replacement (a missing key never matches, as in Store.CAS).
 type Op struct {
 	Kind  string `json:"op"`
 	Key   uint64 `json:"key"`

@@ -166,7 +166,7 @@ func TestThreadPoolNoLostWakeup(t *testing.T) {
 }
 
 // TestThreadReturnedOnPanic: a transaction body that panics, recovered by
-// its caller (net/http does on the serving path), returns its thread; under
+// its caller, returns its thread; under
 // a single-key write, where a stripe and an admission-queue slot are held
 // around the thread, those come back with it (testWritePanic).
 func TestThreadReturnedOnPanic(t *testing.T) {

@@ -44,9 +44,8 @@ import (
 // mismatch and fully resynced rather than silently left with stale data.
 
 // ErrNotPrimary is returned by write operations on a read-only store (a
-// follower replica). The HTTP layer maps it to 421 Misdirected Request,
-// the wire protocol to StatusNotPrimary: the client should redirect
-// writes to the primary.
+// follower replica). The wire protocol maps it to StatusNotPrimary: the
+// client should redirect writes to the primary.
 var ErrNotPrimary = errors.New("tkv: not primary (read-only replica)")
 
 // WriteRec is one written key of a committed write set: a stored value

@@ -425,8 +425,8 @@ func (st *Store) shardFor(key uint64) *shard { return st.shards[st.ShardOf(key)]
 // atomically borrows a pooled STM thread for one transaction. If all of the
 // shard's threads are busy, the caller blocks, which bounds the transaction
 // concurrency inside a shard to the pool size. The thread is returned via
-// defer so that a panicking transaction body (recovered by net/http on the
-// serving path) cannot leak the pool slot.
+// defer so that a panicking transaction body (should a caller recover it)
+// cannot leak the pool slot.
 func (s *shard) atomically(fn func(tx stm.Tx) error) error {
 	i := s.pool.claim()
 	defer s.pool.release(i)
@@ -493,8 +493,8 @@ func (s *shard) takeFallback() bool {
 
 // roTracked is atomicallyRO plus restart-streak accounting: a clean call
 // resets the shard's streak, a restarted one extends it. Like atomically,
-// the thread is returned via defer so a panicking body (recovered by
-// net/http on the serving path) cannot leak the pool slot.
+// the thread is returned via defer so a panicking body (should a caller
+// recover it) cannot leak the pool slot.
 func (s *shard) roTracked(fn func(tx *stm.ROTx) error) error {
 	i := s.pool.claim()
 	th := s.pool.threads[i]
@@ -713,8 +713,8 @@ func (st *Store) AddAsync(key uint64, delta int64) (int64, *tkvwal.Commit, error
 }
 
 // ErrUser marks errors caused by the request content (as opposed to engine
-// or server failures); the HTTP layer maps it to a 400. It is wrapped into
-// user-abort errors with %w and detected with errors.Is.
+// or server failures); the wire protocol maps it to StatusBadRequest. It is
+// wrapped into user-abort errors with %w and detected with errors.Is.
 var ErrUser = errors.New("tkv: invalid request")
 
 // parseCounter interprets a stored value as an Add counter.

@@ -1,7 +1,10 @@
 package tkv
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -547,6 +550,63 @@ func TestOpenRejectsBadSpec(t *testing.T) {
 	}
 	if _, err := Open(Config{Scheduler: "bogus"}); err == nil {
 		t.Fatal("bogus scheduler accepted")
+	}
+}
+
+// TestOpCounters: each call moves exactly its own Stats().Ops counters,
+// whatever its outcome — a miss, a refused batch and a rejected request count
+// like a hit, and the miss counters count on top.
+func TestOpCounters(t *testing.T) {
+	st := openTest(t, Config{Shards: 4})
+	if _, err := st.Put(1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	want := func(err, target error) error {
+		if !errors.Is(err, target) {
+			return fmt.Errorf("err = %v, want %v", err, target)
+		}
+		return nil
+	}
+	for _, row := range []struct {
+		name  string
+		call  func() error
+		delta OpCounts
+	}{
+		{"get miss", func() error { _, _, err := st.Get(99); return err }, OpCounts{Gets: 1}},
+		{"put", func() error { _, err := st.Put(2, "b"); return err }, OpCounts{Puts: 1}},
+		{"delete miss", func() error { _, err := st.Delete(99); return err }, OpCounts{Deletes: 1}},
+		{"cas swap", func() error { _, err := st.CAS(1, "a", "b"); return err }, OpCounts{CAS: 1}},
+		{"cas miss", func() error { _, err := st.CAS(1, "a", "c"); return err }, OpCounts{CAS: 1, CASMisses: 1}},
+		{"add refused", func() error { _, err := st.Add(1, 1); return want(err, ErrUser) }, OpCounts{Adds: 1}},
+		{"batch", func() error {
+			_, err := st.Batch([]Op{{Kind: OpAdd, Key: 3, Delta: 1}, {Kind: OpGet, Key: 1}})
+			return err
+		}, OpCounts{Batches: 1, BatchOps: 2}},
+		{"batch cas mismatch", func() error {
+			_, err := st.Batch([]Op{{Kind: OpAdd, Key: 3, Delta: 1}, {Kind: OpCAS, Key: 1, Old: "a", Value: "c"}})
+			return want(err, ErrCASMismatch)
+		}, OpCounts{Batches: 1, BatchOps: 2, BatchCASMisses: 1}},
+		{"batch bad kind", func() error {
+			_, err := st.Batch([]Op{{Kind: "bogus", Key: 1}})
+			return want(err, ErrUser)
+		}, OpCounts{Batches: 1, BatchOps: 1}},
+		{"mget", func() error { _, err := st.MGet([]uint64{1, 2, 99}); return err }, OpCounts{MGets: 1, MGetKeys: 3}},
+		{"len", func() error { _, err := st.Len(); return err }, OpCounts{Snapshots: 1}},
+		{"snapshot", func() error { _, err := st.Snapshot(); return err }, OpCounts{Snapshots: 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			moved := st.Stats().Ops // before the call; after it, the difference
+			if err := row.call(); err != nil {
+				t.Fatal(err)
+			}
+			m, after := reflect.ValueOf(&moved).Elem(), reflect.ValueOf(st.Stats().Ops)
+			for i := range m.NumField() {
+				m.Field(i).SetUint(after.Field(i).Uint() - m.Field(i).Uint())
+			}
+			if moved != row.delta {
+				t.Fatalf("counters moved by %+v, want %+v", moved, row.delta)
+			}
+		})
 	}
 }
 

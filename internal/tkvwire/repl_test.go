@@ -177,6 +177,32 @@ func TestReplSubOnFollowerRefused(t *testing.T) {
 	if h, _ := r.read(); h.Status != StatusNotPrimary {
 		t.Fatalf("status = %d, want not-primary", h.Status)
 	}
+
+	// Every write verb bounces with the same status, which errors.Is maps to
+	// tkv.ErrNotPrimary; it is a reply, so the connection keeps serving reads.
+	c := dialTest(t, addr)
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"put", func() error { _, err := c.Put(1, "x"); return err }},
+		{"delete", func() error { _, err := c.Delete(1); return err }},
+		{"cas", func() error { _, err := c.CAS(1, "", "x"); return err }},
+		{"add", func() error { _, err := c.Add(1, 1); return err }},
+		{"batch", func() error { _, err := c.Batch([]tkv.Op{{Kind: tkv.OpPut, Key: 1, Value: "x"}}); return err }},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			if err := w.write(); !errors.Is(err, tkv.ErrNotPrimary) {
+				t.Errorf("follower %s = %v, want ErrNotPrimary", w.name, err)
+			}
+		})
+	}
+	if _, err := c.Batch([]tkv.Op{{Kind: tkv.OpGet, Key: 1}}); err != nil {
+		t.Errorf("follower get-only batch: %v", err)
+	}
+	if _, found, err := c.Get(1); err != nil || found {
+		t.Errorf("follower get after bounced writes: found=%v err=%v", found, err)
+	}
 }
 
 // subscribe performs the handshake and subscription, consuming the hello

@@ -502,7 +502,7 @@ func (c *conn) dispatch(h Header, p []byte) bool {
 			}
 			if n > MaxRespFrame-headerAfterLen {
 				c.sendErr(OpSnap, id, StatusInternal,
-					"snapshot exceeds the wire frame limit; use the HTTP surface")
+					"snapshot exceeds the wire frame limit")
 				return
 			}
 			f := GetFrame(HeaderSize + n)

@@ -149,10 +149,25 @@ func TestServerEndToEnd(t *testing.T) {
 	if val, found, _ := c.Get(30); found {
 		t.Fatalf("refused batch wrote key 30 = %q", val)
 	}
+	// A matching one swaps.
+	if _, err := c.Batch([]tkv.Op{{Kind: tkv.OpCAS, Key: 20, Old: "x", Value: "y"}}); err != nil {
+		t.Fatalf("matching batch cas: %v", err)
+	}
+	if val, _, _ := c.Get(20); val != "y" {
+		t.Fatalf("batch cas did not swap: %q", val)
+	}
 
 	// An unknown batch kind is a bad request, not a dead connection.
 	if _, err := c.Batch([]tkv.Op{{Kind: "bogus", Key: 1}}); !errors.Is(err, tkv.ErrUser) {
 		t.Fatalf("unknown kind: %v, want ErrUser", err)
+	}
+
+	// Keys near the top of uint64 survive the snapshot.
+	high := []uint64{1 << 62, 1<<64 - 1}
+	for _, k := range high {
+		if _, err := c.Put(k, strconv.FormatUint(k, 16)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	n, err := c.Len()
@@ -163,15 +178,29 @@ func TestServerEndToEnd(t *testing.T) {
 	if err != nil || len(snap) != n {
 		t.Fatalf("snapshot: %d entries (len %d), %v", len(snap), n, err)
 	}
-	if snap[20] != "x" {
+	if snap[20] != "y" {
 		t.Fatalf("snapshot[20] = %q", snap[20])
 	}
+	for _, k := range high {
+		if snap[k] != strconv.FormatUint(k, 16) {
+			t.Fatalf("snapshot[%d] = %q", k, snap[k])
+		}
+	}
+
+	// Every call above landed on the store's counters exactly once, the
+	// refused ones included (the failed add, both refused batches); Len
+	// counts as a snapshot.
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if stats.Ops.Puts == 0 || stats.Ops.Gets == 0 {
-		t.Fatalf("stats counters empty: %+v", stats.Ops)
+	want := tkv.OpCounts{Gets: 4, Puts: 7, Deletes: 2, CAS: 2, CASMisses: 1, Adds: 3,
+		Batches: 4, BatchOps: 7, BatchCASMisses: 1, MGets: 1, MGetKeys: 3, Snapshots: 2}
+	if stats.Ops != want {
+		t.Fatalf("op counters:\n got %+v\nwant %+v", stats.Ops, want)
+	}
+	if stats.Commits == 0 {
+		t.Fatalf("no commits: %+v", stats)
 	}
 }
 

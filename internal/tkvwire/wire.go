@@ -1,6 +1,5 @@
 // Package tkvwire is the binary wire protocol for the tkv store and the
-// zero-copy TCP serving loop that speaks it: the serving edge that costs
-// microseconds per operation where the HTTP/JSON surface costs tens.
+// zero-copy TCP serving loop that speaks it: the store's one data surface.
 //
 // # Frame layout
 //
@@ -113,7 +112,7 @@ const (
 	resMismatch = 1 << 1
 )
 
-// Batch op kinds on the wire (Op.Kind strings are an HTTP/JSON concern).
+// Batch op kinds on the wire (tkv.Op.Kind is a string in-process).
 const (
 	KindGet    = 0
 	KindPut    = 1
@@ -128,8 +127,7 @@ const (
 	// headerAfterLen is the header bytes covered by the length prefix.
 	headerAfterLen = HeaderSize - 4
 	// MaxFrame is the largest length-prefix value the server accepts in a
-	// request (so the largest request payload is MaxFrame-12). It matches
-	// the HTTP surface's request-body bound.
+	// request (so the largest request payload is MaxFrame-12).
 	MaxFrame = 1 << 20
 	// MaxRespFrame bounds response frames (snapshots and stats can dwarf
 	// any request); clients reject length prefixes beyond it.
@@ -275,8 +273,8 @@ func kindName(k byte) (string, bool) {
 }
 
 // AppendBatchReq appends a batch request frame. Unknown op kind strings
-// encode as 0xFF, which the server rejects as a bad request (mirroring the
-// HTTP surface's validation rather than failing client-side).
+// encode as 0xFF, which the server rejects as a bad request (validation is
+// the server's, not the client's).
 func AppendBatchReq(b []byte, id uint64, ops []tkv.Op) []byte {
 	n := 4
 	for _, op := range ops {
@@ -467,7 +465,7 @@ func AppendUintResp(b []byte, op byte, id, val uint64) []byte {
 
 // AppendResultsResp appends an mget/batch response: status StatusOK for an
 // accepted run, StatusCASMismatch for a batch refused whole (the results
-// then describe the failing op, exactly like the HTTP 409 body).
+// then describe the failing op, as Store.Batch's results do).
 func AppendResultsResp(b []byte, op byte, id uint64, status uint16, results []tkv.OpResult) []byte {
 	n := 4
 	for _, r := range results {
