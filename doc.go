@@ -62,15 +62,19 @@
 // committed write set — under the same key-lock stripes (taken
 // exclusively once a log is attached: that mode is all a log changes in
 // the one single-key write path), after STM commit but before stripe
-// release, so ring order equals commit order per key — as an
+// release, so log order equals commit order per key — as an
 // internal/tkvlog record: length-prefixed, versioned,
 // CRC32-C-sealed, allocation-free to encode, with torn tails (ErrShort)
-// distinguished from corruption (ErrCorrupt); the same record is the
-// planned on-disk WAL format. Per-shard bounded rings decouple commits
-// from the network, a per-subscription shipper on the wire port (behind
-// a version/feature handshake that leaves old clients untouched)
-// replays backlog and tails live commits, and a wrapped ring degrades
-// to a consistent per-shard snapshot cut instead of a lost follower.
+// distinguished from corruption (ErrCorrupt); the WAL persists the same
+// record. Each shard numbers its records once: one append, under one
+// mutex, puts a record in the shard's bounded in-memory window and in the
+// WAL, so the two can never disagree about a sequence number. The window
+// decouples commits from the network, a per-subscription shipper on the
+// wire port (behind a version/feature handshake that leaves old clients
+// untouched) replays backlog and tails live commits, and a follower
+// asking for a record the window no longer holds — evicted, or older than
+// the primary's restart — gets a consistent per-shard snapshot cut
+// instead of being lost.
 // The follower side (internal/tkvrepl) replays the stream through the
 // same stripe-exclusive commit path, serves stale-bounded reads
 // (writes bounce with "not primary"), reports lag watermarks in /stats,

@@ -294,9 +294,9 @@ func (t *Table) RLockKey(key uint64) int {
 // LockKey acquires the stripe owning key in exclusive mode and returns its
 // index for the matching Unlock. It is RLockKey's exclusive twin — same
 // per-generation revalidation, no version needed — for single-key writers
-// that must order side effects per key (tkv's replication log emission:
-// the record is enqueued before the stripe is released, so ring order is
-// commit order for every key). Single-stripe exclusive holds need no
+// that must order side effects per key (tkv's log append: the record is
+// numbered before the stripe is released, so log order is commit order for
+// every key). Single-stripe exclusive holds need no
 // Enter/Exit session: the resizer waits them out in its stripe sweep, and
 // Freeze deliberately does not exclude them (they are atomic per shard by
 // the STM, exactly like the shared holders Freeze leaves undisturbed).

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -13,35 +12,41 @@ import (
 )
 
 // Replication support. A Store opened with Config.ReplRing > 0 carries a
-// ReplLog: per-shard bounded rings of committed write sets, populated on
-// the write paths and consumed by the wire-level shipper
-// (internal/tkvwire) streaming them to follower stores, whose appliers
+// ReplLog: the replication face of the store's per-shard logs (wal.go), whose
+// windows keep the last ReplRing committed write sets for the wire-level
+// shipper (internal/tkvwire) to stream to follower stores, whose appliers
 // feed them back in through ReplApply.
 //
 // # Ordering
 //
-// The ring must present records in commit order per key, or a follower
+// A shard's records must be in commit order per key, or a follower
 // replaying them diverges. The store gets that order from the stripes it
-// already holds: with a log attached (this one or the WAL, st.logged())
+// already holds: on a logged store (a ring, a WAL, or both: st.logged())
 // every write path takes its keys' stripes in EXCLUSIVE mode — that is one
 // branch in Store.write, the only single-key write path, and one in Batch,
 // where a single-shard batch takes the two-phase plan/apply instead of the
-// shared fast path — and the record is enqueued after the STM commit but
+// shared fast path — and the record is appended after the STM commit but
 // before the stripes are released. Two writes to the same key always
-// contend on its stripe, so their records enqueue in their commit order;
-// writes to different keys may interleave in the ring, but their records
+// contend on its stripe, so their records append in their commit order;
+// writes to different keys may interleave in the log, but their records
 // carry resulting state (values and tombstones, not operations), so any
 // interleaving of commuting records replays to the same store.
 //
 // # Sequence numbers and resync
 //
-// Each shard's records carry a monotonic sequence number starting at 1,
-// assigned at enqueue. The ring retains the last Config.ReplRing records;
-// a follower asking for an evicted sequence gets ok=false from ReadFrom
-// and the shipper falls back to a whole-shard snapshot cut
-// (ReplShardCut). StreamID identifies this log instance, so a follower
-// reconnecting to a restarted (empty) primary is detected by streamID
-// mismatch and fully resynced rather than silently left with stale data.
+// Each shard has one sequence, and logCommit is the only thing that
+// advances it: the records a shard's window holds, the ones its WAL
+// persists and the head the shipper, the cuts and Stats report are one
+// numbering, so there is nothing to keep aligned. A primary numbers its
+// writes head+1; a follower appends each record under its primary's
+// number, so after a promotion it continues the primary's numbering. The
+// window serves floor..head; a follower asking for anything below the floor
+// — evicted, or older than this process's log (a WAL reopen, a restore
+// from a cut: logRestart) — gets ok=false from ReadFrom, and the shipper
+// falls back to a whole-shard snapshot cut (ReplShardCut). StreamID
+// identifies this log instance, so a follower reconnecting to a restarted
+// primary is detected by streamID mismatch and resynced rather than
+// silently left with stale data.
 
 // ErrNotPrimary is returned by write operations on a read-only store (a
 // follower replica). The wire protocol maps it to StatusNotPrimary: the
@@ -53,28 +58,20 @@ var ErrNotPrimary = errors.New("tkv: not primary (read-only replica)")
 // tkvlog.Entry.
 type WriteRec = tkvlog.Entry
 
-// ReplRec is one committed write set in a shard's ring.
+// ReplRec is one committed write set in a shard's window.
 type ReplRec struct {
 	Seq     uint64
 	Entries []tkvlog.Entry
 }
 
-// ring is one shard's bounded record window: the last len(slots) records,
-// addressed by seq % len(slots). next is the next sequence to assign;
-// head is next-1, tail max(1, next-len(slots)).
-type ring struct {
-	mu    sync.Mutex
-	slots []ReplRec
-	next  uint64
-}
-
-// ReplLog is the store's replication state: per-shard record rings plus
-// the watermark counters both roles report through Stats.
+// ReplLog is the store's replication face: the shipper's view of the
+// shards' logs (their heads and windows) plus the watermark counters both
+// roles report through Stats.
 type ReplLog struct {
 	streamID uint64
-	rings    []ring
+	logs     []shardLog // the store's: ReplLog reads them, logCommit writes them
 	// notify is the shipper wake-up: one token, coalesced, sent
-	// non-blocking on every enqueue.
+	// non-blocking on every append.
 	notify chan struct{}
 
 	// followers counts attached shippers (primary side).
@@ -82,8 +79,11 @@ type ReplLog struct {
 	// shipped is, per shard, the highest sequence confirmed written to
 	// the slowest follower's stream (primary side).
 	shipped []atomic.Uint64
-	// applied is, per shard, the highest sequence replayed through
-	// ReplApply (follower side).
+	// applied is, per shard, the sequence the log last restarted at or
+	// the highest one since replayed through ReplApply and durable in this
+	// store's own log (follower side). It trails the head by the record a
+	// ReplApply has appended and is still waiting on, which is why it is a
+	// counter of its own.
 	applied []atomic.Uint64
 	// remote is, per shard, the primary's head as last heard in a stream
 	// metadata frame (follower side); remote - applied is the lag.
@@ -94,21 +94,15 @@ type ReplLog struct {
 	appliedRecs atomic.Uint64
 }
 
-// newReplLog builds the log for n shards with per-shard ring capacity cap.
-func newReplLog(n, cap int) *ReplLog {
-	if cap < 1 {
-		cap = 1
-	}
+// newReplLog builds the replication face of the store's shard logs.
+func newReplLog(logs []shardLog) *ReplLog {
+	n := len(logs)
 	l := &ReplLog{
-		rings:   make([]ring, n),
+		logs:    logs,
 		notify:  make(chan struct{}, 1),
 		shipped: make([]atomic.Uint64, n),
 		applied: make([]atomic.Uint64, n),
 		remote:  make([]atomic.Uint64, n),
-	}
-	for i := range l.rings {
-		l.rings[i].slots = make([]ReplRec, cap)
-		l.rings[i].next = 1
 	}
 	for l.streamID == 0 {
 		l.streamID = rand.Uint64()
@@ -121,9 +115,9 @@ func newReplLog(n, cap int) *ReplLog {
 func (l *ReplLog) StreamID() uint64 { return l.streamID }
 
 // Shards returns the shard count the log was built for.
-func (l *ReplLog) Shards() int { return len(l.rings) }
+func (l *ReplLog) Shards() int { return len(l.logs) }
 
-// Notify returns the enqueue wake-up channel (one token, coalesced).
+// Notify returns the append wake-up channel (one token, coalesced).
 func (l *ReplLog) Notify() <-chan struct{} { return l.notify }
 
 // AddFollower / RemoveFollower bracket one attached shipper.
@@ -157,89 +151,29 @@ func (l *ReplLog) NoteRemoteHead(shard int, head uint64) {
 // Applied returns the follower-side applied watermark for shard.
 func (l *ReplLog) Applied(shard int) uint64 { return l.applied[shard].Load() }
 
-// Head returns the highest sequence enqueued on shard (0 when empty).
-func (l *ReplLog) Head(shard int) uint64 {
-	r := &l.rings[shard]
-	r.mu.Lock()
-	h := r.next - 1
-	r.mu.Unlock()
-	return h
-}
-
-// enqueue assigns the next sequence on shard, stores the record, and
-// returns the sequence (the WAL appends the same record under it). The
-// caller must hold the stripes of every key in entries in exclusive mode
-// (that is what makes ring order commit order; see the file comment).
-// Entries must not be mutated after the call — the ring and its readers
-// alias the slice.
-func (l *ReplLog) enqueue(shard int, entries []tkvlog.Entry) uint64 {
-	r := &l.rings[shard]
-	r.mu.Lock()
-	seq := r.next
-	r.next++
-	n := uint64(len(r.slots))
-	if seq > n {
-		// Evicting seq-n. If a follower is attached and hasn't shipped
-		// it, that history is gone: the follower will need a snapshot
-		// resync, which the overflow counter makes visible.
-		if evict := seq - n; l.followers.Load() > 0 && evict > l.shipped[shard].Load() {
-			l.overflows.Add(1)
-		}
-	}
-	r.slots[seq%n] = ReplRec{Seq: seq, Entries: entries}
-	r.mu.Unlock()
-	select {
-	case l.notify <- struct{}{}:
-	default:
-	}
-	return seq
-}
-
-// enqueueAt stores a record under an externally assigned sequence
-// (follower side: ReplApply preserves the primary's numbering, keeping
-// the follower's own ring aligned for a later promotion).
-func (l *ReplLog) enqueueAt(shard int, seq uint64, entries []tkvlog.Entry) {
-	r := &l.rings[shard]
-	r.mu.Lock()
-	r.slots[seq%uint64(len(r.slots))] = ReplRec{Seq: seq, Entries: entries}
-	r.next = seq + 1
-	r.mu.Unlock()
-}
-
-// resetAt empties the ring's window and restarts numbering after seq
-// (follower side, after a snapshot resync replaced the shard's contents).
-func (l *ReplLog) resetAt(shard int, seq uint64) {
-	r := &l.rings[shard]
-	r.mu.Lock()
-	for i := range r.slots {
-		r.slots[i] = ReplRec{}
-	}
-	r.next = seq + 1
-	r.mu.Unlock()
-}
+// Head returns the highest sequence appended on shard (0 when empty).
+func (l *ReplLog) Head(shard int) uint64 { return l.logs[shard].last() }
 
 // ReadFrom copies up to max records of shard starting at sequence from
-// (0 is treated as 1) into dst and returns the extended slice. ok=false
-// means from has been evicted — the caller must fall back to a snapshot
-// resync. The returned entry slices alias the ring's records; they are
-// never mutated after enqueue, so concurrent readers are safe.
+// (0 is treated as 1) into dst and returns the extended slice; record i
+// has sequence from+i. ok=false means from is below the window's floor —
+// evicted, or from before the shard's log last restarted — and the caller
+// must fall back to a snapshot resync. The returned entry slices alias the
+// window's records; they are never mutated after the append, so concurrent
+// readers are safe.
 func (l *ReplLog) ReadFrom(shard int, from uint64, max int, dst []ReplRec) ([]ReplRec, bool) {
 	if from == 0 {
 		from = 1
 	}
-	r := &l.rings[shard]
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := uint64(len(r.slots))
-	tail := uint64(1)
-	if r.next > n {
-		tail = r.next - n
-	}
-	if from < tail {
+	s := &l.logs[shard]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if from < s.floor {
 		return dst, false
 	}
-	for seq := from; seq < r.next && len(dst) < max; seq++ {
-		dst = append(dst, r.slots[seq%n])
+	n := uint64(len(s.slots))
+	for seq := from; seq <= s.head && len(dst) < max; seq++ {
+		dst = append(dst, s.slots[seq%n])
 	}
 	return dst, true
 }
@@ -289,16 +223,16 @@ func (st *Store) emitPlan(shard int, plan []plannedWrite) *tkvwal.Commit {
 			entries[i] = tkvlog.Entry{Key: w.key, Val: *w.val}
 		}
 	}
-	return st.logCommit(shard, entries)
+	return st.logCommit(shard, 0, entries)
 }
 
 // ReplShardCut returns a consistent snapshot of one shard together with
 // the shard's sequence watermark: every record with Seq <= the returned
 // seq is reflected in the pairs, none after. It holds all of the shard's
-// stripes in shared mode for the duration — writers (exclusive under a
-// ReplLog) are paused on this shard, so the head cannot advance under the
-// cut — and is the shipper's fallback when a follower's cursor has been
-// evicted from the ring.
+// stripes in shared mode for the duration — writers (exclusive on a logged
+// store) are paused on this shard, so the head cannot advance under the
+// cut — and is the shipper's fallback when a follower's cursor is below the
+// shard's window.
 func (st *Store) ReplShardCut(shard int) (pairs []tkvlog.Entry, seq uint64, err error) {
 	if shard < 0 || shard >= len(st.shards) || st.repl == nil {
 		return nil, 0, fmt.Errorf("tkv: bad repl cut shard %d", shard)
@@ -308,9 +242,10 @@ func (st *Store) ReplShardCut(shard int) (pairs []tkvlog.Entry, seq uint64, err 
 
 // ReplApply replays one replicated record on a follower: the entries are
 // applied in order as one update transaction under the keys' exclusive
-// stripes, the record is mirrored into the follower's own ring under the
-// primary's sequence number, and the applied watermark advances. It
-// bypasses the read-only gate — this is how a follower's data arrives.
+// stripes, the record is appended to the follower's own log under the
+// primary's sequence number, and once that append is durable the applied
+// watermark advances. It bypasses the read-only gate — this is how a
+// follower's data arrives.
 func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	if st.repl == nil {
 		return errors.New("tkv: ReplApply without a replication log")
@@ -331,7 +266,7 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	b.plan()
 	b.lock(true)
 	defer b.unlock(true)
-	// The follower's ring and WAL keep the entries; rec's own slice is the
+	// The follower's window and WAL keep the entries; rec's own slice is the
 	// stream decoder's to reuse.
 	entries := append([]tkvlog.Entry(nil), rec.Entries...)
 	var err error
@@ -353,18 +288,13 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	if err != nil {
 		return fmt.Errorf("tkv: repl apply shard %d seq %d: %w", shard, rec.Seq, err)
 	}
-	if st.wal != nil {
-		// Persist under the primary's sequence number and wait before the
-		// applied watermark moves: a follower must never report a record
-		// applied that its own log could lose.
-		st.walMu[shard].Lock()
-		c := st.wal.Append(shard, rec.Seq, entries)
-		st.walMu[shard].Unlock()
-		if werr := c.Wait(); werr != nil {
-			return fmt.Errorf("tkv: repl apply shard %d seq %d: wal: %w", shard, rec.Seq, werr)
-		}
+	// Wait before the applied watermark moves (a nil Commit without a WAL
+	// returns at once): a follower must never report a record applied that
+	// its own log could lose, and what it reports is what it resubscribes
+	// from.
+	if werr := st.logCommit(shard, rec.Seq, entries).Wait(); werr != nil {
+		return fmt.Errorf("tkv: repl apply shard %d seq %d: wal: %w", shard, rec.Seq, werr)
 	}
-	st.repl.enqueueAt(shard, rec.Seq, entries)
 	st.repl.applied[shard].Store(rec.Seq)
 	st.repl.appliedRecs.Add(1)
 	return nil
@@ -374,7 +304,7 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 // (follower side, after the primary fell back to ReplShardCut): keys
 // absent from the cut are deleted, every pair of the cut is written, all
 // as one update transaction under every stripe of the shard, and the
-// shard's ring and watermarks restart after seq.
+// shard's log restarts at seq (logRestart).
 //
 // With a WAL the shard's lane is then checkpointed, and that cut takes
 // each shard's stripes itself — so the checkpoint runs after this
@@ -431,8 +361,7 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 		if err != nil {
 			return fmt.Errorf("tkv: repl restore shard %d: %w", shard, err)
 		}
-		st.repl.resetAt(shard, seq)
-		st.repl.applied[shard].Store(seq)
+		st.logRestart(shard, seq)
 		return nil
 	}()
 	if err != nil {
@@ -440,9 +369,10 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 	}
 	if st.wal != nil {
 		// The shard's old log no longer describes its contents: checkpoint
-		// its lane, forced (a restore appends nothing). The numbering was
-		// reset above, so the cut for this shard captures exactly the
-		// restored snapshot at seq.
+		// its lane, forced (a restore appends nothing). The head was
+		// restarted above, so the cut for this shard captures exactly the
+		// restored snapshot at seq, and the WAL's own watermark takes that
+		// number even when it is lower than what the WAL had appended.
 		if err := st.wal.Checkpoint(st.wal.LaneOf(shard), st.cutShard, true); err != nil {
 			return fmt.Errorf("tkv: repl restore shard %d: wal: %w", shard, err)
 		}
@@ -489,13 +419,13 @@ func (st *Store) replStats() *ReplStats {
 		Overflows:   l.overflows.Load(),
 		Resyncs:     l.resyncs.Load(),
 		AppliedRecs: l.appliedRecs.Load(),
-		Shards:      make([]ReplShardStats, len(l.rings)),
+		Shards:      make([]ReplShardStats, len(l.logs)),
 	}
 	follower := st.ro.Load()
 	if follower {
 		out.Role = "follower"
 	}
-	for i := range l.rings {
+	for i := range l.logs {
 		ss := ReplShardStats{
 			Shard:   i,
 			Head:    l.Head(i),

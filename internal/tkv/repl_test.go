@@ -9,6 +9,33 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 )
 
+// readWindow reads up to max records of shard's window from sequence from,
+// and fails the test unless record i carries sequence from+i: a window never
+// serves a record out of place, and never one it does not hold.
+func readWindow(t *testing.T, log *ReplLog, shard int, from uint64, max int) ([]ReplRec, bool) {
+	t.Helper()
+	recs, ok := log.ReadFrom(shard, from, max, nil)
+	for i, r := range recs {
+		if r.Seq != from+uint64(i) {
+			t.Fatalf("shard %d: ReadFrom(%d) record %d has seq %d", shard, from, i, r.Seq)
+		}
+	}
+	return recs, ok
+}
+
+// restartedAt checks the window of a shard whose log restarted at head (a
+// WAL reopen, a restore from a cut): it holds nothing from before, so it
+// refuses head — a cut is the only way there — and serves head+1, empty.
+func restartedAt(t *testing.T, log *ReplLog, shard int, head uint64) {
+	t.Helper()
+	if recs, ok := readWindow(t, log, shard, head, 64); head > 0 && ok {
+		t.Fatalf("shard %d restarted at %d: ReadFrom(%d) = %d records, ok", shard, head, head, len(recs))
+	}
+	if recs, ok := readWindow(t, log, shard, head+1, 64); !ok || len(recs) != 0 {
+		t.Fatalf("shard %d restarted at %d: ReadFrom(%d) = %d records, ok=%v; want none, ok", shard, head, head+1, len(recs), ok)
+	}
+}
+
 // drainInto replays everything new in src's replication log into dst,
 // resyncing from a shard cut when the ring has already evicted the
 // follower's position. cursors persists across calls.
@@ -18,7 +45,7 @@ func drainInto(t *testing.T, src, dst *Store, cursors []uint64) {
 	var rec tkvlog.Record
 	for shard := range cursors {
 		for {
-			recs, ok := log.ReadFrom(shard, cursors[shard]+1, 64, nil)
+			recs, ok := readWindow(t, log, shard, cursors[shard]+1, 64)
 			if !ok {
 				pairs, seq, err := src.ReplShardCut(shard)
 				if err != nil {
@@ -242,7 +269,9 @@ func TestReplApplyValidates(t *testing.T) {
 }
 
 // TestReplRestoreShard checks snapshot resync: stale follower keys are
-// dropped, the cut's pairs land, and the applied watermark jumps.
+// dropped, the cut's pairs land, the applied watermark jumps, and the
+// follower's own window restarts at the cut: it refuses everything up to it
+// and takes the next record under the primary's number.
 func TestReplRestoreShard(t *testing.T) {
 	st := openTest(t, Config{Shards: 1, ReplRing: 64})
 	fo := openTest(t, Config{Shards: 1, ReplRing: 64})
@@ -276,6 +305,30 @@ func TestReplRestoreShard(t *testing.T) {
 	}
 	if fo.Stats().Repl.Resyncs == 0 {
 		t.Fatal("resync not counted")
+	}
+	restartedAt(t, fo.Repl(), 0, seq)
+	next := &tkvlog.Record{Shard: 0, Seq: seq + 1, Entries: []tkvlog.Entry{{Key: 5, Val: "next"}}}
+	if err := fo.ReplApply(next); err != nil {
+		t.Fatal(err)
+	}
+	if recs, ok := readWindow(t, fo.Repl(), 0, seq+1, 64); !ok || len(recs) != 1 || recs[0].Entries[0] != next.Entries[0] {
+		t.Fatalf("after the restore: ReadFrom(%d) = %+v ok=%v, want the one applied record", seq+1, recs, ok)
+	}
+	if _, ok := readWindow(t, fo.Repl(), 0, seq, 64); ok {
+		t.Fatalf("ReadFrom(%d) served a record from before the restore", seq)
+	}
+	// A record that skips ahead (a caller without the applier's gap check)
+	// starts the window over at itself: the sequences it skipped were never
+	// held, so they are refused, not served as whatever the slots contain.
+	jump := &tkvlog.Record{Shard: 0, Seq: seq + 5, Entries: []tkvlog.Entry{{Key: 6, Val: "jump"}}}
+	if err := fo.ReplApply(jump); err != nil {
+		t.Fatal(err)
+	}
+	if recs, ok := readWindow(t, fo.Repl(), 0, seq+2, 64); ok {
+		t.Fatalf("ReadFrom(%d) = %d records, ok; the window never held it", seq+2, len(recs))
+	}
+	if recs, ok := readWindow(t, fo.Repl(), 0, seq+5, 64); !ok || len(recs) != 1 {
+		t.Fatalf("ReadFrom(%d) = %d records ok=%v, want the jumped-to record", seq+5, len(recs), ok)
 	}
 }
 

@@ -132,22 +132,22 @@ type Config struct {
 	// entirely: no controller goroutine runs and the serving paths pay
 	// nothing. A Store opened with Admission set should be Closed.
 	Admission *AdmitConfig
-	// ReplRing attaches a replication log (see repl.go): per-shard rings
-	// of the last ReplRing committed write sets, fed from the write paths
-	// and consumed by the wire-level shipper. 0 disables replication. The
-	// write paths are the same code either way; with a log attached (this
-	// one or the WAL) they take their stripes in exclusive mode and emit
+	// ReplRing attaches a replication log (see repl.go): every shard's log
+	// keeps a window of its last ReplRing records in memory, which the
+	// wire-level shipper streams to followers. 0 disables replication. The
+	// write paths are the same code either way; on a logged store (this,
+	// the WAL, or both) they take their stripes in exclusive mode and append
 	// a record before releasing them, so record order is commit order per
 	// key (see Store.write and Batch).
 	ReplRing int
 	// WAL attaches a write-ahead log (see internal/tkvwal and wal.go; its
-	// lanes each carry some of the shards): committed write sets are
-	// appended from the same stripe-exclusive section that feeds the
-	// replication rings and a write is acknowledged only once its record
-	// is fsync-durable (group-committed; see tkvwal.Options for the async
+	// lanes each carry some of the shards): the one append that numbers a
+	// shard's records, and fills its window when ReplRing is set, also hands
+	// them to the WAL, and a write is acknowledged only once its record is
+	// fsync-durable (group-committed; see tkvwal.Options for the async
 	// mode). Open recovers the directory — checkpoint plus log tail —
-	// before serving. nil disables durability. A Store opened with a WAL
-	// must be Closed.
+	// before serving, and each shard's sequence continues from it. nil
+	// disables durability. A Store opened with a WAL must be Closed.
 	WAL *tkvwal.Options
 }
 
@@ -162,15 +162,14 @@ type Store struct {
 	batches sync.Pool
 	// ctrl is the admission controller; nil unless Config.Admission.
 	ctrl *controller
+	// logs is, per shard, the one record sequence (and, with a ring, its
+	// window) that every attached log shares: see wal.go. nil unless the
+	// store is logged (Config.ReplRing > 0 or Config.WAL).
+	logs []shardLog
 	// repl is the replication log; nil unless Config.ReplRing > 0.
 	repl *ReplLog
-	// wal is the write-ahead log; nil unless Config.WAL. walMu/walSeq are
-	// per shard: walMu orders sequence assignment with the WAL append
-	// (and with the ring enqueue when both logs are attached); walSeq is
-	// the sequence counter when no ring assigns one (guarded by walMu).
+	// wal is the write-ahead log; nil unless Config.WAL.
 	wal     *tkvwal.WAL
-	walMu   []sync.Mutex
-	walSeq  []uint64
 	walStop chan struct{} // stops the checkpoint loop; nil if none
 	walDone chan struct{}
 	walOnce sync.Once
@@ -332,8 +331,17 @@ func Open(cfg Config) (*Store, error) {
 	}
 	st := &Store{shards: make([]*shard, n), shift: uint(64 - log2(n))}
 	st.batches.New = func() any { return newBatchState(st) }
+	if cfg.ReplRing > 0 || cfg.WAL != nil {
+		st.logs = make([]shardLog, n)
+		for i := range st.logs {
+			st.logs[i].floor = 1
+			if cfg.ReplRing > 0 {
+				st.logs[i].slots = make([]ReplRec, cfg.ReplRing)
+			}
+		}
+	}
 	if cfg.ReplRing > 0 {
-		st.repl = newReplLog(n, cfg.ReplRing)
+		st.repl = newReplLog(st.logs)
 	}
 	for i := range st.shards {
 		tm, sc, err := enginecfg.Build(enginecfg.Spec{
@@ -360,8 +368,6 @@ func Open(cfg Config) (*Store, error) {
 		st.shards[i] = s
 	}
 	if cfg.WAL != nil {
-		st.walMu = make([]sync.Mutex, n)
-		st.walSeq = make([]uint64, n)
 		if err := st.openWAL(cfg); err != nil {
 			return nil, fmt.Errorf("tkv: %w", err)
 		}
@@ -618,7 +624,7 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 		case kindAdd:
 			e.Val = strconv.FormatInt(n, 10)
 		}
-		c = st.logCommit(sh, []tkvlog.Entry{e})
+		c = st.logCommit(sh, 0, []tkvlog.Entry{e})
 	}
 	return ok, n, c, nil
 }

@@ -3,6 +3,7 @@ package tkv
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -10,18 +11,22 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
-// Durability support. A Store opened with Config.WAL carries a
-// write-ahead log (internal/tkvwal) — a set of lanes, each owning some of
-// the store's shards; the store never asks which layout it was given,
-// only which lane a shard is in — fed from the same place the
-// replication rings are: Store.write (every single-key write) and the
-// batch apply hand their committed write set to logCommit while still
-// holding the keys' exclusive stripes, so WAL order is commit order per
-// key, exactly as ring order is. The two logs share one
-// record format (tkvlog) and one sequence numbering — when both are
-// attached, the ring assigns the sequence and the WAL persists it, so a
-// follower's applied watermark and the local durable watermark speak the
-// same coordinates.
+// The store's log. A store opened with a replication ring (Config.ReplRing),
+// a write-ahead log (Config.WAL, internal/tkvwal: a set of lanes, each owning
+// some of the store's shards; the store never asks which layout it was given,
+// only which lane a shard is in) or both is logged, and then every shard has
+// one record sequence, a shardLog: one mutex, one head. Store.write (every
+// single-key write), the batch apply and the follower's ReplApply hand their
+// committed write set to logCommit while still holding the keys' exclusive
+// stripes; logCommit numbers the record and, under that one mutex, puts it in
+// the shard's in-memory window (with a ring) and in the WAL's buffer (with a
+// WAL). Two writes to one key are ordered by the stripe before either reaches
+// the log — the conflict is prevented, not detected and repaired — so one
+// counter under one lock is all the ordering a record needs, and the window a
+// follower reads, the file recovery replays and the head the shipper and Stats
+// report can only agree. logRestart re-bases a shard's sequence where the store's contents
+// came from somewhere else: the recovered log on Open, a snapshot cut on a
+// follower (ReplRestoreShard).
 //
 // The ack protocol is two-step: the write path appends under the stripe
 // (ordering), releases the stripe, and only then parks on the returned
@@ -30,46 +35,89 @@ import (
 // commit and append while the first is still waiting for the group
 // fsync, and both acks ride the same or consecutive fsyncs in order.
 
-// logged reports whether write paths must take exclusive stripes and
-// emit their write sets (to the replication ring, the WAL, or both). It is
-// the whole difference a log makes to a write: Store.write and Batch
-// branch on it, nothing else does.
-func (st *Store) logged() bool { return st.repl != nil || st.wal != nil }
+// shardLog is one shard's record sequence. head is the last sequence
+// appended; with a ring, slots holds the records floor..head, addressed by
+// seq % len(slots). floor is the lowest sequence the window may serve: it
+// rises as the window evicts, and a restart sets it past head, so a reader
+// asking for a record this process never held gets ok=false and resyncs from
+// a cut.
+type shardLog struct {
+	mu    sync.Mutex
+	head  uint64
+	floor uint64
+	slots []ReplRec // nil without a ring
+}
 
-// logCommit hands one committed write set to the attached logs and
-// returns the WAL durability handle (nil when no WAL — Wait on a nil
-// Commit returns immediately). The caller must hold the entries' keys'
-// stripes in exclusive mode; the per-shard walMu then makes sequence
-// assignment and WAL buffer order atomic, so the WAL file replays in
-// ring order. Entries must not be mutated after the call (the ring
-// aliases the slice).
-func (st *Store) logCommit(shard int, entries []tkvlog.Entry) *tkvwal.Commit {
-	if st.wal == nil {
-		st.repl.enqueue(shard, entries)
-		return nil
+// logged reports whether write paths must take exclusive stripes and
+// emit their write sets. It is the whole difference a log makes to a
+// write: Store.write and Batch branch on it, nothing else does.
+func (st *Store) logged() bool { return st.logs != nil }
+
+// logCommit is the one append: it numbers one committed write set on shard —
+// head+1 when seq is 0 (a write on this store), seq itself otherwise (a
+// record a follower replays under its primary's number) — and, under the
+// shard's log mutex, stores it in the window and hands it to the WAL, so the
+// WAL buffer holds records in sequence order. It returns the WAL durability
+// handle (nil without a WAL; Wait on a nil Commit returns at once). It is the
+// only function that advances a head. The caller must hold the entries' keys'
+// stripes in exclusive mode, and must not mutate entries afterwards (the
+// window and its readers alias the slice).
+func (st *Store) logCommit(shard int, seq uint64, entries []tkvlog.Entry) *tkvwal.Commit {
+	l := &st.logs[shard]
+	l.mu.Lock()
+	if seq == 0 {
+		seq = l.head + 1
+	} else if seq != l.head+1 {
+		l.floor = seq // not contiguous: nothing the window holds precedes it
 	}
-	st.walMu[shard].Lock()
-	var seq uint64
+	l.head = seq
+	if n := uint64(len(l.slots)); n > 0 {
+		if seq >= l.floor+n {
+			// Evicting seq-n. If a follower is attached and hasn't shipped
+			// it, that history is gone: the follower will need a snapshot
+			// resync, which the overflow counter makes visible.
+			l.floor = seq - n + 1
+			if r := st.repl; r.followers.Load() > 0 && seq-n > r.shipped[shard].Load() {
+				r.overflows.Add(1)
+			}
+		}
+		l.slots[seq%n] = ReplRec{Seq: seq, Entries: entries}
+	}
+	var c *tkvwal.Commit
+	if st.wal != nil {
+		c = st.wal.Append(shard, seq, entries)
+	}
+	l.mu.Unlock()
 	if st.repl != nil {
-		seq = st.repl.enqueue(shard, entries)
-	} else {
-		st.walSeq[shard]++
-		seq = st.walSeq[shard]
+		select {
+		case st.repl.notify <- struct{}{}:
+		default:
+		}
 	}
-	c := st.wal.Append(shard, seq, entries)
-	st.walMu[shard].Unlock()
 	return c
 }
 
-// logHead returns the highest sequence assigned on shard.
-func (st *Store) logHead(shard int) uint64 {
+// logRestart re-bases shard's sequence at seq: the head becomes seq, the
+// window is dropped and its floor set to seq+1 (whatever a reader asks for at
+// or below seq is a cut now), and a follower's applied watermark follows.
+// openWAL calls it at the recovered watermark, ReplRestoreShard at the cut's.
+func (st *Store) logRestart(shard int, seq uint64) {
+	l := &st.logs[shard]
+	l.mu.Lock()
+	l.head, l.floor = seq, seq+1
+	clear(l.slots)
+	l.mu.Unlock()
 	if st.repl != nil {
-		return st.repl.Head(shard)
+		st.repl.applied[shard].Store(seq)
 	}
-	st.walMu[shard].Lock()
-	h := st.walSeq[shard]
-	st.walMu[shard].Unlock()
-	return h
+}
+
+// last returns the shard's head: the highest sequence appended (0 when
+// none).
+func (l *shardLog) last() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.head
 }
 
 // walRecoverApply replays one recovered record into the store. It runs
@@ -99,9 +147,8 @@ func (st *Store) walRecoverApply(rec *tkvlog.Record) error {
 }
 
 // openWAL recovers the log directory into the freshly built (empty)
-// shards and wires the log in: sequence counters continue from the
-// recovered watermarks, the replication ring (when attached) restarts
-// its numbering there too, and the periodic checkpoint loop starts if
+// shards and wires the log in: every shard's sequence restarts at its
+// recovered watermark, and the periodic checkpoint loop starts if
 // configured.
 func (st *Store) openWAL(cfg Config) error {
 	wopts := *cfg.WAL
@@ -112,14 +159,7 @@ func (st *Store) openWAL(cfg Config) error {
 	}
 	st.wal = w
 	for i := range st.shards {
-		st.walSeq[i] = w.LastSeq(i)
-		if st.repl != nil {
-			// The ring numbering must continue where the durable log left
-			// off, or a follower attaching after a restart would see
-			// sequence 1 carry different data than it already applied.
-			st.repl.resetAt(i, st.walSeq[i])
-			st.repl.applied[i].Store(st.walSeq[i])
-		}
+		st.logRestart(i, w.LastSeq(i))
 	}
 	if wopts.CheckpointEvery > 0 {
 		st.walStop = make(chan struct{})
@@ -175,7 +215,7 @@ func (st *Store) cutShard(shard int) (pairs []tkvlog.Entry, seq uint64, err erro
 	defer b.release()
 	b.lockShard(shard, false)
 	defer b.unlock(false)
-	seq = st.logHead(shard)
+	seq = st.logs[shard].last()
 	err = s.atomicallyRO(func(tx *stm.ROTx) error {
 		pairs = pairs[:0]
 		return s.kv.ForEachRO(tx, func(k uint64, v string) bool {

@@ -3,10 +3,12 @@ package tkv
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 	"github.com/shrink-tm/shrink/internal/tkvwal/errfs"
 )
@@ -129,8 +131,9 @@ func testWALCheckpointTruncates(t *testing.T, mode tkvwal.Mode) {
 }
 
 // TestWALReplSharedSequence checks the one-numbering invariant: with
-// both logs attached, the ring head and the WAL watermark agree per
-// shard, and a reopen continues the ring where the durable log ended.
+// both logs attached, the head and the WAL watermark agree per shard, and a
+// reopen continues the numbering where the durable log ended, with a window
+// that holds nothing from before the reopen.
 func TestWALReplSharedSequence(t *testing.T) {
 	eachWalMode(t, testWALReplSharedSequence)
 }
@@ -165,6 +168,7 @@ func testWALReplSharedSequence(t *testing.T, mode tkvwal.Mode) {
 		if got := st2.Repl().Head(i); got != heads[i] {
 			t.Fatalf("shard %d: ring restarted at %d, want %d", i, got, heads[i])
 		}
+		restartedAt(t, st2.Repl(), i, heads[i])
 	}
 	// The next write on each shard must extend the numbering, not fork it.
 	if _, err := st2.Put(5, "w"); err != nil {
@@ -173,6 +177,75 @@ func testWALReplSharedSequence(t *testing.T, mode tkvwal.Mode) {
 	sh := st2.ShardOf(5)
 	if got := st2.Repl().Head(sh); got != heads[sh]+1 {
 		t.Fatalf("shard %d: head %d after one write, want %d", sh, got, heads[sh]+1)
+	}
+	if got := st2.WAL().LastSeq(sh); got != heads[sh]+1 {
+		t.Fatalf("shard %d: wal watermark %d after one write, want %d", sh, got, heads[sh]+1)
+	}
+	if recs, ok := readWindow(t, st2.Repl(), sh, heads[sh]+1, 64); !ok || len(recs) != 1 {
+		t.Fatalf("shard %d: ReadFrom(%d) = %d records ok=%v, want the one write", sh, heads[sh]+1, len(recs), ok)
+	}
+}
+
+// TestWALReplRestoreLowerSeq restores a follower whose WAL is at 20 to a
+// cut at 3. The WAL's watermark must follow the store's head down (or every
+// idle checkpoint after it would find the shard dirty and rewrite it), the
+// follower must go on applying from 4, and a reopen must recover the cut
+// plus that record.
+func TestWALReplRestoreLowerSeq(t *testing.T) {
+	eachWalMode(t, testWALReplRestoreLowerSeq)
+}
+
+func testWALReplRestoreLowerSeq(t *testing.T, mode tkvwal.Mode) {
+	const sh = 0
+	cfg := Config{Shards: 2, ReplRing: 64, WAL: &tkvwal.Options{Dir: t.TempDir(), Mode: mode}}
+	fo, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo.SetReadOnly(true)
+	keys := shardKeys(fo, sh, 20, 0)
+	apply := func(seq uint64, key uint64, val string) {
+		t.Helper()
+		rec := &tkvlog.Record{Shard: sh, Seq: seq, Entries: []tkvlog.Entry{{Key: key, Val: val}}}
+		if err := fo.ReplApply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, k := range keys {
+		apply(uint64(i+1), k, "old")
+	}
+	if got := fo.WAL().LastSeq(sh); got != 20 {
+		t.Fatalf("wal watermark %d after 20 records", got)
+	}
+	if err := fo.ReplRestoreShard(sh, []tkvlog.Entry{{Key: keys[0], Val: "cut"}}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if h, w := fo.Repl().Head(sh), fo.WAL().LastSeq(sh); h != 3 || w != 3 {
+		t.Fatalf("after a restore to 3: head %d, wal watermark %d", h, w)
+	}
+	before := fo.Stats().Wal.Checkpoints
+	for i := 0; i < 2; i++ {
+		if err := fo.CheckpointAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fo.Stats().Wal.Checkpoints - before; n != 0 {
+		t.Fatalf("two idle CheckpointAll calls took %d checkpoints, want 0", n)
+	}
+	apply(4, keys[1], "new")
+	fo.Close()
+
+	fo2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fo2.Close()
+	if h, w := fo2.Repl().Head(sh), fo2.WAL().LastSeq(sh); h != 4 || w != 4 {
+		t.Fatalf("reopened: head %d, wal watermark %d, want 4", h, w)
+	}
+	got, err := fo2.Snapshot()
+	if want := map[uint64]string{keys[0]: "cut", keys[1]: "new"}; err != nil || !maps.Equal(got, want) {
+		t.Fatalf("reopened contents %v (err %v), want %v", got, err, want)
 	}
 }
 

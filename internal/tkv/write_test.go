@@ -46,11 +46,11 @@ func (a attachment) open(t *testing.T, dir string) *Store {
 	return st
 }
 
-// logHeads sums the log heads of a logged store's shards: the number of
+// logRecords sums the log heads of a logged store's shards: the number of
 // records it has emitted.
-func logHeads(st *Store) (n uint64) {
-	for sh := range st.shards {
-		n += st.logHead(sh)
+func logRecords(st *Store) (n uint64) {
+	for sh := range st.logs {
+		n += st.logs[sh].last()
 	}
 	return n
 }
@@ -103,7 +103,7 @@ func TestSingleKeyWriteMatrix(t *testing.T) {
 			for _, step := range steps {
 				var before uint64
 				if a.logged() {
-					before = logHeads(st)
+					before = logRecords(st)
 				}
 				ok, n, err := step.run(st)
 				if step.userErr {
@@ -116,7 +116,7 @@ func TestSingleKeyWriteMatrix(t *testing.T) {
 				if !a.logged() {
 					continue
 				}
-				emitted := logHeads(st) - before
+				emitted := logRecords(st) - before
 				if step.rec == nil {
 					if emitted != 0 {
 						t.Fatalf("%s changed nothing and emitted %d records", step.name, emitted)
@@ -276,10 +276,10 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 				t.Fatal(err)
 			}
 			fs.hold.Store(true)
-			head := st.logHead(sh)
+			head := st.logs[sh].last()
 			first := make(chan error, 1)
 			go func() { first <- w.run(st) }()
-			eventually(t, w.name+" emits its record", func() bool { return st.logHead(sh) == head+1 })
+			eventually(t, w.name+" emits its record", func() bool { return st.logs[sh].last() == head+1 })
 
 			type async struct {
 				c   *tkvwal.Commit
@@ -347,7 +347,7 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 				}
 				heads := func() (n uint64) {
 					if a.logged() {
-						n = logHeads(st)
+						n = logRecords(st)
 					}
 					return n
 				}

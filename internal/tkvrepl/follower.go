@@ -20,7 +20,7 @@
 // external writes bounce with ErrNotPrimary) until promotion, which is
 // Drain + Stop + SetReadOnly(false): Drain lets the applier finish what a
 // fenced or dying primary already put on the socket (Stop alone closes the
-// socket under it), and the store's ring already carries the primary's
+// socket under it), and the store's log already carries the primary's
 // sequence numbering, so a later follower of the promoted store resumes
 // from coherent watermarks.
 package tkvrepl
@@ -169,6 +169,18 @@ func (f *Follower) run() {
 	}
 }
 
+// subscribeVector is what a subscription claims to hold, per shard: the
+// applied watermarks, never the heads. A record past its shard's watermark
+// may still be waiting on this store's own log, and the primary resumes
+// each shard right after what the vector claims.
+func subscribeVector(log *tkv.ReplLog) []uint64 {
+	v := make([]uint64, log.Shards())
+	for i := range v {
+		v[i] = log.Applied(i)
+	}
+	return v
+}
+
 // stream runs one connection to completion: nil on a clean fence, an
 // error otherwise.
 func (f *Follower) stream() error {
@@ -193,10 +205,7 @@ func (f *Follower) stream() error {
 
 	log := f.store.Repl()
 	nshards := log.Shards()
-	applied := make([]uint64, nshards)
-	for i := range applied {
-		applied[i] = log.Applied(i)
-	}
+	applied := subscribeVector(log)
 	f.mu.Lock()
 	streamID := f.streamID
 	f.mu.Unlock()

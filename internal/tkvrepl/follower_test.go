@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/tkv"
+	"github.com/shrink-tm/shrink/internal/tkvwal"
 	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
 
@@ -403,4 +405,147 @@ func TestFollowerReconnects(t *testing.T) {
 
 	waitConverged(t, primary, follower)
 	sameSnapshot(t, primary, follower)
+}
+
+// TestFreshFollowerOfReopenedPrimary: a primary with a ring and a WAL takes
+// 40 keys and is closed and reopened. Its windows now hold nothing from
+// before the reopen, so a fresh follower can only get those keys from
+// snapshot cuts: it must be resynced and converge. The test keeps its own
+// deadlines, the server's Close included, because a shipper that streams
+// records a window does not hold never lets Close return.
+func TestFreshFollowerOfReopenedPrimary(t *testing.T) {
+	cfg := tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128, ReplRing: 1024,
+		WAL: &tkvwal.Options{Dir: t.TempDir()}}
+	primary, err := tkv.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 40; k++ {
+		if _, err := primary.Put(k, fmt.Sprintf("v%d", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primary.Close()
+	if primary, err = tkv.Open(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(primary.Close)
+	follower := openStore(t, 1024)
+	follower.SetReadOnly(true)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := tkvwire.NewServer(primary)
+	served := make(chan struct{})
+	go func() { defer close(served); srv.Serve(ln) }()
+	defer func() {
+		closed := make(chan struct{})
+		go func() { srv.Close(); <-served; close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Error("Server.Close did not return")
+		}
+	}()
+
+	f, err := Start(follower, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	waitConverged(t, primary, follower)
+	sameSnapshot(t, primary, follower)
+	if n, _ := follower.Len(); n != 40 {
+		t.Fatalf("follower holds %d keys, want 40", n)
+	}
+	if rs := follower.Stats().Repl; rs.Resyncs < 1 {
+		t.Fatalf("follower converged with %d resyncs, want at least 1", rs.Resyncs)
+	}
+}
+
+// heldSyncFS is an OS filesystem whose log files, once hold is set, block
+// in Sync until release is closed.
+type heldSyncFS struct {
+	tkvwal.OSFS
+	hold    atomic.Bool
+	release chan struct{}
+}
+
+func (fs *heldSyncFS) OpenAppend(name string) (tkvwal.File, error) {
+	f, err := fs.OSFS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &heldSyncFile{File: f, fs: fs}, nil
+}
+
+type heldSyncFile struct {
+	tkvwal.File
+	fs *heldSyncFS
+}
+
+func (f *heldSyncFile) Sync() error {
+	if f.fs.hold.Load() {
+		<-f.fs.release
+	}
+	return f.File.Sync()
+}
+
+// TestFollowerAppliedWaitsForItsLog pins the follower's durability rule: a
+// record is applied — in Repl().Applied and in the vector a resubscribe
+// would send — only once the follower's own log has made it durable, never
+// on the append. The follower's WAL Sync is held while one record arrives;
+// ReplApply appends it (the WAL and the head both move, one append) and
+// parks, and neither the watermark nor the vector may move until the Sync is
+// let go.
+func TestFollowerAppliedWaitsForItsLog(t *testing.T) {
+	primary := openStore(t, 1024)
+	fs := &heldSyncFS{release: make(chan struct{})}
+	follower, err := tkv.Open(tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128, ReplRing: 1024,
+		WAL: &tkvwal.Options{Dir: t.TempDir(), FS: fs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(follower.Close)
+	follower.SetReadOnly(true)
+	addr, _ := servePrimary(t, primary)
+	f, err := Start(follower, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	release := sync.OnceFunc(func() { close(fs.release) })
+	defer release() // before Stop: the applier cannot end its stream while parked
+	waitConnected(t, f)
+
+	fs.hold.Store(true)
+	const key = 1
+	if _, err := primary.Put(key, "v"); err != nil {
+		t.Fatal(err)
+	}
+	sh := primary.ShardOf(key)
+	flog := follower.Repl()
+	for deadline := time.Now().Add(5 * time.Second); follower.WAL().LastSeq(sh) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never appended the record")
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // room for a watermark that moves early to show it
+	if h := flog.Head(sh); h != 1 {
+		t.Fatalf("head %d with the record in the WAL: one append numbers both", h)
+	}
+	if a := flog.Applied(sh); a != 0 {
+		t.Fatalf("applied %d with the record's Sync still held", a)
+	}
+	if v := subscribeVector(flog); v[sh] != 0 {
+		t.Fatalf("subscribe vector %v with the record's Sync still held", v)
+	}
+
+	release()
+	waitConverged(t, primary, follower)
+	if v := subscribeVector(flog); v[sh] != 1 {
+		t.Fatalf("subscribe vector %v once durable, want shard %d at 1", v, sh)
+	}
 }

@@ -38,7 +38,10 @@ const ckptChunk = 4096
 // A no-op when none of the lane's shards has appended since the last
 // checkpoint, unless force is set — a restore changes store state
 // without appending (its numbering arrives via the cut seq), so the
-// append watermarks cannot see that kind of dirt.
+// append watermarks cannot see that kind of dirt. A shard whose watermark
+// no append has moved since its cut began takes the cut's seq as its
+// watermark, lower or higher: a restore to an older cut leaves the log and
+// the store on one number, and an idle shard stays clean.
 func (w *WAL) Checkpoint(lane int, cut func(shard int) ([]tkvlog.Entry, uint64, error), force bool) error {
 	if err := w.Err(); err != nil {
 		return err
@@ -58,10 +61,14 @@ func (w *WAL) Checkpoint(lane int, cut func(shard int) ([]tkvlog.Entry, uint64, 
 		return err
 	}
 	cutSeqs := make([]uint64, len(l.shards))
+	before := make([]uint64, len(l.shards)) // each shard's appended as its cut began
 	var cutErr error
 	err = w.commitFile(laneCkptName(l.idx, rot), func(f File) error {
 		var buf []byte
 		for i, s := range l.shards {
+			s.mu.Lock()
+			before[i] = s.appended
+			s.mu.Unlock()
 			entries, seq, err := cut(s.idx)
 			if err != nil {
 				cutErr = err
@@ -92,13 +99,18 @@ func (w *WAL) Checkpoint(lane int, cut func(shard int) ([]tkvlog.Entry, uint64, 
 	}
 	w.gc(l, rot)
 	for i, s := range l.shards {
+		// The cut's seq is the shard's number, forward or back (a restore
+		// re-bases it without appending), unless an append has moved the
+		// watermark since the cut began: that one is newer than the cut and
+		// stays.
 		seq := cutSeqs[i]
 		s.mu.Lock()
-		if seq > s.appended {
-			s.appended = seq // a restore cut jumped the numbering forward
+		rebase := s.appended == before[i] || seq > s.appended
+		if rebase {
+			s.appended = seq
 		}
 		s.mu.Unlock()
-		if seq > s.durable.Load() {
+		if rebase || seq > s.durable.Load() {
 			s.durable.Store(seq)
 		}
 		s.lastCkptSeq.Store(seq)

@@ -1,9 +1,11 @@
 // Package tkvwal is the write-ahead log: the durability half of ROADMAP
-// item 2. It appends the same tkvlog records the replication rings
-// carry — one format for everything that ships or persists committed
-// write sets — and makes them crash-durable with a group-commit fsync
-// loop, periodic checkpoint snapshots with log truncation, and a
-// startup recovery that replays checkpoint + log tail.
+// item 2. It persists tkvlog records — one format for everything that
+// ships or persists committed write sets — under the sequence numbers the
+// caller assigns (the store has one per shard, and the same append that
+// numbers a record puts it in the replication window and here), and makes
+// them crash-durable with a group-commit fsync loop, periodic checkpoint
+// snapshots with log truncation, and a startup recovery that replays
+// checkpoint + log tail.
 //
 // # Lanes
 //

@@ -254,6 +254,57 @@ func proveCheckpointTruncates(t *testing.T, mode Mode) {
 	checkRecovered(t, "reopen", w2, kv, want, seq)
 }
 
+// TestCheckpointTakesTheCutSeq: a checkpoint leaves a shard's watermark at
+// its cut's seq, even a lower one — a store restored to an older cut appends
+// nothing, and the log must not keep numbering past it (an idle checkpoint
+// would find the shard dirty forever) — but never lowers a watermark an
+// append has raised since the cut began.
+func TestCheckpointTakesTheCutSeq(t *testing.T) {
+	eachMode(t, func(t *testing.T, mode Mode) {
+		w := openMode(t, t.TempDir(), mode, 1, noApply)
+		defer w.Close()
+		for seq := uint64(1); seq <= 20; seq++ {
+			if err := w.Append(0, seq, []tkvlog.Entry{{Key: seq, Val: "x"}}).Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkpoint := func(cut func(int) ([]tkvlog.Entry, uint64, error), force bool) {
+			t.Helper()
+			if err := w.Checkpoint(0, cut, force); err != nil {
+				t.Fatal(err)
+			}
+		}
+		restored := func(int) ([]tkvlog.Entry, uint64, error) {
+			return []tkvlog.Entry{{Key: 1, Val: "cut"}}, 3, nil
+		}
+		checkpoint(restored, true)
+		if got := w.LastSeq(0); got != 3 {
+			t.Fatalf("watermark %d after a restore cut at 3", got)
+		}
+		checkpoint(restored, false)
+		if got := w.Stats().Checkpoints; got != 1 {
+			t.Fatalf("%d checkpoints, want the idle one to be a no-op", got)
+		}
+
+		var late *Commit
+		raced := func(int) ([]tkvlog.Entry, uint64, error) {
+			late = w.Append(0, 4, []tkvlog.Entry{{Key: 4, Val: "late"}}) // lands after the cut's seq was read
+			return []tkvlog.Entry{{Key: 1, Val: "cut"}}, 3, nil
+		}
+		checkpoint(raced, true)
+		if err := late.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.LastSeq(0); got != 4 {
+			t.Fatalf("watermark %d, want the append that raced the checkpoint (4)", got)
+		}
+		checkpoint(restored, false)
+		if got := w.Stats().Checkpoints; got != 3 {
+			t.Fatalf("%d checkpoints, want the shard dirty after the raced append", got)
+		}
+	})
+}
+
 // The MANIFEST pins the shard count, and (next test) the layout.
 func TestManifestPinsShards(t *testing.T) {
 	eachMode(t, func(t *testing.T, mode Mode) {

@@ -17,9 +17,9 @@ import (
 //	OpReplMeta   stream identity + per-shard heads (first frame, then a
 //	             periodic heartbeat so the follower can track lag)
 //	OpReplRec    one committed write set (a tkvlog record, verbatim)
-//	OpReplCut    a whole-shard snapshot when the follower's cursor has
-//	             been evicted from the ring (or its stream identity is
-//	             stale — a restarted primary)
+//	OpReplCut    a whole-shard snapshot when the follower's cursor is
+//	             below the shard's window — evicted, or from before the
+//	             primary's log restarted — or its stream identity is stale
 //	OpReplFence  clean end of stream: the primary fenced itself (graceful
 //	             shutdown after DrainRepl), nothing more will ever come
 //
@@ -33,7 +33,7 @@ import (
 // refreshes the follower's view of the primary's heads.
 const replHeartbeat = 200 * time.Millisecond
 
-// replBatchRecs bounds how many records the shipper pulls from a ring
+// replBatchRecs bounds how many records the shipper pulls from a window
 // per read, so a deep backlog is shipped in bounded chunks interleaved
 // across shards.
 const replBatchRecs = 64
@@ -96,7 +96,8 @@ func (c *conn) dispatchReplSub(h Header, p []byte) bool {
 		// The follower last synced against a different log instance (a
 		// restarted primary, or a promoted one): its watermarks mean
 		// nothing here. Resync any shard it claims progress on; a fresh
-		// follower (streamID 0, all watermarks 0) replays from the ring.
+		// follower (streamID 0, all watermarks 0) replays from the window,
+		// or from a cut where the window no longer reaches back to 1.
 		for i, a := range applied {
 			if a != 0 {
 				sh.needCut[i] = true
@@ -232,7 +233,7 @@ func (sh *shipper) run() {
 	}
 }
 
-// caughtUp reports whether every cursor has reached its ring's head.
+// caughtUp reports whether every cursor has reached its shard's head.
 func (sh *shipper) caughtUp() bool {
 	for shard, cur := range sh.cursors {
 		if cur < sh.log.Head(shard) {
