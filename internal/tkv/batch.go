@@ -231,12 +231,13 @@ const overlayScanMax = 8
 // ReplApply and the whole-shard cuts all plan through it: group the keys by
 // shard, build and acquire the stripe set, run one transaction per shard
 // group. It is built the way opSlot is — the transaction bodies and the two
-// opStore views are created once per state and read their operands from its
-// fields, so a call constructs no closure — and the plan itself lives in
-// flat slices that are reused from call to call. What a call still
-// allocates is what it hands away (see Batch and MGet).
+// opStore views are created once per state and read their operands, the
+// store included, from its fields, so a call constructs no closure — and the
+// plan itself lives in flat slices that are reused from call to call, by
+// whichever store the state serves next. What a call still allocates is what
+// it hands away (see Batch and MGet).
 type batchState struct {
-	st *Store
+	st *Store // the call's store; nil while pooled
 
 	// The call: ops is Batch's input (nil for the other callers), keys
 	// holds one key per op in input order, results is where the bodies
@@ -248,11 +249,12 @@ type batchState struct {
 	// The plan. order holds the op indices grouped by shard (a counting
 	// sort over count, which afterwards maps a shard to its group), vers
 	// the keylock generation the stripe set in locks was built against
-	// (both indexed by shard). writes is every group's planned writes back
-	// to back; the running group's window of it, writes[g.wlo:], is that
-	// group's overlay, and once the window outgrows overlayScanMax the
-	// overlay map indexes it (key to latest entry; see planWrite). commits
-	// collects the emitted records' durability handles.
+	// (both indexed by shard, sized by batch to the store's shard count).
+	// writes is every group's planned writes back to back; the running
+	// group's window of it, writes[g.wlo:], is that group's overlay, and
+	// once the window outgrows overlayScanMax the overlay map indexes it
+	// (key to latest entry; see planWrite). commits collects the emitted
+	// records' durability handles.
 	count   []int
 	order   []int
 	groups  []shardGroup
@@ -281,14 +283,9 @@ type batchState struct {
 	readUp     func(tx stm.Tx) error
 }
 
-// newBatchState builds a state bound to st with every closure pre-built.
-func newBatchState(st *Store) *batchState {
-	b := &batchState{
-		st:      st,
-		count:   make([]int, len(st.shards)),
-		vers:    make([]uint64, len(st.shards)),
-		overlay: make(map[uint64]int),
-	}
+// newBatchState builds an unbound state with every closure pre-built.
+func newBatchState() *batchState {
+	b := &batchState{overlay: make(map[uint64]int)}
 	b.planned = opStore{
 		// The overlay carries the writes of earlier ops of this batch, so
 		// a later op on the same key reads the latest of them.
@@ -376,12 +373,24 @@ func newBatchState(st *Store) *batchState {
 	return b
 }
 
-// batch takes a state from the store's pool; the caller releases it.
-func (st *Store) batch() *batchState { return st.batches.Get().(*batchState) }
+// batch takes a state from the pool and binds it to st; the caller releases
+// it. The per-shard slices are re-sized only when the state last served a
+// store with another shard count (and re-allocated only when it has never
+// served one this wide).
+func (st *Store) batch() *batchState {
+	b := batchPool.Get().(*batchState)
+	b.st = st
+	if n := len(st.shards); len(b.count) != n {
+		b.count = slices.Grow(b.count[:0], n)[:n]
+		b.vers = slices.Grow(b.vers[:0], n)[:n]
+	}
+	return b
+}
 
-// release scrubs every reference the call left behind — the caller's ops
-// and results, the planned value cells, the durability handles — so the
-// pool never pins a large value, and returns the state to the pool.
+// release unbinds the state and scrubs every reference the call left
+// behind — the caller's ops and results, the planned value cells, the
+// durability handles — so the pool never pins a store or a large value, and
+// returns the state to the pool.
 func (b *batchState) release() {
 	if cap(b.keys) > maxPooledKeys {
 		return
@@ -392,8 +401,8 @@ func (b *batchState) release() {
 	b.writes = b.writes[:0]
 	clear(b.commits)
 	b.commits = b.commits[:0]
-	b.g, b.s, b.tx, b.roTx = nil, nil, nil, nil
-	b.st.batches.Put(b)
+	b.st, b.g, b.s, b.tx, b.roTx = nil, nil, nil, nil, nil
+	batchPool.Put(b)
 }
 
 // plan groups the call's keys by shard and builds their stripe set; lock

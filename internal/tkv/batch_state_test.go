@@ -49,8 +49,8 @@ func TestGetOnlyBatchSharesStripes(t *testing.T) {
 	// The first read body to run parks until released.
 	var parked atomic.Bool
 	entered, release := make(chan struct{}), make(chan struct{})
-	st.batches.New = func() any {
-		b := newBatchState(st)
+	swapPool(t, &batchPool, func() any {
+		b := newBatchState()
 		readRO := b.readRO
 		b.readRO = func(tx *stm.ROTx) error {
 			if parked.CompareAndSwap(false, true) {
@@ -60,7 +60,7 @@ func TestGetOnlyBatchSharesStripes(t *testing.T) {
 			return readRO(tx)
 		}
 		return b
-	}
+	})
 	check := func(res []OpResult, err error) error {
 		if err != nil {
 			return err
@@ -192,16 +192,16 @@ func TestMGetOneAlloc(t *testing.T) {
 // batch through one pooled state and checks that nothing carries over: the
 // small batch reads stored values, not the aborted batch's overlay, a
 // snapshot shows nothing the aborted batch planned, and a released state
-// references none of the values that passed through it.
+// references neither its store nor any of the values that passed through it.
 func TestBatchStateReuse(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back the same state
 	st := openTest(t, Config{Shards: 4})
 	var states []*batchState
-	st.batches.New = func() any {
-		b := newBatchState(st)
+	swapPool(t, &batchPool, func() any {
+		b := newBatchState()
 		states = append(states, b)
 		return b
-	}
+	})
 	big := strings.Repeat("x", 4096)
 
 	// 64 ops over all four shards, every key twice, and on one key
@@ -297,7 +297,7 @@ func TestBatchStateReuse(t *testing.T) {
 		t.Fatalf("%d batch states built, want one reused", len(states))
 	}
 	for _, b := range states {
-		if b.ops != nil || b.results != nil || len(b.keys) != 0 ||
+		if b.st != nil || b.ops != nil || b.results != nil || len(b.keys) != 0 ||
 			b.g != nil || b.s != nil || b.tx != nil || b.roTx != nil {
 			t.Fatalf("released state still references its call: %+v", b)
 		}
@@ -362,8 +362,8 @@ func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
 	// yields is each batch's budget of mid-group yields: unbounded, every
 	// attempt would yield, conflict and restart, and no batch would finish.
 	var attempts, dirty, overfull, yields atomic.Int64
-	st.batches.New = func() any {
-		b := newBatchState(st)
+	swapPool(t, &batchPool, func() any {
+		b := newBatchState()
 		read, plan := b.planned.read, b.planBody
 		b.planned.read = func(key uint64) (string, bool, error) {
 			if len(b.writes)-b.g.wlo > yieldAbove && yields.Add(-1) >= 0 {
@@ -383,7 +383,7 @@ func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
 			return err
 		}
 		return b
-	}
+	})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -447,8 +447,8 @@ func TestBatchOverlayAcrossThreshold(t *testing.T) {
 	// A log attached: a batch confined to one shard group still two-phases.
 	st := openTest(t, Config{Shards: 2, ReplRing: 8})
 	maxWindow := 0
-	st.batches.New = func() any {
-		b := newBatchState(st)
+	swapPool(t, &batchPool, func() any {
+		b := newBatchState()
 		plan := b.planBody
 		b.planBody = func(tx *stm.ROTx) error {
 			err := plan(tx)
@@ -456,7 +456,7 @@ func TestBatchOverlayAcrossThreshold(t *testing.T) {
 			return err
 		}
 		return b
-	}
+	})
 	keys := shardKeys(st, 0, 65, 0)
 	probe, fill := keys[0], keys[1:]
 

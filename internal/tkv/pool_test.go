@@ -236,13 +236,14 @@ func testWritePanic(t *testing.T, ring int) {
 	if _, err := st.CAS(hot, "absent", "x"); err != nil {
 		t.Fatal(err)
 	}
-	s.slots = sync.Pool{New: func() any {
-		sl := newOpSlot(s)
+	healthy := slotPool
+	swapPool(t, &slotPool, func() any {
+		sl := newOpSlot()
 		for k := range sl.write {
 			sl.write[k] = func(stm.Tx) error { panic("boom") }
 		}
 		return sl
-	}}
+	})
 	for name, write := range writes {
 		for i := 0; i < 3; i++ { // more panics than threads or queue slots
 			routed := s.ctl.routed.Load()
@@ -269,7 +270,7 @@ func testWritePanic(t *testing.T, ring int) {
 			s.locks.Unlock(within(t, "the key's stripe after a recovered "+name, locked))
 		}
 	}
-	s.slots = sync.Pool{New: func() any { return newOpSlot(s) }}
+	slotPool = healthy
 	if n, err := st.Add(hot, 1); err != nil || n != 1 {
 		t.Fatalf("Add after recovered panics = %d %v", n, err)
 	}

@@ -156,10 +156,6 @@ type Store struct {
 	shards []*shard
 	shift  uint // shard index = top bits of the mixed key
 	ops    opCounters
-	// batches recycles multi-key call state (see batchState): Batch, MGet,
-	// ReplApply and the whole-shard cuts plan through it, so their plans
-	// allocate nothing per call.
-	batches sync.Pool
 	// ctrl is the admission controller; nil unless Config.Admission.
 	ctrl *controller
 	// logs is, per shard, the one record sequence (and, with a ring, its
@@ -191,11 +187,6 @@ type shard struct {
 	// atomic as one STM transaction holds its stripes in shared mode, and
 	// snapshots hold every stripe in shared mode. See the package comment.
 	locks *keylock.Table
-	// slots recycles single-key operation state: each slot carries its
-	// transaction bodies as pre-bound closures reading their operands from
-	// the slot's fields, so Get and Store.write construct no closure and
-	// spill no result variable per call (see opSlot).
-	slots sync.Pool
 	// roStreak counts consecutive read-only snapshot restarts on this
 	// shard's read path; roFallbacks counts the reads that were routed to
 	// the logging update path because the streak reached roFallbackStreak.
@@ -224,14 +215,30 @@ type writeOp struct {
 	delta int64   // Add
 }
 
+// slotPool and batchPool recycle the per-call state of every store in the
+// process: single-key operations borrow an opSlot, multi-key calls a
+// batchState. An item is bound to its shard or store for one call and
+// unbound when it is released, so nothing the pools hold reaches a store,
+// and a store nobody references is garbage at the next collection. A pool
+// inside the store could not give that: the runtime keeps every used pool
+// listed until the second collection after its last use, and the listing
+// would hold the whole store. Pointers, so that a test can swap in a pool
+// of its own.
+var (
+	slotPool  = &sync.Pool{New: func() any { return newOpSlot() }}
+	batchPool = &sync.Pool{New: func() any { return newBatchState() }}
+)
+
 // opSlot is the pooled state of one single-key operation. The transaction
 // bodies (roGet, upGet and one per writeKind) are created once per slot and
-// capture only the slot and its shard; per call, Get and Store.write fill
-// the in-fields, run the matching pre-bound body, and read the out-fields
-// back. This is what makes a steady-state Get or PutRef allocation-free: the
-// closure, the escaping result variables, and (for PutRef) the value spill
-// were the single-key path's only per-op allocations.
+// capture only the slot; per call, Get and Store.write bind the slot to the
+// key's shard, fill the in-fields, run the matching pre-bound body, and read
+// the out-fields back. This is what makes a steady-state Get or PutRef
+// allocation-free: the closure, the escaping result variables, and (for
+// PutRef) the value spill were the single-key path's only per-op
+// allocations.
 type opSlot struct {
+	s       *shard // the call's shard; nil while pooled
 	writeOp        // in: the operation (a Get fills only key)
 	outVal  string // out: Get value
 	outOK   bool   // out: found / created / deleted / swapped
@@ -242,46 +249,46 @@ type opSlot struct {
 	write [kindAdd + 1]func(tx stm.Tx) error
 }
 
-// newOpSlot builds a slot bound to s with all transaction bodies pre-built.
-func newOpSlot(s *shard) *opSlot {
+// newOpSlot builds an unbound slot with all transaction bodies pre-built.
+func newOpSlot() *opSlot {
 	sl := &opSlot{}
 	sl.roGet = func(tx *stm.ROTx) error {
 		var err error
-		sl.outVal, sl.outOK, err = s.kv.GetRO(tx, sl.key)
+		sl.outVal, sl.outOK, err = sl.s.kv.GetRO(tx, sl.key)
 		return err
 	}
 	sl.upGet = func(tx stm.Tx) error {
 		var err error
-		sl.outVal, sl.outOK, err = s.kv.Get(tx, sl.key)
+		sl.outVal, sl.outOK, err = sl.s.kv.Get(tx, sl.key)
 		return err
 	}
 	sl.write[kindPut] = func(tx stm.Tx) error {
 		var err error
-		sl.outOK, err = s.kv.PutRef(tx, sl.key, sl.val)
+		sl.outOK, err = sl.s.kv.PutRef(tx, sl.key, sl.val)
 		return err
 	}
 	sl.write[kindDelete] = func(tx stm.Tx) error {
 		var err error
-		sl.outOK, err = s.kv.Delete(tx, sl.key)
+		sl.outOK, err = sl.s.kv.Delete(tx, sl.key)
 		return err
 	}
 	sl.write[kindCAS] = func(tx stm.Tx) error {
 		sl.outOK = false
-		cur, ok, err := s.kv.Get(tx, sl.key)
+		cur, ok, err := sl.s.kv.Get(tx, sl.key)
 		if err != nil {
 			return err
 		}
 		if !ok || cur != sl.old {
 			return nil
 		}
-		if _, err := s.kv.Put(tx, sl.key, sl.new); err != nil {
+		if _, err := sl.s.kv.Put(tx, sl.key, sl.new); err != nil {
 			return err
 		}
 		sl.outOK = true
 		return nil
 	}
 	sl.write[kindAdd] = func(tx stm.Tx) error {
-		cur, ok, err := s.kv.Get(tx, sl.key)
+		cur, ok, err := sl.s.kv.Get(tx, sl.key)
 		if err != nil {
 			return err
 		}
@@ -290,17 +297,24 @@ func newOpSlot(s *shard) *opSlot {
 			return err
 		}
 		sl.outN = n + sl.delta
-		_, err = s.kv.Put(tx, sl.key, strconv.FormatInt(sl.outN, 10))
+		_, err = sl.s.kv.Put(tx, sl.key, strconv.FormatInt(sl.outN, 10))
 		return err
 	}
 	return sl
 }
 
-// release scrubs the slot's string references (so the pool never pins a
-// large value) and returns it to the shard's pool.
-func (s *shard) release(sl *opSlot) {
-	sl.writeOp, sl.outVal = writeOp{}, ""
-	s.slots.Put(sl)
+// slot takes a slot from the pool and binds it to s; the caller releases it.
+func (s *shard) slot() *opSlot {
+	sl := slotPool.Get().(*opSlot)
+	sl.s = s
+	return sl
+}
+
+// release unbinds the slot and scrubs its string references (so the pool
+// never pins a shard or a large value), and returns it to the pool.
+func (sl *opSlot) release() {
+	sl.s, sl.writeOp, sl.outVal = nil, writeOp{}, ""
+	slotPool.Put(sl)
 }
 
 // opCounters tracks served operations per kind.
@@ -330,7 +344,6 @@ func Open(cfg Config) (*Store, error) {
 		buckets = 512
 	}
 	st := &Store{shards: make([]*shard, n), shift: uint(64 - log2(n))}
-	st.batches.New = func() any { return newBatchState(st) }
 	if cfg.ReplRing > 0 || cfg.WAL != nil {
 		st.logs = make([]shardLog, n)
 		for i := range st.logs {
@@ -359,7 +372,6 @@ func Open(cfg Config) (*Store, error) {
 			kv:    stmds.NewHashMap[string](buckets),
 			locks: keylock.New(cfg.LockStripes),
 		}
-		s.slots.New = func() any { return newOpSlot(s) }
 		threads := make([]stm.Thread, poolSize)
 		for j := range threads {
 			threads[j] = tm.Register(fmt.Sprintf("shard%d-w%d", i, j))
@@ -390,9 +402,11 @@ func Open(cfg Config) (*Store, error) {
 	return st, nil
 }
 
-// Close stops the admission controller and the WAL (checkpoint loop
-// stopped, pending groups flushed, segment files closed). Idempotent; a
-// no-op for stores opened without Admission or a WAL.
+// Close stops the store's goroutines: the admission controller's, and the
+// WAL's (checkpoint loop stopped, pending groups flushed, segment files
+// closed). Idempotent; a no-op for stores opened without Admission or a WAL.
+// Memory is not Close's to free: once the last reference to a store is
+// dropped, closed or not, it is garbage at the next collection.
 func (st *Store) Close() {
 	if st.ctrl != nil {
 		st.ctrl.close()
@@ -531,7 +545,7 @@ func (st *Store) Get(key uint64) (string, bool, error) {
 	s := st.shardFor(key)
 	i := s.locks.RLockKey(key)
 	defer s.locks.RUnlock(i)
-	sl := s.slots.Get().(*opSlot)
+	sl := s.slot()
 	sl.key = key
 	var err error
 	if s.takeFallback() {
@@ -540,7 +554,7 @@ func (st *Store) Get(key uint64) (string, bool, error) {
 		err = s.roTracked(sl.roGet)
 	}
 	val, ok := sl.outVal, sl.outOK
-	s.release(sl)
+	sl.release()
 	return val, ok, err
 }
 
@@ -594,11 +608,11 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 		// it already): nothing may commit behind it.
 		return false, 0, nil, ErrNotPrimary
 	}
-	sl := s.slots.Get().(*opSlot)
+	sl := s.slot()
 	sl.writeOp = op
 	err = s.atomicallyW(op.key, sl.write[op.kind])
 	ok, n = sl.outOK, sl.outN
-	s.release(sl)
+	sl.release()
 	if err != nil {
 		return false, 0, nil, err
 	}

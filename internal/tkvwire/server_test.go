@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"github.com/shrink-tm/shrink/internal/tkv"
 )
@@ -202,6 +203,66 @@ func TestServerEndToEnd(t *testing.T) {
 	if stats.Commits == 0 {
 		t.Fatalf("no commits: %+v", stats)
 	}
+}
+
+// TestDroppedStoreIsCollected: a store served over the wire — get, put, add,
+// mget and batch, each through the serving path's pooled state — is garbage
+// at the next collection once its server is closed and both are dropped.
+func TestDroppedStoreIsCollected(t *testing.T) {
+	st, srv := serveOnceAndDrop(t)
+	runtime.GC()
+	if st.Value() != nil || srv.Value() != nil {
+		t.Fatalf("one collection after the last reference went: store alive %v, server alive %v",
+			st.Value() != nil, srv.Value() != nil)
+	}
+}
+
+// serveOnceAndDrop serves one round trip of every data verb family from a
+// fresh store, closes the client, the server and the store, and keeps
+// nothing but weak pointers to the store and the server. (Not
+// startServerWith: its cleanups hold both until the test ends.)
+func serveOnceAndDrop(t *testing.T) (weak.Pointer[tkv.Store], weak.Pointer[Server]) {
+	st, err := tkv.Open(tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(st)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Put(1, "one"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Add(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MGet([]uint64{1, 2, 3, 1000, 123456}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Batch([]tkv.Op{
+		{Kind: tkv.OpPut, Key: 20, Value: "x"},
+		{Kind: tkv.OpAdd, Key: 123456, Delta: 4},
+		{Kind: tkv.OpGet, Key: 1000},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	srv.Close()
+	if err := <-served; !errors.Is(err, ErrServerClosed) {
+		t.Fatalf("Serve: %v", err)
+	}
+	st.Close()
+	return weak.Make(st), weak.Make(srv)
 }
 
 func TestServerPipelinedConcurrentCalls(t *testing.T) {
