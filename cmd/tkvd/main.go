@@ -133,7 +133,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		admitDefaults = tkv.DefaultAdmitConfig()
 		admit         = fs.Bool("admit", false,
 			"enable the contention-aware admission layer (overload shedding, "+
-				"wound-wait batch admission, adaptive stripes, predictor routing)")
+				"wound-wait batch admission, predictor routing)")
 		shedKnee = fs.Float64("shedknee", admitDefaults.ShedKnee,
 			"overload score past which writes shed (<= 0: drill mode, always past the knee)")
 		shedMax = fs.Float64("shedmax", admitDefaults.ShedMax,

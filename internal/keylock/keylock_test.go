@@ -2,6 +2,7 @@ package keylock
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,8 +95,8 @@ func TestSharedModeConcurrent(t *testing.T) {
 }
 
 // TestFreezeExcludesSessions: the whole-table cut waits for any active
-// Enter/Exit session and holds new ones out, while single-stripe shared
-// holders pass freely.
+// Enter/Exit session and holds new ones out, while single-stripe holders,
+// shared or exclusive (LockKey), pass freely in both directions.
 func TestFreezeExcludesSessions(t *testing.T) {
 	tab := New(16)
 
@@ -126,6 +127,13 @@ func TestFreezeExcludesSessions(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("shared stripe holder blocked under Freeze")
 	}
+	excl := make(chan struct{})
+	go func() { i := tab.LockKey(7); tab.Unlock(i); close(excl) }()
+	select {
+	case <-excl:
+	case <-time.After(5 * time.Second):
+		t.Fatal("LockKey holder blocked under Freeze")
+	}
 	var entered atomic.Bool
 	done := make(chan struct{})
 	go func() { tab.Enter(); entered.Store(true); tab.Exit(); close(done) }()
@@ -135,17 +143,58 @@ func TestFreezeExcludesSessions(t *testing.T) {
 	}
 	tab.Unfreeze()
 	<-done
+
+	// Freeze does not wait for a LockKey holder: that hold is no session.
+	i := tab.LockKey(7)
+	frozen = make(chan struct{})
+	go func() { tab.Freeze(); tab.Unfreeze(); close(frozen) }()
+	select {
+	case <-frozen:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Freeze waited for a LockKey holder")
+	}
+	tab.Unlock(i)
 }
 
 // TestStressMixedModes hammers one table from many goroutines mixing
-// single-stripe shared holds, multi-stripe exclusive Sets and whole-table
-// shared cuts. Run under -race this checks the Table's own bookkeeping;
-// the mutual-exclusion invariant is checked with a per-stripe owner word
-// that only exclusive holders may touch. Ascending acquisition order (the
-// package contract) must make this deadlock-free.
+// single-key shared holds, single-key exclusive holds (LockKey, the lock
+// the logged write path takes), multi-stripe exclusive sessions and
+// whole-table freezes. Run under -race this checks the Table's own
+// bookkeeping. Mutual exclusion is checked with two owner words per
+// stripe, one for session holders and one for LockKey holders, that only
+// exclusive holders may set: a shared holder must find both clear, an
+// exclusive holder must find the other's clear, and a Freeze must find no
+// session owner — but may find a LockKey owner, which it does not wait
+// for. The wait counters must never go backwards. Ascending acquisition
+// order (the package contract) must make all of this deadlock-free: a lost
+// wakeup or an order violation shows up as a hang.
 func TestStressMixedModes(t *testing.T) {
 	tab := New(8)
-	owners := make([]atomic.Int32, tab.Stripes())
+	sessionOwners := make([]atomic.Int32, tab.Stripes())
+	keyOwners := make([]atomic.Int32, tab.Stripes())
+
+	// The watcher is the only goroutine comparing successive counter reads,
+	// so monotonicity across its own reads is a valid check.
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		var lastShared, lastExcl uint64
+		for {
+			sh, ex := tab.Waits()
+			if sh < lastShared || ex < lastExcl {
+				t.Errorf("wait counters went backwards: shared %d->%d excl %d->%d", lastShared, sh, lastExcl, ex)
+			}
+			lastShared, lastExcl = sh, ex
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -153,11 +202,12 @@ func TestStressMixedModes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 400; i++ {
-				switch rng.Intn(3) {
+			for i := 0; i < 2000; i++ {
+				switch rng.Intn(4) {
 				case 0: // single-key shared
 					idx := tab.RLockKey(rng.Uint64())
-					if owners[idx].Load() != 0 {
+					runtime.Gosched() // hold the stripe across a reschedule
+					if sessionOwners[idx].Load() != 0 || keyOwners[idx].Load() != 0 {
 						t.Errorf("shared hold of stripe %d overlaps an exclusive owner", idx)
 					}
 					tab.RUnlock(idx)
@@ -180,26 +230,51 @@ func TestStressMixedModes(t *testing.T) {
 						tab.Lock(idx)
 					}
 					for _, idx := range stripes {
-						if !owners[idx].CompareAndSwap(0, int32(w)+1) {
-							t.Errorf("stripe %d double-owned", idx)
+						if !sessionOwners[idx].CompareAndSwap(0, int32(w)+1) {
+							t.Errorf("stripe %d double-owned by sessions", idx)
+						}
+						if keyOwners[idx].Load() != 0 {
+							t.Errorf("session hold of stripe %d overlaps a LockKey owner", idx)
 						}
 					}
+					runtime.Gosched()
 					for _, idx := range stripes {
-						owners[idx].Store(0)
+						sessionOwners[idx].Store(0)
 						tab.Unlock(idx)
 					}
 					tab.Exit()
-				case 2: // whole-table cut
+				case 2: // whole-table cut: excludes sessions, not LockKey holders
 					tab.Freeze()
-					for idx := range owners {
-						if owners[idx].Load() != 0 {
-							t.Errorf("Freeze overlaps exclusive owner of stripe %d", idx)
+					runtime.Gosched()
+					for idx := range sessionOwners {
+						if sessionOwners[idx].Load() != 0 {
+							t.Errorf("Freeze overlaps the session owner of stripe %d", idx)
 						}
 					}
 					tab.Unfreeze()
+				case 3: // single-key exclusive, no session
+					idx := tab.LockKey(rng.Uint64())
+					if !keyOwners[idx].CompareAndSwap(0, int32(w)+1) {
+						t.Errorf("stripe %d double-owned by LockKey holders", idx)
+					}
+					if sessionOwners[idx].Load() != 0 {
+						t.Errorf("LockKey hold of stripe %d overlaps a session owner", idx)
+					}
+					runtime.Gosched()
+					keyOwners[idx].Store(0)
+					tab.Unlock(idx)
 				}
 			}
 		}()
 	}
-	wg.Wait()
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Minute):
+		t.Fatal("stress test hung: lost wakeup or deadlock")
+	}
+	close(stop)
+	<-watched
 }

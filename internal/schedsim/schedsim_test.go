@@ -169,9 +169,10 @@ func TestLowerBoundComponents(t *testing.T) {
 	}
 }
 
-// TestRestartDominatesSerializerProperty: on random instances, Restart's
-// makespan never exceeds the structural bound Rm + (greedy schedule of the
-// whole instance), and all simulators schedule every transaction.
+// TestRestartBoundsProperty: on random instances, every simulator (Restart,
+// Serializer, ATS, GreedyPC) schedules each transaction no earlier than its
+// release plus execution time, and its makespan lies between LowerBound and
+// a loose sanity cap of 10 × (total work + Rm) + 100.
 func TestRestartBoundsProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		ins := RandomInstance(10, 0.3, 3, 4, seed)

@@ -121,10 +121,10 @@ func TestContentionOrdering(t *testing.T) {
 	}
 }
 
-// TestIntruderQueueConservation: items enqueued equal items dequeued plus
-// remaining — exercised implicitly by the kernel's own flow bookkeeping;
-// here we just check the kernel keeps committing under the tiny engine's
-// suicide CM (the configuration that collapses without a scheduler).
+// TestIntruderOnTiny: the intruder kernel sets up and runs 100 operations
+// on one thread of the tiny engine, each returning without an error. One
+// thread means no contention: this is a smoke test of the kernel on that
+// engine, not of its behaviour under conflicts.
 func TestIntruderOnTiny(t *testing.T) {
 	tm := tiny.New(tiny.Options{Wait: stm.WaitPreemptive})
 	th := tm.Register("t0")

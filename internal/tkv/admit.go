@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/shrink-tm/shrink/internal/keylock"
 	"github.com/shrink-tm/shrink/internal/predict"
 )
 
@@ -27,17 +26,17 @@ func (st *Store) ShedLowPriority() bool {
 }
 
 // AdmitConfig parameterizes the contention-aware admission layer: the
-// per-shard overload controller, the wound-wait batch admission queue, the
-// adaptive stripe tables and the conflict-predictor routing. The zero value
-// is not usable; start from DefaultAdmitConfig. Enabled by setting
+// per-shard overload controller, the wound-wait batch admission queue and
+// the conflict-predictor routing. The stripe tables are not part of it:
+// their size is Config.LockStripes, fixed at Open. The zero value is not
+// usable; start from DefaultAdmitConfig. Enabled by setting
 // Config.Admission; when nil the store behaves exactly as without the
 // layer (no controller goroutine, zero per-op cost).
 type AdmitConfig struct {
 	// Tick is the controller's sampling period (default 100ms). Each tick
 	// the controller re-reads every shard's commit/abort, scheduler
 	// serialization and stripe-wait counters, updates the overload score
-	// and shed probability, drives the stripe tables' Adapt policy and
-	// rotates the conflict predictor's window.
+	// and shed probability, and rotates the conflict predictor's window.
 	Tick time.Duration
 	// ShedKnee is the overload score past which a shard starts shedding
 	// writes. The score is the shard's cure cost per unit of progress:
@@ -66,12 +65,6 @@ type AdmitConfig struct {
 	// batches always make progress and the queue cannot collapse into
 	// convoy.
 	MaxQueuedBatches int
-	// AdaptStripes enables the per-shard stripe tables' grow/shrink
-	// policy (keylock.Table.Adapt), driven from the controller tick.
-	AdaptStripes bool
-	// StripeAdapt overrides the adapt policy; zero uses
-	// keylock.DefaultAdaptConfig anchored at the configured LockStripes.
-	StripeAdapt keylock.AdaptConfig
 	// PredictorRouting routes single-key writes whose key the conflict
 	// predictor flags as hot through the same admission queue, so
 	// likely-conflicting writes serialize cheaply up front instead of
@@ -92,7 +85,6 @@ func DefaultAdmitConfig() AdmitConfig {
 		MaxLargeBatches:   2,
 		LargeBatchStripes: 16,
 		MaxQueuedBatches:  8,
-		AdaptStripes:      true,
 		PredictorRouting:  true,
 	}
 }
@@ -290,8 +282,7 @@ func (c *shardCtl) noteConflict(key uint64, n uint64) {
 // overload as cure cost per commit, sets the per-shard shed probability
 // (additive ramp above the knee, multiplicative decay below — the same
 // AIMD shape TCP uses, for the same reason: probe gently, back off hard),
-// drives the stripe tables' Adapt policy, and rotates the conflict
-// predictor's window.
+// and rotates the conflict predictor's window.
 type controller struct {
 	st  *Store
 	cfg AdmitConfig
@@ -380,13 +371,6 @@ func (c *controller) tick() {
 		sc.shedBits.Store(math.Float64bits(p))
 		if p > maxProb {
 			maxProb = p
-		}
-
-		if c.cfg.AdaptStripes {
-			// Commits+aborts approximates the shard's stripe
-			// acquisition count, the denominator the waits are
-			// per-op against.
-			s.locks.Adapt(agg.Commits + agg.Aborts)
 		}
 		sc.hot.Rotate()
 	}

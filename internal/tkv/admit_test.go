@@ -187,7 +187,8 @@ func TestPredictorRoutesHotKeys(t *testing.T) {
 	}
 }
 
-// TestBatchWoundWait: large cross-shard batches pass the admission queue.
+// TestLargeBatchesPassAdmission: large cross-shard batches pass the
+// admission queue.
 func TestLargeBatchesPassAdmission(t *testing.T) {
 	ac := DefaultAdmitConfig()
 	ac.LargeBatchStripes = 2 // everything cross-shard is "large"
@@ -203,48 +204,6 @@ func TestLargeBatchesPassAdmission(t *testing.T) {
 	if st.ctrl.q.admitted.Load() == 0 {
 		t.Fatal("large cross-shard batch bypassed the admission queue")
 	}
-}
-
-// TestAdaptiveStripesGrowUnderContention: the controller tick must drive
-// keylock.Adapt; force it by injecting stripe waits directly.
-func TestAdaptiveStripeResizeReported(t *testing.T) {
-	ac := DefaultAdmitConfig()
-	ac.StripeAdapt.MinStripes = 16
-	ac.StripeAdapt.MaxStripes = 512 // above the 64-stripe default, so growth is possible
-	ac.StripeAdapt.MinSampleOps = 1
-	ac.StripeAdapt.GrowWaitsPerOp = 1e-9 // any wait grows
-	ac.StripeAdapt.ShrinkWaitsPerOp = -1 // never shrink
-	st := openAdmitTest(t, ac)
-
-	// Manufacture contended acquisitions on shard 0's table (an exclusive
-	// stripe holder blocks a single-key shared acquisition), plus commits
-	// so Adapt has an op delta to divide by.
-	s := st.shards[0]
-	for i := 0; i < 4; i++ {
-		i := i
-		idx := s.locks.StripeOf(uint64(i))
-		s.locks.Enter()
-		s.locks.Lock(idx)
-		done := make(chan struct{})
-		go func() { j := s.locks.RLockKey(uint64(i)); s.locks.RUnlock(j); close(done) }()
-		time.Sleep(2 * time.Millisecond)
-		s.locks.Unlock(idx)
-		s.locks.Exit()
-		<-done
-	}
-	for k := uint64(0); k < 50; k++ {
-		if _, err := st.Put(k, "x"); err != nil && !errors.Is(err, ErrBackpressure) {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st.Stats().Shards[0].StripeResizes > 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("controller never resized a contended stripe table")
 }
 
 func BenchmarkAdmissionIdle(b *testing.B) {

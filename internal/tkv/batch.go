@@ -149,42 +149,20 @@ type lockPlan []stripeRef
 // Enter/Exit session gate (taken just before the shard's first stripe, so
 // the global order is shard gate < shard stripes < next shard's gate):
 // that is what lets the snapshot path exclude in-flight batches in O(1)
-// per shard instead of walking every stripe.
-//
-// Every acquisition is checked against the generation the plan was built
-// from (vers, indexed by shard); when a concurrent stripe-table resize has
-// retired it, lock releases everything it holds and returns false, and the
-// caller rebuilds the plan against the new generation. Mixed-generation
-// plans can never lock the wrong stripe: versions are monotonic, so at most
-// one shard's table matches any stale plan, and its indices are still
-// checked.
-func (st *Store) lock(plan lockPlan, vers []uint64, exclusive bool) bool {
-	entered := -1
-	for n, r := range plan {
-		tab := st.shards[r.shard].locks
-		if exclusive && r.shard != entered {
-			tab.Enter()
-			entered = r.shard
-		}
-		var ok bool
+// per shard instead of walking every stripe. A shard's stripe count is fixed
+// when the store opens, so a plan stays valid for the store's lifetime and
+// lock cannot fail.
+func (st *Store) lock(plan lockPlan, exclusive bool) {
+	for i, r := range plan {
 		if exclusive {
-			ok = tab.LockV(r.stripe, vers[r.shard])
-		} else {
-			ok = tab.RLockV(r.stripe, vers[r.shard])
-		}
-		if !ok {
-			// Stale generation: roll back the prefix. unlock exits the
-			// gate of every shard with a held stripe in the prefix; the
-			// shard we just entered has none when the failing stripe was
-			// its first, so exit it here.
-			st.unlock(plan[:n], exclusive)
-			if exclusive && (n == 0 || plan[n-1].shard != r.shard) {
-				tab.Exit()
+			if i == 0 || plan[i-1].shard != r.shard {
+				st.shards[r.shard].locks.Enter()
 			}
-			return false
+			st.shards[r.shard].locks.Lock(r.stripe)
+		} else {
+			st.shards[r.shard].locks.RLock(r.stripe)
 		}
 	}
-	return true
 }
 
 // unlock releases a plan acquired by lock. A shard's session gate is
@@ -247,18 +225,16 @@ type batchState struct {
 	results []OpResult
 
 	// The plan. order holds the op indices grouped by shard (a counting
-	// sort over count, which afterwards maps a shard to its group), vers
-	// the keylock generation the stripe set in locks was built against
-	// (both indexed by shard, sized by batch to the store's shard count).
-	// writes is every group's planned writes back to back; the running
-	// group's window of it, writes[g.wlo:], is that group's overlay, and
-	// once the window outgrows overlayScanMax the overlay map indexes it
-	// (key to latest entry; see planWrite). commits collects the emitted
-	// records' durability handles.
+	// sort over count, which is indexed by shard — batch sizes it to the
+	// store's shard count — and afterwards maps a shard to its group),
+	// locks the stripe set of the grouped keys. writes is every group's
+	// planned writes back to back; the running group's window of it,
+	// writes[g.wlo:], is that group's overlay, and once the window outgrows
+	// overlayScanMax the overlay map indexes it (key to latest entry; see
+	// planWrite). commits collects the emitted records' durability handles.
 	count   []int
 	order   []int
 	groups  []shardGroup
-	vers    []uint64
 	locks   lockPlan
 	writes  []plannedWrite
 	overlay map[uint64]int
@@ -374,7 +350,7 @@ func newBatchState() *batchState {
 }
 
 // batch takes a state from the pool and binds it to st; the caller releases
-// it. The per-shard slices are re-sized only when the state last served a
+// it. The per-shard count is re-sized only when the state last served a
 // store with another shard count (and re-allocated only when it has never
 // served one this wide).
 func (st *Store) batch() *batchState {
@@ -382,7 +358,6 @@ func (st *Store) batch() *batchState {
 	b.st = st
 	if n := len(st.shards); len(b.count) != n {
 		b.count = slices.Grow(b.count[:0], n)[:n]
-		b.vers = slices.Grow(b.vers[:0], n)[:n]
 	}
 	return b
 }
@@ -439,16 +414,15 @@ func (b *batchState) group() {
 	}
 }
 
-// buildLocks plans the stripe set of the grouped keys against the shards'
-// current keylock generations. The groups ascend by shard and each key's
-// stripe is inserted into its group's sorted window of the plan (dropped if
-// already there), so the plan is born strictly ascending in the global lock
-// order: a batch must never lock a stripe twice or out of order.
+// buildLocks plans the stripe set of the grouped keys. The groups ascend by
+// shard and each key's stripe is inserted into its group's sorted window of
+// the plan (dropped if already there), so the plan is born strictly
+// ascending in the global lock order: a batch must never lock a stripe twice
+// or out of order.
 func (b *batchState) buildLocks() {
 	b.locks = b.locks[:0]
 	for _, g := range b.groups {
 		tab := b.st.shards[g.shard].locks
-		b.vers[g.shard] = tab.Version()
 		lo := len(b.locks)
 		for _, i := range b.order[g.lo:g.hi] {
 			stripe := tab.StripeOf(b.keys[i])
@@ -470,28 +444,16 @@ func (b *batchState) buildLocks() {
 	}
 }
 
-// lock acquires the planned stripe set. When an adaptive resize retires a
-// generation mid-acquisition, Store.lock backs out and the set is rebuilt
-// (rare: resizes happen on the controller's tick, not the request path).
-func (b *batchState) lock(exclusive bool) {
-	for !b.st.lock(b.locks, b.vers, exclusive) {
-		b.buildLocks()
-	}
-}
+// lock acquires the planned stripe set.
+func (b *batchState) lock(exclusive bool) { b.st.lock(b.locks, exclusive) }
 
-// lockShard acquires every stripe of one shard, retrying across resizes.
+// lockShard plans every stripe of one shard and acquires them.
 func (b *batchState) lockShard(shard int, exclusive bool) {
-	tab := b.st.shards[shard].locks
-	for {
-		b.vers[shard] = tab.Version()
-		b.locks = b.locks[:0]
-		for i, n := 0, tab.Stripes(); i < n; i++ {
-			b.locks = append(b.locks, stripeRef{shard: shard, stripe: i})
-		}
-		if b.st.lock(b.locks, b.vers, exclusive) {
-			return
-		}
+	b.locks = b.locks[:0]
+	for i, n := 0, b.st.shards[shard].locks.Stripes(); i < n; i++ {
+		b.locks = append(b.locks, stripeRef{shard: shard, stripe: i})
 	}
+	b.lock(exclusive)
 }
 
 // unlock releases what lock or lockShard acquired.

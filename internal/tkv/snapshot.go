@@ -119,11 +119,11 @@ type OpCounts struct {
 // an exclusive wait is a batch pausing behind anything); ROFallbacks counts
 // reads routed to the logging update path after an RO restart streak.
 // SchedConfirmed/SchedRefuted are AdaptiveShrink's serialization-feedback
-// counters (zero for other schedulers). Stripes, StripeResizes, Overload,
-// Shed and Routed describe the admission layer: the shard's current stripe
-// count and how often its table resized, the controller's EWMA overload
-// score, and the writes shed with backpressure or routed through the
-// admission queue (all zero when admission is off).
+// counters (zero for other schedulers). Stripes is the shard's stripe count
+// (Config.LockStripes, fixed at Open). Overload, Shed and Routed describe
+// the admission layer: the controller's EWMA overload score, and the writes
+// shed with backpressure or routed through the admission queue (all zero
+// when admission is off).
 type ShardStats struct {
 	Shard             uint64  `json:"shard"`
 	Commits           uint64  `json:"commits"`
@@ -137,7 +137,6 @@ type ShardStats struct {
 	StripeWaitsExcl   uint64  `json:"stripeWaitsExcl"`
 	ROFallbacks       uint64  `json:"roFallbacks"`
 	Stripes           int     `json:"stripes"`
-	StripeResizes     uint64  `json:"stripeResizes,omitempty"`
 	Overload          float64 `json:"overload,omitempty"`
 	Shed              uint64  `json:"shed,omitempty"`
 	Routed            uint64  `json:"routed,omitempty"`
@@ -196,7 +195,6 @@ func (st *Store) Stats() Stats {
 			StripeWaitsExcl:   excl,
 			ROFallbacks:       s.roFallbacks.Load(),
 			Stripes:           s.locks.Stripes(),
-			StripeResizes:     s.locks.Resizes(),
 		}
 		if s.ctl != nil {
 			ss.Overload = s.ctl.overload()

@@ -66,9 +66,9 @@
 // One planner. Batch, MGet, the follower's ReplApply and the whole-shard
 // cuts (checkpoint, resync) all go through one pooled batchState: group the
 // keys by shard (a counting sort into flat slices), build the stripe set
-// against the shards' keylock generations, lock it (replanning when an
-// adaptive resize retires a generation), run one pre-bound transaction body
-// per shard group. The state is to multi-key calls what opSlot is to
+// (a shard's stripe count is fixed when the store opens, so a plan never
+// goes stale), lock it, run one pre-bound transaction body per shard
+// group. The state is to multi-key calls what opSlot is to
 // single-key ones: no closure, map or plan slice is built per call, so a
 // call allocates only what it hands away — its result slice, one cell per
 // value it stores, the decimal string of an add, the log record it emits.
@@ -115,9 +115,11 @@ type Config struct {
 	// Buckets is the hash-table bucket count per shard (default 512).
 	Buckets int
 	// LockStripes is the per-shard key-lock stripe count, rounded up to a
-	// power of two (default keylock.DefaultStripes). More stripes admit
-	// more concurrent disjoint batches per shard at the cost of table
-	// footprint (one cache line per stripe).
+	// power of two (default keylock.DefaultStripes) and fixed for the
+	// store's lifetime. More stripes admit more concurrent disjoint batches
+	// per shard at the cost of table footprint (one cache line per stripe):
+	// they remove waits on keys that share a stripe by hash, not waits on
+	// one hot key.
 	LockStripes int
 	// Engine, Scheduler, Wait and Shrink select the per-shard TM stack
 	// (see enginecfg); the zero values are SwissTM, no scheduler,
@@ -127,10 +129,10 @@ type Config struct {
 	Wait      stm.WaitPolicy
 	Shrink    *sched.ShrinkConfig
 	// Admission enables the contention-aware admission layer (overload
-	// shedding, wound-wait batch admission, adaptive stripe counts,
-	// predictor-routed writes; see AdmitConfig). nil disables it
-	// entirely: no controller goroutine runs and the serving paths pay
-	// nothing. A Store opened with Admission set should be Closed.
+	// shedding, wound-wait batch admission, predictor-routed writes; see
+	// AdmitConfig). nil disables it entirely: no controller goroutine runs
+	// and the serving paths pay nothing. A Store opened with Admission set
+	// should be Closed.
 	Admission *AdmitConfig
 	// ReplRing attaches a replication log (see repl.go): every shard's log
 	// keeps a window of its last ReplRing records in memory, which the
@@ -182,10 +184,11 @@ type shard struct {
 	pool  threadPool
 	// ctl is the shard's admission state; nil unless Config.Admission.
 	ctl *shardCtl
-	// locks is the shard's striped key-lock table: batches hold their
-	// keys' stripes exclusively across plan and apply, everything that is
-	// atomic as one STM transaction holds its stripes in shared mode, and
-	// snapshots hold every stripe in shared mode. See the package comment.
+	// locks is the shard's striped key-lock table, sized once at Open:
+	// batches hold their keys' stripes exclusively across plan and apply,
+	// everything that is atomic as one STM transaction holds its stripes in
+	// shared mode, and snapshots freeze its session gate. See the package
+	// comment.
 	locks *keylock.Table
 	// roStreak counts consecutive read-only snapshot restarts on this
 	// shard's read path; roFallbacks counts the reads that were routed to
@@ -389,13 +392,6 @@ func Open(cfg Config) (*Store, error) {
 		st.ctrl = newController(st, ac)
 		for i, s := range st.shards {
 			s.ctl = &st.ctrl.shards[i]
-			if ac.AdaptStripes {
-				sa := ac.StripeAdapt
-				if sa.MinStripes == 0 && sa.MaxStripes == 0 {
-					sa = keylock.DefaultAdaptConfig(s.locks.Stripes())
-				}
-				s.locks.EnableAdapt(sa)
-			}
 		}
 		go st.ctrl.run()
 	}
