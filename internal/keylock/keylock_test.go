@@ -156,6 +156,103 @@ func TestFreezeExcludesSessions(t *testing.T) {
 	tab.Unlock(i)
 }
 
+// eventually polls cond until it holds, failing the test after five seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestLockKeyExcludesShared: an exclusive single-key hold (LockKey, the
+// logged write path's lock) blocks shared holders of its stripe until
+// release, counting each as a shared wait, and leaves other stripes free.
+func TestLockKeyExcludesShared(t *testing.T) {
+	tab := New(8)
+	const key = 42
+	other := uint64(0)
+	for tab.StripeOf(other) == tab.StripeOf(key) {
+		other++
+	}
+	i := tab.LockKey(key)
+	if i != tab.StripeOf(key) {
+		t.Fatalf("LockKey stripe = %d, StripeOf = %d", i, tab.StripeOf(key))
+	}
+
+	free := make(chan struct{})
+	go func() { j := tab.RLockKey(other); tab.RUnlock(j); close(free) }()
+	select {
+	case <-free:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shared holder of another stripe blocked behind LockKey")
+	}
+	if shared, _ := tab.Waits(); shared != 0 {
+		t.Fatalf("an uncontended shared acquisition counted %d waits", shared)
+	}
+
+	held := make(chan struct{})
+	go func() { j := tab.RLockKey(key); tab.RUnlock(j); close(held) }()
+	eventually(t, "the blocked shared acquisition is counted", func() bool {
+		shared, _ := tab.Waits()
+		return shared == 1
+	})
+	select {
+	case <-held:
+		t.Fatal("shared acquisition succeeded under a LockKey hold")
+	default:
+	}
+	tab.Unlock(i)
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("shared acquisition never resumed after the LockKey hold was released")
+	}
+}
+
+// TestFreezesExcludeEachOther: a Freeze waits out another, counted as a
+// shared wait, and a session held out by a Freeze counts as an exclusive
+// wait.
+func TestFreezesExcludeEachOther(t *testing.T) {
+	tab := New(4)
+	tab.Freeze()
+	second := make(chan struct{})
+	go func() { tab.Freeze(); tab.Unfreeze(); close(second) }()
+	eventually(t, "the second Freeze counts its wait", func() bool {
+		shared, _ := tab.Waits()
+		return shared == 1
+	})
+	select {
+	case <-second:
+		t.Fatal("two Freezes held the table at once")
+	default:
+	}
+	tab.Unfreeze()
+	select {
+	case <-second:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second Freeze never acquired after Unfreeze")
+	}
+
+	tab.Freeze()
+	entered := make(chan struct{})
+	go func() { tab.Enter(); tab.Exit(); close(entered) }()
+	eventually(t, "the held-out session counts its wait", func() bool {
+		_, excl := tab.Waits()
+		return excl == 1
+	})
+	tab.Unfreeze()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the session never began after Unfreeze")
+	}
+	if shared, excl := tab.Waits(); shared != 1 || excl != 1 {
+		t.Fatalf("waits = %d/%d, want 1/1", shared, excl)
+	}
+}
+
 // TestStressMixedModes hammers one table from many goroutines mixing
 // single-key shared holds, single-key exclusive holds (LockKey, the lock
 // the logged write path takes), multi-stripe exclusive sessions and

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
+	"github.com/shrink-tm/shrink/internal/keylock"
 )
 
 func openTest(t *testing.T, cfg Config) *Store {
@@ -445,6 +446,96 @@ func TestLockPlanAscending(t *testing.T) {
 	unlock()
 	st.lock(plan, true) // would block if a stripe leaked
 	st.unlock(plan, true)
+}
+
+// TestLockStripesSizeEveryShard: Config.LockStripes sizes every shard's
+// stripe table at Open, rounded up to a power of two (keylock's default when
+// unset), Stats reports that size, and traffic does not change it.
+func TestLockStripesSizeEveryShard(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{0, keylock.DefaultStripes}, {1, 1}, {5, 8}, {1024, 1024},
+	} {
+		t.Run(fmt.Sprintf("stripes=%d", tc.in), func(t *testing.T) {
+			st := openTest(t, Config{Shards: 4, LockStripes: tc.in, Buckets: 16})
+			check := func(when string) {
+				t.Helper()
+				for i, ss := range st.Stats().Shards {
+					if ss.Stripes != tc.want || st.shards[i].locks.Stripes() != tc.want {
+						t.Fatalf("%s: shard %d reports %d stripes, table has %d, want %d",
+							when, i, ss.Stripes, st.shards[i].locks.Stripes(), tc.want)
+					}
+				}
+			}
+			check("after Open")
+			ops := make([]Op, 0, 64)
+			for k := uint64(0); k < 64; k++ {
+				ops = append(ops, Op{Kind: OpAdd, Key: k, Delta: 1})
+				if _, err := st.Put(1<<40+k, "x"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := st.Batch(ops); err != nil {
+				t.Fatal(err)
+			}
+			check("after traffic")
+		})
+	}
+}
+
+// TestStripeWaitsReported: a contended stripe acquisition shows in the
+// owning shard's stripe-wait counters and in the store totals, in its mode —
+// a Get (shared) behind an exclusive holder, a cross-shard Batch (exclusive)
+// behind a shared one — and in no other shard's.
+func TestStripeWaitsReported(t *testing.T) {
+	const key = 7
+	st := openTest(t, Config{Shards: 2})
+	sh := st.ShardOf(key)
+	s := st.shards[sh]
+	waits := func() (shared, excl uint64) {
+		stats := st.Stats()
+		for i, ss := range stats.Shards {
+			if i != sh && (ss.StripeWaitsShared != 0 || ss.StripeWaitsExcl != 0) {
+				t.Fatalf("shard %d reports waits %d/%d; only shard %d was contended",
+					i, ss.StripeWaitsShared, ss.StripeWaitsExcl, sh)
+			}
+		}
+		ss := stats.Shards[sh]
+		if stats.StripeWaitsShared != ss.StripeWaitsShared || stats.StripeWaitsExcl != ss.StripeWaitsExcl {
+			t.Fatalf("store totals %d/%d differ from shard %d's %d/%d",
+				stats.StripeWaitsShared, stats.StripeWaitsExcl, sh, ss.StripeWaitsShared, ss.StripeWaitsExcl)
+		}
+		return ss.StripeWaitsShared, ss.StripeWaitsExcl
+	}
+	if shared, excl := waits(); shared != 0 || excl != 0 {
+		t.Fatalf("fresh store reports waits %d/%d", shared, excl)
+	}
+
+	i := s.locks.LockKey(key)
+	got := make(chan error, 1)
+	go func() { _, _, err := st.Get(key); got <- err }()
+	eventually(t, "the Get's shared wait is reported", func() bool { shared, _ := waits(); return shared == 1 })
+	s.locks.Unlock(i)
+	if err := within(t, "Get", got); err != nil {
+		t.Fatal(err)
+	}
+
+	// A mutating batch confined to one shard of an unlogged store takes shared
+	// stripes, so this one crosses shards: it holds its stripes exclusively.
+	other := uint64(key + 1)
+	for st.ShardOf(other) == sh {
+		other++
+	}
+	batch := []Op{{Kind: OpAdd, Key: key, Delta: 1}, {Kind: OpAdd, Key: other, Delta: 1}}
+	i = s.locks.RLockKey(key)
+	go func() { _, err := st.Batch(batch); got <- err }()
+	eventually(t, "the Batch's exclusive wait is reported", func() bool { _, excl := waits(); return excl == 1 })
+	s.locks.RUnlock(i)
+	if err := within(t, "Batch", got); err != nil {
+		t.Fatal(err)
+	}
+	if shared, excl := waits(); shared != 1 || excl != 1 {
+		t.Fatalf("waits %d/%d after one contended Get and one contended Batch, want 1/1", shared, excl)
+	}
 }
 
 func TestMGet(t *testing.T) {
