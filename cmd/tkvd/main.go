@@ -132,14 +132,12 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 				"independent media)")
 		admitDefaults = tkv.DefaultAdmitConfig()
 		admit         = fs.Bool("admit", false,
-			"enable the contention-aware admission layer (overload shedding, "+
-				"wound-wait batch admission, predictor routing)")
+			"enable the admission layer: each shard sheds writes, and batches at "+
+				"twice the rate, with backpressure once past -shedknee")
 		shedKnee = fs.Float64("shedknee", admitDefaults.ShedKnee,
 			"overload score past which writes shed (<= 0: drill mode, always past the knee)")
 		shedMax = fs.Float64("shedmax", admitDefaults.ShedMax,
 			"shed probability ceiling in (0,1]")
-		largeBatch = fs.Int("largebatch", admitDefaults.LargeBatchStripes,
-			"stripe count at which a cross-shard batch queues for wound-wait admission")
 		admitTick = fs.Duration("admittick", admitDefaults.Tick,
 			"admission controller tick")
 	)
@@ -174,7 +172,6 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		ac := admitDefaults
 		ac.ShedKnee = *shedKnee
 		ac.ShedMax = *shedMax
-		ac.LargeBatchStripes = *largeBatch
 		ac.Tick = *admitTick
 		admission = &ac
 	}
@@ -369,8 +366,8 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		walLabel = fmt.Sprintf(" wal: mode=%s appends=%d fsyncs=%d group_mean=%.1f group_max=%d fsync_p99=%dµs bytes=%d pending_peak=%d ckpts=%d",
 			w.Mode, w.Appends, w.Fsyncs, w.GroupMean, w.GroupMax, w.FsyncP99us, w.BytesAppended, w.PendingPeakBytes, w.Checkpoints)
 	}
-	fmt.Fprintf(out, "tkvd: drained; commits=%d aborts=%d serializations=%d shed=%d routed=%d ops: %+v%s%s\n",
-		stats.Commits, stats.Aborts, stats.Serializations, stats.Shed, stats.Routed, stats.Ops, replLabel, walLabel)
+	fmt.Fprintf(out, "tkvd: drained; commits=%d aborts=%d serializations=%d shed=%d ops: %+v%s%s\n",
+		stats.Commits, stats.Aborts, stats.Serializations, stats.Shed, stats.Ops, replLabel, walLabel)
 	return nil
 }
 

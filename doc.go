@@ -42,7 +42,11 @@
 // open-loop, and fails unless the zero-lost-update invariant held — also
 // while requests are shed, across a kill -9 and across a failover — the
 // paper's "many threads hammering shared state" regime as a live server.
-// How fast the store is belongs to the repository benchmark, bench/.
+// tkvd -admit adds one admission controller per shard: it scores the
+// shard's cure cost per commit (aborts, serializations and stripe waits)
+// every tick, and past a knee it sheds writes, and batches at twice that
+// rate before they are decoded, with backpressure; below the knee it
+// refuses nothing. How fast the store is belongs to the repository benchmark, bench/.
 //
 // The serving edge itself is internal/tkvwire: a length-prefixed binary
 // wire protocol (fixed 16-byte little-endian headers, fixed-width

@@ -5,73 +5,10 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestAdmitQueueGrantsInAgeOrder(t *testing.T) {
-	q := newAdmitQueue(1, 8)
-	if err := q.acquire(); err != nil {
-		t.Fatal(err)
-	}
-	order := make(chan int, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := q.acquire(); err != nil {
-				t.Errorf("waiter %d: %v", i, err)
-				return
-			}
-			order <- i
-			q.release()
-		}()
-		// Serialize arrivals so ages are deterministic.
-		time.Sleep(20 * time.Millisecond)
-	}
-	q.release()
-	wg.Wait()
-	if first := <-order; first != 0 {
-		t.Fatalf("younger waiter granted before older (first = %d)", first)
-	}
-}
-
-func TestAdmitQueueWoundsYoungest(t *testing.T) {
-	q := newAdmitQueue(1, 1)
-	if err := q.acquire(); err != nil {
-		t.Fatal(err)
-	}
-	older := make(chan error, 1)
-	go func() { older <- q.acquire() }()
-	time.Sleep(20 * time.Millisecond) // the older waiter is queued
-
-	// The queue holds one waiter at most: this younger arrival overflows
-	// it and must be wounded — immediately, with backpressure, while the
-	// older waiter stays queued.
-	start := time.Now()
-	err := q.acquire()
-	if !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("youngest overflow arrival: err = %v, want ErrBackpressure", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("wounding blocked instead of failing fast")
-	}
-	if q.wounded.Load() != 1 {
-		t.Fatalf("wounded = %d, want 1", q.wounded.Load())
-	}
-	select {
-	case err := <-older:
-		t.Fatalf("older waiter resolved early: %v", err)
-	default:
-	}
-	q.release()
-	if err := <-older; err != nil {
-		t.Fatalf("older waiter: %v", err)
-	}
-	q.release()
-}
 
 // admitted store: small tick so controller reactions land within test time.
 func openAdmitTest(t *testing.T, ac AdmitConfig) *Store {
@@ -84,28 +21,102 @@ func openAdmitTest(t *testing.T, ac AdmitConfig) *Store {
 	return st
 }
 
-// TestAdmissionIdleIsInvisible: a healthy store with admission on behaves
-// exactly like one without — no sheds, no routing, reads and writes flow.
+// TestAdmissionIdleIsInvisible: a store with admission on that is not past
+// its overload knee behaves exactly like one without. Serial puts first; then
+// callers racing on a few hot counters, missing a CAS on one key and running
+// cross-shard batches over many stripes, for a few controller ticks: no
+// write is refused, nothing is shed, and the counters hold every
+// acknowledged increment.
 func TestAdmissionIdleIsInvisible(t *testing.T) {
-	st := openAdmitTest(t, DefaultAdmitConfig())
+	ac := DefaultAdmitConfig()
+	st := openAdmitTest(t, ac)
 	for k := uint64(0); k < 200; k++ {
 		if _, err := st.Put(k, strconv.FormatUint(k, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(30 * time.Millisecond) // a few controller ticks
+	time.Sleep(3 * ac.Tick) // a few controller ticks
 	for k := uint64(0); k < 200; k++ {
 		if _, err := st.Put(k, "x"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	stats := st.Stats()
-	if stats.Shed != 0 || stats.Wounded != 0 {
-		t.Fatalf("healthy store shed traffic: shed=%d wounded=%d", stats.Shed, stats.Wounded)
-	}
-	for _, sh := range stats.Shards {
+	for _, sh := range st.Stats().Shards {
 		if sh.Overload > 0.5 {
 			t.Fatalf("healthy shard %d scored overloaded: %v", sh.Shard, sh.Overload)
+		}
+	}
+
+	const (
+		callers  = 16
+		counters = 256     // keys 1000..1255; the first four are the hot ones
+		batchLen = 32      // distinct keys: ~28 of the store's 128 stripes
+		casKey   = 1 << 20 // every CAS on it misses
+	)
+	if _, err := st.Put(casKey, "v"); err != nil {
+		t.Fatal(err)
+	}
+	var acked, refused atomic.Int64
+	outcome := func(err error, delta int64) bool {
+		switch {
+		case err == nil:
+			acked.Add(delta)
+		case errors.Is(err, ErrBackpressure):
+			refused.Add(1)
+		default:
+			t.Error(err)
+			return false
+		}
+		return true
+	}
+	deadline := time.Now().Add(3 * ac.Tick) // the controller scores the load
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ops := make([]Op, batchLen)
+			for i := 0; i < 20 || time.Now().Before(deadline); i++ {
+				_, err := st.Add(1000+uint64(i+c)%4, 1)
+				if !outcome(err, 1) {
+					return
+				}
+				_, err = st.CAS(casKey, "w", "x")
+				if !outcome(err, 0) {
+					return
+				}
+				j := uint64(c*131 + i)
+				for k := range ops {
+					ops[k] = Op{Kind: OpAdd, Key: 1000 + (j*7+uint64(k)*8)%counters, Delta: 1}
+				}
+				_, err = st.Batch(ops)
+				if !outcome(err, batchLen) {
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	var sum int64
+	for k := uint64(1000); k < 1000+counters; k++ {
+		v, _, err := st.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := strconv.ParseInt(v, 10, 64)
+		sum += n
+	}
+	stats := st.Stats()
+	if refused.Load() != 0 || stats.Shed != 0 {
+		t.Errorf("store under its knee refused %d writes (shed=%d)", refused.Load(), stats.Shed)
+	}
+	if sum != acked.Load() {
+		t.Errorf("counters sum to %d, %d increments were acknowledged", sum, acked.Load())
+	}
+	for _, sh := range stats.Shards {
+		t.Logf("shard %d: overload %.3f", sh.Shard, sh.Overload)
+		if sh.Overload > ac.ShedKnee {
+			t.Errorf("shard %d crossed the knee (%v): the load is meant to stay under it", sh.Shard, sh.Overload)
 		}
 	}
 }
@@ -117,7 +128,6 @@ func TestShedUnderForcedOverload(t *testing.T) {
 	ac := DefaultAdmitConfig()
 	ac.ShedKnee = 0 // drill mode
 	ac.ShedMax = 0.9
-	ac.PredictorRouting = false
 	ac.Tick = 5 * time.Millisecond
 	st := openAdmitTest(t, ac)
 	if _, err := st.Put(1, "v"); err != nil {
@@ -162,47 +172,190 @@ func TestShedUnderForcedOverload(t *testing.T) {
 	}
 }
 
-// TestPredictorRoutesHotKeys: conflicts on a key (CAS misses) must make
-// subsequent writes to it route through the admission queue.
-func TestPredictorRoutesHotKeys(t *testing.T) {
-	ac := DefaultAdmitConfig()
-	ac.Tick = time.Hour // keep the window from rotating mid-test
-	st := openAdmitTest(t, ac)
-	const hot = uint64(77)
-	if _, err := st.Put(hot, "v"); err != nil {
-		t.Fatal(err)
-	}
-	if swapped, err := st.CAS(hot, "wrong", "w"); err != nil || swapped {
-		t.Fatalf("CAS: swapped=%v err=%v", swapped, err)
-	}
-	if _, err := st.Put(hot, "v2"); err != nil {
-		t.Fatal(err)
-	}
-	stats := st.Stats()
-	if stats.Routed == 0 {
-		t.Fatal("write to a conflicted key was not routed through admission")
-	}
-	if v, okFound, err := st.Get(hot); err != nil || !okFound || v != "v2" {
-		t.Fatalf("routed write lost: %q %v %v", v, okFound, err)
+// TestAdmitConfigNormalized: Open fills a zero tick and a ShedMax outside
+// (0, 1] with the defaults, and keeps the knee as given: a knee <= 0 is
+// drill mode, not "unset".
+func TestAdmitConfigNormalized(t *testing.T) {
+	d := DefaultAdmitConfig()
+	for _, c := range []struct{ in, want AdmitConfig }{
+		{AdmitConfig{}, AdmitConfig{Tick: d.Tick, ShedMax: d.ShedMax}},
+		{AdmitConfig{ShedKnee: -1, ShedMax: 1.5}, AdmitConfig{Tick: d.Tick, ShedKnee: -1, ShedMax: d.ShedMax}},
+		{AdmitConfig{Tick: -time.Second, ShedKnee: 0.02, ShedMax: -0.2}, AdmitConfig{Tick: d.Tick, ShedKnee: 0.02, ShedMax: d.ShedMax}},
+		{AdmitConfig{Tick: time.Second, ShedKnee: 2, ShedMax: 1}, AdmitConfig{Tick: time.Second, ShedKnee: 2, ShedMax: 1}},
+	} {
+		if got := c.in.normalized(); got != c.want {
+			t.Errorf("%+v normalized to %+v, want %+v", c.in, got, c.want)
+		}
 	}
 }
 
-// TestLargeBatchesPassAdmission: large cross-shard batches pass the
-// admission queue.
-func TestLargeBatchesPassAdmission(t *testing.T) {
+// TestShedRampsAndDecays: the controller's AIMD shape, one tick at a time.
+// Past the knee (here drill mode) every shard's shed probability climbs by
+// 0.1 a tick and stops at ShedMax, and batches shed at twice the worst
+// shard's probability; below it the probability halves each tick and drops
+// to 0 under 0.01, and batches stop shedding with it.
+func TestShedRampsAndDecays(t *testing.T) {
 	ac := DefaultAdmitConfig()
-	ac.LargeBatchStripes = 2 // everything cross-shard is "large"
-	ac.PredictorRouting = false
+	ac.Tick = time.Hour // the test drives the ticks
+	ac.ShedKnee = 0
+	ac.ShedMax = 0.5
 	st := openAdmitTest(t, ac)
-	ops := make([]Op, 64)
-	for i := range ops {
-		ops[i] = Op{Kind: OpPut, Key: uint64(i * 101), Value: "b"}
+	c := st.ctrl
+	check := func(want float64) {
+		t.Helper()
+		for i := range c.shards {
+			if got := c.shards[i].shedProb(); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("shard %d shed probability %v, want %v", i, got, want)
+			}
+		}
 	}
-	if _, err := st.Batch(ops); err != nil {
+	for _, want := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.5} {
+		c.tick()
+		check(want)
+	}
+	for i := 0; i < 50; i++ { // 2 × 0.5: every batch sheds
+		if !st.ShedLowPriority() {
+			t.Fatal("batch admitted at a batch shed probability of 1")
+		}
+	}
+	c.cfg.ShedKnee = math.Inf(1) // nothing is past the knee any more
+	for want := 0.25; want >= 0.01; want /= 2 {
+		c.tick()
+		check(want)
+	}
+	c.tick()
+	check(0)
+	if st.ShedLowPriority() {
+		t.Fatal("batch shed once every shard's probability decayed to 0")
+	}
+	if got := st.Stats().ShedBatches; got != 50 {
+		t.Fatalf("ShedBatches = %d, want 50", got)
+	}
+}
+
+// TestShedPastTheKnee: cures, not drill mode, push a shard past a real
+// knee. Eight reads parked on a stripe a writer holds, and nothing
+// committed, score the shard 8 cures per commit; one tick puts its EWMA at
+// 4, past a knee of 1, and it starts shedding — it alone, the other shard
+// scored nothing — and batches follow the worst shard. Once the cures stop
+// the score decays back under the knee and the shedding stops.
+func TestShedPastTheKnee(t *testing.T) {
+	ac := DefaultAdmitConfig()
+	ac.Tick = time.Hour // the test drives the ticks
+	ac.ShedKnee = 1
+	st := openAdmitTest(t, ac)
+	c := st.ctrl
+	const key = 7
+	if _, err := st.Put(key, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if st.ctrl.q.admitted.Load() == 0 {
-		t.Fatal("large cross-shard batch bypassed the admission queue")
+	c.tick() // the put's commit is history
+	hot := st.ShardOf(key)
+	s := st.shards[hot]
+	i := s.locks.LockKey(key)
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := st.Get(key); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	eventually(t, "eight reads wait on the stripe", func() bool {
+		shared, _ := s.locks.Waits()
+		return shared == 8
+	})
+	c.tick()
+	s.locks.Unlock(i)
+	wg.Wait()
+	for j, sh := range st.shards {
+		want, wantP := 0.0, 0.0
+		if j == hot {
+			want, wantP = 4, 0.1
+		}
+		if got := sh.ctl.overload(); got != want {
+			t.Errorf("shard %d overload %v, want %v", j, got, want)
+		}
+		if got := sh.ctl.shedProb(); math.Abs(got-wantP) > 1e-9 {
+			t.Errorf("shard %d shed probability %v, want %v", j, got, wantP)
+		}
+	}
+	if got := math.Float64frombits(c.maxShedBits.Load()); math.Abs(got-0.1) > 1e-9 {
+		t.Errorf("batch shed follows %v, want the worst shard's 0.1", got)
+	}
+	for n := 0; s.ctl.shedProb() > 0; n++ {
+		if n == 20 {
+			t.Fatalf("still shedding at %v twenty idle ticks later (overload %v)", s.ctl.shedProb(), s.ctl.overload())
+		}
+		c.tick()
+	}
+	if s.ctl.overload() > ac.ShedKnee {
+		t.Fatalf("stopped shedding at overload %v, past the knee", s.ctl.overload())
+	}
+}
+
+// TestShedWritesNothing: ErrBackpressure means nothing was written. With
+// every shard's shed probability pinned at 1 (the controller parked on an
+// hour-long tick), each single-key write kind and a batch are refused on an
+// unlogged and on a logged store; the keys keep their values, the log gets
+// no record, the refusals are counted, and reads and multi-key reads are
+// still served.
+func TestShedWritesNothing(t *testing.T) {
+	for _, ring := range []int{0, 64} {
+		name := "unlogged"
+		if ring > 0 {
+			name = "logged"
+		}
+		t.Run(name, func(t *testing.T) {
+			ac := DefaultAdmitConfig()
+			ac.Tick = time.Hour
+			st := openTest(t, Config{Shards: 2, ReplRing: ring, Admission: &ac})
+			defer st.Close()
+			const key, other = 7, 8
+			if _, err := st.Put(key, "5"); err != nil {
+				t.Fatal(err)
+			}
+			head := func() (n uint64) {
+				for i := range st.logs {
+					n += st.logs[i].last()
+				}
+				return n
+			}
+			before := head()
+			for i := range st.ctrl.shards {
+				st.ctrl.shards[i].shedBits.Store(math.Float64bits(1))
+			}
+			st.ctrl.maxShedBits.Store(math.Float64bits(1))
+			writes := map[string]func() error{
+				"Put":    func() error { _, err := st.Put(key, "x"); return err },
+				"Delete": func() error { _, err := st.Delete(key); return err },
+				"CAS":    func() error { _, err := st.CAS(key, "5", "6"); return err },
+				"Add":    func() error { _, err := st.Add(key, 1); return err },
+				"Batch": func() error {
+					_, err := st.Batch([]Op{{Kind: OpAdd, Key: key, Delta: 1}, {Kind: OpPut, Key: other, Value: "y"}})
+					return err
+				},
+			}
+			for name, write := range writes {
+				if err := write(); !errors.Is(err, ErrBackpressure) {
+					t.Errorf("%s: err = %v, want ErrBackpressure", name, err)
+				}
+			}
+			if v, ok, err := st.Get(key); err != nil || !ok || v != "5" {
+				t.Errorf("Get(%d) after shed writes = %q %v %v, want 5", key, v, ok, err)
+			}
+			if vals, err := st.MGet([]uint64{key, other}); err != nil || vals[0].Value != "5" || vals[1].Found {
+				t.Errorf("MGet after shed writes = %+v %v", vals, err)
+			}
+			if got := head(); got != before {
+				t.Errorf("log head moved %d → %d on shed writes", before, got)
+			}
+			if stats := st.Stats(); stats.Shed != 5 || stats.ShedBatches != 1 {
+				t.Errorf("Shed = %d, ShedBatches = %d, want 5 and 1", stats.Shed, stats.ShedBatches)
+			}
+		})
 	}
 }
 
@@ -224,18 +377,6 @@ func BenchmarkAdmissionIdle(b *testing.B) {
 	}
 }
 
-func BenchmarkAdmissionQueue(b *testing.B) {
-	q := newAdmitQueue(2, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := q.acquire(); err != nil {
-			b.Fatal(err)
-		}
-		q.release()
-	}
-}
-
 func BenchmarkAdmissionShed(b *testing.B) {
 	// The cost of a rejection: overload's hot path.
 	c := &shardCtl{}
@@ -243,7 +384,7 @@ func BenchmarkAdmissionShed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.admitWrite(uint64(i)); err == nil {
+		if err := c.admitWrite(); err == nil {
 			b.Fatal("shed at probability 1 admitted a write")
 		}
 	}

@@ -671,16 +671,6 @@ func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 	case len(b.groups) == 1 && !st.logged():
 		err = b.runDirect()
 	default:
-		// Wound-wait admission: a batch that would hold many exclusive
-		// stripes passes the admission queue before holding anything, so
-		// stripe-heavy batches cannot starve hot single-key traffic and
-		// young ones are wounded instead of convoying.
-		if st.ctrl != nil && len(b.locks) >= st.ctrl.cfg.LargeBatchStripes {
-			if err := st.ctrl.q.acquire(); err != nil {
-				return nil, err
-			}
-			defer st.ctrl.q.release()
-		}
 		err = b.runTwoPhase()
 	}
 	if errors.Is(err, ErrCASMismatch) {

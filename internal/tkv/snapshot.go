@@ -120,10 +120,9 @@ type OpCounts struct {
 // reads routed to the logging update path after an RO restart streak.
 // SchedConfirmed/SchedRefuted are AdaptiveShrink's serialization-feedback
 // counters (zero for other schedulers). Stripes is the shard's stripe count
-// (Config.LockStripes, fixed at Open). Overload, Shed and Routed describe
-// the admission layer: the controller's EWMA overload score, and the writes
-// shed with backpressure or routed through the admission queue (all zero
-// when admission is off).
+// (Config.LockStripes, fixed at Open). Overload and Shed describe the
+// admission layer: the controller's EWMA overload score, and the writes shed
+// with backpressure (both zero when admission is off).
 type ShardStats struct {
 	Shard             uint64  `json:"shard"`
 	Commits           uint64  `json:"commits"`
@@ -139,14 +138,13 @@ type ShardStats struct {
 	Stripes           int     `json:"stripes"`
 	Overload          float64 `json:"overload,omitempty"`
 	Shed              uint64  `json:"shed,omitempty"`
-	Routed            uint64  `json:"routed,omitempty"`
 }
 
 // Stats aggregates the store's state: per-shard engine counters (including
 // scheduler serializations and AdaptiveShrink feedback where attached),
 // stripe-wait, RO-fallback and admission counters, and store-level op
-// counts. The admission totals (Shed, ShedBatches, Wounded, AdmitQueued)
-// are zero when the store runs without an admission layer.
+// counts. The admission totals (Shed, ShedBatches) are zero when the store
+// runs without an admission layer.
 type Stats struct {
 	Shards            []ShardStats `json:"shards"`
 	Commits           uint64       `json:"commits"`
@@ -160,10 +158,6 @@ type Stats struct {
 	ROFallbacks       uint64       `json:"roFallbacks"`
 	Shed              uint64       `json:"shed,omitempty"`
 	ShedBatches       uint64       `json:"shedBatches,omitempty"`
-	Routed            uint64       `json:"routed,omitempty"`
-	Wounded           uint64       `json:"wounded,omitempty"`
-	AdmitQueued       uint64       `json:"admitQueued,omitempty"`
-	AdmitDepth        int          `json:"admitDepth,omitempty"`
 	Ops               OpCounts     `json:"ops"`
 	// Repl is the replication status (roles, per-shard watermarks, lag,
 	// overflows, resyncs); nil when the store runs without a ReplLog.
@@ -199,7 +193,6 @@ func (st *Store) Stats() Stats {
 		if s.ctl != nil {
 			ss.Overload = s.ctl.overload()
 			ss.Shed = s.ctl.shed.Load()
-			ss.Routed = s.ctl.routed.Load()
 		}
 		out.Shards[i] = ss
 		out.Commits += ss.Commits
@@ -212,14 +205,10 @@ func (st *Store) Stats() Stats {
 		out.StripeWaitsExcl += ss.StripeWaitsExcl
 		out.ROFallbacks += ss.ROFallbacks
 		out.Shed += ss.Shed
-		out.Routed += ss.Routed
 	}
 	if st.ctrl != nil {
 		out.ShedBatches = st.ctrl.shedBatches.Load()
 		out.Shed += out.ShedBatches
-		out.Wounded = st.ctrl.q.wounded.Load()
-		out.AdmitQueued = st.ctrl.q.waited.Load()
-		out.AdmitDepth = st.ctrl.q.depth()
 	}
 	out.Ops = OpCounts{
 		Gets:           st.ops.gets.Load(),

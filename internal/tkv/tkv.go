@@ -128,11 +128,11 @@ type Config struct {
 	Scheduler string
 	Wait      stm.WaitPolicy
 	Shrink    *sched.ShrinkConfig
-	// Admission enables the contention-aware admission layer (overload
-	// shedding, wound-wait batch admission, predictor-routed writes; see
-	// AdmitConfig). nil disables it entirely: no controller goroutine runs
-	// and the serving paths pay nothing. A Store opened with Admission set
-	// should be Closed.
+	// Admission enables the admission layer: a per-shard controller that
+	// sheds writes and batches with ErrBackpressure once the shard is past
+	// its overload knee, and refuses nothing below it (see AdmitConfig). nil
+	// disables it entirely: no controller goroutine runs and the serving
+	// paths pay nothing. A Store opened with Admission set should be Closed.
 	Admission *AdmitConfig
 	// ReplRing attaches a replication log (see repl.go): every shard's log
 	// keeps a window of its last ReplRing records in memory, which the
@@ -458,32 +458,6 @@ func (s *shard) atomicallyRO(fn func(tx *stm.ROTx) error) error {
 	return s.pool.threads[i].AtomicallyRO(fn)
 }
 
-// atomicallyW is atomically for Store.write: when the admission layer is
-// on, a transaction that had to restart feeds its key to the shard's
-// conflict predictor, so the next write to the same key can be routed
-// through the admission queue instead of racing. Without the layer it is
-// the plain path. It stays a function of its own because its defer is the
-// thread's hold: the thread goes back when the transaction ends, before
-// write emits the record, not when write's stripe does.
-func (s *shard) atomicallyW(key uint64, fn func(tx stm.Tx) error) error {
-	if s.ctl == nil {
-		return s.atomically(fn)
-	}
-	i := s.pool.claim()
-	th := s.pool.threads[i]
-	before := th.Ctx().Aborts.Load()
-	defer func() {
-		// The pooled thread is exclusively ours between claim and
-		// release, so the abort-counter delta is exactly this call's
-		// restart count.
-		if d := th.Ctx().Aborts.Load() - before; d > 0 {
-			s.ctl.noteConflict(key, d)
-		}
-		s.pool.release(i)
-	}()
-	return th.Atomically(fn)
-}
-
 // roFallbackStreak is the number of consecutive read-only snapshot restarts
 // on a shard's read path after which the next read runs on the logging
 // update path instead. The RO mode restarts whole attempts whenever a
@@ -579,15 +553,10 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 	sh := st.ShardOf(op.key)
 	s := st.shards[sh]
 	if s.ctl != nil {
-		// Admission may shed the write (ErrBackpressure) or route a key the
-		// conflict predictor flags through the admission queue, whose slot
-		// is then held for the whole operation.
-		routed, err := s.ctl.admitWrite(op.key)
-		if err != nil {
+		// Past its overload knee the shard sheds the write before it takes
+		// anything.
+		if err := s.ctl.admitWrite(); err != nil {
 			return false, 0, nil, err
-		}
-		if routed {
-			defer s.ctl.q.release()
 		}
 	}
 	logged := st.logged()
@@ -599,14 +568,14 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 		defer s.locks.RUnlock(i)
 	}
 	if st.ro.Load() {
-		// The fence went up while this write waited for admission or the
-		// stripe. SetReadOnly(true) is waiting for this stripe (or has had
-		// it already): nothing may commit behind it.
+		// The fence went up while this write waited for the stripe.
+		// SetReadOnly(true) is waiting for this stripe (or has had it
+		// already): nothing may commit behind it.
 		return false, 0, nil, ErrNotPrimary
 	}
 	sl := s.slot()
 	sl.writeOp = op
-	err = s.atomicallyW(op.key, sl.write[op.kind])
+	err = s.atomically(sl.write[op.kind])
 	ok, n = sl.outOK, sl.outN
 	sl.release()
 	if err != nil {
@@ -614,12 +583,6 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 	}
 	if op.kind == kindCAS && !ok {
 		st.ops.casMisses.Add(1)
-		if s.ctl != nil {
-			// A CAS miss is a key-level conflict the engine never sees (the
-			// compare fails in a committed read); feed it to the predictor
-			// all the same.
-			s.ctl.noteConflict(op.key, 1)
-		}
 	}
 	// A put and an Add always change their key; a delete and a CAS did iff ok.
 	if logged && (ok || op.kind == kindPut || op.kind == kindAdd) {

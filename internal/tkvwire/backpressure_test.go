@@ -21,7 +21,6 @@ func startShedServer(t testing.TB) string {
 	ac := tkv.DefaultAdmitConfig()
 	ac.Tick = 5 * time.Millisecond
 	ac.ShedKnee = 0 // drill mode
-	ac.PredictorRouting = false
 	return startServerWith(t, tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128, Admission: &ac})
 }
 
