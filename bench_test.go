@@ -418,24 +418,6 @@ func BenchmarkAblationSetStructure(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdaptive compares paper-exact Shrink against the
-// feedback-tuned AdaptiveShrink extension on a contended workload.
-func BenchmarkAblationAdaptive(b *testing.B) {
-	for _, scheduler := range []string{harness.SchedShrink, harness.SchedAdaptive} {
-		scheduler := scheduler
-		b.Run(scheduler, func(b *testing.B) {
-			measure(b, harness.Config{
-				Engine:    harness.EngineTiny,
-				Scheduler: scheduler,
-				Threads:   16,
-				Duration:  benchDur,
-				Cores:     8,
-				Seed:      1,
-			}, func() harness.Workload { return microbench.NewRBTree(4096, 70) })
-		})
-	}
-}
-
 // --- Engine microbenchmarks (ns/op, allocations) ---
 
 func BenchmarkSwissReadOnlyTx(b *testing.B) {

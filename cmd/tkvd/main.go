@@ -4,7 +4,7 @@
 // get/put/delete/cas/add fast paths (the get/put serving path allocates
 // nothing), cross-shard atomic batches (including cas ops) admitted per key
 // through striped key locks, batched multi-key reads, consistent snapshots
-// and the per-shard engine counters (commits, aborts, Shrink
+// and the per-shard engine counters (commits, aborts, scheduler
 // serializations, stripe waits, read-only fallbacks). Each shard runs its
 // own STM engine instance with its own scheduler, so this is the serving
 // scenario the paper's thesis is about: prediction-based scheduling keeping
@@ -107,7 +107,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		stripes = fs.Int("stripes", 0,
 			"key-lock stripes per shard, rounded up to a power of two (0 = default)")
 		schedName = fs.String("sched", enginecfg.SchedShrink,
-			"per-shard scheduler: none, shrink, ats, pool or adaptive")
+			"per-shard scheduler: none, shrink, ats or pool")
 		role = fs.String("role", "primary",
 			"replication role: primary (serves writes, streams to followers) or "+
 				"follower (replays a primary, serves reads, POST /promote to take over)")

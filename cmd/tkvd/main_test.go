@@ -99,6 +99,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-sched", "bogus", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
 		t.Fatal("bogus scheduler accepted")
 	}
+	// Shrink's feedback-tuned fork is gone with its name.
+	err := run([]string{"-sched", "adaptive", "-addr", "127.0.0.1:0"}, &out, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown scheduler "adaptive"`) {
+		t.Fatalf("-sched adaptive: err = %v, want the unknown-scheduler error", err)
+	}
 	if err := run([]string{"-wait", "bogus"}, &out, nil, nil); err == nil {
 		t.Fatal("bogus wait policy accepted")
 	}

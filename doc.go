@@ -5,7 +5,10 @@
 // attaches to, the baseline schedulers and contention managers it is
 // evaluated against, the benchmarks of the paper's evaluation (STMBench7,
 // ten STAMP kernels, a red-black tree microbenchmark), and a simulator for
-// the paper's scheduling theory (Theorems 1-3).
+// the paper's scheduling theory (Theorems 1-3). Every scheduler counts the
+// transaction starts it serializes in the starting thread's counters
+// (stm.Stats.Serializations), so Shrink's prevention and ATS's and Pool's
+// cure are compared on one number.
 //
 // The implementation lives under internal/; the runnable entry points are
 // the commands under cmd/ (one per figure family), the examples under
@@ -43,7 +46,8 @@
 // while requests are shed, across a kill -9 and across a failover — the
 // paper's "many threads hammering shared state" regime as a live server.
 // tkvd -admit adds one admission controller per shard: it scores the
-// shard's cure cost per commit (aborts, serializations and stripe waits)
+// shard's cure cost per commit (aborts, the attached scheduler's
+// serializations and stripe waits)
 // every tick, and past a knee it sheds writes, and batches at twice that
 // rate before they are decoded, with backpressure; below the knee it
 // refuses nothing. How fast the store is belongs to the repository benchmark, bench/.

@@ -71,7 +71,7 @@ func main() {
 func run() error {
 	const threads = 16 // overloaded relative to the emulated 8 cores
 	fmt.Printf("hot-account bank, %d threads on 8 emulated cores, 300ms per scheduler\n\n", threads)
-	fmt.Printf("%-8s %12s %12s %10s\n", "sched", "tx/s", "commits", "abortRate")
+	fmt.Printf("%-8s %12s %12s %10s %10s\n", "sched", "tx/s", "commits", "abortRate", "serial")
 
 	var wg sync.WaitGroup // keeps the comparison sequential but shows intent
 	wg.Wait()
@@ -89,8 +89,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-8s %12.0f %12d %10.3f\n",
-			scheduler, res.Throughput, res.Commits, res.AbortRate)
+		fmt.Printf("%-8s %12.0f %12d %10.3f %10d\n",
+			scheduler, res.Throughput, res.Commits, res.AbortRate, res.Serializations)
 	}
 	fmt.Println("\nExpected shape: shrink sustains throughput with fewer aborts than")
 	fmt.Println("the base STM; ATS/Pool serialize more coarsely and lose parallelism.")

@@ -1,6 +1,6 @@
 // Quickstart: the smallest end-to-end use of the library — create a
 // SwissTM-like STM with the Shrink scheduler, run concurrent transfer
-// transactions, and print the commit/abort statistics.
+// transactions, and print the commit, abort and serialization statistics.
 package main
 
 import (
@@ -25,9 +25,8 @@ func main() {
 func run() error {
 	// 1. Build a TM: SwissTM-like engine + Shrink scheduler (the paper's
 	//    parameters) + Greedy contention management.
-	shrink := sched.NewShrink(sched.DefaultShrinkConfig())
 	tm := swiss.New(swiss.Options{
-		Scheduler: shrink,
+		Scheduler: sched.NewShrink(sched.DefaultShrinkConfig()),
 		CM:        &cm.Greedy{},
 		Wait:      stm.WaitPreemptive,
 	})
@@ -98,7 +97,7 @@ func run() error {
 	fmt.Printf("total balance: %d (expected %d)\n", total, accounts*100)
 	fmt.Printf("commits: %d  aborts: %d  commit rate: %.1f%%\n",
 		stats.Commits, stats.Aborts, stats.CommitRate()*100)
-	fmt.Printf("shrink serializations: %d\n", shrink.Serializations())
+	fmt.Printf("shrink serializations: %d\n", stats.Serializations)
 	if total != accounts*100 {
 		return fmt.Errorf("money not conserved")
 	}

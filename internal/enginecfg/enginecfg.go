@@ -28,9 +28,6 @@ const (
 	SchedShrink = "shrink"
 	SchedATS    = "ats"
 	SchedPool   = "pool"
-	// SchedAdaptive is this reproduction's extension: Shrink with
-	// feedback-tuned serialization aggressiveness (see sched.AdaptiveShrink).
-	SchedAdaptive = "adaptive"
 )
 
 // Spec names one engine/scheduler/wait combination. The zero value is the
@@ -48,54 +45,13 @@ type Spec struct {
 	TrackAccuracy bool
 }
 
-// Sched carries the scheduler instance Build attached to a TM, giving the
-// serving and reporting layers uniform access to the counters a scheduler
-// exposes without knowing which concrete scheduler is behind the stack. At
-// most one field is non-nil; both are nil for none/ats/pool specs. All
-// methods are nil-receiver safe, so callers report through a *Sched
-// unconditionally.
-type Sched struct {
-	Shrink   *sched.Shrink
-	Adaptive *sched.AdaptiveShrink
-}
-
-// Serializations returns the scheduler's cumulative serialized-commit
-// count, or 0 when the stack has no serializing scheduler.
-func (s *Sched) Serializations() uint64 {
-	switch {
-	case s == nil:
-		return 0
-	case s.Shrink != nil:
-		return s.Shrink.Serializations()
-	case s.Adaptive != nil:
-		return s.Adaptive.Serializations()
-	}
-	return 0
-}
-
-// Feedback returns AdaptiveShrink's confirmed/refuted serialization
-// feedback counters (0, 0 for every other scheduler).
-func (s *Sched) Feedback() (confirmed, refuted uint64) {
-	if s == nil || s.Adaptive == nil {
-		return 0, 0
-	}
-	return s.Adaptive.Feedback()
-}
-
-// ShrinkFor returns the Shrink instance for accuracy instrumentation, or
-// nil when the spec named a different scheduler.
-func (s *Sched) ShrinkFor() *sched.Shrink {
-	if s == nil {
-		return nil
-	}
-	return s.Shrink
-}
-
-// Build constructs the TM for a spec and, when the spec names a scheduler
-// with reportable counters, the Sched handle for them (nil otherwise).
-func Build(spec Spec) (stm.TM, *Sched, error) {
+// Build constructs the TM for a spec. Every scheduler counts its serialized
+// starts in the threads' contexts, so the TM's Stats report them; the
+// *sched.Shrink is returned, non-nil only when the spec names shrink, for
+// the prediction-accuracy counters only Shrink has.
+func Build(spec Spec) (stm.TM, *sched.Shrink, error) {
 	var scheduler stm.Scheduler = stm.NopScheduler{}
-	var handle *Sched
+	var shrink *sched.Shrink
 	switch spec.Scheduler {
 	case SchedNone, "":
 	case SchedShrink:
@@ -107,17 +63,8 @@ func Build(spec Spec) (stm.TM, *Sched, error) {
 			sc.Predict.TrackAccuracy = true
 			sc.EagerPrediction = true
 		}
-		shrink := sched.NewShrink(sc)
+		shrink = sched.NewShrink(sc)
 		scheduler = shrink
-		handle = &Sched{Shrink: shrink}
-	case SchedAdaptive:
-		sc := sched.DefaultShrinkConfig()
-		if spec.Shrink != nil {
-			sc = *spec.Shrink
-		}
-		adaptive := sched.NewAdaptiveShrink(sc)
-		scheduler = adaptive
-		handle = &Sched{Adaptive: adaptive}
 	case SchedATS:
 		scheduler = sched.NewATS()
 	case SchedPool:
@@ -131,13 +78,13 @@ func Build(spec Spec) (stm.TM, *Sched, error) {
 		if wait == 0 {
 			wait = stm.WaitPreemptive
 		}
-		return swiss.New(swiss.Options{Scheduler: scheduler, CM: &cm.Greedy{}, Wait: wait}), handle, nil
+		return swiss.New(swiss.Options{Scheduler: scheduler, CM: &cm.Greedy{}, Wait: wait}), shrink, nil
 	case EngineTiny:
 		wait := spec.Wait
 		if wait == 0 {
 			wait = stm.WaitBusy
 		}
-		return tiny.New(tiny.Options{Scheduler: scheduler, CM: cm.Suicide{}, Wait: wait}), handle, nil
+		return tiny.New(tiny.Options{Scheduler: scheduler, CM: cm.Suicide{}, Wait: wait}), shrink, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown engine %q", spec.Engine)
 	}

@@ -36,26 +36,19 @@ func TestWaitLabels(t *testing.T) {
 
 func TestBuildEveryCombination(t *testing.T) {
 	engines := []string{"", EngineSwiss, EngineTiny}
-	scheds := []string{"", SchedNone, SchedShrink, SchedATS, SchedPool, SchedAdaptive}
+	scheds := []string{"", SchedNone, SchedShrink, SchedATS, SchedPool}
 	for _, e := range engines {
 		for _, s := range scheds {
-			tm, sc, err := Build(Spec{Engine: e, Scheduler: s})
+			tm, shrink, err := Build(Spec{Engine: e, Scheduler: s})
 			if err != nil {
 				t.Fatalf("Build(%q,%q): %v", e, s, err)
 			}
 			if tm == nil {
 				t.Fatalf("Build(%q,%q): nil TM", e, s)
 			}
-			wantHandle := s == SchedShrink || s == SchedAdaptive
-			if (sc != nil) != wantHandle {
-				t.Fatalf("Build(%q,%q): sched handle=%v", e, s, sc)
+			if (s == SchedShrink) != (shrink != nil) {
+				t.Fatalf("Build(%q,%q): shrink=%v", e, s, shrink)
 			}
-			if (s == SchedShrink) != (sc.ShrinkFor() != nil) {
-				t.Fatalf("Build(%q,%q): ShrinkFor=%v", e, s, sc.ShrinkFor())
-			}
-			// Counter accessors must be nil-receiver safe across all specs.
-			_ = sc.Serializations()
-			_, _ = sc.Feedback()
 			// The built TM must actually run a transaction.
 			th := tm.Register("t0")
 			v := stm.NewT[int](1)
@@ -71,11 +64,51 @@ func TestBuildEveryCombination(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := Build(Spec{Engine: "bogus"}); err == nil {
-		t.Fatal("bogus engine accepted")
+	for _, bad := range []Spec{{Engine: "bogus"}, {Scheduler: "bogus"}, {Scheduler: "adaptive"}} {
+		if _, _, err := Build(bad); err == nil {
+			t.Fatalf("Build(%+v) accepted", bad)
+		}
 	}
-	if _, _, err := Build(Spec{Scheduler: "bogus"}); err == nil {
-		t.Fatal("bogus scheduler accepted")
+}
+
+// TestPoolCountsTheSerializedRetry forces exactly one abort on each engine
+// and checks that the TM's stats report the one serialized start Pool gives
+// its retry: the transaction reads v, a second thread commits a write to v,
+// and the first one's own write to v then fails validation.
+func TestPoolCountsTheSerializedRetry(t *testing.T) {
+	for _, e := range []string{EngineSwiss, EngineTiny} {
+		t.Run(e, func(t *testing.T) {
+			tm, _, err := Build(Spec{Engine: e, Scheduler: SchedPool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th, other := tm.Register("t0"), tm.Register("t1")
+			v := stm.NewT[int](0)
+			attempts := 0
+			err = th.Atomically(func(tx stm.Tx) error {
+				attempts++
+				n, err := stm.ReadT(tx, v)
+				if err != nil {
+					return err
+				}
+				if attempts == 1 {
+					if err := other.Atomically(func(tx stm.Tx) error { return stm.WriteT(tx, v, 10) }); err != nil {
+						return err
+					}
+				}
+				return stm.WriteT(tx, v, n+1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := tm.Stats()
+			if attempts != 2 || st.Aborts != 1 || st.Commits != 2 || st.Serializations != 1 {
+				t.Fatalf("attempts = %d, stats = %+v; want 2 attempts, 1 abort, 2 commits, 1 serialization", attempts, st)
+			}
+			if got := th.Ctx().Serializations.Load(); got != 1 {
+				t.Fatalf("the retrying thread counted %d serializations, want 1", got)
+			}
+		})
 	}
 }
 

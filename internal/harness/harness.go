@@ -1,8 +1,8 @@
 // Package harness runs the paper's throughput experiments: it builds a TM
 // engine with a chosen scheduler, spawns worker goroutines ("threads"),
 // drives a workload for a fixed duration, and reports committed-transaction
-// throughput, abort rates, and (for Shrink) prediction accuracy and
-// serialization counts — the series behind Figures 3 and 5–11.
+// throughput, abort rates, serialization counts and (for Shrink) prediction
+// accuracy — the series behind Figures 3 and 5–11.
 //
 // The paper's machine had 8 cores; this harness emulates "cores" with
 // GOMAXPROCS, so a run is overloaded when Threads exceeds Cores. On hosts
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
-	"github.com/shrink-tm/shrink/internal/predict"
 	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/trace"
@@ -46,11 +45,10 @@ const (
 
 // Scheduler names (see enginecfg).
 const (
-	SchedNone     = enginecfg.SchedNone
-	SchedShrink   = enginecfg.SchedShrink
-	SchedATS      = enginecfg.SchedATS
-	SchedPool     = enginecfg.SchedPool
-	SchedAdaptive = enginecfg.SchedAdaptive
+	SchedNone   = enginecfg.SchedNone
+	SchedShrink = enginecfg.SchedShrink
+	SchedATS    = enginecfg.SchedATS
+	SchedPool   = enginecfg.SchedPool
 )
 
 // Config describes one experiment cell.
@@ -89,10 +87,11 @@ type Result struct {
 	Throughput float64
 	// AbortRate is aborts / (commits + aborts).
 	AbortRate float64
-	// Prediction accuracy and serializations (Shrink runs only).
-	ReadAccuracy   float64
-	WriteAccuracy  float64
+	// Serializations counts the attempts the scheduler started serialized.
 	Serializations uint64
+	// Prediction accuracy (Shrink runs only).
+	ReadAccuracy  float64
+	WriteAccuracy float64
 	// OpLatency and Retries are populated when Config.Trace is set.
 	OpLatency *trace.Histogram
 	Retries   *trace.RetryDist
@@ -100,19 +99,18 @@ type Result struct {
 
 // String formats the result as one table row.
 func (r Result) String() string {
-	row := fmt.Sprintf("%-14s %-6s %-7s %-10s thr=%2d  tx/s=%10.0f  commits=%8d  abortRate=%.3f",
-		r.Workload, r.Engine, r.Scheduler, r.Wait, r.Threads, r.Throughput, r.Commits, r.AbortRate)
+	row := fmt.Sprintf("%-14s %-6s %-7s %-10s thr=%2d  tx/s=%10.0f  commits=%8d  abortRate=%.3f  serial=%d",
+		r.Workload, r.Engine, r.Scheduler, r.Wait, r.Threads, r.Throughput, r.Commits, r.AbortRate, r.Serializations)
 	if r.Scheduler == SchedShrink {
-		row += fmt.Sprintf("  readAcc=%.2f writeAcc=%.2f serial=%d",
-			r.ReadAccuracy, r.WriteAccuracy, r.Serializations)
+		row += fmt.Sprintf("  readAcc=%.2f writeAcc=%.2f", r.ReadAccuracy, r.WriteAccuracy)
 	}
 	return row
 }
 
 // buildTM constructs the engine/scheduler/CM combination for a config
-// through enginecfg.Build. It returns the TM and, when applicable, the
-// scheduler handle for accuracy/serialization reporting.
-func buildTM(cfg Config) (stm.TM, *enginecfg.Sched, error) {
+// through enginecfg.Build. It returns the TM and, for Shrink runs, the
+// scheduler for accuracy reporting.
+func buildTM(cfg Config) (stm.TM, *sched.Shrink, error) {
 	return enginecfg.Build(enginecfg.Spec{
 		Engine:        cfg.Engine,
 		Scheduler:     cfg.Scheduler,
@@ -142,7 +140,7 @@ func Run(cfg Config, newWorkload func() Workload) (Result, error) {
 		prev := runtime.GOMAXPROCS(cfg.Cores)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	tm, sc, err := buildTM(cfg)
+	tm, shrink, err := buildTM(cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -210,12 +208,13 @@ func Run(cfg Config, newWorkload func() Workload) (Result, error) {
 
 	agg := stm.AggregateStats(tm.Threads())
 	res := Result{
-		Config:     cfg,
-		Workload:   w.Name(),
-		Elapsed:    elapsed,
-		Commits:    agg.Commits - setupStats.Commits,
-		Aborts:     agg.Aborts - setupStats.Aborts,
-		UserAborts: agg.UserAborts - setupStats.UserAborts,
+		Config:         cfg,
+		Workload:       w.Name(),
+		Elapsed:        elapsed,
+		Commits:        agg.Commits - setupStats.Commits,
+		Aborts:         agg.Aborts - setupStats.Aborts,
+		UserAborts:     agg.UserAborts - setupStats.UserAborts,
+		Serializations: agg.Serializations - setupStats.Serializations,
 	}
 	for _, n := range ops {
 		res.Ops += n
@@ -224,11 +223,10 @@ func Run(cfg Config, newWorkload func() Workload) (Result, error) {
 	if total := res.Commits + res.Aborts; total > 0 {
 		res.AbortRate = float64(res.Aborts) / float64(total)
 	}
-	if shrink := sc.ShrinkFor(); shrink != nil {
+	if shrink != nil {
 		acc := shrink.Accuracy(tm.Threads())
 		res.ReadAccuracy = acc.ReadAccuracy()
 		res.WriteAccuracy = acc.WriteAccuracy()
-		res.Serializations = shrink.Serializations()
 	}
 	res.OpLatency = latency
 	res.Retries = retries
@@ -300,9 +298,3 @@ func StampUnderloaded() []int { return []int{2, 4, 8} }
 
 // StampOverloaded returns the overloaded STAMP thread counts.
 func StampOverloaded() []int { return []int{16, 32, 64} }
-
-// AccuracyStatsOf exposes a Shrink scheduler's aggregate prediction
-// accuracy for a finished TM (used by the Figure 3 harness).
-func AccuracyStatsOf(s *sched.Shrink, tm stm.TM) predict.AccuracyStats {
-	return s.Accuracy(tm.Threads())
-}

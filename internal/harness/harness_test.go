@@ -105,6 +105,78 @@ func TestShrinkResultCarriesAccuracy(t *testing.T) {
 	}
 }
 
+// abortOnceWorkload makes every operation abort exactly once: the worker's
+// transaction reads v, the setup thread (idle after Setup, and driven only
+// from inside the single worker's transaction) commits a write to v, and
+// the worker's own write to v then fails validation.
+type abortOnceWorkload struct {
+	v     *stm.TVar[int]
+	other stm.Thread
+}
+
+func (w *abortOnceWorkload) Name() string { return "abort-once" }
+
+func (w *abortOnceWorkload) Setup(th stm.Thread) error {
+	w.v, w.other = stm.NewT(0), th
+	return nil
+}
+
+func (w *abortOnceWorkload) Op(th stm.Thread, rng *rand.Rand) error {
+	attempts := 0
+	return th.Atomically(func(tx stm.Tx) error {
+		attempts++
+		n, err := stm.ReadT(tx, w.v)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			if err := w.other.Atomically(func(tx stm.Tx) error { return stm.WriteT(tx, w.v, -1) }); err != nil {
+				return err
+			}
+		}
+		return stm.WriteT(tx, w.v, n+1)
+	})
+}
+
+// TestSerializationsForEveryScheduler checks that Result.Serializations is
+// the schedulers' own count, for every scheduler, net of the setup thread.
+// Every operation aborts once and retries: Pool serializes every retry,
+// ATS serializes once its contention intensity settles above the
+// threshold, and the base system serializes nothing.
+func TestSerializationsForEveryScheduler(t *testing.T) {
+	for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink, harness.SchedATS, harness.SchedPool} {
+		res, err := harness.Run(harness.Config{
+			Engine:    harness.EngineSwiss,
+			Scheduler: scheduler,
+			Threads:   1,
+			Duration:  20 * time.Millisecond,
+		}, func() harness.Workload { return &abortOnceWorkload{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ops == 0 || res.Aborts != res.Ops {
+			t.Fatalf("%s: ops = %d, aborts = %d; want one abort per op", scheduler, res.Ops, res.Aborts)
+		}
+		switch scheduler {
+		case harness.SchedNone:
+			if res.Serializations != 0 {
+				t.Errorf("none: serializations = %d, want 0", res.Serializations)
+			}
+		case harness.SchedPool:
+			if res.Serializations != res.Ops {
+				t.Errorf("pool: serializations = %d, want one per op (%d)", res.Serializations, res.Ops)
+			}
+		case harness.SchedATS:
+			if res.Serializations == 0 || res.Serializations > res.Ops {
+				t.Errorf("ats: serializations = %d, want in [1, %d]", res.Serializations, res.Ops)
+			}
+		}
+		if !strings.Contains(res.String(), "serial=") {
+			t.Errorf("%s row missing serial=: %s", scheduler, res.String())
+		}
+	}
+}
+
 func TestRunSeries(t *testing.T) {
 	results, err := harness.RunSeries(harness.Config{
 		Engine:   harness.EngineSwiss,

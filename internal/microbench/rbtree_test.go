@@ -113,18 +113,3 @@ func TestSkipListWorkloadDefaults(t *testing.T) {
 		t.Fatalf("defaults = %d/%d", w.Range, w.UpdatePercent)
 	}
 }
-
-func TestAdaptiveSchedulerThroughHarness(t *testing.T) {
-	res, err := harness.Run(harness.Config{
-		Engine:    harness.EngineSwiss,
-		Scheduler: harness.SchedAdaptive,
-		Threads:   4,
-		Duration:  40 * time.Millisecond,
-	}, func() harness.Workload { return microbench.NewRBTree(512, 70) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits == 0 {
-		t.Fatal("no commits under adaptive scheduler")
-	}
-}

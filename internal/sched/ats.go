@@ -23,10 +23,8 @@ type ATS struct {
 }
 
 type atsThread struct {
-	ci       float64
-	inQueue  bool
-	serials  uint64
-	attempts uint64
+	ci      float64
+	inQueue bool
 }
 
 var _ stm.Scheduler = (*ATS)(nil)
@@ -50,14 +48,13 @@ func (a *ATS) BeforeStart(t *stm.ThreadCtx, attempt int) {
 	if st == nil {
 		return
 	}
-	st.attempts++
 	if st.inQueue {
 		return
 	}
 	if st.ci > a.Threshold {
 		a.q.Lock()
 		st.inQueue = true
-		st.serials++
+		t.Serializations.Add(1)
 	}
 }
 
@@ -90,18 +87,6 @@ func (a *ATS) dequeue(st *atsThread) {
 		st.inQueue = false
 		a.q.Unlock()
 	}
-}
-
-// Serializations returns the number of serialized transaction starts across
-// the given threads.
-func (a *ATS) Serializations(threads []*stm.ThreadCtx) uint64 {
-	var n uint64
-	for _, t := range threads {
-		if st := a.state(t); st != nil {
-			n += st.serials
-		}
-	}
-	return n
 }
 
 // Pool is the simple scheduler the paper built to study the serialization
@@ -138,6 +123,7 @@ func (p *Pool) BeforeStart(t *stm.ThreadCtx, attempt int) {
 	if st.lastAborted {
 		p.q.Lock()
 		st.inQueue = true
+		t.Serializations.Add(1)
 	}
 }
 

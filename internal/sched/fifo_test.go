@@ -89,7 +89,7 @@ func TestShrinkAblationFlags(t *testing.T) {
 		s.AfterAbort(ctx, stm.MakeWriteSet(v))
 	}
 	s.BeforeStart(ctx, 0)
-	if s.Serializations() != 0 {
+	if ctx.Serializations.Load() != 0 {
 		t.Fatal("serialized despite write prediction disabled and empty read prediction")
 	}
 	s.AfterCommit(ctx, stm.WriteSet{})

@@ -68,7 +68,7 @@ func TestShrinkSerializesOnPredictedConflict(t *testing.T) {
 		close(done)
 	}()
 	<-done
-	if got := s.Serializations(); got != 1 {
+	if got := victim.Serializations.Load(); got != 1 {
 		t.Fatalf("serializations = %d, want 1", got)
 	}
 	if got := s.WaitCount(); got != 1 {
@@ -98,7 +98,7 @@ func TestShrinkNoSerializationWhenHealthy(t *testing.T) {
 	// One commit pushes the rate back up before the check.
 	s.AfterCommit(ctx, stm.WriteSet{})
 	s.BeforeStart(ctx, 0)
-	if got := s.Serializations(); got != 0 {
+	if got := ctx.Serializations.Load(); got != 0 {
 		t.Fatalf("healthy thread serialized %d times", got)
 	}
 	s.AfterCommit(ctx, stm.WriteSet{})
@@ -118,8 +118,10 @@ func TestShrinkMutualExclusionOfSerializedStarts(t *testing.T) {
 	var inCritical, maxInCritical int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	ctxs := make([]*stm.ThreadCtx, n)
 	for i := 0; i < n; i++ {
 		ctx := &stm.ThreadCtx{ID: i}
+		ctxs[i] = ctx
 		s.RegisterThread(ctx)
 		for a := 0; a < 3; a++ {
 			s.BeforeStart(ctx, a)
@@ -145,7 +147,7 @@ func TestShrinkMutualExclusionOfSerializedStarts(t *testing.T) {
 	if maxInCritical > 1 {
 		t.Fatalf("%d serialized transactions ran concurrently", maxInCritical)
 	}
-	if got := s.Serializations(); got < n {
+	if got := stm.AggregateStats(ctxs).Serializations; got < n {
 		t.Fatalf("serializations = %d, want at least %d", got, n)
 	}
 }
@@ -154,15 +156,26 @@ func TestATSContentionIntensity(t *testing.T) {
 	a := sched.NewATS()
 	ctx := &stm.ThreadCtx{ID: 0}
 	a.RegisterThread(ctx)
-	// Repeated aborts push CI toward 1 and trigger queueing; the thread
-	// must then release on commit.
-	for i := 0; i < 6; i++ {
+	// Repeated aborts push CI toward 1 and trigger queueing. The first
+	// three leave CI at 0.578 (0.25, 0.4375, 0.578): the first two starts
+	// run free, the third and fourth are over the threshold.
+	for i := 0; i < 3; i++ {
 		a.BeforeStart(ctx, i)
 		a.AfterAbort(ctx, stm.WriteSet{})
 	}
-	a.BeforeStart(ctx, 0)
-	if got := a.Serializations([]*stm.ThreadCtx{ctx}); got == 0 {
-		t.Fatal("ATS never serialized a high-CI thread")
+	if got := ctx.Serializations.Load(); got != 0 {
+		t.Fatalf("serializations = %d before CI crossed the threshold, want 0", got)
+	}
+	a.BeforeStart(ctx, 3)
+	if got := ctx.Serializations.Load(); got != 1 {
+		t.Fatalf("serializations = %d after a high-CI start, want 1", got)
+	}
+	// A queued transaction keeps the queue across its retries: the retry
+	// is the same serialized transaction, not a second one.
+	a.AfterAbort(ctx, stm.WriteSet{})
+	a.BeforeStart(ctx, 4)
+	if got := ctx.Serializations.Load(); got != 1 {
+		t.Fatalf("serializations = %d after a queued retry, want 1", got)
 	}
 	a.AfterCommit(ctx, stm.WriteSet{})
 	// Commits decay CI back below threshold eventually.
@@ -170,10 +183,10 @@ func TestATSContentionIntensity(t *testing.T) {
 		a.BeforeStart(ctx, 0)
 		a.AfterCommit(ctx, stm.WriteSet{})
 	}
-	before := a.Serializations([]*stm.ThreadCtx{ctx})
+	before := ctx.Serializations.Load()
 	a.BeforeStart(ctx, 0)
 	a.AfterCommit(ctx, stm.WriteSet{})
-	if after := a.Serializations([]*stm.ThreadCtx{ctx}); after != before {
+	if after := ctx.Serializations.Load(); after != before {
 		t.Fatal("ATS serialized a thread whose CI had decayed")
 	}
 }
@@ -183,18 +196,30 @@ func TestPoolSerializesContendedThreads(t *testing.T) {
 	ctx := &stm.ThreadCtx{ID: 0}
 	p.RegisterThread(ctx)
 	p.BeforeStart(ctx, 0)
+	if got := ctx.Serializations.Load(); got != 0 {
+		t.Fatalf("first start serialized (%d), want 0", got)
+	}
 	p.AfterAbort(ctx, stm.WriteSet{})
 	// Next start: thread faced contention, so Pool serializes it.
 	p.BeforeStart(ctx, 1)
+	if got := ctx.Serializations.Load(); got != 1 {
+		t.Fatalf("serializations = %d after the retry of an abort, want 1", got)
+	}
 	p.AfterCommit(ctx, stm.WriteSet{})
 	// After the commit the thread is uncontended again; this start must
-	// not block even though another thread holds nothing.
+	// neither block nor count.
 	p.BeforeStart(ctx, 0)
 	p.AfterCommit(ctx, stm.WriteSet{})
+	if got := ctx.Serializations.Load(); got != 1 {
+		t.Fatalf("serializations = %d after an uncontended start, want 1", got)
+	}
 }
 
 // TestSchedulersUnderRealLoad runs each scheduler against a genuinely
-// contended workload on both engines as an integration smoke test.
+// contended workload on both engines as an integration smoke test. The
+// workload is update-only and every aborted attempt is retried, so Pool,
+// which serializes exactly the retries of aborted attempts, must report
+// one serialization per abort.
 func TestSchedulersUnderRealLoad(t *testing.T) {
 	schedulers := map[string]func() stm.Scheduler{
 		"shrink": func() stm.Scheduler { return sched.NewShrink(sched.DefaultShrinkConfig()) },
@@ -242,6 +267,14 @@ func TestSchedulersUnderRealLoad(t *testing.T) {
 					}
 					return nil
 				})
+				st := tm.Stats()
+				if sname == "pool" && st.Serializations != st.Aborts {
+					t.Errorf("pool: serializations = %d, aborts = %d, want equal", st.Serializations, st.Aborts)
+				}
+				if st.Serializations > st.Commits+st.Aborts {
+					t.Errorf("serializations = %d exceed the %d attempts", st.Serializations, st.Commits+st.Aborts)
+				}
+				t.Logf("commits=%d aborts=%d serializations=%d", st.Commits, st.Aborts, st.Serializations)
 			})
 		}
 	}

@@ -2,7 +2,9 @@
 // paper: Shrink (the contribution — prediction-based conflict prevention
 // with serialization affinity), ATS (Yoo & Lee's adaptive transaction
 // scheduling), and Pool (serialize every thread that faces contention).
-// All of them attach to either STM engine through the stm.Scheduler hooks.
+// All of them attach to either STM engine through the stm.Scheduler hooks,
+// and each counts the attempts it serializes in the thread's
+// stm.ThreadCtx.Serializations, so TM.Stats reports them for any scheduler.
 package sched
 
 import (
@@ -67,15 +69,13 @@ type Shrink struct {
 	cfg       ShrinkConfig
 	globalMu  sync.Mutex
 	waitCount atomic.Int64
-	serials   atomic.Uint64 // number of serialized transaction starts
 }
 
 type shrinkThread struct {
-	pred          *predict.Predictor
-	rng           *rand.Rand
-	succRate      float64
-	holdsGlobal   bool
-	lastCommitted bool
+	pred        *predict.Predictor
+	rng         *rand.Rand
+	succRate    float64
+	holdsGlobal bool
 }
 
 var _ stm.Scheduler = (*Shrink)(nil)
@@ -94,10 +94,9 @@ func NewShrink(cfg ShrinkConfig) *Shrink {
 // RegisterThread implements stm.Scheduler.
 func (s *Shrink) RegisterThread(t *stm.ThreadCtx) {
 	t.SchedState = &shrinkThread{
-		pred:          predict.New(s.cfg.Predict),
-		rng:           rand.New(rand.NewSource(int64(t.ID)*0x9e3779b9 + 1)),
-		succRate:      1,
-		lastCommitted: true,
+		pred:     predict.New(s.cfg.Predict),
+		rng:      rand.New(rand.NewSource(int64(t.ID)*0x9e3779b9 + 1)),
+		succRate: 1,
 	}
 	t.ReadHook = s.cfg.EagerPrediction
 }
@@ -140,7 +139,7 @@ func (s *Shrink) BeforeStart(t *stm.ThreadCtx, attempt int) {
 			s.waitCount.Add(1)
 			s.globalMu.Lock()
 			st.holdsGlobal = true
-			s.serials.Add(1)
+			t.Serializations.Add(1)
 		}
 	}
 }
@@ -164,7 +163,6 @@ func (s *Shrink) AfterCommit(t *stm.ThreadCtx, writeSet stm.WriteSet) {
 	}
 	st.succRate = (st.succRate + s.cfg.Success) / 2
 	st.pred.OnCommit(writeSet)
-	st.lastCommitted = true
 	s.updateReadHook(t, st)
 	s.release(st)
 }
@@ -184,7 +182,6 @@ func (s *Shrink) AfterAbort(t *stm.ThreadCtx, writeSet stm.WriteSet) {
 	} else {
 		st.pred.OnAbort(writeSet)
 	}
-	st.lastCommitted = false
 	s.updateReadHook(t, st)
 	s.release(st)
 }
@@ -200,9 +197,6 @@ func (s *Shrink) release(st *shrinkThread) {
 // WaitCount returns the current number of threads that decided to serialize
 // (the contention signal driving serialization affinity).
 func (s *Shrink) WaitCount() int64 { return s.waitCount.Load() }
-
-// Serializations returns the total number of serialized transaction starts.
-func (s *Shrink) Serializations() uint64 { return s.serials.Load() }
 
 // Accuracy aggregates the prediction-accuracy counters of all threads
 // registered with this scheduler.

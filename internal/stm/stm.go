@@ -90,11 +90,15 @@ type ThreadCtx struct {
 	// not with a neighboring heap allocation (ThreadCtx values are
 	// allocated back to back by Registry.Add). The full-line pads make
 	// that true regardless of the allocation's own alignment.
-	_          [64]byte
-	Commits    atomic.Uint64
-	Aborts     atomic.Uint64
-	UserAborts atomic.Uint64
-	_          [64]byte
+	// Serializations counts the attempts the attached Scheduler started
+	// behind its serialization lock; schedulers add to it in BeforeStart,
+	// which runs on the owner thread.
+	_              [64]byte
+	Commits        atomic.Uint64
+	Aborts         atomic.Uint64
+	UserAborts     atomic.Uint64
+	Serializations atomic.Uint64
+	_              [64]byte
 
 	// Doomed is set by a contention manager running in another thread to
 	// request that this thread's current transaction abort at its next
@@ -125,11 +129,13 @@ type ThreadCtx struct {
 	CMState any
 }
 
-// Stats is an aggregated snapshot of commit/abort counters.
+// Stats is an aggregated snapshot of commit/abort and serialization
+// counters.
 type Stats struct {
-	Commits    uint64
-	Aborts     uint64
-	UserAborts uint64
+	Commits        uint64
+	Aborts         uint64
+	UserAborts     uint64
+	Serializations uint64
 }
 
 // CommitRate returns commits / (commits + aborts), or 1 if nothing ran.
@@ -148,6 +154,7 @@ func AggregateStats(threads []*ThreadCtx) Stats {
 		s.Commits += t.Commits.Load()
 		s.Aborts += t.Aborts.Load()
 		s.UserAborts += t.UserAborts.Load()
+		s.Serializations += t.Serializations.Load()
 	}
 	return s
 }
@@ -155,8 +162,9 @@ func AggregateStats(threads []*ThreadCtx) Stats {
 // Scheduler is the transaction-scheduling hook interface. The engine invokes
 // the hooks at the boundaries of every transaction attempt. BeforeStart may
 // block (that is how serializing schedulers such as Shrink, ATS and Pool
-// implement serialization); the matching release must happen in AfterCommit
-// or AfterAbort.
+// implement serialization), and a BeforeStart that takes its serialization
+// lock adds 1 to t.Serializations; the matching release must happen in
+// AfterCommit or AfterAbort.
 type Scheduler interface {
 	// RegisterThread is called once per thread, before any other hook.
 	RegisterThread(t *ThreadCtx)

@@ -269,8 +269,10 @@ func TestAggregateStats(t *testing.T) {
 	a.Aborts.Add(1)
 	b.Commits.Add(2)
 	b.UserAborts.Add(4)
+	a.Serializations.Add(6)
+	b.Serializations.Add(1)
 	s := AggregateStats(r.All())
-	if s.Commits != 5 || s.Aborts != 1 || s.UserAborts != 4 {
+	if s.Commits != 5 || s.Aborts != 1 || s.UserAborts != 4 || s.Serializations != 7 {
 		t.Fatalf("aggregate = %+v", s)
 	}
 	want := 5.0 / 6.0

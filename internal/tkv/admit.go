@@ -157,15 +157,14 @@ func (c *controller) tick() {
 		sc := &c.shards[i]
 		agg := s.tm.Stats()
 		shared, excl := s.locks.Waits()
-		serials := s.sched.Serializations()
 		waits := shared + excl
 
 		dCommits := agg.Commits - sc.lastCommits
 		dAborts := agg.Aborts - sc.lastAborts
-		dSerials := serials - sc.lastSerials
+		dSerials := agg.Serializations - sc.lastSerials
 		dWaits := waits - sc.lastWaits
 		sc.lastCommits, sc.lastAborts, sc.lastSerials, sc.lastWaits =
-			agg.Commits, agg.Aborts, serials, waits
+			agg.Commits, agg.Aborts, agg.Serializations, waits
 
 		// Overload score: the cure cost (aborted work, serialized
 		// starts, blocked stripe acquisitions) per unit of progress.

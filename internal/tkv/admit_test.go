@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 )
 
 // admitted store: small tick so controller reactions land within test time.
@@ -293,6 +295,55 @@ func TestShedPastTheKnee(t *testing.T) {
 	}
 	if s.ctl.overload() > ac.ShedKnee {
 		t.Fatalf("stopped shedding at overload %v, past the knee", s.ctl.overload())
+	}
+}
+
+// TestAdmissionScoresSerializations: a serialized start is a cure the
+// overload score counts, whichever scheduler made it, and Stats reports it
+// on its shard. One update transaction on the hot shard aborts once and
+// commits on its retry, beside one interfering commit: 1 abort per 2
+// commits scores 0.5, and Pool, which serializes the retry, adds one cure
+// for 1.0; one tick puts the EWMA at half of that. Shrink and ATS let the
+// retry run free (a success rate of 0.5 is not under Shrink's threshold, a
+// contention intensity of 0.25 not over ATS's).
+func TestAdmissionScoresSerializations(t *testing.T) {
+	for _, row := range []struct {
+		scheduler string
+		serials   uint64
+		overload  float64
+	}{
+		{enginecfg.SchedShrink, 0, 0.25},
+		{enginecfg.SchedATS, 0, 0.25},
+		{enginecfg.SchedPool, 1, 0.5},
+	} {
+		t.Run(row.scheduler, func(t *testing.T) {
+			ac := DefaultAdmitConfig()
+			ac.Tick = time.Hour // the test drives the ticks
+			st := openTest(t, Config{Shards: 2, Scheduler: row.scheduler, Admission: &ac})
+			defer st.Close()
+			const key = 7
+			if _, err := st.Put(key, "v"); err != nil {
+				t.Fatal(err)
+			}
+			st.ctrl.tick() // the put's commit is history
+			hot := st.ShardOf(key)
+			forceUpdateAbort(t, st, key)
+			st.ctrl.tick()
+			stats := st.Stats()
+			for i, ss := range stats.Shards {
+				want, wantScore := uint64(0), 0.0
+				if i == hot {
+					want, wantScore = row.serials, row.overload
+				}
+				if ss.Serializations != want || ss.Overload != wantScore {
+					t.Errorf("shard %d: serializations %d, overload %v; want %d, %v",
+						i, ss.Serializations, ss.Overload, want, wantScore)
+				}
+			}
+			if stats.Serializations != row.serials {
+				t.Errorf("store serializations %d, want %d", stats.Serializations, row.serials)
+			}
+		})
 	}
 }
 

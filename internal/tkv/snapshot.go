@@ -118,8 +118,8 @@ type OpCounts struct {
 // stripes (a shared wait is single-key/read traffic pausing behind a batch;
 // an exclusive wait is a batch pausing behind anything); ROFallbacks counts
 // reads routed to the logging update path after an RO restart streak.
-// SchedConfirmed/SchedRefuted are AdaptiveShrink's serialization-feedback
-// counters (zero for other schedulers). Stripes is the shard's stripe count
+// Serializations counts the transaction starts the shard's scheduler
+// serialized (zero without one). Stripes is the shard's stripe count
 // (Config.LockStripes, fixed at Open). Overload and Shed describe the
 // admission layer: the controller's EWMA overload score, and the writes shed
 // with backpressure (both zero when admission is off).
@@ -130,8 +130,6 @@ type ShardStats struct {
 	UserAborts        uint64  `json:"userAborts"`
 	CommitRate        float64 `json:"commitRate"`
 	Serializations    uint64  `json:"serializations"`
-	SchedConfirmed    uint64  `json:"schedConfirmed,omitempty"`
-	SchedRefuted      uint64  `json:"schedRefuted,omitempty"`
 	StripeWaitsShared uint64  `json:"stripeWaitsShared"`
 	StripeWaitsExcl   uint64  `json:"stripeWaitsExcl"`
 	ROFallbacks       uint64  `json:"roFallbacks"`
@@ -141,18 +139,15 @@ type ShardStats struct {
 }
 
 // Stats aggregates the store's state: per-shard engine counters (including
-// scheduler serializations and AdaptiveShrink feedback where attached),
-// stripe-wait, RO-fallback and admission counters, and store-level op
-// counts. The admission totals (Shed, ShedBatches) are zero when the store
-// runs without an admission layer.
+// scheduler serializations), stripe-wait, RO-fallback and admission
+// counters, and store-level op counts. The admission totals (Shed,
+// ShedBatches) are zero when the store runs without an admission layer.
 type Stats struct {
 	Shards            []ShardStats `json:"shards"`
 	Commits           uint64       `json:"commits"`
 	Aborts            uint64       `json:"aborts"`
 	UserAborts        uint64       `json:"userAborts"`
 	Serializations    uint64       `json:"serializations"`
-	SchedConfirmed    uint64       `json:"schedConfirmed,omitempty"`
-	SchedRefuted      uint64       `json:"schedRefuted,omitempty"`
 	StripeWaitsShared uint64       `json:"stripeWaitsShared"`
 	StripeWaitsExcl   uint64       `json:"stripeWaitsExcl"`
 	ROFallbacks       uint64       `json:"roFallbacks"`
@@ -175,16 +170,13 @@ func (st *Store) Stats() Stats {
 	for i, s := range st.shards {
 		agg := s.tm.Stats()
 		shared, excl := s.locks.Waits()
-		confirmed, refuted := s.sched.Feedback()
 		ss := ShardStats{
 			Shard:             uint64(i),
 			Commits:           agg.Commits,
 			Aborts:            agg.Aborts,
 			UserAborts:        agg.UserAborts,
 			CommitRate:        agg.CommitRate(),
-			Serializations:    s.sched.Serializations(),
-			SchedConfirmed:    confirmed,
-			SchedRefuted:      refuted,
+			Serializations:    agg.Serializations,
 			StripeWaitsShared: shared,
 			StripeWaitsExcl:   excl,
 			ROFallbacks:       s.roFallbacks.Load(),
@@ -199,8 +191,6 @@ func (st *Store) Stats() Stats {
 		out.Aborts += ss.Aborts
 		out.UserAborts += ss.UserAborts
 		out.Serializations += ss.Serializations
-		out.SchedConfirmed += ss.SchedConfirmed
-		out.SchedRefuted += ss.SchedRefuted
 		out.StripeWaitsShared += ss.StripeWaitsShared
 		out.StripeWaitsExcl += ss.StripeWaitsExcl
 		out.ROFallbacks += ss.ROFallbacks
@@ -241,8 +231,6 @@ func (s Stats) Table() *report.Table {
 		t.Add("commits", int(sh.Shard), float64(sh.Commits))
 		t.Add("aborts", int(sh.Shard), float64(sh.Aborts))
 		t.Add("serializations", int(sh.Shard), float64(sh.Serializations))
-		t.Add("schedConfirmed", int(sh.Shard), float64(sh.SchedConfirmed))
-		t.Add("schedRefuted", int(sh.Shard), float64(sh.SchedRefuted))
 		t.Add("commitRate", int(sh.Shard), sh.CommitRate)
 		t.Add("stripeWaitsShared", int(sh.Shard), float64(sh.StripeWaitsShared))
 		t.Add("stripeWaitsExcl", int(sh.Shard), float64(sh.StripeWaitsExcl))

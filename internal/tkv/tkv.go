@@ -178,10 +178,9 @@ type Store struct {
 
 // shard is one slice of the key space with its own TM stack.
 type shard struct {
-	tm    stm.TM
-	sched *enginecfg.Sched // scheduler counter handle; nil-safe methods
-	kv    *stmds.HashMap[string]
-	pool  threadPool
+	tm   stm.TM
+	kv   *stmds.HashMap[string]
+	pool threadPool
 	// ctl is the shard's admission state; nil unless Config.Admission.
 	ctl *shardCtl
 	// locks is the shard's striped key-lock table, sized once at Open:
@@ -360,7 +359,7 @@ func Open(cfg Config) (*Store, error) {
 		st.repl = newReplLog(st.logs)
 	}
 	for i := range st.shards {
-		tm, sc, err := enginecfg.Build(enginecfg.Spec{
+		tm, _, err := enginecfg.Build(enginecfg.Spec{
 			Engine:    cfg.Engine,
 			Scheduler: cfg.Scheduler,
 			Wait:      cfg.Wait,
@@ -371,7 +370,6 @@ func Open(cfg Config) (*Store, error) {
 		}
 		s := &shard{
 			tm:    tm,
-			sched: sc,
 			kv:    stmds.NewHashMap[string](buckets),
 			locks: keylock.New(cfg.LockStripes),
 		}

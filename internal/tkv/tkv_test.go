@@ -11,6 +11,7 @@ import (
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/keylock"
+	"github.com/shrink-tm/shrink/internal/stm"
 )
 
 func openTest(t *testing.T, cfg Config) *Store {
@@ -239,158 +240,206 @@ func TestShardDistribution(t *testing.T) {
 	}
 }
 
+// forceUpdateAbort runs one update transaction on key's shard that aborts
+// exactly once: it reads key, a second pooled thread of the shard commits a
+// write of the same value to key, and the first one's own write to key then
+// fails validation. The retry commits. key must be present, and no other
+// caller may be using the shard's pool.
+func forceUpdateAbort(t *testing.T, st *Store, key uint64) {
+	t.Helper()
+	s := st.shardFor(key)
+	attempts := 0
+	err := s.atomically(func(tx stm.Tx) error {
+		attempts++
+		cur, _, err := s.kv.Get(tx, key)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			if err := s.atomically(func(tx stm.Tx) error {
+				_, err := s.kv.Put(tx, key, cur)
+				return err
+			}); err != nil {
+				return err
+			}
+		}
+		_, err = s.kv.Put(tx, key, cur)
+		return err
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("forced abort: err = %v after %d attempts, want nil after 2", err, attempts)
+	}
+}
+
 // TestZeroLostUpdates hammers counters from many goroutines through every
 // read-modify-write path the store serves — Add, CAS increment loops, and
-// cross-shard batch adds — on both engines with per-shard Shrink attached,
-// then checks that the sum of all counters equals the number of increments
-// that reported success. Any lost update, torn batch or broken snapshot cut
-// shows up as a mismatch.
+// cross-shard batch adds — on both engines under each serializing
+// scheduler, then checks that the sum of all counters equals the number of
+// increments that reported success. Any lost update, torn batch or broken
+// snapshot cut shows up as a mismatch. One update transaction is made to
+// abort up front, so Pool, which serializes the retry of every aborted
+// update attempt, must report at least one serialization, and no more than
+// the aborts.
 func TestZeroLostUpdates(t *testing.T) {
 	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
-		t.Run(engine, func(t *testing.T) {
-			st := openTest(t, Config{
-				Shards:    4,
-				PoolSize:  4,
-				Engine:    engine,
-				Scheduler: enginecfg.SchedShrink,
+		for _, scheduler := range []string{enginecfg.SchedShrink, enginecfg.SchedATS, enginecfg.SchedPool} {
+			t.Run(engine+"/"+scheduler, func(t *testing.T) {
+				testZeroLostUpdates(t, engine, scheduler)
 			})
-			const nKeys = 64
-			const workers = 8
-			const opsPerWorker = 400
+		}
+	}
+}
 
-			var succeeded counter
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w) + 1))
-					for i := 0; i < opsPerWorker; i++ {
-						key := uint64(rng.Intn(nKeys))
-						switch rng.Intn(3) {
-						case 0: // server-side RMW
-							if _, err := st.Add(key, 1); err != nil {
-								t.Error(err)
-								return
-							}
-							succeeded.Add(1)
-						case 1: // client-side RMW via CAS
-							for {
-								cur, found, err := st.Get(key)
-								if err != nil {
-									t.Error(err)
-									return
-								}
-								n := int64(0)
-								if found {
-									n, err = strconv.ParseInt(cur, 10, 64)
-									if err != nil {
-										t.Error(err)
-										return
-									}
-									next := strconv.FormatInt(n+1, 10)
-									swapped, err := st.CAS(key, cur, next)
-									if err != nil {
-										t.Error(err)
-										return
-									}
-									if swapped {
-										succeeded.Add(1)
-										break
-									}
-									continue // lost the race; retry
-								}
-								// Key absent: seed it via Add.
-								if _, err := st.Add(key, 1); err != nil {
-									t.Error(err)
-									return
-								}
-								succeeded.Add(1)
-								break
-							}
-						case 2: // cross-shard batch of adds
-							ops := make([]Op, 4)
-							for j := range ops {
-								ops[j] = Op{Kind: OpAdd, Key: uint64(rng.Intn(nKeys)), Delta: 1}
-							}
-							if _, err := st.Batch(ops); err != nil {
-								t.Error(err)
-								return
-							}
-							succeeded.Add(uint64(len(ops)))
-						}
-					}
-				}()
-			}
+func testZeroLostUpdates(t *testing.T, engine, scheduler string) {
+	st := openTest(t, Config{
+		Shards:    4,
+		PoolSize:  4,
+		Engine:    engine,
+		Scheduler: scheduler,
+	})
+	const nKeys = 64
+	const workers = 8
+	const opsPerWorker = 400
 
-			// A concurrent snapshot reader asserts mid-run cut sanity:
-			// every increment counted before the snapshot started has
-			// committed, so the snapshot's sum can never fall below the
-			// counter value read beforehand. (The other direction is not
-			// checkable mid-run: an increment may commit, and be
-			// observed, before its worker bumps the counter.)
-			stopSnap := make(chan struct{})
-			var snapWG sync.WaitGroup
-			snapWG.Add(1)
-			go func() {
-				defer snapWG.Done()
-				for {
-					select {
-					case <-stopSnap:
-						return
-					default:
-					}
-					before := succeeded.Load()
-					snap, err := st.Snapshot()
-					if err != nil {
+	var succeeded counter
+	if _, err := st.Add(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	succeeded.Add(1)
+	forceUpdateAbort(t, st, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			for i := 0; i < opsPerWorker; i++ {
+				key := uint64(rng.Intn(nKeys))
+				switch rng.Intn(3) {
+				case 0: // server-side RMW
+					if _, err := st.Add(key, 1); err != nil {
 						t.Error(err)
 						return
 					}
-					var sum int64
-					for _, v := range snap {
-						n, err := strconv.ParseInt(v, 10, 64)
+					succeeded.Add(1)
+				case 1: // client-side RMW via CAS
+					for {
+						cur, found, err := st.Get(key)
 						if err != nil {
-							t.Errorf("non-numeric snapshot value %q", v)
+							t.Error(err)
 							return
 						}
-						sum += n
+						n := int64(0)
+						if found {
+							n, err = strconv.ParseInt(cur, 10, 64)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							next := strconv.FormatInt(n+1, 10)
+							swapped, err := st.CAS(key, cur, next)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if swapped {
+								succeeded.Add(1)
+								break
+							}
+							continue // lost the race; retry
+						}
+						// Key absent: seed it via Add.
+						if _, err := st.Add(key, 1); err != nil {
+							t.Error(err)
+							return
+						}
+						succeeded.Add(1)
+						break
 					}
-					if sum < int64(before) {
-						t.Errorf("lost updates: snapshot sums to %d after %d increments succeeded", sum, before)
+				case 2: // cross-shard batch of adds
+					ops := make([]Op, 4)
+					for j := range ops {
+						ops[j] = Op{Kind: OpAdd, Key: uint64(rng.Intn(nKeys)), Delta: 1}
+					}
+					if _, err := st.Batch(ops); err != nil {
+						t.Error(err)
 						return
 					}
+					succeeded.Add(uint64(len(ops)))
 				}
-			}()
-
-			wg.Wait()
-			close(stopSnap)
-			snapWG.Wait()
-			if t.Failed() {
-				return
 			}
+		}()
+	}
 
+	// A concurrent snapshot reader asserts mid-run cut sanity:
+	// every increment counted before the snapshot started has
+	// committed, so the snapshot's sum can never fall below the
+	// counter value read beforehand. (The other direction is not
+	// checkable mid-run: an increment may commit, and be
+	// observed, before its worker bumps the counter.)
+	stopSnap := make(chan struct{})
+	var snapWG sync.WaitGroup
+	snapWG.Add(1)
+	go func() {
+		defer snapWG.Done()
+		for {
+			select {
+			case <-stopSnap:
+				return
+			default:
+			}
+			before := succeeded.Load()
 			snap, err := st.Snapshot()
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
 			var sum int64
 			for _, v := range snap {
-				n, _ := strconv.ParseInt(v, 10, 64)
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Errorf("non-numeric snapshot value %q", v)
+					return
+				}
 				sum += n
 			}
-			if sum != int64(succeeded.Load()) {
-				t.Fatalf("lost updates: counters sum to %d, %d increments succeeded",
-					sum, succeeded.Load())
+			if sum < int64(before) {
+				t.Errorf("lost updates: snapshot sums to %d after %d increments succeeded", sum, before)
+				return
 			}
-			stats := st.Stats()
-			if stats.Commits == 0 {
-				t.Fatal("no committed transactions recorded")
-			}
-			t.Logf("%s: commits=%d aborts=%d serializations=%d sum=%d",
-				engine, stats.Commits, stats.Aborts, stats.Serializations, sum)
-		})
+		}
+	}()
+
+	wg.Wait()
+	close(stopSnap)
+	snapWG.Wait()
+	if t.Failed() {
+		return
 	}
+
+	snap, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, v := range snap {
+		n, _ := strconv.ParseInt(v, 10, 64)
+		sum += n
+	}
+	if sum != int64(succeeded.Load()) {
+		t.Fatalf("lost updates: counters sum to %d, %d increments succeeded",
+			sum, succeeded.Load())
+	}
+	stats := st.Stats()
+	if stats.Commits == 0 {
+		t.Fatal("no committed transactions recorded")
+	}
+	if scheduler == enginecfg.SchedPool && (stats.Serializations == 0 || stats.Serializations > stats.Aborts) {
+		t.Fatalf("pool: serializations = %d with %d aborts, want in [1, aborts]", stats.Serializations, stats.Aborts)
+	}
+	t.Logf("commits=%d aborts=%d serializations=%d sum=%d",
+		stats.Commits, stats.Aborts, stats.Serializations, sum)
 }
 
 // TestLockPlanAscending is the batch lock planner's property: for any key
