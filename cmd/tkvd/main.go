@@ -34,13 +34,9 @@
 // a write-ahead log and acknowledged only once its group-commit fsync
 // completes; on start the directory is recovered (checkpoints, then log
 // tails, truncating a torn tail) before serving, and -walckpt snapshots
-// and truncates the logs periodically. The log is a set of lanes, each
-// with its own file and group commit, and -walmode only says which shards
-// share one: "shared" (the default) puts every shard in a single lane so
-// the whole store shares one fsync per commit group — on one device, N
-// shards' worth of fsyncs collapse into one; "pershard" gives every shard
-// its own lane, for deployments that give shards independent media. A
-// directory stays with the layout it was created in. A write or fsync error
+// and truncates the log periodically. The log is one lane that owns every
+// shard, so the whole store shares one fsync per commit group. A directory
+// stays with the shard count it was created with. A write or fsync error
 // fail-stops the process — exit nonzero, no ack the disk might have lost
 // — and tkvload -scenario crash is the SIGKILL drill proving acknowledged
 // writes survive.
@@ -124,12 +120,8 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 			"do not park acks on fsync (async WAL): faster, but a crash can "+
 				"lose the un-synced tail")
 		walCkpt = fs.Duration("walckpt", 0,
-			"WAL checkpoint interval: snapshot each lane's shards and "+
-				"truncate its log (0 disables periodic checkpoints)")
-		walMode = fs.String("walmode", string(tkvwal.ModeShared),
-			"WAL layout: shared (one lane, one fsync covers every shard's "+
-				"commit group) or pershard (one lane per shard, for "+
-				"independent media)")
+			"WAL checkpoint interval: snapshot every shard and truncate "+
+				"the log (0 disables periodic checkpoints)")
 		admitDefaults = tkv.DefaultAdmitConfig()
 		admit         = fs.Bool("admit", false,
 			"enable the admission layer: each shard sheds writes, and batches at "+
@@ -177,15 +169,10 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	}
 	var wopts *tkvwal.Options
 	if *waldir != "" {
-		mode, err := tkvwal.ParseMode(*walMode)
-		if err != nil {
-			return fmt.Errorf("-walmode: %w", err)
-		}
 		wopts = &tkvwal.Options{
 			Dir:             *waldir,
 			NoSync:          *walAsync,
 			CheckpointEvery: *walCkpt,
-			Mode:            mode,
 		}
 	}
 	store, err := tkv.Open(tkv.Config{
@@ -206,8 +193,8 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	defer store.Close()
 	if ws := store.Stats().Wal; ws != nil {
 		r := ws.Recovery
-		fmt.Fprintf(out, "tkvd: wal %s recovered: mode=%s ckpt_entries=%d replayed=%d skipped=%d truncated_bytes=%d segments=%d sync=%v\n",
-			*waldir, ws.Mode, r.CheckpointEntries, r.Replayed, r.Skipped, r.TruncatedBytes, r.Segments, ws.Sync)
+		fmt.Fprintf(out, "tkvd: wal %s recovered: ckpt_entries=%d replayed=%d skipped=%d truncated_bytes=%d segments=%d sync=%v\n",
+			*waldir, r.CheckpointEntries, r.Replayed, r.Skipped, r.TruncatedBytes, r.Segments, ws.Sync)
 	}
 	if *role == "follower" {
 		store.SetReadOnly(true)
@@ -363,8 +350,8 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	}
 	walLabel := ""
 	if w := stats.Wal; w != nil {
-		walLabel = fmt.Sprintf(" wal: mode=%s appends=%d fsyncs=%d group_mean=%.1f group_max=%d fsync_p99=%dµs bytes=%d pending_peak=%d ckpts=%d",
-			w.Mode, w.Appends, w.Fsyncs, w.GroupMean, w.GroupMax, w.FsyncP99us, w.BytesAppended, w.PendingPeakBytes, w.Checkpoints)
+		walLabel = fmt.Sprintf(" wal: appends=%d fsyncs=%d group_mean=%.1f group_max=%d fsync_p99=%dµs bytes=%d pending_peak=%d ckpts=%d",
+			w.Appends, w.Fsyncs, w.GroupMean, w.GroupMax, w.FsyncP99us, w.BytesAppended, w.PendingPeakBytes, w.Checkpoints)
 	}
 	fmt.Fprintf(out, "tkvd: drained; commits=%d aborts=%d serializations=%d shed=%d ops: %+v%s%s\n",
 		stats.Commits, stats.Aborts, stats.Serializations, stats.Shed, stats.Ops, replLabel, walLabel)

@@ -119,6 +119,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-admit", "-large" + "batch", "16", "-addr", "127.0.0.1:0"}, &out, nil, nil); err == nil {
 		t.Fatal("retired batch-queue flag accepted")
 	}
+	// The log has one layout, so its flag is gone too.
+	err = run([]string{"-wal", t.TempDir(), "-wal" + "mode", "shared", "-addr", "127.0.0.1:0"}, &out, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("retired WAL layout flag: err = %v, want an unknown flag", err)
+	}
 }
 
 // TestAdmitFlags: -admit, -shedknee, -shedmax and -admittick configure the

@@ -32,7 +32,6 @@ import (
 type crashSpec struct {
 	tkvd    string // path to the tkvd binary
 	waldir  string // WAL directory carried across incarnations
-	walmode string // WAL layout under test: shared or pershard
 	keys    int    // counter keys, seeded once
 	workers int
 	phase   time.Duration // load duration before each kill (and before the verify)
@@ -111,7 +110,7 @@ func runCrash(sp crashSpec, out io.Writer) error {
 	url, wire := "http://"+addrs[0], addrs[1]
 	start := func() (*tkvdProc, error) {
 		return startTkvd(sp.tkvd, addrs[0], "-tcpaddr", wire, "-replring", "0",
-			"-shards", "4", "-wal", sp.waldir, "-walmode", sp.walmode)
+			"-shards", "4", "-wal", sp.waldir)
 	}
 
 	proc, err := start()

@@ -475,8 +475,8 @@ func (d *driver) verify(c *tkvwire.Conn, out io.Writer) error {
 		return fmt.Errorf("stats: %w", err)
 	}
 	if ws := stats.Wal; ws != nil {
-		fmt.Fprintf(out, "verify: wal mode=%s appends=%d fsyncs=%d group_mean=%.1f fsync_p99=%dµs durable_lag=%d sync=%v\n",
-			ws.Mode, ws.Appends, ws.Fsyncs, ws.GroupMean, ws.FsyncP99us, ws.DurableLag(), ws.Sync)
+		fmt.Fprintf(out, "verify: wal appends=%d fsyncs=%d group_mean=%.1f fsync_p99=%dµs durable_lag=%d sync=%v\n",
+			ws.Appends, ws.Fsyncs, ws.GroupMean, ws.FsyncP99us, ws.DurableLag(), ws.Sync)
 	}
 	fmt.Fprintf(out, "verify: committed=%d aborts=%d serializations=%d stripeWaits=%d roFallbacks=%d shed=%d counterSum=%d increments=%d (cas=%d batchOps=%d adds=%d casMismatchedBatches=%d)\n",
 		stats.Commits, stats.Aborts, stats.Serializations, stats.StripeWaitsShared+stats.StripeWaitsExcl, stats.ROFallbacks,

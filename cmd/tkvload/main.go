@@ -47,7 +47,7 @@
 //	tkvload -tcpaddr 127.0.0.1:7071 -read 0 -batch 1 -overlap 0 -batchcas 0.25
 //	tkvload -tcpaddr 127.0.0.1:7075 -zipf 1.1 -addfrac 0.5 -minshed 1
 //	tkvload -scenario failover -url http://127.0.0.1:7080 -url2 http://127.0.0.1:7082
-//	tkvload -scenario crash -tkvd ./tkvd -walmode pershard
+//	tkvload -scenario crash -tkvd ./tkvd -kills 3
 package main
 
 import (
@@ -58,8 +58,6 @@ import (
 	"os"
 	"strings"
 	"time"
-
-	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
 func main() {
@@ -103,7 +101,6 @@ func run(args []string, out io.Writer) error {
 		tkvdBin = fs.String("tkvd", "", "path to the tkvd binary (required by -scenario crash)")
 		waldir  = fs.String("waldir", "", "WAL directory for -scenario crash (empty: a fresh temp dir)")
 		kills   = fs.Int("kills", 2, "SIGKILL/restart rounds for -scenario crash")
-		walMode = fs.String("walmode", "shared", "WAL layout for -scenario crash: shared (one lane, one fsync per group for the whole store) or pershard")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,10 +142,6 @@ func run(args []string, out io.Writer) error {
 		if *kills <= 0 {
 			return fmt.Errorf("-kills must be positive")
 		}
-		mode, err := tkvwal.ParseMode(*walMode)
-		if err != nil {
-			return fmt.Errorf("-walmode: %w", err)
-		}
 		if *waldir == "" {
 			tmp, err := os.MkdirTemp("", "tkvload-crash-wal-")
 			if err != nil {
@@ -160,7 +153,6 @@ func run(args []string, out io.Writer) error {
 		return runCrash(crashSpec{
 			tkvd:    *tkvdBin,
 			waldir:  *waldir,
-			walmode: string(mode),
 			keys:    cfg.keys,
 			workers: cfg.conns,
 			phase:   cfg.dur,

@@ -74,7 +74,8 @@
 // internal/tkvlog record: length-prefixed, versioned,
 // CRC32-C-sealed, allocation-free to encode, with torn tails (ErrShort)
 // distinguished from corruption (ErrCorrupt); the WAL persists the same
-// record. Each shard numbers its records once: one append, under one
+// record, every shard's in one lane that pays one fsync per commit group
+// for the whole store. Each shard numbers its records once: one append, under one
 // mutex, puts a record in the shard's bounded in-memory window and in the
 // WAL, so the two can never disagree about a sequence number. The window
 // decouples commits from the network, a per-subscription shipper on the

@@ -27,7 +27,7 @@ func TestDroppedStoreIsCollected(t *testing.T) {
 		{"plain", func(*testing.T) Config { return Config{Shards: 4} }},
 		{"ring", func(*testing.T) Config { return Config{Shards: 4, ReplRing: 64} }},
 		{"wal", func(t *testing.T) Config {
-			return Config{Shards: 4, WAL: &tkvwal.Options{Dir: t.TempDir(), Mode: tkvwal.ModeShared}}
+			return Config{Shards: 4, WAL: &tkvwal.Options{Dir: t.TempDir()}}
 		}},
 		{"admission", func(*testing.T) Config { return Config{Shards: 4, Admission: &AdmitConfig{}} }},
 	} {

@@ -306,8 +306,8 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 // as one update transaction under every stripe of the shard, and the
 // shard's log restarts at seq (logRestart).
 //
-// With a WAL the shard's lane is then checkpointed, and that cut takes
-// each shard's stripes itself — so the checkpoint runs after this
+// With a WAL the log is then checkpointed, and that cut takes each
+// shard's stripes itself — so the checkpoint runs after this
 // shard's stripes are released. That ordering is safe because the
 // follower applier calling this is the store's only writer (the follower
 // bounces client writes), so nothing can append into the numbering gap
@@ -368,12 +368,12 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 		return err
 	}
 	if st.wal != nil {
-		// The shard's old log no longer describes its contents: checkpoint
-		// its lane, forced (a restore appends nothing). The head was
+		// The shard's old log no longer describes its contents: checkpoint,
+		// forced (a restore appends nothing). The head was
 		// restarted above, so the cut for this shard captures exactly the
 		// restored snapshot at seq, and the WAL's own watermark takes that
 		// number even when it is lower than what the WAL had appended.
-		if err := st.wal.Checkpoint(st.wal.LaneOf(shard), st.cutShard, true); err != nil {
+		if err := st.wal.Checkpoint(st.cutShard, true); err != nil {
 			return fmt.Errorf("tkv: repl restore shard %d: wal: %w", shard, err)
 		}
 	}

@@ -142,8 +142,8 @@ type Config struct {
 	// a record before releasing them, so record order is commit order per
 	// key (see Store.write and Batch).
 	ReplRing int
-	// WAL attaches a write-ahead log (see internal/tkvwal and wal.go; its
-	// lanes each carry some of the shards): the one append that numbers a
+	// WAL attaches a write-ahead log (see internal/tkvwal and wal.go; one
+	// lane carries every shard): the one append that numbers a
 	// shard's records, and fills its window when ReplRing is set, also hands
 	// them to the WAL, and a write is acknowledged only once its record is
 	// fsync-durable (group-committed; see tkvwal.Options for the async

@@ -12,11 +12,9 @@ import (
 )
 
 // The store's log. A store opened with a replication ring (Config.ReplRing),
-// a write-ahead log (Config.WAL, internal/tkvwal: a set of lanes, each owning
-// some of the store's shards; the store never asks which layout it was given,
-// only which lane a shard is in) or both is logged, and then every shard has
-// one record sequence, a shardLog: one mutex, one head. Store.write (every
-// single-key write), the batch apply and the follower's ReplApply hand their
+// a write-ahead log (Config.WAL, internal/tkvwal: one lane owning every
+// shard) or both is logged, and then every shard has one record sequence,
+// a shardLog: one mutex, one head. Store.write (every single-key write), the batch apply and the follower's ReplApply hand their
 // committed write set to logCommit while still holding the keys' exclusive
 // stripes; logCommit numbers the record and, under that one mutex, puts it in
 // the shard's in-memory window (with a ring) and in the WAL's buffer (with a
@@ -229,35 +227,14 @@ func (st *Store) cutShard(shard int) (pairs []tkvlog.Entry, seq uint64, err erro
 	return pairs, seq, nil
 }
 
-// Checkpoint snapshots the log lane that carries shard — every shard of
-// the store on a shared log, just this one on a per-shard log — into the
-// WAL's checkpoint file and truncates that lane's log up to it. The lane
-// cuts its shards one at a time through cutShard, so the caller must not
-// hold any stripes.
-func (st *Store) Checkpoint(shard int) error {
-	if st.wal == nil {
-		return errors.New("tkv: Checkpoint without a WAL")
-	}
-	if shard < 0 || shard >= len(st.shards) {
-		return fmt.Errorf("tkv: bad checkpoint shard %d", shard)
-	}
-	return st.wal.Checkpoint(st.wal.LaneOf(shard), st.cutShard, false)
-}
-
-// CheckpointAll checkpoints every lane of the log, and so every shard.
-// The first error wins and later lanes are still attempted — their logs
-// truncate independently.
+// CheckpointAll snapshots every shard into the WAL's checkpoint file and
+// truncates the log up to it. The WAL cuts the shards one at a time
+// through cutShard, so the caller must not hold any stripes.
 func (st *Store) CheckpointAll() error {
 	if st.wal == nil {
 		return errors.New("tkv: CheckpointAll without a WAL")
 	}
-	var first error
-	for lane := 0; lane < st.wal.Lanes(); lane++ {
-		if err := st.wal.Checkpoint(lane, st.cutShard, false); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return st.wal.Checkpoint(st.cutShard, false)
 }
 
 // WAL returns the store's write-ahead log, nil when the store was

@@ -13,35 +13,33 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvwal/errfs"
 )
 
-// openWALStore opens a store with a WAL in dir (4 shards, no repl).
-func openWALStore(t *testing.T, dir string, wopts tkvwal.Options) *Store {
+// openWALStore opens a store of the given shards with a WAL in dir (no
+// repl).
+func openWALStore(t *testing.T, dir string, shards int, wopts tkvwal.Options) *Store {
 	t.Helper()
 	wopts.Dir = dir
-	st, err := Open(Config{Shards: 4, WAL: &wopts})
+	st, err := Open(Config{Shards: shards, WAL: &wopts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-// eachWalMode runs the test once per log layout: the store-level
-// durability contract is identical in both, only the on-disk shape
-// (per-shard files vs one interleaved lane) differs.
-func eachWalMode(t *testing.T, f func(t *testing.T, mode tkvwal.Mode)) {
-	for _, mode := range []tkvwal.Mode{tkvwal.ModePerShard, tkvwal.ModeShared} {
-		t.Run(string(mode), func(t *testing.T) { f(t, mode) })
+// eachShape runs f on a store of one shard and on one of n: the log is one
+// lane either way, owning a single shard's records or interleaving n.
+func eachShape(t *testing.T, n int, f func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, n} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { f(t, shards) })
 	}
 }
 
 // TestWALDurableRoundTrip writes through every mutating path, closes,
 // reopens the directory and expects the exact same contents.
-func TestWALDurableRoundTrip(t *testing.T) {
-	eachWalMode(t, testWALDurableRoundTrip)
-}
+func TestWALDurableRoundTrip(t *testing.T) { eachShape(t, 4, testWALDurableRoundTrip) }
 
-func testWALDurableRoundTrip(t *testing.T, mode tkvwal.Mode) {
+func testWALDurableRoundTrip(t *testing.T, shards int) {
 	dir := t.TempDir()
-	st := openWALStore(t, dir, tkvwal.Options{Mode: mode})
+	st := openWALStore(t, dir, shards, tkvwal.Options{})
 	for k := uint64(0); k < 40; k++ {
 		if _, err := st.Put(k, fmt.Sprintf("v%d", k)); err != nil {
 			t.Fatal(err)
@@ -71,7 +69,7 @@ func testWALDurableRoundTrip(t *testing.T, mode tkvwal.Mode) {
 	}
 	st.Close()
 
-	st2 := openWALStore(t, dir, tkvwal.Options{Mode: mode})
+	st2 := openWALStore(t, dir, shards, tkvwal.Options{})
 	defer st2.Close()
 	got, err := st2.Snapshot()
 	if err != nil {
@@ -94,13 +92,11 @@ func testWALDurableRoundTrip(t *testing.T, mode tkvwal.Mode) {
 // TestWALCheckpointTruncates drives the store-level checkpoint: after
 // CheckpointAll, a reopen restores from the snapshots (replaying little
 // or nothing) and still agrees with the pre-close contents.
-func TestWALCheckpointTruncates(t *testing.T) {
-	eachWalMode(t, testWALCheckpointTruncates)
-}
+func TestWALCheckpointTruncates(t *testing.T) { eachShape(t, 4, testWALCheckpointTruncates) }
 
-func testWALCheckpointTruncates(t *testing.T, mode tkvwal.Mode) {
+func testWALCheckpointTruncates(t *testing.T, shards int) {
 	dir := t.TempDir()
-	st := openWALStore(t, dir, tkvwal.Options{Mode: mode})
+	st := openWALStore(t, dir, shards, tkvwal.Options{})
 	for k := uint64(0); k < 64; k++ {
 		if _, err := st.Put(k, "v"); err != nil {
 			t.Fatal(err)
@@ -115,7 +111,7 @@ func testWALCheckpointTruncates(t *testing.T, mode tkvwal.Mode) {
 	want, _ := st.Snapshot()
 	st.Close()
 
-	st2 := openWALStore(t, dir, tkvwal.Options{Mode: mode})
+	st2 := openWALStore(t, dir, shards, tkvwal.Options{})
 	defer st2.Close()
 	ws := st2.Stats().Wal
 	if ws.Recovery.CheckpointEntries == 0 {
@@ -134,13 +130,11 @@ func testWALCheckpointTruncates(t *testing.T, mode tkvwal.Mode) {
 // both logs attached, the head and the WAL watermark agree per shard, and a
 // reopen continues the numbering where the durable log ended, with a window
 // that holds nothing from before the reopen.
-func TestWALReplSharedSequence(t *testing.T) {
-	eachWalMode(t, testWALReplSharedSequence)
-}
+func TestWALReplSharedSequence(t *testing.T) { eachShape(t, 4, testWALReplSharedSequence) }
 
-func testWALReplSharedSequence(t *testing.T, mode tkvwal.Mode) {
+func testWALReplSharedSequence(t *testing.T, shards int) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 4, ReplRing: 64, WAL: &tkvwal.Options{Dir: dir, Mode: mode}}
+	cfg := Config{Shards: shards, ReplRing: 64, WAL: &tkvwal.Options{Dir: dir}}
 	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +185,11 @@ func testWALReplSharedSequence(t *testing.T, mode tkvwal.Mode) {
 // idle checkpoint after it would find the shard dirty and rewrite it), the
 // follower must go on applying from 4, and a reopen must recover the cut
 // plus that record.
-func TestWALReplRestoreLowerSeq(t *testing.T) {
-	eachWalMode(t, testWALReplRestoreLowerSeq)
-}
+func TestWALReplRestoreLowerSeq(t *testing.T) { eachShape(t, 2, testWALReplRestoreLowerSeq) }
 
-func testWALReplRestoreLowerSeq(t *testing.T, mode tkvwal.Mode) {
+func testWALReplRestoreLowerSeq(t *testing.T, shards int) {
 	const sh = 0
-	cfg := Config{Shards: 2, ReplRing: 64, WAL: &tkvwal.Options{Dir: t.TempDir(), Mode: mode}}
+	cfg := Config{Shards: shards, ReplRing: 64, WAL: &tkvwal.Options{Dir: t.TempDir()}}
 	fo, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -250,16 +242,14 @@ func testWALReplRestoreLowerSeq(t *testing.T, mode tkvwal.Mode) {
 }
 
 // TestWALReplRestore drives snapshot resync on a follower that carries
-// a WAL: the restore must land durably (per-shard mode checkpoints the
-// restored shard directly under its stripes; shared mode runs one full
-// lane checkpoint after release), so a reopen of the follower recovers
-// the restored state and continues the numbering at the cut.
-func TestWALReplRestore(t *testing.T) {
-	eachWalMode(t, testWALReplRestore)
-}
+// a WAL: the restore must land durably (one forced checkpoint of every
+// shard after the restored shard's stripes are released), so a reopen of
+// the follower recovers the restored state and continues the numbering at
+// the cut.
+func TestWALReplRestore(t *testing.T) { eachShape(t, 4, testWALReplRestore) }
 
-func testWALReplRestore(t *testing.T, mode tkvwal.Mode) {
-	st, err := Open(Config{Shards: 4, ReplRing: 64})
+func testWALReplRestore(t *testing.T, shards int) {
+	st, err := Open(Config{Shards: shards, ReplRing: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +261,14 @@ func testWALReplRestore(t *testing.T, mode tkvwal.Mode) {
 	}
 
 	dir := t.TempDir()
-	foCfg := Config{Shards: 4, ReplRing: 64, WAL: &tkvwal.Options{Dir: dir, Mode: mode}}
+	foCfg := Config{Shards: shards, ReplRing: 64, WAL: &tkvwal.Options{Dir: dir}}
 	fo, err := Open(foCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fo.SetReadOnly(true)
-	seqs := make([]uint64, 4)
-	for sh := 0; sh < 4; sh++ {
+	seqs := make([]uint64, shards)
+	for sh := 0; sh < shards; sh++ {
 		pairs, seq, err := st.ReplShardCut(sh)
 		if err != nil {
 			t.Fatal(err)
@@ -305,7 +295,7 @@ func testWALReplRestore(t *testing.T, mode tkvwal.Mode) {
 			t.Fatalf("key %d: %q, want %q", k, got[k], v)
 		}
 	}
-	for sh := 0; sh < 4; sh++ {
+	for sh := 0; sh < shards; sh++ {
 		if h := fo2.WAL().LastSeq(sh); h != seqs[sh] {
 			t.Fatalf("shard %d: reopened watermark %d, want cut seq %d", sh, h, seqs[sh])
 		}
@@ -318,14 +308,12 @@ func testWALReplRestore(t *testing.T, mode tkvwal.Mode) {
 // TestWALFailStopStore proves the store-level fail-stop: an injected
 // fsync error surfaces as the write's error (never an ack), WalFailed
 // fires, and every later write reports the fence.
-func TestWALFailStopStore(t *testing.T) {
-	eachWalMode(t, testWALFailStopStore)
-}
+func TestWALFailStopStore(t *testing.T) { eachShape(t, 4, testWALFailStopStore) }
 
-func testWALFailStopStore(t *testing.T, mode tkvwal.Mode) {
+func testWALFailStopStore(t *testing.T, shards int) {
 	errInjected := errors.New("injected disk fault")
 	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	st := openWALStore(t, t.TempDir(), tkvwal.Options{FS: fs, Mode: mode})
+	st := openWALStore(t, t.TempDir(), shards, tkvwal.Options{FS: fs})
 	defer st.Close()
 	if _, err := st.Put(1, "healthy"); err != nil {
 		t.Fatal(err)
@@ -356,13 +344,11 @@ func testWALFailStopStore(t *testing.T, mode tkvwal.Mode) {
 // dropped, as SIGKILL would drop them), and a fresh Store over the same
 // directory must contain every acknowledged write. Un-acked writes may
 // or may not survive; acked ones must.
-func TestWALCrashDrill(t *testing.T) {
-	eachWalMode(t, testWALCrashDrill)
-}
+func TestWALCrashDrill(t *testing.T) { eachShape(t, 4, testWALCrashDrill) }
 
-func testWALCrashDrill(t *testing.T, mode tkvwal.Mode) {
+func testWALCrashDrill(t *testing.T, shards int) {
 	dir := t.TempDir()
-	st := openWALStore(t, dir, tkvwal.Options{Mode: mode})
+	st := openWALStore(t, dir, shards, tkvwal.Options{})
 
 	const workers = 4
 	acked := make([]uint64, workers) // per worker: writes 1..acked[w] were acked
@@ -393,7 +379,7 @@ func testWALCrashDrill(t *testing.T, mode tkvwal.Mode) {
 		t.Fatal("no acks before the crash; drill proves nothing")
 	}
 
-	st2 := openWALStore(t, dir, tkvwal.Options{Mode: mode})
+	st2 := openWALStore(t, dir, shards, tkvwal.Options{})
 	defer st2.Close()
 	lost := 0
 	for w := 0; w < workers; w++ {
@@ -429,18 +415,16 @@ func BenchmarkWalPut(b *testing.B) {
 		wal    bool
 		nosync bool
 		ring   int
-		mode   tkvwal.Mode
 	}{
-		{"wal=off", false, false, 0, ""},
-		{"wal=sync", true, false, 0, ""},
-		{"wal=sync+lane", true, false, 0, tkvwal.ModeShared},
-		{"wal=async", true, true, 0, ""},
-		{"wal=sync+ring", true, false, 1024, ""},
+		{"wal=off", false, false, 0},
+		{"wal=sync", true, false, 0},
+		{"wal=async", true, true, 0},
+		{"wal=sync+ring", true, false, 1024},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			c := Config{Shards: 4, PoolSize: 2, Buckets: 128, ReplRing: cfg.ring}
 			if cfg.wal {
-				c.WAL = &tkvwal.Options{Dir: b.TempDir(), NoSync: cfg.nosync, Mode: cfg.mode}
+				c.WAL = &tkvwal.Options{Dir: b.TempDir(), NoSync: cfg.nosync}
 			}
 			st, err := Open(c)
 			if err != nil {

@@ -12,8 +12,8 @@ import (
 // approaches tkvlog.MaxRecord.
 const ckptChunk = 4096
 
-// Checkpoint snapshots the shards of one lane and truncates the lane's
-// log. The protocol is ordered so a crash at any point loses nothing:
+// Checkpoint snapshots every shard and truncates the log. The protocol
+// is ordered so a crash at any point loses nothing:
 //
 //  1. rotate: flush + fsync the active segment and start a fresh one,
 //     so every record in the old segments precedes the cut;
@@ -29,26 +29,25 @@ const ckptChunk = 4096
 // A crash before 3 recovers from the previous checkpoint plus all
 // segments; after 3, from the new checkpoint plus the fresh segment
 // (records with seq at or below the cut replay as no-ops via the seq
-// skip). cut is called once per shard the lane owns, in order, so only
-// one shard's snapshot is in memory at a time; the file carries one
-// chunked snapshot per shard, every chunk carrying that shard's cut seq.
-// A checkpoint never covers less than its lane: one holding some of the
-// lane's shards would supersede the others' segments without their data.
+// skip). cut is called once per shard, in order, so only one shard's
+// snapshot is in memory at a time; the file carries one chunked snapshot
+// per shard, every chunk carrying that shard's cut seq. A checkpoint
+// never covers less than every shard: one holding some of them would
+// supersede the others' segments without their data.
 //
-// A no-op when none of the lane's shards has appended since the last
-// checkpoint, unless force is set — a restore changes store state
+// A no-op when no shard has appended since the last checkpoint, unless
+// force is set — a restore changes store state
 // without appending (its numbering arrives via the cut seq), so the
 // append watermarks cannot see that kind of dirt. A shard whose watermark
 // no append has moved since its cut began takes the cut's seq as its
 // watermark, lower or higher: a restore to an older cut leaves the log and
 // the store on one number, and an idle shard stays clean.
-func (w *WAL) Checkpoint(lane int, cut func(shard int) ([]tkvlog.Entry, uint64, error), force bool) error {
+func (w *WAL) Checkpoint(cut func(shard int) ([]tkvlog.Entry, uint64, error), force bool) error {
 	if err := w.Err(); err != nil {
 		return err
 	}
-	l := w.lanes[lane]
 	dirty := force
-	for _, s := range l.shards {
+	for _, s := range w.shards {
 		s.mu.Lock()
 		dirty = dirty || s.appended != s.lastCkptSeq.Load()
 		s.mu.Unlock()
@@ -56,26 +55,26 @@ func (w *WAL) Checkpoint(lane int, cut func(shard int) ([]tkvlog.Entry, uint64, 
 	if !dirty {
 		return nil
 	}
-	rot, err := w.rotate(l)
+	rot, err := w.rotate()
 	if err != nil {
 		return err
 	}
-	cutSeqs := make([]uint64, len(l.shards))
-	before := make([]uint64, len(l.shards)) // each shard's appended as its cut began
+	cutSeqs := make([]uint64, len(w.shards))
+	before := make([]uint64, len(w.shards)) // each shard's appended as its cut began
 	var cutErr error
-	err = w.commitFile(laneCkptName(l.idx, rot), func(f File) error {
+	err = w.commitFile(ckptName(rot), func(f File) error {
 		var buf []byte
-		for i, s := range l.shards {
+		for i, s := range w.shards {
 			s.mu.Lock()
 			before[i] = s.appended
 			s.mu.Unlock()
-			entries, seq, err := cut(s.idx)
+			entries, seq, err := cut(i)
 			if err != nil {
 				cutErr = err
 				return err
 			}
 			cutSeqs[i] = seq
-			rec := tkvlog.Record{Shard: uint16(s.idx), Seq: seq}
+			rec := tkvlog.Record{Shard: uint16(i), Seq: seq}
 			for off := 0; ; off += ckptChunk {
 				end := min(off+ckptChunk, len(entries))
 				rec.Entries = entries[off:end]
@@ -97,8 +96,8 @@ func (w *WAL) Checkpoint(lane int, cut func(shard int) ([]tkvlog.Entry, uint64, 
 		w.fail(err)
 		return err
 	}
-	w.gc(l, rot)
-	for i, s := range l.shards {
+	w.gc(rot)
+	for i, s := range w.shards {
 		// The cut's seq is the shard's number, forward or back (a restore
 		// re-bases it without appending), unless an append has moved the
 		// watermark since the cut began: that one is newer than the cut and
@@ -146,19 +145,19 @@ func (w *WAL) commitFile(name string, fill func(File) error) error {
 	return w.fs.SyncDir(w.dir)
 }
 
-// rotate flushes the lane's active segment and switches to the next
-// rotation, which it returns. Old segments stay until gc. Any failure
-// fences the log.
-func (w *WAL) rotate(l *laneLog) (uint64, error) {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	err := w.flushLocked(l)
+// rotate flushes the active segment and switches to the next rotation,
+// which it returns. Old segments stay until gc. Any failure fences the
+// log.
+func (w *WAL) rotate() (uint64, error) {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	err := w.flushLocked()
 	if err == nil {
-		err = l.f.Close()
-		l.f = nil
+		err = w.f.Close()
+		w.f = nil
 	}
 	if err == nil {
-		err = w.openSegment(l, l.rot+1)
+		err = w.openSegment(w.rot + 1)
 	}
 	if err == nil {
 		err = w.fs.SyncDir(w.dir)
@@ -166,32 +165,32 @@ func (w *WAL) rotate(l *laneLog) (uint64, error) {
 	if err != nil {
 		w.fail(err)
 	}
-	return l.rot, err
+	return w.rot, err
 }
 
-// openSegment opens (or creates) the lane's segment for rotation rot as
-// its active one. The caller holds l.wmu or is Open, and fsyncs the dir.
-func (w *WAL) openSegment(l *laneLog, rot uint64) error {
-	f, err := w.fs.OpenAppend(w.path(laneSegName(l.idx, rot)))
+// openSegment opens (or creates) the segment for rotation rot as the
+// active one. The caller holds w.wmu or is Open, and fsyncs the dir.
+func (w *WAL) openSegment(rot uint64) error {
+	f, err := w.fs.OpenAppend(w.path(segName(rot)))
 	if err != nil {
 		return err
 	}
-	l.f, l.rot = f, rot
+	w.f, w.rot = f, rot
 	return nil
 }
 
-// gc removes the lane's pre-rotation segments and superseded
-// checkpoints: everything of this lane below the checkpoint's rotation
-// counter. Failures here are ignored: leftover files only cost space and
-// replay as seq-skipped no-ops.
-func (w *WAL) gc(l *laneLog, ckptRot uint64) {
+// gc removes the pre-rotation segments and superseded checkpoints:
+// everything below the checkpoint's rotation counter. Failures here are
+// ignored: leftover files only cost space and replay as seq-skipped
+// no-ops.
+func (w *WAL) gc(ckptRot uint64) {
 	names, err := w.fs.List(w.dir)
 	if err != nil {
 		return
 	}
 	for _, name := range names {
 		for _, format := range []string{segFmt, ckptFmt} {
-			if lane, rot, ok := parseLaneFile(format, name); ok && lane == l.idx && rot < ckptRot {
+			if rot, ok := parseFile(format, name); ok && rot < ckptRot {
 				w.fs.Remove(w.path(name))
 			}
 		}
@@ -201,23 +200,24 @@ func (w *WAL) gc(l *laneLog, ckptRot uint64) {
 // path joins a file name onto the log directory.
 func (w *WAL) path(name string) string { return filepath.Join(w.dir, name) }
 
-// The one naming scheme. lane is the owning lane; rot is the lane's
-// monotonic rotation counter, zero-padded hex so a lane's names sort in
-// rotation (and so append) order. The checkpoint named rot is written
-// right after rotating to segment rot: it covers every segment of the
-// lane below rot (plus, via the seq skip, any prefix of rot itself).
+// The one naming scheme. rot is the monotonic rotation counter,
+// zero-padded hex so the names sort in rotation (and so append) order.
+// The checkpoint named rot is written right after rotating to segment
+// rot: it covers every segment below rot (plus, via the seq skip, any
+// prefix of rot itself). The 0000 is the lane index that version 2 of
+// the format carries in every name; with one lane it is always 0.
 const (
-	segFmt  = "lane-%04d-%016x.log"
-	ckptFmt = "lckpt-%04d-%016x.ckpt"
+	segFmt  = "lane-0000-%016x.log"
+	ckptFmt = "lckpt-0000-%016x.ckpt"
 )
 
-func laneSegName(lane int, rot uint64) string  { return fmt.Sprintf(segFmt, lane, rot) }
-func laneCkptName(lane int, rot uint64) string { return fmt.Sprintf(ckptFmt, lane, rot) }
+func segName(rot uint64) string  { return fmt.Sprintf(segFmt, rot) }
+func ckptName(rot uint64) string { return fmt.Sprintf(ckptFmt, rot) }
 
-// parseLaneFile reads a name built from format (segFmt or ckptFmt). Only
-// an exact round trip counts, so a ".tmp" sibling or a stray file does
-// not parse.
-func parseLaneFile(format, name string) (lane int, rot uint64, ok bool) {
-	n, err := fmt.Sscanf(name, format, &lane, &rot)
-	return lane, rot, err == nil && n == 2 && name == fmt.Sprintf(format, lane, rot)
+// parseFile reads a name built from format (segFmt or ckptFmt). Only an
+// exact round trip counts, so a ".tmp" sibling or a stray file does not
+// parse.
+func parseFile(format, name string) (rot uint64, ok bool) {
+	n, err := fmt.Sscanf(name, format, &rot)
+	return rot, err == nil && n == 1 && name == fmt.Sprintf(format, rot)
 }

@@ -17,10 +17,10 @@ func noApply(*tkvlog.Record) error { return nil }
 
 // recoveredKeys reopens dir through the real FS and returns the set of
 // keys recovery replayed.
-func recoveredKeys(t *testing.T, dir string, mode tkvwal.Mode, shards int) map[uint64]bool {
+func recoveredKeys(t *testing.T, dir string, shards int) map[uint64]bool {
 	t.Helper()
 	got := map[uint64]bool{}
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, Mode: mode}, func(rec *tkvlog.Record) error {
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards}, func(rec *tkvlog.Record) error {
 		for _, e := range rec.Entries {
 			got[e.Key] = true
 		}
@@ -33,24 +33,22 @@ func recoveredKeys(t *testing.T, dir string, mode tkvwal.Mode, shards int) map[u
 	return got
 }
 
-// proveFailStop drives a two-shard WAL into an injected fault and checks
-// the whole fail-stop contract: the faulted append is never acked, the
-// log fences, Failed() fires, later appends bounce — on EVERY shard, not
-// just the one whose append drew the short straw: the fence belongs to
-// the log, so one lane's fault stops the whole store whether the other
-// shard shares that lane's file and fsync or has its own — and a reopen
-// of the directory recovers every acked record.
-func proveFailStop(t *testing.T, mode tkvwal.Mode, arm func(*errfs.FS)) {
+// proveFailStop drives a WAL into an injected fault and checks the whole
+// fail-stop contract: the faulted append is never acked, the log fences,
+// Failed() fires, later appends bounce — on EVERY shard, not just the one
+// whose append drew the short straw: one fault stops the whole store —
+// and a reopen of the directory recovers every acked record.
+func proveFailStop(t *testing.T, shards int, arm func(*errfs.FS)) {
 	t.Helper()
 	dir := t.TempDir()
 	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: 2, Mode: mode, FS: fs}, noApply)
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, FS: fs}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	acked := map[uint64]bool{} // key = shard<<32 | seq
-	var seq [2]uint64
+	seq := make([]uint64, shards)
 	put := func(sh int) error {
 		seq[sh]++
 		key := uint64(sh)<<32 | seq[sh]
@@ -61,7 +59,7 @@ func proveFailStop(t *testing.T, mode tkvwal.Mode, arm func(*errfs.FS)) {
 		return err
 	}
 	for i := 0; i < 6; i++ {
-		if err := put(i % 2); err != nil {
+		if err := put(i % shards); err != nil {
 			t.Fatalf("healthy append %d: %v", i, err)
 		}
 	}
@@ -88,9 +86,9 @@ func proveFailStop(t *testing.T, mode tkvwal.Mode, arm func(*errfs.FS)) {
 	if !errors.Is(w.Err(), errInjected) || !w.Stats().Failed {
 		t.Fatalf("Err() = %v, stats failed = %v", w.Err(), w.Stats().Failed)
 	}
-	// Fenced: appends after the failure must report it, not ack — shard 1
-	// never touched the fault, and bounces all the same.
-	for sh := 0; sh < 2; sh++ {
+	// Fenced: appends after the failure must report it, not ack — the
+	// other shards never touched the fault, and bounce all the same.
+	for sh := 0; sh < shards; sh++ {
 		if err := put(sh); !errors.Is(err, errInjected) {
 			t.Fatalf("shard %d append after the fault: %v (want the injected fault)", sh, err)
 		}
@@ -99,7 +97,7 @@ func proveFailStop(t *testing.T, mode tkvwal.Mode, arm func(*errfs.FS)) {
 
 	// Every acked record must be there. The faulted record may or may not
 	// be on disk — it was never acked, so either is honest.
-	got := recoveredKeys(t, dir, mode, 2)
+	got := recoveredKeys(t, dir, shards)
 	for key := range acked {
 		if !got[key] {
 			t.Fatalf("acked record %x lost after fault+recovery", key)
@@ -110,38 +108,38 @@ func proveFailStop(t *testing.T, mode tkvwal.Mode, arm func(*errfs.FS)) {
 func failSync(n int64) func(*errfs.FS)  { return func(fs *errfs.FS) { fs.FailSyncAt(n) } }
 func failWrite(n int64) func(*errfs.FS) { return func(fs *errfs.FS) { fs.FailWriteAt(n) } }
 
-func TestFailStopOnFsyncError(t *testing.T)     { proveFailStop(t, tkvwal.ModePerShard, failSync(1)) }
-func TestFailStopOnWriteError(t *testing.T)     { proveFailStop(t, tkvwal.ModePerShard, failWrite(1)) }
-func TestLaneFailStopOnFsyncError(t *testing.T) { proveFailStop(t, tkvwal.ModeShared, failSync(1)) }
-func TestLaneFailStopOnWriteError(t *testing.T) { proveFailStop(t, tkvwal.ModeShared, failWrite(1)) }
-
-func TestFailStopOnLaterFsync(t *testing.T) {
-	for _, mode := range []tkvwal.Mode{tkvwal.ModePerShard, tkvwal.ModeShared} {
-		t.Run(string(mode), func(t *testing.T) { proveFailStop(t, mode, failSync(3)) })
-	}
+func TestFailStopOnFsyncError(t *testing.T) {
+	tkvwal.EachShape(t, 2, func(t *testing.T, shards int) { proveFailStop(t, shards, failSync(1)) })
 }
 
-func TestCheckpointFaultFences(t *testing.T)     { proveCheckpointFaultFences(t, tkvwal.ModePerShard) }
-func TestLaneCheckpointFaultFences(t *testing.T) { proveCheckpointFaultFences(t, tkvwal.ModeShared) }
+func TestFailStopOnWriteError(t *testing.T) {
+	tkvwal.EachShape(t, 2, func(t *testing.T, shards int) { proveFailStop(t, shards, failWrite(1)) })
+}
 
-// proveCheckpointFaultFences: a fault while writing a lane's checkpoint
-// fences the log instead of being swallowed.
-func proveCheckpointFaultFences(t *testing.T, mode tkvwal.Mode) {
+func TestFailStopOnLaterFsync(t *testing.T) {
+	tkvwal.EachShape(t, 2, func(t *testing.T, shards int) { proveFailStop(t, shards, failSync(3)) })
+}
+
+// TestCheckpointFaultFences: a fault while writing the checkpoint fences
+// the log instead of being swallowed.
+func TestCheckpointFaultFences(t *testing.T) { tkvwal.EachShape(t, 2, testCheckpointFaultFences) }
+
+func testCheckpointFaultFences(t *testing.T, shards int) {
 	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	w, err := tkvwal.Open(tkvwal.Options{Dir: t.TempDir(), Shards: 2, Mode: mode, FS: fs}, noApply)
+	w, err := tkvwal.Open(tkvwal.Options{Dir: t.TempDir(), Shards: shards, FS: fs}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	for seq := uint64(1); seq <= 3; seq++ {
-		for sh := 0; sh < 2; sh++ {
+		for sh := 0; sh < shards; sh++ {
 			if err := w.Append(sh, seq, []tkvlog.Entry{{Key: uint64(sh)<<32 | seq, Val: "v"}}).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	fs.FailSyncAt(1) // all appends settled, so the next fsync is the ckpt tmp file's
-	err = w.Checkpoint(w.LaneOf(1), func(sh int) ([]tkvlog.Entry, uint64, error) {
+	err = w.Checkpoint(func(sh int) ([]tkvlog.Entry, uint64, error) {
 		return []tkvlog.Entry{{Key: uint64(sh), Val: "v"}}, 3, nil
 	}, false)
 	if !errors.Is(err, errInjected) {
@@ -152,37 +150,44 @@ func proveCheckpointFaultFences(t *testing.T, mode tkvwal.Mode) {
 	}
 }
 
-func TestAbandonSimulatesCrash(t *testing.T) { proveAbandonCrash(t, tkvwal.ModePerShard) }
-func TestSharedAbandonCrash(t *testing.T)    { proveAbandonCrash(t, tkvwal.ModeShared) }
-
-// proveAbandonCrash is the in-process crash drill: concurrent appenders
-// on every shard tally which records were acknowledged, the log is
-// abandoned mid-flight (pending un-fsynced records discarded, as SIGKILL
-// would), and recovery must surface every acknowledged record on every
-// shard. Lost un-acked records are fine; lost acked records are the bug
-// class this exists to catch — an ack racing ahead of its fsync would
-// fail here.
-func proveAbandonCrash(t *testing.T, mode tkvwal.Mode) {
+// TestAbandonSimulatesCrash is the in-process crash drill: concurrent
+// appenders — one on each shard, or all on one — tally which records were
+// acknowledged, the log is abandoned mid-flight (pending un-fsynced
+// records discarded, as SIGKILL would), and recovery must surface every
+// acknowledged record of every appender. Lost un-acked records are fine;
+// lost acked records are the bug class this exists to catch — an ack
+// racing ahead of its fsync would fail here.
+func TestAbandonSimulatesCrash(t *testing.T) {
 	const workers = 4
+	tkvwal.EachShape(t, workers, func(t *testing.T, shards int) { proveAbandonCrash(t, workers, shards) })
+}
+
+func proveAbandonCrash(t *testing.T, workers, shards int) {
 	dir := t.TempDir()
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: workers, Mode: mode}, noApply)
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acked := make([]uint64, workers) // per shard: seqs 1..acked[sh] were acked
+	acked := make([]uint64, workers) // per appender: records 1..acked[i] were acked
+	mu := make([]sync.Mutex, shards) // shard i's ordering lock, the one Append asks for: assigns seq[i]
+	seq := make([]uint64, shards)
 	var wg sync.WaitGroup
-	for sh := 0; sh < workers; sh++ {
+	for i := 0; i < workers; i++ {
 		wg.Add(1)
-		go func(sh int) {
+		go func(i int) {
 			defer wg.Done()
-			for seq := uint64(1); ; seq++ {
-				c := w.Append(sh, seq, []tkvlog.Entry{{Key: uint64(sh)<<32 | seq, Val: "v"}})
+			sh := i % shards
+			for n := uint64(1); ; n++ {
+				mu[sh].Lock()
+				seq[sh]++
+				c := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(i)<<32 | n, Val: "v"}})
+				mu[sh].Unlock()
 				if err := c.Wait(); err != nil {
 					return // fence reached: the "crash" happened
 				}
-				acked[sh] = seq
+				acked[i] = n
 			}
-		}(sh)
+		}(i)
 	}
 	time.Sleep(50 * time.Millisecond)
 	w.Abandon() // SIGKILL stand-in
@@ -194,13 +199,13 @@ func proveAbandonCrash(t *testing.T, mode tkvwal.Mode) {
 	if total == 0 {
 		t.Fatal("no acks before the crash; drill proves nothing")
 	}
-	got := recoveredKeys(t, dir, mode, workers)
-	for sh := 0; sh < workers; sh++ {
-		for seq := uint64(1); seq <= acked[sh]; seq++ {
-			if !got[uint64(sh)<<32|seq] {
-				t.Fatalf("acked shard %d seq %d lost in crash", sh, seq)
+	got := recoveredKeys(t, dir, shards)
+	for i := 0; i < workers; i++ {
+		for n := uint64(1); n <= acked[i]; n++ {
+			if !got[uint64(i)<<32|n] {
+				t.Fatalf("appender %d's acked record %d lost in crash", i, n)
 			}
 		}
 	}
-	t.Logf("crash drill: %d acked across %d shards, %d recovered", total, workers, len(got))
+	t.Logf("crash drill: %d acked across %d shards, %d recovered", total, shards, len(got))
 }

@@ -16,8 +16,7 @@ import (
 // test decides exactly which records are staged behind it, and the lane
 // is known to be inside Sync — touching nothing else — until released.
 // Records written are counted per Sync: that is the group's size, however
-// many shards (and so Write calls) it came from. The count is the
-// device's, so the tests drive one lane at a time.
+// many shards (and so Write calls) it came from.
 type gateFS struct {
 	OSFS
 	entered chan int      // a Sync has started; carries the records written since the last one
@@ -86,10 +85,10 @@ func (f *gatedFile) Sync() error {
 
 // openGated opens a log over a gateFS and arranges for the gate to open
 // before the log is closed when the test ends.
-func openGated(t *testing.T, mode Mode, shards int) (*WAL, *gateFS) {
+func openGated(t *testing.T, shards int) (*WAL, *gateFS) {
 	t.Helper()
 	g := newGateFS()
-	w, err := Open(Options{Dir: t.TempDir(), Shards: shards, Mode: mode, FS: g},
+	w, err := Open(Options{Dir: t.TempDir(), Shards: shards, FS: g},
 		func(*tkvlog.Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -101,20 +100,14 @@ func openGated(t *testing.T, mode Mode, shards int) (*WAL, *gateFS) {
 	return w, g
 }
 
-// setLaneFallback fixes one lane's fallback timer at d, whatever fsync
+// setLaneFallback fixes the lane's fallback timer at d, whatever fsync
 // costs it goes on to measure in this test (the EMA moves an eighth of
 // the way per flush; the cap does not move). An hour rules the timer
 // out, so a group can only form from arrivals. Call it while the lane is
 // provably idle — before the first Append or while a Sync is held — so
 // the write is ordered before the lane's next read by the channel
 // operation that wakes it.
-func setLaneFallback(l *laneLog, d time.Duration) {
-	l.maxWait = d
-	l.fsyncEMA.Store(int64(1000 * time.Hour))
-}
-
-func eachMode(t *testing.T, f func(t *testing.T, mode Mode)) {
-	for _, mode := range []Mode{ModePerShard, ModeShared} {
-		t.Run(string(mode), func(t *testing.T) { f(t, mode) })
-	}
+func setLaneFallback(w *WAL, d time.Duration) {
+	w.maxWait = d
+	w.fsyncEMA.Store(int64(1000 * time.Hour))
 }

@@ -14,9 +14,8 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 )
 
-// laneWriters are closed-loop writers on lane 0, spread over the shards
-// it owns — writer i alone on shard i in the shared layout, all of them
-// on shard 0 in the per-shard one: Append, report staged, Wait, repeat
+// laneWriters are closed-loop writers spread over the shards — writer i
+// on shard i modulo the shard count: Append, report staged, Wait, repeat
 // until told to leave or the log reports an error.
 type laneWriters struct {
 	w      *WAL
@@ -24,13 +23,13 @@ type laneWriters struct {
 	leave  []atomic.Bool // writer i exits after the ack it is waiting for
 	result []chan error  // writer i's terminal Wait outcome (nil when it left)
 
-	mu  sync.Mutex // the ordering lock Append asks for: assigns seq, per shard
+	mu  []sync.Mutex // shard i's ordering lock, the one Append asks for: assigns seq[i]
 	seq []uint64
 }
 
 func newLaneWriters(w *WAL, n int) *laneWriters {
 	ws := &laneWriters{w: w, staged: make(chan struct{}), leave: make([]atomic.Bool, n), result: make([]chan error, n),
-		seq: make([]uint64, len(w.shards))}
+		mu: make([]sync.Mutex, len(w.shards)), seq: make([]uint64, len(w.shards))}
 	for i := range ws.result {
 		ws.result[i] = make(chan error, 1)
 	}
@@ -38,14 +37,13 @@ func newLaneWriters(w *WAL, n int) *laneWriters {
 }
 
 func (ws *laneWriters) start(i int) {
-	owned := ws.w.lanes[0].shards
-	sh := owned[i%len(owned)].idx
+	sh := i % len(ws.w.shards)
 	go func() {
 		for {
-			ws.mu.Lock()
+			ws.mu[sh].Lock()
 			ws.seq[sh]++
 			c := ws.w.Append(sh, ws.seq[sh], []tkvlog.Entry{{Key: uint64(i), Val: "x"}})
-			ws.mu.Unlock()
+			ws.mu[sh].Unlock()
 			ws.staged <- struct{}{}
 			if err := c.Wait(); err != nil || ws.leave[i].Load() {
 				ws.result[i] <- err
@@ -74,7 +72,7 @@ func (ws *laneWriters) awaitStaged(t *testing.T, k int) {
 // only because the lane counted its writers in.
 func fullLaneGroup(t *testing.T, w *WAL, g *gateFS, n int) *laneWriters {
 	t.Helper()
-	setLaneFallback(w.lanes[0], time.Hour)
+	setLaneFallback(w, time.Hour)
 	ws := newLaneWriters(w, n)
 	ws.start(0)
 	ws.awaitStaged(t, 1)
@@ -97,17 +95,17 @@ func fullLaneGroup(t *testing.T, w *WAL, g *gateFS, n int) *laneWriters {
 }
 
 // TestSharedGroupCommitAcrossShards is the amortization proof and the
-// group-formation one: n closed-loop writers on one lane — spread over
-// its n shards, or all on the one shard a per-shard lane owns — ride one
-// fsync per round, in groups of exactly n from the second group on, with
-// the fallback timer out of the picture.
+// group-formation one: n closed-loop writers — one on each of n shards,
+// or all of them on one — ride one fsync per round, in groups of exactly
+// n from the second group on, with the fallback timer out of the picture.
 func TestSharedGroupCommitAcrossShards(t *testing.T) {
-	eachMode(t, testGroupCommitAcrossShards)
+	const n = 8
+	eachShape(t, n, func(t *testing.T, shards int) { testGroupCommitAcrossShards(t, n, shards) })
 }
 
-func testGroupCommitAcrossShards(t *testing.T, mode Mode) {
-	const n, rounds = 8, 6
-	w, g := openGated(t, mode, n)
+func testGroupCommitAcrossShards(t *testing.T, n, shards int) {
+	const rounds = 6
+	w, g := openGated(t, shards)
 	ws := fullLaneGroup(t, w, g, n)
 	for r := 3; r <= rounds; r++ {
 		g.finish(nil)
@@ -126,7 +124,7 @@ func testGroupCommitAcrossShards(t *testing.T, mode Mode) {
 		}
 	}
 	st := w.Stats()
-	if st.Fsyncs != rounds || st.GroupMax != n || st.Appends != 1+(rounds-1)*n {
+	if st.Fsyncs != rounds || st.GroupMax != uint64(n) || st.Appends != uint64(1+(rounds-1)*n) {
 		t.Fatalf("fsyncs %d group max %d appends %d, want %d, %d, %d",
 			st.Fsyncs, st.GroupMax, st.Appends, rounds, n, 1+(rounds-1)*n)
 	}
@@ -139,16 +137,17 @@ func testGroupCommitAcrossShards(t *testing.T, mode Mode) {
 // whole expectation, so every Append is collected at once — the lane
 // never blocks for arrivals and never arms the fallback timer (which is
 // at its default here, not ruled out).
-func TestLaneLoneWriterNeverWaits(t *testing.T) {
-	eachMode(t, testLoneWriterNeverWaits)
-}
+func TestLaneLoneWriterNeverWaits(t *testing.T) { eachShape(t, 4, testLoneWriterNeverWaits) }
 
-func testLoneWriterNeverWaits(t *testing.T, mode Mode) {
-	w, g := openGated(t, mode, 4)
-	for seq := uint64(1); seq <= 20; seq++ {
-		c := w.Append(int(seq%4), seq, []tkvlog.Entry{{Key: seq, Val: "x"}})
+func testLoneWriterNeverWaits(t *testing.T, shards int) {
+	w, g := openGated(t, shards)
+	seq := make([]uint64, shards)
+	for i := 0; i < 20; i++ {
+		sh := i % shards
+		seq[sh]++
+		c := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(i), Val: "x"}})
 		if got := g.next(t); got != 1 {
-			t.Fatalf("append %d: group of %d", seq, got)
+			t.Fatalf("append %d: group of %d", i, got)
 		}
 		g.finish(nil)
 		if err := c.Wait(); err != nil {
@@ -166,18 +165,18 @@ func testLoneWriterNeverWaits(t *testing.T, mode Mode) {
 // so the next group forms from arrivals alone (the timer is ruled out
 // again before it, so an expectation still at n would hang the test).
 func TestLaneFallbackOnceWhenLoadDrops(t *testing.T) {
-	eachMode(t, testFallbackOnceWhenLoadDrops)
+	const n = 8
+	eachShape(t, n, func(t *testing.T, shards int) { testFallbackOnceWhenLoadDrops(t, n, shards) })
 }
 
-func testFallbackOnceWhenLoadDrops(t *testing.T, mode Mode) {
-	const n = 8
-	w, g := openGated(t, mode, n)
+func testFallbackOnceWhenLoadDrops(t *testing.T, n, shards int) {
+	w, g := openGated(t, shards)
 	ws := fullLaneGroup(t, w, g, n)
 	for i := n / 2; i < n; i++ {
 		ws.leave[i].Store(true)
 	}
 	// Long enough that the returning half is surely staged first.
-	setLaneFallback(w.lanes[0], 50*time.Millisecond)
+	setLaneFallback(w, 50*time.Millisecond)
 	g.finish(nil)
 	if got := g.next(t); got != n/2 {
 		t.Fatalf("group after the drop: %d records, want %d", got, n/2)
@@ -186,7 +185,7 @@ func testFallbackOnceWhenLoadDrops(t *testing.T, mode Mode) {
 	if st := w.Stats(); st.GroupWaitTimeouts != 1 {
 		t.Fatalf("timeouts %d, want exactly the one group that paid the fallback", st.GroupWaitTimeouts)
 	}
-	setLaneFallback(w.lanes[0], time.Hour)
+	setLaneFallback(w, time.Hour)
 	for r := 0; r < 3; r++ {
 		g.finish(nil)
 		if got := g.next(t); got != n/2 {
@@ -215,8 +214,8 @@ func TestLaneStopDuringWait(t *testing.T) {
 	const n = 8
 	// parked returns with n/2 writers staged and parked on their ticket,
 	// the lane waiting (no timer) for the other half, who have left.
-	parked := func(t *testing.T, mode Mode) (*WAL, *gateFS, *laneWriters) {
-		w, g := openGated(t, mode, n)
+	parked := func(t *testing.T, shards int) (*WAL, *gateFS, *laneWriters) {
+		w, g := openGated(t, shards)
 		ws := fullLaneGroup(t, w, g, n)
 		for i := n / 2; i < n; i++ {
 			ws.leave[i].Store(true)
@@ -230,9 +229,9 @@ func TestLaneStopDuringWait(t *testing.T) {
 		}
 		return w, g, ws
 	}
-	abandon := func(t *testing.T, mode Mode) {
-		w, _, ws := parked(t, mode)
-		w.Abandon() // returns once the lane loops have exited
+	abandon := func(t *testing.T, shards int) {
+		w, _, ws := parked(t, shards)
+		w.Abandon() // returns once the lane loop has exited
 		for i := 0; i < n/2; i++ {
 			if err := <-ws.result[i]; !errors.Is(err, ErrAbandoned) {
 				t.Fatalf("parked writer %d: %v, want the ErrAbandoned fence", i, err)
@@ -242,8 +241,8 @@ func TestLaneStopDuringWait(t *testing.T) {
 			t.Fatalf("fsyncs %d: the abandoned group must not have been flushed", st.Fsyncs)
 		}
 	}
-	closing := func(t *testing.T, mode Mode) {
-		w, g, ws := parked(t, mode)
+	closing := func(t *testing.T, shards int) {
+		w, g, ws := parked(t, shards)
 		for i := 0; i < n/2; i++ {
 			ws.leave[i].Store(true)
 		}
@@ -261,8 +260,8 @@ func TestLaneStopDuringWait(t *testing.T) {
 			t.Fatalf("durable lag %d after Close", lag)
 		}
 	}
-	t.Run("abandon", func(t *testing.T) { eachMode(t, abandon) })
-	t.Run("close", func(t *testing.T) { eachMode(t, closing) })
+	t.Run("abandon", func(t *testing.T) { eachShape(t, n, abandon) })
+	t.Run("close", func(t *testing.T) { eachShape(t, n, closing) })
 }
 
 // TestFenceIsOnePublication parks an appender inside fail, between its
@@ -270,29 +269,29 @@ func TestLaneStopDuringWait(t *testing.T) {
 // appender must already get a handle that fails. (When the flag and the
 // handle were two stores in the other order, Append returned a nil
 // *Commit here, and a nil Commit's Wait is an ack.)
-func TestFenceIsOnePublication(t *testing.T) {
-	eachMode(t, func(t *testing.T, mode Mode) {
-		w, _ := openGated(t, mode, 2)
-		boom := errors.New("boom")
-		w.fenced.Store(newFence(w, boom)) // fail's first step, and no more
-		select {
-		case <-w.Failed():
-			t.Fatal("Failed() already fired: not between the publications")
-		default:
-		}
-		c := w.Append(1, 1, []tkvlog.Entry{{Key: 1, Val: "v"}})
-		if c == nil {
-			t.Fatal("Append returned a nil Commit for a fenced sync log: its Wait would ack")
-		}
-		if err := c.Wait(); !errors.Is(err, boom) {
-			t.Fatalf("Wait = %v, want the fence", err)
-		}
-		if !errors.Is(w.Err(), boom) {
-			t.Fatalf("Err = %v", w.Err())
-		}
-		w.fail(boom)
-		<-w.Failed()
-	})
+func TestFenceIsOnePublication(t *testing.T) { eachShape(t, 2, testFenceIsOnePublication) }
+
+func testFenceIsOnePublication(t *testing.T, shards int) {
+	w, _ := openGated(t, shards)
+	boom := errors.New("boom")
+	w.fenced.Store(newFence(w, boom)) // fail's first step, and no more
+	select {
+	case <-w.Failed():
+		t.Fatal("Failed() already fired: not between the publications")
+	default:
+	}
+	c := w.Append(shards-1, 1, []tkvlog.Entry{{Key: 1, Val: "v"}})
+	if c == nil {
+		t.Fatal("Append returned a nil Commit for a fenced sync log: its Wait would ack")
+	}
+	if err := c.Wait(); !errors.Is(err, boom) {
+		t.Fatalf("Wait = %v, want the fence", err)
+	}
+	if !errors.Is(w.Err(), boom) {
+		t.Fatalf("Err = %v", w.Err())
+	}
+	w.fail(boom)
+	<-w.Failed()
 }
 
 // TestAbandonRacingAppendSeesAbandoned: appenders running flat out
@@ -300,41 +299,50 @@ func TestFenceIsOnePublication(t *testing.T) {
 // raised before the fence, one of them could find the flag first and
 // fence the log with ErrClosed instead.
 func TestAbandonRacingAppendSeesAbandoned(t *testing.T) {
-	eachMode(t, func(t *testing.T, mode Mode) {
-		for round := 0; round < 20; round++ {
-			const writers = 4
-			w, g := openGated(t, mode, writers)
-			g.open() // real files, free fsyncs: the race is with Abandon, not the device
-			var wg sync.WaitGroup
-			errs := make([]error, writers)
-			started := make(chan struct{}, writers)
-			for i := 0; i < writers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					for seq := uint64(1); ; seq++ {
-						if seq == 2 {
-							started <- struct{}{}
-						}
-						if errs[i] = w.Append(i, seq, []tkvlog.Entry{{Key: seq, Val: "v"}}).Wait(); errs[i] != nil {
-							return
-						}
+	const writers = 4
+	eachShape(t, writers, func(t *testing.T, shards int) { testAbandonRacingAppend(t, writers, shards) })
+}
+
+func testAbandonRacingAppend(t *testing.T, writers, shards int) {
+	for round := 0; round < 20; round++ {
+		w, g := openGated(t, shards)
+		g.open() // real files, free fsyncs: the race is with Abandon, not the device
+		var wg sync.WaitGroup
+		mu := make([]sync.Mutex, shards) // shard i's ordering lock, the one Append asks for: assigns seq[i]
+		seq := make([]uint64, shards)
+		errs := make([]error, writers)
+		started := make(chan struct{}, writers)
+		for i := 0; i < writers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				sh := i % shards
+				for n := 1; ; n++ {
+					if n == 2 {
+						started <- struct{}{}
 					}
-				}(i)
-			}
-			for i := 0; i < writers; i++ {
-				<-started
-			}
-			w.Abandon()
-			wg.Wait()
-			for i, err := range errs {
-				if !errors.Is(err, ErrAbandoned) || errors.Is(err, ErrClosed) {
-					t.Fatalf("round %d writer %d ended on %v, want ErrAbandoned", round, i, err)
+					mu[sh].Lock()
+					seq[sh]++
+					c := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(n), Val: "v"}})
+					mu[sh].Unlock()
+					if errs[i] = c.Wait(); errs[i] != nil {
+						return
+					}
 				}
-			}
-			if !errors.Is(w.Err(), ErrAbandoned) {
-				t.Fatalf("log fenced with %v", w.Err())
+			}(i)
+		}
+		for i := 0; i < writers; i++ {
+			<-started
+		}
+		w.Abandon()
+		wg.Wait()
+		for i, err := range errs {
+			if !errors.Is(err, ErrAbandoned) || errors.Is(err, ErrClosed) {
+				t.Fatalf("round %d writer %d ended on %v, want ErrAbandoned", round, i, err)
 			}
 		}
-	})
+		if !errors.Is(w.Err(), ErrAbandoned) {
+			t.Fatalf("log fenced with %v", w.Err())
+		}
+	}
 }

@@ -18,8 +18,8 @@ const manifestName = "MANIFEST"
 type manifest struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
-	// Lane is the layout the directory was written with: "shared" for
-	// one lane owning every shard, "pershard" for one lane per shard.
+	// Lane is the layout the directory was written with. This build
+	// writes and reads "shared" (one lane owning every shard) only.
 	Lane string `json:"lane,omitempty"`
 }
 
@@ -44,10 +44,10 @@ type RecoveryStats struct {
 // Open recovers the log directory and returns a running WAL. Every
 // recovered record is handed to apply in sequence order per shard —
 // checkpoint snapshots first (records carrying the checkpoint seq),
-// then the segment tail. A torn tail at the end of a lane's newest
-// segment is truncated (those records were never acknowledged); a torn
-// or corrupt record anywhere else refuses to open, because data after it
-// would be silently lost if recovery pressed on.
+// then the segment tail. A torn tail at the end of the newest segment is
+// truncated (those records were never acknowledged); a torn or corrupt
+// record anywhere else refuses to open, because data after it would be
+// silently lost if recovery pressed on.
 func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 	if opts.Shards <= 0 {
 		return nil, fmt.Errorf("tkvwal: invalid shard count %d", opts.Shards)
@@ -55,9 +55,8 @@ func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("tkvwal: no directory")
 	}
-	var err error
-	if opts.Mode, err = ParseMode(string(opts.Mode)); err != nil {
-		return nil, err
+	if opts.Mode != "" && opts.Mode != ModeShared {
+		return nil, fmt.Errorf("tkvwal: unknown layout %q (the log has one, %q)", opts.Mode, ModeShared)
 	}
 	if opts.FS == nil {
 		opts.FS = OSFS{}
@@ -67,24 +66,14 @@ func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 		fs:      opts.FS,
 		opts:    opts,
 		shards:  make([]*shardLog, opts.Shards),
+		notify:  make(chan struct{}, 1),
+		maxWait: laneWaitMax,
 		failedc: make(chan struct{}),
 		stopc:   make(chan struct{}),
 	}
-	// The layout is its shard sets and nothing more: one lane owning
-	// every shard, or as many lanes as shards, shard i in lane i.
-	lanes := opts.Shards
-	if opts.Mode == ModeShared {
-		lanes = 1
-	}
-	for i := 0; i < lanes; i++ {
-		l := &laneLog{idx: i, notify: make(chan struct{}, 1), maxWait: laneWaitMax}
-		l.cur.Store(&Commit{w: w, done: make(chan struct{})})
-		w.lanes = append(w.lanes, l)
-	}
+	w.cur.Store(&Commit{w: w, done: make(chan struct{})})
 	for i := range w.shards {
-		l := w.lanes[i%lanes]
-		w.shards[i] = &shardLog{idx: i, lane: l}
-		l.shards = append(l.shards, w.shards[i])
+		w.shards[i] = &shardLog{}
 	}
 	if err := w.fs.MkdirAll(w.dir); err != nil {
 		return nil, fmt.Errorf("tkvwal: %w", err)
@@ -101,26 +90,21 @@ func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 			w.fs.Remove(w.path(name)) // an uncommitted checkpoint or manifest
 		}
 	}
-	for _, l := range w.lanes {
-		if err := w.recoverLane(l, names, apply); err != nil {
-			w.closeFiles()
-			return nil, err
-		}
+	if err := w.recover(names, apply); err != nil {
+		w.closeFiles()
+		return nil, err
 	}
 	if err := w.fs.SyncDir(w.dir); err != nil {
 		w.closeFiles()
 		return nil, fmt.Errorf("tkvwal: %w", err)
 	}
-	for _, l := range w.lanes {
-		w.wg.Add(1)
-		go w.laneLoop(l)
-	}
+	w.wg.Add(1)
+	go w.laneLoop()
 	return w, nil
 }
 
-// manifestVersion is the on-disk layout this package reads and writes:
-// lane-<lane>-<rot>.log segments and lckpt-<lane>-<rot>.ckpt
-// checkpoints, in both modes.
+// manifestVersion is the on-disk format this package reads and writes:
+// lane-0000-<rot>.log segments and lckpt-0000-<rot>.ckpt checkpoints.
 const manifestVersion = 2
 
 // checkManifest validates the directory's pin — format version, shard
@@ -131,7 +115,7 @@ const manifestVersion = 2
 func (w *WAL) checkManifest() error {
 	f, err := w.fs.Open(w.path(manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
-		data, _ := json.Marshal(manifest{Version: manifestVersion, Shards: w.opts.Shards, Lane: string(w.opts.Mode)})
+		data, _ := json.Marshal(manifest{Version: manifestVersion, Shards: w.opts.Shards, Lane: string(ModeShared)})
 		err := w.commitFile(manifestName, func(f File) error {
 			_, err := f.Write(append(data, '\n'))
 			return err
@@ -162,13 +146,15 @@ func (w *WAL) checkManifest() error {
 		return fmt.Errorf("tkvwal: directory %s was written with %d shards, store has %d",
 			w.dir, m.Shards, w.opts.Shards)
 	}
-	dirMode, err := ParseMode(m.Lane)
-	if err != nil {
-		return fmt.Errorf("tkvwal: manifest: %w", err)
-	}
-	if dirMode != w.opts.Mode {
-		return fmt.Errorf("tkvwal: directory %s was written in %s mode, store wants %s",
-			w.dir, dirMode, w.opts.Mode)
+	if m.Lane != string(ModeShared) {
+		// A version 2 MANIFEST without a lane field is a per-shard one: that
+		// layout was written as the zero value.
+		lane := m.Lane
+		if lane == "" {
+			lane = "one lane per shard (no lane field)"
+		}
+		return fmt.Errorf("tkvwal: directory %s was written in WAL layout %q, this build reads %q only (refusing to start)",
+			w.dir, lane, ModeShared)
 	}
 	return nil
 }
@@ -199,26 +185,26 @@ func (w *WAL) scan(name string, visit func(*tkvlog.Record) error) (end int64, de
 	}
 }
 
-// recoverLane replays one lane: its newest checkpoint (one chunked
-// snapshot per shard the lane owns), then its segments in rotation
-// order, demultiplexing the interleaved records by their shard header
-// and skipping what the checkpoint covers. Per shard: a record at or
-// below the watermark skips (idempotence), a gap refuses, a record of a
-// shard the lane does not own refuses; a torn tail on the lane's newest
-// segment truncates, damage anywhere else refuses. On success the
-// shards' watermarks are set and the lane's next segment is opened.
-func (w *WAL) recoverLane(l *laneLog, names []string, apply func(*tkvlog.Record) error) error {
-	// The rotation counter is fixed-width hex, so within a lane name
-	// order is rotation order.
+// recover replays the directory: its newest checkpoint (one chunked
+// snapshot per shard), then the segments in rotation order,
+// demultiplexing the interleaved records by their shard header and
+// skipping what the checkpoint covers. Per shard: a record at or below
+// the watermark skips (idempotence), a gap refuses, a record of a shard
+// out of range refuses; a torn tail on the newest segment truncates,
+// damage anywhere else refuses. On success the shards' watermarks are set
+// and the next segment is opened.
+func (w *WAL) recover(names []string, apply func(*tkvlog.Record) error) error {
+	// The rotation counter is fixed-width hex, so name order is rotation
+	// order.
 	var segs []string
 	ckptFile := ""
 	var maxRot uint64
 	for _, name := range names {
-		if lane, rot, ok := parseLaneFile(ckptFmt, name); ok && lane == l.idx {
+		if rot, ok := parseFile(ckptFmt, name); ok {
 			ckptFile = max(ckptFile, name)
 			maxRot = max(maxRot, rot)
 		}
-		if lane, rot, ok := parseLaneFile(segFmt, name); ok && lane == l.idx {
+		if rot, ok := parseFile(segFmt, name); ok {
 			segs = append(segs, name)
 			maxRot = max(maxRot, rot)
 		}
@@ -228,15 +214,15 @@ func (w *WAL) recoverLane(l *laneLog, names []string, apply func(*tkvlog.Record)
 	// owned resolves a record's shard; the watermark recovery advances is
 	// the shard's own appended (nothing else runs yet).
 	owned := func(kind, file string, rec *tkvlog.Record) (*shardLog, error) {
-		if int(rec.Shard) >= len(w.shards) || w.shards[rec.Shard].lane != l {
-			return nil, fmt.Errorf("tkvwal: %s %s carries shard %d of %d, not one of lane %d's (refusing to start)",
-				kind, file, rec.Shard, len(w.shards), l.idx)
+		if int(rec.Shard) >= len(w.shards) {
+			return nil, fmt.Errorf("tkvwal: %s %s carries shard %d of %d (refusing to start)",
+				kind, file, rec.Shard, len(w.shards))
 		}
 		return w.shards[rec.Shard], nil
 	}
 
 	if ckptFile != "" {
-		seen := make(map[*shardLog]bool, len(l.shards))
+		seen := make(map[*shardLog]bool, len(w.shards))
 		_, derr, err := w.scan(ckptFile, func(rec *tkvlog.Record) error {
 			s, err := owned("checkpoint", ckptFile, rec)
 			if err != nil {
@@ -245,7 +231,7 @@ func (w *WAL) recoverLane(l *laneLog, names []string, apply func(*tkvlog.Record)
 			if seen[s] && rec.Seq != s.appended {
 				// Chunks of one shard's snapshot all carry its cut seq.
 				return fmt.Errorf("tkvwal: checkpoint %s shard %d cut seq changed %d -> %d (refusing to start)",
-					ckptFile, s.idx, s.appended, rec.Seq)
+					ckptFile, rec.Shard, s.appended, rec.Seq)
 			}
 			seen[s] = true
 			s.appended = rec.Seq
@@ -278,7 +264,7 @@ func (w *WAL) recoverLane(l *laneLog, names []string, apply func(*tkvlog.Record)
 			}
 			if rec.Seq != s.appended+1 {
 				return fmt.Errorf("tkvwal: segment %s jumps shard %d from seq %d to %d (refusing to start)",
-					name, s.idx, s.appended, rec.Seq)
+					name, rec.Shard, s.appended, rec.Seq)
 			}
 			if err := apply(rec); err != nil {
 				return fmt.Errorf("tkvwal: replay apply: %w", err)
@@ -296,8 +282,8 @@ func (w *WAL) recoverLane(l *laneLog, names []string, apply func(*tkvlog.Record)
 		if !errors.Is(derr, tkvlog.ErrShort) || i != len(segs)-1 {
 			return fmt.Errorf("tkvwal: segment %s unreadable (refusing to start): %w", name, derr)
 		}
-		// Torn tail of the lane's newest segment: the crash interrupted
-		// an un-acknowledged group. Cut it and move on.
+		// Torn tail of the newest segment: the crash interrupted an
+		// un-acknowledged group. Cut it and move on.
 		torn := w.segSizeAfter(name, end)
 		if err := w.fs.Truncate(w.path(name), end); err != nil {
 			return fmt.Errorf("tkvwal: truncating torn tail of %s: %w", name, err)
@@ -305,11 +291,11 @@ func (w *WAL) recoverLane(l *laneLog, names []string, apply func(*tkvlog.Record)
 		w.recovered.TruncatedBytes += torn
 	}
 
-	for _, s := range l.shards {
+	for _, s := range w.shards {
 		s.durable.Store(s.appended)
 		s.lastCkptSeq.Store(s.appended) // fresh ckpt not needed until new appends
 	}
-	if err := w.openSegment(l, maxRot+1); err != nil {
+	if err := w.openSegment(maxRot + 1); err != nil {
 		return fmt.Errorf("tkvwal: %w", err)
 	}
 	return nil

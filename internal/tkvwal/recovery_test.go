@@ -1,11 +1,11 @@
 package tkvwal
 
-// Recovery sweeps, in both layouts: every whole-record prefix of a
-// lane's newest segment recovers to exactly that prefix's fold while
-// the other lanes recover complete (every-cut), and no flipped byte is
-// ever read as anything but a refusal or a torn tail at the damaged
-// record (every-offset) — the tkvlog reader suites, lifted to a log of
-// several lanes.
+// Recovery sweeps over the lane's segment, which interleaves every shard:
+// every whole-record prefix recovers to exactly that prefix's fold, each
+// shard at its own last seq (every-cut), and no flipped byte is ever read
+// as anything but a refusal or a torn tail at the damaged record
+// (every-offset) — the tkvlog reader suites, lifted to a log of several
+// shards.
 
 import (
 	"bytes"
@@ -19,7 +19,7 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 )
 
-// fixSeg is one segment of a fixture log: its bytes, each record's end
+// fixSeg is the fixture log's segment: its bytes, each record's end
 // offset, and the decoded records (for prefix folds).
 type fixSeg struct {
 	name string
@@ -29,12 +29,11 @@ type fixSeg struct {
 }
 
 // walFixture writes a deterministic log, records dealt round-robin over
-// the shards, and returns its MANIFEST and segments: one interleaving
-// every shard in the shared layout, one per shard in the per-shard one.
-func walFixture(t *testing.T, mode Mode, shards, records int) (manifest []byte, segs []fixSeg) {
+// the shards, and returns its MANIFEST and its one segment.
+func walFixture(t *testing.T, shards, records int) (manifest []byte, sg fixSeg) {
 	t.Helper()
 	dir := t.TempDir()
-	w := openMode(t, dir, mode, shards, noApply)
+	w := openLog(t, dir, shards, noApply)
 	seq := make([]uint64, shards)
 	for i := 0; i < records; i++ {
 		sh := i % shards
@@ -51,69 +50,54 @@ func walFixture(t *testing.T, mode Mode, shards, records int) (manifest []byte, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, name := range listFiles(t, dir, segFmt) {
-		sg := fixSeg{name: name}
-		if sg.data, err = os.ReadFile(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
-		r := tkvlog.NewReader(bytes.NewReader(sg.data))
-		for {
-			var rec tkvlog.Record
-			if err := r.Next(&rec); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatalf("fixture segment %s unreadable: %v", name, err)
-			}
-			sg.recs = append(sg.recs, rec)
-			sg.ends = append(sg.ends, r.Offset())
-		}
-		total += len(sg.recs)
-		segs = append(segs, sg)
+	segs := listFiles(t, dir, segFmt)
+	if len(segs) != 1 {
+		t.Fatalf("fixture: segments %v, want one", segs)
 	}
-	if len(segs) != w.Lanes() || total != records {
-		t.Fatalf("fixture: %d segments holding %d records, want %d and %d", len(segs), total, w.Lanes(), records)
+	sg.name = segs[0]
+	if sg.data, err = os.ReadFile(filepath.Join(dir, sg.name)); err != nil {
+		t.Fatal(err)
 	}
-	return manifest, segs
+	r := tkvlog.NewReader(bytes.NewReader(sg.data))
+	for {
+		var rec tkvlog.Record
+		if err := r.Next(&rec); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatalf("fixture segment %s unreadable: %v", sg.name, err)
+		}
+		sg.recs = append(sg.recs, rec)
+		sg.ends = append(sg.ends, r.Offset())
+	}
+	if len(sg.recs) != records {
+		t.Fatalf("fixture: %d records, want %d", len(sg.recs), records)
+	}
+	return manifest, sg
 }
 
-// damagedDir materializes the fixture with segment i's bytes replaced.
-func damagedDir(t *testing.T, manifest []byte, segs []fixSeg, i int, data []byte) string {
+// damagedDir materializes the fixture with the segment's bytes replaced.
+func damagedDir(t *testing.T, manifest []byte, sg fixSeg, data []byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	write := func(name string, b []byte) {
+	for name, b := range map[string][]byte{manifestName: manifest, sg.name: data} {
 		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
-		}
-	}
-	write(manifestName, manifest)
-	for j, sg := range segs {
-		if j == i {
-			write(sg.name, data)
-		} else {
-			write(sg.name, sg.data)
 		}
 	}
 	return dir
 }
 
-// foldDamaged is what recovery must land on when segment i keeps only
-// its first k records and every other segment is intact: the map, the
-// per-shard last seqs, and the record count.
-func foldDamaged(segs []fixSeg, i, k, shards int) (m map[uint64]string, last []uint64, n uint64) {
+// foldDamaged is what recovery must land on when the segment keeps only
+// its first k records: the map, the per-shard last seqs, and the record
+// count.
+func foldDamaged(sg fixSeg, k, shards int) (m map[uint64]string, last []uint64, n uint64) {
 	m, last = map[uint64]string{}, make([]uint64, shards)
-	for j, sg := range segs {
-		recs := sg.recs
-		if j == i {
-			recs = recs[:k]
+	for _, rec := range sg.recs[:k] {
+		for _, e := range rec.Entries {
+			m[e.Key] = e.Val
 		}
-		for _, rec := range recs {
-			for _, e := range rec.Entries {
-				m[e.Key] = e.Val
-			}
-			last[rec.Shard] = rec.Seq
-			n++
-		}
+		last[rec.Shard] = rec.Seq
+		n++
 	}
 	return m, last, n
 }
@@ -128,112 +112,154 @@ func recordAt(ends []int64, off int) (k int, start int64) {
 	return k, start
 }
 
-// TestSharedLaneEveryCutTruncation truncates each lane's newest segment
-// at every byte length while the other lanes stay intact: recovery must
-// keep exactly the whole-record prefix of the cut lane and all of the
-// others, truncate the tear and report it, leave every shard's watermark
-// at its prefix seq — and the lane must keep going from there, what it
-// appends next being read back by the boot after.
-func TestSharedLaneEveryCutTruncation(t *testing.T) {
-	eachMode(t, func(t *testing.T, mode Mode) {
-		const shards, records = 3, 9
-		manifest, segs := walFixture(t, mode, shards, records)
-		for i, sg := range segs {
-			for cut := 0; cut <= len(sg.data); cut++ {
-				label := fmt.Sprintf("%s cut %d", sg.name, cut)
-				k, start := recordAt(sg.ends, cut)
-				dir := damagedDir(t, manifest, segs, i, sg.data[:cut])
-				kv := newReplayKV()
-				w, err := Open(Options{Dir: dir, Shards: shards, Mode: mode}, kv.apply)
-				if err != nil {
-					t.Fatalf("%s: recovery refused: %v", label, err)
-				}
-				want, last, n := foldDamaged(segs, i, k, shards)
-				if rs := w.Stats().Recovery; rs.Replayed != n || rs.TruncatedBytes != int64(cut)-start {
-					t.Fatalf("%s: replayed %d truncated %d, want %d and %d", label, rs.Replayed, rs.TruncatedBytes, n, int64(cut)-start)
-				}
-				checkRecovered(t, label, w, kv, want, last)
-				if int64(cut)-start != 1 {
-					w.Close()
-					continue
-				}
-				// Once per torn record: the lane keeps going (lane i owns
-				// shard i in both layouts), and the next boot reads it all.
-				if err := w.Append(i, last[i]+1, []tkvlog.Entry{{Key: 1 << 40, Val: "again"}}).Wait(); err != nil {
-					t.Fatalf("%s: append after recovery: %v", label, err)
-				}
-				w.Close()
-				want[1<<40], last[i] = "again", last[i]+1
-				kv = newReplayKV()
-				w = openMode(t, dir, mode, shards, kv.apply)
-				checkRecovered(t, label+", reopened", w, kv, want, last)
-				w.Close()
-			}
+// TestSharedLaneEveryCutTruncation truncates the segment at every byte
+// length: recovery must keep exactly the whole-record prefix, truncate the
+// tear and report it, leave every shard's watermark at its prefix seq —
+// and the lane must keep going from there, what it appends next being
+// read back by the boot after.
+func TestSharedLaneEveryCutTruncation(t *testing.T) { eachShape(t, 3, testEveryCutTruncation) }
+
+func testEveryCutTruncation(t *testing.T, shards int) {
+	const records = 9
+	manifest, sg := walFixture(t, shards, records)
+	for cut := 0; cut <= len(sg.data); cut++ {
+		label := fmt.Sprintf("%s cut %d", sg.name, cut)
+		k, start := recordAt(sg.ends, cut)
+		dir := damagedDir(t, manifest, sg, sg.data[:cut])
+		kv := newReplayKV()
+		w, err := Open(Options{Dir: dir, Shards: shards}, kv.apply)
+		if err != nil {
+			t.Fatalf("%s: recovery refused: %v", label, err)
 		}
-	})
+		want, last, n := foldDamaged(sg, k, shards)
+		if rs := w.Stats().Recovery; rs.Replayed != n || rs.TruncatedBytes != int64(cut)-start {
+			t.Fatalf("%s: replayed %d truncated %d, want %d and %d", label, rs.Replayed, rs.TruncatedBytes, n, int64(cut)-start)
+		}
+		checkRecovered(t, label, w, kv, want, last)
+		if int64(cut)-start != 1 {
+			w.Close()
+			continue
+		}
+		// Once per torn record: the lane keeps going, and the next boot
+		// reads it all.
+		if err := w.Append(0, last[0]+1, []tkvlog.Entry{{Key: 1 << 40, Val: "again"}}).Wait(); err != nil {
+			t.Fatalf("%s: append after recovery: %v", label, err)
+		}
+		w.Close()
+		want[1<<40], last[0] = "again", last[0]+1
+		kv = newReplayKV()
+		w = openLog(t, dir, shards, kv.apply)
+		checkRecovered(t, label+", reopened", w, kv, want, last)
+		w.Close()
+	}
 }
 
-// TestSharedLaneEveryOffsetCorruption flips every byte of each lane's
-// newest segment in turn. The honest outcomes are exactly two: recovery
-// refuses to start, naming the segment (corruption detected), or it
-// recovers that lane's whole-record prefix stopping before the damaged
-// record, and the other lanes complete — which only a flipped length
-// prefix can bring about, by making the damage indistinguishable from a
-// torn tail (those records were never promised past the tear).
-// Recovering anything else — a skipped middle record, a mutated value —
-// is the silent-loss bug class this sweep exists to catch.
-func TestSharedLaneEveryOffsetCorruption(t *testing.T) {
-	eachMode(t, func(t *testing.T, mode Mode) {
-		const shards, records = 3, 9
-		manifest, segs := walFixture(t, mode, shards, records)
-		for i, sg := range segs {
-			for off := range sg.data {
-				label := fmt.Sprintf("%s off %d", sg.name, off)
-				k, start := recordAt(sg.ends, off)
-				mut := bytes.Clone(sg.data)
-				mut[off] ^= 0x5a
-				kv := newReplayKV()
-				w, err := Open(Options{Dir: damagedDir(t, manifest, segs, i, mut), Shards: shards, Mode: mode}, kv.apply)
-				if err != nil {
-					if !strings.Contains(err.Error(), "refusing to start") || !strings.Contains(err.Error(), sg.name) {
-						t.Fatalf("%s: unexpected refusal shape: %v", label, err)
-					}
-					continue
-				}
-				if int64(off)-start >= 4 {
-					t.Fatalf("%s: a flip past record %d's length prefix was accepted", label, k)
-				}
-				want, last, n := foldDamaged(segs, i, k, shards)
-				if rs := w.Stats().Recovery; rs.Replayed != n {
-					t.Fatalf("%s (record %d): replayed %d records, want %d", label, k, rs.Replayed, n)
-				}
-				checkRecovered(t, label, w, kv, want, last)
-				w.Close()
+// TestSharedLaneEveryOffsetCorruption flips every byte of the segment in
+// turn. The honest outcomes are exactly two: recovery refuses to start,
+// naming the segment (corruption detected), or it recovers the
+// whole-record prefix stopping before the damaged record — which only a
+// flipped length prefix can bring about, by making the damage
+// indistinguishable from a torn tail (those records were never promised
+// past the tear). Recovering anything else — a skipped middle record, a
+// mutated value — is the silent-loss bug class this sweep exists to catch.
+func TestSharedLaneEveryOffsetCorruption(t *testing.T) { eachShape(t, 3, testEveryOffsetCorruption) }
+
+func testEveryOffsetCorruption(t *testing.T, shards int) {
+	const records = 9
+	manifest, sg := walFixture(t, shards, records)
+	for off := range sg.data {
+		label := fmt.Sprintf("%s off %d", sg.name, off)
+		k, start := recordAt(sg.ends, off)
+		mut := bytes.Clone(sg.data)
+		mut[off] ^= 0x5a
+		kv := newReplayKV()
+		w, err := Open(Options{Dir: damagedDir(t, manifest, sg, mut), Shards: shards}, kv.apply)
+		if err != nil {
+			if !strings.Contains(err.Error(), "refusing to start") || !strings.Contains(err.Error(), sg.name) {
+				t.Fatalf("%s: unexpected refusal shape: %v", label, err)
 			}
+			continue
 		}
-	})
+		if int64(off)-start >= 4 {
+			t.Fatalf("%s: a flip past record %d's length prefix was accepted", label, k)
+		}
+		want, last, n := foldDamaged(sg, k, shards)
+		if rs := w.Stats().Recovery; rs.Replayed != n {
+			t.Fatalf("%s (record %d): replayed %d records, want %d", label, k, rs.Replayed, n)
+		}
+		checkRecovered(t, label, w, kv, want, last)
+		w.Close()
+	}
 }
 
-// TestDamageBelowNewestSegmentRefuses: a torn tail is forgiven only on a
-// lane's newest segment. The same tear with a later segment of that lane
-// behind it is lost acknowledged data, and must refuse with the segment
-// named — whatever the other lanes look like.
+// TestDamageBelowNewestSegmentRefuses: a torn tail is forgiven only on the
+// newest segment. The same tear with a later segment behind it is lost
+// acknowledged data, and must refuse with the segment named.
 func TestDamageBelowNewestSegmentRefuses(t *testing.T) {
-	eachMode(t, func(t *testing.T, mode Mode) {
-		const shards = 3
-		manifest, segs := walFixture(t, mode, shards, 12)
-		i := len(segs) - 1
-		torn := segs[i].data[:len(segs[i].data)-3]
-		dir := damagedDir(t, manifest, segs, i, torn)
-		if err := os.WriteFile(filepath.Join(dir, laneSegName(i, 2)), nil, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := Open(Options{Dir: dir, Shards: shards, Mode: mode}, noApply)
-		if err == nil || !strings.Contains(err.Error(), segs[i].name+" unreadable (refusing to start)") {
-			t.Fatalf("tear in a non-newest segment: Open = %v, want a refusal naming %s", err, segs[i].name)
-		}
-		if got, _ := os.ReadFile(filepath.Join(dir, segs[i].name)); len(got) != len(torn) {
-			t.Fatalf("the refused open truncated %s", segs[i].name)
-		}
-	})
+	eachShape(t, 3, testDamageBelowNewestSegmentRefuses)
+}
+
+func testDamageBelowNewestSegmentRefuses(t *testing.T, shards int) {
+	manifest, sg := walFixture(t, shards, 12)
+	torn := sg.data[:len(sg.data)-3]
+	dir := damagedDir(t, manifest, sg, torn)
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Options{Dir: dir, Shards: shards}, noApply)
+	if err == nil || !strings.Contains(err.Error(), sg.name+" unreadable (refusing to start)") {
+		t.Fatalf("tear in a non-newest segment: Open = %v, want a refusal naming %s", err, sg.name)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, sg.name)); len(got) != len(torn) {
+		t.Fatalf("the refused open truncated %s", sg.name)
+	}
+}
+
+// TestRecoveryRefusesRecordsItCannotPlace: a record recovery cannot put on
+// its shard's sequence refuses to start with the file named — a shard past
+// the directory's count (the MANIFEST re-pinned lower), read from a
+// checkpoint or from a segment, and a seq that skips one (Append's contract
+// is consecutive seqs per shard).
+func TestRecoveryRefusesRecordsItCannotPlace(t *testing.T) {
+	four := [][2]uint64{{0, 1}, {1, 1}, {2, 1}, {3, 1}} // {shard, seq} appends
+	for _, row := range []struct {
+		name       string
+		appends    [][2]uint64
+		checkpoint bool
+		pin        int
+		cause      string
+	}{
+		{"segment", four, false, 2, "segment " + segName(1) + " carries shard 2 of 2"},
+		{"checkpoint", four, true, 2, "checkpoint " + ckptName(2) + " carries shard 2 of 2"},
+		{"gap", [][2]uint64{{0, 1}, {0, 3}}, false, 4, "segment " + segName(1) + " jumps shard 0 from seq 1 to 3"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := openLog(t, dir, 4, noApply)
+			for _, a := range row.appends {
+				if err := w.Append(int(a[0]), a[1], []tkvlog.Entry{{Key: a[0], Val: "v"}}).Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if row.checkpoint {
+				cut := func(sh int) ([]tkvlog.Entry, uint64, error) {
+					return []tkvlog.Entry{{Key: uint64(sh), Val: "v"}}, 1, nil
+				}
+				if err := w.Checkpoint(cut, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			pin := fmt.Sprintf(`{"version":2,"shards":%d,"lane":"shared"}`+"\n", row.pin)
+			if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(pin), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(Options{Dir: dir, Shards: row.pin}, noApply)
+			if err == nil || !strings.Contains(err.Error(), row.cause+" (refusing to start)") {
+				t.Fatalf("Open = %v, want a refusal naming %q", err, row.cause)
+			}
+		})
+	}
 }

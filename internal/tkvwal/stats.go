@@ -16,9 +16,6 @@ type ShardStats struct {
 // group-commit shape (how many records each fsync covered), fsync
 // latency, backlog, checkpoint and recovery accounting.
 type Stats struct {
-	// Mode is the log layout: "shared" (one lane) or "pershard".
-	Mode Mode `json:"mode"`
-
 	Shards []ShardStats `json:"shards"`
 
 	Appends uint64 `json:"appends"`
@@ -28,7 +25,7 @@ type Stats struct {
 	// log since open (recovery not included).
 	BytesAppended uint64 `json:"bytes_appended"`
 	// PendingBytes is the encoded bytes currently staged and not yet
-	// flushed — the lanes' live backlog.
+	// flushed — the lane's live backlog.
 	PendingBytes uint64 `json:"pending_bytes"`
 	// PendingPeakBytes is the largest byte count one flush has carried:
 	// the backlog watermark, visible before it shows up as ack latency.
@@ -37,11 +34,11 @@ type Stats struct {
 	// GroupMean and GroupMax describe records per flushed group — the
 	// group-commit overlap. Mean near 1 means fsync-per-write (idle or
 	// trickle load); large means many acks amortized one fsync. A group
-	// spans the shards of one lane, so in shared mode the mean scales
-	// with total writers, not writers-per-shard.
+	// spans every shard, so the mean scales with total writers, not
+	// writers per shard.
 	GroupMean float64 `json:"group_mean"`
 	GroupMax  uint64  `json:"group_max"`
-	// GroupWaits counts lane collections that were held back for the
+	// GroupWaits counts collections that were held back for the
 	// writers the previous group released (the arrival-driven group
 	// formation); GroupWaitTimeouts counts the ones the fallback timer
 	// ended because those writers did not return. Timeouts near zero
@@ -83,7 +80,6 @@ func (s *Stats) DurableLag() uint64 {
 // Stats snapshots the log's counters. Safe under concurrent appends.
 func (w *WAL) Stats() Stats {
 	st := Stats{
-		Mode:              w.opts.Mode,
 		Shards:            make([]ShardStats, len(w.shards)),
 		Appends:           w.appends.Load(),
 		Fsyncs:            w.fsyncs.Load(),

@@ -7,31 +7,19 @@
 // snapshots with log truncation, and a startup recovery that replays
 // checkpoint + log tail.
 //
-// # Lanes
+// # The lane
 //
-// The log is a set of lanes, and everything below — group commit,
-// rotation, checkpoint, gc, recovery, the fence — is written once, over
-// "a lane and the shards it owns". A lane owns a fixed set of shards,
-// one active segment file, one group-commit goroutine and one group
-// ticket. Every shard encodes into its own pending buffer under its own
-// mutex (staging never contends across shards, and that mutex never
-// spans an fsync); the lane's goroutine collects the staged buffers of
-// its shards, writes them into its segment, fsyncs once, and closes one
-// done channel that releases every waiter on every one of those shards.
-// Records carry their shard id and per-shard sequence number in the
-// tkvlog header, so a segment that interleaves several shards
-// demultiplexes naturally at recovery.
-//
-// # Layouts
-//
-// Mode picks the shard sets and nothing else. ModeShared (the default
-// surface in tkvd) is one lane owning every shard: the whole store pays
-// one fsync per group, so on single-device media — where N fsyncs to one
-// disk serialize anyway — sync-ack throughput scales with total writers,
-// not writers-per-shard. ModePerShard is one lane per shard: N
-// independent group commits, up to N fsyncs per commit interval, which
-// only pays when the shards live on independent media that genuinely
-// fsync in parallel. A directory's MANIFEST pins the layout and the
+// The log is one lane that owns every shard: one active segment file, one
+// group-commit goroutine and one group ticket, so the whole store pays one
+// fsync per group — on one device, where N fsyncs would serialize anyway,
+// sync-ack throughput scales with total writers, not writers per shard.
+// Every shard encodes into its own pending buffer under its own mutex
+// (staging never contends across shards, and that mutex never spans an
+// fsync); the lane's goroutine collects the staged buffers, writes them
+// into the segment, fsyncs once, and closes one done channel that releases
+// every waiter on every shard. Records carry their shard id and per-shard
+// sequence number in the tkvlog header, so the interleaved segment
+// demultiplexes naturally at recovery. A directory's MANIFEST pins the
 // shard count; reopening with another refuses.
 //
 // # Group commit
@@ -83,8 +71,7 @@
 // fires so the process can exit nonzero. The fence is one published
 // value — the pre-failed Commit that Append hands back is itself the
 // flag Append checks — so no appender can observe "fenced" without also
-// holding a handle that fails (see fail). The fence belongs to the log,
-// not to a lane: one lane's fault fences every shard of every lane. A
+// holding a handle that fails (see fail). One fault fences every shard. A
 // failed fsync means the page cache and the platter may disagree;
 // retrying would risk acknowledging a write the disk silently lost, so
 // the only honest move is to stop (the FS indirection is how tests
@@ -102,45 +89,29 @@ import (
 	"github.com/shrink-tm/shrink/internal/trace"
 )
 
-// Mode selects the log layout.
+// Mode names the log layout.
+//
+// Deprecated: the log has one layout; leave Options.Mode unset.
 type Mode string
 
-const (
-	// ModePerShard gives every shard a lane of its own, for independent
-	// media (the package doc's "Layouts" says when each is right).
-	ModePerShard Mode = "pershard"
-	// ModeShared puts every shard in one lane: one fsync per group for
-	// the whole store.
-	ModeShared Mode = "shared"
-)
-
-// ParseMode maps a layout name (the -walmode flag, a MANIFEST pin, the
-// Options field) to its Mode. The empty string is ModePerShard, the
-// Options zero value; anything else unknown is an error.
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "", ModePerShard:
-		return ModePerShard, nil
-	case ModeShared:
-		return ModeShared, nil
-	default:
-		return "", fmt.Errorf("tkvwal: unknown mode %q (shared or pershard)", s)
-	}
-}
+// ModeShared is the one layout, and the "lane" every MANIFEST records.
+//
+// Deprecated: leave Options.Mode unset.
+const ModeShared Mode = "shared"
 
 // Options configures a WAL.
 type Options struct {
 	// Dir is the log directory, created if absent. Its MANIFEST pins the
-	// shard count and layout.
+	// shard count.
 	Dir string
 	// Shards is the store's shard count (filled by the store).
 	Shards int
-	// Mode is the log layout. The zero value means ModePerShard.
+	// Deprecated: the log has one layout; Mode must be empty or ModeShared.
 	Mode Mode
 	// FS is the filesystem to write through; nil means the OS.
 	FS FS
 	// NoSync disables the fsync wait: appends are still written by the
-	// lane loop but nothing parks on durability, so a crash can lose
+	// lane's loop but nothing parks on durability, so a crash can lose
 	// everything since the last fsync the OS chose to do. The fail-stop
 	// fence still holds.
 	NoSync bool
@@ -194,11 +165,8 @@ func (c *Commit) Wait() error {
 // shardLog is one shard's staging state: the pending buffer its appends
 // encode into, and its watermarks. mu is held only for an encode or a
 // buffer swap, never across I/O, so an append never waits on an fsync;
-// the file the buffer drains into belongs to the shard's lane.
+// the file the buffer drains into is the lane's.
 type shardLog struct {
-	idx  int      // shard index (immutable)
-	lane *laneLog // the lane that owns this shard (immutable)
-
 	mu       sync.Mutex
 	buf      []byte        // pending encoded records
 	spare    []byte        // recycled flushed buffer (double buffering)
@@ -210,11 +178,21 @@ type shardLog struct {
 	lastCkptSeq atomic.Uint64
 }
 
-// laneLog is one append lane: the file its shards' staged buffers drain
-// into, and the group ticket their waiters park on.
-type laneLog struct {
-	idx    int         // lane index (immutable)
-	shards []*shardLog // the shards this lane owns (immutable after Open)
+// laneChunk is one shard's staged buffer as collected by a lane flush.
+type laneChunk struct {
+	s      *shardLog
+	buf    []byte
+	target uint64 // shard durable watermark once buf is fsync'd
+}
+
+// WAL is a group-commit write-ahead log. Open recovers and returns one;
+// Append logs a committed write set; Close flushes and shuts down.
+type WAL struct {
+	dir  string
+	fs   FS
+	opts Options // FS filled in
+
+	shards []*shardLog
 
 	cur    atomic.Pointer[Commit] // current group ticket (swap-first, see flushLocked)
 	notify chan struct{}          // wakes the lane loop (capacity 1)
@@ -240,25 +218,6 @@ type laneLog struct {
 	f      File        // active segment (guarded by wmu)
 	rot    uint64      // active segment's rotation counter (guarded by wmu)
 	chunks []laneChunk // collect scratch, reused across flushes (guarded by wmu)
-}
-
-// laneChunk is one shard's staged buffer as collected by a lane flush.
-type laneChunk struct {
-	s      *shardLog
-	buf    []byte
-	n      int    // records in buf
-	target uint64 // shard durable watermark once buf is fsync'd
-}
-
-// WAL is a group-commit write-ahead log. Open recovers and returns one;
-// Append logs a committed write set; Close flushes and shuts down.
-type WAL struct {
-	dir  string
-	fs   FS
-	opts Options // Mode normalized, FS filled in
-
-	shards []*shardLog
-	lanes  []*laneLog // Mode's shard sets: one lane owning every shard, or one per shard
 
 	appends       atomic.Uint64
 	bytesAppended atomic.Uint64
@@ -266,7 +225,7 @@ type WAL struct {
 	fsyncs        atomic.Uint64
 	fsyncHist     trace.Histogram // µs per fsync
 	groupHist     trace.Histogram // records per flushed group
-	groupWaits    atomic.Uint64   // lane collections that waited for returning writers
+	groupWaits    atomic.Uint64   // collections that waited for returning writers
 	groupTimeouts atomic.Uint64   // ... and were ended by the fallback timer
 	checkpoints   atomic.Uint64
 	lastCkptNS    atomic.Int64 // unix nanos of last checkpoint (0 = none)
@@ -287,12 +246,6 @@ type fence struct {
 	cause  error
 	commit Commit
 }
-
-// Lanes reports how many lanes the log has; a checkpoint covers one.
-func (w *WAL) Lanes() int { return len(w.lanes) }
-
-// LaneOf reports which lane owns shard.
-func (w *WAL) LaneOf(shard int) int { return w.shards[shard].lane.idx }
 
 // Append encodes one committed write set — shard, its per-shard
 // sequence number, and the entries in commit order — into the shard's
@@ -324,16 +277,15 @@ func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
 	w.bytesAppended.Add(uint64(delta))
 	// Load the group ticket only after the record is staged (the package
 	// doc's ordering argument), and count the arrival before the wake-up,
-	// so the lane's re-check sees it. A lane blocked in awaitArrivals
+	// so the lane's re-check sees it. A lane loop blocked in awaitArrivals
 	// needs waking only by the arrival that completes its group (the
 	// fallback timer covers the rest); in any other state it needs to
 	// hear of every one.
-	l := s.lane
-	staged := l.staged.Add(1)
-	c := l.cur.Load()
-	if !l.waiting.Load() || staged >= l.want.Load() {
+	staged := w.staged.Add(1)
+	c := w.cur.Load()
+	if !w.waiting.Load() || staged >= w.want.Load() {
 		select {
-		case l.notify <- struct{}{}:
+		case w.notify <- struct{}{}:
 		default:
 		}
 	}
@@ -343,30 +295,30 @@ func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
 	return c
 }
 
-// laneLoop is a lane's group-commit goroutine: wake on appends from any
-// of its shards, let the group form (awaitArrivals), flush every staged
+// laneLoop is the lane's group-commit goroutine: wake on appends from
+// any shard, let the group form (awaitArrivals), flush every staged
 // buffer with one fsync, release the whole batch. Every wake-up leads to
 // a collection, even one that finds nothing staged: a waiter may hold
 // the current ticket for a record an earlier flush already carried, and
 // only a collection closes that ticket. On a clean stop it flushes what
 // remains; after a failure or Abandon it just exits (the fence owns the
 // pending waiters).
-func (w *WAL) laneLoop(l *laneLog) {
+func (w *WAL) laneLoop() {
 	defer w.wg.Done()
 	for {
 		stopping := false
 		select {
-		case <-l.notify:
+		case <-w.notify:
 			// Async mode parks nobody on a group, so there is nothing
 			// to form one for.
-			stopping = !w.opts.NoSync && w.awaitArrivals(l)
+			stopping = !w.opts.NoSync && w.awaitArrivals()
 		case <-w.stopc:
 			stopping = true
 		}
 		if stopping && w.fenced.Load() != nil {
 			return
 		}
-		if err := w.flush(l); err != nil {
+		if err := w.flush(); err != nil {
 			w.fail(err)
 			return
 		}
@@ -391,28 +343,28 @@ const laneWaitMax = 2 * time.Millisecond
 // that check or sees the flag). The fallback timer is armed only on this
 // blocking path; the group it ends is smaller, and so is the next
 // expectation. Reports whether the log is stopping.
-func (w *WAL) awaitArrivals(l *laneLog) (stopping bool) {
-	if l.staged.Load() >= l.want.Load() {
+func (w *WAL) awaitArrivals() (stopping bool) {
+	if w.staged.Load() >= w.want.Load() {
 		return false
 	}
 	w.groupWaits.Add(1)
-	d := min(time.Duration(l.fsyncEMA.Load()), l.maxWait)
-	if l.timer == nil {
-		l.timer = time.NewTimer(d)
+	d := min(time.Duration(w.fsyncEMA.Load()), w.maxWait)
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
 	} else {
-		l.timer.Reset(d)
+		w.timer.Reset(d)
 	}
-	l.waiting.Store(true)
+	w.waiting.Store(true)
 	defer func() {
-		l.waiting.Store(false)
-		l.timer.Stop()
+		w.waiting.Store(false)
+		w.timer.Stop()
 	}()
 	// want is re-read each round: a checkpoint's rotation may flush (and
 	// set a new expectation) while the loop waits here.
-	for l.staged.Load() < l.want.Load() {
+	for w.staged.Load() < w.want.Load() {
 		select {
-		case <-l.notify:
-		case <-l.timer.C:
+		case <-w.notify:
+		case <-w.timer.C:
 			w.groupTimeouts.Add(1)
 			return false
 		case <-w.stopc:
@@ -422,20 +374,19 @@ func (w *WAL) awaitArrivals(l *laneLog) (stopping bool) {
 	return false
 }
 
-// flush writes and fsyncs the staged buffers of the lane's shards as one
-// group.
-func (w *WAL) flush(l *laneLog) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	return w.flushLocked(l)
+// flush writes and fsyncs every shard's staged buffer as one group.
+func (w *WAL) flush() error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	return w.flushLocked()
 }
 
-// flushLocked is flush with l.wmu held (rotations flush before switching
+// flushLocked is flush with w.wmu held (rotations flush before switching
 // files). The ticket swap must happen before any staged buffer is
 // collected — see the package doc's ordering argument; each shard's
 // mutex is held only across its buffer swap, never across the I/O —
 // that is the group-commit overlap.
-func (w *WAL) flushLocked(l *laneLog) error {
+func (w *WAL) flushLocked() error {
 	// Take a pending wake-up with us, before the swap: whoever sent it
 	// (or found the channel full) loaded its ticket first, so it holds g
 	// or an older one, its record is collected below, and this flush is
@@ -443,19 +394,19 @@ func (w *WAL) flushLocked(l *laneLog) error {
 	// into a wait for returning writers — and start the fallback timer —
 	// before any of them has been released.
 	select {
-	case <-l.notify:
+	case <-w.notify:
 	default:
 	}
-	g := l.cur.Load()
-	l.cur.Store(&Commit{w: w, done: make(chan struct{})})
+	g := w.cur.Load()
+	w.cur.Store(&Commit{w: w, done: make(chan struct{})})
 
-	chunks := l.chunks[:0]
+	chunks := w.chunks[:0]
 	total := 0
 	n := 0
-	for _, s := range l.shards {
+	for _, s := range w.shards {
 		s.mu.Lock()
 		if len(s.buf) > 0 {
-			chunks = append(chunks, laneChunk{s: s, buf: s.buf, n: s.pending, target: s.appended})
+			chunks = append(chunks, laneChunk{s: s, buf: s.buf, target: s.appended})
 			total += len(s.buf)
 			n += s.pending
 			s.buf = s.spare[:0]
@@ -464,33 +415,33 @@ func (w *WAL) flushLocked(l *laneLog) error {
 		}
 		s.mu.Unlock()
 	}
-	l.chunks = chunks
-	l.staged.Add(-int64(n))
+	w.chunks = chunks
+	w.staged.Add(-int64(n))
 	if total == 0 {
 		// Every record this ticket's waiters staged was collected (and
 		// made durable) by an earlier flush; the ack is already earned.
-		l.releaseGroup(g, 0, nil)
+		w.releaseGroup(g, 0, nil)
 		return nil
 	}
 
 	var err error
 	for _, ch := range chunks {
-		if _, werr := l.f.Write(ch.buf); werr != nil {
+		if _, werr := w.f.Write(ch.buf); werr != nil {
 			err = werr
 			break
 		}
 	}
 	if err == nil && !w.opts.NoSync {
 		t0 := time.Now()
-		err = l.f.Sync()
+		err = w.f.Sync()
 		d := time.Since(t0)
 		w.fsyncHist.ObserveDuration(d)
 		w.fsyncs.Add(1)
 		// Flushes are serialized by wmu, so load+store is race-free.
-		if ema := l.fsyncEMA.Load(); ema == 0 {
-			l.fsyncEMA.Store(int64(d))
+		if ema := w.fsyncEMA.Load(); ema == 0 {
+			w.fsyncEMA.Store(int64(d))
 		} else {
-			l.fsyncEMA.Store(ema + (int64(d)-ema)/8)
+			w.fsyncEMA.Store(ema + (int64(d)-ema)/8)
 		}
 	}
 	w.groupHist.Observe(uint64(n))
@@ -500,7 +451,7 @@ func (w *WAL) flushLocked(l *laneLog) error {
 			ch.s.durable.Store(ch.target)
 		}
 	} else {
-		err = fmt.Errorf("tkvwal: lane %d flush: %w", l.idx, err)
+		err = fmt.Errorf("tkvwal: flush: %w", err)
 	}
 	for _, ch := range chunks {
 		ch.s.mu.Lock()
@@ -509,7 +460,7 @@ func (w *WAL) flushLocked(l *laneLog) error {
 		}
 		ch.s.mu.Unlock()
 	}
-	l.releaseGroup(g, n, err)
+	w.releaseGroup(g, n, err)
 	return err
 }
 
@@ -520,11 +471,11 @@ func (w *WAL) flushLocked(l *laneLog) error {
 // released writer that is already back is not counted twice — an
 // expectation one too low collects a record early, one too high would
 // wait for a writer who is not coming.
-func (l *laneLog) releaseGroup(g *Commit, n int, err error) {
-	inFlight := l.staged.Load()
+func (w *WAL) releaseGroup(g *Commit, n int, err error) {
+	inFlight := w.staged.Load()
 	g.err = err
 	close(g.done)
-	l.want.Store(inFlight + int64(n))
+	w.want.Store(inFlight + int64(n))
 }
 
 // notePending raises the pending-bytes watermark to n if higher.
@@ -538,8 +489,8 @@ func (w *WAL) notePending(n uint64) {
 }
 
 // fail fences the log permanently: first failure wins, all current and
-// future waiters observe it, Failed() fires, every lane loop stops — the
-// one-fault-fences-all-shards property, whichever lane took the fault.
+// future waiters observe it, Failed() fires, the lane loop stops — one
+// fault fences every shard.
 //
 // Ordering: the fence is published first and in one store. It carries
 // both the flag Append checks and the handle Append returns, so an
@@ -593,7 +544,7 @@ func (w *WAL) LastSeq(shard int) uint64 {
 	return s.appended
 }
 
-// Close flushes every lane and shuts the log down. Appends racing
+// Close flushes the lane and shuts the log down. Appends racing
 // Close are either flushed or report ErrClosed; none park forever.
 //
 // Ordering: flush first, fence second. The ErrClosed fence is the only
@@ -608,12 +559,9 @@ func (w *WAL) Close() error {
 	w.wg.Wait()
 	var err error
 	if w.fenced.Load() == nil {
-		// Catch stragglers that appended after the loops' final flush.
-		for _, l := range w.lanes {
-			if err = w.flush(l); err != nil {
-				w.fail(err)
-				break
-			}
+		// Catch stragglers that appended after the loop's final flush.
+		if err = w.flush(); err != nil {
+			w.fail(err)
 		}
 	}
 	if cerr := w.closeFiles(); err == nil {
@@ -641,18 +589,13 @@ func (w *WAL) Abandon() {
 	w.closeFiles()
 }
 
-// closeFiles closes every lane's active segment and reports the first
-// failure.
+// closeFiles closes the active segment.
 func (w *WAL) closeFiles() (err error) {
-	for _, l := range w.lanes {
-		l.wmu.Lock()
-		if l.f != nil {
-			if cerr := l.f.Close(); err == nil {
-				err = cerr
-			}
-			l.f = nil
-		}
-		l.wmu.Unlock()
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if w.f != nil {
+		err = w.f.Close()
+		w.f = nil
 	}
 	return err
 }
