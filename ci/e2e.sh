@@ -47,13 +47,18 @@ serve() {
 # The zero-lost-update check: the default mix, one request in flight per
 # connection; the batch workload (key-disjoint batches with cas ops admitted
 # into them, plus multi-key reads); the same invariant-checked mix pipelined.
+# The server warms the gets of a pipelined cohort and never a lone get, so
+# the store's warmed count on the verify line is 0 until the pipelined run.
 smoke() {
 	serve 7070 -tcpaddr 127.0.0.1:7071 -shards 4 -sched shrink
 	tkvload -tcpaddr 127.0.0.1:7071 -pipeline 1 -dur 2s -conns 8 -keys 64 -blobs 64
 	tkvload -tcpaddr 127.0.0.1:7071 -pipeline 1 -dur 2s -conns 8 -keys 64 -blobs 64 \
-		-read 0.3 -mget 0.5 -batch 0.8 -batchsize 4 -batchcas 0.3 -overlap 0
+		-read 0.3 -mget 0.5 -batch 0.8 -batchsize 4 -batchcas 0.3 -overlap 0 |
+		tee "$work/serial.out"
+	grep -q ' warmed=0 ' "$work/serial.out" || { echo "a lone get was warmed" >&2; return 1; }
 	tkvload -tcpaddr 127.0.0.1:7071 -pipeline 8 -dur 2s -conns 8 -keys 64 -blobs 64 \
-		-mget 0.3 -batchcas 0.3
+		-mget 0.3 -batchcas 0.3 | tee "$work/pipelined.out"
+	grep -qE ' warmed=[1-9]' "$work/pipelined.out" || { echo "no pipelined get was warmed" >&2; return 1; }
 	kill -TERM "$pid"
 	wait "$pid"
 }

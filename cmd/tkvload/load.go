@@ -478,9 +478,9 @@ func (d *driver) verify(c *tkvwire.Conn, out io.Writer) error {
 		fmt.Fprintf(out, "verify: wal appends=%d fsyncs=%d group_mean=%.1f fsync_p99=%dµs durable_lag=%d sync=%v\n",
 			ws.Appends, ws.Fsyncs, ws.GroupMean, ws.FsyncP99us, ws.DurableLag(), ws.Sync)
 	}
-	fmt.Fprintf(out, "verify: committed=%d aborts=%d serializations=%d stripeWaits=%d roFallbacks=%d shed=%d counterSum=%d increments=%d (cas=%d batchOps=%d adds=%d casMismatchedBatches=%d)\n",
+	fmt.Fprintf(out, "verify: committed=%d aborts=%d serializations=%d stripeWaits=%d roFallbacks=%d shed=%d warmed=%d counterSum=%d increments=%d (cas=%d batchOps=%d adds=%d casMismatchedBatches=%d)\n",
 		stats.Commits, stats.Aborts, stats.Serializations, stats.StripeWaitsShared+stats.StripeWaitsExcl, stats.ROFallbacks,
-		stats.Shed,
+		stats.Shed, stats.Ops.Warmed,
 		sum, want, d.casIncrs.Load(), d.batchAdds.Load(), d.serverAdds.Load(), d.batchCASMisses.Load())
 	if sum < want {
 		return fmt.Errorf("LOST UPDATES: counters sum to %d but %d increments succeeded", sum, want)

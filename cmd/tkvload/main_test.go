@@ -84,7 +84,10 @@ func TestEndToEndMixedTraffic(t *testing.T) {
 // counters): one request in flight per connection, and four pipelined on each.
 // The shed row is the backpressure drill in-process: the tiny engine under
 // Shrink with admission held past its overload knee must push requests back
-// (-minshed 1) and still lose nothing.
+// (-minshed 1) and still lose nothing. The server warms a cohort of two or
+// more pipelined gets and never a lone one, so the store's warmed count
+// (cumulative over the rows on one store) is 0 after the serial row and
+// positive after the tcp row.
 func TestEndToEndTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -94,21 +97,26 @@ func TestEndToEndTCP(t *testing.T) {
 	addr := newServer(t, enginecfg.EngineSwiss, nil)
 	drillAddr := newServer(t, enginecfg.EngineTiny, &drill)
 	rows := []struct {
-		name string
-		args []string
-		want string // in the result line
+		name   string
+		args   []string
+		want   string // in the result line
+		warmed bool   // on the verify line
 	}{
-		{"serial", []string{"-tcpaddr", addr, "-conns", "2", "-pipeline", "1"}, "conns=2 workers=2 "},
+		{"serial", []string{"-tcpaddr", addr, "-conns", "2", "-pipeline", "1"}, "conns=2 workers=2 ", false},
 		{"tcp", []string{"-tcpaddr", addr, "-conns", "4", "-pipeline", "4",
-			"-batchsize", "4", "-mget", "0.3", "-batchcas", "0.5"}, "conns=4 workers=16 "},
+			"-batchsize", "4", "-mget", "0.3", "-batchcas", "0.5"}, "conns=4 workers=16 ", true},
 		{"shed", []string{"-tcpaddr", drillAddr, "-conns", "2", "-pipeline", "4",
-			"-zipf", "1.1", "-minshed", "1"}, " flushes/call="},
+			"-zipf", "1.1", "-minshed", "1"}, " flushes/call=", true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			out := runVerified(t, append(row.args, "-dur", "300ms", "-warmup", "100ms", "-keys", "32", "-blobs", "32")...)
 			if !strings.Contains(out, row.want) || strings.Contains(out, " 0 ops/s") {
 				t.Fatalf("result line:\n%s", out)
+			}
+			var warmed int
+			if _, err := fmt.Sscanf(out[strings.Index(out, " warmed=")+8:], "%d", &warmed); err != nil || (warmed > 0) != row.warmed {
+				t.Fatalf("warmed=%d (%v), want some: %v, in:\n%s", warmed, err, row.warmed, out)
 			}
 			// Every op is at least one wire request.
 			var ops, reqs float64

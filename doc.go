@@ -62,7 +62,10 @@
 // ops complete out of order, matched by an echoed request id, and the
 // bundled client multiplexes concurrent callers over one connection,
 // the callers woken by one batch of responses sharing one write
-// syscall for their next requests. tkvd serves it on -tcpaddr as the
+// syscall for their next requests. The server reads such a cohort in one
+// piece and, when it holds two or more gets, walks their key paths in one
+// interleaved pass before running them, so that their cache misses
+// overlap instead of queueing. tkvd serves it on -tcpaddr as the
 // store's one data surface; what it serves is measured by bench/ (see
 // EXPERIMENTS.md).
 //

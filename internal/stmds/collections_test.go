@@ -53,7 +53,7 @@ func TestHashMapBasic(t *testing.T) {
 // TestHashMapResidentKeysStayReachable is the tree's test of that name on a
 // 16-bucket map: the writers link and unlink odd keys ahead of, between and
 // behind the eight even keys of every chain, and empty the link of every node
-// they remove.
+// they remove. The map's Probe is the third reader.
 func TestHashMapResidentKeysStayReachable(t *testing.T) {
 	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {
@@ -64,6 +64,7 @@ func TestHashMapResidentKeysStayReachable(t *testing.T) {
 				get:    func(tx stm.Tx, k int64) (int64, bool, error) { return m.Get(tx, uint64(k)) },
 				getRO:  func(tx *stm.ROTx, k int64) (int64, bool, error) { return m.GetRO(tx, uint64(k)) },
 				size:   m.Size,
+				probe:  func(k int64) *int64 { return m.Probe(uint64(k)).Cell() },
 			})
 		})
 	}

@@ -290,6 +290,37 @@ func (m *HashMap[V]) GetRO(tx *stm.ROTx, key uint64) (V, bool, error) {
 	return v, true, nil
 }
 
+// Probe is one key's GetRO path walked outside any transaction, a hop at a
+// time, so that a caller holding several keys can take every key's first hop,
+// then every key's second, and have their cache misses overlap instead of
+// queueing behind one another (tkv's Store.Warm). It validates nothing: what
+// it ends on is a hint that a concurrent writer may already have replaced,
+// good for pulling lines into cache and for nothing a reader returns.
+type Probe[V any] struct {
+	key  uint64
+	link **hmNode[V] // the cell the key's bucket slot pointed at
+}
+
+// Probe takes the first hop of key's path: it loads the bucket slot.
+func (m *HashMap[V]) Probe(key uint64) Probe[V] {
+	return Probe[V]{key: key, link: (**hmNode[V])(m.bucket(key).Word().LoadPtr())}
+}
+
+// Cell takes the rest of the path's hops but the last: it walks the bucket's
+// chain to key's node and returns the node's value cell without reading it
+// (nil: key absent). In a table with about a bucket per key this is usually
+// one load.
+func (p Probe[V]) Cell() *V {
+	n := *p.link
+	for n != nil && n.key < p.key {
+		n = *(**hmNode[V])(n.next.Word().LoadPtr())
+	}
+	if n == nil || n.key != p.key {
+		return nil
+	}
+	return (*V)(n.val.Word().LoadPtr())
+}
+
 // ContainsRO reports whether key is present, under the GetRO protocol.
 func (m *HashMap[V]) ContainsRO(tx *stm.ROTx, key uint64) (bool, error) {
 	n, err := m.findRO(tx, key)

@@ -109,6 +109,13 @@ func checkHashMapAgainstModel(t *testing.T, th stm.Thread, rng *rand.Rand, ops i
 		if err != nil {
 			t.Fatalf("after op %d (kind %d, key %d): %v", op, kind, k, err)
 		}
+		// With no writer running, the untransacted walk is exact.
+		for k := uint64(0); k < keyRange; k++ {
+			wantV, wantOK := model[k]
+			if c := m.Probe(k).Cell(); (c != nil) != wantOK || c != nil && *c != wantV {
+				t.Fatalf("after op %d: probe(%d) = %v, want %d, %v", op, k, c, wantV, wantOK)
+			}
+		}
 	}
 }
 

@@ -262,12 +262,17 @@ type residentOps struct {
 	get    func(tx stm.Tx, k int64) (int64, bool, error)
 	getRO  func(tx *stm.ROTx, k int64) (int64, bool, error)
 	size   func(tx stm.Tx) (int, error) // after checking what invariants there are
+	// probe, where the structure has one, walks to k's value cell outside
+	// any transaction (nil: not found).
+	probe func(k int64) *int64
 }
 
 // residentKeysStayReachable loads the even keys of a range into an empty
 // structure, lets two writers insert and delete the odd ones while a
 // read-only and a logging reader look the even ones up, several to a
-// transaction, and ends by accounting for the size.
+// transaction, and ends by accounting for the size. A structure with a probe
+// gets a third reader that probes every key: the walk validates nothing, so
+// it may miss a key, but a cell it finds must hold that key's value.
 func residentKeysStayReachable(t *testing.T, tm stm.TM, s residentOps) {
 	const keyRange, writers, writerOps, perTx = 256, 2, 3000, 8
 	resident := func(k int64) int64 { return k*3 + 1 }
@@ -353,9 +358,39 @@ func residentKeysStayReachable(t *testing.T, tm stm.TM, s residentOps) {
 			}
 		}()
 	}
+	var probed atomic.Int64 // resident keys the probe found
+	if s.probe != nil {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			// At least one pass, even if the writers are done before this
+			// goroutine first runs.
+			for pass := 0; pass == 0 || !stop.Load() && !t.Failed(); pass++ {
+				runtime.Gosched()
+				for k := int64(0); k < keyRange; k++ {
+					want := k
+					if k%2 == 0 {
+						want = resident(k)
+					}
+					c := s.probe(k)
+					switch {
+					case c == nil:
+					case *c != want:
+						t.Errorf("probe(%d) found %d, want %d", k, *c, want)
+						return
+					case k%2 == 0:
+						probed.Add(1)
+					}
+				}
+			}
+		}()
+	}
 	writing.Wait()
 	stop.Store(true)
 	reading.Wait()
+	if s.probe != nil && probed.Load() == 0 {
+		t.Errorf("the probe never found a resident key")
+	}
 	if err := tm.Register("checker").Atomically(func(tx stm.Tx) error {
 		size, err := s.size(tx)
 		if want := keyRange/2 + int(net.Load()); err == nil && size != want {

@@ -111,6 +111,9 @@ type OpCounts struct {
 	MGets          uint64 `json:"mgets"`
 	MGetKeys       uint64 `json:"mgetKeys"`
 	Snapshots      uint64 `json:"snapshots"`
+	// Warmed counts the keys Warm pulled into cache ahead of their reads:
+	// the wire server warms the gets of each pipelined cohort.
+	Warmed uint64 `json:"warmed"`
 }
 
 // ShardStats is one shard's transaction statistics. StripeWaitsShared and
@@ -213,6 +216,7 @@ func (st *Store) Stats() Stats {
 		MGets:          st.ops.mgets.Load(),
 		MGetKeys:       st.ops.mgetKeys.Load(),
 		Snapshots:      st.ops.snapshots.Load(),
+		Warmed:         st.ops.warmed.Load(),
 	}
 	out.Repl = st.replStats()
 	if st.wal != nil {

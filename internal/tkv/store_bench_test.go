@@ -2,6 +2,7 @@ package tkv
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -30,6 +31,70 @@ func BenchmarkStoreGet(b *testing.B) {
 			b.Fatalf("get: %v %v", ok, err)
 		}
 	}
+}
+
+// BenchmarkGetCohort is what warming a cohort buys below the wire: random
+// Gets in cohorts of n, cold and after one Warm of the cohort's keys, on a
+// store that fits the caches and on one far larger than them (wire_read's
+// shape: 1M keys of 128 B, 4 shards, a bucket per key). Each get copies its
+// value out, as the server does into its response frame. ns/op is per get.
+func BenchmarkGetCohort(b *testing.B) {
+	for _, keys := range []int{4096, 1 << 20} {
+		st := cohortStore(b, keys)
+		for _, n := range []int{1, 2, 8, 16} {
+			for _, warm := range []bool{false, true} {
+				name := fmt.Sprintf("keys=%d/cohort=%d/cold", keys, n)
+				if warm {
+					name = fmt.Sprintf("keys=%d/cohort=%d/warm", keys, n)
+				}
+				b.Run(name, func(b *testing.B) {
+					rng := rand.New(rand.NewPCG(1, uint64(n)))
+					cohort := make([]uint64, n)
+					buf := make([]byte, 0, 256)
+					var sink uint64
+					b.ReportAllocs()
+					for i := 0; i < b.N; i += n {
+						for j := range cohort {
+							cohort[j] = rng.Uint64N(uint64(keys))
+						}
+						if warm {
+							sink += st.Warm(cohort)
+						}
+						for _, k := range cohort {
+							v, ok, err := st.Get(k)
+							if err != nil || !ok {
+								b.Fatalf("get %d: %v %v", k, ok, err)
+							}
+							buf = append(buf[:0], v...)
+						}
+					}
+					benchSink = sink
+				})
+			}
+		}
+	}
+}
+
+var benchSink uint64
+
+// cohortStore loads keys 128-byte values, one bucket per key.
+func cohortStore(b *testing.B, keys int) *Store {
+	b.Helper()
+	st, err := Open(Config{Shards: 4, Buckets: keys / 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	blob := make([]byte, 128)
+	for k := 0; k < keys; k++ {
+		for i := range blob {
+			blob[i] = byte(k + i)
+		}
+		v := string(blob)
+		if _, err := st.PutRef(uint64(k), &v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return st
 }
 
 // BenchmarkStoreMixRead90 is the store-level twin of a read-ratio-0.9 load

@@ -323,7 +323,7 @@ func (sl *opSlot) release() {
 type opCounters struct {
 	gets, puts, deletes, cas, casMisses, adds          counter
 	batches, batchOps, batchCASMisses, mgets, mgetKeys counter
-	snapshots                                          counter
+	snapshots, warmed                                  counter
 }
 
 // Open builds a Store. Every shard gets an independent TM built from the

@@ -717,6 +717,7 @@ func TestOpCounters(t *testing.T) {
 		{"mget", func() error { _, err := st.MGet([]uint64{1, 2, 99}); return err }, OpCounts{MGets: 1, MGetKeys: 3}},
 		{"len", func() error { _, err := st.Len(); return err }, OpCounts{Snapshots: 1}},
 		{"snapshot", func() error { _, err := st.Snapshot(); return err }, OpCounts{Snapshots: 1}},
+		{"warm", func() error { st.Warm([]uint64{1, 2, 99}); return nil }, OpCounts{Warmed: 3}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			moved := st.Stats().Ops // before the call; after it, the difference

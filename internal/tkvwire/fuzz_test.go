@@ -1,6 +1,7 @@
 package tkvwire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 
@@ -84,13 +85,21 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 // FuzzServerDecode throws arbitrary bytes at the entire server-side decode
-// surface: the header parser and every request-payload parser. Nothing may
-// panic, and every output slice must be bounded by the bytes actually
-// received — a lying count or length field must produce an error, not an
-// allocation.
+// surface: the read loop's cohort scan, the header parser and every
+// request-payload parser. Nothing may panic, the scan may neither consume
+// nor cover more than is buffered, and every output slice must be bounded
+// by the bytes actually received — a lying count or length field must
+// produce an error, not an allocation.
 func FuzzServerDecode(f *testing.F) {
+	st, err := tkv.Open(tkv.Config{Shards: 2, Buckets: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	srv := NewServer(st)
 	f.Add([]byte{})
 	f.Add(AppendGetReq(nil, 1, 42))
+	f.Add(AppendGetReq(AppendGetReq(nil, 1, 42), 2, 43))
 	f.Add(AppendPutReq(nil, 2, 42, []byte("hello")))
 	f.Add(AppendCASReq(nil, 3, 1, []byte("a"), []byte("b")))
 	f.Add(AppendMGetReq(nil, 4, []uint64{1, 2, 3}))
@@ -102,6 +111,14 @@ func FuzzServerDecode(f *testing.F) {
 	f.Add(lying)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 && len(data) <= 64<<10 {
+			c := &conn{srv: srv, br: bufio.NewReaderSize(bytes.NewReader(data), 64<<10)}
+			c.br.Peek(1)
+			c.warmCohort()
+			if c.window < 0 || c.window > len(data) || c.br.Buffered() != len(data) {
+				t.Fatalf("scan of %d bytes: window %d, %d left buffered", len(data), c.window, c.br.Buffered())
+			}
+		}
 		h, err := ParseHeader(data, MaxFrame)
 		if err != nil {
 			return // rejected before any payload handling — that's the contract

@@ -27,6 +27,8 @@ var ErrServerClosed = errors.New("tkvwire: server closed")
 // cohort where the pair shares a processor, more often where the writer
 // runs beside the reader and keeps up with it (the client's rule, yield
 // before flushing, was measured here and lost: EXPERIMENTS.md, PR 14).
+// Before it runs a pipelined cohort, the read loop warms the key paths of
+// the cohort's gets in one pass (see warmCohort).
 // On a sync-WAL store the read loop never parks on durability either:
 // write responses are prebuilt and deferred to a per-connection acker
 // that releases them as their group fsync lands, so a connection's whole
@@ -153,6 +155,13 @@ type conn struct {
 	// granted by OpHello (0 before one completes). The repl opcodes are
 	// refused until a handshake grants FeatReplication.
 	features uint64
+	// Cohort warming (see warmCohort), owned by the read loop: window is
+	// the bytes of buffered requests the last scan covered that the loop
+	// has not consumed yet, warmKeys the scan's get keys, and warmSink
+	// keeps what Warm returns so the compiler keeps its loads.
+	window   int
+	warmKeys [tkv.WarmMax]uint64
+	warmSink uint64
 }
 
 // handle runs one connection to completion.
@@ -323,11 +332,19 @@ func (c *conn) internVal(b []byte) *string {
 
 // readLoop decodes and executes frames until the stream ends or turns
 // malformed. Single-key ops run inline (order-preserving, allocation-free);
-// multi-key ops get a goroutine each and complete out of order.
+// multi-key ops get a goroutine each and complete out of order. Each time
+// it has consumed what the last cohort scan covered, it scans what is
+// buffered next.
 func (c *conn) readLoop() {
 	for {
+		if c.window <= 0 {
+			if _, err := c.br.Peek(HeaderSize); err != nil {
+				return // EOF or reset: normal connection end
+			}
+			c.warmCohort()
+		}
 		if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
-			return // EOF or reset: normal connection end
+			return
 		}
 		h, err := ParseHeader(c.hdr[:], MaxFrame)
 		if err != nil {
@@ -343,9 +360,43 @@ func (c *conn) readLoop() {
 		if _, err := io.ReadFull(c.br, p); err != nil {
 			return
 		}
+		c.window -= HeaderSize + plen
 		if !c.dispatch(h, p) {
 			return
 		}
+	}
+}
+
+// warmCohort scans up to tkv.WarmMax requests already buffered, starting
+// with the read loop's next one: usually the cohort a pipelining client
+// flushed in one write. When two or more of them are gets, it warms their
+// key paths in one pass before the first of them runs (tkv.Store.Warm), so
+// that their cache misses overlap instead of each get paying its own in
+// turn. A lone get is left alone: it would pay its misses twice over. The
+// scan consumes nothing and judges nothing: it stops at the first frame
+// that is incomplete or malformed, and the read loop meets that frame as
+// it would have anyway.
+func (c *conn) warmCohort() {
+	buf, _ := c.br.Peek(c.br.Buffered()) // asks for no more than is buffered, so cannot fail
+	n, off := 0, 0
+	for range tkv.WarmMax {
+		if len(buf)-off < HeaderSize {
+			break
+		}
+		l := int(le.Uint32(buf[off:]))
+		end := off + 4 + l
+		if l < headerAfterLen || end > len(buf) {
+			break
+		}
+		if buf[off+4] == OpGet && l == headerAfterLen+8 {
+			c.warmKeys[n] = le.Uint64(buf[off+HeaderSize:])
+			n++
+		}
+		off = end
+	}
+	c.window = off
+	if n > 1 {
+		c.warmSink += c.srv.store.Warm(c.warmKeys[:n])
 	}
 }
 

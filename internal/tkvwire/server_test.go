@@ -1,7 +1,10 @@
 package tkvwire
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -24,6 +27,13 @@ func startServer(t testing.TB) string {
 // startServerWith is startServer with a caller-chosen store config.
 func startServerWith(t testing.TB, cfg tkv.Config) string {
 	t.Helper()
+	addr, _ := serveStore(t, cfg)
+	return addr
+}
+
+// serveStore is startServerWith that also hands back the store.
+func serveStore(t testing.TB, cfg tkv.Config) (string, *tkv.Store) {
+	t.Helper()
 	st, err := tkv.Open(cfg)
 	if err != nil {
 		t.Fatalf("tkv.Open: %v", err)
@@ -45,7 +55,7 @@ func startServerWith(t testing.TB, cfg tkv.Config) string {
 		srv.Close()
 		<-done
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), st
 }
 
 func dialTest(t testing.TB, addr string) *Conn {
@@ -399,10 +409,11 @@ func TestServerSurvivesMidFrameDisconnect(t *testing.T) {
 	}
 }
 
-// wireSteadyState drives count get+put pairs over a raw connection with
-// prebuilt frames, returning only transport errors. The server echoes ids
-// blindly, so resending identical frames is legal.
-func wireSteadyState(nc net.Conn, getFrame, putFrame []byte, resp []byte, count int) error {
+// wireSteadyState drives count rounds of a put and then gets, a cohort of
+// get frames written at once, over a raw connection with prebuilt frames,
+// returning only transport errors. The server echoes ids blindly, so
+// resending identical frames is legal.
+func wireSteadyState(nc net.Conn, gets []byte, putFrame []byte, resp []byte, count int) error {
 	for i := 0; i < count; i++ {
 		if _, err := nc.Write(putFrame); err != nil {
 			return err
@@ -410,63 +421,189 @@ func wireSteadyState(nc net.Conn, getFrame, putFrame []byte, resp []byte, count 
 		if _, err := io.ReadFull(nc, resp[:HeaderSize]); err != nil {
 			return err
 		}
-		if _, err := nc.Write(getFrame); err != nil {
+		if _, err := nc.Write(gets); err != nil {
 			return err
 		}
-		if _, err := io.ReadFull(nc, resp[:HeaderSize]); err != nil {
-			return err
-		}
-		h, err := ParseHeader(resp[:HeaderSize], MaxRespFrame)
-		if err != nil {
-			return err
-		}
-		if _, err := io.ReadFull(nc, resp[HeaderSize:HeaderSize+h.PayloadLen()]); err != nil {
-			return err
+		for range len(gets) / (HeaderSize + 8) {
+			if _, err := io.ReadFull(nc, resp[:HeaderSize]); err != nil {
+				return err
+			}
+			h, err := ParseHeader(resp[:HeaderSize], MaxRespFrame)
+			if err != nil {
+				return err
+			}
+			if _, err := io.ReadFull(nc, resp[HeaderSize:HeaderSize+h.PayloadLen()]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // TestWireGetPutZeroAlloc is the alloc gate for the serving path: after
-// warm-up, a get+put round trip must not allocate on the server side.
-// testing.AllocsPerRun only counts the calling goroutine, so this measures
-// process-wide Mallocs around a raw-frame loop with GC parked (the client
-// side of the loop is itself allocation-free).
+// warm-up, a put and a get, or a put and a pipelined cohort of eight gets
+// (which the read loop warms before running), must not allocate on the
+// server side. testing.AllocsPerRun only counts the calling goroutine, so
+// this measures process-wide Mallocs around a raw-frame loop with GC parked
+// (the client side of the loop is itself allocation-free).
 func TestWireGetPutZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per access")
 	}
-	addr := startServer(t)
+	for _, cohort := range []int{1, 8} {
+		t.Run(fmt.Sprintf("gets=%d", cohort), func(t *testing.T) {
+			addr, st := serveStore(t, tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128})
+			nc := rawDial(t, addr)
+
+			var gets []byte
+			for i := range cohort {
+				gets = AppendGetReq(gets, uint64(i), 42+uint64(i))
+			}
+			putFrame := AppendPutReq(nil, 100, 42, []byte("v0"))
+			resp := make([]byte, 4096)
+
+			// Warm-up: populate the frame pools, the store's op-slot pools
+			// and the connection's intern cache.
+			if err := wireSteadyState(nc, gets, putFrame, resp, 2000); err != nil {
+				t.Fatalf("warm-up: %v", err)
+			}
+
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			runtime.GC()
+
+			const rounds = 2000
+			ops := rounds * (1 + cohort)
+			warmed := st.Stats().Ops.Warmed
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := wireSteadyState(nc, gets, putFrame, resp, rounds); err != nil {
+				t.Fatalf("measured run: %v", err)
+			}
+			runtime.ReadMemStats(&after)
+			warmed = st.Stats().Ops.Warmed - warmed
+
+			perOp := float64(after.Mallocs-before.Mallocs) / float64(ops)
+			t.Logf("server get/put path: %.4f allocs/op (%d mallocs over %d ops), %d gets warmed",
+				perOp, after.Mallocs-before.Mallocs, ops, warmed)
+			// Zero per-request allocation, with a whisker of slack for
+			// runtime background noise (timers, netpoll bookkeeping).
+			if perOp > 0.05 {
+				t.Fatalf("get/put serving path allocates: %.4f allocs/op", perOp)
+			}
+			// A cohort warms when the server reads it in one piece, which a
+			// loopback write of it nearly always is.
+			if cohort > 1 && warmed == 0 {
+				t.Fatalf("no get of %d cohorts was warmed", rounds)
+			}
+		})
+	}
+}
+
+// TestCohortScan: the read loop's scan of what is buffered covers the next
+// tkv.WarmMax complete frames at most, stops at a frame that is incomplete or
+// whose length is below a header's, and warms the gets among what it
+// covered when there are two or more. Nothing it scans is consumed.
+func TestCohortScan(t *testing.T) {
+	st, err := tkv.Open(tkv.Config{Shards: 4, Buckets: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for k := uint64(0); k < 32; k++ {
+		if _, err := st.Put(k, strconv.FormatUint(k, 10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gets := func(keys ...uint64) []byte {
+		var b []byte
+		for _, k := range keys {
+			b = AppendGetReq(b, k, k)
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	const g = HeaderSize + 8 // a get frame
+	put := AppendPutReq(nil, 50, 3, "v")
+	add := AppendAddReq(nil, 51, 4, 1)
+	shortKey := appendHeader(nil, OpGet, 0, 0, 52, 4)
+	shortKey = le.AppendUint32(shortKey, 9)
+	tiny := le.AppendUint32(nil, headerAfterLen-1) // below a header: poisons the stream
+	tiny = append(tiny, make([]byte, 12)...)
+	many := make([]uint64, 20)
+	for i := range many {
+		many[i] = uint64(i)
+	}
+	for _, row := range []struct {
+		name   string
+		buf    []byte
+		window int
+		warmed uint64
+	}{
+		{"lone get", gets(1), g, 0},
+		{"cohort of eight", gets(1, 2, 3, 4, 5, 6, 7, 8), 8 * g, 8},
+		{"past WarmMax", gets(many...), tkv.WarmMax * g, tkv.WarmMax},
+		{"gets among writes", cat(gets(1), put, gets(2), add, gets(3)), 3*g + len(put) + len(add), 3},
+		{"one get among writes", cat(put, gets(2), add), g + len(put) + len(add), 0},
+		{"absent keys", gets(1000, 1001), 2 * g, 2},
+		{"incomplete tail", cat(gets(1, 2, 3), gets(4)[:g-1]), 3 * g, 3},
+		{"incomplete first frame", gets(1)[:HeaderSize+3], 0, 0},
+		{"length below a header", cat(gets(1, 2), tiny, gets(3)), 2 * g, 2},
+		{"get with a short key", cat(gets(1), shortKey, gets(2)), 2*g + len(shortKey), 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c := &conn{srv: NewServer(st), br: bufio.NewReaderSize(bytes.NewReader(row.buf), 64<<10)}
+			if _, err := c.br.Peek(1); err != nil {
+				t.Fatal(err)
+			}
+			warmed := st.Stats().Ops.Warmed
+			c.warmCohort()
+			if warmed = st.Stats().Ops.Warmed - warmed; c.window != row.window || warmed != row.warmed {
+				t.Fatalf("window %d, warmed %d; want %d, %d", c.window, warmed, row.window, row.warmed)
+			}
+			if c.br.Buffered() != len(row.buf) {
+				t.Fatalf("the scan consumed %d bytes", len(row.buf)-c.br.Buffered())
+			}
+		})
+	}
+}
+
+// TestPipelinedCohortAnswersInOrder: a cohort of gets and writes written in
+// one piece is warmed and answered in order, each get with what the writes
+// before it in the cohort left.
+func TestPipelinedCohortAnswersInOrder(t *testing.T) {
+	addr, st := serveStore(t, tkv.Config{Shards: 4, Buckets: 64})
+	for k := uint64(0); k < 8; k++ {
+		if _, err := st.Put(k, "old"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	nc := rawDial(t, addr)
-
-	getFrame := AppendGetReq(nil, 1, 42)
-	putFrame := AppendPutReq(nil, 2, 42, []byte("v0"))
-	resp := make([]byte, 4096)
-
-	// Warm-up: populate the frame pools, the store's op-slot pools and the
-	// connection's intern cache.
-	if err := wireSteadyState(nc, getFrame, putFrame, resp, 2000); err != nil {
-		t.Fatalf("warm-up: %v", err)
+	var b []byte
+	for k := uint64(0); k < 8; k++ {
+		b = AppendGetReq(b, 2*k, k)
+		b = AppendPutReq(b, 2*k+1, k, "new"+strconv.FormatUint(k, 10))
 	}
-
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.GC()
-
-	const ops = 4000 // 2000 iterations × (1 get + 1 put)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := wireSteadyState(nc, getFrame, putFrame, resp, ops/2); err != nil {
-		t.Fatalf("measured run: %v", err)
+	b = AppendGetReq(b, 100, 3)
+	if _, err := nc.Write(b); err != nil {
+		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-
-	perOp := float64(after.Mallocs-before.Mallocs) / float64(ops)
-	t.Logf("server get/put path: %.4f allocs/op (%d mallocs over %d ops)",
-		perOp, after.Mallocs-before.Mallocs, ops)
-	// Zero per-request allocation, with a whisker of slack for runtime
-	// background noise (timers, netpoll bookkeeping).
-	if perOp > 0.05 {
-		t.Fatalf("get/put serving path allocates: %.4f allocs/op", perOp)
+	for id := uint64(0); id < 16; id++ {
+		h, p := readFrame(t, nc)
+		if h.ID != id || h.Status != StatusOK {
+			t.Fatalf("response %d: %+v", id, h)
+		}
+		if h.Op == OpGet {
+			if v, found, err := ParseGetResp(h.Flags, p); err != nil || !found || v != "old" {
+				t.Fatalf("get %d: %q %v %v", id, v, found, err)
+			}
+		}
+	}
+	h, p := readFrame(t, nc)
+	if v, _, err := ParseGetResp(h.Flags, p); err != nil || h.ID != 100 || v != "new3" {
+		t.Fatalf("last get: %+v %q %v", h, v, err)
+	}
+	if w := st.Stats().Ops.Warmed; w == 0 {
+		t.Fatalf("the cohort was not warmed")
 	}
 }
 
