@@ -1,11 +1,12 @@
 // Package shrink is a Go reproduction of "Preventing versus Curing:
 // Avoiding Conflicts in Transactional Memories" (Dragojević, Singh,
 // Guerraoui, Singh; PODC 2009): the Shrink prediction-based transaction
-// scheduler, two word-based STM engines (SwissTM-like and TinySTM-like) it
-// attaches to, the baseline schedulers and contention managers it is
-// evaluated against, the benchmarks of the paper's evaluation (STMBench7,
-// ten STAMP kernels, a red-black tree microbenchmark), and a simulator for
-// the paper's scheduling theory (Theorems 1-3). Every scheduler counts the
+// scheduler, two word-based STM engines it attaches to (SwissTM-like, which
+// resolves conflicts with Greedy, and TinySTM-like, with suicide), the
+// baseline schedulers it is evaluated against, the benchmarks of the
+// paper's evaluation (STMBench7, ten STAMP kernels, a red-black tree
+// microbenchmark), and a simulator for the paper's scheduling theory
+// (Theorems 1-3). Every scheduler counts the
 // transaction starts it serializes in the starting thread's counters
 // (stm.Stats.Serializations), so Shrink's prevention and ATS's and Pool's
 // cure are compared on one number.

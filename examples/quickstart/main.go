@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"github.com/shrink-tm/shrink/internal/cm"
 	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
@@ -23,11 +22,11 @@ func main() {
 }
 
 func run() error {
-	// 1. Build a TM: SwissTM-like engine + Shrink scheduler (the paper's
-	//    parameters) + Greedy contention management.
+	// 1. Build a TM: SwissTM-like engine (it resolves conflicts with its
+	//    Greedy contention manager) + Shrink scheduler (the paper's
+	//    parameters), waiting preemptively between retries.
 	tm := swiss.New(swiss.Options{
 		Scheduler: sched.NewShrink(sched.DefaultShrinkConfig()),
-		CM:        &cm.Greedy{},
 		Wait:      stm.WaitPreemptive,
 	})
 

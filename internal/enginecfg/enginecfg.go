@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 
-	"github.com/shrink-tm/shrink/internal/cm"
 	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
@@ -74,17 +73,9 @@ func Build(spec Spec) (stm.TM, *sched.Shrink, error) {
 	}
 	switch spec.Engine {
 	case EngineSwiss, "":
-		wait := spec.Wait
-		if wait == 0 {
-			wait = stm.WaitPreemptive
-		}
-		return swiss.New(swiss.Options{Scheduler: scheduler, CM: &cm.Greedy{}, Wait: wait}), shrink, nil
+		return swiss.New(swiss.Options{Scheduler: scheduler, Wait: spec.Wait}), shrink, nil
 	case EngineTiny:
-		wait := spec.Wait
-		if wait == 0 {
-			wait = stm.WaitBusy
-		}
-		return tiny.New(tiny.Options{Scheduler: scheduler, CM: cm.Suicide{}, Wait: wait}), shrink, nil
+		return tiny.New(tiny.Options{Scheduler: scheduler, Wait: spec.Wait}), shrink, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown engine %q", spec.Engine)
 	}

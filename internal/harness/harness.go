@@ -107,7 +107,7 @@ func (r Result) String() string {
 	return row
 }
 
-// buildTM constructs the engine/scheduler/CM combination for a config
+// buildTM constructs the engine/scheduler/wait combination for a config
 // through enginecfg.Build. It returns the TM and, for Shrink runs, the
 // scheduler for accuracy reporting.
 func buildTM(cfg Config) (stm.TM, *sched.Shrink, error) {
@@ -120,7 +120,7 @@ func buildTM(cfg Config) (stm.TM, *sched.Shrink, error) {
 	})
 }
 
-// NewTM builds the engine/scheduler/CM combination of a config without
+// NewTM builds the engine/scheduler/wait combination of a config without
 // running a workload (microbenchmarks and examples use it directly).
 func NewTM(cfg Config) (stm.TM, error) {
 	tm, _, err := buildTM(cfg)

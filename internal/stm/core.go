@@ -1,9 +1,6 @@
 package stm
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // CoreTx is the per-attempt surface an engine's transaction descriptor
 // exposes to Core.Run, on top of the user-facing Tx operations. The
@@ -13,8 +10,9 @@ import (
 type CoreTx interface {
 	Tx
 	// Begin resets the descriptor for a fresh attempt (snapshot timestamp,
-	// read/write logs).
-	Begin()
+	// read/write logs). attempt is 0 for the first try of a given
+	// Atomically call, as for Scheduler.BeforeStart.
+	Begin(attempt int)
 	// Commit finalizes the attempt, returning ErrConflict (possibly
 	// wrapped) if it must retry. Locks are released, but the write log is
 	// preserved for Writes.
@@ -26,61 +24,23 @@ type CoreTx interface {
 	Writes() WriteSet
 }
 
-// SuicideCM aborts the asking transaction on every conflict — TinySTM's
-// suicide policy, and the default contention manager of both engines. (The
-// richer managers live in internal/cm; this one is defined here so the
-// engines need no dependency for their default.)
-type SuicideCM struct{}
-
-var _ ContentionManager = SuicideCM{}
-
-// RegisterThread implements ContentionManager.
-func (SuicideCM) RegisterThread(*ThreadCtx) {}
-
-// OnStart implements ContentionManager.
-func (SuicideCM) OnStart(*ThreadCtx, int) {}
-
-// OnConflict implements ContentionManager.
-func (SuicideCM) OnConflict(_, _ *ThreadCtx, _ ConflictKind) Resolution { return AbortSelf }
-
-// OnCommit implements ContentionManager.
-func (SuicideCM) OnCommit(*ThreadCtx) {}
-
-// OnAbort implements ContentionManager.
-func (SuicideCM) OnAbort(*ThreadCtx) {}
-
-// ErrLivelock is the fallback sentinel wrapped into the retry-budget error
-// when CoreOptions.Livelock is not set; engines supply their own.
-var ErrLivelock = errors.New("stm: retry budget exhausted")
-
 // CoreOptions configures a Core. Zero fields fall back to defaults:
-// NopScheduler, SuicideCM, preemptive waiting, ErrLivelock.
+// NopScheduler, preemptive waiting.
 type CoreOptions struct {
 	Scheduler Scheduler
-	CM        ContentionManager
 	Wait      WaitPolicy
-	// MaxRetries aborts a Run call with the engine's Livelock error after
-	// this many conflicts; 0 means unbounded (the paper's setting).
-	MaxRetries int
-	// Livelock is the engine's sentinel wrapped into the error returned
-	// when MaxRetries is exceeded.
-	Livelock error
 }
 
 // Core is the engine-independent half of a TM instance: the global version
-// clock, the attached policies (scheduler, contention manager, wait policy),
-// the thread registry, and the Atomically retry loop with its hook
-// bracketing. Both engines embed one and provide only their read/write/
-// commit/rollback protocol on top. A Core must not be copied after first
-// use.
+// clock, the attached scheduler and wait policy, the thread registry, and
+// the Atomically retry loop with its hook bracketing. Both engines embed one
+// and provide their read/write/commit/rollback protocol, conflict
+// resolution included, on top. A Core must not be copied after first use.
 type Core struct {
-	Clock    Clock
-	Sched    Scheduler
-	CM       ContentionManager
-	Wait     WaitPolicy
-	MaxRetry int
-	Livelock error
-	Reg      Registry
+	Clock Clock
+	Sched Scheduler
+	Wait  WaitPolicy
+	Reg   Registry
 }
 
 // NewCore returns a Core with the given options, applying defaults for the
@@ -89,30 +49,16 @@ func NewCore(opts CoreOptions) Core {
 	if opts.Scheduler == nil {
 		opts.Scheduler = NopScheduler{}
 	}
-	if opts.CM == nil {
-		opts.CM = SuicideCM{}
-	}
 	if opts.Wait == 0 {
 		opts.Wait = WaitPreemptive
 	}
-	if opts.Livelock == nil {
-		opts.Livelock = ErrLivelock
-	}
-	return Core{
-		Sched:    opts.Scheduler,
-		CM:       opts.CM,
-		Wait:     opts.Wait,
-		MaxRetry: opts.MaxRetries,
-		Livelock: opts.Livelock,
-	}
+	return Core{Sched: opts.Scheduler, Wait: opts.Wait}
 }
 
-// Register creates a thread context and announces it to the attached
-// policies.
+// Register creates a thread context and announces it to the scheduler.
 func (c *Core) Register(name string) *ThreadCtx {
 	t := c.Reg.Add(name)
 	c.Sched.RegisterThread(t)
-	c.CM.RegisterThread(t)
 	return t
 }
 
@@ -122,18 +68,17 @@ func (c *Core) Threads() []*ThreadCtx { return c.Reg.All() }
 // Stats aggregates commit/abort counters across threads.
 func (c *Core) Stats() Stats { return AggregateStats(c.Reg.All()) }
 
-// Run executes fn transactionally on tx, retrying on conflicts: the shared
-// Atomically loop. Every attempt is bracketed by the scheduler hooks; the
-// contention manager is notified of starts, commits and aborts. The write
-// set reaches the hooks as a zero-copy view over tx's live write log, so a
-// committed update transaction allocates nothing here regardless of the
-// attached scheduler.
+// Run executes fn transactionally on tx, retrying on conflicts until it
+// commits: the shared Atomically loop. Every attempt is bracketed by the
+// scheduler hooks, and the wait policy backs off between attempts. The
+// write set reaches the hooks as a zero-copy view over tx's live write log,
+// so a committed update transaction allocates nothing here regardless of
+// the attached scheduler.
 func (c *Core) Run(t *ThreadCtx, tx CoreTx, fn func(Tx) error) error {
 	for attempt := 0; ; attempt++ {
 		c.Sched.BeforeStart(t, attempt)
-		c.CM.OnStart(t, attempt)
 		t.Doomed.Store(false)
-		tx.Begin()
+		tx.Begin(attempt)
 
 		err := fn(tx)
 		if err == nil {
@@ -141,7 +86,6 @@ func (c *Core) Run(t *ThreadCtx, tx CoreTx, fn func(Tx) error) error {
 		}
 		if err == nil {
 			t.Commits.Add(1)
-			c.CM.OnCommit(t)
 			c.Sched.AfterCommit(t, tx.Writes())
 			return nil
 		}
@@ -149,44 +93,15 @@ func (c *Core) Run(t *ThreadCtx, tx CoreTx, fn func(Tx) error) error {
 		tx.Rollback()
 		if errors.Is(err, ErrConflict) {
 			t.Aborts.Add(1)
-			c.CM.OnAbort(t)
 			c.Sched.AfterAbort(t, tx.Writes())
-			if c.MaxRetry > 0 && attempt+1 >= c.MaxRetry {
-				return fmt.Errorf("%w after %d attempts", c.Livelock, attempt+1)
-			}
 			c.Wait.Backoff(attempt + 1)
 			continue
 		}
 		// User abort: the transaction's effects are discarded and the
 		// error propagates without retry.
 		t.UserAborts.Add(1)
-		c.CM.OnAbort(t)
 		c.Sched.AfterAbort(t, tx.Writes())
 		return err
-	}
-}
-
-// Resolve consults the contention manager about a conflict on v currently
-// owned by ownerID and acts on the resolution. It returns nil when the
-// caller should re-attempt the operation, or ErrConflict to abort.
-func (c *Core) Resolve(t *ThreadCtx, v *Var, ownerID int, kind ConflictKind) error {
-	enemy := c.Reg.Get(ownerID)
-	switch c.CM.OnConflict(t, enemy, kind) {
-	case WaitRetry:
-		if c.Wait.SpinWhileLocked(v, t.ID, 256) {
-			return nil
-		}
-		return ErrConflict
-	case AbortOther:
-		if enemy != nil {
-			enemy.Doomed.Store(true)
-		}
-		if c.Wait.SpinWhileLocked(v, t.ID, 1024) {
-			return nil
-		}
-		return ErrConflict
-	default:
-		return ErrConflict
 	}
 }
 

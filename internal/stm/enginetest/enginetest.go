@@ -1,6 +1,6 @@
 // Package enginetest provides a conformance suite that both STM engines
 // (swiss and tiny) must pass: atomicity, isolation, conservation under
-// concurrency, abort semantics, and scheduler/contention-manager plumbing.
+// concurrency, abort semantics, and scheduler plumbing.
 // Engine test packages call Run with a factory.
 package enginetest
 
@@ -8,16 +8,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
-	"github.com/shrink-tm/shrink/internal/cm"
 	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/stm"
 )
 
-// Factory builds a TM with the given policies.
-type Factory func(s stm.Scheduler, c stm.ContentionManager, w stm.WaitPolicy) stm.TM
+// Factory builds a TM with the given scheduler and wait policy.
+type Factory func(s stm.Scheduler, w stm.WaitPolicy) stm.TM
 
 // Run executes the full conformance suite against the factory.
 func Run(t *testing.T, name string, factory Factory) {
@@ -25,21 +26,15 @@ func Run(t *testing.T, name string, factory Factory) {
 	t.Run("ReadYourWrites", func(t *testing.T) { testReadYourWrites(t, factory) })
 	t.Run("UserAbortDiscards", func(t *testing.T) { testUserAbort(t, factory) })
 	t.Run("CounterAtomicity", func(t *testing.T) { testCounter(t, factory) })
-	t.Run("BankConservation", func(t *testing.T) { testBank(t, factory, stm.NopScheduler{}, nil, "none") })
+	t.Run("BankConservation", func(t *testing.T) { testBank(t, factory, stm.NopScheduler{}, 16, "none") })
 	t.Run("BankConservationShrink", func(t *testing.T) {
-		testBank(t, factory, sched.NewShrink(sched.DefaultShrinkConfig()), nil, "shrink")
+		testBank(t, factory, sched.NewShrink(sched.DefaultShrinkConfig()), 16, "shrink")
 	})
-	t.Run("BankConservationATS", func(t *testing.T) { testBank(t, factory, sched.NewATS(), nil, "ats") })
-	t.Run("BankConservationPool", func(t *testing.T) { testBank(t, factory, sched.NewPool(), nil, "pool") })
-	t.Run("BankConservationGreedyCM", func(t *testing.T) {
-		testBank(t, factory, stm.NopScheduler{}, &cm.Greedy{}, "greedy")
-	})
-	t.Run("BankConservationKarmaCM", func(t *testing.T) {
-		testBank(t, factory, stm.NopScheduler{}, cm.Karma{}, "karma")
-	})
-	t.Run("BankConservationPoliteCM", func(t *testing.T) {
-		testBank(t, factory, stm.NopScheduler{}, &cm.Polite{}, "polite")
-	})
+	t.Run("BankConservationATS", func(t *testing.T) { testBank(t, factory, sched.NewATS(), 16, "ats") })
+	t.Run("BankConservationPool", func(t *testing.T) { testBank(t, factory, sched.NewPool(), 16, "pool") })
+	t.Run("BankConservationHotSpot", func(t *testing.T) { testBank(t, factory, stm.NopScheduler{}, 2, "hotspot") })
+	t.Run("LongTransactionsCommit", func(t *testing.T) { testLongTransactions(t, factory) })
+	t.Run("HeldLockRetriesWithoutBudget", func(t *testing.T) { testHeldLockRetries(t, factory) })
 	t.Run("InvariantPairNeverTorn", func(t *testing.T) { testInvariantPair(t, factory) })
 	t.Run("WriteSkewPrevented", func(t *testing.T) { testWriteSkew(t, factory) })
 	t.Run("StatsAccounting", func(t *testing.T) { testStats(t, factory) })
@@ -47,7 +42,7 @@ func Run(t *testing.T, name string, factory Factory) {
 }
 
 func testSequential(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewVar(10)
 	err := th.Atomically(func(tx stm.Tx) error {
@@ -79,7 +74,7 @@ func testSequential(t *testing.T, factory Factory) {
 }
 
 func testReadYourWrites(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewVar(1)
 	err := th.Atomically(func(tx stm.Tx) error {
@@ -111,7 +106,7 @@ func testReadYourWrites(t *testing.T, factory Factory) {
 }
 
 func testUserAbort(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewVar(100)
 	errBoom := errors.New("boom")
@@ -144,7 +139,7 @@ func testUserAbort(t *testing.T, factory Factory) {
 
 func testCounter(t *testing.T, factory Factory) {
 	const threads, increments = 6, 300
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	counter := stm.NewVar(0)
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -177,14 +172,16 @@ func testCounter(t *testing.T, factory Factory) {
 	})
 }
 
-func testBank(t *testing.T, factory Factory, s stm.Scheduler, c stm.ContentionManager, label string) {
+// testBank runs concurrent transfers among accounts Vars under scheduler s
+// and audits that money is conserved. With two accounts every pair of
+// transfers conflicts, so the engine's own conflict policy decides each one.
+func testBank(t *testing.T, factory Factory, s stm.Scheduler, accounts int, label string) {
 	const (
 		threads   = 6
-		accounts  = 16
 		transfers = 250
 		initial   = 1000
 	)
-	tm := factory(s, c, stm.WaitPreemptive)
+	tm := factory(s, stm.WaitPreemptive)
 	vars := make([]*stm.Var, accounts)
 	for i := range vars {
 		vars[i] = stm.NewVar(initial)
@@ -240,12 +237,160 @@ func testBank(t *testing.T, factory Factory, s stm.Scheduler, c stm.ContentionMa
 	}
 }
 
+// testLongTransactions runs one thread whose every transaction reads all
+// accounts and rotates their balances one place round the ring, beside
+// short transfers on the same accounts. Each long transaction conflicts
+// with nearly every short one; the engine's conflict policy must still let
+// all of them commit, and money is conserved.
+func testLongTransactions(t *testing.T, factory Factory) {
+	const (
+		threads   = 4
+		accounts  = 8
+		transfers = 200
+		rotations = 20
+		initial   = 1000
+	)
+	tm := factory(nil, stm.WaitPreemptive)
+	vars := make([]*stm.Var, accounts)
+	for i := range vars {
+		vars[i] = stm.NewVar(initial + i)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		th := tm.Register(fmt.Sprintf("short%d", i))
+		rng := rand.New(rand.NewSource(int64(i) + 7))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < transfers; j++ {
+				from := rng.Intn(accounts)
+				to := (from + 1 + rng.Intn(accounts-1)) % accounts
+				_ = th.Atomically(func(tx stm.Tx) error {
+					fb, err := tx.Read(vars[from])
+					if err != nil {
+						return err
+					}
+					tb, err := tx.Read(vars[to])
+					if err != nil {
+						return err
+					}
+					if err := tx.Write(vars[from], fb.(int)-1); err != nil {
+						return err
+					}
+					return tx.Write(vars[to], tb.(int)+1)
+				})
+			}
+		}()
+	}
+	long := tm.Register("long")
+	balances := make([]int, accounts)
+	for r := 0; r < rotations; r++ {
+		err := long.Atomically(func(tx stm.Tx) error {
+			for k, v := range vars {
+				b, err := tx.Read(v)
+				if err != nil {
+					return err
+				}
+				balances[k] = b.(int)
+			}
+			for k, v := range vars {
+				if err := tx.Write(v, balances[(k+1)%accounts]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("rotation %d: %v", r, err)
+		}
+	}
+	wg.Wait()
+	if got := long.Ctx().Commits.Load(); got != rotations {
+		t.Errorf("long commits = %d, want %d", got, rotations)
+	}
+	want := 0
+	for i := 0; i < accounts; i++ {
+		want += initial + i
+	}
+	total := 0
+	for _, v := range vars {
+		total += v.LoadValue().(int)
+	}
+	if total != want {
+		t.Errorf("total = %d, want %d (money not conserved)", total, want)
+	}
+}
+
+// testHeldLockRetries: a transaction that meets a Var write-locked by a
+// stalled writer aborts and retries for as long as the lock is held — no
+// retry budget gives up on it — and commits on top of the writer's value
+// once the writer has committed.
+func testHeldLockRetries(t *testing.T, factory Factory) {
+	const minAborts = 20
+	tm := factory(nil, stm.WaitPreemptive)
+	holder := tm.Register("holder")
+	asker := tm.Register("asker")
+	v := stm.NewVar(0)
+
+	locked, release := make(chan struct{}), make(chan struct{})
+	held := make(chan error, 1)
+	go func() {
+		first := true
+		held <- holder.Atomically(func(tx stm.Tx) error {
+			if err := tx.Write(v, 1); err != nil {
+				return err
+			}
+			if first {
+				first = false
+				close(locked)
+				<-release
+			}
+			return nil
+		})
+	}()
+	<-locked
+	asked := make(chan error, 1)
+	go func() {
+		asked <- asker.Atomically(func(tx stm.Tx) error {
+			n, err := tx.Read(v)
+			if err != nil {
+				return err
+			}
+			return tx.Write(v, n.(int)+10)
+		})
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for asker.Ctx().Aborts.Load() < minAborts {
+		select {
+		case err := <-asked:
+			close(release)
+			t.Fatalf("asker returned %v after %d aborts while the lock was held", err, asker.Ctx().Aborts.Load())
+		default:
+		}
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("asker aborted %d times in 10s against the held lock, want %d", asker.Ctx().Aborts.Load(), minAborts)
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatalf("holder: %v", err)
+	}
+	if err := <-asked; err != nil {
+		t.Fatalf("asker: %v", err)
+	}
+	if got := v.LoadValue().(int); got != 11 {
+		t.Fatalf("final value = %d, want 11 (the asker's write on top of the holder's)", got)
+	}
+}
+
 // testInvariantPair maintains x + y == 0 under concurrent updates while
 // readers verify the invariant inside transactions: any torn (non-atomic)
 // view would be observed.
 func testInvariantPair(t *testing.T, factory Factory) {
 	const threads, iters = 4, 300
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	x, y := stm.NewVar(0), stm.NewVar(0)
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -308,7 +453,7 @@ func testInvariantPair(t *testing.T, factory Factory) {
 // writes (x=1 and y=1) from the same initial snapshot.
 func testWriteSkew(t *testing.T, factory Factory) {
 	const iters = 200
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	x, y := stm.NewVar(0), stm.NewVar(0)
 	t1 := tm.Register("t1")
 	t2 := tm.Register("t2")
@@ -365,7 +510,7 @@ func testWriteSkew(t *testing.T, factory Factory) {
 }
 
 func testStats(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewVar(0)
 	for i := 0; i < 5; i++ {

@@ -25,7 +25,7 @@ func RunProperty(t *testing.T, factory Factory) {
 func propSequentialModel(t *testing.T, factory Factory) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tm := factory(nil, nil, stm.WaitPreemptive)
+		tm := factory(nil, stm.WaitPreemptive)
 		th := tm.Register("t0")
 		const nVars = 8
 		vars := make([]*stm.Var, nVars)
@@ -102,7 +102,7 @@ func propSequentialModel(t *testing.T, factory Factory) {
 // of all vars, for every seed.
 func propConcurrentSum(t *testing.T, factory Factory) {
 	prop := func(seed int64) bool {
-		tm := factory(nil, nil, stm.WaitPreemptive)
+		tm := factory(nil, stm.WaitPreemptive)
 		const nVars, threads, ops = 10, 4, 80
 		vars := make([]*stm.Var, nVars)
 		for i := range vars {
@@ -172,7 +172,7 @@ func propConcurrentSum(t *testing.T, factory Factory) {
 // propAbortInjection: randomly dooming threads mid-flight must never break
 // the invariant — doomed transactions abort and retry.
 func propAbortInjection(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	x := stm.NewVar(0)
 	y := stm.NewVar(0)
 	const threads, ops = 3, 120

@@ -27,7 +27,7 @@ func runRO(t *testing.T, factory Factory) {
 }
 
 func testROSeesCommitted(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewT[int64](7)
 	var got int64
@@ -60,7 +60,7 @@ func testROSeesCommitted(t *testing.T, factory Factory) {
 // transaction: they fail with stm.ErrReadOnlyWrite, the error propagates
 // without retry (a user abort, not a conflict), and nothing is published.
 func testROWriteRejected(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewT[int64](1)
 	u := stm.NewVar(1)
@@ -105,7 +105,7 @@ func testROWriteRejected(t *testing.T, factory Factory) {
 // snapshot, so the attempt must abort and the retry must observe both new
 // values — never the torn pair.
 func testROSnapshotRestart(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	reader := tm.Register("ro")
 	writer := tm.Register("w")
 	x := stm.NewT[int](0)
@@ -153,7 +153,7 @@ func testROSnapshotRestart(t *testing.T, factory Factory) {
 // of a write-locked Var — under the tiny engine's write-through protocol
 // that in-place value is speculative and must stay invisible until commit.
 func testROLockedWriter(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	reader := tm.Register("ro")
 	writer := tm.Register("w")
 	v := stm.NewT[int64](1)
@@ -202,7 +202,7 @@ func testROLockedWriter(t *testing.T, factory Factory) {
 // reader waits in the retry path, where the release (sent only after the
 // first read has failed) lets a later attempt return what was committed.
 func testROParkedWriter(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	reader := tm.Register("ro")
 	writer := tm.Register("w")
 	v := stm.NewT[int64](1)
@@ -264,7 +264,7 @@ func testROParkedWriter(t *testing.T, factory Factory) {
 // incarnation field exists to break.
 func testRONeverReadsAborted(t *testing.T, factory Factory) {
 	const writers, readers, iters = 2, 2, 1500
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	v := stm.NewT[int64](0)
 	errAbort := fmt.Errorf("deliberate abort")
 	var wg sync.WaitGroup
@@ -331,7 +331,7 @@ func testRONeverReadsAborted(t *testing.T, factory Factory) {
 // transaction has write-locked fails fast with ErrReadOnlyNested instead of
 // spinning on a lock that can never release.
 func testRONestedSelfLock(t *testing.T, factory Factory) {
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewT[int64](5)
 	attempts := 0
@@ -374,7 +374,7 @@ func testRONestedSelfLock(t *testing.T, factory Factory) {
 // detector additionally checks the publication ordering of the value cells.
 func testROInvariantPair(t *testing.T, factory Factory) {
 	const writers, readers, iters = 4, 4, 300
-	tm := factory(nil, nil, stm.WaitPreemptive)
+	tm := factory(nil, stm.WaitPreemptive)
 	x := stm.NewT[int](0)
 	y := stm.NewT[int](0)
 	var wg sync.WaitGroup

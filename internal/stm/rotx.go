@@ -2,7 +2,6 @@ package stm
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -46,7 +45,7 @@ var ErrReadOnlyNested = errors.New("stm: read-only transaction read a var write-
 // that arrive that way (ReadPtr) wait for a locked Var in place.
 //
 // A read-only transaction takes no locks and never dooms another thread, so
-// it bypasses the scheduler and contention-manager hooks entirely; it can
+// it bypasses the scheduler hooks and conflict resolution entirely; it can
 // abort only itself.
 type ROTx struct {
 	core *Core
@@ -139,9 +138,8 @@ func ReadTRO[T any](tx *ROTx, v *TVar[T]) (T, error) {
 // RunRO executes fn as a read-only snapshot transaction on tx, retrying with
 // a fresh snapshot while reads conflict with concurrent writers: the shared
 // AtomicallyRO loop. There is no commit phase — a body that returns nil has
-// already observed a consistent snapshot — and no scheduler or
-// contention-manager bracketing. Commit/abort statistics and the MaxRetry
-// livelock bound work as on the update path.
+// already observed a consistent snapshot — and no scheduler bracketing.
+// Commit/abort statistics work as on the update path.
 //
 // This is where a ReadTRO reader waits: the retry path looks once at the Var
 // that ended the attempt. Locked by this very thread (AtomicallyRO nested
@@ -177,10 +175,6 @@ func (c *Core) RunRO(t *ThreadCtx, tx *ROTx, fn func(tx *ROTx) error) error {
 			return err
 		}
 		t.Aborts.Add(1)
-		if c.MaxRetry > 0 && attempt+1 >= c.MaxRetry {
-			tx.snap = outer
-			return fmt.Errorf("%w after %d attempts", c.Livelock, attempt+1)
-		}
 		if stopped != nil {
 			c.Wait.SpinWhileLocked(stopped, t.ID, roSpinBound)
 		}

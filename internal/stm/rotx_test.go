@@ -2,7 +2,6 @@ package stm_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -84,56 +83,6 @@ func TestROSnapshotMatchesClock(t *testing.T) {
 			read()
 			if snap != tm.Clock() {
 				t.Fatalf("snap did not refresh: snap = %d, clock = %d", snap, tm.Clock())
-			}
-		})
-	}
-}
-
-// TestROMaxRetriesLivelock exhausts an RO transaction's retry budget against
-// a writer that holds the lock for the whole run: every attempt ends at the
-// locked var, the retry path's bounded spin times out, and the engine's
-// livelock sentinel surfaces.
-func TestROMaxRetriesLivelock(t *testing.T) {
-	builders := map[string]struct {
-		tm       clockedTM
-		livelock error
-	}{
-		"swiss": {swiss.New(swiss.Options{MaxRetries: 3}), swiss.ErrLivelock},
-		"tiny":  {tiny.New(tiny.Options{MaxRetries: 3}), tiny.ErrLivelock},
-	}
-	for name, b := range builders {
-		t.Run(name, func(t *testing.T) {
-			holder := b.tm.Register("holder")
-			reader := b.tm.Register("ro")
-			v := stm.NewT[int64](0)
-			locked := make(chan struct{})
-			release := make(chan struct{})
-			var once sync.Once
-			done := make(chan error, 1)
-			go func() {
-				done <- holder.Atomically(func(tx stm.Tx) error {
-					if err := stm.WriteT(tx, v, 1); err != nil {
-						return err
-					}
-					once.Do(func() { close(locked) })
-					<-release
-					return nil
-				})
-			}()
-			<-locked
-			err := reader.AtomicallyRO(func(tx *stm.ROTx) error {
-				_, err := stm.ReadTRO(tx, v)
-				return err
-			})
-			if !errors.Is(err, b.livelock) {
-				t.Fatalf("err = %v, want the engine's livelock sentinel", err)
-			}
-			if a, ua := reader.Ctx().Aborts.Load(), reader.Ctx().UserAborts.Load(); a != 3 || ua != 0 {
-				t.Fatalf("Aborts = %d, UserAborts = %d, want 3 and 0", a, ua)
-			}
-			close(release)
-			if err := <-done; err != nil {
-				t.Fatalf("holder: %v", err)
 			}
 		})
 	}

@@ -75,8 +75,8 @@ type TM interface {
 }
 
 // ThreadCtx carries the engine-independent per-thread state: identity,
-// statistics, the doomed flag used by contention managers that abort other
-// transactions, and a slot for scheduler-private state.
+// statistics, the doomed flag and timestamp of swiss's conflict resolution,
+// and a slot for scheduler-private state.
 type ThreadCtx struct {
 	ID   int
 	Name string
@@ -85,10 +85,10 @@ type ThreadCtx struct {
 	// commit and abort — the hottest stores of the transaction lifecycle.
 	// They are fenced by a cache line of padding on both sides so that
 	// they never share a line with another thread's data: not with the
-	// cross-thread fields below (a contention manager storing Doomed or
-	// Priority would otherwise invalidate the owner's counter line), and
-	// not with a neighboring heap allocation (ThreadCtx values are
-	// allocated back to back by Registry.Add). The full-line pads make
+	// cross-thread fields below (a conflicting thread storing Doomed or
+	// loading Priority would otherwise contend for the owner's counter
+	// line), and not with a neighboring heap allocation (ThreadCtx values
+	// are allocated back to back by Registry.Add). The full-line pads make
 	// that true regardless of the allocation's own alignment.
 	// Serializations counts the attempts the attached Scheduler started
 	// behind its serialization lock; schedulers add to it in BeforeStart,
@@ -100,17 +100,18 @@ type ThreadCtx struct {
 	Serializations atomic.Uint64
 	_              [64]byte
 
-	// Doomed is set by a contention manager running in another thread to
-	// request that this thread's current transaction abort at its next
-	// transactional operation.
+	// Doomed is set by another thread that won a conflict against this
+	// one (swiss's Greedy) to request that this thread's current
+	// transaction abort at its next transactional operation.
 	Doomed atomic.Bool
 
-	// Priority is maintained by contention managers that order conflicts
-	// (Karma: work done; Greedy/Timestamp: transaction start time).
+	// Priority is swiss's Greedy timestamp: taken at a transaction's first
+	// attempt, kept across its retries and cleared at commit, so the
+	// smaller nonzero value is the older transaction. Tiny never sets it.
 	Priority atomic.Uint64
 
-	// Doomed and Priority are deliberately written by *other* threads
-	// (that is their job), so they get their own fenced line too, keeping
+	// Doomed is written, and Priority read, by *other* threads (that is
+	// their job), so they get their own fenced line too, keeping
 	// cross-thread invalidations away from the owner-read fields below.
 	_ [64]byte
 
@@ -125,8 +126,6 @@ type ThreadCtx struct {
 
 	// SchedState is owned by the Scheduler attached to the TM.
 	SchedState any
-	// CMState is owned by the ContentionManager attached to the TM.
-	CMState any
 }
 
 // Stats is an aggregated snapshot of commit/abort and serialization
@@ -203,50 +202,8 @@ func (NopScheduler) AfterCommit(*ThreadCtx, WriteSet) {}
 // AfterAbort implements Scheduler.
 func (NopScheduler) AfterAbort(*ThreadCtx, WriteSet) {}
 
-// ConflictKind classifies a detected conflict for the contention manager.
-type ConflictKind int
-
-// Conflict kinds.
-const (
-	// ReadWrite: the transaction tried to read a Var locked by a writer.
-	ReadWrite ConflictKind = iota + 1
-	// WriteWrite: the transaction tried to lock a Var already locked.
-	WriteWrite
-	// Validation: read-set validation failed (no identifiable enemy).
-	Validation
-)
-
-// Resolution is a contention manager's decision.
-type Resolution int
-
-// Resolutions.
-const (
-	// AbortSelf: the asking transaction aborts and retries.
-	AbortSelf Resolution = iota + 1
-	// WaitRetry: the asking transaction waits briefly for the enemy to
-	// finish, then re-attempts the operation.
-	WaitRetry
-	// AbortOther: the enemy transaction is doomed; the asking transaction
-	// waits for it to release its locks.
-	AbortOther
-)
-
-// ContentionManager resolves detected conflicts. It is called from the
-// conflicting thread; enemy may be nil when the conflict has no identifiable
-// owner (validation failures).
-type ContentionManager interface {
-	RegisterThread(t *ThreadCtx)
-	// OnStart is called when a transaction attempt begins.
-	OnStart(t *ThreadCtx, attempt int)
-	// OnConflict resolves a conflict between t and enemy.
-	OnConflict(t, enemy *ThreadCtx, kind ConflictKind) Resolution
-	// OnCommit and OnAbort maintain manager-private accounting.
-	OnCommit(t *ThreadCtx)
-	OnAbort(t *ThreadCtx)
-}
-
-// Registry tracks the thread contexts of one TM instance so that engines can
-// map an orec owner ID back to a ThreadCtx for the contention manager.
+// Registry tracks the thread contexts of one TM instance so that an engine
+// can map an orec owner ID back to the ThreadCtx that holds the lock.
 type Registry struct {
 	mu      sync.RWMutex
 	threads []*ThreadCtx

@@ -154,7 +154,7 @@ func TestVarSize(t *testing.T) {
 // exit, so the retry path can only ever look at the Var of the attempt it
 // is retrying.
 func TestROStoppedVarNeverOutlivesAttempt(t *testing.T) {
-	c := NewCore(CoreOptions{MaxRetries: 3})
+	c := NewCore(CoreOptions{})
 	self, other := c.Register("self"), c.Register("other")
 	var tx ROTx
 	tx.Bind(&c, self)
@@ -175,9 +175,19 @@ func TestROStoppedVarNeverOutlivesAttempt(t *testing.T) {
 		}
 	}
 
-	// Exit by livelock: three attempts, each stopped at theirs.
-	if err := c.RunRO(self, &tx, stopAt(theirs)); !errors.Is(err, ErrLivelock) || tx.stopped != nil {
-		t.Fatalf("err = %v, stopped = %p; want ErrLivelock and nil", err, tx.stopped)
+	// Exit by a user error on the third attempt, each stopped at theirs:
+	// the two before it were retried as conflicts.
+	errUser := errors.New("third attempt gives up")
+	retried := 0
+	err := c.RunRO(self, &tx, func(tx *ROTx) error {
+		err := stopAt(theirs)(tx)
+		if retried++; retried == 3 {
+			return errUser
+		}
+		return err
+	})
+	if !errors.Is(err, errUser) || tx.stopped != nil || retried != 3 {
+		t.Fatalf("err = %v, stopped = %p after %d attempts; want the user error and nil after 3", err, tx.stopped, retried)
 	}
 	// Exit by user abort: the nested-in-update case.
 	if err := c.RunRO(self, &tx, stopAt(mine)); !errors.Is(err, ErrReadOnlyNested) || tx.stopped != nil {
@@ -189,7 +199,7 @@ func TestROStoppedVarNeverOutlivesAttempt(t *testing.T) {
 	// the body reports without a read behind it is retried as a plain
 	// conflict, not blamed on the var the inner call stopped at.
 	attempts := 0
-	err := c.RunRO(self, &tx, func(tx *ROTx) error {
+	err = c.RunRO(self, &tx, func(tx *ROTx) error {
 		attempts++
 		if attempts == 1 {
 			_, _ = ReadTRO(tx, theirs)
@@ -204,8 +214,8 @@ func TestROStoppedVarNeverOutlivesAttempt(t *testing.T) {
 	if err != nil || attempts != 2 || tx.stopped != nil {
 		t.Fatalf("err = %v after %d attempts, stopped = %p; want nil, 2, nil", err, attempts, tx.stopped)
 	}
-	if a, ua, cm := self.Aborts.Load(), self.UserAborts.Load(), self.Commits.Load(); a != 4 || ua != 2 || cm != 1 {
-		t.Fatalf("Aborts = %d, UserAborts = %d, Commits = %d; want 4, 2, 1", a, ua, cm)
+	if a, ua, cm := self.Aborts.Load(), self.UserAborts.Load(), self.Commits.Load(); a != 3 || ua != 3 || cm != 1 {
+		t.Fatalf("Aborts = %d, UserAborts = %d, Commits = %d; want 3, 3, 1", a, ua, cm)
 	}
 }
 

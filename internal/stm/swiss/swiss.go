@@ -11,51 +11,50 @@
 //   - write-back: speculative values live in the transaction's write log
 //     until commit.
 //
-// The engine takes a Scheduler (e.g. Shrink) and a ContentionManager, and a
-// WaitPolicy that selects preemptive or busy waiting between retries — the
-// knob behind Figures 5 versus 9 of the paper. The transaction lifecycle
-// (retry loop, hook bracketing, conflict resolution) is the shared stm.Core;
-// this package provides only the read/write/commit/rollback protocol.
+// Conflicts on a locked Var are resolved by Greedy (Guerraoui, Herlihy,
+// Pochon), the timestamp manager SwissTM's two-phase scheme falls back to:
+// a transaction is stamped at its first attempt and keeps the stamp across
+// retries, so it only grows older; the older of two conflicting
+// transactions dooms the lock owner and waits for the lock, and the younger
+// one aborts itself.
+//
+// The engine takes a Scheduler (e.g. Shrink) and a WaitPolicy that selects
+// preemptive or busy waiting between retries — the knob behind Figures 5
+// versus 9 of the paper. The transaction lifecycle (retry loop, hook
+// bracketing) is the shared stm.Core; this package provides the
+// read/write/commit/rollback protocol and its conflict resolution.
 package swiss
 
 import (
-	"errors"
+	"sync/atomic"
 	"unsafe"
 
 	"github.com/shrink-tm/shrink/internal/stm"
 )
 
 // Options configures a TM instance. Zero fields fall back to defaults:
-// NopScheduler, the suicide manager (stm.SuicideCM), preemptive waiting.
+// NopScheduler, preemptive waiting (the paper's SwissTM setting).
 type Options struct {
 	Scheduler stm.Scheduler
-	CM        stm.ContentionManager
 	Wait      stm.WaitPolicy
-	// MaxRetries aborts an Atomically call with ErrLivelock after this
-	// many conflicts; 0 means unbounded (the paper's setting).
-	MaxRetries int
 }
-
-// ErrLivelock is returned by Atomically when Options.MaxRetries is exceeded.
-var ErrLivelock = errors.New("swiss: retry budget exhausted")
 
 // TM is a SwissTM-like engine instance.
 type TM struct {
 	core stm.Core
+	// stamps hands out Greedy timestamps, one per transaction. It is
+	// bumped by every thread, so it sits on its own cache line, away from
+	// the version clock.
+	_      [64]byte
+	stamps atomic.Uint64
+	_      [56]byte
 }
 
 var _ stm.TM = (*TM)(nil)
 
-// New returns a TM with the given options. A zero Wait falls back to
-// NewCore's default, preemptive waiting (the paper's SwissTM setting).
+// New returns a TM with the given options.
 func New(opts Options) *TM {
-	return &TM{core: stm.NewCore(stm.CoreOptions{
-		Scheduler:  opts.Scheduler,
-		CM:         opts.CM,
-		Wait:       opts.Wait,
-		MaxRetries: opts.MaxRetries,
-		Livelock:   ErrLivelock,
-	})}
+	return &TM{core: stm.NewCore(stm.CoreOptions{Scheduler: opts.Scheduler, Wait: opts.Wait})}
 }
 
 // Register implements stm.TM.
@@ -93,8 +92,7 @@ func (th *Thread) Ctx() *stm.ThreadCtx { return th.ctx }
 
 // Atomically implements stm.Thread via the shared runner: it runs fn
 // transactionally, retrying on conflicts, with every attempt bracketed by
-// the scheduler hooks and the contention manager consulted on each detected
-// conflict.
+// the scheduler hooks.
 func (th *Thread) Atomically(fn func(tx stm.Tx) error) error {
 	return th.tm.core.Run(th.ctx, &th.tx, fn)
 }
@@ -128,8 +126,12 @@ type txn struct {
 
 var _ stm.CoreTx = (*txn)(nil)
 
-// Begin implements stm.CoreTx.
-func (tx *txn) Begin() {
+// Begin implements stm.CoreTx. The first attempt of a transaction takes its
+// Greedy timestamp; retries keep it.
+func (tx *txn) Begin(attempt int) {
+	if attempt == 0 {
+		tx.th.ctx.Priority.Store(tx.th.tm.stamps.Add(1))
+	}
 	tx.rv = tx.th.tm.core.Clock.Now()
 	tx.reads.Reset()
 	tx.writes = tx.writes[:0]
@@ -161,7 +163,7 @@ func (tx *txn) ReadPtr(v *stm.Var) (unsafe.Pointer, error) {
 	for {
 		p, meta := v.SnapshotPtr()
 		if stm.IsLocked(meta) {
-			if err := tx.th.tm.core.Resolve(tx.th.ctx, v, stm.OwnerOf(meta), stm.ReadWrite); err != nil {
+			if err := tx.resolve(v, stm.OwnerOf(meta)); err != nil {
 				return nil, err
 			}
 			continue
@@ -203,7 +205,7 @@ func (tx *txn) WritePtr(v *stm.Var, p unsafe.Pointer) error {
 				// treat defensively as conflict.
 				return stm.ErrConflict
 			}
-			if err := tx.th.tm.core.Resolve(tx.th.ctx, v, owner, stm.WriteWrite); err != nil {
+			if err := tx.resolve(v, owner); err != nil {
 				return err
 			}
 			continue
@@ -238,6 +240,30 @@ func (tx *txn) Write(v *stm.Var, val any) error {
 	return tx.WritePtr(v, unsafe.Pointer(&val))
 }
 
+// resolve is Greedy's answer to v being locked by thread owner: nil when
+// the caller should re-attempt the operation, ErrConflict when it must
+// abort. An older transaction dooms the owner and spins, bounded, for the
+// lock; a younger one aborts itself at once.
+func (tx *txn) resolve(v *stm.Var, owner int) error {
+	enemy := tx.th.tm.core.Reg.Get(owner)
+	if enemy == nil || !older(tx.th.ctx.Priority.Load(), enemy.Priority.Load()) {
+		return stm.ErrConflict
+	}
+	enemy.Doomed.Store(true)
+	if tx.th.tm.core.Wait.SpinWhileLocked(v, tx.th.ctx.ID, 1024) {
+		return nil
+	}
+	return stm.ErrConflict
+}
+
+// older reports whether a running transaction stamped mine wins a
+// conflict against the lock owner's stamp theirs. Stamps are unique and
+// nonzero while a transaction runs; an owner reading 0 has committed since
+// it took the lock, and loses.
+func older(mine, theirs uint64) bool {
+	return theirs == 0 || mine < theirs
+}
+
 // extend advances the transaction's snapshot to the current clock via the
 // shared read-log revalidation, and reports success.
 func (tx *txn) extend() bool {
@@ -247,31 +273,32 @@ func (tx *txn) extend() bool {
 // Commit implements stm.CoreTx: read-only transactions are already
 // consistent by incremental validation; update transactions take a commit
 // timestamp from the global clock, validate the read set, write back and
-// release their locks at the new version. The write log is preserved (for
-// the scheduler's write-set view) until the next Begin.
+// release their locks at the new version. A committed transaction gives up
+// its Greedy timestamp. The write log is preserved (for the scheduler's
+// write-set view) until the next Begin.
 func (tx *txn) Commit() error {
 	if tx.th.ctx.Doomed.Load() {
 		return stm.ErrConflict
 	}
-	if len(tx.writes) == 0 {
-		return nil
+	if len(tx.writes) > 0 {
+		wt := tx.th.tm.core.Clock.Tick()
+		// If no other transaction committed since our snapshot, the read
+		// set cannot have changed (TL2 fast path); otherwise validate.
+		if wt != tx.rv+1 && !tx.reads.Validate(tx.th.ctx.ID) {
+			return stm.ErrConflict
+		}
+		for i := range tx.writes {
+			e := &tx.writes[i]
+			v := tx.windex.At(i)
+			v.StorePtr(e.val)
+			v.Unlock(wt)
+			// Drop the log's value reference: the hooks only need the
+			// Vars, and a retained pointer would pin the value even
+			// after another thread overwrites the Var.
+			e.val = nil
+		}
 	}
-	wt := tx.th.tm.core.Clock.Tick()
-	// If no other transaction committed since our snapshot, the read set
-	// cannot have changed (TL2 fast path); otherwise validate.
-	if wt != tx.rv+1 && !tx.reads.Validate(tx.th.ctx.ID) {
-		return stm.ErrConflict
-	}
-	for i := range tx.writes {
-		e := &tx.writes[i]
-		v := tx.windex.At(i)
-		v.StorePtr(e.val)
-		v.Unlock(wt)
-		// Drop the log's value reference: the hooks only need the Vars,
-		// and a retained pointer would pin the value even after another
-		// thread overwrites the Var.
-		e.val = nil
-	}
+	tx.th.ctx.Priority.Store(0)
 	return nil
 }
 

@@ -5,36 +5,29 @@
 //   - encounter-time locking with write-through: a write acquires the lock
 //     and updates the Var in place immediately, keeping an undo log;
 //   - aborts restore the undo log and the pre-lock orec words;
-//   - the default conflict policy is suicide (abort self, retry at once)
-//     with busy waiting, matching the TinySTM 0.9.5 configuration the paper
-//     evaluated — the combination whose throughput collapses under overload
-//     in Figures 8, 10 and 11, and that Shrink rescues.
+//   - the conflict policy is suicide: a transaction that meets a Var
+//     locked by another aborts itself and retries, by default with busy
+//     waiting, matching the TinySTM 0.9.5 configuration the paper
+//     evaluated — the combination whose throughput collapses under
+//     overload in Figures 8, 10 and 11, and that Shrink rescues.
 //
-// The transaction lifecycle (retry loop, hook bracketing, conflict
-// resolution) is the shared stm.Core; this package provides only the
-// read/write/commit/rollback protocol.
+// The transaction lifecycle (retry loop, hook bracketing) is the shared
+// stm.Core; this package provides only the read/write/commit/rollback
+// protocol.
 package tiny
 
 import (
-	"errors"
 	"unsafe"
 
 	"github.com/shrink-tm/shrink/internal/stm"
 )
 
 // Options configures a TM instance. Zero fields fall back to defaults:
-// NopScheduler, suicide contention management (stm.SuicideCM), busy waiting.
+// NopScheduler, busy waiting.
 type Options struct {
 	Scheduler stm.Scheduler
-	CM        stm.ContentionManager
 	Wait      stm.WaitPolicy
-	// MaxRetries aborts an Atomically call with ErrLivelock after this
-	// many conflicts; 0 means unbounded (the paper's setting).
-	MaxRetries int
 }
-
-// ErrLivelock is returned by Atomically when Options.MaxRetries is exceeded.
-var ErrLivelock = errors.New("tiny: retry budget exhausted")
 
 // TM is a TinySTM-like engine instance.
 type TM struct {
@@ -48,13 +41,7 @@ func New(opts Options) *TM {
 	if opts.Wait == 0 {
 		opts.Wait = stm.WaitBusy
 	}
-	return &TM{core: stm.NewCore(stm.CoreOptions{
-		Scheduler:  opts.Scheduler,
-		CM:         opts.CM,
-		Wait:       opts.Wait,
-		MaxRetries: opts.MaxRetries,
-		Livelock:   ErrLivelock,
-	})}
+	return &TM{core: stm.NewCore(stm.CoreOptions{Scheduler: opts.Scheduler, Wait: opts.Wait})}
 }
 
 // Register implements stm.TM.
@@ -126,7 +113,7 @@ type txn struct {
 var _ stm.CoreTx = (*txn)(nil)
 
 // Begin implements stm.CoreTx.
-func (tx *txn) Begin() {
+func (tx *txn) Begin(int) {
 	tx.rv = tx.th.tm.core.Clock.Now()
 	tx.reads.Reset()
 	tx.undo = tx.undo[:0]
@@ -157,10 +144,7 @@ func (tx *txn) ReadPtr(v *stm.Var) (unsafe.Pointer, error) {
 	for {
 		p, meta := v.SnapshotPtr()
 		if stm.IsLocked(meta) {
-			if err := tx.th.tm.core.Resolve(tx.th.ctx, v, stm.OwnerOf(meta), stm.ReadWrite); err != nil {
-				return nil, err
-			}
-			continue
+			return nil, stm.ErrConflict // suicide
 		}
 		ver := stm.VersionOf(meta)
 		if ver > tx.rv {
@@ -191,14 +175,9 @@ func (tx *txn) WritePtr(v *stm.Var, p unsafe.Pointer) error {
 	for {
 		meta := v.Meta()
 		if stm.IsLocked(meta) {
-			owner := stm.OwnerOf(meta)
-			if owner == tx.th.ctx.ID {
-				return stm.ErrConflict // stale lock: defensive
-			}
-			if err := tx.th.tm.core.Resolve(tx.th.ctx, v, owner, stm.WriteWrite); err != nil {
-				return err
-			}
-			continue
+			// Suicide; a lock of our own missing from the write index
+			// cannot occur (rollback and commit always release).
+			return stm.ErrConflict
 		}
 		if ver := stm.VersionOf(meta); ver > tx.rv {
 			if !tx.extend() {

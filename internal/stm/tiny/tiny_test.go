@@ -2,6 +2,7 @@ package tiny_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -9,8 +10,8 @@ import (
 	"github.com/shrink-tm/shrink/internal/stm/tiny"
 )
 
-func factory(s stm.Scheduler, c stm.ContentionManager, w stm.WaitPolicy) stm.TM {
-	return tiny.New(tiny.Options{Scheduler: s, CM: c, Wait: w})
+func factory(s stm.Scheduler, w stm.WaitPolicy) stm.TM {
+	return tiny.New(tiny.Options{Scheduler: s, Wait: w})
 }
 
 func TestConformance(t *testing.T) {
@@ -18,8 +19,8 @@ func TestConformance(t *testing.T) {
 }
 
 func TestConformanceBusyWaiting(t *testing.T) {
-	enginetest.Run(t, "tiny-busy", func(s stm.Scheduler, c stm.ContentionManager, _ stm.WaitPolicy) stm.TM {
-		return tiny.New(tiny.Options{Scheduler: s, CM: c, Wait: stm.WaitBusy})
+	enginetest.Run(t, "tiny-busy", func(s stm.Scheduler, _ stm.WaitPolicy) stm.TM {
+		return tiny.New(tiny.Options{Scheduler: s, Wait: stm.WaitBusy})
 	})
 }
 
@@ -54,33 +55,127 @@ func TestWriteThroughRollback(t *testing.T) {
 	}
 }
 
-func TestMaxRetries(t *testing.T) {
-	tm := tiny.New(tiny.Options{MaxRetries: 3})
-	th1 := tm.Register("t1")
-	th2 := tm.Register("t2")
+// TestWriteConflictAbortsTheAsker: tiny's conflict policy is suicide. A
+// thread that asks for a Var another transaction holds aborts its own
+// attempt and retries; the owner is never doomed and commits untouched,
+// even though the asker's transaction began first (under Greedy, the older
+// asker would doom the owner).
+func TestWriteConflictAbortsTheAsker(t *testing.T) {
+	tm := tiny.New(tiny.Options{})
 	v := stm.NewVar(0)
+	owner := tm.Register("owner")
+	asker := tm.Register("asker")
 
+	askerStarted := make(chan struct{})
 	locked := make(chan struct{})
-	release := make(chan struct{})
 	done := make(chan error, 1)
+	ownerDoomed := false
 	go func() {
-		done <- th1.Atomically(func(tx stm.Tx) error {
+		<-askerStarted
+		first := true
+		done <- owner.Atomically(func(tx stm.Tx) error {
 			if err := tx.Write(v, 1); err != nil {
 				return err
 			}
-			close(locked)
-			<-release
+			if first {
+				first = false
+				close(locked)
+				// Hold the lock until the asker has aborted against it
+				// (bounded, in case timing shifts).
+				for i := 0; i < 1_000_000 && asker.Ctx().Aborts.Load() == 0; i++ {
+					ownerDoomed = ownerDoomed || owner.Ctx().Doomed.Load()
+					runtime.Gosched()
+				}
+				ownerDoomed = ownerDoomed || owner.Ctx().Doomed.Load()
+			}
+			return nil
+		})
+	}()
+	first := true
+	err := asker.Atomically(func(tx stm.Tx) error {
+		if first {
+			first = false
+			close(askerStarted)
+			<-locked
+		}
+		return tx.Write(v, 2)
+	})
+	if err != nil {
+		t.Fatalf("asker: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("owner: %v", err)
+	}
+	if asker.Ctx().Aborts.Load() == 0 {
+		t.Fatal("the asker never aborted against the held lock")
+	}
+	if ownerDoomed || owner.Ctx().Aborts.Load() != 0 {
+		t.Fatalf("owner doomed = %v, aborts = %d; want false and 0", ownerDoomed, owner.Ctx().Aborts.Load())
+	}
+	if got := v.LoadValue().(int); got != 2 {
+		t.Fatalf("final value = %d, want the asker's 2 (it retried past the owner's commit)", got)
+	}
+}
+
+// TestReadOfHeldVarAbortsTheReader: under write-through the value of a
+// write-locked Var is the owner's speculative one, so an update
+// transaction that reads it aborts its own attempt (suicide) and leaves the
+// owner undoomed, whichever transaction began first.
+func TestReadOfHeldVarAbortsTheReader(t *testing.T) {
+	tm := tiny.New(tiny.Options{})
+	v := stm.NewVar(0)
+	owner := tm.Register("owner")
+	reader := tm.Register("reader")
+
+	locked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		first := true
+		done <- owner.Atomically(func(tx stm.Tx) error {
+			if err := tx.Write(v, 1); err != nil {
+				return err
+			}
+			if first {
+				first = false
+				close(locked)
+				<-release
+			}
 			return nil
 		})
 	}()
 	<-locked
-	err := th2.Atomically(func(tx stm.Tx) error { return tx.Write(v, 2) })
-	if !errors.Is(err, tiny.ErrLivelock) {
-		t.Fatalf("err = %v, want ErrLivelock", err)
+	first := true
+	var firstErr error
+	ownerDoomed := false
+	var seen int
+	err := reader.Atomically(func(tx stm.Tx) error {
+		n, err := tx.Read(v)
+		if first {
+			first = false
+			firstErr = err
+			ownerDoomed = owner.Ctx().Doomed.Load()
+			close(release)
+		}
+		if err != nil {
+			return err
+		}
+		seen = n.(int)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reader: %v", err)
 	}
-	close(release)
 	if err := <-done; err != nil {
-		t.Fatalf("holder: %v", err)
+		t.Fatalf("owner: %v", err)
+	}
+	if !errors.Is(firstErr, stm.ErrConflict) || ownerDoomed {
+		t.Fatalf("first read of the held Var: err = %v, owner doomed = %v; want ErrConflict and false", firstErr, ownerDoomed)
+	}
+	if reader.Ctx().Aborts.Load() == 0 || owner.Ctx().Aborts.Load() != 0 {
+		t.Fatalf("reader aborts = %d, owner aborts = %d; want > 0 and 0", reader.Ctx().Aborts.Load(), owner.Ctx().Aborts.Load())
+	}
+	if seen != 1 {
+		t.Fatalf("reader saw %d, want the owner's committed 1", seen)
 	}
 }
 

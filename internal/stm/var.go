@@ -1,8 +1,8 @@
 // Package stm provides the shared substrate for the software transactional
 // memory engines in this repository: transactional variables with versioned
 // ownership records, a global version clock, per-thread contexts and
-// statistics, and the hook interfaces (Scheduler, ContentionManager) through
-// which transaction scheduling policies such as Shrink are attached.
+// statistics, and the Scheduler hook interface through which transaction
+// scheduling policies such as Shrink are attached.
 //
 // The substrate implements visible writes: any thread can ask whether a Var
 // is currently write-locked by another thread, which is the primitive the
@@ -13,9 +13,9 @@
 // unboxed pointer word, so the read hot path performs no interface boxing
 // and no type assertions (an uncontended typed read is allocation-free).
 // The untyped Var with Tx.Read/Tx.Write remains as a thin compatibility
-// shim over the same engine protocol — existing scheduler, contention
-// manager and predictor code is written against *Var and keeps working
-// unchanged, because a TVar presents its embedded word to those hooks.
+// shim over the same engine protocol — scheduler and predictor code is
+// written against *Var and keeps working unchanged, because a TVar presents
+// its embedded word to those hooks.
 // New code should build on TVar[T].
 package stm
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/shrink-tm/shrink/internal/cm"
 	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
@@ -16,7 +15,7 @@ import (
 func engines() map[string]func() stm.TM {
 	return map[string]func() stm.TM{
 		"swiss": func() stm.TM {
-			return swiss.New(swiss.Options{CM: &cm.Greedy{}})
+			return swiss.New(swiss.Options{})
 		},
 		"swiss-shrink": func() stm.TM {
 			return swiss.New(swiss.Options{
