@@ -420,51 +420,6 @@ func BenchmarkAblationSetStructure(b *testing.B) {
 
 // --- Engine microbenchmarks (ns/op, allocations) ---
 
-func BenchmarkSwissReadOnlyTx(b *testing.B) {
-	tm := newEngine(b, harness.EngineSwiss)
-	th := tm.Register("b")
-	v := stm.NewVar(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = th.Atomically(func(tx stm.Tx) error {
-			_, err := tx.Read(v)
-			return err
-		})
-	}
-}
-
-func BenchmarkSwissUpdateTx(b *testing.B) {
-	tm := newEngine(b, harness.EngineSwiss)
-	th := tm.Register("b")
-	v := stm.NewVar(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = th.Atomically(func(tx stm.Tx) error {
-			n, err := tx.Read(v)
-			if err != nil {
-				return err
-			}
-			return tx.Write(v, n.(int)+1)
-		})
-	}
-}
-
-func BenchmarkTinyUpdateTx(b *testing.B) {
-	tm := newEngine(b, harness.EngineTiny)
-	th := tm.Register("b")
-	v := stm.NewVar(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = th.Atomically(func(tx stm.Tx) error {
-			n, err := tx.Read(v)
-			if err != nil {
-				return err
-			}
-			return tx.Write(v, n.(int)+1)
-		})
-	}
-}
-
 func newEngine(b *testing.B, name string) stm.TM {
 	b.Helper()
 	res, _, err := harnessBuild(name)
@@ -505,11 +460,9 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// --- Typed versus boxed hot path (the TVar refactor's target metric) ---
-
-// BenchmarkTypedReadOnlyTx is BenchmarkSwissReadOnlyTx on the typed layer:
-// the same one-read transaction with the value moving unboxed. Allocations
-// per op must be 0 (the regression test in internal/stm pins this).
+// BenchmarkTypedReadOnlyTx runs a one-read update transaction on each
+// engine, the value moving unboxed. Allocations per op must be 0 (the
+// regression test in internal/stm pins this).
 func BenchmarkTypedReadOnlyTx(b *testing.B) {
 	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
 		engine := engine
@@ -530,7 +483,8 @@ func BenchmarkTypedReadOnlyTx(b *testing.B) {
 	}
 }
 
-// BenchmarkTypedUpdateTx mirrors BenchmarkSwissUpdateTx on the typed layer.
+// BenchmarkTypedUpdateTx runs a one-var read-modify-write transaction on
+// each engine.
 func BenchmarkTypedUpdateTx(b *testing.B) {
 	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
 		engine := engine

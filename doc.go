@@ -17,10 +17,10 @@
 // for a map and EXPERIMENTS.md for measured-versus-paper results.
 //
 // Transactional state is held in typed variables (stm.TVar[T], read and
-// written with stm.ReadT/stm.WriteT), which move values through the
-// engines unboxed: an uncontended typed read allocates nothing. The
-// untyped stm.Var API remains as a compatibility shim for code that does
-// not know its value types statically.
+// written with stm.ReadT/stm.WriteT, or read with stm.ReadTRO in a
+// read-only transaction), which move values through the engines unboxed:
+// an uncontended read allocates nothing. This is the only way to reach a
+// transactional word.
 //
 // The serving subsystem internal/tkv layers a sharded transactional
 // key-value store over the substrate: N shards, each with its own engine
@@ -135,10 +135,10 @@
 // version or a held lock ends the attempt, and the retry path, not the
 // read, waits for the writer before the body restarts on a fresh
 // snapshot. The mode cannot be used
-// by transactions that write: a write inside AtomicallyRO fails with
-// stm.ErrReadOnlyWrite without retry, and the caller reruns under the
-// update path (there is no transparent promotion — without a read log the
-// preceding reads cannot be revalidated). The stmds structures expose RO
+// by transactions that write: its descriptor, stm.ROTx, is not an stm.Tx,
+// so a write inside AtomicallyRO does not compile, and a caller that must
+// write runs the update path (there is no transparent promotion — without
+// a read log the preceding reads cannot be revalidated). The stmds structures expose RO
 // read variants, and tkv serves Get, MGet, batch plan phases and all
 // snapshot reads through this mode. The single- and multi-key read path
 // (Get/MGet) is additionally adaptive: after a streak of RO restarts on a

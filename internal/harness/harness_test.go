@@ -12,23 +12,23 @@ import (
 
 // counterWorkload is a minimal contended workload for harness tests.
 type counterWorkload struct {
-	v *stm.Var
+	v *stm.TVar[int]
 }
 
 func (c *counterWorkload) Name() string { return "counter" }
 
 func (c *counterWorkload) Setup(th stm.Thread) error {
-	c.v = stm.NewVar(0)
+	c.v = stm.NewT(0)
 	return nil
 }
 
 func (c *counterWorkload) Op(th stm.Thread, rng *rand.Rand) error {
 	return th.Atomically(func(tx stm.Tx) error {
-		n, err := tx.Read(c.v)
+		n, err := stm.ReadT(tx, c.v)
 		if err != nil {
 			return err
 		}
-		return tx.Write(c.v, n.(int)+1)
+		return stm.WriteT(tx, c.v, n+1)
 	})
 }
 

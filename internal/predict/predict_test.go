@@ -10,7 +10,7 @@ import (
 func makeVars(n int) []*stm.Var {
 	vs := make([]*stm.Var, n)
 	for i := range vs {
-		vs[i] = stm.NewVar(i)
+		vs[i] = stm.NewT(i).Word()
 	}
 	return vs
 }

@@ -79,7 +79,7 @@ func TestShrinkAblationFlags(t *testing.T) {
 	s := NewShrink(cfg)
 	ctx := &stm.ThreadCtx{ID: 0}
 	s.RegisterThread(ctx)
-	v := stm.NewVar(0)
+	v := stm.NewT(0).Word()
 	if !v.TryLock(v.Meta(), 5) {
 		t.Fatal("setup")
 	}
@@ -144,7 +144,7 @@ func TestShrinkAffinityCoin(t *testing.T) {
 	ctx := &stm.ThreadCtx{ID: 0}
 	s.RegisterThread(ctx)
 	st := s.state(ctx)
-	v := stm.NewVar(0)
+	v := stm.NewT(0).Word()
 	if !v.TryLock(v.Meta(), 3) {
 		t.Fatal("setup")
 	}

@@ -56,7 +56,7 @@ func TestShrinkSerializesOnPredictedConflict(t *testing.T) {
 
 	// Give the victim a predicted write set containing v, and lock v as
 	// another thread: the next BeforeStart must serialize.
-	v := stm.NewVar(0)
+	v := stm.NewT(0).Word()
 	s.BeforeStart(victim, 3)
 	s.AfterAbort(victim, stm.MakeWriteSet(v))
 	if !v.TryLock(v.Meta(), 7) {
@@ -87,7 +87,7 @@ func TestShrinkNoSerializationWhenHealthy(t *testing.T) {
 	s := sched.NewShrink(cfg)
 	ctx := &stm.ThreadCtx{ID: 0}
 	s.RegisterThread(ctx)
-	v := stm.NewVar(0)
+	v := stm.NewT(0).Word()
 	if !v.TryLock(v.Meta(), 9) {
 		t.Fatal("setup")
 	}
@@ -108,7 +108,7 @@ func TestShrinkMutualExclusionOfSerializedStarts(t *testing.T) {
 	cfg := sched.DefaultShrinkConfig()
 	cfg.DisableAffinity = true
 	s := sched.NewShrink(cfg)
-	v := stm.NewVar(0)
+	v := stm.NewT(0).Word()
 	if !v.TryLock(v.Meta(), 99) {
 		t.Fatal("setup")
 	}
@@ -236,7 +236,7 @@ func TestSchedulersUnderRealLoad(t *testing.T) {
 		for ename, ef := range engines {
 			t.Run(sname+"/"+ename, func(t *testing.T) {
 				tm := ef(sf())
-				counter := stm.NewVar(0)
+				counter := stm.NewT(0)
 				const threads, iters = 6, 120
 				var wg sync.WaitGroup
 				for i := 0; i < threads; i++ {
@@ -246,11 +246,11 @@ func TestSchedulersUnderRealLoad(t *testing.T) {
 						defer wg.Done()
 						for j := 0; j < iters; j++ {
 							_ = th.Atomically(func(tx stm.Tx) error {
-								n, err := tx.Read(counter)
+								n, err := stm.ReadT(tx, counter)
 								if err != nil {
 									return err
 								}
-								return tx.Write(counter, n.(int)+1)
+								return stm.WriteT(tx, counter, n+1)
 							})
 						}
 					}()
@@ -258,12 +258,12 @@ func TestSchedulersUnderRealLoad(t *testing.T) {
 				wg.Wait()
 				th := tm.Register("check")
 				_ = th.Atomically(func(tx stm.Tx) error {
-					n, err := tx.Read(counter)
+					n, err := stm.ReadT(tx, counter)
 					if err != nil {
 						return err
 					}
-					if n.(int) != threads*iters {
-						t.Errorf("counter = %d, want %d", n.(int), threads*iters)
+					if n != threads*iters {
+						t.Errorf("counter = %d, want %d", n, threads*iters)
 					}
 					return nil
 				})

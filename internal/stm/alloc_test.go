@@ -28,11 +28,9 @@ func allocEngines() map[string]stm.TM {
 
 var allocSink int64
 
-// TestTypedReadZeroAllocs is the allocation regression gate for the TVar
-// refactor: an uncontended read-only transaction over a typed int64 var
-// must not allocate on either engine. The boxed Var API cannot make this
-// guarantee (writing it re-boxes the value per operation), which is why the
-// hot paths were migrated to TVar.
+// TestTypedReadZeroAllocs is the allocation gate of the read path: an
+// uncontended transaction that only reads a typed int64 var must not
+// allocate on either engine.
 func TestTypedReadZeroAllocs(t *testing.T) {
 	skipIfRace(t)
 	for name, tm := range allocEngines() {

@@ -41,29 +41,43 @@ func Run(t *testing.T, name string, factory Factory) {
 	runRO(t, factory)
 }
 
+// readRO returns v's committed value, read by th through the read-only path.
+func readRO[T any](t *testing.T, th stm.Thread, v *stm.TVar[T]) T {
+	t.Helper()
+	var got T
+	if err := th.AtomicallyRO(func(tx *stm.ROTx) error {
+		var err error
+		got, err = stm.ReadTRO(tx, v)
+		return err
+	}); err != nil {
+		t.Fatalf("read-only read: %v", err)
+	}
+	return got
+}
+
 func testSequential(t *testing.T, factory Factory) {
 	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
-	v := stm.NewVar(10)
+	v := stm.NewT(10)
 	err := th.Atomically(func(tx stm.Tx) error {
-		got, err := tx.Read(v)
+		got, err := stm.ReadT(tx, v)
 		if err != nil {
 			return err
 		}
-		if got.(int) != 10 {
+		if got != 10 {
 			return fmt.Errorf("got %v, want 10", got)
 		}
-		return tx.Write(v, 20)
+		return stm.WriteT(tx, v, 20)
 	})
 	if err != nil {
 		t.Fatalf("tx1: %v", err)
 	}
 	err = th.Atomically(func(tx stm.Tx) error {
-		got, err := tx.Read(v)
+		got, err := stm.ReadT(tx, v)
 		if err != nil {
 			return err
 		}
-		if got.(int) != 20 {
+		if got != 20 {
 			return fmt.Errorf("got %v, want 20", got)
 		}
 		return nil
@@ -76,26 +90,26 @@ func testSequential(t *testing.T, factory Factory) {
 func testReadYourWrites(t *testing.T, factory Factory) {
 	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
-	v := stm.NewVar(1)
+	v := stm.NewT(1)
 	err := th.Atomically(func(tx stm.Tx) error {
-		if err := tx.Write(v, 2); err != nil {
+		if err := stm.WriteT(tx, v, 2); err != nil {
 			return err
 		}
-		got, err := tx.Read(v)
+		got, err := stm.ReadT(tx, v)
 		if err != nil {
 			return err
 		}
-		if got.(int) != 2 {
+		if got != 2 {
 			return fmt.Errorf("read-own-write got %v, want 2", got)
 		}
-		if err := tx.Write(v, 3); err != nil {
+		if err := stm.WriteT(tx, v, 3); err != nil {
 			return err
 		}
-		got, err = tx.Read(v)
+		got, err = stm.ReadT(tx, v)
 		if err != nil {
 			return err
 		}
-		if got.(int) != 3 {
+		if got != 3 {
 			return fmt.Errorf("second read-own-write got %v, want 3", got)
 		}
 		return nil
@@ -108,10 +122,10 @@ func testReadYourWrites(t *testing.T, factory Factory) {
 func testUserAbort(t *testing.T, factory Factory) {
 	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
-	v := stm.NewVar(100)
+	v := stm.NewT(100)
 	errBoom := errors.New("boom")
 	err := th.Atomically(func(tx stm.Tx) error {
-		if err := tx.Write(v, 999); err != nil {
+		if err := stm.WriteT(tx, v, 999); err != nil {
 			return err
 		}
 		return errBoom
@@ -120,11 +134,11 @@ func testUserAbort(t *testing.T, factory Factory) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	err = th.Atomically(func(tx stm.Tx) error {
-		got, err := tx.Read(v)
+		got, err := stm.ReadT(tx, v)
 		if err != nil {
 			return err
 		}
-		if got.(int) != 100 {
+		if got != 100 {
 			return fmt.Errorf("user abort leaked write: got %v, want 100", got)
 		}
 		return nil
@@ -140,7 +154,7 @@ func testUserAbort(t *testing.T, factory Factory) {
 func testCounter(t *testing.T, factory Factory) {
 	const threads, increments = 6, 300
 	tm := factory(nil, stm.WaitPreemptive)
-	counter := stm.NewVar(0)
+	counter := stm.NewT(0)
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		th := tm.Register(fmt.Sprintf("t%d", i))
@@ -149,11 +163,11 @@ func testCounter(t *testing.T, factory Factory) {
 			defer wg.Done()
 			for j := 0; j < increments; j++ {
 				_ = th.Atomically(func(tx stm.Tx) error {
-					n, err := tx.Read(counter)
+					n, err := stm.ReadT(tx, counter)
 					if err != nil {
 						return err
 					}
-					return tx.Write(counter, n.(int)+1)
+					return stm.WriteT(tx, counter, n+1)
 				})
 			}
 		}()
@@ -161,12 +175,12 @@ func testCounter(t *testing.T, factory Factory) {
 	wg.Wait()
 	th := tm.Register("checker")
 	_ = th.Atomically(func(tx stm.Tx) error {
-		n, err := tx.Read(counter)
+		n, err := stm.ReadT(tx, counter)
 		if err != nil {
 			return err
 		}
-		if n.(int) != threads*increments {
-			t.Errorf("counter = %d, want %d", n.(int), threads*increments)
+		if n != threads*increments {
+			t.Errorf("counter = %d, want %d", n, threads*increments)
 		}
 		return nil
 	})
@@ -182,9 +196,9 @@ func testBank(t *testing.T, factory Factory, s stm.Scheduler, accounts int, labe
 		initial   = 1000
 	)
 	tm := factory(s, stm.WaitPreemptive)
-	vars := make([]*stm.Var, accounts)
+	vars := make([]*stm.TVar[int], accounts)
 	for i := range vars {
-		vars[i] = stm.NewVar(initial)
+		vars[i] = stm.NewT(initial)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -200,18 +214,18 @@ func testBank(t *testing.T, factory Factory, s stm.Scheduler, accounts int, labe
 				}
 				amount := rng.Intn(50)
 				_ = th.Atomically(func(tx stm.Tx) error {
-					fb, err := tx.Read(vars[from])
+					fb, err := stm.ReadT(tx, vars[from])
 					if err != nil {
 						return err
 					}
-					tb, err := tx.Read(vars[to])
+					tb, err := stm.ReadT(tx, vars[to])
 					if err != nil {
 						return err
 					}
-					if err := tx.Write(vars[from], fb.(int)-amount); err != nil {
+					if err := stm.WriteT(tx, vars[from], fb-amount); err != nil {
 						return err
 					}
-					return tx.Write(vars[to], tb.(int)+amount)
+					return stm.WriteT(tx, vars[to], tb+amount)
 				})
 			}
 		}()
@@ -221,11 +235,11 @@ func testBank(t *testing.T, factory Factory, s stm.Scheduler, accounts int, labe
 	err := th.Atomically(func(tx stm.Tx) error {
 		total := 0
 		for _, v := range vars {
-			b, err := tx.Read(v)
+			b, err := stm.ReadT(tx, v)
 			if err != nil {
 				return err
 			}
-			total += b.(int)
+			total += b
 		}
 		if total != accounts*initial {
 			t.Errorf("[%s] total = %d, want %d (money not conserved)", label, total, accounts*initial)
@@ -251,9 +265,9 @@ func testLongTransactions(t *testing.T, factory Factory) {
 		initial   = 1000
 	)
 	tm := factory(nil, stm.WaitPreemptive)
-	vars := make([]*stm.Var, accounts)
+	vars := make([]*stm.TVar[int], accounts)
 	for i := range vars {
-		vars[i] = stm.NewVar(initial + i)
+		vars[i] = stm.NewT(initial + i)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
@@ -266,18 +280,18 @@ func testLongTransactions(t *testing.T, factory Factory) {
 				from := rng.Intn(accounts)
 				to := (from + 1 + rng.Intn(accounts-1)) % accounts
 				_ = th.Atomically(func(tx stm.Tx) error {
-					fb, err := tx.Read(vars[from])
+					fb, err := stm.ReadT(tx, vars[from])
 					if err != nil {
 						return err
 					}
-					tb, err := tx.Read(vars[to])
+					tb, err := stm.ReadT(tx, vars[to])
 					if err != nil {
 						return err
 					}
-					if err := tx.Write(vars[from], fb.(int)-1); err != nil {
+					if err := stm.WriteT(tx, vars[from], fb-1); err != nil {
 						return err
 					}
-					return tx.Write(vars[to], tb.(int)+1)
+					return stm.WriteT(tx, vars[to], tb+1)
 				})
 			}
 		}()
@@ -287,14 +301,14 @@ func testLongTransactions(t *testing.T, factory Factory) {
 	for r := 0; r < rotations; r++ {
 		err := long.Atomically(func(tx stm.Tx) error {
 			for k, v := range vars {
-				b, err := tx.Read(v)
+				b, err := stm.ReadT(tx, v)
 				if err != nil {
 					return err
 				}
-				balances[k] = b.(int)
+				balances[k] = b
 			}
 			for k, v := range vars {
-				if err := tx.Write(v, balances[(k+1)%accounts]); err != nil {
+				if err := stm.WriteT(tx, v, balances[(k+1)%accounts]); err != nil {
 					return err
 				}
 			}
@@ -314,7 +328,7 @@ func testLongTransactions(t *testing.T, factory Factory) {
 	}
 	total := 0
 	for _, v := range vars {
-		total += v.LoadValue().(int)
+		total += readRO(t, long, v)
 	}
 	if total != want {
 		t.Errorf("total = %d, want %d (money not conserved)", total, want)
@@ -330,14 +344,14 @@ func testHeldLockRetries(t *testing.T, factory Factory) {
 	tm := factory(nil, stm.WaitPreemptive)
 	holder := tm.Register("holder")
 	asker := tm.Register("asker")
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 
 	locked, release := make(chan struct{}), make(chan struct{})
 	held := make(chan error, 1)
 	go func() {
 		first := true
 		held <- holder.Atomically(func(tx stm.Tx) error {
-			if err := tx.Write(v, 1); err != nil {
+			if err := stm.WriteT(tx, v, 1); err != nil {
 				return err
 			}
 			if first {
@@ -352,11 +366,11 @@ func testHeldLockRetries(t *testing.T, factory Factory) {
 	asked := make(chan error, 1)
 	go func() {
 		asked <- asker.Atomically(func(tx stm.Tx) error {
-			n, err := tx.Read(v)
+			n, err := stm.ReadT(tx, v)
 			if err != nil {
 				return err
 			}
-			return tx.Write(v, n.(int)+10)
+			return stm.WriteT(tx, v, n+10)
 		})
 	}()
 	deadline := time.Now().Add(10 * time.Second)
@@ -380,7 +394,7 @@ func testHeldLockRetries(t *testing.T, factory Factory) {
 	if err := <-asked; err != nil {
 		t.Fatalf("asker: %v", err)
 	}
-	if got := v.LoadValue().(int); got != 11 {
+	if got := readRO(t, asker, v); got != 11 {
 		t.Fatalf("final value = %d, want 11 (the asker's write on top of the holder's)", got)
 	}
 }
@@ -391,7 +405,7 @@ func testHeldLockRetries(t *testing.T, factory Factory) {
 func testInvariantPair(t *testing.T, factory Factory) {
 	const threads, iters = 4, 300
 	tm := factory(nil, stm.WaitPreemptive)
-	x, y := stm.NewVar(0), stm.NewVar(0)
+	x, y := stm.NewT(0), stm.NewT(0)
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		th := tm.Register(fmt.Sprintf("w%d", i))
@@ -402,21 +416,21 @@ func testInvariantPair(t *testing.T, factory Factory) {
 			for j := 0; j < iters; j++ {
 				d := rng.Intn(100) - 50
 				_ = th.Atomically(func(tx stm.Tx) error {
-					xv, err := tx.Read(x)
+					xv, err := stm.ReadT(tx, x)
 					if err != nil {
 						return err
 					}
-					yv, err := tx.Read(y)
+					yv, err := stm.ReadT(tx, y)
 					if err != nil {
 						return err
 					}
-					if xv.(int)+yv.(int) != 0 {
-						t.Errorf("invariant torn inside writer: x=%d y=%d", xv.(int), yv.(int))
+					if xv+yv != 0 {
+						t.Errorf("invariant torn inside writer: x=%d y=%d", xv, yv)
 					}
-					if err := tx.Write(x, xv.(int)+d); err != nil {
+					if err := stm.WriteT(tx, x, xv+d); err != nil {
 						return err
 					}
-					return tx.Write(y, yv.(int)-d)
+					return stm.WriteT(tx, y, yv-d)
 				})
 			}
 		}()
@@ -428,16 +442,16 @@ func testInvariantPair(t *testing.T, factory Factory) {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
 				_ = th.Atomically(func(tx stm.Tx) error {
-					xv, err := tx.Read(x)
+					xv, err := stm.ReadT(tx, x)
 					if err != nil {
 						return err
 					}
-					yv, err := tx.Read(y)
+					yv, err := stm.ReadT(tx, y)
 					if err != nil {
 						return err
 					}
-					if xv.(int)+yv.(int) != 0 {
-						t.Errorf("invariant torn in reader: x=%d y=%d", xv.(int), yv.(int))
+					if xv+yv != 0 {
+						t.Errorf("invariant torn in reader: x=%d y=%d", xv, yv)
 					}
 					return nil
 				})
@@ -454,7 +468,7 @@ func testInvariantPair(t *testing.T, factory Factory) {
 func testWriteSkew(t *testing.T, factory Factory) {
 	const iters = 200
 	tm := factory(nil, stm.WaitPreemptive)
-	x, y := stm.NewVar(0), stm.NewVar(0)
+	x, y := stm.NewT(0), stm.NewT(0)
 	t1 := tm.Register("t1")
 	t2 := tm.Register("t2")
 	reset := tm.Register("reset")
@@ -462,20 +476,20 @@ func testWriteSkew(t *testing.T, factory Factory) {
 	for i := 0; i < iters; i++ {
 		var wg sync.WaitGroup
 		start := make(chan struct{})
-		body := func(th stm.Thread, mine, other *stm.Var) {
+		body := func(th stm.Thread, mine, other *stm.TVar[int]) {
 			defer wg.Done()
 			<-start
 			_ = th.Atomically(func(tx stm.Tx) error {
-				mv, err := tx.Read(mine)
+				mv, err := stm.ReadT(tx, mine)
 				if err != nil {
 					return err
 				}
-				ov, err := tx.Read(other)
+				ov, err := stm.ReadT(tx, other)
 				if err != nil {
 					return err
 				}
-				if mv.(int)+ov.(int) == 0 {
-					return tx.Write(mine, 1)
+				if mv+ov == 0 {
+					return stm.WriteT(tx, mine, 1)
 				}
 				return nil
 			})
@@ -487,21 +501,21 @@ func testWriteSkew(t *testing.T, factory Factory) {
 		wg.Wait()
 
 		err := reset.Atomically(func(tx stm.Tx) error {
-			xv, err := tx.Read(x)
+			xv, err := stm.ReadT(tx, x)
 			if err != nil {
 				return err
 			}
-			yv, err := tx.Read(y)
+			yv, err := stm.ReadT(tx, y)
 			if err != nil {
 				return err
 			}
-			if xv.(int)+yv.(int) > 1 {
-				t.Errorf("write skew: x=%d y=%d", xv.(int), yv.(int))
+			if xv+yv > 1 {
+				t.Errorf("write skew: x=%d y=%d", xv, yv)
 			}
-			if err := tx.Write(x, 0); err != nil {
+			if err := stm.WriteT(tx, x, 0); err != nil {
 				return err
 			}
-			return tx.Write(y, 0)
+			return stm.WriteT(tx, y, 0)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -512,14 +526,14 @@ func testWriteSkew(t *testing.T, factory Factory) {
 func testStats(t *testing.T, factory Factory) {
 	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 	for i := 0; i < 5; i++ {
 		_ = th.Atomically(func(tx stm.Tx) error {
-			n, err := tx.Read(v)
+			n, err := stm.ReadT(tx, v)
 			if err != nil {
 				return err
 			}
-			return tx.Write(v, n.(int)+1)
+			return stm.WriteT(tx, v, n+1)
 		})
 	}
 	s := tm.Stats()

@@ -28,10 +28,10 @@ func propSequentialModel(t *testing.T, factory Factory) {
 		tm := factory(nil, stm.WaitPreemptive)
 		th := tm.Register("t0")
 		const nVars = 8
-		vars := make([]*stm.Var, nVars)
+		vars := make([]*stm.TVar[int], nVars)
 		model := make([]int, nVars)
 		for i := range vars {
-			vars[i] = stm.NewVar(i * 10)
+			vars[i] = stm.NewT(i * 10)
 			model[i] = i * 10
 		}
 		errInjected := fmt.Errorf("injected")
@@ -44,18 +44,18 @@ func propSequentialModel(t *testing.T, factory Factory) {
 				for op := 0; op < nOps; op++ {
 					i := rng.Intn(nVars)
 					if rng.Intn(2) == 0 {
-						got, err := tx.Read(vars[i])
+						got, err := stm.ReadT(tx, vars[i])
 						if err != nil {
 							return err
 						}
-						if got.(int) != shadow[i] {
+						if got != shadow[i] {
 							t.Logf("seed %d tx %d: read vars[%d] = %d, model %d",
-								seed, txi, i, got.(int), shadow[i])
+								seed, txi, i, got, shadow[i])
 							return fmt.Errorf("model divergence")
 						}
 					} else {
 						val := rng.Intn(1000)
-						if err := tx.Write(vars[i], val); err != nil {
+						if err := stm.WriteT(tx, vars[i], val); err != nil {
 							return err
 						}
 						shadow[i] = val
@@ -81,11 +81,11 @@ func propSequentialModel(t *testing.T, factory Factory) {
 		ok := true
 		_ = th.Atomically(func(tx stm.Tx) error {
 			for i, v := range vars {
-				got, err := tx.Read(v)
+				got, err := stm.ReadT(tx, v)
 				if err != nil {
 					return err
 				}
-				if got.(int) != model[i] {
+				if got != model[i] {
 					ok = false
 				}
 			}
@@ -104,9 +104,9 @@ func propConcurrentSum(t *testing.T, factory Factory) {
 	prop := func(seed int64) bool {
 		tm := factory(nil, stm.WaitPreemptive)
 		const nVars, threads, ops = 10, 4, 80
-		vars := make([]*stm.Var, nVars)
+		vars := make([]*stm.TVar[int], nVars)
 		for i := range vars {
-			vars[i] = stm.NewVar(100)
+			vars[i] = stm.NewT(100)
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < threads; w++ {
@@ -124,18 +124,18 @@ func propConcurrentSum(t *testing.T, factory Factory) {
 					_ = th.Atomically(func(tx stm.Tx) error {
 						vals := make([]int, k)
 						for j, i := range idx {
-							raw, err := tx.Read(vars[i])
+							raw, err := stm.ReadT(tx, vars[i])
 							if err != nil {
 								return err
 							}
-							vals[j] = raw.(int)
+							vals[j] = raw
 						}
 						for j, i := range idx {
 							delta := d
 							if j == k-1 {
 								delta = -d * (k - 1)
 							}
-							if err := tx.Write(vars[i], vals[j]+delta); err != nil {
+							if err := stm.WriteT(tx, vars[i], vals[j]+delta); err != nil {
 								return err
 							}
 						}
@@ -150,11 +150,11 @@ func propConcurrentSum(t *testing.T, factory Factory) {
 		_ = th.Atomically(func(tx stm.Tx) error {
 			sum = 0
 			for _, v := range vars {
-				raw, err := tx.Read(v)
+				raw, err := stm.ReadT(tx, v)
 				if err != nil {
 					return err
 				}
-				sum += raw.(int)
+				sum += raw
 			}
 			return nil
 		})
@@ -173,8 +173,8 @@ func propConcurrentSum(t *testing.T, factory Factory) {
 // the invariant — doomed transactions abort and retry.
 func propAbortInjection(t *testing.T, factory Factory) {
 	tm := factory(nil, stm.WaitPreemptive)
-	x := stm.NewVar(0)
-	y := stm.NewVar(0)
+	x := stm.NewT(0)
+	y := stm.NewT(0)
 	const threads, ops = 3, 120
 	var wg sync.WaitGroup
 	ctxs := make([]*stm.ThreadCtx, 0, threads)
@@ -191,21 +191,21 @@ func propAbortInjection(t *testing.T, factory Factory) {
 			for i := 0; i < ops; i++ {
 				d := rng.Intn(9) - 4
 				_ = th.Atomically(func(tx stm.Tx) error {
-					xv, err := tx.Read(x)
+					xv, err := stm.ReadT(tx, x)
 					if err != nil {
 						return err
 					}
-					yv, err := tx.Read(y)
+					yv, err := stm.ReadT(tx, y)
 					if err != nil {
 						return err
 					}
-					if xv.(int)+yv.(int) != 0 {
-						t.Errorf("invariant broken: %d + %d", xv.(int), yv.(int))
+					if xv+yv != 0 {
+						t.Errorf("invariant broken: %d + %d", xv, yv)
 					}
-					if err := tx.Write(x, xv.(int)+d); err != nil {
+					if err := stm.WriteT(tx, x, xv+d); err != nil {
 						return err
 					}
-					return tx.Write(y, yv.(int)-d)
+					return stm.WriteT(tx, y, yv-d)
 				})
 			}
 		}()
@@ -235,16 +235,16 @@ func propAbortInjection(t *testing.T, factory Factory) {
 	chaosWg.Wait()
 	th := tm.Register("audit")
 	_ = th.Atomically(func(tx stm.Tx) error {
-		xv, err := tx.Read(x)
+		xv, err := stm.ReadT(tx, x)
 		if err != nil {
 			return err
 		}
-		yv, err := tx.Read(y)
+		yv, err := stm.ReadT(tx, y)
 		if err != nil {
 			return err
 		}
-		if xv.(int)+yv.(int) != 0 {
-			t.Errorf("final invariant broken: %d + %d", xv.(int), yv.(int))
+		if xv+yv != 0 {
+			t.Errorf("final invariant broken: %d + %d", xv, yv)
 		}
 		return nil
 	})

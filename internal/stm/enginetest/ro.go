@@ -17,7 +17,8 @@ import (
 // update path's bookkeeping.
 func runRO(t *testing.T, factory Factory) {
 	t.Run("ROSeesCommitted", func(t *testing.T) { testROSeesCommitted(t, factory) })
-	t.Run("ROWriteRejected", func(t *testing.T) { testROWriteRejected(t, factory) })
+	t.Run("ROReadsCompositeValues", func(t *testing.T) { testROReadsComposite(t, factory) })
+	t.Run("ROUserAbortNotRetried", func(t *testing.T) { testROUserAbort(t, factory) })
 	t.Run("ROSnapshotRestart", func(t *testing.T) { testROSnapshotRestart(t, factory) })
 	t.Run("ROLockedWriterNotObserved", func(t *testing.T) { testROLockedWriter(t, factory) })
 	t.Run("ROParkedWriterEndsTheAttempt", func(t *testing.T) { testROParkedWriter(t, factory) })
@@ -56,35 +57,92 @@ func testROSeesCommitted(t *testing.T, factory Factory) {
 	}
 }
 
-// testROWriteRejected pins the documented policy for writes inside an RO
-// transaction: they fail with stm.ErrReadOnlyWrite, the error propagates
-// without retry (a user abort, not a conflict), and nothing is published.
-func testROWriteRejected(t *testing.T, factory Factory) {
+// testROReadsComposite checks that ReadTRO returns values of any type whole:
+// a string, and a struct published both by WriteT's copy and by WriteRefT's
+// handed-over cell, each seen exactly as the update transaction wrote it.
+func testROReadsComposite(t *testing.T, factory Factory) {
+	type pair struct {
+		A, B int
+		Tag  string
+	}
+	tm := factory(nil, stm.WaitPreemptive)
+	th := tm.Register("t0")
+	s := stm.NewT("init")
+	p := stm.NewT(pair{1, 2, "init"})
+	q := stm.NewT(pair{})
+	cell := &pair{5, 6, "ref"}
+	if err := th.Atomically(func(tx stm.Tx) error {
+		if err := stm.WriteT(tx, s, "written"); err != nil {
+			return err
+		}
+		if err := stm.WriteT(tx, p, pair{3, 4, "copy"}); err != nil {
+			return err
+		}
+		return stm.WriteRefT(tx, q, cell)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var gs string
+	var gp, gq pair
+	if err := th.AtomicallyRO(func(tx *stm.ROTx) error {
+		var err error
+		if gs, err = stm.ReadTRO(tx, s); err != nil {
+			return err
+		}
+		if gp, err = stm.ReadTRO(tx, p); err != nil {
+			return err
+		}
+		gq, err = stm.ReadTRO(tx, q)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if gs != "written" {
+		t.Errorf("string read = %q, want %q", gs, "written")
+	}
+	if gp != (pair{3, 4, "copy"}) {
+		t.Errorf("WriteT struct read = %+v, want {3 4 copy}", gp)
+	}
+	if gq != *cell {
+		t.Errorf("WriteRefT struct read = %+v, want %+v", gq, *cell)
+	}
+}
+
+// testROUserAbort pins the user-abort policy of the read-only path: an error
+// of the body's own that is not ErrConflict comes back unchanged after one
+// attempt, counts as a user abort (not a conflict abort, not a commit), and
+// leaves the thread free to rerun the work under the update path, which is
+// how a read-only body that finds it must write escalates.
+func testROUserAbort(t *testing.T, factory Factory) {
 	tm := factory(nil, stm.WaitPreemptive)
 	th := tm.Register("t0")
 	v := stm.NewT[int64](1)
-	u := stm.NewVar(1)
+	errNeedsWrite := errors.New("needs a write")
 	attempts := 0
 	err := th.AtomicallyRO(func(tx *stm.ROTx) error {
 		attempts++
-		return stm.WriteT(tx, v, int64(99))
+		if _, err := stm.ReadTRO(tx, v); err != nil {
+			return err
+		}
+		return fmt.Errorf("escalate: %w", errNeedsWrite)
 	})
-	if !errors.Is(err, stm.ErrReadOnlyWrite) {
-		t.Fatalf("typed write in RO tx: err = %v, want ErrReadOnlyWrite", err)
+	if !errors.Is(err, errNeedsWrite) {
+		t.Fatalf("err = %v, want the body's own error", err)
 	}
 	if attempts != 1 {
 		t.Fatalf("body ran %d times, want 1 (no retry on a user abort)", attempts)
 	}
-	if err := th.AtomicallyRO(func(tx *stm.ROTx) error {
-		if err := tx.Write(u, 99); !errors.Is(err, stm.ErrReadOnlyWrite) {
-			return fmt.Errorf("untyped write in RO tx: err = %v, want ErrReadOnlyWrite", err)
+	if st := tm.Stats(); st.UserAborts != 1 || st.Aborts != 0 || st.Commits != 0 {
+		t.Fatalf("Stats = %+v, want 1 user abort, no aborts, no commits", st)
+	}
+	if err := th.Atomically(func(tx stm.Tx) error {
+		n, err := stm.ReadT(tx, v)
+		if err != nil {
+			return err
 		}
-		return nil
+		return stm.WriteT(tx, v, n+1)
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if ua := tm.Stats().UserAborts; ua != 1 {
-		t.Fatalf("UserAborts = %d, want 1", ua)
 	}
 	var got int64
 	if err := th.AtomicallyRO(func(tx *stm.ROTx) error {
@@ -94,8 +152,8 @@ func testROWriteRejected(t *testing.T, factory Factory) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got != 1 {
-		t.Fatalf("rejected write leaked: v = %d, want 1", got)
+	if got != 2 {
+		t.Fatalf("v = %d after the escalated update, want 2", got)
 	}
 }
 

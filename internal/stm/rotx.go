@@ -3,15 +3,7 @@ package stm
 import (
 	"errors"
 	"sync/atomic"
-	"unsafe"
 )
-
-// ErrReadOnlyWrite is returned by a write attempted inside a read-only
-// transaction. It is a user abort, not a conflict: the transaction is not
-// retried, and the error propagates out of AtomicallyRO unchanged. Callers
-// that discover mid-transaction that they need to write must rerun the body
-// under the update path (Thread.Atomically).
-var ErrReadOnlyWrite = errors.New("stm: write inside a read-only transaction")
 
 // ErrReadOnlyNested is returned by a read-only transaction reading a Var
 // that is write-locked by its own thread: AtomicallyRO was nested inside an
@@ -38,84 +30,30 @@ var ErrReadOnlyNested = errors.New("stm: read-only transaction read a var write-
 // cut. Locked Vars are never read (under the tiny engine's write-through
 // protocol the in-place value of a locked Var is speculative).
 //
-// Hot paths read through the typed ReadTRO, which inlines into the loop that
-// calls it and never waits: an attempt that meets a locked or too-new Var
-// ends there, and RunRO's retry path does the waiting. ROTx also implements
-// the full Tx interface, so existing read-side code composes with it; reads
-// that arrive that way (ReadPtr) wait for a locked Var in place.
+// ROTx is not a Tx: its one read is the typed ReadTRO, which inlines into
+// the loop that calls it and never waits (an attempt that meets a locked or
+// too-new Var ends there, and RunRO's retry path does the waiting), and it
+// has no write at all, so a write inside AtomicallyRO does not compile.
+// Callers that discover mid-transaction that they need to write must rerun
+// the body under the update path (Thread.Atomically).
 //
 // A read-only transaction takes no locks and never dooms another thread, so
 // it bypasses the scheduler hooks and conflict resolution entirely; it can
 // abort only itself.
 type ROTx struct {
-	core *Core
-	ctx  *ThreadCtx
 	snap uint64
 	// stopped is the Var that ended the attempt in ReadTRO. RunRO clears it
 	// before every attempt and takes it after, so it never outlives one.
 	stopped *Var
 }
 
-var _ Tx = (*ROTx)(nil)
-
-// Bind attaches the descriptor to its engine core and owning thread. Engines
-// call it once at thread registration; the descriptor is reused across every
-// AtomicallyRO call of that thread.
-func (tx *ROTx) Bind(c *Core, t *ThreadCtx) {
-	tx.core = c
-	tx.ctx = t
-}
-
 // Snap returns the attempt's snapshot timestamp (diagnostics and tests).
 func (tx *ROTx) Snap() uint64 { return tx.snap }
 
-// ThreadID implements Tx.
-func (tx *ROTx) ThreadID() int { return tx.ctx.ID }
-
-// roSpinBound bounds the wait for a writer that holds a lock the read-only
-// transaction wants to read past. Timing out is treated as a conflict, and
-// the retry starts from a fresh snapshot.
+// roSpinBound bounds RunRO's wait for a writer that holds a lock the
+// read-only transaction wants to read past. The retry starts from a fresh
+// snapshot whether or not the lock was released.
 const roSpinBound = 128
-
-// ReadPtr implements Tx: the snapshot-mode read protocol in full, for reads
-// that come through the interface. The Var's orec is sampled around the
-// pointer load; the read is consistent iff the Var is unlocked and its
-// version does not exceed the snapshot. Nothing is logged.
-func (tx *ROTx) ReadPtr(v *Var) (unsafe.Pointer, error) {
-	for {
-		p, meta := v.SnapshotPtr()
-		if IsLocked(meta) {
-			if OwnerOf(meta) == tx.ctx.ID {
-				return nil, ErrReadOnlyNested // see RunRO
-			}
-			// Released at a version within our snapshot, it validates.
-			if tx.core.Wait.SpinWhileLocked(v, tx.ctx.ID, roSpinBound) {
-				continue
-			}
-			return nil, ErrConflict
-		}
-		if VersionOf(meta) > tx.snap {
-			return nil, ErrConflict
-		}
-		return p, nil
-	}
-}
-
-// WritePtr implements Tx by rejecting the write: a read-only transaction has
-// no write log to buffer into and no commit phase to publish from.
-func (tx *ROTx) WritePtr(*Var, unsafe.Pointer) error { return ErrReadOnlyWrite }
-
-// Read implements Tx: the untyped shim over ReadPtr for NewVar-created Vars.
-func (tx *ROTx) Read(v *Var) (any, error) {
-	p, err := tx.ReadPtr(v)
-	if err != nil {
-		return nil, err
-	}
-	return *(*any)(p), nil
-}
-
-// Write implements Tx by rejecting the write, like WritePtr.
-func (tx *ROTx) Write(*Var, any) error { return ErrReadOnlyWrite }
 
 // ReadTRO is the typed read for read-only transactions, kept under the
 // compiler's inlining budget (ci/inline_gate.sh holds it there) by holding

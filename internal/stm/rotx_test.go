@@ -1,7 +1,7 @@
 package stm_test
 
 import (
-	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -150,33 +150,18 @@ func TestRONestedROKeepsOuterSnapshot(t *testing.T) {
 	}
 }
 
-// TestROTxImplementsTx checks the compatibility shim: existing read-side
-// code written against the Tx interface composes with an RO descriptor
-// (untyped reads included), and interface-path writes are rejected.
-func TestROTxImplementsTx(t *testing.T) {
-	for name, tm := range roEngines() {
-		t.Run(name, func(t *testing.T) {
-			th := tm.Register("t0")
-			v := stm.NewVar(41)
-			if err := th.AtomicallyRO(func(tx *stm.ROTx) error {
-				var itx stm.Tx = tx
-				got, err := itx.Read(v)
-				if err != nil {
-					return err
-				}
-				if got.(int) != 41 {
-					t.Errorf("untyped RO read = %v, want 41", got)
-				}
-				if tx.ThreadID() != th.ID() {
-					t.Errorf("ThreadID = %d, want %d", tx.ThreadID(), th.ID())
-				}
-				if err := itx.Write(v, 1); !errors.Is(err, stm.ErrReadOnlyWrite) {
-					t.Errorf("interface write: err = %v, want ErrReadOnlyWrite", err)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
+// TestROTxIsNotATx: a read-only transaction is read-only by type. Its
+// descriptor has no WritePtr and no ReadPtr, so it cannot be passed where an
+// update body's Tx is expected, and a write inside AtomicallyRO (WriteT,
+// WriteRefT) does not compile.
+func TestROTxIsNotATx(t *testing.T) {
+	ro := reflect.TypeOf((*stm.ROTx)(nil))
+	if tx := reflect.TypeOf((*stm.Tx)(nil)).Elem(); ro.Implements(tx) {
+		t.Fatalf("%v implements %v", ro, tx)
+	}
+	for _, name := range []string{"ReadPtr", "WritePtr"} {
+		if _, ok := ro.MethodByName(name); ok {
+			t.Errorf("%v has method %s", ro, name)
+		}
 	}
 }

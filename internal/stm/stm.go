@@ -13,23 +13,17 @@ import (
 // restarts the transaction.
 var ErrConflict = errors.New("stm: transaction conflict")
 
-// Tx is the interface transaction bodies program against. Both engines
-// (SwissTM-like and TinySTM-like) implement it, so transactional data
-// structures and benchmarks are engine-agnostic.
+// Tx is the interface update-transaction bodies program against. Both
+// engines (SwissTM-like and TinySTM-like) implement it, so transactional
+// data structures and benchmarks are engine-agnostic.
 //
 // The engine core is the pointer pair ReadPtr/WritePtr: the engines log,
 // validate and write back opaque value pointers without inspecting the
-// pointee, which is what lets the typed TVar layer run unboxed. Read and
-// Write are the untyped compatibility shims over the same protocol for Vars
-// created by NewVar. Every error returned by the four data operations is
-// ErrConflict (possibly wrapped) and must be propagated out of the
-// transaction body unchanged.
+// pointee. Bodies reach them through the typed ReadT/WriteT/WriteRefT of a
+// TVar. Every error returned by ReadPtr and WritePtr is ErrConflict
+// (possibly wrapped) and must be propagated out of the transaction body
+// unchanged.
 type Tx interface {
-	// Read returns the value of the untyped Var v as observed by this
-	// transaction.
-	Read(v *Var) (any, error)
-	// Write sets the value of the untyped Var v in this transaction.
-	Write(v *Var, val any) error
 	// ReadPtr returns v's current value pointer under the engine's read
 	// protocol (validated against the transaction's snapshot). Callers
 	// must not retain the pointer across transaction boundaries.
@@ -52,13 +46,12 @@ type Thread interface {
 	Atomically(fn func(tx Tx) error) error
 	// AtomicallyRO runs fn as a read-only snapshot transaction, retrying
 	// with a fresh snapshot while reads race with concurrent writers. The
-	// body receives the concrete read-only descriptor (see ROTx): reads
-	// validate inline against a fixed snapshot, with no read log, no
-	// write index and no commit phase. Writes inside fn fail with
-	// ErrReadOnlyWrite and abort the call without retry. Nesting an RO
-	// transaction inside this thread's update transaction is illegal;
-	// reading a Var the outer transaction wrote fails with
-	// ErrReadOnlyNested.
+	// body receives the read-only descriptor (see ROTx), which is not a
+	// Tx: it reads through ReadTRO, validating inline against a fixed
+	// snapshot, with no read log, no write index and no commit phase, and
+	// a write inside fn does not compile. Nesting an RO transaction inside
+	// this thread's update transaction is illegal; reading a Var the
+	// outer transaction wrote fails with ErrReadOnlyNested.
 	AtomicallyRO(fn func(tx *ROTx) error) error
 	// Ctx exposes the thread context (statistics, scheduler state).
 	Ctx() *ThreadCtx

@@ -42,7 +42,7 @@ func TestOrecEncodingProperty(t *testing.T) {
 }
 
 func TestVarLockCycle(t *testing.T) {
-	v := NewVar(1)
+	v := NewT(1).Word()
 	m := v.Meta()
 	if IsLocked(m) {
 		t.Fatal("fresh var locked")
@@ -77,7 +77,7 @@ func TestVarLockCycle(t *testing.T) {
 // observes the interleaving and retries (instead of returning the
 // speculative in-place value of an aborted transaction as consistent).
 func TestUnlockRestoreBumpsIncarnation(t *testing.T) {
-	v := NewVar(1)
+	v := NewT(1).Word()
 	m0 := v.Meta()
 	seen := map[uint64]bool{}
 	m := m0
@@ -111,7 +111,7 @@ func TestVarIDsUnique(t *testing.T) {
 	const n = 1000
 	vars := make([]*Var, 0, n+2)
 	for i := 0; i < n; i++ {
-		vars = append(vars, NewVar(nil))
+		vars = append(vars, NewT(0).Word())
 	}
 	node := new(pair)
 	vars = append(vars, node.a.Word(), node.b.Word())
@@ -157,7 +157,6 @@ func TestROStoppedVarNeverOutlivesAttempt(t *testing.T) {
 	c := NewCore(CoreOptions{})
 	self, other := c.Register("self"), c.Register("other")
 	var tx ROTx
-	tx.Bind(&c, self)
 	mine, theirs, free := NewT(1), NewT(2), NewT(3)
 	if !mine.Word().TryLock(mine.Word().Meta(), self.ID) || !theirs.Word().TryLock(theirs.Word().Meta(), other.ID) {
 		t.Fatal("could not lock the fixtures")
@@ -240,10 +239,10 @@ func TestInitRefInPlace(t *testing.T) {
 }
 
 func TestSnapshotConsistency(t *testing.T) {
-	v := NewVar(10)
-	val, meta := v.Snapshot()
-	if val.(int) != 10 || IsLocked(meta) {
-		t.Fatalf("snapshot = (%v, %d)", val, meta)
+	v := NewT(10)
+	p, meta := v.Word().SnapshotPtr()
+	if *(*int)(p) != 10 || IsLocked(meta) {
+		t.Fatalf("snapshot = (%v, %d)", *(*int)(p), meta)
 	}
 }
 
@@ -304,7 +303,7 @@ func TestWaitPolicyString(t *testing.T) {
 }
 
 func TestSpinWhileLocked(t *testing.T) {
-	v := NewVar(0)
+	v := NewT(0).Word()
 	if !WaitPreemptive.SpinWhileLocked(v, 1, 10) {
 		t.Fatal("unlocked var should not need waiting")
 	}

@@ -10,21 +10,21 @@ import (
 // greedyPair starts two transactions by hand, a before b, so a holds the
 // earlier Greedy timestamp, and has each write-lock a Var of its own: a
 // holds va and b holds vb.
-func greedyPair(t *testing.T) (a, b *Thread, va, vb *stm.Var) {
+func greedyPair(t *testing.T) (a, b *Thread, va, vb *stm.TVar[int]) {
 	t.Helper()
 	tm := New(Options{Wait: stm.WaitBusy})
 	a = tm.Register("a").(*Thread)
 	b = tm.Register("b").(*Thread)
-	va, vb = stm.NewVar(0), stm.NewVar(0)
+	va, vb = stm.NewT(0), stm.NewT(0)
 	a.tx.Begin(0)
 	b.tx.Begin(0)
 	if stampA, stampB := a.ctx.Priority.Load(), b.ctx.Priority.Load(); stampA == 0 || stampA >= stampB {
 		t.Fatalf("stamps a = %d, b = %d: want 0 < a < b", stampA, stampB)
 	}
-	if err := a.tx.Write(va, 1); err != nil {
+	if err := stm.WriteT(&a.tx, va, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.tx.Write(vb, 1); err != nil {
+	if err := stm.WriteT(&b.tx, vb, 1); err != nil {
 		t.Fatal(err)
 	}
 	return a, b, va, vb
@@ -36,13 +36,13 @@ func greedyPair(t *testing.T) (a, b *Thread, va, vb *stm.Var) {
 func TestGreedyOlderWins(t *testing.T) {
 	t.Run("YoungerWriterAbortsItself", func(t *testing.T) {
 		a, b, va, _ := greedyPair(t)
-		if err := b.tx.Write(va, 2); !errors.Is(err, stm.ErrConflict) || a.ctx.Doomed.Load() {
+		if err := stm.WriteT(&b.tx, va, 2); !errors.Is(err, stm.ErrConflict) || a.ctx.Doomed.Load() {
 			t.Fatalf("younger asker: err = %v, owner doomed = %v; want ErrConflict and false", err, a.ctx.Doomed.Load())
 		}
 	})
 	t.Run("YoungerReaderAbortsItself", func(t *testing.T) {
 		a, b, va, _ := greedyPair(t)
-		if _, err := b.tx.Read(va); !errors.Is(err, stm.ErrConflict) || a.ctx.Doomed.Load() {
+		if _, err := stm.ReadT(&b.tx, va); !errors.Is(err, stm.ErrConflict) || a.ctx.Doomed.Load() {
 			t.Fatalf("younger reader: err = %v, owner doomed = %v; want ErrConflict and false", err, a.ctx.Doomed.Load())
 		}
 	})
@@ -50,13 +50,13 @@ func TestGreedyOlderWins(t *testing.T) {
 	// free here, gives up after its bounded spin.
 	t.Run("OlderWriterDoomsOwner", func(t *testing.T) {
 		a, b, _, vb := greedyPair(t)
-		if err := a.tx.Write(vb, 2); !errors.Is(err, stm.ErrConflict) || !b.ctx.Doomed.Load() {
+		if err := stm.WriteT(&a.tx, vb, 2); !errors.Is(err, stm.ErrConflict) || !b.ctx.Doomed.Load() {
 			t.Fatalf("older asker: err = %v, owner doomed = %v; want ErrConflict and true", err, b.ctx.Doomed.Load())
 		}
 	})
 	t.Run("OlderReaderDoomsOwner", func(t *testing.T) {
 		a, b, _, vb := greedyPair(t)
-		if _, err := a.tx.Read(vb); !errors.Is(err, stm.ErrConflict) || !b.ctx.Doomed.Load() {
+		if _, err := stm.ReadT(&a.tx, vb); !errors.Is(err, stm.ErrConflict) || !b.ctx.Doomed.Load() {
 			t.Fatalf("older reader: err = %v, owner doomed = %v; want ErrConflict and true", err, b.ctx.Doomed.Load())
 		}
 	})
@@ -88,10 +88,10 @@ func TestGreedyOlderWins(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.tx.Begin(0)
-		if err := a.tx.Write(va, 3); err != nil {
+		if err := stm.WriteT(&a.tx, va, 3); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.tx.Write(va, 4); !errors.Is(err, stm.ErrConflict) || !a.ctx.Doomed.Load() {
+		if err := stm.WriteT(&b.tx, va, 4); !errors.Is(err, stm.ErrConflict) || !a.ctx.Doomed.Load() {
 			t.Fatalf("retried asker: err = %v, owner doomed = %v; want ErrConflict and true", err, a.ctx.Doomed.Load())
 		}
 	})

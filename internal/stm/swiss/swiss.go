@@ -61,7 +61,6 @@ func New(opts Options) *TM {
 func (tm *TM) Register(name string) stm.Thread {
 	th := &Thread{tm: tm, ctx: tm.core.Register(name)}
 	th.tx.th = th
-	th.ro.Bind(&tm.core, th.ctx)
 	return th
 }
 
@@ -223,21 +222,6 @@ func (tx *txn) WritePtr(v *stm.Var, p unsafe.Pointer) error {
 		tx.writes = append(tx.writes, writeEntry{val: p, oldMeta: meta})
 		return nil
 	}
-}
-
-// Read implements stm.Tx: the untyped shim over ReadPtr for NewVar-created
-// Vars (the pointee is an *any cell).
-func (tx *txn) Read(v *stm.Var) (any, error) {
-	p, err := tx.ReadPtr(v)
-	if err != nil {
-		return nil, err
-	}
-	return *(*any)(p), nil
-}
-
-// Write implements stm.Tx: the untyped shim over WritePtr.
-func (tx *txn) Write(v *stm.Var, val any) error {
-	return tx.WritePtr(v, unsafe.Pointer(&val))
 }
 
 // resolve is Greedy's answer to v being locked by thread owner: nil when

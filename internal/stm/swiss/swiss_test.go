@@ -28,16 +28,16 @@ func TestConformanceBusyWaiting(t *testing.T) {
 func TestClockAdvancesOnUpdate(t *testing.T) {
 	tm := swiss.New(swiss.Options{})
 	th := tm.Register("t0")
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 	before := tm.Clock()
-	if err := th.Atomically(func(tx stm.Tx) error { return tx.Write(v, 1) }); err != nil {
+	if err := th.Atomically(func(tx stm.Tx) error { return stm.WriteT(tx, v, 1) }); err != nil {
 		t.Fatal(err)
 	}
 	if tm.Clock() != before+1 {
 		t.Fatalf("clock = %d, want %d", tm.Clock(), before+1)
 	}
 	// Read-only transactions must not tick the clock.
-	if err := th.Atomically(func(tx stm.Tx) error { _, err := tx.Read(v); return err }); err != nil {
+	if err := th.Atomically(func(tx stm.Tx) error { _, err := stm.ReadT(tx, v); return err }); err != nil {
 		t.Fatal(err)
 	}
 	if tm.Clock() != before+1 {
@@ -48,15 +48,15 @@ func TestClockAdvancesOnUpdate(t *testing.T) {
 func TestVisibleWrites(t *testing.T) {
 	tm := swiss.New(swiss.Options{})
 	th := tm.Register("t0")
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 	saw := false
 	err := th.Atomically(func(tx stm.Tx) error {
-		if err := tx.Write(v, 7); err != nil {
+		if err := stm.WriteT(tx, v, 7); err != nil {
 			return err
 		}
 		// Eager locking makes the write visible to other threads via
 		// the orec while the transaction runs.
-		saw = v.LockedByOther(999) && v.LockedBy(th.ID())
+		saw = v.LockedByOther(999) && v.Word().LockedBy(th.ID())
 		return nil
 	})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestVisibleWrites(t *testing.T) {
 	if !saw {
 		t.Fatal("write was not visible (orec not locked) during the transaction")
 	}
-	if v.LockedBy(th.ID()) {
+	if v.Word().LockedBy(th.ID()) {
 		t.Fatal("lock leaked after commit")
 	}
 }
@@ -79,7 +79,7 @@ func TestProperty(t *testing.T) {
 // younger transaction, which observes the flag, aborts, and retries.
 func TestOlderDoomsYoungerEndToEnd(t *testing.T) {
 	tm := swiss.New(swiss.Options{})
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 	old := tm.Register("old")
 	young := tm.Register("young")
 
@@ -96,7 +96,7 @@ func TestOlderDoomsYoungerEndToEnd(t *testing.T) {
 				close(oldStarted) // old holds the earlier Greedy timestamp
 				<-youngLocked
 			}
-			return tx.Write(v, 1)
+			return stm.WriteT(tx, v, 1)
 		})
 	}()
 	go func() {
@@ -104,7 +104,7 @@ func TestOlderDoomsYoungerEndToEnd(t *testing.T) {
 		<-oldStarted
 		first := true
 		_ = young.Atomically(func(tx stm.Tx) error {
-			if err := tx.Write(v, 2); err != nil {
+			if err := stm.WriteT(tx, v, 2); err != nil {
 				return err
 			}
 			if first {
@@ -125,11 +125,11 @@ func TestOlderDoomsYoungerEndToEnd(t *testing.T) {
 	}
 	th := tm.Register("check")
 	err := th.Atomically(func(tx stm.Tx) error {
-		got, err := tx.Read(v)
+		got, err := stm.ReadT(tx, v)
 		if err != nil {
 			return err
 		}
-		if got.(int) != 1 && got.(int) != 2 {
+		if got != 1 && got != 2 {
 			return fmt.Errorf("final value = %v, want 1 or 2", got)
 		}
 		return nil
@@ -145,7 +145,7 @@ func TestOlderDoomsYoungerEndToEnd(t *testing.T) {
 // doomed and commits untouched.
 func TestYoungerAskerAbortsItselfEndToEnd(t *testing.T) {
 	tm := swiss.New(swiss.Options{})
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 	owner := tm.Register("owner")
 	asker := tm.Register("asker")
 
@@ -155,7 +155,7 @@ func TestYoungerAskerAbortsItselfEndToEnd(t *testing.T) {
 	go func() {
 		first := true
 		done <- owner.Atomically(func(tx stm.Tx) error {
-			if err := tx.Write(v, 1); err != nil {
+			if err := stm.WriteT(tx, v, 1); err != nil {
 				return err
 			}
 			if first {
@@ -170,7 +170,7 @@ func TestYoungerAskerAbortsItselfEndToEnd(t *testing.T) {
 	<-locked
 	first := true
 	err := asker.Atomically(func(tx stm.Tx) error {
-		err := tx.Write(v, 2)
+		err := stm.WriteT(tx, v, 2)
 		if first {
 			first = false
 			close(release)
@@ -189,7 +189,12 @@ func TestYoungerAskerAbortsItselfEndToEnd(t *testing.T) {
 	if ownerDoomed || owner.Ctx().Aborts.Load() != 0 {
 		t.Fatalf("owner doomed = %v, aborts = %d; want false and 0", ownerDoomed, owner.Ctx().Aborts.Load())
 	}
-	if got := v.LoadValue().(int); got != 2 {
-		t.Fatalf("final value = %d, want the asker's 2 (it retried past the owner's commit)", got)
+	var got int
+	if err := owner.AtomicallyRO(func(tx *stm.ROTx) error {
+		var err error
+		got, err = stm.ReadTRO(tx, v)
+		return err
+	}); err != nil || got != 2 {
+		t.Fatalf("final value = %d (err %v), want the asker's 2 (it retried past the owner's commit)", got, err)
 	}
 }

@@ -48,7 +48,6 @@ func New(opts Options) *TM {
 func (tm *TM) Register(name string) stm.Thread {
 	th := &Thread{tm: tm, ctx: tm.core.Register(name)}
 	th.tx.th = th
-	th.ro.Bind(&tm.core, th.ctx)
 	return th
 }
 
@@ -84,7 +83,7 @@ func (th *Thread) Atomically(fn func(tx stm.Tx) error) error {
 
 // AtomicallyRO implements stm.Thread via the shared snapshot-mode runner.
 // Snapshot reads are safe against this engine's write-through protocol:
-// a locked Var holds a speculative value in place, and ROTx.ReadPtr never
+// a locked Var holds a speculative value in place, and ReadTRO never
 // returns the value of a locked Var.
 func (th *Thread) AtomicallyRO(fn func(tx *stm.ROTx) error) error {
 	return th.tm.core.RunRO(th.ctx, &th.ro, fn)
@@ -194,21 +193,6 @@ func (tx *txn) WritePtr(v *stm.Var, p unsafe.Pointer) error {
 		tx.undo = append(tx.undo, undoEntry{oldVal: oldVal, oldMeta: meta})
 		return nil
 	}
-}
-
-// Read implements stm.Tx: the untyped shim over ReadPtr for NewVar-created
-// Vars (the pointee is an *any cell).
-func (tx *txn) Read(v *stm.Var) (any, error) {
-	p, err := tx.ReadPtr(v)
-	if err != nil {
-		return nil, err
-	}
-	return *(*any)(p), nil
-}
-
-// Write implements stm.Tx: the untyped shim over WritePtr.
-func (tx *txn) Write(v *stm.Var, val any) error {
-	return tx.WritePtr(v, unsafe.Pointer(&val))
 }
 
 func (tx *txn) extend() bool {

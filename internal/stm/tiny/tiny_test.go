@@ -24,21 +24,25 @@ func TestConformanceBusyWaiting(t *testing.T) {
 	})
 }
 
+// inPlace is v's value as it stands in memory, read outside any
+// transaction: under write-through, a locked Var's speculative value.
+func inPlace(v *stm.TVar[int]) int { return *(*int)(v.Word().LoadPtr()) }
+
 func TestWriteThroughRollback(t *testing.T) {
 	tm := tiny.New(tiny.Options{})
 	th := tm.Register("t0")
-	v := stm.NewVar(5)
+	v := stm.NewT(5)
 	errBoom := errors.New("boom")
 	err := th.Atomically(func(tx stm.Tx) error {
-		if err := tx.Write(v, 42); err != nil {
+		if err := stm.WriteT(tx, v, 42); err != nil {
 			return err
 		}
 		// Write-through: the speculative value is in place while the
 		// transaction runs (and the orec is locked).
-		if got := v.LoadValue().(int); got != 42 {
+		if got := inPlace(v); got != 42 {
 			t.Errorf("in-place value = %d, want 42 (write-through)", got)
 		}
-		if !v.LockedBy(th.ID()) {
+		if !v.Word().LockedBy(th.ID()) {
 			t.Error("orec not locked during write-through")
 		}
 		return errBoom
@@ -47,10 +51,10 @@ func TestWriteThroughRollback(t *testing.T) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The undo log must have restored the original value and orec.
-	if got := v.LoadValue().(int); got != 5 {
+	if got := inPlace(v); got != 5 {
 		t.Fatalf("value after rollback = %d, want 5", got)
 	}
-	if stm.IsLocked(v.Meta()) {
+	if stm.IsLocked(v.Word().Meta()) {
 		t.Fatal("lock leaked after rollback")
 	}
 }
@@ -62,7 +66,7 @@ func TestWriteThroughRollback(t *testing.T) {
 // asker would doom the owner).
 func TestWriteConflictAbortsTheAsker(t *testing.T) {
 	tm := tiny.New(tiny.Options{})
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 	owner := tm.Register("owner")
 	asker := tm.Register("asker")
 
@@ -74,7 +78,7 @@ func TestWriteConflictAbortsTheAsker(t *testing.T) {
 		<-askerStarted
 		first := true
 		done <- owner.Atomically(func(tx stm.Tx) error {
-			if err := tx.Write(v, 1); err != nil {
+			if err := stm.WriteT(tx, v, 1); err != nil {
 				return err
 			}
 			if first {
@@ -98,7 +102,7 @@ func TestWriteConflictAbortsTheAsker(t *testing.T) {
 			close(askerStarted)
 			<-locked
 		}
-		return tx.Write(v, 2)
+		return stm.WriteT(tx, v, 2)
 	})
 	if err != nil {
 		t.Fatalf("asker: %v", err)
@@ -112,7 +116,7 @@ func TestWriteConflictAbortsTheAsker(t *testing.T) {
 	if ownerDoomed || owner.Ctx().Aborts.Load() != 0 {
 		t.Fatalf("owner doomed = %v, aborts = %d; want false and 0", ownerDoomed, owner.Ctx().Aborts.Load())
 	}
-	if got := v.LoadValue().(int); got != 2 {
+	if got := inPlace(v); got != 2 {
 		t.Fatalf("final value = %d, want the asker's 2 (it retried past the owner's commit)", got)
 	}
 }
@@ -123,7 +127,7 @@ func TestWriteConflictAbortsTheAsker(t *testing.T) {
 // owner undoomed, whichever transaction began first.
 func TestReadOfHeldVarAbortsTheReader(t *testing.T) {
 	tm := tiny.New(tiny.Options{})
-	v := stm.NewVar(0)
+	v := stm.NewT(0)
 	owner := tm.Register("owner")
 	reader := tm.Register("reader")
 
@@ -132,7 +136,7 @@ func TestReadOfHeldVarAbortsTheReader(t *testing.T) {
 	go func() {
 		first := true
 		done <- owner.Atomically(func(tx stm.Tx) error {
-			if err := tx.Write(v, 1); err != nil {
+			if err := stm.WriteT(tx, v, 1); err != nil {
 				return err
 			}
 			if first {
@@ -149,7 +153,7 @@ func TestReadOfHeldVarAbortsTheReader(t *testing.T) {
 	ownerDoomed := false
 	var seen int
 	err := reader.Atomically(func(tx stm.Tx) error {
-		n, err := tx.Read(v)
+		n, err := stm.ReadT(tx, v)
 		if first {
 			first = false
 			firstErr = err
@@ -159,7 +163,7 @@ func TestReadOfHeldVarAbortsTheReader(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		seen = n.(int)
+		seen = n
 		return nil
 	})
 	if err != nil {
@@ -183,14 +187,14 @@ func TestUndoOrder(t *testing.T) {
 	// Multiple writes to distinct vars must all roll back.
 	tm := tiny.New(tiny.Options{})
 	th := tm.Register("t0")
-	vars := make([]*stm.Var, 8)
+	vars := make([]*stm.TVar[int], 8)
 	for i := range vars {
-		vars[i] = stm.NewVar(i)
+		vars[i] = stm.NewT(i)
 	}
 	errBoom := errors.New("boom")
 	err := th.Atomically(func(tx stm.Tx) error {
 		for i, v := range vars {
-			if err := tx.Write(v, i*100); err != nil {
+			if err := stm.WriteT(tx, v, i*100); err != nil {
 				return err
 			}
 		}
@@ -200,10 +204,10 @@ func TestUndoOrder(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	for i, v := range vars {
-		if got := v.LoadValue().(int); got != i {
+		if got := inPlace(v); got != i {
 			t.Errorf("vars[%d] = %d after rollback, want %d", i, got, i)
 		}
-		if stm.IsLocked(v.Meta()) {
+		if stm.IsLocked(v.Word().Meta()) {
 			t.Errorf("vars[%d] lock leaked", i)
 		}
 	}

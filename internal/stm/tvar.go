@@ -4,43 +4,34 @@ import (
 	"unsafe"
 )
 
-// TVar is a typed transactional variable: the same orec-backed memory word
-// as Var, but with the value stored as an unboxed *T. The typed accessors
-// ReadT and WriteT move values through the engines as a single pointer word,
-// so an uncontended typed read performs zero heap allocations — the untyped
-// Var API pays an interface-boxing allocation per written value and a type
-// assertion per read, which is measurable tax on exactly the hot path the
-// Shrink scheduler is protecting.
+// TVar is a transactional variable: an orec-backed engine word (Var) whose
+// value is stored as an unboxed *T. ReadT, WriteT and ReadTRO move values
+// through the engines as a single pointer word, so an uncontended read
+// performs zero heap allocations and no type assertion.
 //
-// A TVar participates in every substrate mechanism through its embedded
-// word: schedulers and predictors see it as a *Var (via Word), so conflict
-// prediction, visible-write queries and Bloom-filter hashing are unchanged.
+// A TVar takes part in every substrate mechanism through its embedded word:
+// schedulers and predictors see it as a *Var (via Word), and conflict
+// prediction, visible-write queries and Bloom-filter hashing work on that.
 type TVar[T any] struct {
 	word Var
 }
 
-// NewT returns a typed Var holding initial at version 0.
+// NewT returns a TVar holding initial at version 0.
 func NewT[T any](initial T) *TVar[T] {
 	return &TVar[T]{word: Var{val: unsafe.Pointer(&initial)}}
 }
 
-// NewTRef returns a typed Var whose initial value is the cell *p, without
-// spilling a copy. The caller cedes ownership: *p must never be mutated
-// after the call (the cell is the variable's live value until overwritten).
-func NewTRef[T any](p *T) *TVar[T] {
-	return &TVar[T]{word: Var{val: unsafe.Pointer(p)}}
-}
-
-// InitRef is NewTRef in place: it makes the zero TVar v, typically a field
-// embedded by value in a node, hold the cell *p at version 0, so a structure
-// can lay a node's variables out in one allocation. It must run before v is
-// shared and at most once; the ownership rule is NewTRef's.
+// InitRef makes the zero TVar v, typically a field embedded by value in a
+// node, hold the cell *p at version 0 without spilling a copy, so a
+// structure can lay a node's variables out in one allocation. It must run
+// before v is shared and at most once. The caller cedes ownership: *p must
+// never be mutated after the call (the cell is the variable's live value
+// until overwritten).
 func (v *TVar[T]) InitRef(p *T) { v.word.val = unsafe.Pointer(p) }
 
 // Word returns the underlying engine word, for scheduler hooks, predictors
-// and lock queries. Reading or writing the word through the untyped
-// Tx.Read/Tx.Write shims is illegal (the pointee is a *T, not an *any);
-// value access must go through ReadT/WriteT.
+// and lock queries. Its value is reached only through ReadT, WriteT and
+// ReadTRO.
 func (v *TVar[T]) Word() *Var { return &v.word }
 
 // ID returns the variable's identity, its engine word's address (Var.ID).
@@ -63,9 +54,8 @@ func ReadT[T any](tx Tx, v *TVar[T]) (T, error) {
 }
 
 // WriteT sets the value of v in the transaction. The value is spilled to one
-// heap cell (the engines retain the pointer in their write logs past the
-// call), which matches the single allocation the boxed API paid — writes
-// gain lock-path savings only, reads are where boxing is eliminated.
+// heap cell, because the engines retain the pointer in their write logs
+// past the call.
 func WriteT[T any](tx Tx, v *TVar[T], val T) error {
 	return tx.WritePtr(&v.word, unsafe.Pointer(&val))
 }

@@ -8,15 +8,12 @@
 // is currently write-locked by another thread, which is the primitive the
 // Shrink scheduler's conflict prediction relies on.
 //
-// Value access comes in two layers. The primary layer is the generic
-// TVar[T] with ReadT/WriteT: values move through the engines as a single
-// unboxed pointer word, so the read hot path performs no interface boxing
-// and no type assertions (an uncontended typed read is allocation-free).
-// The untyped Var with Tx.Read/Tx.Write remains as a thin compatibility
-// shim over the same engine protocol — scheduler and predictor code is
-// written against *Var and keeps working unchanged, because a TVar presents
-// its embedded word to those hooks.
-// New code should build on TVar[T].
+// Values are reached one way: through the generic TVar[T], with ReadT and
+// WriteT inside an update transaction (Thread.Atomically) and ReadTRO inside
+// a read-only one (Thread.AtomicallyRO). A value moves through the engines
+// as a single unboxed pointer word, so a read performs no interface boxing
+// and no type assertion (an uncontended read is allocation-free). Scheduler
+// and predictor hooks see a TVar's embedded engine word, the *Var.
 package stm
 
 import (
@@ -32,26 +29,12 @@ import (
 // one; the STM protocol's version validation then decides whether the read
 // is consistent.
 //
-// The pointee type of the value word is fixed at creation and opaque to the
-// engines, which move the pointer through their logs without inspecting it:
-//
-//   - a Var created by NewVar stores *any and is accessed through the
-//     untyped Tx.Read/Tx.Write shims;
-//   - a Var embedded in a TVar[T] (see tvar.go) stores *T and is accessed
-//     through ReadT/WriteT, which never box the value.
-//
-// Mixing the two access styles on one Var is illegal; the constructors are
-// the only places the pointee type is chosen.
+// A Var lives only inside a TVar[T] (see tvar.go), which fixes the pointee
+// type at *T; the engines move the pointer through their logs without
+// inspecting it.
 type Var struct {
 	meta atomic.Uint64
 	val  unsafe.Pointer
-}
-
-// NewVar returns an untyped Var holding the given initial value at version
-// 0. The value is stored behind an *any cell; hot paths should prefer the
-// typed TVar layer, which avoids the per-operation boxing this API pays.
-func NewVar(initial any) *Var {
-	return &Var{val: unsafe.Pointer(&initial)}
 }
 
 // ID returns the identity Bloom-filter based predictors hash: the Var's
@@ -163,20 +146,6 @@ func (v *Var) SnapshotPtr() (p unsafe.Pointer, meta uint64) {
 			return p, m1
 		}
 	}
-}
-
-// LoadValue returns the value of an untyped (NewVar-created) Var without any
-// consistency checks.
-func (v *Var) LoadValue() any { return *(*any)(v.LoadPtr()) }
-
-// StoreValue replaces the value of an untyped Var. Engines must hold the
-// writer lock (or be initializing the Var) when calling it.
-func (v *Var) StoreValue(val any) { v.StorePtr(unsafe.Pointer(&val)) }
-
-// Snapshot is SnapshotPtr for untyped Vars, returning the boxed value.
-func (v *Var) Snapshot() (val any, meta uint64) {
-	p, m := v.SnapshotPtr()
-	return *(*any)(p), m
 }
 
 // Clock is a global version clock shared by all transactions of one TM

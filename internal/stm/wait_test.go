@@ -56,7 +56,7 @@ func TestSpinWhileLockedReleaseMidSpin(t *testing.T) {
 	// The static lock/unlock cases live in stm_test.go; this covers the
 	// dynamic one: a waiter spinning while another thread releases.
 	const owner, other = 1, 2
-	v := NewVar(any(1))
+	v := NewT(1).Word()
 	if !v.TryLock(v.Meta(), owner) {
 		t.Fatal("TryLock failed on unlocked var")
 	}

@@ -14,9 +14,9 @@ func TestWriteIndexLookup(t *testing.T) {
 	var w stm.WriteIndex
 	vars := make([]*stm.Var, n)
 	for i := range vars {
-		vars[i] = stm.NewVar(i)
+		vars[i] = stm.NewT(i).Word()
 	}
-	absent := stm.NewVar(-1)
+	absent := stm.NewT(-1).Word()
 	for i, v := range vars {
 		if _, ok := w.Lookup(v); ok {
 			t.Fatalf("var %d found before Add", i)
@@ -56,7 +56,7 @@ func TestWriteIndexReset(t *testing.T) {
 	var w stm.WriteIndex
 	old := make([]*stm.Var, 20)
 	for i := range old {
-		old[i] = stm.NewVar(i)
+		old[i] = stm.NewT(i).Word()
 		w.Add(old[i])
 	}
 	w.Reset()
@@ -69,7 +69,7 @@ func TestWriteIndexReset(t *testing.T) {
 		}
 	}
 	// A fresh small write set must work in the (reverted) linear regime.
-	v := stm.NewVar(99)
+	v := stm.NewT(99).Word()
 	w.Add(v)
 	if got, ok := w.Lookup(v); !ok || got != 0 {
 		t.Fatalf("Lookup after Reset = %d,%v, want 0,true", got, ok)
@@ -87,7 +87,7 @@ func TestWriteSetIterationZeroAllocs(t *testing.T) {
 	skipIfRace(t)
 	var w stm.WriteIndex
 	for i := 0; i < 32; i++ {
-		w.Add(stm.NewVar(i))
+		w.Add(stm.NewT(i).Word())
 	}
 	var sink *stm.Var
 	iterate := func() {
@@ -106,7 +106,7 @@ func TestWriteSetIterationZeroAllocs(t *testing.T) {
 
 // TestMakeWriteSet covers the hand-built views used by scheduler tests.
 func TestMakeWriteSet(t *testing.T) {
-	a, b := stm.NewVar(1), stm.NewVar(2)
+	a, b := stm.NewT(1).Word(), stm.NewT(2).Word()
 	ws := stm.MakeWriteSet(a, b)
 	if ws.Len() != 2 || ws.At(0) != a || ws.At(1) != b {
 		t.Fatalf("MakeWriteSet view mismatch: len=%d", ws.Len())

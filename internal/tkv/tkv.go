@@ -95,7 +95,6 @@ import (
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/keylock"
-	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stmds"
 	"github.com/shrink-tm/shrink/internal/tkvlog"
@@ -121,13 +120,12 @@ type Config struct {
 	// they remove waits on keys that share a stripe by hash, not waits on
 	// one hot key.
 	LockStripes int
-	// Engine, Scheduler, Wait and Shrink select the per-shard TM stack
-	// (see enginecfg); the zero values are SwissTM, no scheduler,
-	// preemptive waiting.
+	// Engine, Scheduler and Wait select the per-shard TM stack (see
+	// enginecfg; a Shrink scheduler runs its default configuration); the
+	// zero values are SwissTM, no scheduler, preemptive waiting.
 	Engine    string
 	Scheduler string
 	Wait      stm.WaitPolicy
-	Shrink    *sched.ShrinkConfig
 	// Admission enables the admission layer: a per-shard controller that
 	// sheds writes and batches with ErrBackpressure once the shard is past
 	// its overload knee, and refuses nothing below it (see AdmitConfig). nil
@@ -363,7 +361,6 @@ func Open(cfg Config) (*Store, error) {
 			Engine:    cfg.Engine,
 			Scheduler: cfg.Scheduler,
 			Wait:      cfg.Wait,
-			Shrink:    cfg.Shrink,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("tkv: shard %d: %w", i, err)

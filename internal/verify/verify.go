@@ -31,35 +31,34 @@ func (t *token) String() string {
 	return fmt.Sprintf("w%d#%d", t.Writer, t.Seq)
 }
 
-// Chain drives read-modify-write transactions over one Var and certifies
+// Chain drives read-modify-write transactions over one TVar and certifies
 // the committed history afterwards.
 type Chain struct {
-	v *stm.Var
+	v *stm.TVar[*token]
 
 	mu        sync.Mutex
 	committed []*token
 }
 
-// NewChain returns a chain over a fresh Var (genesis value: nil token).
+// NewChain returns a chain over a fresh TVar (genesis value: nil token).
 func NewChain() *Chain {
-	return &Chain{v: stm.NewVar((*token)(nil))}
+	return &Chain{v: stm.NewT[*token](nil)}
 }
 
-// Var exposes the underlying Var (to compose into larger transactions).
-func (c *Chain) Var() *stm.Var { return c.v }
+// Var exposes the underlying TVar (to compose into larger transactions).
+func (c *Chain) Var() *stm.TVar[*token] { return c.v }
 
 // Update runs one read-modify-write on the chain using th and records the
 // committed token. seq must be unique per (writer, seq) pair.
 func (c *Chain) Update(th stm.Thread, writer, seq int) error {
 	tok := &token{Writer: writer, Seq: seq}
 	err := th.Atomically(func(tx stm.Tx) error {
-		raw, err := tx.Read(c.v)
+		prev, err := stm.ReadT(tx, c.v)
 		if err != nil {
 			return err
 		}
-		prev, _ := raw.(*token)
 		tok.Prev = prev
-		return tx.Write(c.v, tok)
+		return stm.WriteT(tx, c.v, tok)
 	})
 	if err != nil {
 		return err
@@ -73,13 +72,12 @@ func (c *Chain) Update(th stm.Thread, writer, seq int) error {
 // UpdateIn performs the chain step inside an existing transaction; the
 // caller must invoke Committed(tok) only if the transaction commits.
 func (c *Chain) UpdateIn(tx stm.Tx, writer, seq int) (*token, error) {
-	raw, err := tx.Read(c.v)
+	prev, err := stm.ReadT(tx, c.v)
 	if err != nil {
 		return nil, err
 	}
-	prev, _ := raw.(*token)
 	tok := &token{Writer: writer, Seq: seq, Prev: prev}
-	if err := tx.Write(c.v, tok); err != nil {
+	if err := stm.WriteT(tx, c.v, tok); err != nil {
 		return nil, err
 	}
 	return tok, nil
@@ -99,12 +97,24 @@ func (c *Chain) Len() int {
 	return len(c.committed)
 }
 
+// head returns the chain's current token, read by th in a read-only
+// transaction.
+func (c *Chain) head(th stm.Thread) (*token, error) {
+	var h *token
+	err := th.AtomicallyRO(func(tx *stm.ROTx) error {
+		var err error
+		h, err = stm.ReadTRO(tx, c.v)
+		return err
+	})
+	return h, err
+}
+
 // Check certifies the committed history: every committed token's Prev must
 // itself be a committed token (or genesis), no two tokens may share a Prev
 // (a fork means two transactions both "replaced" the same value — lost
-// update), and following Prev links from the current Var value must visit
-// every committed token exactly once.
-func (c *Chain) Check() error {
+// update), and following Prev links from the current value, which th reads,
+// must visit every committed token exactly once.
+func (c *Chain) Check(th stm.Thread) error {
 	c.mu.Lock()
 	committed := append([]*token(nil), c.committed...)
 	c.mu.Unlock()
@@ -127,8 +137,10 @@ func (c *Chain) Check() error {
 		seenPrev[t.Prev] = t
 	}
 	// Walk back from the head: must cover all committed tokens.
-	raw := c.v.LoadValue()
-	head, _ := raw.(*token)
+	head, err := c.head(th)
+	if err != nil {
+		return err
+	}
 	n := 0
 	for t := head; t != nil; t = t.Prev {
 		if !set[t] {
@@ -146,10 +158,13 @@ func (c *Chain) Check() error {
 }
 
 // Index assigns each committed token its position in the certified chain
-// (genesis = 0, first update = 1, ...). Call only after Check succeeds.
-func (c *Chain) Index() map[*token]int {
-	raw := c.v.LoadValue()
-	head, _ := raw.(*token)
+// (genesis = 0, first update = 1, ...), reading the head with th. Call only
+// after Check succeeds.
+func (c *Chain) Index(th stm.Thread) (map[*token]int, error) {
+	head, err := c.head(th)
+	if err != nil {
+		return nil, err
+	}
 	var order []*token
 	for t := head; t != nil; t = t.Prev {
 		order = append(order, t)
@@ -158,7 +173,7 @@ func (c *Chain) Index() map[*token]int {
 	for i, t := range order {
 		idx[t] = len(order) - i
 	}
-	return idx
+	return idx, nil
 }
 
 // SnapshotChecker certifies multi-var atomicity: readers record the pair of
@@ -186,17 +201,12 @@ func NewSnapshotChecker() *SnapshotChecker {
 func (s *SnapshotChecker) ReadPair(th stm.Thread) error {
 	var a, b *token
 	err := th.Atomically(func(tx stm.Tx) error {
-		ra, err := tx.Read(s.A.v)
-		if err != nil {
+		var err error
+		if a, err = stm.ReadT(tx, s.A.v); err != nil {
 			return err
 		}
-		rb, err := tx.Read(s.B.v)
-		if err != nil {
-			return err
-		}
-		a, _ = ra.(*token)
-		b, _ = rb.(*token)
-		return nil
+		b, err = stm.ReadT(tx, s.B.v)
+		return err
 	})
 	if err != nil {
 		return err
@@ -229,18 +239,25 @@ func (s *SnapshotChecker) UpdateBoth(th stm.Thread, writer, seq int) error {
 	return nil
 }
 
-// Check certifies both chains and then every recorded snapshot: because
-// updates advance both chains atomically and in lockstep, a coherent
-// snapshot must observe the same chain position on A and B.
-func (s *SnapshotChecker) Check() error {
-	if err := s.A.Check(); err != nil {
+// Check certifies both chains, reading their heads with th, and then every
+// recorded snapshot: because updates advance both chains atomically and in
+// lockstep, a coherent snapshot must observe the same chain position on A
+// and B.
+func (s *SnapshotChecker) Check(th stm.Thread) error {
+	if err := s.A.Check(th); err != nil {
 		return fmt.Errorf("chain A: %w", err)
 	}
-	if err := s.B.Check(); err != nil {
+	if err := s.B.Check(th); err != nil {
 		return fmt.Errorf("chain B: %w", err)
 	}
-	idxA := s.A.Index()
-	idxB := s.B.Index()
+	idxA, err := s.A.Index(th)
+	if err != nil {
+		return err
+	}
+	idxB, err := s.B.Index(th)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	pairs := append([]snapshotPair(nil), s.pairs...)
 	s.mu.Unlock()

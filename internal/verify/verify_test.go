@@ -62,7 +62,7 @@ func TestChainCertification(t *testing.T) {
 			if got := c.Len(); got != threads*updates {
 				t.Fatalf("committed %d updates, want %d", got, threads*updates)
 			}
-			if err := c.Check(); err != nil {
+			if err := c.Check(tm.Register("audit")); err != nil {
 				t.Fatalf("chain certification failed: %v", err)
 			}
 		})
@@ -110,7 +110,7 @@ func TestSnapshotCertification(t *testing.T) {
 			if s.Pairs() != readers*ops {
 				t.Fatalf("recorded %d snapshots, want %d", s.Pairs(), readers*ops)
 			}
-			if err := s.Check(); err != nil {
+			if err := s.Check(tm.Register("audit")); err != nil {
 				t.Fatalf("snapshot certification failed: %v", err)
 			}
 		})
@@ -146,7 +146,7 @@ func TestCheckerDetectsViolations(t *testing.T) {
 		// The second token replaced the first (correctly), but we lie
 		// to the checker by not registering it: the chain head now
 		// references an uncommitted token.
-		if err := c.Check(); err == nil {
+		if err := c.Check(th); err == nil {
 			t.Fatal("checker accepted a chain containing an uncommitted head")
 		}
 	})
@@ -162,11 +162,11 @@ func TestCheckerDetectsViolations(t *testing.T) {
 		// Reset the var to genesis behind the checker's back: committed
 		// tokens become unreachable.
 		if err := th.Atomically(func(tx stm.Tx) error {
-			return tx.Write(c.Var(), nil)
+			return stm.WriteT(tx, c.Var(), nil)
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Check(); err == nil {
+		if err := c.Check(th); err == nil {
 			t.Fatal("checker accepted orphaned committed tokens")
 		}
 	})
@@ -197,7 +197,7 @@ func TestChainUnderContention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if err := c.Check(); err != nil {
+	if err := c.Check(tm.Register("audit")); err != nil {
 		t.Fatal(err)
 	}
 	if rate := tm.Stats().CommitRate(); rate == 1 {
