@@ -2,11 +2,11 @@
 // the binary wire protocol (internal/tkvwire) on -tcpaddr, its one data
 // surface: persistent pipelined connections carrying single-key
 // get/put/delete/cas/add fast paths (the get/put serving path allocates
-// nothing), cross-shard atomic batches (including cas ops) admitted per key
-// through striped key locks, batched multi-key reads, consistent snapshots
+// nothing), cross-shard atomic batches (including cas ops) and multi-key
+// reads, each one STM transaction across its shards, consistent snapshots
 // and the per-shard engine counters (commits, aborts, scheduler
-// serializations, stripe waits, read-only fallbacks). Each shard runs its
-// own STM engine instance with its own scheduler, so this is the serving
+// serializations, stripe waits, read-only fallbacks). The store runs one STM
+// engine with one scheduler over all its shards, so this is the serving
 // scenario the paper's thesis is about: prediction-based scheduling keeping
 // throughput stable while many client connections hammer shared state.
 //

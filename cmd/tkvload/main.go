@@ -19,7 +19,7 @@
 // of all counter keys must equal the number of increments that reported
 // success — a batch refused for a cas mismatch must have written nothing.
 // Any lost update — in an engine, in the striped key-lock protocol, or in
-// the batch two-phase — fails the run, as does a committed-transaction count
+// the batch path — fails the run, as does a committed-transaction count
 // of zero. Blob values embed their key, so a read returning another key's
 // value is detected too. Increments are tallied across warm-up and
 // measurement alike: the invariant is about every write that happened. With
@@ -30,8 +30,8 @@
 // Batch key overlap (-overlap) controls how much concurrent batches
 // contend: 1 draws every batch key from the shared counter space (batches
 // collide constantly), 0 confines each worker's batches to a private
-// slice of it (batches are key-disjoint and, under the striped batch
-// planner, commit concurrently).
+// slice of it (batches are key-disjoint and commit concurrently, without
+// conflicts).
 //
 // -scenario failover (failover.go) quits a replicating primary mid-load,
 // promotes its follower and redirects the load; -scenario crash (crash.go)

@@ -23,21 +23,20 @@
 // transactional word.
 //
 // The serving subsystem internal/tkv layers a sharded transactional
-// key-value store over the substrate: N shards, each with its own engine
-// instance, scheduler (per-shard Shrink by default) and wait policy,
-// single-key fast paths, batched multi-key reads (MGet), cross-shard
-// atomic batches, and serializable (per-shard-atomic) snapshots. Batch
-// admission is key-granular: each shard carries a striped key-lock table
-// (internal/keylock), a batch determines its key set up front and holds
-// exactly those stripes — exclusively, in one global (shard, stripe)
-// order — across a plan phase (read-only transactions, writes into an
-// overlay) and an apply phase (one update transaction per shard). Batches
-// over disjoint key sets commit concurrently even within a shard, per-key
-// exclusion makes cas safe inside batches (a failed compare aborts the
-// whole batch before any write), single-key traffic takes only its own
-// key's stripe in shared mode, and snapshots freeze each table's
-// exclusive-session gate in O(1) instead of walking stripes. Batch, MGet
-// and the follower's replay share one pooled planner, so a multi-key call
+// key-value store over the substrate: N shards under one engine instance,
+// one scheduler (Shrink by default) and one wait policy, single-key fast
+// paths, batched multi-key reads (MGet), cross-shard atomic batches, and
+// serializable (per-shard-atomic) snapshots. A batch or an MGet is one STM
+// transaction across its shards — the engine's one clock orders them all —
+// so an MGet is an atomic cut, a failed cas inside a batch aborts the whole
+// batch before any write, and an unlogged store's batches take no key locks
+// at all: their conflicts are the engine's to cure and the scheduler's to
+// prevent. Each shard carries a striped key-lock table (internal/keylock);
+// on a logged store writers hold their keys' stripes exclusively until
+// their records are in the log, single-key traffic takes its own key's
+// stripe in shared mode, and snapshots freeze each table's session gate,
+// which every batch enters, in O(1) instead of walking stripes. Batch, MGet
+// and the follower's replay share one pooled state, so a multi-key call
 // allocates only what it hands away (results, stored values). cmd/tkvd
 // serves it over the wire protocol below (HTTP carries only health, stats,
 // promote and quit) and cmd/tkvload is its scenario driver: it puts a real
@@ -139,15 +138,14 @@
 // so a write inside AtomicallyRO does not compile, and a caller that must
 // write runs the update path (there is no transparent promotion — without
 // a read log the preceding reads cannot be revalidated). The stmds structures expose RO
-// read variants, and tkv serves Get, MGet, batch plan phases and all
+// read variants, and tkv serves Get, MGet, get-only batches and all
 // snapshot reads through this mode. The single- and multi-key read path
 // (Get/MGet) is additionally adaptive: after a streak of RO restarts on a
 // shard (a write-heavy antagonist repeatedly committing past the
 // snapshot), the next read on that shard runs once on the logging update
 // path, whose read log and timestamp extension absorb concurrent commits
-// instead of restarting. (Batch plans and snapshots always stay RO: they
-// run under stripe exclusion or the freeze gate, which bounds what can
-// restart them.)
+// instead of restarting. (Snapshots always stay RO: they run under the
+// freeze gate, which bounds what can restart them.)
 package shrink
 
 // Version identifies the reproduction release.

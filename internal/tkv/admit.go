@@ -155,7 +155,7 @@ func (c *controller) tick() {
 	var maxProb float64
 	for i, s := range c.st.shards {
 		sc := &c.shards[i]
-		agg := s.tm.Stats()
+		agg := s.pool.stats()
 		shared, excl := s.locks.Waits()
 		waits := shared + excl
 
@@ -195,7 +195,7 @@ func (c *controller) tick() {
 
 // shedLowPriority decides whether to shed a low-priority request (a batch)
 // right now. Batches shed at twice the worst shard's write-shed
-// probability: they are the heaviest admissions (many stripes, two phases)
+// probability: they are the heaviest admissions (many keys, one long transaction)
 // and the cheapest to push back on — single-key traffic keeps flowing on
 // the same shards.
 func (c *controller) shedLowPriority() bool {

@@ -7,14 +7,14 @@ import (
 	"strconv"
 
 	"github.com/shrink-tm/shrink/internal/stm"
+	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
-// Batch operation kinds. cas is admitted because batch admission is
-// key-granular: the batch holds every key's stripe exclusively across both
-// the plan and the apply phase, so the value compared in the plan cannot
-// change before the apply, and a failed compare can abort the whole batch
-// before anything is written anywhere.
+// Batch operation kinds. cas is admitted because a batch is one STM
+// transaction: the compare and the write it guards commit together or not
+// at all, and a failed compare aborts the whole batch before anything is
+// written anywhere.
 const (
 	OpGet    = "get"
 	OpPut    = "put"
@@ -46,27 +46,18 @@ type Op struct {
 // counter value. For cas: Found reports presence; on a failed compare
 // CASMismatch is set, Value holds the actual current value, and the batch
 // as a whole returns ErrCASMismatch.
+//
+// The two flags follow the string, which keeps a result at 24 bytes: eight
+// of them fit the allocator's 192-byte size class.
 type OpResult struct {
-	Found       bool   `json:"found"`
 	Value       string `json:"value,omitempty"`
+	Found       bool   `json:"found"`
 	CASMismatch bool   `json:"casMismatch,omitempty"`
 }
 
-// plannedWrite is the phase-one decision for one mutating op: the key and
-// the value cell to store, nil for a delete. The cell is the one allocation
-// a planned put makes — the overlay reads through it while the batch plans
-// and phase two hands the same cell to the shard's map (kv.PutRef), where
-// it becomes the committed value.
-type plannedWrite struct {
-	key uint64
-	val *string
-}
-
-// opStore is the key-space view a batch op executes against. The
-// single-shard fast path binds it to direct STM operations; the cross-shard
-// planner binds it to an overlay that records writes for a later apply
-// phase. Keeping one executor (execOp) over this interface guarantees both
-// paths produce identical OpResult semantics.
+// opStore is the key-space view a batch op executes against: the running
+// transaction, on the map of the shard that owns the op's key (see
+// batchState.direct).
 type opStore struct {
 	read func(key uint64) (string, bool, error)
 	put  func(key uint64, val string) error
@@ -89,7 +80,7 @@ func execOp(op *Op, v *opStore) (OpResult, error) {
 	switch op.Kind {
 	case OpGet:
 		val, ok, err := v.read(op.Key)
-		return OpResult{Found: ok, Value: val}, err
+		return OpResult{Value: val, Found: ok}, err
 	case OpPut:
 		_, ok, err := v.read(op.Key)
 		if err != nil {
@@ -117,14 +108,14 @@ func execOp(op *Op, v *opStore) (OpResult, error) {
 			return OpResult{}, err
 		}
 		val := strconv.FormatInt(n+op.Delta, 10)
-		return OpResult{Found: ok, Value: val}, v.put(op.Key, val)
+		return OpResult{Value: val, Found: ok}, v.put(op.Key, val)
 	case OpCAS:
 		cur, ok, err := v.read(op.Key)
 		if err != nil {
 			return OpResult{}, err
 		}
 		if !ok || cur != op.Old {
-			return OpResult{Found: ok, Value: cur, CASMismatch: true},
+			return OpResult{Value: cur, Found: ok, CASMismatch: true},
 				fmt.Errorf("%w: key %d", ErrCASMismatch, op.Key)
 		}
 		return OpResult{Found: true}, v.put(op.Key, op.Value)
@@ -183,9 +174,9 @@ func (st *Store) unlock(plan lockPlan, exclusive bool) {
 	}
 }
 
-// shardGroup is one participating shard of a planned call: its op indices
-// are order[lo:hi], in input order, and once phase one has run its planned
-// writes are writes[wlo:whi].
+// shardGroup is one participating shard of a multi-key call: its op indices
+// are order[lo:hi], in input order, and on a logged store the writes the
+// running attempt made there are writes[wlo:whi].
 type shardGroup struct {
 	shard    int
 	lo, hi   int
@@ -193,27 +184,20 @@ type shardGroup struct {
 }
 
 // maxPooledKeys bounds the scratch a pooled batchState may keep: a state
-// that planned a larger call is dropped instead of pooled, so one outsized
-// batch cannot leave the pool holding its plan slices and a huge overlay
-// map for the small calls that follow.
+// that served a larger call is dropped instead of pooled, so one outsized
+// batch cannot leave the pool holding its slices for the small calls that
+// follow.
 const maxPooledKeys = 1024
 
-// overlayScanMax is the number of planned writes of one shard group up to
-// which the overlay is the group's window of writes itself, scanned
-// backwards (the stm.WriteIndex idiom: a handful of keys on a cache line or
-// two beats any hashing, and nothing has to be cleared between plan bodies).
-// A group that plans more is indexed by the overlay map.
-const overlayScanMax = 8
-
 // batchState is the pooled state of one multi-key call. Batch, MGet,
-// ReplApply and the whole-shard cuts all plan through it: group the keys by
-// shard, build and acquire the stripe set, run one transaction per shard
-// group. It is built the way opSlot is — the transaction bodies and the two
-// opStore views are created once per state and read their operands, the
-// store included, from its fields, so a call constructs no closure — and the
-// plan itself lives in flat slices that are reused from call to call, by
-// whichever store the state serves next. What a call still allocates is what
-// it hands away (see Batch and MGet).
+// ReplApply and the whole-shard cuts all go through it: group the keys by
+// shard, take what the call's kind needs of the shards' gates and stripes,
+// run one transaction. It is built the way opSlot is — the transaction
+// bodies and the opStore view are created once per state and read their
+// operands, the store included, from its fields, so a call constructs no
+// closure — and the grouping lives in flat slices that are reused from call
+// to call, by whichever store the state serves next. What a call still
+// allocates is what it hands away (see Batch and MGet).
 type batchState struct {
 	st *Store // the call's store; nil while pooled
 
@@ -224,95 +208,82 @@ type batchState struct {
 	keys    []uint64
 	results []OpResult
 
-	// The plan. order holds the op indices grouped by shard (a counting
+	// The grouping. order holds the op indices grouped by shard (a counting
 	// sort over count, which is indexed by shard — batch sizes it to the
 	// store's shard count — and afterwards maps a shard to its group),
-	// locks the stripe set of the grouped keys. writes is every group's
-	// planned writes back to back; the running group's window of it,
-	// writes[g.wlo:], is that group's overlay, and once the window outgrows
-	// overlayScanMax the overlay map indexes it (key to latest entry; see
-	// planWrite). commits collects the emitted records' durability handles.
+	// locks the stripe set of the grouped keys. writes is, on a logged
+	// store, the running attempt's writes group by group, which become the
+	// groups' records (and ReplApply's record, to apply); commits collects
+	// the emitted records' durability handles.
 	count   []int
 	order   []int
 	groups  []shardGroup
 	locks   lockPlan
-	writes  []plannedWrite
-	overlay map[uint64]int
+	writes  []tkvlog.Entry
 	commits []*tkvwal.Commit
 
-	// Operands of the running transaction body: the group and its shard
-	// (see enter), the attempt's transaction, and the index of the op a
-	// cas compare failed on.
-	g      *shardGroup
+	// Operands of the running transaction body: the shard of the running
+	// group, the attempt's transaction, and the index of the op a cas
+	// compare failed on.
 	s      *shard
 	tx     stm.Tx
-	roTx   *stm.ROTx
 	failed int
 
-	planned opStore // reads through the overlay, records writes
-	direct  opStore // straight onto tx
+	direct opStore // onto tx, in the map of b.s
 
-	planBody   func(tx *stm.ROTx) error
+	updateBody func(tx stm.Tx) error
 	applyBody  func(tx stm.Tx) error
-	directBody func(tx stm.Tx) error
 	readRO     func(tx *stm.ROTx) error
 	readUp     func(tx stm.Tx) error
 }
 
 // newBatchState builds an unbound state with every closure pre-built.
 func newBatchState() *batchState {
-	b := &batchState{overlay: make(map[uint64]int)}
-	b.planned = opStore{
-		// The overlay carries the writes of earlier ops of this batch, so
-		// a later op on the same key reads the latest of them.
-		read: func(key uint64) (string, bool, error) {
-			if i := b.latestWrite(key); i >= 0 {
-				if cell := b.writes[i].val; cell != nil {
-					return *cell, true, nil
-				}
-				return "", false, nil
-			}
-			return b.s.kv.GetRO(b.roTx, key)
-		},
-		put: func(key uint64, val string) error {
-			b.planWrite(key, &val) // val's heap cell is the write's one allocation
-			return nil
-		},
-		del: func(key uint64) error {
-			b.planWrite(key, nil)
-			return nil
-		},
-	}
+	b := &batchState{}
 	b.direct = opStore{
 		read: func(key uint64) (string, bool, error) { return b.s.kv.Get(b.tx, key) },
 		put: func(key uint64, val string) error {
-			_, err := b.s.kv.Put(b.tx, key, val)
-			return err
+			if _, err := b.s.kv.Put(b.tx, key, val); err != nil {
+				return err
+			}
+			b.record(tkvlog.Entry{Key: key, Val: val})
+			return nil
 		},
 		del: func(key uint64) error {
-			_, err := b.s.kv.Delete(b.tx, key)
-			return err
+			if _, err := b.s.kv.Delete(b.tx, key); err != nil {
+				return err
+			}
+			b.record(tkvlog.Entry{Key: key, Del: true})
+			return nil
 		},
 	}
-	// Phase one of the running group. An RO attempt can restart after it
-	// has planned writes: drop them, or the next attempt would read its
-	// predecessor's overlay (an add would count twice). Emptying the window
-	// drops the map with it: planWrite rebuilds the map from nothing when
-	// the window next outgrows the scan.
-	b.planBody = func(tx *stm.ROTx) error {
-		b.writes = b.writes[:b.g.wlo]
-		b.roTx = tx
-		return b.execOps(b.order[b.g.lo:b.g.hi], &b.planned)
+	// A mutating batch: every group's ops in one update transaction, group
+	// after group, each op on its own shard's map. A restarted attempt
+	// redoes the ops from the top, so it drops what the last one recorded.
+	b.updateBody = func(tx stm.Tx) error {
+		b.tx = tx
+		clear(b.writes)
+		b.writes = b.writes[:0]
+		for gi := range b.groups {
+			g := &b.groups[gi]
+			b.s = b.st.shards[g.shard]
+			g.wlo = len(b.writes)
+			if err := b.execOps(b.order[g.lo:g.hi], &b.direct); err != nil {
+				return err
+			}
+			g.whi = len(b.writes)
+		}
+		return nil
 	}
-	// Phase two of the running group. Redundant writes to one key apply in
-	// plan order, so the last one wins, matching the overlay.
+	// A replicated record onto its one shard: redundant writes to one key
+	// apply in record order, so the last one wins.
 	b.applyBody = func(tx stm.Tx) error {
-		for _, w := range b.writes[b.g.wlo:b.g.whi] {
+		for _, e := range b.writes {
 			var err error
-			if w.val == nil {
-				_, err = b.s.kv.Delete(tx, w.key)
+			if e.Del {
+				_, err = b.s.kv.Delete(tx, e.Key)
 			} else {
-				_, err = b.s.kv.PutRef(tx, w.key, w.val)
+				_, err = b.s.kv.Put(tx, e.Key, e.Val)
 			}
 			if err != nil {
 				return err
@@ -320,29 +291,29 @@ func newBatchState() *batchState {
 		}
 		return nil
 	}
-	// A single-shard batch as one update transaction (one group, so order
-	// is the identity).
-	b.directBody = func(tx stm.Tx) error {
-		b.tx = tx
-		return b.execOps(b.order, &b.direct)
-	}
 	b.readRO = func(tx *stm.ROTx) error {
-		for _, i := range b.order[b.g.lo:b.g.hi] {
-			val, ok, err := b.s.kv.GetRO(tx, b.keys[i])
-			if err != nil {
-				return err
+		for _, g := range b.groups {
+			kv := b.st.shards[g.shard].kv
+			for _, i := range b.order[g.lo:g.hi] {
+				val, ok, err := kv.GetRO(tx, b.keys[i])
+				if err != nil {
+					return err
+				}
+				b.results[i] = OpResult{Value: val, Found: ok}
 			}
-			b.results[i] = OpResult{Found: ok, Value: val}
 		}
 		return nil
 	}
 	b.readUp = func(tx stm.Tx) error {
-		for _, i := range b.order[b.g.lo:b.g.hi] {
-			val, ok, err := b.s.kv.Get(tx, b.keys[i])
-			if err != nil {
-				return err
+		for _, g := range b.groups {
+			kv := b.st.shards[g.shard].kv
+			for _, i := range b.order[g.lo:g.hi] {
+				val, ok, err := kv.Get(tx, b.keys[i])
+				if err != nil {
+					return err
+				}
+				b.results[i] = OpResult{Value: val, Found: ok}
 			}
-			b.results[i] = OpResult{Found: ok, Value: val}
 		}
 		return nil
 	}
@@ -363,7 +334,7 @@ func (st *Store) batch() *batchState {
 }
 
 // release unbinds the state and scrubs every reference the call left
-// behind — the caller's ops and results, the planned value cells, the
+// behind — the caller's ops and results, the recorded values, the
 // durability handles — so the pool never pins a store or a large value, and
 // returns the state to the pool.
 func (b *batchState) release() {
@@ -376,15 +347,8 @@ func (b *batchState) release() {
 	b.writes = b.writes[:0]
 	clear(b.commits)
 	b.commits = b.commits[:0]
-	b.st, b.g, b.s, b.tx, b.roTx = nil, nil, nil, nil, nil
+	b.st, b.s, b.tx = nil, nil, nil
 	batchPool.Put(b)
-}
-
-// plan groups the call's keys by shard and builds their stripe set; lock
-// acquires it.
-func (b *batchState) plan() {
-	b.group()
-	b.buildLocks()
 }
 
 // group sorts the op indices by owning shard into order, preserving input
@@ -444,8 +408,11 @@ func (b *batchState) buildLocks() {
 	}
 }
 
-// lock acquires the planned stripe set.
-func (b *batchState) lock(exclusive bool) { b.st.lock(b.locks, exclusive) }
+// lock plans the stripe set of the grouped keys and acquires it.
+func (b *batchState) lock(exclusive bool) {
+	b.buildLocks()
+	b.st.lock(b.locks, exclusive)
+}
 
 // lockShard plans every stripe of one shard and acquires them.
 func (b *batchState) lockShard(shard int, exclusive bool) {
@@ -453,53 +420,37 @@ func (b *batchState) lockShard(shard int, exclusive bool) {
 	for i, n := 0, b.st.shards[shard].locks.Stripes(); i < n; i++ {
 		b.locks = append(b.locks, stripeRef{shard: shard, stripe: i})
 	}
-	b.lock(exclusive)
+	b.st.lock(b.locks, exclusive)
 }
 
 // unlock releases what lock or lockShard acquired.
 func (b *batchState) unlock(exclusive bool) { b.st.unlock(b.locks, exclusive) }
 
-// enter makes group gi the operand of the next transaction body and
-// returns its shard.
-func (b *batchState) enter(gi int) *shard {
-	b.g = &b.groups[gi]
-	b.s = b.st.shards[b.g.shard]
-	return b.s
-}
-
-// planWrite records one planned write (nil cell: a delete) of the running
-// group. The write that makes the group's window outgrow overlayScanMax
-// builds the overlay map over the whole window, from empty — whatever an
-// earlier group, an earlier call or a restarted attempt of this plan body
-// left in it is stale; later writes add themselves.
-func (b *batchState) planWrite(key uint64, cell *string) {
-	b.writes = append(b.writes, plannedWrite{key: key, val: cell})
-	switch n := len(b.writes) - b.g.wlo; {
-	case n == overlayScanMax+1:
-		clear(b.overlay)
-		for i := b.g.wlo; i < len(b.writes); i++ {
-			b.overlay[b.writes[i].key] = i
-		}
-	case n > overlayScanMax+1:
-		b.overlay[key] = len(b.writes) - 1
+// enterGates enters every participating shard's session gate, ascending, and
+// exitGates leaves them: all an unlogged mutating batch holds, so that a
+// Freeze (a snapshot, SetReadOnly) finds it either finished or not begun.
+func (b *batchState) enterGates() {
+	for _, g := range b.groups {
+		b.st.shards[g.shard].locks.Enter()
 	}
 }
 
-// latestWrite returns the index in writes of the running group's latest
-// planned write to key, or -1 if it has planned none.
-func (b *batchState) latestWrite(key uint64) int {
-	if len(b.writes)-b.g.wlo > overlayScanMax {
-		if i, ok := b.overlay[key]; ok {
-			return i
-		}
-		return -1
+func (b *batchState) exitGates() {
+	for _, g := range b.groups {
+		b.st.shards[g.shard].locks.Exit()
 	}
-	for i := len(b.writes) - 1; i >= b.g.wlo; i-- {
-		if b.writes[i].key == key {
-			return i
-		}
+}
+
+// first is the shard of the first group: it lends the thread a multi-key
+// transaction runs on, whatever shards the transaction touches.
+func (b *batchState) first() *shard { return b.st.shards[b.groups[0].shard] }
+
+// record notes one write of the running group for its shard's log record;
+// on an unlogged store there is no record to make.
+func (b *batchState) record(e tkvlog.Entry) {
+	if b.st.logged() {
+		b.writes = append(b.writes, e)
 	}
-	return -1
 }
 
 // execOps runs the ops at idxs against a view, stopping at the first error
@@ -515,118 +466,85 @@ func (b *batchState) execOps(idxs []int, v *opStore) error {
 	return nil
 }
 
-// readGroups is the read-only path (MGet, a get-only Batch): shared
-// stripes, each shard group in one read-only snapshot transaction with the
-// adaptive update-path fallback under RO restart streaks.
-func (b *batchState) readGroups() error {
-	b.lock(false)
-	defer b.unlock(false)
-	for gi := range b.groups {
-		s := b.enter(gi)
-		var err error
-		if s.takeFallback() {
-			err = s.atomically(b.readUp)
-		} else {
-			err = s.roTracked(b.readRO)
-		}
-		if err != nil {
-			return err
-		}
+// read is the read-only path (MGet, a get-only Batch): one read-only
+// snapshot transaction over every group, with the first group's shard's
+// adaptive update-path fallback under RO restart streaks. The engine makes
+// the read an atomic cut across the shards, so an unlogged store holds
+// nothing around it; a logged one holds the keys' stripes shared, so that,
+// like Get, it never reads a write whose record is not yet in the log.
+func (b *batchState) read() error {
+	if b.st.logged() {
+		b.lock(false)
+		defer b.unlock(false)
 	}
-	return nil
+	s := b.first()
+	if s.takeFallback() {
+		return s.atomically(b.readUp)
+	}
+	return s.roTracked(b.readRO)
 }
 
-// runDirect is the single-shard path of an unlogged store: the batch is
-// atomic by the STM alone — one transaction, read-own-writes courtesy of the
-// engine's write log — so shared stripes suffice and the plan/apply split
-// is unnecessary.
-func (b *batchState) runDirect() error {
-	b.lock(false)
-	defer b.unlock(false)
-	if b.st.ro.Load() {
-		return ErrNotPrimary // fenced while waiting for the stripes; see SetReadOnly
-	}
-	return b.enter(0).atomically(b.directBody)
-}
-
-// runTwoPhase is the cross-shard (or logged) path: phase one plans under
-// the batch's exclusive stripes, phase two applies and emits one log record
-// per shard into commits. The deferred unlock fires before Batch waits on
-// those handles: the batch parks on its records' group fsyncs with no
-// stripe held, exactly like the single-key write path (Store.write).
-func (b *batchState) runTwoPhase() error {
+// update is the mutating path: every op in one update transaction on the
+// first group's shard's thread. On an unlogged store the engine alone makes
+// it atomic and orders it against everything else, so it takes no stripes:
+// it holds its shards' session gates, which is what makes a snapshot or
+// SetReadOnly's fence wait it out. On a logged store it holds its keys'
+// stripes exclusively (and the gates with them) from before the
+// transaction until its records, one per shard, are in the log, so that log
+// order is commit order per key (see repl.go, "Ordering"). The deferred
+// release fires before Batch waits on the records' durability handles: the
+// batch parks on its group fsyncs with nothing held, exactly like the
+// single-key write path (Store.write).
+func (b *batchState) update() error {
 	st := b.st
-	b.lock(true)
-	defer b.unlock(true)
+	logged := st.logged()
+	if logged {
+		b.lock(true)
+		defer b.unlock(true)
+	} else {
+		b.enterGates()
+		defer b.exitGates()
+	}
 	if st.ro.Load() {
-		return ErrNotPrimary // fenced while waiting for the stripes; see SetReadOnly
+		return ErrNotPrimary // fenced while waiting for the gates; see SetReadOnly
 	}
-
-	// Phase one: one read-only snapshot transaction per shard. It performs
-	// no STM writes (mutations land in the overlay), and the RO mode
-	// revalidates for free against the single-key traffic that striping
-	// lets through on the batch's shards.
-	for gi := range b.groups {
-		s := b.enter(gi)
-		b.g.wlo = len(b.writes)
-		if err := s.atomicallyRO(b.planBody); err != nil {
-			return err
-		}
-		b.g.whi = len(b.writes)
+	if err := b.first().atomically(b.updateBody); err != nil {
+		return err
 	}
-
-	// Phase two: apply. The exclusive stripes keep the plan fresh (no one
-	// else can have written these keys since phase one); conflicts with
-	// unrelated traffic on shared bucket chains are resolved by the STM's
-	// ordinary retry.
-	for gi := range b.groups {
-		s := b.enter(gi)
-		if b.g.wlo == b.g.whi {
-			continue
-		}
-		if err := s.atomically(b.applyBody); err != nil {
-			// Phase-two bodies only write planned keys and cannot fail
-			// with user errors; an engine error here is fatal to the
-			// batch's atomicity and surfaced loudly.
-			return fmt.Errorf("batch apply on shard %d: %w", b.g.shard, err)
-		}
-		if st.logged() {
-			// Still under the batch's exclusive stripes, so the record's
-			// log position matches its commit position for every key it
-			// writes.
-			b.commits = append(b.commits, st.emitPlan(b.g.shard, b.writes[b.g.wlo:b.g.whi]))
+	if logged {
+		// Still under the stripes: each record's log position matches its
+		// commit position for every key it writes. The record owns its
+		// entries (the window and its readers alias them).
+		for _, g := range b.groups {
+			if g.whi > g.wlo {
+				b.commits = append(b.commits, st.logCommit(g.shard, 0, slices.Clone(b.writes[g.wlo:g.whi])))
+			}
 		}
 	}
 	return nil
 }
 
-// Batch executes ops atomically across shards. Admission is per key: the
-// batch determines its key set up front and acquires exactly those keys'
-// stripes, so batches over disjoint key sets — even of the same shard —
-// run concurrently, and single-key traffic is only ever paused on the
-// stripes a batch actually holds.
+// Batch executes ops atomically across shards: one STM transaction, whatever
+// shards the keys fall in. The store runs one engine, whose clock orders
+// every shard's transactions, so a batch needs no protocol of its own to be
+// atomic; ops see the writes of earlier ops of the batch through the
+// transaction's own write log.
 //
-// A batch that only reads (every op a get) holds its stripes in shared mode
-// and reads each shard's group in one read-only snapshot transaction, as
-// MGet does: it writes nothing, so it needs no exclusion of its own. A
-// mutating batch confined to one shard runs as a single STM transaction
-// under shared stripes (the engine makes it atomic; the stripes only
-// exclude multi-phase batches from its keys) — unless a log is attached
-// (replication ring or WAL), whose record must be emitted under exclusive
-// stripes to keep log order equal to commit order (see repl.go). Every
-// other batch two-phases: phase one holds the exclusive stripes and
-// reads/plans all operations in one read-only snapshot transaction per
-// shard (writes go to an overlay so later ops read earlier ops' effects);
-// phase two applies the planned writes, one update transaction per shard.
-// Because the exclusive stripes are held across both phases, the plan
-// cannot go stale between them, a validation error (a cas mismatch, an add
-// over a non-numeric value) aborts before anything is written, and no
-// concurrent access observes a partially applied batch.
+// A batch that only reads (every op a get) is a multi-key read and runs as
+// MGet does. A mutating batch on an unlogged store takes no stripes at all —
+// single-key traffic and other batches over its keys are ordered against it
+// by the engine, conflicts cured by its retry or prevented by the scheduler
+// — and holds only its shards' session gates, so a snapshot or a fence never
+// sees it half done. With a log attached (replication ring or WAL) it holds
+// its keys' stripes exclusively until its records are emitted, one per
+// shard, to keep log order equal to commit order. A validation error (a cas
+// mismatch, an add over a non-numeric value) aborts the transaction, and
+// nothing of the batch is written.
 //
-// The plan lives in a pooled batchState, so a call allocates only what it
-// hands away: the result slice, one value cell per planned write (the cell
-// becomes the stored value), the decimal string of each add, and with a
-// log attached the records it emits.
+// The grouping lives in a pooled batchState, so a call allocates only what
+// it hands away: the result slice, one value cell per write (the cell
+// becomes the stored value), the decimal string of each add, and with a log
+// attached the records it emits.
 func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 	st.ops.batches.Add(1)
 	st.ops.batchOps.Add(uint64(len(ops)))
@@ -645,7 +563,7 @@ func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 		return nil, ErrNotPrimary
 	}
 	// Low-priority shed: past the overload knee, batches are pushed back
-	// before any planning or locking — they are the heaviest admissions
+	// before any grouping or locking — they are the heaviest admissions
 	// and the cheapest to retry (see controller.shedLowPriority).
 	if st.ctrl != nil && st.ctrl.shedLowPriority() {
 		return nil, ErrBackpressure
@@ -660,24 +578,20 @@ func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 		b.keys = append(b.keys, ops[i].Key)
 	}
 	b.ops = ops
-	b.plan()
+	b.group()
 	results := make([]OpResult, len(ops))
 	b.results = results
 
 	var err error
-	switch {
-	case !mutates:
-		err = b.readGroups()
-	case len(b.groups) == 1 && !st.logged():
-		err = b.runDirect()
-	default:
-		err = b.runTwoPhase()
+	if mutates {
+		err = b.update()
+	} else {
+		err = b.read()
 	}
 	if errors.Is(err, ErrCASMismatch) {
-		// Nothing was written (the direct path's transaction rolled back,
-		// the two-phase path never reached phase two). Only the failing
-		// op's result is kept: reporting, say, an add's would-have-been
-		// counter value would only invite misreading.
+		// Nothing was written: the transaction rolled back. Only the
+		// failing op's result is kept: reporting, say, an add's
+		// would-have-been counter value would only invite misreading.
 		st.ops.batchCASMisses.Add(1)
 		miss := results[b.failed]
 		clear(results)

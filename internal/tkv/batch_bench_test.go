@@ -25,10 +25,9 @@ func batchWorkerOps(st *Store, w, batchSize int) []Op {
 
 // BenchmarkBatchDisjoint measures cross-shard batch throughput when the
 // batches are key-disjoint: every worker repeatedly commits a batch of adds
-// over its own private key set. Under whole-shard batch locking these
-// batches serialize (each one locks every participating shard exclusively);
-// under per-key striped locking they hold disjoint stripes and commit
-// concurrently, so throughput should scale with workers.
+// over its own private key set. Each batch is one transaction whose write
+// set no other batch touches, so they commit concurrently and throughput
+// should scale with workers.
 func BenchmarkBatchDisjoint(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -94,8 +93,8 @@ func BenchmarkBatchOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkMGet8 measures one 8-key cross-shard multi-key read, the read
-// half of the batch planner; its one allocation per op is the result slice.
+// BenchmarkMGet8 measures one 8-key cross-shard multi-key read, one
+// read-only transaction; its one allocation per op is the result slice.
 func BenchmarkMGet8(b *testing.B) {
 	st, err := Open(Config{Shards: 4, PoolSize: 16, Buckets: 512})
 	if err != nil {

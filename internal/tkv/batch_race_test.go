@@ -39,78 +39,80 @@ func twoStripeKeys(t *testing.T, st *Store) (a, b, c, d uint64) {
 	return a, b, c, d
 }
 
-// TestConcurrentDisjointBatches pins the tentpole claim deterministically:
-// with one stripe of a shard held exclusively (as a cross-shard batch in
-// flight over key a would hold it), a cross-shard batch over the same
-// shard's other stripes commits concurrently, while a batch over the held
-// stripe blocks until release. Under whole-shard batch locks the first
-// batch would block too.
+// TestConcurrentDisjointBatches pins what a held stripe does to batches.
+// On a logged store, with one stripe of a shard held exclusively (as a
+// logged write in flight over key a would hold it), a cross-shard batch
+// over the same shard's other stripes commits concurrently, while a batch
+// over the held stripe blocks until release. On an unlogged store a batch
+// takes no stripes, so neither blocks: the engine alone orders them.
 func TestConcurrentDisjointBatches(t *testing.T) {
-	st := openTest(t, Config{Shards: 4, PoolSize: 4})
-	a, b, c, d := twoStripeKeys(t, st)
-	shA := st.shards[st.ShardOf(a)]
-	stripeA := shA.locks.StripeOf(a)
+	for _, ring := range []int{8, 0} {
+		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) {
+			st := openTest(t, Config{Shards: 4, PoolSize: 4, ReplRing: ring})
+			a, b, c, d := twoStripeKeys(t, st)
+			shA := st.shards[st.ShardOf(a)]
+			stripeA := shA.locks.StripeOf(a)
 
-	// Stand in for an in-flight batch over key a.
-	shA.locks.Lock(stripeA)
+			// Stand in for an in-flight write over key a.
+			shA.locks.Lock(stripeA)
 
-	disjoint := make(chan error, 1)
-	go func() {
-		_, err := st.Batch([]Op{
-			{Kind: OpAdd, Key: b, Delta: 1},
-			{Kind: OpAdd, Key: c, Delta: 1},
+			disjoint := make(chan error, 1)
+			go func() {
+				_, err := st.Batch([]Op{
+					{Kind: OpAdd, Key: b, Delta: 1},
+					{Kind: OpAdd, Key: c, Delta: 1},
+				})
+				disjoint <- err
+			}()
+			if err := within(t, "batch over disjoint stripes of the held stripe's shard", disjoint); err != nil {
+				t.Fatal(err)
+			}
+
+			overlapping := make(chan error, 1)
+			go func() {
+				_, err := st.Batch([]Op{
+					{Kind: OpAdd, Key: a, Delta: 1},
+					{Kind: OpAdd, Key: d, Delta: 1},
+				})
+				overlapping <- err
+			}()
+			if ring == 0 {
+				if err := within(t, "unlogged batch over the held stripe", overlapping); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				select {
+				case err := <-overlapping:
+					t.Fatalf("logged batch over the held stripe did not block (err=%v)", err)
+				case <-time.After(50 * time.Millisecond):
+				}
+			}
+			shA.locks.Unlock(stripeA)
+			if ring != 0 {
+				if err := within(t, "blocked batch after the stripe was released", overlapping); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Both batches landed exactly once each.
+			for _, k := range []uint64{a, b, c, d} {
+				if v, _, _ := st.Get(k); v != "1" {
+					t.Fatalf("key %d = %q, want \"1\"", k, v)
+				}
+			}
 		})
-		disjoint <- err
-	}()
-	select {
-	case err := <-disjoint:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("batch over disjoint stripes of the same shard blocked behind the held stripe")
-	}
-
-	overlapping := make(chan error, 1)
-	go func() {
-		_, err := st.Batch([]Op{
-			{Kind: OpAdd, Key: a, Delta: 1},
-			{Kind: OpAdd, Key: d, Delta: 1},
-		})
-		overlapping <- err
-	}()
-	select {
-	case err := <-overlapping:
-		t.Fatalf("batch over the held stripe did not block (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	shA.locks.Unlock(stripeA)
-	select {
-	case err := <-overlapping:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("blocked batch never resumed after the stripe was released")
-	}
-
-	// Both batches landed exactly once each.
-	for _, k := range []uint64{a, b, c, d} {
-		if v, _, _ := st.Get(k); v != "1" {
-			t.Fatalf("key %d = %q, want \"1\"", k, v)
-		}
 	}
 }
 
-// TestOverlappingBatchesNoLostUpdates is the -race stress for the striped
-// batch pipeline: workers hammer a small counter space through overlapping
+// TestOverlappingBatchesNoLostUpdates is the -race stress for the batch
+// path: workers hammer a small counter space through overlapping
 // cross-shard batches of adds and batch-cas increments (retrying on
 // ErrCASMismatch), concurrent single-key adds, and a pair of keys written
 // atomically by put-put batches and observed by MGet readers. It asserts
 // (a) the final counter sum equals the number of acknowledged increments
 // (no lost updates, no torn per-batch atomicity) and (b) no MGet ever
-// observes the put-put pair split (the per-key shared/exclusive stripe
-// protocol at work).
+// observes the put-put pair split (one transaction per batch and per
+// MGet at work).
 func TestOverlappingBatchesNoLostUpdates(t *testing.T) {
 	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		t.Run(engine, func(t *testing.T) {

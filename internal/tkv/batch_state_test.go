@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/stm"
 )
 
@@ -26,12 +27,13 @@ func shardKeys(st *Store, sh, n int, from uint64) []uint64 {
 }
 
 // TestGetOnlyBatchSharesStripes pins the get-only fix: a batch with no
-// mutating op holds its stripes in shared mode, so a second get-only batch
-// over the same keys completes while the first is parked inside its
-// transaction body, and neither ever asks a stripe or a session gate for
-// exclusive access.
+// mutating op holds its stripes in shared mode (on a logged store, the one
+// kind where a read takes stripes at all), so a second get-only batch over
+// the same keys completes while the first is parked inside its transaction
+// body, and neither ever asks a stripe or a session gate for exclusive
+// access.
 func TestGetOnlyBatchSharesStripes(t *testing.T) {
-	st := openTest(t, Config{Shards: 4})
+	st := openTest(t, Config{Shards: 4, ReplRing: 8})
 	var ops []Op
 	for sh := 0; sh < 3; sh++ {
 		for _, k := range shardKeys(st, sh, 2, 0) {
@@ -119,9 +121,9 @@ func allocBatchOps(t *testing.T, st *Store) []Op {
 	return ops
 }
 
-// TestBatchAllocBudget is the batch planner's allocation gate: a call
+// TestBatchAllocBudget is the batch path's allocation gate: a call
 // allocates what it hands away — the result slice, one cell per written
-// value, the decimal string of an add — and nothing for its plan.
+// value, the decimal string of an add — and nothing for its grouping.
 func TestBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per access")
@@ -190,12 +192,13 @@ func TestMGetOneAlloc(t *testing.T) {
 
 // TestBatchStateReuse runs a large batch, an aborted batch and a small
 // batch through one pooled state and checks that nothing carries over: the
-// small batch reads stored values, not the aborted batch's overlay, a
-// snapshot shows nothing the aborted batch planned, and a released state
+// small batch reads stored values, not the aborted batch's writes, a
+// snapshot shows nothing the aborted batch wrote, and a released state
 // references neither its store nor any of the values that passed through it.
+// The store is logged, so that the state records every batch's writes too.
 func TestBatchStateReuse(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: the pool hands back the same state
-	st := openTest(t, Config{Shards: 4})
+	st := openTest(t, Config{Shards: 4, ReplRing: 256})
 	var states []*batchState
 	swapPool(t, &batchPool, func() any {
 		b := newBatchState()
@@ -244,7 +247,7 @@ func TestBatchStateReuse(t *testing.T) {
 	}
 
 	// Abort halfway through the second participating shard, with writes
-	// planned on both and the overlay populated.
+	// made and recorded on both.
 	s0, s1 := shardKeys(st, 0, 2, 0), shardKeys(st, 2, 4, 0)
 	for _, k := range append(s0, s1...) {
 		if _, err := st.Put(k, "stored"); err != nil {
@@ -270,7 +273,7 @@ func TestBatchStateReuse(t *testing.T) {
 	// The next batch through the state must plan against the store.
 	res, err = st.Batch([]Op{
 		{Kind: OpGet, Key: s1[0]},
-		{Kind: OpAdd, Key: 1001, Delta: 1}, // mutating, another shard: the overlay path
+		{Kind: OpAdd, Key: 1001, Delta: 1}, // mutating: the update transaction
 		{Kind: OpGet, Key: s1[1]},
 	})
 	if err != nil {
@@ -298,12 +301,12 @@ func TestBatchStateReuse(t *testing.T) {
 	}
 	for _, b := range states {
 		if b.st != nil || b.ops != nil || b.results != nil || len(b.keys) != 0 ||
-			b.g != nil || b.s != nil || b.tx != nil || b.roTx != nil {
+			b.s != nil || b.tx != nil {
 			t.Fatalf("released state still references its call: %+v", b)
 		}
-		for _, w := range b.writes[:cap(b.writes)] {
-			if w.val != nil {
-				t.Fatalf("released state pins a planned value (%d bytes)", len(*w.val))
+		for _, e := range b.writes[:cap(b.writes)] {
+			if e.Val != "" {
+				t.Fatalf("released state pins a recorded value (%d bytes)", len(e.Val))
 			}
 		}
 		for _, c := range b.commits[:cap(b.commits)] {
@@ -314,31 +317,24 @@ func TestBatchStateReuse(t *testing.T) {
 	}
 }
 
-// TestBatchPlanRestartAppliesOnce forces the plan phase's read-only
-// transaction to restart after it has already planned writes (the plan body
-// yields the processor mid-group while a writer inserts and deletes
-// neighbouring keys on the same bucket chains) and checks that a restarted
-// body starts clean: every counter receives each batch's deltas exactly once
-// and a group never plans more writes than it has ops. Every key is added to
-// twice, so the second add reads the first through the overlay: in the small
-// case through the scanned window, in the large one through the map, which a
-// restart has to drop with the window.
-func TestBatchPlanRestartAppliesOnce(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		perShard   int // distinct keys per shard group; each is added to twice
-		yieldAbove int // yield mid-group once the window holds more writes than this
-	}{
-		{"scan", 4, 0},
-		{"map", overlayScanMax + 4, overlayScanMax},
-	} {
-		t.Run(tc.name, func(t *testing.T) { testBatchPlanRestart(t, tc.perShard, tc.yieldAbove) })
+// TestBatchRestartAppliesOnce forces a mutating batch's one transaction to
+// restart after it has already run some of its ops (the body yields the
+// processor mid-batch while a writer inserts and deletes neighbouring keys
+// on the same bucket chains) and checks that a restarted attempt starts
+// clean: every counter receives each batch's deltas exactly once, and on a
+// logged store an attempt never records more writes than the batch has ops
+// and a batch's record holds exactly its shard's writes. Every key is added to
+// twice, so the second add reads the first through the transaction's own
+// write log.
+func TestBatchRestartAppliesOnce(t *testing.T) {
+	for _, ring := range []int{0, 1 << 12} {
+		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) { testBatchRestart(t, ring) })
 	}
 }
 
-func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
-	st := openTest(t, Config{Shards: 2, Buckets: 16, PoolSize: 4})
-	const delta = 3
+func testBatchRestart(t *testing.T, ring int) {
+	st := openTest(t, Config{Shards: 2, Buckets: 16, PoolSize: 4, ReplRing: ring})
+	const delta, perShard = 3, 4
 	var ops []Op
 	held := map[stripeRef]bool{}
 	for sh := 0; sh < 2; sh++ {
@@ -348,9 +344,10 @@ func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
 			held[stripeRef{sh, st.shards[sh].locks.StripeOf(k)}] = true
 		}
 	}
-	// The writer's keys: on the batch's shards, off its stripes, and below
-	// its keys, so that in the sorted bucket chains a lookup of a batch key
-	// walks over the links the writer changes.
+	// The writer's keys: on the batch's shards, off its stripes (a logged
+	// batch holds them), and below its keys, so that in the sorted bucket
+	// chains a lookup of a batch key walks over the links the writer
+	// changes.
 	var noise []uint64
 	for k := uint64(0); len(noise) < 256; k++ {
 		sh := st.ShardOf(k)
@@ -359,25 +356,24 @@ func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
 		}
 	}
 
-	// yields is each batch's budget of mid-group yields: unbounded, every
+	// yields is each batch's budget of mid-batch yields: unbounded, every
 	// attempt would yield, conflict and restart, and no batch would finish.
 	var attempts, dirty, overfull, yields atomic.Int64
 	swapPool(t, &batchPool, func() any {
 		b := newBatchState()
-		read, plan := b.planned.read, b.planBody
-		b.planned.read = func(key uint64) (string, bool, error) {
-			if len(b.writes)-b.g.wlo > yieldAbove && yields.Add(-1) >= 0 {
-				runtime.Gosched() // mid-group, snapshot taken: let the writer commit
+		read, body := b.direct.read, b.updateBody
+		b.direct.read = func(key uint64) (string, bool, error) {
+			if b.s == st.shards[1] && yields.Add(-1) >= 0 {
+				runtime.Gosched() // mid-batch, ops run: let the writer commit
 			}
 			return read(key)
 		}
-		b.planBody = func(tx *stm.ROTx) error {
-			attempts.Add(1)
-			if len(b.writes)-b.g.wlo > yieldAbove {
-				dirty.Add(1) // a restart with the last attempt's writes still planned
+		b.updateBody = func(tx stm.Tx) error {
+			if attempts.Add(1); b.results[0] != (OpResult{}) {
+				dirty.Add(1) // a restart: the last attempt ran ops
 			}
-			err := plan(tx)
-			if len(b.writes)-b.g.wlo > b.g.hi-b.g.lo {
+			err := body(tx)
+			if len(b.writes) > len(b.ops) {
 				overfull.Add(1)
 			}
 			return err
@@ -420,12 +416,12 @@ func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
 	}
 	close(stop)
 	wg.Wait()
-	t.Logf("%d batches, %d plan attempts, %d restarted with writes planned", batches, attempts.Load(), dirty.Load())
+	t.Logf("%d batches, %d attempts, %d restarted after running ops", batches, attempts.Load(), dirty.Load())
 	if dirty.Load() == 0 {
-		t.Fatal("no plan-phase restart with planned writes was provoked")
+		t.Fatal("no restart after the batch had run ops was provoked")
 	}
 	if n := overfull.Load(); n != 0 {
-		t.Fatalf("%d plan attempts left more writes than their group has ops", n)
+		t.Fatalf("%d attempts recorded more writes than the batch has ops", n)
 	}
 	want := strconv.Itoa(batches * 2 * delta)
 	for _, op := range ops {
@@ -433,102 +429,103 @@ func testBatchPlanRestart(t *testing.T, perShard, yieldAbove int) {
 			t.Fatalf("counter %d = %s after %d batches of two +%d, want %s", op.Key, v, batches, delta, want)
 		}
 	}
+	if ring == 0 {
+		return
+	}
+	// Every batch left one record per shard of exactly its 2*perShard adds,
+	// and the writer's records have one entry each: the window's last ring
+	// records, which hold the last batches', say so.
+	for sh := 0; sh < 2; sh++ {
+		head := st.repl.Head(sh)
+		recs, ok := st.repl.ReadFrom(sh, max(head, uint64(ring))-uint64(ring)+1, ring, nil)
+		if !ok {
+			t.Fatalf("shard %d: the window's last %d records are not readable", sh, ring)
+		}
+		batchRecs := 0
+		for _, r := range recs {
+			switch len(r.Entries) {
+			case 1:
+			case 2 * perShard:
+				batchRecs++
+			default:
+				t.Fatalf("shard %d seq %d: a record of %d entries", sh, r.Seq, len(r.Entries))
+			}
+		}
+		if batchRecs == 0 {
+			t.Fatalf("shard %d: no batch record among the last %d", sh, len(recs))
+		}
+	}
 }
 
-// TestBatchOverlayAcrossThreshold reads a two-phase batch's own writes back
-// on both sides of overlayScanMax: up to it a later op finds an earlier op's
-// write by scanning the group's window, beyond it through the map built when
-// the window outgrew the scan. Each pattern runs with its first write as the
-// size-th entry of the window (an overwritten write of the probe key among
-// those before it), and again with the window padded to size only after the
-// pattern's writes, so that they are planned under the scan and read through
-// the map.
-func TestBatchOverlayAcrossThreshold(t *testing.T) {
-	// A log attached: a batch confined to one shard group still two-phases.
-	st := openTest(t, Config{Shards: 2, ReplRing: 8})
-	maxWindow := 0
-	swapPool(t, &batchPool, func() any {
-		b := newBatchState()
-		plan := b.planBody
-		b.planBody = func(tx *stm.ROTx) error {
-			err := plan(tx)
-			maxWindow = max(maxWindow, len(b.writes)-b.g.wlo)
-			return err
-		}
-		return b
-	})
-	keys := shardKeys(st, 0, 65, 0)
-	probe, fill := keys[0], keys[1:]
-
+// TestBatchReadsOwnWrites: a later op of a batch reads what earlier ops of
+// the same batch wrote — through the one transaction's write log, on its own
+// shard, with other shards' ops before and after it — and never what the
+// store held before the batch. Each pattern runs on both engines, on an
+// unlogged and on a logged store, with the probe's starting value written by
+// the batch itself (the store holding a decoy) and without.
+func TestBatchReadsOwnWrites(t *testing.T) {
 	patterns := []struct {
 		name   string
 		before string // the probe's value when the pattern starts
-		ops    []Op
+		ops    func(probe uint64) []Op
 		want   []OpResult
 		after  string // and when it ends; "" for absent
 	}{
 		{"put-then-get", "old",
-			[]Op{{Kind: OpPut, Key: probe, Value: "new"}, {Kind: OpGet, Key: probe}},
-			[]OpResult{{Found: true}, {Found: true, Value: "new"}}, "new"},
+			func(p uint64) []Op { return []Op{{Kind: OpPut, Key: p, Value: "new"}, {Kind: OpGet, Key: p}} },
+			[]OpResult{{Found: true}, {Value: "new", Found: true}}, "new"},
 		{"delete-then-get", "old",
-			[]Op{{Kind: OpDelete, Key: probe}, {Kind: OpGet, Key: probe}},
+			func(p uint64) []Op { return []Op{{Kind: OpDelete, Key: p}, {Kind: OpGet, Key: p}} },
 			[]OpResult{{Found: true}, {}}, ""},
 		{"add-add-get", "5",
-			[]Op{{Kind: OpAdd, Key: probe, Delta: 2}, {Kind: OpAdd, Key: probe, Delta: 3}, {Kind: OpGet, Key: probe}},
-			[]OpResult{{Found: true, Value: "7"}, {Found: true, Value: "10"}, {Found: true, Value: "10"}}, "10"},
+			func(p uint64) []Op {
+				return []Op{{Kind: OpAdd, Key: p, Delta: 2}, {Kind: OpAdd, Key: p, Delta: 3}, {Kind: OpGet, Key: p}}
+			},
+			[]OpResult{{Value: "7", Found: true}, {Value: "10", Found: true}, {Value: "10", Found: true}}, "10"},
 		{"cas on an earlier op's value", "old",
-			[]Op{{Kind: OpPut, Key: probe, Value: "a"}, {Kind: OpCAS, Key: probe, Old: "a", Value: "b"}, {Kind: OpGet, Key: probe}},
-			[]OpResult{{Found: true}, {Found: true}, {Found: true, Value: "b"}}, "b"},
+			func(p uint64) []Op {
+				return []Op{{Kind: OpPut, Key: p, Value: "a"}, {Kind: OpCAS, Key: p, Old: "a", Value: "b"}, {Kind: OpGet, Key: p}}
+			},
+			[]OpResult{{Found: true}, {Found: true}, {Value: "b", Found: true}}, "b"},
 	}
-	for _, p := range patterns {
-		for _, size := range []int{1, overlayScanMax, overlayScanMax + 1, 64} {
-			for _, padFirst := range []bool{true, false} {
-				t.Run(fmt.Sprintf("%s/window=%d/padFirst=%v", p.name, size, padFirst), func(t *testing.T) {
-					// What the store holds must not show through the
-					// overlay: where the batch itself sets the probe's
-					// starting value, the store holds a decoy.
+	for _, cfg := range []Config{
+		{Engine: enginecfg.EngineSwiss},
+		{Engine: enginecfg.EngineSwiss, ReplRing: 8},
+		{Engine: enginecfg.EngineTiny},
+		{Engine: enginecfg.EngineTiny, ReplRing: 8},
+	} {
+		cfg.Shards = 4
+		st := openTest(t, cfg)
+		probe := shardKeys(st, 2, 1, 0)[0]
+		var pad []Op // a put on every other shard
+		for _, sh := range []int{0, 1, 3} {
+			pad = append(pad, Op{Kind: OpPut, Key: shardKeys(st, sh, 1, 0)[0], Value: "pad"})
+		}
+		for _, p := range patterns {
+			for _, seeded := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/ring=%d/%s/seeded=%v", cfg.Engine, cfg.ReplRing, p.name, seeded), func(t *testing.T) {
 					stored := p.before
-					var ops []Op
-					if padFirst && size > 1 {
+					ops := append([]Op(nil), pad[:2]...)
+					if seeded {
 						stored = "999"
 						ops = append(ops, Op{Kind: OpPut, Key: probe, Value: p.before})
-						for _, k := range fill[:size-2] {
-							ops = append(ops, Op{Kind: OpPut, Key: k, Value: "pad"})
-						}
 					}
 					if _, err := st.Put(probe, stored); err != nil {
 						t.Fatal(err)
 					}
 					at := len(ops)
-					ops = append(ops, p.ops...)
-					writes := len(ops)
-					for _, op := range p.ops {
-						if op.Kind == OpGet {
-							writes--
-						}
-					}
-					if !padFirst {
-						for _, k := range fill[:max(size-writes, 0)] {
-							ops = append(ops, Op{Kind: OpPut, Key: k, Value: "pad"})
-							writes++
-						}
-					}
-					ops = append(ops, Op{Kind: OpGet, Key: probe})
-
-					maxWindow = 0
+					ops = append(ops, p.ops(probe)...)
+					ops = append(ops, pad[2], Op{Kind: OpGet, Key: probe})
 					res, err := st.Batch(ops)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if maxWindow != writes || writes < size {
-						t.Fatalf("the plan's window held %d writes, built %d for size %d", maxWindow, writes, size)
-					}
 					for i, want := range p.want {
 						if res[at+i] != want {
-							t.Errorf("op %d (%s): got %+v, want %+v", i, p.ops[i].Kind, res[at+i], want)
+							t.Errorf("op %d: got %+v, want %+v", i, res[at+i], want)
 						}
 					}
-					wantLast := OpResult{Found: p.after != "", Value: p.after}
+					wantLast := OpResult{Value: p.after, Found: p.after != ""}
 					if got := res[len(res)-1]; got != wantLast {
 						t.Errorf("closing get: got %+v, want %+v", got, wantLast)
 					}

@@ -1,21 +1,19 @@
 package tkv
 
-// MGet reads many keys in one request: the keys are grouped by owning
-// shard and each group is read in a single read-only snapshot transaction
-// (with the adaptive update-path fallback under RO restart streaks), so an
-// n-key read costs one transaction per touched shard instead of n.
-// Results are returned in input order; duplicates are allowed and answered
+// MGet reads many keys in one request: one read-only snapshot transaction
+// over every key, whatever shards they fall in (with the adaptive
+// update-path fallback of the first key group's shard under RO restart
+// streaks), so an n-key read costs one transaction instead of n. Results
+// are returned in input order; duplicates are allowed and answered
 // independently.
 //
-// Consistency matches the other multi-shard readers: the keys' stripes are
-// held in shared mode across all per-shard reads, so the result can never
-// observe a partially applied batch on the requested keys; each shard's
-// group is an atomic cut, but the cut is not strictly serializable across
-// shards (see the package comment).
+// The result is an atomic cut across its shards: the store runs one
+// engine, so the transaction reads every key at one instant of its clock,
+// and never observes part of a batch.
 //
-// It plans through the same pooled batchState as Batch (grouping, stripe
-// set and the read bodies are the get-only batch's), so the result slice
-// it returns is the call's only allocation.
+// It goes through the same pooled batchState as Batch (grouping and the
+// read bodies are the get-only batch's), so the result slice it returns is
+// the call's only allocation.
 func (st *Store) MGet(keys []uint64) ([]OpResult, error) {
 	st.ops.mgets.Add(1)
 	st.ops.mgetKeys.Add(uint64(len(keys)))
@@ -25,10 +23,10 @@ func (st *Store) MGet(keys []uint64) ([]OpResult, error) {
 	b := st.batch()
 	defer b.release()
 	b.keys = append(b.keys, keys...)
-	b.plan()
+	b.group()
 	results := make([]OpResult, len(keys))
 	b.results = results
-	if err := b.readGroups(); err != nil {
+	if err := b.read(); err != nil {
 		return nil, err
 	}
 	return results, nil

@@ -16,7 +16,9 @@ const maxPoolSize = 64
 // built once in Open and never changes — the TM's thread registry has no
 // unregister, so a thread must not ride in anything that may drop it — and
 // at most one caller holds a given thread at a time, which bounds the
-// transactions concurrently executing in the shard to len(threads).
+// transactions concurrently started from the shard (its single-key
+// operations, and the multi-key calls whose first shard it is) to
+// len(threads).
 //
 // Bit i of free is set while threads[i] is idle. A caller claims the idle
 // thread of the lowest index with one compare-and-swap and returns it with
@@ -39,6 +41,17 @@ func (p *threadPool) init(threads []stm.Thread) {
 	p.threads = threads
 	p.idle.L = &p.mu
 	p.free.Store(^uint64(0) >> (64 - len(threads)))
+}
+
+// stats sums the engine counters of the pool's threads: every transaction
+// that ran on one of them, whichever shards it touched. The store's engine
+// is shared, so this is what a shard's statistics count.
+func (p *threadPool) stats() stm.Stats {
+	ctxs := make([]*stm.ThreadCtx, len(p.threads))
+	for i, th := range p.threads {
+		ctxs[i] = th.Ctx()
+	}
+	return stm.AggregateStats(ctxs)
 }
 
 // tryClaim takes the lowest idle thread, or reports that there is none.

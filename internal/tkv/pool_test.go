@@ -27,7 +27,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 func TestThreadPoolBound(t *testing.T) {
 	st := openTest(t, Config{Shards: 1, PoolSize: 2})
 	s := st.shards[0]
-	inUse := make([]atomic.Bool, len(s.tm.Threads()))
+	inUse := make([]atomic.Bool, len(st.tm.Threads()))
 	var running atomic.Int32
 	// body marks its thread in use for as long as it runs; it reads and
 	// writes nothing, so the engine never reruns it.

@@ -8,7 +8,6 @@ import (
 
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/tkvlog"
-	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
 // Replication support. A Store opened with Config.ReplRing > 0 carries a
@@ -20,12 +19,11 @@ import (
 // # Ordering
 //
 // A shard's records must be in commit order per key, or a follower
-// replaying them diverges. The store gets that order from the stripes it
-// already holds: on a logged store (a ring, a WAL, or both: st.logged())
-// every write path takes its keys' stripes in EXCLUSIVE mode — that is one
-// branch in Store.write, the only single-key write path, and one in Batch,
-// where a single-shard batch takes the two-phase plan/apply instead of the
-// shared fast path — and the record is appended after the STM commit but
+// replaying them diverges. The store gets that order from the stripes: on a
+// logged store (a ring, a WAL, or both: st.logged()) every write path takes
+// its keys' stripes in EXCLUSIVE mode — one branch in Store.write, the only
+// single-key write path, and one in Batch, whose one transaction otherwise
+// holds no stripes — and the record is appended after the STM commit but
 // before the stripes are released. Two writes to the same key always
 // contend on its stripe, so their records append in their commit order;
 // writes to different keys may interleave in the log, but their records
@@ -195,35 +193,24 @@ func (st *Store) ReadOnly() bool { return st.ro.Load() }
 // the gate has committed and, on a logged store, emitted its record, so a
 // head read afterwards (what DrainRepl ships up to before it fences the
 // stream) is final. The write paths test the flag again once they hold their
-// stripes, and this takes every stripe of every shard after setting it —
-// exclusively, so the shared holders of an unlogged store are waited out
-// too. It must not be called with a stripe held.
+// stripes or, for a batch of an unlogged store, its shards' session gates;
+// after setting it this freezes each shard's gate, which waits out the
+// batches inside it, and then takes every stripe of the shard exclusively,
+// which waits out every stripe holder, shared ones included. It must not be
+// called with a stripe or a gate held.
 func (st *Store) SetReadOnly(v bool) {
 	st.ro.Store(v)
 	if !v {
 		return
 	}
-	b := st.batch()
-	defer b.release()
-	for i := range st.shards {
-		b.lockShard(i, true)
-		b.unlock(true)
-	}
-}
-
-// emitPlan emits one shard's applied batch plan as a record. The caller
-// (Batch phase two) still holds the batch's exclusive stripes; the
-// returned durability handle is waited on after they release.
-func (st *Store) emitPlan(shard int, plan []plannedWrite) *tkvwal.Commit {
-	entries := make([]tkvlog.Entry, len(plan))
-	for i, w := range plan {
-		if w.val == nil {
-			entries[i] = tkvlog.Entry{Key: w.key, Del: true}
-		} else {
-			entries[i] = tkvlog.Entry{Key: w.key, Val: *w.val}
+	for _, s := range st.shards {
+		s.locks.Freeze()
+		for i := range s.locks.Stripes() {
+			s.locks.Lock(i)
+			s.locks.Unlock(i)
 		}
+		s.locks.Unfreeze()
 	}
-	return st.logCommit(shard, 0, entries)
 }
 
 // ReplShardCut returns a consistent snapshot of one shard together with
@@ -263,7 +250,7 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 		}
 		b.keys = append(b.keys, e.Key)
 	}
-	b.plan()
+	b.group()
 	b.lock(true)
 	defer b.unlock(true)
 	// The follower's window and WAL keep the entries; rec's own slice is the
@@ -271,19 +258,9 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	entries := append([]tkvlog.Entry(nil), rec.Entries...)
 	var err error
 	if len(entries) > 0 {
-		// The record is a finished plan for its one shard group: phase two
-		// applies it.
-		for _, e := range entries {
-			w := plannedWrite{key: e.Key}
-			if !e.Del {
-				cell := e.Val
-				w.val = &cell
-			}
-			b.writes = append(b.writes, w)
-		}
-		s := b.enter(0)
-		b.g.whi = len(b.writes)
-		err = s.atomically(b.applyBody)
+		b.writes = append(b.writes, entries...)
+		b.s = st.shards[shard]
+		err = b.s.atomically(b.applyBody)
 	}
 	if err != nil {
 		return fmt.Errorf("tkv: repl apply shard %d seq %d: %w", shard, rec.Seq, err)

@@ -19,12 +19,12 @@ type kvPair struct {
 
 // freezeAll freezes every shard's key-lock table in ascending shard order
 // (consistent with the global lock order), giving the caller a cut that no
-// cross-shard batch can intersect — O(1) per shard via the tables' session
-// gate, no stripe walk. Single-key transactions and single-shard batches
-// are unaffected (they hold stripes in shared mode only and are atomic per
-// shard by the STM); each serializes against the cut at its own shard's
-// snapshot transaction, which makes the cut serializable but not strictly
-// so — see the package comment for the exact guarantee.
+// batch can intersect — O(1) per shard via the tables' session gate, which
+// every mutating batch enters, no stripe walk. Single-key transactions are
+// unaffected (they take no gate and are atomic by the STM); each serializes
+// against the cut at its own shard's snapshot transaction, which makes the
+// cut serializable but not strictly so — see the package comment for the
+// exact guarantee.
 func (st *Store) freezeAll() func() {
 	for _, s := range st.shards {
 		s.locks.Freeze()
@@ -116,13 +116,17 @@ type OpCounts struct {
 	Warmed uint64 `json:"warmed"`
 }
 
-// ShardStats is one shard's transaction statistics. StripeWaitsShared and
-// StripeWaitsExcl count contended acquisitions of the shard's key-lock
-// stripes (a shared wait is single-key/read traffic pausing behind a batch;
-// an exclusive wait is a batch pausing behind anything); ROFallbacks counts
-// reads routed to the logging update path after an RO restart streak.
-// Serializations counts the transaction starts the shard's scheduler
-// serialized (zero without one). Stripes is the shard's stripe count
+// ShardStats is one shard's transaction statistics. Commits, Aborts,
+// UserAborts and Serializations are the engine counters of the shard's own
+// pool threads: a multi-shard transaction counts on the shard whose thread
+// ran it (its first), so the shards sum to the store's engine.
+// Serializations counts the transaction starts the scheduler serialized
+// (zero without one). StripeWaitsShared and StripeWaitsExcl count contended
+// acquisitions of the shard's key-lock stripes and session gate (a shared
+// wait is traffic pausing behind an exclusive holder, or a snapshot behind a
+// batch; an exclusive wait is a logged writer pausing behind anything, or a
+// batch behind a snapshot); ROFallbacks counts reads routed to the logging
+// update path after an RO restart streak. Stripes is the shard's stripe count
 // (Config.LockStripes, fixed at Open). Overload and Shed describe the
 // admission layer: the controller's EWMA overload score, and the writes shed
 // with backpressure (both zero when admission is off).
@@ -171,7 +175,7 @@ type Stats struct {
 func (st *Store) Stats() Stats {
 	out := Stats{Shards: make([]ShardStats, len(st.shards))}
 	for i, s := range st.shards {
-		agg := s.tm.Stats()
+		agg := s.pool.stats()
 		shared, excl := s.locks.Waits()
 		ss := ShardStats{
 			Shard:             uint64(i),

@@ -1,76 +1,68 @@
 // Package tkv is a sharded transactional key-value store: the repository's
 // first serving subsystem, layered on the STM substrate the paper evaluates.
 //
-// A Store splits the key space across N independent shards. Each shard is a
-// complete TM stack — its own engine instance (SwissTM- or TinySTM-like),
-// its own scheduler (per-shard Shrink, so contention in one shard never
-// serializes another), its own wait policy — holding a transactional hash
-// map (stmds.HashMap) and a bounded pool of registered STM threads that
-// serving goroutines borrow per operation: a caller claims an idle thread
-// with one compare-and-swap on the pool's free-bit word and returns it with
-// one atomic OR (see threadPool).
+// A Store runs one TM — one engine instance (SwissTM- or TinySTM-like), one
+// scheduler, one wait policy — and splits the key space across N shards.
+// Each shard holds a transactional hash map (stmds.HashMap), a striped key
+// lock table, a log when one is attached, and a bounded pool of STM threads,
+// registered on the store's TM, that serving goroutines borrow per
+// operation: a caller claims an idle thread with one compare-and-swap on the
+// pool's free-bit word and returns it with one atomic OR (see threadPool).
+// One engine means one clock for every shard, so any multi-key call is one
+// transaction, run on a thread of its first shard; a shard's statistics are
+// those of its own threads.
 //
-// Consistency model. Admission is key-granular: every shard carries a
-// striped lock table (internal/keylock) hashing each key onto one of a
-// fixed power-of-two number of stripes, and operations lock exactly the
-// stripes of the keys they touch. Four kinds of access compose:
+// Consistency model. Every operation is one STM transaction, and the engine
+// makes the history serializable; the striped lock tables (internal/keylock,
+// each key hashed onto one of a fixed power-of-two number of stripes) and
+// their session gates add only what a transaction cannot give:
 //
 //   - Single-key operations (Get, Put, Delete, CAS, Add) run as one STM
-//     transaction on the owning shard, holding the key's stripe in shared
-//     mode. They run concurrently with each other, with snapshots, and
-//     with any batch whose key set does not share the stripe; they are
-//     excluded only for the duration of a batch that holds their stripe
-//     exclusively. The four writes are one function (Store.write), and on
-//     a store with a log attached (ReplRing, WAL) it takes the stripe
-//     exclusively instead, so that log order is commit order per key.
-//   - Batches (multi-key, possibly cross-shard) two-phase: phase one
-//     acquires exactly the stripes of the batch's keys — exclusive mode,
-//     in (shard, stripe) ascending order — and reads/plans every
-//     operation (one read-only snapshot transaction per shard); phase two
-//     applies the planned writes, one update transaction per shard, then
-//     releases. Per-key exclusion held across both phases keeps the plan
-//     fresh (no one can write the batch's keys between plan and apply),
-//     makes cas safe inside a batch (the compare happens in the plan, and
-//     a mismatch aborts the whole batch before any apply — see
-//     ErrCASMismatch), and means two batches over disjoint key sets — even
-//     of the same shard — plan and apply concurrently. A batch confined to
-//     one shard skips the two-phase entirely: it is a single STM
-//     transaction, atomic by the engine alone, so it holds its stripes in
-//     shared mode only (enough to exclude multi-phase batches from its
-//     keys). A batch of gets only is a multi-key read (next item): shared
-//     stripes, nothing to plan or apply.
-//   - Multi-key reads (MGet) hold their keys' stripes in shared mode
-//     across all shards and read each shard's group in one read-only
-//     snapshot transaction, so they never observe a partially applied
-//     batch on their own keys.
+//     transaction holding the key's stripe in shared mode. The four writes
+//     are one function (Store.write), and on a store with a log attached
+//     (ReplRing, WAL) it takes the stripe exclusively instead, so that log
+//     order is commit order per key.
+//   - Batches (multi-key, possibly cross-shard) run as one update
+//     transaction: ops read earlier ops' writes through its write log, and
+//     a cas mismatch or a user error aborts it with nothing written (see
+//     ErrCASMismatch). On an unlogged store a batch takes no stripes; it
+//     enters its shards' session gates (ascending), which is all a snapshot
+//     or SetReadOnly's fence needs to wait it out. On a logged store it holds
+//     its keys' stripes exclusively, in (shard, stripe) ascending order,
+//     until its records — one per shard — are in the log. A batch of gets
+//     only is a multi-key read.
+//   - Multi-key reads (MGet, a get-only Batch) are one read-only snapshot
+//     transaction across all their shards: an atomic cut, which never
+//     observes part of a batch. On a logged store they hold their keys'
+//     stripes in shared mode, so that, like Get, they never read a write
+//     whose record is not yet in the log.
 //   - Snapshots (ForEach, Snapshot, Len) freeze every shard's lock table
-//     (ascending order; the tables' session gate excludes all in-flight
-//     and new cross-shard batches in O(1) per shard, without touching
-//     stripes or pausing single-key traffic) and read each shard in one
-//     read-only snapshot transaction (stm.ROTx: validation-free, no read
-//     log, no clock tick). The cut is atomic per shard, never observes a partial
-//     batch, and is serializable: single-key transactions touch exactly
-//     one shard, so ordering the snapshot after every transaction it
-//     observed and before every one it missed yields a legal serial
-//     history. It is not strictly serializable across shards, though —
-//     the per-shard reads happen at different instants under shared
-//     locks, so a single-key write that completes on an already-visited
-//     shard before a write on a yet-unvisited shard begins may be absent
-//     while the later write is present. Callers needing a real-time
-//     fence across shards must use a batch.
+//     (ascending order; the session gate excludes every in-flight and new
+//     batch in O(1) per shard, without touching stripes or pausing
+//     single-key traffic) and read each shard in one read-only snapshot
+//     transaction (stm.ROTx: validation-free, no read log, no clock tick).
+//     The cut never observes part of a batch and is serializable: a
+//     single-key transaction touches one shard, so ordering the snapshot
+//     after every transaction it observed and before every one it missed
+//     yields a legal serial history. It is not strictly serializable across
+//     shards, though — the per-shard reads happen at different instants, so
+//     a single-key write that completes on an already-visited shard before a
+//     write on a yet-unvisited shard begins may be absent while the later
+//     write is present. Callers needing a real-time cut across shards use
+//     MGet.
 //
-// The stripes order before the STM layer (lock, then transact), and every
-// multi-stripe acquisition follows one global order — shard index first,
-// stripe index within a shard — so the subsystem is deadlock-free.
+// Locks order before the STM layer (lock, then transact), and every
+// multi-lock acquisition follows one global order — shard index first, a
+// shard's gate before its stripes — so the subsystem is deadlock-free.
 //
-// One planner. Batch, MGet, the follower's ReplApply and the whole-shard
-// cuts (checkpoint, resync) all go through one pooled batchState: group the
-// keys by shard (a counting sort into flat slices), build the stripe set
-// (a shard's stripe count is fixed when the store opens, so a plan never
-// goes stale), lock it, run one pre-bound transaction body per shard
-// group. The state is to multi-key calls what opSlot is to
-// single-key ones: no closure, map or plan slice is built per call, so a
-// call allocates only what it hands away — its result slice, one cell per
+// One pooled state. Batch, MGet, the follower's ReplApply and the
+// whole-shard cuts (checkpoint, resync) all go through one pooled
+// batchState: group the keys by shard (a counting sort into flat slices),
+// take the gates or stripes the call needs (a shard's stripe count is fixed
+// when the store opens, so a stripe set never goes stale), run one
+// pre-bound transaction body. The state is to multi-key calls what opSlot
+// is to single-key ones: no closure, map or plan slice is built per call, so
+// a call allocates only what it hands away — its result slice, one cell per
 // value it stores, the decimal string of an add, the log record it emits.
 // BenchmarkBatchDisjoint, BenchmarkMGet8 and TestBatchAllocBudget hold that
 // line.
@@ -81,9 +73,9 @@
 // together, so after roFallbackStreak consecutive restarts on a shard's
 // read path the next read runs on the logging update path instead (whose
 // read log and timestamp extension absorb concurrent commits); the
-// fallback count is reported per shard (a get-only Batch shares MGet's
-// path and its accounting). Batch plan phases and snapshots always stay RO
-// — they run under stripe exclusion or the freeze gate.
+// fallback count is reported per shard (an MGet counts on its first shard,
+// and a get-only Batch shares MGet's path and its accounting). Snapshots
+// always stay RO — they run under the freeze gate.
 package tkv
 
 import (
@@ -101,28 +93,33 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
-// Config sizes a Store and selects the per-shard TM stack.
+// Config sizes a Store and selects its TM stack.
 type Config struct {
-	// Shards is the number of independent shards, rounded up to a power
-	// of two (default 8). Each shard has its own engine and scheduler.
+	// Shards is the number of shards, rounded up to a power of two
+	// (default 8). Each shard has its own hash map, stripe table, thread
+	// pool and log; all of them share the store's one engine.
 	Shards int
 	// PoolSize is the number of STM threads registered per shard; it
-	// bounds the transactions concurrently executing in one shard
-	// (default 4, at most maxPoolSize = 64: the pool's free threads are the
-	// bits of one word, and a larger value is clamped to it).
+	// bounds the transactions concurrently started from one shard — a
+	// multi-key transaction runs on a thread of its first shard — (default
+	// 4, at most maxPoolSize = 64: the pool's free threads are the bits of
+	// one word, and a larger value is clamped to it).
 	PoolSize int
 	// Buckets is the hash-table bucket count per shard (default 512).
 	Buckets int
 	// LockStripes is the per-shard key-lock stripe count, rounded up to a
 	// power of two (default keylock.DefaultStripes) and fixed for the
-	// store's lifetime. More stripes admit more concurrent disjoint batches
+	// store's lifetime. More stripes admit more concurrent logged writers
 	// per shard at the cost of table footprint (one cache line per stripe):
 	// they remove waits on keys that share a stripe by hash, not waits on
 	// one hot key.
 	LockStripes int
-	// Engine, Scheduler and Wait select the per-shard TM stack (see
-	// enginecfg; a Shrink scheduler runs its default configuration); the
-	// zero values are SwissTM, no scheduler, preemptive waiting.
+	// Engine, Scheduler and Wait select the store's one TM (see enginecfg;
+	// a Shrink scheduler runs its default configuration); the zero values
+	// are SwissTM, no scheduler, preemptive waiting. The scheduler sees
+	// every transaction of every shard, a batch's across shards included:
+	// it is where an unlogged store prevents conflicts, the engine's retry
+	// where it cures them.
 	Engine    string
 	Scheduler string
 	Wait      stm.WaitPolicy
@@ -153,6 +150,9 @@ type Config struct {
 
 // Store is a sharded transactional key-value store with string values.
 type Store struct {
+	// tm is the store's one engine: every shard's threads are registered on
+	// it, so one transaction can span shards.
+	tm     stm.TM
 	shards []*shard
 	shift  uint // shard index = top bits of the mixed key
 	ops    opCounters
@@ -174,18 +174,18 @@ type Store struct {
 	ro atomic.Bool
 }
 
-// shard is one slice of the key space with its own TM stack.
+// shard is one slice of the key space: its own hash map, stripe table,
+// thread pool (registered on the store's engine) and log.
 type shard struct {
-	tm   stm.TM
 	kv   *stmds.HashMap[string]
 	pool threadPool
 	// ctl is the shard's admission state; nil unless Config.Admission.
 	ctl *shardCtl
-	// locks is the shard's striped key-lock table, sized once at Open:
-	// batches hold their keys' stripes exclusively across plan and apply,
-	// everything that is atomic as one STM transaction holds its stripes in
-	// shared mode, and snapshots freeze its session gate. See the package
-	// comment.
+	// locks is the shard's striped key-lock table, sized once at Open: on a
+	// logged store writers hold their keys' stripes exclusively until their
+	// records are in the log, single-key operations hold theirs in shared
+	// mode, batches enter its session gate, and snapshots freeze the gate.
+	// See the package comment.
 	locks *keylock.Table
 	// roStreak counts consecutive read-only snapshot restarts on this
 	// shard's read path; roFallbacks counts the reads that were routed to
@@ -324,9 +324,12 @@ type opCounters struct {
 	snapshots, warmed                                  counter
 }
 
-// Open builds a Store. Every shard gets an independent TM built from the
-// same spec, so per-shard schedulers (Shrink in particular) only ever
-// serialize traffic within their own shard.
+// Open builds a Store: one TM from the config's engine, scheduler and wait
+// policy, and the shards, each registering its pool of threads on that TM.
+// One engine, and so one clock and one scheduler, for the whole key space
+// is what lets a multi-key call run as one transaction across shards; a
+// scheduler (Shrink in particular) sees and serializes traffic of every
+// shard.
 func Open(cfg Config) (*Store, error) {
 	n := 1
 	for n < cfg.Shards {
@@ -343,7 +346,15 @@ func Open(cfg Config) (*Store, error) {
 	if buckets <= 0 {
 		buckets = 512
 	}
-	st := &Store{shards: make([]*shard, n), shift: uint(64 - log2(n))}
+	tm, _, err := enginecfg.Build(enginecfg.Spec{
+		Engine:    cfg.Engine,
+		Scheduler: cfg.Scheduler,
+		Wait:      cfg.Wait,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tkv: %w", err)
+	}
+	st := &Store{tm: tm, shards: make([]*shard, n), shift: uint(64 - log2(n))}
 	if cfg.ReplRing > 0 || cfg.WAL != nil {
 		st.logs = make([]shardLog, n)
 		for i := range st.logs {
@@ -357,16 +368,7 @@ func Open(cfg Config) (*Store, error) {
 		st.repl = newReplLog(st.logs)
 	}
 	for i := range st.shards {
-		tm, _, err := enginecfg.Build(enginecfg.Spec{
-			Engine:    cfg.Engine,
-			Scheduler: cfg.Scheduler,
-			Wait:      cfg.Wait,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tkv: shard %d: %w", i, err)
-		}
 		s := &shard{
-			tm:    tm,
 			kv:    stmds.NewHashMap[string](buckets),
 			locks: keylock.New(cfg.LockStripes),
 		}
@@ -434,8 +436,8 @@ func (st *Store) ShardOf(key uint64) int { return int(mix64(key) >> st.shift) }
 func (st *Store) shardFor(key uint64) *shard { return st.shards[st.ShardOf(key)] }
 
 // atomically borrows a pooled STM thread for one transaction. If all of the
-// shard's threads are busy, the caller blocks, which bounds the transaction
-// concurrency inside a shard to the pool size. The thread is returned via
+// shard's threads are busy, the caller blocks, which bounds the transactions
+// started from a shard to the pool size. The thread is returned via
 // defer so that a panicking transaction body (should a caller recover it)
 // cannot leak the pool slot.
 func (s *shard) atomically(fn func(tx stm.Tx) error) error {

@@ -124,8 +124,8 @@ func TestBatchSemantics(t *testing.T) {
 		t.Fatal("rejected batch leaked a write")
 	}
 
-	// A validation failure in phase one (add over non-numeric) writes
-	// nothing, even for ops on other shards.
+	// A validation failure (add over non-numeric) writes nothing, even
+	// for ops on other shards.
 	if _, err := st.Put(keys[2], "text"); err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestBatchSemantics(t *testing.T) {
 	}
 }
 
-// TestBatchSingleShardFastPath runs a batch confined to one shard (the
-// one-transaction path that skips the cross-shard two-phase protocol) and
-// checks it has the same semantics, including rollback on user error.
+// TestBatchSingleShardFastPath runs a batch confined to one shard and
+// checks it has the same semantics as a cross-shard one, including
+// rollback on user error.
 func TestBatchSingleShardFastPath(t *testing.T) {
 	st := openTest(t, Config{Shards: 4})
 	// Find two keys owned by the same shard.
@@ -442,7 +442,7 @@ func testZeroLostUpdates(t *testing.T, engine, scheduler string) {
 		stats.Commits, stats.Aborts, stats.Serializations, sum)
 }
 
-// TestLockPlanAscending is the batch lock planner's property: for any key
+// TestLockPlanAscending is the stripe planner's property: for any key
 // set buildLocks yields (shard, stripe) pairs strictly ascending in the
 // global lock order — a duplicate would self-deadlock the batch on its own
 // stripe, a descent could deadlock two batches on each other — that cover
@@ -460,7 +460,8 @@ func TestLockPlanAscending(t *testing.T) {
 			sh := st.ShardOf(k)
 			want[stripeRef{sh, st.shards[sh].locks.StripeOf(k)}] = true
 		}
-		b.plan()
+		b.group()
+		b.buildLocks()
 		for i, r := range b.locks {
 			if !want[r] {
 				t.Fatalf("round %d: plan holds %v, the stripe of no key (keys %v)", round, r, b.keys)
@@ -477,13 +478,15 @@ func TestLockPlanAscending(t *testing.T) {
 		b.release()
 	}
 
-	st := openTest(t, Config{Shards: 4})
+	// A logged store: the one kind whose batches lock a plan exclusively.
+	st := openTest(t, Config{Shards: 4, ReplRing: 8})
 	b := st.batch()
 	defer b.release()
 	for k := uint64(0); k < 100; k++ {
 		b.keys = append(b.keys, k, k) // every key twice: heavy duplication
 	}
-	b.plan()
+	b.group()
+	b.buildLocks()
 	plan := b.locks
 	// Locking and unlocking the plan must not self-deadlock (dedup) and
 	// must leave every stripe free (pairing).
@@ -534,10 +537,11 @@ func TestLockStripesSizeEveryShard(t *testing.T) {
 // TestStripeWaitsReported: a contended stripe acquisition shows in the
 // owning shard's stripe-wait counters and in the store totals, in its mode —
 // a Get (shared) behind an exclusive holder, a cross-shard Batch (exclusive)
-// behind a shared one — and in no other shard's.
+// behind a shared one — and in no other shard's. The store is logged: only
+// there does a batch take stripes.
 func TestStripeWaitsReported(t *testing.T) {
 	const key = 7
-	st := openTest(t, Config{Shards: 2})
+	st := openTest(t, Config{Shards: 2, ReplRing: 8})
 	sh := st.ShardOf(key)
 	s := st.shards[sh]
 	waits := func() (shared, excl uint64) {
@@ -568,8 +572,8 @@ func TestStripeWaitsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A mutating batch confined to one shard of an unlogged store takes shared
-	// stripes, so this one crosses shards: it holds its stripes exclusively.
+	// A batch of a logged store holds its stripes exclusively; this one
+	// crosses shards, and only the held shard may report a wait.
 	other := uint64(key + 1)
 	for st.ShardOf(other) == sh {
 		other++

@@ -318,10 +318,12 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 // TestReadOnlyFenceIsBarrier: SetReadOnly(true) returns only once every
 // write that passed the gate has finished, and a write that had not yet taken
 // its stripe is refused. Each write is parked between the gate and its stripe
-// (the test holds the stripe), the fence is raised behind it and must wait;
-// released, the write must come back ErrNotPrimary and the store's log and
-// contents must be what SetReadOnly's caller saw when it returned — the head
-// a shipper compares its cursors to before it fences the stream.
+// (the test holds the stripe) — a batch of an unlogged store, which takes no
+// stripes, at its shard's session gate (the test freezes it) — the fence is
+// raised behind it and must wait; released, the write must come back
+// ErrNotPrimary and the store's log and contents must be what SetReadOnly's
+// caller saw when it returned — the head a shipper compares its cursors to
+// before it fences the stream.
 func TestReadOnlyFenceIsBarrier(t *testing.T) {
 	const key = 7
 	writes := []struct {
@@ -354,10 +356,17 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 				before := heads()
 
 				shared, excl := s.locks.Waits()
-				i := s.locks.LockKey(key)
+				var release func()
+				if w.name == "Batch" && !a.logged() {
+					s.locks.Freeze()
+					release = s.locks.Unfreeze
+				} else {
+					i := s.locks.LockKey(key)
+					release = func() { s.locks.Unlock(i) }
+				}
 				wrote := make(chan error, 1)
 				go func() { wrote <- w.run(st) }()
-				eventually(t, w.name+" waits for the stripe", func() bool {
+				eventually(t, w.name+" waits for the stripe or the gate", func() bool {
 					sh, ex := s.locks.Waits()
 					return sh+ex == shared+excl+1
 				})
@@ -372,7 +381,7 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 					fenced <- h // read again below
 				case <-time.After(50 * time.Millisecond):
 				}
-				s.locks.Unlock(i)
+				release()
 
 				if err := within(t, w.name, wrote); !errors.Is(err, ErrNotPrimary) {
 					t.Errorf("%s behind the fence = %v, want ErrNotPrimary", w.name, err)
