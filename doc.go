@@ -31,12 +31,13 @@
 // so an MGet is an atomic cut, a failed cas inside a batch aborts the whole
 // batch before any write, and an unlogged store's batches take no key locks
 // at all: their conflicts are the engine's to cure and the scheduler's to
-// prevent. Each shard carries a striped key-lock table (internal/keylock);
-// on a logged store writers hold their keys' stripes exclusively until
-// their records are in the log, single-key traffic takes its own key's
-// stripe in shared mode, and snapshots freeze each table's session gate,
-// which every batch enters, in O(1) instead of walking stripes. Batch, MGet
-// and the follower's replay share one pooled state, so a multi-key call
+// prevent. Each shard carries a striped key-lock table (internal/keylock)
+// whose stripes only a logged store takes: writers hold their keys'
+// stripes exclusively until their records are in the log, and reads hold
+// theirs shared; an unlogged store's reads and writes hold only their
+// transaction. Snapshots freeze each table's session gate, which every
+// batch enters, in O(1) instead of walking stripes. Batch, MGet, the
+// follower's replay and WAL recovery share one pooled state, so a multi-key call
 // allocates only what it hands away (results, stored values). cmd/tkvd
 // serves it over the wire protocol below (HTTP carries only health, stats,
 // promote and quit) and cmd/tkvload is its scenario driver: it puts a real
@@ -71,8 +72,8 @@
 //
 // tkvd processes form a replicated group. A primary captures every
 // committed write set — under the same key-lock stripes (taken
-// exclusively once a log is attached: that mode is all a log changes in
-// the one single-key write path), after STM commit but before stripe
+// exclusively, and taken only once a log is attached: that is all a log
+// changes in the one single-key write path), after STM commit but before stripe
 // release, so log order equals commit order per key — as an
 // internal/tkvlog record: length-prefixed, versioned,
 // CRC32-C-sealed, allocation-free to encode, with torn tails (ErrShort)
@@ -91,8 +92,9 @@
 // same stripe-exclusive commit path, serves stale-bounded reads
 // (writes bounce with "not primary"), reports lag watermarks in /stats,
 // and promotes to a writable primary on POST /promote. Graceful
-// shutdown fences writes — a barrier: when Store.SetReadOnly(true)
-// returns, no write that passed the gate is still in flight — and drains
+// shutdown of a replicating primary fences writes — on a logged store a
+// barrier: when Store.SetReadOnly(true) returns, no write that passed the
+// gate is still in flight — and drains
 // the stream through a flush barrier before closing listeners; promotion
 // reads the stream to that fence before it stops the applier and prints
 // what it took over (fenced, and per shard the primary's head as last

@@ -1,30 +1,34 @@
 // Package keylock is a striped reader/writer lock table over uint64 keys:
-// the key-granular admission layer the tkv serving subsystem plans batches
-// with. A Table hashes each key onto one of a power-of-two number of
-// stripes, each an independent sync.RWMutex, so exclusion is per-stripe
-// rather than per-table: two lock holders collide only when their keys share
-// a stripe, with a collision probability that falls linearly in the stripe
-// count.
+// the key-granular lock layer of the tkv serving subsystem. A Table hashes
+// each key onto one of a power-of-two number of stripes, each an independent
+// sync.RWMutex, so exclusion is per-stripe rather than per-table: two lock
+// holders collide only when their keys share a stripe, with a collision
+// probability that falls linearly in the stripe count.
 //
-// Both modes of the underlying RWMutex are exposed. The intended protocol
-// (the one tkv follows) is:
+// Both modes of the underlying RWMutex are exposed. The protocol tkv follows
+// gives the stripes one job, on a store with a log attached: make log order
+// equal commit order per key.
 //
-//   - an operation that must exclude multi-phase writers from its keys but
-//     is itself atomic by other means (a single STM transaction) takes its
-//     stripes in shared mode;
-//   - a multi-phase writer (a plan/apply batch, whose intermediate state
-//     must not be observed) takes its stripes in exclusive mode, bracketing
-//     the whole session with Enter/Exit;
-//   - a whole-table observer (a snapshot) calls Freeze, which excludes
-//     every Enter/Exit session at once — O(1), no stripe walk — while
-//     leaving shared single-stripe holders undisturbed.
+//   - a writer of a logged store takes its keys' stripes in exclusive mode
+//     (LockKey, or Lock over a sorted stripe set) from before its STM
+//     transaction until its record is in the log; a multi-key writer
+//     brackets its stripes with the Enter/Exit session gate;
+//   - a read of a logged store, atomic by other means (a single STM
+//     transaction), takes its stripes in shared mode, so that it never
+//     returns a write whose record is not yet in the log;
+//   - a store without a log takes no stripes: its batches hold only the
+//     Enter/Exit gate, and its single-key operations nothing;
+//   - a whole-table observer (a snapshot, a read-only fence) calls Freeze,
+//     which excludes every Enter/Exit session at once — O(1), no stripe
+//     walk — while leaving single-stripe holders undisturbed.
 //
-// Deadlock freedom is the caller's obligation and is easy to meet: sort
-// and deduplicate a multi-stripe set and acquire it in ascending index
-// order, take the Enter gate before the Table's first stripe and Exit it
-// after the last stripe is released, and order Tables themselves
-// consistently (tkv orders them by shard index; its lockPlan owns the
-// sort/dedup). Single-stripe acquisitions compose with anything.
+// Deadlock freedom is the caller's obligation and is easy to meet: acquire a
+// multi-stripe set without duplicates in ascending index order, take the
+// Enter gate before the Table's first stripe and Exit it after the last
+// stripe is released, and order Tables themselves consistently (tkv orders
+// them by shard index, and its batches build their stripe sets already
+// sorted and deduplicated). Single-stripe acquisitions compose with
+// anything.
 //
 // The stripe count is fixed when the Table is built, so a key's stripe
 // never changes and a stripe set planned from StripeOf stays valid for the

@@ -36,9 +36,11 @@ type AdmitConfig struct {
 	// ShedKnee is the overload score past which a shard starts shedding
 	// writes. The score is the shard's cure cost per unit of progress:
 	// (aborts + scheduler serializations + stripe waits) / commits over
-	// the last tick, EWMA-smoothed. Below the knee the shed probability
-	// decays to zero; above it, it ramps toward ShedMax. A knee <= 0
-	// means "always past the knee" — the shard sheds at ShedMax
+	// the last tick, EWMA-smoothed; only a logged store takes stripes, so
+	// on an unlogged one the waits are session-gate waits (a batch behind a
+	// snapshot or fence, or the other way round). Below the knee the shed
+	// probability decays to zero; above it, it ramps toward ShedMax. A
+	// knee <= 0 means "always past the knee" — the shard sheds at ShedMax
 	// unconditionally, which exists for tests and operational drills, not
 	// for serving.
 	ShedKnee float64

@@ -236,16 +236,18 @@ func TestShedRampsAndDecays(t *testing.T) {
 }
 
 // TestShedPastTheKnee: cures, not drill mode, push a shard past a real
-// knee. Eight reads parked on a stripe a writer holds, and nothing
-// committed, score the shard 8 cures per commit; one tick puts its EWMA at
-// 4, past a knee of 1, and it starts shedding — it alone, the other shard
-// scored nothing — and batches follow the worst shard. Once the cures stop
-// the score decays back under the knee and the shedding stops.
+// knee. Eight reads parked on a stripe a writer holds (the store is logged:
+// only there does a read take a stripe), and nothing committed, score the
+// shard 8 cures per commit; one tick puts its EWMA at 4, past a knee of 1,
+// and it starts shedding — it alone, the other shard scored nothing — and
+// batches follow the worst shard. Once the cures stop the score decays back
+// under the knee and the shedding stops.
 func TestShedPastTheKnee(t *testing.T) {
 	ac := DefaultAdmitConfig()
 	ac.Tick = time.Hour // the test drives the ticks
 	ac.ShedKnee = 1
-	st := openAdmitTest(t, ac)
+	st := openTest(t, Config{Shards: 2, ReplRing: 8, Admission: &ac})
+	t.Cleanup(st.Close)
 	c := st.ctrl
 	const key = 7
 	if _, err := st.Put(key, "v"); err != nil {

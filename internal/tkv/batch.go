@@ -55,15 +55,6 @@ type OpResult struct {
 	CASMismatch bool   `json:"casMismatch,omitempty"`
 }
 
-// opStore is the key-space view a batch op executes against: the running
-// transaction, on the map of the shard that owns the op's key (see
-// batchState.direct).
-type opStore struct {
-	read func(key uint64) (string, bool, error)
-	put  func(key uint64, val string) error
-	del  func(key uint64) error
-}
-
 // validKind reports whether k names a batch op kind.
 func validKind(k string) bool {
 	switch k {
@@ -73,55 +64,51 @@ func validKind(k string) bool {
 	return false
 }
 
-// execOp runs one validated batch op against a view and returns its result.
-// A cas mismatch returns both the describing result and ErrCASMismatch; the
-// caller aborts the batch and surfaces the result.
-func execOp(op *Op, v *opStore) (OpResult, error) {
+// exec runs one validated batch op in the running transaction, on the map
+// of the running group's shard, and returns its result. A cas mismatch
+// returns both the describing result and ErrCASMismatch; the caller aborts
+// the batch and surfaces the result.
+func (b *batchState) exec(op *Op) (OpResult, error) {
+	cur, ok, err := b.s.kv.Get(b.tx, op.Key)
+	if err != nil || op.Kind == OpGet {
+		return OpResult{Value: cur, Found: ok}, err
+	}
 	switch op.Kind {
-	case OpGet:
-		val, ok, err := v.read(op.Key)
-		return OpResult{Value: val, Found: ok}, err
 	case OpPut:
-		_, ok, err := v.read(op.Key)
-		if err != nil {
-			return OpResult{}, err
-		}
-		return OpResult{Found: ok}, v.put(op.Key, op.Value)
+		return OpResult{Found: ok}, b.put(op.Key, op.Value)
 	case OpDelete:
-		_, ok, err := v.read(op.Key)
-		if err != nil {
-			return OpResult{}, err
-		}
 		if ok {
-			if err := v.del(op.Key); err != nil {
+			if _, err := b.s.kv.Delete(b.tx, op.Key); err != nil {
 				return OpResult{}, err
 			}
+			b.record(tkvlog.Entry{Key: op.Key, Del: true})
 		}
 		return OpResult{Found: ok}, nil
 	case OpAdd:
-		cur, ok, err := v.read(op.Key)
-		if err != nil {
-			return OpResult{}, err
-		}
 		n, err := parseCounter(cur, ok, op.Key)
 		if err != nil {
 			return OpResult{}, err
 		}
 		val := strconv.FormatInt(n+op.Delta, 10)
-		return OpResult{Value: val, Found: ok}, v.put(op.Key, val)
+		return OpResult{Value: val, Found: ok}, b.put(op.Key, val)
 	case OpCAS:
-		cur, ok, err := v.read(op.Key)
-		if err != nil {
-			return OpResult{}, err
-		}
 		if !ok || cur != op.Old {
 			return OpResult{Value: cur, Found: ok, CASMismatch: true},
 				fmt.Errorf("%w: key %d", ErrCASMismatch, op.Key)
 		}
-		return OpResult{Found: true}, v.put(op.Key, op.Value)
+		return OpResult{Found: true}, b.put(op.Key, op.Value)
 	default:
 		return OpResult{}, fmt.Errorf("%w: unknown batch op kind %q", ErrUser, op.Kind)
 	}
+}
+
+// put writes one value in the running transaction and records it.
+func (b *batchState) put(key uint64, val string) error {
+	if _, err := b.s.kv.Put(b.tx, key, val); err != nil {
+		return err
+	}
+	b.record(tkvlog.Entry{Key: key, Val: val})
+	return nil
 }
 
 // stripeRef names one stripe of one shard. Lock order everywhere in the
@@ -190,14 +177,14 @@ type shardGroup struct {
 const maxPooledKeys = 1024
 
 // batchState is the pooled state of one multi-key call. Batch, MGet,
-// ReplApply and the whole-shard cuts all go through it: group the keys by
-// shard, take what the call's kind needs of the shards' gates and stripes,
-// run one transaction. It is built the way opSlot is — the transaction
-// bodies and the opStore view are created once per state and read their
-// operands, the store included, from its fields, so a call constructs no
-// closure — and the grouping lives in flat slices that are reused from call
-// to call, by whichever store the state serves next. What a call still
-// allocates is what it hands away (see Batch and MGet).
+// ReplApply, WAL recovery and the whole-shard cuts and restores all go
+// through it: group the keys by shard, take what the call's kind needs of
+// the shards' gates and stripes, run one transaction. It is built the way opSlot is — the transaction
+// bodies are created once per state and read their operands, the store
+// included, from its fields, so a call constructs no closure — and the
+// grouping lives in flat slices that are reused from call to call, by
+// whichever store the state serves next. What a call still allocates is what
+// it hands away (see Batch and MGet).
 type batchState struct {
 	st *Store // the call's store; nil while pooled
 
@@ -213,7 +200,7 @@ type batchState struct {
 	// store's shard count — and afterwards maps a shard to its group),
 	// locks the stripe set of the grouped keys. writes is, on a logged
 	// store, the running attempt's writes group by group, which become the
-	// groups' records (and ReplApply's record, to apply); commits collects
+	// groups' records; for applyBody it is what to write. commits collects
 	// the emitted records' durability handles.
 	count   []int
 	order   []int
@@ -229,8 +216,6 @@ type batchState struct {
 	tx     stm.Tx
 	failed int
 
-	direct opStore // onto tx, in the map of b.s
-
 	updateBody func(tx stm.Tx) error
 	applyBody  func(tx stm.Tx) error
 	readRO     func(tx *stm.ROTx) error
@@ -240,23 +225,6 @@ type batchState struct {
 // newBatchState builds an unbound state with every closure pre-built.
 func newBatchState() *batchState {
 	b := &batchState{}
-	b.direct = opStore{
-		read: func(key uint64) (string, bool, error) { return b.s.kv.Get(b.tx, key) },
-		put: func(key uint64, val string) error {
-			if _, err := b.s.kv.Put(b.tx, key, val); err != nil {
-				return err
-			}
-			b.record(tkvlog.Entry{Key: key, Val: val})
-			return nil
-		},
-		del: func(key uint64) error {
-			if _, err := b.s.kv.Delete(b.tx, key); err != nil {
-				return err
-			}
-			b.record(tkvlog.Entry{Key: key, Del: true})
-			return nil
-		},
-	}
 	// A mutating batch: every group's ops in one update transaction, group
 	// after group, each op on its own shard's map. A restarted attempt
 	// redoes the ops from the top, so it drops what the last one recorded.
@@ -268,15 +236,16 @@ func newBatchState() *batchState {
 			g := &b.groups[gi]
 			b.s = b.st.shards[g.shard]
 			g.wlo = len(b.writes)
-			if err := b.execOps(b.order[g.lo:g.hi], &b.direct); err != nil {
+			if err := b.execOps(b.order[g.lo:g.hi]); err != nil {
 				return err
 			}
 			g.whi = len(b.writes)
 		}
 		return nil
 	}
-	// A replicated record onto its one shard: redundant writes to one key
-	// apply in record order, so the last one wins.
+	// Log entries onto one shard, b.s: a recovered or replicated record, or
+	// a restore's tombstones and pairs. Redundant writes to one key apply in
+	// order, so the last one wins.
 	b.applyBody = func(tx stm.Tx) error {
 		for _, e := range b.writes {
 			var err error
@@ -338,7 +307,7 @@ func (st *Store) batch() *batchState {
 // durability handles — so the pool never pins a store or a large value, and
 // returns the state to the pool.
 func (b *batchState) release() {
-	if cap(b.keys) > maxPooledKeys {
+	if cap(b.keys) > maxPooledKeys || cap(b.writes) > maxPooledKeys {
 		return
 	}
 	b.ops, b.results = nil, nil
@@ -453,12 +422,12 @@ func (b *batchState) record(e tkvlog.Entry) {
 	}
 }
 
-// execOps runs the ops at idxs against a view, stopping at the first error
-// and remembering which op it was.
-func (b *batchState) execOps(idxs []int, v *opStore) error {
+// execOps runs the ops at idxs, stopping at the first error and remembering
+// which op it was.
+func (b *batchState) execOps(idxs []int) error {
 	for _, i := range idxs {
 		var err error
-		if b.results[i], err = execOp(&b.ops[i], v); err != nil {
+		if b.results[i], err = b.exec(&b.ops[i]); err != nil {
 			b.failed = i
 			return err
 		}
@@ -482,6 +451,12 @@ func (b *batchState) read() error {
 		return s.atomically(b.readUp)
 	}
 	return s.roTracked(b.readRO)
+}
+
+// apply runs applyBody over b.writes on one shard: one update transaction.
+func (b *batchState) apply(shard int) error {
+	b.s = b.st.shards[shard]
+	return b.s.atomically(b.applyBody)
 }
 
 // update is the mutating path: every op in one update transaction on the

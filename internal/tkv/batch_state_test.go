@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -332,6 +333,17 @@ func TestBatchRestartAppliesOnce(t *testing.T) {
 	}
 }
 
+// yieldTx is a transaction whose every read first calls yield.
+type yieldTx struct {
+	stm.Tx
+	yield func()
+}
+
+func (y yieldTx) ReadPtr(v *stm.Var) (unsafe.Pointer, error) {
+	y.yield()
+	return y.Tx.ReadPtr(v)
+}
+
 func testBatchRestart(t *testing.T, ring int) {
 	st := openTest(t, Config{Shards: 2, Buckets: 16, PoolSize: 4, ReplRing: ring})
 	const delta, perShard = 3, 4
@@ -361,18 +373,17 @@ func testBatchRestart(t *testing.T, ring int) {
 	var attempts, dirty, overfull, yields atomic.Int64
 	swapPool(t, &batchPool, func() any {
 		b := newBatchState()
-		read, body := b.direct.read, b.updateBody
-		b.direct.read = func(key uint64) (string, bool, error) {
+		body := b.updateBody
+		yield := func() {
 			if b.s == st.shards[1] && yields.Add(-1) >= 0 {
 				runtime.Gosched() // mid-batch, ops run: let the writer commit
 			}
-			return read(key)
 		}
 		b.updateBody = func(tx stm.Tx) error {
 			if attempts.Add(1); b.results[0] != (OpResult{}) {
 				dirty.Add(1) // a restart: the last attempt ran ops
 			}
-			err := body(tx)
+			err := body(yieldTx{tx, yield})
 			if len(b.writes) > len(b.ops) {
 				overfull.Add(1)
 			}

@@ -22,8 +22,8 @@ import (
 // replaying them diverges. The store gets that order from the stripes: on a
 // logged store (a ring, a WAL, or both: st.logged()) every write path takes
 // its keys' stripes in EXCLUSIVE mode — one branch in Store.write, the only
-// single-key write path, and one in Batch, whose one transaction otherwise
-// holds no stripes — and the record is appended after the STM commit but
+// single-key write path, and one in Batch; an unlogged store takes no
+// stripes at all — and the record is appended after the STM commit but
 // before the stripes are released. Two writes to the same key always
 // contend on its stripe, so their records append in their commit order;
 // writes to different keys may interleave in the log, but their records
@@ -189,15 +189,18 @@ func (st *Store) ReadOnly() bool { return st.ro.Load() }
 // with or without a log (ReplApply is exempt — it is how a follower's data
 // arrives). Promotion clears it.
 //
-// SetReadOnly(true) is a barrier: when it returns, every write that passed
-// the gate has committed and, on a logged store, emitted its record, so a
-// head read afterwards (what DrainRepl ships up to before it fences the
-// stream) is final. The write paths test the flag again once they hold their
-// stripes or, for a batch of an unlogged store, its shards' session gates;
-// after setting it this freezes each shard's gate, which waits out the
-// batches inside it, and then takes every stripe of the shard exclusively,
-// which waits out every stripe holder, shared ones included. It must not be
-// called with a stripe or a gate held.
+// On a logged store, where it is used (a follower, and a primary's shutdown
+// fence), SetReadOnly(true) is a barrier: when it returns, every write that
+// passed the gate has committed and emitted its record, so a head read
+// afterwards (what DrainRepl ships up to before it fences the stream) is
+// final. The write paths test the flag again once they hold their stripes
+// (and a batch its shards' session gates); after setting it this freezes each
+// shard's gate, which waits out the batches inside it, and then takes every
+// stripe of the shard exclusively, which waits out every stripe holder,
+// shared ones included. On an unlogged store a single-key write takes no
+// stripe and tests the flag once, so the flag bounces every write that checks
+// it afterwards, and the batches are still waited out at their gates. It must
+// not be called with a stripe or a gate held.
 func (st *Store) SetReadOnly(v bool) {
 	st.ro.Store(v)
 	if !v {
@@ -256,14 +259,11 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	// The follower's window and WAL keep the entries; rec's own slice is the
 	// stream decoder's to reuse.
 	entries := append([]tkvlog.Entry(nil), rec.Entries...)
-	var err error
 	if len(entries) > 0 {
 		b.writes = append(b.writes, entries...)
-		b.s = st.shards[shard]
-		err = b.s.atomically(b.applyBody)
-	}
-	if err != nil {
-		return fmt.Errorf("tkv: repl apply shard %d seq %d: %w", shard, rec.Seq, err)
+		if err := b.apply(shard); err != nil {
+			return fmt.Errorf("tkv: repl apply shard %d seq %d: %w", shard, rec.Seq, err)
+		}
 	}
 	// Wait before the applied watermark moves (a nil Commit without a WAL
 	// returns at once): a follower must never report a record applied that
@@ -280,8 +280,9 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 // ReplRestoreShard replaces one shard's contents with a snapshot cut
 // (follower side, after the primary fell back to ReplShardCut): keys
 // absent from the cut are deleted, every pair of the cut is written, all
-// as one update transaction under every stripe of the shard, and the
-// shard's log restarts at seq (logRestart).
+// as one update transaction (applyBody, as for a replicated record) under
+// every stripe of the shard, and the shard's log restarts at seq
+// (logRestart).
 //
 // With a WAL the log is then checkpointed, and that cut takes each
 // shard's stripes itself — so the checkpoint runs after this
@@ -307,14 +308,14 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 		for _, p := range pairs {
 			incoming[p.Key] = struct{}{}
 		}
-		// Collect the keys to delete outside the update transaction (ForEach
-		// during a mutating iteration would observe its own writes).
-		var stale []uint64
+		// Tombstone the keys absent from the cut, collected outside the
+		// update transaction (ForEach during a mutating iteration would
+		// observe its own writes); the cut's pairs follow them.
 		err := s.atomicallyRO(func(tx *stm.ROTx) error {
-			stale = stale[:0]
+			b.writes = b.writes[:0]
 			return s.kv.ForEachRO(tx, func(k uint64, _ string) bool {
 				if _, ok := incoming[k]; !ok {
-					stale = append(stale, k)
+					b.writes = append(b.writes, tkvlog.Entry{Key: k, Del: true})
 				}
 				return true
 			})
@@ -322,20 +323,8 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 		if err != nil {
 			return err
 		}
-		err = s.atomically(func(tx stm.Tx) error {
-			for _, k := range stale {
-				if _, err := s.kv.Delete(tx, k); err != nil {
-					return err
-				}
-			}
-			for _, p := range pairs {
-				if _, err := s.kv.Put(tx, p.Key, p.Val); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		b.writes = append(b.writes, pairs...)
+		if err := b.apply(shard); err != nil {
 			return fmt.Errorf("tkv: repl restore shard %d: %w", shard, err)
 		}
 		st.logRestart(shard, seq)

@@ -5,17 +5,12 @@ import (
 
 	"github.com/shrink-tm/shrink/internal/report"
 	"github.com/shrink-tm/shrink/internal/stm"
+	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
 // counter is the store's operation counter word.
 type counter = atomic.Uint64
-
-// kvPair buffers one entry of a shard snapshot.
-type kvPair struct {
-	key uint64
-	val string
-}
 
 // freezeAll freezes every shard's key-lock table in ascending shard order
 // (consistent with the global lock order), giving the caller a cut that no
@@ -45,25 +40,33 @@ func (st *Store) ForEach(fn func(key uint64, val string) bool) error {
 	st.ops.snapshots.Add(1)
 	unlock := st.freezeAll()
 	defer unlock()
-	var buf []kvPair
+	var buf []tkvlog.Entry
 	for _, s := range st.shards {
-		err := s.atomicallyRO(func(tx *stm.ROTx) error {
-			buf = buf[:0] // reset: the transaction may retry
-			return s.kv.ForEachRO(tx, func(k uint64, v string) bool {
-				buf = append(buf, kvPair{k, v})
-				return true
-			})
-		})
-		if err != nil {
+		var err error
+		if buf, err = s.pairs(buf[:0]); err != nil {
 			return err
 		}
 		for _, p := range buf {
-			if !fn(p.key, p.val) {
+			if !fn(p.Key, p.Val) {
 				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// pairs appends the shard's contents to dst, read in one read-only snapshot
+// transaction.
+func (s *shard) pairs(dst []tkvlog.Entry) ([]tkvlog.Entry, error) {
+	n := len(dst)
+	err := s.atomicallyRO(func(tx *stm.ROTx) error {
+		dst = dst[:n] // reset: the transaction may retry
+		return s.kv.ForEachRO(tx, func(k uint64, v string) bool {
+			dst = append(dst, tkvlog.Entry{Key: k, Val: v})
+			return true
+		})
+	})
+	return dst, err
 }
 
 // Snapshot returns a consistent copy of the whole store.
@@ -122,14 +125,15 @@ type OpCounts struct {
 // ran it (its first), so the shards sum to the store's engine.
 // Serializations counts the transaction starts the scheduler serialized
 // (zero without one). StripeWaitsShared and StripeWaitsExcl count contended
-// acquisitions of the shard's key-lock stripes and session gate (a shared
-// wait is traffic pausing behind an exclusive holder, or a snapshot behind a
-// batch; an exclusive wait is a logged writer pausing behind anything, or a
-// batch behind a snapshot); ROFallbacks counts reads routed to the logging
-// update path after an RO restart streak. Stripes is the shard's stripe count
-// (Config.LockStripes, fixed at Open). Overload and Shed describe the
-// admission layer: the controller's EWMA overload score, and the writes shed
-// with backpressure (both zero when admission is off).
+// acquisitions of the shard's key-lock stripes and session gate: a shared
+// wait is a logged store's read pausing behind a writer, or a snapshot behind
+// a batch; an exclusive wait is a logged store's writer pausing behind
+// anything, or a batch behind a snapshot. Only a logged store takes stripes,
+// so on an unlogged one both count gate waits only. ROFallbacks counts reads
+// routed to the logging update path after an RO restart streak. Stripes is
+// the shard's stripe count (Config.LockStripes, fixed at Open). Overload and
+// Shed describe the admission layer: the controller's EWMA overload score,
+// and the writes shed with backpressure (both zero when admission is off).
 type ShardStats struct {
 	Shard             uint64  `json:"shard"`
 	Commits           uint64  `json:"commits"`

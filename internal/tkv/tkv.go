@@ -13,29 +13,31 @@
 // those of its own threads.
 //
 // Consistency model. Every operation is one STM transaction, and the engine
-// makes the history serializable; the striped lock tables (internal/keylock,
-// each key hashed onto one of a fixed power-of-two number of stripes) and
-// their session gates add only what a transaction cannot give:
+// makes the history serializable. The striped lock tables (internal/keylock,
+// each key hashed onto one of a fixed power-of-two number of stripes) have
+// one job: on a store with a log attached (ReplRing, WAL) they make log order
+// equal commit order per key. Only a logged store takes a stripe, and an
+// unlogged store's reads and writes hold nothing but their transaction. What
+// else a table gives is its session gate, which a snapshot or SetReadOnly
+// freezes to wait out every in-flight batch:
 //
-//   - Single-key operations (Get, Put, Delete, CAS, Add) run as one STM
-//     transaction holding the key's stripe in shared mode. The four writes
-//     are one function (Store.write), and on a store with a log attached
-//     (ReplRing, WAL) it takes the stripe exclusively instead, so that log
-//     order is commit order per key.
+//   - Single-key operations (Get, Put, Delete, CAS, Add) are one STM
+//     transaction each. The four writes are one function (Store.write). On a
+//     logged store a write holds its key's stripe exclusively until its
+//     record is in the log, and a Get holds it shared, so it never reads a
+//     write whose record is not yet there.
 //   - Batches (multi-key, possibly cross-shard) run as one update
 //     transaction: ops read earlier ops' writes through its write log, and
 //     a cas mismatch or a user error aborts it with nothing written (see
-//     ErrCASMismatch). On an unlogged store a batch takes no stripes; it
-//     enters its shards' session gates (ascending), which is all a snapshot
-//     or SetReadOnly's fence needs to wait it out. On a logged store it holds
-//     its keys' stripes exclusively, in (shard, stripe) ascending order,
-//     until its records — one per shard — are in the log. A batch of gets
-//     only is a multi-key read.
+//     ErrCASMismatch). Every mutating batch enters its shards' session gates
+//     (ascending). On a logged store it also holds its keys' stripes
+//     exclusively, in (shard, stripe) ascending order, until its records —
+//     one per shard — are in the log. A batch of gets only is a multi-key
+//     read.
 //   - Multi-key reads (MGet, a get-only Batch) are one read-only snapshot
 //     transaction across all their shards: an atomic cut, which never
 //     observes part of a batch. On a logged store they hold their keys'
-//     stripes in shared mode, so that, like Get, they never read a write
-//     whose record is not yet in the log.
+//     stripes in shared mode, as Get does.
 //   - Snapshots (ForEach, Snapshot, Len) freeze every shard's lock table
 //     (ascending order; the session gate excludes every in-flight and new
 //     batch in O(1) per shard, without touching stripes or pausing
@@ -55,17 +57,16 @@
 // multi-lock acquisition follows one global order — shard index first, a
 // shard's gate before its stripes — so the subsystem is deadlock-free.
 //
-// One pooled state. Batch, MGet, the follower's ReplApply and the
-// whole-shard cuts (checkpoint, resync) all go through one pooled
-// batchState: group the keys by shard (a counting sort into flat slices),
-// take the gates or stripes the call needs (a shard's stripe count is fixed
-// when the store opens, so a stripe set never goes stale), run one
-// pre-bound transaction body. The state is to multi-key calls what opSlot
-// is to single-key ones: no closure, map or plan slice is built per call, so
-// a call allocates only what it hands away — its result slice, one cell per
-// value it stores, the decimal string of an add, the log record it emits.
-// BenchmarkBatchDisjoint, BenchmarkMGet8 and TestBatchAllocBudget hold that
-// line.
+// One pooled state. Batch, MGet, the follower's ReplApply, WAL recovery and
+// the whole-shard cuts and restores all go through one pooled batchState:
+// group the keys by shard (a counting sort into flat slices), take the gates
+// or stripes the call needs (a shard's stripe count is fixed when the store
+// opens, so a stripe set never goes stale), run one pre-bound transaction
+// body. The state is to multi-key calls what opSlot is to single-key ones: no
+// closure, map or plan slice is built per call, so a call allocates only what
+// it hands away — its result slice, one cell per value it stores, the decimal
+// string of an add, the log record it emits. BenchmarkBatchDisjoint,
+// BenchmarkMGet8 and TestBatchAllocBudget hold that line.
 //
 // Read-path adaptivity: Get and MGet run in the validation-free read-only
 // snapshot mode, which restarts when a concurrent writer commits past its
@@ -75,7 +76,10 @@
 // read log and timestamp extension absorb concurrent commits); the
 // fallback count is reported per shard (an MGet counts on its first shard,
 // and a get-only Batch shares MGet's path and its accounting). Snapshots
-// always stay RO — they run under the freeze gate.
+// always stay RO — they run under the freeze gate. The fallback has earned
+// its place on an ablation (EXPERIMENTS.md, "Stripes order the log and
+// nothing else"): under writers on a few hot keys it halves the restarts per
+// read, and it pays for that with the writers' throughput.
 package tkv
 
 import (
@@ -181,11 +185,11 @@ type shard struct {
 	pool threadPool
 	// ctl is the shard's admission state; nil unless Config.Admission.
 	ctl *shardCtl
-	// locks is the shard's striped key-lock table, sized once at Open: on a
-	// logged store writers hold their keys' stripes exclusively until their
-	// records are in the log, single-key operations hold theirs in shared
-	// mode, batches enter its session gate, and snapshots freeze the gate.
-	// See the package comment.
+	// locks is the shard's striped key-lock table, sized once at Open. Only a
+	// logged store takes its stripes: writers exclusively until their
+	// records are in the log, reads shared. On every store batches enter its
+	// session gate, and snapshots and SetReadOnly freeze the gate. See the
+	// package comment.
 	locks *keylock.Table
 	// roStreak counts consecutive read-only snapshot restarts on this
 	// shard's read path; roFallbacks counts the reads that were routed to
@@ -504,14 +508,18 @@ func (s *shard) roTracked(fn func(tx *stm.ROTx) error) error {
 // Get returns the value under key. It runs as a read-only snapshot
 // transaction — the dominant operation at realistic read ratios pays no
 // write-index probing, no read-log append and no commit-time validation —
-// with the adaptive update-path fallback under RO restart streaks. The
-// pooled slot and its pre-bound bodies make the steady-state call
-// allocation-free end to end.
+// with the adaptive update-path fallback under RO restart streaks, and, on a
+// logged store, under its key's stripe in shared mode, so that it never
+// returns a write whose record is not yet in the log. The pooled slot and
+// its pre-bound bodies make the steady-state call allocation-free end to
+// end.
 func (st *Store) Get(key uint64) (string, bool, error) {
 	st.ops.gets.Add(1)
 	s := st.shardFor(key)
-	i := s.locks.RLockKey(key)
-	defer s.locks.RUnlock(i)
+	if st.logged() {
+		i := s.locks.RLockKey(key)
+		defer s.locks.RUnlock(i)
+	}
 	sl := s.slot()
 	sl.key = key
 	var err error
@@ -526,23 +534,24 @@ func (st *Store) Get(key uint64) (string, bool, error) {
 }
 
 // write is the single-key write path: Put, Delete, CAS and Add on every
-// store, whatever log is attached. The read-only gate, admission, the key's
-// stripe and the gate again under it (SetReadOnly(true) waits out every
-// stripe, so a write that holds one either finishes before the fence or sees
-// it), one update transaction on a pooled slot's pre-bound body, and on a
-// logged store the record of the resulting state, emitted before the
-// deferred unlock. ok is created / deleted / swapped, n an Add's new counter.
+// store, whatever log is attached. The read-only gate, admission, one update
+// transaction on a pooled slot's pre-bound body, and on a logged store the
+// key's stripe around it and the record of the resulting state, emitted
+// before the deferred unlock. ok is created / deleted / swapped, n an Add's
+// new counter.
 //
-// The stripe's mode is the one thing a log changes: exclusive when
-// st.logged(), so that two writes to one key reach the log in their commit
-// order (see repl.go, "Ordering"); shared otherwise, where the transaction
-// alone orders them. The record carries state, not the operation, and only a
+// The stripe is the one thing a log adds: held exclusively, so that two
+// writes to one key reach the log in their commit order (see repl.go,
+// "Ordering"), and the gate is checked again under it (SetReadOnly(true)
+// waits out every stripe, so a write that holds one either finishes before
+// the fence or sees it). An unlogged write takes no stripe: the transaction
+// alone orders it. The record carries state, not the operation, and only a
 // write that changed something has one: a put's value, a tombstone for a
 // delete that found its key, a CAS's new value if it swapped, an Add's new
 // counter (not the delta, so replay commutes). The returned Commit is the
-// WAL's durability handle, nil without one; the callers Wait on it after
-// this function's deferred unlock has released the stripe, so fsync latency
-// never extends a stripe hold.
+// WAL's durability handle, nil without one; the callers Wait on it after this
+// function's deferred unlock has released the stripe, so fsync latency never
+// extends a stripe hold.
 func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err error) {
 	if st.ro.Load() {
 		return false, 0, nil, ErrNotPrimary
@@ -560,15 +569,12 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 	if logged {
 		i := s.locks.LockKey(op.key)
 		defer s.locks.Unlock(i)
-	} else {
-		i := s.locks.RLockKey(op.key)
-		defer s.locks.RUnlock(i)
-	}
-	if st.ro.Load() {
-		// The fence went up while this write waited for the stripe.
-		// SetReadOnly(true) is waiting for this stripe (or has had it
-		// already): nothing may commit behind it.
-		return false, 0, nil, ErrNotPrimary
+		if st.ro.Load() {
+			// The fence went up while this write waited for the stripe.
+			// SetReadOnly(true) is waiting for this stripe (or has had it
+			// already): nothing may commit behind it.
+			return false, 0, nil, ErrNotPrimary
+		}
 	}
 	sl := s.slot()
 	sl.writeOp = op

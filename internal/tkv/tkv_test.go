@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/keylock"
@@ -669,6 +671,97 @@ func TestROFallback(t *testing.T) {
 	total := st.Stats().ROFallbacks
 	if total != 2 {
 		t.Fatalf("aggregated ROFallbacks = %d, want 2", total)
+	}
+}
+
+// TestHotReadsStayLive: reads of hot keys finish, whichever path a restart
+// streak sends them down. Gets and MGets of 8 hot keys, under 4 writers doing
+// Adds and 8-key batches of adds over the same keys, each finish their reads
+// before a deadline, and each reader sees every counter only grow.
+func TestHotReadsStayLive(t *testing.T) {
+	const reads = 2000
+	st := openTest(t, Config{Shards: 4})
+	hot := make([]uint64, 8)
+	batch := make([]Op, len(hot))
+	for i := range hot {
+		hot[i] = uint64(i)
+		batch[i] = Op{Kind: OpAdd, Key: hot[i], Delta: 1}
+		if _, err := st.Put(hot[i], "0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stop atomic.Bool
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := w; !stop.Load(); i++ {
+				var err error
+				if i%2 == 0 {
+					_, err = st.Add(hot[i%len(hot)], 1)
+				} else {
+					_, err = st.Batch(batch)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		stop.Store(true)
+		writers.Wait()
+	}()
+
+	done := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		go func() {
+			last := make([]int64, len(hot))
+			for n := 0; n < reads; n++ {
+				var res []OpResult
+				if r%2 == 0 {
+					j := (n + r) % len(hot)
+					v, ok, err := st.Get(hot[j])
+					if err != nil {
+						done <- err
+						return
+					}
+					res = make([]OpResult, len(hot))
+					res[j] = OpResult{Value: v, Found: ok}
+				} else {
+					var err error
+					if res, err = st.MGet(hot); err != nil {
+						done <- err
+						return
+					}
+				}
+				for i, got := range res {
+					if got.Value == "" {
+						continue
+					}
+					v, err := strconv.ParseInt(got.Value, 10, 64)
+					if err != nil || v < last[i] {
+						done <- fmt.Errorf("key %d read %q after %d", hot[i], got.Value, last[i])
+						return
+					}
+					last[i] = v
+				}
+			}
+			done <- nil
+		}()
+	}
+	deadline := time.After(30 * time.Second)
+	for r := 0; r < 4; r++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of 4 readers did not finish %d reads under hot writers", 4-r, reads)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
@@ -14,17 +13,18 @@ import (
 // The store's log. A store opened with a replication ring (Config.ReplRing),
 // a write-ahead log (Config.WAL, internal/tkvwal: one lane owning every
 // shard) or both is logged, and then every shard has one record sequence,
-// a shardLog: one mutex, one head. Store.write (every single-key write), the batch apply and the follower's ReplApply hand their
-// committed write set to logCommit while still holding the keys' exclusive
-// stripes; logCommit numbers the record and, under that one mutex, puts it in
-// the shard's in-memory window (with a ring) and in the WAL's buffer (with a
-// WAL). Two writes to one key are ordered by the stripe before either reaches
+// a shardLog: one mutex, one head. Store.write (every single-key write), a
+// mutating Batch (one record per shard it wrote) and the follower's
+// ReplApply hand their committed write set to logCommit while still holding
+// the keys' exclusive stripes; logCommit numbers the record and, under that
+// one mutex, puts it in the shard's in-memory window (with a ring) and in the
+// WAL's buffer (with a WAL). Two writes to one key are ordered by the stripe before either reaches
 // the log — the conflict is prevented, not detected and repaired — so one
 // counter under one lock is all the ordering a record needs, and the window a
 // follower reads, the file recovery replays and the head the shipper and Stats
-// report can only agree. logRestart re-bases a shard's sequence where the store's contents
-// came from somewhere else: the recovered log on Open, a snapshot cut on a
-// follower (ReplRestoreShard).
+// report can only agree. logRestart re-bases a shard's sequence where the
+// store's contents came from somewhere else: the recovered log on Open, a
+// snapshot cut on a follower (ReplRestoreShard).
 //
 // The ack protocol is two-step: the write path appends under the stripe
 // (ordering), releases the stripe, and only then parks on the returned
@@ -46,9 +46,11 @@ type shardLog struct {
 	slots []ReplRec // nil without a ring
 }
 
-// logged reports whether write paths must take exclusive stripes and
-// emit their write sets. It is the whole difference a log makes to a
-// write: Store.write and Batch branch on it, nothing else does.
+// logged reports whether the store takes stripes at all: writes
+// exclusively, around their commit and the append of their write sets, and
+// reads shared, so that none returns a write whose record is not yet in the
+// log. It is the whole difference a log makes to the data paths: Get,
+// Store.write, Batch and MGet branch on it.
 func (st *Store) logged() bool { return st.logs != nil }
 
 // logCommit is the one append: it numbers one committed write set on shard —
@@ -120,28 +122,18 @@ func (l *shardLog) last() uint64 {
 
 // walRecoverApply replays one recovered record into the store. It runs
 // during Open, before the store is reachable, so it needs no stripes:
-// each record is one update transaction on its shard, in the per-shard
-// sequence order tkvwal.Open guarantees.
+// each record is one update transaction on its shard (applyBody, as for a
+// replicated record), in the per-shard sequence order tkvwal.Open
+// guarantees.
 func (st *Store) walRecoverApply(rec *tkvlog.Record) error {
 	shard := int(rec.Shard)
 	if shard < 0 || shard >= len(st.shards) {
 		return fmt.Errorf("tkv: wal record for shard %d of %d", shard, len(st.shards))
 	}
-	s := st.shards[shard]
-	return s.atomically(func(tx stm.Tx) error {
-		for _, e := range rec.Entries {
-			var err error
-			if e.Del {
-				_, err = s.kv.Delete(tx, e.Key)
-			} else {
-				_, err = s.kv.Put(tx, e.Key, e.Val)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	b := st.batch()
+	defer b.release()
+	b.writes = append(b.writes, rec.Entries...)
+	return b.apply(shard)
 }
 
 // openWAL recovers the log directory into the freshly built (empty)
@@ -208,20 +200,12 @@ func (st *Store) walCheckpointLoop(every time.Duration) {
 // replication shipper's snapshot fallback (ReplShardCut) and the WAL
 // checkpoint both cut here.
 func (st *Store) cutShard(shard int) (pairs []tkvlog.Entry, seq uint64, err error) {
-	s := st.shards[shard]
 	b := st.batch()
 	defer b.release()
 	b.lockShard(shard, false)
 	defer b.unlock(false)
 	seq = st.logs[shard].last()
-	err = s.atomicallyRO(func(tx *stm.ROTx) error {
-		pairs = pairs[:0]
-		return s.kv.ForEachRO(tx, func(k uint64, v string) bool {
-			pairs = append(pairs, tkvlog.Entry{Key: k, Val: v})
-			return true
-		})
-	})
-	if err != nil {
+	if pairs, err = st.shards[shard].pairs(nil); err != nil {
 		return nil, 0, err
 	}
 	return pairs, seq, nil

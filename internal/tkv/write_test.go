@@ -207,11 +207,12 @@ func within[T any](t *testing.T, what string, done <-chan T) T {
 }
 
 // TestSingleKeyWriteStripeMode pins what one function over every kind of
-// store could get wrong silently. The mode bit: on a logged store each of
-// the four writes takes its key's stripe exclusively — it waits behind a
-// shared holder — and on an unlogged one in shared mode — it does not. And
-// the park: a write waits for its durability after releasing the stripe, so
-// while its handle is pending a second write to the same key goes through.
+// store could get wrong silently. The stripe: on a logged store each of the
+// four writes takes its key's stripe exclusively — it waits behind a shared
+// holder — and on an unlogged one none at all — it goes past an exclusive
+// holder. And the park: a write waits for its durability after releasing the
+// stripe, so while its handle is pending a second write to the same key goes
+// through.
 func TestSingleKeyWriteStripeMode(t *testing.T) {
 	const key = 7
 	writes := []struct {
@@ -233,30 +234,35 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 				if _, err := st.Put(key, "1"); err != nil {
 					t.Fatal(err)
 				}
-				_, waited := s.locks.Waits()
-				i := s.locks.RLockKey(key)
+				shared, excl := s.locks.Waits()
 				done := make(chan error, 1)
-				go func() { done <- w.run(st) }()
-				if a.logged() {
-					eventually(t, w.name+" waits for the stripe", func() bool {
-						_, n := s.locks.Waits()
-						return n == waited+1
-					})
-					select {
-					case err := <-done:
-						t.Fatalf("%s returned (err %v) past a shared holder of its stripe", w.name, err)
-					default:
+				if !a.logged() {
+					i := s.locks.LockKey(key)
+					go func() { done <- w.run(st) }()
+					err := within(t, w.name+" past an exclusive holder of its stripe", done)
+					s.locks.Unlock(i)
+					if err != nil {
+						t.Fatalf("%s: %v", w.name, err)
 					}
-					s.locks.RUnlock(i)
+					if sh, ex := s.locks.Waits(); sh != shared || ex != excl {
+						t.Fatalf("%s waited for a stripe on an unlogged store", w.name)
+					}
+					continue
 				}
+				i := s.locks.RLockKey(key)
+				go func() { done <- w.run(st) }()
+				eventually(t, w.name+" waits for the stripe", func() bool {
+					_, n := s.locks.Waits()
+					return n == excl+1
+				})
+				select {
+				case err := <-done:
+					t.Fatalf("%s returned (err %v) past a shared holder of its stripe", w.name, err)
+				default:
+				}
+				s.locks.RUnlock(i)
 				if err := within(t, w.name, done); err != nil {
 					t.Fatalf("%s: %v", w.name, err)
-				}
-				if !a.logged() {
-					s.locks.RUnlock(i)
-					if _, n := s.locks.Waits(); n != waited {
-						t.Fatalf("%s took its stripe exclusively on an unlogged store", w.name)
-					}
 				}
 			}
 		})
@@ -323,7 +329,9 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 // raised behind it and must wait; released, the write must come back
 // ErrNotPrimary and the store's log and contents must be what SetReadOnly's
 // caller saw when it returned — the head a shipper compares its cursors to
-// before it fences the stream.
+// before it fences the stream. An unlogged store's single-key writes take
+// nothing to park them on, and have no row: their flag check is the whole
+// fence there (see SetReadOnly).
 func TestReadOnlyFenceIsBarrier(t *testing.T) {
 	const key = 7
 	writes := []struct {
@@ -341,6 +349,9 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 	}
 	for _, a := range attachments {
 		for _, w := range writes {
+			if !a.logged() && w.name != "Batch" {
+				continue
+			}
 			t.Run(a.name+"/"+w.name, func(t *testing.T) {
 				st := a.open(t, t.TempDir())
 				s := st.shardFor(key)
@@ -392,6 +403,76 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 				}
 				if v, ok, err := st.Get(key); err != nil || !ok || v != "1" {
 					t.Errorf("Get = %q %v %v, want the value from before the fence", v, ok, err)
+				}
+			})
+		}
+	}
+}
+
+// TestUnloggedOpsTakeNoStripe pins the lock table's one rule: stripes make
+// log order equal commit order, so only a logged store takes them. With every
+// stripe of the key's shard held exclusively, each single-key op and an MGet
+// returns on an unlogged store without a stripe wait; on a logged store
+// (ReplRing 8) each waits, and its shard's stripe-wait count rises, until the
+// stripes are released.
+func TestUnloggedOpsTakeNoStripe(t *testing.T) {
+	const key = 7
+	ops := []struct {
+		name string
+		run  func(*Store) error
+	}{
+		{"Get", func(st *Store) error { _, _, err := st.Get(key); return err }},
+		{"MGet", func(st *Store) error { _, err := st.MGet([]uint64{key}); return err }},
+		{"Put", func(st *Store) error { _, err := st.Put(key, "v"); return err }},
+		{"Delete", func(st *Store) error { _, err := st.Delete(key); return err }},
+		{"CAS", func(st *Store) error { _, err := st.CAS(key, "1", "2"); return err }},
+		{"Add", func(st *Store) error { _, err := st.Add(key, 1); return err }},
+	}
+	for _, ring := range []int{0, 8} {
+		for _, op := range ops {
+			name := "unlogged/" + op.name
+			if ring > 0 {
+				name = "logged/" + op.name
+			}
+			t.Run(name, func(t *testing.T) {
+				st := openTest(t, Config{Shards: 2, ReplRing: ring})
+				if _, err := st.Put(key, "1"); err != nil {
+					t.Fatal(err)
+				}
+				s := st.shardFor(key)
+				for i := range s.locks.Stripes() {
+					s.locks.Lock(i)
+				}
+				release := sync.OnceFunc(func() {
+					for i := range s.locks.Stripes() {
+						s.locks.Unlock(i)
+					}
+				})
+				defer release()
+				shared, excl := s.locks.Waits()
+				done := make(chan error, 1)
+				go func() { done <- op.run(st) }()
+				if ring == 0 {
+					if err := within(t, op.name+" with its shard's stripes held", done); err != nil {
+						t.Fatal(err)
+					}
+					if sh, ex := s.locks.Waits(); sh != shared || ex != excl {
+						t.Fatalf("%s waited for a stripe on an unlogged store", op.name)
+					}
+					return
+				}
+				eventually(t, op.name+" waits for its stripe", func() bool {
+					sh, ex := s.locks.Waits()
+					return sh+ex > shared+excl
+				})
+				select {
+				case err := <-done:
+					t.Fatalf("%s returned (err %v) past its held stripe", op.name, err)
+				default:
+				}
+				release()
+				if err := within(t, op.name, done); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}
