@@ -5,7 +5,7 @@
 // nothing), cross-shard atomic batches (including cas ops) and multi-key
 // reads, each one STM transaction across its shards, consistent snapshots
 // and the per-shard engine counters (commits, aborts, scheduler
-// serializations, stripe waits, read-only fallbacks). The store runs one STM
+// serializations, gate waits, read-only fallbacks). The store runs one STM
 // engine with one scheduler over all its shards, so this is the serving
 // scenario the paper's thesis is about: prediction-based scheduling keeping
 // throughput stable while many client connections hammer shared state.
@@ -97,11 +97,9 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 			"HTTP listen address (operator surface: /healthz, /stats, /promote, /quit)")
 		tcpaddr = fs.String("tcpaddr", "127.0.0.1:7071",
 			"binary wire protocol listen address (the data surface)")
-		shards  = fs.Int("shards", 8, "shard count (rounded up to a power of two)")
-		pool    = fs.Int("pool", 4, "STM worker threads per shard (at most 64)")
-		buckets = fs.Int("buckets", 512, "hash buckets per shard")
-		stripes = fs.Int("stripes", 0,
-			"key-lock stripes per shard, rounded up to a power of two (0 = default)")
+		shards    = fs.Int("shards", 8, "shard count (rounded up to a power of two)")
+		pool      = fs.Int("pool", 4, "STM worker threads per shard (at most 64)")
+		buckets   = fs.Int("buckets", 512, "hash buckets per shard")
 		schedName = fs.String("sched", enginecfg.SchedShrink,
 			"per-shard scheduler: none, shrink, ats or pool")
 		role = fs.String("role", "primary",
@@ -176,16 +174,15 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		}
 	}
 	store, err := tkv.Open(tkv.Config{
-		Shards:      *shards,
-		PoolSize:    *pool,
-		Buckets:     *buckets,
-		LockStripes: *stripes,
-		Engine:      ef.Engine(),
-		Scheduler:   *schedName,
-		Wait:        wait,
-		Admission:   admission,
-		ReplRing:    *replring,
-		WAL:         wopts,
+		Shards:    *shards,
+		PoolSize:  *pool,
+		Buckets:   *buckets,
+		Engine:    ef.Engine(),
+		Scheduler: *schedName,
+		Wait:      wait,
+		Admission: admission,
+		ReplRing:  *replring,
+		WAL:       wopts,
 	})
 	if err != nil {
 		return err

@@ -18,8 +18,8 @@
 // transactional server path (CAS, add, batch add or batch cas), so the sum
 // of all counter keys must equal the number of increments that reported
 // success — a batch refused for a cas mismatch must have written nothing.
-// Any lost update — in an engine, in the striped key-lock protocol, or in
-// the batch path — fails the run, as does a committed-transaction count
+// Any lost update — in an engine, in the log's commit ordering, or in the
+// batch path — fails the run, as does a committed-transaction count
 // of zero. Blob values embed their key, so a read returning another key's
 // value is detected too. Increments are tallied across warm-up and
 // measurement alike: the invariant is about every write that happened. With

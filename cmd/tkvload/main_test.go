@@ -130,8 +130,8 @@ func TestEndToEndTCP(t *testing.T) {
 // TestBatchModeWithCASAndMGet drives the batch-heavy workload with cas ops
 // admitted into batches, key-disjoint batches (-overlap 0) and batched
 // multi-key reads, ending in the zero-lost-update verification: a refused
-// batch must have written nothing, and per-key stripe admission must not
-// lose concurrent increments. One request in flight per connection keeps 8
+// batch must have written nothing, and batches racing over shared keys must
+// not lose concurrent increments. One request in flight per connection keeps 8
 // workers, so under -overlap 0 each owns an 8-key slice spanning the shards.
 func TestBatchModeWithCASAndMGet(t *testing.T) {
 	if testing.Short() {

@@ -29,16 +29,17 @@
 // serializable (per-shard-atomic) snapshots. A batch or an MGet is one STM
 // transaction across its shards — the engine's one clock orders them all —
 // so an MGet is an atomic cut, a failed cas inside a batch aborts the whole
-// batch before any write, and an unlogged store's batches take no key locks
-// at all: their conflicts are the engine's to cure and the scheduler's to
-// prevent. Each shard carries a striped key-lock table (internal/keylock)
-// whose stripes only a logged store takes: writers hold their keys'
-// stripes exclusively until their records are in the log, and reads hold
-// theirs shared; an unlogged store's reads and writes hold only their
-// transaction. Snapshots freeze each table's session gate, which every
-// batch enters, in O(1) instead of walking stripes. Batch, MGet, the
-// follower's replay and WAL recovery share one pooled state, so a multi-key call
-// allocates only what it hands away (results, stored values). cmd/tkvd
+// batch before any write, and no operation takes a key lock: conflicts are
+// the engine's to cure and the scheduler's to prevent. A store with a log
+// attached keeps one rule: a record enters the log inside its commit (the
+// engine's commit hook, after validation and before the write locks are
+// released, so log order is commit order per key); observers freeze the
+// gate. Each shard has a session gate that every mutating batch, and on a
+// logged store every write, holds while it runs, and that snapshots,
+// checkpoint and replication cuts and the read-only fence freeze. Batch,
+// MGet, the follower's replay and WAL recovery share one pooled state, so a
+// multi-key call allocates only what it hands away (results, stored
+// values). cmd/tkvd
 // serves it over the wire protocol below (HTTP carries only health, stats,
 // promote and quit) and cmd/tkvload is its scenario driver: it puts a real
 // tkvd under load with configurable skew, read ratio, mget
@@ -48,8 +49,7 @@
 // paper's "many threads hammering shared state" regime as a live server.
 // tkvd -admit adds one admission controller per shard: it scores the
 // shard's cure cost per commit (aborts, the attached scheduler's
-// serializations and stripe waits)
-// every tick, and past a knee it sheds writes, and batches at twice that
+// serializations and gate waits) every tick, and past a knee it sheds writes, and batches at twice that
 // rate before they are decoded, with backpressure; below the knee it
 // refuses nothing. How fast the store is belongs to the repository benchmark, bench/.
 //
@@ -71,10 +71,8 @@
 // EXPERIMENTS.md).
 //
 // tkvd processes form a replicated group. A primary captures every
-// committed write set — under the same key-lock stripes (taken
-// exclusively, and taken only once a log is attached: that is all a log
-// changes in the one single-key write path), after STM commit but before stripe
-// release, so log order equals commit order per key — as an
+// committed write set — inside its commit, while the transaction still
+// locks what it wrote, so log order equals commit order per key — as an
 // internal/tkvlog record: length-prefixed, versioned,
 // CRC32-C-sealed, allocation-free to encode, with torn tails (ErrShort)
 // distinguished from corruption (ErrCorrupt); the WAL persists the same
@@ -89,12 +87,12 @@
 // the primary's restart — gets a consistent per-shard snapshot cut
 // instead of being lost.
 // The follower side (internal/tkvrepl) replays the stream through the
-// same stripe-exclusive commit path, serves stale-bounded reads
+// same logging commit path, serves stale-bounded reads
 // (writes bounce with "not primary"), reports lag watermarks in /stats,
 // and promotes to a writable primary on POST /promote. Graceful
 // shutdown of a replicating primary fences writes — on a logged store a
 // barrier: when Store.SetReadOnly(true) returns, no write that passed the
-// gate is still in flight — and drains
+// flag is still in flight — and drains
 // the stream through a flush barrier before closing listeners; promotion
 // reads the stream to that fence before it stops the applier and prints
 // what it took over (fenced, and per shard the primary's head as last

@@ -38,6 +38,7 @@ func Run(t *testing.T, name string, factory Factory) {
 	t.Run("InvariantPairNeverTorn", func(t *testing.T) { testInvariantPair(t, factory) })
 	t.Run("WriteSkewPrevented", func(t *testing.T) { testWriteSkew(t, factory) })
 	t.Run("StatsAccounting", func(t *testing.T) { testStats(t, factory) })
+	t.Run("CommitHook", func(t *testing.T) { testCommitHook(t, factory) })
 	runRO(t, factory)
 }
 
@@ -545,5 +546,119 @@ func testStats(t *testing.T, factory Factory) {
 	}
 	if s.CommitRate() != 1 {
 		t.Errorf("commit rate = %f, want 1 (no contention)", s.CommitRate())
+	}
+}
+
+// testCommitHook: the engine calls a thread's CommitHook exactly once per
+// committed update attempt that wrote something, while every Var the attempt
+// wrote is still locked by the thread — so a read-only reader of one, on
+// another thread, restarts instead of seeing the write, and sees it once the
+// commit is over — and never for an attempt that fails its validation or is
+// aborted by the user, a commit with no writes, or a read-only transaction.
+func testCommitHook(t *testing.T, factory Factory) {
+	tm := factory(nil, stm.WaitPreemptive)
+	th, other, reader := tm.Register("owner"), tm.Register("other"), tm.Register("reader")
+	x, y := stm.NewT(0), stm.NewT(0)
+	calls := 0
+	var during func()
+	th.Ctx().CommitHook = func() {
+		calls++
+		if during != nil {
+			during()
+		}
+	}
+	defer func() { th.Ctx().CommitHook = nil }()
+	want := func(what string, n int) {
+		t.Helper()
+		if calls != n {
+			t.Fatalf("after %s: %d hook calls, want %d", what, calls, n)
+		}
+	}
+
+	if err := th.Atomically(func(tx stm.Tx) error { _, err := stm.ReadT(tx, x); return err }); err != nil {
+		t.Fatal(err)
+	}
+	want("a commit with no writes", 0)
+	readRO(t, th, x)
+	want("a read-only transaction", 0)
+	errBoom := errors.New("boom")
+	if err := th.Atomically(func(tx stm.Tx) error {
+		if err := stm.WriteT(tx, x, 5); err != nil {
+			return err
+		}
+		return errBoom
+	}); !errors.Is(err, errBoom) {
+		t.Fatalf("user abort: err = %v", err)
+	}
+	want("a user abort", 0)
+
+	// The first attempt reads x, another thread commits a write to x, and
+	// the attempt's commit fails validation; the retry commits.
+	attempts := 0
+	if err := th.Atomically(func(tx stm.Tx) error {
+		attempts++
+		n, err := stm.ReadT(tx, x)
+		if err != nil {
+			return err
+		}
+		if attempts == 1 {
+			if err := other.Atomically(func(tx stm.Tx) error { return stm.WriteT(tx, x, n+1) }); err != nil {
+				return err
+			}
+		}
+		return stm.WriteT(tx, y, n+1)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 || th.Ctx().Aborts.Load() != 1 {
+		t.Fatalf("%d attempts, %d aborts; want the first to fail its validation", attempts, th.Ctx().Aborts.Load())
+	}
+	want("a commit after a failed validation", 1)
+
+	pending := make(chan int, 1)
+	during = func() {
+		for _, v := range []*stm.TVar[int]{x, y} {
+			if !v.Word().LockedBy(th.ID()) {
+				t.Errorf("a Var the committing attempt wrote is not locked by it while the hook runs")
+			}
+		}
+		before := reader.Ctx().Aborts.Load()
+		go func() {
+			var got int
+			_ = reader.AtomicallyRO(func(tx *stm.ROTx) error {
+				var err error
+				got, err = stm.ReadTRO(tx, y)
+				return err
+			})
+			pending <- got
+		}()
+		for deadline := time.Now().Add(10 * time.Second); reader.Ctx().Aborts.Load() == before; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Errorf("a read-only read of a Var the committing attempt wrote did not restart")
+				return
+			}
+		}
+		select {
+		case got := <-pending:
+			t.Errorf("a read-only read returned %d while the writer's hook ran", got)
+		default:
+		}
+	}
+	if err := th.Atomically(func(tx stm.Tx) error {
+		if err := stm.WriteT(tx, x, 10); err != nil {
+			return err
+		}
+		return stm.WriteT(tx, y, 20)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want("a commit with writes", 2)
+	select {
+	case got := <-pending:
+		if got != 20 {
+			t.Fatalf("the restarted read returned %d, want the committed 20", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the restarted read never finished")
 	}
 }

@@ -117,6 +117,18 @@ type ThreadCtx struct {
 	// branch.
 	ReadHook bool
 
+	// CommitHook, when set, is called by the engine once per committed
+	// update attempt that wrote something: after its read set has validated
+	// and before its write locks are released, so the commit is decided and
+	// every Var it wrote is still locked by this thread — a reader meets the
+	// lock and waits or restarts, and sees the writes only once the hook has
+	// returned. It is never called for an aborted or user-aborted attempt, a
+	// commit with no writes, or a read-only transaction. Like ReadHook it is
+	// read and written only by the owner thread, between transactions; the
+	// hook must not run a transaction on this thread, and it cannot fail
+	// the commit. nil (the default) costs the commit one branch.
+	CommitHook func()
+
 	// SchedState is owned by the Scheduler attached to the TM.
 	SchedState any
 }

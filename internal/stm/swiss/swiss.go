@@ -256,10 +256,10 @@ func (tx *txn) extend() bool {
 
 // Commit implements stm.CoreTx: read-only transactions are already
 // consistent by incremental validation; update transactions take a commit
-// timestamp from the global clock, validate the read set, write back and
-// release their locks at the new version. A committed transaction gives up
-// its Greedy timestamp. The write log is preserved (for the scheduler's
-// write-set view) until the next Begin.
+// timestamp from the global clock, validate the read set, run the thread's
+// commit hook, write back and release their locks at the new version. A
+// committed transaction gives up its Greedy timestamp. The write log is
+// preserved (for the scheduler's write-set view) until the next Begin.
 func (tx *txn) Commit() error {
 	if tx.th.ctx.Doomed.Load() {
 		return stm.ErrConflict
@@ -270,6 +270,9 @@ func (tx *txn) Commit() error {
 		// set cannot have changed (TL2 fast path); otherwise validate.
 		if wt != tx.rv+1 && !tx.reads.Validate(tx.th.ctx.ID) {
 			return stm.ErrConflict
+		}
+		if h := tx.th.ctx.CommitHook; h != nil {
+			h() // decided, and still locked: see stm.ThreadCtx.CommitHook
 		}
 		for i := range tx.writes {
 			e := &tx.writes[i]

@@ -199,10 +199,10 @@ func (tx *txn) extend() bool {
 	return tx.reads.Extend(&tx.th.tm.core.Clock, &tx.rv, tx.th.ctx.ID)
 }
 
-// Commit implements stm.CoreTx: it validates the read set and releases the
-// write locks at a fresh commit timestamp. Values are already in place
-// (write-through). The undo log is preserved (for the scheduler's write-set
-// view) until the next Begin.
+// Commit implements stm.CoreTx: it validates the read set, runs the
+// thread's commit hook and releases the write locks at a fresh commit
+// timestamp. Values are already in place (write-through). The undo log is
+// preserved (for the scheduler's write-set view) until the next Begin.
 func (tx *txn) Commit() error {
 	if tx.th.ctx.Doomed.Load() {
 		return stm.ErrConflict
@@ -213,6 +213,9 @@ func (tx *txn) Commit() error {
 	wt := tx.th.tm.core.Clock.Tick()
 	if wt != tx.rv+1 && !tx.reads.Validate(tx.th.ctx.ID) {
 		return stm.ErrConflict
+	}
+	if h := tx.th.ctx.CommitHook; h != nil {
+		h() // decided, and still locked: see stm.ThreadCtx.CommitHook
 	}
 	for i := range tx.undo {
 		tx.windex.At(i).Unlock(wt)

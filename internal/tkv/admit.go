@@ -30,15 +30,15 @@ func (st *Store) ShedLowPriority() bool {
 // DefaultAdmitConfig. Enabled by setting Config.Admission.
 type AdmitConfig struct {
 	// Tick is the controller's sampling period (default 100ms): each tick
-	// re-reads every shard's commit, abort, serialization and stripe-wait
+	// re-reads every shard's commit, abort, serialization and gate-wait
 	// counters and updates its overload score and shed probability.
 	Tick time.Duration
 	// ShedKnee is the overload score past which a shard starts shedding
 	// writes. The score is the shard's cure cost per unit of progress:
-	// (aborts + scheduler serializations + stripe waits) / commits over
-	// the last tick, EWMA-smoothed; only a logged store takes stripes, so
-	// on an unlogged one the waits are session-gate waits (a batch behind a
-	// snapshot or fence, or the other way round). Below the knee the shed
+	// (aborts + scheduler serializations + gate waits) / commits over the
+	// last tick, EWMA-smoothed; a gate wait is a write (on an unlogged
+	// store, a batch) held at its shard's gate by a snapshot, cut or fence,
+	// or one of those waiting the writes out. Below the knee the shed
 	// probability decays to zero; above it, it ramps toward ShedMax. A
 	// knee <= 0 means "always past the knee" — the shard sheds at ShedMax
 	// unconditionally, which exists for tests and operational drills, not
@@ -158,7 +158,7 @@ func (c *controller) tick() {
 	for i, s := range c.st.shards {
 		sc := &c.shards[i]
 		agg := s.pool.stats()
-		shared, excl := s.locks.Waits()
+		shared, excl := s.gate.waits()
 		waits := shared + excl
 
 		dCommits := agg.Commits - sc.lastCommits
@@ -169,7 +169,7 @@ func (c *controller) tick() {
 			agg.Commits, agg.Aborts, agg.Serializations, waits
 
 		// Overload score: the cure cost (aborted work, serialized
-		// starts, blocked stripe acquisitions) per unit of progress.
+		// starts, blocked gate acquisitions) per unit of progress.
 		// Idle shards (no commits, no cures) score zero.
 		var score float64
 		if cures := dAborts + dSerials + dWaits; cures > 0 {

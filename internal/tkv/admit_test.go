@@ -26,7 +26,7 @@ func openAdmitTest(t *testing.T, ac AdmitConfig) *Store {
 // TestAdmissionIdleIsInvisible: a store with admission on that is not past
 // its overload knee behaves exactly like one without. Serial puts first; then
 // callers racing on a few hot counters, missing a CAS on one key and running
-// cross-shard batches over many stripes, for a few controller ticks: no
+// cross-shard batches over many keys, for a few controller ticks: no
 // write is refused, nothing is shed, and the counters hold every
 // acknowledged increment.
 func TestAdmissionIdleIsInvisible(t *testing.T) {
@@ -52,7 +52,7 @@ func TestAdmissionIdleIsInvisible(t *testing.T) {
 	const (
 		callers  = 16
 		counters = 256     // keys 1000..1255; the first four are the hot ones
-		batchLen = 32      // distinct keys: ~28 of the store's 128 stripes
+		batchLen = 32      // distinct keys
 		casKey   = 1 << 20 // every CAS on it misses
 	)
 	if _, err := st.Put(casKey, "v"); err != nil {
@@ -236,12 +236,12 @@ func TestShedRampsAndDecays(t *testing.T) {
 }
 
 // TestShedPastTheKnee: cures, not drill mode, push a shard past a real
-// knee. Eight reads parked on a stripe a writer holds (the store is logged:
-// only there does a read take a stripe), and nothing committed, score the
-// shard 8 cures per commit; one tick puts its EWMA at 4, past a knee of 1,
-// and it starts shedding — it alone, the other shard scored nothing — and
-// batches follow the worst shard. Once the cures stop the score decays back
-// under the knee and the shedding stops.
+// knee. Eight logged writes parked at a frozen gate (the store is logged:
+// only there does a single-key write enter its shard's gate), and nothing
+// committed, score the shard 8 cures per commit; one tick puts its EWMA at
+// 4, past a knee of 1, and it starts shedding — it alone, the other shard
+// scored nothing — and batches follow the worst shard. Once the cures stop
+// the score decays back under the knee and the shedding stops.
 func TestShedPastTheKnee(t *testing.T) {
 	ac := DefaultAdmitConfig()
 	ac.Tick = time.Hour // the test drives the ticks
@@ -256,23 +256,23 @@ func TestShedPastTheKnee(t *testing.T) {
 	c.tick() // the put's commit is history
 	hot := st.ShardOf(key)
 	s := st.shards[hot]
-	i := s.locks.LockKey(key)
+	s.gate.freeze()
 	var wg sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := st.Get(key); err != nil {
+			if _, err := st.Put(key, "w"); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
-	eventually(t, "eight reads wait on the stripe", func() bool {
-		shared, _ := s.locks.Waits()
-		return shared == 8
+	eventually(t, "eight writes wait at the gate", func() bool {
+		_, excl := s.gate.waits()
+		return excl == 8
 	})
 	c.tick()
-	s.locks.Unlock(i)
+	s.gate.unfreeze()
 	wg.Wait()
 	for j, sh := range st.shards {
 		want, wantP := 0.0, 0.0

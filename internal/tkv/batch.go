@@ -111,56 +111,6 @@ func (b *batchState) put(key uint64, val string) error {
 	return nil
 }
 
-// stripeRef names one stripe of one shard. Lock order everywhere in the
-// store is ascending (shard, stripe) — the single global order that makes
-// batches, multi-key reads and snapshots mutually deadlock-free.
-type stripeRef struct{ shard, stripe int }
-
-// lockPlan is a batch's determined stripe set: the (shard, stripe) pairs
-// covering every key the batch touches, strictly ascending in the global
-// lock order (buildLocks and lockShard build it that way).
-type lockPlan []stripeRef
-
-// lock acquires the plan's stripes in order; exclusive selects the mode.
-// unlock with the same arguments releases them. An exclusive acquisition
-// additionally brackets each participating shard with the table's
-// Enter/Exit session gate (taken just before the shard's first stripe, so
-// the global order is shard gate < shard stripes < next shard's gate):
-// that is what lets the snapshot path exclude in-flight batches in O(1)
-// per shard instead of walking every stripe. A shard's stripe count is fixed
-// when the store opens, so a plan stays valid for the store's lifetime and
-// lock cannot fail.
-func (st *Store) lock(plan lockPlan, exclusive bool) {
-	for i, r := range plan {
-		if exclusive {
-			if i == 0 || plan[i-1].shard != r.shard {
-				st.shards[r.shard].locks.Enter()
-			}
-			st.shards[r.shard].locks.Lock(r.stripe)
-		} else {
-			st.shards[r.shard].locks.RLock(r.stripe)
-		}
-	}
-}
-
-// unlock releases a plan acquired by lock. A shard's session gate is
-// exited only after its last stripe is released (the plan is shard-sorted,
-// so the last stripe is where the shard changes): keylock's contract is
-// that a Freeze acquiring the gate must find no session stripes still
-// held.
-func (st *Store) unlock(plan lockPlan, exclusive bool) {
-	for i, r := range plan {
-		if exclusive {
-			st.shards[r.shard].locks.Unlock(r.stripe)
-			if i+1 == len(plan) || plan[i+1].shard != r.shard {
-				st.shards[r.shard].locks.Exit()
-			}
-		} else {
-			st.shards[r.shard].locks.RUnlock(r.stripe)
-		}
-	}
-}
-
 // shardGroup is one participating shard of a multi-key call: its op indices
 // are order[lo:hi], in input order, and on a logged store the writes the
 // running attempt made there are writes[wlo:whi].
@@ -177,14 +127,14 @@ type shardGroup struct {
 const maxPooledKeys = 1024
 
 // batchState is the pooled state of one multi-key call. Batch, MGet,
-// ReplApply, WAL recovery and the whole-shard cuts and restores all go
-// through it: group the keys by shard, take what the call's kind needs of
-// the shards' gates and stripes, run one transaction. It is built the way opSlot is — the transaction
-// bodies are created once per state and read their operands, the store
-// included, from its fields, so a call constructs no closure — and the
-// grouping lives in flat slices that are reused from call to call, by
-// whichever store the state serves next. What a call still allocates is what
-// it hands away (see Batch and MGet).
+// ReplApply, ReplRestoreShard and WAL recovery all go through it: group the
+// keys by shard, enter the gates the call's kind needs, run one transaction.
+// It is built the way opSlot is — the transaction bodies and the commit hook
+// are created once per state and read their operands, the store included,
+// from its fields, so a call constructs no closure — and the grouping lives
+// in flat slices that are reused from call to call, by whichever store the
+// state serves next. What a call still allocates is what it hands away (see
+// Batch and MGet).
 type batchState struct {
 	st *Store // the call's store; nil while pooled
 
@@ -197,16 +147,17 @@ type batchState struct {
 
 	// The grouping. order holds the op indices grouped by shard (a counting
 	// sort over count, which is indexed by shard — batch sizes it to the
-	// store's shard count — and afterwards maps a shard to its group),
-	// locks the stripe set of the grouped keys. writes is, on a logged
-	// store, the running attempt's writes group by group, which become the
-	// groups' records; for applyBody it is what to write. commits collects
-	// the emitted records' durability handles.
+	// store's shard count — and afterwards maps a shard to its group).
+	// writes is, on a logged store, the running attempt's writes group by
+	// group, which become the groups' records; for applyBody it is what to
+	// write. seq is the number logWrites gives the records: 0 (the next) for
+	// a batch, the primary's for ReplApply. commits collects the emitted
+	// records' durability handles.
 	count   []int
 	order   []int
 	groups  []shardGroup
-	locks   lockPlan
 	writes  []tkvlog.Entry
+	seq     uint64
 	commits []*tkvwal.Commit
 
 	// Operands of the running transaction body: the shard of the running
@@ -220,6 +171,7 @@ type batchState struct {
 	applyBody  func(tx stm.Tx) error
 	readRO     func(tx *stm.ROTx) error
 	readUp     func(tx stm.Tx) error
+	logWrites  func()
 }
 
 // newBatchState builds an unbound state with every closure pre-built.
@@ -286,6 +238,17 @@ func newBatchState() *batchState {
 		}
 		return nil
 	}
+	// The commit hook of a logged batch or ReplApply: one record per group
+	// that wrote something, ascending by shard, each owning its entries (the
+	// window and its readers alias them). The engine calls it once, for the
+	// committing attempt, whose writes b.writes holds.
+	b.logWrites = func() {
+		for _, g := range b.groups {
+			if g.whi > g.wlo {
+				b.commits = append(b.commits, b.st.logCommit(g.shard, b.seq, slices.Clone(b.writes[g.wlo:g.whi])))
+			}
+		}
+	}
 	return b
 }
 
@@ -316,7 +279,7 @@ func (b *batchState) release() {
 	b.writes = b.writes[:0]
 	clear(b.commits)
 	b.commits = b.commits[:0]
-	b.st, b.s, b.tx = nil, nil, nil
+	b.st, b.s, b.tx, b.seq = nil, nil, nil, 0
 	batchPool.Put(b)
 }
 
@@ -347,66 +310,18 @@ func (b *batchState) group() {
 	}
 }
 
-// buildLocks plans the stripe set of the grouped keys. The groups ascend by
-// shard and each key's stripe is inserted into its group's sorted window of
-// the plan (dropped if already there), so the plan is born strictly
-// ascending in the global lock order: a batch must never lock a stripe twice
-// or out of order.
-func (b *batchState) buildLocks() {
-	b.locks = b.locks[:0]
-	for _, g := range b.groups {
-		tab := b.st.shards[g.shard].locks
-		lo := len(b.locks)
-		for _, i := range b.order[g.lo:g.hi] {
-			stripe := tab.StripeOf(b.keys[i])
-			j := len(b.locks)
-			for j > lo && b.locks[j-1].stripe > stripe {
-				j--
-			}
-			if j > lo && b.locks[j-1].stripe == stripe {
-				continue
-			}
-			// Shifted by hand: for the handful of entries a window holds,
-			// slices.Insert measured dearer than the sort it replaced.
-			b.locks = append(b.locks, stripeRef{})
-			for k := len(b.locks) - 1; k > j; k-- {
-				b.locks[k] = b.locks[k-1]
-			}
-			b.locks[j] = stripeRef{shard: g.shard, stripe: stripe}
-		}
-	}
-}
-
-// lock plans the stripe set of the grouped keys and acquires it.
-func (b *batchState) lock(exclusive bool) {
-	b.buildLocks()
-	b.st.lock(b.locks, exclusive)
-}
-
-// lockShard plans every stripe of one shard and acquires them.
-func (b *batchState) lockShard(shard int, exclusive bool) {
-	b.locks = b.locks[:0]
-	for i, n := 0, b.st.shards[shard].locks.Stripes(); i < n; i++ {
-		b.locks = append(b.locks, stripeRef{shard: shard, stripe: i})
-	}
-	b.st.lock(b.locks, exclusive)
-}
-
-// unlock releases what lock or lockShard acquired.
-func (b *batchState) unlock(exclusive bool) { b.st.unlock(b.locks, exclusive) }
-
-// enterGates enters every participating shard's session gate, ascending, and
-// exitGates leaves them: all an unlogged mutating batch holds, so that a
-// Freeze (a snapshot, SetReadOnly) finds it either finished or not begun.
+// enterGates enters every participating shard's gate, ascending, and
+// exitGates leaves them: all a mutating batch holds, so that a freeze (a
+// snapshot, a cut, SetReadOnly) finds it either finished or not begun.
 func (b *batchState) enterGates() {
 	for _, g := range b.groups {
-		b.st.shards[g.shard].locks.Enter()
+		b.st.shards[g.shard].gate.enter()
 	}
 }
 
 func (b *batchState) exitGates() {
 	for _, g := range b.groups {
-		b.st.shards[g.shard].locks.Exit()
+		b.st.shards[g.shard].gate.exit()
 	}
 }
 
@@ -438,65 +353,45 @@ func (b *batchState) execOps(idxs []int) error {
 // read is the read-only path (MGet, a get-only Batch): one read-only
 // snapshot transaction over every group, with the first group's shard's
 // adaptive update-path fallback under RO restart streaks. The engine makes
-// the read an atomic cut across the shards, so an unlogged store holds
-// nothing around it; a logged one holds the keys' stripes shared, so that,
-// like Get, it never reads a write whose record is not yet in the log.
+// the read an atomic cut across the shards, and, like Get, it takes nothing
+// else: it sees a write only once the write's record is in the log.
 func (b *batchState) read() error {
-	if b.st.logged() {
-		b.lock(false)
-		defer b.unlock(false)
-	}
 	s := b.first()
 	if s.takeFallback() {
-		return s.atomically(b.readUp)
+		return s.atomically(b.readUp, nil)
 	}
 	return s.roTracked(b.readRO)
 }
 
-// apply runs applyBody over b.writes on one shard: one update transaction.
-func (b *batchState) apply(shard int) error {
+// apply runs applyBody over b.writes on one shard: one update transaction,
+// with onCommit as its commit hook (nil: nothing to log).
+func (b *batchState) apply(shard int, onCommit func()) error {
 	b.s = b.st.shards[shard]
-	return b.s.atomically(b.applyBody)
+	return b.s.atomically(b.applyBody, onCommit)
 }
 
 // update is the mutating path: every op in one update transaction on the
-// first group's shard's thread. On an unlogged store the engine alone makes
-// it atomic and orders it against everything else, so it takes no stripes:
-// it holds its shards' session gates, which is what makes a snapshot or
-// SetReadOnly's fence wait it out. On a logged store it holds its keys'
-// stripes exclusively (and the gates with them) from before the
-// transaction until its records, one per shard, are in the log, so that log
-// order is commit order per key (see repl.go, "Ordering"). The deferred
-// release fires before Batch waits on the records' durability handles: the
-// batch parks on its group fsyncs with nothing held, exactly like the
-// single-key write path (Store.write).
+// first group's shard's thread, inside its shards' gates, which is what makes
+// a snapshot, a cut or SetReadOnly's fence wait it out. The engine alone
+// makes it atomic and orders it against everything else. On a logged store
+// its commit emits its records, one per shard it wrote (logWrites, the
+// engine's commit hook), before its locks are released, so that log order is
+// commit order per key (see repl.go, "Ordering"). The deferred exit fires
+// before Batch waits on the records' durability handles: the batch parks on
+// its group fsyncs with nothing held, exactly like the single-key write path
+// (Store.write).
 func (b *batchState) update() error {
 	st := b.st
-	logged := st.logged()
-	if logged {
-		b.lock(true)
-		defer b.unlock(true)
-	} else {
-		b.enterGates()
-		defer b.exitGates()
-	}
+	b.enterGates()
+	defer b.exitGates()
 	if st.ro.Load() {
 		return ErrNotPrimary // fenced while waiting for the gates; see SetReadOnly
 	}
-	if err := b.first().atomically(b.updateBody); err != nil {
-		return err
+	var onCommit func()
+	if st.logged() {
+		onCommit = b.logWrites
 	}
-	if logged {
-		// Still under the stripes: each record's log position matches its
-		// commit position for every key it writes. The record owns its
-		// entries (the window and its readers alias them).
-		for _, g := range b.groups {
-			if g.whi > g.wlo {
-				b.commits = append(b.commits, st.logCommit(g.shard, 0, slices.Clone(b.writes[g.wlo:g.whi])))
-			}
-		}
-	}
-	return nil
+	return b.first().atomically(b.updateBody, onCommit)
 }
 
 // Batch executes ops atomically across shards: one STM transaction, whatever
@@ -506,15 +401,14 @@ func (b *batchState) update() error {
 // transaction's own write log.
 //
 // A batch that only reads (every op a get) is a multi-key read and runs as
-// MGet does. A mutating batch on an unlogged store takes no stripes at all —
-// single-key traffic and other batches over its keys are ordered against it
-// by the engine, conflicts cured by its retry or prevented by the scheduler
-// — and holds only its shards' session gates, so a snapshot or a fence never
-// sees it half done. With a log attached (replication ring or WAL) it holds
-// its keys' stripes exclusively until its records are emitted, one per
-// shard, to keep log order equal to commit order. A validation error (a cas
-// mismatch, an add over a non-numeric value) aborts the transaction, and
-// nothing of the batch is written.
+// MGet does. A mutating batch locks nothing per key — single-key traffic and
+// other batches over its keys are ordered against it by the engine,
+// conflicts cured by its retry or prevented by the scheduler — and holds its
+// shards' gates, so a snapshot or a fence never sees it half done. With a
+// log attached (replication ring or WAL) its commit emits its records, one
+// per shard, which keeps log order equal to commit order. A validation error
+// (a cas mismatch, an add over a non-numeric value) aborts the transaction,
+// and nothing of the batch is written.
 //
 // The grouping lives in a pooled batchState, so a call allocates only what
 // it hands away: the result slice, one value cell per write (the cell
@@ -538,7 +432,7 @@ func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 		return nil, ErrNotPrimary
 	}
 	// Low-priority shed: past the overload knee, batches are pushed back
-	// before any grouping or locking — they are the heaviest admissions
+	// before any grouping or gate — they are the heaviest admissions
 	// and the cheapest to retry (see controller.shedLowPriority).
 	if st.ctrl != nil && st.ctrl.shedLowPriority() {
 		return nil, ErrBackpressure

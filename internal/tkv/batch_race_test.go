@@ -10,51 +10,56 @@ import (
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
+	"github.com/shrink-tm/shrink/internal/stm"
 )
 
-// twoStripeKeys finds two keys owned by the same shard but different
-// stripes, plus two keys on two further, distinct shards — the smallest key
-// geometry that lets a test build two cross-shard batches whose stripe sets
-// are disjoint while sharing a shard.
-func twoStripeKeys(t *testing.T, st *Store) (a, b, c, d uint64) {
-	t.Helper()
+// disjointKeys finds two keys owned by the same shard plus two keys on two
+// further, distinct shards — the smallest key geometry that lets a test build
+// two cross-shard batches whose keys are disjoint while sharing a shard.
+func disjointKeys(st *Store) (a, b, c, d uint64) {
 	sh := st.ShardOf(0)
-	locks := st.shards[sh].locks
-	a = 0
-	for b = 1; ; b++ {
-		if st.ShardOf(b) == sh && locks.StripeOf(b) != locks.StripeOf(a) {
-			break
-		}
+	for b = 1; st.ShardOf(b) != sh; b++ {
 	}
-	for c = b + 1; ; c++ {
-		if st.ShardOf(c) != sh {
-			break
-		}
+	for c = b + 1; st.ShardOf(c) == sh; c++ {
 	}
-	for d = c + 1; ; d++ {
-		if st.ShardOf(d) != sh && st.ShardOf(d) != st.ShardOf(c) {
-			break
-		}
+	for d = c + 1; st.ShardOf(d) == sh || st.ShardOf(d) == st.ShardOf(c); d++ {
 	}
-	return a, b, c, d
+	return 0, b, c, d
 }
 
-// TestConcurrentDisjointBatches pins what a held stripe does to batches.
-// On a logged store, with one stripe of a shard held exclusively (as a
-// logged write in flight over key a would hold it), a cross-shard batch
-// over the same shard's other stripes commits concurrently, while a batch
-// over the held stripe blocks until release. On an unlogged store a batch
-// takes no stripes, so neither blocks: the engine alone orders them.
+// TestConcurrentDisjointBatches pins what a write in flight does to batches,
+// on a logged and an unlogged store alike: nothing is locked per key outside
+// the engine, so with a transaction over key a parked before its commit
+// (holding a's lock, as a logged write holds it while it appends), a
+// cross-shard batch over other keys of a's shard commits concurrently, while
+// a batch over a cannot commit until the parked transaction has.
 func TestConcurrentDisjointBatches(t *testing.T) {
 	for _, ring := range []int{8, 0} {
 		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) {
 			st := openTest(t, Config{Shards: 4, PoolSize: 4, ReplRing: ring})
-			a, b, c, d := twoStripeKeys(t, st)
-			shA := st.shards[st.ShardOf(a)]
-			stripeA := shA.locks.StripeOf(a)
+			a, b, c, d := disjointKeys(st)
+			if _, err := st.Put(a, "0"); err != nil {
+				t.Fatal(err)
+			}
+			shA := st.shardFor(a)
 
 			// Stand in for an in-flight write over key a.
-			shA.locks.Lock(stripeA)
+			locked, release, parked := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			go func() {
+				first := true
+				parked <- shA.atomically(func(tx stm.Tx) error {
+					if _, err := shA.kv.Put(tx, a, "0"); err != nil {
+						return err
+					}
+					if first {
+						first = false
+						close(locked)
+						<-release
+					}
+					return nil
+				}, nil)
+			}()
+			<-locked
 
 			disjoint := make(chan error, 1)
 			go func() {
@@ -64,7 +69,7 @@ func TestConcurrentDisjointBatches(t *testing.T) {
 				})
 				disjoint <- err
 			}()
-			if err := within(t, "batch over disjoint stripes of the held stripe's shard", disjoint); err != nil {
+			if err := within(t, "batch over other keys of the parked write's shard", disjoint); err != nil {
 				t.Fatal(err)
 			}
 
@@ -76,22 +81,17 @@ func TestConcurrentDisjointBatches(t *testing.T) {
 				})
 				overlapping <- err
 			}()
-			if ring == 0 {
-				if err := within(t, "unlogged batch over the held stripe", overlapping); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				select {
-				case err := <-overlapping:
-					t.Fatalf("logged batch over the held stripe did not block (err=%v)", err)
-				case <-time.After(50 * time.Millisecond):
-				}
+			select {
+			case err := <-overlapping:
+				t.Fatalf("batch over the parked write's key did not wait for it (err=%v)", err)
+			case <-time.After(50 * time.Millisecond):
 			}
-			shA.locks.Unlock(stripeA)
-			if ring != 0 {
-				if err := within(t, "blocked batch after the stripe was released", overlapping); err != nil {
-					t.Fatal(err)
-				}
+			close(release)
+			if err := within(t, "the parked write", parked); err != nil {
+				t.Fatal(err)
+			}
+			if err := within(t, "the waiting batch after the write committed", overlapping); err != nil {
+				t.Fatal(err)
 			}
 
 			// Both batches landed exactly once each.
@@ -121,9 +121,6 @@ func TestOverlappingBatchesNoLostUpdates(t *testing.T) {
 				PoolSize:  4,
 				Engine:    engine,
 				Scheduler: enginecfg.SchedShrink,
-				// Few stripes force heavy stripe sharing between
-				// batches — the contended half of the protocol.
-				LockStripes: 8,
 			})
 			const nKeys = 32
 			const workers = 8
@@ -275,7 +272,7 @@ func TestOverlappingBatchesNoLostUpdates(t *testing.T) {
 // failing op.
 func TestBatchCASMismatchNoPartialWrites(t *testing.T) {
 	st := openTest(t, Config{Shards: 4})
-	a, b, c, d := twoStripeKeys(t, st)
+	a, b, c, d := disjointKeys(st)
 
 	if _, err := st.Put(c, "current"); err != nil {
 		t.Fatal(err)

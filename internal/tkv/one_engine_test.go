@@ -58,8 +58,8 @@ func writeTokens(t *testing.T, st *Store, keys []uint64, writers int, stop <-cha
 	return &wg
 }
 
-// TestMGetAtomicAcrossShards: on an unlogged store, where neither holds a
-// stripe, a cross-shard MGet (and a get-only Batch, the same path) never
+// TestMGetAtomicAcrossShards: on an unlogged store, where neither a read nor
+// a write takes anything per key, a cross-shard MGet (and a get-only Batch, the same path) never
 // sees part of a cross-shard batch. The read body yields the processor as it
 // returns, a few times per call, so that on one processor too the writers
 // commit while a read is under way: a read split into per-shard transactions
@@ -146,7 +146,7 @@ func TestSnapshotNeverSplitsABatch(t *testing.T) {
 }
 
 // TestReadOnlyWaitsOutGateOnlyBatch: a mutating batch of an unlogged store
-// holds no stripe, only its shards' session gates; SetReadOnly(true) raised
+// holds nothing but its shards' gates; SetReadOnly(true) raised
 // while one is inside its transaction returns only after it has committed,
 // and the batch, which passed the fence before it went up, succeeds.
 func TestReadOnlyWaitsOutGateOnlyBatch(t *testing.T) {

@@ -55,7 +55,7 @@ func TestThreadPoolBound(t *testing.T) {
 		parked.Add(1)
 		go func() {
 			defer parked.Done()
-			if err := s.atomically(body(release)); err != nil {
+			if err := s.atomically(body(release), nil); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -96,7 +96,7 @@ func TestThreadPoolBound(t *testing.T) {
 			defer wg.Done()
 			run := body(nil)
 			for i := 0; i < 2000; i++ {
-				if err := s.atomically(run); err != nil {
+				if err := s.atomically(run, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -167,8 +167,9 @@ func TestThreadPoolNoLostWakeup(t *testing.T) {
 
 // TestThreadReturnedOnPanic: a transaction body that panics, recovered by
 // its caller, returns its thread; under a single-key write of a logged
-// store, where the key's stripe is held around the thread, the stripe comes
-// back with it (testWritePanic).
+// store, where the shard's gate is held around the thread and the thread
+// carries a commit hook, the gate comes back with it and the hook is cleared
+// (testWritePanic).
 func TestThreadReturnedOnPanic(t *testing.T) {
 	st := openTest(t, Config{Shards: 1, PoolSize: 2, Admission: &AdmitConfig{}})
 	defer st.Close()
@@ -176,7 +177,7 @@ func TestThreadReturnedOnPanic(t *testing.T) {
 	boom := func(stm.Tx) error { panic("boom") }
 	boomRO := func(*stm.ROTx) error { panic("boom") }
 	paths := map[string]func(){
-		"atomically":   func() { s.atomically(boom) },
+		"atomically":   func() { s.atomically(boom, nil) },
 		"atomicallyRO": func() { s.atomicallyRO(boomRO) },
 		"roTracked":    func() { s.roTracked(boomRO) },
 	}
@@ -213,10 +214,10 @@ func TestThreadReturnedOnPanic(t *testing.T) {
 }
 
 // testWritePanic: a body that panics under any of the four single-key
-// writes, on an admission-on store that is unlogged (ring 0: no stripe) or
-// logged (its key's stripe, exclusive), leaves nothing held once its caller
-// has recovered — not the pooled thread, and on the logged store not the
-// stripe.
+// writes, on an admission-on store that is unlogged (ring 0: no gate) or
+// logged (its shard's gate, and a commit hook on its thread), leaves nothing
+// held once its caller has recovered — not the pooled thread, no thread's
+// commit hook, and on the logged store not the gate.
 func testWritePanic(t *testing.T, ring int) {
 	const hot = uint64(77)
 	writes := map[string]func(*Store){
@@ -250,10 +251,16 @@ func testWritePanic(t *testing.T, ring int) {
 			if free := s.pool.free.Load(); free != 0b11 {
 				t.Fatalf("%s: after a recovered panic free word %b, want both threads idle", name, free)
 			}
+			for _, th := range s.pool.threads {
+				if th.Ctx().CommitHook != nil {
+					t.Fatalf("%s: a commit hook left on thread %d after a recovered panic", name, th.ID())
+				}
+			}
 			if ring > 0 {
-				locked := make(chan int, 1)
-				go func() { locked <- s.locks.LockKey(hot) }()
-				s.locks.Unlock(within(t, "the key's stripe after a recovered "+name, locked))
+				frozen := make(chan struct{})
+				go func() { s.gate.freeze(); close(frozen) }()
+				within(t, "the shard's gate after a recovered "+name, frozen)
+				s.gate.unfreeze()
 			}
 		}
 	}

@@ -19,16 +19,24 @@ import (
 // # Ordering
 //
 // A shard's records must be in commit order per key, or a follower
-// replaying them diverges. The store gets that order from the stripes: on a
-// logged store (a ring, a WAL, or both: st.logged()) every write path takes
-// its keys' stripes in EXCLUSIVE mode — one branch in Store.write, the only
-// single-key write path, and one in Batch; an unlogged store takes no
-// stripes at all — and the record is appended after the STM commit but
-// before the stripes are released. Two writes to the same key always
-// contend on its stripe, so their records append in their commit order;
-// writes to different keys may interleave in the log, but their records
-// carry resulting state (values and tombstones, not operations), so any
-// interleaving of commuting records replays to the same store.
+// replaying them diverges. The store gets that order from the engine: on a
+// logged store (a ring, a WAL, or both: st.logged()) every write path
+// appends its record from inside its commit — the engine's commit hook,
+// which runs after the transaction's read set has validated and before its
+// write locks are released (opSlot.logWrite for Store.write, the only
+// single-key write path; batchState.logWrites for Batch and ReplApply). Two
+// writes to the same key always meet on a cell: every write of a key reads
+// its value cell (a single-key delete too, which the map's unlink alone
+// would not: it writes only the links), and one that creates the key writes
+// the link that will hold it. The later writer therefore either waits for
+// the earlier one's locks, which are released after its append, or fails
+// its own validation and retries; so their records append in their commit
+// order. Writes to different keys may interleave in the log, even against
+// their commit timestamps, but their records carry resulting state (values
+// and tombstones, not operations), so any interleaving of commuting records
+// replays to the same store. An observer that needs the head to match the
+// contents exactly (a cut, SetReadOnly) freezes the shard's gate, which
+// every logged write holds while it runs.
 //
 // # Sequence numbers and resync
 //
@@ -191,38 +199,31 @@ func (st *Store) ReadOnly() bool { return st.ro.Load() }
 //
 // On a logged store, where it is used (a follower, and a primary's shutdown
 // fence), SetReadOnly(true) is a barrier: when it returns, every write that
-// passed the gate has committed and emitted its record, so a head read
+// passed the flag has committed and emitted its record, so a head read
 // afterwards (what DrainRepl ships up to before it fences the stream) is
-// final. The write paths test the flag again once they hold their stripes
-// (and a batch its shards' session gates); after setting it this freezes each
-// shard's gate, which waits out the batches inside it, and then takes every
-// stripe of the shard exclusively, which waits out every stripe holder,
-// shared ones included. On an unlogged store a single-key write takes no
-// stripe and tests the flag once, so the flag bounces every write that checks
-// it afterwards, and the batches are still waited out at their gates. It must
-// not be called with a stripe or a gate held.
+// final. The write paths test the flag again inside their shard's gate (a
+// batch inside all of its shards'), and after setting it this freezes each
+// shard's gate in turn, which waits out every write inside. On an unlogged
+// store a single-key write takes no gate and tests the flag once, so the flag
+// bounces every write that checks it afterwards, and the batches are still
+// waited out at their gates. It must not be called with a gate held.
 func (st *Store) SetReadOnly(v bool) {
 	st.ro.Store(v)
 	if !v {
 		return
 	}
 	for _, s := range st.shards {
-		s.locks.Freeze()
-		for i := range s.locks.Stripes() {
-			s.locks.Lock(i)
-			s.locks.Unlock(i)
-		}
-		s.locks.Unfreeze()
+		s.gate.freeze()
+		s.gate.unfreeze()
 	}
 }
 
 // ReplShardCut returns a consistent snapshot of one shard together with
 // the shard's sequence watermark: every record with Seq <= the returned
-// seq is reflected in the pairs, none after. It holds all of the shard's
-// stripes in shared mode for the duration — writers (exclusive on a logged
-// store) are paused on this shard, so the head cannot advance under the
-// cut — and is the shipper's fallback when a follower's cursor is below the
-// shard's window.
+// seq is reflected in the pairs, none after. It freezes the shard's gate for
+// the duration (cutShard) — the shard's writers are paused, so the head
+// cannot advance under the cut — and is the shipper's fallback when a
+// follower's cursor is below the shard's window.
 func (st *Store) ReplShardCut(shard int) (pairs []tkvlog.Entry, seq uint64, err error) {
 	if shard < 0 || shard >= len(st.shards) || st.repl == nil {
 		return nil, 0, fmt.Errorf("tkv: bad repl cut shard %d", shard)
@@ -230,12 +231,13 @@ func (st *Store) ReplShardCut(shard int) (pairs []tkvlog.Entry, seq uint64, err 
 	return st.cutShard(shard)
 }
 
-// ReplApply replays one replicated record on a follower: the entries are
-// applied in order as one update transaction under the keys' exclusive
-// stripes, the record is appended to the follower's own log under the
-// primary's sequence number, and once that append is durable the applied
-// watermark advances. It bypasses the read-only gate — this is how a
-// follower's data arrives.
+// ReplApply replays one replicated record on a follower: inside the shard's
+// gate, the entries are applied in order as one update transaction whose
+// commit appends the record to the follower's own log under the primary's
+// sequence number (logWrites, as a batch emits its records), and once that
+// append is durable the applied watermark advances. A record that wrote
+// nothing here is appended directly. It bypasses the
+// read-only flag — this is how a follower's data arrives.
 func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	if st.repl == nil {
 		return errors.New("tkv: ReplApply without a replication log")
@@ -244,32 +246,36 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	if shard < 0 || shard >= len(st.shards) {
 		return fmt.Errorf("tkv: repl record for shard %d of %d", shard, len(st.shards))
 	}
-	b := st.batch()
-	defer b.release()
 	for _, e := range rec.Entries {
 		if st.ShardOf(e.Key) != shard {
 			return fmt.Errorf("tkv: repl record key %d maps to shard %d, record says %d (shard counts differ?)",
 				e.Key, st.ShardOf(e.Key), shard)
 		}
-		b.keys = append(b.keys, e.Key)
 	}
-	b.group()
-	b.lock(true)
-	defer b.unlock(true)
-	// The follower's window and WAL keep the entries; rec's own slice is the
-	// stream decoder's to reuse.
-	entries := append([]tkvlog.Entry(nil), rec.Entries...)
-	if len(entries) > 0 {
-		b.writes = append(b.writes, entries...)
-		if err := b.apply(shard); err != nil {
-			return fmt.Errorf("tkv: repl apply shard %d seq %d: %w", shard, rec.Seq, err)
-		}
+	b := st.batch()
+	defer b.release()
+	// rec's own slice is the stream decoder's to reuse: the transaction
+	// applies a copy, and the record logWrites emits is a copy of that.
+	b.writes = append(b.writes, rec.Entries...)
+	b.groups = append(b.groups[:0], shardGroup{shard: shard, whi: len(b.writes)})
+	b.seq = rec.Seq
+	g := &st.shards[shard].gate
+	g.enter()
+	defer g.exit()
+	if err := b.apply(shard, b.logWrites); err != nil {
+		return fmt.Errorf("tkv: repl apply shard %d seq %d: %w", shard, rec.Seq, err)
+	}
+	if len(b.commits) == 0 {
+		// Nothing written (an empty record, or tombstones of keys this
+		// store lacks), so nothing to order: the record only keeps the
+		// follower's numbering dense.
+		b.commits = append(b.commits, st.logCommit(shard, rec.Seq, append([]tkvlog.Entry(nil), rec.Entries...)))
 	}
 	// Wait before the applied watermark moves (a nil Commit without a WAL
 	// returns at once): a follower must never report a record applied that
 	// its own log could lose, and what it reports is what it resubscribes
 	// from.
-	if werr := st.logCommit(shard, rec.Seq, entries).Wait(); werr != nil {
+	if werr := b.commits[0].Wait(); werr != nil {
 		return fmt.Errorf("tkv: repl apply shard %d seq %d: wal: %w", shard, rec.Seq, werr)
 	}
 	st.repl.applied[shard].Store(rec.Seq)
@@ -280,17 +286,16 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 // ReplRestoreShard replaces one shard's contents with a snapshot cut
 // (follower side, after the primary fell back to ReplShardCut): keys
 // absent from the cut are deleted, every pair of the cut is written, all
-// as one update transaction (applyBody, as for a replicated record) under
-// every stripe of the shard, and the shard's log restarts at seq
-// (logRestart).
+// as one update transaction (applyBody, as for a replicated record) inside
+// the shard's gate, and the shard's log restarts at seq (logRestart).
 //
-// With a WAL the log is then checkpointed, and that cut takes each
-// shard's stripes itself — so the checkpoint runs after this
-// shard's stripes are released. That ordering is safe because the
-// follower applier calling this is the store's only writer (the follower
-// bounces client writes), so nothing can append into the numbering gap
-// before the checkpoint lands; a crash inside the window just recovers
-// the pre-restore state and resyncs again.
+// With a WAL the log is then checkpointed, and that cut freezes each
+// shard's gate itself — so the checkpoint runs after this call has left the
+// shard's gate. That ordering is safe because the follower applier calling
+// this is the store's only writer (the follower bounces client writes), so
+// nothing can append into the numbering gap before the checkpoint lands; a
+// crash inside the window just recovers the pre-restore state and resyncs
+// again.
 func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) error {
 	if st.repl == nil {
 		return errors.New("tkv: ReplRestoreShard without a replication log")
@@ -302,8 +307,8 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 	err := func() error {
 		b := st.batch()
 		defer b.release()
-		b.lockShard(shard, true)
-		defer b.unlock(true)
+		s.gate.enter()
+		defer s.gate.exit()
 		incoming := make(map[uint64]struct{}, len(pairs))
 		for _, p := range pairs {
 			incoming[p.Key] = struct{}{}
@@ -324,7 +329,7 @@ func (st *Store) ReplRestoreShard(shard int, pairs []tkvlog.Entry, seq uint64) e
 			return err
 		}
 		b.writes = append(b.writes, pairs...)
-		if err := b.apply(shard); err != nil {
+		if err := b.apply(shard, nil); err != nil {
 			return fmt.Errorf("tkv: repl restore shard %d: %w", shard, err)
 		}
 		st.logRestart(shard, seq)

@@ -268,6 +268,29 @@ func TestReplApplyValidates(t *testing.T) {
 	}
 }
 
+// TestReplApplyWritingNothing: a replicated record whose application writes
+// nothing here — an empty one, or a tombstone of a key the follower lacks —
+// has no commit to append it, and is appended directly: the follower's head
+// and applied watermark still move to its sequence, and its window holds it.
+func TestReplApplyWritingNothing(t *testing.T) {
+	fo := openTest(t, Config{Shards: 2, ReplRing: 64})
+	const key = 7
+	sh := fo.ShardOf(key)
+	for seq, entries := range [][]tkvlog.Entry{nil, {{Key: key, Del: true}}} {
+		rec := &tkvlog.Record{Shard: uint16(sh), Seq: uint64(seq + 1), Entries: entries}
+		if err := fo.ReplApply(rec); err != nil {
+			t.Fatal(err)
+		}
+		if head, applied := fo.Repl().Head(sh), fo.Repl().Applied(sh); head != rec.Seq || applied != rec.Seq {
+			t.Fatalf("after record %d: head %d, applied %d", rec.Seq, head, applied)
+		}
+		recs, ok := readWindow(t, fo.Repl(), sh, rec.Seq, 1)
+		if !ok || len(recs) != 1 || len(recs[0].Entries) != len(entries) {
+			t.Fatalf("window at %d: %+v (ok %v), want the record", rec.Seq, recs, ok)
+		}
+	}
+}
+
 // TestReplRestoreShard checks snapshot resync: stale follower keys are
 // dropped, the cut's pairs land, the applied watermark jumps, and the
 // follower's own window restarts at the cut: it refuses everything up to it
@@ -434,8 +457,8 @@ func TestReplStats(t *testing.T) {
 // BenchmarkReplPut is the commit-path overhead spot-check: the same Put
 // stream against a store with and without a replication ring attached.
 // The delta is what a primary pays per write for replication with no
-// follower connected — the exclusive (instead of shared) stripe, the
-// record's entry slice, and the ring append — and must stay small
+// follower connected — the shard's gate, the record's entry slice, and the
+// ring append from inside the commit — and must stay small
 // (EXPERIMENTS.md budgets 5%).
 func BenchmarkReplPut(b *testing.B) {
 	for _, cfg := range []struct {

@@ -12,21 +12,20 @@ import (
 // counter is the store's operation counter word.
 type counter = atomic.Uint64
 
-// freezeAll freezes every shard's key-lock table in ascending shard order
-// (consistent with the global lock order), giving the caller a cut that no
-// batch can intersect — O(1) per shard via the tables' session gate, which
-// every mutating batch enters, no stripe walk. Single-key transactions are
-// unaffected (they take no gate and are atomic by the STM); each serializes
-// against the cut at its own shard's snapshot transaction, which makes the
-// cut serializable but not strictly so — see the package comment for the
-// exact guarantee.
+// freezeAll freezes every shard's gate in ascending shard order (the order
+// every multi-gate holder enters them in), giving the caller a cut that no
+// batch, and on a logged store no write at all, can intersect. An unlogged
+// store's single-key transactions take no gate and are unaffected (they are
+// atomic by the STM); each serializes against the cut at its own shard's
+// snapshot transaction, which makes the cut serializable but not strictly
+// so — see the package comment for the exact guarantee.
 func (st *Store) freezeAll() func() {
 	for _, s := range st.shards {
-		s.locks.Freeze()
+		s.gate.freeze()
 	}
 	return func() {
 		for _, s := range st.shards {
-			s.locks.Unfreeze()
+			s.gate.unfreeze()
 		}
 	}
 }
@@ -125,15 +124,15 @@ type OpCounts struct {
 // ran it (its first), so the shards sum to the store's engine.
 // Serializations counts the transaction starts the scheduler serialized
 // (zero without one). StripeWaitsShared and StripeWaitsExcl count contended
-// acquisitions of the shard's key-lock stripes and session gate: a shared
-// wait is a logged store's read pausing behind a writer, or a snapshot behind
-// a batch; an exclusive wait is a logged store's writer pausing behind
-// anything, or a batch behind a snapshot. Only a logged store takes stripes,
-// so on an unlogged one both count gate waits only. ROFallbacks counts reads
-// routed to the logging update path after an RO restart streak. Stripes is
-// the shard's stripe count (Config.LockStripes, fixed at Open). Overload and
-// Shed describe the admission layer: the controller's EWMA overload score,
-// and the writes shed with backpressure (both zero when admission is off).
+// acquisitions of the shard's gate (the names outlive the key-lock stripes
+// the gate came with, because the benchmark reads the store totals as its
+// keylock.waits_* metrics): a shared wait is a snapshot, cut or read-only fence
+// pausing for the writes inside the gate, an exclusive wait a write (on an
+// unlogged store, a batch) pausing at a frozen gate. Reads never wait.
+// ROFallbacks counts reads routed to the logging update path after an RO
+// restart streak. Overload and Shed describe the admission layer: the
+// controller's EWMA overload score, and the writes shed with backpressure
+// (both zero when admission is off).
 type ShardStats struct {
 	Shard             uint64  `json:"shard"`
 	Commits           uint64  `json:"commits"`
@@ -144,13 +143,12 @@ type ShardStats struct {
 	StripeWaitsShared uint64  `json:"stripeWaitsShared"`
 	StripeWaitsExcl   uint64  `json:"stripeWaitsExcl"`
 	ROFallbacks       uint64  `json:"roFallbacks"`
-	Stripes           int     `json:"stripes"`
 	Overload          float64 `json:"overload,omitempty"`
 	Shed              uint64  `json:"shed,omitempty"`
 }
 
 // Stats aggregates the store's state: per-shard engine counters (including
-// scheduler serializations), stripe-wait, RO-fallback and admission
+// scheduler serializations), gate-wait, RO-fallback and admission
 // counters, and store-level op counts. The admission totals (Shed,
 // ShedBatches) are zero when the store runs without an admission layer.
 type Stats struct {
@@ -180,7 +178,7 @@ func (st *Store) Stats() Stats {
 	out := Stats{Shards: make([]ShardStats, len(st.shards))}
 	for i, s := range st.shards {
 		agg := s.pool.stats()
-		shared, excl := s.locks.Waits()
+		shared, excl := s.gate.waits()
 		ss := ShardStats{
 			Shard:             uint64(i),
 			Commits:           agg.Commits,
@@ -191,7 +189,6 @@ func (st *Store) Stats() Stats {
 			StripeWaitsShared: shared,
 			StripeWaitsExcl:   excl,
 			ROFallbacks:       s.roFallbacks.Load(),
-			Stripes:           s.locks.Stripes(),
 		}
 		if s.ctl != nil {
 			ss.Overload = s.ctl.overload()
@@ -247,7 +244,6 @@ func (s Stats) Table() *report.Table {
 		t.Add("stripeWaitsShared", int(sh.Shard), float64(sh.StripeWaitsShared))
 		t.Add("stripeWaitsExcl", int(sh.Shard), float64(sh.StripeWaitsExcl))
 		t.Add("roFallbacks", int(sh.Shard), float64(sh.ROFallbacks))
-		t.Add("stripes", int(sh.Shard), float64(sh.Stripes))
 		t.Add("overload", int(sh.Shard), sh.Overload)
 		t.Add("shed", int(sh.Shard), float64(sh.Shed))
 	}

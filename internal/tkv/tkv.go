@@ -3,70 +3,75 @@
 //
 // A Store runs one TM — one engine instance (SwissTM- or TinySTM-like), one
 // scheduler, one wait policy — and splits the key space across N shards.
-// Each shard holds a transactional hash map (stmds.HashMap), a striped key
-// lock table, a log when one is attached, and a bounded pool of STM threads,
-// registered on the store's TM, that serving goroutines borrow per
-// operation: a caller claims an idle thread with one compare-and-swap on the
-// pool's free-bit word and returns it with one atomic OR (see threadPool).
-// One engine means one clock for every shard, so any multi-key call is one
-// transaction, run on a thread of its first shard; a shard's statistics are
-// those of its own threads.
+// Each shard holds a transactional hash map (stmds.HashMap), a session gate,
+// a log when one is attached, and a bounded pool of STM threads, registered
+// on the store's TM, that serving goroutines borrow per operation: a caller
+// claims an idle thread with one compare-and-swap on the pool's free-bit word
+// and returns it with one atomic OR (see threadPool). One engine means one
+// clock for every shard, so any multi-key call is one transaction, run on a
+// thread of its first shard; a shard's statistics are those of its own
+// threads.
 //
 // Consistency model. Every operation is one STM transaction, and the engine
-// makes the history serializable. The striped lock tables (internal/keylock,
-// each key hashed onto one of a fixed power-of-two number of stripes) have
-// one job: on a store with a log attached (ReplRing, WAL) they make log order
-// equal commit order per key. Only a logged store takes a stripe, and an
-// unlogged store's reads and writes hold nothing but their transaction. What
-// else a table gives is its session gate, which a snapshot or SetReadOnly
-// freezes to wait out every in-flight batch:
+// makes the history serializable. A store with a log attached (ReplRing,
+// WAL) adds one rule: a record enters the log inside its commit; observers
+// freeze the gate. A logged write hands its record to the log from the
+// engine's commit hook (stm.ThreadCtx.CommitHook), after its read set has
+// validated and before its write locks are released. Every write of a key
+// reads the key's value cell (and one that creates the key writes the link
+// that will hold it), so two writes to one key meet on a cell the earlier
+// one still locks while it appends, and reach the log in their commit order;
+// and a reader, who sees a value only once its writer has unlocked, never
+// sees a write whose record is not yet in the log. Nothing per key is locked
+// outside the engine. A whole-shard observer needs one thing more, the
+// shard's gate: every logged write and every mutating batch holds it shared
+// while it runs, and a snapshot, a checkpoint or replication cut, and
+// SetReadOnly freeze it to find the shard with no write in flight (records
+// of one shard reach its log in commit order per key, not in
+// commit-timestamp order, so no head read under running writers is exact):
 //
 //   - Single-key operations (Get, Put, Delete, CAS, Add) are one STM
 //     transaction each. The four writes are one function (Store.write). On a
-//     logged store a write holds its key's stripe exclusively until its
-//     record is in the log, and a Get holds it shared, so it never reads a
-//     write whose record is not yet there.
+//     logged store a write enters its shard's gate and emits its record from
+//     its commit; a Get takes nothing, on any store.
 //   - Batches (multi-key, possibly cross-shard) run as one update
 //     transaction: ops read earlier ops' writes through its write log, and
 //     a cas mismatch or a user error aborts it with nothing written (see
-//     ErrCASMismatch). Every mutating batch enters its shards' session gates
-//     (ascending). On a logged store it also holds its keys' stripes
-//     exclusively, in (shard, stripe) ascending order, until its records —
-//     one per shard — are in the log. A batch of gets only is a multi-key
+//     ErrCASMismatch). Every mutating batch enters its shards' gates
+//     (ascending), and on a logged store emits one record per shard it
+//     wrote, ascending, from its commit. A batch of gets only is a multi-key
 //     read.
 //   - Multi-key reads (MGet, a get-only Batch) are one read-only snapshot
 //     transaction across all their shards: an atomic cut, which never
-//     observes part of a batch. On a logged store they hold their keys'
-//     stripes in shared mode, as Get does.
-//   - Snapshots (ForEach, Snapshot, Len) freeze every shard's lock table
-//     (ascending order; the session gate excludes every in-flight and new
-//     batch in O(1) per shard, without touching stripes or pausing
-//     single-key traffic) and read each shard in one read-only snapshot
-//     transaction (stm.ROTx: validation-free, no read log, no clock tick).
-//     The cut never observes part of a batch and is serializable: a
-//     single-key transaction touches one shard, so ordering the snapshot
-//     after every transaction it observed and before every one it missed
-//     yields a legal serial history. It is not strictly serializable across
-//     shards, though — the per-shard reads happen at different instants, so
-//     a single-key write that completes on an already-visited shard before a
-//     write on a yet-unvisited shard begins may be absent while the later
-//     write is present. Callers needing a real-time cut across shards use
-//     MGet.
+//     observes part of a batch. They take nothing.
+//   - Snapshots (ForEach, Snapshot, Len) freeze every shard's gate
+//     (ascending order: every in-flight and new batch is excluded, and on a
+//     logged store every single-key write too) and read each shard in one
+//     read-only snapshot transaction (stm.ROTx: validation-free, no read log,
+//     no clock tick). The cut never observes part of a batch and is
+//     serializable: a single-key transaction touches one shard, so ordering
+//     the snapshot after every transaction it observed and before every one
+//     it missed yields a legal serial history. It is not strictly
+//     serializable across shards on an unlogged store, though, whose
+//     single-key writes run past the gates — the per-shard reads happen at
+//     different instants, so a single-key write that completes on an
+//     already-visited shard before a write on a yet-unvisited shard begins
+//     may be absent while the later write is present. Callers needing a
+//     real-time cut across shards use MGet.
 //
-// Locks order before the STM layer (lock, then transact), and every
-// multi-lock acquisition follows one global order — shard index first, a
-// shard's gate before its stripes — so the subsystem is deadlock-free.
+// Gates order before the STM layer (enter, then transact), and a call that
+// enters several enters them in shard order, so the subsystem is
+// deadlock-free.
 //
-// One pooled state. Batch, MGet, the follower's ReplApply, WAL recovery and
-// the whole-shard cuts and restores all go through one pooled batchState:
-// group the keys by shard (a counting sort into flat slices), take the gates
-// or stripes the call needs (a shard's stripe count is fixed when the store
-// opens, so a stripe set never goes stale), run one pre-bound transaction
-// body. The state is to multi-key calls what opSlot is to single-key ones: no
-// closure, map or plan slice is built per call, so a call allocates only what
-// it hands away — its result slice, one cell per value it stores, the decimal
-// string of an add, the log record it emits. BenchmarkBatchDisjoint,
-// BenchmarkMGet8 and TestBatchAllocBudget hold that line.
+// One pooled state. Batch, MGet, the follower's ReplApply and
+// ReplRestoreShard, and WAL recovery all go through one pooled batchState:
+// group the keys by shard (a counting sort into flat slices), enter the gates
+// the call needs, run one pre-bound transaction body. The state is to
+// multi-key calls what opSlot is to single-key ones: no closure, map or plan
+// slice is built per call, so a call allocates only what it hands away — its
+// result slice, one cell per value it stores, the decimal string of an add,
+// the log record it emits. BenchmarkBatchDisjoint, BenchmarkMGet8 and
+// TestBatchAllocBudget hold that line.
 //
 // Read-path adaptivity: Get and MGet run in the validation-free read-only
 // snapshot mode, which restarts when a concurrent writer commits past its
@@ -90,7 +95,6 @@ import (
 	"sync/atomic"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
-	"github.com/shrink-tm/shrink/internal/keylock"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stmds"
 	"github.com/shrink-tm/shrink/internal/tkvlog"
@@ -100,8 +104,8 @@ import (
 // Config sizes a Store and selects its TM stack.
 type Config struct {
 	// Shards is the number of shards, rounded up to a power of two
-	// (default 8). Each shard has its own hash map, stripe table, thread
-	// pool and log; all of them share the store's one engine.
+	// (default 8). Each shard has its own hash map, gate, thread pool and
+	// log; all of them share the store's one engine.
 	Shards int
 	// PoolSize is the number of STM threads registered per shard; it
 	// bounds the transactions concurrently started from one shard — a
@@ -111,19 +115,12 @@ type Config struct {
 	PoolSize int
 	// Buckets is the hash-table bucket count per shard (default 512).
 	Buckets int
-	// LockStripes is the per-shard key-lock stripe count, rounded up to a
-	// power of two (default keylock.DefaultStripes) and fixed for the
-	// store's lifetime. More stripes admit more concurrent logged writers
-	// per shard at the cost of table footprint (one cache line per stripe):
-	// they remove waits on keys that share a stripe by hash, not waits on
-	// one hot key.
-	LockStripes int
 	// Engine, Scheduler and Wait select the store's one TM (see enginecfg;
 	// a Shrink scheduler runs its default configuration); the zero values
 	// are SwissTM, no scheduler, preemptive waiting. The scheduler sees
 	// every transaction of every shard, a batch's across shards included:
-	// it is where an unlogged store prevents conflicts, the engine's retry
-	// where it cures them.
+	// it is where the store prevents conflicts, the engine's retry where it
+	// cures them.
 	Engine    string
 	Scheduler string
 	Wait      stm.WaitPolicy
@@ -137,9 +134,8 @@ type Config struct {
 	// keeps a window of its last ReplRing records in memory, which the
 	// wire-level shipper streams to followers. 0 disables replication. The
 	// write paths are the same code either way; on a logged store (this,
-	// the WAL, or both) they take their stripes in exclusive mode and append
-	// a record before releasing them, so record order is commit order per
-	// key (see Store.write and Batch).
+	// the WAL, or both) each appends its record from inside its commit, so
+	// record order is commit order per key (see Store.write and Batch).
 	ReplRing int
 	// WAL attaches a write-ahead log (see internal/tkvwal and wal.go; one
 	// lane carries every shard): the one append that numbers a
@@ -178,24 +174,59 @@ type Store struct {
 	ro atomic.Bool
 }
 
-// shard is one slice of the key space: its own hash map, stripe table,
-// thread pool (registered on the store's engine) and log.
+// shard is one slice of the key space: its own hash map, gate, thread pool
+// (registered on the store's engine) and log.
 type shard struct {
 	kv   *stmds.HashMap[string]
 	pool threadPool
 	// ctl is the shard's admission state; nil unless Config.Admission.
 	ctl *shardCtl
-	// locks is the shard's striped key-lock table, sized once at Open. Only a
-	// logged store takes its stripes: writers exclusively until their
-	// records are in the log, reads shared. On every store batches enter its
-	// session gate, and snapshots and SetReadOnly freeze the gate. See the
-	// package comment.
-	locks *keylock.Table
+	// gate is held shared by every mutating batch over the shard and, on a
+	// logged store, by every single-key write; snapshots, cuts and
+	// SetReadOnly freeze it. See the package comment.
+	gate gate
 	// roStreak counts consecutive read-only snapshot restarts on this
 	// shard's read path; roFallbacks counts the reads that were routed to
 	// the logging update path because the streak reached roFallbackStreak.
 	roStreak    atomic.Uint32
 	roFallbacks atomic.Uint64
+}
+
+// gate is a shard's session gate. A writer enters it (shared) before its
+// transaction and exits it after; an observer that must find the shard with
+// no write in flight freezes it (exclusive), which waits out every writer
+// inside and holds new ones out until unfreeze. Freezes exclude each other.
+// A contended enter counts as an exclusive wait (a writer pausing for an
+// observer), a contended freeze as a shared one (an observer pausing for
+// writers): the counters behind ShardStats' StripeWaitsExcl and
+// StripeWaitsShared, and the admission score's wait term.
+type gate struct {
+	mu          sync.RWMutex
+	sharedWaits atomic.Uint64
+	exclWaits   atomic.Uint64
+}
+
+func (g *gate) enter() {
+	if !g.mu.TryRLock() {
+		g.exclWaits.Add(1)
+		g.mu.RLock()
+	}
+}
+
+func (g *gate) exit() { g.mu.RUnlock() }
+
+func (g *gate) freeze() {
+	if !g.mu.TryLock() {
+		g.sharedWaits.Add(1)
+		g.mu.Lock()
+	}
+}
+
+func (g *gate) unfreeze() { g.mu.Unlock() }
+
+// waits reports the contended freezes and enters.
+func (g *gate) waits() (shared, excl uint64) {
+	return g.sharedWaits.Load(), g.exclWaits.Load()
 }
 
 // writeKind names the four single-key writes; it indexes opSlot.write.
@@ -234,23 +265,29 @@ var (
 )
 
 // opSlot is the pooled state of one single-key operation. The transaction
-// bodies (roGet, upGet and one per writeKind) are created once per slot and
-// capture only the slot; per call, Get and Store.write bind the slot to the
-// key's shard, fill the in-fields, run the matching pre-bound body, and read
-// the out-fields back. This is what makes a steady-state Get or PutRef
-// allocation-free: the closure, the escaping result variables, and (for
-// PutRef) the value spill were the single-key path's only per-op
-// allocations.
+// bodies (roGet, upGet and one per writeKind) and the commit hook (logWrite)
+// are created once per slot and capture only the slot; per call, Get and
+// Store.write bind the slot to the key's shard, fill the in-fields, run the
+// matching pre-bound body, and read the out-fields back. This is what makes
+// a steady-state Get or PutRef allocation-free: the closure, the escaping
+// result variables, and (for PutRef) the value spill were the single-key
+// path's only per-op allocations.
 type opSlot struct {
 	s       *shard // the call's shard; nil while pooled
 	writeOp        // in: the operation (a Get fills only key)
-	outVal  string // out: Get value
+	outVal  string // out: Get value; an Add's new counter, as stored
 	outOK   bool   // out: found / created / deleted / swapped
 	outN    int64  // out: Add result
 
-	roGet func(tx *stm.ROTx) error
-	upGet func(tx stm.Tx) error
-	write [kindAdd + 1]func(tx stm.Tx) error
+	// A logged write's store, which logWrite appends to, and the durability
+	// handle it got back.
+	st     *Store
+	commit *tkvwal.Commit
+
+	roGet    func(tx *stm.ROTx) error
+	upGet    func(tx stm.Tx) error
+	write    [kindAdd + 1]func(tx stm.Tx) error
+	logWrite func()
 }
 
 // newOpSlot builds an unbound slot with all transaction bodies pre-built.
@@ -272,6 +309,15 @@ func newOpSlot() *opSlot {
 		return err
 	}
 	sl.write[kindDelete] = func(tx stm.Tx) error {
+		// Read the value cell first, as every other write of a key does:
+		// the map's delete unlinks the key's node without touching its
+		// value, and a logged delete that never met a put's lock on that
+		// cell could commit and append ahead of a put that validated
+		// first (see repl.go, "Ordering").
+		if _, ok, err := sl.s.kv.Get(tx, sl.key); err != nil || !ok {
+			sl.outOK = false
+			return err
+		}
 		var err error
 		sl.outOK, err = sl.s.kv.Delete(tx, sl.key)
 		return err
@@ -301,8 +347,28 @@ func newOpSlot() *opSlot {
 			return err
 		}
 		sl.outN = n + sl.delta
-		_, err = sl.s.kv.Put(tx, sl.key, strconv.FormatInt(sl.outN, 10))
+		sl.outVal = strconv.FormatInt(sl.outN, 10)
+		_, err = sl.s.kv.Put(tx, sl.key, sl.outVal)
 		return err
+	}
+	// A logged write's record, emitted inside its commit: the resulting
+	// state, not the operation — a put's value, a tombstone, a swapped CAS's
+	// new value, an Add's new counter (not the delta, so replay commutes).
+	// The engine calls it only for an attempt that wrote something, so a
+	// missed CAS or a delete of a missing key has no record.
+	sl.logWrite = func() {
+		e := tkvlog.Entry{Key: sl.key}
+		switch sl.kind {
+		case kindPut:
+			e.Val = *sl.val
+		case kindDelete:
+			e.Del = true
+		case kindCAS:
+			e.Val = sl.new
+		case kindAdd:
+			e.Val = sl.outVal
+		}
+		sl.commit = sl.st.logCommit(sl.st.ShardOf(sl.key), 0, []tkvlog.Entry{e})
 	}
 	return sl
 }
@@ -318,6 +384,7 @@ func (s *shard) slot() *opSlot {
 // never pins a shard or a large value), and returns it to the pool.
 func (sl *opSlot) release() {
 	sl.s, sl.writeOp, sl.outVal = nil, writeOp{}, ""
+	sl.st, sl.commit = nil, nil
 	slotPool.Put(sl)
 }
 
@@ -372,10 +439,7 @@ func Open(cfg Config) (*Store, error) {
 		st.repl = newReplLog(st.logs)
 	}
 	for i := range st.shards {
-		s := &shard{
-			kv:    stmds.NewHashMap[string](buckets),
-			locks: keylock.New(cfg.LockStripes),
-		}
+		s := &shard{kv: stmds.NewHashMap[string](buckets)}
 		threads := make([]stm.Thread, poolSize)
 		for j := range threads {
 			threads[j] = tm.Register(fmt.Sprintf("shard%d-w%d", i, j))
@@ -441,13 +505,21 @@ func (st *Store) shardFor(key uint64) *shard { return st.shards[st.ShardOf(key)]
 
 // atomically borrows a pooled STM thread for one transaction. If all of the
 // shard's threads are busy, the caller blocks, which bounds the transactions
-// started from a shard to the pool size. The thread is returned via
+// started from a shard to the pool size. onCommit, when not nil, is the
+// thread's commit hook for the call (a logged write's append; see
+// stm.ThreadCtx.CommitHook). The thread, and its hook, are returned via
 // defer so that a panicking transaction body (should a caller recover it)
-// cannot leak the pool slot.
-func (s *shard) atomically(fn func(tx stm.Tx) error) error {
+// cannot leak the pool slot or leave the hook set.
+func (s *shard) atomically(fn func(tx stm.Tx) error, onCommit func()) error {
 	i := s.pool.claim()
 	defer s.pool.release(i)
-	return s.pool.threads[i].Atomically(fn)
+	th := s.pool.threads[i]
+	if onCommit != nil {
+		ctx := th.Ctx()
+		ctx.CommitHook = onCommit
+		defer func() { ctx.CommitHook = nil }()
+	}
+	return th.Atomically(fn)
 }
 
 // atomicallyRO is atomically for read-only snapshot transactions: same pool
@@ -508,23 +580,19 @@ func (s *shard) roTracked(fn func(tx *stm.ROTx) error) error {
 // Get returns the value under key. It runs as a read-only snapshot
 // transaction — the dominant operation at realistic read ratios pays no
 // write-index probing, no read-log append and no commit-time validation —
-// with the adaptive update-path fallback under RO restart streaks, and, on a
-// logged store, under its key's stripe in shared mode, so that it never
-// returns a write whose record is not yet in the log. The pooled slot and
-// its pre-bound bodies make the steady-state call allocation-free end to
-// end.
+// with the adaptive update-path fallback under RO restart streaks. It takes
+// nothing else, on any store: a value is visible only once its writer has
+// unlocked, which on a logged store is after its record is in the log. The
+// pooled slot and its pre-bound bodies make the steady-state call
+// allocation-free end to end.
 func (st *Store) Get(key uint64) (string, bool, error) {
 	st.ops.gets.Add(1)
 	s := st.shardFor(key)
-	if st.logged() {
-		i := s.locks.RLockKey(key)
-		defer s.locks.RUnlock(i)
-	}
 	sl := s.slot()
 	sl.key = key
 	var err error
 	if s.takeFallback() {
-		err = s.atomically(sl.upGet)
+		err = s.atomically(sl.upGet, nil)
 	} else {
 		err = s.roTracked(sl.roGet)
 	}
@@ -534,30 +602,25 @@ func (st *Store) Get(key uint64) (string, bool, error) {
 }
 
 // write is the single-key write path: Put, Delete, CAS and Add on every
-// store, whatever log is attached. The read-only gate, admission, one update
-// transaction on a pooled slot's pre-bound body, and on a logged store the
-// key's stripe around it and the record of the resulting state, emitted
-// before the deferred unlock. ok is created / deleted / swapped, n an Add's
-// new counter.
+// store, whatever log is attached. The read-only gate, admission, and one
+// update transaction on a pooled slot's pre-bound body; ok is created /
+// deleted / swapped, n an Add's new counter.
 //
-// The stripe is the one thing a log adds: held exclusively, so that two
-// writes to one key reach the log in their commit order (see repl.go,
-// "Ordering"), and the gate is checked again under it (SetReadOnly(true)
-// waits out every stripe, so a write that holds one either finishes before
-// the fence or sees it). An unlogged write takes no stripe: the transaction
-// alone orders it. The record carries state, not the operation, and only a
-// write that changed something has one: a put's value, a tombstone for a
-// delete that found its key, a CAS's new value if it swapped, an Add's new
-// counter (not the delta, so replay commutes). The returned Commit is the
-// WAL's durability handle, nil without one; the callers Wait on it after this
-// function's deferred unlock has released the stripe, so fsync latency never
-// extends a stripe hold.
+// On a logged store the write also enters its shard's gate, and checks the
+// read-only flag again inside it (SetReadOnly(true) freezes every gate, so a
+// write inside one either finishes before the fence returns or sees it), and
+// its commit emits its record (opSlot.logWrite, the engine's commit hook):
+// after the transaction has validated and before its locks are released, so
+// two writes to one key reach the log in their commit order (see repl.go,
+// "Ordering"). The returned Commit is the WAL's durability handle, nil
+// without one; the callers Wait on it after this function's deferred exit
+// has left the gate, so fsync latency never holds a snapshot or a cut out.
+// An unlogged write takes no gate: the transaction alone orders it.
 func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err error) {
 	if st.ro.Load() {
 		return false, 0, nil, ErrNotPrimary
 	}
-	sh := st.ShardOf(op.key)
-	s := st.shards[sh]
+	s := st.shardFor(op.key)
 	if s.ctl != nil {
 		// Past its overload knee the shard sheds the write before it takes
 		// anything.
@@ -565,42 +628,28 @@ func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err erro
 			return false, 0, nil, err
 		}
 	}
-	logged := st.logged()
-	if logged {
-		i := s.locks.LockKey(op.key)
-		defer s.locks.Unlock(i)
-		if st.ro.Load() {
-			// The fence went up while this write waited for the stripe.
-			// SetReadOnly(true) is waiting for this stripe (or has had it
-			// already): nothing may commit behind it.
-			return false, 0, nil, ErrNotPrimary
-		}
-	}
+	var onCommit func()
 	sl := s.slot()
 	sl.writeOp = op
-	err = s.atomically(sl.write[op.kind])
-	ok, n = sl.outOK, sl.outN
+	if st.logged() {
+		s.gate.enter()
+		defer s.gate.exit()
+		if st.ro.Load() {
+			// The fence went up while this write waited at the gate.
+			sl.release()
+			return false, 0, nil, ErrNotPrimary
+		}
+		sl.st = st
+		onCommit = sl.logWrite
+	}
+	err = s.atomically(sl.write[op.kind], onCommit)
+	ok, n, c = sl.outOK, sl.outN, sl.commit
 	sl.release()
 	if err != nil {
 		return false, 0, nil, err
 	}
 	if op.kind == kindCAS && !ok {
 		st.ops.casMisses.Add(1)
-	}
-	// A put and an Add always change their key; a delete and a CAS did iff ok.
-	if logged && (ok || op.kind == kindPut || op.kind == kindAdd) {
-		e := tkvlog.Entry{Key: op.key}
-		switch op.kind {
-		case kindPut:
-			e.Val = *op.val
-		case kindDelete:
-			e.Del = true
-		case kindCAS:
-			e.Val = op.new
-		case kindAdd:
-			e.Val = strconv.FormatInt(n, 10)
-		}
-		c = st.logCommit(sh, 0, []tkvlog.Entry{e})
 	}
 	return ok, n, c, nil
 }
@@ -621,9 +670,8 @@ func (st *Store) Put(key uint64, val string) (bool, error) {
 func (st *Store) PutRef(key uint64, val *string) (bool, error) {
 	created, c, err := st.PutRefAsync(key, val)
 	if err == nil {
-		// The stripe is already released (write's defers ran); parking on
-		// the group fsync here keeps I/O latency out of every stripe hold
-		// time.
+		// The gate is already left (write's defers ran); parking on the
+		// group fsync here keeps I/O latency out of every gate hold time.
 		err = c.Wait()
 	}
 	return created, err

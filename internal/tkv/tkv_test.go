@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
-	"github.com/shrink-tm/shrink/internal/keylock"
 	"github.com/shrink-tm/shrink/internal/stm"
 )
 
@@ -261,13 +260,13 @@ func forceUpdateAbort(t *testing.T, st *Store, key uint64) {
 			if err := s.atomically(func(tx stm.Tx) error {
 				_, err := s.kv.Put(tx, key, cur)
 				return err
-			}); err != nil {
+			}, nil); err != nil {
 				return err
 			}
 		}
 		_, err = s.kv.Put(tx, key, cur)
 		return err
-	})
+	}, nil)
 	if err != nil || attempts != 2 {
 		t.Fatalf("forced abort: err = %v after %d attempts, want nil after 2", err, attempts)
 	}
@@ -444,108 +443,16 @@ func testZeroLostUpdates(t *testing.T, engine, scheduler string) {
 		stats.Commits, stats.Aborts, stats.Serializations, sum)
 }
 
-// TestLockPlanAscending is the stripe planner's property: for any key
-// set buildLocks yields (shard, stripe) pairs strictly ascending in the
-// global lock order — a duplicate would self-deadlock the batch on its own
-// stripe, a descent could deadlock two batches on each other — that cover
-// exactly the stripes of the keys.
-func TestLockPlanAscending(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for round := 0; round < 300; round++ {
-		st := openTest(t, Config{Shards: 1 << rng.Intn(4), LockStripes: 1 << rng.Intn(7), Buckets: 16})
-		b := st.batch()
-		distinct := 1 + rng.Intn(64)
-		want := map[stripeRef]bool{}
-		for n := 1 + rng.Intn(64); n > 0; n-- {
-			k := uint64(rng.Intn(distinct)) * 0x9e3779b97f4a7c15 // few distinct keys: duplicates
-			b.keys = append(b.keys, k)
-			sh := st.ShardOf(k)
-			want[stripeRef{sh, st.shards[sh].locks.StripeOf(k)}] = true
-		}
-		b.group()
-		b.buildLocks()
-		for i, r := range b.locks {
-			if !want[r] {
-				t.Fatalf("round %d: plan holds %v, the stripe of no key (keys %v)", round, r, b.keys)
-			}
-			if i > 0 {
-				if p := b.locks[i-1]; p.shard > r.shard || p.shard == r.shard && p.stripe >= r.stripe {
-					t.Fatalf("round %d: plan not strictly ascending at %d: %v, %v", round, i, p, r)
-				}
-			}
-		}
-		if len(b.locks) != len(want) {
-			t.Fatalf("round %d: plan has %d stripes, the keys have %d", round, len(b.locks), len(want))
-		}
-		b.release()
-	}
-
-	// A logged store: the one kind whose batches lock a plan exclusively.
-	st := openTest(t, Config{Shards: 4, ReplRing: 8})
-	b := st.batch()
-	defer b.release()
-	for k := uint64(0); k < 100; k++ {
-		b.keys = append(b.keys, k, k) // every key twice: heavy duplication
-	}
-	b.group()
-	b.buildLocks()
-	plan := b.locks
-	// Locking and unlocking the plan must not self-deadlock (dedup) and
-	// must leave every stripe free (pairing).
-	st.lock(plan, true)
-	st.unlock(plan, true)
-	st.lock(plan, false)
-	st.unlock(plan, false)
-	unlock := st.freezeAll() // would block if a session leaked
-	unlock()
-	st.lock(plan, true) // would block if a stripe leaked
-	st.unlock(plan, true)
-}
-
-// TestLockStripesSizeEveryShard: Config.LockStripes sizes every shard's
-// stripe table at Open, rounded up to a power of two (keylock's default when
-// unset), Stats reports that size, and traffic does not change it.
-func TestLockStripesSizeEveryShard(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, keylock.DefaultStripes}, {1, 1}, {5, 8}, {1024, 1024},
-	} {
-		t.Run(fmt.Sprintf("stripes=%d", tc.in), func(t *testing.T) {
-			st := openTest(t, Config{Shards: 4, LockStripes: tc.in, Buckets: 16})
-			check := func(when string) {
-				t.Helper()
-				for i, ss := range st.Stats().Shards {
-					if ss.Stripes != tc.want || st.shards[i].locks.Stripes() != tc.want {
-						t.Fatalf("%s: shard %d reports %d stripes, table has %d, want %d",
-							when, i, ss.Stripes, st.shards[i].locks.Stripes(), tc.want)
-					}
-				}
-			}
-			check("after Open")
-			ops := make([]Op, 0, 64)
-			for k := uint64(0); k < 64; k++ {
-				ops = append(ops, Op{Kind: OpAdd, Key: k, Delta: 1})
-				if _, err := st.Put(1<<40+k, "x"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := st.Batch(ops); err != nil {
-				t.Fatal(err)
-			}
-			check("after traffic")
-		})
-	}
-}
-
-// TestStripeWaitsReported: a contended stripe acquisition shows in the
-// owning shard's stripe-wait counters and in the store totals, in its mode —
-// a Get (shared) behind an exclusive holder, a cross-shard Batch (exclusive)
-// behind a shared one — and in no other shard's. The store is logged: only
-// there does a batch take stripes.
+// TestStripeWaitsReported: a contended gate acquisition shows in the owning
+// shard's wait counters and in the store totals, in its mode — a logged Put
+// held at a frozen gate (exclusive), a Snapshot's freeze behind a write
+// inside the gate (shared), a cross-shard Batch at one frozen gate of its two
+// (exclusive) — and in no other shard's.
 func TestStripeWaitsReported(t *testing.T) {
 	const key = 7
 	st := openTest(t, Config{Shards: 2, ReplRing: 8})
 	sh := st.ShardOf(key)
-	s := st.shards[sh]
+	g := &st.shards[sh].gate
 	waits := func() (shared, excl uint64) {
 		stats := st.Stats()
 		for i, ss := range stats.Shards {
@@ -565,31 +472,104 @@ func TestStripeWaitsReported(t *testing.T) {
 		t.Fatalf("fresh store reports waits %d/%d", shared, excl)
 	}
 
-	i := s.locks.LockKey(key)
 	got := make(chan error, 1)
-	go func() { _, _, err := st.Get(key); got <- err }()
-	eventually(t, "the Get's shared wait is reported", func() bool { shared, _ := waits(); return shared == 1 })
-	s.locks.Unlock(i)
-	if err := within(t, "Get", got); err != nil {
+	g.freeze()
+	go func() { _, err := st.Put(key, "1"); got <- err }()
+	eventually(t, "the Put's exclusive wait is reported", func() bool { _, excl := waits(); return excl == 1 })
+	g.unfreeze()
+	if err := within(t, "Put", got); err != nil {
 		t.Fatal(err)
 	}
 
-	// A batch of a logged store holds its stripes exclusively; this one
-	// crosses shards, and only the held shard may report a wait.
+	// A write inside the gate holds a snapshot's freeze out; the freezes
+	// of the other shard, taken in order around it, do not wait.
+	g.enter()
+	go func() { _, err := st.Snapshot(); got <- err }()
+	eventually(t, "the Snapshot's shared wait is reported", func() bool { shared, _ := waits(); return shared == 1 })
+	g.exit()
+	if err := within(t, "Snapshot", got); err != nil {
+		t.Fatal(err)
+	}
+
+	// A batch enters every one of its shards' gates; this one crosses
+	// shards, and only the frozen shard may report a wait.
 	other := uint64(key + 1)
 	for st.ShardOf(other) == sh {
 		other++
 	}
 	batch := []Op{{Kind: OpAdd, Key: key, Delta: 1}, {Kind: OpAdd, Key: other, Delta: 1}}
-	i = s.locks.RLockKey(key)
+	g.freeze()
 	go func() { _, err := st.Batch(batch); got <- err }()
-	eventually(t, "the Batch's exclusive wait is reported", func() bool { _, excl := waits(); return excl == 1 })
-	s.locks.RUnlock(i)
+	eventually(t, "the Batch's exclusive wait is reported", func() bool { _, excl := waits(); return excl == 2 })
+	g.unfreeze()
 	if err := within(t, "Batch", got); err != nil {
 		t.Fatal(err)
 	}
-	if shared, excl := waits(); shared != 1 || excl != 1 {
-		t.Fatalf("waits %d/%d after one contended Get and one contended Batch, want 1/1", shared, excl)
+	if shared, excl := waits(); shared != 1 || excl != 2 {
+		t.Fatalf("waits %d/%d after a contended Put, Snapshot and Batch, want 1/2", shared, excl)
+	}
+}
+
+// TestGateFreezeExcludesSessions: a freeze waits for every writer inside the
+// gate and holds new ones out until unfreeze, while writers, however many,
+// share it.
+func TestGateFreezeExcludesSessions(t *testing.T) {
+	var g gate
+	g.enter()
+	g.enter() // sessions share the gate
+	frozen := make(chan struct{})
+	go func() { g.freeze(); close(frozen) }()
+	select {
+	case <-frozen:
+		t.Fatal("freeze succeeded with writers inside the gate")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.exit()
+	g.exit()
+	within(t, "the freeze after the writers left", frozen)
+
+	entered := make(chan struct{})
+	go func() { g.enter(); close(entered) }()
+	select {
+	case <-entered:
+		t.Fatal("a writer entered a frozen gate")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.unfreeze()
+	within(t, "the writer after unfreeze", entered)
+	g.exit()
+}
+
+// TestGateFreezesExcludeEachOther: a freeze waits out another, counted as a
+// shared wait, and a writer held out by a freeze counts as an exclusive wait.
+func TestGateFreezesExcludeEachOther(t *testing.T) {
+	var g gate
+	g.freeze()
+	second := make(chan struct{})
+	go func() { g.freeze(); g.unfreeze(); close(second) }()
+	eventually(t, "the second freeze counts its wait", func() bool {
+		shared, _ := g.waits()
+		return shared == 1
+	})
+	select {
+	case <-second:
+		t.Fatal("two freezes held the gate at once")
+	default:
+	}
+	g.unfreeze()
+	within(t, "the second freeze after unfreeze", second)
+
+	g.freeze()
+	entered := make(chan struct{})
+	go func() { g.enter(); g.exit(); close(entered) }()
+	eventually(t, "the held-out writer counts its wait", func() bool {
+		_, excl := g.waits()
+		return excl == 1
+	})
+	g.unfreeze()
+	within(t, "the writer after unfreeze", entered)
+	if shared, excl := g.waits(); shared != 1 || excl != 1 {
+		t.Fatalf("waits = %d/%d, want 1/1", shared, excl)
 	}
 }
 

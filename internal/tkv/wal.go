@@ -12,26 +12,28 @@ import (
 
 // The store's log. A store opened with a replication ring (Config.ReplRing),
 // a write-ahead log (Config.WAL, internal/tkvwal: one lane owning every
-// shard) or both is logged, and then every shard has one record sequence,
-// a shardLog: one mutex, one head. Store.write (every single-key write), a
+// shard) or both is logged, and then every shard has one record sequence, a
+// shardLog: one mutex, one head. Store.write (every single-key write), a
 // mutating Batch (one record per shard it wrote) and the follower's
-// ReplApply hand their committed write set to logCommit while still holding
-// the keys' exclusive stripes; logCommit numbers the record and, under that
-// one mutex, puts it in the shard's in-memory window (with a ring) and in the
-// WAL's buffer (with a WAL). Two writes to one key are ordered by the stripe before either reaches
-// the log — the conflict is prevented, not detected and repaired — so one
-// counter under one lock is all the ordering a record needs, and the window a
-// follower reads, the file recovery replays and the head the shipper and Stats
-// report can only agree. logRestart re-bases a shard's sequence where the
-// store's contents came from somewhere else: the recovered log on Open, a
-// snapshot cut on a follower (ReplRestoreShard).
+// ReplApply hand their write set to logCommit from inside their commit — the
+// engine's commit hook, after validation and before the write locks are
+// released; logCommit numbers the record and, under that one mutex, puts it
+// in the shard's in-memory window (with a ring) and in the WAL's buffer
+// (with a WAL). Two writes to one key are ordered by the engine before either
+// reaches the log (the later one meets a lock of the earlier one's, which
+// outlives its append), so one counter under one lock is all the ordering a
+// record needs, and the window a follower reads, the file recovery replays
+// and the head the shipper and Stats report can only agree. logRestart
+// re-bases a shard's sequence where the store's contents came from somewhere
+// else: the recovered log on Open, a snapshot cut on a follower
+// (ReplRestoreShard).
 //
-// The ack protocol is two-step: the write path appends under the stripe
-// (ordering), releases the stripe, and only then parks on the returned
-// Commit (durability). Parking after release keeps fsync latency out of
-// every stripe hold time: a second writer to the same key proceeds to
-// commit and append while the first is still waiting for the group
-// fsync, and both acks ride the same or consecutive fsyncs in order.
+// The ack protocol is two-step: the write path appends inside its commit
+// (ordering), leaves its gate, and only then parks on the returned Commit
+// (durability). Parking after the commit keeps fsync latency out of every
+// lock and gate hold time: a second writer to the same key proceeds to
+// commit and append while the first is still waiting for the group fsync,
+// and both acks ride the same or consecutive fsyncs in order.
 
 // shardLog is one shard's record sequence. head is the last sequence
 // appended; with a ring, slots holds the records floor..head, addressed by
@@ -46,11 +48,10 @@ type shardLog struct {
 	slots []ReplRec // nil without a ring
 }
 
-// logged reports whether the store takes stripes at all: writes
-// exclusively, around their commit and the append of their write sets, and
-// reads shared, so that none returns a write whose record is not yet in the
-// log. It is the whole difference a log makes to the data paths: Get,
-// Store.write, Batch and MGet branch on it.
+// logged reports whether the store has a log: its writes then append their
+// records from inside their commits, and its single-key writes enter their
+// shard's gate. It is the whole difference a log makes to the data paths:
+// Store.write and Batch branch on it.
 func (st *Store) logged() bool { return st.logs != nil }
 
 // logCommit is the one append: it numbers one committed write set on shard —
@@ -59,9 +60,11 @@ func (st *Store) logged() bool { return st.logs != nil }
 // shard's log mutex, stores it in the window and hands it to the WAL, so the
 // WAL buffer holds records in sequence order. It returns the WAL durability
 // handle (nil without a WAL; Wait on a nil Commit returns at once). It is the
-// only function that advances a head. The caller must hold the entries' keys'
-// stripes in exclusive mode, and must not mutate entries afterwards (the
-// window and its readers alias the slice).
+// only function that advances a head. It is called from the commit hook of
+// the transaction that wrote the entries (while that transaction still locks
+// what it wrote), or, for a replicated record that wrote nothing, inside the
+// shard's gate; the caller must not mutate entries afterwards (the window
+// and its readers alias the slice).
 func (st *Store) logCommit(shard int, seq uint64, entries []tkvlog.Entry) *tkvwal.Commit {
 	l := &st.logs[shard]
 	l.mu.Lock()
@@ -121,10 +124,10 @@ func (l *shardLog) last() uint64 {
 }
 
 // walRecoverApply replays one recovered record into the store. It runs
-// during Open, before the store is reachable, so it needs no stripes:
-// each record is one update transaction on its shard (applyBody, as for a
-// replicated record), in the per-shard sequence order tkvwal.Open
-// guarantees.
+// during Open, before the store is reachable, so it needs no gate and
+// appends nothing: each record is one update transaction on its shard
+// (applyBody, as for a replicated record), in the per-shard sequence order
+// tkvwal.Open guarantees.
 func (st *Store) walRecoverApply(rec *tkvlog.Record) error {
 	shard := int(rec.Shard)
 	if shard < 0 || shard >= len(st.shards) {
@@ -133,7 +136,7 @@ func (st *Store) walRecoverApply(rec *tkvlog.Record) error {
 	b := st.batch()
 	defer b.release()
 	b.writes = append(b.writes, rec.Entries...)
-	return b.apply(shard)
+	return b.apply(shard, nil)
 }
 
 // openWAL recovers the log directory into the freshly built (empty)
@@ -194,16 +197,17 @@ func (st *Store) walCheckpointLoop(every time.Duration) {
 
 // cutShard returns a consistent snapshot of one shard together with its
 // log head: every record with Seq <= the returned seq is reflected in
-// the pairs, none after. It holds all of the shard's stripes in shared
-// mode — writers on a logged store hold theirs exclusively, so they are
-// paused on this shard and the head cannot advance under the cut. The
-// replication shipper's snapshot fallback (ReplShardCut) and the WAL
+// the pairs, none after. It freezes the shard's gate, which every write of a
+// logged store holds while it runs, so the shard's writers are paused and
+// the head cannot advance under the cut. Reading the head under running
+// writers instead would not do: two commits on disjoint keys can reach the
+// shard's log in either order, so no snapshot timestamp names an exact head.
+// The replication shipper's snapshot fallback (ReplShardCut) and the WAL
 // checkpoint both cut here.
 func (st *Store) cutShard(shard int) (pairs []tkvlog.Entry, seq uint64, err error) {
-	b := st.batch()
-	defer b.release()
-	b.lockShard(shard, false)
-	defer b.unlock(false)
+	g := &st.shards[shard].gate
+	g.freeze()
+	defer g.unfreeze()
 	seq = st.logs[shard].last()
 	if pairs, err = st.shards[shard].pairs(nil); err != nil {
 		return nil, 0, err
@@ -213,7 +217,7 @@ func (st *Store) cutShard(shard int) (pairs []tkvlog.Entry, seq uint64, err erro
 
 // CheckpointAll snapshots every shard into the WAL's checkpoint file and
 // truncates the log up to it. The WAL cuts the shards one at a time
-// through cutShard, so the caller must not hold any stripes.
+// through cutShard, so the caller must not hold any gate.
 func (st *Store) CheckpointAll() error {
 	if st.wal == nil {
 		return errors.New("tkv: CheckpointAll without a WAL")

@@ -243,7 +243,7 @@ func testWALReplRestoreLowerSeq(t *testing.T, shards int) {
 
 // TestWALReplRestore drives snapshot resync on a follower that carries
 // a WAL: the restore must land durably (one forced checkpoint of every
-// shard after the restored shard's stripes are released), so a reopen of
+// shard after the restore has left the restored shard's gate), so a reopen of
 // the follower recovers the restored state and continues the numbering at
 // the cut.
 func TestWALReplRestore(t *testing.T) { eachShape(t, 4, testWALReplRestore) }

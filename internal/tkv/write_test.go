@@ -207,12 +207,12 @@ func within[T any](t *testing.T, what string, done <-chan T) T {
 }
 
 // TestSingleKeyWriteStripeMode pins what one function over every kind of
-// store could get wrong silently. The stripe: on a logged store each of the
-// four writes takes its key's stripe exclusively — it waits behind a shared
-// holder — and on an unlogged one none at all — it goes past an exclusive
-// holder. And the park: a write waits for its durability after releasing the
-// stripe, so while its handle is pending a second write to the same key goes
-// through.
+// store could get wrong silently. The gate: on a logged store each of the
+// four writes enters its shard's gate — it waits at a frozen one — and on an
+// unlogged one it takes none — it goes past. And the park: a write waits for
+// its durability after its commit has appended its record and it has left
+// the gate, so while its handle is pending a second write to the same key
+// goes through, and a read sees it.
 func TestSingleKeyWriteStripeMode(t *testing.T) {
 	const key = 7
 	writes := []struct {
@@ -227,40 +227,38 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 	for _, a := range attachments {
 		t.Run("mode/"+a.name, func(t *testing.T) {
 			st := a.open(t, t.TempDir())
-			s := st.shardFor(key)
+			g := &st.shardFor(key).gate
 			for _, w := range writes {
 				// Every write finds "1" under the key, so each changes
 				// something (and, logged, has a record to emit).
 				if _, err := st.Put(key, "1"); err != nil {
 					t.Fatal(err)
 				}
-				shared, excl := s.locks.Waits()
+				_, excl := g.waits()
+				g.freeze()
 				done := make(chan error, 1)
+				go func() { done <- w.run(st) }()
 				if !a.logged() {
-					i := s.locks.LockKey(key)
-					go func() { done <- w.run(st) }()
-					err := within(t, w.name+" past an exclusive holder of its stripe", done)
-					s.locks.Unlock(i)
+					err := within(t, w.name+" past a frozen gate", done)
+					g.unfreeze()
 					if err != nil {
 						t.Fatalf("%s: %v", w.name, err)
 					}
-					if sh, ex := s.locks.Waits(); sh != shared || ex != excl {
-						t.Fatalf("%s waited for a stripe on an unlogged store", w.name)
+					if _, ex := g.waits(); ex != excl {
+						t.Fatalf("%s waited at the gate on an unlogged store", w.name)
 					}
 					continue
 				}
-				i := s.locks.RLockKey(key)
-				go func() { done <- w.run(st) }()
-				eventually(t, w.name+" waits for the stripe", func() bool {
-					_, n := s.locks.Waits()
-					return n == excl+1
+				eventually(t, w.name+" waits at the gate", func() bool {
+					_, ex := g.waits()
+					return ex == excl+1
 				})
 				select {
 				case err := <-done:
-					t.Fatalf("%s returned (err %v) past a shared holder of its stripe", w.name, err)
+					t.Fatalf("%s returned (err %v) past a frozen gate", w.name, err)
 				default:
 				}
-				s.locks.RUnlock(i)
+				g.unfreeze()
 				if err := within(t, w.name, done); err != nil {
 					t.Fatalf("%s: %v", w.name, err)
 				}
@@ -322,16 +320,15 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 }
 
 // TestReadOnlyFenceIsBarrier: SetReadOnly(true) returns only once every
-// write that passed the gate has finished, and a write that had not yet taken
-// its stripe is refused. Each write is parked between the gate and its stripe
-// (the test holds the stripe) — a batch of an unlogged store, which takes no
-// stripes, at its shard's session gate (the test freezes it) — the fence is
-// raised behind it and must wait; released, the write must come back
-// ErrNotPrimary and the store's log and contents must be what SetReadOnly's
-// caller saw when it returned — the head a shipper compares its cursors to
-// before it fences the stream. An unlogged store's single-key writes take
-// nothing to park them on, and have no row: their flag check is the whole
-// fence there (see SetReadOnly).
+// write that passed the flag has finished, and a write that had not yet
+// entered its shard's gate is refused. Each write is parked between the flag
+// and the gate (the test freezes the gate), the fence is raised behind it and
+// must wait; released, the write must come back ErrNotPrimary and the
+// store's log and contents must be what SetReadOnly's caller saw when it
+// returned — the head a shipper compares its cursors to before it fences the
+// stream. An unlogged store's single-key writes take no gate to park them
+// at, and have no row: their flag check is the whole fence there (see
+// SetReadOnly).
 func TestReadOnlyFenceIsBarrier(t *testing.T) {
 	const key = 7
 	writes := []struct {
@@ -354,7 +351,7 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 			}
 			t.Run(a.name+"/"+w.name, func(t *testing.T) {
 				st := a.open(t, t.TempDir())
-				s := st.shardFor(key)
+				g := &st.shardFor(key).gate
 				if _, err := st.Put(key, "1"); err != nil { // something for w to change
 					t.Fatal(err)
 				}
@@ -366,20 +363,13 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 				}
 				before := heads()
 
-				shared, excl := s.locks.Waits()
-				var release func()
-				if w.name == "Batch" && !a.logged() {
-					s.locks.Freeze()
-					release = s.locks.Unfreeze
-				} else {
-					i := s.locks.LockKey(key)
-					release = func() { s.locks.Unlock(i) }
-				}
+				_, excl := g.waits()
+				g.freeze()
 				wrote := make(chan error, 1)
 				go func() { wrote <- w.run(st) }()
-				eventually(t, w.name+" waits for the stripe or the gate", func() bool {
-					sh, ex := s.locks.Waits()
-					return sh+ex == shared+excl+1
+				eventually(t, w.name+" waits at the gate", func() bool {
+					_, ex := g.waits()
+					return ex == excl+1
 				})
 				fenced := make(chan uint64, 1)
 				go func() {
@@ -388,11 +378,11 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 				}()
 				select {
 				case h := <-fenced:
-					t.Errorf("SetReadOnly(true) returned past a %s that had passed the gate", w.name)
+					t.Errorf("SetReadOnly(true) returned past a %s that had passed the flag", w.name)
 					fenced <- h // read again below
 				case <-time.After(50 * time.Millisecond):
 				}
-				release()
+				g.unfreeze()
 
 				if err := within(t, w.name, wrote); !errors.Is(err, ErrNotPrimary) {
 					t.Errorf("%s behind the fence = %v, want ErrNotPrimary", w.name, err)
@@ -409,24 +399,25 @@ func TestReadOnlyFenceIsBarrier(t *testing.T) {
 	}
 }
 
-// TestUnloggedOpsTakeNoStripe pins the lock table's one rule: stripes make
-// log order equal commit order, so only a logged store takes them. With every
-// stripe of the key's shard held exclusively, each single-key op and an MGet
-// returns on an unlogged store without a stripe wait; on a logged store
-// (ReplRing 8) each waits, and its shard's stripe-wait count rises, until the
-// stripes are released.
+// TestUnloggedOpsTakeNoStripe pins what a log adds to the single-key paths
+// and MGet: reads take nothing, on any store, and writes wait at a frozen
+// gate only on a logged store. With the key's shard's gate frozen, each op
+// returns on an unlogged store without a gate wait; on a logged store
+// (ReplRing 8) Get and MGet return likewise, and each write waits, its
+// shard's exclusive wait count rising, until the gate is unfrozen.
 func TestUnloggedOpsTakeNoStripe(t *testing.T) {
 	const key = 7
 	ops := []struct {
-		name string
-		run  func(*Store) error
+		name  string
+		write bool
+		run   func(*Store) error
 	}{
-		{"Get", func(st *Store) error { _, _, err := st.Get(key); return err }},
-		{"MGet", func(st *Store) error { _, err := st.MGet([]uint64{key}); return err }},
-		{"Put", func(st *Store) error { _, err := st.Put(key, "v"); return err }},
-		{"Delete", func(st *Store) error { _, err := st.Delete(key); return err }},
-		{"CAS", func(st *Store) error { _, err := st.CAS(key, "1", "2"); return err }},
-		{"Add", func(st *Store) error { _, err := st.Add(key, 1); return err }},
+		{"Get", false, func(st *Store) error { _, _, err := st.Get(key); return err }},
+		{"MGet", false, func(st *Store) error { _, err := st.MGet([]uint64{key}); return err }},
+		{"Put", true, func(st *Store) error { _, err := st.Put(key, "v"); return err }},
+		{"Delete", true, func(st *Store) error { _, err := st.Delete(key); return err }},
+		{"CAS", true, func(st *Store) error { _, err := st.CAS(key, "1", "2"); return err }},
+		{"Add", true, func(st *Store) error { _, err := st.Add(key, 1); return err }},
 	}
 	for _, ring := range []int{0, 8} {
 		for _, op := range ops {
@@ -439,35 +430,29 @@ func TestUnloggedOpsTakeNoStripe(t *testing.T) {
 				if _, err := st.Put(key, "1"); err != nil {
 					t.Fatal(err)
 				}
-				s := st.shardFor(key)
-				for i := range s.locks.Stripes() {
-					s.locks.Lock(i)
-				}
-				release := sync.OnceFunc(func() {
-					for i := range s.locks.Stripes() {
-						s.locks.Unlock(i)
-					}
-				})
+				g := &st.shardFor(key).gate
+				g.freeze()
+				release := sync.OnceFunc(g.unfreeze)
 				defer release()
-				shared, excl := s.locks.Waits()
+				shared, excl := g.waits()
 				done := make(chan error, 1)
 				go func() { done <- op.run(st) }()
-				if ring == 0 {
-					if err := within(t, op.name+" with its shard's stripes held", done); err != nil {
+				if ring == 0 || !op.write {
+					if err := within(t, op.name+" with its shard's gate frozen", done); err != nil {
 						t.Fatal(err)
 					}
-					if sh, ex := s.locks.Waits(); sh != shared || ex != excl {
-						t.Fatalf("%s waited for a stripe on an unlogged store", op.name)
+					if sh, ex := g.waits(); sh != shared || ex != excl {
+						t.Fatalf("%s waited at the gate", op.name)
 					}
 					return
 				}
-				eventually(t, op.name+" waits for its stripe", func() bool {
-					sh, ex := s.locks.Waits()
-					return sh+ex > shared+excl
+				eventually(t, op.name+" waits at the gate", func() bool {
+					_, ex := g.waits()
+					return ex == excl+1
 				})
 				select {
 				case err := <-done:
-					t.Fatalf("%s returned (err %v) past its held stripe", op.name, err)
+					t.Fatalf("%s returned (err %v) past a frozen gate", op.name, err)
 				default:
 				}
 				release()

@@ -5,8 +5,8 @@
 // The applier connects to the primary's wire port, handshakes
 // (tkvwire.OpHello, requesting FeatReplication), subscribes with the
 // store's stream identity and per-shard applied watermarks, and then
-// consumes the stream: records replay through Store.ReplApply (the
-// stripe-exclusive batch apply path — replaying an ordered committed log
+// consumes the stream: records replay through Store.ReplApply (the batch
+// apply path, logging from its commit — replaying an ordered committed log
 // is the paper's "prevent" endpoint: a transaction that cannot conflict
 // by construction), snapshot cuts replace whole shards through
 // ReplRestoreShard, and metadata frames refresh the per-shard lag

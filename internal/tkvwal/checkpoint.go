@@ -18,9 +18,9 @@ const ckptChunk = 4096
 //  1. rotate: flush + fsync the active segment and start a fresh one,
 //     so every record in the old segments precedes the cut;
 //  2. cut: the caller captures a consistent snapshot of each shard and
-//     its head sequence (the store takes the shard's stripes as a
-//     reader, which briefly excludes writers — see Store.cutShard — so
-//     the caller must not hold any stripes);
+//     its head sequence (the store freezes the shard's gate, which
+//     briefly excludes writers — see Store.cutShard — so the caller must
+//     not hold one);
 //  3. write the snapshots to a tmp file, fsync, rename into place,
 //     fsync the directory — the rename is the commit point;
 //  4. gc: delete the pre-rotation segments and older checkpoints, all

@@ -484,7 +484,7 @@ func TestNoSyncMode(t *testing.T) {
 }
 
 // BenchmarkWalAppend is the hot-path allocation gate: staging a record
-// runs under the write paths' exclusive stripes and must stay at 0
+// runs inside the write paths' commits and must stay at 0
 // allocs/op, though the durability ticket is shared by every shard. CI
 // greps its line for " 0 allocs/op".
 func BenchmarkWalAppend(b *testing.B) {
