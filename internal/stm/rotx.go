@@ -56,12 +56,12 @@ func (tx *ROTx) Snap() uint64 { return tx.snap }
 const roSpinBound = 128
 
 // ReadTRO is the typed read for read-only transactions, kept under the
-// compiler's inlining budget (ci/inline_gate.sh holds it there) by holding
-// only the common case: the Var is unlocked, no newer than the snapshot, and
-// its orec did not move around the pointer load. Anything else ends the
-// attempt — the Var is left on the descriptor for RunRO, which see, and the
-// read returns ErrConflict. The value moves as one unboxed pointer word,
-// exactly like ReadT.
+// compiler's inlining budget (`bash ci/gates.sh inline` holds it there) by
+// holding only the common case: the Var is unlocked, no newer than the
+// snapshot, and its orec did not move around the pointer load. Anything
+// else ends the attempt — the Var is left on the descriptor for RunRO, which
+// see, and the read returns ErrConflict. The value moves as one unboxed
+// pointer word, exactly like ReadT.
 func ReadTRO[T any](tx *ROTx, v *TVar[T]) (T, error) {
 	m := v.word.meta.Load()
 	p := atomic.LoadPointer(&v.word.val)

@@ -43,9 +43,11 @@ type Op struct {
 // OpResult is the per-op outcome of a batch. For get: the value and whether
 // the key was present. For put: Found reports whether the key already
 // existed. For delete: whether it was present. For add: Value is the new
-// counter value. For cas: Found reports presence; on a failed compare
-// CASMismatch is set, Value holds the actual current value, and the batch
-// as a whole returns ErrCASMismatch.
+// counter value; an add over a non-numeric value, or one whose sum overflows
+// int64, is a user error (wrapping ErrUser) that aborts the whole batch,
+// which then writes nothing. For cas: Found reports presence; on a failed
+// compare CASMismatch is set, Value holds the actual current value, and the
+// batch as a whole returns ErrCASMismatch.
 //
 // The two flags follow the string, which keeps a result at 24 bytes: eight
 // of them fit the allocator's 192-byte size class.
@@ -85,11 +87,11 @@ func (b *batchState) exec(op *Op) (OpResult, error) {
 		}
 		return OpResult{Found: ok}, nil
 	case OpAdd:
-		n, err := parseCounter(cur, ok, op.Key)
+		n, err := addCounter(cur, ok, op.Key, op.Delta)
 		if err != nil {
 			return OpResult{}, err
 		}
-		val := strconv.FormatInt(n+op.Delta, 10)
+		val := strconv.FormatInt(n, 10)
 		return OpResult{Value: val, Found: ok}, b.put(op.Key, val)
 	case OpCAS:
 		if !ok || cur != op.Old {

@@ -342,11 +342,9 @@ func newOpSlot() *opSlot {
 		if err != nil {
 			return err
 		}
-		n, err := parseCounter(cur, ok, sl.key)
-		if err != nil {
+		if sl.outN, err = addCounter(cur, ok, sl.key, sl.delta); err != nil {
 			return err
 		}
-		sl.outN = n + sl.delta
 		sl.outVal = strconv.FormatInt(sl.outN, 10)
 		_, err = sl.s.kv.Put(tx, sl.key, sl.outVal)
 		return err
@@ -726,7 +724,8 @@ func (st *Store) CASAsync(key uint64, old, new string) (bool, *tkvwal.Commit, er
 
 // Add atomically adds delta to the decimal integer stored under key,
 // treating a missing key as 0, and returns the new value. A non-numeric
-// stored value is a user error (the transaction aborts without retry).
+// stored value, or a sum outside int64, is a user error wrapping ErrUser:
+// the transaction aborts without retry and writes nothing.
 func (st *Store) Add(key uint64, delta int64) (int64, error) {
 	out, c, err := st.AddAsync(key, delta)
 	if err == nil {
@@ -747,14 +746,20 @@ func (st *Store) AddAsync(key uint64, delta int64) (int64, *tkvwal.Commit, error
 // wrapped into user-abort errors with %w and detected with errors.Is.
 var ErrUser = errors.New("tkv: invalid request")
 
-// parseCounter interprets a stored value as an Add counter.
-func parseCounter(val string, present bool, key uint64) (int64, error) {
-	if !present || val == "" {
-		return 0, nil
+// addCounter returns the Add counter stored as val (0 when absent or empty)
+// plus delta. A non-numeric stored value, or a sum that overflows int64, is
+// a user error.
+func addCounter(val string, present bool, key uint64, delta int64) (int64, error) {
+	var n int64
+	if present && val != "" {
+		var err error
+		if n, err = strconv.ParseInt(val, 10, 64); err != nil {
+			return 0, fmt.Errorf("%w: key %d holds non-numeric value %q", ErrUser, key, val)
+		}
 	}
-	n, err := strconv.ParseInt(val, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: key %d holds non-numeric value %q", ErrUser, key, val)
+	sum := n + delta
+	if (sum < n) != (delta < 0) {
+		return 0, fmt.Errorf("%w: key %d: %d%+d overflows int64", ErrUser, key, n, delta)
 	}
-	return n, nil
+	return sum, nil
 }

@@ -3,6 +3,7 @@ package tkv
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -71,6 +72,64 @@ func TestSingleKeyOps(t *testing.T) {
 	}
 	if _, err := st.Add(8, 1); err == nil {
 		t.Fatal("Add over non-numeric value did not error")
+	}
+}
+
+// TestAddOverflowIsUserError: an Add whose sum leaves int64, up or down, is
+// a user error that writes nothing, single-key and in a batch, where it
+// aborts the whole batch across shards. Both engines.
+func TestAddOverflowIsUserError(t *testing.T) {
+	const maxVal, minVal = "9223372036854775807", "-9223372036854775808"
+	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
+		t.Run(engine, func(t *testing.T) {
+			st := openTest(t, Config{Shards: 4, Engine: engine})
+			hi, lo, other := uint64(1), uint64(2), uint64(3)
+			for other == hi || st.ShardOf(other) == st.ShardOf(hi) {
+				other++
+			}
+			want := map[uint64]string{hi: maxVal, lo: minVal, other: "7"}
+			for k, v := range want {
+				if _, err := st.Put(k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrUser) {
+					t.Fatalf("%s: err = %v, want ErrUser", what, err)
+				}
+				for k, v := range want {
+					if got, _, _ := st.Get(k); got != v {
+						t.Fatalf("%s: key %d holds %q, want %q", what, k, got, v)
+					}
+				}
+			}
+			_, err := st.Add(hi, 1)
+			check("Add(MaxInt64, 1)", err)
+			_, err = st.Add(lo, -1)
+			check("Add(MinInt64, -1)", err)
+			_, err = st.Batch([]Op{
+				{Kind: OpAdd, Key: other, Delta: 1},
+				{Kind: OpAdd, Key: hi, Delta: 1},
+			})
+			check("batch add(MaxInt64, 1)", err)
+			_, err = st.Batch([]Op{
+				{Kind: OpPut, Key: other, Value: "8"},
+				{Kind: OpAdd, Key: lo, Delta: -2},
+			})
+			check("batch add(MinInt64, -2)", err)
+
+			// The bounds themselves are reachable.
+			if n, err := st.Add(hi, -1); err != nil || n != math.MaxInt64-1 {
+				t.Fatalf("Add(MaxInt64, -1) = %d %v", n, err)
+			}
+			if n, err := st.Add(hi, 1); err != nil || n != math.MaxInt64 {
+				t.Fatalf("Add(MaxInt64-1, 1) = %d %v", n, err)
+			}
+			if res, err := st.Batch([]Op{{Kind: OpAdd, Key: lo, Delta: 0}}); err != nil || res[0].Value != minVal {
+				t.Fatalf("batch add(MinInt64, 0) = %+v %v", res, err)
+			}
+		})
 	}
 }
 

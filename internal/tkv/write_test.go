@@ -93,8 +93,10 @@ func TestSingleKeyWriteMatrix(t *testing.T) {
 		{name: "Add on a numeric value", run: add(4, -2), n: 3, rec: &tkvlog.Entry{Key: 4, Val: "3"}},
 		{name: "put (for the Add)", run: put(5, "abc"), ok: true, rec: &tkvlog.Entry{Key: 5, Val: "abc"}},
 		{name: "Add on a non-numeric value", run: add(5, 1), userErr: true},
+		{name: "put (for the overflow)", run: put(6, "9223372036854775807"), ok: true, rec: &tkvlog.Entry{Key: 6, Val: "9223372036854775807"}},
+		{name: "Add past int64", run: add(6, 1), userErr: true},
 	}
-	want := map[uint64]string{2: "y", 4: "3", 5: "abc"}
+	want := map[uint64]string{2: "y", 4: "3", 5: "abc", 6: "9223372036854775807"}
 
 	for _, a := range attachments {
 		t.Run(a.name, func(t *testing.T) {

@@ -346,6 +346,23 @@ func expectClosed(t *testing.T, nc net.Conn) {
 	}
 }
 
+// An add that overflows int64 is an application error like a non-numeric
+// one: StatusBadRequest, nothing stored, the connection kept.
+func TestServerAddOverflowIsBadRequest(t *testing.T) {
+	c := dialTest(t, startServer(t))
+	const maxVal = "9223372036854775807"
+	if _, err := c.Put(9, maxVal); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	var se *StatusError
+	if _, err := c.Add(9, 1); !errors.As(err, &se) || se.Status != StatusBadRequest {
+		t.Fatalf("add past int64: %v, want StatusBadRequest", err)
+	}
+	if v, _, err := c.Get(9); err != nil || v != maxVal {
+		t.Fatalf("after the overflowing add: %q %v, want %q", v, err, maxVal)
+	}
+}
+
 func TestServerRejectsOversizedLengthPrefix(t *testing.T) {
 	addr := startServer(t)
 	nc := rawDial(t, addr)
