@@ -280,10 +280,13 @@ step_durability() {
 
 # The process-level drills: real tkvd processes, driven and judged by
 # tkvload over the wire protocol (tkvd -tcpaddr); tkvd's HTTP (-addr) is only
-# the control surface: /healthz, /stats, /promote and /quit. tkvload fails on
-# a lost update, on a blob holding another key's value and on a server that
-# committed nothing, and tkvd fails on an unclean shutdown. e2e_build builds
-# the two binaries once a run.
+# the control surface: /healthz, /stats, /promote and /quit. Every scenario
+# runs tkvload's one load driver and ends in its one verdict: each increment's
+# ack carries the value it produced, so a key's acked values must be distinct
+# and at most its final value, and a lost acknowledged write is named by key,
+# value and phase. tkvload also fails on a blob holding another key's value
+# and on a server that committed nothing, and tkvd fails on an unclean
+# shutdown. e2e_build builds the two binaries once a run.
 e2e_build() {
 	[ -x "$work/tkvload" ] && return
 	go build -o "$work/tkvd" ./cmd/tkvd
@@ -345,10 +348,11 @@ step_backpressure() {
 # A primary, a follower streaming from it, and tkvload. First a plain load
 # run while the follower replicates, after which the follower's lag must
 # drain to zero. Then the failover drill: tkvload quits the primary mid-load
-# (fence, drain, close), promotes the follower, redirects the load and
-# verifies the counter sum against its acks; the follower must say that it
-# read the stream to the primary's fence and took over no gap. The drill
-# learns both wire addresses from the servers' /healthz.
+# (fence, drain, close), promotes the follower, redirects the load and judges
+# every ack on the promoted follower, naming a lost one as acked before the
+# quit or after the promote; the follower must say that it read the stream to
+# the primary's fence and took over no gap. The drill learns both wire
+# addresses from the servers' /healthz.
 step_replication() {
 	e2e_build
 	serve 7080 -tcpaddr 127.0.0.1:7081 -shards 4 -sched shrink
@@ -377,8 +381,8 @@ step_replication() {
 
 # tkvload -scenario crash SIGKILLs a real WAL-backed tkvd mid-load, twice,
 # restarts it over the same log directory, and fails unless every
-# acknowledged increment survived and every restart recovered through the
-# WAL.
+# acknowledged increment survived (a lost one is named with the kill it was
+# acked before or after) and every restart recovered through the WAL.
 step_crash() {
 	e2e_build
 	tkvload -scenario crash -tkvd "$work/tkvd" -waldir "$work/wal" \

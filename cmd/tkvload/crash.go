@@ -1,19 +1,11 @@
 package main
 
 // The crash scenario (-scenario crash) is the kill -9 drill for tkvd
-// durability: load a WAL-backed server with acknowledged increments,
-// SIGKILL the process mid-load — no drain, no flush, exactly what a
-// power cut leaves behind — restart it over the same log directory, and
-// verify that not one acknowledged increment was lost.
-//
-// Workers perform server-side add increments over the wire and tally only
-// acknowledged successes; requests that die with the process retry
-// against the next incarnation and count nothing. After the configured
-// number of kill/restart rounds the counter sum must be at least the
-// acked tally. A surplus is tolerated with a note (an increment can be
-// fsync-durable and then lose its ack to the dying socket; that is an
-// unacknowledged success, not a loss) — a shortfall is an acked update
-// the WAL dropped, the exact bug class this drill exists to catch.
+// durability: load a WAL-backed server, SIGKILL it mid-load — no drain, no
+// flush, exactly what a power cut leaves behind — restart it over the same
+// log directory, and judge every ack. A lost one is an acked update the WAL
+// dropped, named with the kill it was acked before or after; requests that
+// die with a process count nothing and retry against the next incarnation.
 
 import (
 	"bytes"
@@ -25,18 +17,7 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/shrink-tm/shrink/internal/tkvwire"
 )
-
-type crashSpec struct {
-	tkvd    string // path to the tkvd binary
-	waldir  string // WAL directory carried across incarnations
-	keys    int    // counter keys, seeded once
-	workers int
-	phase   time.Duration // load duration before each kill (and before the verify)
-	kills   int           // SIGKILL rounds
-}
 
 // tkvdProc is one incarnation of the server under test.
 type tkvdProc struct {
@@ -100,93 +81,68 @@ func freeAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-func runCrash(sp crashSpec, out io.Writer) error {
-	// Every incarnation binds the same two addresses, so the load workers
-	// never re-target.
+// runCrash runs the drill on the tkvd binary bin over the log directory
+// waldir, each load phase load.dur long.
+func runCrash(bin, waldir string, kills int, load loadConfig, out io.Writer) error {
+	// Every incarnation binds the same two addresses, so the load never
+	// re-targets.
 	addrs, err := freeAddrs(2)
 	if err != nil {
 		return err
 	}
 	url, wire := "http://"+addrs[0], addrs[1]
 	start := func() (*tkvdProc, error) {
-		return startTkvd(sp.tkvd, addrs[0], "-tcpaddr", wire, "-replring", "0",
-			"-shards", "4", "-wal", sp.waldir)
+		return startTkvd(bin, addrs[0], "-tcpaddr", wire, "-replring", "0",
+			"-shards", "4", "-wal", waldir)
 	}
 
 	proc, err := start()
 	if err != nil {
 		return err
 	}
-	kill := func() {
-		proc.cmd.Process.Kill()
-		proc.cmd.Wait()
+	defer func() { // unless the last incarnation quit cleanly
+		if proc != nil {
+			proc.cmd.Process.Kill()
+			proc.cmd.Wait()
+		}
+	}()
+	phases := []string{"before kill 1"}
+	for round := 1; round <= kills; round++ {
+		phases = append(phases, fmt.Sprintf("after kill %d", round))
 	}
-	c, err := tkvwire.Dial(wire)
-	if err == nil {
-		err = seedCounters(c, sp.keys)
-		c.Close()
-	}
-	if err != nil {
-		kill()
+	d := newDriver(load, wire, phases...)
+	if err := d.seed(); err != nil {
 		return err
 	}
 
-	load := startIncrements(wire, sp.keys, sp.workers)
-	fail := func(err error) error {
-		load.halt()
-		if proc != nil {
-			kill()
-		}
-		return err
-	}
-	for round := 1; round <= sp.kills; round++ {
-		time.Sleep(sp.phase)
-		fmt.Fprintf(out, "crash: round %d: %d increments acked; SIGKILL\n", round, load.acked.Load())
+	d.run()
+	d.measure()
+	defer d.stop()
+	for round := 1; round <= kills; round++ {
+		time.Sleep(load.dur)
+		fmt.Fprintf(out, "crash: round %d: %d increments acked; SIGKILL\n", round, d.acks.acked.Load())
 		if err := proc.cmd.Process.Kill(); err != nil {
-			return fail(fmt.Errorf("kill: %w", err))
+			return fmt.Errorf("kill: %w", err)
 		}
 		proc.cmd.Wait()
+		d.acks.phase.Add(1)
 		if proc, err = start(); err != nil {
-			return fail(fmt.Errorf("restart after kill %d: %w", round, err))
+			return fmt.Errorf("restart after kill %d: %w", round, err)
 		}
 		line := recoveredLine(proc.out.String())
 		if line == "" {
-			return fail(fmt.Errorf("restarted tkvd printed no wal recovery line:\n%s", proc.out.String()))
+			return fmt.Errorf("restarted tkvd printed no wal recovery line:\n%s", proc.out.String())
 		}
 		fmt.Fprintf(out, "crash: restarted; %s\n", line)
 	}
-
-	// One more load phase on the final incarnation, then verify.
-	time.Sleep(sp.phase)
-	load.halt()
-	var sum uint64
-	if c, err = tkvwire.Dial(wire); err == nil {
-		sum, err = counterSum(c, sp.keys)
-		c.Close()
+	time.Sleep(load.dur) // one more load phase on the final incarnation
+	d.stop()
+	err = drillVerdict(d, "crash", fmt.Sprintf("kills=%d", kills), out)
+	if code := post(url + "/quit"); code == http.StatusOK {
+		proc.cmd.Wait()
+		proc = nil
 	}
-	if err != nil {
-		kill()
-		return fmt.Errorf("verification: %w", err)
-	}
-	total := load.acked.Load()
-	fmt.Fprintf(out, "crash: acked=%d counter-sum=%d retried-errors=%d kills=%d\n",
-		total, sum, load.failed.Load(), sp.kills)
-
-	if code := post(url + "/quit"); code != http.StatusOK {
-		proc.cmd.Process.Kill()
-	}
-	proc.cmd.Wait()
-
-	if sum < total {
-		return fmt.Errorf("LOST UPDATES: %d increments acknowledged, counters sum to %d (%d lost)",
-			total, sum, total-sum)
-	}
-	if sum > total {
-		fmt.Fprintf(out, "crash: %d unacknowledged increments landed (durable, ack lost to the dying process) — not a loss\n",
-			sum-total)
-	}
-	fmt.Fprintf(out, "crash: PASS — zero lost acknowledged updates\n")
-	return nil
+	return err
 }
 
 // recoveredLine extracts the server's WAL recovery boot line.

@@ -1,8 +1,7 @@
 package main
 
-// Load + verify, the default scenario: seed the counters, drive the mix over
-// the wire, print one result line, check that no acknowledged increment is
-// missing.
+// The load driver every scenario runs, and load + verify, the default
+// scenario: seed the counters, drive the mix, print one result line, judge.
 
 import (
 	"errors"
@@ -27,6 +26,10 @@ const blobBase = uint64(1) << 32
 // casAttempts bounds one CAS increment's retry loop.
 const casAttempts = 64
 
+// errReply marks what an op found wrong in a reply that arrived, or a CAS
+// loop that starved: unlike a transport error it keeps the connection.
+var errReply = errors.New("reply")
+
 // loadConfig is the run's target and workload shape, as the flags gave it.
 type loadConfig struct {
 	tcpaddr             string
@@ -43,56 +46,155 @@ type loadConfig struct {
 	zipfS               float64
 	seed                int64
 	minShed             uint64
-	verify              bool
 }
 
-// driver owns the workload configuration and the increment tally.
+// driver runs the workload from start to stop over cfg.conns connections to
+// a target a drill can move, and records every acknowledged increment.
 type driver struct {
-	cfg loadConfig
+	cfg     loadConfig
+	workers int          // cfg.conns × cfg.pipeline
+	zipf    *zipfSampler // nil: uniform counter keys
+	target  atomic.Pointer[string]
+	slots   []connSlot // worker w issues through slots[w%len(slots)]
+	acks    *ledger
 
-	// Successful transactional increments; the final counter sum must equal
-	// their total.
-	casIncrs   atomic.Uint64
-	batchAdds  atomic.Uint64
-	serverAdds atomic.Uint64
-	// shedSeen counts backpressure rejections across warm-up and
-	// measurement alike (the -minshed assertion is about the whole run).
-	shedSeen atomic.Uint64
-	// batchCASMisses counts batches the server refused whole (a cas op's
-	// compare failed): zero increments, but not an error.
-	batchCASMisses atomic.Uint64
-	// blobCorrupt counts blob reads whose value named another key.
-	blobCorrupt atomic.Uint64
+	stopc     chan struct{}
+	stopOnce  sync.Once
+	wg        sync.WaitGroup
+	arrivals  chan time.Time // open loop only
+	measuring atomic.Bool
+	start     time.Time         // of the measured window
+	sent      tkvwire.ConnStats // before it
+	// Counted inside the measured window only.
+	ops, errs, sheds atomic.Uint64
+	hist             trace.Histogram
+	// Counted across warm-up and measurement alike.
+	shedSeen       atomic.Uint64 // backpressure rejections (-minshed is about the whole run)
+	batchCASMisses atomic.Uint64 // batches refused whole for a cas mismatch: no increment, no error
+	blobCorrupt    atomic.Uint64 // blob reads whose value named another key
+}
+
+func newDriver(cfg loadConfig, addr string, phases ...string) *driver {
+	d := &driver{cfg: cfg, workers: cfg.conns * cfg.pipeline, slots: make([]connSlot, cfg.conns),
+		acks: newLedger(cfg.keys, phases...), stopc: make(chan struct{})}
+	d.target.Store(&addr) // a drill moves it
+	if cfg.zipfS > 0 {
+		d.zipf = newZipfSampler(cfg.keys, cfg.zipfS)
+	}
+	return d
+}
+
+// seed writes "0" to every counter key at the target. A shedding server
+// (tkvd -admit in drill mode) rejects writes probabilistically, so each key
+// retries through backpressure; any other error is fatal at once.
+func (d *driver) seed() error {
+	c, err := tkvwire.Dial(*d.target.Load())
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	for k := 0; k < d.cfg.keys; k++ {
+		for attempt := 1; ; attempt++ {
+			_, err := c.Put(uint64(k), "0")
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, tkv.ErrBackpressure) || attempt == 200 {
+				return fmt.Errorf("seeding counter %d: %w", k, err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return nil
+}
+
+// snapshot takes one consistent snapshot of the target, then its stats.
+func (d *driver) snapshot() (map[uint64]string, tkv.Stats, error) {
+	c, err := tkvwire.Dial(*d.target.Load())
+	if err != nil {
+		return nil, tkv.Stats{}, err
+	}
+	defer c.Close()
+	snap, err := c.Snapshot()
+	if err != nil {
+		return nil, tkv.Stats{}, fmt.Errorf("snapshot: %w", err)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		return nil, tkv.Stats{}, fmt.Errorf("stats: %w", err)
+	}
+	return snap, stats, nil
+}
+
+// connSlot is one connection, shared by the workers that issue through it
+// and redialed at the current target after a transport error.
+type connSlot struct {
+	mu   sync.Mutex
+	live *tkvwire.Conn   // nil after a transport error
+	all  []*tkvwire.Conn // every connection dialed, for the send counters
+}
+
+func (s *connSlot) conn(addr string) (*tkvwire.Conn, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.live == nil {
+		c, err := tkvwire.Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		s.live, s.all = c, append(s.all, c)
+	}
+	return s.live, nil
+}
+
+// drop closes c unless another worker on the slot already replaced it.
+func (s *connSlot) drop(c *tkvwire.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.live == c {
+		s.live = nil
+		c.Close()
+	}
+}
+
+// sends sums the wire calls and flushes of every connection dialed, and
+// with andClose closes them.
+func (d *driver) sends(andClose bool) (s tkvwire.ConnStats) {
+	for i := range d.slots {
+		sl := &d.slots[i]
+		sl.mu.Lock()
+		for _, c := range sl.all {
+			cs := c.WireStats()
+			s.Calls, s.Flushes = s.Calls+cs.Calls, s.Flushes+cs.Flushes
+			if andClose {
+				c.Close()
+			}
+		}
+		sl.mu.Unlock()
+	}
+	return s
 }
 
 func runLoad(cfg loadConfig, out io.Writer) error {
 	if cfg.tcpaddr == "" {
 		return fmt.Errorf("-tcpaddr is required")
 	}
-	// Workers share the connections, -pipeline of them per connection.
-	workers := cfg.conns * cfg.pipeline
+	d := newDriver(cfg, cfg.tcpaddr, "during the run")
 	// Disjoint batch keys need a non-empty private slice per worker;
 	// silently degrading to the shared space would corrupt the overlap
 	// comparison the flag exists for.
-	if cfg.overlap < 1 && cfg.keys/workers == 0 {
+	if cfg.overlap < 1 && cfg.keys/d.workers == 0 {
 		return fmt.Errorf("-overlap %g needs -keys >= workers (got %d keys, %d workers)",
-			cfg.overlap, cfg.keys, workers)
+			cfg.overlap, cfg.keys, d.workers)
 	}
-
-	conns := make([]*tkvwire.Conn, cfg.conns)
-	for i := range conns {
-		c, err := tkvwire.Dial(cfg.tcpaddr)
-		if err != nil {
-			return fmt.Errorf("dialing %d conns: %w", cfg.conns, err)
-		}
-		defer c.Close()
-		conns[i] = c
-	}
-	if err := seedCounters(conns[0], cfg.keys); err != nil {
+	if err := d.seed(); err != nil {
 		return err
 	}
-	d := &driver{cfg: cfg}
-	res := d.drive(conns, workers)
+	d.run()
+	time.Sleep(cfg.warmup)
+	d.measure()
+	time.Sleep(cfg.dur)
+	elapsed, sends := d.stop()
 
 	mode := "closed-loop"
 	if cfg.rate > 0 {
@@ -102,16 +204,14 @@ func runLoad(cfg loadConfig, out io.Writer) error {
 	// many get+cas rounds it took); a request is one wire call. Flushes per
 	// call is how many pipelined callers shared each write syscall (1.00 =
 	// none did).
-	secs := res.elapsed.Seconds()
+	secs := elapsed.Seconds()
 	fmt.Fprintf(out, "tkvload: conns=%d workers=%d %s: %.0f ops/s %.0f req/s p50=%dµs p95=%dµs p99=%dµs errors=%d sheds=%d flushes/call=%.2f\n",
-		cfg.conns, workers, mode, float64(res.ops)/secs, float64(res.sends.Calls)/secs,
-		res.hist.Quantile(0.50), res.hist.Quantile(0.95), res.hist.Quantile(0.99), res.errs, res.sheds,
-		float64(res.sends.Flushes)/float64(res.sends.Calls))
+		cfg.conns, d.workers, mode, float64(d.ops.Load())/secs, float64(sends.Calls)/secs,
+		d.hist.Quantile(0.50), d.hist.Quantile(0.95), d.hist.Quantile(0.99), d.errs.Load(), d.sheds.Load(),
+		float64(sends.Flushes)/float64(sends.Calls))
 
-	if cfg.verify {
-		if err := d.verify(conns[0], out); err != nil {
-			return err
-		}
+	if err := d.verify(out); err != nil {
+		return err
 	}
 	if shed := d.shedSeen.Load(); shed < cfg.minShed {
 		return fmt.Errorf("backpressure expected: %d requests shed, -minshed %d", shed, cfg.minShed)
@@ -119,26 +219,11 @@ func runLoad(cfg loadConfig, out io.Writer) error {
 	return nil
 }
 
-// loadResult is what the measured part of the run observed.
-type loadResult struct {
-	ops     uint64
-	errs    uint64
-	sheds   uint64
-	sends   tkvwire.ConnStats // wire calls and flushes
-	elapsed time.Duration
-	hist    *trace.Histogram
-}
-
 // zipfSampler draws ranks 0..n-1 with P(k) proportional to 1/(k+1)^s, for
-// any s > 0. rand.NewZipf only accepts s > 1 (its rejection sampler needs a
-// convergent tail) and the skews worth driving (0.6..1.2) span both sides of
-// 1, so this uses an explicit CDF over the bounded key space — exact for any
-// positive s, and a cheap binary search per draw at the key counts tkvload
-// uses. The table is immutable after construction and safe to share across
-// workers.
-type zipfSampler struct {
-	cdf []float64
-}
+// any s > 0, from an explicit CDF over the bounded key space: rand.NewZipf
+// only accepts s > 1, and the skews worth driving (0.6..1.2) span both sides
+// of 1. Immutable after construction, so workers share it.
+type zipfSampler struct{ cdf []float64 }
 
 func newZipfSampler(n int, s float64) *zipfSampler {
 	z := &zipfSampler{cdf: make([]float64, n)}
@@ -167,171 +252,191 @@ func (z *zipfSampler) rank(rng *rand.Rand) uint64 {
 	return uint64(lo)
 }
 
-// drive runs the load: cfg.warmup of unmeasured ramp-up, then cfg.dur of
-// measured traffic over the given workers. Worker w issues through
-// conns[w%len(conns)]. In open-loop mode arrivals are generated at
-// cfg.rate regardless of completion, so latency includes queueing delay —
-// the serving regime the paper's overload figures are about. (Arrival
-// timestamps have the generator's 5ms tick granularity, which bounds the
-// latency resolution in that mode.)
-func (d *driver) drive(conns []*tkvwire.Conn, workers int) loadResult {
-	res := loadResult{hist: &trace.Histogram{}}
-	var ops, errs, sheds atomic.Uint64
-	var measuring atomic.Bool
-	stop := make(chan struct{})
-	var arrivals chan time.Time
+// run launches the workers, and in open-loop mode the arrivals: generated
+// at cfg.rate regardless of completion, so latency includes queueing delay —
+// the serving regime the paper's overload figures are about — at the
+// generator's 5ms tick granularity.
+func (d *driver) run() {
 	if d.cfg.rate > 0 {
-		arrivals = make(chan time.Time, 1<<16)
-		go func() {
-			// Batch arrivals per tick, scaled by the measured time since
-			// the previous fire: per-arrival tickers undershoot badly at
-			// sub-millisecond intervals, and tickers coalesce fires under
-			// coarse timers, so wall-clock elapsed is the only honest
-			// arrival budget.
-			tick := time.NewTicker(5 * time.Millisecond)
-			defer tick.Stop()
-			last := time.Now()
-			carry := 0.0
-			for {
-				select {
-				case <-stop:
-					return
-				case t := <-tick.C:
-					carry += d.cfg.rate * t.Sub(last).Seconds()
-					last = t
-					n := int(carry)
-					carry -= float64(n)
-					for i := 0; i < n; i++ {
-						select {
-						case arrivals <- t:
-						default: // queue full; drop to keep the driver honest
-						}
-					}
-				}
-			}
-		}()
+		d.arrivals = make(chan time.Time, 1<<16)
+		d.wg.Add(1)
+		go d.arrive()
 	}
+	for w := 0; w < d.workers; w++ {
+		d.wg.Add(1)
+		go d.work(&worker{driver: d, id: w,
+			rng: rand.New(rand.NewSource(d.cfg.seed + int64(w)*6151 + int64(d.workers)))})
+	}
+}
 
-	// One immutable CDF shared by every worker; each draws with its own rng.
-	var zipf *zipfSampler
-	if d.cfg.zipfS > 0 {
-		zipf = newZipfSampler(d.cfg.keys, d.cfg.zipfS)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		c := conns[w%len(conns)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(d.cfg.seed + int64(w)*6151 + int64(workers)))
-			for {
-				var issued time.Time
-				if arrivals != nil {
-					select {
-					case <-stop:
-						return
-					case issued = <-arrivals:
-					}
-				} else {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					issued = time.Now()
-				}
-				// Sampled before issuing, so an op straddling the warm-up
-				// boundary is never half-counted.
-				record := measuring.Load()
-				if err := d.op(c, rng, zipf, w, workers); err != nil {
-					if errors.Is(err, tkv.ErrBackpressure) {
-						// Explicit backpressure is the server working as
-						// designed under overload, not a failure; it is
-						// counted on its own so error rows stay honest.
-						d.shedSeen.Add(1)
-						if record {
-							sheds.Add(1)
-						}
-					} else if record {
-						errs.Add(1)
-					}
-				} else if record {
-					ops.Add(1)
-				}
-				if record {
-					res.hist.ObserveDuration(time.Since(issued))
+// arrive feeds the open loop until stop. It batches arrivals per tick,
+// scaled by the measured time since the previous fire: per-arrival tickers
+// undershoot badly at sub-millisecond intervals, and tickers coalesce fires
+// under coarse timers, so wall-clock elapsed is the only honest budget.
+func (d *driver) arrive() {
+	defer d.wg.Done()
+	tick := time.NewTicker(5 * time.Millisecond)
+	defer tick.Stop()
+	last, carry := time.Now(), 0.0
+	for {
+		select {
+		case <-d.stopc:
+			return
+		case t := <-tick.C:
+			carry += d.cfg.rate * t.Sub(last).Seconds()
+			last = t
+			n := int(carry)
+			carry -= float64(n)
+			for i := 0; i < n; i++ {
+				select {
+				case d.arrivals <- t:
+				default: // queue full; drop to keep the driver honest
 				}
 			}
-		}()
-	}
-	sends := func() (s tkvwire.ConnStats) {
-		for _, c := range conns {
-			cs := c.WireStats()
-			s.Calls += cs.Calls
-			s.Flushes += cs.Flushes
 		}
-		return s
 	}
-	time.Sleep(d.cfg.warmup)
-	measuring.Store(true)
-	measureStart, sent := time.Now(), sends()
-	time.Sleep(d.cfg.dur)
-	close(stop)
-	wg.Wait()
-	res.elapsed = time.Since(measureStart)
-	end := sends()
-	res.sends = tkvwire.ConnStats{Calls: end.Calls - sent.Calls, Flushes: end.Flushes - sent.Flushes}
-	res.ops = ops.Load()
-	res.errs = errs.Load()
-	res.sheds = sheds.Load()
-	return res
+}
+
+// measure opens the window the result line counts, which stop closes.
+func (d *driver) measure() {
+	d.start, d.sent = time.Now(), d.sends(false)
+	d.measuring.Store(true)
+}
+
+// stop halts the workers, closes their connections and returns the measured
+// window's length and wire sends. A drill defers it for its error paths.
+func (d *driver) stop() (time.Duration, tkvwire.ConnStats) {
+	d.stopOnce.Do(func() { close(d.stopc) })
+	d.wg.Wait()
+	end := d.sends(true)
+	return time.Since(d.start), tkvwire.ConnStats{Calls: end.Calls - d.sent.Calls, Flushes: end.Flushes - d.sent.Flushes}
+}
+
+// worker is one issuing goroutine.
+type worker struct {
+	*driver
+	id    int
+	rng   *rand.Rand
+	c     *tkvwire.Conn // the connection the current op issues on
+	phase int           // the drill phase the current op was issued in
+}
+
+// work issues ops until stop. A transport error (the server died or is
+// shutting down) drops the connection, and the next op dials the current
+// target; a status reply (not primary, backpressure) keeps it. After a
+// failure other than backpressure the worker pauses briefly.
+func (d *driver) work(w *worker) {
+	defer d.wg.Done()
+	slot := &d.slots[w.id%len(d.slots)]
+	for {
+		var issued time.Time
+		if d.arrivals != nil {
+			select {
+			case <-d.stopc:
+				return
+			case issued = <-d.arrivals:
+			}
+		} else {
+			select {
+			case <-d.stopc:
+				return
+			default:
+			}
+			issued = time.Now()
+		}
+		// Sampled before issuing, so an op straddling the warm-up
+		// boundary is never half-counted.
+		record := d.measuring.Load()
+		c, err := slot.conn(*d.target.Load())
+		if err == nil {
+			// The phase is read once the connection is in hand, so an op
+			// on one dialed after a kill or a promote counts after it.
+			w.c, w.phase = c, int(d.acks.phase.Load())
+			var status *tkvwire.StatusError
+			if err = w.op(); err != nil && !errors.As(err, &status) && !errors.Is(err, errReply) {
+				slot.drop(c)
+			}
+		}
+		switch {
+		case err == nil:
+			if record {
+				d.ops.Add(1)
+			}
+		case errors.Is(err, tkv.ErrBackpressure):
+			// The server working as designed under overload, counted on
+			// its own so error rows stay honest.
+			d.shedSeen.Add(1)
+			if record {
+				d.sheds.Add(1)
+			}
+		default:
+			if record {
+				d.errs.Add(1)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if record {
+			d.hist.ObserveDuration(time.Since(issued))
+		}
+	}
 }
 
 // counterKey picks a counter key, honoring the configured skew.
-func (d *driver) counterKey(rng *rand.Rand, zipf *zipfSampler) uint64 {
-	if zipf != nil {
-		return zipf.rank(rng)
+func (w *worker) counterKey() uint64 {
+	if w.zipf != nil {
+		return w.zipf.rank(w.rng)
 	}
-	return uint64(rng.Intn(d.cfg.keys))
+	return uint64(w.rng.Intn(w.cfg.keys))
 }
 
-// op issues one operation of the mix through c. w and workers identify the
-// worker and the run's worker count, which locate the worker's private key
-// slice under -overlap < 1.
-func (d *driver) op(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler, w, workers int) error {
-	if rng.Float64() < d.cfg.readFrac {
-		if d.cfg.mgetFrac > 0 && rng.Float64() < d.cfg.mgetFrac {
-			return d.mget(c, rng, zipf)
+// counter reads a counter key's value, as stored and as a number.
+func (w *worker) counter(key uint64) (string, int64, error) {
+	cur, found, err := w.c.Get(key)
+	if err != nil {
+		return "", 0, err
+	}
+	n, perr := strconv.ParseInt(cur, 10, 64)
+	if !found || perr != nil {
+		return "", 0, fmt.Errorf("%w: counter key %d holds %q (found: %v)", errReply, key, cur, found)
+	}
+	return cur, n, nil
+}
+
+// op issues one operation of the mix.
+func (w *worker) op() error {
+	rng := w.rng
+	if rng.Float64() < w.cfg.readFrac {
+		if w.cfg.mgetFrac > 0 && rng.Float64() < w.cfg.mgetFrac {
+			return w.mget()
 		}
 		if rng.Intn(2) == 0 {
-			_, _, err := c.Get(d.counterKey(rng, zipf))
+			_, _, err := w.c.Get(w.counterKey())
 			return err
 		}
-		return d.getBlob(c, rng)
+		return w.getBlob()
 	}
-	if rng.Float64() < d.cfg.batchFrac {
-		return d.batch(c, rng, zipf, w, workers)
+	if rng.Float64() < w.cfg.batchFrac {
+		return w.batch()
 	}
-	if d.cfg.addFrac > 0 && rng.Float64() < d.cfg.addFrac {
-		// A server-side add is the leanest transactional increment: one
-		// STM transaction per op on a skew-drawn counter key — the
-		// single-key hot write the admission layer routes and sheds.
-		if _, err := c.Add(d.counterKey(rng, zipf), 1); err != nil {
-			return err
+	if w.cfg.addFrac > 0 && rng.Float64() < w.cfg.addFrac {
+		// The leanest transactional increment: one STM transaction on a
+		// skew-drawn key, the single-key hot write admission sheds.
+		key := w.counterKey()
+		n, err := w.c.Add(key, 1)
+		if err == nil {
+			w.acks.record(key, n, w.phase)
 		}
-		d.serverAdds.Add(1)
-		return nil
+		return err
 	}
 	switch rng.Intn(5) {
 	case 0, 1:
-		return d.casIncrement(c, rng, zipf)
+		return w.casIncrement()
 	case 2, 3:
-		key := blobBase + uint64(rng.Intn(d.cfg.blobs))
-		_, err := c.Put(key, fmt.Sprintf("%d:%d", key, rng.Int63()))
+		key := blobBase + uint64(rng.Intn(w.cfg.blobs))
+		_, err := w.c.Put(key, fmt.Sprintf("%d:%d", key, rng.Int63()))
 		return err
 	default:
-		_, err := c.Delete(blobBase + uint64(rng.Intn(d.cfg.blobs)))
+		_, err := w.c.Delete(blobBase + uint64(rng.Intn(w.cfg.blobs)))
 		return err
 	}
 }
@@ -340,108 +445,95 @@ func (d *driver) op(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler, w, worke
 // the whole counter space (honoring skew), otherwise uniformly from the
 // worker's private slice of it — the knob that makes concurrent batches
 // key-disjoint (-overlap 0) or maximally contended (-overlap 1).
-func (d *driver) batchKey(rng *rand.Rand, zipf *zipfSampler, w, workers int) uint64 {
-	if rng.Float64() < d.cfg.overlap {
-		return d.counterKey(rng, zipf)
+func (w *worker) batchKey() uint64 {
+	span := w.cfg.keys / w.workers
+	if w.rng.Float64() < w.cfg.overlap || span == 0 {
+		return w.counterKey()
 	}
-	span := d.cfg.keys / workers
-	if span == 0 {
-		return d.counterKey(rng, zipf)
-	}
-	return uint64(w%workers*span + rng.Intn(span))
+	return uint64(w.id*span + w.rng.Intn(span))
 }
 
 // casIncrement performs a client-side read-modify-write: read the counter,
 // CAS it one higher, retry on interference.
-func (d *driver) casIncrement(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler) error {
-	key := d.counterKey(rng, zipf)
+func (w *worker) casIncrement() error {
+	key := w.counterKey()
 	for attempt := 0; attempt < casAttempts; attempt++ {
-		cur, found, err := c.Get(key)
+		cur, n, err := w.counter(key)
 		if err != nil {
 			return err
 		}
-		if !found {
-			return fmt.Errorf("counter key %d missing", key)
-		}
-		n, err := strconv.ParseInt(cur, 10, 64)
-		if err != nil {
-			return fmt.Errorf("counter key %d holds %q", key, cur)
-		}
-		swapped, err := c.CAS(key, cur, strconv.FormatInt(n+1, 10))
+		swapped, err := w.c.CAS(key, cur, strconv.FormatInt(n+1, 10))
 		if err != nil {
 			return err
 		}
 		if swapped {
-			d.casIncrs.Add(1)
+			w.acks.record(key, n+1, w.phase)
 			return nil
 		}
 	}
-	// The increment never succeeded; nothing was counted, so the
-	// invariant is unaffected. Report it as an error observation.
-	return fmt.Errorf("cas on key %d starved after %d attempts", key, casAttempts)
+	return fmt.Errorf("%w: cas on key %d starved after %d attempts", errReply, key, casAttempts)
 }
 
 // batch issues one atomic batch of +1 increments: adds, with a -batchcas
 // fraction of them as cas increments (read the counter, then cas it one
-// higher inside the batch). Every op of an accepted batch increments its
-// key by exactly 1, so the tally is the op count; a refused batch (some
-// cas compare lost a race) wrote nothing and tallies zero.
-func (d *driver) batch(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler, w, workers int) error {
-	ops := make([]tkv.Op, d.cfg.batchSize)
+// higher inside the batch). Every op of an accepted batch acks the value it
+// produced; a refused batch (some cas compare lost a race) wrote nothing.
+func (w *worker) batch() error {
+	ops := make([]tkv.Op, w.cfg.batchSize)
 	for i := range ops {
-		key := d.batchKey(rng, zipf, w, workers)
-		if d.cfg.batchCAS > 0 && rng.Float64() < d.cfg.batchCAS {
-			cur, found, err := c.Get(key)
+		key := w.batchKey()
+		if w.cfg.batchCAS > 0 && w.rng.Float64() < w.cfg.batchCAS {
+			cur, n, err := w.counter(key)
 			if err != nil {
 				return err
-			}
-			if !found {
-				return fmt.Errorf("counter key %d missing", key)
-			}
-			n, err := strconv.ParseInt(cur, 10, 64)
-			if err != nil {
-				return fmt.Errorf("counter key %d holds %q", key, cur)
 			}
 			ops[i] = tkv.Op{Kind: tkv.OpCAS, Key: key, Old: cur, Value: strconv.FormatInt(n+1, 10)}
 		} else {
 			ops[i] = tkv.Op{Kind: tkv.OpAdd, Key: key, Delta: 1}
 		}
 	}
-	results, err := c.Batch(ops)
+	results, err := w.c.Batch(ops)
 	if errors.Is(err, tkv.ErrCASMismatch) {
-		d.batchCASMisses.Add(1)
+		w.batchCASMisses.Add(1)
 		return nil
 	}
 	if err != nil {
 		return err
 	}
 	if len(results) != len(ops) {
-		return fmt.Errorf("batch returned %d results for %d ops", len(results), len(ops))
+		return fmt.Errorf("%w: batch returned %d results for %d ops", errReply, len(results), len(ops))
 	}
-	d.batchAdds.Add(uint64(len(ops)))
+	for i, op := range ops {
+		v := op.Value // a cas op's new value
+		if op.Kind == tkv.OpAdd {
+			v = results[i].Value
+		}
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return fmt.Errorf("%w: batch op on key %d acked with %q", errReply, op.Key, v)
+		}
+		w.acks.record(op.Key, n, w.phase)
+	}
 	return nil
 }
 
 // mget issues one batched multi-key read over the counter space and
 // cross-checks that every found value is a well-formed counter.
-func (d *driver) mget(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler) error {
-	keys := make([]uint64, d.cfg.batchSize)
+func (w *worker) mget() error {
+	keys := make([]uint64, w.cfg.batchSize)
 	for i := range keys {
-		keys[i] = d.counterKey(rng, zipf)
+		keys[i] = w.counterKey()
 	}
-	results, err := c.MGet(keys)
+	results, err := w.c.MGet(keys)
 	if err != nil {
 		return err
 	}
 	if len(results) != len(keys) {
-		return fmt.Errorf("mget returned %d results for %d keys", len(results), len(keys))
+		return fmt.Errorf("%w: mget returned %d results for %d keys", errReply, len(results), len(keys))
 	}
 	for i, r := range results {
-		if !r.Found {
-			continue
-		}
-		if _, err := strconv.ParseUint(r.Value, 10, 64); err != nil {
-			return fmt.Errorf("mget counter key %d holds %q", keys[i], r.Value)
+		if _, err := strconv.ParseUint(r.Value, 10, 64); r.Found && err != nil {
+			return fmt.Errorf("%w: mget counter key %d holds %q", errReply, keys[i], r.Value)
 		}
 	}
 	return nil
@@ -449,52 +541,40 @@ func (d *driver) mget(c *tkvwire.Conn, rng *rand.Rand, zipf *zipfSampler) error 
 
 // getBlob reads a random blob key and cross-checks that the value names the
 // key it was stored under.
-func (d *driver) getBlob(c *tkvwire.Conn, rng *rand.Rand) error {
-	key := blobBase + uint64(rng.Intn(d.cfg.blobs))
-	val, found, err := c.Get(key)
+func (w *worker) getBlob() error {
+	key := blobBase + uint64(w.rng.Intn(w.cfg.blobs))
+	val, found, err := w.c.Get(key)
 	if err != nil {
 		return err
 	}
 	if found && !strings.HasPrefix(val, fmt.Sprintf("%d:", key)) {
-		d.blobCorrupt.Add(1)
-		return fmt.Errorf("blob key %d holds foreign value %q", key, val)
+		w.blobCorrupt.Add(1)
+		return fmt.Errorf("%w: blob key %d holds foreign value %q", errReply, key, val)
 	}
 	return nil
 }
 
-// verify pulls a consistent snapshot and the server stats over c and checks
-// the run's invariants.
-func (d *driver) verify(c *tkvwire.Conn, out io.Writer) error {
-	want := d.casIncrs.Load() + d.batchAdds.Load() + d.serverAdds.Load()
-	sum, err := counterSum(c, d.cfg.keys)
+// verify is load + verify's verdict, plus the server's stats: no blob read
+// returned another key's value, and some transaction committed.
+func (d *driver) verify(out io.Writer) error {
+	snap, stats, err := d.snapshot()
 	if err != nil {
 		return err
 	}
-	stats, err := c.Stats()
-	if err != nil {
-		return fmt.Errorf("stats: %w", err)
-	}
+	acked, sum, verdict := d.acks.verdict(snap, false)
 	if ws := stats.Wal; ws != nil {
 		fmt.Fprintf(out, "verify: wal appends=%d fsyncs=%d group_mean=%.1f fsync_p99=%dµs durable_lag=%d sync=%v\n",
 			ws.Appends, ws.Fsyncs, ws.GroupMean, ws.FsyncP99us, ws.DurableLag(), ws.Sync)
 	}
-	fmt.Fprintf(out, "verify: committed=%d aborts=%d serializations=%d stripeWaits=%d roFallbacks=%d shed=%d warmed=%d counterSum=%d increments=%d (cas=%d batchOps=%d adds=%d casMismatchedBatches=%d)\n",
+	fmt.Fprintf(out, "verify: committed=%d aborts=%d serializations=%d gateWaits=%d roFallbacks=%d shed=%d warmed=%d counterSum=%d increments=%d casMismatchedBatches=%d\n",
 		stats.Commits, stats.Aborts, stats.Serializations, stats.StripeWaitsShared+stats.StripeWaitsExcl, stats.ROFallbacks,
-		stats.Shed, stats.Ops.Warmed,
-		sum, want, d.casIncrs.Load(), d.batchAdds.Load(), d.serverAdds.Load(), d.batchCASMisses.Load())
-	if sum < want {
-		return fmt.Errorf("LOST UPDATES: counters sum to %d but %d increments succeeded", sum, want)
-	}
-	if sum > want {
-		// The opposite mismatch is a driver-side undercount: an
-		// increment committed server-side but its response was lost
-		// (timeout, reset), so it was tallied as an error instead.
-		return fmt.Errorf("uncounted increments: counters sum to %d but only %d increments were acknowledged (a CAS/batch response was likely lost in flight)", sum, want)
-	}
-	if d.blobCorrupt.Load() > 0 {
+		stats.Shed, stats.Ops.Warmed, sum, acked, d.batchCASMisses.Load())
+	switch {
+	case verdict != nil:
+		return verdict
+	case d.blobCorrupt.Load() > 0:
 		return fmt.Errorf("%d blob reads returned foreign values", d.blobCorrupt.Load())
-	}
-	if stats.Commits == 0 {
+	case stats.Commits == 0:
 		return fmt.Errorf("server committed zero transactions")
 	}
 	fmt.Fprintln(out, "verify: OK (zero lost updates)")

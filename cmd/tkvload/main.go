@@ -1,45 +1,41 @@
 // Command tkvload is the scenario driver for tkvd: it puts a real server
-// under load and exits non-zero unless the server kept its promises. There
-// are three scenarios. How fast the store is, and where the time goes, is
-// the business of the repository benchmark (bench/), not of this command.
+// under load and exits non-zero unless the server kept its promises. How
+// fast the store is, and where the time goes, is the business of the
+// repository benchmark (bench/), not of this command.
 //
-// Load + verify (the default, load.go) drives a mixed workload — reads
-// (single-key and batched multi-key), client-side CAS read-modify-write
-// increments, blob puts/deletes and cross-shard atomic batches of adds and
-// cas increments — with configurable key skew, read ratio, batch size, batch
-// key overlap and connection count, closed-loop or at an open-loop -rate,
-// over the wire protocol (internal/tkvwire) at -tcpaddr: -conns persistent
-// connections with -pipeline in-flight requests each. Seeding and the
-// verification (a snapshot and the server's stats) go over the wire too. It
-// prints one result line (ops/s, wire requests/s — a CAS increment is one op
-// but as many get+cas requests as it took rounds —, latency percentiles,
-// errors, sheds and transport writes per call; the first -warmup of traffic
-// is excluded) and then verifies: every increment goes through a
-// transactional server path (CAS, add, batch add or batch cas), so the sum
-// of all counter keys must equal the number of increments that reported
-// success — a batch refused for a cas mismatch must have written nothing.
-// Any lost update — in an engine, in the log's commit ordering, or in the
-// batch path — fails the run, as does a committed-transaction count
-// of zero. Blob values embed their key, so a read returning another key's
-// value is detected too. Increments are tallied across warm-up and
-// measurement alike: the invariant is about every write that happened. With
-// -minshed N this is the backpressure drill: against a tkvd whose admission
-// layer sheds, the run also fails unless at least N requests came back with
-// the backpressure status — the invariant must hold while requests bounce.
+// Its three scenarios run one load driver (load.go) over the wire protocol
+// (internal/tkvwire) and end in one verdict (verdict.go): every increment is
+// +1 on a counter key and its ack carries the value it produced, so the
+// values acked on a key must be distinct and none above the key's final
+// value. One consistent snapshot at the end names any lost acknowledged
+// write by key, value and phase.
 //
-// Batch key overlap (-overlap) controls how much concurrent batches
-// contend: 1 draws every batch key from the shared counter space (batches
-// collide constantly), 0 confines each worker's batches to a private
-// slice of it (batches are key-disjoint and commit concurrently, without
-// conflicts).
+// Load + verify (the default) drives a mix at -tcpaddr over -conns
+// connections with -pipeline requests in flight each, closed-loop or at an
+// open-loop -rate: reads (-read, batched as multi-key reads with -mget),
+// client-side CAS increments, server-side adds (-addfrac), blob puts and
+// deletes, and atomic batches (-batch, -batchsize) of adds and cas
+// increments (-batchcas), over counter keys drawn uniformly or -zipf skewed.
+// -overlap 1 draws batch keys from the shared counter space; 0 confines each
+// worker to a private slice, so concurrent batches are key-disjoint. It
+// prints one result line (ops/s beside wire requests/s — a CAS increment is
+// one op but as many get+cas requests as it took rounds —, latency
+// percentiles, errors, sheds, transport writes per call; the first -warmup
+// is excluded) and the verdict. Every reply arrives here, so it also fails
+// on an increment that landed unacknowledged (a batch refused for a cas
+// mismatch must write nothing), on a blob read returning another key's value
+// and on zero committed transactions. With -minshed N against a shedding
+// tkvd it is the backpressure drill: the run also fails unless N requests
+// came back with the backpressure status.
 //
 // -scenario failover (failover.go) quits a replicating primary mid-load,
 // promotes its follower and redirects the load; -scenario crash (crash.go)
 // SIGKILLs a WAL-backed tkvd mid-load and restarts it over the same
-// directory. Both load over the wire (drill.go) and count acknowledged
-// increments and fail on any that is missing afterwards; HTTP is only their
-// control channel to tkvd (/healthz, which also names the wire address,
-// /quit and /promote).
+// directory. Their load is -conns workers doing server-side adds, each on
+// its own connection, redialing after a transport error; an increment whose
+// ack died with a server is reported, not failed. HTTP is only their control
+// channel to tkvd (/healthz, which also names the wire address, /quit and
+// /promote).
 //
 // Usage:
 //
@@ -77,7 +73,7 @@ func run(args []string, out io.Writer) error {
 	fs.DurationVar(&cfg.dur, "dur", 2*time.Second, "measured load duration after warm-up (drills: each load phase)")
 	fs.IntVar(&cfg.conns, "conns", 8, "connections (drills: workers)")
 	fs.Float64Var(&cfg.rate, "rate", 0, "open-loop arrival rate in ops/s (0 = closed loop)")
-	fs.IntVar(&cfg.keys, "keys", 128, "counter key count (keys 0..n-1, sum-verified)")
+	fs.IntVar(&cfg.keys, "keys", 128, "counter key count (keys 0..n-1, every acked increment checked)")
 	fs.IntVar(&cfg.blobs, "blobs", 128, "blob key count (put/delete/get region)")
 	fs.Float64Var(&cfg.readFrac, "read", 0.5, "fraction of operations that are reads")
 	fs.Float64Var(&cfg.mgetFrac, "mget", 0, "fraction of reads issued as batched multi-key reads")
@@ -89,7 +85,6 @@ func run(args []string, out io.Writer) error {
 	fs.Float64Var(&cfg.addFrac, "addfrac", 0, "fraction of non-batch updates issued as server-side add increments")
 	fs.Uint64Var(&cfg.minShed, "minshed", 0, "fail unless at least this many requests were shed with backpressure (the backpressure drill)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "RNG seed")
-	fs.BoolVar(&cfg.verify, "verify", true, "verify the zero-lost-update invariant at the end")
 	var (
 		scenario = fs.String("scenario", "",
 			"scripted drill instead of load + verify: 'failover' quits the primary mid-load, "+
@@ -121,6 +116,10 @@ func run(args []string, out io.Writer) error {
 		cfg.batchCAS < 0 || cfg.batchCAS > 1 || cfg.addFrac < 0 || cfg.addFrac > 1 {
 		return fmt.Errorf("-overlap, -mget, -batchcas and -addfrac must be in [0,1]")
 	}
+	// The drills' load: each of -conns workers does server-side adds on its
+	// own connection.
+	drill := cfg
+	drill.pipeline, drill.rate, drill.zipfS, drill.readFrac, drill.batchFrac, drill.addFrac = 1, 0, 0, 0, 0, 1
 	switch *scenario {
 	case "":
 		return runLoad(cfg, out)
@@ -128,13 +127,7 @@ func run(args []string, out io.Writer) error {
 		if *url == "" || *url2 == "" {
 			return fmt.Errorf("-scenario failover requires -url (primary) and -url2 (follower)")
 		}
-		return runFailover(failoverSpec{
-			primary:  strings.TrimRight(*url, "/"),
-			follower: strings.TrimRight(*url2, "/"),
-			keys:     cfg.keys,
-			workers:  cfg.conns,
-			phase:    cfg.dur,
-		}, out)
+		return runFailover(strings.TrimRight(*url, "/"), strings.TrimRight(*url2, "/"), drill, out)
 	case "crash":
 		if *tkvdBin == "" {
 			return fmt.Errorf("-scenario crash requires -tkvd (path to the tkvd binary)")
@@ -150,14 +143,7 @@ func run(args []string, out io.Writer) error {
 			defer os.RemoveAll(tmp)
 			*waldir = tmp
 		}
-		return runCrash(crashSpec{
-			tkvd:    *tkvdBin,
-			waldir:  *waldir,
-			keys:    cfg.keys,
-			workers: cfg.conns,
-			phase:   cfg.dur,
-			kills:   *kills,
-		}, out)
+		return runCrash(*tkvdBin, *waldir, *kills, drill, out)
 	default:
 		return fmt.Errorf("unknown -scenario %q (want failover or crash)", *scenario)
 	}

@@ -183,8 +183,9 @@ func TestZipfSamplerSkew(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: every case must be refused by the flag checks, so
-// the server they name does not exist. The last five are what the sweeps and
-// the HTTP load this command no longer has used to take.
+// the server they name does not exist. The last six are what the sweeps, the
+// HTTP load and the optional verdict this command no longer has used to
+// take.
 func TestRunRejectsBadFlags(t *testing.T) {
 	const addr = "127.0.0.1:1"
 	for _, c := range []struct {
@@ -209,6 +210,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		// Flag names spelled in two pieces: CI greps cmd/ for them.
 		{"the sweep flag", []string{"-tcpaddr", addr, "-" + "sweep", "sched"}},
 		{"the protocol flag", []string{"-tcpaddr", addr, "-" + "proto", "tcp"}},
+		{"the switch that turned the verdict off", []string{"-tcpaddr", addr, "-" + "verify=false"}},
 		{"a load run given only the retired HTTP target", []string{"-url", "http://127.0.0.1:1"}},
 	} {
 		var out bytes.Buffer

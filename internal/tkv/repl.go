@@ -242,15 +242,9 @@ func (st *Store) ReplApply(rec *tkvlog.Record) error {
 	if st.repl == nil {
 		return errors.New("tkv: ReplApply without a replication log")
 	}
-	shard := int(rec.Shard)
-	if shard < 0 || shard >= len(st.shards) {
-		return fmt.Errorf("tkv: repl record for shard %d of %d", shard, len(st.shards))
-	}
-	for _, e := range rec.Entries {
-		if st.ShardOf(e.Key) != shard {
-			return fmt.Errorf("tkv: repl record key %d maps to shard %d, record says %d (shard counts differ?)",
-				e.Key, st.ShardOf(e.Key), shard)
-		}
+	shard, err := st.recordShard("repl", rec)
+	if err != nil {
+		return err
 	}
 	b := st.batch()
 	defer b.release()

@@ -129,14 +129,32 @@ func (l *shardLog) last() uint64 {
 // (applyBody, as for a replicated record), in the per-shard sequence order
 // tkvwal.Open guarantees.
 func (st *Store) walRecoverApply(rec *tkvlog.Record) error {
-	shard := int(rec.Shard)
-	if shard < 0 || shard >= len(st.shards) {
-		return fmt.Errorf("tkv: wal record for shard %d of %d", shard, len(st.shards))
+	shard, err := st.recordShard("wal", rec)
+	if err != nil {
+		return err
 	}
 	b := st.batch()
 	defer b.release()
 	b.writes = append(b.writes, rec.Entries...)
 	return b.apply(shard, nil)
+}
+
+// recordShard returns the shard a logged or replicated record applies to,
+// refusing one whose shard or keys this store places elsewhere: applied
+// there, its keys would be unreachable (a directory or a primary with
+// another shard count).
+func (st *Store) recordShard(from string, rec *tkvlog.Record) (int, error) {
+	shard := int(rec.Shard)
+	if shard < 0 || shard >= len(st.shards) {
+		return 0, fmt.Errorf("tkv: %s record for shard %d of %d", from, shard, len(st.shards))
+	}
+	for _, e := range rec.Entries {
+		if st.ShardOf(e.Key) != shard {
+			return 0, fmt.Errorf("tkv: %s record key %d maps to shard %d, record says %d (shard counts differ?)",
+				from, e.Key, st.ShardOf(e.Key), shard)
+		}
+	}
+	return shard, nil
 }
 
 // openWAL recovers the log directory into the freshly built (empty)

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +126,44 @@ func testWALCheckpointTruncates(t *testing.T, shards int) {
 	got, _ := st2.Snapshot()
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d keys, want %d", len(got), len(want))
+	}
+}
+
+// TestWALRecoveryRefusesMisplacedKeys: a 4-shard directory whose MANIFEST
+// was rewritten to 8 shards passes the pin check, but its records carry
+// keys that an 8-shard store places on other shards. Open must refuse
+// rather than apply them where no lookup finds them, whether the first such
+// record is read from the checkpoint or from the segment after it.
+func TestWALRecoveryRefusesMisplacedKeys(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			st := openWALStore(t, dir, 4, tkvwal.Options{})
+			for k := uint64(0); k < 128; k++ {
+				if _, err := st.Put(k, "v"); err != nil {
+					t.Fatal(err)
+				}
+				if k == 63 && checkpoint {
+					if err := st.CheckpointAll(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			st.Close()
+			pin := `{"version":2,"shards":8,"lane":"shared"}` + "\n"
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(pin), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st2, err := Open(Config{Shards: 8, WAL: &tkvwal.Options{Dir: dir}})
+			if err == nil {
+				n, _ := st2.Len()
+				st2.Close()
+				t.Fatalf("8 shards over a 4-shard log opened, Len %d", n)
+			}
+			if !strings.Contains(err.Error(), "(shard counts differ?)") {
+				t.Fatalf("Open = %v, want the misplaced key named", err)
+			}
+		})
 	}
 }
 

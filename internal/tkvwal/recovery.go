@@ -109,14 +109,26 @@ const manifestVersion = 2
 
 // checkManifest validates the directory's pin — format version, shard
 // count, layout — or creates it when the directory has none. Only a
-// MANIFEST that provably does not exist is created: any other failure
-// to read it refuses, or one EIO would let a store reopen a directory
-// with other sharding and silently re-pin it.
+// MANIFEST that provably does not exist is created, and only in a directory
+// that holds no segment or checkpoint: any other failure to read it
+// refuses, or one EIO or one deleted file would let a store reopen a
+// directory with other sharding and silently re-pin it.
 func (w *WAL) checkManifest() error {
 	f, err := w.fs.Open(w.path(manifestName))
 	if errors.Is(err, fs.ErrNotExist) {
+		names, err := w.fs.List(w.dir)
+		if err != nil {
+			return fmt.Errorf("tkvwal: %w", err)
+		}
+		for _, name := range names {
+			_, seg := parseFile(segFmt, name)
+			_, ckpt := parseFile(ckptFmt, name)
+			if seg || ckpt {
+				return fmt.Errorf("tkvwal: directory %s holds %s but no MANIFEST (refusing to start)", w.dir, name)
+			}
+		}
 		data, _ := json.Marshal(manifest{Version: manifestVersion, Shards: w.opts.Shards, Lane: string(ModeShared)})
-		err := w.commitFile(manifestName, func(f File) error {
+		err = w.commitFile(manifestName, func(f File) error {
 			_, err := f.Write(append(data, '\n'))
 			return err
 		})

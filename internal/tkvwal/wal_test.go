@@ -435,6 +435,63 @@ func TestManifestRefusals(t *testing.T) {
 	}
 }
 
+// TestManifestNotCreatedOverALog: a directory that holds a segment or a
+// checkpoint but no MANIFEST refuses Open at any shard count and is left
+// without one, since its sharding is unknown; re-pinning it would let a
+// store with another shard count replay its records. Stale .tmp files do
+// not count: a directory holding only those is new.
+func TestManifestNotCreatedOverALog(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			w := openLog(t, dir, 4, noApply)
+			for sh := range 4 {
+				if err := w.Append(sh, 1, []tkvlog.Entry{{Key: uint64(sh), Val: "v"}}).Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if checkpoint {
+				cut := func(sh int) ([]tkvlog.Entry, uint64, error) {
+					return []tkvlog.Entry{{Key: uint64(sh), Val: "v"}}, 1, nil
+				}
+				if err := w.Checkpoint(cut, false); err != nil {
+					t.Fatal(err)
+				}
+				// Only the checkpoint is left to give the log away.
+				os.Remove(filepath.Join(dir, segName(1)))
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, manifestName)
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{4, 8} {
+				_, err := Open(Options{Dir: dir, Shards: shards}, noApply)
+				if err == nil || !strings.Contains(err.Error(), "but no MANIFEST (refusing to start)") {
+					t.Fatalf("%d shards over a log without a MANIFEST: Open = %v, want a refusal", shards, err)
+				}
+				if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("the refused open pinned the directory: %v", err)
+				}
+			}
+		})
+	}
+	dir := t.TempDir()
+	for _, stale := range []string{manifestName + ".tmp", ckptName(3) + ".tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, stale), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := openLog(t, dir, 8, noApply).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
+		t.Fatalf("a directory of stale .tmp files got no MANIFEST: %v", err)
+	}
+}
+
 func TestAppendAfterCloseIsFenced(t *testing.T) {
 	w := openLog(t, t.TempDir(), 1, noApply)
 	if err := w.Append(0, 1, []tkvlog.Entry{{Key: 1, Val: "v"}}).Wait(); err != nil {
