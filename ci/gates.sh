@@ -14,9 +14,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-steps=(vet fmt build test bench-module race batch admission bench-smoke
-	footprint inline wire log durability smoke backpressure replication crash
-	retired selftest)
+steps=(vet fmt build test synctest bench-module race batch admission
+	bench-smoke footprint inline wire log durability smoke backpressure
+	replication crash retired selftest)
 
 work=$(mktemp -d)
 pids=()
@@ -76,6 +76,38 @@ step_build() { go build ./...; }
 #   gateFS group-formation tests): the fence-window false ack (an appender
 #   between the fence's two publications) never showed on one processor.
 step_test() { go test -count=1 -cpu 1,2,4 ./...; }
+
+# The tests in simulated time. Those whose waiting is timers, channels or
+# sync.Cond (the WAL lane's group formation and fallback timer, the
+# admission controller's ticks, the wire's shed ramp and replication
+# heartbeat, DrainRepl's deadline) run in synctest bubbles through
+# internal/synctime and assert exact times and tick counts instead of
+# racing the wall clock. The toolchain builds the package only with
+# GOEXPERIMENT=synctest, so every file that uses it carries that build
+# constraint and the steps above never see them; this step vets and runs
+# their packages with the experiment, at 1, 2 and 4 processors because a
+# bubble fakes the clock, not the scheduler, then the bubble tests under
+# -race. Tests that wait on real sockets, sync.RWMutex gates or spinning
+# engines stay in real time. Only the bubble tests run here: the test step
+# ran the rest of their packages. Last, a test may not pace itself by the
+# wall clock more than it does now: the time.Sleep calls in the _test.go
+# files under internal/ and cmd/ outside bubbles (a bubble's sleep is fake
+# time) may not rise above sleepMax. The count is of call sites, not of
+# time slept: one polling helper counts once however many loops call it.
+step_synctest() {
+	local sleepMax=9 pkgs tests n
+	mapfile -t pkgs < <(grep -rlx --include='*.go' '//go:build goexperiment.synctest' internal cmd |
+		xargs -n1 dirname | sort -u | sed 's|^|./|')
+	tests=$(grep -rlx --include='*_test.go' '//go:build goexperiment.synctest' internal cmd |
+		xargs grep -ho '^func Test[A-Za-z0-9_]*' | sed 's/^func //' | paste -sd'|')
+	GOEXPERIMENT=synctest go vet "${pkgs[@]}"
+	GOEXPERIMENT=synctest go test -count=1 -cpu 1,2,4 -run "^($tests)\$" "${pkgs[@]}"
+	GOEXPERIMENT=synctest go test -race -count=1 -cpu 1,2,4 -run "^($tests)\$" "${pkgs[@]}"
+	n=$(grep -rLx --include='*_test.go' '//go:build goexperiment.synctest' internal cmd |
+		xargs grep -ho 'time\.Sleep(' | wc -l)
+	echo "synctest: $n time.Sleep calls in real-time tests under internal/ and cmd/ (at most $sleepMax)"
+	[ "$n" -le "$sleepMax" ] || { echo "a test paces itself by the wall clock again: use a bubble (internal/synctime) or wait on the event" >&2 && return 1; }
+}
 
 # bench/ is a module of its own (BENCHMARK.json's program), so the steps
 # above neither build nor test it. It imports internal/* through their
@@ -144,11 +176,13 @@ step_batch() {
 # decaying the AIMD way, and a shed write or batch writes nothing and logs
 # nothing; below it it refuses nothing, even to callers racing on hot keys,
 # missing CASes and running 32-key cross-shard batches (the idle test, a
-# race between those callers, so every processor count). The benchmarks
-# assert the idle and shed paths stay cheap.
+# race between those callers, so every processor count). The ramp and the
+# idle test run on the controller's own ticker in bubbles, hence the
+# experiment (see synctest). The benchmarks assert the idle and shed paths
+# stay cheap.
 step_admission() {
-	go test -count=2 -cpu 1,2,4 -run 'TestShed|TestAdmi' ./internal/tkv/
-	go test -race -count=2 -cpu 1,2,4 -run 'TestShed|TestAdmi' ./internal/tkv/
+	GOEXPERIMENT=synctest go test -count=2 -cpu 1,2,4 -run 'TestShed|TestAdmi' ./internal/tkv/
+	GOEXPERIMENT=synctest go test -race -count=2 -cpu 1,2,4 -run 'TestShed|TestAdmi' ./internal/tkv/
 	go test -run=NONE -bench 'BenchmarkAdmission' -benchtime=50x ./internal/tkv/
 }
 
@@ -226,16 +260,18 @@ inlined_in() {
 # The wire protocol. The serving loop's get/put path must stay
 # allocation-free in steady state, a pipelined cohort of eight gets included
 # (the read loop warms their key paths first, and the row fails if it never
-# did): the gate measures whole-process mallocs across a loopback run (it
-# skips itself under -race, where the detector's own allocations would
-# drown the signal), and the benchmarks assert the same per-op through
+# did), and so must the shed path: the gates measure whole-process mallocs
+# across a run over loopback (the shed path's in a bubble, whose clock
+# ramps the controller first: hence the experiment, see synctest). They
+# skip themselves under -race, where the detector's own allocations would
+# drown the signal, and the benchmarks assert the same per-op through
 # -benchmem. The fuzzers chew on frame round-trips and adversarial server
 # input (truncated frames, lying length fields) for a few seconds each. The
 # Conn benchmarks report transport writes per call: eight pipelined callers
 # on one processor must share them (the line without a -N suffix is the
 # one-processor run; measured 0.14).
 step_wire() {
-	go test -run 'TestWireGetPutZeroAlloc|TestWireShedZeroAlloc' -count=1 ./internal/tkvwire/
+	GOEXPERIMENT=synctest go test -run 'TestWireGetPutZeroAlloc|TestWireShedZeroAlloc' -count=1 ./internal/tkvwire/
 	go test -run=NONE -bench 'BenchmarkWireGet|BenchmarkWirePut' -benchtime=1000x -benchmem ./internal/tkvwire/ | tee "$work/wirebench.txt"
 	grep -E 'BenchmarkWire(Get|Put).* 0 allocs/op' "$work/wirebench.txt"
 	test "$(grep -cE 'BenchmarkWire(Get|Put).* 0 allocs/op' "$work/wirebench.txt")" -eq 2

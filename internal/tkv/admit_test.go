@@ -3,176 +3,12 @@ package tkv
 import (
 	"errors"
 	"math"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
 )
-
-// admitted store: small tick so controller reactions land within test time.
-func openAdmitTest(t *testing.T, ac AdmitConfig) *Store {
-	t.Helper()
-	if ac.Tick == 0 {
-		ac.Tick = 5 * time.Millisecond
-	}
-	st := openTest(t, Config{Shards: 2, Admission: &ac})
-	t.Cleanup(st.Close)
-	return st
-}
-
-// TestAdmissionIdleIsInvisible: a store with admission on that is not past
-// its overload knee behaves exactly like one without. Serial puts first; then
-// callers racing on a few hot counters, missing a CAS on one key and running
-// cross-shard batches over many keys, for a few controller ticks: no
-// write is refused, nothing is shed, and the counters hold every
-// acknowledged increment.
-func TestAdmissionIdleIsInvisible(t *testing.T) {
-	ac := DefaultAdmitConfig()
-	st := openAdmitTest(t, ac)
-	for k := uint64(0); k < 200; k++ {
-		if _, err := st.Put(k, strconv.FormatUint(k, 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	time.Sleep(3 * ac.Tick) // a few controller ticks
-	for k := uint64(0); k < 200; k++ {
-		if _, err := st.Put(k, "x"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, sh := range st.Stats().Shards {
-		if sh.Overload > 0.5 {
-			t.Fatalf("healthy shard %d scored overloaded: %v", sh.Shard, sh.Overload)
-		}
-	}
-
-	const (
-		callers  = 16
-		counters = 256     // keys 1000..1255; the first four are the hot ones
-		batchLen = 32      // distinct keys
-		casKey   = 1 << 20 // every CAS on it misses
-	)
-	if _, err := st.Put(casKey, "v"); err != nil {
-		t.Fatal(err)
-	}
-	var acked, refused atomic.Int64
-	outcome := func(err error, delta int64) bool {
-		switch {
-		case err == nil:
-			acked.Add(delta)
-		case errors.Is(err, ErrBackpressure):
-			refused.Add(1)
-		default:
-			t.Error(err)
-			return false
-		}
-		return true
-	}
-	deadline := time.Now().Add(3 * ac.Tick) // the controller scores the load
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			ops := make([]Op, batchLen)
-			for i := 0; i < 20 || time.Now().Before(deadline); i++ {
-				_, err := st.Add(1000+uint64(i+c)%4, 1)
-				if !outcome(err, 1) {
-					return
-				}
-				_, err = st.CAS(casKey, "w", "x")
-				if !outcome(err, 0) {
-					return
-				}
-				j := uint64(c*131 + i)
-				for k := range ops {
-					ops[k] = Op{Kind: OpAdd, Key: 1000 + (j*7+uint64(k)*8)%counters, Delta: 1}
-				}
-				_, err = st.Batch(ops)
-				if !outcome(err, batchLen) {
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	var sum int64
-	for k := uint64(1000); k < 1000+counters; k++ {
-		v, _, err := st.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, _ := strconv.ParseInt(v, 10, 64)
-		sum += n
-	}
-	stats := st.Stats()
-	if refused.Load() != 0 || stats.Shed != 0 {
-		t.Errorf("store under its knee refused %d writes (shed=%d)", refused.Load(), stats.Shed)
-	}
-	if sum != acked.Load() {
-		t.Errorf("counters sum to %d, %d increments were acknowledged", sum, acked.Load())
-	}
-	for _, sh := range stats.Shards {
-		t.Logf("shard %d: overload %.3f", sh.Shard, sh.Overload)
-		if sh.Overload > ac.ShedKnee {
-			t.Errorf("shard %d crossed the knee (%v): the load is meant to stay under it", sh.Shard, sh.Overload)
-		}
-	}
-}
-
-// TestShedUnderForcedOverload: a knee of 0 is the documented "always past
-// the knee" drill mode — the controller must ramp the shed probability and
-// writes must start failing with ErrBackpressure while reads keep flowing.
-func TestShedUnderForcedOverload(t *testing.T) {
-	ac := DefaultAdmitConfig()
-	ac.ShedKnee = 0 // drill mode
-	ac.ShedMax = 0.9
-	ac.Tick = 5 * time.Millisecond
-	st := openAdmitTest(t, ac)
-	if _, err := st.Put(1, "v"); err != nil {
-		t.Fatal(err)
-	}
-	// One tick puts every shard at 0.1 and each later one adds 0.1; on a
-	// loaded machine the controller goroutine may not run for a long while,
-	// so wait for the tick itself, not for the time it should have taken.
-	eventually(t, "every shard sheds", func() bool {
-		for _, s := range st.shards {
-			if s.ctl.shedProb() == 0 {
-				return false
-			}
-		}
-		return true
-	})
-
-	var shed, ok int
-	for i := 0; i < 500; i++ {
-		_, err := st.Put(uint64(i), "x")
-		switch {
-		case errors.Is(err, ErrBackpressure):
-			shed++
-		case err == nil:
-			ok++
-		default:
-			t.Fatal(err)
-		}
-		// Reads are never shed.
-		if _, _, err := st.Get(uint64(i)); err != nil {
-			t.Fatalf("read failed under shedding: %v", err)
-		}
-	}
-	if shed == 0 {
-		t.Fatal("forced overload shed nothing")
-	}
-	if ok == 0 {
-		t.Fatal("shedding starved all writes (ShedMax must keep some flowing)")
-	}
-	if got := st.Stats().Shed; got == 0 {
-		t.Fatal("shed counter not reported in stats")
-	}
-}
 
 // TestAdmitConfigNormalized: Open fills a zero tick and a ShedMax outside
 // (0, 1] with the defaults, and keeps the knee as given: a knee <= 0 is
@@ -201,7 +37,8 @@ func TestShedRampsAndDecays(t *testing.T) {
 	ac.Tick = time.Hour // the test drives the ticks
 	ac.ShedKnee = 0
 	ac.ShedMax = 0.5
-	st := openAdmitTest(t, ac)
+	st := openTest(t, Config{Shards: 2, Admission: &ac})
+	defer st.Close()
 	c := st.ctrl
 	check := func(want float64) {
 		t.Helper()

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -392,8 +393,11 @@ func testWALCrashDrill(t *testing.T, shards int) {
 	st := openWALStore(t, dir, shards, tkvwal.Options{})
 
 	const workers = 4
+	const crashAfter = 256           // acks the writers hold when the drill crashes the log
 	acked := make([]uint64, workers) // per worker: writes 1..acked[w] were acked
 	var wg sync.WaitGroup
+	var total atomic.Uint64
+	held := make(chan struct{}) // closed at the crashAfter-th ack
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -404,21 +408,22 @@ func testWALCrashDrill(t *testing.T, shards int) {
 					return // fence reached: the "crash" happened
 				}
 				acked[w] = i
+				if total.Add(1) == crashAfter {
+					close(held)
+				}
 			}
 		}(w)
 	}
-	time.Sleep(50 * time.Millisecond)
-	st.WAL().Abandon()
-	wg.Wait()
+	exited := make(chan struct{})
+	go func() { wg.Wait(); close(exited) }()
+	select {
+	case <-held:
+	case <-exited:
+		t.Fatalf("the writers stopped after %d acks, before the crash", total.Load())
+	}
+	st.WAL().Abandon() // with crashAfter acks and more writes in flight
+	<-exited
 	st.Close()
-
-	var total uint64
-	for w := 0; w < workers; w++ {
-		total += acked[w]
-	}
-	if total == 0 {
-		t.Fatal("no acks before the crash; drill proves nothing")
-	}
 
 	st2 := openWALStore(t, dir, shards, tkvwal.Options{})
 	defer st2.Close()
@@ -438,9 +443,9 @@ func testWALCrashDrill(t *testing.T, shards int) {
 		}
 	}
 	if lost > 0 {
-		t.Fatalf("%d of %d acknowledged writes lost", lost, total)
+		t.Fatalf("%d of %d acknowledged writes lost", lost, total.Load())
 	}
-	t.Logf("crash drill: %d acknowledged writes, all recovered", total)
+	t.Logf("crash drill: %d acknowledged writes, all recovered", total.Load())
 }
 
 // BenchmarkWalPut is the durability A/B on the store-level put path:

@@ -45,13 +45,27 @@ func servePrimary(t *testing.T, st *tkv.Store) (string, *tkvwire.Server) {
 	return ln.Addr().String(), srv
 }
 
-// waitConverged polls until the follower's applied watermarks reach the
+// eventually polls check until it reports nothing left to wait for,
+// failing the test with its last report once d has passed.
+func eventually(t *testing.T, d time.Duration, check func() string) {
+	t.Helper()
+	for deadline := time.Now().Add(d); ; time.Sleep(time.Millisecond) {
+		msg := check()
+		if msg == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+	}
+}
+
+// waitConverged waits until the follower's applied watermarks reach the
 // primary's heads on every shard.
 func waitConverged(t *testing.T, primary, follower *tkv.Store) {
 	t.Helper()
 	plog, flog := primary.Repl(), follower.Repl()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	eventually(t, 10*time.Second, func() string {
 		lag := uint64(0)
 		for i := 0; i < plog.Shards(); i++ {
 			if h, a := plog.Head(i), flog.Applied(i); h > a {
@@ -59,13 +73,10 @@ func waitConverged(t *testing.T, primary, follower *tkv.Store) {
 			}
 		}
 		if lag == 0 {
-			return
+			return ""
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("follower never converged, lag %d", lag)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return fmt.Sprintf("follower never converged, lag %d", lag)
+	})
 }
 
 // waitConnected blocks until the applier has a live subscription. A
@@ -73,16 +84,12 @@ func waitConverged(t *testing.T, primary, follower *tkv.Store) {
 // fencing a primary nobody follows strands the fence.
 func waitConnected(t *testing.T, f *Follower) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if connected, _, _ := f.Status(); connected {
-			return
+	eventually(t, 5*time.Second, func() string {
+		if connected, _, _ := f.Status(); !connected {
+			return "follower never connected"
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never connected")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return ""
+	})
 }
 
 func sameSnapshot(t *testing.T, a, b *tkv.Store) {
@@ -234,16 +241,12 @@ func TestFailoverGracefulZeroLoss(t *testing.T) {
 	<-served
 
 	// The drained stream ends in a fence; wait for the applier to see it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, fenced, _ := f.Status(); fenced {
-			break
+	eventually(t, 5*time.Second, func() string {
+		if _, fenced, _ := f.Status(); !fenced {
+			return "follower never saw the fence"
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never saw the fence")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return ""
+	})
 	f.Stop()
 	follower.SetReadOnly(false)
 
@@ -527,11 +530,12 @@ func TestFollowerAppliedWaitsForItsLog(t *testing.T) {
 	}
 	sh := primary.ShardOf(key)
 	flog := follower.Repl()
-	for deadline := time.Now().Add(5 * time.Second); follower.WAL().LastSeq(sh) != 1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the follower never appended the record")
+	eventually(t, 5*time.Second, func() string {
+		if follower.WAL().LastSeq(sh) != 1 {
+			return "the follower never appended the record"
 		}
-	}
+		return ""
+	})
 	time.Sleep(50 * time.Millisecond) // room for a watermark that moves early to show it
 	if h := flog.Head(sh); h != 1 {
 		t.Fatalf("head %d with the record in the WAL: one append numbers both", h)

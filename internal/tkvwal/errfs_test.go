@@ -3,6 +3,7 @@ package tkvwal_test
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -162,6 +163,10 @@ func TestAbandonSimulatesCrash(t *testing.T) {
 	tkvwal.EachShape(t, workers, func(t *testing.T, shards int) { proveAbandonCrash(t, workers, shards) })
 }
 
+// crashAfter is how many acks the appenders hold when the drill crashes
+// the log.
+const crashAfter = 256
+
 func proveAbandonCrash(t *testing.T, workers, shards int) {
 	dir := t.TempDir()
 	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards}, noApply)
@@ -172,6 +177,8 @@ func proveAbandonCrash(t *testing.T, workers, shards int) {
 	mu := make([]sync.Mutex, shards) // shard i's ordering lock, the one Append asks for: assigns seq[i]
 	seq := make([]uint64, shards)
 	var wg sync.WaitGroup
+	var total atomic.Uint64
+	held := make(chan struct{}) // closed at the crashAfter-th ack
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -186,19 +193,21 @@ func proveAbandonCrash(t *testing.T, workers, shards int) {
 					return // fence reached: the "crash" happened
 				}
 				acked[i] = n
+				if total.Add(1) == crashAfter {
+					close(held)
+				}
 			}
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond)
-	w.Abandon() // SIGKILL stand-in
-	wg.Wait()
-	var total uint64
-	for _, a := range acked {
-		total += a
+	exited := make(chan struct{})
+	go func() { wg.Wait(); close(exited) }()
+	select {
+	case <-held:
+	case <-exited:
+		t.Fatalf("the appenders stopped after %d acks, before the crash", total.Load())
 	}
-	if total == 0 {
-		t.Fatal("no acks before the crash; drill proves nothing")
-	}
+	w.Abandon() // SIGKILL stand-in, with crashAfter acks and more in flight
+	<-exited
 	got := recoveredKeys(t, dir, shards)
 	for i := 0; i < workers; i++ {
 		for n := uint64(1); n <= acked[i]; n++ {
@@ -207,5 +216,5 @@ func proveAbandonCrash(t *testing.T, workers, shards int) {
 			}
 		}
 	}
-	t.Logf("crash drill: %d acked across %d shards, %d recovered", total, shards, len(got))
+	t.Logf("crash drill: %d acked across %d shards, %d recovered", total.Load(), shards, len(got))
 }

@@ -16,7 +16,8 @@ import (
 // test decides exactly which records are staged behind it, and the lane
 // is known to be inside Sync — touching nothing else — until released.
 // Records written are counted per Sync: that is the group's size, however
-// many shards (and so Write calls) it came from.
+// many shards (and so Write calls) it came from. A released Sync costs
+// syncCost on the way out, so the lane measures that as its fsync time.
 type gateFS struct {
 	OSFS
 	entered chan int      // a Sync has started; carries the records written since the last one
@@ -25,6 +26,11 @@ type gateFS struct {
 	once    sync.Once
 	records atomic.Int64
 }
+
+// syncCost is what a held Sync takes once released. In a bubble it is the
+// whole of what the lane measures, so its fsync EMA, and with it the
+// fallback timer, is exactly this (under laneWaitMax).
+const syncCost = time.Millisecond
 
 func newGateFS() *gateFS {
 	return &gateFS{entered: make(chan int), release: make(chan error), opened: make(chan struct{})}
@@ -77,14 +83,15 @@ func (f *gatedFile) Sync() error {
 	}
 	select {
 	case err := <-f.g.release:
+		time.Sleep(syncCost)
 		return err
 	case <-f.g.opened:
 		return nil
 	}
 }
 
-// openGated opens a log over a gateFS and arranges for the gate to open
-// before the log is closed when the test ends.
+// openGated opens a log over a gateFS. closeGated closes it: a test in a
+// bubble defers it there, one in real time registers it with t.Cleanup.
 func openGated(t *testing.T, shards int) (*WAL, *gateFS) {
 	t.Helper()
 	g := newGateFS()
@@ -93,21 +100,11 @@ func openGated(t *testing.T, shards int) (*WAL, *gateFS) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		g.open()
-		w.Close()
-	})
 	return w, g
 }
 
-// setLaneFallback fixes the lane's fallback timer at d, whatever fsync
-// costs it goes on to measure in this test (the EMA moves an eighth of
-// the way per flush; the cap does not move). An hour rules the timer
-// out, so a group can only form from arrivals. Call it while the lane is
-// provably idle — before the first Append or while a Sync is held — so
-// the write is ordered before the lane's next read by the channel
-// operation that wakes it.
-func setLaneFallback(w *WAL, d time.Duration) {
-	w.maxWait = d
-	w.fsyncEMA.Store(int64(1000 * time.Hour))
+// closeGated opens the gate, so that no Sync is held, and closes the log.
+func closeGated(w *WAL, g *gateFS) {
+	g.open()
+	w.Close()
 }

@@ -67,13 +67,12 @@ func Open(opts Options, apply func(*tkvlog.Record) error) (*WAL, error) {
 		opts:    opts,
 		shards:  make([]*shardLog, opts.Shards),
 		notify:  make(chan struct{}, 1),
-		maxWait: laneWaitMax,
 		failedc: make(chan struct{}),
 		stopc:   make(chan struct{}),
 	}
-	w.cur.Store(&Commit{w: w, done: make(chan struct{})})
+	w.group = &Commit{w: w, done: make(chan struct{})}
 	for i := range w.shards {
-		w.shards[i] = &shardLog{}
+		w.shards[i] = &shardLog{ticket: w.group}
 	}
 	if err := w.fs.MkdirAll(w.dir); err != nil {
 		return nil, fmt.Errorf("tkvwal: %w", err)

@@ -27,10 +27,10 @@
 // The STM commit is ~0.2 µs; an fsync is ~ms. Acknowledging each write
 // with its own fsync would cap the store at fsync rate, so appends park
 // on a committing group instead: Append stages the record and returns
-// the lane's current ticket as a Commit handle; everything that arrives
-// while one fsync is in flight rides the next one — group size scales
-// with load and the per-write fsync cost amortizes away (Stats measures
-// both).
+// the ticket of the group that will collect it as a Commit handle;
+// everything that arrives while one fsync is in flight rides the next
+// one — group size scales with load and the per-write fsync cost
+// amortizes away (Stats measures both).
 //
 // A lane forms its groups from arrivals, never from a clock. A lane
 // that collected the moment it woke would, whenever the fsync is faster
@@ -53,16 +53,14 @@
 // paid it sets the new, smaller expectation. Stats counts both
 // (GroupWaits, GroupWaitTimeouts).
 //
-// A lane's ack correctness leans on one ordering: an appender stages
-// its record under the shard mutex first and only then loads the lane's
-// current group ticket, while the lane loop installs the next ticket
-// first and only then collects its shards' staged buffers. If the
-// appender observed ticket G, the collection for G started after its
-// record was staged, so closing G after the fsync is an honest ack; if
-// it observed G+1, its record rides flush G or G+1, both of which
-// complete before G+1 closes (a collection that finds nothing staged
-// closes its ticket immediately — its waiters' records were made
-// durable by an earlier flush).
+// A lane's acks, and its count of the writers a group releases, lean on
+// one rule: a record and its ticket are taken under the same shard mutex.
+// An appender stages its record and reads its shard's ticket in one
+// critical section, and the lane, collecting a shard's buffer into group
+// G, hands the shard G+1's ticket in the same critical section. So an
+// appender holds G exactly when its record rides flush G: closing G after
+// the fsync is an honest ack, and the records G carried are the writers
+// it releases, no more and no fewer.
 //
 // # Fail-stop
 //
@@ -173,6 +171,7 @@ type shardLog struct {
 	rec      tkvlog.Record // encode scratch, reused under mu
 	appended uint64        // last seq encoded into buf
 	pending  int           // records in buf
+	ticket   *Commit       // the group the records in buf ride (the lane's next collection)
 
 	durable     atomic.Uint64 // last seq the OS has (fsync'd unless NoSync)
 	lastCkptSeq atomic.Uint64
@@ -194,8 +193,7 @@ type WAL struct {
 
 	shards []*shardLog
 
-	cur    atomic.Pointer[Commit] // current group ticket (swap-first, see flushLocked)
-	notify chan struct{}          // wakes the lane loop (capacity 1)
+	notify chan struct{} // wakes the lane loop (capacity 1)
 
 	// Arrival-driven group formation (see awaitArrivals). staged counts
 	// records staged and not yet collected; appenders add to it after
@@ -210,11 +208,11 @@ type WAL struct {
 	staged   atomic.Int64
 	want     atomic.Int64
 	waiting  atomic.Bool
-	fsyncEMA atomic.Int64  // EMA of fsync nanos: the fallback timer's bound
-	maxWait  time.Duration // laneWaitMax; a field so tests can rule the fallback out or in
-	timer    *time.Timer   // the fallback timer, created on first use (laneLoop only)
+	fsyncEMA atomic.Int64 // EMA of fsync nanos: the fallback timer's bound
+	timer    *time.Timer  // the fallback timer, created on first use (laneLoop only)
 
 	wmu    sync.Mutex  // serializes write/fsync/rotate on f; never held by Append
+	group  *Commit     // the ticket every shard holds until it is collected (guarded by wmu)
 	f      File        // active segment (guarded by wmu)
 	rot    uint64      // active segment's rotation counter (guarded by wmu)
 	chunks []laneChunk // collect scratch, reused across flushes (guarded by wmu)
@@ -271,18 +269,16 @@ func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
 	s.rec.Entries = nil
 	s.appended = seq
 	s.pending++
+	c := s.ticket // the group this record rides (the package doc's rule)
 	delta := len(s.buf) - before
 	s.mu.Unlock()
 	w.appends.Add(1)
 	w.bytesAppended.Add(uint64(delta))
-	// Load the group ticket only after the record is staged (the package
-	// doc's ordering argument), and count the arrival before the wake-up,
-	// so the lane's re-check sees it. A lane loop blocked in awaitArrivals
-	// needs waking only by the arrival that completes its group (the
-	// fallback timer covers the rest); in any other state it needs to
-	// hear of every one.
+	// Count the arrival before the wake-up, so the lane's re-check sees
+	// it. A lane loop blocked in awaitArrivals needs waking only by the
+	// arrival that completes its group (the fallback timer covers the
+	// rest); in any other state it needs to hear of every one.
 	staged := w.staged.Add(1)
-	c := w.cur.Load()
 	if !w.waiting.Load() || staged >= w.want.Load() {
 		select {
 		case w.notify <- struct{}{}:
@@ -298,11 +294,9 @@ func (w *WAL) Append(shard int, seq uint64, entries []tkvlog.Entry) *Commit {
 // laneLoop is the lane's group-commit goroutine: wake on appends from
 // any shard, let the group form (awaitArrivals), flush every staged
 // buffer with one fsync, release the whole batch. Every wake-up leads to
-// a collection, even one that finds nothing staged: a waiter may hold
-// the current ticket for a record an earlier flush already carried, and
-// only a collection closes that ticket. On a clean stop it flushes what
-// remains; after a failure or Abandon it just exits (the fence owns the
-// pending waiters).
+// a collection; one that finds nothing staged releases nobody and costs
+// no I/O. On a clean stop it flushes what remains; after a failure or
+// Abandon it just exits (the fence owns the pending waiters).
 func (w *WAL) laneLoop() {
 	defer w.wg.Done()
 	for {
@@ -348,7 +342,7 @@ func (w *WAL) awaitArrivals() (stopping bool) {
 		return false
 	}
 	w.groupWaits.Add(1)
-	d := min(time.Duration(w.fsyncEMA.Load()), w.maxWait)
+	d := min(time.Duration(w.fsyncEMA.Load()), laneWaitMax)
 	if w.timer == nil {
 		w.timer = time.NewTimer(d)
 	} else {
@@ -382,29 +376,30 @@ func (w *WAL) flush() error {
 }
 
 // flushLocked is flush with w.wmu held (rotations flush before switching
-// files). The ticket swap must happen before any staged buffer is
-// collected — see the package doc's ordering argument; each shard's
-// mutex is held only across its buffer swap, never across the I/O —
+// files). Each shard's buffer is collected, and the shard handed the next
+// group's ticket, in one critical section — the package doc's rule; each
+// shard's mutex is held only across that swap, never across the I/O —
 // that is the group-commit overlap.
 func (w *WAL) flushLocked() error {
-	// Take a pending wake-up with us, before the swap: whoever sent it
-	// (or found the channel full) loaded its ticket first, so it holds g
-	// or an older one, its record is collected below, and this flush is
-	// all it is waiting for. Left in the channel it would wake the loop
-	// into a wait for returning writers — and start the fallback timer —
+	// Take a pending wake-up with us, before collecting: whoever sent it
+	// (or found the channel full) staged its record first, so the record
+	// is collected below or was by an earlier flush, and this flush is all
+	// it is waiting for. Left in the channel it would wake the loop into
+	// a wait for returning writers — and start the fallback timer —
 	// before any of them has been released.
 	select {
 	case <-w.notify:
 	default:
 	}
-	g := w.cur.Load()
-	w.cur.Store(&Commit{w: w, done: make(chan struct{})})
+	g := w.group
+	w.group = &Commit{w: w, done: make(chan struct{})}
 
 	chunks := w.chunks[:0]
 	total := 0
 	n := 0
 	for _, s := range w.shards {
 		s.mu.Lock()
+		s.ticket = w.group
 		if len(s.buf) > 0 {
 			chunks = append(chunks, laneChunk{s: s, buf: s.buf, target: s.appended})
 			total += len(s.buf)
@@ -418,8 +413,7 @@ func (w *WAL) flushLocked() error {
 	w.chunks = chunks
 	w.staged.Add(-int64(n))
 	if total == 0 {
-		// Every record this ticket's waiters staged was collected (and
-		// made durable) by an earlier flush; the ack is already earned.
+		// Nothing was staged, so nobody holds g.
 		w.releaseGroup(g, 0, nil)
 		return nil
 	}

@@ -158,6 +158,7 @@ func TestGroupCommit(t *testing.T) { eachShape(t, 4, testGroupCommit) }
 
 func testGroupCommit(t *testing.T, shards int) {
 	w, g := openGated(t, shards)
+	t.Cleanup(func() { closeGated(w, g) })
 	seq := make([]uint64, shards)
 	seq[0] = 1
 	first := w.Append(0, 1, []tkvlog.Entry{{Key: 0, Val: "x"}})

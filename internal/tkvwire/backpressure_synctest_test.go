@@ -1,55 +1,48 @@
+//go:build goexperiment.synctest
+
 package tkvwire
+
+// The shed path on the wire, in bubbles (internal/synctime): the
+// admission controller's ticks are the bubble's, so the tests know exactly
+// when every batch sheds. The server comes up once the ramp is done, over
+// a pipeListener or, for the alloc gate, loopback TCP.
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"time"
 
+	"github.com/shrink-tm/shrink/internal/synctime"
 	"github.com/shrink-tm/shrink/internal/tkv"
 )
 
-// startShedServer brings up a wire server whose store runs the admission
-// controller in drill mode (ShedKnee 0: always past the knee), so the shed
-// probability ramps to ShedMax within a few ticks regardless of load.
-// With the default ShedMax of 0.8, batches shed at min(1, 2·0.8) = always —
-// a deterministic rejection path for the tests below.
-func startShedServer(t testing.TB) string {
-	ac := tkv.DefaultAdmitConfig()
-	ac.Tick = 5 * time.Millisecond
-	ac.ShedKnee = 0 // drill mode
-	return startServerWith(t, tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128, Admission: &ac})
-}
+// shedTicks is how many controller ticks drill mode (ShedKnee 0: always
+// past the knee) takes to shed every batch: at +0.1 a tick the fifth puts
+// every shard at 0.5, and batches shed at twice the worst shard's
+// probability.
+const shedTicks = 5
 
-// waitForShed drives batches until the controller's ramp is complete and
-// every batch sheds, so tests observe the steady overloaded state rather
-// than the ramp. Mid-ramp sheds are probabilistic; 30 consecutive ones only
-// happen once the batch shed probability is pinned at 1.
-func waitForShed(t testing.TB, c *Conn) {
+// serveShedding opens a store whose admission controller runs in drill
+// mode, lets it tick shedTicks times and then serves it on ln: from then on
+// every batch sheds, and single-key writes at 0.5 (the clock, and with it
+// the ramp, stands still while the test only talks to the server). The
+// ramp comes first so that ln may be a real socket, whose waits would hold
+// the clock still. stop is serveOn's.
+func serveShedding(t *testing.T, ln net.Listener) (stop func()) {
 	t.Helper()
-	ops := []tkv.Op{{Kind: tkv.OpPut, Key: 1, Value: "v"}}
-	deadline := time.Now().Add(10 * time.Second)
-	streak := 0
-	for time.Now().Before(deadline) {
-		// One probe per tick: a 30-shed streak then spans ≥30 ticks, well
-		// past the ~8 the ramp needs, so lucky mid-ramp streaks can't pass.
-		time.Sleep(5 * time.Millisecond)
-		_, err := c.Batch(ops)
-		switch {
-		case errors.Is(err, tkv.ErrBackpressure):
-			if streak++; streak >= 30 {
-				return
-			}
-		case err == nil:
-			streak = 0
-		default:
-			t.Fatalf("batch during ramp: %v", err)
-		}
+	ac := tkv.DefaultAdmitConfig()
+	ac.ShedKnee = 0 // drill mode
+	st, err := tkv.Open(tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128, Admission: &ac})
+	if err != nil {
+		t.Fatalf("tkv.Open: %v", err)
 	}
-	t.Fatal("drill-mode controller never reached steady batch shedding")
+	synctime.Advance(shedTicks * ac.Tick)
+	_, stop = serveOn(t, st, ln)
+	return stop
 }
 
 // TestServerBackpressureStatus: shed requests must come back as
@@ -57,22 +50,29 @@ func waitForShed(t testing.TB, c *Conn) {
 // the same sentinel a caller would see in-process — while reads keep
 // flowing and the connection stays healthy.
 func TestServerBackpressureStatus(t *testing.T) {
-	addr := startShedServer(t)
-	c := dialTest(t, addr)
-	waitForShed(t, c)
+	synctime.Run(t, func() { testServerBackpressureStatus(t) })
+}
 
-	// Batches shed deterministically past the ramp.
-	_, err := c.Batch([]tkv.Op{{Kind: tkv.OpPut, Key: 2, Value: "w"}})
-	if !errors.Is(err, tkv.ErrBackpressure) {
-		t.Fatalf("shed batch error = %v, want ErrBackpressure", err)
-	}
-	var se *StatusError
-	if !errors.As(err, &se) || se.Status != StatusBackpressure {
-		t.Fatalf("shed batch error = %#v, want StatusError{StatusBackpressure}", err)
+func testServerBackpressureStatus(t *testing.T) {
+	ln := newPipeListener()
+	defer serveShedding(t, ln)()
+	c := NewConn(ln.dial(t))
+	defer c.Close()
+
+	// Past the ramp every batch sheds.
+	for i := 0; i < 30; i++ {
+		_, err := c.Batch([]tkv.Op{{Kind: tkv.OpPut, Key: 2, Value: "w"}})
+		if !errors.Is(err, tkv.ErrBackpressure) {
+			t.Fatalf("batch %d after %d ticks: %v, want ErrBackpressure", i, shedTicks, err)
+		}
+		var se *StatusError
+		if !errors.As(err, &se) || se.Status != StatusBackpressure {
+			t.Fatalf("shed batch error = %#v, want StatusError{StatusBackpressure}", err)
+		}
 	}
 
-	// Single-key writes shed probabilistically at ShedMax = 0.8: over a few
-	// hundred puts both outcomes must appear, and nothing else.
+	// Single-key writes shed at the shards' 0.5: over a few hundred puts
+	// both outcomes must appear, and nothing else.
 	var shed, ok int
 	for i := 0; i < 400; i++ {
 		_, err := c.Put(uint64(i), "x")
@@ -113,18 +113,26 @@ func TestServerBackpressureStatus(t *testing.T) {
 // overload knee a shed batch must cost only a pooled error frame — no
 // request parse, no op slice, no message allocation. Same measurement
 // technique as TestWireGetPutZeroAlloc: process-wide Mallocs around a
-// raw-frame loop, GC parked.
+// raw-frame loop, GC parked, over loopback TCP: the server's socket path
+// (its *net.TCPConn set-up and socket writes) is on the measured path.
 func TestWireShedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates per access")
 	}
-	addr := startShedServer(t)
+	synctime.Run(t, func() { testWireShedZeroAlloc(t) })
+}
 
-	// Ramp to the deterministic-shed state before measuring.
-	rampConn := dialTest(t, addr)
-	waitForShed(t, rampConn)
-
-	nc := rawDial(t, addr)
+func testWireShedZeroAlloc(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer serveShedding(t, ln)()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer nc.Close()
 	batchFrame := AppendBatchReq(nil, 3, []tkv.Op{
 		{Kind: tkv.OpPut, Key: 7, Value: "v0"},
 		{Kind: tkv.OpAdd, Key: 8, Delta: 1},
