@@ -72,9 +72,10 @@ step_build() { go build ./...; }
 #   pool empty and which caller flushes a cohort are the scheduler's
 #   choices: the whole store suite and the scenario driver's in-process
 #   scenarios (real tkvd processes among them) run at every count.
-# - The log's own suite (every-cut, every-offset, errfs fail-stop, the
-#   gateFS group-formation tests): the fence-window false ack (an appender
-#   between the fence's two publications) never showed on one processor.
+# - The log's own suite (every-cut, every-offset, the fail-stop and crash
+#   tests and the held-Sync group-formation tests, all on tkvwal.SimFS):
+#   the fence-window false ack (an appender between the fence's two
+#   publications) never showed on one processor.
 step_test() { go test -count=1 -cpu 1,2,4 ./...; }
 
 # The tests in simulated time. Those whose waiting is timers, channels or
@@ -95,7 +96,7 @@ step_test() { go test -count=1 -cpu 1,2,4 ./...; }
 # time) may not rise above sleepMax. The count is of call sites, not of
 # time slept: one polling helper counts once however many loops call it.
 step_synctest() {
-	local sleepMax=9 pkgs tests n
+	local sleepMax=8 pkgs tests n
 	mapfile -t pkgs < <(grep -rlx --include='*.go' '//go:build goexperiment.synctest' internal cmd |
 		xargs -n1 dirname | sort -u | sed 's|^|./|')
 	tests=$(grep -rlx --include='*_test.go' '//go:build goexperiment.synctest' internal cmd |
@@ -304,14 +305,20 @@ step_log() {
 # a reopened or restored log serves nothing from before its restart (a
 # fresh follower of a reopened primary is resynced from cuts), a restore to
 # a lower sequence takes the WAL's watermark down with it, and a follower
-# reports a record applied only once its own log made it durable.
+# reports a record applied only once its own log made it durable. The crash
+# lines run on tkvwal.SimFS, which keeps across a power cut only what an
+# fsync made durable: the two drills cut the power between a group's write
+# and its fsync, and the checkpoint sweep at every operation of a
+# checkpoint (rotation, file, rename, directory fsyncs, GC) and of the
+# appends around it; recovery must not refuse, and every acked record, and
+# a checkpoint that returned nil, must come back.
 step_durability() {
-	local run='TestWALDurableRoundTrip|TestWALCheckpointTruncates|TestWALReplSharedSequence|TestWALReplRestore|TestReplRestoreShard|TestWALFailStopStore|TestWALCrashDrill|TestFreshFollowerOfReopenedPrimary|TestFollowerAppliedWaitsForItsLog'
+	local run='TestWALDurableRoundTrip|TestWALCheckpointTruncates|TestWALReplSharedSequence|TestWALReplRestore|TestReplRestoreShard|TestWALFailStopStore|TestWALCrashDrill|TestFreshFollowerOfReopenedPrimary|TestFollowerAppliedWaitsForItsLog|TestAbandonSimulatesCrash|TestCheckpointEveryCrashPoint'
 	go test -run=NONE -bench 'BenchmarkWalAppend' -benchtime=1000x -benchmem ./internal/tkvwal/ | tee "$work/walbench.txt"
 	test "$(grep -cE '^BenchmarkWalAppend(-[0-9]+)? .* 0 allocs/op' "$work/walbench.txt")" -eq 1
 	go test -fuzz 'FuzzLogReader' -fuzztime 5s -run=NONE ./internal/tkvlog/
-	go test -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvrepl/
-	go test -race -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvrepl/
+	go test -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvrepl/ ./internal/tkvwal/
+	go test -race -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvrepl/ ./internal/tkvwal/
 }
 
 # The process-level drills: real tkvd processes, driven and judged by

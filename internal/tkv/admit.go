@@ -16,9 +16,11 @@ var ErrBackpressure = errors.New("tkv: overloaded, request shed")
 
 // ShedLowPriority reports whether a low-priority request (a batch) arriving
 // right now should be shed, charging the store's shed counters when it says
-// yes. Serving layers call it before decoding a batch request so rejection
-// costs nothing — no parse, no op structs — on exactly the path that is
-// hottest under overload. Always false when admission is disabled.
+// yes. It is the one admission decision a batch gets: Batch itself sheds
+// nothing, and a serving layer calls this before decoding a batch request,
+// so rejection costs nothing — no parse, no op structs — on exactly the
+// path that is hottest under overload. Always false when admission is
+// disabled.
 func (st *Store) ShedLowPriority() bool {
 	return st.ctrl != nil && st.ctrl.shedLowPriority()
 }
@@ -38,7 +40,8 @@ type AdmitConfig struct {
 	// (aborts + scheduler serializations + gate waits) / commits over the
 	// last tick, EWMA-smoothed; a gate wait is a write (on an unlogged
 	// store, a batch) held at its shard's gate by a snapshot, cut or fence,
-	// or one of those waiting the writes out. Below the knee the shed
+	// or one of those waiting the writes out. A tick whose window holds
+	// fewer than 32 commits and cures scores zero. Below the knee the shed
 	// probability decays to zero; above it, it ramps toward ShedMax. A
 	// knee <= 0 means "always past the knee" — the shard sheds at ShedMax
 	// unconditionally, which exists for tests and operational drills, not
@@ -152,6 +155,13 @@ func (c *controller) run() {
 	}
 }
 
+// minScored is the fewest commits and cures a shard's tick window must hold
+// for the controller to score it. Under TestAdmissionIdleIsInvisible's
+// healthy load, windows of 3 to 18 that a tick cut at the start of a burst
+// scored 2 to 4.5, past the default knee once smoothed; no window of 24 or
+// more scored above 1.31.
+const minScored = 32
+
 // tick samples every shard and updates its admission state.
 func (c *controller) tick() {
 	var maxProb float64
@@ -169,10 +179,13 @@ func (c *controller) tick() {
 			agg.Commits, agg.Aborts, agg.Serializations, waits
 
 		// Overload score: the cure cost (aborted work, serialized
-		// starts, blocked gate acquisitions) per unit of progress.
-		// Idle shards (no commits, no cures) score zero.
+		// starts, blocked gate acquisitions) per unit of progress. A
+		// window of fewer than minScored commits and cures scores zero, as
+		// an idle one does: a tick that lands at the start of a burst sees
+		// a few early aborts against a commit or two, which is no
+		// evidence of overload.
 		var score float64
-		if cures := dAborts + dSerials + dWaits; cures > 0 {
+		if cures := dAborts + dSerials + dWaits; cures > 0 && cures+dCommits >= minScored {
 			score = float64(cures) / float64(max(dCommits, 1))
 		}
 		ew := 0.5*sc.overload() + 0.5*score

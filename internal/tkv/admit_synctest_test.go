@@ -32,9 +32,10 @@ func checkShedProb(t *testing.T, st *Store, ticks int, want float64) {
 // TestShedUnderForcedOverload: a knee of 0 is the documented "always past
 // the knee" drill mode. The controller's own ticker ramps every shard's
 // shed probability by 0.1 a tick, to ShedMax (0.5) at exactly the fifth
-// tick and no further. From then on every batch sheds (at twice the
-// worst shard's probability, capped at 1), single-key writes fail with
-// ErrBackpressure at ShedMax and no more, and reads keep flowing.
+// tick and no further. From then on every batch sheds (ShedLowPriority, the
+// one decision a batch gets, at twice the worst shard's probability, capped
+// at 1), single-key writes fail with ErrBackpressure at ShedMax and no
+// more, and reads keep flowing.
 func TestShedUnderForcedOverload(t *testing.T) {
 	synctime.Run(t, func() {
 		ac := DefaultAdmitConfig()
@@ -53,8 +54,8 @@ func TestShedUnderForcedOverload(t *testing.T) {
 
 		const batches = 50
 		for i := 0; i < batches; i++ {
-			if _, err := st.Batch([]Op{{Kind: OpPut, Key: 2, Value: "w"}}); !errors.Is(err, ErrBackpressure) {
-				t.Fatalf("batch %d at a batch shed probability of 1: %v", i, err)
+			if !st.ShedLowPriority() {
+				t.Fatalf("batch %d admitted at a batch shed probability of 1", i)
 			}
 		}
 		var shed, ok int
@@ -84,11 +85,14 @@ func TestShedUnderForcedOverload(t *testing.T) {
 
 // TestAdmissionIdleIsInvisible: a store with admission on that is not past
 // its overload knee behaves exactly like one without. Serial puts score
-// nothing at the ticks that follow them. Then, for three ticks, callers
+// nothing at the ticks that follow them. Then, for three rounds, callers
 // race on a few hot counters, miss a CAS on one key and run cross-shard
-// batches over many keys, and each tick scores while they run: no write
-// is refused, no tick sets a shed probability, no shard crosses the knee,
-// and the counters hold every acknowledged increment.
+// batches over many keys. Each round starts at the instant of a controller
+// tick, so that tick may score the first few transactions of the burst,
+// and the callers pause halfway for the next tick, which scores the first
+// half while the second half runs. No write is refused, no tick sets a
+// shed probability, no shard crosses the knee, and the counters hold every
+// acknowledged increment.
 func TestAdmissionIdleIsInvisible(t *testing.T) {
 	synctime.Run(t, func() {
 		ac := DefaultAdmitConfig()
@@ -108,7 +112,7 @@ func TestAdmissionIdleIsInvisible(t *testing.T) {
 
 		const (
 			callers  = 16
-			rounds   = 20      // per caller and tick
+			iters    = 20      // per caller and round
 			counters = 256     // keys 1000..1255; the first four are the hot ones
 			batchLen = 32      // distinct keys
 			casKey   = 1 << 20 // every CAS on it misses
@@ -139,7 +143,10 @@ func TestAdmissionIdleIsInvisible(t *testing.T) {
 			}
 			checkShedProb(t, st, tick, 0)
 		}
-		for tick := 1; tick <= 3; tick++ {
+		for round := 1; round <= 3; round++ {
+			// To the instant of a tick: the callers start as it fires.
+			synctime.Wait()
+			time.Sleep(ac.Tick)
 			var wg sync.WaitGroup
 			resume := make(chan struct{})
 			for c := 0; c < callers; c++ {
@@ -147,8 +154,8 @@ func TestAdmissionIdleIsInvisible(t *testing.T) {
 				go func(c int) {
 					defer wg.Done()
 					ops := make([]Op, batchLen)
-					for i := tick * rounds; i < (tick+1)*rounds; i++ {
-						if i == tick*rounds+rounds/2 {
+					for i := round * iters; i < (round+1)*iters; i++ {
+						if i == round*iters+iters/2 {
 							<-resume
 						}
 						_, err := st.Add(1000+uint64(i+c)%4, 1)
@@ -171,17 +178,17 @@ func TestAdmissionIdleIsInvisible(t *testing.T) {
 				}(c)
 			}
 			// Every caller is halfway. The clock moves to the controller's
-			// tick, and the callers resume at that instant: the tick
+			// next tick, and the callers resume at that instant: the tick
 			// scores the first half while the second half runs.
 			synctime.Wait()
 			time.Sleep(ac.Tick)
 			close(resume)
 			wg.Wait()
 			synctime.Wait()
-			scored(tick)
+			scored(3 + 2*round) // the serial puts' three, and two a round
 		}
 		synctime.Advance(ac.Tick) // the last round's second half
-		scored(4)
+		scored(10)
 		var sum int64
 		for k := uint64(1000); k < 1000+counters; k++ {
 			v, _, err := st.Get(k)

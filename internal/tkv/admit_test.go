@@ -73,12 +73,13 @@ func TestShedRampsAndDecays(t *testing.T) {
 }
 
 // TestShedPastTheKnee: cures, not drill mode, push a shard past a real
-// knee. Eight logged writes parked at a frozen gate (the store is logged:
-// only there does a single-key write enter its shard's gate), and nothing
-// committed, score the shard 8 cures per commit; one tick puts its EWMA at
-// 4, past a knee of 1, and it starts shedding — it alone, the other shard
-// scored nothing — and batches follow the worst shard. Once the cures stop
-// the score decays back under the knee and the shedding stops.
+// knee. minScored logged writes parked at a frozen gate (the store is
+// logged: only there does a single-key write enter its shard's gate), and
+// nothing committed, score the shard minScored cures per commit; one tick
+// puts its EWMA at half that, past a knee of 1, and it starts shedding — it
+// alone, the other shard scored nothing — and batches follow the worst
+// shard. Once the cures stop the score decays back under the knee and the
+// shedding stops.
 func TestShedPastTheKnee(t *testing.T) {
 	ac := DefaultAdmitConfig()
 	ac.Tick = time.Hour // the test drives the ticks
@@ -95,7 +96,7 @@ func TestShedPastTheKnee(t *testing.T) {
 	s := st.shards[hot]
 	s.gate.freeze()
 	var wg sync.WaitGroup
-	for r := 0; r < 8; r++ {
+	for r := 0; r < minScored; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -104,9 +105,9 @@ func TestShedPastTheKnee(t *testing.T) {
 			}
 		}()
 	}
-	eventually(t, "eight writes wait at the gate", func() bool {
+	eventually(t, "the writes wait at the gate", func() bool {
 		_, excl := s.gate.waits()
-		return excl == 8
+		return excl == minScored
 	})
 	c.tick()
 	s.gate.unfreeze()
@@ -114,7 +115,7 @@ func TestShedPastTheKnee(t *testing.T) {
 	for j, sh := range st.shards {
 		want, wantP := 0.0, 0.0
 		if j == hot {
-			want, wantP = 4, 0.1
+			want, wantP = minScored/2, 0.1
 		}
 		if got := sh.ctl.overload(); got != want {
 			t.Errorf("shard %d overload %v, want %v", j, got, want)
@@ -140,9 +141,10 @@ func TestShedPastTheKnee(t *testing.T) {
 // TestAdmissionScoresSerializations: a serialized start is a cure the
 // overload score counts, whichever scheduler made it, and Stats reports it
 // on its shard. One update transaction on the hot shard aborts once and
-// commits on its retry, beside one interfering commit: 1 abort per 2
-// commits scores 0.5, and Pool, which serializes the retry, adds one cure
-// for 1.0; one tick puts the EWMA at half of that. Shrink and ATS let the
+// commits on its retry, beside one interfering commit and minScored-2
+// plain puts, so the window holds enough to be scored: 1 abort per
+// minScored commits, and Pool, which serializes the retry, adds one cure
+// for 2; one tick puts the EWMA at half of that. Shrink and ATS let the
 // retry run free (a success rate of 0.5 is not under Shrink's threshold, a
 // contention intensity of 0.25 not over ATS's).
 func TestAdmissionScoresSerializations(t *testing.T) {
@@ -151,9 +153,9 @@ func TestAdmissionScoresSerializations(t *testing.T) {
 		serials   uint64
 		overload  float64
 	}{
-		{enginecfg.SchedShrink, 0, 0.25},
-		{enginecfg.SchedATS, 0, 0.25},
-		{enginecfg.SchedPool, 1, 0.5},
+		{enginecfg.SchedShrink, 0, 0.5 / minScored},
+		{enginecfg.SchedATS, 0, 0.5 / minScored},
+		{enginecfg.SchedPool, 1, 1.0 / minScored},
 	} {
 		t.Run(row.scheduler, func(t *testing.T) {
 			ac := DefaultAdmitConfig()
@@ -166,6 +168,11 @@ func TestAdmissionScoresSerializations(t *testing.T) {
 			}
 			st.ctrl.tick() // the put's commit is history
 			hot := st.ShardOf(key)
+			for i := 0; i < minScored-2; i++ {
+				if _, err := st.Put(key, "v"); err != nil {
+					t.Fatal(err)
+				}
+			}
 			forceUpdateAbort(t, st, key)
 			st.ctrl.tick()
 			stats := st.Stats()
@@ -188,10 +195,11 @@ func TestAdmissionScoresSerializations(t *testing.T) {
 
 // TestShedWritesNothing: ErrBackpressure means nothing was written. With
 // every shard's shed probability pinned at 1 (the controller parked on an
-// hour-long tick), each single-key write kind and a batch are refused on an
-// unlogged and on a logged store; the keys keep their values, the log gets
-// no record, the refusals are counted, and reads and multi-key reads are
-// still served.
+// hour-long tick), each single-key write kind and a batch (refused where a
+// serving layer refuses it, at ShedLowPriority) are refused on an unlogged
+// and on a logged store; the keys keep their values, the log gets no
+// record, the refusals are counted, and reads and multi-key reads are still
+// served.
 func TestShedWritesNothing(t *testing.T) {
 	for _, ring := range []int{0, 64} {
 		name := "unlogged"
@@ -224,6 +232,9 @@ func TestShedWritesNothing(t *testing.T) {
 				"CAS":    func() error { _, err := st.CAS(key, "5", "6"); return err },
 				"Add":    func() error { _, err := st.Add(key, 1); return err },
 				"Batch": func() error {
+					if st.ShedLowPriority() {
+						return ErrBackpressure
+					}
 					_, err := st.Batch([]Op{{Kind: OpAdd, Key: key, Delta: 1}, {Kind: OpPut, Key: other, Value: "y"}})
 					return err
 				},

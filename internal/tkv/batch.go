@@ -410,7 +410,9 @@ func (b *batchState) update() error {
 // log attached (replication ring or WAL) its commit emits its records, one
 // per shard, which keeps log order equal to commit order. A validation error
 // (a cas mismatch, an add over a non-numeric value) aborts the transaction,
-// and nothing of the batch is written.
+// and nothing of the batch is written. Admission does not shed a batch here:
+// a batch is shed at the serving edge, which asks ShedLowPriority once,
+// before it decodes the request.
 //
 // The grouping lives in a pooled batchState, so a call allocates only what
 // it hands away: the result slice, one value cell per write (the cell
@@ -433,13 +435,6 @@ func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 		// Followers serve reads: only a batch that mutates is bounced.
 		return nil, ErrNotPrimary
 	}
-	// Low-priority shed: past the overload knee, batches are pushed back
-	// before any grouping or gate — they are the heaviest admissions
-	// and the cheapest to retry (see controller.shedLowPriority).
-	if st.ctrl != nil && st.ctrl.shedLowPriority() {
-		return nil, ErrBackpressure
-	}
-
 	b := st.batch()
 	defer b.release()
 	for i := range ops {

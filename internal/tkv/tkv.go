@@ -125,8 +125,9 @@ type Config struct {
 	Scheduler string
 	Wait      stm.WaitPolicy
 	// Admission enables the admission layer: a per-shard controller that
-	// sheds writes and batches with ErrBackpressure once the shard is past
-	// its overload knee, and refuses nothing below it (see AdmitConfig). nil
+	// sheds writes, and batches through ShedLowPriority, with
+	// ErrBackpressure once the shard is past its overload knee, and
+	// refuses nothing below it (see AdmitConfig). nil
 	// disables it entirely: no controller goroutine runs and the serving
 	// paths pay nothing. A Store opened with Admission set should be Closed.
 	Admission *AdmitConfig

@@ -14,7 +14,6 @@ import (
 
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
-	"github.com/shrink-tm/shrink/internal/tkvwal/errfs"
 )
 
 // openWALStore opens a store of the given shards with a WAL in dir (no
@@ -354,13 +353,13 @@ func TestWALFailStopStore(t *testing.T) { eachShape(t, 4, testWALFailStopStore) 
 
 func testWALFailStopStore(t *testing.T, shards int) {
 	errInjected := errors.New("injected disk fault")
-	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	st := openWALStore(t, t.TempDir(), shards, tkvwal.Options{FS: fs})
+	fs := &tkvwal.SimFS{}
+	st := openWALStore(t, "wal", shards, tkvwal.Options{FS: fs})
 	defer st.Close()
 	if _, err := st.Put(1, "healthy"); err != nil {
 		t.Fatal(err)
 	}
-	fs.FailSyncAt(1)
+	fs.FailSyncs(1, errInjected)
 	if _, err := st.Put(2, "doomed"); !errors.Is(err, errInjected) {
 		t.Fatalf("put after armed fault: %v, want the injected error", err)
 	}
@@ -380,17 +379,20 @@ func testWALFailStopStore(t *testing.T, shards int) {
 	}
 }
 
-// TestWALCrashDrill is the in-process kill -9 stand-in against a real
-// Store: concurrent writers tally exactly which writes were
-// acknowledged, the WAL is abandoned mid-flight (un-fsynced buffers
-// dropped, as SIGKILL would drop them), and a fresh Store over the same
-// directory must contain every acknowledged write. Un-acked writes may
-// or may not survive; acked ones must.
+// TestWALCrashDrill is the in-process power-cut drill against a real
+// Store on a tkvwal.SimFS: concurrent writers tally exactly which writes
+// were acknowledged, and the power fails mid-flight, with a group written
+// and its Sync not yet started: every disk operation from that Sync on
+// fails, the WAL is abandoned, and a PowerCut drops every byte no Sync made
+// durable. A fresh Store over what is left must contain every acknowledged
+// write. Un-acked writes may or may not survive; acked ones must, and an
+// ack that raced ahead of its fsync fails here.
 func TestWALCrashDrill(t *testing.T) { eachShape(t, 4, testWALCrashDrill) }
 
 func testWALCrashDrill(t *testing.T, shards int) {
-	dir := t.TempDir()
-	st := openWALStore(t, dir, shards, tkvwal.Options{})
+	const dir = "wal"
+	fs := &tkvwal.SimFS{}
+	st := openWALStore(t, dir, shards, tkvwal.Options{FS: fs})
 
 	const workers = 4
 	const crashAfter = 256           // acks the writers hold when the drill crashes the log
@@ -421,11 +423,22 @@ func testWALCrashDrill(t *testing.T, shards int) {
 	case <-exited:
 		t.Fatalf("the writers stopped after %d acks, before the crash", total.Load())
 	}
-	st.WAL().Abandon() // with crashAfter acks and more writes in flight
+	// The power fails between a group's Write and its Sync, with crashAfter
+	// acks and more writes in flight.
+	syncing := fs.HoldSyncs()
+	select {
+	case <-syncing:
+	case <-exited:
+		t.Fatal("the writers stopped before the crash")
+	}
+	fs.FailAll(1, errors.New("power cut"))
+	fs.ReleaseAll()
+	st.WAL().Abandon()
 	<-exited
 	st.Close()
+	fs.PowerCut()
 
-	st2 := openWALStore(t, dir, shards, tkvwal.Options{})
+	st2 := openWALStore(t, dir, shards, tkvwal.Options{FS: fs})
 	defer st2.Close()
 	lost := 0
 	for w := 0; w < workers; w++ {

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -167,35 +166,6 @@ func TestSingleKeyWriteMatrix(t *testing.T) {
 	}
 }
 
-// heldSyncFS is an OSFS whose log files, once hold is set, block in Sync
-// until release is closed: every durability handle issued meanwhile stays
-// pending for as long as the test wants.
-type heldSyncFS struct {
-	tkvwal.OSFS
-	hold    atomic.Bool
-	release chan struct{}
-}
-
-func (fs *heldSyncFS) OpenAppend(name string) (tkvwal.File, error) {
-	f, err := fs.OSFS.OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &heldSyncFile{File: f, fs: fs}, nil
-}
-
-type heldSyncFile struct {
-	tkvwal.File
-	fs *heldSyncFS
-}
-
-func (f *heldSyncFile) Sync() error {
-	if f.fs.hold.Load() {
-		<-f.fs.release
-	}
-	return f.File.Sync()
-}
-
 // within fails the test unless done delivers inside five seconds.
 func within[T any](t *testing.T, what string, done <-chan T) T {
 	t.Helper()
@@ -269,11 +239,10 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 	}
 	for _, w := range writes {
 		t.Run("park/"+w.name, func(t *testing.T) {
-			fs := &heldSyncFS{release: make(chan struct{})}
-			st := openTest(t, Config{Shards: 2, WAL: &tkvwal.Options{Dir: t.TempDir(), FS: fs}})
-			release := sync.OnceFunc(func() { close(fs.release) })
+			fs := &tkvwal.SimFS{}
+			st := openTest(t, Config{Shards: 2, WAL: &tkvwal.Options{Dir: "wal", FS: fs}})
 			t.Cleanup(func() {
-				release() // Close flushes, and must find the Sync open
+				fs.ReleaseAll() // Close flushes, and must find the Sync open
 				st.Close()
 			})
 			sh := st.ShardOf(key)
@@ -281,7 +250,7 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 			if _, err := st.Put(key, "1"); err != nil { // something for w to change
 				t.Fatal(err)
 			}
-			fs.hold.Store(true)
+			fs.HoldSyncs()
 			head := st.logs[sh].last()
 			first := make(chan error, 1)
 			go func() { first <- w.run(st) }()
@@ -310,7 +279,7 @@ func TestSingleKeyWriteStripeMode(t *testing.T) {
 				t.Fatalf("Get = %q %v %v, want the second write's value", v, ok, err)
 			}
 
-			release()
+			fs.ReleaseAll()
 			if err := within(t, w.name, first); err != nil {
 				t.Fatalf("%s: %v", w.name, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -468,34 +467,6 @@ func TestFreshFollowerOfReopenedPrimary(t *testing.T) {
 	}
 }
 
-// heldSyncFS is an OS filesystem whose log files, once hold is set, block
-// in Sync until release is closed.
-type heldSyncFS struct {
-	tkvwal.OSFS
-	hold    atomic.Bool
-	release chan struct{}
-}
-
-func (fs *heldSyncFS) OpenAppend(name string) (tkvwal.File, error) {
-	f, err := fs.OSFS.OpenAppend(name)
-	if err != nil {
-		return nil, err
-	}
-	return &heldSyncFile{File: f, fs: fs}, nil
-}
-
-type heldSyncFile struct {
-	tkvwal.File
-	fs *heldSyncFS
-}
-
-func (f *heldSyncFile) Sync() error {
-	if f.fs.hold.Load() {
-		<-f.fs.release
-	}
-	return f.File.Sync()
-}
-
 // TestFollowerAppliedWaitsForItsLog pins the follower's durability rule: a
 // record is applied — in Repl().Applied and in the vector a resubscribe
 // would send — only once the follower's own log has made it durable, never
@@ -505,9 +476,9 @@ func (f *heldSyncFile) Sync() error {
 // let go.
 func TestFollowerAppliedWaitsForItsLog(t *testing.T) {
 	primary := openStore(t, 1024)
-	fs := &heldSyncFS{release: make(chan struct{})}
+	fs := &tkvwal.SimFS{}
 	follower, err := tkv.Open(tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128, ReplRing: 1024,
-		WAL: &tkvwal.Options{Dir: t.TempDir(), FS: fs}})
+		WAL: &tkvwal.Options{Dir: "wal", FS: fs}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,11 +490,10 @@ func TestFollowerAppliedWaitsForItsLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Stop()
-	release := sync.OnceFunc(func() { close(fs.release) })
-	defer release() // before Stop: the applier cannot end its stream while parked
+	defer fs.ReleaseAll() // before Stop: the applier cannot end its stream while parked
 	waitConnected(t, f)
 
-	fs.hold.Store(true)
+	fs.HoldSyncs()
 	const key = 1
 	if _, err := primary.Put(key, "v"); err != nil {
 		t.Fatal(err)
@@ -547,7 +517,7 @@ func TestFollowerAppliedWaitsForItsLog(t *testing.T) {
 		t.Fatalf("subscribe vector %v with the record's Sync still held", v)
 	}
 
-	release()
+	fs.ReleaseAll()
 	waitConverged(t, primary, follower)
 	if v := subscribeVector(flog); v[sh] != 1 {
 		t.Fatalf("subscribe vector %v once durable, want shard %d at 1", v, sh)

@@ -9,19 +9,22 @@ import (
 
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
-	"github.com/shrink-tm/shrink/internal/tkvwal/errfs"
 )
 
 var errInjected = errors.New("injected disk fault")
 
 func noApply(*tkvlog.Record) error { return nil }
 
-// recoveredKeys reopens dir through the real FS and returns the set of
-// keys recovery replayed.
-func recoveredKeys(t *testing.T, dir string, shards int) map[uint64]bool {
+// dir is where the tests' logs live on their SimFS.
+const dir = "wal"
+
+// recoveredKeys cuts the power to fs, reopens the log over it and returns
+// the set of keys recovery replayed.
+func recoveredKeys(t *testing.T, fs *tkvwal.SimFS, shards int) map[uint64]bool {
 	t.Helper()
+	fs.PowerCut()
 	got := map[uint64]bool{}
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards}, func(rec *tkvlog.Record) error {
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, FS: fs}, func(rec *tkvlog.Record) error {
 		for _, e := range rec.Entries {
 			got[e.Key] = true
 		}
@@ -38,11 +41,11 @@ func recoveredKeys(t *testing.T, dir string, shards int) map[uint64]bool {
 // fail-stop contract: the faulted append is never acked, the log fences,
 // Failed() fires, later appends bounce — on EVERY shard, not just the one
 // whose append drew the short straw: one fault stops the whole store —
-// and a reopen of the directory recovers every acked record.
-func proveFailStop(t *testing.T, shards int, arm func(*errfs.FS)) {
+// and a reopen of the directory after a power cut recovers every acked
+// record.
+func proveFailStop(t *testing.T, shards int, arm func(*tkvwal.SimFS)) {
 	t.Helper()
-	dir := t.TempDir()
-	fs := errfs.New(tkvwal.OSFS{}, errInjected)
+	fs := &tkvwal.SimFS{}
 	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, FS: fs}, noApply)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +101,7 @@ func proveFailStop(t *testing.T, shards int, arm func(*errfs.FS)) {
 
 	// Every acked record must be there. The faulted record may or may not
 	// be on disk — it was never acked, so either is honest.
-	got := recoveredKeys(t, dir, shards)
+	got := recoveredKeys(t, fs, shards)
 	for key := range acked {
 		if !got[key] {
 			t.Fatalf("acked record %x lost after fault+recovery", key)
@@ -106,8 +109,13 @@ func proveFailStop(t *testing.T, shards int, arm func(*errfs.FS)) {
 	}
 }
 
-func failSync(n int64) func(*errfs.FS)  { return func(fs *errfs.FS) { fs.FailSyncAt(n) } }
-func failWrite(n int64) func(*errfs.FS) { return func(fs *errfs.FS) { fs.FailWriteAt(n) } }
+func failSync(n int64) func(*tkvwal.SimFS) {
+	return func(fs *tkvwal.SimFS) { fs.FailSyncs(n, errInjected) }
+}
+
+func failWrite(n int64) func(*tkvwal.SimFS) {
+	return func(fs *tkvwal.SimFS) { fs.FailWrites(n, errInjected) }
+}
 
 func TestFailStopOnFsyncError(t *testing.T) {
 	tkvwal.EachShape(t, 2, func(t *testing.T, shards int) { proveFailStop(t, shards, failSync(1)) })
@@ -126,8 +134,8 @@ func TestFailStopOnLaterFsync(t *testing.T) {
 func TestCheckpointFaultFences(t *testing.T) { tkvwal.EachShape(t, 2, testCheckpointFaultFences) }
 
 func testCheckpointFaultFences(t *testing.T, shards int) {
-	fs := errfs.New(tkvwal.OSFS{}, errInjected)
-	w, err := tkvwal.Open(tkvwal.Options{Dir: t.TempDir(), Shards: shards, FS: fs}, noApply)
+	fs := &tkvwal.SimFS{}
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, FS: fs}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +147,7 @@ func testCheckpointFaultFences(t *testing.T, shards int) {
 			}
 		}
 	}
-	fs.FailSyncAt(1) // all appends settled, so the next fsync is the ckpt tmp file's
+	fs.FailSyncs(1, errInjected) // all appends settled, so the next fsync is the ckpt tmp file's
 	err = w.Checkpoint(func(sh int) ([]tkvlog.Entry, uint64, error) {
 		return []tkvlog.Entry{{Key: uint64(sh), Val: "v"}}, 3, nil
 	}, false)
@@ -153,11 +161,12 @@ func testCheckpointFaultFences(t *testing.T, shards int) {
 
 // TestAbandonSimulatesCrash is the in-process crash drill: concurrent
 // appenders — one on each shard, or all on one — tally which records were
-// acknowledged, the log is abandoned mid-flight (pending un-fsynced
-// records discarded, as SIGKILL would), and recovery must surface every
-// acknowledged record of every appender. Lost un-acked records are fine;
-// lost acked records are the bug class this exists to catch — an ack
-// racing ahead of its fsync would fail here.
+// acknowledged, and the power fails mid-flight, with a group written and
+// its Sync not yet started: every operation from that Sync on fails, the
+// log is abandoned, and a PowerCut drops every byte no Sync made durable.
+// Recovery must surface every acknowledged record of every appender. Lost
+// un-acked records are fine; lost acked records are the bug class this
+// exists to catch — an ack racing ahead of its fsync fails here.
 func TestAbandonSimulatesCrash(t *testing.T) {
 	const workers = 4
 	tkvwal.EachShape(t, workers, func(t *testing.T, shards int) { proveAbandonCrash(t, workers, shards) })
@@ -167,9 +176,11 @@ func TestAbandonSimulatesCrash(t *testing.T) {
 // the log.
 const crashAfter = 256
 
+var errPowerCut = errors.New("power cut")
+
 func proveAbandonCrash(t *testing.T, workers, shards int) {
-	dir := t.TempDir()
-	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards}, noApply)
+	fs := &tkvwal.SimFS{}
+	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, FS: fs}, noApply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +217,19 @@ func proveAbandonCrash(t *testing.T, workers, shards int) {
 	case <-exited:
 		t.Fatalf("the appenders stopped after %d acks, before the crash", total.Load())
 	}
-	w.Abandon() // SIGKILL stand-in, with crashAfter acks and more in flight
+	// The power fails between a group's Write and its Sync, with crashAfter
+	// acks and more in flight.
+	syncing := fs.HoldSyncs()
+	select {
+	case <-syncing:
+	case <-exited:
+		t.Fatal("the appenders stopped before the crash")
+	}
+	fs.FailAll(1, errPowerCut)
+	fs.ReleaseAll()
+	w.Abandon()
 	<-exited
-	got := recoveredKeys(t, dir, shards)
+	got := recoveredKeys(t, fs, shards)
 	for i := 0; i < workers; i++ {
 		for n := uint64(1); n <= acked[i]; n++ {
 			if !got[uint64(i)<<32|n] {

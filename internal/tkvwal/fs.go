@@ -7,10 +7,12 @@ import (
 	"sort"
 )
 
-// FS is the filesystem surface the WAL writes through. The indirection
-// exists for fault injection: errfs wraps an FS and fails the Nth write
-// or fsync, which is how the fail-stop contract is proven rather than
-// assumed. OSFS is the real thing.
+// FS is the filesystem surface the WAL writes through. OSFS is the real
+// thing. The indirection exists for SimFS, the tests' in-memory disk: it
+// keeps across a PowerCut only what a Sync or SyncDir made durable, fails
+// the Nth write, fsync or any operation, and holds fsyncs for as long as a
+// test wants, which is how the fail-stop contract, the crash drills and the
+// checkpoint's crash points are proven rather than assumed.
 type FS interface {
 	MkdirAll(dir string) error
 	// OpenAppend opens name for appending, creating it if absent.

@@ -3,12 +3,12 @@
 package tkvwal
 
 // Arrival-driven group formation, in bubbles (internal/synctime): the test
-// holds a group's fsync through gateFS, decides what is staged behind it,
+// holds a group's fsync on a heldDisk, decides what is staged behind it,
 // and reads each later group's size, and the fake time it took, off the
 // device. In a bubble the lane's fallback timer fires only once every
 // goroutine is blocked, so it never beats a writer on its way back, and
 // it fires exactly when nobody is coming: one measured fsync after the
-// wait began, and gateFS makes the measured fsync syncCost.
+// wait began, and the heldDisk makes the measured fsync syncCost.
 
 import (
 	"errors"
@@ -107,8 +107,8 @@ func (ws *laneWriters) results(t *testing.T, lo, hi int, want error) {
 // release lets the held Sync return and the lane release its group: on
 // return the released writers have raced back, and the lane has either
 // collected them into its next Sync or is waiting for more.
-func release(g *gateFS) {
-	g.finish(nil)
+func release(d *heldDisk) {
+	d.Release()
 	synctime.Advance(syncCost)
 }
 
@@ -116,11 +116,11 @@ func release(g *gateFS) {
 // records it carries, and the time from the release to it — syncCost when
 // the group formed from arrivals, plus the fallback when the timer ended
 // it.
-func cycle(t *testing.T, g *gateFS) (records int, took time.Duration) {
+func cycle(t *testing.T, d *heldDisk) (records int, took time.Duration) {
 	t.Helper()
 	start := time.Now()
-	release(g)
-	records = g.next(t)
+	release(d)
+	records = d.next(t)
 	return records, time.Since(start)
 }
 
@@ -129,12 +129,12 @@ func cycle(t *testing.T, g *gateFS) (records int, took time.Duration) {
 // first group is exactly its record; the other n-1 stage behind the held
 // fsync. From here on a group forms only because the lane counted its
 // writers in.
-func fullLaneGroup(t *testing.T, w *WAL, g *gateFS, n int) *laneWriters {
+func fullLaneGroup(t *testing.T, w *WAL, d *heldDisk, n int) *laneWriters {
 	t.Helper()
 	ws := newLaneWriters(w, n)
 	ws.start(0)
 	ws.awaitStaged(t, 1)
-	if got := g.next(t); got != 1 {
+	if got := d.next(t); got != 1 {
 		t.Fatalf("first group: %d records, want writer 0's one", got)
 	}
 	for i := 1; i < n; i++ {
@@ -144,7 +144,7 @@ func fullLaneGroup(t *testing.T, w *WAL, g *gateFS, n int) *laneWriters {
 	// n-1 records are staged and writer 0 is on its way back. An eager
 	// lane would collect the n-1 now; this one waits for the writer it
 	// just released, and no longer than that writer takes.
-	if got, took := cycle(t, g); got != n || took != syncCost {
+	if got, took := cycle(t, d); got != n || took != syncCost {
 		t.Fatalf("second group: %d records after %v, want all %d writers after the Sync's %v", got, took, n, syncCost)
 	}
 	ws.awaitStaged(t, 1)
@@ -165,17 +165,17 @@ func TestSharedGroupCommitAcrossShards(t *testing.T) {
 
 func testGroupCommitAcrossShards(t *testing.T, n, shards int) {
 	const rounds = 6
-	w, g := openGated(t, shards)
-	defer closeGated(w, g)
-	ws := fullLaneGroup(t, w, g, n)
+	w, d := openHeld(t, shards)
+	defer closeHeld(w, d)
+	ws := fullLaneGroup(t, w, d, n)
 	for r := 3; r <= rounds; r++ {
-		if got, took := cycle(t, g); got != n || took != syncCost {
+		if got, took := cycle(t, d); got != n || took != syncCost {
 			t.Fatalf("group %d: %d records after %v, want %d after %v", r, got, took, n, syncCost)
 		}
 		ws.awaitStaged(t, n)
 	}
 	ws.depart(0, n)
-	release(g)
+	release(d)
 	ws.results(t, 0, n, nil)
 	st := w.Stats()
 	if st.Fsyncs != rounds || st.GroupMax != uint64(n) || st.Appends != uint64(1+(rounds-1)*n) {
@@ -198,11 +198,11 @@ func TestLaneFallbackOnceWhenLoadDrops(t *testing.T) {
 }
 
 func testFallbackOnceWhenLoadDrops(t *testing.T, n, shards int) {
-	w, g := openGated(t, shards)
-	defer closeGated(w, g)
-	ws := fullLaneGroup(t, w, g, n)
+	w, d := openHeld(t, shards)
+	defer closeHeld(w, d)
+	ws := fullLaneGroup(t, w, d, n)
 	ws.depart(n/2, n)
-	if got, took := cycle(t, g); got != n/2 || took != 2*syncCost {
+	if got, took := cycle(t, d); got != n/2 || took != 2*syncCost {
 		t.Fatalf("group after the drop: %d records after %v, want %d after the Sync and one fallback (%v)",
 			got, took, n/2, 2*syncCost)
 	}
@@ -212,7 +212,7 @@ func testFallbackOnceWhenLoadDrops(t *testing.T, n, shards int) {
 		t.Fatalf("timeouts %d, want exactly the one group that paid the fallback", st.GroupWaitTimeouts)
 	}
 	for r := 0; r < 3; r++ {
-		if got, took := cycle(t, g); got != n/2 || took != syncCost {
+		if got, took := cycle(t, d); got != n/2 || took != syncCost {
 			t.Fatalf("group %d after the drop: %d records after %v, want %d after %v", r+2, got, took, n/2, syncCost)
 		}
 		ws.awaitStaged(t, n/2)
@@ -221,7 +221,7 @@ func testFallbackOnceWhenLoadDrops(t *testing.T, n, shards int) {
 		t.Fatalf("timeouts %d after the expectation adapted, want still 1", st.GroupWaitTimeouts)
 	}
 	ws.depart(0, n/2)
-	release(g)
+	release(d)
 	ws.results(t, 0, n/2, nil)
 }
 
@@ -234,18 +234,18 @@ func TestLaneStopDuringWait(t *testing.T) {
 	const n = 8
 	// parked returns with n/2 writers staged and parked on their ticket,
 	// the lane waiting for the other half, who have left.
-	parked := func(t *testing.T, w *WAL, g *gateFS) *laneWriters {
-		ws := fullLaneGroup(t, w, g, n)
+	parked := func(t *testing.T, w *WAL, d *heldDisk) *laneWriters {
+		ws := fullLaneGroup(t, w, d, n)
 		ws.depart(n/2, n)
-		release(g)
+		release(d)
 		ws.awaitStaged(t, n/2)
 		ws.results(t, n/2, n, nil)
 		return ws
 	}
 	abandon := func(t *testing.T, shards int) {
-		w, g := openGated(t, shards)
-		defer closeGated(w, g)
-		ws := parked(t, w, g)
+		w, d := openHeld(t, shards)
+		defer closeHeld(w, d)
+		ws := parked(t, w, d)
 		w.Abandon() // returns once the lane loop has exited
 		ws.results(t, 0, n/2, ErrAbandoned)
 		if st := w.Stats(); st.Fsyncs != 2 || st.GroupWaitTimeouts != 0 {
@@ -253,11 +253,11 @@ func TestLaneStopDuringWait(t *testing.T) {
 		}
 	}
 	closing := func(t *testing.T, shards int) {
-		w, g := openGated(t, shards)
-		defer closeGated(w, g)
-		ws := parked(t, w, g)
+		w, d := openHeld(t, shards)
+		defer closeHeld(w, d)
+		ws := parked(t, w, d)
 		ws.depart(0, n/2)
-		g.open()
+		d.ReleaseAll()
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,17 +1,75 @@
 package tkvwal
 
 // The lane's tests that need no clock: a lone writer's groups and the
-// fence's publication order, driven through gateFS. The group-formation
-// tests, whose outcome turns on the lane's fallback timer, run in a bubble
-// (lanegroup_synctest_test.go).
+// fence's publication order, driven through a SimFS that holds every Sync.
+// The group-formation tests, whose outcome turns on the lane's fallback
+// timer, run in a bubble (lanegroup_synctest_test.go).
 
 import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 )
+
+// syncCost is what a Sync costs on the lane tests' SimFS. In a bubble it is
+// the whole of what the lane measures, so its fsync EMA, and with it the
+// fallback timer, is exactly this (under laneWaitMax).
+const syncCost = time.Millisecond
+
+// recordSize is the size of every record the lane tests append: one entry
+// with a one-byte value.
+var recordSize = len((&tkvlog.Record{Entries: []tkvlog.Entry{{Val: "x"}}}).Append(nil))
+
+// heldDisk is a SimFS that holds every Sync of the log over it until the
+// test releases it. It is what makes the group-commit tests deterministic:
+// while a group's Sync is held, the test decides exactly which records are
+// staged behind it, and the lane is known to be inside Sync — touching
+// nothing else — until released. The records a Sync makes durable are
+// that group's size, however many shards (and so Write calls) it came
+// from.
+type heldDisk struct {
+	*SimFS
+	held <-chan int
+}
+
+// openHeld opens a log over a heldDisk whose Syncs cost syncCost. closeHeld
+// closes it: a test in a bubble defers it there, one in real time registers
+// it with t.Cleanup.
+func openHeld(t *testing.T, shards int) (*WAL, *heldDisk) {
+	t.Helper()
+	fs := &SimFS{}
+	fs.SetSyncCost(syncCost)
+	w, err := Open(Options{Dir: "wal", Shards: shards, FS: fs}, noApply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, &heldDisk{SimFS: fs, held: fs.HoldSyncs()}
+}
+
+// next waits for the log to enter its next Sync and returns the records it
+// is making durable. The Sync stays held until Release.
+func (d *heldDisk) next(t *testing.T) int {
+	t.Helper()
+	select {
+	case n := <-d.held:
+		if n%recordSize != 0 {
+			t.Fatalf("a Sync of %d bytes, not whole %d-byte records", n, recordSize)
+		}
+		return n / recordSize
+	case <-time.After(10 * time.Second):
+		t.Fatal("no Sync entered: the group never formed")
+		return 0
+	}
+}
+
+// closeHeld lets every Sync through and closes the log.
+func closeHeld(w *WAL, d *heldDisk) {
+	d.ReleaseAll()
+	w.Close()
+}
 
 // TestLaneLoneWriterNeverWaits: a serial writer's own record is the
 // whole expectation, so every Append is collected at once — the lane
@@ -19,17 +77,17 @@ import (
 func TestLaneLoneWriterNeverWaits(t *testing.T) { eachShape(t, 4, testLoneWriterNeverWaits) }
 
 func testLoneWriterNeverWaits(t *testing.T, shards int) {
-	w, g := openGated(t, shards)
-	t.Cleanup(func() { closeGated(w, g) })
+	w, d := openHeld(t, shards)
+	t.Cleanup(func() { closeHeld(w, d) })
 	seq := make([]uint64, shards)
 	for i := 0; i < 20; i++ {
 		sh := i % shards
 		seq[sh]++
 		c := w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(i), Val: "x"}})
-		if got := g.next(t); got != 1 {
+		if got := d.next(t); got != 1 {
 			t.Fatalf("append %d: group of %d", i, got)
 		}
-		g.finish(nil)
+		d.Release()
 		if err := c.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +105,8 @@ func testLoneWriterNeverWaits(t *testing.T, shards int) {
 func TestFenceIsOnePublication(t *testing.T) { eachShape(t, 2, testFenceIsOnePublication) }
 
 func testFenceIsOnePublication(t *testing.T, shards int) {
-	w, g := openGated(t, shards)
-	t.Cleanup(func() { closeGated(w, g) })
+	w, d := openHeld(t, shards)
+	t.Cleanup(func() { closeHeld(w, d) })
 	boom := errors.New("boom")
 	w.fenced.Store(newFence(w, boom)) // fail's first step, and no more
 	select {
@@ -81,9 +139,12 @@ func TestAbandonRacingAppendSeesAbandoned(t *testing.T) {
 
 func testAbandonRacingAppend(t *testing.T, writers, shards int) {
 	for round := 0; round < 20; round++ {
-		w, g := openGated(t, shards)
-		t.Cleanup(func() { closeGated(w, g) })
-		g.open() // real files, free fsyncs: the race is with Abandon, not the device
+		// Free fsyncs: the race is with Abandon, not the device.
+		w, err := Open(Options{Dir: "wal", Shards: shards, FS: &SimFS{}}, noApply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
 		var wg sync.WaitGroup
 		mu := make([]sync.Mutex, shards) // shard i's ordering lock, the one Append asks for: assigns seq[i]
 		seq := make([]uint64, shards)

@@ -151,29 +151,29 @@ func testAppendRecoverRoundTrip(t *testing.T, shards int) {
 
 // TestGroupCommit proves acks park on a committing batch: everything
 // appended while one fsync is in flight rides the next one, together.
-// The first group's fsync is held (gateFS) while seven more records are
+// The first group's fsync is held (heldDisk) while seven more records are
 // staged, so the shape is exact: two fsyncs for eight appends, the
 // second covering seven, from however many shards they were dealt over.
 func TestGroupCommit(t *testing.T) { eachShape(t, 4, testGroupCommit) }
 
 func testGroupCommit(t *testing.T, shards int) {
-	w, g := openGated(t, shards)
-	t.Cleanup(func() { closeGated(w, g) })
+	w, d := openHeld(t, shards)
+	t.Cleanup(func() { closeHeld(w, d) })
 	seq := make([]uint64, shards)
 	seq[0] = 1
 	first := w.Append(0, 1, []tkvlog.Entry{{Key: 0, Val: "x"}})
-	g.next(t)
+	d.next(t)
 	var rest []*Commit
 	for i := 1; i < 8; i++ {
 		sh := i % shards
 		seq[sh]++
 		rest = append(rest, w.Append(sh, seq[sh], []tkvlog.Entry{{Key: uint64(i), Val: "x"}}))
 	}
-	g.finish(nil)
+	d.Release()
 	if err := first.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.next(t); got != 7 {
+	if got := d.next(t); got != 7 {
 		t.Fatalf("second group: %d records, want the 7 staged behind the first fsync", got)
 	}
 	select {
@@ -181,7 +181,7 @@ func testGroupCommit(t *testing.T, shards int) {
 		t.Fatal("acked before its group's fsync returned")
 	default:
 	}
-	g.finish(nil)
+	d.Release()
 	for _, c := range rest {
 		if err := c.Wait(); err != nil {
 			t.Fatal(err)

@@ -109,6 +109,68 @@ func testServerBackpressureStatus(t *testing.T) {
 	}
 }
 
+// TestWireBatchShedsOnce: a wire batch gets one admission decision. At a
+// write-shed probability of 0.1 batches shed at 0.2, the documented twice;
+// a second coin (the wire's and then the store's) would shed about 0.36. The
+// coin is the store's deterministic splitmix stream, so a twin store at the
+// same probability, asked ShedLowPriority once per batch, names exactly how
+// many of the wire's batches shed.
+func TestWireBatchShedsOnce(t *testing.T) {
+	synctime.Run(t, func() { testWireBatchShedsOnce(t) })
+}
+
+func testWireBatchShedsOnce(t *testing.T) {
+	const batches = 20000
+	ac := tkv.DefaultAdmitConfig()
+	ac.ShedKnee, ac.ShedMax = 0, 0.1 // drill mode, at ShedMax from the first tick
+	open := func() *tkv.Store {
+		st, err := tkv.Open(tkv.Config{Shards: 4, PoolSize: 2, Buckets: 128, Admission: &ac})
+		if err != nil {
+			t.Fatalf("tkv.Open: %v", err)
+		}
+		return st
+	}
+	st, twin := open(), open()
+	defer twin.Close()
+	synctime.Advance(ac.Tick)
+	want := 0
+	for i := 0; i < batches; i++ {
+		if twin.ShedLowPriority() {
+			want++
+		}
+	}
+	if rate := float64(want) / batches; rate < 0.19 || rate > 0.21 {
+		t.Fatalf("the twin sheds %v of its batches, want 0.2", rate)
+	}
+
+	ln := newPipeListener()
+	_, stop := serveOn(t, st, ln)
+	defer stop()
+	c := NewConn(ln.dial(t))
+	defer c.Close()
+	shed := 0
+	for i := 0; i < batches; i++ {
+		_, err := c.Batch([]tkv.Op{{Kind: tkv.OpPut, Key: uint64(i % 64), Value: "w"}})
+		switch {
+		case errors.Is(err, tkv.ErrBackpressure):
+			shed++
+		case err != nil:
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	if shed != want {
+		t.Fatalf("%d of %d wire batches shed, want %d (%.3f against %.3f)",
+			shed, batches, want, float64(shed)/batches, float64(want)/batches)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	if stats.ShedBatches != uint64(want) {
+		t.Fatalf("server stats report %d shed batches, want %d", stats.ShedBatches, want)
+	}
+}
+
 // TestWireShedZeroAlloc is the alloc gate for the rejection path: past the
 // overload knee a shed batch must cost only a pooled error frame — no
 // request parse, no op slice, no message allocation. Same measurement
