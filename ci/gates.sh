@@ -308,12 +308,16 @@ step_log() {
 # reports a record applied only once its own log made it durable. The crash
 # lines run on tkvwal.SimFS, which keeps across a power cut only what an
 # fsync made durable: the two drills cut the power between a group's write
-# and its fsync, and the checkpoint sweep at every operation of a
-# checkpoint (rotation, file, rename, directory fsyncs, GC) and of the
-# appends around it; recovery must not refuse, and every acked record, and
-# a checkpoint that returned nil, must come back.
+# and its fsync, the checkpoint sweep at every operation of a checkpoint
+# (rotation, file, rename, directory fsyncs, GC) and of the appends around
+# it, and the recovery sweep at every operation of an Open that cuts a torn
+# tail (MANIFEST check, tmp removal, replay, truncate and its fsync, new
+# segment, directory fsync) and of an append after it; recovery must not
+# refuse, and every acked record, and a checkpoint that returned nil, must
+# come back. A torn tail's cut must be durable before the next segment is,
+# or it comes back behind that segment and the next Open refuses.
 step_durability() {
-	local run='TestWALDurableRoundTrip|TestWALCheckpointTruncates|TestWALReplSharedSequence|TestWALReplRestore|TestReplRestoreShard|TestWALFailStopStore|TestWALCrashDrill|TestFreshFollowerOfReopenedPrimary|TestFollowerAppliedWaitsForItsLog|TestAbandonSimulatesCrash|TestCheckpointEveryCrashPoint'
+	local run='TestWALDurableRoundTrip|TestWALCheckpointTruncates|TestWALReplSharedSequence|TestWALReplRestore|TestReplRestoreShard|TestWALFailStopStore|TestWALCrashDrill|TestFreshFollowerOfReopenedPrimary|TestFollowerAppliedWaitsForItsLog|TestAbandonSimulatesCrash|TestCheckpointEveryCrashPoint|TestTornTailCutSurvivesPowerCut|TestRecoveryEveryCrashPoint'
 	go test -run=NONE -bench 'BenchmarkWalAppend' -benchtime=1000x -benchmem ./internal/tkvwal/ | tee "$work/walbench.txt"
 	test "$(grep -cE '^BenchmarkWalAppend(-[0-9]+)? .* 0 allocs/op' "$work/walbench.txt")" -eq 1
 	go test -fuzz 'FuzzLogReader' -fuzztime 5s -run=NONE ./internal/tkvlog/

@@ -7,20 +7,26 @@ import (
 	"strconv"
 
 	"github.com/shrink-tm/shrink/internal/stm"
+	"github.com/shrink-tm/shrink/internal/stmds"
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
 )
 
-// Batch operation kinds. cas is admitted because a batch is one STM
-// transaction: the compare and the write it guards commit together or not
-// at all, and a failed compare aborts the whole batch before anything is
-// written anywhere.
+// OpKind is an operation's kind. Its values are the batch frame's kind
+// codes on the wire, which carries the byte as it is.
+type OpKind uint8
+
+// The operation kinds (see exec for what each does). cas is admitted in a
+// batch because a batch is one STM transaction: the compare and the write it
+// guards commit together or not at all, and a failed compare aborts the whole
+// batch before anything is written anywhere. Any other value is a user
+// error.
 const (
-	OpGet    = "get"
-	OpPut    = "put"
-	OpDelete = "delete"
-	OpAdd    = "add"
-	OpCAS    = "cas"
+	OpGet OpKind = iota
+	OpPut
+	OpDelete
+	OpAdd
+	OpCAS
 )
 
 // ErrCASMismatch is returned by Batch when a cas op's compare failed. The
@@ -33,7 +39,7 @@ var ErrCASMismatch = errors.New("tkv: batch cas compare failed")
 // Op is one operation of a batch. For cas, Old is the expected current value
 // and Value the replacement (a missing key never matches, as in Store.CAS).
 type Op struct {
-	Kind  string `json:"op"`
+	Kind  OpKind `json:"op"`
 	Key   uint64 `json:"key"`
 	Value string `json:"value,omitempty"`
 	Old   string `json:"old,omitempty"`
@@ -42,12 +48,12 @@ type Op struct {
 
 // OpResult is the per-op outcome of a batch. For get: the value and whether
 // the key was present. For put: Found reports whether the key already
-// existed. For delete: whether it was present. For add: Value is the new
-// counter value; an add over a non-numeric value, or one whose sum overflows
-// int64, is a user error (wrapping ErrUser) that aborts the whole batch,
-// which then writes nothing. For cas: Found reports presence; on a failed
-// compare CASMismatch is set, Value holds the actual current value, and the
-// batch as a whole returns ErrCASMismatch.
+// existed (it was not created). For delete: whether it was present. For
+// add: Value is the new counter value; an add over a non-numeric value, or
+// one whose sum overflows int64, is a user error (wrapping ErrUser) that
+// aborts the whole batch, which then writes nothing. For cas: Found reports
+// presence; on a failed compare CASMismatch is set, Value holds the actual
+// current value, and the batch as a whole returns ErrCASMismatch.
 //
 // The two flags follow the string, which keeps a result at 24 bytes: eight
 // of them fit the allocator's 192-byte size class.
@@ -57,60 +63,75 @@ type OpResult struct {
 	CASMismatch bool   `json:"casMismatch,omitempty"`
 }
 
-// validKind reports whether k names a batch op kind.
-func validKind(k string) bool {
-	switch k {
-	case OpGet, OpPut, OpDelete, OpAdd, OpCAS:
-		return true
+// exec runs op in tx on kv, the map of the op's shard. It is the one place
+// that says what each op kind does, for a batch's ops and the single-key
+// calls alike: what the op reads and writes, what it returns, and the log
+// entry it leaves.
+//
+//   - get reads the value.
+//   - put stores cell, or a fresh cell holding op.Value when cell is nil,
+//     without reading the value it overwrites; Found reports that the key
+//     existed.
+//   - delete, add and cas read the key's value cell before they write it.
+//     Every write of a key so reads or overwrites that cell, and two writes
+//     to one key meet on it (see repl.go, "Ordering"). A delete needs the
+//     read most: the map's delete unlinks the key's node without touching
+//     its value, and a logged delete that never met a put's lock on that
+//     cell could commit and append ahead of a put that validated first.
+//   - add stores the counter plus op.Delta (a missing key counts as 0);
+//     Value and n are the new counter. A non-numeric counter, or a sum past
+//     int64, is a user error.
+//   - cas stores op.Value if the value is op.Old, and a missing key never
+//     matches. A mismatch writes nothing and sets CASMismatch, with Value
+//     the value found: the single-key CAS commits it as a miss, a batch
+//     aborts on it.
+//   - any other kind is a user error.
+//
+// The entry is the resulting state, not the operation: a put's value, a
+// tombstone, a swapped cas's new value, an add's new counter (not the
+// delta, so replay commutes). wrote reports whether the op wrote, and so
+// leaves an entry; a delete of a missing key and a cas mismatch do not.
+func exec(tx stm.Tx, kv *stmds.HashMap[string], op *Op, cell *string) (r OpResult, n int64, e tkvlog.Entry, wrote bool, err error) {
+	e.Key = op.Key
+	if op.Kind == OpPut {
+		if cell == nil {
+			v := op.Value
+			cell = &v
+		}
+		created, err := kv.PutRef(tx, op.Key, cell)
+		e.Val = *cell
+		return OpResult{Found: !created}, 0, e, true, err
 	}
-	return false
-}
-
-// exec runs one validated batch op in the running transaction, on the map
-// of the running group's shard, and returns its result. A cas mismatch
-// returns both the describing result and ErrCASMismatch; the caller aborts
-// the batch and surfaces the result.
-func (b *batchState) exec(op *Op) (OpResult, error) {
-	cur, ok, err := b.s.kv.Get(b.tx, op.Key)
+	if op.Kind > OpCAS {
+		return r, 0, e, false, fmt.Errorf("%w: unknown op kind %d", ErrUser, op.Kind)
+	}
+	cur, ok, err := kv.Get(tx, op.Key)
 	if err != nil || op.Kind == OpGet {
-		return OpResult{Value: cur, Found: ok}, err
+		return OpResult{Value: cur, Found: ok}, 0, e, false, err
 	}
 	switch op.Kind {
-	case OpPut:
-		return OpResult{Found: ok}, b.put(op.Key, op.Value)
 	case OpDelete:
-		if ok {
-			if _, err := b.s.kv.Delete(b.tx, op.Key); err != nil {
-				return OpResult{}, err
-			}
-			b.record(tkvlog.Entry{Key: op.Key, Del: true})
+		if !ok {
+			return r, 0, e, false, nil
 		}
-		return OpResult{Found: ok}, nil
+		e.Del = true
+		_, err = kv.Delete(tx, op.Key)
 	case OpAdd:
-		n, err := addCounter(cur, ok, op.Key, op.Delta)
-		if err != nil {
-			return OpResult{}, err
+		if n, err = addCounter(cur, ok, op.Key, op.Delta); err != nil {
+			return r, 0, e, false, err
 		}
-		val := strconv.FormatInt(n, 10)
-		return OpResult{Value: val, Found: ok}, b.put(op.Key, val)
+		e.Val = strconv.FormatInt(n, 10)
+		r.Value = e.Val
+		_, err = kv.Put(tx, op.Key, e.Val)
 	case OpCAS:
 		if !ok || cur != op.Old {
-			return OpResult{Value: cur, Found: ok, CASMismatch: true},
-				fmt.Errorf("%w: key %d", ErrCASMismatch, op.Key)
+			return OpResult{Value: cur, Found: ok, CASMismatch: true}, 0, e, false, nil
 		}
-		return OpResult{Found: true}, b.put(op.Key, op.Value)
-	default:
-		return OpResult{}, fmt.Errorf("%w: unknown batch op kind %q", ErrUser, op.Kind)
+		e.Val = op.Value
+		_, err = kv.Put(tx, op.Key, op.Value)
 	}
-}
-
-// put writes one value in the running transaction and records it.
-func (b *batchState) put(key uint64, val string) error {
-	if _, err := b.s.kv.Put(b.tx, key, val); err != nil {
-		return err
-	}
-	b.record(tkvlog.Entry{Key: key, Val: val})
-	return nil
+	r.Found = ok
+	return r, n, e, true, err
 }
 
 // shardGroup is one participating shard of a multi-key call: its op indices
@@ -131,9 +152,10 @@ const maxPooledKeys = 1024
 // batchState is the pooled state of one multi-key call. Batch, MGet,
 // ReplApply, ReplRestoreShard and WAL recovery all go through it: group the
 // keys by shard, enter the gates the call's kind needs, run one transaction.
-// It is built the way opSlot is — the transaction bodies and the commit hook
-// are created once per state and read their operands, the store included,
-// from its fields, so a call constructs no closure — and the grouping lives
+// A batch's ops run through exec, as the single-key writes do. The state is
+// built the way opSlot is — the transaction bodies and the commit hook are
+// created once per state and read their operands, the store included, from
+// its fields, so a call constructs no closure — and the grouping lives
 // in flat slices that are reused from call to call, by whichever store the
 // state serves next. What a call still allocates is what it hands away (see
 // Batch and MGet).
@@ -163,10 +185,8 @@ type batchState struct {
 	commits []*tkvwal.Commit
 
 	// Operands of the running transaction body: the shard of the running
-	// group, the attempt's transaction, and the index of the op a cas
-	// compare failed on.
+	// group, and the index of the op that ended the attempt.
 	s      *shard
-	tx     stm.Tx
 	failed int
 
 	updateBody func(tx stm.Tx) error
@@ -183,14 +203,13 @@ func newBatchState() *batchState {
 	// after group, each op on its own shard's map. A restarted attempt
 	// redoes the ops from the top, so it drops what the last one recorded.
 	b.updateBody = func(tx stm.Tx) error {
-		b.tx = tx
 		clear(b.writes)
 		b.writes = b.writes[:0]
 		for gi := range b.groups {
 			g := &b.groups[gi]
 			b.s = b.st.shards[g.shard]
 			g.wlo = len(b.writes)
-			if err := b.execOps(b.order[g.lo:g.hi]); err != nil {
+			if err := b.execOps(tx, b.order[g.lo:g.hi]); err != nil {
 				return err
 			}
 			g.whi = len(b.writes)
@@ -281,7 +300,7 @@ func (b *batchState) release() {
 	b.writes = b.writes[:0]
 	clear(b.commits)
 	b.commits = b.commits[:0]
-	b.st, b.s, b.tx, b.seq = nil, nil, nil, 0
+	b.st, b.s, b.seq = nil, nil, 0
 	batchPool.Put(b)
 }
 
@@ -331,22 +350,23 @@ func (b *batchState) exitGates() {
 // transaction runs on, whatever shards the transaction touches.
 func (b *batchState) first() *shard { return b.st.shards[b.groups[0].shard] }
 
-// record notes one write of the running group for its shard's log record;
-// on an unlogged store there is no record to make.
-func (b *batchState) record(e tkvlog.Entry) {
-	if b.st.logged() {
-		b.writes = append(b.writes, e)
-	}
-}
-
-// execOps runs the ops at idxs, stopping at the first error and remembering
-// which op it was.
-func (b *batchState) execOps(idxs []int) error {
+// execOps runs the ops at idxs on the running group's shard, recording the
+// entries they leave on a logged store. It stops at the first error, or at
+// a cas mismatch, which aborts the batch, and remembers which op it was.
+func (b *batchState) execOps(tx stm.Tx, idxs []int) error {
+	logged := b.st.logged()
 	for _, i := range idxs {
-		var err error
-		if b.results[i], err = b.exec(&b.ops[i]); err != nil {
+		r, _, e, wrote, err := exec(tx, b.s.kv, &b.ops[i], nil)
+		b.results[i] = r
+		if err == nil && r.CASMismatch {
+			err = fmt.Errorf("%w: key %d", ErrCASMismatch, e.Key)
+		}
+		if err != nil {
 			b.failed = i
 			return err
+		}
+		if wrote && logged {
+			b.writes = append(b.writes, e)
 		}
 	}
 	return nil
@@ -380,8 +400,7 @@ func (b *batchState) apply(shard int, onCommit func()) error {
 // engine's commit hook), before its locks are released, so that log order is
 // commit order per key (see repl.go, "Ordering"). The deferred exit fires
 // before Batch waits on the records' durability handles: the batch parks on
-// its group fsyncs with nothing held, exactly like the single-key write path
-// (Store.write).
+// its group fsyncs with nothing held, as a single-key write does.
 func (b *batchState) update() error {
 	st := b.st
 	b.enterGates()
@@ -409,8 +428,8 @@ func (b *batchState) update() error {
 // shards' gates, so a snapshot or a fence never sees it half done. With a
 // log attached (replication ring or WAL) its commit emits its records, one
 // per shard, which keeps log order equal to commit order. A validation error
-// (a cas mismatch, an add over a non-numeric value) aborts the transaction,
-// and nothing of the batch is written. Admission does not shed a batch here:
+// (a cas mismatch, an add over a non-numeric value, an out-of-range kind)
+// aborts the transaction, and nothing of the batch is written. Admission does not shed a batch here:
 // a batch is shed at the serving edge, which asks ShedLowPriority once,
 // before it decodes the request.
 //
@@ -438,9 +457,6 @@ func (st *Store) Batch(ops []Op) ([]OpResult, error) {
 	b := st.batch()
 	defer b.release()
 	for i := range ops {
-		if !validKind(ops[i].Kind) {
-			return nil, fmt.Errorf("%w: batch op %d: unknown kind %q", ErrUser, i, ops[i].Kind)
-		}
 		b.keys = append(b.keys, ops[i].Key)
 	}
 	b.ops = ops

@@ -228,7 +228,7 @@ func TestBatchStateReuse(t *testing.T) {
 	}
 	for _, b := range states {
 		if b.st != nil || b.ops != nil || b.results != nil || len(b.keys) != 0 ||
-			b.s != nil || b.tx != nil {
+			b.s != nil {
 			t.Fatalf("released state still references its call: %+v", b)
 		}
 		for _, e := range b.writes[:cap(b.writes)] {

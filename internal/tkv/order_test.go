@@ -46,7 +46,7 @@ func TestPutDeleteOrderedInLog(t *testing.T) {
 				sl := newOpSlot()
 				logWrite := sl.logWrite
 				sl.logWrite = func() {
-					if sl.kind == kindPut {
+					if sl.op.Kind == OpPut {
 						once.Do(func() { close(inHook) })
 					}
 					logWrite()

@@ -233,9 +233,7 @@ func testWritePanic(t *testing.T, ring int) {
 	healthy := slotPool
 	swapPool(t, &slotPool, func() any {
 		sl := newOpSlot()
-		for k := range sl.write {
-			sl.write[k] = func(stm.Tx) error { panic("boom") }
-		}
+		sl.run = func(stm.Tx) error { panic("boom") }
 		return sl
 	})
 	for name, write := range writes {

@@ -26,9 +26,9 @@ import (
 // write locks are released (opSlot.logWrite for Store.write, the only
 // single-key write path; batchState.logWrites for Batch and ReplApply). Two
 // writes to the same key always meet on a cell: every write of a key reads
-// its value cell (a single-key delete too, which the map's unlink alone
-// would not: it writes only the links), and one that creates the key writes
-// the link that will hold it. The later writer therefore either waits for
+// or overwrites its value cell (exec says so for every op kind: a delete
+// reads it, which the map's unlink alone would not, as it writes only the
+// links), and one that creates the key writes the link that will hold it. The later writer therefore either waits for
 // the earlier one's locks, which are released after its append, or fails
 // its own validation and retries; so their records append in their commit
 // order. Writes to different keys may interleave in the log, even against

@@ -18,11 +18,11 @@
 // freeze the gate. A logged write hands its record to the log from the
 // engine's commit hook (stm.ThreadCtx.CommitHook), after its read set has
 // validated and before its write locks are released. Every write of a key
-// reads the key's value cell (and one that creates the key writes the link
-// that will hold it), so two writes to one key meet on a cell the earlier
-// one still locks while it appends, and reach the log in their commit order;
-// and a reader, who sees a value only once its writer has unlocked, never
-// sees a write whose record is not yet in the log. Nothing per key is locked
+// reads or overwrites the key's value cell (and one that creates the key
+// writes the link that will hold it), so two writes to one key meet on a cell
+// the earlier one still locks while it appends, and reach the log in their
+// commit order; and a reader, who sees a value only once its writer has
+// unlocked, never sees a write whose record is not yet in the log. Nothing per key is locked
 // outside the engine. A whole-shard observer needs one thing more, the
 // shard's gate: every logged write and every mutating batch holds it shared
 // while it runs, and a snapshot, a checkpoint or replication cut, and
@@ -31,9 +31,11 @@
 // commit-timestamp order, so no head read under running writers is exact):
 //
 //   - Single-key operations (Get, Put, Delete, CAS, Add) are one STM
-//     transaction each. The four writes are one function (Store.write). On a
-//     logged store a write enters its shard's gate and emits its record from
-//     its commit; a Get takes nothing, on any store.
+//     transaction each. What an op of each kind reads, writes, returns and
+//     logs is one function, exec, which the four writes (through
+//     Store.write) and a batch's ops share. On a logged store a write
+//     enters its shard's gate and emits exec's log entry from its commit; a
+//     Get takes nothing, on any store.
 //   - Batches (multi-key, possibly cross-shard) run as one update
 //     transaction: ops read earlier ops' writes through its write log, and
 //     a cas mismatch or a user error aborts it with nothing written (see
@@ -230,27 +232,6 @@ func (g *gate) waits() (shared, excl uint64) {
 	return g.sharedWaits.Load(), g.exclWaits.Load()
 }
 
-// writeKind names the four single-key writes; it indexes opSlot.write.
-type writeKind uint8
-
-const (
-	kindPut writeKind = iota
-	kindDelete
-	kindCAS
-	kindAdd
-)
-
-// writeOp is one single-key write as Store.write takes it: its kind, its
-// key and that kind's operands.
-type writeOp struct {
-	kind  writeKind
-	key   uint64
-	val   *string // put: the pre-spilled value cell (see Store.PutRef)
-	old   string  // CAS: expected value
-	new   string  // CAS: replacement
-	delta int64   // Add
-}
-
 // slotPool and batchPool recycle the per-call state of every store in the
 // process: single-key operations borrow an opSlot, multi-key calls a
 // batchState. An item is bound to its shard or store for one call and
@@ -266,19 +247,20 @@ var (
 )
 
 // opSlot is the pooled state of one single-key operation. The transaction
-// bodies (roGet, upGet and one per writeKind) and the commit hook (logWrite)
-// are created once per slot and capture only the slot; per call, Get and
-// Store.write bind the slot to the key's shard, fill the in-fields, run the
-// matching pre-bound body, and read the out-fields back. This is what makes
-// a steady-state Get or PutRef allocation-free: the closure, the escaping
-// result variables, and (for PutRef) the value spill were the single-key
-// path's only per-op allocations.
+// bodies (roGet, and run, which runs exec on the slot's op) and the commit
+// hook (logWrite) are created once per slot and capture only the slot; per
+// call, Get and Store.write bind the slot to the key's shard, fill the
+// in-fields, run the pre-bound body, and read the out-fields back. This is
+// what makes a steady-state Get or PutRef allocation-free: the closure, the
+// escaping result variables, and (for PutRef) the value spill were the
+// single-key path's only per-op allocations.
 type opSlot struct {
-	s       *shard // the call's shard; nil while pooled
-	writeOp        // in: the operation (a Get fills only key)
-	outVal  string // out: Get value; an Add's new counter, as stored
-	outOK   bool   // out: found / created / deleted / swapped
-	outN    int64  // out: Add result
+	s   *shard       // the call's shard; nil while pooled
+	op  Op           // in: the operation (a Get fills only Key)
+	val *string      // in: a put's value cell (see Store.PutRef)
+	res OpResult     // out: the op's result
+	n   int64        // out: an add's new counter
+	e   tkvlog.Entry // out: the log entry of the state a write left
 
 	// A logged write's store, which logWrite appends to, and the durability
 	// handle it got back.
@@ -286,8 +268,7 @@ type opSlot struct {
 	commit *tkvwal.Commit
 
 	roGet    func(tx *stm.ROTx) error
-	upGet    func(tx stm.Tx) error
-	write    [kindAdd + 1]func(tx stm.Tx) error
+	run      func(tx stm.Tx) error
 	logWrite func()
 }
 
@@ -296,78 +277,19 @@ func newOpSlot() *opSlot {
 	sl := &opSlot{}
 	sl.roGet = func(tx *stm.ROTx) error {
 		var err error
-		sl.outVal, sl.outOK, err = sl.s.kv.GetRO(tx, sl.key)
+		sl.res.Value, sl.res.Found, err = sl.s.kv.GetRO(tx, sl.op.Key)
 		return err
 	}
-	sl.upGet = func(tx stm.Tx) error {
+	sl.run = func(tx stm.Tx) error {
 		var err error
-		sl.outVal, sl.outOK, err = sl.s.kv.Get(tx, sl.key)
+		sl.res, sl.n, sl.e, _, err = exec(tx, sl.s.kv, &sl.op, sl.val)
 		return err
 	}
-	sl.write[kindPut] = func(tx stm.Tx) error {
-		var err error
-		sl.outOK, err = sl.s.kv.PutRef(tx, sl.key, sl.val)
-		return err
-	}
-	sl.write[kindDelete] = func(tx stm.Tx) error {
-		// Read the value cell first, as every other write of a key does:
-		// the map's delete unlinks the key's node without touching its
-		// value, and a logged delete that never met a put's lock on that
-		// cell could commit and append ahead of a put that validated
-		// first (see repl.go, "Ordering").
-		if _, ok, err := sl.s.kv.Get(tx, sl.key); err != nil || !ok {
-			sl.outOK = false
-			return err
-		}
-		var err error
-		sl.outOK, err = sl.s.kv.Delete(tx, sl.key)
-		return err
-	}
-	sl.write[kindCAS] = func(tx stm.Tx) error {
-		sl.outOK = false
-		cur, ok, err := sl.s.kv.Get(tx, sl.key)
-		if err != nil {
-			return err
-		}
-		if !ok || cur != sl.old {
-			return nil
-		}
-		if _, err := sl.s.kv.Put(tx, sl.key, sl.new); err != nil {
-			return err
-		}
-		sl.outOK = true
-		return nil
-	}
-	sl.write[kindAdd] = func(tx stm.Tx) error {
-		cur, ok, err := sl.s.kv.Get(tx, sl.key)
-		if err != nil {
-			return err
-		}
-		if sl.outN, err = addCounter(cur, ok, sl.key, sl.delta); err != nil {
-			return err
-		}
-		sl.outVal = strconv.FormatInt(sl.outN, 10)
-		_, err = sl.s.kv.Put(tx, sl.key, sl.outVal)
-		return err
-	}
-	// A logged write's record, emitted inside its commit: the resulting
-	// state, not the operation — a put's value, a tombstone, a swapped CAS's
-	// new value, an Add's new counter (not the delta, so replay commutes).
-	// The engine calls it only for an attempt that wrote something, so a
-	// missed CAS or a delete of a missing key has no record.
+	// A logged write's record, emitted inside its commit. The engine calls
+	// it only for an attempt that wrote something, so a missed CAS or a
+	// delete of a missing key has no record.
 	sl.logWrite = func() {
-		e := tkvlog.Entry{Key: sl.key}
-		switch sl.kind {
-		case kindPut:
-			e.Val = *sl.val
-		case kindDelete:
-			e.Del = true
-		case kindCAS:
-			e.Val = sl.new
-		case kindAdd:
-			e.Val = sl.outVal
-		}
-		sl.commit = sl.st.logCommit(sl.st.ShardOf(sl.key), 0, []tkvlog.Entry{e})
+		sl.commit = sl.st.logCommit(sl.st.ShardOf(sl.op.Key), 0, []tkvlog.Entry{sl.e})
 	}
 	return sl
 }
@@ -382,7 +304,7 @@ func (s *shard) slot() *opSlot {
 // release unbinds the slot and scrubs its string references (so the pool
 // never pins a shard or a large value), and returns it to the pool.
 func (sl *opSlot) release() {
-	sl.s, sl.writeOp, sl.outVal = nil, writeOp{}, ""
+	sl.s, sl.op, sl.val, sl.res, sl.e = nil, Op{}, nil, OpResult{}, tkvlog.Entry{}
 	sl.st, sl.commit = nil, nil
 	slotPool.Put(sl)
 }
@@ -588,69 +510,72 @@ func (st *Store) Get(key uint64) (string, bool, error) {
 	st.ops.gets.Add(1)
 	s := st.shardFor(key)
 	sl := s.slot()
-	sl.key = key
+	sl.op.Key = key
 	var err error
 	if s.takeFallback() {
-		err = s.atomically(sl.upGet, nil)
+		err = s.atomically(sl.run, nil)
 	} else {
 		err = s.roTracked(sl.roGet)
 	}
-	val, ok := sl.outVal, sl.outOK
+	val, ok := sl.res.Value, sl.res.Found
 	sl.release()
 	return val, ok, err
 }
 
 // write is the single-key write path: Put, Delete, CAS and Add on every
 // store, whatever log is attached. The read-only gate, admission, and one
-// update transaction on a pooled slot's pre-bound body; ok is created /
-// deleted / swapped, n an Add's new counter.
+// update transaction on a pooled slot's pre-bound body, which runs exec on
+// op (and, for a put, the caller's value cell); r is exec's result, n an
+// Add's new counter. A CAS mismatch is a miss the transaction commits, with
+// nothing written.
 //
 // On a logged store the write also enters its shard's gate, and checks the
 // read-only flag again inside it (SetReadOnly(true) freezes every gate, so a
 // write inside one either finishes before the fence returns or sees it), and
-// its commit emits its record (opSlot.logWrite, the engine's commit hook):
-// after the transaction has validated and before its locks are released, so
-// two writes to one key reach the log in their commit order (see repl.go,
-// "Ordering"). The returned Commit is the WAL's durability handle, nil
-// without one; the callers Wait on it after this function's deferred exit
-// has left the gate, so fsync latency never holds a snapshot or a cut out.
-// An unlogged write takes no gate: the transaction alone orders it.
-func (st *Store) write(op writeOp) (ok bool, n int64, c *tkvwal.Commit, err error) {
+// its commit emits exec's log entry as its record (opSlot.logWrite, the
+// engine's commit hook): after the transaction has validated and before its
+// locks are released, so two writes to one key reach the log in their commit
+// order (see repl.go, "Ordering"). The returned Commit is the WAL's
+// durability handle, nil without one; the callers Wait on it after this
+// function's deferred exit has left the gate, so fsync latency never holds a
+// snapshot or a cut out. An unlogged write takes no gate: the transaction
+// alone orders it.
+func (st *Store) write(op Op, cell *string) (r OpResult, n int64, c *tkvwal.Commit, err error) {
 	if st.ro.Load() {
-		return false, 0, nil, ErrNotPrimary
+		return r, 0, nil, ErrNotPrimary
 	}
-	s := st.shardFor(op.key)
+	s := st.shardFor(op.Key)
 	if s.ctl != nil {
 		// Past its overload knee the shard sheds the write before it takes
 		// anything.
 		if err := s.ctl.admitWrite(); err != nil {
-			return false, 0, nil, err
+			return r, 0, nil, err
 		}
 	}
 	var onCommit func()
 	sl := s.slot()
-	sl.writeOp = op
+	sl.op, sl.val = op, cell
 	if st.logged() {
 		s.gate.enter()
 		defer s.gate.exit()
 		if st.ro.Load() {
 			// The fence went up while this write waited at the gate.
 			sl.release()
-			return false, 0, nil, ErrNotPrimary
+			return r, 0, nil, ErrNotPrimary
 		}
 		sl.st = st
 		onCommit = sl.logWrite
 	}
-	err = s.atomically(sl.write[op.kind], onCommit)
-	ok, n, c = sl.outOK, sl.outN, sl.commit
+	err = s.atomically(sl.run, onCommit)
+	r, n, c = sl.res, sl.n, sl.commit
 	sl.release()
 	if err != nil {
-		return false, 0, nil, err
+		return OpResult{}, 0, nil, err
 	}
-	if op.kind == kindCAS && !ok {
+	if r.CASMismatch {
 		st.ops.casMisses.Add(1)
 	}
-	return ok, n, c, nil
+	return r, n, c, nil
 }
 
 // Put stores val under key, reporting whether the key was created. The
@@ -686,8 +611,8 @@ func (st *Store) PutRef(key uint64, val *string) (bool, error) {
 // fsync round-trip per op.
 func (st *Store) PutRefAsync(key uint64, val *string) (bool, *tkvwal.Commit, error) {
 	st.ops.puts.Add(1)
-	created, _, c, err := st.write(writeOp{kind: kindPut, key: key, val: val})
-	return created, c, err
+	r, _, c, err := st.write(Op{Kind: OpPut, Key: key}, val)
+	return err == nil && !r.Found, c, err
 }
 
 // Delete removes key, reporting whether it was present.
@@ -702,8 +627,8 @@ func (st *Store) Delete(key uint64) (bool, error) {
 // DeleteAsync is Delete split at the durability park (see PutRefAsync).
 func (st *Store) DeleteAsync(key uint64) (bool, *tkvwal.Commit, error) {
 	st.ops.deletes.Add(1)
-	deleted, _, c, err := st.write(writeOp{kind: kindDelete, key: key})
-	return deleted, c, err
+	r, _, c, err := st.write(Op{Kind: OpDelete, Key: key}, nil)
+	return r.Found, c, err
 }
 
 // CAS atomically replaces the value under key with new if the current value
@@ -719,8 +644,8 @@ func (st *Store) CAS(key uint64, old, new string) (bool, error) {
 // CASAsync is CAS split at the durability park (see PutRefAsync).
 func (st *Store) CASAsync(key uint64, old, new string) (bool, *tkvwal.Commit, error) {
 	st.ops.cas.Add(1)
-	swapped, _, c, err := st.write(writeOp{kind: kindCAS, key: key, old: old, new: new})
-	return swapped, c, err
+	r, _, c, err := st.write(Op{Kind: OpCAS, Key: key, Old: old, Value: new}, nil)
+	return r.Found && !r.CASMismatch, c, err
 }
 
 // Add atomically adds delta to the decimal integer stored under key,
@@ -738,7 +663,7 @@ func (st *Store) Add(key uint64, delta int64) (int64, error) {
 // AddAsync is Add split at the durability park (see PutRefAsync).
 func (st *Store) AddAsync(key uint64, delta int64) (int64, *tkvwal.Commit, error) {
 	st.ops.adds.Add(1)
-	_, out, c, err := st.write(writeOp{kind: kindAdd, key: key, delta: delta})
+	_, out, c, err := st.write(Op{Kind: OpAdd, Key: key, Delta: delta}, nil)
 	return out, c, err
 }
 

@@ -177,8 +177,8 @@ func TestBatchSemantics(t *testing.T) {
 	}
 
 	// Unknown kinds are rejected before anything is written.
-	if _, err := st.Batch([]Op{{Kind: OpPut, Key: 5, Value: "x"}, {Kind: "bogus", Key: 6}}); err == nil {
-		t.Fatal("bogus batch kind accepted")
+	if _, err := st.Batch([]Op{{Kind: OpPut, Key: 5, Value: "x"}, {Kind: OpCAS + 1, Key: 6}}); err == nil {
+		t.Fatal("out-of-range batch kind accepted")
 	}
 	if _, found, _ := st.Get(5); found {
 		t.Fatal("rejected batch leaked a write")
@@ -847,7 +847,7 @@ func TestOpCounters(t *testing.T) {
 			return want(err, ErrCASMismatch)
 		}, OpCounts{Batches: 1, BatchOps: 2, BatchCASMisses: 1}},
 		{"batch bad kind", func() error {
-			_, err := st.Batch([]Op{{Kind: "bogus", Key: 1}})
+			_, err := st.Batch([]Op{{Kind: OpCAS + 1, Key: 1}})
 			return want(err, ErrUser)
 		}, OpCounts{Batches: 1, BatchOps: 1}},
 		{"mget", func() error { _, err := st.MGet([]uint64{1, 2, 99}); return err }, OpCounts{MGets: 1, MGetKeys: 3}},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -54,113 +55,159 @@ func logRecords(st *Store) (n uint64) {
 	return n
 }
 
+// single runs op as its single-key call: ok is created / deleted / swapped,
+// n an Add's counter.
+func single(st *Store, op Op) (ok bool, n int64, err error) {
+	switch op.Kind {
+	case OpPut:
+		ok, err = st.Put(op.Key, op.Value)
+	case OpDelete:
+		ok, err = st.Delete(op.Key)
+	case OpCAS:
+		ok, err = st.CAS(op.Key, op.Old, op.Value)
+	case OpAdd:
+		n, err = st.Add(op.Key, op.Delta)
+	}
+	return ok, n, err
+}
+
+// oneOpBatch runs op as a one-op Batch and reads its result the way the
+// single-key call reports it: a put's Found is the key not created, a cas
+// swapped if it found the key and no mismatch, an add's Value is the counter.
+func oneOpBatch(st *Store, op Op) (ok bool, n int64, err error) {
+	res, err := st.Batch([]Op{op})
+	if err != nil {
+		return false, 0, err
+	}
+	r := res[0]
+	switch op.Kind {
+	case OpPut:
+		return !r.Found, 0, nil
+	case OpCAS:
+		return r.Found && !r.CASMismatch, 0, nil
+	case OpAdd:
+		n, err = strconv.ParseInt(r.Value, 10, 64)
+		return false, n, err
+	}
+	return r.Found, 0, nil
+}
+
 // TestSingleKeyWriteMatrix runs every outcome of the four single-key writes
-// on every kind of store: the same results and the same final contents
-// everywhere; on a logged store exactly one record, of the resulting state,
-// per write that changed something and none for a no-op or a user error; on
-// a ring dense sequences; on a WAL the same contents after a restart.
+// on every kind of store, each step both as its single-key call and as a
+// one-op Batch, the two callers of exec: the same results and the same final
+// contents everywhere; on a logged store exactly one record, of the
+// resulting state, per write that changed something and none for a no-op or
+// a user error; on a ring dense sequences; on a WAL the same contents after a
+// restart. The one difference is a cas miss: the single-key CAS reports it
+// as no swap, a batch fails with ErrCASMismatch; neither writes or logs.
 func TestSingleKeyWriteMatrix(t *testing.T) {
-	put := func(k uint64, v string) func(*Store) (bool, int64, error) {
-		return func(st *Store) (bool, int64, error) { ok, err := st.Put(k, v); return ok, 0, err }
-	}
-	del := func(k uint64) func(*Store) (bool, int64, error) {
-		return func(st *Store) (bool, int64, error) { ok, err := st.Delete(k); return ok, 0, err }
-	}
-	cas := func(k uint64, old, new string) func(*Store) (bool, int64, error) {
-		return func(st *Store) (bool, int64, error) { ok, err := st.CAS(k, old, new); return ok, 0, err }
-	}
-	add := func(k uint64, d int64) func(*Store) (bool, int64, error) {
-		return func(st *Store) (bool, int64, error) { n, err := st.Add(k, d); return false, n, err }
-	}
 	steps := []struct {
 		name    string
-		run     func(*Store) (bool, int64, error)
+		op      Op
 		ok      bool
 		n       int64
+		casMiss bool
 		userErr bool
 		rec     *tkvlog.Entry // what a logged store emits; nil: nothing
 	}{
-		{name: "put new", run: put(1, "a"), ok: true, rec: &tkvlog.Entry{Key: 1, Val: "a"}},
-		{name: "put overwrite", run: put(1, "b"), rec: &tkvlog.Entry{Key: 1, Val: "b"}},
-		{name: "delete present", run: del(1), ok: true, rec: &tkvlog.Entry{Key: 1, Del: true}},
-		{name: "delete missing", run: del(1)},
-		{name: "put (for the CAS)", run: put(2, "x"), ok: true, rec: &tkvlog.Entry{Key: 2, Val: "x"}},
-		{name: "CAS hit", run: cas(2, "x", "y"), ok: true, rec: &tkvlog.Entry{Key: 2, Val: "y"}},
-		{name: "CAS miss", run: cas(2, "x", "z")},
-		{name: "CAS on a missing key", run: cas(3, "", "z")},
-		{name: "Add on a missing key", run: add(4, 5), n: 5, rec: &tkvlog.Entry{Key: 4, Val: "5"}},
-		{name: "Add on a numeric value", run: add(4, -2), n: 3, rec: &tkvlog.Entry{Key: 4, Val: "3"}},
-		{name: "put (for the Add)", run: put(5, "abc"), ok: true, rec: &tkvlog.Entry{Key: 5, Val: "abc"}},
-		{name: "Add on a non-numeric value", run: add(5, 1), userErr: true},
-		{name: "put (for the overflow)", run: put(6, "9223372036854775807"), ok: true, rec: &tkvlog.Entry{Key: 6, Val: "9223372036854775807"}},
-		{name: "Add past int64", run: add(6, 1), userErr: true},
+		{name: "put new", op: Op{Kind: OpPut, Key: 1, Value: "a"}, ok: true, rec: &tkvlog.Entry{Key: 1, Val: "a"}},
+		{name: "put overwrite", op: Op{Kind: OpPut, Key: 1, Value: "b"}, rec: &tkvlog.Entry{Key: 1, Val: "b"}},
+		{name: "delete present", op: Op{Kind: OpDelete, Key: 1}, ok: true, rec: &tkvlog.Entry{Key: 1, Del: true}},
+		{name: "delete missing", op: Op{Kind: OpDelete, Key: 1}},
+		{name: "put (for the CAS)", op: Op{Kind: OpPut, Key: 2, Value: "x"}, ok: true, rec: &tkvlog.Entry{Key: 2, Val: "x"}},
+		{name: "CAS hit", op: Op{Kind: OpCAS, Key: 2, Old: "x", Value: "y"}, ok: true, rec: &tkvlog.Entry{Key: 2, Val: "y"}},
+		{name: "CAS miss", op: Op{Kind: OpCAS, Key: 2, Old: "x", Value: "z"}, casMiss: true},
+		{name: "CAS on a missing key", op: Op{Kind: OpCAS, Key: 3, Value: "z"}, casMiss: true},
+		{name: "Add on a missing key", op: Op{Kind: OpAdd, Key: 4, Delta: 5}, n: 5, rec: &tkvlog.Entry{Key: 4, Val: "5"}},
+		{name: "Add on a numeric value", op: Op{Kind: OpAdd, Key: 4, Delta: -2}, n: 3, rec: &tkvlog.Entry{Key: 4, Val: "3"}},
+		{name: "put (for the Add)", op: Op{Kind: OpPut, Key: 5, Value: "abc"}, ok: true, rec: &tkvlog.Entry{Key: 5, Val: "abc"}},
+		{name: "Add on a non-numeric value", op: Op{Kind: OpAdd, Key: 5, Delta: 1}, userErr: true},
+		{name: "put (for the overflow)", op: Op{Kind: OpPut, Key: 6, Value: "9223372036854775807"}, ok: true, rec: &tkvlog.Entry{Key: 6, Val: "9223372036854775807"}},
+		{name: "Add past int64", op: Op{Kind: OpAdd, Key: 6, Delta: 1}, userErr: true},
 	}
 	want := map[uint64]string{2: "y", 4: "3", 5: "abc", 6: "9223372036854775807"}
+	callers := []struct {
+		name   string
+		run    func(*Store, Op) (bool, int64, error)
+		misses func(*Store) uint64
+	}{
+		{"single", single, func(st *Store) uint64 { return st.ops.casMisses.Load() }},
+		{"batch", oneOpBatch, func(st *Store) uint64 { return st.ops.batchCASMisses.Load() }},
+	}
 
 	for _, a := range attachments {
 		t.Run(a.name, func(t *testing.T) {
-			dir := t.TempDir()
-			st := a.open(t, dir)
-			for _, step := range steps {
-				var before uint64
-				if a.logged() {
-					before = logRecords(st)
-				}
-				ok, n, err := step.run(st)
-				if step.userErr {
-					if !errors.Is(err, ErrUser) {
-						t.Fatalf("%s: err = %v, want ErrUser", step.name, err)
-					}
-				} else if err != nil || ok != step.ok || n != step.n {
-					t.Fatalf("%s = %v %d %v, want %v %d", step.name, ok, n, err, step.ok, step.n)
-				}
-				if !a.logged() {
-					continue
-				}
-				emitted := logRecords(st) - before
-				if step.rec == nil {
-					if emitted != 0 {
-						t.Fatalf("%s changed nothing and emitted %d records", step.name, emitted)
-					}
-					continue
-				}
-				if emitted != 1 {
-					t.Fatalf("%s emitted %d records, want 1", step.name, emitted)
-				}
-				if a.ring {
-					sh := st.ShardOf(step.rec.Key)
-					recs, ok := st.Repl().ReadFrom(sh, st.Repl().Head(sh), 1, nil)
-					if !ok || len(recs) != 1 || !slices.Equal(recs[0].Entries, []tkvlog.Entry{*step.rec}) {
-						t.Fatalf("%s: ring head holds %+v, want the one entry %+v", step.name, recs, *step.rec)
-					}
-				}
-			}
-			if got := st.ops.casMisses.Load(); got != 2 {
-				t.Errorf("casMisses = %d, want 2", got)
-			}
-			got, err := st.Snapshot()
-			if err != nil || !maps.Equal(got, want) {
-				t.Fatalf("final contents %v (err %v), want %v", got, err, want)
-			}
-			if a.ring {
-				for sh := 0; sh < st.NumShards(); sh++ {
-					recs, ok := st.Repl().ReadFrom(sh, 1, 1<<20, nil)
-					if !ok || uint64(len(recs)) != st.Repl().Head(sh) {
-						t.Fatalf("shard %d: %d records readable (ok %v), head %d", sh, len(recs), ok, st.Repl().Head(sh))
-					}
-					for i, r := range recs {
-						if r.Seq != uint64(i+1) {
-							t.Fatalf("shard %d: record %d has seq %d", sh, i, r.Seq)
+			for _, via := range callers {
+				t.Run(via.name, func(t *testing.T) {
+					dir := t.TempDir()
+					st := a.open(t, dir)
+					for _, step := range steps {
+						var before uint64
+						if a.logged() {
+							before = logRecords(st)
+						}
+						ok, n, err := via.run(st, step.op)
+						switch {
+						case step.userErr:
+							if !errors.Is(err, ErrUser) {
+								t.Fatalf("%s: err = %v, want ErrUser", step.name, err)
+							}
+						case step.casMiss && via.name == "batch":
+							if !errors.Is(err, ErrCASMismatch) {
+								t.Fatalf("%s: err = %v, want ErrCASMismatch", step.name, err)
+							}
+						case err != nil || ok != step.ok || n != step.n:
+							t.Fatalf("%s = %v %d %v, want %v %d", step.name, ok, n, err, step.ok, step.n)
+						}
+						if !a.logged() {
+							continue
+						}
+						emitted := logRecords(st) - before
+						if step.rec == nil {
+							if emitted != 0 {
+								t.Fatalf("%s changed nothing and emitted %d records", step.name, emitted)
+							}
+							continue
+						}
+						if emitted != 1 {
+							t.Fatalf("%s emitted %d records, want 1", step.name, emitted)
+						}
+						if a.ring {
+							sh := st.ShardOf(step.rec.Key)
+							recs, ok := st.Repl().ReadFrom(sh, st.Repl().Head(sh), 1, nil)
+							if !ok || len(recs) != 1 || !slices.Equal(recs[0].Entries, []tkvlog.Entry{*step.rec}) {
+								t.Fatalf("%s: ring head holds %+v, want the one entry %+v", step.name, recs, *step.rec)
+							}
 						}
 					}
-				}
-			}
-			if a.wal {
-				st.Close()
-				got, err := a.open(t, dir).Snapshot()
-				if err != nil || !maps.Equal(got, want) {
-					t.Fatalf("recovered contents %v (err %v), want %v", got, err, want)
-				}
+					if got := via.misses(st); got != 2 {
+						t.Errorf("cas misses = %d, want 2", got)
+					}
+					got, err := st.Snapshot()
+					if err != nil || !maps.Equal(got, want) {
+						t.Fatalf("final contents %v (err %v), want %v", got, err, want)
+					}
+					if a.ring {
+						for sh := 0; sh < st.NumShards(); sh++ {
+							recs, ok := st.Repl().ReadFrom(sh, 1, 1<<20, nil)
+							if !ok || uint64(len(recs)) != st.Repl().Head(sh) {
+								t.Fatalf("shard %d: %d records readable (ok %v), head %d", sh, len(recs), ok, st.Repl().Head(sh))
+							}
+							for i, r := range recs {
+								if r.Seq != uint64(i+1) {
+									t.Fatalf("shard %d: record %d has seq %d", sh, i, r.Seq)
+								}
+							}
+						}
+					}
+					if a.wal {
+						st.Close()
+						got, err := a.open(t, dir).Snapshot()
+						if err != nil || !maps.Equal(got, want) {
+							t.Fatalf("recovered contents %v (err %v), want %v", got, err, want)
+						}
+					}
+				})
 			}
 		})
 	}

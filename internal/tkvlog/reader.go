@@ -41,6 +41,13 @@ func (r *Reader) Offset() int64 {
 	return r.off
 }
 
+// Buffered returns the count of bytes past Offset that the Reader has read
+// from its source and not decoded. After Next returns ErrShort they are the
+// whole torn tail: the source ended inside the record they begin.
+func (r *Reader) Buffered() int {
+	return len(r.buf)
+}
+
 // Next decodes the next record into rec (whose entry slice is reused, as
 // with Decode). It returns io.EOF at a clean end of stream, ErrShort if
 // the source ends inside a record, ErrCorrupt for a structurally bad

@@ -171,27 +171,28 @@ func (w *WAL) checkManifest() error {
 }
 
 // scan decodes the records of one file in order, handing each to visit.
-// It returns the offset just past the last whole record and the decode
-// error that ended the scan (nil at a clean end of file); err is a
-// failure to open the file, or visit's.
-func (w *WAL) scan(name string, visit func(*tkvlog.Record) error) (end int64, decodeErr, err error) {
+// It returns the file's reader, whose Offset is just past the last whole
+// record and whose Buffered bytes are what follows it, and the decode error
+// that ended the scan (nil at a clean end of file); err is a failure to open
+// the file, or visit's.
+func (w *WAL) scan(name string, visit func(*tkvlog.Record) error) (r *tkvlog.Reader, decodeErr, err error) {
 	f, err := w.fs.Open(w.path(name))
 	if err != nil {
-		return 0, nil, fmt.Errorf("tkvwal: %w", err)
+		return nil, nil, fmt.Errorf("tkvwal: %w", err)
 	}
 	defer f.Close()
-	r := tkvlog.NewReader(f)
+	r = tkvlog.NewReader(f)
 	var rec tkvlog.Record
 	for {
 		switch derr := r.Next(&rec); derr {
 		case nil:
 			if err := visit(&rec); err != nil {
-				return r.Offset(), nil, err
+				return r, nil, err
 			}
 		case io.EOF:
-			return r.Offset(), nil, nil
+			return r, nil, nil
 		default:
-			return r.Offset(), derr, nil
+			return r, derr, nil
 		}
 	}
 }
@@ -264,7 +265,7 @@ func (w *WAL) recover(names []string, apply func(*tkvlog.Record) error) error {
 
 	for i, name := range segs {
 		w.recovered.Segments++
-		end, derr, err := w.scan(name, func(rec *tkvlog.Record) error {
+		r, derr, err := w.scan(name, func(rec *tkvlog.Record) error {
 			s, err := owned("segment", name, rec)
 			if err != nil {
 				return err
@@ -294,12 +295,13 @@ func (w *WAL) recover(names []string, apply func(*tkvlog.Record) error) error {
 			return fmt.Errorf("tkvwal: segment %s unreadable (refusing to start): %w", name, derr)
 		}
 		// Torn tail of the newest segment: the crash interrupted an
-		// un-acknowledged group. Cut it and move on.
-		torn := w.segSizeAfter(name, end)
-		if err := w.fs.Truncate(w.path(name), end); err != nil {
+		// un-acknowledged group. Cut it, and make the cut durable before the
+		// next segment is: a tail that came back behind a newer segment
+		// would no longer be the newest's, and the next Open would refuse.
+		if err := w.truncate(name, r.Offset()); err != nil {
 			return fmt.Errorf("tkvwal: truncating torn tail of %s: %w", name, err)
 		}
-		w.recovered.TruncatedBytes += torn
+		w.recovered.TruncatedBytes += int64(r.Buffered())
 	}
 
 	for _, s := range w.shards {
@@ -312,17 +314,18 @@ func (w *WAL) recover(names []string, apply func(*tkvlog.Record) error) error {
 	return nil
 }
 
-// segSizeAfter reports how many bytes past offset the (pre-truncation)
-// segment held — best effort, for the recovery stats only.
-func (w *WAL) segSizeAfter(name string, offset int64) int64 {
-	f, err := w.fs.Open(w.path(name))
+// truncate cuts name to size and fsyncs it.
+func (w *WAL) truncate(name string, size int64) error {
+	if err := w.fs.Truncate(w.path(name), size); err != nil {
+		return err
+	}
+	f, err := w.fs.OpenAppend(w.path(name))
 	if err != nil {
-		return 0
+		return err
 	}
-	defer f.Close()
-	n, _ := io.Copy(io.Discard, f)
-	if n > offset {
-		return n - offset
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return 0
+	return err
 }

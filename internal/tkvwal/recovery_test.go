@@ -9,8 +9,10 @@ package tkvwal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -262,4 +264,127 @@ func TestRecoveryRefusesRecordsItCannotPlace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tornDir builds, on a fresh SimFS, a log directory whose records are all
+// acked and whose newest segment ends in half of one more record, synced:
+// part of a group's write that reached the disk before a crash. A
+// checkpoint's tmp file, which a crash also leaves, lies beside it. It
+// returns the acked records.
+func tornDir(t *testing.T, shards int) (*SimFS, Options, map[uint64]string) {
+	t.Helper()
+	fs := &SimFS{}
+	opts := Options{Dir: "wal", Shards: shards, FS: fs}
+	w, err := Open(opts, noApply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := map[uint64]string{}
+	for i := range 2 * shards {
+		sh, key, val := i%shards, uint64(i), fmt.Sprintf("v%d", i)
+		if err := w.Append(sh, w.LastSeq(sh)+1, []tkvlog.Entry{{Key: key, Val: val}}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		acked[key] = val
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := tkvlog.Record{Seq: w.LastSeq(0) + 1, Entries: []tkvlog.Entry{{Key: 1 << 40, Val: "torn"}}}
+	b := torn.Append(nil)
+	simWrite(t, fs, w.path(segName(w.rot)), string(b[:len(b)/2]), true)
+	simWrite(t, fs, w.path(ckptName(w.rot)+".tmp"), "uncommitted", true)
+	if err := fs.SyncDir(opts.Dir); err != nil {
+		t.Fatal(err)
+	}
+	return fs, opts, acked
+}
+
+// reopenAfterCrash cuts the power, opens the log again and checks that
+// every acked record came back. It returns what recovery replayed.
+func reopenAfterCrash(t *testing.T, label string, fs *SimFS, opts Options, acked map[uint64]string) (*WAL, map[uint64]string) {
+	t.Helper()
+	fs.PowerCut()
+	kv := newReplayKV()
+	w, err := Open(opts, kv.apply)
+	if err != nil {
+		t.Fatalf("%s: recovery refused: %v", label, err)
+	}
+	for key, val := range acked {
+		if got := kv.m[key]; got != val {
+			w.Close()
+			t.Fatalf("%s: acked record %x recovered as %q, want %q", label, key, got, val)
+		}
+	}
+	return w, kv.m
+}
+
+// TestTornTailCutSurvivesPowerCut: recovery's cut of a torn tail is durable
+// before the segment it opens next is. Open a directory whose newest segment
+// ends in half a record, ack one append on the fresh segment, and cut the
+// power: the tail must not come back behind the fresh segment, where the
+// next Open would refuse it as damage below the newest segment.
+func TestTornTailCutSurvivesPowerCut(t *testing.T) {
+	fs, opts, acked := tornDir(t, 1)
+	w, err := Open(opts, noApply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = 1 << 41
+	if err := w.Append(0, w.LastSeq(0)+1, []tkvlog.Entry{{Key: key, Val: "acked"}}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	acked[key] = "acked"
+	w.Abandon()
+	w, _ = reopenAfterCrash(t, "after the power cut", fs, opts, acked)
+	w.Close()
+}
+
+// TestRecoveryEveryCrashPoint cuts the power at every FS operation of an
+// Open that recovers a torn tail — the MANIFEST check, the tmp removal, the
+// replay, the truncate and its fsync, the new segment, the directory fsync —
+// and of one append after it, one run per crash point, as
+// TestCheckpointEveryCrashPoint does for a checkpoint. The Open after the
+// power cut must never refuse and must bring back every acked record, and a
+// further Open, after a second power cut, must recover the same. The sweep
+// ends with the first run that finishes before its crash point.
+func TestRecoveryEveryCrashPoint(t *testing.T) { eachShape(t, 3, testRecoveryEveryCrashPoint) }
+
+func testRecoveryEveryCrashPoint(t *testing.T, shards int) {
+	k := int64(1)
+	for crashRecoveryAt(t, shards, k) {
+		k++
+	}
+	t.Logf("%d crash points", k-1)
+}
+
+// crashRecoveryAt runs the sweep's scenario with the power cut at its kth FS
+// operation and checks the two recoveries after it. It reports whether the
+// crash point came.
+func crashRecoveryAt(t *testing.T, shards int, k int64) bool {
+	t.Helper()
+	label := fmt.Sprintf("crash at operation %d", k)
+	fs, opts, acked := tornDir(t, shards)
+	fs.FailAll(k, errPowerCut)
+	w, err := Open(opts, noApply)
+	crashed := err != nil
+	if crashed && !errors.Is(err, errPowerCut) {
+		t.Fatalf("%s: Open failed without the power cut: %v", label, err)
+	}
+	if !crashed {
+		const key = 1 << 41
+		if err := w.Append(0, w.LastSeq(0)+1, []tkvlog.Entry{{Key: key, Val: "acked"}}).Wait(); err == nil {
+			acked[key] = "acked"
+		}
+		crashed = errors.Is(w.Err(), errPowerCut)
+		w.Abandon()
+	}
+	w, first := reopenAfterCrash(t, label, fs, opts, acked)
+	w.Abandon()
+	w, again := reopenAfterCrash(t, label+", reopened", fs, opts, acked)
+	w.Close()
+	if !maps.Equal(first, again) {
+		t.Fatalf("%s: a further open recovered %v, the first %v", label, again, first)
+	}
+	return crashed
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // SimFS is an in-memory FS for tests that models what a power cut keeps.
-// Each file has its bytes and its synced length, the length its last Sync
-// made durable; the directory has its names and its names as of its last
-// SyncDir. PowerCut keeps only what those two rules made durable.
+// Each file has its bytes and its durable bytes, its contents as of its last
+// Sync (so a truncate no Sync followed is undone too); the directory has its
+// names and its names as of its last SyncDir. PowerCut keeps only what those
+// two rules made durable.
 //
 // On top of that a test can fail an operation from its Nth call on
 // (FailWrites, FailSyncs, FailAll), hold each Sync until it lets it go
@@ -43,9 +44,12 @@ type syncGate struct {
 	cost    time.Duration
 }
 
+// simNode is one file. synced is the contents its last Sync made durable: a
+// prefix of data until a truncate cuts below it, which gives data a fresh
+// array and leaves synced as it was.
 type simNode struct {
 	data   []byte
-	synced int
+	synced []byte
 }
 
 // FailWrites fails every Write from the nth from now on with err.
@@ -92,13 +96,13 @@ func (s *SimFS) ReleaseAll() {
 }
 
 // PowerCut is a power failure and the reboot after it: every file goes
-// back to its synced length, the names go back to their last SyncDir, and
-// every armed fault is disarmed. Abandon or close the log first.
+// back to its contents at its last Sync, the names go back to their last
+// SyncDir, and every armed fault is disarmed. Abandon or close the log first.
 func (s *SimFS) PowerCut() {
 	s.locked(func() {
 		s.names = maps.Clone(s.durable)
 		for _, n := range s.names {
-			n.data = n.data[:n.synced]
+			n.data = n.synced
 		}
 		clear(s.faults[:])
 	})
@@ -185,11 +189,10 @@ func (s *SimFS) Remove(name string) error {
 	return s.existing("remove", name, func(*simNode) { delete(s.names, name) })
 }
 
-// Truncate cuts the bytes and the synced length together.
+// Truncate cuts the bytes; what is durable stays until the next Sync.
 func (s *SimFS) Truncate(name string, size int64) error {
 	return s.existing("truncate", name, func(n *simNode) {
-		n.data = n.data[:min(int(size), len(n.data))]
-		n.synced = min(n.synced, len(n.data))
+		n.data = slices.Clone(n.data[:min(int(size), len(n.data))])
 	})
 }
 
@@ -235,12 +238,14 @@ func (f *simFile) Write(p []byte) (int, error) {
 }
 
 // Sync waits out its hold, then counts itself, then pays its cost and
-// makes the bytes written before that durable. A fault armed while it is
-// held applies to it.
+// makes the contents as of its count durable. A fault armed while it is
+// held applies to it. The log never syncs one file from two goroutines at
+// once; the Sync that returns last sets what is durable.
 func (f *simFile) Sync() error {
 	var g syncGate
-	var pending, size int
-	f.s.locked(func() { g, pending = f.s.gate, len(f.n.data)-f.n.synced })
+	var pending int
+	var contents []byte
+	f.s.locked(func() { g, pending = f.s.gate, len(f.n.data)-len(f.n.synced) })
 	if g.held != nil {
 		select {
 		case g.held <- pending:
@@ -248,11 +253,11 @@ func (f *simFile) Sync() error {
 		case <-g.release:
 		}
 	}
-	if err := f.s.do(opSync, func() error { size = len(f.n.data); return nil }); err != nil {
+	if err := f.s.do(opSync, func() error { contents = slices.Clip(f.n.data); return nil }); err != nil {
 		return err
 	}
 	time.Sleep(g.cost)
-	f.s.locked(func() { f.n.synced = max(f.n.synced, min(size, len(f.n.data))) })
+	f.s.locked(func() { f.n.synced = contents })
 	return nil
 }
 

@@ -49,21 +49,33 @@ func simRead(t *testing.T, s *SimFS, name string) (data string, ok bool) {
 	return string(b), true
 }
 
-// TestSimFSPowerCutDropsUnsyncedBytes: a file keeps what its last Sync
-// made durable and loses what was written after it.
+// TestSimFSPowerCutDropsUnsyncedBytes: a file keeps its contents as of its
+// last Sync: it loses what was written after it, and gets back what a
+// truncate after it cut.
 func TestSimFSPowerCutDropsUnsyncedBytes(t *testing.T) {
 	s := &SimFS{}
 	simWrite(t, s, "d/synced", "durable", true)
 	simWrite(t, s, "d/synced", "+lost", false)
 	simWrite(t, s, "d/unsynced", "lost", false)
+	simWrite(t, s, "d/cut", "durable", true)
+	simWrite(t, s, "d/cut+synced", "durable", true)
+	for _, name := range []string{"d/cut", "d/cut+synced"} {
+		if err := s.Truncate(name, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	simWrite(t, s, "d/cut", "+lost", false)
+	simWrite(t, s, "d/cut+synced", "", true)
 	if err := s.SyncDir("d"); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := simRead(t, s, "d/synced"); got != "durable+lost" {
-		t.Fatalf("before the cut: %q", got)
+	for name, want := range map[string]string{"d/synced": "durable+lost", "d/cut": "dur+lost", "d/cut+synced": "dur"} {
+		if got, _ := simRead(t, s, name); got != want {
+			t.Fatalf("%s before the cut: %q, want %q", name, got, want)
+		}
 	}
 	s.PowerCut()
-	for name, want := range map[string]string{"d/synced": "durable", "d/unsynced": ""} {
+	for name, want := range map[string]string{"d/synced": "durable", "d/unsynced": "", "d/cut": "durable", "d/cut+synced": "dur"} {
 		if got, ok := simRead(t, s, name); !ok || got != want {
 			t.Fatalf("%s after the cut: %q (exists %v), want %q", name, got, ok, want)
 		}

@@ -169,7 +169,7 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// An unknown batch kind is a bad request, not a dead connection.
-	if _, err := c.Batch([]tkv.Op{{Kind: "bogus", Key: 1}}); !errors.Is(err, tkv.ErrUser) {
+	if _, err := c.Batch([]tkv.Op{{Kind: 0xFF, Key: 1}}); !errors.Is(err, tkv.ErrUser) {
 		t.Fatalf("unknown kind: %v, want ErrUser", err)
 	}
 

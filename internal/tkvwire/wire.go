@@ -112,15 +112,6 @@ const (
 	resMismatch = 1 << 1
 )
 
-// Batch op kinds on the wire (tkv.Op.Kind is a string in-process).
-const (
-	KindGet    = 0
-	KindPut    = 1
-	KindDelete = 2
-	KindAdd    = 3
-	KindCAS    = 4
-)
-
 const (
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 16
@@ -238,43 +229,10 @@ func AppendMGetReq(b []byte, id uint64, keys []uint64) []byte {
 	return b
 }
 
-// kindOf maps a tkv op kind string to its wire code.
-func kindOf(kind string) (byte, bool) {
-	switch kind {
-	case tkv.OpGet:
-		return KindGet, true
-	case tkv.OpPut:
-		return KindPut, true
-	case tkv.OpDelete:
-		return KindDelete, true
-	case tkv.OpAdd:
-		return KindAdd, true
-	case tkv.OpCAS:
-		return KindCAS, true
-	}
-	return 0, false
-}
-
-// kindName is the inverse of kindOf.
-func kindName(k byte) (string, bool) {
-	switch k {
-	case KindGet:
-		return tkv.OpGet, true
-	case KindPut:
-		return tkv.OpPut, true
-	case KindDelete:
-		return tkv.OpDelete, true
-	case KindAdd:
-		return tkv.OpAdd, true
-	case KindCAS:
-		return tkv.OpCAS, true
-	}
-	return "", false
-}
-
-// AppendBatchReq appends a batch request frame. Unknown op kind strings
-// encode as 0xFF, which the server rejects as a bad request (validation is
-// the server's, not the client's).
+// AppendBatchReq appends a batch request frame. Each op's kind travels as
+// its one byte, tkv.OpKind's value (0 get, 1 put, 2 delete, 3 add, 4 cas);
+// an out-of-range kind travels as it is, and the server rejects it as a bad
+// request (validation is the store's, not the client's).
 func AppendBatchReq(b []byte, id uint64, ops []tkv.Op) []byte {
 	n := 4
 	for _, op := range ops {
@@ -283,11 +241,7 @@ func AppendBatchReq(b []byte, id uint64, ops []tkv.Op) []byte {
 	b = appendHeader(b, OpBatch, 0, 0, id, n)
 	b = le.AppendUint32(b, uint32(len(ops)))
 	for _, op := range ops {
-		k, ok := kindOf(op.Kind)
-		if !ok {
-			k = 0xFF
-		}
-		b = append(b, k)
+		b = append(b, byte(op.Kind))
 		b = le.AppendUint64(b, op.Key)
 		b = le.AppendUint64(b, uint64(op.Delta))
 		b = le.AppendUint32(b, uint32(len(op.Old)))
@@ -384,7 +338,9 @@ const minBatchOp = 1 + 8 + 8 + 4 + 4
 // ParseBatchReq decodes a batch payload into tkv ops. Strings are copied
 // (the ops outlive the connection buffer on the async execution path). The
 // op-slice capacity is bounded by the bytes actually received, never by the
-// declared count alone.
+// declared count alone. A kind byte is taken as it is: an out-of-range one
+// is well-formed framing and invalid content, which the store rejects as a
+// bad request and the connection survives.
 func ParseBatchReq(p []byte) ([]tkv.Op, error) {
 	if len(p) < 4 {
 		return nil, errTruncated(OpBatch)
@@ -399,14 +355,7 @@ func ParseBatchReq(p []byte) ([]tkv.Op, error) {
 		if len(rest) < minBatchOp {
 			return nil, errTruncated(OpBatch)
 		}
-		kind, ok := kindName(rest[0])
-		if !ok {
-			// Well-formed framing, invalid content: surfaced as a bad
-			// request by the server, not a connection error — but the
-			// frame must still parse, so keep a placeholder kind.
-			kind = fmt.Sprintf("wire-kind-0x%02x", rest[0])
-		}
-		op := tkv.Op{Kind: kind, Key: le.Uint64(rest[1:]), Delta: int64(le.Uint64(rest[9:]))}
+		op := tkv.Op{Kind: tkv.OpKind(rest[0]), Key: le.Uint64(rest[1:]), Delta: int64(le.Uint64(rest[9:]))}
 		rest = rest[17:]
 		oldLen := int(le.Uint32(rest))
 		if len(rest) < 4+oldLen+4 {

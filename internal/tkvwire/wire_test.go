@@ -2,7 +2,6 @@ package tkvwire
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"github.com/shrink-tm/shrink/internal/tkv"
@@ -180,6 +179,14 @@ func TestBatchReqRoundTrip(t *testing.T) {
 			t.Fatalf("batch op %d: got %+v want %+v", i, got[i], ops[i])
 		}
 	}
+	// The kind byte of each op is its wire code: get 0, put 1, delete 2,
+	// add 3, cas 4.
+	for code, op := range ops {
+		_, q := header(t, AppendBatchReq(nil, 2, []tkv.Op{op}), MaxFrame)
+		if q[4] != byte(code) {
+			t.Fatalf("%+v travels as kind byte %d, want %d", op, q[4], code)
+		}
+	}
 	// Truncations anywhere must error.
 	for cut := 4; cut < len(p); cut++ {
 		if _, err := ParseBatchReq(p[:cut]); !errors.Is(err, ErrFrame) {
@@ -199,16 +206,20 @@ func TestBatchReqRoundTrip(t *testing.T) {
 }
 
 func TestBatchUnknownKindSurvivesTheWire(t *testing.T) {
-	// An unknown kind string encodes as 0xFF and decodes to a placeholder
-	// the store will reject as a user error — the frame itself stays valid.
-	frame := AppendBatchReq(nil, 1, []tkv.Op{{Kind: "bogus", Key: 1}})
+	// An out-of-range kind encodes as its byte and decodes to the same kind,
+	// which the store will reject as a user error: the frame itself stays
+	// valid.
+	frame := AppendBatchReq(nil, 1, []tkv.Op{{Kind: 0xFF, Key: 1}})
 	_, p := header(t, frame, MaxFrame)
+	if p[4] != 0xFF {
+		t.Fatalf("out-of-range kind travels as byte %d", p[4])
+	}
 	got, err := ParseBatchReq(p)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("unknown kind: %v %v", got, err)
 	}
-	if !strings.HasPrefix(got[0].Kind, "wire-kind-") {
-		t.Fatalf("unknown kind decoded to %q", got[0].Kind)
+	if got[0].Kind != 0xFF {
+		t.Fatalf("unknown kind decoded to %d", got[0].Kind)
 	}
 }
 
