@@ -41,6 +41,19 @@ step_fmt() {
 
 step_build() { go build ./...; }
 
+# selects RUN PKG...: fail unless the -run list RUN selects a test in each
+# PKG; a step runs it before the go test it guards, in the same environment
+# (a GOEXPERIMENT). A list whose every name moved behind a build constraint
+# or was renamed would otherwise pass by running nothing.
+selects() {
+	local run=$1 pkg out
+	shift
+	for pkg; do
+		out=$(go test -list "$run" "$pkg")
+		grep -q '^Test' <<<"$out" || { echo "-run '$run' selects no test in $pkg" >&2 && return 1; }
+	done
+}
+
 # Every package at 1, 2 and 4 processors. The paper's prevent-versus-cure
 # result turns on which transactions physically overlap, and so does much of
 # what the suites check:
@@ -49,9 +62,7 @@ step_build() { go build ./...; }
 # - The wire client's cohort flush is a scheduling argument: which caller
 #   pays the write depends on who is runnable when, the coalescing test pins
 #   one processor, and the failure and id-matching tests must hold on every
-#   count. The follower's Drain (promotion reads the stream to the primary's
-#   fence before stopping; a primary that never fences costs the deadline,
-#   not a hang) races the applier by design.
+#   count.
 # - The tree's and the hash map's resident-keys tests (writers rotate,
 #   recolour and transplant, or link and unlink, around keys that readers
 #   must keep finding in one snapshot) and the engines' conformance suites —
@@ -81,9 +92,14 @@ step_test() { go test -count=1 -cpu 1,2,4 ./...; }
 # The tests in simulated time. Those whose waiting is timers, channels or
 # sync.Cond (the WAL lane's group formation and fallback timer, the
 # admission controller's ticks, the wire's shed ramp and replication
-# heartbeat, DrainRepl's deadline) run in synctest bubbles through
-# internal/synctime and assert exact times and tick counts instead of
-# racing the wall clock. The toolchain builds the package only with
+# heartbeat, DrainRepl's deadline, and all of the follower's: its redial
+# backoff, idle watchdog and drain deadline, and the seeded failover drill)
+# run in synctest bubbles through internal/synctime, over in-memory pipes
+# and tkvwal.SimFS, and assert exact times and tick counts instead of
+# racing the wall clock. The follower's drain (promotion reads the stream to
+# the primary's fence before stopping; a primary that never fences costs the
+# deadline, not a hang) races the applier by design, so the bubbles run at
+# every processor count too. The toolchain builds the package only with
 # GOEXPERIMENT=synctest, so every file that uses it carries that build
 # constraint and the steps above never see them; this step vets and runs
 # their packages with the experiment, at 1, 2 and 4 processors because a
@@ -96,12 +112,13 @@ step_test() { go test -count=1 -cpu 1,2,4 ./...; }
 # time) may not rise above sleepMax. The count is of call sites, not of
 # time slept: one polling helper counts once however many loops call it.
 step_synctest() {
-	local sleepMax=8 pkgs tests n
+	local sleepMax=6 pkgs tests n
 	mapfile -t pkgs < <(grep -rlx --include='*.go' '//go:build goexperiment.synctest' internal cmd |
 		xargs -n1 dirname | sort -u | sed 's|^|./|')
 	tests=$(grep -rlx --include='*_test.go' '//go:build goexperiment.synctest' internal cmd |
 		xargs grep -ho '^func Test[A-Za-z0-9_]*' | sed 's/^func //' | paste -sd'|')
 	GOEXPERIMENT=synctest go vet "${pkgs[@]}"
+	GOEXPERIMENT=synctest selects "^($tests)\$" "${pkgs[@]}"
 	GOEXPERIMENT=synctest go test -count=1 -cpu 1,2,4 -run "^($tests)\$" "${pkgs[@]}"
 	GOEXPERIMENT=synctest go test -race -count=1 -cpu 1,2,4 -run "^($tests)\$" "${pkgs[@]}"
 	n=$(grep -rLx --include='*_test.go' '//go:build goexperiment.synctest' internal cmd |
@@ -164,8 +181,10 @@ step_race() {
 # 1, 2, 2 with a ring; no-ops 0).
 step_batch() {
 	local run='TestConcurrentDisjointBatches|TestOverlappingBatchesNoLostUpdates|TestBatchCASMismatchNoPartialWrites|TestBatchStateReuse|TestBatchRestartAppliesOnce|TestBatchReadsOwnWrites|TestMGetAtomicAcrossShards|TestSnapshotNeverSplitsABatch|TestReadOnlyWaitsOutGateOnlyBatch|TestShardStatsSumToEngine|TestStripeWaitsReported|TestGateFreeze|TestThreadPoolBound|TestThreadPoolNoLostWakeup|TestThreadReturnedOnPanic|TestSingleKeyWriteMatrix|TestSingleKeyWriteStripeMode|TestReplReadOnly|TestReadOnlyFenceIsBarrier|TestDroppedStoreIsCollected|TestPooledStateAcrossStores|TestUnloggedOpsTakeNoStripe|TestHotReadsStayLive|TestPutDeleteOrderedInLog|TestRecordNeverTrailsARead|TestLogReplaysToStore'
+	selects "$run" ./internal/tkv/
 	go test -count=2 -cpu 1,2,4 -run "$run" ./internal/tkv/
 	go test -race -count=2 -cpu 1,2,4 -run "$run" ./internal/tkv/
+	selects 'TestBatchAllocBudget|TestMGetOneAlloc|TestSingleKeyWriteAllocs' ./internal/tkv/
 	go test -count=1 -run 'TestBatchAllocBudget|TestMGetOneAlloc|TestSingleKeyWriteAllocs' ./internal/tkv/
 	go test -run=NONE -bench 'BenchmarkBatchDisjoint/workers=1$|BenchmarkMGet8' -cpu 1 -benchtime=2000x -benchmem ./internal/tkv/ | tee "$work/batchbench.txt"
 	awk '$1 == "BenchmarkBatchDisjoint/workers=1" { for (i = 2; i <= NF; i++) if ($i == "allocs/op") { batch = 1; if ($(i-1) > 20) bad = 1 } } $1 == "BenchmarkMGet8" { for (i = 2; i <= NF; i++) if ($i == "allocs/op") { mget = 1; if ($(i-1) > 1) bad = 1 } } END { exit bad || !batch || !mget }' "$work/batchbench.txt"
@@ -182,6 +201,7 @@ step_batch() {
 # experiment (see synctest). The benchmarks assert the idle and shed paths
 # stay cheap.
 step_admission() {
+	GOEXPERIMENT=synctest selects 'TestShed|TestAdmi' ./internal/tkv/
 	GOEXPERIMENT=synctest go test -count=2 -cpu 1,2,4 -run 'TestShed|TestAdmi' ./internal/tkv/
 	GOEXPERIMENT=synctest go test -race -count=2 -cpu 1,2,4 -run 'TestShed|TestAdmi' ./internal/tkv/
 	go test -run=NONE -bench 'BenchmarkAdmission' -benchtime=50x ./internal/tkv/
@@ -209,8 +229,11 @@ step_bench_smoke() {
 # exactly.
 step_footprint() {
 	go test -run=NONE -bench 'BenchmarkReadOnlyTx' -benchtime=100x .
+	selects 'TestROSingleReadZeroAllocs|TestROScanZeroAllocs|TestRONoClockRMW|TestVarSize' ./internal/stm/
 	go test -run 'TestROSingleReadZeroAllocs|TestROScanZeroAllocs|TestRONoClockRMW|TestVarSize' -count=1 ./internal/stm/
+	selects 'TestRBTreeFootprint|TestRBTreeUpdateAllocs|TestRBTreeRemovedNodesAreCollected' ./internal/stmds/
 	go test -run 'TestRBTreeFootprint|TestRBTreeUpdateAllocs|TestRBTreeRemovedNodesAreCollected' -count=1 -v ./internal/stmds/
+	selects 'TestNodeSizes|TestHashMapAllocs|TestConstructorAllocs|TestHashMapBytesPerKey|TestHashMapRemovedNodesAreCollected' ./internal/stmds/
 	go test -run 'TestNodeSizes|TestHashMapAllocs|TestConstructorAllocs|TestHashMapBytesPerKey|TestHashMapRemovedNodesAreCollected' -count=1 -v ./internal/stmds/
 }
 
@@ -272,6 +295,7 @@ inlined_in() {
 # on one processor must share them (the line without a -N suffix is the
 # one-processor run; measured 0.14).
 step_wire() {
+	GOEXPERIMENT=synctest selects 'TestWireGetPutZeroAlloc|TestWireShedZeroAlloc' ./internal/tkvwire/
 	GOEXPERIMENT=synctest go test -run 'TestWireGetPutZeroAlloc|TestWireShedZeroAlloc' -count=1 ./internal/tkvwire/
 	go test -run=NONE -bench 'BenchmarkWireGet|BenchmarkWirePut' -benchtime=1000x -benchmem ./internal/tkvwire/ | tee "$work/wirebench.txt"
 	grep -E 'BenchmarkWire(Get|Put).* 0 allocs/op' "$work/wirebench.txt"
@@ -307,22 +331,32 @@ step_log() {
 # a lower sequence takes the WAL's watermark down with it, and a follower
 # reports a record applied only once its own log made it durable. The crash
 # lines run on tkvwal.SimFS, which keeps across a power cut only what an
-# fsync made durable: the two drills cut the power between a group's write
-# and its fsync, the checkpoint sweep at every operation of a checkpoint
-# (rotation, file, rename, directory fsyncs, GC) and of the appends around
-# it, and the recovery sweep at every operation of an Open that cuts a torn
-# tail (MANIFEST check, tmp removal, replay, truncate and its fsync, new
-# segment, directory fsync) and of an append after it; recovery must not
+# fsync made durable, and of the bytes a file grew by since, a prefix its
+# tear picks: the two drills cut the power between a group's write and its
+# fsync, the checkpoint sweep at every operation of a checkpoint (rotation,
+# file, rename, directory fsyncs, GC) and of the appends around it, and the
+# recovery sweep, once per tear, at every operation of an Open that cuts a
+# torn tail (MANIFEST check, tmp removal, replay, truncate and its fsync,
+# new segment, directory fsync) and of an append after it; recovery must not
 # refuse, and every acked record, and a checkpoint that returned nil, must
 # come back. A torn tail's cut must be durable before the next segment is,
-# or it comes back behind that segment and the next Open refuses.
+# or it comes back behind that segment and the next Open refuses. The
+# follower's lines are bubble tests, so they run with the experiment (see
+# the synctest step), with the seeded failover drill: a quit in tkvd's
+# order, a promotion that took over everything, and a power cut that tears
+# both disks under the promoted primary's writers.
 step_durability() {
-	local run='TestWALDurableRoundTrip|TestWALCheckpointTruncates|TestWALReplSharedSequence|TestWALReplRestore|TestReplRestoreShard|TestWALFailStopStore|TestWALCrashDrill|TestFreshFollowerOfReopenedPrimary|TestFollowerAppliedWaitsForItsLog|TestAbandonSimulatesCrash|TestCheckpointEveryCrashPoint|TestTornTailCutSurvivesPowerCut|TestRecoveryEveryCrashPoint'
+	local run='TestWALDurableRoundTrip|TestWALCheckpointTruncates|TestWALReplSharedSequence|TestWALReplRestore|TestReplRestoreShard|TestWALFailStopStore|TestWALCrashDrill|TestAbandonSimulatesCrash|TestCheckpointEveryCrashPoint|TestTornTailCutSurvivesPowerCut|TestRecoveryEveryCrashPoint'
+	local repl='TestFreshFollowerOfReopenedPrimary|TestFollowerAppliedWaitsForItsLog|TestFailoverGracefulZeroLoss'
 	go test -run=NONE -bench 'BenchmarkWalAppend' -benchtime=1000x -benchmem ./internal/tkvwal/ | tee "$work/walbench.txt"
 	test "$(grep -cE '^BenchmarkWalAppend(-[0-9]+)? .* 0 allocs/op' "$work/walbench.txt")" -eq 1
 	go test -fuzz 'FuzzLogReader' -fuzztime 5s -run=NONE ./internal/tkvlog/
-	go test -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvrepl/ ./internal/tkvwal/
-	go test -race -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvrepl/ ./internal/tkvwal/
+	selects "$run" ./internal/tkv/ ./internal/tkvwal/
+	go test -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvwal/
+	go test -race -count=1 -cpu 1,2,4 -run "$run" ./internal/tkv/ ./internal/tkvwal/
+	GOEXPERIMENT=synctest selects "$repl" ./internal/tkvrepl/
+	GOEXPERIMENT=synctest go test -count=1 -cpu 1,2,4 -run "$repl" ./internal/tkvrepl/
+	GOEXPERIMENT=synctest go test -race -count=1 -cpu 1,2,4 -run "$repl" ./internal/tkvrepl/
 }
 
 # The process-level drills: real tkvd processes, driven and judged by

@@ -243,17 +243,10 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		replMu.Lock()
 		took := ""
 		if follower != nil {
-			// Let the applier finish what the old primary already wrote to
-			// the socket (Stop alone would close it under the applier),
-			// then say what is being taken ownership of: per shard, the
-			// primary's head as last heard minus what was applied.
-			fenced := follower.Drain(replDrainTimeout)
-			follower.Stop()
+			// Per shard, the gap is the primary's head as last heard minus
+			// what was applied: what this promotion did not take over.
+			fenced, gap := follower.Promote(replDrainTimeout)
 			follower = nil
-			var gap []uint64
-			for _, sh := range store.Stats().Repl.Shards {
-				gap = append(gap, sh.Lag)
-			}
 			took = fmt.Sprintf(" fenced=%v gap=%v", fenced, gap)
 		}
 		store.SetReadOnly(false)
@@ -277,7 +270,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	}()
 
 	if *role == "follower" {
-		f, err := tkvrepl.Start(store, *follow)
+		f, err := tkvrepl.Start(store, func() (net.Conn, error) { return net.Dial("tcp", *follow) })
 		if err != nil {
 			srv.Close()
 			wsrv.Close()

@@ -81,11 +81,11 @@
 // mutex, puts a record in the shard's bounded in-memory window and in the
 // WAL, so the two can never disagree about a sequence number. The window
 // decouples commits from the network, a per-subscription shipper on the
-// wire port (behind a version/feature handshake that leaves old clients
-// untouched) replays backlog and tails live commits, and a follower
-// asking for a record the window no longer holds — evicted, or older than
-// the primary's restart — gets a consistent per-shard snapshot cut
-// instead of being lost.
+// wire port (one subscribe frame starts it; clients that never send one
+// see the KV opcodes unchanged) replays backlog and tails live commits,
+// and a follower asking for a record the window no longer holds — evicted,
+// or older than the primary's restart — gets a consistent per-shard
+// snapshot cut instead of being lost.
 // The follower side (internal/tkvrepl) replays the stream through the
 // same logging commit path, serves stale-bounded reads
 // (writes bounce with "not primary"), reports lag watermarks in /stats,
@@ -94,9 +94,9 @@
 // barrier: when Store.SetReadOnly(true) returns, no write that passed the
 // flag is still in flight — and drains
 // the stream through a flush barrier before closing listeners; promotion
-// reads the stream to that fence before it stops the applier and prints
-// what it took over (fenced, and per shard the primary's head as last
-// heard minus what was applied). So planned failover loses no
+// (tkvrepl's Follower.Promote) reads the stream to that fence before it
+// stops the applier, and tkvd prints what it took over (fenced, and per
+// shard the primary's head as last heard minus what was applied). So planned failover loses no
 // acknowledged write (cmd/tkvload -scenario failover drills exactly
 // that); a hard kill loses at most the reported lag.
 //

@@ -436,7 +436,7 @@ func testWALCrashDrill(t *testing.T, shards int) {
 	st.WAL().Abandon()
 	<-exited
 	st.Close()
-	fs.PowerCut()
+	fs.PowerCut(0)
 
 	st2 := openWALStore(t, dir, shards, tkvwal.Options{FS: fs})
 	defer st2.Close()

@@ -1,25 +1,24 @@
-// Package tkvrepl is the follower side of tkv replication: a dialer that
-// subscribes to a primary's write-set stream over the binary wire
+// Package tkvrepl is the follower side of tkv replication: an applier
+// that subscribes to a primary's write-set stream over the binary wire
 // protocol and replays it into a local store.
 //
-// The applier connects to the primary's wire port, handshakes
-// (tkvwire.OpHello, requesting FeatReplication), subscribes with the
-// store's stream identity and per-shard applied watermarks, and then
-// consumes the stream: records replay through Store.ReplApply (the batch
-// apply path, logging from its commit — replaying an ordered committed log
-// is the paper's "prevent" endpoint: a transaction that cannot conflict
-// by construction), snapshot cuts replace whole shards through
-// ReplRestoreShard, and metadata frames refresh the per-shard lag
-// watermarks the store reports in Stats. The connection retries with
-// backoff until Stop — a restarted primary is re-joined automatically,
-// and a stream-identity change makes the primary resync us from
-// snapshots rather than trusting stale watermarks.
+// The applier connects through the dial function it was started with,
+// subscribes (tkvwire.OpReplSub) with the store's stream identity and
+// per-shard applied watermarks, and then consumes the stream: records
+// replay through Store.ReplApply (the batch apply path, logging from its
+// commit — replaying an ordered committed log is the paper's "prevent"
+// endpoint: a transaction that cannot conflict by construction), snapshot
+// cuts replace whole shards through ReplRestoreShard, and metadata frames
+// refresh the per-shard lag watermarks the store reports in Stats. The
+// connection retries with backoff until Stop — a restarted primary is
+// re-joined automatically, and a stream-identity change makes the primary
+// resync us from snapshots rather than trusting stale watermarks.
 //
 // The local store must be opened with a replication log
 // (Config.ReplRing > 0) and is normally read-only (SetReadOnly(true), so
-// external writes bounce with ErrNotPrimary) until promotion, which is
-// Drain + Stop + SetReadOnly(false): Drain lets the applier finish what a
-// fenced or dying primary already put on the socket (Stop alone closes the
+// external writes bounce with ErrNotPrimary) until Promote makes it a
+// writable primary. Promote first lets the applier finish what a fenced or
+// dying primary already put on the socket (stopping alone would close the
 // socket under it), and the store's log already carries the primary's
 // sequence numbering, so a later follower of the promoted store resumes
 // from coherent watermarks.
@@ -52,10 +51,10 @@ const (
 )
 
 // Follower replicates a primary into a local store. Create with Start,
-// end with Stop.
+// end with Promote or Stop.
 type Follower struct {
 	store *tkv.Store
-	addr  string
+	dial  func() (net.Conn, error)
 	stop  chan struct{}
 	done  chan struct{}
 
@@ -69,15 +68,16 @@ type Follower struct {
 	ended chan struct{}
 }
 
-// Start begins replicating from the primary's wire address into store,
-// which must carry a replication log. The applier runs until Stop.
-func Start(store *tkv.Store, addr string) (*Follower, error) {
+// Start begins replicating into store, which must carry a replication log,
+// from the primary's wire server that dial connects to. The applier calls
+// dial for every connection attempt and runs until Promote or Stop.
+func Start(store *tkv.Store, dial func() (net.Conn, error)) (*Follower, error) {
 	if store.Repl() == nil {
 		return nil, errors.New("tkvrepl: store has no replication log (set ReplRing)")
 	}
 	f := &Follower{
 		store: store,
-		addr:  addr,
+		dial:  dial,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -86,8 +86,7 @@ func Start(store *tkv.Store, addr string) (*Follower, error) {
 }
 
 // Stop ends replication and waits for the applier to exit. Idempotent.
-// The store is left as-is (still read-only); promotion additionally
-// clears that with SetReadOnly(false).
+// The store is left as-is, still read-only.
 func (f *Follower) Stop() {
 	f.mu.Lock()
 	select {
@@ -99,13 +98,28 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
-// Drain waits for the connection that is live now to end on its own — the
-// primary's fence frame, or its close or death once everything it had
-// written has been read and applied — for at most timeout, and reports
-// whether the last stream ended in a fence: then the follower holds every
-// write the primary acknowledged. Between connections it returns at once.
-// It stops nothing; promotion is Drain, then Stop.
-func (f *Follower) Drain(timeout time.Duration) (fenced bool) {
+// Promote turns the follower's store into a writable primary. It lets
+// the connection that is live now end on its own — the primary's fence
+// frame, or its close or death once everything it had written has been
+// read and applied — for at most timeout, stops the applier, and clears
+// the store's read-only flag. fenced reports whether the last stream ended
+// in a fence: then the store holds every write the primary acknowledged.
+// gap is, per shard, the primary's head as last heard minus what was
+// applied: what the promotion did not take over.
+func (f *Follower) Promote(timeout time.Duration) (fenced bool, gap []uint64) {
+	fenced = f.drain(timeout)
+	f.Stop()
+	for _, sh := range f.store.Stats().Repl.Shards {
+		gap = append(gap, sh.Lag)
+	}
+	f.store.SetReadOnly(false)
+	return fenced, gap
+}
+
+// drain waits for the live connection to end on its own, for at most
+// timeout, and reports whether the last stream ended in a fence. Between
+// connections it returns at once. It stops nothing.
+func (f *Follower) drain(timeout time.Duration) (fenced bool) {
 	f.mu.Lock()
 	ended := f.ended
 	f.mu.Unlock()
@@ -122,19 +136,22 @@ func (f *Follower) Drain(timeout time.Duration) (fenced bool) {
 	return f.fenced
 }
 
-// Status reports the applier's connection state: whether a stream is
+// status reports the applier's connection state: whether a stream is
 // live, whether the primary fenced it (clean end of stream — everything
 // shipped), and the last connection error.
-func (f *Follower) Status() (connected, fenced bool, lastErr error) {
+func (f *Follower) status() (connected, fenced bool, lastErr error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.connected, f.fenced, f.lastErr
 }
 
-// run is the redial loop.
+// run is the redial loop. The wait before a redial doubles from minBackoff
+// up to maxBackoff while attempts fail; a connection that streamed (it got
+// the primary's metadata) starts it over, and a fence waits maxBackoff: the
+// primary is going away on purpose, and may restart, or we may be promoted.
 func (f *Follower) run() {
 	defer close(f.done)
-	backoff := minBackoff
+	wait := minBackoff
 	for {
 		select {
 		case <-f.stop:
@@ -147,25 +164,23 @@ func (f *Follower) run() {
 		f.mu.Unlock()
 		err := f.stream()
 		f.mu.Lock()
+		streamed := f.connected
 		f.connected = false
 		f.lastErr = err
 		f.mu.Unlock()
 		close(ended)
-		if err == nil {
-			// Clean fence: the primary is going away on purpose; there
-			// is no hurry to redial (it may restart, or we may be
-			// promoted).
-			backoff = maxBackoff
+		switch {
+		case err == nil:
+			wait = maxBackoff
+		case streamed:
+			wait = minBackoff
 		}
 		select {
 		case <-f.stop:
 			return
-		case <-time.After(backoff):
+		case <-time.After(wait):
 		}
-		backoff *= 2
-		if backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		wait = min(2*wait, maxBackoff)
 	}
 }
 
@@ -184,14 +199,11 @@ func subscribeVector(log *tkv.ReplLog) []uint64 {
 // stream runs one connection to completion: nil on a clean fence, an
 // error otherwise.
 func (f *Follower) stream() error {
-	nc, err := net.Dial("tcp", f.addr)
+	nc, err := f.dial()
 	if err != nil {
 		return err
 	}
 	defer nc.Close()
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	// Unblock the read loop when Stop is called mid-stream.
 	watchDone := make(chan struct{})
 	defer close(watchDone)
@@ -210,9 +222,7 @@ func (f *Follower) stream() error {
 	streamID := f.streamID
 	f.mu.Unlock()
 
-	var req []byte
-	req = tkvwire.AppendHelloReq(req, 1, tkvwire.ProtoVersion, tkvwire.FeatReplication)
-	req = tkvwire.AppendReplSubReq(req, 2, streamID, applied)
+	req := tkvwire.AppendReplSubReq(nil, 1, streamID, applied)
 	nc.SetWriteDeadline(time.Now().Add(idleTimeout))
 	if _, err := nc.Write(req); err != nil {
 		return fmt.Errorf("tkvrepl: subscribe write: %w", err)
@@ -223,7 +233,6 @@ func (f *Follower) stream() error {
 	var hdr [tkvwire.HeaderSize]byte
 	var payload []byte
 	var rec tkvlog.Record
-	sawHello := false
 	for {
 		nc.SetReadDeadline(time.Now().Add(idleTimeout))
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -245,20 +254,7 @@ func (f *Follower) stream() error {
 			return fmt.Errorf("tkvrepl: primary refused (status %d): %s", h.Status, p)
 		}
 		switch h.Op {
-		case tkvwire.OpHello:
-			_, granted, err := tkvwire.ParseHello(p)
-			if err != nil {
-				return err
-			}
-			if granted&tkvwire.FeatReplication == 0 {
-				return errors.New("tkvrepl: primary does not serve replication " +
-					"(older tkvd, or started without a repl ring)")
-			}
-			sawHello = true
 		case tkvwire.OpReplMeta:
-			if !sawHello {
-				return errors.New("tkvrepl: stream frame before handshake response")
-			}
 			id, heads, err := tkvwire.ParseReplMeta(p)
 			if err != nil {
 				return err

@@ -107,7 +107,7 @@ func crashCheckpointAt(t *testing.T, shards int, k int64) bool {
 	}
 	crashed = crashed || errors.Is(w.Err(), errPowerCut)
 	w.Abandon()
-	fs.PowerCut()
+	fs.PowerCut(0)
 
 	kv := newReplayKV()
 	w2, err := Open(opts, kv.apply)

@@ -22,7 +22,7 @@ const dir = "wal"
 // the set of keys recovery replayed.
 func recoveredKeys(t *testing.T, fs *tkvwal.SimFS, shards int) map[uint64]bool {
 	t.Helper()
-	fs.PowerCut()
+	fs.PowerCut(0)
 	got := map[uint64]bool{}
 	w, err := tkvwal.Open(tkvwal.Options{Dir: dir, Shards: shards, FS: fs}, func(rec *tkvlog.Record) error {
 		for _, e := range rec.Entries {

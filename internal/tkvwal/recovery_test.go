@@ -300,11 +300,12 @@ func tornDir(t *testing.T, shards int) (*SimFS, Options, map[uint64]string) {
 	return fs, opts, acked
 }
 
-// reopenAfterCrash cuts the power, opens the log again and checks that
-// every acked record came back. It returns what recovery replayed.
-func reopenAfterCrash(t *testing.T, label string, fs *SimFS, opts Options, acked map[uint64]string) (*WAL, map[uint64]string) {
+// reopenAfterCrash cuts the power with tear, opens the log again and
+// checks that every acked record came back. It returns what recovery
+// replayed.
+func reopenAfterCrash(t *testing.T, label string, fs *SimFS, tear uint64, opts Options, acked map[uint64]string) (*WAL, map[uint64]string) {
 	t.Helper()
-	fs.PowerCut()
+	fs.PowerCut(tear)
 	kv := newReplayKV()
 	w, err := Open(opts, kv.apply)
 	if err != nil {
@@ -336,7 +337,7 @@ func TestTornTailCutSurvivesPowerCut(t *testing.T) {
 	}
 	acked[key] = "acked"
 	w.Abandon()
-	w, _ = reopenAfterCrash(t, "after the power cut", fs, opts, acked)
+	w, _ = reopenAfterCrash(t, "after the power cut", fs, 0, opts, acked)
 	w.Close()
 }
 
@@ -348,26 +349,47 @@ func TestTornTailCutSurvivesPowerCut(t *testing.T) {
 // power cut must never refuse and must bring back every acked record, and a
 // further Open, after a second power cut, must recover the same. The sweep
 // ends with the first run that finishes before its crash point.
+//
+// It sweeps once per tear (SimFS.PowerCut): tear 0 drops every unsynced
+// byte, the others keep a prefix of them, so a power cut between the
+// append's write and its fsync leaves part of a record for recovery to
+// cut. At least one run must do that.
 func TestRecoveryEveryCrashPoint(t *testing.T) { eachShape(t, 3, testRecoveryEveryCrashPoint) }
 
 func testRecoveryEveryCrashPoint(t *testing.T, shards int) {
-	k := int64(1)
-	for crashRecoveryAt(t, shards, k) {
-		k++
+	const tears = 8
+	points, torn := 0, 0
+	for tear := uint64(0); tear < tears; tear++ {
+		k := int64(1)
+		for {
+			crashed, cut := crashRecoveryAt(t, shards, k, tear)
+			if cut {
+				torn++
+			}
+			if !crashed {
+				break
+			}
+			k++
+		}
+		points += int(k - 1)
 	}
-	t.Logf("%d crash points", k-1)
+	t.Logf("%d crash points over %d tears; %d recoveries cut a torn append", points, tears, torn)
+	if torn == 0 {
+		t.Fatalf("no recovery over %d tears cut a torn append: the power cuts tear nothing", tears)
+	}
 }
 
 // crashRecoveryAt runs the sweep's scenario with the power cut at its kth FS
 // operation and checks the two recoveries after it. It reports whether the
-// crash point came.
-func crashRecoveryAt(t *testing.T, shards int, k int64) bool {
+// crash point came, and whether the first recovery cut a torn append: bytes
+// of a tail the Open before the crash had already cut.
+func crashRecoveryAt(t *testing.T, shards int, k int64, tear uint64) (crashed, cut bool) {
 	t.Helper()
-	label := fmt.Sprintf("crash at operation %d", k)
+	label := fmt.Sprintf("tear %d, crash at operation %d", tear, k)
 	fs, opts, acked := tornDir(t, shards)
 	fs.FailAll(k, errPowerCut)
 	w, err := Open(opts, noApply)
-	crashed := err != nil
+	crashed = err != nil
 	if crashed && !errors.Is(err, errPowerCut) {
 		t.Fatalf("%s: Open failed without the power cut: %v", label, err)
 	}
@@ -379,12 +401,13 @@ func crashRecoveryAt(t *testing.T, shards int, k int64) bool {
 		crashed = errors.Is(w.Err(), errPowerCut)
 		w.Abandon()
 	}
-	w, first := reopenAfterCrash(t, label, fs, opts, acked)
+	w, first := reopenAfterCrash(t, label, fs, tear, opts, acked)
+	cut = err == nil && w.Stats().Recovery.TruncatedBytes > 0
 	w.Abandon()
-	w, again := reopenAfterCrash(t, label+", reopened", fs, opts, acked)
+	w, again := reopenAfterCrash(t, label+", reopened", fs, tear, opts, acked)
 	w.Close()
 	if !maps.Equal(first, again) {
 		t.Fatalf("%s: a further open recovered %v, the first %v", label, again, first)
 	}
-	return crashed
+	return crashed, cut
 }

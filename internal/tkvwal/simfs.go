@@ -1,9 +1,12 @@
 package tkvwal
 
 import (
+	"bytes"
+	"hash/fnv"
 	"io"
 	"io/fs"
 	"maps"
+	"math/rand/v2"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -98,10 +101,22 @@ func (s *SimFS) ReleaseAll() {
 // PowerCut is a power failure and the reboot after it: every file goes
 // back to its contents at its last Sync, the names go back to their last
 // SyncDir, and every armed fault is disarmed. Abandon or close the log first.
-func (s *SimFS) PowerCut() {
+//
+// A file that only grew since its last Sync keeps a prefix of the bytes it
+// grew by, as a disk that wrote part of them before the power failed does:
+// tear picks the prefix's length per file (the same tear over the same
+// disk keeps the same bytes), and tear 0 keeps none. What a cut keeps is
+// durable from then on.
+func (s *SimFS) PowerCut(tear uint64) {
 	s.locked(func() {
 		s.names = maps.Clone(s.durable)
-		for _, n := range s.names {
+		for name, n := range s.names {
+			if grown := len(n.data) - len(n.synced); tear != 0 && grown > 0 && bytes.HasPrefix(n.data, n.synced) {
+				h := fnv.New64a()
+				h.Write([]byte(name))
+				kept := rand.New(rand.NewPCG(tear, h.Sum64())).IntN(grown + 1)
+				n.synced = slices.Clip(n.data[:len(n.synced)+kept])
+			}
 			n.data = n.synced
 		}
 		clear(s.faults[:])

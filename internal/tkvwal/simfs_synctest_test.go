@@ -68,7 +68,7 @@ func TestSimFSHeldSyncAndCost(t *testing.T) {
 		if err := s.SyncDir("d"); err != nil {
 			t.Fatal(err)
 		}
-		s.PowerCut()
+		s.PowerCut(0)
 		if data, _ := simRead(t, s, "d/f"); data != "123456" {
 			t.Fatalf("the file holds %q after the cut, want every byte the released Syncs covered", data)
 		}

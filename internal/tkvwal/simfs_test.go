@@ -5,6 +5,7 @@ import (
 	"io"
 	"io/fs"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -74,11 +75,67 @@ func TestSimFSPowerCutDropsUnsyncedBytes(t *testing.T) {
 			t.Fatalf("%s before the cut: %q, want %q", name, got, want)
 		}
 	}
-	s.PowerCut()
+	s.PowerCut(0)
 	for name, want := range map[string]string{"d/synced": "durable", "d/unsynced": "", "d/cut": "durable", "d/cut+synced": "dur"} {
 		if got, ok := simRead(t, s, name); !ok || got != want {
 			t.Fatalf("%s after the cut: %q (exists %v), want %q", name, got, ok, want)
 		}
+	}
+}
+
+// TestSimFSPowerCutTearsAPrefix: a power cut with a nonzero tear keeps a
+// prefix of what a file grew by since its last Sync, of a length the tear
+// picks: the same tear over the same disk keeps the same bytes, some tears
+// keep part of them, and what is kept is durable. A file that a truncate
+// cut since its last Sync goes back to that Sync whatever the tear.
+func TestSimFSPowerCutTearsAPrefix(t *testing.T) {
+	const synced, grown = "durable", "+0123456789"
+	disk := func() *SimFS {
+		s := &SimFS{}
+		simWrite(t, s, "d/grown", synced, true)
+		simWrite(t, s, "d/grown", grown, false)
+		simWrite(t, s, "d/cut", synced, true)
+		if err := s.Truncate("d/cut", 3); err != nil {
+			t.Fatal(err)
+		}
+		simWrite(t, s, "d/cut", grown, false)
+		if err := s.SyncDir("d"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	lengths := map[int]bool{}
+	for tear := uint64(1); tear <= 32; tear++ {
+		var kept string
+		for range 2 {
+			s := disk()
+			s.PowerCut(tear)
+			got, _ := simRead(t, s, "d/grown")
+			if kept != "" && got != kept {
+				t.Fatalf("tear %d kept %q on one disk and %q on its twin", tear, kept, got)
+			}
+			kept = got
+			if !strings.HasPrefix(synced+grown, got) || len(got) < len(synced) {
+				t.Fatalf("tear %d: the file holds %q, want %q and a prefix of %q", tear, got, synced, grown)
+			}
+			if cut, _ := simRead(t, s, "d/cut"); cut != synced {
+				t.Fatalf("tear %d: the truncated file holds %q, want its last Sync's %q", tear, cut, synced)
+			}
+			s.PowerCut(tear)
+			if again, _ := simRead(t, s, "d/grown"); again != got {
+				t.Fatalf("tear %d: a second cut left %q of the %q the first kept", tear, again, got)
+			}
+		}
+		lengths[len(kept)-len(synced)] = true
+	}
+	partial := 0
+	for n := range lengths {
+		if n > 0 && n < len(grown) {
+			partial++
+		}
+	}
+	if partial < 2 {
+		t.Fatalf("32 tears kept %v bytes of %d, want at least two partial lengths", lengths, len(grown))
 	}
 }
 
@@ -108,7 +165,7 @@ func TestSimFSPowerCutRevertsNames(t *testing.T) {
 		} else {
 			want = []string{"removed", "renamed"}
 		}
-		s.PowerCut()
+		s.PowerCut(0)
 		if got, err := s.List("d"); err != nil || !slices.Equal(got, want) {
 			t.Fatalf("dir synced %v: %v (err %v) after the cut, want %v", synced, got, err, want)
 		}
@@ -145,7 +202,7 @@ func TestSimFSFaultsFromTheNthCall(t *testing.T) {
 			t.Fatalf("sync %d: %v, want %v", i+1, err, want)
 		}
 	}
-	s.PowerCut()
+	s.PowerCut(0)
 	s.FailAll(2, boom)
 	if _, err := s.List("d"); err != nil {
 		t.Fatalf("first call: %v", err)
@@ -156,7 +213,7 @@ func TestSimFSFaultsFromTheNthCall(t *testing.T) {
 	if _, err := s.Create("d/g"); err != boom {
 		t.Fatalf("third call: %v, want the fault", err)
 	}
-	s.PowerCut()
+	s.PowerCut(0)
 	if err := s.SyncDir("d"); err != nil {
 		t.Fatalf("after the power cut: %v", err)
 	}

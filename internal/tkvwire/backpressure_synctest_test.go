@@ -5,7 +5,7 @@ package tkvwire
 // The shed path on the wire, in bubbles (internal/synctime): the
 // admission controller's ticks are the bubble's, so the tests know exactly
 // when every batch sheds. The server comes up once the ramp is done, over
-// a pipeListener or, for the alloc gate, loopback TCP.
+// a synctime.PipeListener or, for the alloc gate, loopback TCP.
 
 import (
 	"errors"
@@ -54,9 +54,9 @@ func TestServerBackpressureStatus(t *testing.T) {
 }
 
 func testServerBackpressureStatus(t *testing.T) {
-	ln := newPipeListener()
+	ln := synctime.NewPipeListener()
 	defer serveShedding(t, ln)()
-	c := NewConn(ln.dial(t))
+	c := NewConn(dialPipe(t, ln))
 	defer c.Close()
 
 	// Past the ramp every batch sheds.
@@ -143,10 +143,10 @@ func testWireBatchShedsOnce(t *testing.T) {
 		t.Fatalf("the twin sheds %v of its batches, want 0.2", rate)
 	}
 
-	ln := newPipeListener()
+	ln := synctime.NewPipeListener()
 	_, stop := serveOn(t, st, ln)
 	defer stop()
-	c := NewConn(ln.dial(t))
+	c := NewConn(dialPipe(t, ln))
 	defer c.Close()
 	shed := 0
 	for i := 0; i < batches; i++ {

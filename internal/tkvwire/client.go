@@ -238,26 +238,6 @@ func errOf(cl *call) error {
 	return &StatusError{Status: cl.status, Msg: string(cl.payload.B)}
 }
 
-// Hello performs the protocol handshake, requesting feature bits, and
-// returns the bits the server granted (requested ∩ served). Optional:
-// connections that skip it keep the pre-handshake opcode family, which is
-// the whole KV surface — only the replication opcodes require it.
-func (c *Conn) Hello(features uint64) (uint64, error) {
-	id := c.nextID.Add(1)
-	f := GetFrame(HeaderSize + 10)
-	f.B = AppendHelloReq(f.B, id, ProtoVersion, features)
-	cl, err := c.do(id, f)
-	if err != nil {
-		return 0, err
-	}
-	defer c.release(cl)
-	if err := errOf(cl); err != nil {
-		return 0, err
-	}
-	_, granted, err := ParseHello(cl.payload.B)
-	return granted, err
-}
-
 // Ping round-trips an empty frame.
 func (c *Conn) Ping() error {
 	id := c.nextID.Add(1)

@@ -5,70 +5,31 @@ package tkvwire
 import (
 	"errors"
 	"net"
-	"sync"
 	"testing"
 
+	"github.com/shrink-tm/shrink/internal/synctime"
 	"github.com/shrink-tm/shrink/internal/tkv"
 )
 
-// pipeListener is an in-memory net.Listener for tests in a bubble
-// (internal/synctime): each dial is a net.Pipe whose one end Accept hands
-// the server. A pipe is channels, so a server and client waiting on one
-// are durably blocked and the bubble's clock can move; a real socket
-// would hold it still.
-type pipeListener struct {
-	conns chan net.Conn
-	done  chan struct{}
-	once  sync.Once
-}
-
-func newPipeListener() *pipeListener {
-	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
-}
-
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case nc := <-l.conns:
-		return nc, nil
-	case <-l.done:
-		return nil, net.ErrClosed
-	}
-}
-
-func (l *pipeListener) Close() error {
-	l.once.Do(func() { close(l.done) })
-	return nil
-}
-
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return "pipe" }
-
-// dial connects a client end to the listener's server.
-func (l *pipeListener) dial(t testing.TB) net.Conn {
+// dialPipe connects a client end to ln's server.
+func dialPipe(t testing.TB, ln *synctime.PipeListener) net.Conn {
 	t.Helper()
-	server, client := net.Pipe()
-	select {
-	case l.conns <- server:
-		return client
-	case <-l.done:
-		t.Fatal("dial: listener closed")
-		return nil
+	nc, err := ln.Dial()
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
+	return nc
 }
 
-// servePipe opens a store of cfg and serves it over a pipeListener. stop
+// servePipe opens a store of cfg and serves it over a PipeListener. stop
 // closes the server and then the store; a test defers it inside its bubble.
-func servePipe(t testing.TB, cfg tkv.Config) (srv *Server, ln *pipeListener, stop func()) {
+func servePipe(t testing.TB, cfg tkv.Config) (srv *Server, ln *synctime.PipeListener, stop func()) {
 	t.Helper()
 	st, err := tkv.Open(cfg)
 	if err != nil {
 		t.Fatalf("tkv.Open: %v", err)
 	}
-	ln = newPipeListener()
+	ln = synctime.NewPipeListener()
 	srv, stop = serveOn(t, st, ln)
 	return srv, ln, stop
 }

@@ -9,10 +9,10 @@ import (
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 )
 
-// Server-side replication shipping. A follower subscribes with OpReplSub
-// (after a handshake granting FeatReplication); the connection's read
-// loop then spawns a shipper goroutine that streams the store's
-// replication log into the connection's ordinary response channel:
+// Server-side replication shipping. A follower subscribes with OpReplSub;
+// the connection's read loop then spawns a shipper goroutine that streams
+// the store's replication log into the connection's ordinary response
+// channel:
 //
 //	OpReplMeta   stream identity + per-shard heads (first frame, then a
 //	             periodic heartbeat so the follower can track lag)
@@ -56,11 +56,6 @@ type shipper struct {
 // dispatchReplSub validates and starts a subscription. It runs on the
 // read loop; the stream itself runs on an async-tracked goroutine.
 func (c *conn) dispatchReplSub(h Header, p []byte) bool {
-	if c.features&FeatReplication == 0 {
-		c.sendErr(h.Op, h.ID, StatusBadRequest,
-			"tkvwire: repl subscribe without a handshake granting replication")
-		return false
-	}
 	log := c.srv.store.Repl()
 	if log == nil {
 		c.sendErr(h.Op, h.ID, StatusBadRequest, "tkvwire: server has no replication log")

@@ -12,15 +12,16 @@ import (
 )
 
 // TestReplHeartbeatAndDrainDeadline, in a bubble (internal/synctime) over
-// a pipeListener: a subscribed stream with nothing to ship receives a
-// metadata frame when it subscribes and then one every replHeartbeat,
-// exactly. DrainRepl, once the follower has stopped reading, queues the
-// fence behind what is unread and returns false at its deadline, exactly.
+// a synctime.PipeListener: a subscribed stream with nothing to ship
+// receives a metadata frame when it subscribes and then one every
+// replHeartbeat, exactly. DrainRepl, once the follower has stopped
+// reading, queues the fence behind what is unread and returns false at its
+// deadline, exactly.
 func TestReplHeartbeatAndDrainDeadline(t *testing.T) {
 	synctime.Run(t, func() {
 		srv, ln, stop := servePipe(t, tkv.Config{Shards: 2, PoolSize: 2, Buckets: 64, ReplRing: 64})
 		defer stop()
-		nc := ln.dial(t)
+		nc := dialPipe(t, ln)
 		defer nc.Close()
 		r := &replRawConn{t: t, nc: nc, br: bufio.NewReader(nc)}
 

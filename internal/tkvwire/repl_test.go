@@ -40,38 +40,25 @@ func startReplServer(t testing.TB, cfg tkv.Config) (*tkv.Store, *Server, string)
 	return st, srv, ln.Addr().String()
 }
 
-func TestHelloNegotiation(t *testing.T) {
-	// A server without a replication log grants nothing.
-	addr := startServer(t)
-	c := dialTest(t, addr)
-	granted, err := c.Hello(FeatReplication)
-	if err != nil {
-		t.Fatalf("hello: %v", err)
+// TestReplSubWithoutReplLogRefused: a store without a replication log
+// refuses a subscription with StatusBadRequest, and the refusal is a reply:
+// the connection keeps serving.
+func TestReplSubWithoutReplLogRefused(t *testing.T) {
+	_, _, addr := startReplServer(t, tkv.Config{Shards: 2, PoolSize: 2, Buckets: 64})
+	r := replRawDial(t, addr)
+	r.write(AppendReplSubReq(nil, 1, 0, make([]uint64, 2)))
+	if h, p := r.read(); h.Op != OpReplSub || h.Status != StatusBadRequest {
+		t.Fatalf("subscription to a store without a replication log: op 0x%02x status %d (%s), want bad request", h.Op, h.Status, p)
 	}
-	if granted != 0 {
-		t.Fatalf("plain server granted %#x", granted)
-	}
-	// The connection keeps serving after the handshake.
-	if _, err := c.Put(1, "x"); err != nil {
-		t.Fatalf("put after hello: %v", err)
-	}
-
-	// A replicating server grants the replication bit — but only the
-	// requested intersection.
-	_, _, raddr := startReplServer(t, tkv.Config{Shards: 2, PoolSize: 2, Buckets: 64, ReplRing: 64})
-	rc := dialTest(t, raddr)
-	if granted, err = rc.Hello(FeatReplication); err != nil || granted != FeatReplication {
-		t.Fatalf("repl server hello = %#x, %v", granted, err)
-	}
-	rc2 := dialTest(t, raddr)
-	if granted, err = rc2.Hello(0); err != nil || granted != 0 {
-		t.Fatalf("zero-feature hello = %#x, %v", granted, err)
+	r.write(AppendPingReq(nil, 2))
+	if h, _ := r.read(); h.Op != OpPing || h.Status != StatusOK || h.ID != 2 {
+		t.Fatalf("ping after the refusal: %+v", h)
 	}
 }
 
 // TestMixedVersionCompat pins the compatibility contract: a client that
-// never sends OpHello — every client older than the handshake — keeps
-// working against a replicating server.
+// speaks only the 0x01–0x0B family — every client older than replication —
+// keeps working against a replicating server.
 func TestMixedVersionCompat(t *testing.T) {
 	_, _, addr := startReplServer(t, tkv.Config{Shards: 2, PoolSize: 2, Buckets: 64, ReplRing: 64})
 	c := dialTest(t, addr)
@@ -130,34 +117,9 @@ func (r *replRawConn) read() (Header, []byte) {
 	return h, p
 }
 
-// readEOF asserts the server closed the connection.
-func (r *replRawConn) readEOF() {
-	r.t.Helper()
-	r.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var b [1]byte
-	if _, err := io.ReadFull(r.br, b[:]); err == nil {
-		r.t.Fatal("connection still open, want close")
-	}
-}
-
-func TestReplSubRequiresHandshake(t *testing.T) {
-	_, _, addr := startReplServer(t, tkv.Config{Shards: 2, PoolSize: 2, Buckets: 64, ReplRing: 64})
-	r := replRawDial(t, addr)
-	r.write(AppendReplSubReq(nil, 1, 0, make([]uint64, 2)))
-	h, _ := r.read()
-	if h.Status != StatusBadRequest {
-		t.Fatalf("status = %d, want bad request", h.Status)
-	}
-	r.readEOF()
-}
-
 func TestReplSubShardMismatch(t *testing.T) {
 	_, _, addr := startReplServer(t, tkv.Config{Shards: 2, PoolSize: 2, Buckets: 64, ReplRing: 64})
 	r := replRawDial(t, addr)
-	r.write(AppendHelloReq(nil, 1, ProtoVersion, FeatReplication))
-	if h, _ := r.read(); h.Op != OpHello || h.Status != StatusOK {
-		t.Fatalf("hello response: %+v", h)
-	}
 	r.write(AppendReplSubReq(nil, 2, 0, make([]uint64, 8))) // server has 2 shards
 	h, p := r.read()
 	if h.Status != StatusBadRequest {
@@ -169,10 +131,6 @@ func TestReplSubOnFollowerRefused(t *testing.T) {
 	st, _, addr := startReplServer(t, tkv.Config{Shards: 2, PoolSize: 2, Buckets: 64, ReplRing: 64})
 	st.SetReadOnly(true)
 	r := replRawDial(t, addr)
-	r.write(AppendHelloReq(nil, 1, ProtoVersion, FeatReplication))
-	if h, _ := r.read(); h.Op != OpHello || h.Status != StatusOK {
-		t.Fatalf("hello response: %+v", h)
-	}
 	r.write(AppendReplSubReq(nil, 2, 0, make([]uint64, 2)))
 	if h, _ := r.read(); h.Status != StatusNotPrimary {
 		t.Fatalf("status = %d, want not-primary", h.Status)
@@ -205,14 +163,9 @@ func TestReplSubOnFollowerRefused(t *testing.T) {
 	}
 }
 
-// subscribe performs the handshake and subscription, consuming the hello
-// response, and returns after the first metadata frame.
+// subscribe subscribes and returns after the first metadata frame.
 func (r *replRawConn) subscribe(streamID uint64, applied []uint64) {
 	r.t.Helper()
-	r.write(AppendHelloReq(nil, 1, ProtoVersion, FeatReplication))
-	if h, _ := r.read(); h.Op != OpHello || h.Status != StatusOK {
-		r.t.Fatalf("hello response: %+v", h)
-	}
 	r.write(AppendReplSubReq(nil, 2, streamID, applied))
 	h, _ := r.read()
 	if h.Op != OpReplMeta || h.Status != StatusOK {
@@ -337,21 +290,6 @@ func TestReplStreamResyncOnIdentityChange(t *testing.T) {
 			t.Fatalf("op 0x%02x, want cut after identity change", h.Op)
 		}
 		return
-	}
-}
-
-func TestHelloCodecRoundTrip(t *testing.T) {
-	req := AppendHelloReq(nil, 9, ProtoVersion, FeatReplication|0xf0)
-	h, p := header(t, req, MaxFrame)
-	if h.Op != OpHello || h.ID != 9 {
-		t.Fatalf("header %+v", h)
-	}
-	ver, feats, err := ParseHello(p)
-	if err != nil || ver != ProtoVersion || feats != FeatReplication|0xf0 {
-		t.Fatalf("parse = %d %#x %v", ver, feats, err)
-	}
-	if _, _, err := ParseHello(p[:5]); err == nil {
-		t.Fatal("short hello accepted")
 	}
 }
 

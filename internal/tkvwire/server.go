@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"github.com/shrink-tm/shrink/internal/tkv"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
@@ -54,16 +55,6 @@ func NewServer(st *tkv.Store) *Server {
 	}
 }
 
-// serverFeatures returns the feature bits this server grants in a
-// handshake.
-func (s *Server) serverFeatures() uint64 {
-	var f uint64
-	if s.store.Repl() != nil {
-		f |= FeatReplication
-	}
-	return f
-}
-
 // Serve accepts connections on ln until Close. It always returns a non-nil
 // error; after Close the error is ErrServerClosed.
 func (s *Server) Serve(ln net.Listener) error {
@@ -99,8 +90,17 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops the listener, closes every open connection and waits for
-// their handlers to drain.
+// closeGrace bounds how long Close waits for a peer to take the responses
+// its connection still owes.
+const closeGrace = time.Second
+
+// Close stops the listener and every connection and waits for their
+// handlers to drain. A connection stops reading first: its handler runs
+// what it has already read, sends the responses and only then closes it,
+// so a client never sees its connection end before a request the server
+// read has run, and a retry on a new connection cannot be overtaken by
+// the request it retries. A peer that has not taken its responses within
+// closeGrace is cut off.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -110,7 +110,8 @@ func (s *Server) Close() error {
 	s.closed = true
 	ln := s.ln
 	for nc := range s.conns {
-		nc.Close()
+		nc.SetReadDeadline(time.Unix(1, 0))
+		nc.SetWriteDeadline(time.Now().Add(closeGrace))
 	}
 	s.mu.Unlock()
 	var err error
@@ -151,10 +152,6 @@ type conn struct {
 	// stores, where writes respond inline.
 	acks      chan walAck
 	ackerDone chan struct{}
-	// Handshake state, owned by the read loop: features holds the bits
-	// granted by OpHello (0 before one completes). The repl opcodes are
-	// refused until a handshake grants FeatReplication.
-	features uint64
 	// Cohort warming (see warmCohort), owned by the read loop: window is
 	// the bytes of buffered requests the last scan covered that the loop
 	// has not consumed yet, warmKeys the scan's get keys, and warmSink
@@ -560,18 +557,6 @@ func (c *conn) dispatch(h Header, p []byte) bool {
 			f.B = AppendSnapResp(f.B, id, snap)
 			c.out <- f
 		})
-	case OpHello:
-		version, features, err := ParseHello(p)
-		if err != nil {
-			c.sendErr(h.Op, h.ID, StatusBadRequest, err.Error())
-			return false
-		}
-		granted := features & c.srv.serverFeatures()
-		c.features = granted
-		_ = version // informational; the frame format is shared across versions
-		f := GetFrame(HeaderSize + 10)
-		f.B = AppendHelloResp(f.B, h.ID, ProtoVersion, granted)
-		c.out <- f
 	case OpReplSub:
 		return c.dispatchReplSub(h, p)
 	default:

@@ -62,27 +62,15 @@ const (
 	OpStats  = 0x0A // req: empty | resp: tkv.Stats as JSON bytes
 	OpSnap   = 0x0B // req: empty | resp: n,(key,vlen,val)* consistent cut
 
-	// Handshake and replication family. OpHello negotiates a protocol
-	// version and feature bits; the repl opcodes require a completed
-	// handshake granting FeatReplication. Clients that never send OpHello
-	// keep working with the 0x01–0x0B family unchanged.
-	OpHello     = 0x10 // req: version u16, features u64 | resp: version u16, features u64 (granted)
+	// Replication family. OpReplSub alone subscribes: a store without a
+	// replication log refuses it with StatusBadRequest and keeps the
+	// connection. 0x10 is unassigned: it was a handshake that granted
+	// this family exactly when the store had that log.
 	OpReplSub   = 0x11 // req: streamID u64, nshards u32, lastApplied u64* | stream of repl frames
 	OpReplRec   = 0x12 // srv->cli: payload is one tkvlog record, verbatim
 	OpReplCut   = 0x13 // srv->cli: shard u32, seq u64, n u32, (key u64, vlen u32, val)*
 	OpReplMeta  = 0x14 // srv->cli: streamID u64, nshards u32, heads u64*
 	OpReplFence = 0x15 // srv->cli: clean end of stream (primary fenced itself)
-)
-
-// Protocol version and feature bits negotiated by OpHello. The version is
-// informational (the frame format has not changed since v1); capability
-// gating runs on the feature bits, which the server intersects with what
-// it actually serves.
-const (
-	ProtoVersion = 2
-	// FeatReplication grants the repl opcode family; the server offers it
-	// only when its store carries a replication log.
-	FeatReplication = uint64(1) << 0
 )
 
 // Response statuses.
@@ -520,31 +508,7 @@ func ParseResultsResp(op byte, p []byte) ([]tkv.OpResult, error) {
 	return out, nil
 }
 
-// ---- handshake and replication codecs ----
-
-// AppendHelloReq appends a handshake request declaring the client's
-// protocol version and requested feature bits.
-func AppendHelloReq(b []byte, id uint64, version uint16, features uint64) []byte {
-	b = appendHeader(b, OpHello, 0, 0, id, 2+8)
-	b = le.AppendUint16(b, version)
-	return le.AppendUint64(b, features)
-}
-
-// AppendHelloResp appends the handshake response: the server's version
-// and the granted feature bits (requested ∩ served).
-func AppendHelloResp(b []byte, id uint64, version uint16, features uint64) []byte {
-	b = appendHeader(b, OpHello, 0, StatusOK, id, 2+8)
-	b = le.AppendUint16(b, version)
-	return le.AppendUint64(b, features)
-}
-
-// ParseHello decodes a handshake payload (same shape both directions).
-func ParseHello(p []byte) (version uint16, features uint64, err error) {
-	if len(p) != 10 {
-		return 0, 0, errTruncated(OpHello)
-	}
-	return le.Uint16(p), le.Uint64(p[2:]), nil
-}
+// ---- replication codecs ----
 
 // AppendReplSubReq appends a replication subscribe request: the stream
 // identity the follower last synced against (0 on first contact) and its
