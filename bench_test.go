@@ -1,9 +1,8 @@
-// Per-figure benchmarks: every table and figure of the paper's evaluation
-// has a Benchmark* target here that regenerates its rows (see the
-// per-experiment index in DESIGN.md). Throughput figures report a "tx/s"
-// metric; speedup figures report "speedup"; theory benchmarks report the
-// measured competitive ratio. The workload geometry is scaled so the whole
-// suite finishes in CI time — run the cmd/ tools for full sweeps.
+// Root benchmarks: Section 2's theorems (the competitive ratio the
+// simulator measures on each lower-bound family), ablations of Shrink's
+// design choices ("tx/s") and the engines' per-transaction costs. The
+// paper's figures are BenchmarkFigures in cmd/figures (EXPERIMENTS.md's
+// figure index).
 package shrink
 
 import (
@@ -13,11 +12,11 @@ import (
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/bench7"
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/microbench"
 	"github.com/shrink-tm/shrink/internal/sched"
 	"github.com/shrink-tm/shrink/internal/schedsim"
-	"github.com/shrink-tm/shrink/internal/stamp"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
 	"github.com/shrink-tm/shrink/internal/stm/tiny"
@@ -43,27 +42,6 @@ func measure(b *testing.B, cfg harness.Config, w func() harness.Workload) harnes
 	b.ReportMetric(total/float64(b.N), "tx/s")
 	b.ReportMetric(last.AbortRate, "abortRate")
 	return last
-}
-
-func speedup(b *testing.B, base harness.Config, w func() harness.Workload) {
-	b.Helper()
-	var total float64
-	for i := 0; i < b.N; i++ {
-		without := base
-		without.Scheduler = harness.SchedNone
-		with := base
-		with.Scheduler = harness.SchedShrink
-		r0, err := harness.Run(without, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r1, err := harness.Run(with, w)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += harness.Speedup(r1, r0)
-	}
-	b.ReportMetric(total/float64(b.N), "speedup")
 }
 
 // --- E1: Theorem 1 — Serializer and ATS are O(n)-competitive (Fig. 2) ---
@@ -124,175 +102,7 @@ func BenchmarkTheorem3Inaccurate(b *testing.B) {
 	b.ReportMetric(ratio, "competitiveRatio")
 }
 
-// --- E4: Figure 3 — access-set prediction accuracy on STMBench7 ---
-
-func BenchmarkFig3PredictionAccuracy(b *testing.B) {
-	for _, mix := range []bench7.Mix{bench7.ReadDominated, bench7.ReadWrite, bench7.WriteDominated} {
-		mix := mix
-		b.Run(mix.String(), func(b *testing.B) {
-			var readAcc, writeAcc float64
-			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.Config{
-					Engine:        harness.EngineSwiss,
-					Scheduler:     harness.SchedShrink,
-					Threads:       8,
-					Duration:      benchDur,
-					Cores:         8,
-					TrackAccuracy: true,
-				}, func() harness.Workload { return bench7.NewWorkload(mix, bench7.Params{}) })
-				if err != nil {
-					b.Fatal(err)
-				}
-				readAcc, writeAcc = res.ReadAccuracy, res.WriteAccuracy
-			}
-			b.ReportMetric(readAcc*100, "readAcc%")
-			b.ReportMetric(writeAcc*100, "writeAcc%")
-		})
-	}
-}
-
-// --- E5: Figure 5 — SwissTM on STMBench7 (preemptive waiting) ---
-
-func BenchmarkFig5SwissSTMBench7(b *testing.B) {
-	for _, scheduler := range []string{
-		harness.SchedNone, harness.SchedPool, harness.SchedShrink, harness.SchedATS,
-	} {
-		for _, threads := range []int{4, 16} {
-			scheduler, threads := scheduler, threads
-			b.Run(scheduler+"/rw/t"+itoa(threads), func(b *testing.B) {
-				measure(b, harness.Config{
-					Engine:    harness.EngineSwiss,
-					Scheduler: scheduler,
-					Wait:      stm.WaitPreemptive,
-					Threads:   threads,
-					Duration:  benchDur,
-					Cores:     8,
-				}, func() harness.Workload {
-					return bench7.NewWorkload(bench7.ReadWrite, bench7.Params{})
-				})
-			})
-		}
-	}
-}
-
-// --- E6: Figure 6 — Shrink-SwissTM speedup on STAMP ---
-
-func BenchmarkFig6SwissSTAMP(b *testing.B) {
-	for _, kernel := range stamp.Names() {
-		for _, threads := range []int{8, 32} {
-			kernel, threads := kernel, threads
-			b.Run(kernel+"/t"+itoa(threads), func(b *testing.B) {
-				speedup(b, harness.Config{
-					Engine:   harness.EngineSwiss,
-					Threads:  threads,
-					Duration: benchDur,
-					Cores:    8,
-					Seed:     1,
-				}, func() harness.Workload { return stamp.MustNew(kernel) })
-			})
-		}
-	}
-}
-
-// --- E7: Figure 7 — SwissTM red-black tree ---
-
-func BenchmarkFig7SwissRBTree(b *testing.B) {
-	for _, rate := range []int{20, 70} {
-		for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink, harness.SchedATS} {
-			rate, scheduler := rate, scheduler
-			b.Run(itoa(rate)+"pct/"+scheduler, func(b *testing.B) {
-				measure(b, harness.Config{
-					Engine:    harness.EngineSwiss,
-					Scheduler: scheduler,
-					Threads:   16,
-					Duration:  benchDur,
-					Cores:     8,
-					Seed:      1,
-				}, func() harness.Workload { return microbench.NewRBTree(16384, rate) })
-			})
-		}
-	}
-}
-
-// --- E8: Figure 8 — TinySTM on STMBench7 ---
-
-func BenchmarkFig8TinySTMBench7(b *testing.B) {
-	for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink} {
-		for _, threads := range []int{4, 24} {
-			scheduler, threads := scheduler, threads
-			b.Run(scheduler+"/r/t"+itoa(threads), func(b *testing.B) {
-				measure(b, harness.Config{
-					Engine:    harness.EngineTiny,
-					Scheduler: scheduler,
-					Threads:   threads,
-					Duration:  benchDur,
-					Cores:     8,
-				}, func() harness.Workload {
-					return bench7.NewWorkload(bench7.ReadDominated, bench7.Params{})
-				})
-			})
-		}
-	}
-}
-
-// --- E9: Figure 9 — SwissTM with busy waiting on STMBench7 ---
-
-func BenchmarkFig9SwissBusySTMBench7(b *testing.B) {
-	for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink} {
-		scheduler := scheduler
-		b.Run(scheduler+"/rw/t16", func(b *testing.B) {
-			measure(b, harness.Config{
-				Engine:    harness.EngineSwiss,
-				Scheduler: scheduler,
-				Wait:      stm.WaitBusy,
-				Threads:   16,
-				Duration:  benchDur,
-				Cores:     8,
-			}, func() harness.Workload {
-				return bench7.NewWorkload(bench7.ReadWrite, bench7.Params{})
-			})
-		})
-	}
-}
-
-// --- E10: Figure 10 — Shrink-TinySTM speedup on STAMP ---
-
-func BenchmarkFig10TinySTAMP(b *testing.B) {
-	for _, kernel := range []string{"intruder", "vacation-high", "vacation-low", "yada"} {
-		kernel := kernel
-		b.Run(kernel+"/t32", func(b *testing.B) {
-			speedup(b, harness.Config{
-				Engine:   harness.EngineTiny,
-				Threads:  32,
-				Duration: benchDur,
-				Cores:    8,
-				Seed:     1,
-			}, func() harness.Workload { return stamp.MustNew(kernel) })
-		})
-	}
-}
-
-// --- E11: Figure 11 — TinySTM red-black tree ---
-
-func BenchmarkFig11TinyRBTree(b *testing.B) {
-	for _, rate := range []int{20, 70} {
-		for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink} {
-			rate, scheduler := rate, scheduler
-			b.Run(itoa(rate)+"pct/"+scheduler+"/t16", func(b *testing.B) {
-				measure(b, harness.Config{
-					Engine:    harness.EngineTiny,
-					Scheduler: scheduler,
-					Threads:   16,
-					Duration:  benchDur,
-					Cores:     8,
-					Seed:      1,
-				}, func() harness.Workload { return microbench.NewRBTree(16384, rate) })
-			})
-		}
-	}
-}
-
-// --- Ablations (DESIGN.md's design-choice benches) ---
+// --- Ablations of Shrink's design choices ---
 
 // BenchmarkAblationWritePred compares Shrink with and without write-set
 // prediction on the write-heavy red-black tree.
@@ -307,8 +117,8 @@ func BenchmarkAblationWritePred(b *testing.B) {
 			cfg := sched.DefaultShrinkConfig()
 			cfg.DisableWritePrediction = disable
 			measure(b, harness.Config{
-				Engine:       harness.EngineTiny,
-				Scheduler:    harness.SchedShrink,
+				Engine:       enginecfg.EngineTiny,
+				Scheduler:    enginecfg.SchedShrink,
 				Threads:      16,
 				Duration:     benchDur,
 				Cores:        8,
@@ -332,8 +142,8 @@ func BenchmarkAblationAffinity(b *testing.B) {
 			cfg := sched.DefaultShrinkConfig()
 			cfg.DisableAffinity = disable
 			measure(b, harness.Config{
-				Engine:       harness.EngineSwiss,
-				Scheduler:    harness.SchedShrink,
+				Engine:       enginecfg.EngineSwiss,
+				Scheduler:    enginecfg.SchedShrink,
 				Threads:      16,
 				Duration:     benchDur,
 				Cores:        8,
@@ -354,8 +164,8 @@ func BenchmarkAblationWindow(b *testing.B) {
 			cfg := sched.DefaultShrinkConfig()
 			cfg.Predict.LocalityWindow = window
 			measure(b, harness.Config{
-				Engine:       harness.EngineSwiss,
-				Scheduler:    harness.SchedShrink,
+				Engine:       enginecfg.EngineSwiss,
+				Scheduler:    enginecfg.SchedShrink,
 				Threads:      16,
 				Duration:     benchDur,
 				Cores:        8,
@@ -369,8 +179,7 @@ func BenchmarkAblationWindow(b *testing.B) {
 }
 
 // BenchmarkAblationEagerPrediction quantifies the lazy-activation
-// optimization (DESIGN.md substitution note) against Algorithm 1's
-// always-on tracking.
+// optimization against Algorithm 1's always-on tracking.
 func BenchmarkAblationEagerPrediction(b *testing.B) {
 	for _, eager := range []bool{false, true} {
 		eager := eager
@@ -382,8 +191,8 @@ func BenchmarkAblationEagerPrediction(b *testing.B) {
 			cfg := sched.DefaultShrinkConfig()
 			cfg.EagerPrediction = eager
 			measure(b, harness.Config{
-				Engine:       harness.EngineSwiss,
-				Scheduler:    harness.SchedShrink,
+				Engine:       enginecfg.EngineSwiss,
+				Scheduler:    enginecfg.SchedShrink,
 				Threads:      1,
 				Duration:     benchDur,
 				Cores:        8,
@@ -407,8 +216,8 @@ func BenchmarkAblationSetStructure(b *testing.B) {
 		name, w := name, w
 		b.Run(name, func(b *testing.B) {
 			measure(b, harness.Config{
-				Engine:    harness.EngineSwiss,
-				Scheduler: harness.SchedShrink,
+				Engine:    enginecfg.EngineSwiss,
+				Scheduler: enginecfg.SchedShrink,
 				Threads:   8,
 				Duration:  benchDur,
 				Cores:     8,
@@ -432,7 +241,7 @@ func newEngine(b *testing.B, name string) stm.TM {
 // harnessBuild exposes the harness engine construction for microbenches.
 func harnessBuild(engine string) (stm.TM, string, error) {
 	switch engine {
-	case harness.EngineSwiss, harness.EngineTiny:
+	case enginecfg.EngineSwiss, enginecfg.EngineTiny:
 	default:
 		return nil, "", errUnknownEngine
 	}
@@ -464,7 +273,7 @@ func itoa(n int) string {
 // engine, the value moving unboxed. Allocations per op must be 0 (the
 // regression test in internal/stm pins this).
 func BenchmarkTypedReadOnlyTx(b *testing.B) {
-	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
+	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		engine := engine
 		b.Run(engine, func(b *testing.B) {
 			tm := newEngine(b, engine)
@@ -486,7 +295,7 @@ func BenchmarkTypedReadOnlyTx(b *testing.B) {
 // BenchmarkTypedUpdateTx runs a one-var read-modify-write transaction on
 // each engine.
 func BenchmarkTypedUpdateTx(b *testing.B) {
-	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
+	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		engine := engine
 		b.Run(engine, func(b *testing.B) {
 			tm := newEngine(b, engine)
@@ -518,10 +327,10 @@ func BenchmarkScheduledUpdateTx(b *testing.B) {
 		name  string
 		build func(stm.Scheduler) stm.TM
 	}{
-		{harness.EngineSwiss, func(s stm.Scheduler) stm.TM {
+		{enginecfg.EngineSwiss, func(s stm.Scheduler) stm.TM {
 			return swiss.New(swiss.Options{Scheduler: s})
 		}},
-		{harness.EngineTiny, func(s stm.Scheduler) stm.TM {
+		{enginecfg.EngineTiny, func(s stm.Scheduler) stm.TM {
 			return tiny.New(tiny.Options{Scheduler: s})
 		}},
 	}
@@ -565,7 +374,7 @@ func BenchmarkScheduledUpdateTx(b *testing.B) {
 // logs, no commit phase). Allocations per op must be 0 on every row; the
 // RO rows must not be slower than their update-path twins.
 func BenchmarkReadOnlyTx(b *testing.B) {
-	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
+	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		engine := engine
 		b.Run(engine, func(b *testing.B) {
 			b.Run("single/update", func(b *testing.B) {
@@ -653,7 +462,7 @@ func roScanVars() []*stm.TVar[int64] {
 // own cache lines, per-op cost should track the single-threaded update
 // benchmark instead of degrading with false sharing.
 func BenchmarkDisjointUpdate2Threads(b *testing.B) {
-	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
+	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		engine := engine
 		b.Run(engine, func(b *testing.B) {
 			tm := newEngine(b, engine)
@@ -701,7 +510,7 @@ func BenchmarkDisjointUpdate2Threads(b *testing.B) {
 func benchRBTreeMix[V any](b *testing.B, val func(int64) V) {
 	const keyRange = 16384
 	const updatePct = 20
-	tm := newEngine(b, harness.EngineSwiss)
+	tm := newEngine(b, enginecfg.EngineSwiss)
 	th := tm.Register("b")
 	tree := stmds.NewRBTree[V]()
 	rng := rand.New(rand.NewSource(99))

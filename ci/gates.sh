@@ -15,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 steps=(vet fmt build test synctest bench-module race batch admission
-	bench-smoke footprint inline wire log durability smoke backpressure
+	bench-smoke examples footprint inline wire log durability smoke backpressure
 	replication crash retired selftest)
 
 work=$(mktemp -d)
@@ -214,6 +214,24 @@ step_admission() {
 step_bench_smoke() {
 	go test -run=NONE -bench=. -benchtime=1x ./...
 	go test -run=NONE -bench 'BenchmarkRBTreeInsertParallel|BenchmarkHashMapPutParallel' -cpu 1,2 -benchtime=1x ./internal/stmds/
+}
+
+# Every program under examples/ runs to the end: they have no tests, so
+# nothing else would notice one that stops building or fails. Each prints
+# its wall time (go run's link included); a non-zero exit fails the step
+# and shows what the example printed.
+step_examples() {
+	local dir name start
+	for dir in examples/*/; do
+		name=$(basename "$dir")
+		start=$(date +%s%N)
+		go run "./$dir" >"$work/$name.out" 2>&1 || {
+			cat "$work/$name.out" >&2
+			echo "examples: $name exited non-zero" >&2
+			return 1
+		}
+		echo "examples: $name ran in $((($(date +%s%N) - start) / 1000000)) ms"
+	done
 }
 
 # The read-only fast path (BenchmarkReadOnlyTx) and the structures'
@@ -550,7 +568,8 @@ plant() {
 
 # names PATTERN: each top-level alternative of an extended regular
 # expression, reduced to a line it matches: a group to its first
-# alternative, \b dropped, an escaped character to itself.
+# alternative, a bracket expression to its first character, \b dropped, an
+# escaped character to itself.
 names() {
 	RE=$1 awk 'BEGIN {
 		re = ENVIRON["RE"]
@@ -559,6 +578,9 @@ names() {
 			if (c == "\\") {
 				c = substr(re, ++i, 1)
 				if (c != "b" && !skip) out = out c
+			} else if (c == "[") {
+				if (!skip) out = out substr(re, i + 1, 1)
+				i += index(substr(re, i + 1), "]")
 			} else if (c == "(") {
 				depth++
 			} else if (c == ")") {

@@ -13,7 +13,7 @@
 // On -addr, tkvd serves the operator's HTTP surface and nothing else:
 //
 //	GET  /healthz  -> {"status":"ok","wire":"<the wire address>"}
-//	GET  /stats    -> the stats as JSON; ?format=text renders the table
+//	GET  /stats    -> the stats as JSON, as the wire stats opcode returns them
 //	POST /promote  -> turn a follower into a writable primary
 //	POST /quit     -> graceful shutdown, the remote form of SIGTERM
 //
@@ -229,15 +229,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		writeJSON(w, map[string]string{"status": "ok", "wire": wln.Addr().String()})
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		stats := store.Stats()
-		if r.URL.Query().Get("format") != "text" {
-			writeJSON(w, stats)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		stats.Table().WriteText(w)
-		fmt.Fprintf(w, "totals: commits=%d aborts=%d userAborts=%d serializations=%d\n",
-			stats.Commits, stats.Aborts, stats.UserAborts, stats.Serializations)
+		writeJSON(w, store.Stats())
 	})
 	mux.HandleFunc("POST /promote", func(w http.ResponseWriter, r *http.Request) {
 		replMu.Lock()

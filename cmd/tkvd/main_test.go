@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"regexp"
 	"strings"
@@ -53,7 +52,7 @@ func TestServeAndShutdown(t *testing.T) {
 	}
 
 	// HTTP is the operator's: /healthz names the wire address, /stats
-	// renders JSON and text, and no data verb is served.
+	// renders JSON, and no data verb is served.
 	var health struct {
 		Status, Wire string
 	}
@@ -63,15 +62,6 @@ func TestServeAndShutdown(t *testing.T) {
 	var stats tkv.Stats
 	if code := getJSON(t, base+"/stats", &stats); code != 200 || stats.Commits == 0 || stats.Ops.Puts != 1 || stats.Ops.Gets != 1 {
 		t.Fatalf("stats = %d %+v", code, stats)
-	}
-	resp, err := http.Get(base + "/stats?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(text), "tkv per-shard statistics") || !strings.Contains(string(text), "totals:") {
-		t.Fatalf("text stats:\n%s", text)
 	}
 	if code := getJSON(t, base+"/snapshot", nil); code != http.StatusNotFound {
 		t.Fatalf("GET /snapshot = %d, want 404", code)

@@ -12,9 +12,11 @@
 // cure are compared on one number.
 //
 // The implementation lives under internal/; the runnable entry points are
-// the commands under cmd/ (one per figure family), the examples under
-// examples/, and the per-figure benchmarks in bench_test.go. See README.md
-// for a map and EXPERIMENTS.md for measured-versus-paper results.
+// the commands under cmd/ (cmd/figures prints the paper's figures, one row
+// of its list each, and its BenchmarkFigures runs them at CI scale), the
+// examples under examples/, and the theorem, ablation and engine benchmarks
+// in bench_test.go. See README.md for a map and EXPERIMENTS.md for
+// measured-versus-paper results.
 //
 // Transactional state is held in typed variables (stm.TVar[T], read and
 // written with stm.ReadT/stm.WriteT, or read with stm.ReadTRO in a

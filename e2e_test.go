@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/bench7"
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/report"
 	"github.com/shrink-tm/shrink/internal/schedsim"
@@ -18,15 +19,14 @@ func TestVersion(t *testing.T) {
 	}
 }
 
-// TestEndToEndFigurePipeline runs a miniature of the full figure pipeline:
-// one STMBench7 cell per scheduler into a report table, checking that the
-// pieces compose (harness -> results -> report) the way cmd/stmbench7 uses
-// them.
+// TestEndToEndFigurePipeline checks that the pieces a figure is made of
+// compose (harness -> results -> report table) on one small STMBench7 cell
+// per scheduler. The figures' own cells are cmd/figures' rows.
 func TestEndToEndFigurePipeline(t *testing.T) {
-	table := report.NewTable("mini fig 5", "threads", "tx/s")
-	for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink} {
+	table := report.NewTable("mini STMBench7", "threads", "tx/s")
+	for _, scheduler := range []string{enginecfg.SchedNone, enginecfg.SchedShrink} {
 		res, err := harness.Run(harness.Config{
-			Engine:    harness.EngineSwiss,
+			Engine:    enginecfg.EngineSwiss,
 			Scheduler: scheduler,
 			Threads:   3,
 			Duration:  30 * time.Millisecond,
@@ -80,31 +80,27 @@ func TestEndToEndTheoremPipeline(t *testing.T) {
 	}
 }
 
-// TestEndToEndStampSpeedupPipeline mirrors cmd/stamp's flow on one kernel.
+// TestEndToEndStampSpeedupPipeline checks a speedup of Shrink over the base
+// engine on one STAMP kernel comes out positive.
 func TestEndToEndStampSpeedupPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	base, err := harness.Run(harness.Config{
-		Engine:   harness.EngineTiny,
-		Threads:  4,
-		Duration: 30 * time.Millisecond,
-		Seed:     1,
-	}, func() harness.Workload { return stamp.MustNew("ssca2") })
-	if err != nil {
-		t.Fatal(err)
+	var runs [2]harness.Result
+	for i, scheduler := range []string{enginecfg.SchedNone, enginecfg.SchedShrink} {
+		res, err := harness.Run(harness.Config{
+			Engine:    enginecfg.EngineTiny,
+			Scheduler: scheduler,
+			Threads:   4,
+			Duration:  30 * time.Millisecond,
+			Seed:      1,
+		}, func() harness.Workload { return stamp.MustNew("ssca2") })
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res
 	}
-	with, err := harness.Run(harness.Config{
-		Engine:    harness.EngineTiny,
-		Scheduler: harness.SchedShrink,
-		Threads:   4,
-		Duration:  30 * time.Millisecond,
-		Seed:      1,
-	}, func() harness.Workload { return stamp.MustNew("ssca2") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := harness.Speedup(with, base); s <= 0 {
+	if s := harness.Speedup(runs[1], runs[0]); s <= 0 {
 		t.Fatalf("speedup = %f", s)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/stm"
 )
@@ -76,10 +77,10 @@ func run() error {
 	var wg sync.WaitGroup // keeps the comparison sequential but shows intent
 	wg.Wait()
 	for _, scheduler := range []string{
-		harness.SchedNone, harness.SchedATS, harness.SchedPool, harness.SchedShrink,
+		enginecfg.SchedNone, enginecfg.SchedATS, enginecfg.SchedPool, enginecfg.SchedShrink,
 	} {
 		res, err := harness.Run(harness.Config{
-			Engine:    harness.EngineSwiss,
+			Engine:    enginecfg.EngineSwiss,
 			Scheduler: scheduler,
 			Threads:   threads,
 			Duration:  300 * time.Millisecond,

@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/microbench"
 	"github.com/shrink-tm/shrink/internal/schedsim"
@@ -27,9 +28,9 @@ func run() error {
 	fmt.Println("== Wasted work under overload: base TinySTM vs Shrink-TinySTM ==")
 	fmt.Println("red-black tree, 70% updates, 16 threads on 8 emulated cores")
 	fmt.Println()
-	for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink} {
+	for _, scheduler := range []string{enginecfg.SchedNone, enginecfg.SchedShrink} {
 		res, err := harness.Run(harness.Config{
-			Engine:    harness.EngineTiny,
+			Engine:    enginecfg.EngineTiny,
 			Scheduler: scheduler,
 			Threads:   16,
 			Duration:  250 * time.Millisecond,

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/shrink-tm/shrink/internal/bench7"
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
@@ -188,8 +189,8 @@ func TestWorkloadThroughHarness(t *testing.T) {
 		mix := mix
 		t.Run(mix.String(), func(t *testing.T) {
 			res, err := harness.Run(harness.Config{
-				Engine:    harness.EngineSwiss,
-				Scheduler: harness.SchedShrink,
+				Engine:    enginecfg.EngineSwiss,
+				Scheduler: enginecfg.SchedShrink,
 				Threads:   4,
 				Duration:  60 * time.Millisecond,
 			}, func() harness.Workload {
@@ -227,8 +228,8 @@ func TestExtendedOperationsRun(t *testing.T) {
 
 func TestExtendedWorkloadThroughHarness(t *testing.T) {
 	res, err := harness.Run(harness.Config{
-		Engine:    harness.EngineSwiss,
-		Scheduler: harness.SchedShrink,
+		Engine:    enginecfg.EngineSwiss,
+		Scheduler: enginecfg.SchedShrink,
 		Threads:   4,
 		Duration:  60 * time.Millisecond,
 	}, func() harness.Workload {

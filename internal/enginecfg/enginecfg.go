@@ -1,8 +1,7 @@
 // Package enginecfg maps textual engine, scheduler and wait-policy names to
 // constructed TM stacks. It is the single place where the names accepted on
 // command lines (and in the tkv server's configuration) are interpreted, and
-// it provides the uniform -stm/-wait flag pair that every benchmark binary
-// under cmd/ registers through AddFlags.
+// it provides the -stm/-wait flag pair that tkvd registers through AddFlags.
 package enginecfg
 
 import (
@@ -114,8 +113,8 @@ func WaitLabel(wait stm.WaitPolicy, engine string) string {
 	return DefaultWait(engine).String()
 }
 
-// EngineFlags is the uniform -stm/-wait flag pair shared by the cmd/
-// binaries. Register it with AddFlags and read it after fs.Parse.
+// EngineFlags is the -stm/-wait flag pair. Register it with AddFlags and
+// read it after fs.Parse.
 type EngineFlags struct {
 	engine *string
 	wait   *string

@@ -13,7 +13,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -35,21 +34,6 @@ type Workload interface {
 	// on the given thread. rng is private to the calling worker.
 	Op(th stm.Thread, rng *rand.Rand) error
 }
-
-// Engine names (canonically defined in enginecfg; re-exported here for the
-// existing harness-facing callers).
-const (
-	EngineSwiss = enginecfg.EngineSwiss
-	EngineTiny  = enginecfg.EngineTiny
-)
-
-// Scheduler names (see enginecfg).
-const (
-	SchedNone   = enginecfg.SchedNone
-	SchedShrink = enginecfg.SchedShrink
-	SchedATS    = enginecfg.SchedATS
-	SchedPool   = enginecfg.SchedPool
-)
 
 // Config describes one experiment cell.
 type Config struct {
@@ -95,16 +79,6 @@ type Result struct {
 	// OpLatency and Retries are populated when Config.Trace is set.
 	OpLatency *trace.Histogram
 	Retries   *trace.RetryDist
-}
-
-// String formats the result as one table row.
-func (r Result) String() string {
-	row := fmt.Sprintf("%-14s %-6s %-7s %-10s thr=%2d  tx/s=%10.0f  commits=%8d  abortRate=%.3f  serial=%d",
-		r.Workload, r.Engine, r.Scheduler, r.Wait, r.Threads, r.Throughput, r.Commits, r.AbortRate, r.Serializations)
-	if r.Scheduler == SchedShrink {
-		row += fmt.Sprintf("  readAcc=%.2f writeAcc=%.2f", r.ReadAccuracy, r.WriteAccuracy)
-	}
-	return row
 }
 
 // buildTM constructs the engine/scheduler/wait combination for a config
@@ -256,30 +230,6 @@ func RunMedian(cfg Config, reps int, newWorkload func() Workload) (Result, error
 	return results[len(results)/2], nil
 }
 
-// RunSeries sweeps thread counts for one workload/config template.
-func RunSeries(base Config, threadCounts []int, newWorkload func() Workload) ([]Result, error) {
-	out := make([]Result, 0, len(threadCounts))
-	for _, n := range threadCounts {
-		cfg := base
-		cfg.Threads = n
-		r, err := Run(cfg, newWorkload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// PrintSeries writes results as an aligned table.
-func PrintSeries(w io.Writer, title string, results []Result) {
-	fmt.Fprintf(w, "## %s\n", title)
-	for _, r := range results {
-		fmt.Fprintln(w, r.String())
-	}
-	fmt.Fprintln(w)
-}
-
 // Speedup returns with.Throughput / without.Throughput, the metric of the
 // STAMP figures (reported there as "speedup - 1").
 func Speedup(with, without Result) float64 {
@@ -288,13 +238,3 @@ func Speedup(with, without Result) float64 {
 	}
 	return with.Throughput / without.Throughput
 }
-
-// PaperThreadCounts is the x-axis the paper uses for STMBench7 and the
-// red-black tree: 1..24 threads on an 8-core machine.
-func PaperThreadCounts() []int { return []int{1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24} }
-
-// StampUnderloaded and StampOverloaded are the STAMP thread counts.
-func StampUnderloaded() []int { return []int{2, 4, 8} }
-
-// StampOverloaded returns the overloaded STAMP thread counts.
-func StampOverloaded() []int { return []int{16, 32, 64} }

@@ -2,10 +2,10 @@ package harness_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/stm"
 )
@@ -34,8 +34,8 @@ func (c *counterWorkload) Op(th stm.Thread, rng *rand.Rand) error {
 
 func TestRunBasic(t *testing.T) {
 	res, err := harness.Run(harness.Config{
-		Engine:    harness.EngineSwiss,
-		Scheduler: harness.SchedNone,
+		Engine:    enginecfg.EngineSwiss,
+		Scheduler: enginecfg.SchedNone,
 		Threads:   2,
 		Duration:  40 * time.Millisecond,
 		Cores:     2,
@@ -55,9 +55,9 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunAllEnginesAndSchedulers(t *testing.T) {
-	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
+	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		for _, scheduler := range []string{
-			harness.SchedNone, harness.SchedShrink, harness.SchedATS, harness.SchedPool,
+			enginecfg.SchedNone, enginecfg.SchedShrink, enginecfg.SchedATS, enginecfg.SchedPool,
 		} {
 			res, err := harness.Run(harness.Config{
 				Engine:    engine,
@@ -89,8 +89,8 @@ func TestRunRejectsUnknownConfig(t *testing.T) {
 
 func TestShrinkResultCarriesAccuracy(t *testing.T) {
 	res, err := harness.Run(harness.Config{
-		Engine:    harness.EngineSwiss,
-		Scheduler: harness.SchedShrink,
+		Engine:    enginecfg.EngineSwiss,
+		Scheduler: enginecfg.SchedShrink,
 		Threads:   4,
 		Duration:  50 * time.Millisecond,
 	}, func() harness.Workload { return &counterWorkload{} })
@@ -99,9 +99,6 @@ func TestShrinkResultCarriesAccuracy(t *testing.T) {
 	}
 	if res.ReadAccuracy < 0 || res.ReadAccuracy > 1 || res.WriteAccuracy < 0 || res.WriteAccuracy > 1 {
 		t.Fatalf("accuracy out of range: %+v", res)
-	}
-	if !strings.Contains(res.String(), "readAcc") {
-		t.Fatal("shrink row missing accuracy fields")
 	}
 }
 
@@ -144,9 +141,9 @@ func (w *abortOnceWorkload) Op(th stm.Thread, rng *rand.Rand) error {
 // ATS serializes once its contention intensity settles above the
 // threshold, and the base system serializes nothing.
 func TestSerializationsForEveryScheduler(t *testing.T) {
-	for _, scheduler := range []string{harness.SchedNone, harness.SchedShrink, harness.SchedATS, harness.SchedPool} {
+	for _, scheduler := range []string{enginecfg.SchedNone, enginecfg.SchedShrink, enginecfg.SchedATS, enginecfg.SchedPool} {
 		res, err := harness.Run(harness.Config{
-			Engine:    harness.EngineSwiss,
+			Engine:    enginecfg.EngineSwiss,
 			Scheduler: scheduler,
 			Threads:   1,
 			Duration:  20 * time.Millisecond,
@@ -158,40 +155,19 @@ func TestSerializationsForEveryScheduler(t *testing.T) {
 			t.Fatalf("%s: ops = %d, aborts = %d; want one abort per op", scheduler, res.Ops, res.Aborts)
 		}
 		switch scheduler {
-		case harness.SchedNone:
+		case enginecfg.SchedNone:
 			if res.Serializations != 0 {
 				t.Errorf("none: serializations = %d, want 0", res.Serializations)
 			}
-		case harness.SchedPool:
+		case enginecfg.SchedPool:
 			if res.Serializations != res.Ops {
 				t.Errorf("pool: serializations = %d, want one per op (%d)", res.Serializations, res.Ops)
 			}
-		case harness.SchedATS:
+		case enginecfg.SchedATS:
 			if res.Serializations == 0 || res.Serializations > res.Ops {
 				t.Errorf("ats: serializations = %d, want in [1, %d]", res.Serializations, res.Ops)
 			}
 		}
-		if !strings.Contains(res.String(), "serial=") {
-			t.Errorf("%s row missing serial=: %s", scheduler, res.String())
-		}
-	}
-}
-
-func TestRunSeries(t *testing.T) {
-	results, err := harness.RunSeries(harness.Config{
-		Engine:   harness.EngineSwiss,
-		Duration: 20 * time.Millisecond,
-	}, []int{1, 2}, func() harness.Workload { return &counterWorkload{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Threads != 1 || results[1].Threads != 2 {
-		t.Fatalf("series = %+v", results)
-	}
-	var sb strings.Builder
-	harness.PrintSeries(&sb, "test", results)
-	if !strings.Contains(sb.String(), "## test") || !strings.Contains(sb.String(), "counter") {
-		t.Fatalf("printed series malformed:\n%s", sb.String())
 	}
 }
 
@@ -206,21 +182,9 @@ func TestSpeedup(t *testing.T) {
 	}
 }
 
-func TestThreadCountHelpers(t *testing.T) {
-	if c := harness.PaperThreadCounts(); c[0] != 1 || c[len(c)-1] != 24 {
-		t.Fatalf("paper counts = %v", c)
-	}
-	if c := harness.StampUnderloaded(); len(c) != 3 || c[2] != 8 {
-		t.Fatalf("underloaded = %v", c)
-	}
-	if c := harness.StampOverloaded(); len(c) != 3 || c[0] != 16 {
-		t.Fatalf("overloaded = %v", c)
-	}
-}
-
 func TestTraceCollection(t *testing.T) {
 	res, err := harness.Run(harness.Config{
-		Engine:   harness.EngineSwiss,
+		Engine:   enginecfg.EngineSwiss,
 		Threads:  3,
 		Duration: 40 * time.Millisecond,
 		Trace:    true,
@@ -239,7 +203,7 @@ func TestTraceCollection(t *testing.T) {
 	}
 	// Without tracing, the fields stay nil (no overhead).
 	res, err = harness.Run(harness.Config{
-		Engine:   harness.EngineSwiss,
+		Engine:   enginecfg.EngineSwiss,
 		Threads:  1,
 		Duration: 20 * time.Millisecond,
 	}, func() harness.Workload { return &counterWorkload{} })
@@ -253,7 +217,7 @@ func TestTraceCollection(t *testing.T) {
 
 func TestRunMedian(t *testing.T) {
 	res, err := harness.RunMedian(harness.Config{
-		Engine:   harness.EngineSwiss,
+		Engine:   enginecfg.EngineSwiss,
 		Threads:  2,
 		Duration: 15 * time.Millisecond,
 	}, 3, func() harness.Workload { return &counterWorkload{} })
@@ -265,7 +229,7 @@ func TestRunMedian(t *testing.T) {
 	}
 	// reps <= 1 falls back to a single run.
 	res, err = harness.RunMedian(harness.Config{
-		Engine:   harness.EngineSwiss,
+		Engine:   enginecfg.EngineSwiss,
 		Threads:  1,
 		Duration: 15 * time.Millisecond,
 	}, 1, func() harness.Workload { return &counterWorkload{} })

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/microbench"
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -72,8 +73,8 @@ func TestThroughHarnessBothUpdateRates(t *testing.T) {
 	for _, pct := range []int{20, 70} {
 		pct := pct
 		res, err := harness.Run(harness.Config{
-			Engine:    harness.EngineSwiss,
-			Scheduler: harness.SchedShrink,
+			Engine:    enginecfg.EngineSwiss,
+			Scheduler: enginecfg.SchedShrink,
 			Threads:   4,
 			Duration:  50 * time.Millisecond,
 		}, func() harness.Workload { return microbench.NewRBTree(1024, pct) })

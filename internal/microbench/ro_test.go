@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/microbench"
 )
@@ -30,7 +31,7 @@ func TestROLookupsWorkloads(t *testing.T) {
 			return w
 		}},
 	}
-	for _, engine := range []string{harness.EngineSwiss, harness.EngineTiny} {
+	for _, engine := range []string{enginecfg.EngineSwiss, enginecfg.EngineTiny} {
 		for _, wl := range workloads {
 			t.Run(engine+"/"+wl.name, func(t *testing.T) {
 				res, err := harness.Run(harness.Config{

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/microbench"
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -96,8 +97,8 @@ func TestSkipListThroughHarnessBothUpdateRates(t *testing.T) {
 	for _, pct := range []int{20, 70} {
 		pct := pct
 		res, err := harness.Run(harness.Config{
-			Engine:    harness.EngineSwiss,
-			Scheduler: harness.SchedShrink,
+			Engine:    enginecfg.EngineSwiss,
+			Scheduler: enginecfg.SchedShrink,
 			Threads:   4,
 			Duration:  50 * time.Millisecond,
 		}, func() harness.Workload { return microbench.NewSkipListSet(1024, pct) })

@@ -100,8 +100,10 @@ func (t *Table) WriteText(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// WriteCSV renders the table as CSV with a header row.
+// WriteCSV renders the table as CSV under a "# title" line (a comment to
+// gnuplot), so that tables printed one after another name themselves.
 func (t *Table) WriteCSV(w io.Writer) {
+	fmt.Fprintf(w, "# %s\n", t.Title)
 	cols := append([]string{t.XLabel}, t.SeriesNames()...)
 	fmt.Fprintln(w, strings.Join(cols, ","))
 	for _, x := range t.xs() {
@@ -115,32 +117,4 @@ func (t *Table) WriteCSV(w io.Writer) {
 		}
 		fmt.Fprintln(w, strings.Join(row, ","))
 	}
-}
-
-// RatioSeries derives a new table of numerator/denominator per x (used for
-// the STAMP "speedup - 1" figures).
-func (t *Table) RatioSeries(numerator, denominator, name string) *Series {
-	out := &Series{Name: name, Points: map[int]float64{}}
-	for _, x := range t.xs() {
-		num, ok1 := t.Get(numerator, x)
-		den, ok2 := t.Get(denominator, x)
-		if ok1 && ok2 && den != 0 {
-			out.Points[x] = num / den
-		}
-	}
-	return out
-}
-
-// CrossoverX returns the smallest x at which series a exceeds series b, or
-// -1 if it never does (used to locate the over/underload crossover the
-// paper's figures show).
-func (t *Table) CrossoverX(a, b string) int {
-	for _, x := range t.xs() {
-		ya, ok1 := t.Get(a, x)
-		yb, ok2 := t.Get(b, x)
-		if ok1 && ok2 && ya > yb {
-			return x
-		}
-	}
-	return -1
 }

@@ -64,34 +64,16 @@ func TestWriteCSV(t *testing.T) {
 	var sb strings.Builder
 	sample().WriteCSV(&sb)
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if lines[0] != "threads,base,shrink" {
-		t.Fatalf("header = %q", lines[0])
+	if lines[0] != "# Fig X" {
+		t.Fatalf("title line = %q, want the table to name itself", lines[0])
 	}
-	if len(lines) != 3 {
-		t.Fatalf("rows = %d", len(lines))
+	if lines[1] != "threads,base,shrink" {
+		t.Fatalf("header = %q", lines[1])
 	}
-	if !strings.HasPrefix(lines[1], "1,100.0000,90.0000") {
-		t.Fatalf("row 1 = %q", lines[1])
+	if len(lines) != 4 {
+		t.Fatalf("rows = %d", len(lines)-2)
 	}
-}
-
-func TestRatioSeries(t *testing.T) {
-	tb := sample()
-	r := tb.RatioSeries("shrink", "base", "speedup")
-	if r.Points[1] != 0.9 {
-		t.Fatalf("ratio@1 = %f", r.Points[1])
-	}
-	if got := r.Points[2]; got < 1.33 || got > 1.34 {
-		t.Fatalf("ratio@2 = %f", got)
-	}
-}
-
-func TestCrossoverX(t *testing.T) {
-	tb := sample()
-	if x := tb.CrossoverX("shrink", "base"); x != 2 {
-		t.Fatalf("crossover = %d, want 2", x)
-	}
-	if x := tb.CrossoverX("base", "base"); x != -1 {
-		t.Fatalf("self crossover = %d, want -1", x)
+	if !strings.HasPrefix(lines[2], "1,100.0000,90.0000") {
+		t.Fatalf("row 1 = %q", lines[2])
 	}
 }

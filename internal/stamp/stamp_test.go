@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/harness"
 	"github.com/shrink-tm/shrink/internal/stamp"
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -70,14 +71,14 @@ func TestEachKernelConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	engines := []string{harness.EngineSwiss, harness.EngineTiny}
+	engines := []string{enginecfg.EngineSwiss, enginecfg.EngineTiny}
 	for _, engine := range engines {
 		for _, name := range stamp.Names() {
 			engine, name := engine, name
 			t.Run(engine+"/"+name, func(t *testing.T) {
 				res, err := harness.Run(harness.Config{
 					Engine:    engine,
-					Scheduler: harness.SchedShrink,
+					Scheduler: enginecfg.SchedShrink,
 					Wait:      stm.WaitPreemptive,
 					Threads:   4,
 					Duration:  40 * time.Millisecond,
@@ -99,7 +100,7 @@ func TestEachKernelConcurrent(t *testing.T) {
 func TestContentionOrdering(t *testing.T) {
 	run := func(name string) harness.Result {
 		res, err := harness.Run(harness.Config{
-			Engine:   harness.EngineSwiss,
+			Engine:   enginecfg.EngineSwiss,
 			Threads:  6,
 			Duration: 80 * time.Millisecond,
 			Seed:     42,

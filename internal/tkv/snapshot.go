@@ -3,7 +3,6 @@ package tkv
 import (
 	"sync/atomic"
 
-	"github.com/shrink-tm/shrink/internal/report"
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/tkvlog"
 	"github.com/shrink-tm/shrink/internal/tkvwal"
@@ -229,37 +228,4 @@ func (st *Store) Stats() Stats {
 		out.Wal = &ws
 	}
 	return out
-}
-
-// Table renders the per-shard statistics as a report table (one series per
-// counter over the shard index), the same machinery the figure pipeline
-// prints its experiment cells with.
-func (s Stats) Table() *report.Table {
-	t := report.NewTable("tkv per-shard statistics", "shard", "count")
-	for _, sh := range s.Shards {
-		t.Add("commits", int(sh.Shard), float64(sh.Commits))
-		t.Add("aborts", int(sh.Shard), float64(sh.Aborts))
-		t.Add("serializations", int(sh.Shard), float64(sh.Serializations))
-		t.Add("commitRate", int(sh.Shard), sh.CommitRate)
-		t.Add("stripeWaitsShared", int(sh.Shard), float64(sh.StripeWaitsShared))
-		t.Add("stripeWaitsExcl", int(sh.Shard), float64(sh.StripeWaitsExcl))
-		t.Add("roFallbacks", int(sh.Shard), float64(sh.ROFallbacks))
-		t.Add("overload", int(sh.Shard), sh.Overload)
-		t.Add("shed", int(sh.Shard), float64(sh.Shed))
-	}
-	if s.Repl != nil {
-		for _, rs := range s.Repl.Shards {
-			t.Add("replHead", rs.Shard, float64(rs.Head))
-			t.Add("replShipped", rs.Shard, float64(rs.Shipped))
-			t.Add("replApplied", rs.Shard, float64(rs.Applied))
-			t.Add("replLag", rs.Shard, float64(rs.Lag))
-		}
-	}
-	if s.Wal != nil {
-		for i, ws := range s.Wal.Shards {
-			t.Add("walAppended", i, float64(ws.Appended))
-			t.Add("walDurable", i, float64(ws.Durable))
-		}
-	}
-	return t
 }

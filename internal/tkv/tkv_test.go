@@ -870,15 +870,3 @@ func TestOpCounters(t *testing.T) {
 		})
 	}
 }
-
-func TestStatsTable(t *testing.T) {
-	st := openTest(t, Config{Shards: 2, Scheduler: enginecfg.SchedShrink})
-	if _, err := st.Put(1, "x"); err != nil {
-		t.Fatal(err)
-	}
-	table := st.Stats().Table()
-	names := table.SeriesNames()
-	if len(names) == 0 {
-		t.Fatal("stats table has no series")
-	}
-}
