@@ -240,11 +240,11 @@ step_examples() {
 # The tree's gates hold an update to its search path plus a few neighbours
 # in reads, to what changes in writes, and to the node and value cell in
 # allocations. The hash map's gates hold every operation to its allocations
-# exactly (a new key its node and value cell, an overwrite its value cell,
-# links nothing), a table of any size to two, a loaded map to 192 B per key
-# + 16 B per bucket, and a removed node to letting go of its successors.
-# The size gates hold the engine word at 16 bytes and the nodes at 80 and 48
-# exactly.
+# exactly (a new key its node and value cell, an overwrite its value cell, a
+# delete one copy per node ahead of its key, links nothing), a table of any
+# size to two, a loaded map to 176 B per key + 16 B per bucket, and a stale
+# chain head to keeping nothing removed after it. The size gates hold the
+# engine word at 16 bytes and the nodes at 80 and 32 exactly.
 step_footprint() {
 	go test -run=NONE -bench 'BenchmarkReadOnlyTx' -benchtime=100x .
 	selects 'TestROSingleReadZeroAllocs|TestROScanZeroAllocs|TestRONoClockRMW|TestVarSize' ./internal/stm/
@@ -255,38 +255,44 @@ step_footprint() {
 	go test -run 'TestNodeSizes|TestHashMapAllocs|TestConstructorAllocs|TestHashMapBytesPerKey|TestHashMapRemovedNodesAreCollected' -count=1 -v ./internal/stmds/
 }
 
-# The snapshot read must inline into the traversals that call it.
-# stm.ReadTRO is written to cost less than the compiler's inlining budget
-# (63 against 80 on go1.24), and stm_tree's throughput rests on it being
-# inlined at every hop of RBTree.GetRO and HashMap.findRO: the next edit
-# that pushes it past the budget would otherwise cost a fifth of that
-# silently. The structures are generic, so the compiler reports on them
-# where they are instantiated; internal/tkv (HashMap[string]) and
-# internal/microbench (RBTree[int64]) are built along for that.
+# The snapshot reads must inline into the traversals that call them.
+# stm.ReadTRO and stm.ReadRefTRO are written to cost less than the
+# compiler's inlining budget (63 and 58 against 80 on go1.24), and stm_tree's and
+# wire_read's throughput rest on them being inlined at every hop of
+# RBTree.GetRO, at HashMap.GetRO's value read and at HashMap.findRO's bucket
+# read: the next edit that pushes one past the budget would otherwise cost a
+# fifth of that silently. The structures are generic, so the compiler
+# reports on them where they are instantiated; internal/tkv
+# (HashMap[string]) and internal/microbench (RBTree[int64]) are built along
+# for that.
 step_inline() {
-	local fail=0 site
+	local fail=0 site file method fn
 	gcout=$(go build -gcflags=-m ./internal/stmds/ ./internal/tkv/ ./internal/microbench/ 2>&1)
-	if ! grep -q 'can inline stm\.ReadTRO\[' <<<"$gcout"; then
-		echo "inline gate: the compiler does not report 'can inline stm.ReadTRO'" >&2
-		fail=1
-	fi
-	for site in internal/stmds/rbtree.go:GetRO internal/stmds/hashmap.go:findRO; do
-		if ! inlined_in "${site%%:*}" "${site##*:}"; then
-			echo "inline gate: no 'inlining call to stm.ReadTRO' inside ${site##*:} (${site%%:*})" >&2
+	for fn in ReadTRO ReadRefTRO; do
+		if ! grep -q "can inline stm\.$fn\[" <<<"$gcout"; then
+			echo "inline gate: the compiler does not report 'can inline stm.$fn'" >&2
+			fail=1
+		fi
+	done
+	for site in internal/stmds/rbtree.go:GetRO:ReadTRO internal/stmds/hashmap.go:GetRO:ReadTRO \
+		internal/stmds/hashmap.go:findRO:ReadRefTRO; do
+		IFS=: read -r file method fn <<<"$site"
+		if ! inlined_in "$file" "$method" "$fn"; then
+			echo "inline gate: no 'inlining call to stm.$fn' inside $method ($file)" >&2
 			fail=1
 		fi
 	done
 	if [ "$fail" -ne 0 ]; then
-		echo "inline gate: FAILED — see 'go build -gcflags=-m=2 ./internal/tkv/ 2>&1 | grep ReadTRO' for the cost" >&2
+		echo "inline gate: FAILED — see 'go build -gcflags=-m=2 ./internal/tkv/ 2>&1 | grep TRO' for the cost" >&2
 		return 1
 	fi
-	echo "inline gate: stm.ReadTRO inlines into RBTree.GetRO and HashMap.findRO"
+	echo "inline gate: stm.ReadTRO inlines into RBTree.GetRO and HashMap.GetRO, stm.ReadRefTRO into HashMap.findRO"
 }
 
-# inlined_in FILE METHOD: some call to stm.ReadTRO between METHOD's func line
-# and its closing brace is reported as inlined in $gcout.
+# inlined_in FILE METHOD FUNC: some call to stm.FUNC between METHOD's func
+# line and its closing brace is reported as inlined in $gcout.
 inlined_in() {
-	local file=$1 method=$2 lo hi
+	local file=$1 method=$2 fn=$3 lo hi
 	read -r lo hi < <(awk -v m="$method" \
 		'!s && $0 ~ "^func \\([^)]*\\) " m "\\(" { s = NR } s && /^}/ { print s, NR; exit }' "$file")
 	if [ -z "${lo:-}" ]; then
@@ -295,7 +301,7 @@ inlined_in() {
 	fi
 	# (A cached build replays the compiler's output with the paths of the
 	# directory it first ran in, hence the optional prefix.)
-	grep -E "^([^:]*/)?$file:[0-9]+:[0-9]+: inlining call to stm\.ReadTRO\[" <<<"$gcout" |
+	grep -E "^([^:]*/)?$file:[0-9]+:[0-9]+: inlining call to stm\.$fn\[" <<<"$gcout" |
 		awk -F: -v lo="$lo" -v hi="$hi" '$2 >= lo && $2 <= hi { n++ } END { exit !n }'
 }
 

@@ -123,8 +123,12 @@
 // node and a written value allocate. The hash map (stmds.HashMap, tkv's
 // data plane), the sorted list and the fixed array are laid out the same
 // way: bucket and cell vars by value in the table's one slice, a node's
-// vars in the node, so a key costs one 48-byte object besides its value,
-// a bucket 16 bytes, and a lookup is bucket slot, node, value cell.
+// vars in the node. A hash-map chain is immutable but for its value vars:
+// a bucket var holds its first node itself, an insert pushes a node on the
+// front, and a delete re-publishes the bucket with copies of the nodes
+// ahead of its key.
+// So a key costs one 32-byte object besides its value, a bucket 16 bytes,
+// and a lookup is bucket slot, node, value cell.
 //
 // Read-only transactions have a dedicated snapshot mode
 // (Thread.AtomicallyRO with stm.ReadTRO, the TL2/LSA-style read-only

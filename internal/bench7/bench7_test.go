@@ -158,25 +158,9 @@ func TestDateIndexConsistency(t *testing.T) {
 	}
 }
 
-func TestMixParsingAndShares(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want bench7.Mix
-	}{
-		{"read-dominated", bench7.ReadDominated},
-		{"r", bench7.ReadDominated},
-		{"rw", bench7.ReadWrite},
-		{"w", bench7.WriteDominated},
-	} {
-		got, err := bench7.ParseMix(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseMix(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if _, err := bench7.ParseMix("nope"); err == nil {
-		t.Fatal("bad mix accepted")
-	}
+func TestMixNames(t *testing.T) {
 	if bench7.ReadDominated.String() != "read-dominated" ||
+		bench7.ReadWrite.String() != "read-write" ||
 		bench7.WriteDominated.String() != "write-dominated" {
 		t.Fatal("mix names wrong")
 	}

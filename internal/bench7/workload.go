@@ -1,7 +1,6 @@
 package bench7
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -31,20 +30,6 @@ func (m Mix) String() string {
 		return "write-dominated"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseMix parses a mix name.
-func ParseMix(s string) (Mix, error) {
-	switch s {
-	case "read-dominated", "r":
-		return ReadDominated, nil
-	case "read-write", "rw":
-		return ReadWrite, nil
-	case "write-dominated", "w":
-		return WriteDominated, nil
-	default:
-		return 0, fmt.Errorf("unknown mix %q", s)
 	}
 }
 

@@ -42,17 +42,6 @@ func (t *Table) Add(series string, x int, y float64) {
 	t.series = append(t.series, &Series{Name: series, Points: map[int]float64{x: y}})
 }
 
-// Get returns the y value of a series at x.
-func (t *Table) Get(series string, x int) (float64, bool) {
-	for _, s := range t.series {
-		if s.Name == series {
-			y, ok := s.Points[x]
-			return y, ok
-		}
-	}
-	return 0, false
-}
-
 // SeriesNames returns the series names in insertion order.
 func (t *Table) SeriesNames() []string {
 	out := make([]string, len(t.series))

@@ -14,20 +14,21 @@ func sample() *Table {
 	return t
 }
 
+// TestAddGet: Add puts a point where WriteText reads it back, in its series
+// and at its x, and a second Add at the same x overwrites the first.
 func TestAddGet(t *testing.T) {
 	tb := sample()
-	if y, ok := tb.Get("base", 2); !ok || y != 150 {
-		t.Fatalf("Get = %f,%v", y, ok)
-	}
-	if _, ok := tb.Get("missing", 1); ok {
-		t.Fatal("phantom series")
-	}
-	if _, ok := tb.Get("base", 99); ok {
-		t.Fatal("phantom point")
-	}
 	tb.Add("base", 2, 175) // overwrite
-	if y, _ := tb.Get("base", 2); y != 175 {
-		t.Fatalf("overwrite failed: %f", y)
+	var sb strings.Builder
+	tb.WriteText(&sb)
+	lines := strings.Split(sb.String(), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("%d lines, want a title, a header, two rows and a blank:\n%s", len(lines)-1, sb.String())
+	}
+	for i, want := range []string{"1 100.00 90.00", "2 175.00 200.00"} {
+		if got := strings.Join(strings.Fields(lines[2+i]), " "); got != want {
+			t.Errorf("row %d = %q, want %q", i+1, got, want)
+		}
 	}
 }
 

@@ -3,9 +3,10 @@
 // kmeans-low, labyrinth, ssca2, vacation-high, vacation-low, yada).
 //
 // The original STAMP applications are full C programs; these kernels are
-// behavioral reductions that preserve what matters to a TM scheduler — each
-// benchmark's transaction length, read/write-set sizes, and contention
-// locus — per the substitution policy in DESIGN.md:
+// behavioral reductions. A kernel may replace the application's data and
+// computation with anything simpler, as long as it keeps what a TM
+// scheduler sees of it: each transaction's length, the sizes of its read and
+// write sets, and the place where transactions contend:
 //
 //   - bayes: long transactions with large read sets over a shared
 //     dependency graph, occasional structural writes;

@@ -73,6 +73,20 @@ func ReadTRO[T any](tx *ROTx, v *TVar[T]) (T, error) {
 	return zero, ErrConflict
 }
 
+// ReadRefTRO is ReadTRO returning v's cell without dereferencing it, the
+// read-only twin of ReadRefT. It repeats ReadTRO's body rather than sharing
+// it, because each must stay under the inlining budget on its own (`bash
+// ci/gates.sh inline` holds both there).
+func ReadRefTRO[T any](tx *ROTx, v *TVar[T]) (*T, error) {
+	m := v.word.meta.Load()
+	p := atomic.LoadPointer(&v.word.val)
+	if m&lockBit == 0 && m>>verShift <= tx.snap && v.word.meta.Load() == m {
+		return (*T)(p), nil
+	}
+	tx.stopped = &v.word
+	return nil, ErrConflict
+}
+
 // RunRO executes fn as a read-only snapshot transaction on tx, retrying with
 // a fresh snapshot while reads conflict with concurrent writers: the shared
 // AtomicallyRO loop. There is no commit phase — a body that returns nil has

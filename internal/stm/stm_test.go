@@ -138,7 +138,7 @@ func TestVarIDsUnique(t *testing.T) {
 }
 
 // TestVarSize holds the engine word at two machine words: an orec and a
-// value pointer, nothing else. rbNode (80 B), hmNode (48 B) and the 16-byte
+// value pointer, nothing else. rbNode (80 B), hmNode (32 B) and the 16-byte
 // bucket slot are multiples of it and have their own exact gates in stmds.
 func TestVarSize(t *testing.T) {
 	if got := unsafe.Sizeof(Var{}); got != 16 {

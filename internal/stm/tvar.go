@@ -30,8 +30,8 @@ func NewT[T any](initial T) *TVar[T] {
 func (v *TVar[T]) InitRef(p *T) { v.word.val = unsafe.Pointer(p) }
 
 // Word returns the underlying engine word, for scheduler hooks, predictors
-// and lock queries. Its value is reached only through ReadT, WriteT and
-// ReadTRO.
+// and lock queries. Its value is reached only through ReadT, WriteT,
+// ReadTRO and their Ref twins.
 func (v *TVar[T]) Word() *Var { return &v.word }
 
 // ID returns the variable's identity, its engine word's address (Var.ID).
@@ -51,6 +51,16 @@ func ReadT[T any](tx Tx, v *TVar[T]) (T, error) {
 		return zero, err
 	}
 	return *(*T)(p), nil
+}
+
+// ReadRefT returns the cell v holds as observed by the transaction, without
+// dereferencing it: the read twin of WriteRefT, for a structure whose cell is
+// itself what a var links to (a hash-map bucket holds its chain's first node)
+// or that carries a cell it read over to a new var. The read is logged as
+// ReadT's is. The cell is shared: *p must never be mutated.
+func ReadRefT[T any](tx Tx, v *TVar[T]) (*T, error) {
+	p, err := tx.ReadPtr(&v.word)
+	return (*T)(p), err
 }
 
 // WriteT sets the value of v in the transaction. The value is spilled to one

@@ -10,10 +10,11 @@
 //
 // Values are reached one way: through the generic TVar[T], with ReadT and
 // WriteT inside an update transaction (Thread.Atomically) and ReadTRO inside
-// a read-only one (Thread.AtomicallyRO). A value moves through the engines
-// as a single unboxed pointer word, so a read performs no interface boxing
-// and no type assertion (an uncontended read is allocation-free). Scheduler
-// and predictor hooks see a TVar's embedded engine word, the *Var.
+// a read-only one (Thread.AtomicallyRO); ReadRefT, WriteRefT and ReadRefTRO
+// move a value's cell itself. A value moves through the engines as a single
+// unboxed pointer word, so a read performs no interface boxing and no type
+// assertion (an uncontended read is allocation-free). Scheduler and
+// predictor hooks see a TVar's embedded engine word, the *Var.
 package stm
 
 import (

@@ -51,9 +51,9 @@ func TestHashMapBasic(t *testing.T) {
 }
 
 // TestHashMapResidentKeysStayReachable is the tree's test of that name on a
-// 16-bucket map: the writers link and unlink odd keys ahead of, between and
-// behind the eight even keys of every chain, and empty the link of every node
-// they remove. The map's Probe is the third reader.
+// 16-bucket map: the writers push odd keys on the front of chains of some
+// eight even keys and remove them, copying every node ahead of them. The
+// map's Probe is the third reader.
 func TestHashMapResidentKeysStayReachable(t *testing.T) {
 	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {

@@ -5,34 +5,31 @@ import (
 )
 
 // HashMap is a transactional hash map from uint64 keys to V, with a fixed
-// number of buckets, each a transactional sorted singly-linked list. A
-// fixed bucket count keeps resizes (which would conflict with every
-// concurrent operation) out of the picture, like the hash tables in the
-// STAMP kernels.
+// number of buckets, each a var holding a singly-linked chain. A fixed
+// bucket count keeps resizes (which would conflict with every concurrent
+// operation) out of the picture, like the hash tables in the STAMP kernels.
 //
-// The table holds its bucket vars by value and a node holds its own, so a
-// key costs one object besides its value cell, a bucket none, and a Get is
-// four dependent loads: bucket slot, node, value cell, the value's bytes.
+// A chain is immutable but for its value vars: a node's key and link never
+// change once the node is published. A bucket var holds its chain's first
+// node itself (nil: empty), so an insert pushes a node on the front, and a
+// delete re-publishes the bucket with copies of the nodes ahead of the
+// removed one in front of the untouched rest. A transaction's read set
+// holds a bucket var and the value vars it reads, not a var per hop.
 //
-// A map must not be copied: its empty links point at its own leaf field.
+// The table holds its bucket vars by value and a node holds its value var,
+// so a key costs one 32-byte object besides its value cell, a bucket none,
+// and a Get is four dependent loads: bucket slot, node, value cell, the
+// value's bytes.
 type HashMap[V any] struct {
-	buckets []stm.TVar[*hmNode[V]] // each holds the head of a sorted chain
+	buckets []stm.TVar[hmNode[V]] // read and written by reference only
 	mask    uint64
-	// leaf is always nil. Its address is the immutable cell behind every
-	// empty link: a fresh bucket, a chain's tail, an unlinked node.
-	leaf *hmNode[V]
 }
 
-// hmNode lays its two vars out by value, as rbNode does: 48 bytes, a bucket
-// slot 16. Keys are immutable per node.
+// hmNode is 32 bytes, a bucket slot 16. Only val is transactional.
 type hmNode[V any] struct {
-	key uint64
-	// self is the node's own address in an immutable cell: the link that
-	// points at the node publishes &self, so linking never allocates, and
-	// the cell sits beside the key a reader compares next.
-	self *hmNode[V]
+	next *hmNode[V]
 	val  stm.TVar[V]
-	next stm.TVar[*hmNode[V]]
+	key  uint64
 }
 
 // NewHashMap returns a map with at least nBuckets buckets (rounded up to a
@@ -42,11 +39,7 @@ func NewHashMap[V any](nBuckets int) *HashMap[V] {
 	for n < nBuckets {
 		n <<= 1
 	}
-	m := &HashMap[V]{buckets: make([]stm.TVar[*hmNode[V]], n), mask: uint64(n - 1)}
-	for i := range m.buckets {
-		m.buckets[i].InitRef(&m.leaf)
-	}
-	return m
+	return &HashMap[V]{buckets: make([]stm.TVar[hmNode[V]], n), mask: uint64(n - 1)}
 }
 
 func hashKey(k uint64) uint64 {
@@ -57,56 +50,45 @@ func hashKey(k uint64) uint64 {
 	return k ^ (k >> 33)
 }
 
-func (m *HashMap[V]) bucket(key uint64) *stm.TVar[*hmNode[V]] {
+func (m *HashMap[V]) bucket(key uint64) *stm.TVar[hmNode[V]] {
 	return &m.buckets[hashKey(key)&m.mask]
 }
 
-// cell returns the immutable cell a link publishes to point at n (nil: an
-// empty link).
-func (m *HashMap[V]) cell(n *hmNode[V]) **hmNode[V] {
-	if n == nil {
-		return &m.leaf
+// seek walks the chain from n to key's node (nil: absent).
+func seek[V any](n *hmNode[V], key uint64) *hmNode[V] {
+	for n != nil && n.key != key {
+		n = n.next
 	}
-	return &n.self
+	return n
 }
 
-// insert links a new node holding the cell *val into slot, ahead of next.
-func (m *HashMap[V]) insert(tx stm.Tx, slot *stm.TVar[*hmNode[V]], key uint64, val *V, next *hmNode[V]) (bool, error) {
-	n := &hmNode[V]{key: key}
-	n.self = n
+// insert pushes a new node holding the cell *val on the front of slot's
+// chain, whose first node is head.
+func insert[V any](tx stm.Tx, slot *stm.TVar[hmNode[V]], head *hmNode[V], key uint64, val *V) (bool, error) {
+	n := &hmNode[V]{next: head, key: key}
 	n.val.InitRef(val)
-	n.next.InitRef(m.cell(next))
-	if err := stm.WriteRefT(tx, slot, &n.self); err != nil {
+	if err := stm.WriteRefT(tx, slot, n); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// find locates key's node in its bucket, returning the var pointing at it
-// (for unlinking) and the node, or the insertion point (prevSlot, nil).
-func (m *HashMap[V]) find(tx stm.Tx, key uint64) (slot *stm.TVar[*hmNode[V]], n *hmNode[V], err error) {
+// find reads key's bucket, returning it, its chain's first node and key's
+// node (nil: absent).
+func (m *HashMap[V]) find(tx stm.Tx, key uint64) (slot *stm.TVar[hmNode[V]], head, n *hmNode[V], err error) {
 	slot = m.bucket(key)
-	for {
-		n, err = stm.ReadT(tx, slot)
-		if err != nil {
-			return nil, nil, err
-		}
-		if n == nil || n.key >= key {
-			return slot, n, nil
-		}
-		slot = &n.next
+	if head, err = stm.ReadRefT(tx, slot); err != nil {
+		return nil, nil, nil, err
 	}
+	return slot, head, seek(head, key), nil
 }
 
 // Get returns the value under key.
 func (m *HashMap[V]) Get(tx stm.Tx, key uint64) (V, bool, error) {
 	var zero V
-	_, n, err := m.find(tx, key)
-	if err != nil {
+	_, _, n, err := m.find(tx, key)
+	if err != nil || n == nil {
 		return zero, false, err
-	}
-	if n == nil || n.key != key {
-		return zero, false, nil
 	}
 	v, err := stm.ReadT(tx, &n.val)
 	if err != nil {
@@ -123,20 +105,17 @@ func (m *HashMap[V]) Contains(tx stm.Tx, key uint64) (bool, error) {
 
 // Put stores val under key, reporting whether the key was new.
 func (m *HashMap[V]) Put(tx stm.Tx, key uint64, val V) (bool, error) {
-	slot, n, err := m.find(tx, key)
+	slot, head, n, err := m.find(tx, key)
 	if err != nil {
 		return false, err
 	}
-	if n != nil && n.key == key {
-		if err := stm.WriteT(tx, &n.val, val); err != nil {
-			return false, err
-		}
-		return false, nil
+	if n != nil {
+		return false, stm.WriteT(tx, &n.val, val)
 	}
 	// A copy, so that val escapes on this path only: the address of the
 	// parameter itself would cost the overwrite above an allocation too.
 	v := val
-	return m.insert(tx, slot, key, &v, n)
+	return insert(tx, slot, head, key, &v)
 }
 
 // PutRef stores the cell *val under key without spilling a copy, reporting
@@ -146,57 +125,54 @@ func (m *HashMap[V]) Put(tx stm.Tx, key uint64, val V) (bool, error) {
 // adds no allocation of its own on the overwrite path. The caller cedes
 // ownership — *val must never be mutated after the call.
 func (m *HashMap[V]) PutRef(tx stm.Tx, key uint64, val *V) (bool, error) {
-	slot, n, err := m.find(tx, key)
+	slot, head, n, err := m.find(tx, key)
 	if err != nil {
 		return false, err
 	}
-	if n != nil && n.key == key {
-		if err := stm.WriteRefT(tx, &n.val, val); err != nil {
-			return false, err
-		}
-		return false, nil
+	if n != nil {
+		return false, stm.WriteRefT(tx, &n.val, val)
 	}
-	return m.insert(tx, slot, key, val, n)
+	return insert(tx, slot, head, key, val)
 }
 
 // PutIfAbsent stores val under key only if absent, reporting whether it
 // stored (genome's segment de-duplication pattern).
 func (m *HashMap[V]) PutIfAbsent(tx stm.Tx, key uint64, val V) (bool, error) {
-	slot, n, err := m.find(tx, key)
-	if err != nil {
+	slot, head, n, err := m.find(tx, key)
+	if err != nil || n != nil {
 		return false, err
-	}
-	if n != nil && n.key == key {
-		return false, nil
 	}
 	v := val // as in Put: absent keys alone pay for the cell
-	return m.insert(tx, slot, key, &v, n)
+	return insert(tx, slot, head, key, &v)
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. It re-publishes the
+// bucket with a copy of each node ahead of key's, which carries the value
+// cell this transaction read from the original's var, in front of the rest
+// of the chain: deleting a chain's first node copies nothing. Reading the
+// cells is what keeps a concurrent write to one of those keys: a writer that
+// commits first fails this delete's validation, and one that commits after
+// it finds the bucket it read changed.
 func (m *HashMap[V]) Delete(tx stm.Tx, key uint64) (bool, error) {
-	slot, n, err := m.find(tx, key)
-	if err != nil {
+	slot, head, n, err := m.find(tx, key)
+	if err != nil || n == nil {
 		return false, err
 	}
-	if n == nil || n.key != key {
-		return false, nil
-	}
-	next, err := stm.ReadT(tx, &n.next)
-	if err != nil {
-		return false, err
-	}
-	if err := stm.WriteRefT(tx, slot, m.cell(next)); err != nil {
-		return false, err
-	}
-	// n lets go of its successor. A removed node stays referenced for a
-	// while (a reader standing on it, a stale slot of some read log) and
-	// with the link intact would keep alive the node after it, which when
-	// removed keeps the one after that: garbage chained without end.
-	if next != nil {
-		if err := stm.WriteRefT(tx, &n.next, &m.leaf); err != nil {
+	var first *hmNode[V]
+	link := &first
+	for a := head; a != n; a = a.next {
+		cell, err := stm.ReadRefT(tx, &a.val)
+		if err != nil {
 			return false, err
 		}
+		c := &hmNode[V]{key: a.key}
+		c.val.InitRef(cell)
+		*link = c
+		link = &c.next
+	}
+	*link = n.next
+	if err := stm.WriteRefT(tx, slot, first); err != nil {
+		return false, err
 	}
 	return true, nil
 }
@@ -205,21 +181,18 @@ func (m *HashMap[V]) Delete(tx stm.Tx, key uint64) (bool, error) {
 func (m *HashMap[V]) Size(tx stm.Tx) (int, error) {
 	total := 0
 	for i := range m.buckets {
-		n, err := stm.ReadT(tx, &m.buckets[i])
+		n, err := stm.ReadRefT(tx, &m.buckets[i])
 		if err != nil {
 			return 0, err
 		}
-		for n != nil {
+		for ; n != nil; n = n.next {
 			total++
-			if n, err = stm.ReadT(tx, &n.next); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return total, nil
 }
 
-// ForEach calls fn for every key/value pair (bucket order, ascending keys
+// ForEach calls fn for every key/value pair (bucket order, newest key first
 // within a bucket), stopping early when fn returns false. fn runs inside the
 // transaction: if the enclosing Atomically retries, fn is invoked again from
 // the start, so callers that accumulate state must reset it at the top of
@@ -237,22 +210,20 @@ func (m *HashMap[V]) ForEach(tx stm.Tx, fn func(key uint64, val V) bool) error {
 // narrow Range small.
 func (m *HashMap[V]) Range(tx stm.Tx, lo, hi uint64, fn func(key uint64, val V) bool) error {
 	for i := range m.buckets {
-		n, err := stm.ReadT(tx, &m.buckets[i])
+		n, err := stm.ReadRefT(tx, &m.buckets[i])
 		if err != nil {
 			return err
 		}
-		for n != nil && n.key <= hi {
-			if n.key >= lo {
-				v, err := stm.ReadT(tx, &n.val)
-				if err != nil {
-					return err
-				}
-				if !fn(n.key, v) {
-					return nil
-				}
+		for ; n != nil; n = n.next {
+			if n.key < lo || n.key > hi {
+				continue
 			}
-			if n, err = stm.ReadT(tx, &n.next); err != nil {
+			v, err := stm.ReadT(tx, &n.val)
+			if err != nil {
 				return err
+			}
+			if !fn(n.key, v) {
+				return nil
 			}
 		}
 	}
@@ -261,26 +232,17 @@ func (m *HashMap[V]) Range(tx stm.Tx, lo, hi uint64, fn func(key uint64, val V) 
 
 // findRO locates key's node (or nil) under the snapshot-read protocol.
 func (m *HashMap[V]) findRO(tx *stm.ROTx, key uint64) (*hmNode[V], error) {
-	slot := m.bucket(key)
-	for {
-		n, err := stm.ReadTRO(tx, slot)
-		if err != nil {
-			return nil, err
-		}
-		if n == nil || n.key >= key {
-			return n, nil
-		}
-		slot = &n.next
-	}
+	head, err := stm.ReadRefTRO(tx, m.bucket(key))
+	return seek(head, key), err
 }
 
-// GetRO is Get for read-only snapshot transactions: every node hop and the
+// GetRO is Get for read-only snapshot transactions: the bucket read and the
 // value read validate inline against the snapshot, with no read-log
 // bookkeeping — the tkv serving path's Get runs on this.
 func (m *HashMap[V]) GetRO(tx *stm.ROTx, key uint64) (V, bool, error) {
 	var zero V
 	n, err := m.findRO(tx, key)
-	if err != nil || n == nil || n.key != key {
+	if err != nil || n == nil {
 		return zero, false, err
 	}
 	v, err := stm.ReadTRO(tx, &n.val)
@@ -298,12 +260,12 @@ func (m *HashMap[V]) GetRO(tx *stm.ROTx, key uint64) (V, bool, error) {
 // good for pulling lines into cache and for nothing a reader returns.
 type Probe[V any] struct {
 	key  uint64
-	link **hmNode[V] // the cell the key's bucket slot pointed at
+	head *hmNode[V] // the node the key's bucket slot pointed at
 }
 
 // Probe takes the first hop of key's path: it loads the bucket slot.
 func (m *HashMap[V]) Probe(key uint64) Probe[V] {
-	return Probe[V]{key: key, link: (**hmNode[V])(m.bucket(key).Word().LoadPtr())}
+	return Probe[V]{key: key, head: (*hmNode[V])(m.bucket(key).Word().LoadPtr())}
 }
 
 // Cell takes the rest of the path's hops but the last: it walks the bucket's
@@ -311,11 +273,8 @@ func (m *HashMap[V]) Probe(key uint64) Probe[V] {
 // (nil: key absent). In a table with about a bucket per key this is usually
 // one load.
 func (p Probe[V]) Cell() *V {
-	n := *p.link
-	for n != nil && n.key < p.key {
-		n = *(**hmNode[V])(n.next.Word().LoadPtr())
-	}
-	if n == nil || n.key != p.key {
+	n := seek(p.head, p.key)
+	if n == nil {
 		return nil
 	}
 	return (*V)(n.val.Word().LoadPtr())
@@ -324,7 +283,7 @@ func (p Probe[V]) Cell() *V {
 // ContainsRO reports whether key is present, under the GetRO protocol.
 func (m *HashMap[V]) ContainsRO(tx *stm.ROTx, key uint64) (bool, error) {
 	n, err := m.findRO(tx, key)
-	return err == nil && n != nil && n.key == key, err
+	return err == nil && n != nil, err
 }
 
 // SizeRO counts the entries under a read-only snapshot transaction. Unlike
@@ -333,15 +292,12 @@ func (m *HashMap[V]) ContainsRO(tx *stm.ROTx, key uint64) (bool, error) {
 func (m *HashMap[V]) SizeRO(tx *stm.ROTx) (int, error) {
 	total := 0
 	for i := range m.buckets {
-		n, err := stm.ReadTRO(tx, &m.buckets[i])
+		n, err := stm.ReadRefTRO(tx, &m.buckets[i])
 		if err != nil {
 			return 0, err
 		}
-		for n != nil {
+		for ; n != nil; n = n.next {
 			total++
-			if n, err = stm.ReadTRO(tx, &n.next); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return total, nil
@@ -357,41 +313,36 @@ func (m *HashMap[V]) ForEachRO(tx *stm.ROTx, fn func(key uint64, val V) bool) er
 // RangeRO is Range for read-only snapshot transactions.
 func (m *HashMap[V]) RangeRO(tx *stm.ROTx, lo, hi uint64, fn func(key uint64, val V) bool) error {
 	for i := range m.buckets {
-		n, err := stm.ReadTRO(tx, &m.buckets[i])
+		n, err := stm.ReadRefTRO(tx, &m.buckets[i])
 		if err != nil {
 			return err
 		}
-		for n != nil && n.key <= hi {
-			if n.key >= lo {
-				v, err := stm.ReadTRO(tx, &n.val)
-				if err != nil {
-					return err
-				}
-				if !fn(n.key, v) {
-					return nil
-				}
+		for ; n != nil; n = n.next {
+			if n.key < lo || n.key > hi {
+				continue
 			}
-			if n, err = stm.ReadTRO(tx, &n.next); err != nil {
+			v, err := stm.ReadTRO(tx, &n.val)
+			if err != nil {
 				return err
+			}
+			if !fn(n.key, v) {
+				return nil
 			}
 		}
 	}
 	return nil
 }
 
-// Keys returns all keys (bucket order, ascending within buckets).
+// Keys returns all keys (bucket order, newest first within a bucket).
 func (m *HashMap[V]) Keys(tx stm.Tx) ([]uint64, error) {
 	var out []uint64
 	for i := range m.buckets {
-		n, err := stm.ReadT(tx, &m.buckets[i])
+		n, err := stm.ReadRefT(tx, &m.buckets[i])
 		if err != nil {
 			return nil, err
 		}
-		for n != nil {
+		for ; n != nil; n = n.next {
 			out = append(out, n.key)
-			if n, err = stm.ReadT(tx, &n.next); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return out, nil

@@ -16,8 +16,10 @@ type SortedList[V any] struct {
 	leaf *listNode[V] // always nil: the cell behind every empty link
 }
 
-// listNode is laid out like hmNode: its vars by value, and its own address
-// in the immutable cell self, which the link pointing at it publishes.
+// listNode holds its vars by value, and its own address in the immutable
+// cell self, which the link pointing at it publishes. Unlike a hash-map
+// chain, a list's links are vars: an insert or delete writes the one link
+// before its key.
 type listNode[V any] struct {
 	key  int64
 	self *listNode[V]

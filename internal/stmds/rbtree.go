@@ -10,8 +10,10 @@
 // searches, value reads) runs unboxed: no interface allocation, no type
 // assertion per transactional operation. The tree, the hash map, the sorted
 // list and the array hold those TVars by value — in the node, in the table's
-// slice — and publish links as cells that already exist, so a key is one
-// object besides its value and linking allocates nothing.
+// slice — so a key is one object besides its value. The tree and the list
+// publish links as cells that already exist, so linking allocates nothing;
+// the hash map's chains are immutable, a bucket var holding its first node
+// itself, so a delete allocates a copy of each node ahead of its key.
 package stmds
 
 import (

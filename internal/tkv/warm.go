@@ -10,13 +10,14 @@ const WarmMax = 16
 // ahead of a sequential copy by itself.
 const warmBytes = 256
 
-// Warm pulls into cache what Gets of keys will read: each key's bucket slot,
-// node, value cell and the first warmBytes of its value, for the first
-// WarmMax keys. It takes one hop at a time across all the keys (every slot,
-// then every node, every cell, every value), so their cache misses overlap
-// instead of each Get paying its own in turn: on a store far larger than
-// the caches, a cohort of eight gets costs about half as much warmed as
-// cold (EXPERIMENTS.md, "Warm cohorts").
+// Warm pulls into cache what Gets of keys will read: each key's bucket slot
+// (which holds the first node of the key's chain), node, value cell and the
+// first warmBytes of its value, for the first WarmMax keys. It takes one hop
+// at a time across all the keys (every slot, then every node, every cell,
+// every value), so their cache misses overlap instead of each Get paying
+// its own in turn: on a store far larger than the caches, a cohort of eight
+// gets costs about half as much warmed as cold (EXPERIMENTS.md, "Warm
+// cohorts").
 //
 // It reads outside any transaction, takes no lock, and changes nothing: a
 // Get after it returns exactly what it would have returned without it, only
