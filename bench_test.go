@@ -203,57 +203,16 @@ func BenchmarkAblationEagerPrediction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSetStructure compares the red-black tree against the
-// skip list under Shrink at the same key range and update mix: the
-// skiplist's smaller, rotation-free write sets change what the write
-// prediction can latch onto.
-func BenchmarkAblationSetStructure(b *testing.B) {
-	workloads := map[string]func() harness.Workload{
-		"rbtree":   func() harness.Workload { return microbench.NewRBTree(4096, 20) },
-		"skiplist": func() harness.Workload { return microbench.NewSkipListSet(4096, 20) },
-	}
-	for name, w := range workloads {
-		name, w := name, w
-		b.Run(name, func(b *testing.B) {
-			measure(b, harness.Config{
-				Engine:    enginecfg.EngineSwiss,
-				Scheduler: enginecfg.SchedShrink,
-				Threads:   8,
-				Duration:  benchDur,
-				Cores:     8,
-				Seed:      1,
-			}, w)
-		})
-	}
-}
-
 // --- Engine microbenchmarks (ns/op, allocations) ---
 
 func newEngine(b *testing.B, name string) stm.TM {
 	b.Helper()
-	res, _, err := harnessBuild(name)
+	tm, _, err := enginecfg.Build(enginecfg.Spec{Engine: name})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
+	return tm
 }
-
-// harnessBuild exposes the harness engine construction for microbenches.
-func harnessBuild(engine string) (stm.TM, string, error) {
-	switch engine {
-	case enginecfg.EngineSwiss, enginecfg.EngineTiny:
-	default:
-		return nil, "", errUnknownEngine
-	}
-	tm, err := harness.NewTM(harness.Config{Engine: engine})
-	return tm, engine, err
-}
-
-var errUnknownEngine = errString("unknown engine")
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
 
 func itoa(n int) string {
 	if n == 0 {

@@ -47,8 +47,8 @@ func TestBuildGeometry(t *testing.T) {
 	if got := len(b.Composites); got != p.CompositeParts {
 		t.Fatalf("composites = %d, want %d", got, p.CompositeParts)
 	}
-	err := th.Atomically(func(tx stm.Tx) error {
-		n, err := b.TotalAtomicParts(tx)
+	err := th.AtomicallyRO(func(tx *stm.ROTx) error {
+		n, err := b.AtomicIndex.SizeRO(tx)
 		if err != nil {
 			return err
 		}
@@ -131,22 +131,17 @@ func TestDateIndexConsistency(t *testing.T) {
 			t.Fatalf("%s: %v", op.Name, err)
 		}
 	}
-	err := th.Atomically(func(tx stm.Tx) error {
-		indexed, err := b.AtomicIndex.Size(tx)
+	err := th.AtomicallyRO(func(tx *stm.ROTx) error {
+		indexed, err := b.AtomicIndex.SizeRO(tx)
 		if err != nil {
 			return err
 		}
 		total := 0
-		keys, err := b.DateIndex.Keys(tx)
-		if err != nil {
-			return err
-		}
-		for _, k := range keys {
-			n, _, err := b.DateIndex.Get(tx, k)
-			if err != nil {
-				return err
-			}
+		if err := b.DateIndex.ForEachRO(tx, func(_ uint64, n int) bool {
 			total += n
+			return true
+		}); err != nil {
+			return err
 		}
 		if total != indexed {
 			return fmt.Errorf("date index counts %d parts, atomic index has %d", total, indexed)
@@ -190,66 +185,26 @@ func TestWorkloadThroughHarness(t *testing.T) {
 	}
 }
 
-func TestExtendedOperationsRun(t *testing.T) {
-	b, th := buildSmall(t)
-	rng := rand.New(rand.NewSource(9))
-	base := len(bench7.Operations())
-	ext := bench7.ExtendedOperations()
-	if len(ext) != base+8 {
-		t.Fatalf("extended set has %d ops, want %d", len(ext), base+8)
-	}
-	for _, op := range ext[base:] {
-		op := op
-		t.Run(op.Name, func(t *testing.T) {
-			for i := 0; i < 15; i++ {
-				if err := op.Run(b, th, rng); err != nil {
-					t.Fatalf("%s: %v", op.Name, err)
-				}
-			}
-		})
-	}
-}
-
-func TestExtendedWorkloadThroughHarness(t *testing.T) {
-	res, err := harness.Run(harness.Config{
-		Engine:    enginecfg.EngineSwiss,
-		Scheduler: enginecfg.SchedShrink,
-		Threads:   4,
-		Duration:  60 * time.Millisecond,
-	}, func() harness.Workload {
-		w := bench7.NewExtendedWorkload(bench7.ReadWrite, smallParams())
-		return w
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits == 0 {
-		t.Fatal("no commits with extended operation set")
-	}
-}
-
-// TestAssemblyMembershipStable: SM3/SM4 keep every base assembly populated
-// and bounded.
+// TestAssemblyMembershipStable: SM6 swaps a base assembly's composites in
+// place, so every base assembly keeps the component count it was built
+// with, each one a composite of the pool.
 func TestAssemblyMembershipStable(t *testing.T) {
 	b, th := buildSmall(t)
 	rng := rand.New(rand.NewSource(13))
-	ext := bench7.ExtendedOperations()
-	var grow, shrink bench7.Operation
-	for _, op := range ext {
-		switch op.Name {
-		case "SM3-grow-assembly":
-			grow = op
-		case "SM4-shrink-assembly":
-			shrink = op
+	var swap bench7.Operation
+	for _, op := range bench7.Operations() {
+		if op.Name == "SM6-swap-component" {
+			swap = op
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if err := grow.Run(b, th, rng); err != nil {
+		if err := swap.Run(b, th, rng); err != nil {
 			t.Fatal(err)
 		}
-		if err := shrink.Run(b, th, rng); err != nil {
-			t.Fatal(err)
-		}
+	}
+	pool := map[*bench7.CompositePart]bool{}
+	for _, cp := range b.Composites {
+		pool[cp] = true
 	}
 	err := th.Atomically(func(tx stm.Tx) error {
 		for _, ba := range b.Bases {
@@ -257,8 +212,13 @@ func TestAssemblyMembershipStable(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if len(comps) < 1 || len(comps) > smallParams().ComponentsPerAssembly*2 {
+			if len(comps) != smallParams().ComponentsPerAssembly {
 				return fmt.Errorf("assembly %d has %d components", ba.ID, len(comps))
+			}
+			for _, cp := range comps {
+				if !pool[cp] {
+					return fmt.Errorf("assembly %d holds a composite outside the pool", ba.ID)
+				}
 			}
 		}
 		return nil

@@ -311,8 +311,3 @@ func readConns(tx stm.Tx, ap *AtomicPart) ([]*AtomicPart, error) {
 func readComponents(tx stm.Tx, ba *BaseAssembly) ([]*CompositePart, error) {
 	return stm.ReadT(tx, ba.Components)
 }
-
-// TotalAtomicParts counts the atomic parts via the index (for tests).
-func (b *Benchmark) TotalAtomicParts(tx stm.Tx) (int, error) {
-	return b.AtomicIndex.Size(tx)
-}

@@ -96,6 +96,3 @@ func (w *Workload) Op(th stm.Thread, rng *rand.Rand) error {
 	op := pool[rng.Intn(len(pool))]
 	return op.Run(w.bench, th, rng)
 }
-
-// Bench exposes the underlying benchmark (tests).
-func (w *Workload) Bench() *Benchmark { return w.bench }

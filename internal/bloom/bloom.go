@@ -5,15 +5,12 @@
 // its own window of filters.
 package bloom
 
-import "math/bits"
-
 // Filter is a fixed-size Bloom filter over uint64 keys. The zero value is not
 // usable; construct with New.
 type Filter struct {
 	bits   []uint64
 	mask   uint64 // number of bits - 1 (size is a power of two)
 	hashes int
-	count  int
 }
 
 // New returns a filter with at least sizeBits bits (rounded up to a power of
@@ -57,7 +54,6 @@ func (f *Filter) Add(key uint64) {
 		f.bits[bit>>6] |= 1 << (bit & 63)
 		h = splitmix64(h)
 	}
-	f.count++
 }
 
 // Contains reports whether key may have been added. False positives are
@@ -79,23 +75,6 @@ func (f *Filter) Reset() {
 	for i := range f.bits {
 		f.bits[i] = 0
 	}
-	f.count = 0
-}
-
-// Count returns the number of Add calls since the last Reset. (Duplicate keys
-// are counted each time; the count is a load indicator, not a cardinality.)
-func (f *Filter) Count() int { return f.count }
-
-// SizeBits returns the filter size in bits.
-func (f *Filter) SizeBits() int { return len(f.bits) * 64 }
-
-// FillRatio returns the fraction of bits set, a saturation indicator.
-func (f *Filter) FillRatio() float64 {
-	set := 0
-	for _, w := range f.bits {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(f.SizeBits())
 }
 
 // Window is a fixed-length ring of Bloom filters representing the read sets

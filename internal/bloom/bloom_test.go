@@ -59,11 +59,10 @@ func TestReset(t *testing.T) {
 	if f.Contains(42) {
 		t.Fatal("key survived reset")
 	}
-	if f.Count() != 0 {
-		t.Fatalf("count = %d after reset", f.Count())
-	}
-	if f.FillRatio() != 0 {
-		t.Fatalf("fill ratio = %f after reset", f.FillRatio())
+	for i, w := range f.bits {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after reset", i, w)
+		}
 	}
 }
 
@@ -87,16 +86,16 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 
 func TestGeometryClamping(t *testing.T) {
 	f := New(0, 0)
-	if f.SizeBits() != 64 {
-		t.Fatalf("min size = %d, want 64", f.SizeBits())
+	if len(f.bits)*64 != 64 {
+		t.Fatalf("min size = %d, want 64", len(f.bits)*64)
 	}
 	f.Add(1)
 	if !f.Contains(1) {
 		t.Fatal("clamped filter lost key")
 	}
 	g := New(100, 100) // rounds size up, clamps hashes
-	if g.SizeBits() != 128 {
-		t.Fatalf("size = %d, want 128", g.SizeBits())
+	if len(g.bits)*64 != 128 {
+		t.Fatalf("size = %d, want 128", len(g.bits)*64)
 	}
 }
 

@@ -81,26 +81,6 @@ type Result struct {
 	Retries   *trace.RetryDist
 }
 
-// buildTM constructs the engine/scheduler/wait combination for a config
-// through enginecfg.Build. It returns the TM and, for Shrink runs, the
-// scheduler for accuracy reporting.
-func buildTM(cfg Config) (stm.TM, *sched.Shrink, error) {
-	return enginecfg.Build(enginecfg.Spec{
-		Engine:        cfg.Engine,
-		Scheduler:     cfg.Scheduler,
-		Wait:          cfg.Wait,
-		Shrink:        cfg.ShrinkConfig,
-		TrackAccuracy: cfg.TrackAccuracy,
-	})
-}
-
-// NewTM builds the engine/scheduler/wait combination of a config without
-// running a workload (microbenchmarks and examples use it directly).
-func NewTM(cfg Config) (stm.TM, error) {
-	tm, _, err := buildTM(cfg)
-	return tm, err
-}
-
 // Run executes one experiment cell: setup, then Threads workers running ops
 // until the duration elapses.
 func Run(cfg Config, newWorkload func() Workload) (Result, error) {
@@ -114,7 +94,13 @@ func Run(cfg Config, newWorkload func() Workload) (Result, error) {
 		prev := runtime.GOMAXPROCS(cfg.Cores)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	tm, shrink, err := buildTM(cfg)
+	tm, shrink, err := enginecfg.Build(enginecfg.Spec{
+		Engine:        cfg.Engine,
+		Scheduler:     cfg.Scheduler,
+		Wait:          cfg.Wait,
+		Shrink:        cfg.ShrinkConfig,
+		TrackAccuracy: cfg.TrackAccuracy,
+	})
 	if err != nil {
 		return Result{}, err
 	}

@@ -97,6 +97,3 @@ func (w *RBTreeWorkload) Op(th stm.Thread, rng *rand.Rand) error {
 		})
 	}
 }
-
-// Tree exposes the underlying set for verification in tests.
-func (w *RBTreeWorkload) Tree() *stmds.RBTree[int64] { return w.tree }

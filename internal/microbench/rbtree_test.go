@@ -86,31 +86,3 @@ func TestThroughHarnessBothUpdateRates(t *testing.T) {
 		}
 	}
 }
-
-func TestSkipListWorkload(t *testing.T) {
-	tm := swiss.New(swiss.Options{})
-	th := tm.Register("t0")
-	w := microbench.NewSkipListSet(512, 70)
-	if w.Name() != "skiplist-70%" {
-		t.Fatalf("name = %q", w.Name())
-	}
-	if err := w.Setup(th); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		if err := w.Op(th, rng); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	if err := th.Atomically(w.List().CheckInvariants); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSkipListWorkloadDefaults(t *testing.T) {
-	w := microbench.NewSkipListSet(0, 0)
-	if w.Range != 16384 || w.UpdatePercent != 20 {
-		t.Fatalf("defaults = %d/%d", w.Range, w.UpdatePercent)
-	}
-}

@@ -10,7 +10,7 @@ import (
 	"github.com/shrink-tm/shrink/internal/microbench"
 )
 
-// TestROLookupsWorkloads drives both set workloads with their lookup share
+// TestROLookupsWorkloads drives the tree workload with its lookup share
 // running as read-only snapshot transactions, through the harness, on both
 // engines: the mix must commit work and the workload name must carry the
 // -ro marker so RO and update-path runs never land in the same table
@@ -22,11 +22,6 @@ func TestROLookupsWorkloads(t *testing.T) {
 	}{
 		{"rbtree", func() harness.Workload {
 			w := microbench.NewRBTree(512, 20)
-			w.ROLookups = true
-			return w
-		}},
-		{"skiplist", func() harness.Workload {
-			w := microbench.NewSkipListSet(512, 20)
 			w.ROLookups = true
 			return w
 		}},

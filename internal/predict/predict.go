@@ -242,11 +242,5 @@ func (p *Predictor) PredictedConflict(threadID int, checkReads bool) bool {
 	return false
 }
 
-// PredictedReadSetSize returns the active predicted read set cardinality.
-func (p *Predictor) PredictedReadSetSize() int { return len(p.activeRead) }
-
-// PredictedWriteSetSize returns the active predicted write set cardinality.
-func (p *Predictor) PredictedWriteSetSize() int { return len(p.activeWrite) }
-
 // Stats returns the accumulated accuracy counters.
 func (p *Predictor) Stats() AccuracyStats { return p.stats }

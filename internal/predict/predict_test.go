@@ -15,12 +15,22 @@ func makeVars(n int) []*stm.Var {
 	return vs
 }
 
+// writeSet returns the view an engine hands the predictor after an attempt
+// that wrote vars.
+func writeSet(vars ...*stm.Var) stm.WriteSet {
+	var w stm.WriteIndex
+	for _, v := range vars {
+		w.Add(v)
+	}
+	return w.Set()
+}
+
 // commitTx simulates one committed transaction reading the given vars.
 func commitTx(p *Predictor, reads []*stm.Var, writes []*stm.Var) {
 	for _, v := range reads {
 		p.OnRead(v)
 	}
-	p.OnCommit(stm.MakeWriteSet(writes...))
+	p.OnCommit(writeSet(writes...))
 }
 
 func testConfig() Config {
@@ -38,7 +48,7 @@ func TestReadPredictionAfterRepeats(t *testing.T) {
 	// rebuilt it, so three repeats guarantee a non-empty active set.
 	commitTx(p, vs, nil)
 	commitTx(p, vs, nil)
-	if p.PredictedReadSetSize() == 0 {
+	if len(p.activeRead) == 0 {
 		t.Fatal("no active read prediction after two identical transactions")
 	}
 }
@@ -49,8 +59,8 @@ func TestReadPredictionNeedsHistory(t *testing.T) {
 	commitTx(p, vs, nil)
 	// After one transaction the built prediction could not have used any
 	// history, so the active set (for the second transaction) is empty.
-	if p.PredictedReadSetSize() != 0 {
-		t.Fatalf("active prediction %d after a single transaction", p.PredictedReadSetSize())
+	if len(p.activeRead) != 0 {
+		t.Fatalf("active prediction %d after a single transaction", len(p.activeRead))
 	}
 }
 
@@ -89,17 +99,17 @@ func TestReadAccuracyDropsWhenWorkloadShifts(t *testing.T) {
 func TestWritePredictionAcrossAbort(t *testing.T) {
 	p := New(testConfig())
 	ws := makeVars(4)
-	p.OnAbort(stm.MakeWriteSet(ws...)) // aborted attempt wrote ws
-	if p.PredictedWriteSetSize() != len(ws) {
-		t.Fatalf("predicted write set = %d, want %d", p.PredictedWriteSetSize(), len(ws))
+	p.OnAbort(writeSet(ws...)) // aborted attempt wrote ws
+	if len(p.activeWrite) != len(ws) {
+		t.Fatalf("predicted write set = %d, want %d", len(p.activeWrite), len(ws))
 	}
 	// The restart commits with the same write set: all hits.
-	p.OnCommit(stm.MakeWriteSet(ws...))
+	p.OnCommit(writeSet(ws...))
 	st := p.Stats()
 	if st.WritePredicted != uint64(len(ws)) || st.WriteHits != uint64(len(ws)) {
 		t.Fatalf("write accuracy counters = %d/%d", st.WriteHits, st.WritePredicted)
 	}
-	if p.PredictedWriteSetSize() != 0 {
+	if len(p.activeWrite) != 0 {
 		t.Fatal("write prediction must be retired at commit")
 	}
 }
@@ -108,8 +118,8 @@ func TestWritePredictionMiss(t *testing.T) {
 	p := New(testConfig())
 	ws := makeVars(2)
 	other := makeVars(2)
-	p.OnAbort(stm.MakeWriteSet(ws...))
-	p.OnCommit(stm.MakeWriteSet(other...)) // restart wrote something else entirely
+	p.OnAbort(writeSet(ws...))
+	p.OnCommit(writeSet(other...)) // restart wrote something else entirely
 	st := p.Stats()
 	if st.WriteHits != 0 || st.WritePredicted != 2 {
 		t.Fatalf("counters = %d/%d, want 0/2", st.WriteHits, st.WritePredicted)
@@ -124,7 +134,7 @@ func TestPredictedConflictReadSet(t *testing.T) {
 	vs := makeVars(4)
 	commitTx(p, vs, nil)
 	commitTx(p, vs, nil)
-	if p.PredictedReadSetSize() == 0 {
+	if len(p.activeRead) == 0 {
 		t.Fatal("need an active prediction for this test")
 	}
 	// No one is writing: no predicted conflict.
@@ -153,7 +163,7 @@ func TestPredictedConflictReadSet(t *testing.T) {
 func TestPredictedConflictWriteSet(t *testing.T) {
 	p := New(testConfig())
 	ws := makeVars(2)
-	p.OnAbort(stm.MakeWriteSet(ws...))
+	p.OnAbort(writeSet(ws...))
 	m := ws[1].Meta()
 	if !ws[1].TryLock(m, 9) {
 		t.Fatal("lock failed")
@@ -189,7 +199,7 @@ func TestConfidenceThresholdGates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		commitTx(p, vs, nil)
 	}
-	if p.PredictedReadSetSize() != 0 {
+	if len(p.activeRead) != 0 {
 		t.Fatal("prediction made despite unreachable confidence threshold")
 	}
 }
@@ -235,7 +245,7 @@ func TestAccuracyIndependentOfVarPlacement(t *testing.T) {
 				for _, v := range reads {
 					p.OnRead(v)
 				}
-				p.OnAbort(stm.MakeWriteSet(writes...))
+				p.OnAbort(writeSet(writes...))
 				writes[1] = vars[(base+7)%pool]
 			}
 			commitTx(p, reads, writes)

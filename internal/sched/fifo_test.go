@@ -86,7 +86,7 @@ func TestShrinkAblationFlags(t *testing.T) {
 	defer v.Unlock(1)
 	for i := 0; i < 4; i++ {
 		s.BeforeStart(ctx, i)
-		s.AfterAbort(ctx, stm.MakeWriteSet(v))
+		s.AfterAbort(ctx, WriteSetOf(v))
 	}
 	s.BeforeStart(ctx, 0)
 	if ctx.Serializations.Load() != 0 {

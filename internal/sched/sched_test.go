@@ -58,7 +58,7 @@ func TestShrinkSerializesOnPredictedConflict(t *testing.T) {
 	// another thread: the next BeforeStart must serialize.
 	v := stm.NewT(0).Word()
 	s.BeforeStart(victim, 3)
-	s.AfterAbort(victim, stm.MakeWriteSet(v))
+	s.AfterAbort(victim, sched.WriteSetOf(v))
 	if !v.TryLock(v.Meta(), 7) {
 		t.Fatal("lock setup failed")
 	}
@@ -94,7 +94,7 @@ func TestShrinkNoSerializationWhenHealthy(t *testing.T) {
 	defer v.Unlock(1)
 	// Healthy thread (success rate 1): never serializes even with a
 	// locked var in a (stale) prediction.
-	s.AfterAbort(ctx, stm.MakeWriteSet(v))
+	s.AfterAbort(ctx, sched.WriteSetOf(v))
 	// One commit pushes the rate back up before the check.
 	s.AfterCommit(ctx, stm.WriteSet{})
 	s.BeforeStart(ctx, 0)
@@ -125,7 +125,7 @@ func TestShrinkMutualExclusionOfSerializedStarts(t *testing.T) {
 		s.RegisterThread(ctx)
 		for a := 0; a < 3; a++ {
 			s.BeforeStart(ctx, a)
-			s.AfterAbort(ctx, stm.MakeWriteSet(v))
+			s.AfterAbort(ctx, sched.WriteSetOf(v))
 		}
 		wg.Add(1)
 		go func(ctx *stm.ThreadCtx) {

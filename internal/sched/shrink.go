@@ -194,10 +194,6 @@ func (s *Shrink) release(st *shrinkThread) {
 	}
 }
 
-// WaitCount returns the current number of threads that decided to serialize
-// (the contention signal driving serialization affinity).
-func (s *Shrink) WaitCount() int64 { return s.waitCount.Load() }
-
 // Accuracy aggregates the prediction-accuracy counters of all threads
 // registered with this scheduler.
 func (s *Shrink) Accuracy(threads []*stm.ThreadCtx) predict.AccuracyStats {
@@ -208,13 +204,4 @@ func (s *Shrink) Accuracy(threads []*stm.ThreadCtx) predict.AccuracyStats {
 		}
 	}
 	return agg
-}
-
-// SuccessRate returns the thread's current success-rate estimate (for tests
-// and introspection).
-func (s *Shrink) SuccessRate(t *stm.ThreadCtx) float64 {
-	if st := s.state(t); st != nil {
-		return st.succRate
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package schedsim
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -259,4 +260,93 @@ func TestGantt(t *testing.T) {
 	if got := Gantt(NewInstance(2), Result{Finish: []int{0, 0}}); !strings.Contains(got, "empty") {
 		t.Fatalf("empty schedule rendering: %q", got)
 	}
+}
+
+// Test helpers: instance checks and the instance families only the tests
+// build.
+
+// Validate checks internal consistency.
+func (ins *Instance) Validate() error {
+	if len(ins.Release) != len(ins.Exec) || len(ins.adj) != len(ins.Exec) {
+		return fmt.Errorf("inconsistent lengths")
+	}
+	for i := range ins.Exec {
+		if ins.Exec[i] <= 0 {
+			return fmt.Errorf("transaction %d has non-positive execution time", i)
+		}
+		if ins.Release[i] < 0 {
+			return fmt.Errorf("transaction %d has negative release time", i)
+		}
+		for j := range ins.adj[i] {
+			if !ins.adj[j][i] {
+				return fmt.Errorf("conflict %d-%d not symmetric", i, j)
+			}
+		}
+	}
+	return nil
+}
+
+// Clone returns a deep copy.
+func (ins *Instance) Clone() *Instance {
+	out := NewInstance(ins.N())
+	copy(out.Release, ins.Release)
+	copy(out.Exec, ins.Exec)
+	for i := range ins.adj {
+		for j := range ins.adj[i] {
+			out.adj[i][j] = true
+		}
+	}
+	out.KnownOPT = ins.KnownOPT
+	out.Name = ins.Name
+	return out
+}
+
+// CliqueUnion builds an instance of disjoint cliques (all released at 0):
+// clique c has sizes[c] unit-time transactions that pairwise conflict.
+// OPT = max clique size.
+func CliqueUnion(sizes []int) *Instance {
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	ins := NewInstance(n)
+	ins.Name = fmt.Sprintf("clique-union(%v)", sizes)
+	base := 0
+	opt := 0
+	for _, s := range sizes {
+		for i := 0; i < s; i++ {
+			for j := i + 1; j < s; j++ {
+				ins.AddConflict(base+i, base+j)
+			}
+		}
+		if s > opt {
+			opt = s
+		}
+		base += s
+	}
+	ins.KnownOPT = opt
+	return ins
+}
+
+// RandomInstance builds a random instance: n transactions, conflict density
+// p, execution times in [1, maxExec], release times in [0, maxRelease].
+// KnownOPT stays 0 (unknown); use bounds for checks.
+func RandomInstance(n int, p float64, maxExec, maxRelease int, seed int64) *Instance {
+	rng := rand.New(rand.NewSource(seed))
+	ins := NewInstance(n)
+	ins.Name = fmt.Sprintf("random(n=%d,p=%.2f,seed=%d)", n, p, seed)
+	for i := 0; i < n; i++ {
+		if maxExec > 1 {
+			ins.Exec[i] = 1 + rng.Intn(maxExec)
+		}
+		if maxRelease > 0 {
+			ins.Release[i] = rng.Intn(maxRelease + 1)
+		}
+		for j := 0; j < i; j++ {
+			if rng.Float64() < p {
+				ins.AddConflict(i, j)
+			}
+		}
+	}
+	return ins
 }

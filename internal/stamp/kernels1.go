@@ -154,7 +154,11 @@ type packet struct {
 
 func (in *intruder) Setup(th stm.Thread) error {
 	in.queue = stmds.NewQueue[packet]()
-	in.flows = stmds.NewHashMap[int](512)
+	// A flow's first fragment inserts it and its last deletes it, and each
+	// writes the flow's bucket. The map mixes keys, so two live flows share
+	// a bucket with probability 1/buckets whatever their number: at four
+	// buckets a flow (4,096) that is 1/4,096.
+	in.flows = stmds.NewHashMap[int](4 * in.flowSpace)
 	in.detector = stmds.NewArray(256, 1)
 	rng := rand.New(rand.NewSource(5))
 	// Prime the queue.

@@ -120,9 +120,6 @@ type readLogEntry struct {
 // Reset clears the log for the next attempt, keeping capacity.
 func (l *ReadLog) Reset() { l.entries = l.entries[:0] }
 
-// Len returns the number of recorded reads.
-func (l *ReadLog) Len() int { return len(l.entries) }
-
 // Record appends a validated read of v at version ver.
 func (l *ReadLog) Record(v *Var, ver uint64) {
 	l.entries = append(l.entries, readLogEntry{v: v, ver: ver})

@@ -47,9 +47,6 @@ type ROTx struct {
 	stopped *Var
 }
 
-// Snap returns the attempt's snapshot timestamp (diagnostics and tests).
-func (tx *ROTx) Snap() uint64 { return tx.snap }
-
 // roSpinBound bounds RunRO's wait for a writer that holds a lock the
 // read-only transaction wants to read past. The retry starts from a fresh
 // snapshot whether or not the lock was released.

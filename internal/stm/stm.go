@@ -241,10 +241,3 @@ func (r *Registry) All() []*ThreadCtx {
 	copy(out, r.threads)
 	return out
 }
-
-// Len returns the number of registered threads.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.threads)
-}

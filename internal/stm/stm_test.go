@@ -124,9 +124,6 @@ func TestVarIDsUnique(t *testing.T) {
 		}
 		seen[ids[i]] = true
 	}
-	if node.a.ID() != ids[n] || node.b.ID() != ids[n+1] {
-		t.Fatalf("TVar.ID %#x, %#x differ from their words' %#x, %#x", node.a.ID(), node.b.ID(), ids[n], ids[n+1])
-	}
 	runtime.GC()
 	runtime.GC()
 	for i, v := range vars {
@@ -227,8 +224,8 @@ func TestInitRefInPlace(t *testing.T) {
 	x, y := 7, 8
 	node.a.InitRef(&x)
 	node.b.InitRef(&y)
-	if node.a.ID() == 0 || node.a.ID() == node.b.ID() {
-		t.Fatalf("ids %d and %d", node.a.ID(), node.b.ID())
+	if node.a.Word().ID() == 0 || node.a.Word().ID() == node.b.Word().ID() {
+		t.Fatalf("ids %d and %d", node.a.Word().ID(), node.b.Word().ID())
 	}
 	if pa, pb := (*int)(node.a.Word().LoadPtr()), (*int)(node.b.Word().LoadPtr()); pa != &x || pb != &y {
 		t.Fatalf("cells %p and %p, want %p and %p", pa, pb, &x, &y)
@@ -266,8 +263,8 @@ func TestRegistry(t *testing.T) {
 	if r.Get(0) != a || r.Get(1) != b || r.Get(2) != nil || r.Get(-1) != nil {
 		t.Fatal("Get lookup broken")
 	}
-	if r.Len() != 2 || len(r.All()) != 2 {
-		t.Fatal("Len/All broken")
+	if len(r.All()) != 2 {
+		t.Fatal("All broken")
 	}
 }
 

@@ -70,9 +70,6 @@ func (tm *TM) Threads() []*stm.ThreadCtx { return tm.core.Threads() }
 // Stats implements stm.TM.
 func (tm *TM) Stats() stm.Stats { return tm.core.Stats() }
 
-// Clock exposes the global version clock (tests and diagnostics).
-func (tm *TM) Clock() uint64 { return tm.core.Clock.Now() }
-
 // Thread is a per-worker handle. It must be used by one goroutine at a time.
 type Thread struct {
 	tm  *TM

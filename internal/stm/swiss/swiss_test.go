@@ -25,23 +25,31 @@ func TestConformanceBusyWaiting(t *testing.T) {
 	})
 }
 
+// TestClockAdvancesOnUpdate reads the clock off the version each update
+// commit stamps on the var it wrote.
 func TestClockAdvancesOnUpdate(t *testing.T) {
 	tm := swiss.New(swiss.Options{})
 	th := tm.Register("t0")
 	v := stm.NewT(0)
-	before := tm.Clock()
-	if err := th.Atomically(func(tx stm.Tx) error { return stm.WriteT(tx, v, 1) }); err != nil {
-		t.Fatal(err)
+	version := func() uint64 { return stm.VersionOf(v.Word().Meta()) }
+	write := func(x int) {
+		if err := th.Atomically(func(tx stm.Tx) error { return stm.WriteT(tx, v, x) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if tm.Clock() != before+1 {
-		t.Fatalf("clock = %d, want %d", tm.Clock(), before+1)
+	write(1)
+	before := version()
+	write(2)
+	if version() != before+1 {
+		t.Fatalf("clock = %d, want %d", version(), before+1)
 	}
-	// Read-only transactions must not tick the clock.
+	// Transactions that only read must not tick the clock.
 	if err := th.Atomically(func(tx stm.Tx) error { _, err := stm.ReadT(tx, v); return err }); err != nil {
 		t.Fatal(err)
 	}
-	if tm.Clock() != before+1 {
-		t.Fatalf("read-only tx advanced clock to %d", tm.Clock())
+	write(3)
+	if version() != before+2 {
+		t.Fatalf("read-only tx advanced the clock: the next update committed at %d, want %d", version(), before+2)
 	}
 }
 
@@ -56,7 +64,7 @@ func TestVisibleWrites(t *testing.T) {
 		}
 		// Eager locking makes the write visible to other threads via
 		// the orec while the transaction runs.
-		saw = v.LockedByOther(999) && v.Word().LockedBy(th.ID())
+		saw = v.Word().LockedByOther(999) && v.Word().LockedBy(th.ID())
 		return nil
 	})
 	if err != nil {

@@ -34,13 +34,6 @@ func (v *TVar[T]) InitRef(p *T) { v.word.val = unsafe.Pointer(p) }
 // ReadTRO and their Ref twins.
 func (v *TVar[T]) Word() *Var { return &v.word }
 
-// ID returns the variable's identity, its engine word's address (Var.ID).
-func (v *TVar[T]) ID() uint64 { return v.word.ID() }
-
-// LockedByOther reports whether the variable is write-locked by a thread
-// other than the given one (the visible-writes primitive, typed flavor).
-func (v *TVar[T]) LockedByOther(threadID int) bool { return v.word.LockedByOther(threadID) }
-
 // ReadT returns the value of v as observed by the transaction. The value
 // travels as a pointer through the engine's validated read protocol and is
 // dereferenced exactly once here: no boxing, no type assertion.

@@ -16,11 +16,6 @@ type WriteSet struct {
 	vars []*Var
 }
 
-// MakeWriteSet builds a WriteSet over the given vars. It is intended for
-// tests and for callers that drive scheduler hooks by hand; engines obtain
-// their views from a WriteIndex.
-func MakeWriteSet(vars ...*Var) WriteSet { return WriteSet{vars: vars} }
-
 // Len returns the number of entries in the write set.
 func (w WriteSet) Len() int { return len(w.vars) }
 
@@ -55,9 +50,6 @@ func (w *WriteIndex) Reset() {
 	w.vars = w.vars[:0]
 	w.tabled = false
 }
-
-// Len returns the number of indexed writes.
-func (w *WriteIndex) Len() int { return len(w.vars) }
 
 // At returns the i-th indexed Var in write-log order. The index is the
 // single owner of the written-var pointers: engine write logs store only

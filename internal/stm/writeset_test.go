@@ -35,9 +35,6 @@ func TestWriteIndexLookup(t *testing.T) {
 			t.Fatalf("after %d adds: phantom hit for absent var", i+1)
 		}
 	}
-	if w.Len() != n {
-		t.Fatalf("Len = %d, want %d", w.Len(), n)
-	}
 	ws := w.Set()
 	if ws.Len() != n {
 		t.Fatalf("Set().Len = %d, want %d", ws.Len(), n)
@@ -60,8 +57,12 @@ func TestWriteIndexReset(t *testing.T) {
 		w.Add(old[i])
 	}
 	w.Reset()
-	if w.Len() != 0 || w.Set().Len() != 0 {
-		t.Fatalf("after Reset: Len = %d, Set().Len = %d", w.Len(), w.Set().Len())
+	if w.Set().Len() != 0 {
+		t.Fatalf("after Reset: Set().Len = %d", w.Set().Len())
+	}
+	var empty stm.WriteSet
+	if empty.Len() != 0 {
+		t.Fatalf("zero WriteSet Len = %d", empty.Len())
 	}
 	for i, v := range old {
 		if _, ok := w.Lookup(v); ok {
@@ -101,18 +102,5 @@ func TestWriteSetIterationZeroAllocs(t *testing.T) {
 	}
 	if sink == nil {
 		t.Fatal("iteration did not run")
-	}
-}
-
-// TestMakeWriteSet covers the hand-built views used by scheduler tests.
-func TestMakeWriteSet(t *testing.T) {
-	a, b := stm.NewT(1).Word(), stm.NewT(2).Word()
-	ws := stm.MakeWriteSet(a, b)
-	if ws.Len() != 2 || ws.At(0) != a || ws.At(1) != b {
-		t.Fatalf("MakeWriteSet view mismatch: len=%d", ws.Len())
-	}
-	var empty stm.WriteSet
-	if empty.Len() != 0 {
-		t.Fatalf("zero WriteSet Len = %d", empty.Len())
 	}
 }

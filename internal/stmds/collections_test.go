@@ -274,7 +274,4 @@ func TestArrayOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Word(3) == nil || a.Word(3) == a.Word(4) {
-		t.Fatal("Word accessor broken")
-	}
 }

@@ -177,59 +177,6 @@ func (m *HashMap[V]) Delete(tx stm.Tx, key uint64) (bool, error) {
 	return true, nil
 }
 
-// Size counts the entries (reads every bucket).
-func (m *HashMap[V]) Size(tx stm.Tx) (int, error) {
-	total := 0
-	for i := range m.buckets {
-		n, err := stm.ReadRefT(tx, &m.buckets[i])
-		if err != nil {
-			return 0, err
-		}
-		for ; n != nil; n = n.next {
-			total++
-		}
-	}
-	return total, nil
-}
-
-// ForEach calls fn for every key/value pair (bucket order, newest key first
-// within a bucket), stopping early when fn returns false. fn runs inside the
-// transaction: if the enclosing Atomically retries, fn is invoked again from
-// the start, so callers that accumulate state must reset it at the top of
-// the transaction body (or collect into a buffer and consume it after
-// commit, as tkv's snapshot path does).
-func (m *HashMap[V]) ForEach(tx stm.Tx, fn func(key uint64, val V) bool) error {
-	return m.Range(tx, 0, ^uint64(0), fn)
-}
-
-// Range calls fn, under the ForEach contract, for every pair with
-// lo <= key <= hi. Keys are hashed across buckets, so Range scans the whole
-// table and filters — it is a snapshot/iteration primitive, O(buckets+size),
-// not an indexed range query (use SortedList or RBTree for those). Value
-// vars are only read for keys inside the range, keeping the read set of a
-// narrow Range small.
-func (m *HashMap[V]) Range(tx stm.Tx, lo, hi uint64, fn func(key uint64, val V) bool) error {
-	for i := range m.buckets {
-		n, err := stm.ReadRefT(tx, &m.buckets[i])
-		if err != nil {
-			return err
-		}
-		for ; n != nil; n = n.next {
-			if n.key < lo || n.key > hi {
-				continue
-			}
-			v, err := stm.ReadT(tx, &n.val)
-			if err != nil {
-				return err
-			}
-			if !fn(n.key, v) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
 // findRO locates key's node (or nil) under the snapshot-read protocol.
 func (m *HashMap[V]) findRO(tx *stm.ROTx, key uint64) (*hmNode[V], error) {
 	head, err := stm.ReadRefTRO(tx, m.bucket(key))
@@ -280,15 +227,9 @@ func (p Probe[V]) Cell() *V {
 	return (*V)(n.val.Word().LoadPtr())
 }
 
-// ContainsRO reports whether key is present, under the GetRO protocol.
-func (m *HashMap[V]) ContainsRO(tx *stm.ROTx, key uint64) (bool, error) {
-	n, err := m.findRO(tx, key)
-	return err == nil && n != nil, err
-}
-
-// SizeRO counts the entries under a read-only snapshot transaction. Unlike
-// Size, the whole-table scan costs no read-log growth: the snapshot itself
-// is the consistency proof.
+// SizeRO counts the entries under a read-only snapshot transaction. The
+// whole-table scan costs no read-log growth: the snapshot itself is the
+// consistency proof.
 func (m *HashMap[V]) SizeRO(tx *stm.ROTx) (int, error) {
 	total := 0
 	for i := range m.buckets {
@@ -303,14 +244,21 @@ func (m *HashMap[V]) SizeRO(tx *stm.ROTx) (int, error) {
 	return total, nil
 }
 
-// ForEachRO is ForEach for read-only snapshot transactions, under the same
-// retry contract (fn may run again from the start if the enclosing
-// AtomicallyRO restarts on a fresher snapshot).
+// ForEachRO is RangeRO over every key.
 func (m *HashMap[V]) ForEachRO(tx *stm.ROTx, fn func(key uint64, val V) bool) error {
 	return m.RangeRO(tx, 0, ^uint64(0), fn)
 }
 
-// RangeRO is Range for read-only snapshot transactions.
+// RangeRO calls fn for every pair with lo <= key <= hi (bucket order,
+// newest key first within a bucket) under a read-only snapshot
+// transaction, stopping early when fn returns false. fn runs inside the
+// transaction: if the enclosing AtomicallyRO restarts on a fresher
+// snapshot, fn is invoked again from the start, so callers that accumulate
+// state must reset it at the top of the transaction body (or collect into a
+// buffer and consume it after commit, as tkv's snapshot path does). Keys
+// are hashed across buckets, so RangeRO scans the whole table and filters:
+// it is an iteration primitive, O(buckets+size), not an indexed range query
+// (use RBTree for those).
 func (m *HashMap[V]) RangeRO(tx *stm.ROTx, lo, hi uint64, fn func(key uint64, val V) bool) error {
 	for i := range m.buckets {
 		n, err := stm.ReadRefTRO(tx, &m.buckets[i])
@@ -331,19 +279,4 @@ func (m *HashMap[V]) RangeRO(tx *stm.ROTx, lo, hi uint64, fn func(key uint64, va
 		}
 	}
 	return nil
-}
-
-// Keys returns all keys (bucket order, newest first within a bucket).
-func (m *HashMap[V]) Keys(tx stm.Tx) ([]uint64, error) {
-	var out []uint64
-	for i := range m.buckets {
-		n, err := stm.ReadRefT(tx, &m.buckets[i])
-		if err != nil {
-			return nil, err
-		}
-		for ; n != nil; n = n.next {
-			out = append(out, n.key)
-		}
-	}
-	return out, nil
 }

@@ -57,70 +57,6 @@ func (l *SortedList[V]) find(tx stm.Tx, key int64) (slot *stm.TVar[*listNode[V]]
 	}
 }
 
-// Contains reports whether key is present.
-func (l *SortedList[V]) Contains(tx stm.Tx, key int64) (bool, error) {
-	_, n, err := l.find(tx, key)
-	if err != nil {
-		return false, err
-	}
-	return n != nil && n.key == key, nil
-}
-
-// Get returns the value stored under key.
-func (l *SortedList[V]) Get(tx stm.Tx, key int64) (V, bool, error) {
-	var zero V
-	_, n, err := l.find(tx, key)
-	if err != nil {
-		return zero, false, err
-	}
-	if n == nil || n.key != key {
-		return zero, false, nil
-	}
-	v, err := stm.ReadT(tx, &n.val)
-	if err != nil {
-		return zero, false, err
-	}
-	return v, true, nil
-}
-
-// findRO walks to the first node with key >= key (or nil) under the
-// snapshot-read protocol.
-func (l *SortedList[V]) findRO(tx *stm.ROTx, key int64) (*listNode[V], error) {
-	slot := &l.head
-	for {
-		n, err := stm.ReadTRO(tx, slot)
-		if err != nil {
-			return nil, err
-		}
-		if n == nil || n.key >= key {
-			return n, nil
-		}
-		slot = &n.next
-	}
-}
-
-// ContainsRO reports whether key is present, for read-only snapshot
-// transactions.
-func (l *SortedList[V]) ContainsRO(tx *stm.ROTx, key int64) (bool, error) {
-	n, err := l.findRO(tx, key)
-	return err == nil && n != nil && n.key == key, err
-}
-
-// GetRO returns the value stored under key, for read-only snapshot
-// transactions.
-func (l *SortedList[V]) GetRO(tx *stm.ROTx, key int64) (V, bool, error) {
-	var zero V
-	n, err := l.findRO(tx, key)
-	if err != nil || n == nil || n.key != key {
-		return zero, false, err
-	}
-	v, err := stm.ReadTRO(tx, &n.val)
-	if err != nil {
-		return zero, false, err
-	}
-	return v, true, nil
-}
-
 // Insert adds key (with val), reporting whether it was new.
 func (l *SortedList[V]) Insert(tx stm.Tx, key int64, val V) (bool, error) {
 	slot, n, err := l.find(tx, key)
@@ -141,63 +77,6 @@ func (l *SortedList[V]) Insert(tx stm.Tx, key int64, val V) (bool, error) {
 	return true, nil
 }
 
-// Delete removes key, reporting whether it was present.
-func (l *SortedList[V]) Delete(tx stm.Tx, key int64) (bool, error) {
-	slot, n, err := l.find(tx, key)
-	if err != nil {
-		return false, err
-	}
-	if n == nil || n.key != key {
-		return false, nil
-	}
-	next, err := stm.ReadT(tx, &n.next)
-	if err != nil {
-		return false, err
-	}
-	if err := stm.WriteRefT(tx, slot, l.cell(next)); err != nil {
-		return false, err
-	}
-	// n lets go of its successor, as a removed hmNode does.
-	if next != nil {
-		if err := stm.WriteRefT(tx, &n.next, &l.leaf); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// Size counts the elements.
-func (l *SortedList[V]) Size(tx stm.Tx) (int, error) {
-	count := 0
-	n, err := stm.ReadT(tx, &l.head)
-	if err != nil {
-		return 0, err
-	}
-	for n != nil {
-		count++
-		if n, err = stm.ReadT(tx, &n.next); err != nil {
-			return 0, err
-		}
-	}
-	return count, nil
-}
-
-// Keys returns the keys in ascending order.
-func (l *SortedList[V]) Keys(tx stm.Tx) ([]int64, error) {
-	var out []int64
-	n, err := stm.ReadT(tx, &l.head)
-	if err != nil {
-		return nil, err
-	}
-	for n != nil {
-		out = append(out, n.key)
-		if n, err = stm.ReadT(tx, &n.next); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Queue is a transactional FIFO queue over T, the structure at the heart of
 // the intruder kernel (a single dequeue point contended by all threads —
 // the paper's Figure 1(b) motivation and the case where Shrink's
@@ -205,6 +84,9 @@ func (l *SortedList[V]) Keys(tx stm.Tx) ([]int64, error) {
 type Queue[T any] struct {
 	head *stm.TVar[*qNode[T]] // next to dequeue
 	tail *stm.TVar[*qNode[T]] // last enqueued (nil when empty)
+	// size counts the elements. Only the tests read it, but every Enqueue
+	// and Dequeue writes it, so the two ends of a queue conflict, and the
+	// kernels built on it keep that shape.
 	size *stm.TVar[int]
 }
 
@@ -278,11 +160,6 @@ func (q *Queue[T]) addSize(tx stm.Tx, d int) error {
 	return stm.WriteT(tx, q.size, n+d)
 }
 
-// Size returns the element count.
-func (q *Queue[T]) Size(tx stm.Tx) (int, error) {
-	return stm.ReadT(tx, q.size)
-}
-
 // Number constrains the element types Array.Add supports.
 type Number interface {
 	~int | ~int8 | ~int16 | ~int32 | ~int64 |
@@ -310,10 +187,6 @@ func NewArray[T Number](n int, initial T) *Array[T] {
 
 // Len returns the number of cells.
 func (a *Array[T]) Len() int { return len(a.cells) }
-
-// Word returns the i-th cell's engine word (for predictors and lock
-// queries).
-func (a *Array[T]) Word(i int) *stm.Var { return a.cells[i].Word() }
 
 // Get reads cell i.
 func (a *Array[T]) Get(tx stm.Tx, i int) (T, error) { return stm.ReadT(tx, &a.cells[i]) }

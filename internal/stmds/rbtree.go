@@ -561,13 +561,6 @@ func (t *RBTree[V]) Size(tx stm.Tx) (int, error) {
 	return size, err
 }
 
-// Keys returns all keys in ascending order (read-only traversal).
-func (t *RBTree[V]) Keys(tx stm.Tx) ([]int64, error) {
-	var out []int64
-	err := t.walk(tx, &t.root, func(n *rbNode[V]) { out = append(out, n.key) })
-	return out, err
-}
-
 // walk visits the nodes below link in key order.
 func (t *RBTree[V]) walk(tx stm.Tx, link *stm.TVar[*rbNode[V]], visit func(*rbNode[V])) error {
 	n, err := stm.ReadT(tx, link)

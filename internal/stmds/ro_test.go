@@ -91,21 +91,17 @@ func TestHashMapRO(t *testing.T) {
 	}
 }
 
-// TestOrderedStructuresRO covers the RO lookups of the tree, skip list and
-// sorted list against the same key set.
+// TestOrderedStructuresRO covers the RO lookups of the tree and the sorted
+// list against the same key set.
 func TestOrderedStructuresRO(t *testing.T) {
 	for name, tm := range bothEngines() {
 		t.Run(name, func(t *testing.T) {
 			th := tm.Register("t0")
 			tree := stmds.NewRBTree[int64]()
-			sl := stmds.NewSkipList[int64](12)
 			list := stmds.NewSortedList[int64]()
 			if err := th.Atomically(func(tx stm.Tx) error {
 				for k := int64(0); k < 64; k += 2 {
 					if _, err := tree.Insert(tx, k, k*10); err != nil {
-						return err
-					}
-					if _, err := sl.Insert(tx, k, k*10); err != nil {
 						return err
 					}
 					if _, err := list.Insert(tx, k, k*10); err != nil {
@@ -124,12 +120,6 @@ func TestOrderedStructuresRO(t *testing.T) {
 					}
 					if ok, err := tree.ContainsRO(tx, k); err != nil || ok != want {
 						t.Errorf("tree.ContainsRO(%d) = %v %v", k, ok, err)
-					}
-					if v, ok, err := sl.GetRO(tx, k); err != nil || ok != want || (ok && v != k*10) {
-						t.Errorf("skiplist.GetRO(%d) = %d %v %v", k, v, ok, err)
-					}
-					if ok, err := sl.ContainsRO(tx, k); err != nil || ok != want {
-						t.Errorf("skiplist.ContainsRO(%d) = %v %v", k, ok, err)
 					}
 					if v, ok, err := list.GetRO(tx, k); err != nil || ok != want || (ok && v != k*10) {
 						t.Errorf("list.GetRO(%d) = %d %v %v", k, v, ok, err)

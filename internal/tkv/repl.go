@@ -59,11 +59,6 @@ import (
 // client should redirect writes to the primary.
 var ErrNotPrimary = errors.New("tkv: not primary (read-only replica)")
 
-// WriteRec is one written key of a committed write set: a stored value
-// or, when Del is set, a tombstone. It is the store-side shape of
-// tkvlog.Entry.
-type WriteRec = tkvlog.Entry
-
 // ReplRec is one committed write set in a shard's window.
 type ReplRec struct {
 	Seq     uint64

@@ -31,7 +31,7 @@ func (st *Store) freezeAll() func() {
 
 // ForEach calls fn for every key/value pair under the snapshot consistency
 // described in the package comment, stopping early when fn returns false.
-// Unlike stmds.HashMap.ForEach, fn runs outside the shard transactions
+// Unlike stmds.HashMap.ForEachRO, fn runs outside the shard transactions
 // (each shard's pairs are buffered first), so it is called exactly once per
 // pair regardless of STM retries.
 func (st *Store) ForEach(fn func(key uint64, val string) bool) error {

@@ -238,19 +238,6 @@ func errOf(cl *call) error {
 	return &StatusError{Status: cl.status, Msg: string(cl.payload.B)}
 }
 
-// Ping round-trips an empty frame.
-func (c *Conn) Ping() error {
-	id := c.nextID.Add(1)
-	f := GetFrame(HeaderSize)
-	f.B = AppendPingReq(f.B, id)
-	cl, err := c.do(id, f)
-	if err != nil {
-		return err
-	}
-	defer c.release(cl)
-	return errOf(cl)
-}
-
 // Get reads one key.
 func (c *Conn) Get(key uint64) (string, bool, error) {
 	id := c.nextID.Add(1)
@@ -371,23 +358,6 @@ func (c *Conn) Batch(ops []tkv.Op) ([]tkv.OpResult, error) {
 		return nil, err
 	}
 	return ParseResultsResp(OpBatch, cl.payload.B)
-}
-
-// Len returns the store's key count under a consistent cut.
-func (c *Conn) Len() (int, error) {
-	id := c.nextID.Add(1)
-	f := GetFrame(HeaderSize)
-	f.B = AppendEmptyReq(f.B, OpLen, id)
-	cl, err := c.do(id, f)
-	if err != nil {
-		return 0, err
-	}
-	defer c.release(cl)
-	if err := errOf(cl); err != nil {
-		return 0, err
-	}
-	n, err := ParseUintResp(OpLen, cl.payload.B)
-	return int(n), err
 }
 
 // Snapshot returns a consistent copy of the whole store.

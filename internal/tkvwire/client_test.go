@@ -187,3 +187,41 @@ func benchConnGet(b *testing.B, callers int) {
 
 func BenchmarkConnGetSerial(b *testing.B)     { benchConnGet(b, 1) }
 func BenchmarkConnGetPipelined8(b *testing.B) { benchConnGet(b, 8) }
+
+// Ping and Len are the client halves of the ping and len opcodes; the
+// server answers both, and only the tests send them.
+
+// Ping round-trips an empty frame.
+func (c *Conn) Ping() error {
+	id := c.nextID.Add(1)
+	f := GetFrame(HeaderSize)
+	f.B = AppendPingReq(f.B, id)
+	cl, err := c.do(id, f)
+	if err != nil {
+		return err
+	}
+	defer c.release(cl)
+	return errOf(cl)
+}
+
+// Len returns the store's key count under a consistent cut.
+func (c *Conn) Len() (int, error) {
+	id := c.nextID.Add(1)
+	f := GetFrame(HeaderSize)
+	f.B = AppendEmptyReq(f.B, OpLen, id)
+	cl, err := c.do(id, f)
+	if err != nil {
+		return 0, err
+	}
+	defer c.release(cl)
+	if err := errOf(cl); err != nil {
+		return 0, err
+	}
+	n, err := ParseUintResp(OpLen, cl.payload.B)
+	return int(n), err
+}
+
+// AppendPingReq appends a ping request frame.
+func AppendPingReq(b []byte, id uint64) []byte {
+	return appendHeader(b, OpPing, 0, 0, id, 0)
+}

@@ -164,11 +164,6 @@ func appendHeader(b []byte, op, flags byte, status uint16, id uint64, payloadLen
 
 // ---- request encoding (client side) ----
 
-// AppendPingReq appends a ping request frame.
-func AppendPingReq(b []byte, id uint64) []byte {
-	return appendHeader(b, OpPing, 0, 0, id, 0)
-}
-
 // AppendGetReq appends a get request frame.
 func AppendGetReq(b []byte, id, key uint64) []byte {
 	b = appendHeader(b, OpGet, 0, 0, id, 8)

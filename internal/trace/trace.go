@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -173,63 +172,4 @@ func (r *RetryDist) P99Retries() uint64 { return r.hist.Quantile(0.99) }
 func (r *RetryDist) Summary() string {
 	return fmt.Sprintf("tx=%d meanRetries=%.2f wasted=%.1f%% p99<=%d",
 		r.Transactions(), r.MeanRetries(), r.WastedWorkRatio()*100, r.P99Retries())
-}
-
-// Series collects (x, y) points and summarizes them; a tiny helper for
-// ad-hoc analysis in tests and tools.
-type Series struct {
-	xs []float64
-	ys []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.xs = append(s.xs, x)
-	s.ys = append(s.ys, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.xs) }
-
-// MeanY returns the mean of the y values.
-func (s *Series) MeanY() float64 {
-	if len(s.ys) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, y := range s.ys {
-		sum += y
-	}
-	return sum / float64(len(s.ys))
-}
-
-// MedianY returns the median of the y values.
-func (s *Series) MedianY() float64 {
-	if len(s.ys) == 0 {
-		return 0
-	}
-	ys := append([]float64(nil), s.ys...)
-	sort.Float64s(ys)
-	return ys[len(ys)/2]
-}
-
-// Slope returns the least-squares slope dy/dx (0 with fewer than 2 points),
-// used by tests to assert trends ("throughput decreases with threads").
-func (s *Series) Slope() float64 {
-	n := float64(len(s.xs))
-	if n < 2 {
-		return 0
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range s.xs {
-		sx += s.xs[i]
-		sy += s.ys[i]
-		sxx += s.xs[i] * s.xs[i]
-		sxy += s.xs[i] * s.ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0
-	}
-	return (n*sxy - sx*sy) / den
 }

@@ -156,29 +156,3 @@ func TestRetryDist(t *testing.T) {
 		t.Fatal("empty wasted ratio not 0")
 	}
 }
-
-func TestSeries(t *testing.T) {
-	var s Series
-	if s.Slope() != 0 || s.MeanY() != 0 || s.MedianY() != 0 {
-		t.Fatal("empty series not zero")
-	}
-	s.Add(1, 2)
-	s.Add(2, 4)
-	s.Add(3, 6)
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if got := s.Slope(); got < 1.999 || got > 2.001 {
-		t.Fatalf("slope = %f", got)
-	}
-	if s.MeanY() != 4 || s.MedianY() != 4 {
-		t.Fatalf("meanY = %f medianY = %f", s.MeanY(), s.MedianY())
-	}
-	// Vertical line: slope defined as 0.
-	var v Series
-	v.Add(1, 1)
-	v.Add(1, 5)
-	if v.Slope() != 0 {
-		t.Fatalf("degenerate slope = %f", v.Slope())
-	}
-}
