@@ -240,11 +240,12 @@ step_examples() {
 # The tree's gates hold an update to its search path plus a few neighbours
 # in reads, to what changes in writes, and to the node and value cell in
 # allocations. The hash map's gates hold every operation to its allocations
-# exactly (a new key its node and value cell, an overwrite its value cell, a
-# delete one copy per node ahead of its key, links nothing), a table of any
-# size to two, a loaded map to 176 B per key + 16 B per bucket, and a stale
-# chain head to keeping nothing removed after it. The size gates hold the
-# engine word at 16 bytes and the nodes at 80 and 32 exactly.
+# exactly (a new key its value cell and its node, or a 63rd of a slab while
+# the map has never deleted, an overwrite its value cell, a delete one copy
+# per node ahead of its key, links nothing), a table of any size to two, a
+# loaded map to 176 B and 2 + 1/63 objects per key + 16 B per bucket, and a
+# stale chain head and random churn to keeping nothing removed. The size
+# gates hold the engine word at 16 bytes and the nodes at 80 and 32 exactly.
 step_footprint() {
 	go test -run=NONE -bench 'BenchmarkReadOnlyTx' -benchtime=100x .
 	selects 'TestROSingleReadZeroAllocs|TestROScanZeroAllocs|TestRONoClockRMW|TestVarSize' ./internal/stm/

@@ -127,8 +127,13 @@
 // a bucket var holds its first node itself, an insert pushes a node on the
 // front, and a delete re-publishes the bucket with copies of the nodes
 // ahead of its key.
-// So a key costs one 32-byte object besides its value, a bucket 16 bytes,
-// and a lookup is bucket slot, node, value cell.
+// So a key costs one 32-byte node besides its value, a bucket 16 bytes,
+// and a lookup is bucket slot, node, value cell. Until its first delete
+// that unlinks a node, the map takes its nodes from slabs of 63 in
+// insertion order, one 2,048-byte object the collector marks at once, and
+// from that delete on allocates each node alone: a slab lives while any of
+// its nodes does, so what slabs keep beyond the live nodes is at most 32
+// bytes per node inserted before that delete.
 //
 // Read-only transactions have a dedicated snapshot mode
 // (Thread.AtomicallyRO with stm.ReadTRO, the TL2/LSA-style read-only

@@ -5,9 +5,24 @@ import "github.com/shrink-tm/shrink/internal/stm"
 // The methods below are the tests' oracles and probes: no program calls
 // them, so they are compiled into the package's tests only.
 
-// ForEach is Range over every key.
+// ForEach is ForEachRO for update transactions.
 func (m *HashMap[V]) ForEach(tx stm.Tx, fn func(key uint64, val V) bool) error {
-	return m.Range(tx, 0, ^uint64(0), fn)
+	for i := range m.buckets {
+		n, err := stm.ReadRefT(tx, &m.buckets[i])
+		if err != nil {
+			return err
+		}
+		for ; n != nil; n = n.next {
+			v, err := stm.ReadT(tx, &n.val)
+			if err != nil {
+				return err
+			}
+			if !fn(n.key, v) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // ContainsRO reports whether key is present, under the GetRO protocol.
@@ -177,27 +192,4 @@ func (m *HashMap[V]) Size(tx stm.Tx) (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// Range is RangeRO for update transactions.
-func (m *HashMap[V]) Range(tx stm.Tx, lo, hi uint64, fn func(key uint64, val V) bool) error {
-	for i := range m.buckets {
-		n, err := stm.ReadRefT(tx, &m.buckets[i])
-		if err != nil {
-			return err
-		}
-		for ; n != nil; n = n.next {
-			if n.key < lo || n.key > hi {
-				continue
-			}
-			v, err := stm.ReadT(tx, &n.val)
-			if err != nil {
-				return err
-			}
-			if !fn(n.key, v) {
-				return nil
-			}
-		}
-	}
-	return nil
 }

@@ -1,6 +1,9 @@
 package stmds
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"github.com/shrink-tm/shrink/internal/stm"
 )
 
@@ -17,13 +20,37 @@ import (
 // holds a bucket var and the value vars it reads, not a var per hop.
 //
 // The table holds its bucket vars by value and a node holds its value var,
-// so a key costs one 32-byte object besides its value cell, a bucket none,
+// so a key costs one 32-byte node besides its value cell, a bucket none,
 // and a Get is four dependent loads: bucket slot, node, value cell, the
 // value's bytes.
+//
+// Until its first delete that unlinks a node, the map takes its nodes from
+// slabs of slabNodes, in insertion order, so that the collector marks them
+// a slab at a time; from that delete on, each node is an object of its own.
+// A slab lives as long as any of its nodes does, and a dead node's link
+// reaches only older nodes, so what slabs keep beyond the live nodes is at
+// most the 32 bytes of each node inserted before that delete. No dead node
+// keeps a value: an insert publishes its node's value in its transaction,
+// and a delete empties the value var of every node it unlinks.
 type HashMap[V any] struct {
 	buckets []stm.TVar[hmNode[V]] // read and written by reference only
 	mask    uint64
+	deleted atomic.Bool // a delete has unlinked a node: no more slabs
+	mu      sync.Mutex  // guards slab
+	slab    []hmNode[V] // the current slab's slots not yet taken
 }
+
+// slab is slabNodes nodes behind a 24-byte pad. With the 8-byte type
+// header the allocator puts in front of a pointer-holding object over 512
+// bytes, a slab exactly fills the 2,048-byte size class (one node more
+// spills into the 2,304-byte class), and the pad puts every node on a
+// 32-byte boundary, so that none straddles two cache lines.
+type slab[V any] struct {
+	_     [24]byte
+	nodes [slabNodes]hmNode[V]
+}
+
+const slabNodes = 63
 
 // hmNode is 32 bytes, a bucket slot 16. Only val is transactional.
 type hmNode[V any] struct {
@@ -62,11 +89,45 @@ func seek[V any](n *hmNode[V], key uint64) *hmNode[V] {
 	return n
 }
 
+// newNode returns a node for key linked to next: the next slot of the
+// map's slab while the map has never unlinked a node, an object of its own
+// after that.
+func (m *HashMap[V]) newNode(next *hmNode[V], key uint64) *hmNode[V] {
+	if !m.deleted.Load() {
+		m.mu.Lock()
+		if !m.deleted.Load() {
+			if len(m.slab) == 0 {
+				m.slab = new(slab[V]).nodes[:]
+			}
+			n := &m.slab[0]
+			m.slab = m.slab[1:]
+			m.mu.Unlock()
+			n.next, n.key = next, key
+			return n
+		}
+		m.mu.Unlock()
+	}
+	return &hmNode[V]{next: next, key: key}
+}
+
+// endGrowth stops the map taking nodes from slabs, for good.
+func (m *HashMap[V]) endGrowth() {
+	if !m.deleted.Load() {
+		m.mu.Lock()
+		m.deleted.Store(true)
+		m.slab = nil
+		m.mu.Unlock()
+	}
+}
+
 // insert pushes a new node holding the cell *val on the front of slot's
-// chain, whose first node is head.
-func insert[V any](tx stm.Tx, slot *stm.TVar[hmNode[V]], head *hmNode[V], key uint64, val *V) (bool, error) {
-	n := &hmNode[V]{next: head, key: key}
-	n.val.InitRef(val)
+// chain, whose first node is head. The value is written, not initialised,
+// so that a slab slot whose insert aborts holds no value.
+func (m *HashMap[V]) insert(tx stm.Tx, slot *stm.TVar[hmNode[V]], head *hmNode[V], key uint64, val *V) (bool, error) {
+	n := m.newNode(head, key)
+	if err := stm.WriteRefT(tx, &n.val, val); err != nil {
+		return false, err
+	}
 	if err := stm.WriteRefT(tx, slot, n); err != nil {
 		return false, err
 	}
@@ -115,7 +176,7 @@ func (m *HashMap[V]) Put(tx stm.Tx, key uint64, val V) (bool, error) {
 	// A copy, so that val escapes on this path only: the address of the
 	// parameter itself would cost the overwrite above an allocation too.
 	v := val
-	return insert(tx, slot, head, key, &v)
+	return m.insert(tx, slot, head, key, &v)
 }
 
 // PutRef stores the cell *val under key without spilling a copy, reporting
@@ -132,7 +193,7 @@ func (m *HashMap[V]) PutRef(tx stm.Tx, key uint64, val *V) (bool, error) {
 	if n != nil {
 		return false, stm.WriteRefT(tx, &n.val, val)
 	}
-	return insert(tx, slot, head, key, val)
+	return m.insert(tx, slot, head, key, val)
 }
 
 // PutIfAbsent stores val under key only if absent, reporting whether it
@@ -143,7 +204,7 @@ func (m *HashMap[V]) PutIfAbsent(tx stm.Tx, key uint64, val V) (bool, error) {
 		return false, err
 	}
 	v := val // as in Put: absent keys alone pay for the cell
-	return insert(tx, slot, head, key, &v)
+	return m.insert(tx, slot, head, key, &v)
 }
 
 // Delete removes key, reporting whether it was present. It re-publishes the
@@ -152,16 +213,22 @@ func (m *HashMap[V]) PutIfAbsent(tx stm.Tx, key uint64, val V) (bool, error) {
 // of the chain: deleting a chain's first node copies nothing. Reading the
 // cells is what keeps a concurrent write to one of those keys: a writer that
 // commits first fails this delete's validation, and one that commits after
-// it finds the bucket it read changed.
+// it finds the bucket it read changed. Every node it unlinks, key's and each
+// original it copies, has its value var emptied, so that a removed node
+// something still reaches keeps no value alive.
 func (m *HashMap[V]) Delete(tx stm.Tx, key uint64) (bool, error) {
 	slot, head, n, err := m.find(tx, key)
 	if err != nil || n == nil {
 		return false, err
 	}
+	m.endGrowth()
 	var first *hmNode[V]
 	link := &first
 	for a := head; a != n; a = a.next {
 		cell, err := stm.ReadRefT(tx, &a.val)
+		if err == nil {
+			err = stm.WriteRefT(tx, &a.val, nil)
+		}
 		if err != nil {
 			return false, err
 		}
@@ -171,6 +238,9 @@ func (m *HashMap[V]) Delete(tx stm.Tx, key uint64) (bool, error) {
 		link = &c.next
 	}
 	*link = n.next
+	if err := stm.WriteRefT(tx, &n.val, nil); err != nil {
+		return false, err
+	}
 	if err := stm.WriteRefT(tx, slot, first); err != nil {
 		return false, err
 	}
@@ -244,31 +314,21 @@ func (m *HashMap[V]) SizeRO(tx *stm.ROTx) (int, error) {
 	return total, nil
 }
 
-// ForEachRO is RangeRO over every key.
+// ForEachRO calls fn for every pair (bucket order, newest key first within
+// a bucket) under a read-only snapshot transaction, stopping early when fn
+// returns false. fn runs inside the transaction: if the enclosing
+// AtomicallyRO restarts on a fresher snapshot, fn is invoked again from the
+// start, so callers that accumulate state must reset it at the top of the
+// transaction body (or collect into a buffer and consume it after commit,
+// as tkv's snapshot path does). Keys are hashed across buckets, so a caller
+// that wants a range of keys filters in fn: the walk is O(buckets+size).
 func (m *HashMap[V]) ForEachRO(tx *stm.ROTx, fn func(key uint64, val V) bool) error {
-	return m.RangeRO(tx, 0, ^uint64(0), fn)
-}
-
-// RangeRO calls fn for every pair with lo <= key <= hi (bucket order,
-// newest key first within a bucket) under a read-only snapshot
-// transaction, stopping early when fn returns false. fn runs inside the
-// transaction: if the enclosing AtomicallyRO restarts on a fresher
-// snapshot, fn is invoked again from the start, so callers that accumulate
-// state must reset it at the top of the transaction body (or collect into a
-// buffer and consume it after commit, as tkv's snapshot path does). Keys
-// are hashed across buckets, so RangeRO scans the whole table and filters:
-// it is an iteration primitive, O(buckets+size), not an indexed range query
-// (use RBTree for those).
-func (m *HashMap[V]) RangeRO(tx *stm.ROTx, lo, hi uint64, fn func(key uint64, val V) bool) error {
 	for i := range m.buckets {
 		n, err := stm.ReadRefTRO(tx, &m.buckets[i])
 		if err != nil {
 			return err
 		}
 		for ; n != nil; n = n.next {
-			if n.key < lo || n.key > hi {
-				continue
-			}
 			v, err := stm.ReadTRO(tx, &n.val)
 			if err != nil {
 				return err

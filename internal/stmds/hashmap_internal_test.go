@@ -1,6 +1,7 @@
 package stmds
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -261,9 +262,163 @@ func TestHashMapDeleteCopiesKeepWritesAhead(t *testing.T) {
 	}
 }
 
-// mallocs returns the number of heap allocations fn performs.
+// TestHashMapConcurrentGrowth: inserters share a fresh map's slab cursor,
+// and one of them ends the growth phase halfway by deleting its own keys
+// while the others go on inserting. Every slot goes to one insert: every
+// key is found afterwards with its value, and none that was deleted.
+func TestHashMapConcurrentGrowth(t *testing.T) {
+	for name, tm := range map[string]stm.TM{
+		"swiss": swiss.New(swiss.Options{}),
+		"tiny":  tiny.New(tiny.Options{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			const writers, perWriter = 4, 2000
+			m := NewHashMap[uint64](writers * perWriter / 4)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				th := tm.Register(fmt.Sprintf("writer-%d", w))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						k := uint64(i*writers + w)
+						if err := th.Atomically(func(tx stm.Tx) error {
+							_, err := m.Put(tx, k, k)
+							return err
+						}); err != nil {
+							t.Error(err)
+							return
+						}
+						if w == 0 && i >= perWriter/2 && i%2 == 0 {
+							if err := th.Atomically(func(tx stm.Tx) error {
+								_, err := m.Delete(tx, k)
+								return err
+							}); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if !m.deleted.Load() {
+				t.Fatal("the map still takes slabs after a delete")
+			}
+			if err := tm.Register("checker").Atomically(func(tx stm.Tx) error {
+				size := 0
+				for k := uint64(0); k < writers*perWriter; k++ {
+					i, w := int(k)/writers, k%writers
+					want := !(w == 0 && i >= perWriter/2 && i%2 == 0)
+					v, ok, err := m.Get(tx, k)
+					if err != nil {
+						return err
+					}
+					if ok != want || ok && v != k {
+						return fmt.Errorf("get(%d) = %d, %v, want present=%v", k, v, ok, want)
+					}
+					if ok {
+						size++
+					}
+				}
+				if got, err := m.Size(tx); err != nil || got != size {
+					return fmt.Errorf("size %d (%v), want %d", got, err, size)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestHashMapDeadNodesHoldNoValue: no node the map has let go of keeps a
+// value alive, since a slab keeps every slot of it as long as one of its
+// nodes lives. A delete empties the value var of each node it unlinks (the
+// removed one and the originals of the copies ahead of it), and an insert
+// whose transaction aborts leaves the slab slot it took holding no value.
+func TestHashMapDeadNodesHoldNoValue(t *testing.T) {
+	for name, tm := range map[string]stm.TM{
+		"swiss": swiss.New(swiss.Options{}),
+		"tiny":  tiny.New(tiny.Options{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			th := tm.Register("t0")
+			m := NewHashMap[uint64](16)
+			var keys []uint64 // four keys of one bucket
+			for k := uint64(0); len(keys) < 4; k++ {
+				if hashKey(k)&m.mask == 0 {
+					keys = append(keys, k)
+				}
+			}
+			put := func(ks ...uint64) error {
+				return th.Atomically(func(tx stm.Tx) error {
+					for _, k := range ks {
+						if _, err := m.Put(tx, k, k); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+			}
+			if err := put(keys[0]); err != nil {
+				t.Fatal(err)
+			}
+			abort := errors.New("abort")
+			aborted := &m.slab[0] // the slot the next insert takes
+			if err := th.Atomically(func(tx stm.Tx) error {
+				if _, err := m.Put(tx, keys[3], keys[3]); err != nil {
+					return err
+				}
+				return abort
+			}); !errors.Is(err, abort) {
+				t.Fatalf("aborted insert: %v", err)
+			}
+			if aborted.key != keys[3] || aborted.val.Word().LoadPtr() != nil {
+				t.Errorf("the slot of an aborted insert holds key %d and value cell %p, want key %d and none", aborted.key, aborted.val.Word().LoadPtr(), keys[3])
+			}
+			if err := put(keys[1], keys[2]); err != nil {
+				t.Fatal(err)
+			}
+			var unlinked []*hmNode[uint64] // keys[0]'s node and the two ahead of it
+			if err := th.Atomically(func(tx stm.Tx) error {
+				_, head, n, err := m.find(tx, keys[0])
+				unlinked = []*hmNode[uint64]{n, head, head.next}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := th.Atomically(func(tx stm.Tx) error {
+				_, err := m.Delete(tx, keys[0])
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range unlinked {
+				if c := n.val.Word().LoadPtr(); c != nil {
+					t.Errorf("unlinked node of key %d holds value %d", n.key, *(*uint64)(c))
+				}
+			}
+			if err := th.Atomically(func(tx stm.Tx) error {
+				for _, k := range keys[1:3] {
+					if v, ok, err := m.Get(tx, k); err != nil || !ok || v != k {
+						return fmt.Errorf("get(%d) = %d, %v, %v after the delete behind it", k, v, ok, err)
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// mallocs returns the number of heap allocations fn performs. It collects
+// first, so that the process's first collection, whose start allocates the
+// runtime's mark workers, does not begin inside fn.
 func mallocs(fn func()) uint64 {
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
@@ -278,10 +433,21 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
+// liveObjects returns the heap objects still reachable after a collection.
+func liveObjects() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapObjects
+}
+
 // TestHashMapAllocs: an operation allocates the node when it links one, the
 // value cell when it is handed a value and not a cell, and a delete one copy
 // per node ahead of its key, and nothing else — a bucket var holds its first
-// node itself. SortedList.Insert is held to the same rule.
+// node itself. A map that has never unlinked a node (grow here) takes its
+// nodes from slabs, one allocation per slabNodes inserts; one that has (m
+// and pair, from the first round's deletes on) allocates each node.
+// SortedList.Insert is held to the same rule.
 func TestHashMapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -293,6 +459,8 @@ func TestHashMapAllocs(t *testing.T) {
 	l := NewSortedList[int64]()
 	// pair has a chain of two keys in each bucket, pairs[b][1] ahead.
 	pair := NewHashMap[uint64](n)
+	grow := NewHashMap[uint64](8 * n)
+	fresh := uint64(2 * n) // grow's next key, one no other map holds
 	pairs := make([][2]uint64, n)
 	fill := make([]int, n)
 	for k, left := uint64(0), 2*n; left > 0; k++ {
@@ -333,39 +501,48 @@ func TestHashMapAllocs(t *testing.T) {
 	// first 64 of them: its search is linear; for pair, the pair in bucket
 	// key/2, whose key behind the other is deleted and put back in front);
 	// each leaves them as the next expects. A delete of a present key takes them
-	// newest first, so that each is its chain's first node. The first round
-	// warms the transaction's logs.
+	// newest first, so that each is its chain's first node. The phases on
+	// grow take a fresh key each. The first round warms the transaction's
+	// logs.
 	phases := []struct {
 		name    string
 		n       int
 		run     func() error
 		wantHit bool
-		want    uint64 // allocations per op
+		want    uint64 // allocations per op, besides grow's slabs
 		reverse bool
+		grows   bool // on grow: fresh keys, and a slab per slabNodes inserts
 	}{
-		{"Put new", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Put(tx, key, key); return }), true, 2, false},
-		{"Put existing", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Put(tx, key, key); return }), false, 1, false},
-		{"PutRef existing", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutRef(tx, key, cell); return }), false, 0, false},
-		{"PutIfAbsent present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutIfAbsent(tx, key, key); return }), false, 0, false},
-		{"Get", n, rw(func(tx stm.Tx) (err error) { _, hit, err = m.Get(tx, key); return }), true, 0, false},
-		{"GetRO", n, ro(func(tx *stm.ROTx) (err error) { _, hit, err = m.GetRO(tx, key); return }), true, 0, false},
-		{"ContainsRO", n, ro(func(tx *stm.ROTx) (err error) { hit, err = m.ContainsRO(tx, key); return }), true, 0, false},
-		{"Delete present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), true, 0, true},
-		{"Delete absent", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), false, 0, false},
-		{"PutRef new", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutRef(tx, key, cell); return }), true, 1, false},
-		{"Delete present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), true, 0, true},
-		{"PutIfAbsent absent", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutIfAbsent(tx, key, key); return }), true, 2, false},
-		{"Delete present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), true, 0, true},
-		{"Delete behind one node", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.Delete(tx, pairs[key/2][0]); return }), true, 1, false},
-		{"PutRef new", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.PutRef(tx, pairs[key/2][0], cell); return }), true, 1, false},
-		{"Delete behind one node", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.Delete(tx, pairs[key/2][1]); return }), true, 1, false},
-		{"PutRef new", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.PutRef(tx, pairs[key/2][1], cell); return }), true, 1, false},
-		{"SortedList.Insert new", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Insert(tx, int64(key), 0); return }), true, 2, false},
-		{"SortedList.Insert existing", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Insert(tx, int64(key), 0); return }), false, 0, false},
-		{"SortedList.Delete", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Delete(tx, int64(key)); return }), true, 0, false},
+		{"Put new", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Put(tx, key, key); return }), true, 2, false, false},
+		{"Put existing", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Put(tx, key, key); return }), false, 1, false, false},
+		{"PutRef existing", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutRef(tx, key, cell); return }), false, 0, false, false},
+		{"PutIfAbsent present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutIfAbsent(tx, key, key); return }), false, 0, false, false},
+		{"Get", n, rw(func(tx stm.Tx) (err error) { _, hit, err = m.Get(tx, key); return }), true, 0, false, false},
+		{"GetRO", n, ro(func(tx *stm.ROTx) (err error) { _, hit, err = m.GetRO(tx, key); return }), true, 0, false, false},
+		{"ContainsRO", n, ro(func(tx *stm.ROTx) (err error) { hit, err = m.ContainsRO(tx, key); return }), true, 0, false, false},
+		{"Delete present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), true, 0, true, false},
+		{"Delete absent", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), false, 0, false, false},
+		{"PutRef new", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutRef(tx, key, cell); return }), true, 1, false, false},
+		{"Delete present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), true, 0, true, false},
+		{"PutIfAbsent absent", n, rw(func(tx stm.Tx) (err error) { hit, err = m.PutIfAbsent(tx, key, key); return }), true, 2, false, false},
+		{"Delete present", n, rw(func(tx stm.Tx) (err error) { hit, err = m.Delete(tx, key); return }), true, 0, true, false},
+		{"Delete behind one node", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.Delete(tx, pairs[key/2][0]); return }), true, 1, false, false},
+		{"PutRef new", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.PutRef(tx, pairs[key/2][0], cell); return }), true, 1, false, false},
+		{"Delete behind one node", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.Delete(tx, pairs[key/2][1]); return }), true, 1, false, false},
+		{"PutRef new", n, rw(func(tx stm.Tx) (err error) { hit, err = pair.PutRef(tx, pairs[key/2][1], cell); return }), true, 1, false, false},
+		{"Put new, growing", n, rw(func(tx stm.Tx) (err error) { hit, err = grow.Put(tx, key, key); return }), true, 1, false, true},
+		{"PutRef new, growing", n, rw(func(tx stm.Tx) (err error) { hit, err = grow.PutRef(tx, key, cell); return }), true, 0, false, true},
+		{"PutIfAbsent absent, growing", n, rw(func(tx stm.Tx) (err error) { hit, err = grow.PutIfAbsent(tx, key, key); return }), true, 1, false, true},
+		{"SortedList.Insert new", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Insert(tx, int64(key), 0); return }), true, 2, false, false},
+		{"SortedList.Insert existing", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Insert(tx, int64(key), 0); return }), false, 0, false, false},
+		{"SortedList.Delete", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Delete(tx, int64(key)); return }), true, 0, false, false},
 	}
 	for round := 0; round < 2; round++ {
 		for _, p := range phases {
+			want := p.want * uint64(p.n)
+			if free := len(grow.slab); p.grows && p.n > free {
+				want += uint64((p.n - free + slabNodes - 1) / slabNodes)
+			}
 			got := mallocs(func() {
 				for i := 0; i < p.n; i++ {
 					j := i
@@ -373,6 +550,9 @@ func TestHashMapAllocs(t *testing.T) {
 						j = p.n - 1 - i
 					}
 					key = uint64(j*37%n)*2 + 1
+					if p.grows {
+						key, fresh = fresh, fresh+1
+					}
 					if err := p.run(); err != nil {
 						t.Fatal(err)
 					}
@@ -384,8 +564,8 @@ func TestHashMapAllocs(t *testing.T) {
 			// A few stray allocations by the runtime over a phase are
 			// not the map's.
 			const stray = 10
-			if want := p.want * uint64(p.n); round > 0 && (got < want || got > want+stray) {
-				t.Errorf("%s: %d allocations in %d ops, want %d per op", p.name, got, p.n, p.want)
+			if round > 0 && (got < want || got > want+stray) {
+				t.Errorf("%s: %d allocations in %d ops, want %d", p.name, got, p.n, want)
 			}
 		}
 	}
@@ -421,7 +601,8 @@ func TestConstructorAllocs(t *testing.T) {
 // TestNodeSizes holds the two node layouts at what their fields add up to
 // over a 16-byte engine word (stm.TestVarSize): key, self and four vars in a
 // tree node, link, one var and key in a map node. The tree has no
-// bytes-per-node gate; this is it.
+// bytes-per-node gate; this is it. A map's slab fills its size class, and
+// its nodes sit on 32-byte boundaries.
 func TestNodeSizes(t *testing.T) {
 	if got := unsafe.Sizeof(rbNode[int64]{}); got != 80 {
 		t.Errorf("unsafe.Sizeof(rbNode[int64]{}) = %d, want 80", got)
@@ -432,11 +613,19 @@ func TestNodeSizes(t *testing.T) {
 	if got := unsafe.Sizeof(hmNode[string]{}); got != 32 {
 		t.Errorf("unsafe.Sizeof(hmNode[string]{}) = %d, want 32", got)
 	}
+	if got := unsafe.Sizeof(slab[string]{}); got != 2048-8 {
+		t.Errorf("unsafe.Sizeof(slab[string]{}) = %d, want 2040: the 2,048-byte size class less its 8-byte header", got)
+	}
+	if n := NewHashMap[string](16).newNode(nil, 0); uintptr(unsafe.Pointer(n))%32 != 0 {
+		t.Errorf("a slab's first node is at %p, want a 32-byte boundary", n)
+	}
 }
 
 // TestHashMapBytesPerKey bounds what a loaded map holds on the heap, in the
-// shape tkv gives it (string values in caller-owned cells): a 32-byte node,
-// the 16-byte cell and the value's bytes per key, a 16-byte var per bucket.
+// shape tkv gives it (string values in caller-owned cells, and no delete, so
+// the nodes sit in slabs of slabNodes): 2 + 1/slabNodes objects per key (the
+// value's cell and bytes, and its share of a slab), 32 bytes of node, the
+// 16-byte cell and the value's bytes per key, a 16-byte var per bucket.
 func TestHashMapBytesPerKey(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes under the race detector are its own")
@@ -444,7 +633,7 @@ func TestHashMapBytesPerKey(t *testing.T) {
 	const keys, buckets, valLen = 100_000, 1 << 17, 128
 	th := swiss.New(swiss.Options{}).Register("t0")
 	val := strings.Repeat("v", valLen)
-	before := liveHeap()
+	before, objectsBefore := liveHeap(), liveObjects()
 	m := NewHashMap[string](buckets)
 	for k := uint64(0); k < keys; k++ {
 		cell := new(string)
@@ -456,11 +645,16 @@ func TestHashMapBytesPerKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	held := liveHeap() - before
+	held, objects := liveHeap()-before, liveObjects()-objectsBefore
 	const want = keys*(32+16+valLen) + buckets*16
-	t.Logf("%d keys in %d buckets hold %d bytes: %.1f per key beyond the %d per bucket", keys, buckets, held, (float64(held)-buckets*16)/keys, 16)
+	const wantObjects = 2*keys + (keys+slabNodes-1)/slabNodes + 2 // and the map, its buckets
+	t.Logf("%d keys in %d buckets hold %d bytes: %.1f per key beyond the %d per bucket; %d objects, %.4f per key", keys, buckets, held, (float64(held)-buckets*16)/keys, 16, objects, float64(objects)/keys)
 	if held > want+want*3/100 {
 		t.Errorf("the map holds %d bytes, want at most %d (+3%%): 32+16+%d per key, 16 per bucket", held, want, valLen)
+	}
+	// A few objects of the runtime's come or go over the load.
+	if objects+16 < wantObjects || objects > wantObjects+16 {
+		t.Errorf("the map holds %d objects, want %d (±16): 2 per key, a slab per %d keys, the map and its buckets", objects, wantObjects, slabNodes)
 	}
 	runtime.KeepAlive(m)
 }
@@ -470,48 +664,96 @@ func TestHashMapBytesPerKey(t *testing.T) {
 // that later, shorter transactions do not overwrite; here the test itself —
 // must keep alive the chain it headed when it was read and nothing removed
 // after it. Links never change once published, so a node reaches only nodes
-// older than itself, and every delete here copies the nodes ahead of its key.
+// older than itself, and every delete in the window case copies the nodes
+// ahead of its key. The churn case holds what slabs may keep: a slab lives
+// while any of its nodes does, and its dead nodes' links reach older slabs,
+// so a map that kept taking nodes from slabs under deletes and inserts would
+// grow without end; one that stops at its first delete stays flat.
 func TestHashMapRemovedNodesAreCollected(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes under the race detector are its own")
 	}
 	th := swiss.New(swiss.Options{}).Register("t0")
-	m := NewHashMap[uint64](16)
-	update := func(key uint64, insert bool) {
-		if err := th.Atomically(func(tx stm.Tx) (err error) {
-			if insert {
-				_, err = m.Put(tx, key, key)
-			} else {
-				_, err = m.Delete(tx, key)
+	t.Run("window", func(t *testing.T) {
+		m := NewHashMap[uint64](16)
+		update := func(key uint64, insert bool) {
+			if err := th.Atomically(func(tx stm.Tx) (err error) {
+				if insert {
+					_, err = m.Put(tx, key, key)
+				} else {
+					_, err = m.Delete(tx, key)
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
 			}
-			return err
-		}); err != nil {
-			t.Fatal(err)
 		}
-	}
-	// A window of 256 keys slides upwards: every bucket's chain gains a
-	// first node and loses its last, some sixteen nodes long throughout.
-	const window, rounds = 256, 200_000
-	for k := uint64(0); k < window; k++ {
-		update(k, true)
-	}
-	var stale *hmNode[uint64] // the first node of key 0's chain
-	if err := th.Atomically(func(tx stm.Tx) (err error) {
-		_, stale, _, err = m.find(tx, 0)
-		return err
-	}); err != nil || stale == nil || stale.key == 0 {
-		t.Fatalf("key 0 is not behind the first node of its chain: %v, %v", stale, err)
-	}
-	update(0, false) // which copies stale, and stale leaves the map
-	before := liveHeap()
-	for k := uint64(1); k <= rounds; k++ {
-		update(k+window-1, true)
-		update(k, false)
-	}
-	after := liveHeap()
-	t.Logf("live heap %d KiB, %d KiB after %d rounds", before>>10, after>>10, rounds)
-	if after > before+64<<10 {
-		t.Errorf("the live heap grew from %d to %d KiB under updates that kept the map the same size: removed nodes are being kept", before>>10, after>>10)
-	}
-	runtime.KeepAlive(stale)
+		// A window of 256 keys slides upwards: every bucket's chain gains a
+		// first node and loses its last, some sixteen nodes long throughout.
+		const window, rounds = 256, 200_000
+		for k := uint64(0); k < window; k++ {
+			update(k, true)
+		}
+		var stale *hmNode[uint64] // the first node of key 0's chain
+		if err := th.Atomically(func(tx stm.Tx) (err error) {
+			_, stale, _, err = m.find(tx, 0)
+			return err
+		}); err != nil || stale == nil || stale.key == 0 {
+			t.Fatalf("key 0 is not behind the first node of its chain: %v, %v", stale, err)
+		}
+		update(0, false) // which copies stale, and stale leaves the map
+		before := liveHeap()
+		for k := uint64(1); k <= rounds; k++ {
+			update(k+window-1, true)
+			update(k, false)
+		}
+		after := liveHeap()
+		t.Logf("live heap %d KiB, %d KiB after %d rounds", before>>10, after>>10, rounds)
+		if after > before+64<<10 {
+			t.Errorf("the live heap grew from %d to %d KiB under updates that kept the map the same size: removed nodes are being kept", before>>10, after>>10)
+		}
+		runtime.KeepAlive(stale)
+	})
+	t.Run("churn", func(t *testing.T) {
+		// 10k live keys, about one a bucket, loaded into slabs a key a
+		// transaction (as tkv loads them); then each round deletes a random
+		// present key and inserts a fresh one.
+		const live, early, rounds = 10_000, 400_000, 2_000_000
+		m := NewHashMap[uint64](live)
+		keys := make([]uint64, live)
+		for i := range keys {
+			keys[i] = uint64(i)
+			if err := th.Atomically(func(tx stm.Tx) error {
+				_, err := m.Put(tx, keys[i], keys[i])
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		fresh := uint64(live)
+		var mid uint64
+		for r := 1; r <= rounds; r++ {
+			i := rng.Intn(live)
+			if err := th.Atomically(func(tx stm.Tx) error {
+				if ok, err := m.Delete(tx, keys[i]); err != nil || !ok {
+					return fmt.Errorf("delete(%d) = %v, %v", keys[i], ok, err)
+				}
+				_, err := m.Put(tx, fresh, fresh)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			keys[i], fresh = fresh, fresh+1
+			if r == early {
+				mid = liveHeap()
+			}
+		}
+		after := liveHeap()
+		t.Logf("live heap %d KiB after %d rounds, %d KiB after %d", mid>>10, early, after>>10, rounds)
+		if after > mid+64<<10 {
+			t.Errorf("the live heap grew from %d to %d KiB under churn that kept the map the same size: removed nodes are being kept", mid>>10, after>>10)
+		}
+		runtime.KeepAlive(m)
+	})
 }
