@@ -135,8 +135,13 @@ step_bench_module() { go -C bench vet ./... && go -C bench test ./...; }
 
 # The race detector over the engines and the serving path at 1, 2 and 4
 # processors, for the reasons the test step lists, then over the engines,
-# the structures and the serving path once more at the default count.
+# the structures and the serving path once more at the default count. The
+# detector builds with checkptr, which checks every unsafe conversion: the
+# value cells tkv.NewCell makes are one, and the test that reads them back
+# after collections (TestStoreMadeCellsSurviveCollection) must be among
+# what runs here.
 step_race() {
+	selects 'TestStoreMadeCellsSurviveCollection' ./internal/tkvwire/
 	go test -race -count=1 -cpu 1,2,4 ./internal/stm/... ./internal/stmds/... ./internal/predict/... ./internal/sched/... ./internal/enginecfg/... ./internal/verify/... ./internal/keylock/... ./internal/tkvlog/... ./internal/tkv/... ./internal/tkvwire/... ./internal/tkvrepl/... ./internal/tkvwal/...
 	go test -race -count=1 ./internal/stm/... ./internal/stmds/... ./internal/keylock/... ./internal/tkv/... ./internal/tkvwire/... ./internal/tkvlog/... ./internal/tkvrepl/... ./internal/tkvwal/...
 }
@@ -176,8 +181,8 @@ step_race() {
 # the pool empty, is the scheduler's choice. The alloc gates run without
 # -race (the tests skip themselves under it): a batch allocates what a call
 # hands away, nothing for its grouping (the line without a -N suffix is the
-# one-processor run; measured 16 allocs/op for the 8-add batch, MGet 1), and
-# a single-key write exactly its count (PutRef 0, Add and a swapping CAS 1;
+# one-processor run; measured 9 allocs/op for the 8-add batch, a cell an add, MGet 1), and
+# a single-key write exactly its count (PutRef 0, Add at any counter and a swapping CAS 1;
 # 1, 2, 2 with a ring; no-ops 0).
 step_batch() {
 	local run='TestConcurrentDisjointBatches|TestOverlappingBatchesNoLostUpdates|TestBatchCASMismatchNoPartialWrites|TestBatchStateReuse|TestBatchRestartAppliesOnce|TestBatchReadsOwnWrites|TestMGetAtomicAcrossShards|TestSnapshotNeverSplitsABatch|TestReadOnlyWaitsOutGateOnlyBatch|TestShardStatsSumToEngine|TestStripeWaitsReported|TestGateFreeze|TestThreadPoolBound|TestThreadPoolNoLostWakeup|TestThreadReturnedOnPanic|TestSingleKeyWriteMatrix|TestSingleKeyWriteStripeMode|TestReplReadOnly|TestReadOnlyFenceIsBarrier|TestDroppedStoreIsCollected|TestPooledStateAcrossStores|TestUnloggedOpsTakeNoStripe|TestHotReadsStayLive|TestPutDeleteOrderedInLog|TestRecordNeverTrailsARead|TestLogReplaysToStore'
@@ -244,8 +249,12 @@ step_examples() {
 # the map has never deleted, an overwrite its value cell, a delete one copy
 # per node ahead of its key, links nothing), a table of any size to two, a
 # loaded map to 176 B and 2 + 1/63 objects per key + 16 B per bucket, and a
-# stale chain head and random churn to keeping nothing removed. The size
-# gates hold the engine word at 16 bytes and the nodes at 80 and 32 exactly.
+# stale chain head and random churn to keeping nothing removed, a thread's
+# logs included once a transaction is over. The size gates hold the engine
+# word at 16 bytes and the nodes at 80 and 32 exactly. A value the store
+# makes is one object (a wire put leaves one object a value), and it holds
+# its bytes through collections once only the map refers to it, at 1, 2
+# and 4 processors.
 step_footprint() {
 	go test -run=NONE -bench 'BenchmarkReadOnlyTx' -benchtime=100x .
 	selects 'TestROSingleReadZeroAllocs|TestROScanZeroAllocs|TestRONoClockRMW|TestVarSize' ./internal/stm/
@@ -254,6 +263,8 @@ step_footprint() {
 	go test -run 'TestRBTreeFootprint|TestRBTreeUpdateAllocs|TestRBTreeRemovedNodesAreCollected' -count=1 -v ./internal/stmds/
 	selects 'TestNodeSizes|TestHashMapAllocs|TestConstructorAllocs|TestHashMapBytesPerKey|TestHashMapRemovedNodesAreCollected' ./internal/stmds/
 	go test -run 'TestNodeSizes|TestHashMapAllocs|TestConstructorAllocs|TestHashMapBytesPerKey|TestHashMapRemovedNodesAreCollected' -count=1 -v ./internal/stmds/
+	selects 'TestWirePutObjectsPerValue|TestStoreMadeCellsSurviveCollection' ./internal/tkvwire/
+	go test -run 'TestWirePutObjectsPerValue|TestStoreMadeCellsSurviveCollection' -count=1 -cpu 1,2,4 -v ./internal/tkvwire/
 }
 
 # The snapshot reads must inline into the traversals that call them.

@@ -5,8 +5,8 @@ import "errors"
 // CoreTx is the per-attempt surface an engine's transaction descriptor
 // exposes to Core.Run, on top of the user-facing Tx operations. The
 // contract that keeps the hook pipeline zero-copy: Commit and Rollback must
-// leave the write log readable (Writes stays valid) until the next Begin,
-// which is where logs are reset.
+// leave the write log readable (Writes stays valid) until the next Begin or
+// End, which is where logs are reset.
 type CoreTx interface {
 	Tx
 	// Begin resets the descriptor for a fresh attempt (snapshot timestamp,
@@ -22,6 +22,10 @@ type CoreTx interface {
 	Rollback()
 	// Writes returns the zero-copy view of the attempt's write set.
 	Writes() WriteSet
+	// End resets the logs once the transaction is over and the hooks have
+	// seen its write set, so what it touched is not pinned until the
+	// thread's next transaction (see logKeep).
+	End()
 }
 
 // CoreOptions configures a Core. Zero fields fall back to defaults:
@@ -87,6 +91,7 @@ func (c *Core) Run(t *ThreadCtx, tx CoreTx, fn func(Tx) error) error {
 		if err == nil {
 			t.Commits.Add(1)
 			c.Sched.AfterCommit(t, tx.Writes())
+			tx.End()
 			return nil
 		}
 
@@ -101,9 +106,17 @@ func (c *Core) Run(t *ThreadCtx, tx CoreTx, fn func(Tx) error) error {
 		// error propagates without retry.
 		t.UserAborts.Add(1)
 		c.Sched.AfterAbort(t, tx.Writes())
+		tx.End()
 		return err
 	}
 }
+
+// logKeep is how many leading entries of a thread's read log and write
+// index Reset truncates without clearing. Entries past it are cleared, so a
+// transaction larger than the ones after it does not pin the vars it
+// touched (and, through them, their nodes and slabs) once it is over, and
+// steady small transactions, which never reach past it, pay nothing.
+const logKeep = 64
 
 // ReadLog is the validated-read log shared by the engines: each entry
 // records a Var and the version it had when read. The backing array is
@@ -117,8 +130,14 @@ type readLogEntry struct {
 	ver uint64
 }
 
-// Reset clears the log for the next attempt, keeping capacity.
-func (l *ReadLog) Reset() { l.entries = l.entries[:0] }
+// Reset clears the log for the next attempt, keeping capacity. Entries past
+// the first logKeep are cleared, not only truncated.
+func (l *ReadLog) Reset() {
+	if len(l.entries) > logKeep {
+		clear(l.entries[logKeep:])
+	}
+	l.entries = l.entries[:0]
+}
 
 // Record appends a validated read of v at version ver.
 func (l *ReadLog) Record(v *Var, ver uint64) {

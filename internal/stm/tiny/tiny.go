@@ -117,8 +117,16 @@ func (tx *txn) Begin(int) {
 }
 
 // Writes implements stm.CoreTx: the zero-copy write-set view over the write
-// index, valid until the next Begin.
+// index, valid until the next Begin or End.
 func (tx *txn) Writes() stm.WriteSet { return tx.windex.Set() }
+
+// End implements stm.CoreTx: the logs reset as at Begin, which drops what
+// the finished transaction's entries past stm's kept prefix reference.
+func (tx *txn) End() {
+	tx.reads.Reset()
+	tx.undo = tx.undo[:0]
+	tx.windex.Reset()
+}
 
 // ThreadID implements stm.Tx.
 func (tx *txn) ThreadID() int { return tx.th.ctx.ID }

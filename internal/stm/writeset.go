@@ -44,9 +44,14 @@ type WriteIndex struct {
 }
 
 // Reset clears the index for the next transaction attempt, keeping all
-// capacity. The table may be left holding stale entries: it is never read
-// while tabled is false, and rebuild clears it before reuse.
+// capacity; var pointers past the first logKeep are cleared, not only
+// truncated (see logKeep). The table may be left holding stale entries: it
+// holds positions, not pointers, is never read while tabled is false, and
+// rebuild clears it before reuse.
 func (w *WriteIndex) Reset() {
+	if len(w.vars) > logKeep {
+		clear(w.vars[logKeep:])
+	}
 	w.vars = w.vars[:0]
 	w.tabled = false
 }

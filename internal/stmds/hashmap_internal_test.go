@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"unsafe"
+	"weak"
 
 	"github.com/shrink-tm/shrink/internal/stm"
 	"github.com/shrink-tm/shrink/internal/stm/swiss"
@@ -673,8 +674,8 @@ func TestHashMapRemovedNodesAreCollected(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes under the race detector are its own")
 	}
-	th := swiss.New(swiss.Options{}).Register("t0")
 	t.Run("window", func(t *testing.T) {
+		th := swiss.New(swiss.Options{}).Register("t0")
 		m := NewHashMap[uint64](16)
 		update := func(key uint64, insert bool) {
 			if err := th.Atomically(func(tx stm.Tx) (err error) {
@@ -714,25 +715,49 @@ func TestHashMapRemovedNodesAreCollected(t *testing.T) {
 		}
 		runtime.KeepAlive(stale)
 	})
-	t.Run("churn", func(t *testing.T) {
-		// 10k live keys, about one a bucket, loaded into slabs a key a
-		// transaction (as tkv loads them); then each round deletes a random
-		// present key and inserts a fresh one.
-		const live, early, rounds = 10_000, 400_000, 2_000_000
+	// churn loads 10k live keys, about one a bucket, into slabs — a key a
+	// transaction (as tkv loads them) or, bulk, all in one on a loader
+	// thread that then stays idle — and calls loaded, then each round on
+	// another thread deletes a random present key and inserts a fresh one.
+	// It returns the live heap after early and after all rounds, and the
+	// loader, whose logs the caller keeps alive.
+	churn := func(t *testing.T, bulk bool, early, rounds int, loaded func(stm.Thread, *HashMap[uint64])) (mid, after uint64, loader stm.Thread) {
+		const live = 10_000
+		tm := swiss.New(swiss.Options{})
+		th := tm.Register("t0")
+		loader = th
+		if bulk {
+			loader = tm.Register("loader")
+		}
 		m := NewHashMap[uint64](live)
 		keys := make([]uint64, live)
 		for i := range keys {
 			keys[i] = uint64(i)
-			if err := th.Atomically(func(tx stm.Tx) error {
-				_, err := m.Put(tx, keys[i], keys[i])
-				return err
+		}
+		load := func(keys []uint64) {
+			if err := loader.Atomically(func(tx stm.Tx) error {
+				for _, k := range keys {
+					if _, err := m.Put(tx, k, k); err != nil {
+						return err
+					}
+				}
+				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if bulk {
+			load(keys)
+		} else {
+			for i := range keys {
+				load(keys[i : i+1])
+			}
+		}
+		if loaded != nil {
+			loaded(th, m)
+		}
 		rng := rand.New(rand.NewSource(1))
 		fresh := uint64(live)
-		var mid uint64
 		for r := 1; r <= rounds; r++ {
 			i := rng.Intn(live)
 			if err := th.Atomically(func(tx stm.Tx) error {
@@ -749,11 +774,53 @@ func TestHashMapRemovedNodesAreCollected(t *testing.T) {
 				mid = liveHeap()
 			}
 		}
-		after := liveHeap()
+		after = liveHeap()
+		runtime.KeepAlive(m)
+		return mid, after, loader
+	}
+	const early, rounds = 400_000, 2_000_000
+	t.Run("churn", func(t *testing.T) {
+		mid, after, th := churn(t, false, early, rounds, nil)
 		t.Logf("live heap %d KiB after %d rounds, %d KiB after %d", mid>>10, early, after>>10, rounds)
 		if after > mid+64<<10 {
 			t.Errorf("the live heap grew from %d to %d KiB under churn that kept the map the same size: removed nodes are being kept", mid>>10, after>>10)
 		}
-		runtime.KeepAlive(m)
+		runtime.KeepAlive(th)
+	})
+	// A preload in one transaction keeps none of its slabs once churn has
+	// replaced every key it loaded, though its thread runs nothing after
+	// it: a thread's read log and write index keep only their first logKeep
+	// entries uncleared once a transaction is over, which name the first
+	// preloaded keys' value vars (and bucket vars), all in the first slab.
+	// Without the clearing the write index names a node of every slab, and
+	// all of them stay. The heap cannot tell this apart from a preload a
+	// key a transaction: the logs keep their capacity, some 0.8 MiB here,
+	// so that a warmed thread runs allocation-free.
+	t.Run("bulk", func(t *testing.T) {
+		var slabs []weak.Pointer[hmNode[uint64]]
+		_, after, th := churn(t, true, early, early, func(th stm.Thread, m *HashMap[uint64]) {
+			// Key i sits in slot i%slabNodes of slab i/slabNodes.
+			for k := uint64(0); k < 10_000; k += slabNodes {
+				var n *hmNode[uint64]
+				if err := th.Atomically(func(tx stm.Tx) (err error) {
+					_, _, n, err = m.find(tx, k)
+					return err
+				}); err != nil || n == nil {
+					t.Fatalf("find(%d) = %v, %v", k, n, err)
+				}
+				slabs = append(slabs, weak.Make(n))
+			}
+		})
+		kept := 0
+		for _, w := range slabs {
+			if w.Value() != nil {
+				kept++
+			}
+		}
+		t.Logf("%d of the preload's %d slabs kept; live heap %d KiB after %d rounds", kept, len(slabs), after>>10, early)
+		if kept > 1 {
+			t.Errorf("%d of the %d slabs a one-transaction preload filled outlive every key it loaded: the thread's logs are pinning what the preload touched", kept, len(slabs))
+		}
+		runtime.KeepAlive(th)
 	})
 }

@@ -69,7 +69,7 @@ type OpResult struct {
 // entry it leaves.
 //
 //   - get reads the value.
-//   - put stores cell, or a fresh cell holding op.Value when cell is nil,
+//   - put stores cell, or a header cell over op.Value when cell is nil,
 //     without reading the value it overwrites; Found reports that the key
 //     existed.
 //   - delete, add and cas read the key's value cell before they write it.
@@ -79,12 +79,13 @@ type OpResult struct {
 //     its value, and a logged delete that never met a put's lock on that
 //     cell could commit and append ahead of a put that validated first.
 //   - add stores the counter plus op.Delta (a missing key counts as 0);
-//     Value and n are the new counter. A non-numeric counter, or a sum past
-//     int64, is a user error.
-//   - cas stores op.Value if the value is op.Old, and a missing key never
-//     matches. A mismatch writes nothing and sets CASMismatch, with Value
-//     the value found: the single-key CAS commits it as a miss, a batch
-//     aborts on it.
+//     Value and n are the new counter. Its digits go into a stack buffer and
+//     from there into one NewCell, at any counter size. A non-numeric
+//     counter, or a sum past int64, is a user error.
+//   - cas stores a header cell over op.Value if the value is op.Old, and a
+//     missing key never matches. A mismatch writes nothing and sets
+//     CASMismatch, with Value the value found: the single-key CAS commits
+//     it as a miss, a batch aborts on it.
 //   - any other kind is a user error.
 //
 // The entry is the resulting state, not the operation: a put's value, a
@@ -120,15 +121,18 @@ func exec(tx stm.Tx, kv *stmds.HashMap[string], op *Op, cell *string) (r OpResul
 		if n, err = addCounter(cur, ok, op.Key, op.Delta); err != nil {
 			return r, 0, e, false, err
 		}
-		e.Val = strconv.FormatInt(n, 10)
+		var digits [20]byte // the longest int64, "-9223372036854775808"
+		cell = NewCell(strconv.AppendInt(digits[:0], n, 10))
+		e.Val = *cell
 		r.Value = e.Val
-		_, err = kv.Put(tx, op.Key, e.Val)
+		_, err = kv.PutRef(tx, op.Key, cell)
 	case OpCAS:
 		if !ok || cur != op.Old {
 			return OpResult{Value: cur, Found: ok, CASMismatch: true}, 0, e, false, nil
 		}
-		e.Val = op.Value
-		_, err = kv.Put(tx, op.Key, op.Value)
+		v := op.Value
+		e.Val = v
+		_, err = kv.PutRef(tx, op.Key, &v)
 	}
 	r.Found = ok
 	return r, n, e, true, err
@@ -218,14 +222,19 @@ func newBatchState() *batchState {
 	}
 	// Log entries onto one shard, b.s: a recovered or replicated record, or
 	// a restore's tombstones and pairs. Redundant writes to one key apply in
-	// order, so the last one wins.
+	// order, so the last one wins. Each value becomes a cell of its own
+	// (NewCell), and the entry takes the cell's bytes, so the record a
+	// follower logs shares them and the decoded copy dies here.
 	b.applyBody = func(tx stm.Tx) error {
-		for _, e := range b.writes {
+		for i := range b.writes {
+			e := &b.writes[i]
 			var err error
 			if e.Del {
 				_, err = b.s.kv.Delete(tx, e.Key)
 			} else {
-				_, err = b.s.kv.Put(tx, e.Key, e.Val)
+				cell := NewCell(e.Val)
+				e.Val = *cell
+				_, err = b.s.kv.PutRef(tx, e.Key, cell)
 			}
 			if err != nil {
 				return err

@@ -48,7 +48,7 @@ func TestConcurrentDisjointBatches(t *testing.T) {
 			go func() {
 				first := true
 				parked <- shA.atomically(func(tx stm.Tx) error {
-					if _, err := shA.kv.Put(tx, a, "0"); err != nil {
+					if _, err := shA.kv.PutRef(tx, a, NewCell("0")); err != nil {
 						return err
 					}
 					if first {

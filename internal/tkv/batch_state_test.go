@@ -73,7 +73,7 @@ func TestBatchAllocBudget(t *testing.T) {
 	}
 
 	// Single shard, no log: one transaction straight onto the map. Two
-	// puts (a cell each) and two adds (string and cell each).
+	// puts and two adds, a cell each.
 	ks := shardKeys(st, 1, 4, 0)
 	single := []Op{
 		{Kind: OpPut, Key: ks[0], Value: "a"},
@@ -81,8 +81,8 @@ func TestBatchAllocBudget(t *testing.T) {
 		{Kind: OpAdd, Key: ks[2], Delta: 1000},
 		{Kind: OpAdd, Key: ks[3], Delta: 1000},
 	}
-	if got := run(single); got > 1+2+2*2 {
-		t.Errorf("single-shard batch: %v allocs/op, budget 7", got)
+	if got := run(single); got > 1+2+2 {
+		t.Errorf("single-shard batch: %v allocs/op, budget 5", got)
 	}
 
 	gets := make([]Op, len(cross))

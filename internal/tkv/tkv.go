@@ -71,9 +71,18 @@
 // the call needs, run one pre-bound transaction body. The state is to
 // multi-key calls what opSlot is to single-key ones: no closure, map or plan
 // slice is built per call, so a call allocates only what it hands away — its
-// result slice, one cell per value it stores, the decimal string of an add,
-// the log record it emits. BenchmarkBatchDisjoint, BenchmarkMGet8 and
-// TestBatchAllocBudget hold that line.
+// result slice, one cell per value it stores, the log record it emits.
+// BenchmarkBatchDisjoint, BenchmarkMGet8 and TestBatchAllocBudget hold that
+// line.
+//
+// Value cells. The map holds every value as a *string cell, which becomes
+// the committed value as it is. A value the store makes from bytes — a wire
+// put's payload, an add's new counter, a recovered, replicated or restored
+// log entry — is one pointer-free object from NewCell: the collector marks
+// it without scanning it, and the allocator keeps it in one size class. A
+// value a Go caller hands over as a string (Put, a batch's put, CAS's new
+// value) is a header cell over that string, which copies nothing; PutRef
+// commits the caller's own cell.
 //
 // Read-path adaptivity: Get and MGet run in the validation-free read-only
 // snapshot mode, which restarts when a concurrent writer commits past its
@@ -95,6 +104,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/shrink-tm/shrink/internal/enginecfg"
 	"github.com/shrink-tm/shrink/internal/stm"
@@ -578,17 +588,52 @@ func (st *Store) write(op Op, cell *string) (r OpResult, n int64, c *tkvwal.Comm
 	return r, n, c, nil
 }
 
+// cellHeader is the size of a string header, which opens every cell NewCell
+// makes.
+const cellHeader = int(unsafe.Sizeof(""))
+
+// NewCell returns a value cell holding a copy of b, for PutRefAsync. It is
+// the one way the store makes a value from bytes of its own (a wire put's
+// payload, an add's digits, a log entry it applies), and it costs one
+// allocation at any size: a byte slice of cellHeader+len(b) bytes, whose
+// first cellHeader bytes are the cell's string header and whose tail holds
+// the bytes, with the header's data pointer at the tail. A byte slice is
+// allocated as an object without pointers, so the collector marks a cell
+// without scanning it, and a store full of cells is one object a value
+// instead of a header cell and its bytes, which the allocator scatters over
+// two size classes.
+//
+// This is sound because the object points only into itself: Go's
+// collector never moves a heap object, and any pointer to the cell (the
+// *string the map holds) or into its tail (a string read out of it) keeps
+// the whole object alive, so the header's unscanned pointer never outlives
+// its target. A byte allocation of at least cellHeader bytes comes from a
+// size class that is a multiple of 8, so the header is aligned. The bytes
+// are never written after NewCell returns: the cell is immutable, as every
+// committed value must be.
+func NewCell[B ~string | ~[]byte](b B) *string {
+	buf := make([]byte, cellHeader+len(b))
+	p := (*string)(unsafe.Pointer(unsafe.SliceData(buf)))
+	if len(b) > 0 {
+		copy(buf[cellHeader:], b)
+		*p = unsafe.String(&buf[cellHeader], len(b))
+	}
+	return p
+}
+
 // Put stores val under key, reporting whether the key was created. The
-// value cell holding val becomes the committed value (PutRef with the
-// argument's own cell), so Put costs exactly one allocation — the cell the
-// stored value has to live in.
+// value cell is a string header over the caller's own val (PutRef with the
+// argument's own cell), so Put costs exactly one allocation, the header,
+// and copies nothing.
 func (st *Store) Put(key uint64, val string) (bool, error) {
 	return st.PutRef(key, &val)
 }
 
 // PutRef stores the cell *val under key, reporting whether the key was
 // created. The cell itself becomes the committed value — the caller cedes
-// ownership and must never mutate *val afterwards. A serving edge that
+// ownership and must never mutate *val afterwards. A caller holding the
+// value as bytes makes its cell with NewCell, one pointer-free object; one
+// holding a string hands over a header over it. A serving edge that
 // interns repeated values (the binary wire server does) makes the whole
 // put path allocation-free this way.
 func (st *Store) PutRef(key uint64, val *string) (bool, error) {

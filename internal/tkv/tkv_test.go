@@ -317,13 +317,13 @@ func forceUpdateAbort(t *testing.T, st *Store, key uint64) {
 		}
 		if attempts == 1 {
 			if err := s.atomically(func(tx stm.Tx) error {
-				_, err := s.kv.Put(tx, key, cur)
+				_, err := s.kv.PutRef(tx, key, NewCell(cur))
 				return err
 			}, nil); err != nil {
 				return err
 			}
 		}
-		_, err = s.kv.Put(tx, key, cur)
+		_, err = s.kv.PutRef(tx, key, NewCell(cur))
 		return err
 	}, nil)
 	if err != nil || attempts != 2 {

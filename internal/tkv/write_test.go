@@ -485,8 +485,8 @@ func TestUnloggedOpsTakeNoStripe(t *testing.T) {
 // TestSingleKeyWriteAllocs holds the store's own single-key write path to
 // exact allocation counts, unlogged and with a ring: what a write allocates
 // is what it hands away — the value cell of a CAS or an Add, and with a log
-// the record's entry slice. (The counter stays below 100, where its decimal
-// string is a constant; a larger one costs a string per formatting.)
+// the record's entry slice. An Add's cell holds its digits too (NewCell),
+// so a counter costs the same below 100 and far past it.
 func TestSingleKeyWriteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -520,6 +520,13 @@ func TestSingleKeyWriteAllocs(t *testing.T) {
 			measure("Add (small counter)", tc.add, func() {
 				delta = -delta
 				st.Add(2, delta)
+			})
+			if _, err := st.Add(4, -1_000_000_007); err != nil {
+				t.Fatal(err)
+			}
+			measure("Add (large counter)", tc.add, func() {
+				delta = -delta
+				st.Add(4, delta)
 			})
 			cur, next := "a", "b"
 			measure("swapping CAS", tc.casSwap, func() {

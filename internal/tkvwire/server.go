@@ -125,8 +125,8 @@ func (s *Server) Close() error {
 // maxInternValue and maxInternEntries bound the per-connection put-value
 // intern cache: repeated small values (counters above all) are stored once
 // and every later put of the same bytes reuses the interned cell — the last
-// allocation on the put path. Unique or large values fall through to a
-// fresh cell.
+// allocation on the put path. Unique or large values, and small ones once
+// the cache is full, get a fresh cell each (tkv.NewCell, one object).
 const (
 	maxInternValue   = 64
 	maxInternEntries = 4096
@@ -311,18 +311,20 @@ func statusOf(err error) uint16 {
 	}
 }
 
-// internVal returns an immutable heap cell holding string(b), reusing the
-// connection's interned cell when the same small value was put before.
+// internVal returns an immutable value cell holding a copy of b, reusing
+// the connection's interned cell when the same small value was put before.
+// A new cell is one tkv.NewCell object, and an interned one is keyed by the
+// cell's own bytes, so interning it allocates no second copy.
 func (c *conn) internVal(b []byte) *string {
-	if len(b) <= maxInternValue {
-		if p, ok := c.intern[string(b)]; ok { // no alloc: map lookup keyed by []byte conversion
-			return p
-		}
+	if len(b) > maxInternValue {
+		return tkv.NewCell(b)
 	}
-	s := string(b)
-	p := &s
-	if len(s) <= maxInternValue && len(c.intern) < maxInternEntries {
-		c.intern[s] = p
+	if p, ok := c.intern[string(b)]; ok { // no alloc: map lookup keyed by []byte conversion
+		return p
+	}
+	p := tkv.NewCell(b)
+	if len(c.intern) < maxInternEntries {
+		c.intern[*p] = p
 	}
 	return p
 }
