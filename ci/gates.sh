@@ -271,9 +271,10 @@ step_footprint() {
 # stm.ReadTRO and stm.ReadRefTRO are written to cost less than the
 # compiler's inlining budget (63 and 58 against 80 on go1.24), and stm_tree's and
 # wire_read's throughput rest on them being inlined at every hop of
-# RBTree.GetRO, at HashMap.GetRO's value read and at HashMap.findRO's bucket
-# read: the next edit that pushes one past the budget would otherwise cost a
-# fifth of that silently. The structures are generic, so the compiler
+# RBTree.GetRO (ReadRefTRO: a link holds the child node itself) and at its
+# value read (ReadTRO), at HashMap.GetRO's value read and at HashMap.findRO's
+# bucket read: the next edit that pushes one past the budget would otherwise
+# cost a fifth of that silently. The structures are generic, so the compiler
 # reports on them where they are instantiated; internal/tkv
 # (HashMap[string]) and internal/microbench (RBTree[int64]) are built along
 # for that.
@@ -286,8 +287,8 @@ step_inline() {
 			fail=1
 		fi
 	done
-	for site in internal/stmds/rbtree.go:GetRO:ReadTRO internal/stmds/hashmap.go:GetRO:ReadTRO \
-		internal/stmds/hashmap.go:findRO:ReadRefTRO; do
+	for site in internal/stmds/rbtree.go:GetRO:ReadRefTRO internal/stmds/rbtree.go:GetRO:ReadTRO \
+		internal/stmds/hashmap.go:GetRO:ReadTRO internal/stmds/hashmap.go:findRO:ReadRefTRO; do
 		IFS=: read -r file method fn <<<"$site"
 		if ! inlined_in "$file" "$method" "$fn"; then
 			echo "inline gate: no 'inlining call to stm.$fn' inside $method ($file)" >&2
@@ -298,7 +299,7 @@ step_inline() {
 		echo "inline gate: FAILED — see 'go build -gcflags=-m=2 ./internal/tkv/ 2>&1 | grep TRO' for the cost" >&2
 		return 1
 	fi
-	echo "inline gate: stm.ReadTRO inlines into RBTree.GetRO and HashMap.GetRO, stm.ReadRefTRO into HashMap.findRO"
+	echo "inline gate: stm.ReadRefTRO inlines into RBTree.GetRO and HashMap.findRO, stm.ReadTRO into RBTree.GetRO and HashMap.GetRO"
 }
 
 # inlined_in FILE METHOD FUNC: some call to stm.FUNC between METHOD's func

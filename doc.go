@@ -117,13 +117,16 @@
 // neighbours and writes only what changes — two updates conflict where
 // they meet in the tree, not at the root. A var is two words, the orec
 // and the value pointer (its identity, for the Bloom-filter predictors, is
-// its address), and a node is one allocation of 80 bytes (its variables
-// are TVars laid out by value, stm.TVar.InitRef, the two links first), and
-// links and colours publish existing immutable cells, so only a new key's
-// node and a written value allocate. The hash map (stmds.HashMap, tkv's
-// data plane), the sorted list and the fixed array are laid out the same
-// way: bucket and cell vars by value in the table's one slice, a node's
-// vars in the node. A hash-map chain is immutable but for its value vars:
+// its address), and a node is one allocation of 80 bytes: its variables
+// are TVars laid out by value (stm.TVar.InitRef), the two links right
+// behind the key, and its first value's cell follows them. A link var holds
+// the child node itself (nil: empty), so a hop is one load, and a colour
+// one of two shared cells, so only a new key's node and an overwritten
+// value allocate. The hash map (stmds.HashMap, tkv's data plane), the
+// sorted list, the queue and the fixed array are laid out the same way:
+// bucket and cell vars by value in the table's one slice, a node's vars in
+// the node, a link var holding the node it points at. A hash-map chain is
+// immutable but for its value vars:
 // a bucket var holds its first node itself, an insert pushes a node on the
 // front, and a delete re-publishes the bucket with copies of the nodes
 // ahead of its key.

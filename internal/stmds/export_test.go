@@ -84,7 +84,7 @@ func (l *SortedList[V]) Get(tx stm.Tx, key int64) (V, bool, error) {
 func (l *SortedList[V]) findRO(tx *stm.ROTx, key int64) (*listNode[V], error) {
 	slot := &l.head
 	for {
-		n, err := stm.ReadTRO(tx, slot)
+		n, err := stm.ReadRefTRO(tx, slot)
 		if err != nil {
 			return nil, err
 		}
@@ -126,16 +126,17 @@ func (l *SortedList[V]) Delete(tx stm.Tx, key int64) (bool, error) {
 	if n == nil || n.key != key {
 		return false, nil
 	}
-	next, err := stm.ReadT(tx, &n.next)
+	next, err := stm.ReadRefT(tx, &n.next)
 	if err != nil {
 		return false, err
 	}
-	if err := stm.WriteRefT(tx, slot, l.cell(next)); err != nil {
+	if err := stm.WriteRefT(tx, slot, next); err != nil {
 		return false, err
 	}
-	// n lets go of its successor, as a removed hmNode does.
+	// n lets go of its successor, as a removed tree node lets go of its
+	// children.
 	if next != nil {
-		if err := stm.WriteRefT(tx, &n.next, &l.leaf); err != nil {
+		if err := stm.WriteRefT(tx, &n.next, nil); err != nil {
 			return false, err
 		}
 	}
@@ -145,13 +146,13 @@ func (l *SortedList[V]) Delete(tx stm.Tx, key int64) (bool, error) {
 // Size counts the elements.
 func (l *SortedList[V]) Size(tx stm.Tx) (int, error) {
 	count := 0
-	n, err := stm.ReadT(tx, &l.head)
+	n, err := stm.ReadRefT(tx, &l.head)
 	if err != nil {
 		return 0, err
 	}
 	for n != nil {
 		count++
-		if n, err = stm.ReadT(tx, &n.next); err != nil {
+		if n, err = stm.ReadRefT(tx, &n.next); err != nil {
 			return 0, err
 		}
 	}
@@ -161,22 +162,27 @@ func (l *SortedList[V]) Size(tx stm.Tx) (int, error) {
 // Keys returns the keys in ascending order.
 func (l *SortedList[V]) Keys(tx stm.Tx) ([]int64, error) {
 	var out []int64
-	n, err := stm.ReadT(tx, &l.head)
+	n, err := stm.ReadRefT(tx, &l.head)
 	if err != nil {
 		return nil, err
 	}
 	for n != nil {
 		out = append(out, n.key)
-		if n, err = stm.ReadT(tx, &n.next); err != nil {
+		if n, err = stm.ReadRefT(tx, &n.next); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// Size returns the element count.
+// Size counts the elements, walking from the head.
 func (q *Queue[T]) Size(tx stm.Tx) (int, error) {
-	return stm.ReadT(tx, q.size)
+	size := 0
+	n, err := stm.ReadRefT(tx, &q.head)
+	for ; err == nil && n != nil; size++ {
+		n, err = stm.ReadRefT(tx, &n.next)
+	}
+	return size, err
 }
 
 // Size counts the entries (reads every bucket).

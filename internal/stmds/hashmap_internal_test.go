@@ -448,7 +448,8 @@ func liveObjects() uint64 {
 // node itself. A map that has never unlinked a node (grow here) takes its
 // nodes from slabs, one allocation per slabNodes inserts; one that has (m
 // and pair, from the first round's deletes on) allocates each node.
-// SortedList.Insert is held to the same rule.
+// SortedList.Insert is held to its node: the node holds its first value's
+// cell, and a link holds the node it points at.
 func TestHashMapAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -534,7 +535,7 @@ func TestHashMapAllocs(t *testing.T) {
 		{"Put new, growing", n, rw(func(tx stm.Tx) (err error) { hit, err = grow.Put(tx, key, key); return }), true, 1, false, true},
 		{"PutRef new, growing", n, rw(func(tx stm.Tx) (err error) { hit, err = grow.PutRef(tx, key, cell); return }), true, 0, false, true},
 		{"PutIfAbsent absent, growing", n, rw(func(tx stm.Tx) (err error) { hit, err = grow.PutIfAbsent(tx, key, key); return }), true, 1, false, true},
-		{"SortedList.Insert new", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Insert(tx, int64(key), 0); return }), true, 2, false, false},
+		{"SortedList.Insert new", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Insert(tx, int64(key), 0); return }), true, 1, false, false},
 		{"SortedList.Insert existing", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Insert(tx, int64(key), 0); return }), false, 0, false, false},
 		{"SortedList.Delete", 64, rw(func(tx stm.Tx) (err error) { hit, err = l.Delete(tx, int64(key)); return }), true, 0, false, false},
 	}
@@ -599,17 +600,22 @@ func TestConstructorAllocs(t *testing.T) {
 	runtime.KeepAlive(keep)
 }
 
-// TestNodeSizes holds the two node layouts at what their fields add up to
-// over a 16-byte engine word (stm.TestVarSize): key, self and four vars in a
-// tree node, link, one var and key in a map node. The tree has no
-// bytes-per-node gate; this is it. A map's slab fills its size class, and
-// its nodes sit on 32-byte boundaries.
+// TestNodeSizes holds the node layouts at what their fields add up to
+// over a 16-byte engine word (stm.TestVarSize): key, two links, two vars and
+// the first value's cell in a tree node, key, link, one var and the first
+// value's cell in a list node, link, one var and key in a map node. The tree
+// has no bytes-per-node gate; this is it. A lookup's hops read a tree
+// node's key and links, which come first. A map's slab fills its size
+// class, and its nodes sit on 32-byte boundaries.
 func TestNodeSizes(t *testing.T) {
 	if got := unsafe.Sizeof(rbNode[int64]{}); got != 80 {
 		t.Errorf("unsafe.Sizeof(rbNode[int64]{}) = %d, want 80", got)
 	}
-	if got := unsafe.Offsetof(rbNode[int64]{}.val); got != 48 {
-		t.Errorf("rbNode: val at offset %d, want 48 — a lookup's key, self, left and right come first", got)
+	if kids, val := unsafe.Offsetof(rbNode[int64]{}.kids), unsafe.Offsetof(rbNode[int64]{}.val); kids != 8 || val != 40 {
+		t.Errorf("rbNode: kids at offset %d, val at %d, want 8 and 40 — a lookup's key and links come first", kids, val)
+	}
+	if got := unsafe.Sizeof(listNode[int64]{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(listNode[int64]{}) = %d, want 48", got)
 	}
 	if got := unsafe.Sizeof(hmNode[string]{}); got != 32 {
 		t.Errorf("unsafe.Sizeof(hmNode[string]{}) = %d, want 32", got)

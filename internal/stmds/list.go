@@ -9,44 +9,28 @@ import (
 // segment chain). Operations read the prefix up to the key's position, so
 // write transactions conflict with anything modifying that prefix —
 // deliberately coarse, like the original.
-//
-// A list must not be copied: its empty links point at its own leaf field.
 type SortedList[V any] struct {
-	head stm.TVar[*listNode[V]]
-	leaf *listNode[V] // always nil: the cell behind every empty link
+	head stm.TVar[listNode[V]] // read and written by reference only; nil when empty
 }
 
-// listNode holds its vars by value, and its own address in the immutable
-// cell self, which the link pointing at it publishes. Unlike a hash-map
-// chain, a list's links are vars: an insert or delete writes the one link
-// before its key.
+// listNode holds its vars by value and its first value's cell, so an insert
+// allocates one object (48 bytes when V is a word). Unlike a hash-map chain,
+// a list's links are vars, each holding the node it points at (nil: the
+// end): an insert or delete writes the one link before its key.
 type listNode[V any] struct {
 	key  int64
-	self *listNode[V]
+	next stm.TVar[listNode[V]] // read and written by reference only
 	val  stm.TVar[V]
-	next stm.TVar[*listNode[V]]
+	v0   V // the first value's cell
 }
 
 // NewSortedList returns an empty list.
-func NewSortedList[V any]() *SortedList[V] {
-	l := &SortedList[V]{}
-	l.head.InitRef(&l.leaf)
-	return l
-}
+func NewSortedList[V any]() *SortedList[V] { return &SortedList[V]{} }
 
-// cell returns the immutable cell a link publishes to point at n (nil: an
-// empty link).
-func (l *SortedList[V]) cell(n *listNode[V]) **listNode[V] {
-	if n == nil {
-		return &l.leaf
-	}
-	return &n.self
-}
-
-func (l *SortedList[V]) find(tx stm.Tx, key int64) (slot *stm.TVar[*listNode[V]], n *listNode[V], err error) {
+func (l *SortedList[V]) find(tx stm.Tx, key int64) (slot *stm.TVar[listNode[V]], n *listNode[V], err error) {
 	slot = &l.head
 	for {
-		n, err = stm.ReadT(tx, slot)
+		n, err = stm.ReadRefT(tx, slot)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -60,104 +44,71 @@ func (l *SortedList[V]) find(tx stm.Tx, key int64) (slot *stm.TVar[*listNode[V]]
 // Insert adds key (with val), reporting whether it was new.
 func (l *SortedList[V]) Insert(tx stm.Tx, key int64, val V) (bool, error) {
 	slot, n, err := l.find(tx, key)
-	if err != nil {
+	if err != nil || n != nil && n.key == key {
 		return false, err
 	}
-	if n != nil && n.key == key {
-		return false, nil
-	}
-	node := &listNode[V]{key: key}
-	node.self = node
-	v := val // a copy, so that a key already present pays for no cell
-	node.val.InitRef(&v)
-	node.next.InitRef(l.cell(n))
-	if err := stm.WriteRefT(tx, slot, &node.self); err != nil {
-		return false, err
-	}
-	return true, nil
+	node := &listNode[V]{key: key, v0: val}
+	node.val.InitRef(&node.v0)
+	node.next.InitRef(n)
+	err = stm.WriteRefT(tx, slot, node)
+	return err == nil, err
 }
 
 // Queue is a transactional FIFO queue over T, the structure at the heart of
 // the intruder kernel (a single dequeue point contended by all threads —
 // the paper's Figure 1(b) motivation and the case where Shrink's
-// serialization shines).
+// serialization shines). Its vars hold the nodes they point at (nil: none),
+// so an Enqueue allocates its node and nothing else. Once it holds two
+// elements, an Enqueue and a Dequeue touch disjoint vars: the tail and the
+// last node's link, the head and the first node's link.
 type Queue[T any] struct {
-	head *stm.TVar[*qNode[T]] // next to dequeue
-	tail *stm.TVar[*qNode[T]] // last enqueued (nil when empty)
-	// size counts the elements. Only the tests read it, but every Enqueue
-	// and Dequeue writes it, so the two ends of a queue conflict, and the
-	// kernels built on it keep that shape.
-	size *stm.TVar[int]
+	head stm.TVar[qNode[T]] // next to dequeue (nil when empty)
+	tail stm.TVar[qNode[T]] // last enqueued (nil when empty)
 }
 
 type qNode[T any] struct {
+	next stm.TVar[qNode[T]]
 	val  T
-	next *stm.TVar[*qNode[T]]
 }
 
 // NewQueue returns an empty queue.
-func NewQueue[T any]() *Queue[T] {
-	return &Queue[T]{
-		head: stm.NewT[*qNode[T]](nil),
-		tail: stm.NewT[*qNode[T]](nil),
-		size: stm.NewT(0),
-	}
-}
+func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
 // Enqueue appends val.
 func (q *Queue[T]) Enqueue(tx stm.Tx, val T) error {
-	node := &qNode[T]{val: val, next: stm.NewT[*qNode[T]](nil)}
-	tail, err := stm.ReadT(tx, q.tail)
+	node := &qNode[T]{val: val}
+	tail, err := stm.ReadRefT(tx, &q.tail)
 	if err != nil {
 		return err
 	}
-	if tail == nil {
-		if err := stm.WriteT(tx, q.head, node); err != nil {
-			return err
-		}
-	} else if err := stm.WriteT(tx, tail.next, node); err != nil {
+	link := &q.head
+	if tail != nil {
+		link = &tail.next
+	}
+	if err := stm.WriteRefT(tx, link, node); err != nil {
 		return err
 	}
-	if err := stm.WriteT(tx, q.tail, node); err != nil {
-		return err
-	}
-	return q.addSize(tx, 1)
+	return stm.WriteRefT(tx, &q.tail, node)
 }
 
 // Dequeue removes and returns the oldest element; ok is false when empty.
 func (q *Queue[T]) Dequeue(tx stm.Tx) (val T, ok bool, err error) {
 	var zero T
-	head, err := stm.ReadT(tx, q.head)
+	head, err := stm.ReadRefT(tx, &q.head)
+	if err != nil || head == nil {
+		return zero, false, err
+	}
+	next, err := stm.ReadRefT(tx, &head.next)
+	if err == nil {
+		err = stm.WriteRefT(tx, &q.head, next)
+	}
+	if err == nil && next == nil {
+		err = stm.WriteRefT(tx, &q.tail, nil)
+	}
 	if err != nil {
-		return zero, false, err
-	}
-	if head == nil {
-		return zero, false, nil
-	}
-	next, err := stm.ReadT(tx, head.next)
-	if err != nil {
-		return zero, false, err
-	}
-	if err := stm.WriteT(tx, q.head, next); err != nil {
-		return zero, false, err
-	}
-	if next == nil {
-		if err := stm.WriteT(tx, q.tail, (*qNode[T])(nil)); err != nil {
-			return zero, false, err
-		}
-	}
-	if err := q.addSize(tx, -1); err != nil {
 		return zero, false, err
 	}
 	return head.val, true, nil
-}
-
-func (q *Queue[T]) addSize(tx stm.Tx, d int) error {
-	n, err := stm.ReadT(tx, q.size)
-	if err != nil {
-		return err
-	}
-	return stm.WriteT(tx, q.size, n+d)
 }
 
 // Number constrains the element types Array.Add supports.

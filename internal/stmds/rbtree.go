@@ -8,13 +8,16 @@
 // Every structure is generic over its element type and stores values and
 // structural links in typed TVars, so the STM hot path (node hops during
 // searches, value reads) runs unboxed: no interface allocation, no type
-// assertion per transactional operation. The tree, the hash map, the sorted
-// list and the array hold those TVars by value — in the node, in the table's
-// slice — so a key is one object besides its value. The tree and the list
-// publish links as cells that already exist, so linking allocates nothing;
-// the hash map's chains are immutable, a bucket var holding its first node
-// itself, so a delete allocates a copy of each node ahead of its key. Until
-// its first delete, the hash map takes its nodes from slabs of 63, a
+// assertion per transactional operation. Every structure links the same
+// way: a link var's cell is the node it points at, and nil is an empty
+// link, so a hop is one load and linking allocates nothing. The tree, the
+// hash map, the sorted list, the queue and the array hold their TVars by
+// value — in the node, in the structure, in the table's slice — and a tree
+// or list node holds its first value's cell as well, so an insert there
+// allocates one object. The tree's and the list's links are vars, written
+// in place; the hash map's chains are immutable, a bucket var holding its
+// first node, so a delete allocates a copy of each node ahead of its key.
+// Until its first delete, the hash map takes its nodes from slabs of 63, a
 // 2,048-byte object the collector marks at once; from that delete on, a node
 // is an object of its own, so slabs keep at most the 32 bytes of each node
 // inserted before it.
@@ -38,49 +41,33 @@ import (
 // whose value changes — amortised O(1) of them, near the leaf it touched —
 // so two updates conflict when they meet in the tree, not because both
 // passed through the root.
-//
-// A tree must not be copied: its links point at its own leaf field.
 type RBTree[V any] struct {
-	root stm.TVar[*rbNode[V]] // nil when empty
-	// leaf is always nil. Its address is the immutable cell behind every
-	// empty link, so neither creating a node nor emptying a link spills
-	// a cell for it.
-	leaf *rbNode[V]
+	root stm.TVar[rbNode[V]] // read and written by reference only; nil when empty
 }
 
-// rbNode lays a node's four transactional variables out by value, so a node
-// is one allocation (80 bytes) and a hop from a link to the child's key is
-// two dependent loads. What a lookup reads on its way down — key, self and
-// the two links — is the node's first 48 bytes. Keys are immutable per node.
+// rbNode lays a node's transactional variables out by value, with its first
+// value's cell, so an insert allocates one object: 80 bytes when V is a
+// word (int, int64), more for a larger V. A link var holds the child node
+// itself (nil: empty), so a hop is one load, to the child's key; what a
+// lookup reads on its way down, key and kids, is the node's first 40 bytes.
+// Keys are immutable per node.
 type rbNode[V any] struct {
-	key int64
-	// self is the node's own address in an immutable cell: every link
-	// that points at the node publishes &self, so linking never
-	// allocates and the cell a reader dereferences shares the key's
-	// cache line.
-	self  *rbNode[V]
-	left  stm.TVar[*rbNode[V]]
-	right stm.TVar[*rbNode[V]]
-	val   stm.TVar[V]
-	red   stm.TVar[bool]
+	key  int64
+	kids [2]stm.TVar[rbNode[V]] // left, right; read and written by reference only
+	val  stm.TVar[V]
+	red  stm.TVar[bool]
+	v0   V // the first value's cell, immutable like every value cell
 }
 
 // The two colours, as the immutable cells every colour var points at.
 var rbBlack, rbRed = false, true
 
 // NewRBTree returns an empty tree.
-func NewRBTree[V any]() *RBTree[V] {
-	t := &RBTree[V]{}
-	t.root.InitRef(&t.leaf)
-	return t
-}
+func NewRBTree[V any]() *RBTree[V] { return &RBTree[V]{} }
 
-func (t *RBTree[V]) newNode(key int64, val V, red bool) *rbNode[V] {
-	n := &rbNode[V]{key: key}
-	n.self = n
-	n.val.InitRef(&val)
-	n.left.InitRef(&t.leaf)
-	n.right.InitRef(&t.leaf)
+func newRBNode[V any](key int64, val V, red bool) *rbNode[V] {
+	n := &rbNode[V]{key: key, v0: val}
+	n.val.InitRef(&n.v0)
 	n.red.InitRef(colorCell(red))
 	return n
 }
@@ -92,26 +79,22 @@ func colorCell(red bool) *bool {
 	return &rbBlack
 }
 
-// child returns n's right or left link.
-func (n *rbNode[V]) child(right bool) *stm.TVar[*rbNode[V]] {
+// dir is the index of the right (true) or left child link in kids.
+func dir(right bool) int {
+	i := 0
 	if right {
-		return &n.right
+		i = 1
 	}
-	return &n.left
+	return i
 }
+
+// child returns n's right or left link.
+func (n *rbNode[V]) child(right bool) *stm.TVar[rbNode[V]] { return &n.kids[dir(right)] }
 
 // setColor writes n's colour. Callers skip the call when they know the
 // colour already matches, so a repair locks only what it changes.
 func setColor[V any](tx stm.Tx, n *rbNode[V], red bool) error {
 	return stm.WriteRefT(tx, &n.red, colorCell(red))
-}
-
-// setLink points link at n (nil empties it), publishing an existing cell.
-func (t *RBTree[V]) setLink(tx stm.Tx, link *stm.TVar[*rbNode[V]], n *rbNode[V]) error {
-	if n == nil {
-		return stm.WriteRefT(tx, link, &t.leaf)
-	}
-	return stm.WriteRefT(tx, link, &n.self)
 }
 
 // isRed reads n's colour; an empty link counts as black.
@@ -125,29 +108,15 @@ func isRed[V any](tx stm.Tx, n *rbNode[V]) (bool, error) {
 // Get returns the value stored under key.
 func (t *RBTree[V]) Get(tx stm.Tx, key int64) (V, bool, error) {
 	var zero V
-	n, err := stm.ReadT(tx, &t.root)
-	if err != nil {
-		return zero, false, err
-	}
-	for n != nil {
-		switch {
-		case key < n.key:
-			if n, err = stm.ReadT(tx, &n.left); err != nil {
-				return zero, false, err
-			}
-		case key > n.key:
-			if n, err = stm.ReadT(tx, &n.right); err != nil {
-				return zero, false, err
-			}
-		default:
+	n, err := stm.ReadRefT(tx, &t.root)
+	for err == nil && n != nil {
+		if key == n.key {
 			v, err := stm.ReadT(tx, &n.val)
-			if err != nil {
-				return zero, false, err
-			}
-			return v, true, nil
+			return v, err == nil, err
 		}
+		n, err = stm.ReadRefT(tx, n.child(key > n.key))
 	}
-	return zero, false, nil
+	return zero, false, err
 }
 
 // Contains reports whether key is in the set.
@@ -161,29 +130,15 @@ func (t *RBTree[V]) Contains(tx stm.Tx, key int64) (bool, error) {
 // a read log.
 func (t *RBTree[V]) GetRO(tx *stm.ROTx, key int64) (V, bool, error) {
 	var zero V
-	n, err := stm.ReadTRO(tx, &t.root)
-	if err != nil {
-		return zero, false, err
-	}
-	for n != nil {
-		switch {
-		case key < n.key:
-			if n, err = stm.ReadTRO(tx, &n.left); err != nil {
-				return zero, false, err
-			}
-		case key > n.key:
-			if n, err = stm.ReadTRO(tx, &n.right); err != nil {
-				return zero, false, err
-			}
-		default:
+	n, err := stm.ReadRefTRO(tx, &t.root)
+	for err == nil && n != nil {
+		if key == n.key {
 			v, err := stm.ReadTRO(tx, &n.val)
-			if err != nil {
-				return zero, false, err
-			}
-			return v, true, nil
+			return v, err == nil, err
 		}
+		n, err = stm.ReadRefTRO(tx, n.child(key > n.key))
 	}
-	return zero, false, nil
+	return zero, false, err
 }
 
 // ContainsRO reports whether key is in the set, under the GetRO protocol.
@@ -215,7 +170,7 @@ func (p *rbPath[V]) push(n *rbNode[V], right bool) {
 // link returns the link that holds the path's node at depth k: the root
 // link, or the link the path took out of the node above. link(p.len) is
 // where the path ends.
-func (t *RBTree[V]) link(p *rbPath[V], k int) *stm.TVar[*rbNode[V]] {
+func (t *RBTree[V]) link(p *rbPath[V], k int) *stm.TVar[rbNode[V]] {
 	if k == 0 {
 		return &t.root
 	}
@@ -225,11 +180,11 @@ func (t *RBTree[V]) link(p *rbPath[V], k int) *stm.TVar[*rbNode[V]] {
 // descend walks from the root towards key, recording every node it passes,
 // and returns the node holding key, or nil where the path ends without one.
 func (t *RBTree[V]) descend(tx stm.Tx, p *rbPath[V], key int64) (*rbNode[V], error) {
-	n, err := stm.ReadT(tx, &t.root)
-	for err == nil && n != nil && n.key != key {
+	n, err := stm.ReadRefT(tx, &t.root)
+	for err == nil && n != nil && key != n.key {
 		right := key > n.key
 		p.push(n, right)
-		n, err = stm.ReadT(tx, n.child(right))
+		n, err = stm.ReadRefT(tx, n.child(right))
 	}
 	return n, err
 }
@@ -246,8 +201,8 @@ func (t *RBTree[V]) Insert(tx stm.Tx, key int64, val V) (bool, error) {
 		return false, stm.WriteT(tx, &n.val, val)
 	}
 	// A node is born red unless it is the root.
-	n = t.newNode(key, val, p.len > 0)
-	if err := t.setLink(tx, t.link(&p, p.len), n); err != nil {
+	n = newRBNode(key, val, p.len > 0)
+	if err := stm.WriteRefT(tx, t.link(&p, p.len), n); err != nil {
 		return false, err
 	}
 	p.push(n, false)
@@ -268,7 +223,7 @@ func (t *RBTree[V]) insertRepair(tx stm.Tx, p *rbPath[V]) error {
 		}
 		// par is red, so g is black and par is its child on this side:
 		side := p.right[k-2]
-		uncle, err := stm.ReadT(tx, g.child(!side))
+		uncle, err := stm.ReadRefT(tx, g.child(!side))
 		if err != nil {
 			return err
 		}
@@ -296,21 +251,21 @@ func (t *RBTree[V]) insertRepair(tx stm.Tx, p *rbPath[V]) error {
 		if p.right[k-1] != side {
 			// x is par's inner child: rotate it above par, after which
 			// par is the outer red child of x.
-			inner, err := stm.ReadT(tx, x.child(side))
+			inner, err := stm.ReadRefT(tx, x.child(side))
 			if err != nil {
 				return err
 			}
-			if err := t.rotate(tx, g.child(side), par, x, inner, side); err != nil {
+			if err := rotate(tx, g.child(side), par, x, inner, side); err != nil {
 				return err
 			}
 			par = x
 		}
 		// Rotate par above g and swap their colours.
-		inner, err := stm.ReadT(tx, par.child(!side))
+		inner, err := stm.ReadRefT(tx, par.child(!side))
 		if err != nil {
 			return err
 		}
-		if err := t.rotate(tx, t.link(p, k-2), g, par, inner, !side); err != nil {
+		if err := rotate(tx, t.link(p, k-2), g, par, inner, !side); err != nil {
 			return err
 		}
 		if err := setColor(tx, par, false); err != nil {
@@ -328,11 +283,11 @@ func (t *RBTree[V]) Delete(tx stm.Tx, key int64) (bool, error) {
 	if err != nil || z == nil {
 		return false, err
 	}
-	zl, err := stm.ReadT(tx, &z.left)
+	zl, err := stm.ReadRefT(tx, &z.kids[0])
 	if err != nil {
 		return false, err
 	}
-	zr, err := stm.ReadT(tx, &z.right)
+	zr, err := stm.ReadRefT(tx, &z.kids[1])
 	if err != nil {
 		return false, err
 	}
@@ -342,12 +297,12 @@ func (t *RBTree[V]) Delete(tx stm.Tx, key int64) (bool, error) {
 	// alive the nodes they point at, which when they are removed keep
 	// theirs: garbage chained to one stale reference without end.
 	if zl != nil {
-		if err := t.setLink(tx, &z.left, nil); err != nil {
+		if err := stm.WriteRefT(tx, &z.kids[0], nil); err != nil {
 			return false, err
 		}
 	}
 	if zr != nil {
-		if err := t.setLink(tx, &z.right, nil); err != nil {
+		if err := stm.WriteRefT(tx, &z.kids[1], nil); err != nil {
 			return false, err
 		}
 	}
@@ -360,7 +315,7 @@ func (t *RBTree[V]) Delete(tx stm.Tx, key int64) (bool, error) {
 	if x == nil {
 		x = zr
 	}
-	if err := t.setLink(tx, t.link(&p, p.len), x); err != nil {
+	if err := stm.WriteRefT(tx, t.link(&p, p.len), x); err != nil {
 		return false, err
 	}
 	zRed, err := stm.ReadT(tx, &z.red)
@@ -379,7 +334,7 @@ func (t *RBTree[V]) deleteInner(tx stm.Tx, p *rbPath[V], z, zl, zr *rbNode[V]) e
 	p.push(z, true) // y's seat
 	y := zr
 	for {
-		yl, err := stm.ReadT(tx, &y.left)
+		yl, err := stm.ReadRefT(tx, &y.kids[0])
 		if err != nil {
 			return err
 		}
@@ -390,22 +345,22 @@ func (t *RBTree[V]) deleteInner(tx stm.Tx, p *rbPath[V], z, zl, zr *rbNode[V]) e
 		y = yl
 	}
 	p.node[zk] = y
-	x, err := stm.ReadT(tx, &y.right)
+	x, err := stm.ReadRefT(tx, &y.kids[1])
 	if err != nil {
 		return err
 	}
-	if y != zr { // otherwise x stays where it is, under y.right
-		if err := t.setLink(tx, t.link(p, p.len), x); err != nil {
+	if y != zr { // otherwise x stays where it is, y's right child
+		if err := stm.WriteRefT(tx, t.link(p, p.len), x); err != nil {
 			return err
 		}
-		if err := t.setLink(tx, &y.right, zr); err != nil {
+		if err := stm.WriteRefT(tx, &y.kids[1], zr); err != nil {
 			return err
 		}
 	}
-	if err := t.setLink(tx, &y.left, zl); err != nil {
+	if err := stm.WriteRefT(tx, &y.kids[0], zl); err != nil {
 		return err
 	}
-	if err := t.setLink(tx, t.link(p, zk), y); err != nil {
+	if err := stm.WriteRefT(tx, t.link(p, zk), y); err != nil {
 		return err
 	}
 	yRed, err := stm.ReadT(tx, &y.red)
@@ -447,7 +402,7 @@ func (t *RBTree[V]) deleteRepair(tx stm.Tx, p *rbPath[V], x *rbNode[V]) error {
 		par, side := p.node[k-1], p.right[k-1]
 		// The sibling's subtree is one black taller than x's, so neither
 		// w nor, when w is red, its children are nil.
-		w, err := stm.ReadT(tx, par.child(!side))
+		w, err := stm.ReadRefT(tx, par.child(!side))
 		if err != nil {
 			return err
 		}
@@ -459,11 +414,11 @@ func (t *RBTree[V]) deleteRepair(tx stm.Tx, p *rbPath[V], x *rbNode[V]) error {
 			// A red sibling has a black parent: rotate it above par and
 			// swap their colours, which puts x one level down, under a
 			// red parent and beside a black sibling.
-			near, err := stm.ReadT(tx, w.child(side))
+			near, err := stm.ReadRefT(tx, w.child(side))
 			if err != nil {
 				return err
 			}
-			if err := t.rotate(tx, t.link(p, k-1), par, w, near, side); err != nil {
+			if err := rotate(tx, t.link(p, k-1), par, w, near, side); err != nil {
 				return err
 			}
 			if err := setColor(tx, w, false); err != nil {
@@ -477,11 +432,11 @@ func (t *RBTree[V]) deleteRepair(tx stm.Tx, p *rbPath[V], x *rbNode[V]) error {
 			k++
 			w = near
 		}
-		near, err := stm.ReadT(tx, w.child(side))
+		near, err := stm.ReadRefT(tx, w.child(side))
 		if err != nil {
 			return err
 		}
-		far, err := stm.ReadT(tx, w.child(!side))
+		far, err := stm.ReadRefT(tx, w.child(!side))
 		if err != nil {
 			return err
 		}
@@ -512,21 +467,21 @@ func (t *RBTree[V]) deleteRepair(tx stm.Tx, p *rbPath[V], x *rbNode[V]) error {
 			// then, like a sibling with a red far child, above par. (w
 			// keeps its black: the red the first step would give it the
 			// second would take back.)
-			nearFar, err := stm.ReadT(tx, near.child(!side))
+			nearFar, err := stm.ReadRefT(tx, near.child(!side))
 			if err != nil {
 				return err
 			}
-			if err := t.rotate(tx, par.child(!side), w, near, nearFar, !side); err != nil {
+			if err := rotate(tx, par.child(!side), w, near, nearFar, !side); err != nil {
 				return err
 			}
 			top, topRed = near, true
-			if near, err = stm.ReadT(tx, near.child(side)); err != nil {
+			if near, err = stm.ReadRefT(tx, near.child(side)); err != nil {
 				return err
 			}
 		}
 		// top takes par's place and colour; par comes down black on x's
 		// side, which makes up the missing black.
-		if err := t.rotate(tx, t.link(p, k-1), par, top, near, side); err != nil {
+		if err := rotate(tx, t.link(p, k-1), par, top, near, side); err != nil {
 			return err
 		}
 		parRed, err := stm.ReadT(tx, &par.red)
@@ -548,14 +503,14 @@ func (t *RBTree[V]) deleteRepair(tx stm.Tx, p *rbPath[V], x *rbNode[V]) error {
 // rotate lifts top, down's child opposite side, into down's place under
 // link: down becomes top's child on side and adopts inner, the subtree top
 // held there.
-func (t *RBTree[V]) rotate(tx stm.Tx, link *stm.TVar[*rbNode[V]], down, top, inner *rbNode[V], side bool) error {
-	if err := t.setLink(tx, down.child(!side), inner); err != nil {
+func rotate[V any](tx stm.Tx, link *stm.TVar[rbNode[V]], down, top, inner *rbNode[V], side bool) error {
+	if err := stm.WriteRefT(tx, down.child(!side), inner); err != nil {
 		return err
 	}
-	if err := t.setLink(tx, top.child(side), down); err != nil {
+	if err := stm.WriteRefT(tx, top.child(side), down); err != nil {
 		return err
 	}
-	return t.setLink(tx, link, top)
+	return stm.WriteRefT(tx, link, top)
 }
 
 // Size counts the keys (a read-only full traversal).
@@ -566,16 +521,16 @@ func (t *RBTree[V]) Size(tx stm.Tx) (int, error) {
 }
 
 // walk visits the nodes below link in key order.
-func (t *RBTree[V]) walk(tx stm.Tx, link *stm.TVar[*rbNode[V]], visit func(*rbNode[V])) error {
-	n, err := stm.ReadT(tx, link)
+func (t *RBTree[V]) walk(tx stm.Tx, link *stm.TVar[rbNode[V]], visit func(*rbNode[V])) error {
+	n, err := stm.ReadRefT(tx, link)
 	if err != nil || n == nil {
 		return err
 	}
-	if err := t.walk(tx, &n.left, visit); err != nil {
+	if err := t.walk(tx, &n.kids[0], visit); err != nil {
 		return err
 	}
 	visit(n)
-	return t.walk(tx, &n.right, visit)
+	return t.walk(tx, &n.kids[1], visit)
 }
 
 // CheckInvariants verifies the red-black invariants inside a transaction:
@@ -594,8 +549,8 @@ func (e errInvariant) Error() string { return "rbtree invariant violated: " + st
 // check verifies the subtree below link, which hangs under parent (nil for
 // the root) and whose keys must lie strictly between *lo and *hi where those
 // are set, and returns its black height.
-func (t *RBTree[V]) check(tx stm.Tx, link *stm.TVar[*rbNode[V]], parent *rbNode[V], lo, hi *int64) (int, error) {
-	n, err := stm.ReadT(tx, link)
+func (t *RBTree[V]) check(tx stm.Tx, link *stm.TVar[rbNode[V]], parent *rbNode[V], lo, hi *int64) (int, error) {
+	n, err := stm.ReadRefT(tx, link)
 	if err != nil || n == nil {
 		return 1, err
 	}
@@ -621,11 +576,11 @@ func (t *RBTree[V]) check(tx stm.Tx, link *stm.TVar[*rbNode[V]], parent *rbNode[
 			return 0, errInvariant(fmt.Sprintf("red-red: red key %d has the red child %d", parent.key, n.key))
 		}
 	}
-	lbh, err := t.check(tx, &n.left, n, lo, &n.key)
+	lbh, err := t.check(tx, &n.kids[0], n, lo, &n.key)
 	if err != nil {
 		return 0, err
 	}
-	rbh, err := t.check(tx, &n.right, n, &n.key, hi)
+	rbh, err := t.check(tx, &n.kids[1], n, &n.key, hi)
 	if err != nil {
 		return 0, err
 	}

@@ -19,16 +19,17 @@ const (
 	fpOps   = 100_000
 )
 
-// countingTx counts the transactional reads and writes a tree operation
-// issues and remembers which vars it wrote.
+// countingTx counts the transactional reads and writes an operation issues
+// and remembers which vars it read and wrote.
 type countingTx struct {
 	stm.Tx
 	reads, writes int
-	wrote         []*stm.Var
+	read, wrote   []*stm.Var
 }
 
 func (c *countingTx) ReadPtr(v *stm.Var) (unsafe.Pointer, error) {
 	c.reads++
+	c.read = append(c.read, v)
 	return c.Tx.ReadPtr(v)
 }
 
@@ -70,7 +71,7 @@ func TestRBTreeFootprint(t *testing.T) {
 		var cl *class
 		if err := th.Atomically(func(tx stm.Tx) error {
 			c = countingTx{Tx: tx}
-			root, err := stm.ReadT(tx, &tree.root)
+			root, err := stm.ReadRefT(tx, &tree.root)
 			if err != nil {
 				return err
 			}
@@ -108,7 +109,7 @@ func TestRBTreeFootprint(t *testing.T) {
 			if depth >= 10 && (cl == &insNew || cl == &delHit) {
 				deep++
 				for _, v := range c.wrote {
-					if v == root.red.Word() || v == root.left.Word() || v == root.right.Word() {
+					if v == root.red.Word() || v == root.kids[0].Word() || v == root.kids[1].Word() {
 						deepAtRoot++
 						break
 					}
@@ -152,10 +153,10 @@ func TestRBTreeFootprint(t *testing.T) {
 	}
 }
 
-// TestRBTreeUpdateAllocs: an update allocates the node and its value cell
-// when it inserts a new key, the value cell when it overwrites one, and
-// nothing else — links publish the cell inside the node they point at and
-// colours one of two shared cells.
+// TestRBTreeUpdateAllocs: an update allocates the node, which holds its
+// first value's cell, when it inserts a new key, the value cell when it
+// overwrites one, and nothing else — a link holds the node it points at and
+// a colour one of two shared cells.
 func TestRBTreeUpdateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations are counted")
@@ -212,7 +213,7 @@ func TestRBTreeUpdateAllocs(t *testing.T) {
 			name      string
 			got, want float64
 		}{
-			{"insert-new", insNew, 2},
+			{"insert-new", insNew, 1},
 			{"insert-existing", insOld, 1},
 			{"delete-present", delHit, 0},
 			{"delete-absent", delMiss, 0},
@@ -257,10 +258,10 @@ func TestRBTreeCheckInvariantsNamesTheRule(t *testing.T) {
 		{"red-red: red key 3 has the red child 4", func(tx stm.Tx) error { return setColor(tx, node(tx, 3), true) }},
 		{"black height: 1 to the left of key 3, 2 to its right", func(tx stm.Tx) error { return setColor(tx, node(tx, 4), false) }},
 		{"order: key 3 is in the left subtree of key 2", func(tx stm.Tx) error {
-			return tree.setLink(tx, &node(tx, 2).left, node(tx, 3))
+			return stm.WriteRefT(tx, &node(tx, 2).kids[0], node(tx, 3))
 		}},
 		{"order: key 1 is in the right subtree of key 2", func(tx stm.Tx) error {
-			return tree.setLink(tx, &node(tx, 2).right, node(tx, 1))
+			return stm.WriteRefT(tx, &node(tx, 2).kids[1], node(tx, 1))
 		}},
 	} {
 		err := th.Atomically(func(tx stm.Tx) error {
@@ -311,7 +312,7 @@ func TestRBTreeRemovedNodesAreCollected(t *testing.T) {
 	}
 	var stale *rbNode[int64] // the root: two children, and the whole tree below them
 	if err := th.Atomically(func(tx stm.Tx) (err error) {
-		stale, err = stm.ReadT(tx, &tree.root)
+		stale, err = stm.ReadRefT(tx, &tree.root)
 		return err
 	}); err != nil {
 		t.Fatal(err)
